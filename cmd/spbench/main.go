@@ -86,7 +86,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		validate   = fs.String("validate", "", "validate a metrics JSON document and exit (no experiments are run)")
 		deltaOut   = fs.String("delta-out", "", "run the delta-maintenance benchmark (1% batch: delta-merge vs full rebuild) and write its JSON document to this file")
 		valDelta   = fs.String("validate-delta", "", "validate a delta-benchmark JSON document (including the speedup floor) and exit")
-		spillOut   = fs.String("spill-out", "", "run the spill-pipeline benchmark (async+lz pipeline vs sync raw baseline) and write its JSON document to this file")
+		spillOut   = fs.String("spill-out", "", "run the spill-pipeline benchmark (lz pipeline vs raw baseline) and write its JSON document to this file")
 		valSpill   = fs.String("validate-spill", "", "validate a spill-benchmark JSON document (including the speedup and bytes-reduction floors) and exit")
 		backend    = fs.String("backend", "local", "execution backend: local (simulated nodes are goroutines) or proc (one real worker process per node); figures are identical across backends")
 		workerCmd  = fs.String("worker-cmd", "", "worker argv for -backend proc, space-separated (default: this binary re-executes itself)")
@@ -178,7 +178,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, werr)
 			return 1
 		}
-		fmt.Fprintf(stdout, "spill pipeline %.2f sim s vs sync-raw baseline %.2f sim s: %.2fx (%.2fx real wall); %d B spilled vs %d B: %.2fx fewer bytes\n",
+		fmt.Fprintf(stdout, "spill pipeline %.2f sim s vs raw baseline %.2f sim s: %.2fx (%.2fx real wall); %d B spilled vs %d B: %.2fx fewer bytes\n",
 			doc.Pipeline.SimSeconds, doc.Baseline.SimSeconds, doc.Speedup, doc.WallSpeedup,
 			doc.Pipeline.SpilledBytes, doc.Baseline.SpilledBytes, doc.BytesReduction)
 		return 0

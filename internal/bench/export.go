@@ -111,27 +111,20 @@ func WriteMetricsDoc(w io.Writer, doc *MetricsDoc) error {
 	return err
 }
 
-// MinMetricsSchemaVersion is the oldest metrics schema version the validator
-// still accepts. v2 documents predate the maintenance annotations added in
-// v3; they carry a strict subset of the v3 fields, so every structural check
-// below applies to both.
-const MinMetricsSchemaVersion = 2
-
-// acceptSchemaVersion reports whether v is within the accepted metrics
-// schema range, returning an error that names both the offending version and
-// the accepted range.
+// acceptSchemaVersion reports whether v is the current metrics schema
+// version, returning an error that names both the offending version and the
+// accepted one.
 func acceptSchemaVersion(v int, where string) error {
-	if v < MinMetricsSchemaVersion || v > mr.MetricsSchemaVersion {
-		return fmt.Errorf("bench: metrics document: %s schemaVersion %d, accepted range %d..%d",
-			where, v, MinMetricsSchemaVersion, mr.MetricsSchemaVersion)
+	if v != mr.MetricsSchemaVersion {
+		return fmt.Errorf("bench: metrics document: %s schemaVersion %d, want %d",
+			where, v, mr.MetricsSchemaVersion)
 	}
 	return nil
 }
 
 // ValidateMetricsJSON structurally validates a serialized MetricsDoc: the
-// schema version (any version in MinMetricsSchemaVersion..
-// mr.MetricsSchemaVersion is accepted, both at the top level and inside each
-// run's embedded engine metrics), the presence and types of every required
+// schema version (exactly mr.MetricsSchemaVersion, both at the top level
+// and inside each run's embedded engine metrics), the presence and types of every required
 // top-level field, and the shape of each figure and run. It is the check
 // behind `spbench -validate` and the CI bench-json smoke leg.
 func ValidateMetricsJSON(data []byte) error {

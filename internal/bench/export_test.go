@@ -67,37 +67,32 @@ func TestMetricsDocValidates(t *testing.T) {
 	}
 }
 
-// TestValidateMetricsJSONAcceptsVersionRange pins the compatibility window:
-// v2 documents (pre-maintenance) and v3 documents (with per-round maint
-// annotations) must both validate, at the top level and inside embedded run
-// metrics, including mixed top-level/run versions from re-exported archives.
-func TestValidateMetricsJSONAcceptsVersionRange(t *testing.T) {
+// TestValidateMetricsJSONAcceptsCurrentVersionOnly: exactly
+// mr.MetricsSchemaVersion validates, at the top level and inside embedded
+// run metrics; its neighbours are rejected with an error naming the
+// offending and the accepted version.
+func TestValidateMetricsJSONAcceptsCurrentVersionOnly(t *testing.T) {
 	const shell = `{"schemaVersion":%d,"tool":"x","experiment":"y","workers":1,"seed":1,"scale":1,` +
 		`"environment":{"goVersion":"go"},"figures":[],` +
 		`"runs":[{"algo":"a","inputTuples":1,"metrics":{"schemaVersion":%d,"rounds":[]}}]}`
-	cases := []struct{ top, run int }{{2, 2}, {3, 3}, {4, 4}, {5, 5}, {6, 6}, {3, 2}, {2, 3}, {4, 2}, {2, 4}, {5, 2}, {2, 5}, {6, 2}, {2, 6}}
-	for _, c := range cases {
-		doc := fmt.Sprintf(shell, c.top, c.run)
-		if err := ValidateMetricsJSON([]byte(doc)); err != nil {
-			t.Errorf("top-level v%d with run v%d rejected: %v", c.top, c.run, err)
-		}
+	cur := mr.MetricsSchemaVersion
+	if err := ValidateMetricsJSON([]byte(fmt.Sprintf(shell, cur, cur))); err != nil {
+		t.Errorf("current version rejected: %v", err)
 	}
-	// Out-of-range versions are named together with the accepted range.
-	for _, bad := range []int{1, 7} {
-		err := ValidateMetricsJSON([]byte(fmt.Sprintf(shell, bad, 2)))
-		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("schemaVersion %d", bad)) ||
-			!strings.Contains(err.Error(), "accepted range 2..6") {
-			t.Errorf("top-level v%d: error %v does not name version and range", bad, err)
-		}
-		err = ValidateMetricsJSON([]byte(fmt.Sprintf(shell, 3, bad)))
-		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("schemaVersion %d", bad)) ||
-			!strings.Contains(err.Error(), "accepted range 2..6") {
-			t.Errorf("run v%d: error %v does not name version and range", bad, err)
+	want := fmt.Sprintf("want %d", cur)
+	for _, bad := range []int{cur - 1, cur + 1} {
+		for _, doc := range []string{fmt.Sprintf(shell, bad, cur), fmt.Sprintf(shell, cur, bad)} {
+			err := ValidateMetricsJSON([]byte(doc))
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("schemaVersion %d", bad)) ||
+				!strings.Contains(err.Error(), want) {
+				t.Errorf("v%d: error %v does not name the offending and accepted versions", bad, err)
+			}
 		}
 	}
 }
 
 func TestValidateMetricsJSONRejectsMalformed(t *testing.T) {
+	cur := fmt.Sprintf(`{"schemaVersion":%d`, mr.MetricsSchemaVersion)
 	cases := []struct {
 		name string
 		doc  string
@@ -107,11 +102,11 @@ func TestValidateMetricsJSONRejectsMalformed(t *testing.T) {
 		{"no version", `{"tool":"spbench"}`, "schemaVersion"},
 		{"wrong version", `{"schemaVersion":99,"tool":"x","experiment":"y"}`, "schemaVersion 99"},
 		{"stale v1", `{"schemaVersion":1,"tool":"x","experiment":"y"}`, "schemaVersion 1"},
-		{"no tool", `{"schemaVersion":2}`, "missing tool"},
-		{"no figures", `{"schemaVersion":2,"tool":"x","experiment":"y","workers":1,"seed":1,"scale":1,"environment":{"goVersion":"go"}}`, "figures"},
-		{"figure without id", `{"schemaVersion":2,"tool":"x","experiment":"y","workers":1,"seed":1,"scale":1,"environment":{"goVersion":"go"},"figures":[{}],"runs":[]}`, "no id"},
-		{"run without algo", `{"schemaVersion":2,"tool":"x","experiment":"y","workers":1,"seed":1,"scale":1,"environment":{"goVersion":"go"},"figures":[],"runs":[{}]}`, "no algo"},
-		{"run with bad metrics", `{"schemaVersion":2,"tool":"x","experiment":"y","workers":1,"seed":1,"scale":1,"environment":{"goVersion":"go"},"figures":[],"runs":[{"algo":"a","inputTuples":1,"metrics":{"schemaVersion":1}}]}`, "metrics schemaVersion"},
+		{"no tool", cur + `}`, "missing tool"},
+		{"no figures", cur + `,"tool":"x","experiment":"y","workers":1,"seed":1,"scale":1,"environment":{"goVersion":"go"}}`, "figures"},
+		{"figure without id", cur + `,"tool":"x","experiment":"y","workers":1,"seed":1,"scale":1,"environment":{"goVersion":"go"},"figures":[{}],"runs":[]}`, "no id"},
+		{"run without algo", cur + `,"tool":"x","experiment":"y","workers":1,"seed":1,"scale":1,"environment":{"goVersion":"go"},"figures":[],"runs":[{}]}`, "no algo"},
+		{"run with bad metrics", cur + `,"tool":"x","experiment":"y","workers":1,"seed":1,"scale":1,"environment":{"goVersion":"go"},"figures":[],"runs":[{"algo":"a","inputTuples":1,"metrics":{"schemaVersion":1}}]}`, "metrics schemaVersion"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -18,12 +18,12 @@ import (
 
 // SpillSchemaVersion versions the spill-pipeline benchmark document
 // (BENCH_spill.json). Bump on any field change.
-const SpillSchemaVersion = 1
+const SpillSchemaVersion = 2
 
 // MinSpillSpeedup and MinSpillBytesReduction are the committed performance
 // floors of the overlapped spill pipeline: on a spill-dominated workload
-// the async-writer + lz-codec configuration must beat the synchronous raw
-// configuration (the engine's pre-pipeline behavior) by at least 1.3x
+// the lz-codec, bounded-fan-in configuration must beat the raw, unbounded
+// configuration (the engine's pre-pipeline on-disk format) by at least 1.3x
 // simulated wall-clock, and must write at most half the physical spill
 // bytes. ValidateSpillJSON enforces both; `make bench-spill` regenerates
 // the artifact and re-checks it.
@@ -37,9 +37,8 @@ const (
 // document's seed; WallSeconds is the best real in-process time over
 // Repetitions runs and is volatile (machine-dependent).
 type SpillLeg struct {
-	// Codec, Sync and MergeFanIn echo the mr.Config knobs of this leg.
+	// Codec and MergeFanIn echo the mr.Config knobs of this leg.
 	Codec      string `json:"codec"`
-	Sync       bool   `json:"sync"`
 	MergeFanIn int    `json:"mergeFanIn"`
 	// SimSeconds is the round's simulated wall-clock under the calibrated
 	// cost model, which charges the physically written (compressed) spill
@@ -55,11 +54,9 @@ type SpillLeg struct {
 }
 
 // SpillDoc is the machine-readable result of one spill-pipeline benchmark:
-// the same spill-dominated shuffle job run through the synchronous raw
-// baseline (the engine as it was before the overlapped pipeline: inline
-// spill writes, uncompressed runs, unbounded merge fan-in) and through the
-// pipeline configuration (background double-buffered writer, lz block
-// codec, default fan-in). Both legs produce bit-identical reducer output
+// the same spill-dominated shuffle job run through the raw baseline
+// (uncompressed runs, unbounded merge fan-in) and through the pipeline
+// configuration (lz block codec, default fan-in). Both legs produce bit-identical reducer output
 // (verified by DFS checksum before the document is emitted).
 //
 // The workload is a fat-state aggregation: every input tuple of a
@@ -225,13 +222,13 @@ func spillBenchJob() *mr.Job {
 
 // spillLegConfigs returns the two engine configurations under comparison.
 func spillLegConfigs() (baseline, pipeline SpillLeg) {
-	baseline = SpillLeg{Codec: "raw", Sync: true, MergeFanIn: 1 << 30}
-	pipeline = SpillLeg{Codec: "lz", Sync: false, MergeFanIn: 0}
+	baseline = SpillLeg{Codec: "raw", MergeFanIn: 1 << 30}
+	pipeline = SpillLeg{Codec: "lz", MergeFanIn: 0}
 	return
 }
 
-// RunSpillBench measures the overlapped spill pipeline against the
-// synchronous raw baseline on one spill-dominated round. Each leg runs
+// RunSpillBench measures the compressed spill pipeline against the raw
+// baseline on one spill-dominated round. Each leg runs
 // Repetitions times; wall time is the best observed, everything else is
 // deterministic in Seed. The two legs' DFS outputs are checksummed and
 // must match bit-for-bit — a mismatch fails the benchmark rather than
@@ -295,7 +292,7 @@ func runSpillLeg(cfg SpillConfig, rel *relation.Relation, leg *SpillLeg) (uint64
 		eng := mr.New(mr.Config{
 			Workers: cfg.Workers, Seed: uint64(cfg.Seed), Parallelism: cfg.Parallelism,
 			SpillBudgetBytes: cfg.SpillBudgetBytes, SpillDir: dir,
-			SpillCodec: leg.Codec, MergeFanIn: leg.MergeFanIn, SpillSync: leg.Sync,
+			SpillCodec: leg.Codec, MergeFanIn: leg.MergeFanIn,
 		}, dfs.New(false))
 		job := spillBenchJob()
 		t0 := time.Now()

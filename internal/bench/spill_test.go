@@ -23,7 +23,7 @@ func TestRunSpillBenchProducesValidDoc(t *testing.T) {
 	if doc.SchemaVersion != SpillSchemaVersion || doc.Tool != "spbench" || doc.Algo != "fat-state-shuffle" {
 		t.Errorf("doc header: %+v", doc)
 	}
-	if doc.Baseline.Codec != "raw" || !doc.Baseline.Sync || doc.Pipeline.Codec != "lz" || doc.Pipeline.Sync {
+	if doc.Baseline.Codec != "raw" || doc.Pipeline.Codec != "lz" {
 		t.Errorf("leg configurations: baseline %+v, pipeline %+v", doc.Baseline, doc.Pipeline)
 	}
 	if doc.Baseline.Spills == 0 || doc.Pipeline.Spills == 0 {
@@ -83,20 +83,20 @@ func TestSpillBenchDeterministicAcrossRuns(t *testing.T) {
 }
 
 func TestValidateSpillJSON(t *testing.T) {
-	leg := func(codec string, sync bool, spilled float64) map[string]any {
+	leg := func(codec string, spilled float64) map[string]any {
 		return map[string]any{
-			"codec": codec, "sync": sync, "mergeFanIn": 0,
+			"codec": codec, "mergeFanIn": 0,
 			"simSeconds": 10.0, "wallSeconds": 0.5,
 			"spillBytes": 1000000.0, "spilledBytes": spilled,
 			"spills": 40, "mergePasses": 0,
 		}
 	}
 	good := map[string]any{
-		"schemaVersion": 1, "tool": "spbench", "algo": "fat-state-shuffle",
+		"schemaVersion": SpillSchemaVersion, "tool": "spbench", "algo": "fat-state-shuffle",
 		"tuples": 100000, "valueBytes": 512, "workers": 20, "seed": 2016,
 		"spillBudgetBytes": 1048576, "repetitions": 3,
-		"baseline": leg("raw", true, 1000000.0),
-		"pipeline": leg("lz", false, 250000.0),
+		"baseline": leg("raw", 1000000.0),
+		"pipeline": leg("lz", 250000.0),
 		"speedup":  1.4, "wallSpeedup": 0.9, "bytesReduction": 4.0,
 	}
 	enc := func(mut func(map[string]any)) []byte {
@@ -129,10 +129,10 @@ func TestValidateSpillJSON(t *testing.T) {
 		{"zero tuples", func(d map[string]any) { d["tuples"] = 0 }, "tuples"},
 		{"missing leg", func(d map[string]any) { delete(d, "pipeline") }, "pipeline leg"},
 		{"leg without codec", func(d map[string]any) {
-			d["baseline"] = leg("", true, 1000000.0)
+			d["baseline"] = leg("", 1000000.0)
 		}, "baseline leg has no codec"},
 		{"leg never spilled", func(d map[string]any) {
-			l := leg("lz", false, 250000.0)
+			l := leg("lz", 250000.0)
 			l["spills"] = 0
 			d["pipeline"] = l
 		}, "spills"},

@@ -56,7 +56,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -185,10 +187,6 @@ type Config struct {
 	// byte-identical at any fan-in (contiguous grouping preserves the
 	// source-index tiebreak).
 	MergeFanIn int
-	// SpillSync disables the background spill writer: flushes are written
-	// inline on the task goroutine, with no encode/I-O overlap. The
-	// pipeline's benchmark baseline, and a debugging aid.
-	SpillSync bool
 	// SpillWriteWrapper, when set, wraps every spill run file's writer —
 	// the fault-injection hook for the disk plane. A wrapper that returns
 	// ENOSPC, another write error, or a silent short write makes the
@@ -305,8 +303,19 @@ func New(cfg Config, fs *dfs.FS) *Engine {
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 4
 	}
+	if cfg.Nodes <= 0 {
+		cfg.Nodes = cfg.Workers
+	}
+	if cfg.MergeFanIn == 0 {
+		cfg.MergeFanIn = defaultMergeFanIn
+	} else if cfg.MergeFanIn < 2 {
+		cfg.MergeFanIn = 2 // a two-way merge is the smallest that makes progress
+	}
 	if cfg.Cost == (CostModel{}) {
 		cfg.Cost = DefaultCost()
+	}
+	if cfg.Executor == nil {
+		cfg.Executor = localExecutor{}
 	}
 	if fs == nil {
 		fs = dfs.New(true)
@@ -355,19 +364,22 @@ type MapCtx struct {
 	sd          *spillDir
 	spill       *spillFile
 	sortScratch []Pair
+	bucketRaw   []int64 // Σ pairBytes per bucket of the last partitionSort
 	encBuf      []byte
-	traceSpill  func(bytes int64)
+	// tr (nil when tracing is off; its methods are nil-safe) and attempt
+	// address the attempt's spill trace events.
+	tr      *roundTracer
+	attempt int
 
 	// Spill pipeline state: flushes are encoded through codec into one of
-	// writer's double buffers and written by its background goroutine
-	// (foreground, when Config.SpillSync). blockBuf is codec scratch;
-	// flushes records each flush's compressed size so the attempt can emit
-	// spill-flush trace events once its writer has joined.
-	codec           blockcodec.Codec
-	writer          *spillWriter
-	blockBuf        []byte
-	flushes         []flushRec
-	traceSpillFlush func(f flushRec)
+	// writer's double buffers and written by its background goroutine.
+	// blockBuf is codec scratch; flushes records each flush's compressed
+	// size so the attempt can emit spill-flush trace events once its writer
+	// has joined.
+	codec    blockcodec.Codec
+	writer   *spillWriter
+	blockBuf []byte
+	flushes  []flushRec
 }
 
 // flushRec is one spill flush's post-write accounting: the framed,
@@ -379,10 +391,12 @@ type flushRec struct {
 }
 
 // mapOutput is one completed map task's shuffle contribution: the sorted
-// in-memory per-reducer buckets plus, when the attempt spilled, its run
-// file of earlier sorted flushes.
+// in-memory per-reducer buckets, each bucket's raw byte size (the metadata
+// a spill segment carries, so sizing a reducer's input reads no record),
+// plus, when the attempt spilled, its run file of earlier sorted flushes.
 type mapOutput struct {
 	buckets [][]Pair
+	raw     []int64
 	spill   *spillFile
 }
 
@@ -440,7 +454,7 @@ func (c *MapCtx) spillNow() {
 			panic(taskAbort{err})
 		}
 		c.spill = sf
-		c.writer = newSpillWriter(sf, c.eng.Cfg.SpillSync)
+		c.writer = newSpillWriter(sf)
 	}
 	buf, stall := c.writer.acquire()
 	c.metrics.SpillWriteStallNs += stall.Nanoseconds()
@@ -456,9 +470,7 @@ func (c *MapCtx) spillNow() {
 	c.metrics.SpillBytes += encBytes
 	c.metrics.CompressedSpillBytes += written
 	c.metrics.CPUSeconds += float64(written) / c.eng.Cfg.Cost.DiskBytesPerSec
-	if c.traceSpill != nil {
-		c.traceSpill(encBytes)
-	}
+	c.tr.add(PhaseMap, c.Task, TraceEvent{Type: EvSpill, Attempt: c.attempt, Bytes: encBytes})
 	c.flushes = append(c.flushes, flushRec{bytes: written, records: records})
 	c.out = c.out[:0]
 	c.arena = c.arena[:0]
@@ -524,14 +536,15 @@ type RedCtx struct {
 	// through the spill codec (SpillBytes is the exact encoded size) and,
 	// when out-of-core mode is on, block-framed through codec and written
 	// to a per-attempt run file (frameBuf/blockBuf are framing scratch).
-	sd         *spillDir
-	budget     int64
-	extSpill   *spillFile
-	encBuf     []byte
-	codec      blockcodec.Codec
-	frameBuf   []byte
-	blockBuf   []byte
-	traceSpill func(bytes int64)
+	sd       *spillDir
+	budget   int64
+	extSpill *spillFile
+	encBuf   []byte
+	codec    blockcodec.Codec
+	frameBuf []byte
+	blockBuf []byte
+	tr       *roundTracer // see MapCtx.tr
+	attempt  int
 }
 
 // discardExtSpill deletes the attempt's external-aggregation run file (it
@@ -596,7 +609,7 @@ func (e *Engine) RunTuples(job *Job, tuples []relation.Tuple) (*RoundResult, err
 	}
 	n := len(tuples)
 	inBytes := e.tupleInputBytes(tuples)
-	return e.run(job, n, inBytes, func(task int, ctx *MapCtx) {
+	return e.run(job, n, func(task int, ctx *MapCtx) {
 		lo, hi := split(n, e.Cfg.Workers, task)
 		for i := lo; i < hi; i++ {
 			ctx.metrics.InRecords++
@@ -613,11 +626,7 @@ func (e *Engine) RunPairs(job *Job, pairs []Pair) (*RoundResult, error) {
 		return nil, fmt.Errorf("mr: job %s: RunPairs requires MapPair", job.Name)
 	}
 	n := len(pairs)
-	var inBytes int64
-	for i := range pairs {
-		inBytes += pairBytes(pairs[i].Key, pairs[i].Val)
-	}
-	return e.run(job, n, inBytes, func(task int, ctx *MapCtx) {
+	return e.run(job, n, func(task int, ctx *MapCtx) {
 		lo, hi := split(n, e.Cfg.Workers, task)
 		for i := lo; i < hi; i++ {
 			ctx.metrics.InRecords++
@@ -628,605 +637,467 @@ func (e *Engine) RunPairs(job *Job, pairs []Pair) (*RoundResult, error) {
 	})
 }
 
-func (e *Engine) run(job *Job, n int, totalInBytes int64, feed func(task int, ctx *MapCtx)) (*RoundResult, error) {
-	memTuples := e.MemTuples(n)
-	reducers := job.Reducers
-	if reducers <= 0 {
-		reducers = e.Cfg.Workers
-	}
-	// Machines have an absolute memory floor regardless of how small the
-	// input is (m = n/k is the paper's asymptotic assumption; a physical
-	// machine does not shrink with n). The floor only affects memory-
-	// pressure checks, not the skew threshold.
-	oomMem := float64(memTuples)
-	if oomMem < float64(MinOOMMemTuples) {
-		oomMem = float64(MinOOMMemTuples)
-	}
-	partition := job.Partition
-	if partition == nil {
-		seed := e.Cfg.Seed
-		partition = func(key string, r int) int { return HashPartition(seed, key, r) }
-	}
-	outPrefix := job.OutputPrefix
-	if outPrefix == "" {
-		outPrefix = "out/" + job.Name + "/"
-	}
-	codec, err := blockcodec.ByName(e.Cfg.SpillCodec)
+// round is one executing MapReduce round: the plan every stage reads, the
+// backend and tracer handles, and the state the stages hand each other.
+// Engine.run drives it through plan → open → map stage → crash barrier
+// (crash, fetch probe, re-execution) → shuffle hand-off → reduce stage →
+// finish.
+type round struct {
+	eng *Engine
+	job *Job
+	// index is the engine's round counter: fault plans and attempt
+	// placement select against it.
+	index     int
+	reducers  int
+	partition func(key string, reducers int) int
+	outPrefix string
+	codec     blockcodec.Codec
+	feed      func(task int, ctx *MapCtx)
+
+	// Memory model. Machines have an absolute memory floor regardless of
+	// how small the input is (m = n/k is the paper's asymptotic assumption;
+	// a physical machine does not shrink with n), so oomMem is memTuples
+	// raised to MinOOMMemTuples; it only affects memory-pressure checks,
+	// not the skew threshold. inflation is Job.MemInflation, defaulted.
+	memTuples int
+	oomMem    float64
+	inflation float64
+
+	// sd holds all of the round's run files in one lazily created
+	// directory, removed wholesale when the round ends. Files of failed,
+	// killed, raced or node-crash-lost attempts are deleted eagerly; the
+	// deferred cleanup is the backstop that makes leaks impossible on any
+	// exit path, error returns included.
+	sd *spillDir
+	// tr is nil when Config.Tracer is unset, and every method on a nil
+	// roundTracer is a no-op, so the untraced path does no trace work.
+	// Task-level events are buffered per task and flushed in task-index
+	// order at each phase barrier, which keeps the delivered stream
+	// identical at any parallelism.
+	tr *roundTracer
+
+	// Failure domains. The engine makes every scheduling decision and the
+	// backend (rex) realizes it. dead is the round's planned node crashes,
+	// delivered at the crash barrier; down is the backend's own permanently
+	// unusable workers (nil under the local backend); barrierDown is their
+	// union, which everything placed after the barrier drains around.
+	rex         RoundExecutor
+	dead        []bool
+	down        []bool
+	barrierDown []bool
+
+	start time.Time
+	res   *RoundResult
+	rm    *RoundMetrics
+
+	maps []mapTask
+	// outOfCore records that some map output reached the shuffle with a run
+	// file. Only then may a reducer consolidate runs beyond MergeFanIn onto
+	// disk: a round that fit in memory never creates a file, whatever the
+	// fan-in cap says.
+	outOfCore bool
+}
+
+// mapTask is one map task's standing at the barrier: the winning attempt —
+// its output, plus the attempt index and storage node the fetch probe
+// addresses — or the error that failed the task.
+type mapTask struct {
+	win *taskAttempt
+	err error
+}
+
+// run executes one round over n input records: the stage list of the round
+// type's comment, in order, stopping at the first stage that fails. feed
+// drives one map task's share of the input through the job's map function.
+func (e *Engine) run(job *Job, n int, feed func(task int, ctx *MapCtx)) (*RoundResult, error) {
+	r, err := e.planRound(job, n, feed)
 	if err != nil {
-		return nil, fmt.Errorf("mr: job %s: %w", job.Name, err)
+		return nil, err
 	}
-
-	res := &RoundResult{Metrics: RoundMetrics{Job: job.Name}}
-	rm := &res.Metrics
-	rm.Mappers = make([]TaskMetrics, e.Cfg.Workers)
-	rm.Reducers = make([]TaskMetrics, reducers)
-
-	round := e.rounds
-	e.rounds++
-
-	start := time.Now()
-
-	// Tracing: tr is nil when Config.Tracer is unset, and every method on
-	// a nil roundTracer is a no-op, so the fault-free untraced path does no
-	// trace work at all. Task-level events are buffered per task and
-	// flushed in task-index order at each phase barrier, which keeps the
-	// delivered stream identical at any parallelism.
-	tr := e.tracerFor(round, job.Name)
-	tr.roundStart(e.Cfg.Workers, reducers)
-
-	// Failure domains: node-crash faults targeting this round kill whole
-	// nodes at the shuffle barrier below; attempt placement is fixed up
-	// front so it is identical at any parallelism.
-	nodes := e.nodeCount()
-	dead := e.deadNodes(round, nodes)
-
-	// Execution backend: the engine makes every scheduling decision and the
-	// backend realizes it (see Executor). down is the backend's own set of
-	// permanently unusable nodes — workers it could not respawn within the
-	// restart budget — whose tasks drain onto live nodes through the same
-	// placeLive probe the simulated crashes use; it is nil under the local
-	// backend, so nothing below changes behavior there. A backend with no
-	// usable node at all fails the round plainly instead of hanging.
 	if cerr := e.cancelErr(); cerr != nil {
 		return nil, cerr
 	}
-	rex, down, execErr := e.executor().RoundStart(round, nodes, dead, RoundHooks{Trace: tr.backendEvent})
-	if execErr != nil {
-		rm.Failed = true
-		rm.FailReason = fmt.Sprintf("execution backend: %v", execErr)
-		rm.finalize(e.Cfg.Cost)
-		rm.WallSeconds = time.Since(start).Seconds()
-		tr.roundEnd(rm)
-		return res, fmt.Errorf("mr: job %s: execution backend: %w", job.Name, execErr)
+	if err := r.open(); err != nil {
+		return r.res, err
 	}
-	// finishRound closes the round on every exit path: collect the
-	// backend's health counters (volatile; zero under the local backend),
-	// finalize the metrics, and emit the round-end event.
-	finishRound := func() {
-		st := rex.RoundEnd()
-		rm.finalize(e.Cfg.Cost)
-		rm.HeartbeatMisses = st.HeartbeatMisses
-		rm.WorkerRestarts = st.WorkerRestarts
-		rm.RPCRetries = st.RPCRetries
-		rm.WallSeconds = time.Since(start).Seconds()
-		if st.RPCRetries > 0 {
-			// Volatile by nature (real transport flakiness does not replay);
-			// emitted from the run goroutine so the sequence stays ordered.
-			tr.event(TraceEvent{Type: EvRPCRetry, Records: st.RPCRetries})
-		}
-		tr.roundEnd(rm)
+	defer r.sd.cleanup()
+	err = r.mapStage()
+	if err == nil {
+		err = r.crashBarrier()
 	}
+	if err == nil {
+		err = r.reduceStage(r.shuffle())
+	}
+	r.finish()
+	return r.res, err
+}
 
-	// Out-of-core spill lifecycle: all of the round's run files live in
-	// one lazily created directory, removed wholesale when the round ends.
-	// Individual files of failed, killed, speculation-losing or
-	// node-crash-lost attempts are deleted eagerly below; the deferred
-	// cleanup is the backstop that makes leaks impossible on any exit
-	// path, error returns included.
-	sd := newSpillDir(e.Cfg.SpillDir, e.Cfg.SpillWriteWrapper)
-	defer sd.cleanup()
+// planRound resolves everything about the round that is fixed before a
+// task runs, takes the round index, and emits the round-start event.
+func (e *Engine) planRound(job *Job, n int, feed func(task int, ctx *MapCtx)) (*round, error) {
+	r := &round{eng: e, job: job, feed: feed}
+	r.memTuples = e.MemTuples(n)
+	r.oomMem = math.Max(float64(r.memTuples), MinOOMMemTuples)
+	r.inflation = job.MemInflation
+	if r.inflation <= 0 {
+		r.inflation = 1
+	}
+	r.reducers = job.Reducers
+	if r.reducers <= 0 {
+		r.reducers = e.Cfg.Workers
+	}
+	r.partition = job.Partition
+	if r.partition == nil {
+		seed := e.Cfg.Seed
+		r.partition = func(key string, reducers int) int { return HashPartition(seed, key, reducers) }
+	}
+	r.outPrefix = job.OutputPrefix
+	if r.outPrefix == "" {
+		r.outPrefix = "out/" + job.Name + "/"
+	}
+	var err error
+	if r.codec, err = blockcodec.ByName(e.Cfg.SpillCodec); err != nil {
+		return nil, fmt.Errorf("mr: job %s: %w", job.Name, err)
+	}
+	r.res = &RoundResult{Metrics: RoundMetrics{Job: job.Name}}
+	r.rm = &r.res.Metrics
+	r.rm.Mappers = make([]TaskMetrics, e.Cfg.Workers)
+	r.rm.Reducers = make([]TaskMetrics, r.reducers)
+	r.maps = make([]mapTask, e.Cfg.Workers)
+	r.index = e.rounds
+	e.rounds++
+	r.start = time.Now()
+	r.tr = e.tracerFor(r.index, job.Name)
+	r.tr.roundStart(e.Cfg.Workers, r.reducers)
+	// Attempt placement and the crash plan are fixed up front, so both are
+	// identical at any parallelism.
+	r.dead = e.deadNodes(r.index, e.Cfg.Nodes)
+	return r, nil
+}
 
-	// Map phase. Tasks run on the worker pool; each partitions its own
-	// output into private per-reducer buckets, and the shuffle merges them
-	// in task-index order below, so bucket contents are independent of
-	// task scheduling. Every task retries injected-fault failures and
-	// engine kills up to MaxAttempts with a fresh context and fresh
-	// TaskState; a failed attempt's buffered output dies with its context,
-	// so nothing of it reaches the shuffle. A completed attempt that
-	// stalled past TaskTimeout is killed and retried; one that stalled
-	// past SpeculativeSlack races a deterministic backup attempt.
-	mapOuts := make([]mapOutput, e.Cfg.Workers)
-	mapErrs := make([]error, e.Cfg.Workers)
-	mapWinner := make([]int, e.Cfg.Workers) // winning attempt index: decides output placement
-	mapNode := make([]int, e.Cfg.Workers)   // the node the winning attempt ran on and stored its output
-	tr.startPhase(e.Cfg.Workers)
-	e.forEachTask(e.Cfg.Workers, func(task int) {
-		var wasted int64
-		var retryWall float64
-		for attempt := 0; ; attempt++ {
-			if cerr := e.cancelErr(); cerr != nil {
-				mapErrs[task] = cerr
-				return
-			}
-			tstart := time.Now()
-			inj := e.injectorFor(round, PhaseMap, task, attempt)
-			tr.attemptStart(PhaseMap, task, attempt, inj)
-			ctx := e.newMapCtx(job, task, attempt, inj, reducers, partition, sd, codec, tr)
-			node, mout, err := e.runMapAttempt(rex, job, ctx, round, task, attempt, down, nodes, feed)
-			if err == nil {
-				stall := inj.simDelay()
-				if kill := e.timeoutKill(PhaseMap, task, attempt, stall); kill != nil {
-					mout.spill.discard() // a killed attempt's run file dies with it
-					err = kill           // discard the attempt and fall through to retry
-				} else {
-					ctx.metrics.WallSeconds = time.Since(tstart).Seconds()
-					winCtx, winOut, winAttempt, winNode := ctx, mout, attempt, node
-					var sp specOutcome
-					if e.Cfg.SpeculativeSlack > 0 && stall > e.Cfg.SpeculativeSlack {
-						winCtx, winOut, winAttempt, winNode, sp = e.speculateMap(
-							job, round, task, attempt, node, feed, reducers, partition, sd, codec, ctx, mout, stall, rex, down, nodes, tr)
-					}
-					m := &winCtx.metrics
-					m.Attempts = int64(attempt+1) + sp.launched
-					m.RetryWallSeconds = retryWall
-					m.WastedBytes = wasted + sp.wasted
-					m.SpeculativeLaunched = sp.launched
-					m.SpeculativeWon = sp.won
-					m.SpeculativeKilled = sp.killed
-					m.SpeculativeWallSeconds = sp.wall
-					rm.Mappers[task] = *m
-					mapWinner[task] = winAttempt
-					mapNode[task] = winNode
-					mapOuts[task] = winOut
-					tr.taskSuccess(PhaseMap, task, winAttempt, &rm.Mappers[task])
-					return
-				}
-			}
-			retryable := retryableErr(err)
-			if retryable {
-				wasted += ctx.metrics.PreCombineBytes
-				retryWall += time.Since(tstart).Seconds()
-			}
-			if !retryable || attempt+1 >= e.Cfg.MaxAttempts {
-				rm.Mappers[task] = TaskMetrics{
-					Attempts:         int64(attempt + 1),
-					RetryWallSeconds: retryWall,
-					WastedBytes:      wasted,
-				}
-				mapErrs[task] = err
-				tr.attemptFailure(PhaseMap, task, attempt, err)
-				return
-			}
-			tr.attemptRetry(PhaseMap, task, attempt, err)
-		}
+// open starts the round on the execution backend. A backend with no usable
+// node at all fails the round plainly instead of hanging.
+func (r *round) open() error {
+	e := r.eng
+	var err error
+	r.rex, r.down, err = e.Cfg.Executor.RoundStart(r.index, e.Cfg.Nodes, r.dead, RoundHooks{Trace: r.tr.event})
+	if err != nil {
+		r.rm.Failed = true
+		r.rm.FailReason = fmt.Sprintf("execution backend: %v", err)
+		r.rm.finalize(e.Cfg.Cost)
+		r.rm.WallSeconds = time.Since(r.start).Seconds()
+		r.tr.roundEnd(r.rm)
+		return fmt.Errorf("mr: job %s: execution backend: %w", r.job.Name, err)
+	}
+	r.sd = newSpillDir(e.Cfg.SpillDir, e.Cfg.SpillWriteWrapper)
+	return nil
+}
+
+// finish closes an opened round on every exit path: collect the backend's
+// health counters (volatile; zero under the local backend), finalize the
+// metrics, and emit the round-end event.
+func (r *round) finish() {
+	st := r.rex.RoundEnd()
+	r.rm.finalize(r.eng.Cfg.Cost)
+	r.rm.HeartbeatMisses = st.HeartbeatMisses
+	r.rm.WorkerRestarts = st.WorkerRestarts
+	r.rm.RPCRetries = st.RPCRetries
+	r.rm.WallSeconds = time.Since(r.start).Seconds()
+	if st.RPCRetries > 0 {
+		// Volatile by nature (real transport flakiness does not replay);
+		// emitted from the run goroutine so the sequence stays ordered.
+		r.tr.event(TraceEvent{Type: EvRPCRetry, Records: st.RPCRetries})
+	}
+	r.tr.roundEnd(r.rm)
+}
+
+// mapStage runs every map task on the worker pool. Each task partitions and
+// sorts its own output into private per-reducer buckets, so bucket contents
+// are independent of task scheduling; a failed attempt's buffered output
+// dies with its context, so nothing of it reaches the shuffle.
+func (r *round) mapStage() error {
+	workers := r.eng.Cfg.Workers
+	r.tr.startPhase(workers)
+	r.eng.forEachTask(workers, func(task int) { r.runMapTask(task, false, r.down) })
+	r.tr.flushPhase()
+	return r.mapFailure()
+}
+
+// runMapTask runs one map task through the attempt runner — its first run,
+// or the re-execution of a completed task whose stored output was lost —
+// and records the winning attempt.
+func (r *round) runMapTask(task int, reexec bool, down []bool) {
+	win, err := r.runTask(&taskSpec{
+		phase: PhaseMap, task: task, tm: &r.rm.Mappers[task], reexec: reexec, down: down,
+		body: func(a *taskAttempt) {
+			ctx := r.newMapCtx(task, a)
+			a.mout, a.err = r.mapAttempt(ctx)
+			a.metrics, a.wasted = ctx.metrics, ctx.metrics.PreCombineBytes
+		},
+		undo: func(a *taskAttempt) { a.mout.spill.discard() },
 	})
-	tr.flushPhase()
-	for task := 0; task < e.Cfg.Workers; task++ {
-		if err := mapErrs[task]; err != nil {
-			if retryableErr(err) {
-				rm.Failed = true
-				rm.FailReason = fmt.Sprintf("map task %d failed after %d attempts: %v",
-					task, rm.Mappers[task].Attempts, err)
-				err = fmt.Errorf("mr: job %s: map task %d failed after %d attempts: %w",
-					job.Name, task, rm.Mappers[task].Attempts, err)
-			}
-			finishRound()
-			return res, err
-		}
-	}
+	r.maps[task] = mapTask{win, err}
+}
 
-	// Node crash: each dead node takes the completed map output stored on
-	// it with it. Every reducer observes a fetch failure per lost map
-	// task, and the engine re-executes the lost tasks on live nodes —
-	// continuing the attempt numbering with a fresh budget — before the
-	// shuffle hand-off. Re-executed output is byte-identical (the
-	// re-entrancy contract), so only the recovery counters change.
-	//
-	// The backend realizes the planned deaths first — the proc backend
-	// SIGKILLs the doomed worker processes and waits for them to die — and
-	// then every winning map output is probed through it, so under the proc
-	// backend "lost" means the fetch RPC genuinely failed against a dead
-	// process. The local backend's probe reproduces the historical
-	// stored-on-dead-node check bit for bit, and CrashNodes kills exactly
-	// the planDead set, so the lost sets are equal by construction.
-	if dead != nil {
-		for n := 0; n < nodes; n++ {
-			if dead[n] {
-				tr.nodeCrash(n)
-			}
-		}
-	}
-	rex.CrashNodes()
-	// Reduce-side placement drains around both the simulated dead nodes and
-	// the backend's permanently failed workers.
-	redDown := unionDead(dead, down)
-	{
-		var lost []int
-		lostNode := make([]int, e.Cfg.Workers)
-		for task := 0; task < e.Cfg.Workers; task++ {
-			if ferr := rex.FetchMapOutput(task, mapWinner[task], mapNode[task]); ferr != nil {
-				lost = append(lost, task)
-				lostNode[task] = mapNode[task]
-			}
-		}
-		if len(lost) > 0 {
-			for _, task := range lost {
-				tr.fetchFail(task, lostNode[task], reducers)
-				// The dead node takes the stored run file with it, exactly
-				// like the in-memory buckets; re-execution rebuilds both.
-				mapOuts[task].spill.discard()
-				mapOuts[task] = mapOutput{}
-			}
-			for r := 0; r < reducers; r++ {
-				rm.Reducers[r].FetchFailures = int64(len(lost))
-			}
-			tr.startPhase(e.Cfg.Workers)
-			e.forEachTask(len(lost), func(i int) {
-				e.reexecuteMap(rex, job, round, lost[i], feed, reducers, partition, sd, codec, redDown, nodes, rm, mapOuts, mapErrs, tr)
-			})
-			tr.flushPhase()
-			for _, task := range lost {
-				if err := mapErrs[task]; err != nil {
-					if retryableErr(err) {
-						rm.Failed = true
-						rm.FailReason = fmt.Sprintf("map task %d failed after %d attempts: %v",
-							task, rm.Mappers[task].Attempts, err)
-						err = fmt.Errorf("mr: job %s: map task %d failed after %d attempts: %w",
-							job.Name, task, rm.Mappers[task].Attempts, err)
-					}
-					finishRound()
-					return res, err
-				}
-			}
-		}
-	}
-
-	// Shuffle accounting runs after any re-execution: the re-run output is
-	// byte-identical, so the totals equal a fault-free run's — the lost
-	// bytes appear only in WastedBytes.
-	for task := 0; task < e.Cfg.Workers; task++ {
-		rm.ShuffleRecords += rm.Mappers[task].OutRecords
-		rm.ShuffleBytes += rm.Mappers[task].OutBytes
-	}
-	tr.shuffle(rm)
-
-	// Shuffle barrier: reducer r receives task 0's pairs, then task 1's,
-	// ... — the same order the sequential engine produced. Each task's
-	// bucket arrives already sorted (map-side sort in mapAttempt), so the
-	// hand-off is pure slice headers: no record is copied, flattened or
-	// re-sorted; the reducers merge the task-ordered runs streaming.
-	//
-	// When any map attempt spilled, the hand-off generalizes to mixed
-	// sources: per reducer, task 0's spill segments in flush order, then
-	// task 0's final in-memory bucket, then task 1's, ... Within one task
-	// the chunks were flushed in emission order and the merge breaks key
-	// ties by source index, so the streamed order equals the order one big
-	// stable per-task sort would have produced — reducer input, and with
-	// it output, is byte-identical to the all-in-memory plan.
-	spilled := false
-	for task := range mapOuts {
-		if mapOuts[task].spill != nil {
-			spilled = true
-			break
-		}
-	}
-	var shuffled [][][]Pair
-	var streamRuns [][]streamSource
-	if !spilled {
-		shuffled = make([][][]Pair, reducers)
-		for r := 0; r < reducers; r++ {
-			runs := make([][]Pair, e.Cfg.Workers)
-			for task := 0; task < e.Cfg.Workers; task++ {
-				runs[task] = mapOuts[task].buckets[r]
-			}
-			shuffled[r] = runs
-		}
-	} else {
-		streamRuns = make([][]streamSource, reducers)
-		for r := 0; r < reducers; r++ {
-			var runs []streamSource
-			for task := 0; task < e.Cfg.Workers; task++ {
-				mo := &mapOuts[task]
-				if mo.spill != nil {
-					for si := range mo.spill.spills {
-						seg := &mo.spill.spills[si][r]
-						if seg.records > 0 {
-							runs = append(runs, streamSource{seg: seg})
-						}
-					}
-				}
-				if len(mo.buckets[r]) > 0 {
-					runs = append(runs, streamSource{pairs: mo.buckets[r]})
-				}
-			}
-			streamRuns[r] = runs
-		}
-	}
-
-	inflation := job.MemInflation
-	if inflation <= 0 {
-		inflation = 1
-	}
-
-	// Reduce input accounting and memory-pressure checks run up front, in
-	// task order: they depend only on the shuffled buckets, and doing them
-	// before the pool starts reproduces the sequential engine's
-	// first-failure semantics exactly (reducers past the first OOM never
-	// run and keep zero metrics).
-	//
-	// Memory pressure is checked in records (one record ≈ one tuple or
-	// partial state), making the model independent of encoding sizes. A
-	// reducer whose inflation-adjusted input exceeds OOMFactor memory-fuls
-	// dies when the job opts into hard failure (the Hive model); others
-	// absorb oversized *groups* as external aggregation I/O below.
-	runTasks := reducers
-	var failErr error
-	tr.startPhase(reducers)
-	for task := 0; task < reducers; task++ {
-		tm := &rm.Reducers[task]
-		if !spilled {
-			for _, run := range shuffled[task] {
-				for i := range run {
-					tm.InRecords++
-					tm.InBytes += pairBytes(run[i].Key, run[i].Val)
-				}
-			}
-		} else {
-			// Spill segments size themselves from their metadata — the
-			// pre-scan never reads the files. records/raw mirror the
-			// in-memory accounting exactly; the encoded length is charged
-			// as one streaming read pass per executed attempt.
-			for _, src := range streamRuns[task] {
-				if src.seg != nil {
-					tm.InRecords += src.seg.records
-					tm.InBytes += src.seg.raw
-					tm.CPUSeconds += float64(src.seg.length) / e.Cfg.Cost.DiskBytesPerSec
-				} else {
-					for i := range src.pairs {
-						tm.InRecords++
-						tm.InBytes += pairBytes(src.pairs[i].Key, src.pairs[i].Val)
-					}
-				}
-			}
-		}
-		tm.CPUSeconds += float64(tm.InRecords) * e.Cfg.Cost.ReduceCPUPerRecord
-		if float64(tm.InRecords)*inflation > e.Cfg.OOMFactor*oomMem && job.FailOnReducerOOM {
-			rm.Failed = true
-			rm.FailReason = fmt.Sprintf("reducer %d out of memory: %d input records (×%.0f inflation) exceed %.0f×m (m=%d tuples)",
-				task, tm.InRecords, inflation, e.Cfg.OOMFactor, memTuples)
-			failErr = fmt.Errorf("mr: job %s: %s", job.Name, rm.FailReason)
-			runTasks = task
-			tr.attemptFailure(PhaseReduce, task, 0, failErr)
-			break
-		}
-	}
-
-	// Reduce phase: tasks before the first failure (all of them on the
-	// usual error-free path) run on the worker pool, each collecting side
-	// output privately; the merge below restores task order. Injected
-	// faults and engine kills — an attempt placed on a crashed node, a
-	// stall past TaskTimeout — are retried like map tasks; a failed
-	// attempt's DFS appends are rolled back to the pre-attempt marks so
-	// the output files hold exactly one successful attempt's records.
-	// Attempts stalled past SpeculativeSlack race a deterministic backup.
-	taskCollect := make([][]Pair, runTasks)
-	redErrs := make([]error, runTasks)
-	e.forEachTask(runTasks, func(task int) {
-		base := rm.Reducers[task] // input accounting from the pre-scan
-		// The k-way merge over the map tasks' sorted runs is read-only
-		// (stream mergers re-read spill segments via ReadAt), so one
-		// merger serves every attempt; reset rewinds it.
-		in := &reduceInput{}
-		var phits, pmisses int64
-		if !spilled {
-			in.mem = newRunMerger(shuffled[task])
-		} else {
-			runs := streamRuns[task]
-			// Fan-in control: more live runs than MergeFanIn are first
-			// consolidated through intermediate on-disk merges; the final
-			// streaming merge then opens at most MergeFanIn sources.
-			if fanIn := e.mergeFanIn(); len(runs) > fanIn {
-				var ferr error
-				runs, ferr = e.fanInMerge(runs, fanIn, sd, task, codec, &base, tr)
-				if ferr != nil {
-					// A fan-in merge failure fails the task without
-					// retrying: the merge happens once, before the attempt
-					// loop, so there is no per-attempt retry to feed it to.
-					base.Attempts = 1
-					rm.Reducers[task] = base
-					redErrs[task] = ferr
-					tr.attemptFailure(PhaseReduce, task, 0, ferr)
-					return
-				}
-			}
-			in.stream = newStreamMerger(runs, mergeOpts{
-				prefetchBudget: defaultPrefetchBudget,
-				hits:           &phits, misses: &pmisses,
-			})
-		}
-		defer func() {
-			// The merger (and its read-ahead goroutines) dies with the
-			// task, before the round's spill cleanup can close the files
-			// under it. Prefetch totals accumulate across the task's
-			// attempts and are volatile, like the wall times.
-			in.close()
-			rm.Reducers[task].PrefetchHits += phits
-			rm.Reducers[task].PrefetchMisses += pmisses
-		}()
-		file := fmt.Sprintf("%spart-r-%05d", outPrefix, task)
-		sideFile := fmt.Sprintf("side/%s/part-r-%05d", job.Name, task)
-		var wasted int64
-		var retryWall float64
-		for attempt := 0; ; attempt++ {
-			if cerr := e.cancelErr(); cerr != nil {
-				rm.Reducers[task] = base
-				redErrs[task] = cerr
-				return
-			}
-			tstart := time.Now()
-			attemptMetrics := base
-			inj := e.injectorFor(round, PhaseReduce, task, attempt)
-			tr.attemptStart(PhaseReduce, task, attempt, inj)
-			ctx := e.newRedCtx(job, task, attempt, file, sideFile, &attemptMetrics, inj, sd, codec, tr)
-			fileMark := e.FS.Mark(file)
-			sideMark := e.FS.Mark(sideFile)
-			node, err := e.placeAttempt(round, PhaseReduce, task, attempt, redDown, nodes)
-			if err == nil {
-				if berr := rex.BeginAttempt(PhaseReduce, task, attempt, node); berr != nil {
-					err = &killError{reason: fmt.Sprintf("backend refused attempt: %v", berr), phase: PhaseReduce, task: task, attempt: attempt}
-				}
-			}
-			if err == nil {
-				err = e.reduceAttempt(job, ctx, in, oomMem, inflation)
-				ctx.discardExtSpill()
-				if err == nil {
-					if eerr := rex.EndAttempt(PhaseReduce, task, attempt, node); eerr != nil {
-						err = &killError{reason: fmt.Sprintf("worker lost mid-attempt: %v", eerr), phase: PhaseReduce, task: task, attempt: attempt}
-					}
-				}
-			}
-			if err == nil {
-				stall := inj.simDelay()
-				if kill := e.timeoutKill(PhaseReduce, task, attempt, stall); kill != nil {
-					err = kill // discard the attempt and fall through to retry
-				} else {
-					attemptMetrics.WallSeconds = time.Since(tstart).Seconds()
-					win, winCollect, winAttempt := &attemptMetrics, ctx.collect, attempt
-					var sp specOutcome
-					if e.Cfg.SpeculativeSlack > 0 && stall > e.Cfg.SpeculativeSlack {
-						win, winCollect, winAttempt, sp = e.speculateReduce(
-							job, round, task, attempt, base, in, oomMem, inflation,
-							file, sideFile, sd, codec, &attemptMetrics, ctx, stall, rex, down, nodes, tr)
-					}
-					win.Attempts = int64(attempt+1) + sp.launched
-					win.RetryWallSeconds = retryWall
-					win.WastedBytes = wasted + sp.wasted
-					win.SpeculativeLaunched = sp.launched
-					win.SpeculativeWon = sp.won
-					win.SpeculativeKilled = sp.killed
-					win.SpeculativeWallSeconds = sp.wall
-					rm.Reducers[task] = *win
-					taskCollect[task] = winCollect
-					tr.taskSuccess(PhaseReduce, task, winAttempt, &rm.Reducers[task])
-					return
-				}
-			}
-			wasted += attemptMetrics.OutBytes + attemptMetrics.SideBytes
-			retryWall += time.Since(tstart).Seconds()
-			e.FS.Rollback(file, fileMark)
-			e.FS.Rollback(sideFile, sideMark)
-			if attempt+1 >= e.Cfg.MaxAttempts {
-				failed := base
-				failed.Attempts = int64(attempt + 1)
-				failed.RetryWallSeconds = retryWall
-				failed.WastedBytes = wasted
-				rm.Reducers[task] = failed
-				redErrs[task] = err
-				tr.attemptFailure(PhaseReduce, task, attempt, err)
-				return
-			}
-			tr.attemptRetry(PhaseReduce, task, attempt, err)
-		}
-	})
-	tr.flushPhase()
-	for task := 0; task < runTasks; task++ {
-		if err := redErrs[task]; err != nil && failErr == nil {
-			if cerr := e.cancelErr(); cerr != nil && err == cerr {
-				// Cancellation is a plain abort, not a task failure: return
-				// the context error unwrapped, without failing the round.
-				failErr = err
-				break
-			}
-			rm.Failed = true
-			rm.FailReason = fmt.Sprintf("reduce task %d failed after %d attempts: %v",
-				task, rm.Reducers[task].Attempts, err)
-			failErr = fmt.Errorf("mr: job %s: reduce task %d failed after %d attempts: %w",
-				job.Name, task, rm.Reducers[task].Attempts, err)
-			break
-		}
-	}
-	for task := 0; task < runTasks; task++ {
-		if redErrs[task] != nil {
+// mapFailure returns the first failed map task's error, in task order. A
+// task that exhausted its attempts fails the round with the attempt count;
+// deterministic errors (partition range violations) and cancellation are
+// returned as they are.
+func (r *round) mapFailure() error {
+	for task := range r.maps {
+		err := r.maps[task].err
+		if err == nil {
 			continue
 		}
-		rm.OutputRecords += rm.Reducers[task].OutRecords
-		rm.OutputBytes += rm.Reducers[task].OutBytes
-		res.Output = append(res.Output, taskCollect[task]...)
+		if retryableErr(err) {
+			r.rm.Failed = true
+			r.rm.FailReason = fmt.Sprintf("map task %d failed after %d attempts: %v",
+				task, r.rm.Mappers[task].Attempts, err)
+			err = fmt.Errorf("mr: job %s: map task %d failed after %d attempts: %w",
+				r.job.Name, task, r.rm.Mappers[task].Attempts, err)
+		}
+		return err
 	}
+	return nil
+}
 
-	finishRound()
-	if failErr != nil {
-		return res, failErr
+// crashBarrier delivers the round's node crashes once every map task has
+// completed. Each dead node takes the completed map output stored on it
+// with it: every reducer observes a fetch failure per lost map task, and
+// the lost tasks are re-executed on live nodes before the shuffle hand-off.
+// Re-executed output is byte-identical (the re-entrancy contract), so only
+// the recovery counters change.
+//
+// The backend realizes the planned deaths first — the proc backend SIGKILLs
+// the doomed worker processes and waits for them to die — and then every
+// winning map output is probed through it, so under the proc backend "lost"
+// means the fetch RPC genuinely failed against a dead process. The local
+// backend's probe checks the stored-on-a-dead-node condition directly, and
+// CrashNodes kills exactly the dead set, so the lost sets are equal by
+// construction.
+func (r *round) crashBarrier() error {
+	for n := range r.dead {
+		if r.dead[n] {
+			r.tr.nodeCrash(n)
+		}
 	}
-	return res, nil
+	r.rex.CrashNodes()
+	r.barrierDown = unionDead(r.dead, r.down)
+	var lost []int
+	for task, mt := range r.maps {
+		if r.rex.FetchMapOutput(task, mt.win.index, mt.win.node) != nil {
+			lost = append(lost, task)
+		}
+	}
+	if len(lost) == 0 {
+		return nil
+	}
+	for _, task := range lost {
+		win := r.maps[task].win
+		r.tr.fetchFail(task, win.node, r.reducers)
+		// The dead node takes the stored run file with it, exactly like the
+		// in-memory buckets; re-execution rebuilds both.
+		win.mout.spill.discard()
+		win.mout = mapOutput{}
+	}
+	for red := range r.rm.Reducers {
+		r.rm.Reducers[red].FetchFailures = int64(len(lost))
+	}
+	r.tr.startPhase(len(r.maps))
+	r.eng.forEachTask(len(lost), func(i int) { r.runMapTask(lost[i], true, r.barrierDown) })
+	r.tr.flushPhase()
+	return r.mapFailure()
+}
+
+// shuffle is the hand-off from map to reduce: reducer r receives, per map
+// task in task order, the task's spill segments in flush order and then its
+// final in-memory bucket. Every source arrives already sorted (map-side
+// sort in partitionSort), so the hand-off is pure headers: no record is
+// copied, flattened or re-sorted. Within one task the chunks were flushed
+// in emission order and the merge breaks key ties by source index, so the
+// merged order equals the order one big stable per-task sort would have
+// produced — reducer input, and with it output, is byte-identical whether
+// or not anything spilled.
+//
+// Shuffle accounting runs after any re-execution: the re-run output is
+// byte-identical, so the totals equal a fault-free run's — the lost bytes
+// appear only in WastedBytes.
+func (r *round) shuffle() [][]streamSource {
+	for task := range r.maps {
+		r.rm.ShuffleRecords += r.rm.Mappers[task].OutRecords
+		r.rm.ShuffleBytes += r.rm.Mappers[task].OutBytes
+		r.outOfCore = r.outOfCore || r.maps[task].win.mout.spill != nil
+	}
+	r.tr.shuffle(r.rm)
+	srcs := make([][]streamSource, r.reducers)
+	for red := range srcs {
+		runs := make([]streamSource, 0, len(r.maps)) // exact when nothing spilled
+		for task := range r.maps {
+			mo := &r.maps[task].win.mout
+			if mo.spill != nil {
+				for _, flush := range mo.spill.spills {
+					if seg := &flush[red]; seg.records > 0 {
+						runs = append(runs, streamSource{seg: seg})
+					}
+				}
+			}
+			if len(mo.buckets[red]) > 0 {
+				runs = append(runs, streamSource{pairs: mo.buckets[red], raw: mo.raw[red]})
+			}
+		}
+		srcs[red] = runs
+	}
+	return srcs
+}
+
+// reduceStage sizes every reducer's input, checks memory pressure, runs the
+// reduce tasks on the worker pool and commits their output in task order.
+func (r *round) reduceStage(srcs [][]streamSource) error {
+	r.tr.startPhase(r.reducers)
+	runTasks, failErr := r.sizeReducers(srcs)
+	// Tasks before the first failure (all of them on the usual error-free
+	// path) run on the pool, each collecting side output privately; the
+	// commit below restores task order.
+	wins := make([]*taskAttempt, runTasks)
+	errs := make([]error, runTasks)
+	r.eng.forEachTask(runTasks, func(task int) {
+		wins[task], errs[task] = r.runReduceTask(task, srcs[task])
+	})
+	r.tr.flushPhase()
+	for task := 0; task < runTasks && failErr == nil; task++ {
+		err := errs[task]
+		if err == nil {
+			continue
+		}
+		if cerr := r.eng.cancelErr(); cerr != nil && err == cerr {
+			// Cancellation is a plain abort, not a task failure: return
+			// the context error unwrapped, without failing the round.
+			failErr = err
+			break
+		}
+		r.rm.Failed = true
+		r.rm.FailReason = fmt.Sprintf("reduce task %d failed after %d attempts: %v",
+			task, r.rm.Reducers[task].Attempts, err)
+		failErr = fmt.Errorf("mr: job %s: reduce task %d failed after %d attempts: %w",
+			r.job.Name, task, r.rm.Reducers[task].Attempts, err)
+	}
+	for task := 0; task < runTasks; task++ {
+		if errs[task] != nil {
+			continue
+		}
+		r.rm.OutputRecords += r.rm.Reducers[task].OutRecords
+		r.rm.OutputBytes += r.rm.Reducers[task].OutBytes
+		r.res.Output = append(r.res.Output, wins[task].collect...)
+	}
+	return failErr
+}
+
+// sizeReducers accounts every reducer's input from its sources' metadata —
+// no record and no run file is read — and applies the hard memory check. It
+// runs up front, in task order, which gives first-failure semantics
+// independent of scheduling: reducers past the first out-of-memory one
+// never run and keep zero metrics. It returns how many reducers to run and
+// the failure that stopped the rest, if any.
+//
+// Memory pressure is checked in records (one record ≈ one tuple or partial
+// state), making the model independent of encoding sizes. A reducer whose
+// inflation-adjusted input exceeds OOMFactor memory-fuls dies when the job
+// opts into hard failure (the Hive model); others absorb oversized *groups*
+// as external aggregation I/O in reduceAttempt.
+func (r *round) sizeReducers(srcs [][]streamSource) (int, error) {
+	cfg := &r.eng.Cfg
+	for task, runs := range srcs {
+		tm := &r.rm.Reducers[task]
+		for _, src := range runs {
+			records, raw := src.size()
+			tm.InRecords += records
+			tm.InBytes += raw
+			if src.seg != nil {
+				// The encoded length is charged as one streaming read pass.
+				tm.CPUSeconds += float64(src.seg.length) / cfg.Cost.DiskBytesPerSec
+			}
+		}
+		tm.CPUSeconds += float64(tm.InRecords) * cfg.Cost.ReduceCPUPerRecord
+		if r.job.FailOnReducerOOM && float64(tm.InRecords)*r.inflation > cfg.OOMFactor*r.oomMem {
+			r.rm.Failed = true
+			r.rm.FailReason = fmt.Sprintf("reducer %d out of memory: %d input records (×%.0f inflation) exceed %.0f×m (m=%d tuples)",
+				task, tm.InRecords, r.inflation, cfg.OOMFactor, r.memTuples)
+			err := fmt.Errorf("mr: job %s: %s", r.job.Name, r.rm.FailReason)
+			r.tr.attemptFailure(PhaseReduce, task, 0, err)
+			return task, err
+		}
+	}
+	return len(srcs), nil
+}
+
+// runReduceTask runs one reduce task through the attempt runner and returns
+// the winning attempt, which carries the task's collected side output. The
+// k-way merge over the task's sorted runs is read-only (spill segments are
+// re-read via ReadAt), so one merger serves every attempt; each attempt
+// rewinds it. A failed attempt's DFS appends are rolled back to the
+// pre-attempt marks, so the output files hold exactly one successful
+// attempt's records.
+func (r *round) runReduceTask(task int, runs []streamSource) (*taskAttempt, error) {
+	tm := &r.rm.Reducers[task] // holds the pre-scan's input accounting
+	if r.outOfCore && len(runs) > r.eng.Cfg.MergeFanIn {
+		// More live runs than MergeFanIn are first consolidated through
+		// intermediate on-disk merges. That happens once, before any
+		// attempt, so its failure fails the task without a retry.
+		var err error
+		if runs, err = r.fanInMerge(runs, task, tm); err != nil {
+			tm.Attempts = 1
+			r.tr.attemptFailure(PhaseReduce, task, 0, err)
+			return nil, err
+		}
+	}
+	m := newStreamMerger(runs, defaultPrefetchBudget)
+	defer func() {
+		// The merger (and its read-ahead goroutines) dies with the task,
+		// before the round's spill cleanup can close the files under it.
+		// Prefetch totals accumulate across the task's attempts and are
+		// volatile, like the wall times.
+		m.close()
+		tm.PrefetchHits += m.hits
+		tm.PrefetchMisses += m.misses
+	}()
+	fs := r.eng.FS
+	file := fmt.Sprintf("%spart-r-%05d", r.outPrefix, task)
+	sideFile := fmt.Sprintf("side/%s/part-r-%05d", r.job.Name, task)
+	return r.runTask(&taskSpec{
+		phase: PhaseReduce, task: task, tm: tm, down: r.barrierDown,
+		body: func(a *taskAttempt) {
+			a.marks = [2]dfs.FileMark{fs.Mark(file), fs.Mark(sideFile)}
+			ctx := r.newRedCtx(task, a, file, sideFile)
+			a.err = r.reduceAttempt(ctx, m)
+			ctx.discardExtSpill()
+			a.collect, a.wasted = ctx.collect, a.metrics.OutBytes+a.metrics.SideBytes
+		},
+		undo: func(a *taskAttempt) {
+			fs.Rollback(file, a.marks[0])
+			fs.Rollback(sideFile, a.marks[1])
+		},
+	})
 }
 
 // newMapCtx builds one map attempt's context, wiring in the spill
-// machinery (budget, partitioner, run-file directory, and — only when
-// tracing — a per-flush spill event hook, keeping the untraced path
-// allocation-free).
-func (e *Engine) newMapCtx(job *Job, task, attempt int, inj *injector, reducers int, partition func(string, int) int, sd *spillDir, codec blockcodec.Codec, tr *roundTracer) *MapCtx {
-	ctx := &MapCtx{
-		Task: task, job: job, eng: e, inject: inj,
-		reducers: reducers, partition: partition,
-		budget: e.Cfg.SpillBudgetBytes, sd: sd, codec: codec,
+// machinery (budget, partitioner, run-file directory, codec).
+func (r *round) newMapCtx(task int, a *taskAttempt) *MapCtx {
+	return &MapCtx{
+		Task: task, job: r.job, eng: r.eng, inject: a.inj,
+		reducers: r.reducers, partition: r.partition,
+		budget: r.eng.Cfg.SpillBudgetBytes, sd: r.sd, codec: r.codec,
+		tr: r.tr, attempt: a.index,
 	}
-	if tr != nil {
-		ctx.traceSpill = func(bytes int64) {
-			tr.add(PhaseMap, task, TraceEvent{Type: EvSpill, Attempt: attempt, Bytes: bytes})
-		}
-		ctx.traceSpillFlush = func(f flushRec) {
-			tr.add(PhaseMap, task, TraceEvent{Type: EvSpillFlush, Attempt: attempt, Bytes: f.bytes, Records: f.records})
-		}
-	}
-	return ctx
 }
 
-// newRedCtx builds one reduce attempt's context; see newMapCtx.
-func (e *Engine) newRedCtx(job *Job, task, attempt int, file, sideFile string, m *TaskMetrics, inj *injector, sd *spillDir, codec blockcodec.Codec, tr *roundTracer) *RedCtx {
-	ctx := &RedCtx{
-		Task: task, job: job, eng: e, file: file, sideFile: sideFile,
-		metrics: m, inject: inj, sd: sd, budget: e.Cfg.SpillBudgetBytes,
-		codec: codec,
+// newRedCtx builds one reduce attempt's context, accounting into the
+// attempt's metrics.
+func (r *round) newRedCtx(task int, a *taskAttempt, file, sideFile string) *RedCtx {
+	return &RedCtx{
+		Task: task, job: r.job, eng: r.eng, file: file, sideFile: sideFile,
+		metrics: &a.metrics, inject: a.inj, sd: r.sd, budget: r.eng.Cfg.SpillBudgetBytes,
+		codec: r.codec, tr: r.tr, attempt: a.index,
 	}
-	if tr != nil {
-		ctx.traceSpill = func(bytes int64) {
-			tr.add(PhaseReduce, task, TraceEvent{Type: EvSpill, Attempt: attempt, Bytes: bytes})
-		}
-	}
-	return ctx
-}
-
-// runMapAttempt runs one map attempt through the execution backend: place
-// it against the down set, open it on its node, run the map function
-// in-process, close the attempt, and register its output as stored on the
-// node. Any backend refusal — a dead or unreachable worker at open, close,
-// or store time — discards the attempt's output and surfaces as a
-// killError, so the caller's retry loop re-places it exactly like a
-// simulated node crash. The returned node is where the output lives until
-// the shuffle (meaningful only when err == nil).
-func (e *Engine) runMapAttempt(rex RoundExecutor, job *Job, ctx *MapCtx, round, task, attempt int,
-	down []bool, nodes int, feed func(task int, ctx *MapCtx)) (int, mapOutput, error) {
-	node, err := e.placeAttempt(round, PhaseMap, task, attempt, down, nodes)
-	if err != nil {
-		return node, mapOutput{}, err
-	}
-	if berr := rex.BeginAttempt(PhaseMap, task, attempt, node); berr != nil {
-		return node, mapOutput{}, &killError{reason: fmt.Sprintf("backend refused attempt: %v", berr), phase: PhaseMap, task: task, attempt: attempt}
-	}
-	mout, err := e.mapAttempt(job, ctx, task, feed)
-	if err != nil {
-		return node, mapOutput{}, err
-	}
-	if eerr := rex.EndAttempt(PhaseMap, task, attempt, node); eerr != nil {
-		mout.spill.discard()
-		return node, mapOutput{}, &killError{reason: fmt.Sprintf("worker lost mid-attempt: %v", eerr), phase: PhaseMap, task: task, attempt: attempt}
-	}
-	if serr := rex.StoreMapOutput(task, attempt, node, ctx.metrics.OutRecords, ctx.metrics.OutBytes); serr != nil {
-		mout.spill.discard()
-		return node, mapOutput{}, &killError{reason: fmt.Sprintf("storing map output failed: %v", serr), phase: PhaseMap, task: task, attempt: attempt}
-	}
-	return node, mout, nil
 }
 
 // mapAttempt executes one attempt of one map task: fresh TaskState, the
@@ -1237,22 +1108,23 @@ func (e *Engine) runMapAttempt(rex RoundExecutor, job *Job, ctx *MapCtx, round, 
 // are returned as plain (non-retryable) errors; spill I/O failures carry
 // a spillIOError and are retryable — a fresh attempt re-places onto
 // another node whose disk may be healthy.
-func (e *Engine) mapAttempt(job *Job, ctx *MapCtx, task int, feed func(task int, ctx *MapCtx)) (mout mapOutput, err error) {
+func (r *round) mapAttempt(ctx *MapCtx) (mout mapOutput, err error) {
+	job := r.job
 	defer func() {
-		if r := recover(); r != nil {
-			switch sig := r.(type) {
+		if rec := recover(); rec != nil {
+			switch sig := rec.(type) {
 			case faultSignal:
 				err = ctx.inject.err(sig.fault)
 			case taskAbort:
 				err = sig.err
 			default:
-				panic(r)
+				panic(rec)
 			}
 		}
 		// Join the attempt's background spill writer on every exit path —
 		// success, fault, abort — before anything reads or discards the run
 		// file: the writer goroutine must never outlive its attempt, and a
-		// surviving write error fails the attempt like an inline one did.
+		// surviving write error fails the attempt.
 		if ctx.writer != nil {
 			jerr, jstall := ctx.writer.join()
 			ctx.metrics.SpillWriteStallNs += jstall.Nanoseconds()
@@ -1264,13 +1136,13 @@ func (e *Engine) mapAttempt(job *Job, ctx *MapCtx, task int, feed func(task int,
 			ctx.spill.discard()
 			ctx.spill = nil
 			mout = mapOutput{}
-		} else if ctx.traceSpillFlush != nil {
+		} else if ctx.tr != nil {
 			// All writes are on disk now; report each flush's compressed
 			// size. Emitted only for surviving attempts, at a deterministic
 			// point (before the attempt returns), so the trace stream stays
 			// bit-identical at any parallelism.
 			for _, f := range ctx.flushes {
-				ctx.traceSpillFlush(f)
+				ctx.tr.add(PhaseMap, ctx.Task, TraceEvent{Type: EvSpillFlush, Attempt: ctx.attempt, Bytes: f.bytes, Records: f.records})
 			}
 		}
 	}()
@@ -1278,22 +1150,22 @@ func (e *Engine) mapAttempt(job *Job, ctx *MapCtx, task int, feed func(task int,
 	if job.TaskState != nil {
 		ctx.state = job.TaskState()
 	}
-	feed(task, ctx)
+	r.feed(ctx.Task, ctx)
 	if job.MapFlush != nil {
 		job.MapFlush(ctx)
 	}
 	out := ctx.out
 	if job.Combine != nil {
-		out = e.combine(job, ctx, out)
+		out = r.eng.combine(job, ctx, out)
 	}
-	buckets, err := e.partitionSort(job, ctx, out)
+	buckets, err := r.eng.partitionSort(job, ctx, out)
 	if err != nil {
 		return mapOutput{}, err
 	}
 	if job.MapCPUFactor > 0 {
 		ctx.metrics.CPUSeconds *= job.MapCPUFactor
 	}
-	return mapOutput{buckets: buckets, spill: ctx.spill}, nil
+	return mapOutput{buckets: buckets, raw: ctx.bucketRaw, spill: ctx.spill}, nil
 }
 
 // partitionSort partitions one chunk of map output into per-reducer
@@ -1308,14 +1180,21 @@ func (e *Engine) partitionSort(job *Job, ctx *MapCtx, out []Pair) ([][]Pair, err
 	// per-append growth, no copying when the shuffle hands them over.
 	targets := make([]int32, len(out))
 	counts := make([]int32, reducers)
+	if ctx.bucketRaw == nil {
+		ctx.bucketRaw = make([]int64, reducers)
+	}
+	raw := ctx.bucketRaw
+	clear(raw)
 	for i := range out {
-		ctx.metrics.OutBytes += pairBytes(out[i].Key, out[i].Val)
+		pb := pairBytes(out[i].Key, out[i].Val)
+		ctx.metrics.OutBytes += pb
 		r := ctx.partition(out[i].Key, reducers)
 		if r < 0 || r >= reducers {
 			return nil, fmt.Errorf("mr: job %s: partition(%q) = %d out of range [0,%d)", job.Name, out[i].Key, r, reducers)
 		}
 		targets[i] = int32(r)
 		counts[r]++
+		raw[r] += pb
 	}
 	offs := make([]int32, reducers+1)
 	for r := 0; r < reducers; r++ {
@@ -1331,8 +1210,8 @@ func (e *Engine) partitionSort(job *Job, ctx *MapCtx, out []Pair) ([][]Pair, err
 	// Map-side sort (the cluster model's sort-merge shuffle): each bucket
 	// is sorted by key exactly once, here, in the map task; reducers only
 	// merge. The stable sort preserves emission order within equal keys,
-	// so the merged reducer input is bit-for-bit the order the historical
-	// concatenate-then-stable-sort produced. The real CPU this spends is
+	// so the merged reducer input is bit-for-bit the order a stable sort of
+	// the task-ordered concatenation produces. The real CPU this spends is
 	// the work the CostModel already charges per emitted record
 	// (MapCPUPerEmit covers Hadoop's collector, whose buffer sort is part
 	// of the emit path); no separate simulated charge is added.
@@ -1345,41 +1224,26 @@ func (e *Engine) partitionSort(job *Job, ctx *MapCtx, out []Pair) ([][]Pair, err
 	return buckets, nil
 }
 
-// reduceInput is one reduce task's merged input: the in-memory loser-tree
-// merge when nothing spilled (the hot path, untouched), or the streaming
-// merge over mixed in-memory/on-disk sources when any map attempt did.
-type reduceInput struct {
-	mem    *runMerger
-	stream *streamMerger
-}
-
-// close releases the streaming merge's read-ahead goroutines (no-op for
-// the in-memory path). Must run before the round's spill cleanup.
-func (in *reduceInput) close() {
-	if in.stream != nil {
-		in.stream.close()
-	}
-}
-
 // reduceAttempt executes one attempt of one reduce task by streaming the
-// k-way merge of the map tasks' sorted runs: fresh TaskState, per-key
-// grouping straight off the merge (adjacent equal keys form a group, as
-// in Hadoop's reduce iterator), the reduce function, and external
-// aggregation of oversized groups. An injected crash surfaces as a
-// *FaultError; the caller rolls back the attempt's DFS appends.
-func (e *Engine) reduceAttempt(job *Job, ctx *RedCtx, in *reduceInput, oomMem, inflation float64) error {
-	if in.mem != nil {
-		return e.reduceAttemptMem(job, ctx, in.mem, oomMem, inflation)
-	}
-	return e.reduceAttemptStream(job, ctx, in.stream, oomMem, inflation)
-}
-
-func (e *Engine) reduceAttemptMem(job *Job, ctx *RedCtx, m *runMerger, oomMem, inflation float64) (err error) {
+// k-way merge of its sorted runs: fresh TaskState, per-key grouping
+// straight off the merge (adjacent equal keys form a group, as in Hadoop's
+// reduce iterator), the reduce function, and external aggregation of
+// oversized groups. An injected crash surfaces as a *FaultError, a corrupt
+// or truncated run as the merger's plain decode error; the runner undoes
+// the attempt's DFS appends either way.
+//
+// Aliasing contract, the mirror image of Emit's zero-copy one: a reducer
+// may retain the key and the value slices past its Reduce call — records
+// from memory-backed runs alias the map tasks' stable output, records from
+// file-backed runs are copied out of the reader's reused decode buffers —
+// but not the vals container, which is per-group scratch.
+func (r *round) reduceAttempt(ctx *RedCtx, m *streamMerger) (err error) {
+	job := r.job
 	defer func() {
-		if r := recover(); r != nil {
-			sig, ok := r.(faultSignal)
+		if rec := recover(); rec != nil {
+			sig, ok := rec.(faultSignal)
 			if !ok {
-				panic(r)
+				panic(rec)
 			}
 			err = ctx.inject.err(sig.fault)
 		}
@@ -1390,92 +1254,42 @@ func (e *Engine) reduceAttemptMem(job *Job, ctx *RedCtx, m *runMerger, oomMem, i
 	}
 	m.reset()
 	tm := ctx.metrics
-	capRecords := int64(oomMem / inflation)
-	// vals is reused across groups: the value slices alias the map tasks'
-	// stable output arenas, but the container itself is per-group scratch
-	// a reducer must not retain past its Reduce call.
+	capRecords := int64(r.oomMem / r.inflation)
 	vals := make([][]byte, 0, 16)
 	var spillCPU float64
-	for p := m.next(); p != nil; {
-		key := p.Key
+	rec, stable := m.next()
+	for rec != nil {
+		group := rec.Key
+		if !stable {
+			group = strings.Clone(group)
+		}
 		vals = vals[:0]
 		var keyBytes int64
-		for ; p != nil && p.Key == key; p = m.next() {
-			vals = append(vals, p.Val)
-			keyBytes += pairBytes(p.Key, p.Val)
+		for rec != nil && rec.Key == group {
+			val := rec.Val
+			if !stable {
+				val = append([]byte(nil), val...)
+			}
+			vals = append(vals, val)
+			keyBytes += pairBytes(group, val)
+			rec, stable = m.next()
 		}
 		if int64(len(vals)) > tm.LargestKeyRecords {
 			tm.LargestKeyRecords = int64(len(vals))
 			tm.LargestKeyBytes = keyBytes
 		}
 		// A single key whose value list does not fit in memory is
-		// aggregated externally — the skewed-group I/O penalty of
-		// §3.2. SP-Cube avoids it by pre-aggregating skews in the
-		// mappers; the naive algorithm pays it in full.
+		// aggregated externally — the skewed-group I/O penalty of §3.2.
+		// SP-Cube avoids it by pre-aggregating skews in the mappers; the
+		// naive algorithm pays it in full.
 		if excess := int64(len(vals)) - capRecords; excess > 0 {
-			cpu, err := e.externalAgg(ctx, key, vals[int64(len(vals))-excess:])
+			cpu, err := r.eng.externalAgg(ctx, group, vals[int64(len(vals))-excess:])
 			if err != nil {
 				return err
 			}
 			spillCPU += cpu
 		}
-		job.Reduce(ctx, key, vals)
-	}
-	if job.ReduceCPUFactor > 0 {
-		tm.CPUSeconds *= job.ReduceCPUFactor
-	}
-	tm.CPUSeconds += spillCPU
-	return nil
-}
-
-// reduceAttemptStream is reduceAttemptMem over a streamMerger. The one
-// semantic difference: every group key and value is copied into fresh
-// storage, because the merge sources reuse their decode buffers — a
-// reducer that retains value slices past its Reduce call (allowed by the
-// Emit zero-copy contract's mirror image) must never observe them change.
-func (e *Engine) reduceAttemptStream(job *Job, ctx *RedCtx, m *streamMerger, oomMem, inflation float64) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			sig, ok := r.(faultSignal)
-			if !ok {
-				panic(r)
-			}
-			err = ctx.inject.err(sig.fault)
-		}
-	}()
-	ctx.inject.start()
-	if job.TaskState != nil {
-		ctx.state = job.TaskState()
-	}
-	m.reset()
-	tm := ctx.metrics
-	capRecords := int64(oomMem / inflation)
-	var spillCPU float64
-	kb, vb, ok := m.next()
-	for ok {
-		key := string(kb)
-		var vals [][]byte
-		var keyBytes int64
-		for {
-			vals = append(vals, append([]byte(nil), vb...))
-			keyBytes += pairBytes(key, vb)
-			kb, vb, ok = m.next()
-			if !ok || string(kb) != key {
-				break
-			}
-		}
-		if int64(len(vals)) > tm.LargestKeyRecords {
-			tm.LargestKeyRecords = int64(len(vals))
-			tm.LargestKeyBytes = keyBytes
-		}
-		if excess := int64(len(vals)) - capRecords; excess > 0 {
-			cpu, err := e.externalAgg(ctx, key, vals[int64(len(vals))-excess:])
-			if err != nil {
-				return err
-			}
-			spillCPU += cpu
-		}
-		job.Reduce(ctx, key, vals)
+		job.Reduce(ctx, group, vals)
 	}
 	if m.err != nil {
 		return m.err
@@ -1490,11 +1304,9 @@ func (e *Engine) reduceAttemptStream(job *Job, ctx *RedCtx, m *streamMerger, oom
 // externalAgg accounts — and, in out-of-core mode, performs — the external
 // aggregation of one group whose value list exceeds the task's memory: the
 // excess records are encoded through the spill codec, so SpillBytes is the
-// exact encoded size rather than the historical per-record estimate, and
-// the charge is SpillPasses passes over those bytes. With SpillBudgetBytes
+// exact encoded size, and the charge is SpillPasses passes over those bytes. With SpillBudgetBytes
 // > 0 the encoded run is physically written to the attempt's run file.
-// The returned CPU charge is added after ReduceCPUFactor scaling, matching
-// the historical accounting order.
+// The returned CPU charge is added after ReduceCPUFactor scaling.
 func (e *Engine) externalAgg(ctx *RedCtx, key string, excess [][]byte) (float64, error) {
 	buf := ctx.encBuf[:0]
 	prev := ""
@@ -1525,182 +1337,8 @@ func (e *Engine) externalAgg(ctx *RedCtx, key string, excess [][]byte) (float64,
 	}
 	tm.Spills++
 	tm.SpillBytes += int64(len(buf))
-	if ctx.traceSpill != nil {
-		ctx.traceSpill(int64(len(buf)))
-	}
+	ctx.tr.add(PhaseReduce, ctx.Task, TraceEvent{Type: EvSpill, Attempt: ctx.attempt, Bytes: int64(len(buf))})
 	return float64(charged) * e.Cfg.Cost.SpillPasses / e.Cfg.Cost.DiskBytesPerSec, nil
-}
-
-// speculateMap races one backup attempt against a completed-but-stalled
-// original map attempt (Config.SpeculativeSlack) and returns the winner's
-// context, buckets, attempt index and storage node plus the race's
-// recovery accounting. The backup runs at the next attempt index with its
-// own injector, so fault plans can target it too; a crashed backup — an
-// injected fault or a real worker refusal under the proc backend — loses
-// by definition. Attempts are byte-identical under the re-entrancy
-// contract, so the loser differs from the winner only in its simulated
-// stall. Backups are placed against the backend's down set only (nil under
-// the local backend — backups historically skip the simulated node check):
-// a backend refusal can change the winner's index and recovery counters
-// but never an output byte.
-func (e *Engine) speculateMap(job *Job, round, task, attempt, node int, feed func(int, *MapCtx),
-	reducers int, partition func(string, int) int, sd *spillDir, codec blockcodec.Codec,
-	ctx *MapCtx, mout mapOutput, stall float64, rex RoundExecutor, down []bool, nodes int,
-	tr *roundTracer) (*MapCtx, mapOutput, int, int, specOutcome) {
-	sp := specOutcome{launched: 1}
-	bAttempt := attempt + 1
-	bstart := time.Now()
-	binj := e.injectorFor(round, PhaseMap, task, bAttempt)
-	tr.speculate(PhaseMap, task, bAttempt)
-	tr.attemptStart(PhaseMap, task, bAttempt, binj)
-	bctx := e.newMapCtx(job, task, bAttempt, binj, reducers, partition, sd, codec, tr)
-	bNode, bout, berr := e.runMapAttempt(rex, job, bctx, round, task, bAttempt, down, nodes, feed)
-	bWall := time.Since(bstart).Seconds()
-	switch {
-	case berr != nil:
-		// The backup crashed: the original wins, the backup's partial
-		// output (its run file already discarded by mapAttempt) is wasted
-		// work (but no retry — the task has succeeded).
-		sp.wasted = bctx.metrics.PreCombineBytes
-		sp.wall = bWall
-		return ctx, mout, attempt, node, sp
-	case backupWins(bctx.metrics.CPUSeconds+binj.simDelay(), ctx.metrics.CPUSeconds+stall):
-		sp.won, sp.killed = 1, 1
-		sp.wasted = ctx.metrics.PreCombineBytes
-		sp.wall = ctx.metrics.WallSeconds
-		bctx.metrics.WallSeconds = bWall
-		mout.spill.discard() // the losing original's run file
-		return bctx, bout, bAttempt, bNode, sp
-	default:
-		sp.killed = 1
-		sp.wasted = bctx.metrics.PreCombineBytes
-		sp.wall = bWall
-		bout.spill.discard() // the losing backup's run file
-		return ctx, mout, attempt, node, sp
-	}
-}
-
-// speculateReduce races one backup attempt against a completed-but-stalled
-// reduce attempt. The attempts are byte-identical, so the backup's DFS
-// appends are always rolled back (the original's, already on the DFS,
-// stand for the winner's); the race only decides the reported attempt
-// index and the speculative counters.
-func (e *Engine) speculateReduce(job *Job, round, task, attempt int, base TaskMetrics,
-	in *reduceInput, oomMem, inflation float64, file, sideFile string, sd *spillDir,
-	codec blockcodec.Codec, orig *TaskMetrics, origCtx *RedCtx, stall float64,
-	rex RoundExecutor, down []bool, nodes int, tr *roundTracer) (*TaskMetrics, []Pair, int, specOutcome) {
-	sp := specOutcome{launched: 1}
-	bAttempt := attempt + 1
-	bstart := time.Now()
-	binj := e.injectorFor(round, PhaseReduce, task, bAttempt)
-	tr.speculate(PhaseReduce, task, bAttempt)
-	tr.attemptStart(PhaseReduce, task, bAttempt, binj)
-	bMetrics := base
-	bctx := e.newRedCtx(job, task, bAttempt, file, sideFile, &bMetrics, binj, sd, codec, tr)
-	bFileMark := e.FS.Mark(file)
-	bSideMark := e.FS.Mark(sideFile)
-	// Backups place against the backend's down set only (see speculateMap);
-	// a refusal at open or close means the backup crashed and loses.
-	bNode, berr := e.placeAttempt(round, PhaseReduce, task, bAttempt, down, nodes)
-	if berr == nil {
-		if err := rex.BeginAttempt(PhaseReduce, task, bAttempt, bNode); err != nil {
-			berr = &killError{reason: fmt.Sprintf("backend refused attempt: %v", err), phase: PhaseReduce, task: task, attempt: bAttempt}
-		}
-	}
-	if berr == nil {
-		berr = e.reduceAttempt(job, bctx, in, oomMem, inflation)
-		bctx.discardExtSpill()
-		if berr == nil {
-			if err := rex.EndAttempt(PhaseReduce, task, bAttempt, bNode); err != nil {
-				berr = &killError{reason: fmt.Sprintf("worker lost mid-attempt: %v", err), phase: PhaseReduce, task: task, attempt: bAttempt}
-			}
-		}
-	}
-	e.FS.Rollback(file, bFileMark)
-	e.FS.Rollback(sideFile, bSideMark)
-	bWall := time.Since(bstart).Seconds()
-	switch {
-	case berr != nil:
-		sp.wasted = bMetrics.OutBytes + bMetrics.SideBytes
-		sp.wall = bWall
-		return orig, origCtx.collect, attempt, sp
-	case backupWins(bMetrics.CPUSeconds+binj.simDelay(), orig.CPUSeconds+stall):
-		sp.won, sp.killed = 1, 1
-		sp.wasted = orig.OutBytes + orig.SideBytes
-		sp.wall = orig.WallSeconds
-		bMetrics.WallSeconds = bWall
-		return &bMetrics, bctx.collect, bAttempt, sp
-	default:
-		sp.killed = 1
-		sp.wasted = bMetrics.OutBytes + bMetrics.SideBytes
-		sp.wall = bWall
-		return orig, origCtx.collect, attempt, sp
-	}
-}
-
-// reexecuteMap re-runs one map task whose completed output was lost to a
-// node crash, continuing the task's attempt numbering with a fresh budget
-// of MaxAttempts (Hadoop restarts the attempt counter for a re-launched
-// map). The lost attempt's output moves into WastedBytes and its wall time
-// into RetryWallSeconds; re-placements avoid the dead nodes, and when no
-// node is live every attempt is killed until the budget runs out, failing
-// the round with a plain (non-fault) error.
-func (e *Engine) reexecuteMap(rex RoundExecutor, job *Job, round, task int, feed func(int, *MapCtx), reducers int,
-	partition func(string, int) int, sd *spillDir, codec blockcodec.Codec, dead []bool, nodes int,
-	rm *RoundMetrics, mapOuts []mapOutput, mapErrs []error, tr *roundTracer) {
-	prev := rm.Mappers[task]
-	wasted := prev.WastedBytes + prev.OutBytes
-	retryWall := prev.RetryWallSeconds + prev.WallSeconds
-	base := int(prev.Attempts)
-	for try := 0; ; try++ {
-		attempt := base + try
-		if cerr := e.cancelErr(); cerr != nil {
-			mapErrs[task] = cerr
-			return
-		}
-		tstart := time.Now()
-		inj := e.injectorFor(round, PhaseMap, task, attempt)
-		tr.attemptStart(PhaseMap, task, attempt, inj)
-		ctx := e.newMapCtx(job, task, attempt, inj, reducers, partition, sd, codec, tr)
-		// Re-executions never keep the raw placement — the node the output
-		// died on is dead by definition — and placeAttempt (inside
-		// runMapAttempt) probes placeLive for every attempt index > 0;
-		// re-execution attempts continue the original numbering, always > 0.
-		_, mout, err := e.runMapAttempt(rex, job, ctx, round, task, attempt, dead, nodes, feed)
-		if err == nil {
-			m := &ctx.metrics
-			m.WallSeconds = time.Since(tstart).Seconds()
-			m.Attempts = int64(attempt + 1)
-			m.RetryWallSeconds = retryWall
-			m.WastedBytes = wasted
-			m.Reexecutions = prev.Reexecutions + 1
-			m.SpeculativeLaunched = prev.SpeculativeLaunched
-			m.SpeculativeWon = prev.SpeculativeWon
-			m.SpeculativeKilled = prev.SpeculativeKilled
-			m.SpeculativeWallSeconds = prev.SpeculativeWallSeconds
-			rm.Mappers[task] = *m
-			mapOuts[task] = mout
-			tr.taskSuccess(PhaseMap, task, attempt, &rm.Mappers[task])
-			return
-		}
-		retryable := retryableErr(err)
-		if retryable {
-			wasted += ctx.metrics.PreCombineBytes
-			retryWall += time.Since(tstart).Seconds()
-		}
-		if !retryable || try+1 >= e.Cfg.MaxAttempts {
-			rm.Mappers[task] = TaskMetrics{
-				Attempts:         int64(attempt + 1),
-				RetryWallSeconds: retryWall,
-				WastedBytes:      wasted,
-				Reexecutions:     prev.Reexecutions + 1,
-			}
-			mapErrs[task] = err
-			tr.attemptFailure(PhaseMap, task, attempt, err)
-			return
-		}
-		tr.attemptRetry(PhaseMap, task, attempt, err)
-	}
 }
 
 // isFaultError reports whether err is an injected-fault failure (retryable)

@@ -99,12 +99,8 @@ type RoundHooks struct {
 // localExecutor is the default in-process backend: the engine's goroutine
 // pool is the only execution resource, so attempts are never refused and
 // the only "crashes" are the simulated ones already encoded in planDead —
-// FetchMapOutput reproduces the historical stored-output-on-dead-node
-// probe bit for bit.
+// FetchMapOutput checks the stored-output-on-a-dead-node condition directly.
 type localExecutor struct{}
-
-// theLocalExecutor is shared: the type is stateless.
-var theLocalExecutor = localExecutor{}
 
 func (localExecutor) RoundStart(round, nodes int, planDead []bool, hooks RoundHooks) (RoundExecutor, []bool, error) {
 	return localRound{dead: planDead}, nil, nil
@@ -132,12 +128,3 @@ func (r localRound) FetchMapOutput(task, attempt, node int) error {
 }
 
 func (localRound) RoundEnd() ExecStats { return ExecStats{} }
-
-// executor resolves Config.Executor (nil defaults to the in-process local
-// backend).
-func (e *Engine) executor() Executor {
-	if e.Cfg.Executor != nil {
-		return e.Cfg.Executor
-	}
-	return theLocalExecutor
-}

@@ -22,30 +22,17 @@ import (
 // fan-in.
 
 // defaultMergeFanIn is the run-count cap when Config.MergeFanIn is 0 —
-// the same default as Hadoop's io.sort.factor ballpark.
+// the same default as Hadoop's io.sort.factor ballpark. New resolves it.
 const defaultMergeFanIn = 64
 
-// mergeFanIn resolves Config.MergeFanIn: 0 means the default, and a
-// two-way merge is the smallest that makes progress.
-func (e *Engine) mergeFanIn() int {
-	f := e.Cfg.MergeFanIn
-	if f == 0 {
-		return defaultMergeFanIn
-	}
-	if f < 2 {
-		return 2
-	}
-	return f
-}
-
-// fanInMerge reduces runs to at most fanIn sources by repeated passes of
-// contiguous group merges, charging base for the extra I/O (each merged
-// byte is written once and read back once; the first read of the source
-// segments was already charged by the reduce pre-scan) and tracing one
-// merge-pass event per group merge. I/O errors are plain task failures —
-// infrastructure, not injected faults, so not retryable.
-func (e *Engine) fanInMerge(runs []streamSource, fanIn int, sd *spillDir, task int,
-	codec blockcodec.Codec, base *TaskMetrics, tr *roundTracer) ([]streamSource, error) {
+// fanInMerge reduces runs to at most Config.MergeFanIn sources by repeated
+// passes of contiguous group merges, charging tm for the extra I/O (each
+// merged byte is written once and read back once; the first read of the
+// source segments was already charged when the reducer's input was sized)
+// and tracing one merge-pass event per group merge. I/O errors are plain
+// task failures — infrastructure, not injected faults, so not retryable.
+func (r *round) fanInMerge(runs []streamSource, task int, tm *TaskMetrics) ([]streamSource, error) {
+	fanIn := r.eng.Cfg.MergeFanIn
 	for len(runs) > fanIn {
 		next := make([]streamSource, 0, (len(runs)+fanIn-1)/fanIn)
 		for lo := 0; lo < len(runs); lo += fanIn {
@@ -59,7 +46,7 @@ func (e *Engine) fanInMerge(runs []streamSource, fanIn int, sd *spillDir, task i
 				next = append(next, runs[lo])
 				continue
 			}
-			src, err := e.mergeRunGroup(runs[lo:hi], sd, task, codec, base, tr)
+			src, err := r.mergeRunGroup(runs[lo:hi], task, tm)
 			if err != nil {
 				return nil, err
 			}
@@ -72,21 +59,16 @@ func (e *Engine) fanInMerge(runs []streamSource, fanIn int, sd *spillDir, task i
 
 // mergeRunGroup merges one contiguous group of sources into a fresh
 // on-disk run and returns it as a replacement source.
-func (e *Engine) mergeRunGroup(group []streamSource, sd *spillDir, task int,
-	codec blockcodec.Codec, base *TaskMetrics, tr *roundTracer) (streamSource, error) {
-	m := newStreamMerger(group, mergeOpts{})
+func (r *round) mergeRunGroup(group []streamSource, task int, tm *TaskMetrics) (streamSource, error) {
+	m := newStreamMerger(group, 0)
 	defer m.close()
-	sf, err := sd.create("run-i-*")
+	sf, err := r.sd.create("run-i-*")
 	if err != nil {
 		return streamSource{}, err
 	}
-	w := newSegWriter(sf, codec)
-	for {
-		key, val, ok := m.next()
-		if !ok {
-			break
-		}
-		if err := w.add(key, val); err != nil {
+	w := newSegWriter(sf, r.codec)
+	for rec, _ := m.next(); rec != nil; rec, _ = m.next() {
+		if err := w.add(rec.Key, rec.Val); err != nil {
 			return streamSource{}, err
 		}
 	}
@@ -97,10 +79,10 @@ func (e *Engine) mergeRunGroup(group []streamSource, sd *spillDir, task int,
 	if err != nil {
 		return streamSource{}, err
 	}
-	base.MergePasses++
-	base.CompressedSpillBytes += seg.length
-	base.CPUSeconds += 2 * float64(seg.length) / e.Cfg.Cost.DiskBytesPerSec
-	tr.add(PhaseReduce, task, TraceEvent{
+	tm.MergePasses++
+	tm.CompressedSpillBytes += seg.length
+	tm.CPUSeconds += 2 * float64(seg.length) / r.eng.Cfg.Cost.DiskBytesPerSec
+	r.tr.add(PhaseReduce, task, TraceEvent{
 		Type: EvMergePass, Bytes: seg.length, Records: seg.records,
 	})
 	return streamSource{seg: seg}, nil
@@ -128,8 +110,8 @@ func newSegWriter(sf *spillFile, codec blockcodec.Codec) *segWriter {
 }
 
 // add appends one record. key and val need only stay valid for the call.
-func (w *segWriter) add(key, val []byte) error {
-	w.enc = appendSpillRecord(w.enc, byteString(w.prev), byteString(key), val)
+func (w *segWriter) add(key string, val []byte) error {
+	w.enc = appendSpillRecord(w.enc, byteString(w.prev), key, val)
 	w.seg.records++
 	w.seg.raw += int64(len(key)+len(val)) + RecordOverhead
 	w.prev = append(w.prev[:0], key...)

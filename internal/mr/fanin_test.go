@@ -3,6 +3,7 @@ package mr
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/spcube/spcube/internal/dfs"
@@ -49,12 +50,8 @@ func fanInRuns(t *testing.T, sd *spillDir, codec blockcodec.Codec, n int) []stre
 func drain(t *testing.T, m *streamMerger) []Pair {
 	t.Helper()
 	var out []Pair
-	for {
-		key, val, ok := m.next()
-		if !ok {
-			break
-		}
-		out = append(out, Pair{Key: string(key), Val: append([]byte(nil), val...)})
+	for rec, _ := m.next(); rec != nil; rec, _ = m.next() {
+		out = append(out, Pair{Key: strings.Clone(rec.Key), Val: append([]byte(nil), rec.Val...)})
 	}
 	if m.err != nil {
 		t.Fatal(m.err)
@@ -74,18 +71,18 @@ func TestFanInMergeMatchesGlobalMerge(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				eng := New(Config{Workers: 4, MergeFanIn: fanIn}, dfs.New(false))
 				sd := newSpillDir(t.TempDir(), nil)
 				defer sd.cleanup()
+				r := &round{eng: New(Config{Workers: 4, MergeFanIn: fanIn}, dfs.New(false)), sd: sd, codec: codec}
 
 				const nRuns = 17
-				global := newStreamMerger(fanInRuns(t, sd, codec, nRuns), mergeOpts{})
+				global := newStreamMerger(fanInRuns(t, sd, codec, nRuns), 0)
 				want := drain(t, global)
 				global.close()
 
 				runs := fanInRuns(t, sd, codec, nRuns)
 				var tm TaskMetrics
-				merged, err := eng.fanInMerge(runs, fanIn, sd, 0, codec, &tm, nil)
+				merged, err := r.fanInMerge(runs, 0, &tm)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -99,7 +96,7 @@ func TestFanInMergeMatchesGlobalMerge(t *testing.T) {
 					t.Errorf("intermediate merges not charged: %d bytes, %v cpu",
 						tm.CompressedSpillBytes, tm.CPUSeconds)
 				}
-				final := newStreamMerger(merged, mergeOpts{})
+				final := newStreamMerger(merged, 0)
 				defer final.close()
 				got := drain(t, final)
 
@@ -138,7 +135,7 @@ func TestSegWriterRoundTrip(t *testing.T) {
 	}
 	var wantRaw int64
 	for i := range keys {
-		if err := w.add([]byte(keys[i]), vals[i]); err != nil {
+		if err := w.add(keys[i], vals[i]); err != nil {
 			t.Fatal(err)
 		}
 		wantRaw += pairBytes(keys[i], vals[i])

@@ -1,26 +1,22 @@
 package mr
 
-import (
-	"bytes"
-	"strings"
-	"unsafe"
-)
+import "strings"
 
 // This file is the sort-merge half of the engine's data plane: a stable
 // bottom-up merge sort for the map side's per-reducer buckets and a
 // loser-tree k-way merge for the reduce side. Together they reproduce
 // Hadoop's actual shuffle structure (the cluster model of §2.3 assumes it):
-// every map task sorts each of its per-reducer buckets once, the shuffle
-// hands a reducer its k task-ordered sorted runs without flattening them,
-// and the reducer consumes the runs through a single streaming merge — it
-// never re-sorts its whole input.
+// every map task sorts each of its per-reducer buckets once — per spill
+// flush, and once more for what is left in memory — the shuffle hands a
+// reducer its task-ordered sorted runs without flattening them, and the
+// reducer consumes the runs through a single streaming merge — it never
+// re-sorts its whole input.
 //
-// Both pieces are exactly order-equivalent to the historical
-// implementation (sort.SliceStable over the concatenated bucket): the
-// map-side sort is stable in emission order, and the merge breaks key ties
-// by run index, i.e. by map-task index — the same tiebreak a stable sort
-// of the task-ordered concatenation produces. Reducer input order, and
-// with it output, metrics and traces, is bit-for-bit unchanged.
+// Both pieces are exactly order-equivalent to sort.SliceStable over the
+// task-ordered concatenation of a reducer's input: the map-side sort is
+// stable in emission order, and the merge breaks key ties by source index,
+// i.e. by map-task order — the same tiebreak a stable sort of the
+// concatenation produces.
 
 // sortRun is the insertion-sort block size of sortPairsStable; blocks of
 // this size are sorted in place before the merge passes start.
@@ -188,123 +184,65 @@ func (t *LoserTree) build() {
 	t.loser[0] = win[1]
 }
 
-// runMerger streams the pairs of k sorted runs in globally sorted order
-// through a LoserTree: each next() replays one leaf-to-root path — log k
-// key comparisons — instead of re-scanning all run heads. Key ties go to
-// the lower run index, which, with runs ordered by map task, reproduces
-// the stable task-ordered concatenation sort exactly.
-type runMerger struct {
-	runs [][]Pair
-	pos  []int // per-run cursor
-	tree *LoserTree
-}
-
-// newRunMerger builds a merger over the given runs (empty runs are
-// allowed). The runs are read, never modified.
-func newRunMerger(runs [][]Pair) *runMerger {
-	m := &runMerger{
-		runs: runs,
-		pos:  make([]int, len(runs)),
-	}
-	m.tree = NewLoserTree(len(runs), m.beats)
-	return m
-}
-
-// reset rewinds every run to its start, making the merger reusable across
-// task attempts.
-func (m *runMerger) reset() {
-	for i := range m.pos {
-		m.pos[i] = 0
-	}
-	m.tree.Reset()
-}
-
-// beats reports whether run a's head precedes run b's head: exhausted runs
-// lose to live ones, equal keys go to the lower run index.
-func (m *runMerger) beats(a, b int) bool {
-	pa, pb := m.pos[a], m.pos[b]
-	ea, eb := pa >= len(m.runs[a]), pb >= len(m.runs[b])
-	switch {
-	case ea && eb:
-		return a < b
-	case ea:
-		return false
-	case eb:
-		return true
-	}
-	if c := strings.Compare(m.runs[a][pa].Key, m.runs[b][pb].Key); c != 0 {
-		return c < 0
-	}
-	return a < b
-}
-
-// next returns a pointer to the globally next pair, or nil when every run
-// is exhausted. The pointed-to Pair lives in its run's backing array and
-// must not be modified.
-func (m *runMerger) next() *Pair {
-	w := m.tree.Winner()
-	if w < 0 || m.pos[w] >= len(m.runs[w]) {
-		return nil // winner exhausted: all runs drained
-	}
-	p := &m.runs[w][m.pos[w]]
-	m.pos[w]++
-	m.tree.Replay()
-	return p
-}
-
-// streamMerger is the out-of-core counterpart of runMerger: it k-way merges
-// a mix of in-memory runs and on-disk spill segments, holding only one head
-// record per source — reduce memory is O(sources), not O(input). Source
-// order and the lower-index tiebreak carry the same contract as runMerger
-// (sources ordered by map task, a task's spill segments before its final
-// in-memory bucket), so reducer input order is byte-identical to the
-// all-in-memory merge.
+// streamMerger k-way merges sorted runs — in-memory buckets and on-disk
+// spill segments alike — through a LoserTree, holding only one head record
+// per source: each next replays one leaf-to-root path (log k key
+// comparisons) instead of re-scanning all run heads, and reduce memory is
+// O(sources), not O(input). Key ties go to the lower source index, which,
+// with sources ordered by map task (a task's spill segments in flush order
+// before its final in-memory bucket), reproduces the stable task-ordered
+// concatenation sort exactly — whether or not anything spilled.
 type streamMerger struct {
 	srcs []mergeSource
 	tree *LoserTree
 	cur  int // source whose head the last next handed out; -1 if none
 	err  error
+	// hits/misses total the file-backed sources' read-ahead counters.
+	hits, misses int64
 }
 
-// mergeSource is one sorted run: either an in-memory pair slice or a
-// front-coded spill segment. key/val hold the current head; for file
-// sources they alias the reader's reused decode buffers.
+// mergeSource is one sorted run being merged. cur points at its current
+// head record, nil once drained: into pairs for a memory-backed run (no
+// record is copied), at head for a file-backed one, where head views the
+// reader's reused decode buffers.
 type mergeSource struct {
 	pairs []Pair
 	pos   int
 	rd    *segReader
-	key   []byte
-	val   []byte
-	live  bool
+	cur   *Pair
+	head  Pair
 }
 
-// streamSource wraps a run for newStreamMerger: exactly one of pairs / seg
-// is used (pairs when seg.records == 0 and pairs != nil).
+// streamSource is one sorted run handed to the merger: a memory-backed run
+// (pairs, with raw = Σ pairBytes) or a file-backed one (seg).
 type streamSource struct {
 	pairs []Pair
+	raw   int64
 	seg   *spillSeg
 }
 
-// mergeOpts configures a streamMerger's read-ahead: file-backed sources
-// are granted prefetchers out of prefetchBudget bytes, in source order
-// (deterministic — which sources read ahead never depends on timing), and
-// their hit/miss counters accumulate into hits/misses when non-nil.
-type mergeOpts struct {
-	prefetchBudget int64
-	hits, misses   *int64
+// size returns the run's record count and raw byte size from its metadata.
+func (s streamSource) size() (records, raw int64) {
+	if s.seg != nil {
+		return s.seg.records, s.seg.raw
+	}
+	return int64(len(s.pairs)), s.raw
 }
 
-func newStreamMerger(runs []streamSource, opt mergeOpts) *streamMerger {
+// newStreamMerger builds a merger over runs, which are read, never
+// modified. File-backed sources are granted prefetchers out of
+// prefetchBudget bytes, in source order (deterministic — which sources read
+// ahead never depends on timing).
+func newStreamMerger(runs []streamSource, prefetchBudget int64) *streamMerger {
 	m := &streamMerger{srcs: make([]mergeSource, len(runs)), cur: -1}
-	budget := opt.prefetchBudget
 	for i, r := range runs {
 		if r.seg != nil {
 			var grant int64
-			if budget >= prefetchSegBudget && r.seg.length >= 2*prefetchChunkSize {
+			if prefetchBudget >= prefetchSegBudget && r.seg.length >= 2*prefetchChunkSize {
 				grant = prefetchSegBudget
-				budget -= grant
+				prefetchBudget -= grant
 			}
-			m.srcs[i].rd = newSegReader(*r.seg, grant, opt.hits, opt.misses)
+			m.srcs[i].rd = newSegReader(*r.seg, grant, &m.hits, &m.misses)
 		} else {
 			m.srcs[i].pairs = r.pairs
 		}
@@ -349,59 +287,55 @@ func (m *streamMerger) advance(i int) {
 		if err != nil && m.err == nil {
 			m.err = err
 		}
-		s.key, s.val, s.live = key, val, ok && err == nil
+		s.cur = nil
+		if ok && err == nil {
+			s.head = Pair{Key: byteString(key), Val: val}
+			s.cur = &s.head
+		}
 		return
 	}
 	if s.pos >= len(s.pairs) {
-		s.key, s.val, s.live = nil, nil, false
+		s.cur = nil
 		return
 	}
-	p := &s.pairs[s.pos]
-	s.key, s.val, s.live = stringBytes(p.Key), p.Val, true
+	s.cur = &s.pairs[s.pos]
 	s.pos++
 }
 
-// beats mirrors runMerger.beats: drained sources lose to live ones, equal
-// keys go to the lower source index.
+// beats reports whether source a's head precedes source b's: drained
+// sources lose to live ones, equal keys go to the lower source index.
 func (m *streamMerger) beats(a, b int) bool {
 	sa, sb := &m.srcs[a], &m.srcs[b]
 	switch {
-	case !sa.live && !sb.live:
+	case sa.cur == nil && sb.cur == nil:
 		return a < b
-	case !sa.live:
+	case sa.cur == nil:
 		return false
-	case !sb.live:
+	case sb.cur == nil:
 		return true
 	}
-	if c := bytes.Compare(sa.key, sb.key); c != 0 {
+	if c := strings.Compare(sa.cur.Key, sb.cur.Key); c != 0 {
 		return c < 0
 	}
 	return a < b
 }
 
-// next returns the globally next record, or ok == false when every source
-// is drained (or a read failed — check err). The returned slices are valid
-// only until the following next call: file-backed sources reuse their
-// decode buffers, so consumers that keep a key or value must copy it.
-func (m *streamMerger) next() (key, val []byte, ok bool) {
+// next returns the globally next record, or nil when every source is
+// drained (or a read failed — check err). The record must not be modified.
+// stable reports whether it is a memory-backed run's own Pair, whose key
+// string and value slice are immutable; otherwise key and value view a
+// file-backed source's reused decode buffers and are valid only until the
+// following next call, so a consumer that keeps them must copy.
+func (m *streamMerger) next() (rec *Pair, stable bool) {
 	if m.cur >= 0 {
 		m.advance(m.cur)
 		m.tree.Replay()
 	}
 	w := m.tree.Winner()
-	if w < 0 || !m.srcs[w].live {
+	if w < 0 || m.srcs[w].cur == nil {
 		m.cur = -1
-		return nil, nil, false
+		return nil, false
 	}
 	m.cur = w
-	return m.srcs[w].key, m.srcs[w].val, true
-}
-
-// stringBytes views s's bytes without copying; the result must not be
-// modified.
-func stringBytes(s string) []byte {
-	if len(s) == 0 {
-		return nil
-	}
-	return unsafe.Slice(unsafe.StringData(s), len(s))
+	return m.srcs[w].cur, m.srcs[w].rd == nil
 }

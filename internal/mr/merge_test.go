@@ -1,6 +1,7 @@
 package mr
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/spcube/spcube/internal/dfs"
+	"github.com/spcube/spcube/internal/mr/blockcodec"
 	"github.com/spcube/spcube/internal/relation"
 )
 
@@ -44,41 +46,59 @@ func TestSortPairsStableMatchesSliceStable(t *testing.T) {
 	}
 }
 
-// TestRunMergerMatchesSliceStable is the property test of the tentpole's
+// TestStreamMergerMatchesSliceStable is the property test of the merge's
 // order-equivalence claim: the loser-tree merge of per-run stably-sorted
-// buckets must equal sort.SliceStable applied to the run-ordered
-// concatenation — i.e. the reducer sees, bit for bit, the input order the
-// historical concatenate-then-sort produced.
-func TestRunMergerMatchesSliceStable(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	var scratch []Pair
-	for trial := 0; trial < 200; trial++ {
-		k := rng.Intn(9) // 0 runs and 1 run are valid edge cases
-		runs := make([][]Pair, k)
-		var concat []Pair
-		for r := 0; r < k; r++ {
-			runs[r] = randPairs(rng, rng.Intn(80), 1+rng.Intn(15))
-			concat = append(concat, runs[r]...)
-			scratch = sortPairsStable(runs[r], scratch)
-		}
-		want := append([]Pair(nil), concat...)
-		sort.SliceStable(want, func(a, b int) bool { return want[a].Key < want[b].Key })
+// runs must equal sort.SliceStable applied to the run-ordered concatenation
+// — whether the runs are memory-backed, file-backed or a mix — and only
+// memory-backed records may be handed out as stable.
+func TestStreamMergerMatchesSliceStable(t *testing.T) {
+	for _, mode := range []string{"memory", "file", "mixed"} {
+		t.Run(mode, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(11))
+			sd := newSpillDir(t.TempDir(), nil)
+			defer sd.cleanup()
+			var scratch []Pair
+			for trial := 0; trial < 200; trial++ {
+				k := rng.Intn(9) // 0 runs and 1 run are valid edge cases
+				runs := make([]streamSource, k)
+				var concat []Pair
+				for r := 0; r < k; r++ {
+					pairs := randPairs(rng, rng.Intn(80), 1+rng.Intn(15))
+					concat = append(concat, pairs...)
+					scratch = sortPairsStable(pairs, scratch)
+					if mode == "file" || (mode == "mixed" && rng.Intn(2) == 0) {
+						runs[r] = writeRun(t, sd, blockcodec.Raw{}, pairs)
+					} else {
+						runs[r] = streamSource{pairs: pairs}
+					}
+				}
+				want := append([]Pair(nil), concat...)
+				sort.SliceStable(want, func(a, b int) bool { return want[a].Key < want[b].Key })
 
-		m := newRunMerger(runs)
-		for pass := 0; pass < 2; pass++ { // second pass exercises reset()
-			m.reset()
-			got := make([]Pair, 0, len(want))
-			for p := m.next(); p != nil; p = m.next() {
-				got = append(got, *p)
+				m := newStreamMerger(runs, 0)
+				for pass := 0; pass < 2; pass++ { // second pass exercises reset()
+					m.reset()
+					n := 0
+					for rec, stable := m.next(); rec != nil; rec, stable = m.next() {
+						if n >= len(want) || rec.Key != want[n].Key || !bytes.Equal(rec.Val, want[n].Val) {
+							t.Fatalf("trial %d pass %d (k=%d): record %d diverges from stable sort of concatenation",
+								trial, pass, k, n)
+						}
+						if mode != "mixed" && stable != (mode == "memory") {
+							t.Fatalf("trial %d: %s-backed record handed out with stable=%v", trial, mode, stable)
+						}
+						n++
+					}
+					if m.err != nil {
+						t.Fatal(m.err)
+					}
+					if n != len(want) {
+						t.Fatalf("trial %d pass %d (k=%d): merged %d of %d records", trial, pass, k, n, len(want))
+					}
+				}
+				m.close()
 			}
-			if len(got) == 0 && len(want) == 0 {
-				continue
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d pass %d (k=%d, n=%d): merge diverges from stable sort of concatenation",
-					trial, pass, k, len(want))
-			}
-		}
+		})
 	}
 }
 
@@ -262,21 +282,21 @@ func TestTupleInputBytesMemoized(t *testing.T) {
 // 8 pre-sorted runs of 16k pairs each, streamed through the loser tree.
 func BenchmarkShuffleMerge(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
-	runs := make([][]Pair, 8)
+	runs := make([]streamSource, 8)
 	var scratch []Pair
 	total := 0
 	for r := range runs {
-		runs[r] = randPairs(rng, 16<<10, 512)
-		scratch = sortPairsStable(runs[r], scratch)
-		total += len(runs[r])
+		runs[r].pairs = randPairs(rng, 16<<10, 512)
+		scratch = sortPairsStable(runs[r].pairs, scratch)
+		total += len(runs[r].pairs)
 	}
-	m := newRunMerger(runs)
+	m := newStreamMerger(runs, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.reset()
 		n := 0
-		for p := m.next(); p != nil; p = m.next() {
+		for p, _ := m.next(); p != nil; p, _ = m.next() {
 			n++
 		}
 		if n != total {

@@ -32,15 +32,6 @@ func PlaceNode(seed uint64, round int, phase Phase, task, attempt, nodes int) in
 	return int(h % uint64(nodes))
 }
 
-// nodeCount resolves Config.Nodes (0 defaults to Workers: one failure
-// domain per simulated machine).
-func (e *Engine) nodeCount() int {
-	if e.Cfg.Nodes > 0 {
-		return e.Cfg.Nodes
-	}
-	return e.Cfg.Workers
-}
-
 // deadNodes returns the per-node dead flags from the round's node-crash
 // faults, or nil when none targets the round. The crash is modeled at the
 // round's shuffle barrier: map attempts complete first (their stored output
@@ -158,12 +149,4 @@ func backupWins(backupFinish, originalFinish float64) bool {
 func isKillError(err error) bool {
 	var ke *killError
 	return errors.As(err, &ke)
-}
-
-// specOutcome is one speculative race's recovery accounting: the loser's
-// discarded output, its wall time, and the counter deltas.
-type specOutcome struct {
-	launched, won, killed int64
-	wasted                int64
-	wall                  float64
 }

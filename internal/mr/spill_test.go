@@ -242,7 +242,9 @@ func TestStreamReduceValueRetention(t *testing.T) {
 		},
 		Reduce: func(ctx *RedCtx, key string, vals [][]byte) {
 			mu.Lock()
-			retained[key] = vals // deliberately no copy
+			// Only the container is copied (it is per-group scratch in every
+			// merge); the value slices are retained as handed out.
+			retained[key] = append([][]byte(nil), vals...)
 			mu.Unlock()
 			ctx.EmitKV(key, vals[0])
 		},

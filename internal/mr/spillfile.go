@@ -104,9 +104,9 @@ func (d *spillDir) cleanup() {
 // checksummed blockcodec blocks as its own segment. spills[i][r] is flush
 // i's segment for reducer r.
 //
-// Writes go through append, which is single-writer by contract: either the
-// attempt's foreground (synchronous mode) or its one background spillWriter
-// goroutine. Readers use ReadAt and never touch the write offset.
+// Writes go through append, which is single-writer by contract: the
+// attempt's one background spillWriter goroutine. Readers use ReadAt and
+// never touch the write offset.
 type spillFile struct {
 	f      *os.File
 	w      io.Writer // write target: f, or the injection wrapper around it

@@ -26,13 +26,8 @@ type spillBuf struct {
 // reported done — success, failure, kill, or lost speculation alike. join
 // closes the hand-off channel, waits for the goroutine to drain, and
 // returns the first write error. No other goroutine may touch the writer.
-//
-// In synchronous mode (Config.SpillSync) no goroutine is started: submit
-// appends inline, join only reports. Same protocol, zero overlap — the
-// baseline the pipeline is benchmarked against.
 type spillWriter struct {
-	sf   *spillFile
-	sync bool
+	sf *spillFile
 
 	free chan *spillBuf // recycled buffers, cap 2
 	work chan *spillBuf // encoded flushes awaiting write, cap 2
@@ -43,20 +38,15 @@ type spillWriter struct {
 	joined bool
 }
 
-func newSpillWriter(sf *spillFile, syncMode bool) *spillWriter {
+func newSpillWriter(sf *spillFile) *spillWriter {
 	w := &spillWriter{
 		sf:   sf,
-		sync: syncMode,
 		free: make(chan *spillBuf, 2),
 		work: make(chan *spillBuf, 2),
 		done: make(chan struct{}),
 	}
 	w.free <- &spillBuf{}
 	w.free <- &spillBuf{}
-	if syncMode {
-		close(w.done)
-		return w
-	}
 	go w.loop()
 	return w
 }
@@ -74,19 +64,10 @@ func (w *spillWriter) acquire() (*spillBuf, time.Duration) {
 	return b, time.Since(start)
 }
 
-// submit hands an encoded flush to the writer. In synchronous mode the
-// append happens inline. Never blocks in async mode: work's capacity
-// matches the buffer count, so a slot is always available for a buffer
-// obtained from acquire.
+// submit hands an encoded flush to the writer. Never blocks: work's
+// capacity matches the buffer count, so a slot is always available for a
+// buffer obtained from acquire.
 func (w *spillWriter) submit(b *spillBuf) {
-	if w.sync {
-		if err := w.sf.append(b.framed, b.segs); err != nil {
-			w.setErr(err)
-		}
-		b.segs = nil
-		w.free <- b
-		return
-	}
 	w.work <- b
 }
 
@@ -119,9 +100,7 @@ func (w *spillWriter) join() (error, time.Duration) {
 	w.joined = true
 	w.mu.Unlock()
 	start := time.Now()
-	if !w.sync {
-		close(w.work)
-	}
+	close(w.work)
 	<-w.done
 	return w.getErr(), time.Since(start)
 }

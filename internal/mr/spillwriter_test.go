@@ -21,8 +21,8 @@ func submitFlush(t *testing.T, w *spillWriter, buckets [][]Pair, codec blockcode
 }
 
 // TestSpillWriterAsyncMatchesSync: the background double-buffered writer
-// must leave exactly the file and segment metadata the inline writer does —
-// overlap changes timing, never bytes.
+// must leave exactly the file and segment metadata that appending each flush
+// inline does — overlap changes timing, never bytes.
 func TestSpillWriterAsyncMatchesSync(t *testing.T) {
 	for _, codecName := range blockcodec.Names() {
 		t.Run(codecName, func(t *testing.T) {
@@ -32,20 +32,19 @@ func TestSpillWriterAsyncMatchesSync(t *testing.T) {
 			}
 			sd := newSpillDir(t.TempDir(), nil)
 			defer sd.cleanup()
-			files := make([]*spillFile, 2)
-			for mode, syncMode := range []bool{true, false} {
-				sf, err := sd.create("run-m-*")
-				if err != nil {
+			var files [2]*spillFile // inline reference, background writer
+			for i := range files {
+				if files[i], err = sd.create("run-m-*"); err != nil {
 					t.Fatal(err)
 				}
-				files[mode] = sf
-				w := newSpillWriter(sf, syncMode)
-				for flush := 0; flush < 5; flush++ {
-					submitFlush(t, w, testBuckets(), codec)
-				}
-				if err, _ := w.join(); err != nil {
-					t.Fatal(err)
-				}
+			}
+			w := newSpillWriter(files[1])
+			for flush := 0; flush < 5; flush++ {
+				writeSpillSync(t, files[0], testBuckets(), codec)
+				submitFlush(t, w, testBuckets(), codec)
+			}
+			if err, _ := w.join(); err != nil {
+				t.Fatal(err)
 			}
 			syncBytes, err := os.ReadFile(files[0].path)
 			if err != nil {
@@ -87,7 +86,7 @@ func TestSpillWriterErrorPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	sf.f.Close() // every subsequent append fails
-	w := newSpillWriter(sf, false)
+	w := newSpillWriter(sf)
 	// More submissions than buffers: acquire must keep being served even
 	// though the writer is in its error state.
 	for flush := 0; flush < 6; flush++ {
@@ -107,30 +106,6 @@ func TestSpillWriterErrorPropagation(t *testing.T) {
 	sf.closed = true // already closed by hand; keep cleanup quiet
 }
 
-// TestSpillWriterSyncModeInline: in synchronous mode the bytes are on disk
-// when submit returns — no join needed for visibility, and no goroutine is
-// ever started.
-func TestSpillWriterSyncModeInline(t *testing.T) {
-	sd := newSpillDir(t.TempDir(), nil)
-	defer sd.cleanup()
-	sf, err := sd.create("run-m-*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := newSpillWriter(sf, true)
-	submitFlush(t, w, testBuckets(), blockcodec.Raw{})
-	st, err := os.Stat(sf.path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Size() == 0 || st.Size() != sf.off {
-		t.Errorf("after inline submit: file holds %d bytes, writer offset %d", st.Size(), sf.off)
-	}
-	if err, _ := w.join(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestSpillWriterNoGoroutineLeak: every async writer's goroutine must exit
 // at join — the engine joins on success, failure, kill and lost speculation
 // alike, so a leak here would grow with every spilling attempt.
@@ -143,7 +118,7 @@ func TestSpillWriterNoGoroutineLeak(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := newSpillWriter(sf, false)
+		w := newSpillWriter(sf)
 		submitFlush(t, w, testBuckets(), blockcodec.Raw{})
 		if err, _ := w.join(); err != nil {
 			t.Fatal(err)

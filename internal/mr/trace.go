@@ -218,7 +218,10 @@ func (t *roundTracer) emit(ev TraceEvent) {
 	t.eng.Cfg.Tracer.TraceEvent(ev)
 }
 
-// event fills the round coordinates and emits a round-level event.
+// event fills the round coordinates and emits a round-level event. It is
+// also what the execution backend's RoundHooks.Trace delivers through
+// (worker-spawn, worker-dead): safe on a nil tracer, and only to be called
+// from the run goroutine so sequence numbering stays deterministic.
 func (t *roundTracer) event(ev TraceEvent) {
 	if t == nil {
 		return
@@ -325,14 +328,6 @@ func (t *roundTracer) speculate(phase Phase, task, attempt int) {
 // nodeCrash records a failure domain dying at the round's shuffle barrier.
 func (t *roundTracer) nodeCrash(node int) {
 	t.event(TraceEvent{Type: EvNodeCrash, Node: node})
-}
-
-// backendEvent delivers an execution-backend lifecycle event (worker-spawn,
-// worker-dead). Handed to the backend through RoundHooks; safe on a nil
-// tracer, and must only be called from the run goroutine (RoundStart /
-// CrashNodes) so sequence numbering stays deterministic.
-func (t *roundTracer) backendEvent(ev TraceEvent) {
-	t.event(ev)
 }
 
 // fetchFail records map task task's completed output (stored on the dead
