@@ -3,12 +3,11 @@
 GO ?= go
 
 .PHONY: check fmt vet build test race retry-race fuzz-smoke chaos chaos-proc \
-	proc-smoke bench bench-json bench-delta bench-spill bench-hotpath \
-	bench-hotpath-json bench-compare bench-harness serve-smoke cover-serve \
-	cover-delta delta-soak soak-scale lint
+	proc-smoke bench bench-json bench-hotpath bench-compare bench-harness \
+	serve-smoke cover-serve cover-delta delta-soak soak-scale lint
 
 check: fmt vet race fuzz-smoke chaos proc-smoke chaos-proc serve-smoke \
-	cover-serve cover-delta delta-soak bench-spill bench-harness
+	cover-serve cover-delta delta-soak bench-harness
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -80,23 +79,6 @@ bench-json:
 	$(GO) run ./cmd/spbench -exp fig6 -scale 0.05 -metrics-out BENCH_fig6.json > /dev/null
 	$(GO) run ./cmd/spbench -validate BENCH_fig6.json
 
-# Delta-maintenance benchmark artifact: a 1% batch applied by delta-merge
-# (delta job + serving-layer patch + swap) against a full rebuild, with a
-# committed >= 5x speedup floor enforced by the validator.
-bench-delta:
-	$(GO) run ./cmd/spbench -delta-out BENCH_delta.json
-	$(GO) run ./cmd/spbench -validate-delta BENCH_delta.json
-
-# Spill-pipeline benchmark artifact: the fat-state shuffle through the
-# lz pipeline against the raw, unbounded-fan-in baseline (the engine's
-# pre-pipeline on-disk format), with committed floors — >= 1.3x simulated
-# wall-clock speedup and >= 2x physical spilled-bytes reduction — enforced
-# by the validator. Both gated quantities are deterministic in the seed, so
-# the committed BENCH_spill.json re-validates bit-for-bit anywhere.
-bench-spill:
-	$(GO) run ./cmd/spbench -spill-out BENCH_spill.json
-	$(GO) run ./cmd/spbench -validate-spill BENCH_spill.json
-
 # Randomized incremental-maintenance soak: chaos-faulted delta cycles with
 # appends and deletes feeding the serving store through patch + swap, each
 # cycle verified exactly against brute force; failing cycles must leave the
@@ -118,17 +100,12 @@ soak-scale:
 		$(GO) test -count=1 -timeout 45m -run TestSoakScale -v ./internal/integration
 
 # Hot-path micro-benchmarks of the MR engine's data plane (shuffle merge,
-# partitioner, combiner, end-to-end naive cube). BENCH_COUNT runs each.
+# partitioner, combiner, end-to-end naive cube). BENCH_COUNT runs each;
+# `make bench-compare` sets them against another commit.
 BENCH_COUNT ?= 6
 BENCH_PATTERN ?= EngineHotPath|HashPartition|ShuffleMerge|Combine
 bench-hotpath:
 	$(GO) test -run=NONE -bench='$(BENCH_PATTERN)' -count=$(BENCH_COUNT) ./internal/mr/
-
-# Refresh the committed hot-path baseline (BENCH_hotpath.json).
-bench-hotpath-json:
-	$(GO) test -run=NONE -bench='$(BENCH_PATTERN)' -count=$(BENCH_COUNT) ./internal/mr/ > /tmp/bench_hotpath.txt
-	$(GO) run ./cmd/benchcmp -json BENCH_hotpath.json /tmp/bench_hotpath.txt
-	@cat BENCH_hotpath.json
 
 # End-to-end smoke of the serving stack: compute a small cube, serve it on a
 # random port, drive it with the load generator, and require non-zero

@@ -34,7 +34,7 @@ const benchScale = 0.05
 // final (largest-x) y value as a custom metric.
 func reportFigure(b *testing.B, id string) {
 	b.Helper()
-	cfg := bench.Config{Workers: 20, Seed: 2016, Scale: benchScale}
+	cfg := bench.Config{Config: mr.Config{Workers: 20, Seed: 2016}, Scale: benchScale}
 	var figs []bench.Figure
 	for i := 0; i < b.N; i++ {
 		var err error

@@ -5,20 +5,13 @@
 // access to install golang.org/x/perf; CI prefers benchstat when it can be
 // installed and falls back to this tool otherwise.
 //
-// With -json, it instead converts a single bench output file into the
-// repo's BENCH_*.json baseline format (schema benchcmp/v1), the committed
-// wall-clock trajectory that future perf PRs are compared against.
-//
 // Usage:
 //
 //	benchcmp old.txt new.txt
-//	benchcmp -json BENCH_hotpath.json new.txt
 package main
 
 import (
 	"bufio"
-	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
 	"sort"
@@ -205,54 +198,17 @@ func fmtDelta(old, new float64, unit string) string {
 	return fmt.Sprintf("%+.1f%%", pct)
 }
 
-// jsonBaseline is the committed BENCH_*.json schema.
-type jsonBaseline struct {
-	Schema     string                        `json:"schema"`
-	Benchmarks map[string]map[string]float64 `json:"benchmarks"`
-}
-
-func writeJSON(path string, f *benchFile) error {
-	doc := jsonBaseline{Schema: "benchcmp/v1", Benchmarks: make(map[string]map[string]float64)}
-	for name, m := range f.bench {
-		doc.Benchmarks[name] = m
-	}
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
-}
-
 func main() {
-	jsonOut := flag.String("json", "", "write the (single) input file as a BENCH_*.json baseline to this path instead of comparing")
-	flag.Parse()
-	args := flag.Args()
-	if *jsonOut != "" {
-		if len(args) != 1 {
-			fmt.Fprintln(os.Stderr, "usage: benchcmp -json out.json bench.txt")
-			os.Exit(2)
-		}
-		f, err := parseFile(args[0])
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchcmp:", err)
-			os.Exit(1)
-		}
-		if err := writeJSON(*jsonOut, f); err != nil {
-			fmt.Fprintln(os.Stderr, "benchcmp:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(args) != 2 {
+	if len(os.Args) != 3 {
 		fmt.Fprintln(os.Stderr, "usage: benchcmp old.txt new.txt")
 		os.Exit(2)
 	}
-	old, err := parseFile(args[0])
+	old, err := parseFile(os.Args[1])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchcmp:", err)
 		os.Exit(1)
 	}
-	neu, err := parseFile(args[1])
+	neu, err := parseFile(os.Args[2])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchcmp:", err)
 		os.Exit(1)

@@ -3,18 +3,81 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"github.com/spcube/spcube/internal/bench"
+	"github.com/spcube/spcube/internal/cli"
 )
+
+// exit runs one invocation the way main does and returns its exit status.
+func exit(args []string, stdout, stderr io.Writer) int {
+	return cli.Exit("spbench", stderr, run(context.Background(), args, stdout, stderr))
+}
+
+// TestFlagSurface pins spbench's flags and defaults against the literal
+// captured from the commit before the shared flag groups existed, minus the
+// four flags of the two retired pre-harness benchmark modes.
+func TestFlagSurface(t *testing.T) {
+	want := `backend=local
+exp=all
+faults=
+format=table
+k=20
+max-attempts=0
+merge-fan-in=0
+metrics-out=
+p=0
+pprof=
+scale=1
+seed=2016
+spec-slack=0
+spill-budget=-1
+spill-codec=raw
+spill-dir=
+task-timeout=0
+trace=
+validate=
+worker-cmd=
+`
+	fs := flag.NewFlagSet("spbench", flag.ContinueOnError)
+	declare(fs)
+	var got string // VisitAll visits in name order
+	fs.VisitAll(func(f *flag.Flag) { got += f.Name + "=" + f.DefValue + "\n" })
+	if got != want {
+		t.Errorf("flag surface drifted:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestRunInterruptedWritesNothing: a sweep cut short by an interrupt must
+// not pass its DNF points off as a result — nothing rendered, no
+// -metrics-out document, a non-zero exit.
+func TestRunInterruptedWritesNothing(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	metrics := filepath.Join(t.TempDir(), "fig6.json")
+	var stdout, stderr bytes.Buffer
+	err := run(ctx, []string{"-exp", "fig6", "-scale", "0.01", "-metrics-out", metrics}, &stdout, &stderr)
+	if code := cli.Exit("spbench", &stderr, err); code != 1 {
+		t.Errorf("exit code = %d, want 1; stderr: %s", code, stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("interrupted sweep rendered figures:\n%s", stdout.String())
+	}
+	if _, err := os.Stat(metrics); !os.IsNotExist(err) {
+		t.Errorf("interrupted sweep wrote %s (stat: %v)", metrics, err)
+	}
+}
 
 func TestRunUnknownExperiment(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"-exp", "fig99"}, &stdout, &stderr)
+	code := exit([]string{"-exp", "fig99"}, &stdout, &stderr)
 	if code != 2 {
 		t.Fatalf("exit code = %d, want 2; stderr: %s", code, stderr.String())
 	}
@@ -34,18 +97,11 @@ func TestRunUnknownExperiment(t *testing.T) {
 
 func TestRunUnknownFormat(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-exp", "fig6", "-scale", "0.01", "-format", "xml"}, &stdout, &stderr); code != 1 {
+	if code := exit([]string{"-exp", "fig6", "-scale", "0.01", "-format", "xml"}, &stdout, &stderr); code != 1 {
 		t.Fatalf("exit code = %d, want 1; stderr: %s", code, stderr.String())
 	}
 	if !strings.Contains(stderr.String(), "xml") {
 		t.Errorf("error does not name the bad format: %s", stderr.String())
-	}
-}
-
-func TestRunBadFaultSpec(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-exp", "fig6", "-faults", "nonsense"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("exit code = %d, want 2; stderr: %s", code, stderr.String())
 	}
 }
 
@@ -55,7 +111,7 @@ func TestRunMetricsOutAndTrace(t *testing.T) {
 	trace := filepath.Join(dir, "trace.jsonl")
 
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"-exp", "fig6", "-scale", "0.01", "-k", "10",
+	code := exit([]string{"-exp", "fig6", "-scale", "0.01", "-k", "10",
 		"-metrics-out", metrics, "-trace", trace}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("exit code = %d; stderr: %s", code, stderr.String())
@@ -113,7 +169,7 @@ func TestRunMetricsOutAndTrace(t *testing.T) {
 	// The written document must round-trip through -validate.
 	stdout.Reset()
 	stderr.Reset()
-	if code := run([]string{"-validate", metrics}, &stdout, &stderr); code != 0 {
+	if code := exit([]string{"-validate", metrics}, &stdout, &stderr); code != 0 {
 		t.Fatalf("-validate exit code = %d; stderr: %s", code, stderr.String())
 	}
 	if !strings.Contains(stdout.String(), "valid metrics document") {
@@ -128,7 +184,7 @@ func TestRunValidateRejectsMalformed(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-validate", bad}, &stdout, &stderr); code != 1 {
+	if code := exit([]string{"-validate", bad}, &stdout, &stderr); code != 1 {
 		t.Fatalf("exit code = %d, want 1", code)
 	}
 	if stderr.Len() == 0 {
@@ -137,7 +193,7 @@ func TestRunValidateRejectsMalformed(t *testing.T) {
 
 	stdout.Reset()
 	stderr.Reset()
-	if code := run([]string{"-validate", filepath.Join(dir, "missing.json")}, &stdout, &stderr); code != 1 {
+	if code := exit([]string{"-validate", filepath.Join(dir, "missing.json")}, &stdout, &stderr); code != 1 {
 		t.Fatalf("missing file: exit code = %d, want 1", code)
 	}
 }

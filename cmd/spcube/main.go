@@ -76,6 +76,11 @@
 //	spcube -in sales.csv -trace trace.jsonl -metrics-out metrics.json
 //	spcube -in big.csv -pprof localhost:6060 &
 //
+// The shared flags (-k -p -seed -faults ... -spill-* -backend -in -agg -algo
+// -minsup -rebuild-threshold) are declared and validated once, in
+// internal/cli, for spcube, spbench and spserve alike; a bad value exits 2
+// before the input is opened, a failure while running exits 1.
+//
 // Incremental maintenance: -delta FILE applies the rows of FILE (same CSV
 // shape as the base input) as an append batch AFTER the initial cube is
 // built, through the delta-cube maintenance layer — a small cube job over
@@ -91,342 +96,167 @@ package main
 
 import (
 	"context"
-	"encoding/csv"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"sort"
-	"strconv"
 	"strings"
 
 	"github.com/spcube/spcube"
-	"github.com/spcube/spcube/internal/agg"
-	"github.com/spcube/spcube/internal/cleanup"
-	"github.com/spcube/spcube/internal/cube"
+	"github.com/spcube/spcube/internal/cli"
 	"github.com/spcube/spcube/internal/delta"
-	"github.com/spcube/spcube/internal/lattice"
 	"github.com/spcube/spcube/internal/mr"
 	"github.com/spcube/spcube/internal/mr/exec"
-	"github.com/spcube/spcube/internal/obs"
 	"github.com/spcube/spcube/internal/relation"
 )
 
-// Exit codes: 0 on success, 1 on runtime errors (I/O, compute), 2 on usage
-// errors (unknown flag values, contradictory options) — matching the code
-// flag.ExitOnError uses for malformed flags. All error paths return through
-// run so deferred cleanup (output flush, trace close, pprof shutdown, spill
-// temp removal) always executes before the process exits.
 func main() {
 	exec.MaybeWorkerMain() // proc-backend workers: spcube re-executes itself
-	os.Exit(realMain())
+	os.Exit(cli.Exit("spcube", os.Stderr, run(context.Background(), os.Args[1:], os.Stdout, os.Stderr)))
 }
 
-func realMain() int {
-	var o options
-	flag.StringVar(&o.in, "in", "", "input CSV path (default stdin)")
-	flag.StringVar(&o.out, "o", "", "output CSV path (default stdout)")
-	flag.StringVar(&o.aggName, "agg", "count", "aggregate function: count, sum, min, max, avg, var, stddev, distinct")
-	flag.StringVar(&o.algName, "algo", "sp-cube", "algorithm: sp-cube, naive, mr-cube, hive, pipesort")
-	flag.IntVar(&o.workers, "k", 8, "simulated cluster size")
-	flag.IntVar(&o.par, "p", 0, "goroutines executing simulated tasks: 0 = all cores, 1 = sequential (results are identical at any setting)")
-	flag.Int64Var(&o.seed, "seed", 1, "sampling seed")
-	flag.IntVar(&o.minSup, "minsup", 0, "iceberg threshold: only materialize groups with at least this many rows")
-	flag.BoolVar(&o.stats, "stats", true, "print execution statistics to stderr")
-	flag.StringVar(&o.faults, "faults", "", "fault-injection spec: round:phase:task:kind[:attempt[:count]] or round:node:N:node-crash, comma-separated (e.g. '*:map:*:crash', '*:node:1:node-crash'); the cube is identical to a fault-free run")
-	flag.IntVar(&o.maxAttempts, "max-attempts", 0, "task attempts before an injected failure becomes permanent (0 = engine default, 4)")
-	flag.Float64Var(&o.specSlack, "spec-slack", 0, "speculative-execution slack in simulated seconds: race a backup attempt against tasks stalled longer than this (0 = disabled)")
-	flag.Float64Var(&o.taskTimeout, "task-timeout", 0, "kill and retry task attempts stalled longer than this many simulated seconds (0 = disabled)")
-	flag.StringVar(&o.traceFile, "trace", "", "write structured engine trace events (JSON lines) to this file")
-	flag.StringVar(&o.metricsFile, "metrics-out", "", "write the run's per-round metrics (versioned JSON) to this file")
-	flag.StringVar(&o.deltaFile, "delta", "", "CSV of rows to append as an incremental-maintenance batch after the initial build")
-	flag.StringVar(&o.deltaDeleteFile, "delta-delete", "", "CSV of rows to delete as part of the maintenance batch (rows must exist in the base input)")
-	flag.Float64Var(&o.rebuildThr, "rebuild-threshold", 0, "sketch-drift level above which the batch is applied by full rebuild (0 = default, negative = always rebuild)")
-	flag.Int64Var(&o.spillBudget, "spill-budget", -1, "map-side in-memory emit budget in bytes before sorting and spilling to an on-disk run file: -1 = never spill (default), 0 = spill every record, N > 0 = spill past N bytes; the cube is identical at any setting")
-	flag.StringVar(&o.spillDir, "spill-dir", "", "directory for spill run files (default: the system temp dir, honoring $TMPDIR); a per-run subdirectory is created and removed on exit, interrupts included")
-	flag.StringVar(&o.spillCodec, "spill-codec", "raw", "block compression codec for spill run files: raw or lz; the cube is identical under any codec")
-	flag.IntVar(&o.mergeFanIn, "merge-fan-in", 0, "cap on runs merged at once by a reducer (0 = engine default, 64; minimum 2); excess runs are first merged into intermediate on-disk runs")
-	flag.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof and /debug/runtime on this address (e.g. localhost:6060)")
-	flag.StringVar(&o.backend, "backend", "local", "execution backend: local (simulated nodes are goroutines) or proc (one real worker process per node, with heartbeats, RPC deadlines and crash recovery); the cube is byte-identical across backends")
-	flag.StringVar(&o.workerCmd, "worker-cmd", "", "worker argv for -backend proc, space-separated (default: this binary re-executes itself; cmd/spworker is a standalone alternative)")
-	flag.Parse()
-
-	// Map the flag's surface to the engine's: -1 = never spill (engine 0),
-	// 0 = spill every record (engine budget of one byte — any emit exceeds
-	// it). Inside options, spillBudget always carries the engine value, so
-	// the zero value means "disabled".
-	switch {
-	case o.spillBudget < -1:
-		fmt.Fprintf(os.Stderr, "spcube: -spill-budget %d: want -1 (never), 0 (every record) or a positive byte count\n", o.spillBudget)
-		return 2
-	case o.spillBudget == -1:
-		o.spillBudget = 0
-	case o.spillBudget == 0:
-		o.spillBudget = 1
-	}
-
-	// With spilling enabled, run files live under a CLI-owned temp root so
-	// a forced exit can remove them: deferred engine cleanup never executes
-	// when a signal kills the process mid-run.
-	teardown := func() {}
-	if o.spillBudget > 0 {
-		root, err := os.MkdirTemp(o.spillDir, "spcube-*")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "spcube:", err)
-			return 1
-		}
-		o.spillDir = root
-		defer os.RemoveAll(root)
-		teardown = func() { os.RemoveAll(root) }
-	}
-
-	// Two-stage interrupt handling: the first SIGINT/SIGTERM cancels the
-	// run's context — in-flight rounds stop at the next attempt boundary,
-	// proc-backend workers are reaped, deferred cleanup runs — and a second
-	// signal forces the teardown-and-exit path.
-	ctx, stopSig := cleanup.NotifyContext(context.Background(), teardown, os.Exit)
-	defer stopSig()
-	o.ctx = ctx
-
-	if err := run(o, os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, "spcube:", err)
-		return exitCode(err)
-	}
-	return 0
-}
-
-// exitCode maps a run error to the process exit status: 2 for usage errors
-// (matching flag.ExitOnError), 1 for everything else.
-func exitCode(err error) int {
-	var ue usageError
-	if errors.As(err, &ue) {
-		return 2
-	}
-	return 1
-}
-
-// usageError marks an error as the caller's fault (a bad flag value rather
-// than a failure while computing), mapping it to exit code 2.
-type usageError struct{ err error }
-
-func (u usageError) Error() string { return u.err.Error() }
-func (u usageError) Unwrap() error { return u.err }
-
-// options carries one invocation's parameters (the parsed flags).
+// options are spcube's own flags, beside the three shared groups.
 type options struct {
-	in, out          string
-	aggName, algName string
-	workers, par     int
-	seed             int64
-	minSup           int
-	stats            bool
-	faults           string
-	maxAttempts      int
-	specSlack        float64
-	taskTimeout      float64
-	traceFile        string
-	metricsFile      string
-	deltaFile        string
-	deltaDeleteFile  string
-	rebuildThr       float64
-	spillBudget      int64
-	spillDir         string
-	spillCodec       string
-	mergeFanIn       int
-	pprofAddr        string
-	backend          string
-	workerCmd        string
-	ctx              context.Context
+	out, deltaFile, deltaDeleteFile string
+	stats                           bool
 }
 
-func run(o options, stderr io.Writer) error {
-	if o.pprofAddr != "" {
-		srv, err := obs.Start(o.pprofAddr)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(stderr, "spcube: profiling endpoint on http://%s/debug/pprof/\n", srv.Addr)
+// declare registers spcube's flag surface on fs.
+func declare(fs *flag.FlagSet) (*cli.Flags, *options) {
+	f, o := cli.New(fs), &options{}
+	f.Engine(8, 1)
+	f.Spill()
+	f.Input()
+	fs.StringVar(&o.out, "o", "", "output CSV path (default stdout)")
+	fs.BoolVar(&o.stats, "stats", true, "print execution statistics to stderr")
+	fs.StringVar(&o.deltaFile, "delta", "", "CSV of rows to append as an incremental-maintenance batch after the initial build")
+	fs.StringVar(&o.deltaDeleteFile, "delta-delete", "", "CSV of rows to delete as part of the maintenance batch (rows must exist in the base input)")
+	return f, o
+}
+
+// run executes one spcube invocation; it is main minus the process exit, so
+// tests can drive the full CLI surface. Every error path returns through it
+// so deferred cleanup (output close, trace close, pprof shutdown, spill temp
+// removal) always executes before the process exits.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	f, o := declare(flag.NewFlagSet("spcube", flag.ContinueOnError))
+	s, err := f.Start(ctx, args, stderr)
+	if err != nil {
+		return err
 	}
+	defer s.Close()
 	if o.deltaFile != "" || o.deltaDeleteFile != "" {
-		return runDelta(o, stderr)
+		return runDelta(s, o, stdout, stderr)
 	}
-	aggFn, err := spcube.AggByName(o.aggName)
+	aggFn, err := spcube.AggByName(s.Agg)
 	if err != nil {
-		return usageError{err}
+		return err
 	}
-	alg, err := spcube.AlgByName(o.algName)
-	if err != nil {
-		return usageError{err}
-	}
-
-	var r io.Reader = os.Stdin
-	if o.in != "" {
-		f, err := os.Open(o.in)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		r = f
-	}
-	rel, err := readCSV(r)
+	alg, err := spcube.AlgByName(s.Algo)
 	if err != nil {
 		return err
 	}
 
-	opts := []spcube.Option{
-		spcube.Aggregate(aggFn),
-		spcube.Algorithm(alg),
-		spcube.Workers(o.workers),
-		spcube.Parallelism(o.par),
-		spcube.Seed(o.seed),
-		spcube.MinSupport(o.minSup),
-		spcube.Faults(o.faults),
-		spcube.MaxAttempts(o.maxAttempts),
-		spcube.SpeculativeSlack(o.specSlack),
-		spcube.TaskTimeout(o.taskTimeout),
-		spcube.SpillBudget(o.spillBudget),
-		spcube.SpillDir(o.spillDir),
-		spcube.SpillCodec(o.spillCodec),
-		spcube.MergeFanIn(o.mergeFanIn),
-		spcube.Backend(o.backend),
-		spcube.Context(o.ctx),
+	in, err := s.OpenInput()
+	if err != nil {
+		return err
 	}
-	if o.workerCmd != "" {
-		opts = append(opts, spcube.WorkerCommand(strings.Fields(o.workerCmd)...))
-	}
-	if o.traceFile != "" {
-		tf, err := os.Create(o.traceFile)
-		if err != nil {
-			return err
-		}
-		defer tf.Close()
-		opts = append(opts, spcube.Trace(tf))
-	}
-
-	c, err := spcube.Compute(rel, opts...)
+	defer in.Close()
+	rel, err := spcube.ReadCSV(in)
 	if err != nil {
 		return err
 	}
 
-	var w io.Writer = os.Stdout
-	if o.out != "" {
-		f, err := os.Create(o.out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := writeCSV(w, rel, c, o.aggName); err != nil {
+	cfg := s.Config
+	c, err := spcube.Compute(rel,
+		spcube.Aggregate(aggFn), spcube.Algorithm(alg), spcube.MinSupport(s.MinSup),
+		spcube.Workers(cfg.Workers), spcube.Parallelism(cfg.Parallelism), spcube.Seed(s.Seed),
+		spcube.Faults(s.Faults), spcube.MaxAttempts(cfg.MaxAttempts),
+		spcube.SpeculativeSlack(cfg.SpeculativeSlack), spcube.TaskTimeout(cfg.TaskTimeout),
+		spcube.SpillBudget(cfg.SpillBudgetBytes), spcube.SpillDir(cfg.SpillDir),
+		spcube.SpillCodec(cfg.SpillCodec), spcube.MergeFanIn(cfg.MergeFanIn),
+		spcube.Backend(s.Backend), spcube.WorkerCommand(strings.Fields(s.WorkerCmd)...),
+		spcube.Context(cfg.Context), spcube.Trace(s.TraceW))
+	if err != nil {
 		return err
 	}
-
-	if o.metricsFile != "" {
+	if err := writeOutput(o.out, stdout, func(w io.Writer) error { return c.WriteCSV(w, s.Agg) }); err != nil {
+		return err
+	}
+	err = s.WriteMetrics(func(w io.Writer) error {
 		data, err := c.MetricsJSON()
-		if err != nil {
-			return err
+		if err == nil {
+			_, err = w.Write(data)
 		}
-		if err := os.WriteFile(o.metricsFile, data, 0o644); err != nil {
-			return err
-		}
+		return err
+	})
+	if err != nil || !o.stats {
+		return err
 	}
 
-	if o.stats {
-		st := c.Stats()
-		fmt.Fprintf(stderr,
-			"%s: %d rows -> %d c-groups | %d rounds, %.1f simulated s (%.2fs wall), %d intermediate records (%d B)",
-			st.Algorithm, rel.NumRows(), c.NumGroups(), st.Rounds, st.SimSeconds, st.WallSeconds,
-			st.ShuffleRecords, st.ShuffleBytes)
-		if st.SketchBytes > 0 {
-			fmt.Fprintf(stderr, " | sketch %d B, %d skewed groups", st.SketchBytes, st.SkewedGroups)
-		}
-		if st.Spills > 0 {
-			fmt.Fprintf(stderr, " | %d spills (%d B, %d B on disk)", st.Spills, st.SpillBytes, st.CompressedSpillBytes)
-			if st.MergePasses > 0 {
-				fmt.Fprintf(stderr, ", %d merge passes", st.MergePasses)
-			}
-		}
-		if st.Retries > 0 {
-			fmt.Fprintf(stderr, " | %d task retries (%d B wasted, %.2fs retry wall)",
-				st.Retries, st.WastedBytes, st.RetryWallSeconds)
-		}
-		if st.MapReexecutions > 0 {
-			fmt.Fprintf(stderr, " | %d map re-executions (%d fetch failures)",
-				st.MapReexecutions, st.FetchFailures)
-		}
-		if st.SpeculativeLaunched > 0 {
-			fmt.Fprintf(stderr, " | %d speculative attempts (won %d, killed %d)",
-				st.SpeculativeLaunched, st.SpeculativeWon, st.SpeculativeKilled)
-		}
-		fmt.Fprintln(stderr)
+	st := c.Stats()
+	fmt.Fprintf(stderr,
+		"%s: %d rows -> %d c-groups | %d rounds, %.1f simulated s (%.2fs wall), %d intermediate records (%d B)",
+		st.Algorithm, rel.NumRows(), c.NumGroups(), st.Rounds, st.SimSeconds, st.WallSeconds,
+		st.ShuffleRecords, st.ShuffleBytes)
+	if st.SketchBytes > 0 {
+		fmt.Fprintf(stderr, " | sketch %d B, %d skewed groups", st.SketchBytes, st.SkewedGroups)
 	}
+	if st.Spills > 0 {
+		fmt.Fprintf(stderr, " | %d spills (%d B, %d B on disk)", st.Spills, st.SpillBytes, st.CompressedSpillBytes)
+		if st.MergePasses > 0 {
+			fmt.Fprintf(stderr, ", %d merge passes", st.MergePasses)
+		}
+	}
+	if st.Retries > 0 {
+		fmt.Fprintf(stderr, " | %d task retries (%d B wasted, %.2fs retry wall)",
+			st.Retries, st.WastedBytes, st.RetryWallSeconds)
+	}
+	if st.MapReexecutions > 0 {
+		fmt.Fprintf(stderr, " | %d map re-executions (%d fetch failures)",
+			st.MapReexecutions, st.FetchFailures)
+	}
+	if st.SpeculativeLaunched > 0 {
+		fmt.Fprintf(stderr, " | %d speculative attempts (won %d, killed %d)",
+			st.SpeculativeLaunched, st.SpeculativeWon, st.SpeculativeKilled)
+	}
+	fmt.Fprintln(stderr)
 	return nil
+}
+
+// writeOutput renders the cube to -o, or to stdout when the flag is unset.
+func writeOutput(path string, stdout io.Writer, render func(io.Writer) error) error {
+	if path == "" {
+		return render(stdout)
+	}
+	return cli.WriteFile(path, render)
 }
 
 // runDelta is the incremental-maintenance batch mode: build the base cube
 // through the delta maintainer (cycle 0), apply the -delta / -delta-delete
 // rows as one maintenance batch, and emit the maintained cube.
-func runDelta(o options, stderr io.Writer) error {
-	aggFn, err := agg.ByName(o.aggName)
-	if err != nil {
-		return usageError{err}
+func runDelta(s *cli.Session, o *options, stdout, stderr io.Writer) error {
+	if s.In == "" {
+		return cli.Usagef("-delta mode needs -in (the base relation cannot come from stdin alongside the batch)")
 	}
-	plan, err := mr.ParseFaultPlan(o.faults)
-	if err != nil {
-		return usageError{err}
-	}
-
-	if o.in == "" {
-		return usageError{fmt.Errorf("-delta mode needs -in (the base relation cannot come from stdin alongside the batch)")}
-	}
-	if o.backend == "proc" {
+	if s.Backend == "proc" {
 		// Maintenance jobs are small and frequent — per-job worker-process
 		// spawn costs dwarf the work (see delta.Config.Context).
 		fmt.Fprintln(stderr, "spcube: -backend proc is ignored in delta mode; maintenance engines run the local backend")
 	}
-	rel, schema, err := readCSVRel(o.in)
+	rel, err := s.LoadRelation()
+	if err != nil {
+		return fmt.Errorf("%s: %w", s.In, err)
+	}
+	maint, err := delta.New(rel, s.DeltaConfig())
 	if err != nil {
 		return err
 	}
-
-	cfg := delta.Config{
-		Algorithm:        o.algName,
-		Agg:              aggFn,
-		MinSup:           o.minSup,
-		Workers:          o.workers,
-		Parallelism:      o.par,
-		Seed:             o.seed,
-		Faults:           plan,
-		MaxAttempts:      o.maxAttempts,
-		SpeculativeSlack: o.specSlack,
-		TaskTimeout:      o.taskTimeout,
-		SpillBudgetBytes: o.spillBudget,
-		SpillDir:         o.spillDir,
-		SpillCodec:       o.spillCodec,
-		MergeFanIn:       o.mergeFanIn,
-		RebuildThreshold: o.rebuildThr,
-		Context:          o.ctx,
-	}
-	if o.traceFile != "" {
-		tf, err := os.Create(o.traceFile)
-		if err != nil {
-			return err
-		}
-		defer tf.Close()
-		cfg.Tracer = mr.NewJSONLTracer(tf)
-	}
-
-	maint, err := delta.New(rel, cfg)
+	appends, err := readDeltaRows(o.deltaFile, rel.Schema)
 	if err != nil {
 		return err
 	}
-	appends, err := readDeltaRows(o.deltaFile, schema)
-	if err != nil {
-		return err
-	}
-	deletes, err := readDeltaRows(o.deltaDeleteFile, schema)
+	deletes, err := readDeltaRows(o.deltaDeleteFile, rel.Schema)
 	if err != nil {
 		return err
 	}
@@ -435,28 +265,15 @@ func runDelta(o options, stderr io.Writer) error {
 		return err
 	}
 
-	var w io.Writer = os.Stdout
-	if o.out != "" {
-		f, err := os.Create(o.out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := writeResultCSV(w, maint.Relation(), maint.Result(), o.aggName); err != nil {
+	err = writeOutput(o.out, stdout, func(w io.Writer) error {
+		return maint.Result().WriteCSV(w, maint.Relation(), s.Agg)
+	})
+	if err != nil {
 		return err
 	}
-	if o.metricsFile != "" {
-		mf, err := os.Create(o.metricsFile)
-		if err != nil {
-			return err
-		}
-		defer mf.Close()
-		metrics := maint.Metrics()
-		if err := mr.ExportMetrics(mf, &metrics); err != nil {
-			return err
-		}
+	metrics := maint.Metrics()
+	if err := s.WriteMetrics(func(w io.Writer) error { return mr.ExportMetrics(w, &metrics) }); err != nil {
+		return err
 	}
 	if o.stats {
 		changes := "full cube"
@@ -465,62 +282,15 @@ func runDelta(o options, stderr io.Writer) error {
 		}
 		fmt.Fprintf(stderr,
 			"%s+delta: %d rows -> %d c-groups | cycle %d %s (%s, drift %.3f): +%d/-%d tuples, %s\n",
-			o.algName, maint.N(), maint.Result().Len(), rnd.Round, rnd.Mode, rnd.Reason,
+			s.Algo, maint.N(), maint.Result().Len(), rnd.Round, rnd.Mode, rnd.Reason,
 			rnd.Drift, rnd.Appended, rnd.Deleted, changes)
 	}
 	return nil
 }
 
-// readCSVRel reads the spcube CSV shape into an internal dictionary-encoded
-// relation, returning the header too (delta files must match it).
-func readCSVRel(path string) (*relation.Relation, []string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	cr := csv.NewReader(f)
-	cr.ReuseRecord = true
-	header, err := cr.Read()
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s: reading header: %w", path, err)
-	}
-	if len(header) < 2 {
-		return nil, nil, fmt.Errorf("%s: need at least one dimension column and a measure column, got %d columns", path, len(header))
-	}
-	d := len(header) - 1
-	if d > spcube.MaxDims {
-		return nil, nil, fmt.Errorf("%s: %d dimensions exceed the supported maximum %d", path, d, spcube.MaxDims)
-	}
-	headerCopy := append([]string(nil), header...)
-	rel := relation.New(headerCopy[:d], headerCopy[d])
-	dims := make([]string, d)
-	line := 1
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		line++
-		copy(dims, rec[:d])
-		m, err := strconv.ParseInt(rec[d], 10, 64)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%s line %d: measure %q is not an integer: %w", path, line, rec[d], err)
-		}
-		rel.AppendStrings(dims, m)
-	}
-	if rel.N() == 0 {
-		return nil, nil, fmt.Errorf("%s: no data rows", path)
-	}
-	return rel, headerCopy, nil
-}
-
 // readDeltaRows reads a maintenance batch file (same CSV shape and header as
 // the base input) into string rows; an empty path yields no rows.
-func readDeltaRows(path string, schema []string) ([]delta.Row, error) {
+func readDeltaRows(path string, schema relation.Schema) ([]delta.Row, error) {
 	if path == "" {
 		return nil, nil
 	}
@@ -529,150 +299,27 @@ func readDeltaRows(path string, schema []string) ([]delta.Row, error) {
 		return nil, err
 	}
 	defer f.Close()
-	cr := csv.NewReader(f)
-	header, err := cr.Read()
+	batch, err := relation.ReadCSV(f)
 	if err != nil {
-		return nil, fmt.Errorf("%s: reading header: %w", path, err)
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if len(header) != len(schema) {
-		return nil, fmt.Errorf("%s: %d columns, base input has %d", path, len(header), len(schema))
+	have := append(append([]string(nil), batch.Schema.DimNames...), batch.Schema.MeasureName)
+	want := append(append([]string(nil), schema.DimNames...), schema.MeasureName)
+	if len(have) != len(want) {
+		return nil, fmt.Errorf("%s: %d columns, base input has %d", path, len(have), len(want))
 	}
-	for i := range header {
-		if header[i] != schema[i] {
-			return nil, fmt.Errorf("%s: column %d is %q, base input has %q", path, i, header[i], schema[i])
+	for i := range have {
+		if have[i] != want[i] {
+			return nil, fmt.Errorf("%s: column %d is %q, base input has %q", path, i, have[i], want[i])
 		}
 	}
-	d := len(schema) - 1
-	var rows []delta.Row
-	line := 1
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
+	rows := make([]delta.Row, batch.N())
+	for i, t := range batch.Tuples {
+		dims := make([]string, len(t.Dims))
+		for j, v := range t.Dims {
+			dims[j] = batch.DimString(j, v)
 		}
-		if err != nil {
-			return nil, err
-		}
-		line++
-		m, err := strconv.ParseInt(rec[d], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("%s line %d: measure %q is not an integer: %w", path, line, rec[d], err)
-		}
-		rows = append(rows, delta.Row{Dims: append([]string(nil), rec[:d]...), Measure: m})
+		rows[i] = delta.Row{Dims: dims, Measure: t.Measure}
 	}
 	return rows, nil
-}
-
-// writeResultCSV renders an internal cube result the way writeCSV renders a
-// facade cube: one row per c-group, "*" in aggregated-away dimensions, in
-// deterministic cuboid-then-values order.
-func writeResultCSV(w io.Writer, rel *relation.Relation, res *cube.Result, aggName string) error {
-	cw := csv.NewWriter(w)
-	header := append(append([]string(nil), rel.Schema.DimNames...), aggName)
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	d := res.D
-	type row struct {
-		mask   lattice.Mask
-		packed []relation.Value
-		value  float64
-	}
-	rows := make([]row, 0, len(res.Groups))
-	for key, v := range res.Groups {
-		mask, packed, err := relation.DecodeGroupKey(key)
-		if err != nil {
-			return err
-		}
-		rows = append(rows, row{lattice.Mask(mask), packed, v})
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].mask != rows[j].mask {
-			return lattice.BFSLess(rows[i].mask, rows[j].mask)
-		}
-		return relation.ComparePacked(rows[i].packed, rows[j].packed) < 0
-	})
-	out := make([]string, d+1)
-	for _, r := range rows {
-		j := 0
-		for i := 0; i < d; i++ {
-			if !r.mask.Has(i) {
-				out[i] = "*"
-				continue
-			}
-			if s, ok := rel.Dict.Decode(i, r.packed[j]); ok {
-				out[i] = s
-			} else {
-				out[i] = strconv.FormatInt(int64(r.packed[j]), 10)
-			}
-			j++
-		}
-		out[d] = strconv.FormatFloat(r.value, 'g', -1, 64)
-		if err := cw.Write(out); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-func readCSV(r io.Reader) (*spcube.Relation, error) {
-	cr := csv.NewReader(r)
-	cr.ReuseRecord = true
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("reading header: %w", err)
-	}
-	if len(header) < 2 {
-		return nil, fmt.Errorf("need at least one dimension column and a measure column, got %d columns", len(header))
-	}
-	d := len(header) - 1
-	if d > spcube.MaxDims {
-		return nil, fmt.Errorf("%d dimensions exceed the supported maximum %d", d, spcube.MaxDims)
-	}
-	dimNames := append([]string(nil), header[:d]...)
-	rel := spcube.NewRelation(dimNames, header[d])
-	dims := make([]string, d)
-	line := 1
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		line++
-		copy(dims, rec[:d])
-		m, err := strconv.ParseInt(rec[d], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: measure %q is not an integer: %w", line, rec[d], err)
-		}
-		rel.AddRow(dims, m)
-	}
-	if rel.NumRows() == 0 {
-		return nil, fmt.Errorf("no data rows")
-	}
-	return rel, nil
-}
-
-func writeCSV(w io.Writer, rel *spcube.Relation, c *spcube.Cube, aggName string) error {
-	cw := csv.NewWriter(w)
-	header := append(rel.DimNames(), aggName)
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	var werr error
-	c.Groups(func(g spcube.Group) {
-		if werr != nil {
-			return
-		}
-		row := append(append([]string(nil), g.Dims...), strconv.FormatFloat(g.Value, 'g', -1, 64))
-		werr = cw.Write(row)
-	})
-	if werr != nil {
-		return werr
-	}
-	cw.Flush()
-	return cw.Error()
 }

@@ -1,10 +1,13 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"flag"
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -18,14 +21,116 @@ printer,Rome,2013,300
 laptop,Rome,2013,900
 `
 
-func TestRunEndToEnd(t *testing.T) {
-	dir := t.TempDir()
-	in := filepath.Join(dir, "in.csv")
-	out := filepath.Join(dir, "out.csv")
-	if err := os.WriteFile(in, []byte(sampleCSV), 0o644); err != nil {
+// cube runs one spcube invocation the way main does, minus the process exit. A
+// nil stderr discards it and turns the stats line off.
+func cube(stderr io.Writer, args ...string) error {
+	if stderr == nil {
+		stderr, args = io.Discard, append([]string{"-stats=false"}, args...)
+	}
+	return run(context.Background(), args, io.Discard, stderr)
+}
+
+// writeTemp writes content to a fresh file under dir and returns its path.
+func writeTemp(t *testing.T, dir, name, content string) string {
+	t.Helper()
+	p := filepath.Join(dir, name)
+	if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(options{in: in, out: out, aggName: "sum", algName: "sp-cube", workers: 3, par: 0, seed: 1, minSup: 0, stats: false, faults: "", maxAttempts: 0}, io.Discard); err != nil {
+	return p
+}
+
+// TestFlagSurface pins spcube's flags and defaults against the literal
+// captured from the commit before the shared flag groups existed: a flag,
+// default or group membership that drifts fails here.
+func TestFlagSurface(t *testing.T) {
+	want := `agg=count
+algo=sp-cube
+backend=local
+delta=
+delta-delete=
+faults=
+in=
+k=8
+max-attempts=0
+merge-fan-in=0
+metrics-out=
+minsup=0
+o=
+p=0
+pprof=
+rebuild-threshold=0
+seed=1
+spec-slack=0
+spill-budget=-1
+spill-codec=raw
+spill-dir=
+stats=true
+task-timeout=0
+trace=
+worker-cmd=
+`
+	fs := flag.NewFlagSet("spcube", flag.ContinueOnError)
+	declare(fs)
+	var got string // VisitAll visits in name order
+	fs.VisitAll(func(f *flag.Flag) { got += f.Name + "=" + f.DefValue + "\n" })
+	if got != want {
+		t.Errorf("flag surface drifted:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestWriterGolden pins the one cube writer's bytes on a d = 3 fixture
+// against the literal the parent commit's plain mode produced, and requires
+// delta mode — base plus batch giving the same final relation — to emit the
+// same bytes (before the writers were merged its cuboid order differed).
+func TestWriterGolden(t *testing.T) {
+	const want = `a,b,c,sum
+*,*,*,7
+x,*,*,3
+w,*,*,4
+*,y,*,5
+*,z,*,2
+x,y,*,1
+x,z,*,2
+w,y,*,4
+*,*,p,3
+*,*,r,4
+x,*,p,3
+w,*,r,4
+*,y,p,1
+*,y,r,4
+*,z,p,2
+x,y,p,1
+x,z,p,2
+w,y,r,4
+`
+	dir := t.TempDir()
+	full := writeTemp(t, dir, "full.csv", "a,b,c,m\nx,y,p,1\nx,z,p,2\nw,y,r,4\n")
+	base := writeTemp(t, dir, "base.csv", "a,b,c,m\nx,y,p,1\nx,z,p,2\n")
+	batch := writeTemp(t, dir, "batch.csv", "a,b,c,m\nw,y,r,4\n")
+	for name, args := range map[string][]string{
+		"plain": {"-in", full},
+		"delta": {"-in", base, "-delta", batch},
+	} {
+		out := filepath.Join(dir, name+".out")
+		if err := cube(nil, append(args, "-agg", "sum", "-o", out)...); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != want {
+			t.Errorf("%s mode wrote:\n%s\nwant:\n%s", name, got, want)
+		}
+	}
+}
+
+func TestRunEndToEnd(t *testing.T) {
+	dir := t.TempDir()
+	in := writeTemp(t, dir, "in.csv", sampleCSV)
+	out := filepath.Join(dir, "out.csv")
+	if err := cube(nil, "-in", in, "-o", out, "-agg", "sum", "-k", "3"); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(out)
@@ -54,18 +159,14 @@ func TestRunEndToEnd(t *testing.T) {
 
 func TestRunAllAlgorithmsAndMinSup(t *testing.T) {
 	dir := t.TempDir()
-	in := filepath.Join(dir, "in.csv")
-	if err := os.WriteFile(in, []byte(sampleCSV), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	in := writeTemp(t, dir, "in.csv", sampleCSV)
 	for _, algo := range []string{"sp-cube", "naive", "mr-cube", "hive"} {
-		out := filepath.Join(dir, algo+".csv")
-		if err := run(options{in: in, out: out, aggName: "count", algName: algo, workers: 2, par: 0, seed: 1, minSup: 0, stats: false, faults: "", maxAttempts: 0}, io.Discard); err != nil {
+		if err := cube(nil, "-in", in, "-o", filepath.Join(dir, algo+".csv"), "-algo", algo, "-k", "2"); err != nil {
 			t.Errorf("%s: %v", algo, err)
 		}
 	}
 	out := filepath.Join(dir, "iceberg.csv")
-	if err := run(options{in: in, out: out, aggName: "count", algName: "sp-cube", workers: 2, par: 0, seed: 1, minSup: 3, stats: false, faults: "", maxAttempts: 0}, io.Discard); err != nil {
+	if err := cube(nil, "-in", in, "-o", out, "-k", "2", "-minsup", "3"); err != nil {
 		t.Fatal(err)
 	}
 	data, _ := os.ReadFile(out)
@@ -76,56 +177,37 @@ func TestRunAllAlgorithmsAndMinSup(t *testing.T) {
 	}
 }
 
+// TestRunErrors: invocations the run must refuse. The exit status of each
+// class of failure is pinned for all three binaries by TestCLIExitCodes in
+// internal/integration.
 func TestRunErrors(t *testing.T) {
 	dir := t.TempDir()
-	in := filepath.Join(dir, "in.csv")
-
-	if err := run(options{in: in, out: "", aggName: "count", algName: "sp-cube", workers: 2, par: 0, seed: 1, minSup: 0, stats: false, faults: "", maxAttempts: 0}, io.Discard); err == nil {
-		t.Error("missing input must fail")
+	ok := writeTemp(t, dir, "ok.csv", sampleCSV)
+	cases := map[string][]string{
+		"missing input":          {"-in", filepath.Join(dir, "nope.csv")},
+		"unknown aggregate":      {"-in", ok, "-agg", "median"},
+		"unknown algorithm":      {"-in", ok, "-algo", "spark"},
+		"non-numeric measure":    {"-in", writeTemp(t, dir, "bad.csv", "a,b,m\nx,y,notanumber\n")},
+		"header only":            {"-in", writeTemp(t, dir, "empty.csv", "a,b,m\n")},
+		"single column":          {"-in", writeTemp(t, dir, "one.csv", "m\n1\n")},
+		"delta without -in":      {"-delta", ok},
+		"unwritable -trace":      {"-in", ok, "-trace", filepath.Join(dir, "no", "t.jsonl")},
+		"unwritable -metrics":    {"-in", ok, "-metrics-out", filepath.Join(dir, "no", "m.json")},
+		"missing spill dir root": {"-in", ok, "-spill-budget", "0", "-spill-dir", filepath.Join(dir, "no")},
 	}
-	if err := os.WriteFile(in, []byte(sampleCSV), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(options{in: in, out: "", aggName: "median", algName: "sp-cube", workers: 2, par: 0, seed: 1, minSup: 0, stats: false, faults: "", maxAttempts: 0}, io.Discard); err == nil {
-		t.Error("unknown aggregate must fail")
-	}
-	if err := run(options{in: in, out: "", aggName: "count", algName: "spark", workers: 2, par: 0, seed: 1, minSup: 0, stats: false, faults: "", maxAttempts: 0}, io.Discard); err == nil {
-		t.Error("unknown algorithm must fail")
-	}
-
-	bad := filepath.Join(dir, "bad.csv")
-	if err := os.WriteFile(bad, []byte("a,b,m\nx,y,notanumber\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(options{in: bad, out: "", aggName: "count", algName: "sp-cube", workers: 2, par: 0, seed: 1, minSup: 0, stats: false, faults: "", maxAttempts: 0}, io.Discard); err == nil {
-		t.Error("non-numeric measure must fail")
-	}
-	empty := filepath.Join(dir, "empty.csv")
-	if err := os.WriteFile(empty, []byte("a,b,m\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(options{in: empty, out: "", aggName: "count", algName: "sp-cube", workers: 2, par: 0, seed: 1, minSup: 0, stats: false, faults: "", maxAttempts: 0}, io.Discard); err == nil {
-		t.Error("headerless/empty data must fail")
-	}
-	oneCol := filepath.Join(dir, "one.csv")
-	if err := os.WriteFile(oneCol, []byte("m\n1\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(options{in: oneCol, out: "", aggName: "count", algName: "sp-cube", workers: 2, par: 0, seed: 1, minSup: 0, stats: false, faults: "", maxAttempts: 0}, io.Discard); err == nil {
-		t.Error("single-column input must fail")
+	for name, args := range cases {
+		if err := cube(nil, append(args, "-k", "2")...); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 
 func TestRunTraceAndMetricsOut(t *testing.T) {
 	dir := t.TempDir()
-	in := filepath.Join(dir, "in.csv")
-	if err := os.WriteFile(in, []byte(sampleCSV), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	in := writeTemp(t, dir, "in.csv", sampleCSV)
 	trace := filepath.Join(dir, "trace.jsonl")
 	metrics := filepath.Join(dir, "metrics.json")
-	err := run(options{in: in, out: filepath.Join(dir, "out.csv"), aggName: "count", algName: "sp-cube",
-		workers: 2, seed: 1, traceFile: trace, metricsFile: metrics}, io.Discard)
+	err := cube(nil, "-in", in, "-o", filepath.Join(dir, "out.csv"), "-k", "2", "-trace", trace, "-metrics-out", metrics)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,14 +252,9 @@ func TestRunTraceAndMetricsOut(t *testing.T) {
 // slow-task plan with -spec-slack must surface speculative attempts.
 func TestRunNodeCrashAndSpeculationStats(t *testing.T) {
 	dir := t.TempDir()
-	in := filepath.Join(dir, "in.csv")
-	if err := os.WriteFile(in, []byte(sampleCSV), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
+	in := writeTemp(t, dir, "in.csv", sampleCSV)
 	clean := filepath.Join(dir, "clean.csv")
-	if err := run(options{in: in, out: clean, aggName: "count", algName: "sp-cube",
-		workers: 2, seed: 1, stats: false}, io.Discard); err != nil {
+	if err := cube(nil, "-in", in, "-o", clean, "-k", "2"); err != nil {
 		t.Fatal(err)
 	}
 	want, err := os.ReadFile(clean)
@@ -187,37 +264,33 @@ func TestRunNodeCrashAndSpeculationStats(t *testing.T) {
 
 	cases := []struct {
 		name    string
-		opts    options
+		args    []string
 		stats   string // substring the stats line must contain
 		counter string // metrics-document counter that must be positive
 	}{
-		{"node crash", options{faults: "*:node:1:node-crash"},
+		{"node crash", []string{"-faults", "*:node:1:node-crash"},
 			"map re-executions", "mapReexecutions"},
-		{"speculation", options{faults: "*:map:*:slow@3", specSlack: 0.0005},
+		{"speculation", []string{"-faults", "*:map:*:slow@3", "-spec-slack", "0.0005"},
 			"speculative attempts", "speculativeLaunched"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			o := tc.opts
-			o.in, o.out = in, filepath.Join(dir, tc.name+".csv")
-			o.aggName, o.algName = "count", "sp-cube"
-			o.workers, o.seed, o.stats = 2, 1, true
-			o.metricsFile = filepath.Join(dir, tc.name+".json")
+			out, metrics := filepath.Join(dir, tc.name+".csv"), filepath.Join(dir, tc.name+".json")
 			var stderr strings.Builder
-			if err := run(o, &stderr); err != nil {
+			if err := cube(&stderr, append(tc.args, "-in", in, "-o", out, "-k", "2", "-metrics-out", metrics)...); err != nil {
 				t.Fatal(err)
 			}
 			if !strings.Contains(stderr.String(), tc.stats) {
 				t.Errorf("stats line %q lacks %q", stderr.String(), tc.stats)
 			}
-			got, err := os.ReadFile(o.out)
+			got, err := os.ReadFile(out)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if string(got) != string(want) {
 				t.Errorf("cube under %s differs from the fault-free run", tc.name)
 			}
-			metricsData, err := os.ReadFile(o.metricsFile)
+			metricsData, err := os.ReadFile(metrics)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -232,36 +305,18 @@ func TestRunNodeCrashAndSpeculationStats(t *testing.T) {
 	}
 }
 
-// writeTemp writes content to a fresh file under dir and returns its path.
-func writeTemp(t *testing.T, dir, name, content string) string {
+// sortedLines returns a CSV file's lines, header first and the body sorted:
+// a from-scratch run and a maintained run assign dictionary codes in
+// different first-seen orders, so their rows agree as a set.
+func sortedLines(t *testing.T, path string) string {
 	t.Helper()
-	p := filepath.Join(dir, name)
-	if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
-// cubeLines runs the CLI with the given options and returns the output CSV's
-// header plus the body rows as a set (delta mode and plain mode may order
-// cuboids identically, but the set comparison keeps the test format-agnostic).
-func cubeLines(t *testing.T, o options) (string, map[string]bool) {
-	t.Helper()
-	dir := t.TempDir()
-	o.out = filepath.Join(dir, "out.csv")
-	if err := run(o, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(o.out)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	set := make(map[string]bool, len(lines)-1)
-	for _, l := range lines[1:] {
-		set[l] = true
-	}
-	return lines[0], set
+	sort.Strings(lines[1:])
+	return strings.Join(lines, "\n")
 }
 
 // TestRunDeltaAppendAndDelete drives the incremental-maintenance batch mode
@@ -271,56 +326,30 @@ func cubeLines(t *testing.T, o options) (string, map[string]bool) {
 func TestRunDeltaAppendAndDelete(t *testing.T) {
 	dir := t.TempDir()
 	base := writeTemp(t, dir, "base.csv", sampleCSV)
-	appendCSV := "name,city,year,sales\nlaptop,Berlin,2013,700\nprinter,Paris,2012,100\n"
-	deleteCSV := "name,city,year,sales\nprinter,Rome,2013,300\n"
-	deltaF := writeTemp(t, dir, "delta.csv", appendCSV)
-	delF := writeTemp(t, dir, "del.csv", deleteCSV)
-
+	deltaF := writeTemp(t, dir, "delta.csv", "name,city,year,sales\nlaptop,Berlin,2013,700\nprinter,Paris,2012,100\n")
+	delF := writeTemp(t, dir, "del.csv", "name,city,year,sales\nprinter,Rome,2013,300\n")
 	// The edited relation: base minus the deleted row plus the two appends.
-	edited := `name,city,year,sales
+	editedF := writeTemp(t, dir, "edited.csv", `name,city,year,sales
 laptop,Rome,2012,2000
 laptop,Paris,2012,1500
 laptop,Rome,2013,900
 laptop,Berlin,2013,700
 printer,Paris,2012,100
-`
-	editedF := writeTemp(t, dir, "edited.csv", edited)
+`)
 
 	for _, aggName := range []string{"count", "sum"} {
-		o := options{aggName: aggName, algName: "sp-cube", workers: 3, seed: 1}
-		wo := o
-		wo.in = editedF
-		wantHeader, want := cubeLines(t, wo)
-
-		var stderr strings.Builder
-		g := o
-		g.in = base
-		g.deltaFile = deltaF
-		g.deltaDeleteFile = delF
-		g.stats = true
-		g.out = filepath.Join(dir, aggName+".csv")
-		if err := run(g, &stderr); err != nil {
-			t.Fatalf("%s: delta run: %v", aggName, err)
-		}
-		data, err := os.ReadFile(g.out)
-		if err != nil {
+		wantOut := filepath.Join(dir, aggName+".want.csv")
+		if err := cube(nil, "-in", editedF, "-o", wantOut, "-agg", aggName, "-k", "3"); err != nil {
 			t.Fatal(err)
 		}
-		lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-		if lines[0] != wantHeader {
-			t.Errorf("%s: header %q, want %q", aggName, lines[0], wantHeader)
+		var stderr strings.Builder
+		out := filepath.Join(dir, aggName+".csv")
+		err := cube(&stderr, "-in", base, "-delta", deltaF, "-delta-delete", delF, "-o", out, "-agg", aggName, "-k", "3")
+		if err != nil {
+			t.Fatalf("%s: delta run: %v", aggName, err)
 		}
-		got := make(map[string]bool, len(lines)-1)
-		for _, l := range lines[1:] {
-			got[l] = true
-		}
-		if len(got) != len(want) {
-			t.Errorf("%s: %d groups, want %d", aggName, len(got), len(want))
-		}
-		for l := range want {
-			if !got[l] {
-				t.Errorf("%s: maintained cube is missing %q", aggName, l)
-			}
+		if got, want := sortedLines(t, out), sortedLines(t, wantOut); got != want {
+			t.Errorf("%s: maintained cube\n%s\nwant\n%s", aggName, got, want)
 		}
 		st := stderr.String()
 		if !strings.Contains(st, "cycle 1") || !strings.Contains(st, "drift") {
@@ -335,8 +364,8 @@ printer,Paris,2012,100
 }
 
 // TestRunDeltaRebuildAndMetrics checks the forced-rebuild escape hatch and
-// that a maintenance run's metrics document is schema v3 with per-round
-// maintenance annotations.
+// that a maintenance run's metrics document carries per-round maintenance
+// annotations.
 func TestRunDeltaRebuildAndMetrics(t *testing.T) {
 	dir := t.TempDir()
 	base := writeTemp(t, dir, "base.csv", sampleCSV)
@@ -344,10 +373,9 @@ func TestRunDeltaRebuildAndMetrics(t *testing.T) {
 	metrics := filepath.Join(dir, "metrics.json")
 
 	var stderr strings.Builder
-	o := options{in: base, aggName: "count", algName: "sp-cube", workers: 2, seed: 1,
-		deltaFile: deltaF, rebuildThr: -1, stats: true, metricsFile: metrics,
-		out: filepath.Join(dir, "out.csv")}
-	if err := run(o, &stderr); err != nil {
+	err := cube(&stderr, "-in", base, "-delta", deltaF, "-k", "2", "-rebuild-threshold", "-1",
+		"-metrics-out", metrics, "-o", filepath.Join(dir, "out.csv"))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if st := stderr.String(); !strings.Contains(st, "rebuild") || !strings.Contains(st, "forced") {
@@ -381,38 +409,20 @@ func TestRunDeltaErrors(t *testing.T) {
 	dir := t.TempDir()
 	base := writeTemp(t, dir, "base.csv", sampleCSV)
 	cases := []struct {
-		name string
-		o    options
-		want string
+		name, flag, batch, want string
 	}{
-		{"no base input",
-			options{aggName: "count", algName: "sp-cube", workers: 2,
-				deltaFile: writeTemp(t, dir, "d1.csv", "name,city,year,sales\na,b,2000,1\n")},
-			"-in"},
-		{"mismatched header",
-			options{in: base, aggName: "count", algName: "sp-cube", workers: 2,
-				deltaFile: writeTemp(t, dir, "d2.csv", "name,town,year,sales\na,b,2000,1\n")},
-			"town"},
-		{"wrong column count",
-			options{in: base, aggName: "count", algName: "sp-cube", workers: 2,
-				deltaFile: writeTemp(t, dir, "d3.csv", "name,sales\na,1\n")},
-			"columns"},
-		{"bad measure",
-			options{in: base, aggName: "count", algName: "sp-cube", workers: 2,
-				deltaFile: writeTemp(t, dir, "d4.csv", "name,city,year,sales\na,b,2000,many\n")},
-			"integer"},
-		{"unknown delete",
-			options{in: base, aggName: "count", algName: "sp-cube", workers: 2,
-				deltaDeleteFile: writeTemp(t, dir, "d5.csv", "name,city,year,sales\ntablet,Rome,2012,1\n")},
-			""},
+		{"mismatched header", "-delta", "name,town,year,sales\na,b,2000,1\n", "town"},
+		{"wrong column count", "-delta", "name,sales\na,1\n", "columns"},
+		{"bad measure", "-delta", "name,city,year,sales\na,b,2000,many\n", "integer"},
+		{"unknown delete", "-delta-delete", "name,city,year,sales\ntablet,Rome,2012,1\n", ""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := run(c.o, io.Discard)
+			err := cube(nil, "-in", base, "-k", "2", c.flag, writeTemp(t, dir, "batch.csv", c.batch))
 			if err == nil {
 				t.Fatal("accepted")
 			}
-			if c.want != "" && !strings.Contains(err.Error(), c.want) {
+			if !strings.Contains(err.Error(), c.want) {
 				t.Errorf("error %q does not mention %q", err, c.want)
 			}
 		})
@@ -423,21 +433,16 @@ func TestRunDeltaErrors(t *testing.T) {
 // the in-memory run and leave the spill directory empty.
 func TestSpillBudgetEndToEnd(t *testing.T) {
 	dir := t.TempDir()
-	in := filepath.Join(dir, "in.csv")
-	if err := os.WriteFile(in, []byte(sampleCSV), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	memOut := filepath.Join(dir, "mem.csv")
-	if err := run(options{in: in, out: memOut, aggName: "sum", algName: "sp-cube", workers: 3, seed: 1}, io.Discard); err != nil {
+	in := writeTemp(t, dir, "in.csv", sampleCSV)
+	memOut, spillOut := filepath.Join(dir, "mem.csv"), filepath.Join(dir, "spill.csv")
+	if err := cube(nil, "-in", in, "-o", memOut, "-agg", "sum", "-k", "3"); err != nil {
 		t.Fatal(err)
 	}
 	spillDir := filepath.Join(dir, "spill")
 	if err := os.Mkdir(spillDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	spillOut := filepath.Join(dir, "spill.csv")
-	if err := run(options{in: in, out: spillOut, aggName: "sum", algName: "sp-cube", workers: 3, seed: 1,
-		spillBudget: 1, spillDir: spillDir}, io.Discard); err != nil {
+	if err := cube(nil, "-in", in, "-o", spillOut, "-agg", "sum", "-k", "3", "-spill-budget", "0", "-spill-dir", spillDir); err != nil {
 		t.Fatal(err)
 	}
 	mem, _ := os.ReadFile(memOut)
@@ -454,53 +459,20 @@ func TestSpillBudgetEndToEnd(t *testing.T) {
 	}
 }
 
-// TestExitCodes pins the error classification: usage errors (bad flag
-// values) exit 2, runtime failures exit 1 — and both flow through run's
-// error return so deferred cleanup executes.
-func TestExitCodes(t *testing.T) {
-	dir := t.TempDir()
-	in := filepath.Join(dir, "in.csv")
-	if err := os.WriteFile(in, []byte(sampleCSV), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// Unknown aggregate: usage error, exit 2.
-	err := run(options{in: in, aggName: "bogus", algName: "sp-cube", workers: 2}, io.Discard)
-	if err == nil || exitCode(err) != 2 {
-		t.Errorf("unknown agg: err=%v exit=%d, want exit 2", err, exitCode(err))
-	}
-	// -delta without -in: usage error, exit 2.
-	err = run(options{aggName: "count", algName: "sp-cube", workers: 2, deltaFile: in}, io.Discard)
-	if err == nil || exitCode(err) != 2 {
-		t.Errorf("delta without -in: err=%v exit=%d, want exit 2", err, exitCode(err))
-	}
-	// Missing input file: runtime error, exit 1.
-	err = run(options{in: filepath.Join(dir, "missing.csv"), aggName: "count", algName: "sp-cube", workers: 2}, io.Discard)
-	if err == nil || exitCode(err) != 1 {
-		t.Errorf("missing input: err=%v exit=%d, want exit 1", err, exitCode(err))
-	}
-}
-
 // TestFailedRunLeavesNoSpillFiles: a run that dies mid-computation (a
 // permanent injected fault) must still remove every spill temp file — the
 // cleanup is deferred inside run, not skipped by the error exit.
 func TestFailedRunLeavesNoSpillFiles(t *testing.T) {
 	dir := t.TempDir()
-	in := filepath.Join(dir, "in.csv")
-	if err := os.WriteFile(in, []byte(sampleCSV), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	in := writeTemp(t, dir, "in.csv", sampleCSV)
 	spillDir := filepath.Join(dir, "spill")
 	if err := os.Mkdir(spillDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	err := run(options{in: in, out: filepath.Join(dir, "out.csv"), aggName: "count", algName: "sp-cube",
-		workers: 2, spillBudget: 1, spillDir: spillDir,
-		faults: "*:map:*:crash:*", maxAttempts: 1}, io.Discard)
+	err := cube(nil, "-in", in, "-o", filepath.Join(dir, "out.csv"), "-k", "2",
+		"-spill-budget", "0", "-spill-dir", spillDir, "-faults", "*:map:*:crash:0:*", "-max-attempts", "1")
 	if err == nil {
 		t.Fatal("expected the permanently faulted run to fail")
-	}
-	if exitCode(err) != 1 {
-		t.Errorf("compute failure exit = %d, want 1", exitCode(err))
 	}
 	ents, rerr := os.ReadDir(spillDir)
 	if rerr != nil {

@@ -3,9 +3,12 @@
 // in-memory index, with request batching and single-flight result caching
 // so concurrent clients coalesce into few index probes.
 //
-// The input format and the compute flags follow cmd/spcube exactly (-algo,
-// -agg, -k, -p, -seed, -minsup, -faults, -max-attempts, -spec-slack,
-// -task-timeout, -trace, -metrics-out, -pprof). The serving side adds:
+// The input format is cmd/spcube's, and the compute flags are the shared
+// engine group (-k -p -seed -faults -max-attempts -spec-slack -task-timeout
+// -trace -metrics-out -pprof) and input group (-in -agg -algo -minsup
+// -rebuild-threshold) of internal/cli, declared and validated there for all
+// three binaries: a bad value exits 2 before the input is opened. The
+// serving side adds:
 //
 //	spserve -in sales.csv -addr localhost:8080
 //	curl 'localhost:8080/v1/query?op=point&group=laptop,*,2012'
@@ -33,10 +36,15 @@
 // -pprof, the serving counters are also exported on the observability
 // endpoint at /debug/serve. Drive it with cmd/sploadgen for QPS and
 // latency percentiles.
+//
+// SIGINT/SIGTERM while the initial cube is being built (or during an ingest
+// cycle) stops the MapReduce job at its next attempt boundary; the listener
+// is never opened and the exit status is 1. Once serving, the first signal
+// shuts the HTTP server down cleanly and exits 0.
 package main
 
 import (
-	"encoding/csv"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -44,92 +52,102 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
-	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"github.com/spcube/spcube/internal/agg"
+	"github.com/spcube/spcube/internal/cli"
 	"github.com/spcube/spcube/internal/delta"
 	"github.com/spcube/spcube/internal/mr"
 	"github.com/spcube/spcube/internal/obs"
-	"github.com/spcube/spcube/internal/relation"
 	"github.com/spcube/spcube/internal/serve"
 )
 
 func main() {
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt)
-	os.Exit(run(os.Args[1:], stop, os.Stderr))
+	os.Exit(cli.Exit("spserve", os.Stderr, run(context.Background(), os.Args[1:], os.Stderr)))
 }
 
-// run executes one spserve invocation; main minus the process exit and
-// signal wiring, so tests can drive the full CLI (stop ends the serve loop).
-func run(args []string, stop <-chan os.Signal, stderr io.Writer) int {
-	fs := flag.NewFlagSet("spserve", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var (
-		in          = fs.String("in", "", "input CSV path (default stdin)")
-		aggName     = fs.String("agg", "count", "aggregate function: count, sum, min, max, avg, var, stddev, distinct")
-		algName     = fs.String("algo", "sp-cube", "algorithm: sp-cube, naive, mr-cube, hive, pipesort")
-		workers     = fs.Int("k", 8, "simulated cluster size")
-		par         = fs.Int("p", 0, "goroutines executing simulated tasks: 0 = all cores")
-		seed        = fs.Int64("seed", 1, "sampling seed")
-		minSup      = fs.Int("minsup", 0, "iceberg threshold: only materialize groups with at least this many rows")
-		faults      = fs.String("faults", "", "fault-injection spec for the compute phase (see spcube -faults)")
-		maxAttempts = fs.Int("max-attempts", 0, "task attempts before an injected failure becomes permanent (0 = engine default)")
-		specSlack   = fs.Float64("spec-slack", 0, "speculative-execution slack in simulated seconds (0 = disabled)")
-		taskTimeout = fs.Float64("task-timeout", 0, "kill and retry task attempts stalled longer than this many simulated seconds (0 = disabled)")
-		rebuildThr  = fs.Float64("rebuild-threshold", 0, "sketch-drift level forcing ingest batches to rebuild (0 = default, negative = always rebuild)")
-		traceFile   = fs.String("trace", "", "write structured engine trace events (JSON lines) to this file")
-		metricsFile = fs.String("metrics-out", "", "write the compute run's per-round metrics (versioned JSON) to this file")
-		pprofAddr   = fs.String("pprof", "", "serve net/http/pprof, /debug/runtime and /debug/serve on this address")
-		addr        = fs.String("addr", "localhost:8080", "serving address (use :0 for a free port)")
-		addrFile    = fs.String("addr-file", "", "write the resolved host:port to this file once listening")
-		cacheSize   = fs.Int("cache", 4096, "result-cache entries (negative disables caching)")
-		batchWindow = fs.Duration("batch-window", 100*time.Microsecond, "how long a forming batch waits for more queries")
-		maxBatch    = fs.Int("max-batch", 128, "max queries per batch")
-	)
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
+// options are spserve's own flags, beside the engine and input groups.
+type options struct {
+	addr, addrFile  string
+	cache, maxBatch int
+	batchWindow     time.Duration
+}
 
-	svc, maint, counters, err := computeAndIndex(options{
-		in: *in, agg: *aggName, alg: *algName, workers: *workers, par: *par,
-		seed: *seed, minSup: *minSup, faults: *faults, maxAttempts: *maxAttempts,
-		specSlack: *specSlack, taskTimeout: *taskTimeout, rebuildThr: *rebuildThr,
-		traceFile: *traceFile, metricsFile: *metricsFile,
-		cache: *cacheSize, batchWindow: *batchWindow, maxBatch: *maxBatch,
-	}, stderr)
-	if err != nil {
-		fmt.Fprintln(stderr, "spserve:", err)
-		return 1
+// declare registers spserve's flag surface on fs.
+func declare(fs *flag.FlagSet) (*cli.Flags, *options) {
+	f, o := cli.New(fs), &options{}
+	f.Engine(8, 1)
+	f.Input()
+	fs.StringVar(&o.addr, "addr", "localhost:8080", "serving address (use :0 for a free port)")
+	fs.StringVar(&o.addrFile, "addr-file", "", "write the resolved host:port to this file once listening")
+	fs.IntVar(&o.cache, "cache", 4096, "result-cache entries (negative disables caching)")
+	fs.DurationVar(&o.batchWindow, "batch-window", 100*time.Microsecond, "how long a forming batch waits for more queries")
+	fs.IntVar(&o.maxBatch, "max-batch", 128, "max queries per batch")
+	return f, o
+}
+
+// liveStore is the /debug/serve route's view of the service: -pprof starts
+// with the process, so the initial build can be profiled, and the route
+// reports no store until the service exists.
+type liveStore struct{ svc atomic.Pointer[serve.Batched] }
+
+func (l *liveStore) Store() *serve.Store {
+	if svc := l.svc.Load(); svc != nil {
+		return svc.Store()
 	}
+	return nil
+}
+
+// run executes one spserve invocation; main minus the process exit, so
+// tests can drive the full CLI (cancelling ctx plays the interrupt).
+func run(ctx context.Context, args []string, stderr io.Writer) error {
+	f, o := declare(flag.NewFlagSet("spserve", flag.ContinueOnError))
+	counters, live := &serve.Counters{}, &liveStore{}
+	s, err := f.Start(ctx, args, stderr, obs.Route{Pattern: "/debug/serve", Handler: serve.StatsHandler(counters, live)})
+	if err != nil {
+		return err
+	}
+	defer s.Close()
+
+	// Cycle 0 of the incremental maintainer is the full initial build.
+	rel, err := s.LoadRelation()
+	if err != nil {
+		return err
+	}
+	start := time.Now()
+	maint, err := delta.New(rel, s.DeltaConfig())
+	if err != nil {
+		return fmt.Errorf("%s failed: %w", s.Algo, err)
+	}
+	metrics := maint.Metrics()
+	if err := s.WriteMetrics(func(w io.Writer) error { return mr.ExportMetrics(w, &metrics) }); err != nil {
+		return err
+	}
+	store, err := serve.Build(maint.Relation(), maint.Result())
+	if err != nil {
+		return fmt.Errorf("indexing cube: %w", err)
+	}
+	svc := serve.NewService(store, serve.Config{
+		CacheEntries: o.cache,
+		BatchWindow:  o.batchWindow,
+		MaxBatch:     o.maxBatch,
+		Counters:     counters,
+	})
 	defer svc.Close()
+	live.svc.Store(svc)
+	fmt.Fprintf(stderr, "spserve: %s cubed %d rows into %d groups (%d cuboids) in %.2fs\n",
+		s.Algo, rel.N(), store.Groups(), len(store.Cuboids()), time.Since(start).Seconds())
 
-	if *pprofAddr != "" {
-		srv, err := obs.Start(*pprofAddr, obs.Route{
-			Pattern: "/debug/serve",
-			Handler: serve.StatsHandler(counters, svc),
-		})
-		if err != nil {
-			fmt.Fprintln(stderr, "spserve:", err)
-			return 1
-		}
-		defer srv.Close()
-		fmt.Fprintf(stderr, "spserve: profiling endpoint on http://%s/debug/pprof/\n", srv.Addr)
-	}
-
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
-		fmt.Fprintln(stderr, "spserve:", err)
-		return 1
+		return err
 	}
 	resolved := ln.Addr().String()
-	if *addrFile != "" {
-		if err := os.WriteFile(*addrFile, []byte(resolved), 0o644); err != nil {
-			fmt.Fprintln(stderr, "spserve:", err)
-			return 1
+	if o.addrFile != "" {
+		if err := os.WriteFile(o.addrFile, []byte(resolved), 0o644); err != nil {
+			ln.Close()
+			return err
 		}
 	}
 	fmt.Fprintf(stderr, "spserve: serving %d groups on http://%s/\n", svc.Store().Groups(), resolved)
@@ -141,111 +159,15 @@ func run(args []string, stop <-chan os.Signal, stderr io.Writer) int {
 	errs := make(chan error, 1)
 	go func() { errs <- httpSrv.Serve(ln) }()
 	select {
-	case <-stop:
+	case <-s.Config.Context.Done():
 		_ = httpSrv.Close()
 		<-errs
 	case err := <-errs:
-		if err != nil && err != http.ErrServerClosed {
-			fmt.Fprintln(stderr, "spserve:", err)
-			return 1
+		if err != http.ErrServerClosed {
+			return err
 		}
 	}
-	return 0
-}
-
-// options carries one invocation's compute + index parameters.
-type options struct {
-	in, agg, alg           string
-	workers, par           int
-	seed                   int64
-	minSup                 int
-	faults                 string
-	maxAttempts            int
-	specSlack, taskTimeout float64
-	rebuildThr             float64
-	traceFile, metricsFile string
-	cache, maxBatch        int
-	batchWindow            time.Duration
-}
-
-// computeAndIndex builds the maintained cube (cycle 0 of the incremental
-// maintainer is the full initial build) and the serving stack over it.
-func computeAndIndex(o options, stderr io.Writer) (*serve.Batched, *delta.Maintainer, *serve.Counters, error) {
-	aggFn, err := agg.ByName(o.agg)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	plan, err := mr.ParseFaultPlan(o.faults)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-
-	var r io.Reader = os.Stdin
-	if o.in != "" {
-		f, err := os.Open(o.in)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		defer f.Close()
-		r = f
-	}
-	rel, err := readCSV(r)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-
-	cfg := delta.Config{
-		Algorithm:        o.alg,
-		Agg:              aggFn,
-		MinSup:           o.minSup,
-		Workers:          o.workers,
-		Parallelism:      o.par,
-		Seed:             o.seed,
-		Faults:           plan,
-		MaxAttempts:      o.maxAttempts,
-		SpeculativeSlack: o.specSlack,
-		TaskTimeout:      o.taskTimeout,
-		RebuildThreshold: o.rebuildThr,
-	}
-	if o.traceFile != "" {
-		tf, err := os.Create(o.traceFile)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		defer tf.Close()
-		cfg.Tracer = mr.NewJSONLTracer(tf)
-	}
-
-	start := time.Now()
-	maint, err := delta.New(rel, cfg)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("%s failed: %w", o.alg, err)
-	}
-	if o.metricsFile != "" {
-		metrics := maint.Metrics()
-		data, err := json.MarshalIndent(&metrics, "", "  ")
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if err := os.WriteFile(o.metricsFile, append(data, '\n'), 0o644); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-
-	store, err := serve.Build(maint.Relation(), maint.Result())
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("indexing cube: %w", err)
-	}
-	counters := &serve.Counters{}
-	svc := serve.NewService(store, serve.Config{
-		CacheEntries: o.cache,
-		BatchWindow:  o.batchWindow,
-		MaxBatch:     o.maxBatch,
-		Counters:     counters,
-	})
-	fmt.Fprintf(stderr, "spserve: %s cubed %d rows into %d groups (%d cuboids) in %.2fs\n",
-		o.alg, rel.N(), store.Groups(), len(store.Cuboids()), time.Since(start).Seconds())
-	return svc, maint, counters, nil
+	return nil
 }
 
 // IngestRow is one string-valued row in an ingest request.
@@ -344,42 +266,4 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
-}
-
-// readCSV parses the spcube CSV shape (header row, last column the integer
-// measure) into a relation.
-func readCSV(r io.Reader) (*relation.Relation, error) {
-	cr := csv.NewReader(r)
-	cr.ReuseRecord = true
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("reading header: %w", err)
-	}
-	if len(header) < 2 {
-		return nil, fmt.Errorf("need at least one dimension column and a measure column, got %d columns", len(header))
-	}
-	d := len(header) - 1
-	rel := relation.New(header[:d], header[d])
-	dims := make([]string, d)
-	line := 1
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		line++
-		copy(dims, rec[:d])
-		m, err := strconv.ParseInt(rec[d], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: measure %q is not an integer: %w", line, rec[d], err)
-		}
-		rel.AppendStrings(dims, m)
-	}
-	if rel.N() == 0 {
-		return nil, fmt.Errorf("no data rows")
-	}
-	return rel, nil
 }

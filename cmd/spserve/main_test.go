@@ -2,13 +2,17 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"flag"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/spcube/spcube/internal/cli"
 )
 
 const fixtureCSV = `name,city,sales
@@ -27,6 +31,65 @@ func writeFixture(t *testing.T) string {
 	return path
 }
 
+// exit runs one invocation the way main does and returns its exit status.
+func exit(ctx context.Context, args []string, stderr *bytes.Buffer) int {
+	return cli.Exit("spserve", stderr, run(ctx, args, stderr))
+}
+
+// TestFlagSurface pins spserve's flags and defaults against the literal
+// captured from the commit before the shared flag groups existed.
+func TestFlagSurface(t *testing.T) {
+	want := `addr=localhost:8080
+addr-file=
+agg=count
+algo=sp-cube
+batch-window=100µs
+cache=4096
+faults=
+in=
+k=8
+max-attempts=0
+max-batch=128
+metrics-out=
+minsup=0
+p=0
+pprof=
+rebuild-threshold=0
+seed=1
+spec-slack=0
+task-timeout=0
+trace=
+`
+	fs := flag.NewFlagSet("spserve", flag.ContinueOnError)
+	declare(fs)
+	var got string // VisitAll visits in name order
+	fs.VisitAll(func(f *flag.Flag) { got += f.Name + "=" + f.DefValue + "\n" })
+	if got != want {
+		t.Errorf("flag surface drifted:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestInterruptedBuildNeverListens: an interrupt that arrives before (or
+// during) the initial build stops the cube job at its next attempt
+// boundary — the listener is never opened, no address file is written and
+// the exit status is non-zero.
+func TestInterruptedBuildNeverListens(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	addrFile := filepath.Join(t.TempDir(), "addr")
+	var stderr bytes.Buffer
+	code := exit(ctx, []string{"-in", writeFixture(t), "-addr", "127.0.0.1:0", "-addr-file", addrFile}, &stderr)
+	if code != 1 {
+		t.Errorf("exit = %d, want 1; stderr: %s", code, stderr.String())
+	}
+	if strings.Contains(stderr.String(), "serving") {
+		t.Errorf("interrupted build announced a server: %s", stderr.String())
+	}
+	if _, err := os.Stat(addrFile); !os.IsNotExist(err) {
+		t.Errorf("interrupted build wrote an address file (stat: %v)", err)
+	}
+}
+
 // startServer runs the full CLI against a free port and returns the base URL
 // plus a shutdown function that delivers the interrupt and waits for exit.
 func startServer(t *testing.T, extraArgs ...string) (string, func() int) {
@@ -38,10 +101,11 @@ func startServer(t *testing.T, extraArgs ...string) (string, func() int) {
 		"-addr", "127.0.0.1:0",
 		"-addr-file", addrFile,
 	}, extraArgs...)
-	stop := make(chan os.Signal, 1)
+	ctx, interrupt := context.WithCancel(context.Background())
+	t.Cleanup(interrupt)
 	var stderr bytes.Buffer
 	done := make(chan int, 1)
-	go func() { done <- run(args, stop, &stderr) }()
+	go func() { done <- exit(ctx, args, &stderr) }()
 
 	deadline := time.Now().Add(10 * time.Second)
 	var addr string
@@ -60,7 +124,7 @@ func startServer(t *testing.T, extraArgs ...string) (string, func() int) {
 		t.Fatalf("server never wrote its address; stderr: %s", stderr.String())
 	}
 	return "http://" + addr, func() int {
-		stop <- os.Interrupt
+		interrupt()
 		select {
 		case code := <-done:
 			if code != 0 {
@@ -273,65 +337,13 @@ func TestServeIngestRebuildPath(t *testing.T) {
 	}
 }
 
-func TestServeBadInputs(t *testing.T) {
-	cases := []struct {
-		name string
-		args []string
-		code int
-		want string
-	}{
-		{"bad flag", []string{"-definitely-not-a-flag"}, 2, ""},
-		{"missing file", []string{"-in", "/does/not/exist.csv"}, 1, "exist"},
-		{"bad algo", []string{"-algo", "quantum"}, 1, "quantum"},
-		{"bad agg", []string{"-agg", "mode"}, 1, "mode"},
-		{"bad faults", []string{"-faults", "nonsense"}, 1, ""},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			args := c.args
-			if c.name != "missing file" && c.name != "bad flag" {
-				args = append([]string{"-in", writeFixture(t)}, args...)
-			}
-			stop := make(chan os.Signal, 1)
-			var stderr bytes.Buffer
-			if code := run(args, stop, &stderr); code != c.code {
-				t.Fatalf("exit = %d, want %d; stderr: %s", code, c.code, stderr.String())
-			}
-			if c.want != "" && !strings.Contains(stderr.String(), c.want) {
-				t.Errorf("stderr %q does not mention %q", stderr.String(), c.want)
-			}
-		})
-	}
-}
-
-func TestReadCSVRejectsBadShapes(t *testing.T) {
-	cases := []struct {
-		name, csv string
-	}{
-		{"one column", "just\na\n"},
-		{"bad measure", "a,m\nx,notanumber\n"},
-		{"no rows", "a,m\n"},
-		{"empty", ""},
-	}
-	for _, c := range cases {
-		if _, err := readCSV(strings.NewReader(c.csv)); err == nil {
-			t.Errorf("%s: accepted", c.name)
-		}
-	}
-	rel, err := readCSV(strings.NewReader(fixtureCSV))
-	if err != nil || rel.N() != 4 || rel.D() != 2 {
-		t.Fatalf("fixture: %v (n=%d d=%d)", err, rel.N(), rel.D())
-	}
-}
-
 func TestServeAddrConflict(t *testing.T) {
 	// Second server on the same resolved port must fail cleanly.
 	base, shutdown := startServer(t)
 	defer shutdown()
 	addr := strings.TrimPrefix(base, "http://")
-	stop := make(chan os.Signal, 1)
 	var stderr bytes.Buffer
-	if code := run([]string{"-in", writeFixture(t), "-addr", addr}, stop, &stderr); code != 1 {
+	if code := exit(context.Background(), []string{"-in", writeFixture(t), "-addr", addr}, &stderr); code != 1 {
 		t.Fatalf("exit = %d, want 1; stderr: %s", code, stderr.String())
 	}
 	if !strings.Contains(stderr.String(), addr) && !strings.Contains(stderr.String(), "address") {

@@ -13,7 +13,6 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -32,56 +31,22 @@ import (
 
 // Config parameterizes an experiment run.
 type Config struct {
-	// Workers is the simulated cluster size (paper: 20).
-	Workers int
-	// Seed drives data generation and sampling.
-	Seed int64
+	// Config is the engine configuration every experiment engine is created
+	// with. Workers is the simulated cluster size (paper: 20) and Seed also
+	// drives data generation; Tracer and Executor are shared by all runs of
+	// the experiment (the bundled mr.JSONLTracer is safe for that) and the
+	// caller closes the Executor; a cancelled Context stops the sweep at the
+	// next attempt boundary and the remaining runs report DNF. Figures are
+	// identical at any Parallelism, spill setting, backend and recoverable
+	// fault plan.
+	mr.Config
 	// Scale multiplies every sweep's tuple counts (1 = defaults; tests
 	// use small fractions).
 	Scale float64
-	// Parallelism is the number of goroutines executing each round's
-	// tasks (0 = all cores, 1 = sequential). Results are identical at
-	// any setting; only real wall-clock changes.
-	Parallelism int
-	// Faults deterministically injects task failures into every engine
-	// round (see mr.FaultPlan); nil injects nothing. The recovery contract
-	// guarantees every figure is identical to a fault-free run.
-	Faults *mr.FaultPlan
-	// MaxAttempts bounds task re-execution under injected faults
-	// (0 = engine default).
-	MaxAttempts int
-	// SpeculativeSlack enables straggler speculation in every engine round
-	// (see mr.Config.SpeculativeSlack); 0 disables it.
-	SpeculativeSlack float64
-	// TaskTimeout kills and retries attempts stalled past it (see
-	// mr.Config.TaskTimeout); 0 disables it.
-	TaskTimeout float64
-	// SpillBudgetBytes, SpillDir, SpillCodec and MergeFanIn configure the
-	// engines' out-of-core shuffle (see mr.Config); 0 keeps everything in
-	// memory. Figures are identical at any budget, codec and fan-in; only
-	// spill counters and I/O cost change.
-	SpillBudgetBytes int64
-	SpillDir         string
-	SpillCodec       string
-	MergeFanIn       int
-	// Tracer, when set, receives every engine's structured lifecycle
-	// events (see mr.Tracer); it is shared by all runs of the experiment,
-	// so sinks must be safe for sequential reuse (the bundled
-	// mr.JSONLTracer is).
-	Tracer mr.Tracer
 	// Collect, when set, receives one RunRecord per algorithm execution
 	// with the run's full per-round metrics — the raw material of the
 	// machine-readable metrics document (see MetricsDoc).
 	Collect func(RunRecord)
-	// Executor, when set, runs every experiment engine on that execution
-	// backend (e.g. exec.Proc for real worker processes) instead of the
-	// in-process local backend. Figures are identical across backends;
-	// only wall-clock and the health counters change. The executor is
-	// shared by all runs and closed by the caller.
-	Executor mr.Executor
-	// Context, when set, cancels in-flight experiments: the sweep stops at
-	// the next engine attempt boundary and the run reports a DNF.
-	Context context.Context
 }
 
 func (c *Config) defaults() {
@@ -93,6 +58,16 @@ func (c *Config) defaults() {
 	}
 	if c.Seed == 0 {
 		c.Seed = 2016
+	}
+}
+
+// seed is the data-generation and sampling seed in the generators' type.
+func (c Config) seed() int64 { return int64(c.Seed) }
+
+// collect delivers one execution's record to Config.Collect.
+func (c Config) collect(algo string, rel *relation.Relation, metrics *mr.JobMetrics, err error) {
+	if c.Collect != nil {
+		c.Collect(RunRecord{Algo: algo, InputTuples: rel.N(), DNF: err != nil, Metrics: metrics})
 	}
 }
 
@@ -130,6 +105,7 @@ type measures struct {
 	outBalance   []int64
 	shuffleRecs  int64
 	inBalance    []int64
+	rounds       int
 	dnf          bool
 }
 
@@ -151,46 +127,29 @@ func paperAlgos(seed int64) []algo {
 	}
 }
 
-// engineConfig is the mr.Config every experiment engine is created with.
-func (c Config) engineConfig() mr.Config {
-	return mr.Config{Workers: c.Workers, Seed: uint64(c.Seed), Parallelism: c.Parallelism,
-		Faults: c.Faults, MaxAttempts: c.MaxAttempts,
-		SpeculativeSlack: c.SpeculativeSlack, TaskTimeout: c.TaskTimeout,
-		SpillBudgetBytes: c.SpillBudgetBytes, SpillDir: c.SpillDir,
-		SpillCodec: c.SpillCodec, MergeFanIn: c.MergeFanIn,
-		Tracer: c.Tracer, Executor: c.Executor, Context: c.Context}
-}
-
 // runOne executes one algorithm on one relation with a fresh engine.
 func runOne(cfg Config, a algo, rel *relation.Relation) measures {
-	eng := mr.New(cfg.engineConfig(), nil)
+	eng := mr.New(cfg.Config, nil)
 	run, err := a.fn(eng, rel, cube.Spec{Agg: agg.Count})
-	var ms measures
-	if cfg.Collect != nil {
-		rec := RunRecord{Algo: a.name, InputTuples: rel.N(), DNF: err != nil}
-		if run != nil {
-			jm := run.Metrics
-			rec.Metrics = &jm
-		}
-		cfg.Collect(rec)
+	ms := measures{dnf: err != nil}
+	if run == nil {
+		cfg.collect(a.name, rel, nil, err)
+		return ms
 	}
-	if run != nil {
-		ms.totalSim = run.Metrics.SimSeconds()
-		ms.mapAvg = run.Metrics.MapTimeAvg()
-		ms.reduceAvg = run.Metrics.ReduceTimeAvg()
-		ms.shuffleBytes = run.Metrics.ShuffleBytes()
-		ms.shuffleRecs = run.Metrics.ShuffleRecords()
-		ms.sketchBytes = run.SketchBytes
-		if n := len(run.Metrics.Rounds); n > 0 {
-			last := &run.Metrics.Rounds[n-1]
-			ms.outBalance = last.ReducerOutputBytes()
-			for i := range last.Reducers {
-				ms.inBalance = append(ms.inBalance, last.Reducers[i].InBytes)
-			}
+	cfg.collect(a.name, rel, &run.Metrics, err)
+	ms.totalSim = run.Metrics.SimSeconds()
+	ms.mapAvg = run.Metrics.MapTimeAvg()
+	ms.reduceAvg = run.Metrics.ReduceTimeAvg()
+	ms.shuffleBytes = run.Metrics.ShuffleBytes()
+	ms.shuffleRecs = run.Metrics.ShuffleRecords()
+	ms.sketchBytes = run.SketchBytes
+	ms.rounds = len(run.Metrics.Rounds)
+	if n := ms.rounds; n > 0 {
+		last := &run.Metrics.Rounds[n-1]
+		ms.outBalance = last.ReducerOutputBytes()
+		for i := range last.Reducers {
+			ms.inBalance = append(ms.inBalance, last.Reducers[i].InBytes)
 		}
-	}
-	if err != nil {
-		ms.dnf = true
 	}
 	return ms
 }
@@ -254,9 +213,9 @@ func (c Config) sizes(defaults ...int) []float64 {
 func Fig4(cfg Config) []Figure {
 	cfg.defaults()
 	xs := cfg.sizes(50_000, 100_000, 200_000, 300_000)
-	algos := paperAlgos(cfg.Seed)
+	algos := paperAlgos(cfg.seed())
 	res := runSweep(cfg, xs, func(x float64) *relation.Relation {
-		return data.WikiTraffic(int(x), cfg.Seed)
+		return data.WikiTraffic(int(x), cfg.seed())
 	}, algos, []string{"time", "reduce", "shuffle"})
 	return []Figure{
 		{ID: "fig4a", Title: "Wikipedia: running times comparison", XLabel: "tuples", YLabel: "time (sim s)", Series: res["time"]},
@@ -271,9 +230,9 @@ func Fig4(cfg Config) []Figure {
 func Fig5(cfg Config) []Figure {
 	cfg.defaults()
 	xs := cfg.sizes(3_000, 10_000, 30_000, 100_000)
-	algos := paperAlgos(cfg.Seed)
+	algos := paperAlgos(cfg.seed())
 	res := runSweep(cfg, xs, func(x float64) *relation.Relation {
-		return data.USAGov(int(x), cfg.Seed).Restrict(data.USAGovCubeDims)
+		return data.USAGov(int(x), cfg.seed()).Restrict(data.USAGovCubeDims)
 	}, algos, []string{"time", "map", "sketch"})
 	sketch := []Series{res["sketch"][2]} // SP-Cube only
 	sketch[0].Name = "SP-Sketch"
@@ -291,9 +250,9 @@ func Fig6(cfg Config) []Figure {
 	cfg.defaults()
 	n := int(cfg.sizes(100_000)[0])
 	ps := []float64{0, 0.1, 0.25, 0.4, 0.6, 0.75}
-	algos := paperAlgos(cfg.Seed)
+	algos := paperAlgos(cfg.seed())
 	res := runSweep(cfg, ps, func(p float64) *relation.Relation {
-		return data.GenBinomial(n, 4, p, cfg.Seed)
+		return data.GenBinomial(n, 4, p, cfg.seed())
 	}, algos, []string{"time", "shuffle", "sketch"})
 	sketch := []Series{res["sketch"][2]}
 	sketch[0].Name = "SP-Sketch"
@@ -310,9 +269,9 @@ func Fig6(cfg Config) []Figure {
 func Fig7(cfg Config) []Figure {
 	cfg.defaults()
 	xs := cfg.sizes(2_000, 15_000, 50_000, 150_000)
-	algos := paperAlgos(cfg.Seed)
+	algos := paperAlgos(cfg.seed())
 	res := runSweep(cfg, xs, func(x float64) *relation.Relation {
-		return data.GenZipf(int(x), cfg.Seed)
+		return data.GenZipf(int(x), cfg.seed())
 	}, algos, []string{"time", "reduce", "shuffle"})
 	return []Figure{
 		{ID: "fig7a", Title: "gen-zipf: running times comparison", XLabel: "tuples (log)", YLabel: "time (sim s)", LogX: true, Series: res["time"]},
@@ -327,9 +286,9 @@ func Fig7(cfg Config) []Figure {
 func Fig8(cfg Config) []Figure {
 	cfg.defaults()
 	xs := cfg.sizes(3_000, 10_000, 30_000, 100_000, 300_000)
-	algos := paperAlgos(cfg.Seed)
+	algos := paperAlgos(cfg.seed())
 	res := runSweep(cfg, xs, func(x float64) *relation.Relation {
-		return data.GenBinomial(int(x), 4, 0.1, cfg.Seed)
+		return data.GenBinomial(int(x), 4, 0.1, cfg.seed())
 	}, algos, []string{"time", "map", "shuffle"})
 	return []Figure{
 		{ID: "fig8a", Title: "gen-binomial p=0.1: running times comparison", XLabel: "tuples (log)", YLabel: "time (sim s)", LogX: true, Series: res["time"]},
@@ -348,11 +307,11 @@ func Balance(cfg Config) []Figure {
 		name string
 		rel  *relation.Relation
 	}{
-		{"wiki", data.WikiTraffic(n, cfg.Seed)},
-		{"zipf", data.GenZipf(n, cfg.Seed)},
-		{"binomial-0.4", data.GenBinomial(n, 4, 0.4, cfg.Seed)},
+		{"wiki", data.WikiTraffic(n, cfg.seed())},
+		{"zipf", data.GenZipf(n, cfg.seed())},
+		{"binomial-0.4", data.GenBinomial(n, 4, 0.4, cfg.seed())},
 	}
-	algos := paperAlgos(cfg.Seed)
+	algos := paperAlgos(cfg.seed())
 	out := Figure{ID: "balance-out", Title: "reducer output balance (max/median, lower=better)",
 		XLabel: "workload", YLabel: "max/median output"}
 	in := Figure{ID: "balance-in", Title: "reducer input balance (max/median, lower=better; Prop 4.2/4.6)",
@@ -401,13 +360,13 @@ func Traffic(cfg Config) []Figure {
 	expBound := Series{Name: "2^(d-1) (Thm 5.3 scale)"}
 	for _, d := range []int{4, 6, 8, 10} {
 		n := int(cfg.sizes(40_000)[0])
-		relU := data.Uniform(n, d, 1<<30, cfg.Seed)
-		msU := runOne(cfg, paperAlgos(cfg.Seed)[2], relU)
+		relU := data.Uniform(n, d, 1<<30, cfg.seed())
+		msU := runOne(cfg, paperAlgos(cfg.seed())[2], relU)
 		uniform.Points = append(uniform.Points, Point{X: float64(d), Y: float64(msU.shuffleRecs) / float64(n)})
 
 		m := 40 * int(cfg.Scale*10+1)
 		relA := data.Adversarial(d, m)
-		msA := runOne(cfg, paperAlgos(cfg.Seed)[2], relA)
+		msA := runOne(cfg, paperAlgos(cfg.seed())[2], relA)
 		adversarial.Points = append(adversarial.Points, Point{X: float64(d), Y: float64(msA.shuffleRecs) / float64(relA.N())})
 
 		bound.Points = append(bound.Points, Point{X: float64(d), Y: float64(d)})
@@ -426,14 +385,14 @@ func Traffic(cfg Config) []Figure {
 func Ablation(cfg Config) []Figure {
 	cfg.defaults()
 	n := int(cfg.sizes(100_000)[0])
-	rel := data.GenBinomial(n, 4, 0.4, cfg.Seed)
+	rel := data.GenBinomial(n, 4, 0.4, cfg.seed())
 	variants := []struct {
 		name string
 		opts spcube.Options
 	}{
-		{"SP-Cube", spcube.Options{Seed: cfg.Seed}},
-		{"no-skew-handling", spcube.Options{Seed: cfg.Seed, DisableSkewHandling: true}},
-		{"no-factorization", spcube.Options{Seed: cfg.Seed, DisableFactorization: true}},
+		{"SP-Cube", spcube.Options{Seed: cfg.seed()}},
+		{"no-skew-handling", spcube.Options{Seed: cfg.seed(), DisableSkewHandling: true}},
+		{"no-factorization", spcube.Options{Seed: cfg.seed(), DisableFactorization: true}},
 		{"naive", spcube.Options{}},
 	}
 	timeFig := Figure{ID: "ablation-time", Title: "ablation: gen-binomial p=0.4 running time", XLabel: "variant", YLabel: "time (sim s)"}
@@ -468,31 +427,22 @@ func Rounds(cfg Config) []Figure {
 		XLabel: "dimensions d", YLabel: "rounds"}
 	algos := []algo{
 		{"Pipesort", pipesort.Compute},
-		paperAlgos(cfg.Seed)[0], // Pig
-		paperAlgos(cfg.Seed)[2], // SP-Cube
+		paperAlgos(cfg.seed())[0], // Pig
+		paperAlgos(cfg.seed())[2], // SP-Cube
 	}
 	for _, a := range algos {
 		st := Series{Name: a.name}
 		sr := Series{Name: a.name}
 		for _, d := range []int{2, 3, 4, 5, 6} {
-			rel := data.Uniform(n, d, 1000, cfg.Seed)
-			eng := mr.New(cfg.engineConfig(), nil)
-			run, err := a.fn(eng, rel, cube.Spec{Agg: agg.Count})
-			if cfg.Collect != nil {
-				rec := RunRecord{Algo: a.name, InputTuples: rel.N(), DNF: err != nil}
-				if run != nil {
-					jm := run.Metrics
-					rec.Metrics = &jm
-				}
-				cfg.Collect(rec)
-			}
-			if err != nil {
+			rel := data.Uniform(n, d, 1000, cfg.seed())
+			ms := runOne(cfg, a, rel)
+			if ms.dnf {
 				st.Points = append(st.Points, Point{X: float64(d), DNF: true})
 				sr.Points = append(sr.Points, Point{X: float64(d), DNF: true})
 				continue
 			}
-			st.Points = append(st.Points, Point{X: float64(d), Y: run.Metrics.SimSeconds()})
-			sr.Points = append(sr.Points, Point{X: float64(d), Y: float64(len(run.Metrics.Rounds))})
+			st.Points = append(st.Points, Point{X: float64(d), Y: ms.totalSim})
+			sr.Points = append(sr.Points, Point{X: float64(d), Y: float64(ms.rounds)})
 		}
 		timeFig.Series = append(timeFig.Series, st)
 		roundFig.Series = append(roundFig.Series, sr)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"github.com/spcube/spcube/internal/mr"
 )
 
 // tiny returns a configuration small enough for unit tests but large
@@ -11,7 +13,7 @@ import (
 // itself notes that very small inputs are "not a practical candidate for
 // MapReduce computation" and there SP-Cube's extra sketch round costs more
 // than it saves.
-func tiny() Config { return Config{Workers: 10, Seed: 2016, Scale: 0.1} }
+func tiny() Config { return Config{Config: mr.Config{Workers: 10, Seed: 2016}, Scale: 0.1} }
 
 func seriesByName(f Figure, name string) *Series {
 	for i := range f.Series {

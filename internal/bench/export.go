@@ -92,7 +92,7 @@ func NewMetricsDoc(cfg Config, experiment string, figures []Figure, runs []RunRe
 		Tool:          "spbench",
 		Experiment:    experiment,
 		Workers:       cfg.Workers,
-		Seed:          cfg.Seed,
+		Seed:          cfg.seed(),
 		Scale:         cfg.Scale,
 		Environment:   env,
 		Figures:       figures,

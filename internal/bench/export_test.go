@@ -14,7 +14,7 @@ import (
 // metrics document.
 func runFig6Doc(t *testing.T, par int, faults string) []byte {
 	t.Helper()
-	cfg := Config{Workers: 10, Seed: 2016, Scale: 0.01, Parallelism: par}
+	cfg := Config{Config: mr.Config{Workers: 10, Seed: 2016, Parallelism: par}, Scale: 0.01}
 	if faults != "" {
 		fp, err := mr.ParseFaultPlan(faults)
 		if err != nil {
@@ -196,7 +196,7 @@ func TestStripVolatile(t *testing.T) {
 
 func TestCollectorTracerWiring(t *testing.T) {
 	st := &mr.SliceTracer{}
-	cfg := Config{Workers: 4, Seed: 1, Scale: 0.01, Parallelism: 1, Tracer: st}
+	cfg := Config{Config: mr.Config{Workers: 4, Seed: 1, Parallelism: 1, Tracer: st}, Scale: 0.01}
 	var col Collector
 	cfg.Collect = col.Collect
 	figs := Rounds(cfg)

@@ -33,18 +33,15 @@ func SketchQuality(cfg Config) []Figure {
 
 	for _, x := range sizes {
 		n := int(x)
-		rel := data.WikiTraffic(n, cfg.Seed)
-		eng := mr.New(cfg.engineConfig(), nil)
-		built, err := sketch.Build(eng, rel, cfg.Seed)
-		if cfg.Collect != nil {
-			rec := RunRecord{Algo: "SP-Sketch", InputTuples: rel.N(), DNF: err != nil}
-			if built != nil {
-				var jm mr.JobMetrics
-				jm.Add(built.Metrics)
-				rec.Metrics = &jm
-			}
-			cfg.Collect(rec)
+		rel := data.WikiTraffic(n, cfg.seed())
+		eng := mr.New(cfg.Config, nil)
+		built, err := sketch.Build(eng, rel, cfg.seed())
+		var jm *mr.JobMetrics
+		if built != nil {
+			jm = &mr.JobMetrics{}
+			jm.Add(built.Metrics)
 		}
+		cfg.collect("SP-Sketch", rel, jm, err)
 		if err != nil {
 			continue
 		}

@@ -40,11 +40,8 @@ import (
 	"time"
 
 	"github.com/spcube/spcube/internal/agg"
+	"github.com/spcube/spcube/internal/algo"
 	"github.com/spcube/spcube/internal/algo/hivecube"
-	"github.com/spcube/spcube/internal/algo/mrcube"
-	"github.com/spcube/spcube/internal/algo/naive"
-	"github.com/spcube/spcube/internal/algo/pipesort"
-	spalgo "github.com/spcube/spcube/internal/algo/spcube"
 	"github.com/spcube/spcube/internal/cube"
 	"github.com/spcube/spcube/internal/dfs"
 	"github.com/spcube/spcube/internal/mr"
@@ -59,7 +56,7 @@ const DefaultRebuildThreshold = 0.6
 // Config parameterizes a Maintainer.
 type Config struct {
 	// Algorithm names the cube algorithm used for delta jobs and rebuilds:
-	// sp-cube (default), naive, mr-cube, hive, pipesort.
+	// any name or alias in algo.Table (default sp-cube).
 	Algorithm string
 	// Agg is the maintained aggregate (default count).
 	Agg agg.Func
@@ -641,30 +638,20 @@ func annotate(metrics *mr.JobMetrics, info *mr.MaintInfo) {
 	}
 }
 
-// computeFunc resolves the configured algorithm. Hive runs with its
-// reducer-OOM failure disabled: maintenance must not wedge on a batch the
-// model would refuse, and correctness is identical.
+// computeFunc resolves the configured algorithm through the shared table.
+// Hive runs with its reducer-OOM failure disabled: maintenance must not
+// wedge on a batch the model would refuse, and correctness is identical.
 func computeFunc(cfg Config) (cube.ComputeFunc, error) {
-	seed := cfg.Seed
-	switch cfg.Algorithm {
-	case "sp-cube", "spcube", "sp":
-		return func(eng *mr.Engine, rel *relation.Relation, spec cube.Spec) (*cube.Run, error) {
-			return spalgo.ComputeOpts(eng, rel, spec, spalgo.Options{Seed: seed})
-		}, nil
-	case "naive":
-		return naive.Compute, nil
-	case "mr-cube", "mrcube", "pig":
-		return func(eng *mr.Engine, rel *relation.Relation, spec cube.Spec) (*cube.Run, error) {
-			return mrcube.ComputeOpts(eng, rel, spec, mrcube.Options{Seed: seed})
-		}, nil
-	case "hive":
+	i, err := algo.ByName(cfg.Algorithm)
+	if err != nil {
+		return nil, fmt.Errorf("delta: %w", err)
+	}
+	if algo.Table[i].Name == "hive" {
 		return func(eng *mr.Engine, rel *relation.Relation, spec cube.Spec) (*cube.Run, error) {
 			return hivecube.ComputeOpts(eng, rel, spec, hivecube.Options{DisableOOM: true})
 		}, nil
-	case "pipesort":
-		return pipesort.Compute, nil
 	}
-	return nil, fmt.Errorf("delta: unknown algorithm %q (want sp-cube, naive, mr-cube, hive, pipesort)", cfg.Algorithm)
+	return algo.Table[i].New(cfg.Seed), nil
 }
 
 func cloneTuples(ts []relation.Tuple) []relation.Tuple {

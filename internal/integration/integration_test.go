@@ -10,10 +10,8 @@ import (
 	"testing"
 
 	"github.com/spcube/spcube/internal/agg"
+	"github.com/spcube/spcube/internal/algo"
 	"github.com/spcube/spcube/internal/algo/hivecube"
-	"github.com/spcube/spcube/internal/algo/mrcube"
-	"github.com/spcube/spcube/internal/algo/naive"
-	"github.com/spcube/spcube/internal/algo/pipesort"
 	spalgo "github.com/spcube/spcube/internal/algo/spcube"
 	"github.com/spcube/spcube/internal/cube"
 	"github.com/spcube/spcube/internal/cubetest"
@@ -28,16 +26,24 @@ func hiveNoOOM(eng *mr.Engine, rel *relation.Relation, spec cube.Spec) (*cube.Ru
 	return hivecube.ComputeOpts(eng, rel, spec, hivecube.Options{DisableOOM: true})
 }
 
-var allAlgorithms = []struct {
+type namedAlgorithm struct {
 	name string
 	fn   cube.ComputeFunc
-}{
-	{"sp-cube", spalgo.Compute},
-	{"naive", naive.Compute},
-	{"mr-cube", mrcube.Compute},
-	{"hive", hiveNoOOM},
-	{"pipesort", pipesort.Compute},
 }
+
+// allAlgorithms is the shared algorithm table at the default seed, with
+// Hive's OOM failure disabled.
+var allAlgorithms = func() []namedAlgorithm {
+	var out []namedAlgorithm
+	for _, a := range algo.Table {
+		fn := a.New(0)
+		if a.Name == "hive" {
+			fn = hiveNoOOM
+		}
+		out = append(out, namedAlgorithm{a.Name, fn})
+	}
+	return out
+}()
 
 var workloads = []struct {
 	name string

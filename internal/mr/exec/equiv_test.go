@@ -7,11 +7,8 @@ import (
 	"testing"
 
 	"github.com/spcube/spcube/internal/agg"
+	"github.com/spcube/spcube/internal/algo"
 	"github.com/spcube/spcube/internal/algo/hivecube"
-	"github.com/spcube/spcube/internal/algo/mrcube"
-	"github.com/spcube/spcube/internal/algo/naive"
-	"github.com/spcube/spcube/internal/algo/pipesort"
-	spalgo "github.com/spcube/spcube/internal/algo/spcube"
 	"github.com/spcube/spcube/internal/cube"
 	"github.com/spcube/spcube/internal/data"
 	"github.com/spcube/spcube/internal/dfs"
@@ -31,16 +28,24 @@ func hiveNoOOM(eng *mr.Engine, rel *relation.Relation, spec cube.Spec) (*cube.Ru
 	return hivecube.ComputeOpts(eng, rel, spec, hivecube.Options{DisableOOM: true})
 }
 
-var equivAlgorithms = []struct {
+type namedAlgorithm struct {
 	name string
 	fn   cube.ComputeFunc
-}{
-	{"sp-cube", spalgo.Compute},
-	{"naive", naive.Compute},
-	{"mr-cube", mrcube.Compute},
-	{"hive", hiveNoOOM},
-	{"pipesort", pipesort.Compute},
 }
+
+// equivAlgorithms is the shared algorithm table at the default seed, with
+// Hive's OOM failure disabled.
+var equivAlgorithms = func() []namedAlgorithm {
+	var out []namedAlgorithm
+	for _, a := range algo.Table {
+		fn := a.New(0)
+		if a.Name == "hive" {
+			fn = hiveNoOOM
+		}
+		out = append(out, namedAlgorithm{a.Name, fn})
+	}
+	return out
+}()
 
 // equivPlans is the backend-equivalence fault matrix: clean, injected task
 // crashes, a whole-node crash (realized as a real SIGKILL under proc), and

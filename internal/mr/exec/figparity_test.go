@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/spcube/spcube/internal/bench"
+	"github.com/spcube/spcube/internal/mr"
 )
 
 // TestFig6BackendParity pins the documented claim that benchmark figures
@@ -27,7 +28,7 @@ func TestFig6BackendParity(t *testing.T) {
 		return out
 	}
 	ctx := context.Background()
-	cfg := bench.Config{Workers: 20, Seed: 2016, Scale: 0.02, Context: ctx}
+	cfg := bench.Config{Config: mr.Config{Workers: 20, Seed: 2016, Context: ctx}, Scale: 0.02}
 	local := series(cfg)
 	p := NewProc(Options{})
 	defer p.Close()

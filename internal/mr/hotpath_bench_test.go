@@ -5,8 +5,8 @@ package mr_test
 // worktree of an older commit and run the identical workload there —
 // benchstat then compares old vs new on equal terms.
 //
-// BenchmarkEngineHotPath is the end-to-end number the repo's perf
-// trajectory (BENCH_hotpath.json) tracks: the naive cube — the pure
+// BenchmarkEngineHotPath is the end-to-end number of the engine alone:
+// the naive cube — the pure
 // engine stressor, n·2^d intermediate records with no mapper-side
 // aggregation to hide behind — over a fig6-style skewed gen-binomial
 // relation. It exercises every stage the sort-merge shuffle rebuilt:

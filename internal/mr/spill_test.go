@@ -30,9 +30,31 @@ func spillWords() []string {
 // the cross-parallelism contract is covered by the integration table.
 func runSpill(t *testing.T, budget int64, dir, faults string, combine bool) (map[string]int64, uint64, RoundMetrics) {
 	t.Helper()
+	return runSpillWide(t, Config{SpillBudgetBytes: budget, SpillDir: dir}, faults, combine, 0)
+}
+
+// runSpillWide is runSpill under an explicit spill configuration, with
+// every map and combiner value padded by pad bytes of sparse filler after
+// its count — the wide combinable state of a histogram-like aggregate. The
+// reduce output ignores the padding, so checksums compare across widths.
+func runSpillWide(t *testing.T, cfg Config, faults string, combine bool, pad int) (map[string]int64, uint64, RoundMetrics) {
+	t.Helper()
 	plan, err := ParseFaultPlan(faults)
 	if err != nil {
 		t.Fatal(err)
+	}
+	filler := make([]byte, pad)
+	for i := 0; i < pad; i += 16 {
+		filler[i] = byte(i)
+	}
+	value := func(n int64) []byte { return append(binary.AppendVarint(nil, n), filler...) }
+	total := func(vals [][]byte) int64 {
+		var sum int64
+		for _, v := range vals {
+			n, _ := binary.Varint(v)
+			sum += n
+		}
+		return sum
 	}
 	tuples, _ := tuplesFromWords(spillWords())
 	counts := make(map[string]int64)
@@ -40,32 +62,21 @@ func runSpill(t *testing.T, budget int64, dir, faults string, combine bool) (map
 	job := &Job{
 		Name: "spillcount",
 		MapTuple: func(ctx *MapCtx, tp relation.Tuple) {
-			ctx.Emit(fmt.Sprintf("word-%c", 'a'+rune(tp.Dims[0])%26), binary.AppendVarint(nil, 1))
+			ctx.Emit(fmt.Sprintf("word-%c", 'a'+rune(tp.Dims[0])%26), value(1))
 		},
 		Reduce: func(ctx *RedCtx, key string, vals [][]byte) {
-			var total int64
-			for _, v := range vals {
-				n, _ := binary.Varint(v)
-				total += n
-			}
+			n := total(vals)
 			mu.Lock()
-			counts[key] += total
+			counts[key] += n
 			mu.Unlock()
-			ctx.EmitKV(key, binary.AppendVarint(nil, total))
+			ctx.EmitKV(key, binary.AppendVarint(nil, n))
 		},
 	}
 	if combine {
-		job.Combine = func(key string, vals [][]byte) [][]byte {
-			var total int64
-			for _, v := range vals {
-				n, _ := binary.Varint(v)
-				total += n
-			}
-			return [][]byte{binary.AppendVarint(nil, total)}
-		}
+		job.Combine = func(key string, vals [][]byte) [][]byte { return [][]byte{value(total(vals))} }
 	}
-	eng := New(Config{Workers: 4, Parallelism: 1, Faults: plan,
-		SpillBudgetBytes: budget, SpillDir: dir}, dfs.New(false))
+	cfg.Workers, cfg.Parallelism, cfg.Faults = 4, 1, plan
+	eng := New(cfg, dfs.New(false))
 	res, err := eng.RunTuples(job, tuples)
 	if err != nil {
 		t.Fatal(err)
@@ -115,6 +126,26 @@ func TestSpillByteIdentity(t *testing.T) {
 			}
 		})
 	}
+
+	// Wide combinable values (>= 512 B each): the block codec must not
+	// change a byte of output, and lz must at least halve what reaches disk.
+	t.Run("wide values raw vs lz", func(t *testing.T) {
+		_, memSum, _ := runSpillWide(t, Config{}, "", true, 512)
+		disk := make(map[string]int64)
+		for _, codec := range []string{"raw", "lz"} {
+			_, sum, m := runSpillWide(t, Config{SpillBudgetBytes: 4096, SpillDir: t.TempDir(), SpillCodec: codec}, "", true, 512)
+			if m.Spills == 0 {
+				t.Fatalf("%s: nothing spilled", codec)
+			}
+			if sum != memSum {
+				t.Errorf("%s: DFS output checksum %x differs from in-memory %x", codec, sum, memSum)
+			}
+			disk[codec] = m.CompressedSpillBytes
+		}
+		if disk["lz"]*2 > disk["raw"] {
+			t.Errorf("lz wrote %d B to disk, raw %d B: less than a 2x reduction", disk["lz"], disk["raw"])
+		}
+	})
 }
 
 // TestSpillRecoveryUnderFaults: retried, node-crash-lost and timed-out

@@ -29,19 +29,15 @@
 package spcube
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"github.com/spcube/spcube/internal/agg"
-	"github.com/spcube/spcube/internal/algo/hivecube"
-	"github.com/spcube/spcube/internal/algo/mrcube"
-	"github.com/spcube/spcube/internal/algo/naive"
-	"github.com/spcube/spcube/internal/algo/pipesort"
+	"github.com/spcube/spcube/internal/algo"
 	spalgo "github.com/spcube/spcube/internal/algo/spcube"
 	"github.com/spcube/spcube/internal/cube"
 	"github.com/spcube/spcube/internal/dfs"
@@ -76,6 +72,17 @@ func (r *Relation) AddRow(dims []string, measure int64) {
 // integer codes onto dictionary codes of the string rows.
 func (r *Relation) AddRowInts(dims []int32, measure int64) {
 	r.inner.Append(dims, measure)
+}
+
+// ReadCSV reads a relation from CSV: a header row naming the columns, every
+// column but the last a dimension, the last an integer measure (the input
+// shape of cmd/spcube and cmd/spserve).
+func ReadCSV(r io.Reader) (*Relation, error) {
+	inner, err := relation.ReadCSV(r)
+	if err != nil {
+		return nil, err
+	}
+	return &Relation{inner: inner}, nil
 }
 
 // NumRows returns the number of rows.
@@ -147,58 +154,31 @@ const (
 
 // String returns the algorithm's name.
 func (a Alg) String() string {
-	switch a {
-	case AlgSPCube:
-		return "sp-cube"
-	case AlgNaive:
-		return "naive"
-	case AlgMRCube:
-		return "mr-cube"
-	case AlgHive:
-		return "hive"
-	case AlgPipesort:
-		return "pipesort"
+	if a < 0 || int(a) >= len(algo.Table) {
+		return fmt.Sprintf("Alg(%d)", int(a))
 	}
-	return fmt.Sprintf("Alg(%d)", int(a))
+	return algo.Table[a].Name
 }
 
 // AlgByName resolves an algorithm by name.
 func AlgByName(name string) (Alg, error) {
-	switch name {
-	case "sp-cube", "spcube", "sp":
-		return AlgSPCube, nil
-	case "naive":
-		return AlgNaive, nil
-	case "mr-cube", "mrcube", "pig":
-		return AlgMRCube, nil
-	case "hive":
-		return AlgHive, nil
-	case "pipesort":
-		return AlgPipesort, nil
+	i, err := algo.ByName(name)
+	if err != nil {
+		return 0, fmt.Errorf("spcube: %w", err)
 	}
-	return 0, fmt.Errorf("spcube: unknown algorithm %q (want sp-cube, naive, mr-cube, hive, pipesort)", name)
+	return Alg(i), nil
 }
 
+// config is what the options build: the engine configuration they write
+// into directly, plus the few choices that live above the engine.
 type config struct {
-	workers     int
-	memory      int
-	aggFn       agg.Func
-	alg         Alg
-	seed        int64
-	minSup      int
-	parallelism int
-	faultSpec   string
-	maxAttempts int
-	specSlack   float64
-	taskTimeout float64
-	trace       io.Writer
-	spillBudget int64
-	spillDir    string
-	spillCodec  string
-	mergeFanIn  int
-	backend     string
-	workerCmd   []string
-	ctx         context.Context
+	eng       mr.Config
+	aggFn     agg.Func
+	alg       Alg
+	minSup    int
+	backend   string
+	workerCmd []string
+	err       error // first option that could not be applied (a bad fault spec)
 }
 
 // newExecutor resolves the configured execution backend. The local backend
@@ -216,43 +196,15 @@ func (c *config) newExecutor() (mr.Executor, func(), error) {
 	return nil, nil, fmt.Errorf("unknown backend %q (want local or proc)", c.backend)
 }
 
-// engineConfig converts the facade configuration into the engine's,
-// parsing the fault spec (an error surfaces from Compute/ComputeSet).
-func (c *config) engineConfig() (mr.Config, error) {
-	plan, err := mr.ParseFaultPlan(c.faultSpec)
-	if err != nil {
-		return mr.Config{}, err
-	}
-	cfg := mr.Config{
-		Workers:          c.workers,
-		MemTuples:        c.memory,
-		Seed:             uint64(c.seed),
-		Parallelism:      c.parallelism,
-		Faults:           plan,
-		MaxAttempts:      c.maxAttempts,
-		SpeculativeSlack: c.specSlack,
-		TaskTimeout:      c.taskTimeout,
-		SpillBudgetBytes: c.spillBudget,
-		SpillDir:         c.spillDir,
-		SpillCodec:       c.spillCodec,
-		MergeFanIn:       c.mergeFanIn,
-		Context:          c.ctx,
-	}
-	if c.trace != nil {
-		cfg.Tracer = mr.NewJSONLTracer(c.trace)
-	}
-	return cfg, nil
-}
-
 // Option configures Compute.
 type Option func(*config)
 
 // Workers sets the simulated cluster size k (default 8).
-func Workers(k int) Option { return func(c *config) { c.workers = k } }
+func Workers(k int) Option { return func(c *config) { c.eng.Workers = k } }
 
 // Memory sets a machine's memory in tuples (default n/k), which is also the
 // skew threshold of Definition 2.7.
-func Memory(tuples int) Option { return func(c *config) { c.memory = tuples } }
+func Memory(tuples int) Option { return func(c *config) { c.eng.MemTuples = tuples } }
 
 // Aggregate sets the aggregate function (default Count).
 func Aggregate(a Agg) Option { return func(c *config) { c.aggFn = a.f } }
@@ -261,7 +213,7 @@ func Aggregate(a Agg) Option { return func(c *config) { c.aggFn = a.f } }
 func Algorithm(a Alg) Option { return func(c *config) { c.alg = a } }
 
 // Seed fixes the sampling seed for reproducible runs (default 1).
-func Seed(s int64) Option { return func(c *config) { c.seed = s } }
+func Seed(s int64) Option { return func(c *config) { c.eng.Seed = uint64(s) } }
 
 // MinSupport computes an iceberg cube: only c-groups with at least n
 // contributing rows are materialized. The default (and any value below 2)
@@ -272,7 +224,7 @@ func MinSupport(n int) Option { return func(c *config) { c.minSup = n } }
 // tasks: 0 (the default) uses all cores, 1 runs them sequentially. The
 // computed cube and all simulated statistics are identical at any setting;
 // only real wall-clock time changes.
-func Parallelism(n int) Option { return func(c *config) { c.parallelism = n } }
+func Parallelism(n int) Option { return func(c *config) { c.eng.Parallelism = n } }
 
 // Faults injects deterministic task failures into the simulated cluster.
 // The spec is a comma-separated list of round:phase:task:kind[:attempt[:count]]
@@ -282,25 +234,35 @@ func Parallelism(n int) Option { return func(c *config) { c.parallelism = n } }
 // output lost to a node crash is recomputed: the computed cube and all
 // simulated statistics except the recovery counters are identical to a
 // fault-free run. An empty spec (the default) injects nothing.
-func Faults(spec string) Option { return func(c *config) { c.faultSpec = spec } }
+func Faults(spec string) Option {
+	return func(c *config) {
+		plan, err := mr.ParseFaultPlan(spec)
+		if err != nil && c.err == nil {
+			c.err = err
+		}
+		c.eng.Faults = plan
+	}
+}
 
 // MaxAttempts bounds how many times one simulated task is executed before
 // its injected failure becomes permanent and the computation fails
 // (default 4). Only injected faults and engine-initiated kills (node loss,
 // task timeout) are retried.
-func MaxAttempts(n int) Option { return func(c *config) { c.maxAttempts = n } }
+func MaxAttempts(n int) Option { return func(c *config) { c.eng.MaxAttempts = n } }
 
 // SpeculativeSlack enables straggler mitigation: a task attempt stalled (by
 // a slow fault) more than slack simulated seconds races one backup attempt,
 // and the attempt with the lower simulated finish time wins — ties keep the
 // original. The loser's output is discarded into Stats.WastedBytes; the
 // computed cube is unchanged. 0 (the default) disables speculation.
-func SpeculativeSlack(slack float64) Option { return func(c *config) { c.specSlack = slack } }
+func SpeculativeSlack(slack float64) Option {
+	return func(c *config) { c.eng.SpeculativeSlack = slack }
+}
 
 // TaskTimeout kills a task attempt stalled more than the given number of
 // simulated seconds and retries it (counting against MaxAttempts) — the
 // analog of Hadoop's progress timeout. 0 (the default) disables it.
-func TaskTimeout(seconds float64) Option { return func(c *config) { c.taskTimeout = seconds } }
+func TaskTimeout(seconds float64) Option { return func(c *config) { c.eng.TaskTimeout = seconds } }
 
 // SpillBudget caps a map task's in-memory emit buffer at the given number
 // of bytes: when key+value bytes held in memory reach the budget, the task
@@ -309,12 +271,12 @@ func TaskTimeout(seconds float64) Option { return func(c *config) { c.taskTimeou
 // their input. The computed cube is byte-identical at any budget (including
 // one so small every record spills); only Stats.Spills/SpillBytes and the
 // simulated I/O cost change. 0 (the default) keeps everything in memory.
-func SpillBudget(bytes int64) Option { return func(c *config) { c.spillBudget = bytes } }
+func SpillBudget(bytes int64) Option { return func(c *config) { c.eng.SpillBudgetBytes = bytes } }
 
 // SpillDir sets the directory under which spill run files are created (a
 // fresh temp subdirectory per computation, removed on return even on
 // failure). Empty (the default) uses the operating system's temp dir.
-func SpillDir(dir string) Option { return func(c *config) { c.spillDir = dir } }
+func SpillDir(dir string) Option { return func(c *config) { c.eng.SpillDir = dir } }
 
 // SpillCodec selects the block compression codec for spill run files
 // written under the SpillBudget option: "raw" (no compression) or "lz"
@@ -322,7 +284,7 @@ func SpillDir(dir string) Option { return func(c *config) { c.spillDir = dir } }
 // computed cube and every deterministic statistic except the spilled byte
 // counts are identical under any codec; an unknown name surfaces as an
 // error from Compute.
-func SpillCodec(name string) Option { return func(c *config) { c.spillCodec = name } }
+func SpillCodec(name string) Option { return func(c *config) { c.eng.SpillCodec = name } }
 
 // MergeFanIn caps how many spill runs a reducer merges at once (the analog
 // of Hadoop's io.sort.factor, default 64): when a tiny SpillBudget produces
@@ -331,7 +293,7 @@ func SpillCodec(name string) Option { return func(c *config) { c.spillCodec = na
 // The computed cube and reducer input are byte-identical at any fan-in;
 // only Stats.MergePasses and the simulated I/O cost change. Values below 2
 // are raised to 2.
-func MergeFanIn(n int) Option { return func(c *config) { c.mergeFanIn = n } }
+func MergeFanIn(n int) Option { return func(c *config) { c.eng.MergeFanIn = n } }
 
 // Trace streams the simulated cluster's structured lifecycle events — round
 // start/end, task attempt start/success/failure/retry, shuffle, spill,
@@ -339,7 +301,14 @@ func MergeFanIn(n int) Option { return func(c *config) { c.mergeFanIn = n } }
 // stream is deterministic: identical, except for timestamps, at any
 // Parallelism setting. A nil writer (the default) disables tracing at zero
 // cost.
-func Trace(w io.Writer) Option { return func(c *config) { c.trace = w } }
+func Trace(w io.Writer) Option {
+	return func(c *config) {
+		c.eng.Tracer = nil
+		if w != nil {
+			c.eng.Tracer = mr.NewJSONLTracer(w)
+		}
+	}
+}
 
 // Backend selects the execution backend: "local" (the default — simulated
 // nodes execute as goroutines in this process) or "proc", which runs one
@@ -359,7 +328,7 @@ func WorkerCommand(argv ...string) Option {
 // Context attaches a cancellation context to the computation: when ctx is
 // cancelled (e.g. on SIGINT), in-flight rounds stop at the next attempt
 // boundary, worker processes are reaped, and Compute returns ctx's error.
-func Context(ctx context.Context) Option { return func(c *config) { c.ctx = ctx } }
+func Context(ctx context.Context) Option { return func(c *config) { c.eng.Context = ctx } }
 
 // Stats summarizes a computation's execution on the simulated cluster.
 type Stats struct {
@@ -456,60 +425,62 @@ type Cube struct {
 	metrics mr.JobMetrics
 }
 
-// Compute runs a cube computation over the relation.
-func Compute(rel *Relation, opts ...Option) (*Cube, error) {
-	cfg := config{workers: 8, aggFn: agg.Count, alg: AlgSPCube, seed: 1}
+// newEngine applies the options and builds the engine a computation runs
+// on; the caller defers the returned cleanup (it reaps proc-backend workers).
+func newEngine(rel *Relation, opts []Option) (*config, *mr.Engine, func(), error) {
+	cfg := &config{eng: mr.Config{Workers: 8, Seed: 1}, aggFn: agg.Count, alg: AlgSPCube}
 	for _, opt := range opts {
-		opt(&cfg)
+		opt(cfg)
 	}
 	if rel == nil || rel.NumRows() == 0 {
-		return nil, errors.New("spcube: empty relation")
+		return nil, nil, nil, errors.New("spcube: empty relation")
 	}
 	if rel.NumDims() == 0 || rel.NumDims() > MaxDims {
-		return nil, fmt.Errorf("spcube: dimension count %d out of range [1,%d]", rel.NumDims(), MaxDims)
+		return nil, nil, nil, fmt.Errorf("spcube: dimension count %d out of range [1,%d]", rel.NumDims(), MaxDims)
 	}
-	if cfg.workers < 1 {
-		return nil, errors.New("spcube: need at least 1 worker")
+	if cfg.eng.Workers < 1 {
+		return nil, nil, nil, errors.New("spcube: need at least 1 worker")
 	}
-
-	engCfg, err := cfg.engineConfig()
-	if err != nil {
-		return nil, fmt.Errorf("spcube: %w", err)
+	if cfg.err != nil {
+		return nil, nil, nil, fmt.Errorf("spcube: %w", cfg.err)
 	}
 	ex, closeEx, err := cfg.newExecutor()
 	if err != nil {
-		return nil, fmt.Errorf("spcube: %w", err)
+		return nil, nil, nil, fmt.Errorf("spcube: %w", err)
+	}
+	cfg.eng.Executor = ex
+	return cfg, mr.New(cfg.eng, dfs.New(false)), closeEx, nil
+}
+
+// collect materializes one finished run's output as a Cube.
+func collect(eng *mr.Engine, rel *Relation, run *cube.Run) (*Cube, error) {
+	res, err := cube.CollectDFS(eng, run.OutputPrefix, rel.NumDims())
+	if err != nil {
+		return nil, err
+	}
+	return &Cube{rel: rel, res: res, stats: statsFromRun(run), metrics: run.Metrics}, nil
+}
+
+// Compute runs a cube computation over the relation.
+func Compute(rel *Relation, opts ...Option) (*Cube, error) {
+	cfg, eng, closeEx, err := newEngine(rel, opts)
+	if err != nil {
+		return nil, err
 	}
 	defer closeEx()
-	engCfg.Executor = ex
-	eng := mr.New(engCfg, dfs.New(false))
-	spec := cube.Spec{Agg: cfg.aggFn, MinSup: cfg.minSup}
-
-	var run *cube.Run
-	switch cfg.alg {
-	case AlgSPCube:
-		run, err = spalgo.ComputeOpts(eng, rel.inner, spec, spalgo.Options{Seed: cfg.seed})
-	case AlgNaive:
-		run, err = naive.Compute(eng, rel.inner, spec)
-	case AlgMRCube:
-		run, err = mrcube.ComputeOpts(eng, rel.inner, spec, mrcube.Options{Seed: cfg.seed})
-	case AlgHive:
-		run, err = hivecube.Compute(eng, rel.inner, spec)
-	case AlgPipesort:
-		run, err = pipesort.Compute(eng, rel.inner, spec)
-	default:
+	if cfg.alg < 0 || int(cfg.alg) >= len(algo.Table) {
 		return nil, fmt.Errorf("spcube: unknown algorithm %v", cfg.alg)
 	}
+	fn := algo.Table[cfg.alg].New(int64(cfg.eng.Seed))
+	run, err := fn(eng, rel.inner, cube.Spec{Agg: cfg.aggFn, MinSup: cfg.minSup})
 	if err != nil {
 		return nil, fmt.Errorf("spcube: %s failed: %w", cfg.alg, err)
 	}
-
-	res, err := cube.CollectDFS(eng, run.OutputPrefix, rel.NumDims())
+	c, err := collect(eng, rel, run)
 	if err != nil {
 		return nil, fmt.Errorf("spcube: collecting output: %w", err)
 	}
-
-	return &Cube{rel: rel, res: res, stats: statsFromRun(run), metrics: run.Metrics}, nil
+	return c, nil
 }
 
 // ComputeSet computes one cube per aggregate function over the same
@@ -519,42 +490,27 @@ func Compute(rel *Relation, opts ...Option) (*Cube, error) {
 // same partitioning decisions. The Algorithm option is ignored; other
 // options apply to every computation.
 func ComputeSet(rel *Relation, aggs []Agg, opts ...Option) ([]*Cube, error) {
-	cfg := config{workers: 8, aggFn: agg.Count, alg: AlgSPCube, seed: 1}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	if rel == nil || rel.NumRows() == 0 {
-		return nil, errors.New("spcube: empty relation")
-	}
 	if len(aggs) == 0 {
 		return nil, errors.New("spcube: ComputeSet needs at least one aggregate")
 	}
-	engCfg, err := cfg.engineConfig()
+	cfg, eng, closeEx, err := newEngine(rel, opts)
 	if err != nil {
-		return nil, fmt.Errorf("spcube: %w", err)
-	}
-	ex, closeEx, err := cfg.newExecutor()
-	if err != nil {
-		return nil, fmt.Errorf("spcube: %w", err)
+		return nil, err
 	}
 	defer closeEx()
-	engCfg.Executor = ex
-	eng := mr.New(engCfg, dfs.New(false))
 	specs := make([]cube.Spec, len(aggs))
 	for i, a := range aggs {
 		specs[i] = cube.Spec{Agg: a.f, MinSup: cfg.minSup}
 	}
-	runs, err := spalgo.ComputeMulti(eng, rel.inner, specs, spalgo.Options{Seed: cfg.seed})
+	runs, err := spalgo.ComputeMulti(eng, rel.inner, specs, spalgo.Options{Seed: int64(cfg.eng.Seed)})
 	if err != nil {
 		return nil, fmt.Errorf("spcube: %w", err)
 	}
 	cubes := make([]*Cube, len(runs))
 	for i, run := range runs {
-		res, err := cube.CollectDFS(eng, run.OutputPrefix, rel.NumDims())
-		if err != nil {
+		if cubes[i], err = collect(eng, rel, run); err != nil {
 			return nil, fmt.Errorf("spcube: collecting output %d: %w", i, err)
 		}
-		cubes[i] = &Cube{rel: rel, res: res, stats: statsFromRun(run), metrics: run.Metrics}
 	}
 	return cubes, nil
 }
@@ -568,11 +524,11 @@ func (c *Cube) Stats() Stats { return c.stats }
 // deterministic: identical at any Parallelism, and identical to a
 // fault-free run except for the recovery-accounting fields.
 func (c *Cube) MetricsJSON() ([]byte, error) {
-	data, err := json.MarshalIndent(&c.metrics, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("spcube: metrics: %w", err)
+	var buf bytes.Buffer
+	if err := mr.ExportMetrics(&buf, &c.metrics); err != nil {
+		return nil, fmt.Errorf("spcube: %w", err)
 	}
-	return append(data, '\n'), nil
+	return buf.Bytes(), nil
 }
 
 // NumGroups returns the number of c-groups in the cube.
@@ -672,27 +628,17 @@ func (c *Cube) Cuboid(dimNames ...string) ([]Group, error) {
 
 // Groups calls fn for every c-group in the cube, in an unspecified order.
 func (c *Cube) Groups(fn func(g Group)) {
-	d := c.rel.NumDims()
-	keys := make([]string, 0, c.res.Len())
-	for key := range c.res.Groups {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		mask, packed, err := relation.DecodeGroupKey(key)
-		if err != nil {
-			continue
-		}
-		dims := make([]string, d)
-		j := 0
-		for i := 0; i < d; i++ {
-			if mask&(1<<uint(i)) != 0 {
-				dims[i] = c.rel.inner.DimString(i, packed[j])
-				j++
-			} else {
-				dims[i] = "*"
-			}
-		}
-		fn(Group{Dims: dims, Value: c.res.Groups[key]})
-	}
+	// EachRow fails only on a malformed group key, which CollectDFS never
+	// admits into a Result.
+	_ = c.res.EachRow(c.rel.inner, func(dims []string, value float64) error {
+		fn(Group{Dims: append([]string(nil), dims...), Value: value})
+		return nil
+	})
+}
+
+// WriteCSV renders the cube as CSV: a header of the dimension names plus
+// valueName, then one row per c-group in group-key order with "*" in
+// aggregated-away dimensions (the output of cmd/spcube).
+func (c *Cube) WriteCSV(w io.Writer, valueName string) error {
+	return c.res.WriteCSV(w, c.rel.inner, valueName)
 }
