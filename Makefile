@@ -165,27 +165,33 @@ lint:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
 	$(GO) run golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION) ./...
 
-# Old-vs-new hot-path comparison. Checks out BASE (default: the previous
-# commit) into a temporary git worktree, copies the portable public-API
-# benchmark file in (so old trees predating it still run the identical
-# workload), benchmarks both trees, and renders the comparison with
-# benchstat when installed, falling back to the in-repo cmd/benchcmp.
-# In-package benchmarks (ShuffleMerge, Combine) may not exist in the old
-# tree and then appear as new-only rows.
+# Old-vs-new comparison of the engine's hot path and of the serving index.
+# Checks out BASE (default: the previous commit) into a temporary git
+# worktree, copies the two portable public-API benchmark files in (so old
+# trees predating them still run the identical workload), benchmarks both
+# trees, and renders one comparison per package with benchstat when
+# installed, falling back to the in-repo cmd/benchcmp. In-package benchmarks
+# (ShuffleMerge, Combine) may not exist in the old tree and then appear as
+# new-only rows.
 BASE ?= HEAD~1
+SERVE_BENCH_PATTERN ?= StoreBuild|StorePoint|ApplyPatch
 bench-compare:
 	@set -e; \
 	tmp=$$(mktemp -d); \
 	trap 'git worktree remove --force "$$tmp/base" 2>/dev/null || true; rm -rf "$$tmp"' EXIT; \
 	git worktree add --detach "$$tmp/base" $(BASE) >/dev/null; \
-	mkdir -p "$$tmp/base/internal/mr"; \
-	cp internal/mr/hotpath_bench_test.go "$$tmp/base/internal/mr/hotpath_bench_test.go"; \
-	echo "benchmarking base ($(BASE))..."; \
-	(cd "$$tmp/base" && $(GO) test -run=NONE -bench='$(BENCH_PATTERN)' -count=$(BENCH_COUNT) ./internal/mr/) > "$$tmp/old.txt"; \
-	echo "benchmarking working tree..."; \
-	$(GO) test -run=NONE -bench='$(BENCH_PATTERN)' -count=$(BENCH_COUNT) ./internal/mr/ > "$$tmp/new.txt"; \
-	if command -v benchstat >/dev/null 2>&1; then \
-		benchstat "$$tmp/old.txt" "$$tmp/new.txt"; \
-	else \
-		$(GO) run ./cmd/benchcmp "$$tmp/old.txt" "$$tmp/new.txt"; \
-	fi
+	for spec in 'internal/mr hotpath_bench_test.go $(BENCH_PATTERN)' \
+		'internal/serve index_bench_test.go $(SERVE_BENCH_PATTERN)'; do \
+		set -- $$spec; pkg=$$1; file=$$2; pattern=$$3; \
+		mkdir -p "$$tmp/base/$$pkg"; \
+		cp "$$pkg/$$file" "$$tmp/base/$$pkg/$$file"; \
+		echo "benchmarking base ($(BASE)): $$pkg..."; \
+		(cd "$$tmp/base" && $(GO) test -run=NONE -bench="$$pattern" -count=$(BENCH_COUNT) "./$$pkg/") > "$$tmp/old.txt"; \
+		echo "benchmarking working tree: $$pkg..."; \
+		$(GO) test -run=NONE -bench="$$pattern" -count=$(BENCH_COUNT) "./$$pkg/" > "$$tmp/new.txt"; \
+		if command -v benchstat >/dev/null 2>&1; then \
+			benchstat "$$tmp/old.txt" "$$tmp/new.txt"; \
+		else \
+			$(GO) run ./cmd/benchcmp "$$tmp/old.txt" "$$tmp/new.txt"; \
+		fi; \
+	done

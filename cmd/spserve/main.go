@@ -46,6 +46,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -155,7 +156,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	mux := http.NewServeMux()
 	mux.Handle("/", serve.NewHandler(svc, svc, counters))
 	mux.Handle("/v1/ingest", ingestHandler(svc, maint))
-	httpSrv := &http.Server{Handler: mux}
+	httpSrv := &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	errs := make(chan error, 1)
 	go func() { errs <- httpSrv.Serve(ln) }()
 	select {
@@ -169,6 +170,20 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	}
 	return nil
 }
+
+// Bounds of the request path. They are constants, not flags: no deployment
+// of this server needs other values.
+const (
+	// maxIngestBody bounds a POST /v1/ingest body; a larger one is answered
+	// 413 unread. A row costs ~100 B on the wire, so 32 MiB is a batch of
+	// some 300k rows — the size of a whole served relation, not of a delta.
+	maxIngestBody = 32 << 20
+	// readHeaderTimeout drops a connection that does not finish sending its
+	// request headers; idleTimeout closes a keep-alive connection no request
+	// has arrived on.
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
 
 // IngestRow is one string-valued row in an ingest request.
 type IngestRow struct {
@@ -208,8 +223,13 @@ func ingestHandler(svc *serve.Batched, maint *delta.Maintainer) http.Handler {
 			return
 		}
 		var req IngestRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, IngestResponse{Error: fmt.Sprintf("bad request body: %v", err)})
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxIngestBody)).Decode(&req); err != nil {
+			status := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			writeJSON(w, status, IngestResponse{Error: fmt.Sprintf("bad request body: %v", err)})
 			return
 		}
 		toRows := func(in []IngestRow) []delta.Row {
@@ -226,25 +246,7 @@ func ingestHandler(svc *serve.Batched, maint *delta.Maintainer) http.Handler {
 			writeJSON(w, http.StatusBadRequest, IngestResponse{Error: err.Error()})
 			return
 		}
-		var next *serve.Store
-		if rnd.Mode == "delta" {
-			p := serve.NewPatch()
-			for _, ch := range rnd.Changes {
-				if ch.Delete {
-					err = p.Delete(ch.Key)
-				} else {
-					err = p.Set(ch.Key, ch.Value)
-				}
-				if err != nil {
-					break
-				}
-			}
-			if err == nil {
-				next, err = svc.Store().ApplyPatch(p, maint.Relation().Dict)
-			}
-		} else {
-			next, err = serve.Build(maint.Relation(), maint.Result())
-		}
+		next, err := cli.NextStore(svc.Store(), maint, rnd)
 		if err != nil {
 			writeJSON(w, http.StatusInternalServerError, IngestResponse{Error: err.Error()})
 			return

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"flag"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,6 +14,9 @@ import (
 	"time"
 
 	"github.com/spcube/spcube/internal/cli"
+	"github.com/spcube/spcube/internal/delta"
+	"github.com/spcube/spcube/internal/relation"
+	"github.com/spcube/spcube/internal/serve"
 )
 
 const fixtureCSV = `name,city,sales
@@ -318,6 +322,40 @@ func TestServeIngestEndToEnd(t *testing.T) {
 	}
 	if v, ok := pointValue(t, base, "laptop,*"); !ok || v != 4 {
 		t.Fatalf("rejected batches disturbed the cube: laptop = %v,%v", v, ok)
+	}
+}
+
+// TestIngestBodyLimit: a body over maxIngestBody is answered 413 in the
+// handler's JSON error shape, with no maintenance cycle run and the served
+// snapshot still the one that was serving.
+func TestIngestBodyLimit(t *testing.T) {
+	rel, err := relation.ReadCSV(strings.NewReader(fixtureCSV))
+	if err != nil {
+		t.Fatal(err)
+	}
+	maint, err := delta.New(rel, delta.Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := serve.Build(maint.Relation(), maint.Result())
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := serve.NewService(store, serve.Config{})
+	defer svc.Close()
+
+	body := `{"append":[{"dims":["` + strings.Repeat("x", maxIngestBody) + `","Rome"],"measure":1}]}`
+	w := httptest.NewRecorder()
+	ingestHandler(svc, maint).ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/ingest", strings.NewReader(body)))
+	var resp IngestResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		t.Fatalf("bad JSON %q: %v", w.Body.String(), err)
+	}
+	if w.Code != http.StatusRequestEntityTooLarge || resp.Error == "" {
+		t.Fatalf("oversized ingest: %d %+v, want 413 with error", w.Code, resp)
+	}
+	if svc.Store() != store || maint.Version() != 0 {
+		t.Fatalf("oversized ingest was applied: version %d, store swapped %v", maint.Version(), svc.Store() != store)
 	}
 }
 

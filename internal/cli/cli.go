@@ -29,6 +29,7 @@ import (
 	"github.com/spcube/spcube/internal/mr/exec"
 	"github.com/spcube/spcube/internal/obs"
 	"github.com/spcube/spcube/internal/relation"
+	"github.com/spcube/spcube/internal/serve"
 )
 
 // Flags holds the values of the shared flags. A binary creates one over
@@ -301,6 +302,29 @@ func (s *Session) DeltaConfig() delta.Config {
 		RebuildThreshold: s.RebuildThreshold,
 		Tracer:           c.Tracer, Context: c.Context,
 	}
+}
+
+// NextStore turns one applied maintenance round into the snapshot to swap
+// in: a delta round's change list becomes a copy-on-write patch of cur, the
+// snapshot the round was computed against; a rebuild round re-indexes the
+// maintained cube. cur is never modified, so on error it keeps serving.
+func NextStore(cur *serve.Store, maint *delta.Maintainer, rnd *delta.Round) (*serve.Store, error) {
+	if rnd.Mode != "delta" {
+		return serve.Build(maint.Relation(), maint.Result())
+	}
+	p := serve.NewPatch()
+	for _, ch := range rnd.Changes {
+		var err error
+		if ch.Delete {
+			err = p.Delete(ch.Key)
+		} else {
+			err = p.Set(ch.Key, ch.Value)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return cur.ApplyPatch(p, maint.Relation().Dict)
 }
 
 // WriteMetrics writes the -metrics-out document through write; it does

@@ -189,35 +189,36 @@ func BruteSpec(rel *relation.Relation, spec Spec) *Result {
 }
 
 // CollectDFS parses a cube written to the engine's DFS (non-discard mode)
-// under the given prefix into a Result. Output records are written by the
-// reducers as "<group key>\t<final value varint-float encoding>"; see
-// EncodeFinal.
+// under the given prefix into a Result.
 func CollectDFS(eng *mr.Engine, prefix string, d int) (*Result, error) {
 	res := NewResult(d)
-	for _, name := range eng.FS.List(prefix) {
-		data, err := eng.FS.Read(name)
-		if err != nil {
-			return nil, err
-		}
-		if err := parseOutput(data, res); err != nil {
-			return nil, fmt.Errorf("cube: parsing %s: %w", name, err)
-		}
+	err := ScanDFS(eng, prefix, func(key string, val float64) { res.Groups[key] = val })
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
 
-func parseOutput(data []byte, res *Result) error {
-	// Records are concatenated "<key>\t<8-byte float bits>" frames; keys
-	// never contain '\t' (group keys are uvarint sequences, but a uvarint
-	// byte can be 0x09, so we must parse structurally instead of
-	// splitting).
-	for off := 0; off < len(data); {
-		key, val, n, err := parseRecord(data[off:])
+// ScanDFS calls visit with the encoded group key and final value of every
+// record of a cube written to the engine's DFS (non-discard mode) under the
+// given prefix, in file order. Output records are written by the reducers
+// as concatenated "<group key>\t<8-byte float bits>" frames (see
+// EncodeFinal); a uvarint byte of the key can be 0x09, so records are parsed
+// structurally instead of split on the tab.
+func ScanDFS(eng *mr.Engine, prefix string, visit func(key string, val float64)) error {
+	for _, name := range eng.FS.List(prefix) {
+		data, err := eng.FS.Read(name)
 		if err != nil {
 			return err
 		}
-		res.Groups[key] = val
-		off += n
+		for off := 0; off < len(data); {
+			key, val, n, err := parseRecord(data[off:])
+			if err != nil {
+				return fmt.Errorf("cube: parsing %s: %w", name, err)
+			}
+			visit(key, val)
+			off += n
+		}
 	}
 	return nil
 }

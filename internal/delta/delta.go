@@ -16,11 +16,10 @@
 // every cycle, annotated into the engine metrics (schema v3 "maint"
 // rounds) and emitted as maint-start/maint-end trace events.
 //
-// Deletes are counted: the maintainer keeps a companion cardinality cube
-// (the group's tuple count) alongside the value cube, so a group whose
-// count reaches zero is removed rather than left at a stale value, and
-// iceberg thresholds (MinSup) are re-evaluated per cycle against the
-// maintained counts.
+// Deletes are counted: the maintainer keeps every group's tuple count next
+// to its value, so a group whose count reaches zero is removed rather than
+// left at a stale value, and iceberg thresholds (MinSup) are re-evaluated
+// per cycle against the maintained counts.
 //
 // The maintainer is deliberately storage-agnostic: Apply returns the exact
 // set of changed c-groups (or nil for a rebuild), and the serving layer
@@ -150,11 +149,9 @@ type Maintainer struct {
 	cfg Config
 	rel *relation.Relation
 
-	// vals is the full (non-iceberg) cube: group key → final value; cnts
-	// the companion cardinality cube. For count aggregates cnts mirrors
-	// vals instead of running a second job.
-	vals map[string]float64
-	cnts map[string]int64
+	// cube is the full (non-iceberg) cube, the maintainer's only copy of
+	// it: encoded group key → final value and tuple count.
+	cube map[string]group
 
 	// baseSketch is the SP-Sketch of the relation as of the last full
 	// (re)build; batch drift is measured against it.
@@ -163,6 +160,13 @@ type Maintainer struct {
 	metrics mr.JobMetrics
 	rounds  []Round
 	seq     int64 // maintainer-scoped trace sequence
+}
+
+// group is one maintained c-group: its final aggregate value and the number
+// of tuples contributing to it.
+type group struct {
+	val float64
+	cnt int64
 }
 
 // New builds the initial cube over rel (cycle 0, always a full build) and
@@ -199,18 +203,19 @@ func New(rel *relation.Relation, cfg Config) (*Maintainer, error) {
 	info := &mr.MaintInfo{Round: 0, Mode: "rebuild", Reason: "initial", Appended: own.N()}
 	m.traceMaint(mr.TraceEvent{Type: mr.EvMaintStart, Round: 0, Job: "maintenance",
 		Mode: info.Mode, Records: int64(own.N())})
-	vals, cnts, metrics, err := m.fullBuild(own)
+	var metrics mr.JobMetrics
+	groups, err := m.runJobs(own, &metrics)
 	if err != nil {
 		m.traceMaint(mr.TraceEvent{Type: mr.EvMaintEnd, Round: 0, Job: "maintenance",
 			Failed: true, Err: err.Error()})
 		return nil, err
 	}
-	m.vals, m.cnts = vals, cnts
+	m.cube = groups
 	m.baseSketch = sketch.BuildExact(own, cfg.Workers, memTuples(own.N(), cfg.Workers))
 	annotate(&metrics, info)
 	m.metrics.Rounds = append(m.metrics.Rounds, metrics.Rounds...)
 	m.traceMaint(mr.TraceEvent{Type: mr.EvMaintEnd, Round: 0, Job: "maintenance",
-		Records: int64(len(vals))})
+		Records: int64(len(groups))})
 	return m, nil
 }
 
@@ -393,48 +398,46 @@ func (m *Maintainer) applyDelta(batch Batch, deleteIdx map[int]bool, rnd *Round)
 	merge, _ := agg.FinalMerger(m.cfg.Agg)
 	invert, _ := agg.FinalInverter(m.cfg.Agg)
 
-	addVals, addCnts, err := m.cubeOver(batch.Append, &rnd.Metrics)
+	added, err := m.cubeOver(batch.Append, &rnd.Metrics)
 	if err != nil {
 		return fmt.Errorf("delta: append job: %w", err)
 	}
-	delVals, delCnts, err := m.cubeOver(batch.Delete, &rnd.Metrics)
+	deleted, err := m.cubeOver(batch.Delete, &rnd.Metrics)
 	if err != nil {
 		return fmt.Errorf("delta: delete job: %w", err)
 	}
 
-	// Commit point: all jobs succeeded, mutate state.
-	touched := make(map[string]bool, len(addVals)+len(delVals))
-	for key, dv := range addVals {
-		touched[key] = true
-		if _, exists := m.cnts[key]; exists {
-			m.vals[key] = merge(m.vals[key], dv)
-		} else {
-			m.vals[key] = dv
+	// Commit point: all jobs succeeded, mutate state — one read-modify-write
+	// per touched key. touched lists each key once, so Changes is unique.
+	touched := make([]string, 0, len(added)+len(deleted))
+	for key, a := range added {
+		touched = append(touched, key)
+		g, exists := m.cube[key]
+		if exists {
+			a.val = merge(g.val, a.val)
 		}
-		m.cnts[key] += addCnts[key]
+		m.cube[key] = group{val: a.val, cnt: g.cnt + a.cnt}
 	}
-	for key, dv := range delVals {
-		touched[key] = true
-		m.cnts[key] -= delCnts[key]
-		if m.cnts[key] <= 0 {
-			delete(m.cnts, key)
-			delete(m.vals, key)
+	for key, dl := range deleted {
+		if _, dup := added[key]; !dup {
+			touched = append(touched, key)
+		}
+		g := m.cube[key]
+		if g.cnt -= dl.cnt; g.cnt <= 0 {
+			delete(m.cube, key)
 		} else {
-			m.vals[key] = invert(m.vals[key], dv)
+			g.val = invert(g.val, dl.val)
+			m.cube[key] = g
 		}
 	}
 	m.commitRelation(batch, deleteIdx)
 
 	minSup := m.minSup()
-	keys := make([]string, 0, len(touched))
-	for key := range touched {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	rnd.Changes = make([]Change, 0, len(keys))
-	for _, key := range keys {
-		if cnt, ok := m.cnts[key]; ok && cnt >= minSup {
-			rnd.Changes = append(rnd.Changes, Change{Key: key, Value: m.vals[key]})
+	sort.Strings(touched)
+	rnd.Changes = make([]Change, 0, len(touched))
+	for _, key := range touched {
+		if g, ok := m.cube[key]; ok && g.cnt >= minSup {
+			rnd.Changes = append(rnd.Changes, Change{Key: key, Value: g.val})
 		} else {
 			rnd.Changes = append(rnd.Changes, Change{Key: key, Delete: true})
 		}
@@ -457,13 +460,12 @@ func (m *Maintainer) applyRebuild(batch Batch, deleteIdx map[int]bool, rnd *Roun
 		return errors.New("delta: batch deletes every tuple; refusing to rebuild an empty cube")
 	}
 
-	vals, cnts, metrics, err := m.fullBuild(next)
+	groups, err := m.runJobs(next, &rnd.Metrics)
 	if err != nil {
 		return fmt.Errorf("delta: rebuild: %w", err)
 	}
-	rnd.Metrics.Rounds = append(rnd.Metrics.Rounds, metrics.Rounds...)
 
-	m.vals, m.cnts = vals, cnts
+	m.cube = groups
 	m.rel.Tuples = next.Tuples
 	m.baseSketch = sketch.BuildExact(next, m.cfg.Workers, memTuples(next.N(), m.cfg.Workers))
 	return nil
@@ -483,57 +485,48 @@ func (m *Maintainer) commitRelation(batch Batch, deleteIdx map[int]bool) {
 	m.rel.Tuples = append(m.rel.Tuples, cloneTuples(batch.Append)...)
 }
 
-// fullBuild computes the value cube (and, for non-count aggregates, the
-// companion count cube) over rel.
-func (m *Maintainer) fullBuild(rel *relation.Relation) (map[string]float64, map[string]int64, mr.JobMetrics, error) {
-	var metrics mr.JobMetrics
-	vals, cnts, err := m.runJobs(rel, &metrics)
-	return vals, cnts, metrics, err
-}
-
-// cubeOver runs the maintenance jobs over a tuple batch, returning empty
-// maps for an empty batch without spinning up an engine.
-func (m *Maintainer) cubeOver(tuples []relation.Tuple, metrics *mr.JobMetrics) (map[string]float64, map[string]int64, error) {
+// cubeOver runs the maintenance jobs over a tuple batch; an empty batch has
+// no groups and spins up no engine.
+func (m *Maintainer) cubeOver(tuples []relation.Tuple, metrics *mr.JobMetrics) (map[string]group, error) {
 	if len(tuples) == 0 {
-		return map[string]float64{}, map[string]int64{}, nil
+		return nil, nil
 	}
-	rel := &relation.Relation{Schema: m.rel.Schema, Tuples: tuples}
-	return m.runJobs(rel, metrics)
+	return m.runJobs(&relation.Relation{Schema: m.rel.Schema, Tuples: tuples}, metrics)
 }
 
-// runJobs executes the value-cube job (and count-cube job when the
-// aggregate is not count) over rel, appending their rounds to metrics.
-func (m *Maintainer) runJobs(rel *relation.Relation, metrics *mr.JobMetrics) (map[string]float64, map[string]int64, error) {
+// runJobs computes the full cube of rel — the value-cube job, plus a
+// count-cube job when the aggregate is not itself count — appending the
+// jobs' rounds to metrics.
+func (m *Maintainer) runJobs(rel *relation.Relation, metrics *mr.JobMetrics) (map[string]group, error) {
 	fn, err := computeFunc(m.cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	vals, valMetrics, err := m.runOne(fn, rel, m.cfg.Agg)
-	if err != nil {
-		return nil, nil, err
-	}
-	metrics.Rounds = append(metrics.Rounds, valMetrics.Rounds...)
-
-	cnts := make(map[string]int64, len(vals))
-	if m.cfg.Agg.Name() == "count" {
-		for key, v := range vals {
-			cnts[key] = int64(v)
+	isCount := m.cfg.Agg.Name() == "count"
+	groups := make(map[string]group)
+	err = m.runOne(fn, rel, m.cfg.Agg, metrics, func(key string, v float64) {
+		g := group{val: v}
+		if isCount {
+			g.cnt = int64(v)
 		}
-		return vals, cnts, nil
+		groups[key] = g
+	})
+	if err == nil && !isCount {
+		err = m.runOne(fn, rel, agg.Count, metrics, func(key string, v float64) {
+			g := groups[key]
+			g.cnt = int64(v)
+			groups[key] = g
+		})
 	}
-	counts, cntMetrics, err := m.runOne(fn, rel, agg.Count)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	metrics.Rounds = append(metrics.Rounds, cntMetrics.Rounds...)
-	for key, v := range counts {
-		cnts[key] = int64(v)
-	}
-	return vals, cnts, nil
+	return groups, nil
 }
 
-// runOne executes one cube job on a fresh engine and collects its output.
-func (m *Maintainer) runOne(fn cube.ComputeFunc, rel *relation.Relation, f agg.Func) (map[string]float64, mr.JobMetrics, error) {
+// runOne executes one cube job on a fresh engine and hands every output
+// record to visit.
+func (m *Maintainer) runOne(fn cube.ComputeFunc, rel *relation.Relation, f agg.Func, metrics *mr.JobMetrics, visit func(key string, v float64)) error {
 	eng := mr.New(mr.Config{
 		Workers:          m.cfg.Workers,
 		Seed:             uint64(m.cfg.Seed),
@@ -551,24 +544,32 @@ func (m *Maintainer) runOne(fn cube.ComputeFunc, rel *relation.Relation, f agg.F
 	}, dfs.New(false))
 	run, err := fn(eng, rel, cube.Spec{Agg: f})
 	if err != nil {
-		return nil, mr.JobMetrics{}, err
+		return err
 	}
-	res, err := cube.CollectDFS(eng, run.OutputPrefix, rel.D())
-	if err != nil {
-		return nil, mr.JobMetrics{}, err
+	if err := cube.ScanDFS(eng, run.OutputPrefix, visit); err != nil {
+		return err
 	}
-	return res.Groups, run.Metrics, nil
+	metrics.Rounds = append(metrics.Rounds, run.Metrics.Rounds...)
+	return nil
 }
 
-// Result returns a snapshot of the published (iceberg-filtered) cube.
+// Result returns a snapshot of the published (iceberg-filtered) cube, sized
+// by what passes the filter: an iceberg cube can publish a small fraction of
+// the maintained groups.
 func (m *Maintainer) Result() *cube.Result {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	minSup := m.minSup()
-	out := &cube.Result{D: m.rel.D(), Groups: make(map[string]float64, len(m.vals))}
-	for key, v := range m.vals {
-		if m.cnts[key] >= minSup {
-			out.Groups[key] = v
+	n := 0
+	for _, g := range m.cube {
+		if g.cnt >= minSup {
+			n++
+		}
+	}
+	out := &cube.Result{D: m.rel.D(), Groups: make(map[string]float64, n)}
+	for key, g := range m.cube {
+		if g.cnt >= minSup {
+			out.Groups[key] = g.val
 		}
 	}
 	return out

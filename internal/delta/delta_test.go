@@ -3,6 +3,7 @@ package delta
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -263,6 +264,30 @@ func TestIcebergPublishCrossesThreshold(t *testing.T) {
 	}
 	final := &relation.Relation{Schema: rel.Schema, Dict: rel.Dict, Tuples: rel.Tuples[:2]}
 	exactEqual(t, cube.BruteSpec(final, cube.Spec{Agg: agg.Count, MinSup: 2}), m.Result())
+}
+
+// TestResultSizedByPublishedCube: the maintainer holds the full cube, but a
+// Result of an iceberg cube publishing under 1% of it must allocate for what
+// it publishes, not for what is maintained.
+func TestResultSizedByPublishedCube(t *testing.T) {
+	rel := cubetest.SkewedRelation(rand.New(rand.NewSource(3)), 3000, 4, 0.05, 1)
+	m, err := New(rel, Config{Workers: 4, MinSup: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := m.Result()
+	runtime.ReadMemStats(&after)
+	exactEqual(t, cube.BruteSpec(rel, cube.Spec{Agg: agg.Count, MinSup: 50}), res)
+	if res.Len() == 0 || res.Len()*100 >= len(m.cube) {
+		t.Fatalf("published %d of %d maintained groups: not a <1%% iceberg", res.Len(), len(m.cube))
+	}
+	// ~40 B of map slot per published group; 1 KiB each leaves room for
+	// bucket rounding and is far below presizing for len(m.cube).
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(res.Len())<<10; got > limit {
+		t.Fatalf("Result allocated %d B to publish %d of %d groups (limit %d B)", got, res.Len(), len(m.cube), limit)
+	}
 }
 
 func TestApplyStringsDictionaryCopyOnWrite(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/spcube/spcube/internal/agg"
+	"github.com/spcube/spcube/internal/cli"
 	"github.com/spcube/spcube/internal/cube"
 	"github.com/spcube/spcube/internal/delta"
 	"github.com/spcube/spcube/internal/lattice"
@@ -356,23 +357,7 @@ func TestDeltaSoak(t *testing.T) {
 		ts.apply(batch)
 		checkMaintainedCube(t, maint, ts, agg.Sum)
 
-		var next *serve.Store
-		if rnd.Mode == "delta" {
-			p := serve.NewPatch()
-			for _, ch := range rnd.Changes {
-				if ch.Delete {
-					err = p.Delete(ch.Key)
-				} else {
-					err = p.Set(ch.Key, ch.Value)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			next, err = svc.Store().ApplyPatch(p, maint.Relation().Dict)
-		} else {
-			next, err = serve.Build(maint.Relation(), maint.Result())
-		}
+		next, err := cli.NextStore(svc.Store(), maint, rnd)
 		if err != nil {
 			t.Fatalf("cycle %d (%s): %v", cycle, rnd.Mode, err)
 		}

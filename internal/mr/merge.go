@@ -92,11 +92,8 @@ func mergeInto(dst, a, b []Pair) {
 	}
 }
 
-// LoserTree is a k-way tournament over run indices 0..k-1 with a
-// caller-supplied ordering. It is the generic core of the reduce-side
-// shuffle merge, exported so other sorted-run consumers (the serving
-// layer's in-place cube patching, external merges) reuse the exact same
-// structure.
+// loserTree is a k-way tournament over run indices 0..k-1 with a
+// caller-supplied ordering: the core of the reduce-side shuffle merge.
 //
 // The tree is the classic 2k-slot tournament layout: leaf j sits at node
 // k+j, internal node i holds the loser of the match between its subtrees,
@@ -106,17 +103,17 @@ func mergeInto(dst, a, b []Pair) {
 // so no special casing is needed as runs drain. After consuming the
 // winner's head element the caller advances that run's cursor and calls
 // Replay, which replays one leaf-to-root path — log k comparisons.
-type LoserTree struct {
+type loserTree struct {
 	beats func(a, b int) bool
 	loser []int // loser[0] = overall winner; loser[1..k-1] = match losers
 	win   []int // build() scratch, kept so Reset() does not allocate
 	k     int
 }
 
-// NewLoserTree builds a tree over k runs and plays the initial tournament.
+// newLoserTree builds a tree over k runs and plays the initial tournament.
 // beats reports whether run a's current head precedes run b's.
-func NewLoserTree(k int, beats func(a, b int) bool) *LoserTree {
-	t := &LoserTree{
+func newLoserTree(k int, beats func(a, b int) bool) *loserTree {
+	t := &loserTree{
 		beats: beats,
 		loser: make([]int, max(k, 1)),
 		win:   make([]int, 2*k),
@@ -128,15 +125,12 @@ func NewLoserTree(k int, beats func(a, b int) bool) *LoserTree {
 
 // Reset replays the initial tournament, for reuse after the caller rewound
 // its run cursors.
-func (t *LoserTree) Reset() { t.build() }
-
-// Len returns the number of runs the tree was built over.
-func (t *LoserTree) Len() int { return t.k }
+func (t *loserTree) Reset() { t.build() }
 
 // Winner returns the index of the run whose head currently wins the
 // tournament, or -1 for an empty tree. Whether that run still has elements
 // is the caller's to check — a drained winner means every run is drained.
-func (t *LoserTree) Winner() int {
+func (t *loserTree) Winner() int {
 	if t.k == 0 {
 		return -1
 	}
@@ -145,7 +139,7 @@ func (t *LoserTree) Winner() int {
 
 // Replay re-seats the winner after the caller advanced its run's cursor,
 // replaying the winner's leaf-to-root path against the stored losers.
-func (t *LoserTree) Replay() {
+func (t *loserTree) Replay() {
 	if t.k == 0 {
 		return
 	}
@@ -159,7 +153,7 @@ func (t *LoserTree) Replay() {
 }
 
 // build plays the initial tournament bottom-up.
-func (t *LoserTree) build() {
+func (t *loserTree) build() {
 	if t.k == 0 {
 		return
 	}
@@ -185,7 +179,7 @@ func (t *LoserTree) build() {
 }
 
 // streamMerger k-way merges sorted runs — in-memory buckets and on-disk
-// spill segments alike — through a LoserTree, holding only one head record
+// spill segments alike — through a loserTree, holding only one head record
 // per source: each next replays one leaf-to-root path (log k key
 // comparisons) instead of re-scanning all run heads, and reduce memory is
 // O(sources), not O(input). Key ties go to the lower source index, which,
@@ -194,7 +188,7 @@ func (t *LoserTree) build() {
 // concatenation sort exactly — whether or not anything spilled.
 type streamMerger struct {
 	srcs []mergeSource
-	tree *LoserTree
+	tree *loserTree
 	cur  int // source whose head the last next handed out; -1 if none
 	err  error
 	// hits/misses total the file-backed sources' read-ahead counters.
@@ -248,7 +242,7 @@ func newStreamMerger(runs []streamSource, prefetchBudget int64) *streamMerger {
 		}
 		m.advance(i)
 	}
-	m.tree = NewLoserTree(len(m.srcs), m.beats)
+	m.tree = newLoserTree(len(m.srcs), m.beats)
 	return m
 }
 

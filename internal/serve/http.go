@@ -75,6 +75,11 @@ type CuboidDoc struct {
 // SchemaValueCap bounds the per-dimension value sample in SchemaDoc.
 const SchemaValueCap = 1024
 
+// maxQueryBody bounds a POST /v1/query body. A query names one value per
+// dimension; 1 MiB is orders of magnitude above any real one, and a larger
+// body is answered 413 without being read.
+const maxQueryBody = 1 << 20
+
 // NewHandler builds the HTTP front end over a service: POST|GET /v1/query,
 // GET /v1/schema, GET /v1/stats, GET /healthz. src must yield the snapshot
 // the service serves — pass the Batched/Direct service itself so the
@@ -92,9 +97,14 @@ func NewHandler(svc Service, src StoreSource, m *Counters) http.Handler {
 	})
 	mux.Handle("/v1/stats", StatsHandler(m, src))
 	mux.HandleFunc("/v1/query", func(w http.ResponseWriter, r *http.Request) {
-		req, err := decodeQueryRequest(r)
+		req, err := decodeQueryRequest(w, r)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, QueryResponse{Error: err.Error()})
+			status := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			writeJSON(w, status, QueryResponse{Error: err.Error()})
 			return
 		}
 		handleQuery(w, svc, src.Store(), req)
@@ -127,13 +137,14 @@ func schemaDoc(store *Store) SchemaDoc {
 	return doc
 }
 
-// decodeQueryRequest accepts POST (JSON body) and GET (?op=&group=a,b,*&k=).
-func decodeQueryRequest(r *http.Request) (QueryRequest, error) {
+// decodeQueryRequest accepts POST (JSON body of at most maxQueryBody bytes)
+// and GET (?op=&group=a,b,*&k=).
+func decodeQueryRequest(w http.ResponseWriter, r *http.Request) (QueryRequest, error) {
 	var req QueryRequest
 	switch r.Method {
 	case http.MethodPost:
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			return req, fmt.Errorf("bad request body: %v", err)
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBody)).Decode(&req); err != nil {
+			return req, fmt.Errorf("bad request body: %w", err)
 		}
 	case http.MethodGet:
 		q := r.URL.Query()

@@ -130,21 +130,26 @@ func TestHTTPBadRequests(t *testing.T) {
 	h := NewHandler(svc, st, nil)
 	cases := []struct {
 		name, method, target, body string
+		code                       int
 	}{
-		{"bad op", http.MethodGet, "/v1/query?op=dice&group=*,*,*", ""},
-		{"wrong arity", http.MethodGet, "/v1/query?op=point&group=*,*", ""},
-		{"? in point", http.MethodGet, "/v1/query?op=point&group=%3F,*,*", ""},
-		{"value after ?", http.MethodGet, "/v1/query?op=slice&group=%3F,Rome,*", ""},
-		{"value in topk", http.MethodGet, "/v1/query?op=topk&group=laptop,%3F,*", ""},
-		{"bad k", http.MethodGet, "/v1/query?op=topk&group=%3F,*,*&k=two", ""},
-		{"bad body", http.MethodPost, "/v1/query", `{"op":`},
-		{"bad method", http.MethodPut, "/v1/query", `{}`},
+		{"bad op", http.MethodGet, "/v1/query?op=dice&group=*,*,*", "", 400},
+		{"wrong arity", http.MethodGet, "/v1/query?op=point&group=*,*", "", 400},
+		{"? in point", http.MethodGet, "/v1/query?op=point&group=%3F,*,*", "", 400},
+		{"value after ?", http.MethodGet, "/v1/query?op=slice&group=%3F,Rome,*", "", 400},
+		{"value in topk", http.MethodGet, "/v1/query?op=topk&group=laptop,%3F,*", "", 400},
+		{"bad k", http.MethodGet, "/v1/query?op=topk&group=%3F,*,*&k=two", "", 400},
+		{"bad body", http.MethodPost, "/v1/query", `{"op":`, 400},
+		{"bad method", http.MethodPut, "/v1/query", `{}`, 400},
+		{"oversized body", http.MethodPost, "/v1/query", `{"op":"` + strings.Repeat("x", maxQueryBody) + `"}`, 413},
 	}
 	for _, c := range cases {
 		code, resp := doReq(t, h, c.method, c.target, c.body)
-		if code != http.StatusBadRequest || resp.Error == "" {
-			t.Errorf("%s: %d %+v, want 400 with error", c.name, code, resp)
+		if code != c.code || resp.Error == "" {
+			t.Errorf("%s: %d %+v, want %d with error", c.name, code, resp, c.code)
 		}
+	}
+	if svc.Store() != st {
+		t.Error("a rejected request swapped the served store")
 	}
 }
 

@@ -5,23 +5,20 @@ import (
 	"sort"
 
 	"github.com/spcube/spcube/internal/lattice"
-	"github.com/spcube/spcube/internal/mr"
 	"github.com/spcube/spcube/internal/relation"
 )
 
 // Patch is a batch of group-level edits — upserts and removals keyed by
 // encoded group key — produced by one incremental-maintenance round
 // (delta.Round.Changes) and applied to a Store with ApplyPatch. Entries are
-// grouped by cuboid; order of addition is irrelevant except that a later
-// entry for the same key supersedes an earlier one.
+// grouped by cuboid and may be added in any order, at most one per key:
+// ApplyPatch rejects a patch holding two edits of one group.
 type Patch struct {
 	perMask map[lattice.Mask][]patchEntry
-	n       int
 }
 
 // patchEntry is one edit in decoded form.
 type patchEntry struct {
-	seq    int // addition order, for last-wins dedup of equal keys
 	packed []relation.Value
 	val    float64
 	del    bool
@@ -31,9 +28,6 @@ type patchEntry struct {
 func NewPatch() *Patch {
 	return &Patch{perMask: make(map[lattice.Mask][]patchEntry)}
 }
-
-// Len returns the number of edits added.
-func (p *Patch) Len() int { return p.n }
 
 // Set records that the group with the given encoded key now has value v
 // (inserting the group if the store lacks it).
@@ -53,18 +47,16 @@ func (p *Patch) add(key string, v float64, del bool) error {
 		return err
 	}
 	m := lattice.Mask(mask)
-	p.perMask[m] = append(p.perMask[m], patchEntry{seq: p.n, packed: packed, val: v, del: del})
-	p.n++
+	p.perMask[m] = append(p.perMask[m], patchEntry{packed: packed, val: v, del: del})
 	return nil
 }
 
 // ApplyPatch merges a patch into the store, returning a NEW immutable
-// snapshot; the receiver is untouched and stays fully servable. Cuboids the
-// patch does not touch are shared between the two snapshots (copy-on-write);
-// each touched cuboid is rebuilt by a two-run mr.LoserTree merge of its old
-// sorted run against the sorted patch entries — the same tournament merge
-// the engine's reduce-side shuffle uses. A cuboid emptied by deletions is
-// dropped; a cuboid the store never held is created.
+// snapshot; the receiver is untouched and stays fully servable, also when
+// the patch is rejected. Cuboids the patch does not touch are shared between
+// the two snapshots (copy-on-write); each touched cuboid's run is rewritten
+// by one merge of the old run with the sorted patch entries. A cuboid
+// emptied by deletions is dropped; a cuboid the store never held is created.
 //
 // dict, when non-nil, replaces the store's dictionary in the new snapshot
 // (appends can mint codes the old dictionary lacks; the maintainer's
@@ -86,8 +78,11 @@ func (s *Store) ApplyPatch(p *Patch, dict *relation.Dictionary) (*Store, error) 
 		if mask > lattice.Full(s.d) {
 			return nil, fmt.Errorf("serve: patch cuboid %b out of range for %d dimensions", uint32(mask), s.d)
 		}
-		merged := patchCuboid(s.byMask[mask], mask, entries)
-		if merged == nil {
+		merged, err := patchCuboid(s.byMask[mask], mask, entries)
+		if err != nil {
+			return nil, err
+		}
+		if merged.rows() == 0 {
 			delete(ns.byMask, mask)
 		} else {
 			ns.byMask[mask] = merged
@@ -100,100 +95,38 @@ func (s *Store) ApplyPatch(p *Patch, dict *relation.Dictionary) (*Store, error) 
 }
 
 // patchCuboid merges one cuboid's sorted run (old may be nil) with its patch
-// entries through a two-run loser tree: run 0 is the old run, run 1 the
-// sorted patch. On equal keys the patch wins and the old row is consumed
-// silently — a Set replaces it, a Delete drops it. Returns nil when the
-// merge leaves no rows.
-func patchCuboid(old *cuboid, mask lattice.Mask, entries []patchEntry) *cuboid {
-	entries = dedupEntries(entries)
-	stride := mask.Level()
-	oldN := 0
-	if old != nil {
-		oldN = old.rows()
-	}
-
-	oi, pi := 0, 0
-	head := func(run int) []relation.Value {
-		if run == 0 {
-			return old.row(oi)
-		}
-		return entries[pi].packed
-	}
-	beats := func(a, b int) bool {
-		ea := (a == 0 && oi >= oldN) || (a == 1 && pi >= len(entries))
-		eb := (b == 0 && oi >= oldN) || (b == 1 && pi >= len(entries))
-		switch { // drained runs lose to live ones (+∞ sentinels)
-		case ea && eb:
-			return a < b
-		case ea:
-			return false
-		case eb:
-			return true
-		}
-		if c := relation.ComparePacked(head(a), head(b)); c != 0 {
-			return c < 0
-		}
-		return a == 1 // equal keys: the patch entry supersedes the old row
-	}
-	tree := mr.NewLoserTree(2, beats)
-
-	nc := &cuboid{
-		mask:   mask,
-		stride: stride,
-		packed: make([]relation.Value, 0, (oldN+len(entries))*stride),
-		vals:   make([]float64, 0, oldN+len(entries)),
-	}
-	for oi < oldN || pi < len(entries) {
-		if tree.Winner() == 0 {
-			nc.packed = append(nc.packed, old.row(oi)...)
-			nc.vals = append(nc.vals, old.vals[oi])
-			oi++
-			tree.Replay()
-			continue
-		}
-		e := entries[pi]
-		pi++
-		if !e.del {
-			nc.packed = append(nc.packed, e.packed...)
-			nc.vals = append(nc.vals, e.val)
-		}
-		if oi < oldN && relation.ComparePacked(old.row(oi), e.packed) == 0 {
-			// The patch superseded this old row: consume it too. Both
-			// cursors moved, so replay the whole (two-leaf) tournament.
-			oi++
-			tree.Reset()
-		} else {
-			tree.Replay()
-		}
-	}
-	if nc.rows() == 0 {
-		return nil
-	}
-	nc.point = make(map[string]int32, nc.rows())
-	for i := 0; i < nc.rows(); i++ {
-		nc.point[relation.GroupKeyPacked(uint32(mask), nc.row(i))] = int32(i)
-	}
-	return nc
-}
-
-// dedupEntries sorts a cuboid's patch entries by packed key and collapses
-// duplicates to the last-added entry, returning a fresh slice (the patch
-// stays reusable).
-func dedupEntries(entries []patchEntry) []patchEntry {
-	sorted := make([]patchEntry, len(entries))
-	copy(sorted, entries)
+// entries, one cursor on each: the old rows below an entry carry over in
+// bulk, an old row equal to it is superseded — a Set replaces it, a Delete
+// drops it. The entries are sorted into a copy, so the patch stays reusable.
+func patchCuboid(old *cuboid, mask lattice.Mask, entries []patchEntry) (*cuboid, error) {
+	sorted := append([]patchEntry(nil), entries...)
 	sort.Slice(sorted, func(i, j int) bool {
-		if c := relation.ComparePacked(sorted[i].packed, sorted[j].packed); c != 0 {
-			return c < 0
-		}
-		return sorted[i].seq < sorted[j].seq
+		return relation.ComparePacked(sorted[i].packed, sorted[j].packed) < 0
 	})
-	out := sorted[:0]
-	for i, e := range sorted {
-		if i+1 < len(sorted) && relation.ComparePacked(e.packed, sorted[i+1].packed) == 0 {
-			continue // a later entry for the same key supersedes this one
-		}
-		out = append(out, e)
+	if old == nil {
+		old = newCuboid(mask, 0)
 	}
-	return out
+	nc := newCuboid(mask, old.rows()+len(sorted))
+	oi := 0
+	carry := func(to int) {
+		nc.packed = append(nc.packed, old.packed[oi*old.stride:to*old.stride]...)
+		nc.vals = append(nc.vals, old.vals[oi:to]...)
+		oi = to
+	}
+	for pi, e := range sorted {
+		if pi > 0 && relation.ComparePacked(sorted[pi-1].packed, e.packed) == 0 {
+			return nil, fmt.Errorf("serve: patch holds two entries for group %v of cuboid %b", e.packed, uint32(mask))
+		}
+		carry(oi + sort.Search(old.rows()-oi, func(i int) bool {
+			return relation.ComparePacked(old.row(oi+i), e.packed) >= 0
+		}))
+		if oi < old.rows() && relation.ComparePacked(old.row(oi), e.packed) == 0 {
+			oi++
+		}
+		if !e.del {
+			nc.push(e.packed, e.val)
+		}
+	}
+	carry(old.rows())
+	return nc, nil
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -66,23 +67,38 @@ func diffPatch(t *testing.T, old, new *cube.Result) *Patch {
 }
 
 // checkStoreMatches verifies a store serves exactly the groups of a brute
-// cube: group count, cuboid inventory, every point through both the hash
-// index and the binary search, and full-cuboid slices (ordering).
+// cube: group count, cuboid inventory, every group of every cuboid through
+// Point and through one PointBatch per cuboid, and full-cuboid slices
+// (ordering).
 func checkStoreMatches(t *testing.T, st *Store, brute *cube.Result) {
 	t.Helper()
 	if st.Groups() != brute.Len() {
 		t.Fatalf("store has %d groups, brute %d", st.Groups(), brute.Len())
 	}
+	byMask := map[lattice.Mask][]cube.Group{}
 	for key, want := range brute.Groups {
 		mask, packed, err := relation.DecodeGroupKey(key)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, ok := st.Point(lattice.Mask(mask), packed); !ok || got != want {
+		m := lattice.Mask(mask)
+		byMask[m] = append(byMask[m], cube.Group{Mask: m, Packed: packed, Value: want}) // map order: unsorted batch
+		if got, ok := st.Point(m, packed); !ok || got != want {
 			t.Fatalf("Point(%b, %v) = %v,%v want %v", mask, packed, got, ok, want)
 		}
-		if got, ok := st.pointSearch(lattice.Mask(mask), packed); !ok || got != want {
-			t.Fatalf("pointSearch(%b, %v) = %v,%v want %v", mask, packed, got, ok, want)
+	}
+	if len(st.Cuboids()) != len(byMask) {
+		t.Fatalf("store holds %d cuboids, brute %d", len(st.Cuboids()), len(byMask))
+	}
+	for mask, groups := range byMask {
+		keys := make([][]relation.Value, len(groups))
+		for i, g := range groups {
+			keys[i] = g.Packed
+		}
+		for i, r := range st.PointBatch(mask, keys) {
+			if !r.Found || r.Value != groups[i].Value {
+				t.Fatalf("PointBatch(%b)[%v] = %+v, want %v", mask, keys[i], r, groups[i].Value)
+			}
 		}
 	}
 	for _, ci := range st.Cuboids() {
@@ -133,6 +149,44 @@ func TestApplyPatchMatchesRebuild(t *testing.T) {
 		}
 		checkStoreMatches(t, patched, next)
 		// The old snapshot still serves the old cube (copy-on-write).
+		checkStoreMatches(t, st, brute)
+		st, brute = patched, next
+	}
+
+	// The run's edges, applied one after the other to the evolved store.
+	full := lattice.Full(tl.d)
+	one := lattice.Mask(1)
+	for _, tc := range []struct {
+		name string
+		edit func(res *cube.Result)
+	}{
+		{"create the first row", func(res *cube.Result) {
+			res.Add(full, []relation.Value{-1, -1, -1}, 3)
+		}},
+		{"replace the last row", func(res *cube.Result) {
+			rows := res.Cuboid(full)
+			last := rows[len(rows)-1]
+			res.Add(full, last.Packed, last.Value+5)
+		}},
+		{"delete every row of a cuboid", func(res *cube.Result) {
+			for _, g := range res.Cuboid(one) {
+				delete(res.Groups, relation.GroupKeyPacked(uint32(one), g.Packed))
+			}
+		}},
+		{"touch a cuboid the store does not hold", func(res *cube.Result) {
+			res.Add(one, []relation.Value{2}, 9)
+		}},
+	} {
+		next := &cube.Result{D: brute.D, Groups: make(map[string]float64, len(brute.Groups))}
+		for key, v := range brute.Groups {
+			next.Groups[key] = v
+		}
+		tc.edit(next)
+		patched, err := st.ApplyPatch(diffPatch(t, brute, next), nil)
+		if err != nil {
+			t.Fatalf("%s: ApplyPatch: %v", tc.name, err)
+		}
+		checkStoreMatches(t, patched, next)
 		checkStoreMatches(t, st, brute)
 		st, brute = patched, next
 	}
@@ -231,39 +285,32 @@ func TestApplyPatchCreatesAndDropsCuboids(t *testing.T) {
 	}
 }
 
-// TestPatchLastEntryWins: multiple entries for one key collapse to the last
-// added, both Set-after-Set and Delete-after-Set.
-func TestPatchLastEntryWins(t *testing.T) {
+// TestPatchRejectsDuplicateKeys: a patch holding two edits of one group is
+// an error at apply time, whatever the pair, and leaves the receiver store
+// serving exactly what it served.
+func TestPatchRejectsDuplicateKeys(t *testing.T) {
 	st, brute, rel := buildStore(t, 100, 2, 3)
 	full := lattice.Full(rel.D())
 	groups := brute.Cuboid(full)
-	g0, g1 := groups[0], groups[1]
-	k0 := relation.GroupKeyPacked(uint32(full), g0.Packed)
-	k1 := relation.GroupKeyPacked(uint32(full), g1.Packed)
+	k0 := relation.GroupKeyPacked(uint32(full), groups[0].Packed)
+	k1 := relation.GroupKeyPacked(uint32(full), groups[1].Packed)
+	run, total := st.byMask[full], st.Groups()
 
-	p := NewPatch()
-	for _, step := range []func() error{
-		func() error { return p.Set(k0, 111) },
-		func() error { return p.Set(k0, 222) }, // supersedes 111
-		func() error { return p.Set(k1, 333) },
-		func() error { return p.Delete(k1) }, // supersedes 333
+	for name, second := range map[string]func(p *Patch) error{
+		"set after set":    func(p *Patch) error { return p.Set(k0, 222) },
+		"delete after set": func(p *Patch) error { return p.Delete(k0) },
 	} {
-		if err := step(); err != nil {
+		p := NewPatch()
+		if err := errors.Join(p.Set(k0, 111), p.Set(k1, 333), second(p)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if p.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", p.Len())
-	}
-	ns, err := st.ApplyPatch(p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := ns.Point(full, g0.Packed); !ok || v != 222 {
-		t.Fatalf("k0 = %v,%v want 222", v, ok)
-	}
-	if _, ok := ns.Point(full, g1.Packed); ok {
-		t.Fatal("k1 survived its delete")
+		if ns, err := st.ApplyPatch(p, nil); err == nil {
+			t.Fatalf("%s: duplicate key accepted (store of %d groups)", name, ns.Groups())
+		}
+		if st.byMask[full] != run || st.Groups() != total {
+			t.Fatalf("%s: rejected patch touched the receiver", name)
+		}
+		checkStoreMatches(t, st, brute)
 	}
 	// Corrupt keys are rejected at Patch build time.
 	if err := NewPatch().Set("\xff\xff\xff\xff\xff\xff", 1); err == nil {

@@ -12,19 +12,15 @@ import (
 
 // Store is a read-optimized, immutable index over one computed cube. Each
 // cuboid's groups are held as a sorted run — packed values flattened
-// row-major into one array, ordered by relation.ComparePacked — probed by
-// binary search (range scans for slices, a shared galloping pass for batched
-// points), plus a per-cuboid hash index from encoded group key to row for
-// direct point lookups. The group-key strings of the hash index alias the
-// ingested cube.Result's keys, so the index costs map overhead, not key
-// copies.
+// row-major into one array, ordered by relation.ComparePacked — and the run
+// is the cuboid's only index: points are one binary search, batched points a
+// shared galloping pass, slices a range scan. Nothing of the ingested
+// cube.Result is retained.
 //
 // A Store is safe for unlimited concurrent readers; it is never mutated
 // after Build. Incremental maintenance produces a NEW store from an old one
 // via ApplyPatch — untouched cuboids are shared between the two snapshots
-// (copy-on-write), which is why the point index is per cuboid rather than
-// store-wide: patching one cuboid must not force rebuilding every other
-// cuboid's index.
+// (copy-on-write).
 type Store struct {
 	d      int
 	schema relation.Schema
@@ -33,14 +29,30 @@ type Store struct {
 	groups int
 }
 
-// cuboid is one cuboid's sorted run plus its point index. Cuboids are
-// immutable and may be shared by several Store snapshots.
+// cuboid is one cuboid's sorted run. Cuboids are immutable and may be shared
+// by several Store snapshots.
 type cuboid struct {
 	mask   lattice.Mask
 	stride int              // values per row (the mask's popcount)
 	packed []relation.Value // len = stride * rows, sorted by ComparePacked
 	vals   []float64
-	point  map[string]int32 // encoded group key -> row
+}
+
+// newCuboid returns an empty run with room for rows groups.
+func newCuboid(mask lattice.Mask, rows int) *cuboid {
+	stride := mask.Level()
+	return &cuboid{
+		mask:   mask,
+		stride: stride,
+		packed: make([]relation.Value, 0, rows*stride),
+		vals:   make([]float64, 0, rows),
+	}
+}
+
+// push appends one group; callers add rows in ascending packed order.
+func (c *cuboid) push(packed []relation.Value, val float64) {
+	c.packed = append(c.packed, packed...)
+	c.vals = append(c.vals, val)
 }
 
 // rows returns the number of groups in the cuboid.
@@ -53,8 +65,7 @@ func (c *cuboid) row(i int) []relation.Value {
 
 // Build indexes a computed cube for serving. The relation supplies the
 // schema and dictionary used by the HTTP front end to translate between
-// strings and codes; the result supplies the groups. The result's key
-// strings are retained (aliased) by the point index.
+// strings and codes; the result supplies the groups.
 func Build(rel *relation.Relation, res *cube.Result) (*Store, error) {
 	st := &Store{
 		d:      res.D,
@@ -64,32 +75,24 @@ func Build(rel *relation.Relation, res *cube.Result) (*Store, error) {
 		groups: len(res.Groups),
 	}
 	type entry struct {
-		key    string
 		packed []relation.Value
+		val    float64
 	}
 	perMask := make(map[lattice.Mask][]entry)
-	for key := range res.Groups {
+	for key, val := range res.Groups {
 		mask, packed, err := relation.DecodeGroupKey(key)
 		if err != nil {
 			return nil, err
 		}
-		perMask[lattice.Mask(mask)] = append(perMask[lattice.Mask(mask)], entry{key, packed})
+		perMask[lattice.Mask(mask)] = append(perMask[lattice.Mask(mask)], entry{packed, val})
 	}
 	for mask, entries := range perMask {
 		sort.Slice(entries, func(i, j int) bool {
 			return relation.ComparePacked(entries[i].packed, entries[j].packed) < 0
 		})
-		c := &cuboid{
-			mask:   mask,
-			stride: mask.Level(),
-			packed: make([]relation.Value, 0, len(entries)*mask.Level()),
-			vals:   make([]float64, 0, len(entries)),
-			point:  make(map[string]int32, len(entries)),
-		}
-		for i, e := range entries {
-			c.packed = append(c.packed, e.packed...)
-			c.vals = append(c.vals, res.Groups[e.key])
-			c.point[e.key] = int32(i)
+		c := newCuboid(mask, len(entries))
+		for _, e := range entries {
+			c.push(e.packed, e.val)
 		}
 		st.byMask[mask] = c
 	}
@@ -164,25 +167,11 @@ func (s *Store) DimValues(col, max int) []string {
 	return out
 }
 
-// Point looks up one group through its cuboid's hash index.
+// Point looks up one group by binary search over its cuboid's sorted run. A
+// key of the wrong arity for the cuboid misses.
 func (s *Store) Point(mask lattice.Mask, packed []relation.Value) (float64, bool) {
 	c, ok := s.byMask[mask]
-	if !ok {
-		return 0, false
-	}
-	row, ok := c.point[relation.GroupKeyPacked(uint32(mask), packed)]
-	if !ok {
-		return 0, false
-	}
-	return c.vals[row], true
-}
-
-// PointQuery locates one point query's row in the sorted runs by binary
-// search (the non-batched fallback path; Execute and tests use it to
-// cross-check the hash index).
-func (s *Store) pointSearch(mask lattice.Mask, packed []relation.Value) (float64, bool) {
-	c, ok := s.byMask[mask]
-	if !ok {
+	if !ok || len(packed) != c.stride {
 		return 0, false
 	}
 	i := sort.Search(c.rows(), func(i int) bool {

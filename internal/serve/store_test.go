@@ -31,33 +31,69 @@ func buildStore(t *testing.T, n, d, card int) (*Store, *cube.Result, *relation.R
 	return st, cube.Brute(rel, agg.Count), rel
 }
 
+// TestStorePointMatchesBrute: the sorted run is the only index, so Point,
+// PointBatch and brute force must agree on every group of every cuboid — of
+// a built store and of a patched one — and on every kind of miss a binary
+// search can get wrong.
 func TestStorePointMatchesBrute(t *testing.T) {
 	st, brute, rel := buildStore(t, 500, 3, 4)
 	d := rel.D()
-	if st.Groups() != brute.Len() {
-		t.Fatalf("store has %d groups, brute %d", st.Groups(), brute.Len())
-	}
-	// Every brute group must be found with the right value, through both
-	// the hash index and the sorted-run binary search.
-	for key, want := range brute.Groups {
-		mask, packed, err := relation.DecodeGroupKey(key)
-		if err != nil {
+	full, one := lattice.Full(d), lattice.Mask(1)
+	checkStoreMatches(t, st, brute)
+
+	// Patch the first, a middle and the last row out of the full cuboid and
+	// every row out of cuboid 1: the keys that are gone are the misses below
+	// the first row, between two rows, above the last and in an absent cuboid.
+	rows := brute.Cuboid(full)
+	gone := append([]cube.Group{rows[0], rows[len(rows)/2], rows[len(rows)-1]}, brute.Cuboid(one)...)
+	p := NewPatch()
+	for _, g := range gone {
+		key := relation.GroupKeyPacked(uint32(g.Mask), g.Packed)
+		if err := p.Delete(key); err != nil {
 			t.Fatal(err)
 		}
-		if got, ok := st.Point(lattice.Mask(mask), packed); !ok || got != want {
-			t.Fatalf("Point(%b, %v) = %v,%v want %v", mask, packed, got, ok, want)
+		delete(brute.Groups, key)
+	}
+	patched, err := st.ApplyPatch(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkStoreMatches(t, patched, brute)
+
+	misses := []struct {
+		name   string
+		st     *Store
+		mask   lattice.Mask
+		packed []relation.Value
+	}{
+		{"below the first row", patched, full, rows[0].Packed},
+		{"between two rows", patched, full, rows[len(rows)/2].Packed},
+		{"above the last row", patched, full, rows[len(rows)-1].Packed},
+		{"below every value", st, full, []relation.Value{-1, -1, -1}},
+		{"above every value", st, full, []relation.Value{9999, 9999, 9999}},
+		{"last row, longer tail", st, full, []relation.Value{rows[len(rows)-1].Packed[0], rows[len(rows)-1].Packed[1], 9999}},
+		{"absent cuboid", patched, one, brute.Cuboid(full)[0].Packed[:1]},
+	}
+	for _, m := range misses {
+		if v, ok := m.st.Point(m.mask, m.packed); ok {
+			t.Fatalf("%s: Point(%b, %v) found %v", m.name, m.mask, m.packed, v)
 		}
-		if got, ok := st.pointSearch(lattice.Mask(mask), packed); !ok || got != want {
-			t.Fatalf("pointSearch(%b, %v) = %v,%v want %v", mask, packed, got, ok, want)
+		if r := m.st.PointBatch(m.mask, [][]relation.Value{m.packed})[0]; r.Found {
+			t.Fatalf("%s: PointBatch(%b, %v) found %v", m.name, m.mask, m.packed, r.Value)
+		}
+		if r, err := m.st.Execute(Query{Op: OpPoint, Mask: m.mask, Packed: m.packed}); err != nil || r.Found {
+			t.Fatalf("%s: Execute = %+v, %v", m.name, r, err)
 		}
 	}
-	// A value outside every column's domain misses.
-	miss := make([]relation.Value, d)
-	for i := range miss {
-		miss[i] = 9999
-	}
-	if _, ok := st.Point(lattice.Full(d), miss); ok {
-		t.Fatal("found a group that cannot exist")
+	// Right cuboid, wrong arity: validate rejects the query, and a direct
+	// Point misses instead of reading past the key.
+	for _, packed := range [][]relation.Value{rows[0].Packed[:2], append(rows[0].Packed[:3:3], 0)} {
+		if _, err := st.Execute(Query{Op: OpPoint, Mask: full, Packed: packed}); err == nil {
+			t.Fatalf("Execute accepted %d values for cuboid %b", len(packed), full)
+		}
+		if _, ok := st.Point(full, packed); ok {
+			t.Fatalf("Point(%b, %v) found a group", full, packed)
+		}
 	}
 }
 
