@@ -4,7 +4,7 @@ GO ?= go
 
 .PHONY: check fmt vet build test race retry-race fuzz-smoke chaos chaos-proc \
 	proc-smoke bench bench-json bench-hotpath bench-compare bench-harness \
-	serve-smoke cover-serve cover-delta delta-soak soak-scale lint
+	serve-smoke cover-serve cover-delta delta-soak soak-scale lint loc
 
 check: fmt vet race fuzz-smoke chaos proc-smoke chaos-proc serve-smoke \
 	cover-serve cover-delta delta-soak bench-harness
@@ -164,6 +164,16 @@ GOVULNCHECK_VERSION ?= v1.1.4
 lint:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
 	$(GO) run golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION) ./...
+
+# The one way to count code: non-blank, non-comment Go lines outside
+# _test.go and benchmark/, per package and in total — the number a
+# simplicity change quotes before and after.
+loc:
+	@count() { xargs -0 cat | grep -v '^[[:space:]]*$$' | grep -cv '^[[:space:]]*//'; }; \
+	for dir in $$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -exec dirname {} + | sort -u); do \
+		printf '%6d  %s\n' "$$(find "$$dir" -maxdepth 1 -name '*.go' -not -name '*_test.go' -print0 | count)" "$$dir"; \
+	done; \
+	printf '%6d  total\n' "$$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -print0 | count)"
 
 # Old-vs-new comparison of the engine's hot path and of the serving index.
 # Checks out BASE (default: the previous commit) into a temporary git

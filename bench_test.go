@@ -126,8 +126,8 @@ func benchAlgo(b *testing.B, fn cube.ComputeFunc, rel *relation.Relation) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		shuffle = run.Metrics.ShuffleBytes()
-		sim = run.Metrics.SimSeconds()
+		tot := run.Metrics.Totals()
+		shuffle, sim = tot.ShuffleBytes, tot.SimSeconds
 	}
 	b.ReportMetric(float64(shuffle), "shuffleB")
 	b.ReportMetric(sim, "sim-s")

@@ -31,6 +31,10 @@ import (
 	"github.com/spcube/spcube/internal/relation"
 )
 
+// memInflation is the deserialized-object amplification applied to reducer
+// input when checking heap pressure.
+const memInflation = 2
+
 // Options tune the model.
 type Options struct {
 	// HashEntries is the capacity of the map-side aggregation hash table
@@ -38,9 +42,6 @@ type Options struct {
 	// MemTuples/32, reflecting hive.map.aggr.hash.percentmemory and Java
 	// per-entry overhead.
 	HashEntries int
-	// MemInflation is the deserialized-object amplification applied to
-	// reducer input when checking heap pressure. Default 2.
-	MemInflation float64
 	// DisableOOM makes reducer overload degrade into spill time instead of
 	// failing, for experiments that need Hive to limp through.
 	DisableOOM bool
@@ -63,9 +64,6 @@ func ComputeOpts(eng *mr.Engine, rel *relation.Relation, spec cube.Spec, opts Op
 	d := rel.D()
 	f, minSup := spec.Effective()
 	full := lattice.Full(d)
-	if opts.MemInflation <= 0 {
-		opts.MemInflation = 2
-	}
 	capacity := opts.HashEntries
 	if capacity <= 0 {
 		// The hash competes with the 2^d grouping-set expansion buffers
@@ -153,7 +151,7 @@ func ComputeOpts(eng *mr.Engine, rel *relation.Relation, spec cube.Spec, opts Op
 		MapCPUFactor:     2.0,
 		ReduceCPUFactor:  0.55,
 		FailOnReducerOOM: !opts.DisableOOM,
-		MemInflation:     opts.MemInflation,
+		MemInflation:     memInflation,
 		OutputPrefix:     "out/hive-cube/",
 	}
 

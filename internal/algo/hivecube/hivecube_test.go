@@ -80,11 +80,11 @@ func TestDisableMapAggregationModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if runRaw.Metrics.ShuffleRecords() != int64(rel.N())*8 {
-		t.Errorf("raw shuffle = %d records, want n*2^d = %d", runRaw.Metrics.ShuffleRecords(), rel.N()*8)
+	if runRaw.Metrics.Totals().ShuffleRecords != int64(rel.N())*8 {
+		t.Errorf("raw shuffle = %d records, want n*2^d = %d", runRaw.Metrics.Totals().ShuffleRecords, rel.N()*8)
 	}
-	if runRaw.Metrics.ShuffleRecords() <= runHash.Metrics.ShuffleRecords() {
+	if runRaw.Metrics.Totals().ShuffleRecords <= runHash.Metrics.Totals().ShuffleRecords {
 		t.Errorf("disabling map aggregation should increase shuffle: %d vs %d",
-			runRaw.Metrics.ShuffleRecords(), runHash.Metrics.ShuffleRecords())
+			runRaw.Metrics.Totals().ShuffleRecords, runHash.Metrics.Totals().ShuffleRecords)
 	}
 }

@@ -35,25 +35,19 @@ import (
 	"github.com/spcube/spcube/internal/sketch"
 )
 
+const (
+	// friendlyFraction is the fraction of reducer memory a single group
+	// may occupy before its cuboid is declared reducer-unfriendly
+	// (MR-Cube uses 0.75).
+	friendlyFraction = 0.75
+	// maxRepartitionRounds bounds the re-partition recursion.
+	maxRepartitionRounds = 6
+)
+
 // Options tune the baseline.
 type Options struct {
 	// Seed drives the sampling round.
 	Seed int64
-	// FriendlyFraction is the fraction of reducer memory a single group
-	// may occupy before its cuboid is declared reducer-unfriendly
-	// (MR-Cube uses 0.75).
-	FriendlyFraction float64
-	// MaxRepartitionRounds bounds the re-partition recursion.
-	MaxRepartitionRounds int
-}
-
-func (o *Options) defaults() {
-	if o.FriendlyFraction <= 0 {
-		o.FriendlyFraction = 0.75
-	}
-	if o.MaxRepartitionRounds <= 0 {
-		o.MaxRepartitionRounds = 6
-	}
 }
 
 // Compute runs MR-Cube with default options.
@@ -63,7 +57,6 @@ func Compute(eng *mr.Engine, rel *relation.Relation, spec cube.Spec) (*cube.Run,
 
 // ComputeOpts runs MR-Cube with explicit options.
 func ComputeOpts(eng *mr.Engine, rel *relation.Relation, spec cube.Spec, opts Options) (*cube.Run, error) {
-	opts.defaults()
 	d := rel.D()
 	n := rel.N()
 	k := eng.Cfg.Workers
@@ -83,7 +76,7 @@ func ComputeOpts(eng *mr.Engine, rel *relation.Relation, spec cube.Spec, opts Op
 	run.Metrics.Add(sampleMetrics)
 
 	// Partition plan: per-cuboid chunk factor (1 = friendly).
-	capacity := opts.FriendlyFraction * float64(m)
+	capacity := friendlyFraction * float64(m)
 	factors := make([]int, 1<<uint(d))
 	for mask := range factors {
 		est := maxPerCuboid[mask] / alpha
@@ -103,7 +96,7 @@ func ComputeOpts(eng *mr.Engine, rel *relation.Relation, spec cube.Spec, opts Op
 		}
 		run.Metrics.Add(res.Metrics)
 		partials = append(partials, res.Output...)
-		if len(oversized) == 0 || round >= opts.MaxRepartitionRounds {
+		if len(oversized) == 0 || round >= maxRepartitionRounds {
 			break
 		}
 		// Abort the oversized cuboids' results and recompute them with

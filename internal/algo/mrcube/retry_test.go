@@ -33,7 +33,7 @@ func TestIdenticalUnderRetry(t *testing.T) {
 	}
 	cleanRes, cleanRun := run("")
 	faultRes, faultRun := run("*:map:*:mid-emit@3,*:reduce:*:crash")
-	if faultRun.Metrics.Retries() == 0 {
+	if faultRun.Metrics.Totals().Retries == 0 {
 		t.Fatal("fault plan did not fire")
 	}
 	if ok, diff := cleanRes.Equal(faultRes); !ok {

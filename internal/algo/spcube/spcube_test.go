@@ -96,7 +96,7 @@ func TestDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		checks[i] = eng.FS.TotalChecksum(run.OutputPrefix)
-		shuffles[i] = run.Metrics.ShuffleBytes()
+		shuffles[i] = run.Metrics.Totals().ShuffleBytes
 	}
 	if checks[0] != checks[1] {
 		t.Errorf("non-deterministic output: %x vs %x", checks[0], checks[1])

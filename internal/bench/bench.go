@@ -137,11 +137,12 @@ func runOne(cfg Config, a algo, rel *relation.Relation) measures {
 		return ms
 	}
 	cfg.collect(a.name, rel, &run.Metrics, err)
-	ms.totalSim = run.Metrics.SimSeconds()
-	ms.mapAvg = run.Metrics.MapTimeAvg()
-	ms.reduceAvg = run.Metrics.ReduceTimeAvg()
-	ms.shuffleBytes = run.Metrics.ShuffleBytes()
-	ms.shuffleRecs = run.Metrics.ShuffleRecords()
+	tot := run.Metrics.Totals()
+	ms.totalSim = tot.SimSeconds
+	ms.mapAvg = tot.MapTimeAvg
+	ms.reduceAvg = tot.ReduceTimeAvg
+	ms.shuffleBytes = tot.ShuffleBytes
+	ms.shuffleRecs = tot.ShuffleRecords
 	ms.sketchBytes = run.SketchBytes
 	ms.rounds = len(run.Metrics.Rounds)
 	if n := ms.rounds; n > 0 {

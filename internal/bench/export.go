@@ -50,12 +50,11 @@ type Environment struct {
 // figures exactly as rendered plus the raw per-run metrics they were
 // derived from. Its schema version is shared with the engine-level metrics
 // document (mr.MetricsSchemaVersion), whose determinism contract applies:
-// everything except the environment block and the wall-clock fields
-// ("wallSeconds", "retryWallSeconds", "speculativeWallSeconds") is
-// bit-for-bit identical at any parallelism, and only the recovery fields
-// ("retries", "wastedBytes", "attempts", "reexecutions"/"mapReexecutions",
-// "fetchFailures", "speculativeLaunched"/"Won"/"Killed") additionally
-// differ between faulted and fault-free runs.
+// everything except the environment block and the fields mr.VolatileKeys
+// names is bit-for-bit identical at any parallelism, and only the recovery
+// fields ("retries", "wastedBytes", "attempts", "reexecutions"/
+// "mapReexecutions", "fetchFailures", "speculativeLaunched"/"Won"/"Killed")
+// additionally differ between faulted and fault-free runs.
 type MetricsDoc struct {
 	SchemaVersion int    `json:"schemaVersion"`
 	Tool          string `json:"tool"`
@@ -264,27 +263,15 @@ func describeJSONError(data []byte, err error) error {
 	return fmt.Errorf("line %d, column %d: %s", line, col, detail)
 }
 
-// VolatileMetricsKeys are the document fields excluded from the determinism
-// contract: wall-clock measurements and environment provenance. Stripping
-// them (StripVolatile) makes documents from different parallelism levels
-// byte-comparable.
-var VolatileMetricsKeys = []string{
-	"wallSeconds", "retryWallSeconds", "speculativeWallSeconds",
-	"time", "generatedAt", "goVersion", "parallelism",
-	"spillWriteStallNs", "prefetchHits", "prefetchMisses",
-}
-
-// StripVolatile removes the volatile keys (VolatileMetricsKeys plus any
+// StripVolatile removes the keys outside the determinism contract —
+// mr.VolatileKeys, this document's own environment provenance, plus any
 // extras, e.g. "retries"/"wastedBytes"/"attempts" when comparing a faulted
-// run against a fault-free one) from a JSON document at every nesting level
+// run against a fault-free one — from a JSON document at every nesting level
 // and re-marshals it canonically (sorted keys, no indentation), so two
 // deterministically-equal documents compare byte-equal.
 func StripVolatile(data []byte, extra ...string) ([]byte, error) {
-	drop := make(map[string]bool, len(VolatileMetricsKeys)+len(extra))
-	for _, k := range VolatileMetricsKeys {
-		drop[k] = true
-	}
-	for _, k := range extra {
+	drop := map[string]bool{"time": true, "generatedAt": true, "goVersion": true, "parallelism": true}
+	for _, k := range append(extra, mr.VolatileKeys...) {
 		drop[k] = true
 	}
 	var doc any

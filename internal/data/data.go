@@ -14,9 +14,54 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 
 	"github.com/spcube/spcube/internal/relation"
 )
+
+// source is one dataset, written once: its schema, its size and its draw
+// sequence. The materialising generators and Stream both drain it, so tuple
+// i of the relation and row i of the stream are the same draws.
+type source struct {
+	dims    []string // dimension names
+	measure string
+	n       int
+	// next fills row with the next tuple's dimension values, drawing from
+	// the dataset's rand.Rand in a fixed order, and returns its measure.
+	next func(row []relation.Value) int64
+	// label, when set, maps dimension j's value to the string the dataset
+	// really holds (Retail's names); nil means the dimensions are numeric.
+	label func(j int, v relation.Value) string
+}
+
+// str renders one dimension value the way writeCSV renders the relation's.
+func (s *source) str(j int, v relation.Value) string {
+	if s.label != nil {
+		return s.label(j, v)
+	}
+	return strconv.FormatInt(int64(v), 10)
+}
+
+// relation materialises the source; a labelled one is dictionary-encoded.
+func (s *source) relation() *relation.Relation {
+	rel := &relation.Relation{Schema: relation.Schema{DimNames: s.dims, MeasureName: s.measure}}
+	if s.label != nil {
+		rel = relation.New(s.dims, s.measure)
+	}
+	row, strs := make([]relation.Value, len(s.dims)), make([]string, len(s.dims))
+	for i := 0; i < s.n; i++ {
+		m := s.next(row)
+		if s.label == nil {
+			rel.Append(row, m)
+			continue
+		}
+		for j, v := range row {
+			strs[j] = s.label(j, v)
+		}
+		rel.AppendStrings(strs, m)
+	}
+	return rel
+}
 
 // GenBinomial builds the paper's gen-binomial dataset: with probability p a
 // tuple is one of 20 hot patterns (the value i repeated in all attributes),
@@ -31,11 +76,13 @@ import (
 // the heaviest patterns exceed m for every tested p while keeping "a
 // fraction p of the tuples contribute to skews in each cuboid".
 func GenBinomial(n, d int, p float64, seed int64) *relation.Relation {
+	return binomial(n, d, p, seed).relation()
+}
+
+func binomial(n, d int, p float64, seed int64) *source {
 	rng := rand.New(rand.NewSource(seed))
-	rel := newRel(d, "count")
 	weights := zipfWeights(20, 2.0)
-	dims := make([]relation.Value, d)
-	for i := 0; i < n; i++ {
+	return &source{dims: numNames(d), measure: "count", n: n, next: func(dims []relation.Value) int64 {
 		if rng.Float64() < p {
 			v := relation.Value(1 + sampleWeighted(rng, weights))
 			for j := range dims {
@@ -46,44 +93,43 @@ func GenBinomial(n, d int, p float64, seed int64) *relation.Relation {
 				dims[j] = rng.Int31()
 			}
 		}
-		rel.Append(dims, 1)
-	}
-	return rel
+		return 1
+	}}
 }
 
 // GenZipf builds the paper's gen-zipf dataset: four attributes, two drawn
 // from a Zipf distribution with 1000 elements and exponent 1.1, two drawn
 // uniformly from 1000 elements.
-func GenZipf(n int, seed int64) *relation.Relation {
+func GenZipf(n int, seed int64) *relation.Relation { return zipf(n, seed).relation() }
+
+func zipf(n int, seed int64) *source {
 	rng := rand.New(rand.NewSource(seed))
 	z1 := rand.NewZipf(rng, 1.1, 1, 999)
 	z2 := rand.NewZipf(rng, 1.1, 1, 999)
-	rel := newRel(4, "count")
-	dims := make([]relation.Value, 4)
-	for i := 0; i < n; i++ {
+	return &source{dims: numNames(4), measure: "count", n: n, next: func(dims []relation.Value) int64 {
 		dims[0] = relation.Value(z1.Uint64())
 		dims[1] = relation.Value(z2.Uint64())
 		dims[2] = relation.Value(rng.Intn(1000))
 		dims[3] = relation.Value(rng.Intn(1000))
-		rel.Append(dims, 1)
-	}
-	return rel
+		return 1
+	}}
 }
 
 // Uniform builds a relation with d independent uniform attributes of the
 // given cardinality. With a very large cardinality it approximates the
 // "skewness-monotonic" case of Proposition 5.5 (no skews below the apex).
 func Uniform(n, d, card int, seed int64) *relation.Relation {
+	return uniform(n, d, card, seed).relation()
+}
+
+func uniform(n, d, card int, seed int64) *source {
 	rng := rand.New(rand.NewSource(seed))
-	rel := newRel(d, "count")
-	dims := make([]relation.Value, d)
-	for i := 0; i < n; i++ {
+	return &source{dims: numNames(d), measure: "count", n: n, next: func(dims []relation.Value) int64 {
 		for j := range dims {
 			dims[j] = relation.Value(rng.Intn(card))
 		}
-		rel.Append(dims, 1)
-	}
-	return rel
+		return 1
+	}}
 }
 
 // wikiTemplate is one hot (project, page) pair with its traffic share.
@@ -113,21 +159,19 @@ var wikiTemplates = []wikiTemplate{
 // k=20, over a long uniform tail whose pages are near-distinct, so the
 // total c-group count is a large fraction of n (the paper reports ~180M
 // c-groups for 300M rows, ~50 of them skewed).
-func WikiTraffic(n int, seed int64) *relation.Relation {
+func WikiTraffic(n int, seed int64) *relation.Relation { return wiki(n, seed).relation() }
+
+func wiki(n int, seed int64) *source {
 	rng := rand.New(rand.NewSource(seed))
-	rel := &relation.Relation{Schema: relation.Schema{
-		DimNames:    []string{"project", "page", "day", "agent"},
-		MeasureName: "views",
-	}}
 	projZipf := rand.NewZipf(rng, 1.2, 1, 299)
-	dims := make([]relation.Value, 4)
 	var cum []float64
 	total := 0.0
 	for _, t := range wikiTemplates {
 		total += t.share
 		cum = append(cum, total)
 	}
-	for i := 0; i < n; i++ {
+	names := []string{"project", "page", "day", "agent"}
+	return &source{dims: names, measure: "views", n: n, next: func(dims []relation.Value) int64 {
 		u := rng.Float64()
 		hot := -1
 		for j, c := range cum {
@@ -145,9 +189,8 @@ func WikiTraffic(n int, seed int64) *relation.Relation {
 		}
 		dims[2] = relation.Value(rng.Intn(90))
 		dims[3] = relation.Value(rng.Intn(3))
-		rel.Append(dims, int64(1+rng.Intn(50)))
-	}
-	return rel
+		return int64(1 + rng.Intn(50))
+	}}
 }
 
 // USAGov synthesizes the USAGOV click-log fingerprint: 15 dimensions of
@@ -155,23 +198,22 @@ func WikiTraffic(n int, seed int64) *relation.Relation {
 // groups of 6-25% of n and ~20M c-groups for 30M rows. The first four
 // dimensions (country, browser, os, domain) are the default cube dimensions
 // and carry the skew; the remaining 11 give the relation its width.
-func USAGov(n int, seed int64) *relation.Relation {
+func USAGov(n int, seed int64) *relation.Relation { return usagov(n, seed).relation() }
+
+func usagov(n int, seed int64) *source {
 	rng := rand.New(rand.NewSource(seed))
 	names := []string{
 		"country", "browser", "os", "domain",
 		"city", "timezone", "language", "agency", "referrer",
 		"hour", "weekday", "https", "shorturl", "campaign", "device",
 	}
-	rel := &relation.Relation{Schema: relation.Schema{DimNames: names, MeasureName: "clicks"}}
-
 	country := weightedDim{vals: []relation.Value{1, 2, 3, 4, 5}, weights: []float64{0.24, 0.10, 0.08, 0.05, 0.03}, tailCard: 200, tailBase: 10}
 	browser := weightedDim{vals: []relation.Value{1, 2, 3, 4}, weights: []float64{0.22, 0.17, 0.12, 0.07}, tailCard: 60, tailBase: 10}
 	osd := weightedDim{vals: []relation.Value{1, 2, 3}, weights: []float64{0.23, 0.15, 0.10}, tailCard: 30, tailBase: 10}
 	domain := weightedDim{vals: []relation.Value{1, 2, 3}, weights: []float64{0.12, 0.08, 0.06}, tailCard: max(n/4, 1000), tailBase: 100}
 
-	dims := make([]relation.Value, 15)
 	cityZipf := rand.NewZipf(rng, 1.3, 1, 9999)
-	for i := 0; i < n; i++ {
+	return &source{dims: names, measure: "clicks", n: n, next: func(dims []relation.Value) int64 {
 		dims[0] = country.draw(rng)
 		dims[1] = browser.draw(rng)
 		dims[2] = osd.draw(rng)
@@ -187,9 +229,8 @@ func USAGov(n int, seed int64) *relation.Relation {
 		dims[12] = relation.Value(rng.Int31n(int32(max(n/6, 1000))))
 		dims[13] = relation.Value(rng.Intn(500))
 		dims[14] = relation.Value(rng.Intn(4))
-		rel.Append(dims, 1)
-	}
-	return rel
+		return 1
+	}}
 }
 
 // USAGovCubeDims is the default 4-dimension projection the paper cubes over.
@@ -226,7 +267,7 @@ func Adversarial(d, m int) *relation.Relation {
 	if d%2 != 0 {
 		panic("data: Adversarial requires even d")
 	}
-	rel := newRel(d, "count")
+	rel := &relation.Relation{Schema: relation.Schema{DimNames: numNames(d), MeasureName: "count"}}
 	half := d / 2
 	w := m + 1
 	dims := make([]relation.Value, d)
@@ -251,7 +292,9 @@ func Adversarial(d, m int) *relation.Relation {
 // Retail builds the running example of the paper's introduction: products
 // sold in cities over years, with realistic hot products and a sales
 // measure. Used by the examples and documentation.
-func Retail(n int, seed int64) *relation.Relation {
+func Retail(n int, seed int64) *relation.Relation { return retail(n, seed).relation() }
+
+func retail(n int, seed int64) *source {
 	rng := rand.New(rand.NewSource(seed))
 	products := []string{
 		"laptop", "keyboard", "printer", "television", "mouse", "monitor",
@@ -261,42 +304,64 @@ func Retail(n int, seed int64) *relation.Relation {
 		"Rome", "Paris", "London", "Berlin", "Madrid", "Amsterdam",
 		"Vienna", "Prague", "Lisbon", "Athens",
 	}
-	rel := relation.New([]string{"name", "city", "year"}, "sales")
 	prodZipf := rand.NewZipf(rng, 1.3, 1, uint64(len(products)-1))
-	for i := 0; i < n; i++ {
-		product := products[prodZipf.Uint64()]
-		city := cities[rng.Intn(len(cities))]
-		year := fmt.Sprintf("%d", 2008+rng.Intn(8))
-		rel.AppendStrings([]string{product, city, year}, int64(1+rng.Intn(5000)))
-	}
-	return rel
+	return &source{dims: []string{"name", "city", "year"}, measure: "sales", n: n,
+		next: func(dims []relation.Value) int64 {
+			dims[0] = relation.Value(prodZipf.Uint64())
+			dims[1] = relation.Value(rng.Intn(len(cities)))
+			dims[2] = relation.Value(2008 + rng.Intn(8))
+			return int64(1 + rng.Intn(5000))
+		},
+		label: func(j int, v relation.Value) string {
+			switch j {
+			case 0:
+				return products[v]
+			case 1:
+				return cities[v]
+			}
+			return strconv.Itoa(int(v))
+		}}
 }
 
-// ByName returns a generator by its experiment name.
-func ByName(name string) (func(n int, seed int64) *relation.Relation, error) {
+// sourceByName resolves a dataset name with cmd/gendata's parameter
+// conventions (p and d apply to binomial, d to uniform).
+func sourceByName(name string, n, d int, p float64, seed int64) (*source, error) {
 	switch name {
 	case "binomial":
-		return func(n int, seed int64) *relation.Relation { return GenBinomial(n, 4, 0.1, seed) }, nil
+		return binomial(n, d, p, seed), nil
 	case "zipf":
-		return GenZipf, nil
+		return zipf(n, seed), nil
 	case "wiki":
-		return WikiTraffic, nil
+		return wiki(n, seed), nil
 	case "usagov":
-		return USAGov, nil
+		return usagov(n, seed), nil
 	case "uniform":
-		return func(n int, seed int64) *relation.Relation { return Uniform(n, 4, 1<<30, seed) }, nil
+		return uniform(n, d, 1<<30, seed), nil
 	case "retail":
-		return Retail, nil
+		return retail(n, seed), nil
 	}
 	return nil, fmt.Errorf("data: unknown dataset %q (want binomial, zipf, wiki, usagov, uniform, retail)", name)
 }
 
-func newRel(d int, measure string) *relation.Relation {
+// ByName returns a generator by its experiment name (binomial and uniform at
+// d = 4, binomial at p = 0.1).
+func ByName(name string) (func(n int, seed int64) *relation.Relation, error) {
+	if _, err := sourceByName(name, 0, 4, 0.1, 0); err != nil {
+		return nil, err
+	}
+	return func(n int, seed int64) *relation.Relation {
+		src, _ := sourceByName(name, n, 4, 0.1, seed)
+		return src.relation()
+	}, nil
+}
+
+// numNames names d numeric dimensions a1..aD.
+func numNames(d int) []string {
 	names := make([]string, d)
 	for i := range names {
-		names[i] = fmt.Sprintf("a%d", i+1)
+		names[i] = "a" + strconv.Itoa(i+1)
 	}
-	return &relation.Relation{Schema: relation.Schema{DimNames: names, MeasureName: measure}}
+	return names
 }
 
 // zipfWeights returns normalized weights w_i ∝ 1/i^s for i in 1..n.

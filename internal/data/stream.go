@@ -1,7 +1,6 @@
 package data
 
 import (
-	"math/rand"
 	"strconv"
 
 	"github.com/spcube/spcube/internal/relation"
@@ -9,203 +8,42 @@ import (
 
 // This file is the streaming face of the generators: every dataset can be
 // produced one row at a time, in O(1) memory, without materializing a
-// relation — cmd/gendata pipes rows straight to CSV. Each streamer draws
-// from its rand.Rand in exactly the order of the materializing generator
-// with the same parameters, so the streamed rows are byte-for-byte the rows
-// GenBinomial/Uniform/GenZipf/WikiTraffic/USAGov/Retail would have written
-// (TestStreamMatchesMaterialized pins this).
+// relation — cmd/gendata pipes rows straight to CSV. A Stream drains the
+// same source the materializing generator does, so the streamed rows are
+// byte-for-byte the rows GenBinomial/Uniform/GenZipf/WikiTraffic/USAGov/
+// Retail would have written (TestStreamMatchesMaterialized pins this).
 
 // Stream yields one dataset's rows one at a time.
 type Stream struct {
 	// Header is the CSV header: the dimension names then the measure name.
 	Header []string
-	n, i   int
-	next   func(row []string)
+	src    *source
+	i      int
+	dims   []relation.Value
 }
 
 // Next fills row (len(Header): dimension strings then the measure) with
 // the next data row, returning false once all rows have been produced.
 func (s *Stream) Next(row []string) bool {
-	if s.i >= s.n {
+	if s.i >= s.src.n {
 		return false
 	}
 	s.i++
-	s.next(row)
+	measure := s.src.next(s.dims)
+	for j, v := range s.dims {
+		row[j] = s.src.str(j, v)
+	}
+	row[len(s.dims)] = strconv.FormatInt(measure, 10)
 	return true
-}
-
-// numRow renders numeric dims and the measure the way writeCSV renders a
-// dictionary-less relation (DimString falls back to the decimal form).
-func numRow(row []string, dims []relation.Value, measure int64) {
-	for i, v := range dims {
-		row[i] = strconv.FormatInt(int64(v), 10)
-	}
-	row[len(dims)] = strconv.FormatInt(measure, 10)
-}
-
-// numHeader mirrors newRel's schema: dimensions named a1..aD.
-func numHeader(d int, measure string) []string {
-	h := make([]string, d+1)
-	for i := 0; i < d; i++ {
-		h[i] = "a" + strconv.Itoa(i+1)
-	}
-	h[d] = measure
-	return h
-}
-
-// StreamBinomial streams GenBinomial's rows.
-func StreamBinomial(n, d int, p float64, seed int64) *Stream {
-	rng := rand.New(rand.NewSource(seed))
-	weights := zipfWeights(20, 2.0)
-	dims := make([]relation.Value, d)
-	return &Stream{Header: numHeader(d, "count"), n: n, next: func(row []string) {
-		if rng.Float64() < p {
-			v := relation.Value(1 + sampleWeighted(rng, weights))
-			for j := range dims {
-				dims[j] = v
-			}
-		} else {
-			for j := range dims {
-				dims[j] = rng.Int31()
-			}
-		}
-		numRow(row, dims, 1)
-	}}
-}
-
-// StreamUniform streams Uniform's rows.
-func StreamUniform(n, d, card int, seed int64) *Stream {
-	rng := rand.New(rand.NewSource(seed))
-	dims := make([]relation.Value, d)
-	return &Stream{Header: numHeader(d, "count"), n: n, next: func(row []string) {
-		for j := range dims {
-			dims[j] = relation.Value(rng.Intn(card))
-		}
-		numRow(row, dims, 1)
-	}}
-}
-
-// StreamZipf streams GenZipf's rows.
-func StreamZipf(n int, seed int64) *Stream {
-	rng := rand.New(rand.NewSource(seed))
-	z1 := rand.NewZipf(rng, 1.1, 1, 999)
-	z2 := rand.NewZipf(rng, 1.1, 1, 999)
-	dims := make([]relation.Value, 4)
-	return &Stream{Header: numHeader(4, "count"), n: n, next: func(row []string) {
-		dims[0] = relation.Value(z1.Uint64())
-		dims[1] = relation.Value(z2.Uint64())
-		dims[2] = relation.Value(rng.Intn(1000))
-		dims[3] = relation.Value(rng.Intn(1000))
-		numRow(row, dims, 1)
-	}}
-}
-
-// StreamWiki streams WikiTraffic's rows.
-func StreamWiki(n int, seed int64) *Stream {
-	rng := rand.New(rand.NewSource(seed))
-	projZipf := rand.NewZipf(rng, 1.2, 1, 299)
-	dims := make([]relation.Value, 4)
-	var cum []float64
-	total := 0.0
-	for _, t := range wikiTemplates {
-		total += t.share
-		cum = append(cum, total)
-	}
-	return &Stream{Header: []string{"project", "page", "day", "agent", "views"}, n: n, next: func(row []string) {
-		u := rng.Float64()
-		hot := -1
-		for j, c := range cum {
-			if u < c {
-				hot = j
-				break
-			}
-		}
-		if hot >= 0 {
-			dims[0] = wikiTemplates[hot].project
-			dims[1] = wikiTemplates[hot].page
-		} else {
-			dims[0] = relation.Value(10 + projZipf.Uint64())
-			dims[1] = relation.Value(1000 + rng.Int31n(int32(max(n/2, 1000))))
-		}
-		dims[2] = relation.Value(rng.Intn(90))
-		dims[3] = relation.Value(rng.Intn(3))
-		numRow(row, dims, int64(1+rng.Intn(50)))
-	}}
-}
-
-// StreamUSAGov streams USAGov's rows.
-func StreamUSAGov(n int, seed int64) *Stream {
-	rng := rand.New(rand.NewSource(seed))
-	names := []string{
-		"country", "browser", "os", "domain",
-		"city", "timezone", "language", "agency", "referrer",
-		"hour", "weekday", "https", "shorturl", "campaign", "device",
-		"clicks",
-	}
-	country := weightedDim{vals: []relation.Value{1, 2, 3, 4, 5}, weights: []float64{0.24, 0.10, 0.08, 0.05, 0.03}, tailCard: 200, tailBase: 10}
-	browser := weightedDim{vals: []relation.Value{1, 2, 3, 4}, weights: []float64{0.22, 0.17, 0.12, 0.07}, tailCard: 60, tailBase: 10}
-	osd := weightedDim{vals: []relation.Value{1, 2, 3}, weights: []float64{0.23, 0.15, 0.10}, tailCard: 30, tailBase: 10}
-	domain := weightedDim{vals: []relation.Value{1, 2, 3}, weights: []float64{0.12, 0.08, 0.06}, tailCard: max(n/4, 1000), tailBase: 100}
-	dims := make([]relation.Value, 15)
-	cityZipf := rand.NewZipf(rng, 1.3, 1, 9999)
-	return &Stream{Header: names, n: n, next: func(row []string) {
-		dims[0] = country.draw(rng)
-		dims[1] = browser.draw(rng)
-		dims[2] = osd.draw(rng)
-		dims[3] = domain.draw(rng)
-		dims[4] = relation.Value(cityZipf.Uint64())
-		dims[5] = relation.Value(rng.Intn(24))
-		dims[6] = relation.Value(rng.Intn(40))
-		dims[7] = relation.Value(rng.Intn(120))
-		dims[8] = relation.Value(rng.Int31n(int32(max(n/8, 1000))))
-		dims[9] = relation.Value(rng.Intn(24))
-		dims[10] = relation.Value(rng.Intn(7))
-		dims[11] = relation.Value(rng.Intn(2))
-		dims[12] = relation.Value(rng.Int31n(int32(max(n/6, 1000))))
-		dims[13] = relation.Value(rng.Intn(500))
-		dims[14] = relation.Value(rng.Intn(4))
-		numRow(row, dims, 1)
-	}}
-}
-
-// StreamRetail streams Retail's rows (real string dimensions).
-func StreamRetail(n int, seed int64) *Stream {
-	rng := rand.New(rand.NewSource(seed))
-	products := []string{
-		"laptop", "keyboard", "printer", "television", "mouse", "monitor",
-		"tablet", "phone", "camera", "speaker", "toaster", "air-conditioner",
-	}
-	cities := []string{
-		"Rome", "Paris", "London", "Berlin", "Madrid", "Amsterdam",
-		"Vienna", "Prague", "Lisbon", "Athens",
-	}
-	prodZipf := rand.NewZipf(rng, 1.3, 1, uint64(len(products)-1))
-	return &Stream{Header: []string{"name", "city", "year", "sales"}, n: n, next: func(row []string) {
-		row[0] = products[prodZipf.Uint64()]
-		row[1] = cities[rng.Intn(len(cities))]
-		row[2] = strconv.Itoa(2008 + rng.Intn(8))
-		row[3] = strconv.FormatInt(int64(1+rng.Intn(5000)), 10)
-	}}
 }
 
 // StreamByName resolves a dataset name to its streamer with cmd/gendata's
 // parameter conventions (p and d apply to binomial, d to uniform).
 func StreamByName(name string, n, d int, p float64, seed int64) (*Stream, error) {
-	switch name {
-	case "binomial":
-		return StreamBinomial(n, d, p, seed), nil
-	case "uniform":
-		return StreamUniform(n, d, 1<<30, seed), nil
-	case "zipf":
-		return StreamZipf(n, seed), nil
-	case "wiki":
-		return StreamWiki(n, seed), nil
-	case "usagov":
-		return StreamUSAGov(n, seed), nil
-	case "retail":
-		return StreamRetail(n, seed), nil
+	src, err := sourceByName(name, n, d, p, seed)
+	if err != nil {
+		return nil, err
 	}
-	// ByName produces the canonical unknown-dataset error.
-	_, err := ByName(name)
-	return nil, err
+	header := append(append([]string(nil), src.dims...), src.measure)
+	return &Stream{Header: header, src: src, dims: make([]relation.Value, len(src.dims))}, nil
 }

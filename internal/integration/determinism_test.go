@@ -15,34 +15,6 @@ import (
 	"github.com/spcube/spcube/internal/relation"
 )
 
-// zeroWall strips the real wall-clock fields — the only quantities the
-// determinism guarantee excludes — so the rest of the metrics can be
-// compared with DeepEqual. SpillWriteStallNs and the prefetch hit/miss
-// counters are wall-clock in disguise (they measure races between real
-// goroutines) and are stripped with it.
-func zeroWall(m mr.JobMetrics) mr.JobMetrics {
-	out := mr.JobMetrics{Rounds: append([]mr.RoundMetrics(nil), m.Rounds...)}
-	for i := range out.Rounds {
-		r := &out.Rounds[i]
-		r.WallSeconds = 0
-		r.SpillWriteStallNs, r.PrefetchHits, r.PrefetchMisses = 0, 0, 0
-		// Execution-backend health counters: volatile under the proc
-		// backend (real crash recovery does not replay identically).
-		r.HeartbeatMisses, r.WorkerRestarts, r.RPCRetries = 0, 0, 0
-		r.Mappers = append([]mr.TaskMetrics(nil), r.Mappers...)
-		r.Reducers = append([]mr.TaskMetrics(nil), r.Reducers...)
-		for j := range r.Mappers {
-			r.Mappers[j].WallSeconds = 0
-			r.Mappers[j].SpillWriteStallNs, r.Mappers[j].PrefetchHits, r.Mappers[j].PrefetchMisses = 0, 0, 0
-		}
-		for j := range r.Reducers {
-			r.Reducers[j].WallSeconds = 0
-			r.Reducers[j].SpillWriteStallNs, r.Reducers[j].PrefetchHits, r.Reducers[j].PrefetchMisses = 0, 0, 0
-		}
-	}
-	return out
-}
-
 type detRun struct {
 	res      *cube.Result
 	metrics  mr.JobMetrics
@@ -92,30 +64,11 @@ func runDeterminismSpill(t *testing.T, fn cube.ComputeFunc, rel *relation.Relati
 	}
 	return detRun{
 		res:      res,
-		metrics:  zeroRetryWall(zeroWall(run.Metrics)),
-		sim:      run.Metrics.SimSeconds(),
+		metrics:  run.Metrics.WithoutVolatile(),
+		sim:      run.Metrics.Totals().SimSeconds,
 		checksum: eng.FS.TotalChecksum(run.OutputPrefix),
 		records:  eng.FS.TotalRecords(run.OutputPrefix),
 	}
-}
-
-// zeroRetryWall strips RetryWallSeconds and SpeculativeWallSeconds — like
-// WallSeconds they are real elapsed time and excluded from the determinism
-// contract. Attempts, WastedBytes and the re-execution/speculation counters
-// stay: fault injection, placement and the speculation winner rule are all
-// deterministic, so they must agree across parallelism levels.
-func zeroRetryWall(m mr.JobMetrics) mr.JobMetrics {
-	for i := range m.Rounds {
-		r := &m.Rounds[i]
-		r.RetryWallSeconds, r.SpeculativeWallSeconds = 0, 0
-		for j := range r.Mappers {
-			r.Mappers[j].RetryWallSeconds, r.Mappers[j].SpeculativeWallSeconds = 0, 0
-		}
-		for j := range r.Reducers {
-			r.Reducers[j].RetryWallSeconds, r.Reducers[j].SpeculativeWallSeconds = 0, 0
-		}
-	}
-	return m
 }
 
 // TestParallelismDeterminism is the cross-algorithm determinism table: every

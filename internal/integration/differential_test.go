@@ -15,28 +15,13 @@ import (
 	"github.com/spcube/spcube/internal/relation"
 )
 
-// zeroRecovery strips, on top of zeroWall, the recovery accounting (task
-// attempts, retry latency, wasted bytes, map re-executions, fetch failures
+// zeroRecovery strips, on top of the volatile fields, the recovery
+// accounting (task attempts, wasted bytes, map re-executions, fetch failures
 // and the speculation counters) — the only counters a faulted run is allowed
 // to differ from a fault-free run on.
 func zeroRecovery(m mr.JobMetrics) mr.JobMetrics {
-	out := zeroWall(m)
-	for i := range out.Rounds {
-		r := &out.Rounds[i]
-		r.Retries, r.RetryWallSeconds, r.WastedBytes = 0, 0, 0
-		r.MapReexecutions, r.FetchFailures = 0, 0
-		r.SpeculativeLaunched, r.SpeculativeWon, r.SpeculativeKilled = 0, 0, 0
-		r.SpeculativeWallSeconds = 0
-		for _, tasks := range [][]mr.TaskMetrics{r.Mappers, r.Reducers} {
-			for j := range tasks {
-				tasks[j].Attempts, tasks[j].RetryWallSeconds, tasks[j].WastedBytes = 0, 0, 0
-				tasks[j].Reexecutions, tasks[j].FetchFailures = 0, 0
-				tasks[j].SpeculativeLaunched, tasks[j].SpeculativeWon, tasks[j].SpeculativeKilled = 0, 0, 0
-				tasks[j].SpeculativeWallSeconds = 0
-			}
-		}
-	}
-	return out
+	return m.WithoutVolatile("retries", "attempts", "wastedBytes", "mapReexecutions", "reexecutions",
+		"fetchFailures", "speculativeLaunched", "speculativeWon", "speculativeKilled")
 }
 
 type diffRun struct {
@@ -70,8 +55,8 @@ func runWithFaults(t *testing.T, fn cube.ComputeFunc, rel *relation.Relation, sp
 	return diffRun{
 		res:      res,
 		metrics:  zeroRecovery(run.Metrics),
-		retries:  run.Metrics.Retries(),
-		shuffle:  run.Metrics.ShuffleBytes(),
+		retries:  run.Metrics.Totals().Retries,
+		shuffle:  run.Metrics.Totals().ShuffleBytes,
 		checksum: eng.FS.TotalChecksum(run.OutputPrefix),
 		records:  eng.FS.TotalRecords(run.OutputPrefix),
 	}
@@ -207,7 +192,7 @@ func TestDifferentialOracleSpill(t *testing.T) {
 						}
 						// At budget 1 every emitting map task flushes; 512 may
 						// legitimately fit a small task's whole output.
-						if budget == 1 && run.Metrics.Spills() == 0 {
+						if budget == 1 && run.Metrics.Totals().Spills == 0 {
 							t.Errorf("%s: spill budget did not fire", label)
 						}
 						if leaked := filesUnder(t, dir); len(leaked) != 0 {

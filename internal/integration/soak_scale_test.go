@@ -69,12 +69,12 @@ func TestSoakScale(t *testing.T) {
 	}
 	sub := &relation.Relation{Schema: rel.Schema, Tuples: rel.Tuples[:subN], Dict: rel.Dict}
 	memSum, memRecs, memM := soakRun(t, sub, 0, "")
-	if memM.Spills() != 0 {
-		t.Fatalf("in-memory twin spilled %d times", memM.Spills())
+	if memM.Totals().Spills != 0 {
+		t.Fatalf("in-memory twin spilled %d times", memM.Totals().Spills)
 	}
 	subDir := t.TempDir()
 	subSum, subRecs, subM := soakRun(t, sub, 1<<10, subDir)
-	if subM.Spills() == 0 {
+	if subM.Totals().Spills == 0 {
 		t.Fatal("subsampled spill leg: budget did not fire")
 	}
 	if subSum != memSum || subRecs != memRecs {
@@ -115,14 +115,14 @@ func TestSoakScale(t *testing.T) {
 
 	// Small row-count overrides may fit each map task under 8 MiB; at soak
 	// scale the budget must fire.
-	if rows >= 2_000_000 && m.Spills() == 0 {
+	if rows >= 2_000_000 && m.Totals().Spills == 0 {
 		t.Error("full-scale leg: 8 MiB budget never fired")
 	}
 	if leaked := filesUnder(t, dir); len(leaked) != 0 {
 		t.Errorf("full-scale leg leaked run files: %v", leaked)
 	}
 	t.Logf("%d rows in %v: output %x/%d records, %d spills (%d MiB spilled), peak runtime memory %d MiB",
-		rows, elapsed.Round(time.Second), sum, recs, m.Spills(), m.SpillBytes()>>20, peak.Load()>>20)
+		rows, elapsed.Round(time.Second), sum, recs, m.Totals().Spills, m.Totals().SpillBytes>>20, peak.Load()>>20)
 
 	limit := debug.SetMemoryLimit(-1) // read without changing
 	if limit == math.MaxInt64 {

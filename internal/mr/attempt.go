@@ -168,7 +168,7 @@ func (r *round) runAttempt(s *taskSpec, index int, base TaskMetrics) *taskAttemp
 	kill := func(reason string, err error) error {
 		return &killError{reason: fmt.Sprintf("%s: %v", reason, err), phase: s.phase, task: s.task, attempt: index}
 	}
-	a.node, a.err = r.eng.placeAttempt(r.index, s.phase, s.task, index, s.down, r.eng.Cfg.Nodes)
+	a.node, a.err = r.eng.placeAttempt(r.index, s.phase, s.task, index, s.down, r.eng.Cfg.Workers)
 	if a.err == nil {
 		if err := r.rex.BeginAttempt(s.phase, s.task, index, a.node); err != nil {
 			a.err = kill("backend refused attempt", err)

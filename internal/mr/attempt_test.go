@@ -26,8 +26,9 @@ func TestRunTaskAccounting(t *testing.T) {
 	crash := &FaultError{Kind: FaultCrashBeforeEmit, Phase: PhaseMap}
 	plain := errors.New("deterministic failure")
 	prev := TaskMetrics{
-		Attempts: 2, OutBytes: 100, WastedBytes: 10, WallSeconds: 0.5, RetryWallSeconds: 1.5,
-		SpeculativeLaunched: 1, SpeculativeWon: 1, SpeculativeKilled: 1, SpeculativeWallSeconds: 0.25,
+		Attempts: 2, OutBytes: 100, WallSeconds: 0.5,
+		Counters: Counters{WastedBytes: 10, RetryWallSeconds: 1.5,
+			SpeculativeLaunched: 1, SpeculativeWon: 1, SpeculativeKilled: 1, SpeculativeWallSeconds: 0.25},
 	}
 	type want struct {
 		err        error

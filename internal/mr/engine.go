@@ -34,7 +34,7 @@
 // TaskState, which is rebuilt per attempt.
 //
 // Beyond task-level faults, the engine models node-level failure domains:
-// every task attempt is deterministically placed on one of Config.Nodes
+// every task attempt is deterministically placed on one of Config.Workers
 // simulated machines (PlaceNode), and a node-crash fault kills a node at a
 // round's shuffle barrier. Completed map output stored on the dead node
 // becomes unfetchable — reducers observe fetch failures and the engine
@@ -91,7 +91,11 @@ func pairBytes(key string, val []byte) int64 {
 // Config describes the simulated cluster.
 type Config struct {
 	// Workers is k: the number of machines; each round runs Workers map
-	// tasks and (by default) Workers reduce tasks.
+	// tasks and (by default) Workers reduce tasks. Each machine is also one
+	// simulated failure domain that task attempts and their stored map
+	// output are placed on. Placement is a deterministic hash of (Seed,
+	// round, phase, task, attempt), so node-crash faults lose the same map
+	// outputs and kill the same reduce attempts at any Parallelism.
 	Workers int
 	// MemTuples is m: a machine's memory expressed in input tuples (the
 	// paper sets m = n/k). If zero, the engine derives it as n/k at run
@@ -127,12 +131,6 @@ type Config struct {
 	// partition range errors — would fail identically again and abort the
 	// round on the first attempt.
 	MaxAttempts int
-	// Nodes is the number of simulated failure domains (machines) task
-	// attempts and their stored map output are placed on; 0 defaults to
-	// Workers. Placement is a deterministic hash of (Seed, round, phase,
-	// task, attempt), so node-crash faults lose the same map outputs and
-	// kill the same reduce attempts at any Parallelism.
-	Nodes int
 	// SpeculativeSlack enables straggler mitigation when positive: a task
 	// attempt whose injected stall (the slow fault's delay, in simulated
 	// seconds) exceeds the slack gets one deterministic backup attempt at
@@ -302,9 +300,6 @@ func New(cfg Config, fs *dfs.FS) *Engine {
 	}
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 4
-	}
-	if cfg.Nodes <= 0 {
-		cfg.Nodes = cfg.Workers
 	}
 	if cfg.MergeFanIn == 0 {
 		cfg.MergeFanIn = defaultMergeFanIn
@@ -771,7 +766,7 @@ func (e *Engine) planRound(job *Job, n int, feed func(task int, ctx *MapCtx)) (*
 	r.tr.roundStart(e.Cfg.Workers, r.reducers)
 	// Attempt placement and the crash plan are fixed up front, so both are
 	// identical at any parallelism.
-	r.dead = e.deadNodes(r.index, e.Cfg.Nodes)
+	r.dead = e.deadNodes(r.index, e.Cfg.Workers)
 	return r, nil
 }
 
@@ -780,7 +775,7 @@ func (e *Engine) planRound(job *Job, n int, feed func(task int, ctx *MapCtx)) (*
 func (r *round) open() error {
 	e := r.eng
 	var err error
-	r.rex, r.down, err = e.Cfg.Executor.RoundStart(r.index, e.Cfg.Nodes, r.dead, RoundHooks{Trace: r.tr.event})
+	r.rex, r.down, err = e.Cfg.Executor.RoundStart(r.index, e.Cfg.Workers, r.dead, RoundHooks{Trace: r.tr.event})
 	if err != nil {
 		r.rm.Failed = true
 		r.rm.FailReason = fmt.Sprintf("execution backend: %v", err)

@@ -262,21 +262,22 @@ func TestMemTuples(t *testing.T) {
 
 func TestMetricsAggregation(t *testing.T) {
 	var jm JobMetrics
-	jm.Add(RoundMetrics{ShuffleBytes: 100, ShuffleRecords: 10, SimSeconds: 2,
+	jm.Add(RoundMetrics{
+		Totals:  Totals{ShuffleBytes: 100, ShuffleRecords: 10, SimSeconds: 2, MapTimeAvg: 1, ReduceTimeAvg: 3},
 		Mappers: []TaskMetrics{{CPUSeconds: 1, Attempts: 1}}, Reducers: []TaskMetrics{{CPUSeconds: 3, Attempts: 1}},
-		MappersExecuted: 1, ReducersExecuted: 1,
-		MapTimeAvg: 1, ReduceTimeAvg: 3})
-	jm.Add(RoundMetrics{ShuffleBytes: 50, ShuffleRecords: 5, SimSeconds: 1, Failed: true, FailReason: "x"})
-	if jm.ShuffleBytes() != 150 || jm.ShuffleRecords() != 15 {
+		MappersExecuted: 1, ReducersExecuted: 1})
+	jm.Add(RoundMetrics{Totals: Totals{ShuffleBytes: 50, ShuffleRecords: 5, SimSeconds: 1, Failed: true, FailReason: "x"}})
+	tot := jm.Totals()
+	if tot.ShuffleBytes != 150 || tot.ShuffleRecords != 15 {
 		t.Error("shuffle totals wrong")
 	}
-	if jm.SimSeconds() != 3 {
+	if tot.SimSeconds != 3 {
 		t.Error("sim total wrong")
 	}
-	if failed, reason := jm.Failed(); !failed || reason != "x" {
+	if !tot.Failed || tot.FailReason != "x" {
 		t.Error("failure not surfaced")
 	}
-	if jm.MapTimeAvg() != 1 || jm.ReduceTimeAvg() != 3 {
+	if tot.MapTimeAvg != 1 || tot.ReduceTimeAvg != 3 {
 		t.Error("phase averages wrong")
 	}
 	if !strings.Contains(jm.String(), "FAILED") {

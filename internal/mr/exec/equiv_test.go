@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"reflect"
@@ -9,6 +11,7 @@ import (
 	"github.com/spcube/spcube/internal/agg"
 	"github.com/spcube/spcube/internal/algo"
 	"github.com/spcube/spcube/internal/algo/hivecube"
+	"github.com/spcube/spcube/internal/bench"
 	"github.com/spcube/spcube/internal/cube"
 	"github.com/spcube/spcube/internal/data"
 	"github.com/spcube/spcube/internal/dfs"
@@ -67,30 +70,9 @@ var equivPlans = []struct {
 type equivRun struct {
 	res      *cube.Result
 	metrics  mr.JobMetrics
+	doc      []byte // the -metrics-out document, through bench.StripVolatile
 	sim      float64
 	checksum uint64
-}
-
-// stripVolatile zeroes every field the determinism contract excludes: the
-// wall-clock fields, the overlap counters, and the execution-backend
-// health counters.
-func stripVolatile(m mr.JobMetrics) mr.JobMetrics {
-	out := mr.JobMetrics{Rounds: append([]mr.RoundMetrics(nil), m.Rounds...)}
-	for i := range out.Rounds {
-		r := &out.Rounds[i]
-		r.WallSeconds, r.RetryWallSeconds, r.SpeculativeWallSeconds = 0, 0, 0
-		r.SpillWriteStallNs, r.PrefetchHits, r.PrefetchMisses = 0, 0, 0
-		r.HeartbeatMisses, r.WorkerRestarts, r.RPCRetries = 0, 0, 0
-		r.Mappers = append([]mr.TaskMetrics(nil), r.Mappers...)
-		r.Reducers = append([]mr.TaskMetrics(nil), r.Reducers...)
-		for _, tasks := range [][]mr.TaskMetrics{r.Mappers, r.Reducers} {
-			for j := range tasks {
-				tasks[j].WallSeconds, tasks[j].RetryWallSeconds, tasks[j].SpeculativeWallSeconds = 0, 0, 0
-				tasks[j].SpillWriteStallNs, tasks[j].PrefetchHits, tasks[j].PrefetchMisses = 0, 0, 0
-			}
-		}
-	}
-	return out
 }
 
 // runBackend executes one algorithm over one backend. A nil executor is
@@ -136,10 +118,18 @@ func runBackend(t *testing.T, fn cube.ComputeFunc, rel *relation.Relation, paral
 	if err != nil {
 		t.Fatal(err)
 	}
+	doc, err := json.Marshal(&run.Metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc, err = bench.StripVolatile(doc); err != nil {
+		t.Fatal(err)
+	}
 	return equivRun{
 		res:      res,
-		metrics:  stripVolatile(run.Metrics),
-		sim:      run.Metrics.SimSeconds(),
+		metrics:  run.Metrics.WithoutVolatile(),
+		doc:      doc,
+		sim:      run.Metrics.Totals().SimSeconds,
 		checksum: eng.FS.TotalChecksum(run.OutputPrefix),
 	}
 }
@@ -155,8 +145,8 @@ func newTestProc() *Proc {
 
 // TestBackendDeterminismProc is the backend-equivalence table: every
 // algorithm under every fault plan must produce byte-identical cube
-// output, DFS checksums, simulated time and volatile-stripped metrics on
-// the proc backend — real worker processes, real SIGKILLs — as on the
+// output, DFS checksums, simulated time and volatile-stripped metrics
+// (struct and JSON document alike) on the proc backend — real worker processes, real SIGKILLs — as on the
 // in-process local backend, at parallelism 1 and 8, with no leaked worker
 // processes or socket directories.
 func TestBackendDeterminismProc(t *testing.T) {
@@ -183,6 +173,13 @@ func TestBackendDeterminismProc(t *testing.T) {
 					if !reflect.DeepEqual(local.metrics, proc.metrics) {
 						t.Errorf("%s: volatile-stripped metrics differ from local:\nlocal: %+v\nproc:  %+v",
 							label, local.metrics, proc.metrics)
+					}
+					// The document-level strip reads the same volatile list: a
+					// node-crash run restarts real workers, and those health
+					// counters must not survive it.
+					if !bytes.Equal(local.doc, proc.doc) {
+						t.Errorf("%s: metrics document differs from local after StripVolatile:\nlocal: %s\nproc:  %s",
+							label, local.doc, proc.doc)
 					}
 				}
 			})

@@ -7,40 +7,6 @@ import (
 	"sort"
 )
 
-// MetricsSchemaVersion identifies the machine-readable metrics document
-// layout produced by JobMetrics.MarshalJSON / ExportMetrics. Consumers must
-// check it before interpreting the document; it is bumped on any
-// backwards-incompatible change.
-//
-// Determinism contract of the document: for a fixed input, configuration
-// and fault plan, every field is bit-for-bit identical at any
-// Config.Parallelism except the wall-clock fields ("wallSeconds",
-// "retryWallSeconds", "speculativeWallSeconds"). Additionally, the
-// recovery-accounting fields ("retries", "wastedBytes", "attempts",
-// "reexecutions"/"mapReexecutions", "fetchFailures",
-// "speculativeLaunched"/"Won"/"Killed") are the only deterministic fields
-// that differ between a faulted and a fault-free run of the same job.
-//
-// Version history: v2 added the node-failure and speculation recovery
-// counters at every level (task, round, job); v3 added the optional
-// per-round "maint" annotation describing incremental-maintenance cycles
-// (cycle ordinal, delta-vs-rebuild mode, decision reason, sketch drift,
-// batch sizes); v4 added the "spills" counter at every level and
-// "spillBytes" at round and job level, and redefined "spillBytes" from an
-// estimated external-aggregation volume to the exact encoded bytes the
-// spill writer produced (out-of-core shuffle run files included); v5 added
-// the spill-pipeline counters at every level: "compressedSpillBytes" (the
-// framed, block-compressed bytes physically written — the disk-charged
-// size) and "mergePasses" (intermediate fan-in merges), both
-// deterministic, plus the volatile overlap counters "spillWriteStallNs",
-// "prefetchHits" and "prefetchMisses", which join the wall-clock fields
-// outside the determinism contract; v6 added the execution-backend health
-// counters "heartbeatMisses", "workerRestarts" and "rpcRetries" at round
-// and job level — all volatile (real crash recovery and transport
-// flakiness do not replay), always zero under the in-process local
-// backend.
-const MetricsSchemaVersion = 6
-
 // LoadBalance summarizes how evenly a byte quantity is spread over a
 // round's reduce tasks — the paper's §6.2 closing claim is that SP-Cube's
 // reducer outputs are near-balanced while hash partitioning under skew is
@@ -94,212 +60,20 @@ func NewLoadBalance(sizes []int64) *LoadBalance {
 	return lb
 }
 
-// taskMetricsJSON is the wire form of TaskMetrics. Field names are part of
-// the versioned schema.
-type taskMetricsJSON struct {
-	InRecords         int64 `json:"inRecords"`
-	InBytes           int64 `json:"inBytes"`
-	OutRecords        int64 `json:"outRecords"`
-	OutBytes          int64 `json:"outBytes"`
-	PreCombineRecords int64 `json:"preCombineRecords"`
-	PreCombineBytes   int64 `json:"preCombineBytes"`
-	Ops               int64 `json:"ops"`
-	LargestKeyRecords int64 `json:"largestKeyRecords"`
-	LargestKeyBytes   int64 `json:"largestKeyBytes"`
-	SideRecords       int64 `json:"sideRecords"`
-	SideBytes         int64 `json:"sideBytes"`
-	Spills            int64 `json:"spills"` // schema v4
-	SpillBytes        int64 `json:"spillBytes"`
-	// Schema v5 spill-pipeline counters: compressedSpillBytes and
-	// mergePasses are deterministic; the stall and prefetch counters are
-	// volatile, like the wall-clock fields.
-	CompressedSpillBytes int64   `json:"compressedSpillBytes"`
-	MergePasses          int64   `json:"mergePasses"`
-	SpillWriteStallNs    int64   `json:"spillWriteStallNs"`
-	PrefetchHits         int64   `json:"prefetchHits"`
-	PrefetchMisses       int64   `json:"prefetchMisses"`
-	CPUSeconds           float64 `json:"cpuSeconds"`
-	WallSeconds          float64 `json:"wallSeconds"`
-	Attempts             int64   `json:"attempts"`
-	RetryWallSeconds     float64 `json:"retryWallSeconds"`
-	WastedBytes          int64   `json:"wastedBytes"`
-	// Schema v2 recovery counters (node failures and speculation).
-	Reexecutions           int64   `json:"reexecutions"`
-	FetchFailures          int64   `json:"fetchFailures"`
-	SpeculativeLaunched    int64   `json:"speculativeLaunched"`
-	SpeculativeWon         int64   `json:"speculativeWon"`
-	SpeculativeKilled      int64   `json:"speculativeKilled"`
-	SpeculativeWallSeconds float64 `json:"speculativeWallSeconds"`
-}
-
-func taskJSON(t *TaskMetrics) taskMetricsJSON {
-	return taskMetricsJSON{
-		InRecords: t.InRecords, InBytes: t.InBytes,
-		OutRecords: t.OutRecords, OutBytes: t.OutBytes,
-		PreCombineRecords: t.PreCombineRecords, PreCombineBytes: t.PreCombineBytes,
-		Ops:               t.Ops,
-		LargestKeyRecords: t.LargestKeyRecords, LargestKeyBytes: t.LargestKeyBytes,
-		SideRecords: t.SideRecords, SideBytes: t.SideBytes,
-		Spills: t.Spills, SpillBytes: t.SpillBytes,
-		CompressedSpillBytes: t.CompressedSpillBytes, MergePasses: t.MergePasses,
-		SpillWriteStallNs: t.SpillWriteStallNs,
-		PrefetchHits:      t.PrefetchHits, PrefetchMisses: t.PrefetchMisses,
-		CPUSeconds: t.CPUSeconds, WallSeconds: t.WallSeconds,
-		Attempts: t.Attempts, RetryWallSeconds: t.RetryWallSeconds, WastedBytes: t.WastedBytes,
-		Reexecutions: t.Reexecutions, FetchFailures: t.FetchFailures,
-		SpeculativeLaunched: t.SpeculativeLaunched, SpeculativeWon: t.SpeculativeWon,
-		SpeculativeKilled: t.SpeculativeKilled, SpeculativeWallSeconds: t.SpeculativeWallSeconds,
-	}
-}
-
-func tasksJSON(ts []TaskMetrics) []taskMetricsJSON {
-	out := make([]taskMetricsJSON, len(ts))
-	for i := range ts {
-		out[i] = taskJSON(&ts[i])
-	}
-	return out
-}
-
-// roundMetricsJSON is the wire form of RoundMetrics.
-type roundMetricsJSON struct {
-	Job              string  `json:"job"`
-	ShuffleRecords   int64   `json:"shuffleRecords"`
-	ShuffleBytes     int64   `json:"shuffleBytes"`
-	OutputRecords    int64   `json:"outputRecords"`
-	OutputBytes      int64   `json:"outputBytes"`
-	MappersExecuted  int     `json:"mappersExecuted"`
-	ReducersExecuted int     `json:"reducersExecuted"`
-	MapTimeAvg       float64 `json:"mapTimeAvg"`
-	MapTimeMax       float64 `json:"mapTimeMax"`
-	ShuffleTime      float64 `json:"shuffleTime"`
-	ReduceTimeAvg    float64 `json:"reduceTimeAvg"`
-	ReduceTimeMax    float64 `json:"reduceTimeMax"`
-	SimSeconds       float64 `json:"simSeconds"`
-	WallSeconds      float64 `json:"wallSeconds"`
-	Retries          int64   `json:"retries"`
-	RetryWallSeconds float64 `json:"retryWallSeconds"`
-	WastedBytes      int64   `json:"wastedBytes"`
-	// Schema v4 spill totals (run-file flushes + external aggregation),
-	// plus the v5 spill-pipeline counters.
-	Spills               int64 `json:"spills"`
-	SpillBytes           int64 `json:"spillBytes"`
-	CompressedSpillBytes int64 `json:"compressedSpillBytes"`
-	MergePasses          int64 `json:"mergePasses"`
-	SpillWriteStallNs    int64 `json:"spillWriteStallNs"`
-	PrefetchHits         int64 `json:"prefetchHits"`
-	PrefetchMisses       int64 `json:"prefetchMisses"`
-	// Schema v2 recovery counters (node failures and speculation).
-	MapReexecutions        int64   `json:"mapReexecutions"`
-	FetchFailures          int64   `json:"fetchFailures"`
-	SpeculativeLaunched    int64   `json:"speculativeLaunched"`
-	SpeculativeWon         int64   `json:"speculativeWon"`
-	SpeculativeKilled      int64   `json:"speculativeKilled"`
-	SpeculativeWallSeconds float64 `json:"speculativeWallSeconds"`
-	// Schema v6 execution-backend health counters (volatile; zero under
-	// the local backend).
-	HeartbeatMisses int64  `json:"heartbeatMisses"`
-	WorkerRestarts  int64  `json:"workerRestarts"`
-	RPCRetries      int64  `json:"rpcRetries"`
-	Failed          bool   `json:"failed,omitempty"`
-	FailReason      string `json:"failReason,omitempty"`
-	// Schema v3 maintenance annotation (nil for ordinary rounds).
-	Maint    *maintInfoJSON    `json:"maint,omitempty"`
-	Mappers  []taskMetricsJSON `json:"mappers"`
-	Reducers []taskMetricsJSON `json:"reducers"`
-	// ReducerInputBalance/ReducerOutputBalance summarize how evenly the
-	// shuffle and the output were spread over the round's reducers.
-	ReducerInputBalance  *LoadBalance `json:"reducerInputBalance,omitempty"`
-	ReducerOutputBalance *LoadBalance `json:"reducerOutputBalance,omitempty"`
-}
-
-// maintInfoJSON is the wire form of MaintInfo.
-type maintInfoJSON struct {
-	Round    int     `json:"round"`
-	Mode     string  `json:"mode"`
-	Reason   string  `json:"reason,omitempty"`
-	Drift    float64 `json:"drift"`
-	Appended int     `json:"appended"`
-	Deleted  int     `json:"deleted"`
-}
-
-func maintJSON(m *MaintInfo) *maintInfoJSON {
-	if m == nil {
-		return nil
-	}
-	return &maintInfoJSON{
-		Round: m.Round, Mode: m.Mode, Reason: m.Reason,
-		Drift: m.Drift, Appended: m.Appended, Deleted: m.Deleted,
-	}
-}
-
-func roundJSON(r *RoundMetrics) roundMetricsJSON {
+// MarshalJSON renders the round — the struct's tagged fields are the
+// document — and appends the two derived summaries of how evenly the shuffle
+// input and the output were spread over the round's reducers.
+func (r RoundMetrics) MarshalJSON() ([]byte, error) {
+	type fields RoundMetrics // the tagged fields without this method
 	in := make([]int64, len(r.Reducers))
 	for i := range r.Reducers {
 		in[i] = r.Reducers[i].InBytes
 	}
-	return roundMetricsJSON{
-		Job:            r.Job,
-		ShuffleRecords: r.ShuffleRecords, ShuffleBytes: r.ShuffleBytes,
-		OutputRecords: r.OutputRecords, OutputBytes: r.OutputBytes,
-		MappersExecuted: r.MappersExecuted, ReducersExecuted: r.ReducersExecuted,
-		MapTimeAvg: r.MapTimeAvg, MapTimeMax: r.MapTimeMax,
-		ShuffleTime:   r.ShuffleTime,
-		ReduceTimeAvg: r.ReduceTimeAvg, ReduceTimeMax: r.ReduceTimeMax,
-		SimSeconds: r.SimSeconds, WallSeconds: r.WallSeconds,
-		Retries: r.Retries, RetryWallSeconds: r.RetryWallSeconds, WastedBytes: r.WastedBytes,
-		Spills: r.Spills, SpillBytes: r.SpillBytes,
-		CompressedSpillBytes: r.CompressedSpillBytes, MergePasses: r.MergePasses,
-		SpillWriteStallNs: r.SpillWriteStallNs,
-		PrefetchHits:      r.PrefetchHits, PrefetchMisses: r.PrefetchMisses,
-		MapReexecutions: r.MapReexecutions, FetchFailures: r.FetchFailures,
-		SpeculativeLaunched: r.SpeculativeLaunched, SpeculativeWon: r.SpeculativeWon,
-		SpeculativeKilled: r.SpeculativeKilled, SpeculativeWallSeconds: r.SpeculativeWallSeconds,
-		HeartbeatMisses: r.HeartbeatMisses, WorkerRestarts: r.WorkerRestarts, RPCRetries: r.RPCRetries,
-		Failed: r.Failed, FailReason: r.FailReason,
-		Maint:                maintJSON(r.Maint),
-		Mappers:              tasksJSON(r.Mappers),
-		Reducers:             tasksJSON(r.Reducers),
-		ReducerInputBalance:  NewLoadBalance(in),
-		ReducerOutputBalance: NewLoadBalance(r.ReducerOutputBytes()),
-	}
-}
-
-// jobMetricsJSON is the top-level versioned metrics document.
-type jobMetricsJSON struct {
-	SchemaVersion    int                `json:"schemaVersion"`
-	Rounds           []roundMetricsJSON `json:"rounds"`
-	SimSeconds       float64            `json:"simSeconds"`
-	WallSeconds      float64            `json:"wallSeconds"`
-	ShuffleRecords   int64              `json:"shuffleRecords"`
-	ShuffleBytes     int64              `json:"shuffleBytes"`
-	MapTimeAvg       float64            `json:"mapTimeAvg"`
-	ReduceTimeAvg    float64            `json:"reduceTimeAvg"`
-	Retries          int64              `json:"retries"`
-	RetryWallSeconds float64            `json:"retryWallSeconds"`
-	WastedBytes      int64              `json:"wastedBytes"`
-	// Schema v4 spill totals (run-file flushes + external aggregation),
-	// plus the v5 spill-pipeline counters.
-	Spills               int64 `json:"spills"`
-	SpillBytes           int64 `json:"spillBytes"`
-	CompressedSpillBytes int64 `json:"compressedSpillBytes"`
-	MergePasses          int64 `json:"mergePasses"`
-	SpillWriteStallNs    int64 `json:"spillWriteStallNs"`
-	PrefetchHits         int64 `json:"prefetchHits"`
-	PrefetchMisses       int64 `json:"prefetchMisses"`
-	// Schema v2 recovery counters (node failures and speculation).
-	MapReexecutions        int64   `json:"mapReexecutions"`
-	FetchFailures          int64   `json:"fetchFailures"`
-	SpeculativeLaunched    int64   `json:"speculativeLaunched"`
-	SpeculativeWon         int64   `json:"speculativeWon"`
-	SpeculativeKilled      int64   `json:"speculativeKilled"`
-	SpeculativeWallSeconds float64 `json:"speculativeWallSeconds"`
-	// Schema v6 execution-backend health counters (volatile; zero under
-	// the local backend).
-	HeartbeatMisses int64  `json:"heartbeatMisses"`
-	WorkerRestarts  int64  `json:"workerRestarts"`
-	RPCRetries      int64  `json:"rpcRetries"`
-	Failed          bool   `json:"failed,omitempty"`
-	FailReason      string `json:"failReason,omitempty"`
+	return json.Marshal(struct {
+		fields
+		ReducerInputBalance  *LoadBalance `json:"reducerInputBalance,omitempty"`
+		ReducerOutputBalance *LoadBalance `json:"reducerOutputBalance,omitempty"`
+	}{fields(r), NewLoadBalance(in), NewLoadBalance(r.ReducerOutputBytes())})
 }
 
 // MarshalJSON renders the job's metrics as the stable, versioned document
@@ -307,43 +81,15 @@ type jobMetricsJSON struct {
 // per-task counters, retry accounting, reducer load-balance summaries, and
 // simulated vs. wall time.
 func (j *JobMetrics) MarshalJSON() ([]byte, error) {
-	doc := jobMetricsJSON{
-		SchemaVersion:    MetricsSchemaVersion,
-		Rounds:           make([]roundMetricsJSON, len(j.Rounds)),
-		SimSeconds:       j.SimSeconds(),
-		WallSeconds:      j.WallSeconds(),
-		ShuffleRecords:   j.ShuffleRecords(),
-		ShuffleBytes:     j.ShuffleBytes(),
-		MapTimeAvg:       j.MapTimeAvg(),
-		ReduceTimeAvg:    j.ReduceTimeAvg(),
-		Retries:          j.Retries(),
-		RetryWallSeconds: j.RetryWallSeconds(),
-		WastedBytes:      j.WastedBytes(),
-		Spills:           j.Spills(),
-		SpillBytes:       j.SpillBytes(),
-
-		CompressedSpillBytes: j.CompressedSpillBytes(),
-		MergePasses:          j.MergePasses(),
-		SpillWriteStallNs:    j.SpillWriteStallNs(),
-		PrefetchHits:         j.PrefetchHits(),
-		PrefetchMisses:       j.PrefetchMisses(),
-
-		MapReexecutions:        j.MapReexecutions(),
-		FetchFailures:          j.FetchFailures(),
-		SpeculativeLaunched:    j.SpeculativeLaunched(),
-		SpeculativeWon:         j.SpeculativeWon(),
-		SpeculativeKilled:      j.SpeculativeKilled(),
-		SpeculativeWallSeconds: j.SpeculativeWallSeconds(),
-
-		HeartbeatMisses: j.HeartbeatMisses(),
-		WorkerRestarts:  j.WorkerRestarts(),
-		RPCRetries:      j.RPCRetries(),
-	}
-	doc.Failed, doc.FailReason = j.Failed()
-	for i := range j.Rounds {
-		doc.Rounds[i] = roundJSON(&j.Rounds[i])
-	}
-	return json.Marshal(doc)
+	return json.Marshal(struct {
+		SchemaVersion int            `json:"schemaVersion"`
+		Rounds        []RoundMetrics `json:"rounds"`
+		Totals
+	}{
+		MetricsSchemaVersion,
+		append([]RoundMetrics{}, j.Rounds...), // [] even for a job with no rounds: consumers require an array
+		j.Totals(),
+	})
 }
 
 // ExportMetrics writes the job's metrics document as indented JSON.

@@ -3,6 +3,9 @@ package mr
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -98,41 +101,17 @@ func TestMetricsMarshalJSONSchema(t *testing.T) {
 	}
 }
 
-// stripKeys recursively removes the named keys from a decoded JSON tree.
-func stripKeys(v any, keys map[string]bool) {
-	switch x := v.(type) {
-	case map[string]any:
-		for k, sub := range x {
-			if keys[k] {
-				delete(x, k)
-				continue
-			}
-			stripKeys(sub, keys)
-		}
-	case []any:
-		for _, sub := range x {
-			stripKeys(sub, keys)
-		}
-	}
-}
-
 func TestMetricsJSONDeterministicAcrossParallelism(t *testing.T) {
-	volatile := map[string]bool{"wallSeconds": true, "retryWallSeconds": true}
-	var docs [2]any
+	var docs [2][]byte
 	for i, par := range []int{1, 8} {
-		data, err := json.Marshal(runSmallJob(t, par))
-		if err != nil {
+		jm := runSmallJob(t, par).WithoutVolatile()
+		var err error
+		if docs[i], err = json.Marshal(&jm); err != nil {
 			t.Fatal(err)
 		}
-		if err := json.Unmarshal(data, &docs[i]); err != nil {
-			t.Fatal(err)
-		}
-		stripKeys(docs[i], volatile)
 	}
-	a, _ := json.Marshal(docs[0])
-	b, _ := json.Marshal(docs[1])
-	if !bytes.Equal(a, b) {
-		t.Error("metrics document differs between parallelism 1 and 8 after stripping wall-clock fields")
+	if !bytes.Equal(docs[0], docs[1]) {
+		t.Error("metrics document differs between parallelism 1 and 8 after zeroing the volatile fields")
 	}
 }
 
@@ -151,5 +130,108 @@ func TestExportMetrics(t *testing.T) {
 	}
 	if !bytes.Contains(out, []byte("\n  ")) {
 		t.Error("exported document must be indented")
+	}
+}
+
+// TestCountersAddCoversEveryField makes "one add" self-enforcing: a counter
+// declared in Counters but forgotten in add keeps its zero and fails here.
+func TestCountersAddCoversEveryField(t *testing.T) {
+	var one, sum Counters
+	v := reflect.ValueOf(&one).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int64:
+			f.SetInt(int64(i + 1))
+		case reflect.Float64:
+			f.SetFloat(float64(i) + 1.5)
+		default:
+			t.Fatalf("Counters.%s is a %s: additive counters are int64 or float64", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	sum.add(&one)
+	sum.add(&one)
+	got := reflect.ValueOf(sum)
+	for i := 0; i < v.NumField(); i++ {
+		name := v.Type().Field(i).Name
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int64:
+			if got.Field(i).Int() != 2*f.Int() {
+				t.Errorf("add does not sum Counters.%s", name)
+			}
+		case reflect.Float64:
+			if got.Field(i).Float() != 2*f.Float() {
+				t.Errorf("add does not sum Counters.%s", name)
+			}
+		}
+	}
+}
+
+// keyPaths collects the path of every object key in a decoded JSON tree,
+// arrays marked "[]" — the order-free shape of the document.
+func keyPaths(v any, prefix string, out map[string]bool) {
+	switch x := v.(type) {
+	case map[string]any:
+		for k, sub := range x {
+			p := k
+			if prefix != "" {
+				p = prefix + "." + k
+			}
+			out[p] = true
+			keyPaths(sub, p, out)
+		}
+	case []any:
+		for _, sub := range x {
+			keyPaths(sub, prefix+"[]", out)
+		}
+	}
+}
+
+// TestMetricsDocumentKeyPaths pins schema v6: the document's key-path set —
+// 136 paths for an ordinary run, 143 with a maintenance annotation — equals
+// the golden captured from the last commit that still copied the structs
+// into hand-written wire mirrors. Adding, renaming or dropping a key edits
+// the golden (and, when incompatible, bumps MetricsSchemaVersion).
+func TestMetricsDocumentKeyPaths(t *testing.T) {
+	golden, err := os.ReadFile("testdata/metrics_keypaths.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	jm := runSmallJob(t, 1)
+	for _, tc := range []struct {
+		name  string
+		maint *MaintInfo
+		paths int
+	}{
+		{"ordinary", nil, 136},
+		{"maint", &MaintInfo{Round: 1, Mode: "delta", Reason: "mergeable"}, 143},
+	} {
+		var want []string
+		for _, p := range strings.Fields(string(golden)) {
+			if tc.maint != nil || !strings.HasPrefix(p, "rounds[].maint") {
+				want = append(want, p)
+			}
+		}
+		jm.Rounds[0].Maint = tc.maint
+		data, err := json.Marshal(jm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc any
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatal(err)
+		}
+		set := make(map[string]bool)
+		keyPaths(doc, "", set)
+		var got []string
+		for p := range set {
+			got = append(got, p)
+		}
+		sort.Strings(got)
+		if len(want) != tc.paths {
+			t.Errorf("%s: golden holds %d paths, want %d", tc.name, len(want), tc.paths)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: document key paths differ from testdata/metrics_keypaths.txt\n got: %v\nwant: %v", tc.name, got, want)
+		}
 	}
 }

@@ -14,7 +14,7 @@ const (
 	PhaseMap Phase = iota
 	PhaseReduce
 	// PhaseNode is the pseudo-phase of node-level faults: the fault's Task
-	// selector names a failure domain (see Config.Nodes) instead of a task.
+	// selector names a failure domain (one per Config.Workers machine) instead of a task.
 	PhaseNode
 )
 

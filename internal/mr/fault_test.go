@@ -60,7 +60,7 @@ func runFaulted(t *testing.T, plan *FaultPlan, maxAttempts, parallelism int) fau
 }
 
 // runFaultedCfg is runFaulted with full control over the engine config, for
-// tests that need the recovery knobs (SpeculativeSlack, TaskTimeout, Nodes).
+// tests that need the recovery knobs (SpeculativeSlack, TaskTimeout).
 func runFaultedCfg(t *testing.T, cfg Config) faultRun {
 	t.Helper()
 	words := strings.Fields(strings.Repeat("a b c d e f g a b a ", 50))
@@ -451,8 +451,8 @@ func TestMetricsStringMentionsRetries(t *testing.T) {
 	}
 	var jm JobMetrics
 	jm.Add(got.metrics)
-	if jm.Retries() != 1 || jm.WastedBytes() == 0 {
-		t.Errorf("job aggregation: retries=%d wasted=%d", jm.Retries(), jm.WastedBytes())
+	if tot := jm.Totals(); tot.Retries != 1 || tot.WastedBytes == 0 {
+		t.Errorf("job aggregation: retries=%d wasted=%d", tot.Retries, tot.WastedBytes)
 	}
 	if !strings.Contains(jm.String(), "retries=1") {
 		t.Errorf("String() should surface retries: %q", jm.String())

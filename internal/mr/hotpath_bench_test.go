@@ -38,7 +38,13 @@ func BenchmarkEngineHotPath(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if recs := run.Metrics.ShuffleRecords(); recs != int64(rel.N())*16 {
+		// Summed by hand: `make bench-compare` copies this file into the
+		// BASE tree, so it may only use API both commits have.
+		var recs int64
+		for j := range run.Metrics.Rounds {
+			recs += run.Metrics.Rounds[j].ShuffleRecords
+		}
+		if recs != int64(rel.N())*16 {
 			b.Fatalf("shuffle records = %d, want %d", recs, rel.N()*16)
 		}
 	}

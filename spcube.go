@@ -383,30 +383,31 @@ type Stats struct {
 
 // statsFromRun extracts the facade statistics from a finished run.
 func statsFromRun(run *cube.Run) Stats {
+	t := run.Metrics.Totals()
 	return Stats{
 		Algorithm:        run.Algorithm,
 		Rounds:           len(run.Metrics.Rounds),
-		SimSeconds:       run.Metrics.SimSeconds(),
-		WallSeconds:      run.Metrics.WallSeconds(),
-		ShuffleRecords:   run.Metrics.ShuffleRecords(),
-		ShuffleBytes:     run.Metrics.ShuffleBytes(),
+		SimSeconds:       t.SimSeconds,
+		WallSeconds:      t.WallSeconds,
+		ShuffleRecords:   t.ShuffleRecords,
+		ShuffleBytes:     t.ShuffleBytes,
 		SketchBytes:      run.SketchBytes,
 		SampleTuples:     run.SampleTuples,
 		SkewedGroups:     run.SkewedGroups,
-		Retries:          run.Metrics.Retries(),
-		RetryWallSeconds: run.Metrics.RetryWallSeconds(),
-		WastedBytes:      run.Metrics.WastedBytes(),
-		Spills:           run.Metrics.Spills(),
-		SpillBytes:       run.Metrics.SpillBytes(),
+		Retries:          t.Retries,
+		RetryWallSeconds: t.RetryWallSeconds,
+		WastedBytes:      t.WastedBytes,
+		Spills:           t.Spills,
+		SpillBytes:       t.SpillBytes,
 
-		CompressedSpillBytes: run.Metrics.CompressedSpillBytes(),
-		MergePasses:          run.Metrics.MergePasses(),
+		CompressedSpillBytes: t.CompressedSpillBytes,
+		MergePasses:          t.MergePasses,
 
-		MapReexecutions:     run.Metrics.MapReexecutions(),
-		FetchFailures:       run.Metrics.FetchFailures(),
-		SpeculativeLaunched: run.Metrics.SpeculativeLaunched(),
-		SpeculativeWon:      run.Metrics.SpeculativeWon(),
-		SpeculativeKilled:   run.Metrics.SpeculativeKilled(),
+		MapReexecutions:     t.MapReexecutions,
+		FetchFailures:       t.FetchFailures,
+		SpeculativeLaunched: t.SpeculativeLaunched,
+		SpeculativeWon:      t.SpeculativeWon,
+		SpeculativeKilled:   t.SpeculativeKilled,
 	}
 }
 
