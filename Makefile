@@ -34,14 +34,17 @@ retry-race:
 
 # Short fuzz of the cube-equivalence oracle (relation shape x fault
 # coordinate vs brute force), the delta-maintenance oracle (batch
-# composition x aggregate x rebuild threshold vs recompute), and the spill
+# composition x aggregate x rebuild threshold vs recompute), the spill
 # plane's two wire formats: the front-coded record codec and the
-# checksummed block framing (round-trip plus corrupt-input rejection).
+# checksummed block framing (round-trip plus corrupt-input rejection), and
+# the reducers' output records (arbitrary file bytes: the sorted run fails
+# when the map collector fails and otherwise equals it).
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzCubeEquivalence -fuzztime=10s ./internal/integration
 	$(GO) test -run=NONE -fuzz=FuzzDeltaEquivalence -fuzztime=10s ./internal/integration
 	$(GO) test -run=NONE -fuzz=FuzzKeyCodec -fuzztime=10s ./internal/mr
 	$(GO) test -run=NONE -fuzz=FuzzBlockCodec -fuzztime=10s ./internal/mr/blockcodec
+	$(GO) test -run=NONE -fuzz=FuzzOutputRecords -fuzztime=10s ./internal/cube
 
 # Randomized fault-plan soak: deterministically generated multi-fault plans
 # (every task-fault kind, whole-node crashes, speculation, task timeouts)
@@ -175,14 +178,14 @@ loc:
 	done; \
 	printf '%6d  total\n' "$$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -print0 | count)"
 
-# Old-vs-new comparison of the engine's hot path and of the serving index.
-# Checks out BASE (default: the previous commit) into a temporary git
-# worktree, copies the two portable public-API benchmark files in (so old
-# trees predating them still run the identical workload), benchmarks both
-# trees, and renders one comparison per package with benchstat when
-# installed, falling back to the in-repo cmd/benchcmp. In-package benchmarks
-# (ShuffleMerge, Combine) may not exist in the old tree and then appear as
-# new-only rows.
+# Old-vs-new comparison of the engine's hot path, of the serving index and of
+# a batch run's compute + collect + CSV render. Checks out BASE (default: the
+# previous commit) into a temporary git worktree, copies the three portable
+# public-API benchmark files in (so old trees predating them still run the
+# identical workload), benchmarks both trees, and renders one comparison per
+# package with benchstat when installed, falling back to the in-repo
+# cmd/benchcmp. In-package benchmarks (ShuffleMerge, Combine) may not exist
+# in the old tree and then appear as new-only rows.
 BASE ?= HEAD~1
 SERVE_BENCH_PATTERN ?= StoreBuild|StorePoint|ApplyPatch
 bench-compare:
@@ -191,7 +194,8 @@ bench-compare:
 	trap 'git worktree remove --force "$$tmp/base" 2>/dev/null || true; rm -rf "$$tmp"' EXIT; \
 	git worktree add --detach "$$tmp/base" $(BASE) >/dev/null; \
 	for spec in 'internal/mr hotpath_bench_test.go $(BENCH_PATTERN)' \
-		'internal/serve index_bench_test.go $(SERVE_BENCH_PATTERN)'; do \
+		'internal/serve index_bench_test.go $(SERVE_BENCH_PATTERN)' \
+		'. collect_bench_test.go ComputeWriteCSV'; do \
 		set -- $$spec; pkg=$$1; file=$$2; pattern=$$3; \
 		mkdir -p "$$tmp/base/$$pkg"; \
 		cp "$$pkg/$$file" "$$tmp/base/$$pkg/$$file"; \

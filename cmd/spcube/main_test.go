@@ -104,10 +104,62 @@ x,y,p,1
 x,z,p,2
 w,y,r,4
 `
+	requireWriterGolden(t, want, "a,b,c,m\nx,y,p,1\nx,z,p,2\nw,y,r,4\n", 2)
+}
+
+// TestWriterQuotingGolden pins the writer's CSV quoting against the literal
+// the parent commit wrote for dimension values holding a comma, quotes, a
+// leading space, `\.`, the empty string and a newline.
+func TestWriterQuotingGolden(t *testing.T) {
+	const want = `p,q,r,sum
+*,*,*,10
+"a,b",*,*,5
+"say ""hi""",*,*,2
+,*,*,3
+*," lead",*,1
+*,"\.",*,6
+*,"line
+break",*,3
+"a,b"," lead",*,1
+"a,b","\.",*,4
+"say ""hi""","\.",*,2
+,"line
+break",*,3
+*,*,x,4
+*,*,y,6
+"a,b",*,x,1
+"a,b",*,y,4
+"say ""hi""",*,y,2
+,*,x,3
+*," lead",x,1
+*,"\.",y,6
+*,"line
+break",x,3
+"a,b"," lead",x,1
+"a,b","\.",y,4
+"say ""hi""","\.",y,2
+,"line
+break",x,3
+`
+	requireWriterGolden(t, want, `p,q,r,m
+"a,b", lead,x,1
+"say ""hi""",\.,y,2
+,"line
+break",x,3
+"a,b",\.,y,4
+`, 2)
+}
+
+// requireWriterGolden runs plain mode over the input and delta mode over its
+// first baseRows data rows plus the rest as the batch, and requires both to
+// write want. Rows must not span lines before the split.
+func requireWriterGolden(t *testing.T, want, input string, baseRows int) {
+	t.Helper()
+	lines := strings.SplitAfterN(input, "\n", baseRows+2)
 	dir := t.TempDir()
-	full := writeTemp(t, dir, "full.csv", "a,b,c,m\nx,y,p,1\nx,z,p,2\nw,y,r,4\n")
-	base := writeTemp(t, dir, "base.csv", "a,b,c,m\nx,y,p,1\nx,z,p,2\n")
-	batch := writeTemp(t, dir, "batch.csv", "a,b,c,m\nw,y,r,4\n")
+	full := writeTemp(t, dir, "full.csv", input)
+	base := writeTemp(t, dir, "base.csv", strings.Join(lines[:baseRows+1], ""))
+	batch := writeTemp(t, dir, "batch.csv", lines[0]+lines[baseRows+1])
 	for name, args := range map[string][]string{
 		"plain": {"-in", full},
 		"delta": {"-in", base, "-delta", batch},

@@ -1,7 +1,9 @@
 // Package cube defines the cube-computation problem the algorithms solve:
 // the specification (which aggregate, iceberg threshold), the result
-// contract shared by all algorithms, and a brute-force reference
-// implementation used by the test suite as ground truth.
+// contract shared by all algorithms, the two readings of a job's output
+// (SortedRun, an index over the reducers' own bytes, and Result, a map), and
+// a brute-force reference implementation used by the test suite as ground
+// truth.
 package cube
 
 import (
@@ -74,9 +76,10 @@ type Group struct {
 	Value  float64
 }
 
-// Result is a fully materialized cube, keyed by encoded group key. It is
-// used by tests and the public API at moderate scale; benchmarks leave the
-// cube in the (discarding) DFS and compare checksums instead.
+// Result is a fully materialized cube, keyed by encoded group key: the test
+// suite's oracle, and what incremental maintenance and the serving index
+// consume. The public API reads a SortedRun instead; benchmarks leave the
+// cube in the (discarding) DFS and compare checksums.
 type Result struct {
 	D      int
 	Groups map[string]float64
@@ -201,42 +204,21 @@ func CollectDFS(eng *mr.Engine, prefix string, d int) (*Result, error) {
 
 // ScanDFS calls visit with the encoded group key and final value of every
 // record of a cube written to the engine's DFS (non-discard mode) under the
-// given prefix, in file order. Output records are written by the reducers
-// as concatenated "<group key>\t<8-byte float bits>" frames (see
-// EncodeFinal); a uvarint byte of the key can be 0x09, so records are parsed
-// structurally instead of split on the tab.
+// given prefix, in file order.
 func ScanDFS(eng *mr.Engine, prefix string, visit func(key string, val float64)) error {
 	for _, name := range eng.FS.List(prefix) {
 		data, err := eng.FS.Read(name)
 		if err != nil {
 			return err
 		}
-		for off := 0; off < len(data); {
-			key, val, n, err := parseRecord(data[off:])
-			if err != nil {
-				return fmt.Errorf("cube: parsing %s: %w", name, err)
-			}
-			visit(key, val)
-			off += n
+		err = walkRecords(data, func(off, keyLen int) {
+			visit(string(data[off:off+keyLen]), DecodeFinal(data[off+keyLen+1:]))
+		})
+		if err != nil {
+			return fmt.Errorf("cube: parsing %s: %w", name, err)
 		}
 	}
 	return nil
-}
-
-func parseRecord(b []byte) (string, float64, int, error) {
-	_, _, keyLen, err := relation.ScanGroupKey(b)
-	if err != nil {
-		return "", 0, 0, err
-	}
-	if keyLen >= len(b) || b[keyLen] != '\t' {
-		return "", 0, 0, fmt.Errorf("cube: malformed output record")
-	}
-	rest := b[keyLen+1:]
-	if len(rest) < 8 {
-		return "", 0, 0, fmt.Errorf("cube: truncated output value")
-	}
-	v := DecodeFinal(rest[:8])
-	return string(b[:keyLen]), v, keyLen + 1 + 8, nil
 }
 
 // EncodeFinal serializes a final aggregate value for output records.

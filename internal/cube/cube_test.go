@@ -3,6 +3,7 @@ package cube
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/spcube/spcube/internal/agg"
@@ -140,5 +141,21 @@ func TestLookupRandomAgainstRecount(t *testing.T) {
 		if v, ok := res.Lookup(mask, tu.Dims); !ok || v != float64(want) {
 			t.Fatalf("Lookup(%b) = %v,%v want %d", mask, v, ok, want)
 		}
+	}
+}
+
+// TestRunFileLimit: a file a row's 32-bit offset cannot address is refused by
+// name instead of indexed with wrapped offsets.
+func TestRunFileLimit(t *testing.T) {
+	rec := append([]byte(relation.GroupKeyPacked(1, []relation.Value{7})), '\t')
+	rec = append(rec, EncodeFinal(1)...)
+	defer func(old int64) { maxFileBytes = old }(maxFileBytes)
+	maxFileBytes = int64(2*len(rec) - 1)
+	if _, err := indexFile("out/x/part-0", rec, 1); err != nil {
+		t.Fatalf("a file under the limit: %v", err)
+	}
+	_, err := indexFile("out/x/part-0", append(rec, rec...), 2)
+	if err == nil || !strings.Contains(err.Error(), "out/x/part-0") {
+		t.Fatalf("a file over the limit: error %v, want one naming the file", err)
 	}
 }

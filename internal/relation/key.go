@@ -80,6 +80,13 @@ func DecodeGroupKey(key string) (mask uint32, vals []Value, err error) {
 // trailing data), returning the mask, the packed values, and the number of
 // bytes consumed.
 func ScanGroupKey(b []byte) (mask uint32, vals []Value, n int, err error) {
+	return ScanGroupKeyInto(nil, b)
+}
+
+// ScanGroupKeyInto is ScanGroupKey decoding into buf, which is reused when
+// large enough: walking many keys with one buffer allocates nothing. The
+// returned values alias buf.
+func ScanGroupKeyInto(buf []Value, b []byte) (mask uint32, vals []Value, n int, err error) {
 	m, mn := binary.Uvarint(b)
 	if mn <= 0 {
 		return 0, nil, 0, fmt.Errorf("relation: bad group key mask")
@@ -87,7 +94,10 @@ func ScanGroupKey(b []byte) (mask uint32, vals []Value, n int, err error) {
 	mask = uint32(m)
 	n = mn
 	cnt := bits.OnesCount32(mask)
-	vals = make([]Value, 0, cnt)
+	if buf == nil || cap(buf) < cnt { // nil too: the apex decodes to an empty slice, not nil
+		buf = make([]Value, 0, cnt)
+	}
+	vals = buf[:0]
 	for i := 0; i < cnt; i++ {
 		u, vn := binary.Uvarint(b[n:])
 		if vn <= 0 {

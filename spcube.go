@@ -421,7 +421,7 @@ type Group struct {
 // Cube is a computed data cube.
 type Cube struct {
 	rel     *Relation
-	res     *cube.Result
+	run     *cube.SortedRun // aliases the job's DFS output files and keeps them alive
 	stats   Stats
 	metrics mr.JobMetrics
 }
@@ -453,13 +453,13 @@ func newEngine(rel *Relation, opts []Option) (*config, *mr.Engine, func(), error
 	return cfg, mr.New(cfg.eng, dfs.New(false)), closeEx, nil
 }
 
-// collect materializes one finished run's output as a Cube.
+// collect indexes one finished run's output as a Cube.
 func collect(eng *mr.Engine, rel *Relation, run *cube.Run) (*Cube, error) {
-	res, err := cube.CollectDFS(eng, run.OutputPrefix, rel.NumDims())
+	sorted, err := cube.CollectRun(eng, run.OutputPrefix, rel.NumDims())
 	if err != nil {
 		return nil, err
 	}
-	return &Cube{rel: rel, res: res, stats: statsFromRun(run), metrics: run.Metrics}, nil
+	return &Cube{rel: rel, run: sorted, stats: statsFromRun(run), metrics: run.Metrics}, nil
 }
 
 // Compute runs a cube computation over the relation.
@@ -533,7 +533,7 @@ func (c *Cube) MetricsJSON() ([]byte, error) {
 }
 
 // NumGroups returns the number of c-groups in the cube.
-func (c *Cube) NumGroups() int { return c.res.Len() }
+func (c *Cube) NumGroups() int { return c.run.Len() }
 
 // Value looks up the aggregate of one c-group. Pass one value per
 // dimension, with "*" for dimensions aggregated away; for example, with
@@ -557,11 +557,12 @@ func (c *Cube) Value(vals ...string) (float64, bool) {
 		mask |= 1 << uint(i)
 		dims[i] = code
 	}
-	return c.res.Lookup(lattice.Mask(mask), dims)
+	return c.run.Lookup(lattice.Mask(mask), dims)
 }
 
 // ValueInts is Value for relations populated with AddRowInts; use
-// StarInt for dimensions aggregated away.
+// StarInt for dimensions aggregated away. AddRowInts takes int32 values, so
+// a probe outside that range names no group.
 func (c *Cube) ValueInts(vals ...int64) (float64, bool) {
 	d := c.rel.NumDims()
 	if len(vals) != d {
@@ -573,10 +574,13 @@ func (c *Cube) ValueInts(vals ...int64) (float64, bool) {
 		if v == StarInt {
 			continue
 		}
+		if v < math.MinInt32 || v > math.MaxInt32 {
+			return 0, false
+		}
 		mask |= 1 << uint(i)
 		dims[i] = relation.Value(v)
 	}
-	return c.res.Lookup(lattice.Mask(mask), dims)
+	return c.run.Lookup(lattice.Mask(mask), dims)
 }
 
 // StarInt marks an aggregated-away dimension in ValueInts.
@@ -609,7 +613,7 @@ func (c *Cube) Cuboid(dimNames ...string) ([]Group, error) {
 			return nil, fmt.Errorf("spcube: unknown dimension %q (have %v)", want, names)
 		}
 	}
-	groups := c.res.Cuboid(mask)
+	groups := c.run.Cuboid(mask)
 	out := make([]Group, 0, len(groups))
 	for _, g := range groups {
 		dims := make([]string, d)
@@ -627,11 +631,12 @@ func (c *Cube) Cuboid(dimNames ...string) ([]Group, error) {
 	return out, nil
 }
 
-// Groups calls fn for every c-group in the cube, in an unspecified order.
+// Groups calls fn for every c-group in the cube in ascending encoded-key
+// order — the row order of WriteCSV. Each Group's Dims is the caller's to
+// keep.
 func (c *Cube) Groups(fn func(g Group)) {
-	// EachRow fails only on a malformed group key, which CollectDFS never
-	// admits into a Result.
-	_ = c.res.EachRow(c.rel.inner, func(dims []string, value float64) error {
+	// EachRow only passes on the error of its callback.
+	_ = c.run.EachRow(c.rel.inner, func(dims []string, value float64) error {
 		fn(Group{Dims: append([]string(nil), dims...), Value: value})
 		return nil
 	})
@@ -641,5 +646,5 @@ func (c *Cube) Groups(fn func(g Group)) {
 // valueName, then one row per c-group in group-key order with "*" in
 // aggregated-away dimensions (the output of cmd/spcube).
 func (c *Cube) WriteCSV(w io.Writer, valueName string) error {
-	return c.res.WriteCSV(w, c.rel.inner, valueName)
+	return c.run.WriteCSV(w, c.rel.inner, valueName)
 }

@@ -1,10 +1,19 @@
 package spcube
 
 import (
+	"bytes"
+	"encoding/csv"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strconv"
+	"sync"
 	"testing"
+
+	"github.com/spcube/spcube/internal/cube"
+	"github.com/spcube/spcube/internal/data"
+	"github.com/spcube/spcube/internal/lattice"
 )
 
 func salesRelation() *Relation {
@@ -152,6 +161,23 @@ func TestIntRelation(t *testing.T) {
 	if _, ok := c.ValueInts(1); ok {
 		t.Error("wrong arity must not resolve")
 	}
+	// AddRowInts takes int32 values: a wider probe names no group, and in
+	// particular not the group of its low 32 bits.
+	rel.AddRowInts([]int32{5, 30}, 2)
+	if c, err = Compute(rel, Aggregate(Sum), Workers(2)); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := c.ValueInts(StarInt, 30); !ok || v != 2 {
+		t.Errorf("ValueInts(*,30) = %v,%v", v, ok)
+	}
+	for _, wide := range []int64{1<<32 + 5, -(1 << 32) + 5, math.MaxInt64} {
+		if v, ok := c.ValueInts(wide, StarInt); ok {
+			t.Errorf("ValueInts(%d,*) = %v, want a miss", wide, v)
+		}
+		if v, ok := c.ValueInts(StarInt, wide); ok {
+			t.Errorf("ValueInts(*,%d) = %v, want a miss", wide, v)
+		}
+	}
 }
 
 func TestComputeErrors(t *testing.T) {
@@ -289,4 +315,111 @@ func TestDistinctViaFacade(t *testing.T) {
 	if v, ok := c.Value("*"); !ok || v != 3 {
 		t.Errorf("distinct(*) = %v,%v want 3", v, ok)
 	}
+}
+
+// TestCuboidMatchesBrute: for every algorithm and every cuboid, Cube.Cuboid
+// returns the brute-force map's groups in the map's (packed-value) order.
+func TestCuboidMatchesBrute(t *testing.T) {
+	for name, rel := range map[string]*Relation{
+		"retail": {inner: data.Retail(300, 1)},
+		"wiki":   {inner: data.WikiTraffic(300, 1)},
+	} {
+		want := cube.Brute(rel.inner, Sum.f)
+		for alg := AlgSPCube; alg <= AlgPipesort; alg++ {
+			c, err := Compute(rel, Algorithm(alg), Aggregate(Sum), Workers(3))
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, alg, err)
+			}
+			if c.NumGroups() != want.Len() {
+				t.Fatalf("%s/%s: %d groups, brute force has %d", name, alg, c.NumGroups(), want.Len())
+			}
+			for mask := lattice.Mask(0); mask <= lattice.Full(rel.NumDims()); mask++ {
+				var names []string
+				for i, n := range rel.DimNames() {
+					if mask.Has(i) {
+						names = append(names, n)
+					}
+				}
+				got, err := c.Cuboid(names...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				exp := want.Cuboid(mask)
+				if len(got) != len(exp) {
+					t.Fatalf("%s/%s cuboid %v: %d groups, want %d", name, alg, names, len(got), len(exp))
+				}
+				for j, g := range exp {
+					dims := make([]string, rel.NumDims())
+					for i, k := 0, 0; i < len(dims); i++ {
+						dims[i] = "*"
+						if mask.Has(i) {
+							dims[i] = rel.inner.DimString(i, g.Packed[k])
+							k++
+						}
+					}
+					if !slices.Equal(got[j].Dims, dims) || got[j].Value != g.Value {
+						t.Fatalf("%s/%s cuboid %v group %d: %v, want %v = %v", name, alg, names, j, got[j], dims, g.Value)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGroupsWriteCSVParallelism: Groups visits the rows of WriteCSV in
+// WriteCSV's order (the benchmark harness replays the CLI's file through
+// Groups), and the bytes do not depend on how many files were sorted at once.
+func TestGroupsWriteCSVParallelism(t *testing.T) {
+	rel := &Relation{inner: data.Retail(2000, 3)}
+	var outs [2]bytes.Buffer
+	for i, par := range []int{1, 8} {
+		c, err := Compute(rel, Aggregate(Avg), Parallelism(par))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.WriteCSV(&outs[i], "avg"); err != nil {
+			t.Fatal(err)
+		}
+		var replay bytes.Buffer
+		cw := csv.NewWriter(&replay)
+		cw.Write(append(rel.DimNames(), "avg"))
+		c.Groups(func(g Group) { cw.Write(append(g.Dims, strconv.FormatFloat(g.Value, 'g', -1, 64))) })
+		cw.Flush()
+		if !bytes.Equal(replay.Bytes(), outs[i].Bytes()) {
+			t.Errorf("Parallelism(%d): Groups through a csv.Writer differs from WriteCSV", par)
+		}
+	}
+	if !bytes.Equal(outs[0].Bytes(), outs[1].Bytes()) {
+		t.Error("Parallelism(1) and Parallelism(8) wrote different bytes")
+	}
+}
+
+// TestConcurrentReaders reads one Cube from several goroutines at once; the
+// race detector checks that no reader writes shared state.
+func TestConcurrentReaders(t *testing.T) {
+	c, err := Compute(salesRelation(), Aggregate(Sum), Workers(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 50; j++ {
+				if v, ok := c.Value("laptop", "*", "2012"); !ok || v != 3500 {
+					t.Errorf("Value = %v,%v", v, ok)
+				}
+				if g, err := c.Cuboid("name", "year"); err != nil || len(g) != 4 {
+					t.Errorf("Cuboid = %v,%v", g, err)
+				}
+				n := 0
+				c.Groups(func(Group) { n++ })
+				if n != c.NumGroups() {
+					t.Errorf("Groups visited %d of %d", n, c.NumGroups())
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
