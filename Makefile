@@ -38,13 +38,16 @@ retry-race:
 # plane's two wire formats: the front-coded record codec and the
 # checksummed block framing (round-trip plus corrupt-input rejection), and
 # the reducers' output records (arbitrary file bytes: the sorted run fails
-# when the map collector fails and otherwise equals it).
+# when the map collector fails and otherwise equals it), and the input
+# dictionary (arbitrary column values: codes, order and decoded text equal a
+# plain string map's, whichever of its two entry kinds a value takes).
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzCubeEquivalence -fuzztime=10s ./internal/integration
 	$(GO) test -run=NONE -fuzz=FuzzDeltaEquivalence -fuzztime=10s ./internal/integration
 	$(GO) test -run=NONE -fuzz=FuzzKeyCodec -fuzztime=10s ./internal/mr
 	$(GO) test -run=NONE -fuzz=FuzzBlockCodec -fuzztime=10s ./internal/mr/blockcodec
 	$(GO) test -run=NONE -fuzz=FuzzOutputRecords -fuzztime=10s ./internal/cube
+	$(GO) test -run=NONE -fuzz=FuzzDictionaryRoundTrip -fuzztime=10s ./internal/relation
 
 # Randomized fault-plan soak: deterministically generated multi-fault plans
 # (every task-fault kind, whole-node crashes, speculation, task timeouts)
@@ -179,7 +182,8 @@ loc:
 	printf '%6d  total\n' "$$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -print0 | count)"
 
 # Old-vs-new comparison of the engine's hot path, of the serving index and of
-# a batch run's compute + collect + CSV render. Checks out BASE (default: the
+# two batch runs (compute + collect + CSV render of the uniform cube; CSV load
+# + compute of the skewed, spilling one). Checks out BASE (default: the
 # previous commit) into a temporary git worktree, copies the three portable
 # public-API benchmark files in (so old trees predating them still run the
 # identical workload), benchmarks both trees, and renders one comparison per
@@ -195,7 +199,7 @@ bench-compare:
 	git worktree add --detach "$$tmp/base" $(BASE) >/dev/null; \
 	for spec in 'internal/mr hotpath_bench_test.go $(BENCH_PATTERN)' \
 		'internal/serve index_bench_test.go $(SERVE_BENCH_PATTERN)' \
-		'. collect_bench_test.go ComputeWriteCSV'; do \
+		'. collect_bench_test.go ComputeWriteCSV|SkewedBatch'; do \
 		set -- $$spec; pkg=$$1; file=$$2; pattern=$$3; \
 		mkdir -p "$$tmp/base/$$pkg"; \
 		cp "$$pkg/$$file" "$$tmp/base/$$pkg/$$file"; \

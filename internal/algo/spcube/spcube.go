@@ -8,17 +8,21 @@
 // and shipped as compact partial states to a dedicated skew reducer, while
 // the first unmarked non-skewed c-group found causes the full tuple to be
 // sent to the range-partitioned reducer responsible for that group, with the
-// group and all its lattice ancestors marked as handled. The receiving
-// reducer recovers every ancestor group it owns by running BUC locally over
-// the group's tuple set (factorized processing), using the ownership rule:
-// a lattice node is computed by the BFS-minimal non-skewed descendant of its
-// group. Because skewness is downward-closed, ownership failures propagate
-// upward, letting the reducer prune whole lattice branches.
+// group and all its lattice ancestors marked as handled. (A tuple all of
+// whose 2^d groups are skewed would walk every node only to aggregate: it is
+// aggregated once per row instead and pushed down the lattice when the task
+// flushes.) The receiving reducer recovers every ancestor group it owns by
+// running BUC locally over the group's tuple set (factorized processing),
+// using the ownership rule: a lattice node is computed by the BFS-minimal
+// non-skewed descendant of its group. Because skewness is downward-closed,
+// ownership failures propagate upward, letting the reducer prune whole
+// lattice branches.
 package spcube
 
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/spcube/spcube/internal/agg"
@@ -127,8 +131,39 @@ func ComputeMulti(eng *mr.Engine, rel *relation.Relation, specs []cube.Spec, opt
 }
 
 func runCubeRound(eng *mr.Engine, rel *relation.Relation, spec cube.Spec, sk *sketch.Sketch, opts Options, outPrefix string) (*mr.RoundResult, error) {
-	d := rel.D()
-	k := eng.Cfg.Workers
+	return eng.RunTuples(cubeJob(rel.D(), eng.Cfg.Workers, spec, sk, opts, outPrefix), rel.Tuples)
+}
+
+// fullySkewed is a map task's entry for one distinct tuple whose finest
+// group (full mask) is skewed. st is the tuple's own partial aggregate when
+// all 2^d of its projections are skewed too — it is then aggregated once per
+// row and pushed down the lattice once, at flush — and nil when some
+// projection is not: the sketch steers performance, never correctness, so
+// down-closure is verified per tuple, not assumed, and a tuple that fails
+// takes the walk like any partially-skewed one.
+type fullySkewed struct {
+	dims []relation.Value
+	st   agg.State
+}
+
+// taskState is per-task: tasks of a round may run in parallel, so each map
+// task owns its marks/partial-aggregate tables/buffers and each reduce task
+// its subset-BFS cache.
+type taskState struct {
+	marks   *lattice.Marks
+	skewAgg map[string]agg.State
+	// fullAgg is keyed by the tuple's encoded dims; the sketch's full-mask
+	// skew count bounds its size.
+	fullAgg map[string]*fullySkewed
+	keyBuf  []byte
+	valBuf  []byte
+	packBuf []relation.Value
+	// subsetsBFS caches subset BFS orders per mask (reduce side).
+	subsetsBFS [][]lattice.Mask
+}
+
+// cubeJob builds round 2 (Algorithm 3) for d dimensions on k machines.
+func cubeJob(d, k int, spec cube.Spec, sk *sketch.Sketch, opts Options, outPrefix string) *mr.Job {
 	bfs := lattice.BFSOrder(d)
 	f, minSup := spec.Effective()
 
@@ -138,29 +173,64 @@ func runCubeRound(eng *mr.Engine, rel *relation.Relation, spec cube.Spec, sk *sk
 		}
 		return sk.IsSkewed(mask, packed)
 	}
+	full := lattice.Full(d)
+	// No tuple can be fully skewed when the finest cuboid records no skew
+	// (every uniform input): the per-tuple probe below is skipped outright.
+	fullSkews := !opts.DisableSkewHandling && sk.HasSkews(full)
 
-	// Per-task state: tasks of a round may run in parallel, so each map
-	// task owns its marks/partial-aggregate table/buffers and each reduce
-	// task its subset-BFS cache.
-	type taskState struct {
-		marks   *lattice.Marks
-		skewAgg map[string]agg.State
-		keyBuf  []byte
-		valBuf  []byte
-		packBuf []relation.Value
-		// subsetsBFS caches subset BFS orders per mask (reduce side).
-		subsetsBFS [][]lattice.Mask
-	}
 	taskStateFn := func() any {
 		return &taskState{
 			marks:      lattice.NewMarks(d),
 			skewAgg:    make(map[string]agg.State),
+			fullAgg:    make(map[string]*fullySkewed),
 			subsetsBFS: make([][]lattice.Mask, 1<<uint(d)),
 		}
 	}
 
+	// skewState returns the task's partial aggregate of the skewed c-group
+	// (mask, dims), creating it on first sight. The prefixed key is built in
+	// scratch; the map lookup on string(ts.keyBuf) does not allocate, and
+	// the key string is materialized only when the group is new.
+	skewState := func(ts *taskState, mask lattice.Mask, dims []relation.Value) agg.State {
+		ts.keyBuf = append(ts.keyBuf[:0], prefixSkew)
+		ts.keyBuf = relation.AppendGroupKey(ts.keyBuf, uint32(mask), dims)
+		st, ok := ts.skewAgg[string(ts.keyBuf)]
+		if !ok {
+			st = f.NewState()
+			ts.skewAgg[string(ts.keyBuf)] = st
+		}
+		return st
+	}
+
 	mapTuple := func(ctx *mr.MapCtx, t relation.Tuple) {
 		ts := ctx.State().(*taskState)
+		if fullSkews && sk.IsSkewed(full, t.Dims) {
+			ts.keyBuf = relation.AppendGroupKey(ts.keyBuf[:0], uint32(full), t.Dims)
+			e, ok := ts.fullAgg[string(ts.keyBuf)]
+			if !ok {
+				e = &fullySkewed{dims: slices.Clone(t.Dims), st: f.NewState()}
+				for _, mask := range bfs {
+					ts.packBuf = relation.ProjectInto(ts.packBuf, t.Dims, uint32(mask))
+					if !sk.IsSkewed(mask, ts.packBuf) {
+						e.st = nil
+						break
+					}
+				}
+				ts.fullAgg[string(ts.keyBuf)] = e
+			}
+			if e.st != nil {
+				e.st.Add(t.Measure)
+				// The cost model stays Algorithm 3's: the walk below visits
+				// all 2^d nodes of such a tuple and emits nothing, so it
+				// charges exactly this — one op per node, back to back.
+				// Simulated seconds are a float sum: one ChargeOps(2^d)
+				// would round differently and move every committed figure.
+				for range bfs {
+					ctx.ChargeOps(1)
+				}
+				return
+			}
+		}
 		ts.marks.Reset()
 		for _, mask := range bfs {
 			if ts.marks.Marked(mask) {
@@ -170,18 +240,8 @@ func runCubeRound(eng *mr.Engine, rel *relation.Relation, spec cube.Spec, sk *sk
 			ts.packBuf = relation.ProjectInto(ts.packBuf, t.Dims, uint32(mask))
 			if isSkewed(mask, ts.packBuf) {
 				// Partial aggregation of a skewed c-group in the mapper
-				// (Algorithm 3, lines 6-8). The prefixed key is built in
-				// scratch; the map lookup on string(ts.keyBuf) does not
-				// allocate, and the key string is materialized only when
-				// the group is seen for the first time.
-				ts.keyBuf = append(ts.keyBuf[:0], prefixSkew)
-				ts.keyBuf = relation.AppendGroupKey(ts.keyBuf, uint32(mask), t.Dims)
-				st, ok := ts.skewAgg[string(ts.keyBuf)]
-				if !ok {
-					st = f.NewState()
-					ts.skewAgg[string(ts.keyBuf)] = st
-				}
-				st.Add(t.Measure)
+				// (Algorithm 3, lines 6-8).
+				skewState(ts, mask, t.Dims).Add(t.Measure)
 				ts.marks.Mark(mask)
 				continue
 			}
@@ -207,6 +267,19 @@ func runCubeRound(eng *mr.Engine, rel *relation.Relation, spec cube.Spec, sk *sk
 		// Ship the mapper's partial aggregates of skewed c-groups to the
 		// skew reducer (Algorithm 3, lines 16-20). Sorted for determinism.
 		ts := ctx.State().(*taskState)
+		// Push each fully-skewed tuple's aggregate down to its 2^d
+		// projections first. Every aggregate's Merge is exact and
+		// commutative, so the states — and their encodings — are the ones
+		// per-row Adds would have built, whatever the map's order.
+		for _, e := range ts.fullAgg {
+			if e.st == nil {
+				continue
+			}
+			for _, mask := range bfs {
+				skewState(ts, mask, e.dims).Merge(e.st)
+			}
+		}
+		clear(ts.fullAgg)
 		keys := make([]string, 0, len(ts.skewAgg))
 		for key := range ts.skewAgg {
 			keys = append(keys, key)
@@ -327,7 +400,7 @@ func runCubeRound(eng *mr.Engine, rel *relation.Relation, spec cube.Spec, sk *sk
 		}
 	}
 
-	job := &mr.Job{
+	return &mr.Job{
 		Name:         "sp-cube",
 		Reducers:     k + 1,
 		TaskState:    taskStateFn,
@@ -337,7 +410,6 @@ func runCubeRound(eng *mr.Engine, rel *relation.Relation, spec cube.Spec, sk *sk
 		Reduce:       reduce,
 		OutputPrefix: outPrefix,
 	}
-	return eng.RunTuples(job, rel.Tuples)
 }
 
 // expand widens a packed projection back to full width so EncodeGroupKey

@@ -135,11 +135,21 @@ func SubsetsBFS(m Mask) []Mask {
 type Marks struct {
 	words []uint64
 	d     int
+	// supers[m], present when the whole lattice fits one word (d ≤ 6), is
+	// the bitset of m and all its supersets.
+	supers []uint64
 }
 
 // NewMarks creates a mark set for a d-dimensional lattice.
 func NewMarks(d int) *Marks {
-	return &Marks{words: make([]uint64, (1<<uint(d)+63)/64), d: d}
+	mk := &Marks{words: make([]uint64, (1<<uint(d)+63)/64), d: d}
+	if d <= 6 {
+		mk.supers = make([]uint64, 1<<uint(d))
+		for m := range mk.supers {
+			SupersetsIncl(Mask(m), d, func(s Mask) { mk.supers[m] |= 1 << s })
+		}
+	}
+	return mk
 }
 
 // Reset clears all marks.
@@ -161,7 +171,20 @@ func (mk *Marks) Mark(m Mask) {
 
 // MarkSupersetsIncl marks m and all its supersets (the node itself and its
 // transitive ancestors), as the SP-Cube mapper does after sending a tuple to
-// the reducer owning a non-skewed c-group (Algorithm 3, line 12).
+// the reducer owning a non-skewed c-group (Algorithm 3, line 12). The mapper
+// calls it once per emitted group, so it ORs one precomputed word when it
+// can and otherwise enumerates the supersets in place rather than through
+// SupersetsIncl's callback.
 func (mk *Marks) MarkSupersetsIncl(m Mask) {
-	SupersetsIncl(m, mk.d, mk.Mark)
+	if mk.supers != nil {
+		mk.words[0] |= mk.supers[m]
+		return
+	}
+	free := Full(mk.d) &^ m
+	for s := free; ; s = (s - 1) & free {
+		mk.Mark(m | s)
+		if s == 0 {
+			return
+		}
+	}
 }

@@ -161,6 +161,26 @@ func TestMarks(t *testing.T) {
 	}
 }
 
+// TestMarkSupersetsInclEqualsEnumeration pins both marking strategies (one
+// precomputed word for d ≤ 6, in-place enumeration above) to the callback
+// enumerator, for every mask.
+func TestMarkSupersetsInclEqualsEnumeration(t *testing.T) {
+	for d := 1; d <= 8; d++ {
+		mk := NewMarks(d)
+		for m := Mask(0); m <= Full(d); m++ {
+			want := make(map[Mask]bool)
+			SupersetsIncl(m, d, func(s Mask) { want[s] = true })
+			mk.Reset()
+			mk.MarkSupersetsIncl(m)
+			for s := Mask(0); s <= Full(d); s++ {
+				if mk.Marked(s) != want[s] {
+					t.Fatalf("d=%d m=%b: node %b marked=%v, SupersetsIncl says %v", d, m, s, mk.Marked(s), want[s])
+				}
+			}
+		}
+	}
+}
+
 func TestBFSLessTotalOrder(t *testing.T) {
 	f := func(a, b uint16) bool {
 		x, y := Mask(a), Mask(b)

@@ -41,3 +41,31 @@ func TestReadCSV(t *testing.T) {
 		t.Error("equal strings got different dictionary codes")
 	}
 }
+
+// TestRowsDoNotAlias: rows' Dims are carved from shared chunks, so each must
+// be capped at its own length — appending to one row's Dims reallocates
+// instead of writing into the next row — whichever way the row came in.
+// (Copying a Relation by value would hand two relations the same chunk; its
+// noCopy field makes go vet reject that.)
+func TestRowsDoNotAlias(t *testing.T) {
+	fromCSV, err := ReadCSV(strings.NewReader("a,b,m\n1,x,1\n2,y,2\n3,z,3\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	appended := New([]string{"a", "b"}, "m")
+	for i := 0; i < 40; i++ { // past the first chunk
+		appended.Append([]Value{Value(i), Value(-i)}, 1)
+		appended.AppendStrings([]string{"p", "q"}, 1)
+	}
+	for name, rel := range map[string]*Relation{"ReadCSV": fromCSV, "Append": appended} {
+		for i := 0; i+1 < rel.N(); i++ {
+			next := append([]Value(nil), rel.Tuples[i+1].Dims...)
+			_ = append(rel.Tuples[i].Dims, 99)
+			for j, v := range rel.Tuples[i+1].Dims {
+				if v != next[j] {
+					t.Fatalf("%s: appending to row %d's Dims changed row %d", name, i, i+1)
+				}
+			}
+		}
+	}
+}

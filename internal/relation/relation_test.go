@@ -171,6 +171,10 @@ func TestRelationAppendAndRestrict(t *testing.T) {
 	if got := sub.DimString(1, sub.Tuples[1].Dims[1]); got != "printer" {
 		t.Errorf("restricted dictionary broken: %q", got)
 	}
+	// An integer-kind entry ("2012" is stored as its value) survives too.
+	if got := sub.DimString(0, sub.Tuples[1].Dims[0]); got != "2012" || sub.Dict.Cardinality(0) != 1 {
+		t.Errorf("restricted dictionary broken: year %q, cardinality %d", got, sub.Dict.Cardinality(0))
+	}
 	// Mutating the restricted copy must not touch the original.
 	sub.Tuples[0].Dims[0] = 99
 	if rel.Tuples[0].Dims[2] == 99 {

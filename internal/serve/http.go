@@ -84,8 +84,9 @@ const maxQueryBody = 1 << 20
 // GET /v1/schema, GET /v1/stats, GET /healthz. src must yield the snapshot
 // the service serves — pass the Batched/Direct service itself so the
 // handlers follow maintenance swaps, or a bare *Store for a static cube; m
-// may be nil. Each request loads the snapshot once and uses it for parsing
-// and rendering, so one response never mixes snapshots.
+// may be nil. A request resolves its values against the snapshot current when
+// it arrives and renders its answer with the one current when the query has
+// run (see handleQuery).
 func NewHandler(svc Service, src StoreSource, m *Counters) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -107,7 +108,7 @@ func NewHandler(svc Service, src StoreSource, m *Counters) http.Handler {
 			writeJSON(w, status, QueryResponse{Error: err.Error()})
 			return
 		}
-		handleQuery(w, svc, src.Store(), req)
+		handleQuery(w, svc, src, req)
 	})
 	return mux
 }
@@ -213,13 +214,13 @@ func parseGroupSpec(store *Store, op Op, group []string, k int) (Query, error) {
 	return q, nil
 }
 
-func handleQuery(w http.ResponseWriter, svc Service, store *Store, req QueryRequest) {
+func handleQuery(w http.ResponseWriter, svc Service, src StoreSource, req QueryRequest) {
 	op, err := OpByName(req.Op)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, QueryResponse{Error: err.Error()})
 		return
 	}
-	q, err := parseGroupSpec(store, op, req.Group, req.K)
+	q, err := parseGroupSpec(src.Store(), op, req.Group, req.K)
 	if errors.Is(err, errUnknownValue) {
 		// A group over a never-seen value does not exist: empty answer.
 		writeJSON(w, http.StatusOK, QueryResponse{Op: op.String()})
@@ -238,6 +239,12 @@ func handleQuery(w http.ResponseWriter, svc Service, store *Store, req QueryRequ
 		writeJSON(w, status, QueryResponse{Op: op.String(), Error: err.Error()})
 		return
 	}
+	// svc ran the query on its snapshot of that moment, which a maintenance
+	// swap may have made newer than the one the request was parsed against —
+	// with groups over codes the older dictionary lacks, which it would render
+	// as bare numbers. Dictionaries only grow from snapshot to snapshot, so
+	// one loaded now decodes every code the answer can hold.
+	store := src.Store()
 	resp := QueryResponse{Op: op.String(), Found: res.Found, Value: res.Value}
 	for _, g := range res.Groups {
 		resp.Groups = append(resp.Groups, GroupDoc{Group: renderGroup(store, g), Value: g.Value})

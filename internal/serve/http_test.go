@@ -125,6 +125,48 @@ func TestHTTPSliceRollupTopK(t *testing.T) {
 	}
 }
 
+// swapBeforeQuery plays a maintenance swap landing between a request's
+// parsing and its query: the service answers from the new snapshot.
+type swapBeforeQuery struct {
+	*Batched
+	next *Store
+}
+
+func (s swapBeforeQuery) Query(q Query) (Result, error) {
+	s.Swap(s.next)
+	return s.Batched.Query(q)
+}
+
+// TestHTTPRendersWithTheSnapshotThatAnswered: an answer computed on a newer
+// snapshot can hold codes minted after the request arrived; rendering it
+// with the request-time dictionary printed them as bare code numbers, which
+// on integer-valued data are indistinguishable from real values.
+func TestHTTPRendersWithTheSnapshotThatAnswered(t *testing.T) {
+	svc, st, _, _ := retailFixture(t)
+	dict := st.dict.Clone()
+	watch := dict.Encode(0, "watch")
+	p := NewPatch()
+	if err := p.Set(relation.GroupKey(0b001, []relation.Value{watch, 0, 0}), 1); err != nil {
+		t.Fatal(err)
+	}
+	next, err := st.ApplyPatch(p, dict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewHandler(swapBeforeQuery{svc, next}, svc, nil)
+	code, resp := doReq(t, h, http.MethodGet, "/v1/query?op=slice&group=?,*,*", "")
+	if code != http.StatusOK || len(resp.Groups) != 4 {
+		t.Fatalf("slice: %d %+v (want 4 names)", code, resp)
+	}
+	var names []string
+	for _, g := range resp.Groups {
+		names = append(names, g.Group[0])
+	}
+	if want := []string{"laptop", "phone", "tablet", "watch"}; !reflect.DeepEqual(names, want) {
+		t.Errorf("names rendered %v, want %v", names, want)
+	}
+}
+
 func TestHTTPBadRequests(t *testing.T) {
 	svc, st, _, _ := retailFixture(t)
 	h := NewHandler(svc, st, nil)

@@ -65,11 +65,14 @@ func newSketch(d, k int) *Sketch {
 }
 
 func valsKey(packed []relation.Value) string {
-	buf := make([]byte, 0, 4*len(packed))
+	return string(appendValsKey(make([]byte, 0, 4*len(packed)), packed))
+}
+
+func appendValsKey(buf []byte, packed []relation.Value) []byte {
 	for _, v := range packed {
 		buf = appendUvarint(buf, zig(v))
 	}
-	return string(buf)
+	return buf
 }
 
 func zig(v relation.Value) uint64 { return uint64(uint32((v << 1) ^ (v >> 31))) }
@@ -96,10 +99,20 @@ func (s *Sketch) SetPartitionElements(mask lattice.Mask, elems [][]relation.Valu
 	s.parts[mask] = elems
 }
 
+// HasSkews reports whether cuboid mask records any skewed c-group at all.
+func (s *Sketch) HasSkews(mask lattice.Mask) bool { return len(s.skews[mask]) > 0 }
+
 // IsSkewed reports whether the c-group of the given packed projection is
-// recorded as skewed in cuboid mask.
+// recorded as skewed in cuboid mask. The mapper probes it once per lattice
+// node per tuple, so the probe key is built on the stack (valsKey's bytes,
+// without its string) and a cuboid with no skews answers without one.
 func (s *Sketch) IsSkewed(mask lattice.Mask, packed []relation.Value) bool {
-	_, ok := s.skews[mask][valsKey(packed)]
+	m := s.skews[mask]
+	if len(m) == 0 {
+		return false
+	}
+	var buf [binary.MaxVarintLen32 * lattice.MaxDims]byte
+	_, ok := m[string(appendValsKey(buf[:0], packed))]
 	return ok
 }
 

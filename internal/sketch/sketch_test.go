@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"github.com/spcube/spcube/internal/cubetest"
+	"github.com/spcube/spcube/internal/data"
 	"github.com/spcube/spcube/internal/lattice"
 	"github.com/spcube/spcube/internal/mr"
 	"github.com/spcube/spcube/internal/relation"
@@ -254,6 +255,72 @@ func TestSkewedGroupsListing(t *testing.T) {
 	}
 	if len(s.SkewedGroups(0b01)) != 0 {
 		t.Error("unrelated cuboid must be empty")
+	}
+}
+
+// TestIsSkewedDoesNotAllocate: the mapper probes once per lattice node per
+// tuple; neither a hit, a miss, nor a cuboid without skews may allocate.
+func TestIsSkewedDoesNotAllocate(t *testing.T) {
+	s := newSketch(6, 2)
+	hot := []relation.Value{1, -2, 300000, 4, 5, 1 << 30}
+	s.AddSkew(lattice.Full(6), hot)
+	cold := []relation.Value{1, -2, 300000, 4, 5, 7}
+	if !s.HasSkews(lattice.Full(6)) || s.HasSkews(0b1) {
+		t.Fatal("HasSkews disagrees with AddSkew")
+	}
+	if !s.IsSkewed(lattice.Full(6), hot) || s.IsSkewed(lattice.Full(6), cold) || s.IsSkewed(0b1, hot[:1]) {
+		t.Fatal("IsSkewed disagrees with AddSkew")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		s.IsSkewed(lattice.Full(6), hot)
+		s.IsSkewed(lattice.Full(6), cold)
+		s.IsSkewed(0b1, hot[:1])
+	}); n != 0 {
+		t.Errorf("IsSkewed allocates %v times per three probes, want 0", n)
+	}
+}
+
+// TestSketchSkewsDownClosed: dropping one dimension of a skewed group gives
+// a skewed group, in the sampled sketch (one sample, one threshold, and a
+// coarser group's sample count is at least a finer one's) as in the exact
+// one. SP-Cube is correct without it; the mapper's once-per-row path for
+// fully-skewed tuples only fires, and the reducers' ownership rule only
+// prunes, because it holds.
+func TestSketchSkewsDownClosed(t *testing.T) {
+	const n, k = 4000, 8
+	gens := map[string]*relation.Relation{
+		"binomial": data.GenBinomial(n, 4, 0.5, 42),
+		"zipf":     data.GenZipf(n, 42),
+		"wiki":     data.WikiTraffic(n, 42),
+		"usagov":   data.USAGov(n, 42).Restrict(data.USAGovCubeDims),
+		"uniform":  data.Uniform(n, 3, 4, 42),
+		"retail":   data.Retail(n, 42),
+	}
+	for name, rel := range gens {
+		eng := mr.New(mr.Config{Workers: k}, nil)
+		built, err := Build(eng, rel, 7)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sketches := map[string]*Sketch{"sampled": built.Sketch, "exact": BuildExact(rel, k, n/(4*k))}
+		for kind, sk := range sketches {
+			if sk.NumSkews() < 2 {
+				t.Errorf("%s/%s: %d skewed groups, the check is vacuous", name, kind, sk.NumSkews())
+			}
+			for mask := lattice.Mask(1); mask <= lattice.Full(rel.D()); mask++ {
+				for _, g := range sk.SkewedGroups(mask) {
+					j := 0
+					lattice.Descendants(mask, func(sub lattice.Mask) {
+						proj := append(append([]relation.Value(nil), g[:j]...), g[j+1:]...)
+						if !sk.IsSkewed(sub, proj) {
+							t.Errorf("%s/%s: %s is skewed, its projection %s is not", name, kind,
+								relation.FormatGroup(nil, uint32(mask), g, rel.D()), relation.FormatGroup(nil, uint32(sub), proj, rel.D()))
+						}
+						j++
+					})
+				}
+			}
+		}
 	}
 }
 
