@@ -4,9 +4,9 @@ GO ?= go
 
 .PHONY: check fmt vet build test race retry-race fuzz-smoke chaos chaos-proc \
 	proc-smoke bench bench-json bench-hotpath bench-compare bench-harness \
-	serve-smoke cover-serve cover-delta delta-soak soak-scale lint loc
+	cover-serve cover-delta delta-soak soak-scale lint loc
 
-check: fmt vet race fuzz-smoke chaos proc-smoke chaos-proc serve-smoke \
+check: fmt vet race fuzz-smoke chaos proc-smoke chaos-proc \
 	cover-serve cover-delta delta-soak bench-harness
 
 fmt:
@@ -40,7 +40,9 @@ retry-race:
 # the reducers' output records (arbitrary file bytes: the sorted run fails
 # when the map collector fails and otherwise equals it), and the input
 # dictionary (arbitrary column values: codes, order and decoded text equal a
-# plain string map's, whichever of its two entry kinds a value takes).
+# plain string map's, whichever of its two entry kinds a value takes), and
+# the server's two request decoders (arbitrary /v1/query and /v1/ingest
+# bodies: a well-formed answer or a 4xx, never a panic or a 5xx).
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzCubeEquivalence -fuzztime=10s ./internal/integration
 	$(GO) test -run=NONE -fuzz=FuzzDeltaEquivalence -fuzztime=10s ./internal/integration
@@ -48,6 +50,8 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzBlockCodec -fuzztime=10s ./internal/mr/blockcodec
 	$(GO) test -run=NONE -fuzz=FuzzOutputRecords -fuzztime=10s ./internal/cube
 	$(GO) test -run=NONE -fuzz=FuzzDictionaryRoundTrip -fuzztime=10s ./internal/relation
+	$(GO) test -run=NONE -fuzz=FuzzQueryRequest -fuzztime=10s ./internal/serve
+	$(GO) test -run=NONE -fuzz=FuzzIngestRequest -fuzztime=10s ./cmd/spserve
 
 # Randomized fault-plan soak: deterministically generated multi-fault plans
 # (every task-fault kind, whole-node crashes, speculation, task timeouts)
@@ -113,28 +117,6 @@ BENCH_PATTERN ?= EngineHotPath|HashPartition|ShuffleMerge|Combine
 bench-hotpath:
 	$(GO) test -run=NONE -bench='$(BENCH_PATTERN)' -count=$(BENCH_COUNT) ./internal/mr/
 
-# End-to-end smoke of the serving stack: compute a small cube, serve it on a
-# random port, drive it with the load generator, and require non-zero
-# throughput plus a schema-valid latency document.
-serve-smoke:
-	@set -e; \
-	tmp=$$(mktemp -d); \
-	trap 'kill $$pid 2>/dev/null || true; rm -rf "$$tmp"' EXIT; \
-	$(GO) run ./cmd/gendata -dataset retail -n 2000 -o "$$tmp/data.csv"; \
-	$(GO) build -o "$$tmp/spserve" ./cmd/spserve; \
-	$(GO) build -o "$$tmp/sploadgen" ./cmd/sploadgen; \
-	"$$tmp/spserve" -in "$$tmp/data.csv" -addr 127.0.0.1:0 -addr-file "$$tmp/addr" & pid=$$!; \
-	for i in $$(seq 1 100); do \
-		[ -s "$$tmp/addr" ] && break; \
-		kill -0 $$pid 2>/dev/null || { echo "spserve exited before listening" >&2; exit 1; }; \
-		sleep 0.1; \
-	done; \
-	[ -s "$$tmp/addr" ] || { echo "spserve never wrote its address" >&2; exit 1; }; \
-	"$$tmp/sploadgen" -target "http://$$(cat "$$tmp/addr")" -duration 2s -c 8 \
-		-min-qps 1 -out "$$tmp/latency.json"; \
-	"$$tmp/sploadgen" -validate "$$tmp/latency.json"; \
-	kill $$pid; wait $$pid 2>/dev/null || true
-
 # Coverage gate for the serving layer: its concurrency machinery (cache,
 # batcher, HTTP front end) must stay above 80% statement coverage.
 COVER_SERVE_MIN ?= 80.0
@@ -181,10 +163,11 @@ loc:
 	done; \
 	printf '%6d  total\n' "$$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -print0 | count)"
 
-# Old-vs-new comparison of the engine's hot path, of the serving index and of
+# Old-vs-new comparison of the engine's hot path, of the serving index, of
 # two batch runs (compute + collect + CSV render of the uniform cube; CSV load
-# + compute of the skewed, spilling one). Checks out BASE (default: the
-# previous commit) into a temporary git worktree, copies the three portable
+# + compute of the skewed, spilling one) and of a server's start-up build
+# (delta.New over two served relations). Checks out BASE (default: the
+# previous commit) into a temporary git worktree, copies the four portable
 # public-API benchmark files in (so old trees predating them still run the
 # identical workload), benchmarks both trees, and renders one comparison per
 # package with benchstat when installed, falling back to the in-repo
@@ -199,7 +182,8 @@ bench-compare:
 	git worktree add --detach "$$tmp/base" $(BASE) >/dev/null; \
 	for spec in 'internal/mr hotpath_bench_test.go $(BENCH_PATTERN)' \
 		'internal/serve index_bench_test.go $(SERVE_BENCH_PATTERN)' \
-		'. collect_bench_test.go ComputeWriteCSV|SkewedBatch'; do \
+		'. collect_bench_test.go ComputeWriteCSV|SkewedBatch' \
+		'internal/delta new_bench_test.go DeltaNew'; do \
 		set -- $$spec; pkg=$$1; file=$$2; pattern=$$3; \
 		mkdir -p "$$tmp/base/$$pkg"; \
 		cp "$$pkg/$$file" "$$tmp/base/$$pkg/$$file"; \

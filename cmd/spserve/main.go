@@ -32,10 +32,10 @@
 // default, negative = always rebuild).
 //
 // -addr :0 binds a free port; -addr-file writes the resolved host:port to a
-// file once the server is listening (how the CI smoke test finds it). With
-// -pprof, the serving counters are also exported on the observability
-// endpoint at /debug/serve. Drive it with cmd/sploadgen for QPS and
-// latency percentiles.
+// file once the server is listening (how the benchmark harness finds it).
+// With -pprof, the serving counters are also exported on the observability
+// endpoint at /debug/serve. Drive it with the benchmark harness
+// (go run -C benchmark . -workload …) for QPS and latency percentiles.
 //
 // SIGINT/SIGTERM while the initial cube is being built (or during an ingest
 // cycle) stops the MapReduce job at its next attempt boundary; the listener

@@ -325,10 +325,10 @@ func TestServeIngestEndToEnd(t *testing.T) {
 	}
 }
 
-// TestIngestBodyLimit: a body over maxIngestBody is answered 413 in the
-// handler's JSON error shape, with no maintenance cycle run and the served
-// snapshot still the one that was serving.
-func TestIngestBodyLimit(t *testing.T) {
+// ingestFixture is the serving stack behind /v1/ingest over the fixture rows,
+// without the listener.
+func ingestFixture(t testing.TB) (*serve.Batched, *delta.Maintainer) {
+	t.Helper()
 	rel, err := relation.ReadCSV(strings.NewReader(fixtureCSV))
 	if err != nil {
 		t.Fatal(err)
@@ -342,7 +342,16 @@ func TestIngestBodyLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc := serve.NewService(store, serve.Config{})
-	defer svc.Close()
+	t.Cleanup(func() { svc.Close() })
+	return svc, maint
+}
+
+// TestIngestBodyLimit: a body over maxIngestBody is answered 413 in the
+// handler's JSON error shape, with no maintenance cycle run and the served
+// snapshot still the one that was serving.
+func TestIngestBodyLimit(t *testing.T) {
+	svc, maint := ingestFixture(t)
+	store := svc.Store()
 
 	body := `{"append":[{"dims":["` + strings.Repeat("x", maxIngestBody) + `","Rome"],"measure":1}]}`
 	w := httptest.NewRecorder()
@@ -387,4 +396,49 @@ func TestServeAddrConflict(t *testing.T) {
 	if !strings.Contains(stderr.String(), addr) && !strings.Contains(stderr.String(), "address") {
 		t.Errorf("stderr does not explain the bind failure: %s", stderr.String())
 	}
+}
+
+// FuzzIngestRequest: whatever bytes arrive as a POST /v1/ingest body, the
+// handler answers 200 for a batch it applied — and then serves the groups it
+// reports — or a 4xx carrying an error message; never a panic, never a 5xx.
+// Accepted batches accumulate, so later inputs meet a relation earlier ones
+// grew, shrank or emptied.
+func FuzzIngestRequest(f *testing.F) {
+	svc, maint := ingestFixture(f)
+	h := ingestHandler(svc, maint)
+	for _, seed := range []string{
+		`{"append":[{"dims":["tablet","Oslo"],"measure":4}]}`,
+		`{"delete":[{"dims":["laptop","Oslo"],"measure":1}]}`,
+		`{"append":[{"dims":["phone","Rome"],"measure":-9}],"delete":[{"dims":["phone","Rome"],"measure":2}]}`,
+		`{"delete":[{"dims":["nobody","Rome"],"measure":1}]}`,
+		`{"append":[{"dims":["one"],"measure":1}]}`,
+		`{"append":[{"dims":["a","b"],"measure":1e40}]}`,
+		`{"append":[{"dims":null}]}`,
+		`{"append":{}}`,
+		`{}`,
+		`null`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(body)))
+		var resp IngestResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("body %q: status %d, answer %q is not an IngestResponse: %v", body, w.Code, w.Body.String(), err)
+		}
+		switch {
+		case w.Code == http.StatusOK:
+			if resp.Error != "" || resp.Round != maint.Version() || resp.Groups != svc.Store().Groups() {
+				t.Fatalf("body %q: 200 with %+v at version %d serving %d groups", body, resp, maint.Version(), svc.Store().Groups())
+			}
+		case w.Code >= 400 && w.Code < 500:
+			if resp.Error == "" {
+				t.Fatalf("body %q: status %d without an error message", body, w.Code)
+			}
+		default:
+			t.Fatalf("body %q: status %d (%s)", body, w.Code, resp.Error)
+		}
+	})
 }

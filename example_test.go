@@ -1,7 +1,4 @@
-// Quickstart: build a tiny sales relation, compute its data cube with
-// SP-Cube, and query a few c-groups — the running example of the paper's
-// introduction.
-package main
+package spcube_test
 
 import (
 	"fmt"
@@ -10,7 +7,9 @@ import (
 	"github.com/spcube/spcube"
 )
 
-func main() {
+// Build a tiny sales relation, compute its data cube with SP-Cube, and query
+// a few c-groups — the running example of the paper's introduction.
+func ExampleCompute() {
 	rel := spcube.NewRelation([]string{"name", "city", "year"}, "sales")
 	rows := []struct {
 		name, city, year string
@@ -37,7 +36,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("cube has %d c-groups across %d cuboids\n\n", c.NumGroups(), 1<<rel.NumDims())
+	fmt.Printf("cube has %d c-groups across %d cuboids in %d MapReduce rounds\n\n",
+		c.NumGroups(), 1<<rel.NumDims(), c.Stats().Rounds)
 
 	// Point lookups: "*" means the dimension is aggregated away.
 	queries := [][]string{
@@ -46,6 +46,7 @@ func main() {
 		{"laptop", "*", "2012"},    // laptop sales in 2012
 		{"*", "Rome", "*"},         // everything sold in Rome
 		{"laptop", "Rome", "2012"}, // the finest granularity
+		{"printer", "Rome", "2012"},
 	}
 	for _, q := range queries {
 		v, ok := c.Value(q...)
@@ -62,7 +63,21 @@ func main() {
 		fmt.Printf("  (%s, %s, %s) -> %v\n", g.Dims[0], g.Dims[1], g.Dims[2], g.Value)
 	}
 
-	st := c.Stats()
-	fmt.Printf("\nexecuted %d MapReduce rounds, %d intermediate records (%d bytes), sketch %d bytes\n",
-		st.Rounds, st.ShuffleRecords, st.ShuffleBytes, st.SketchBytes)
+	// Output:
+	// cube has 31 c-groups across 8 cuboids in 2 MapReduce rounds
+	//
+	// sales(*,*,*) = 5250 (found=true)
+	// sales(laptop,*,*) = 4400 (found=true)
+	// sales(laptop,*,2012) = 3500 (found=true)
+	// sales(*,Rome,*) = 3380 (found=true)
+	// sales(laptop,Rome,2012) = 2000 (found=true)
+	// sales(printer,Rome,2012) = 0 (found=false)
+	//
+	// sales by (name, year):
+	//   (laptop, *, 2012) -> 3500
+	//   (laptop, *, 2013) -> 900
+	//   (printer, *, 2012) -> 250
+	//   (printer, *, 2013) -> 300
+	//   (keyboard, *, 2012) -> 180
+	//   (keyboard, *, 2013) -> 120
 }

@@ -2,6 +2,7 @@ package delta
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -465,5 +466,50 @@ func TestSchemaMetricsDocument(t *testing.T) {
 	}
 	if !strings.Contains(doc, `"maint"`) || !strings.Contains(doc, `"mode": "delta"`) {
 		t.Fatal("document missing maint annotations")
+	}
+}
+
+// TestDriftSequencePinned pins the rebuild signal bit for bit. The drift of a
+// cycle is a function of two exact sketches — the base relation's, rebuilt on
+// every rebuild, and the batch's — so whatever builds them must keep each
+// value below, recorded from the commit before sketch.BuildExact became
+// Algorithm 2 at α = 1, β = m. The sequence crosses both modes: cycle 4
+// rebuilds on drift and the later cycles measure against the rebuilt base.
+func TestDriftSequencePinned(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	base := cubetest.SkewedRelation(rng, 2000, 3, 0.4, 3)
+	m, err := New(base, Config{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shift := func(rel *relation.Relation) []relation.Tuple {
+		for _, tu := range rel.Tuples {
+			for j := range tu.Dims {
+				tu.Dims[j] += 1000
+			}
+		}
+		return rel.Tuples
+	}
+	steps := []struct {
+		batch        Batch
+		mode, reason string
+		drift        uint64 // math.Float64bits
+	}{
+		{Batch{Append: cubetest.SkewedRelation(rng, 100, 3, 0.4, 3).Tuples}, "delta", "mergeable", 0},
+		{Batch{Append: cubetest.RandomRelation(rng, 150, 3, 50).Tuples}, "delta", "mergeable", 0x3fc5555555555555},
+		{Batch{Delete: cloneTuples(base.Tuples[:40])}, "delta", "mergeable", 0},
+		{Batch{Append: shift(cubetest.RandomRelation(rng, 300, 3, 2))}, "rebuild", "drift", 0x3feb6db6db6db6db},
+		{Batch{Append: cubetest.SkewedRelation(rng, 120, 3, 0.6, 2).Tuples, Delete: cloneTuples(base.Tuples[40:60])}, "delta", "mergeable", 0x3fc3cf3cf3cf3cf2},
+		{Batch{Append: shift(cubetest.RandomRelation(rng, 80, 3, 2))}, "rebuild", "drift", 0x3feaaaaaaaaaaaab},
+	}
+	for i, st := range steps {
+		rnd, err := m.Apply(st.batch)
+		if err != nil {
+			t.Fatalf("cycle %d: %v", i+1, err)
+		}
+		if rnd.Mode != st.mode || rnd.Reason != st.reason || math.Float64bits(rnd.Drift) != st.drift {
+			t.Errorf("cycle %d: %s/%s drift %v (%#x), want %s/%s drift %#x", i+1,
+				rnd.Mode, rnd.Reason, rnd.Drift, math.Float64bits(rnd.Drift), st.mode, st.reason, st.drift)
+		}
 	}
 }

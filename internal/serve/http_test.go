@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -19,7 +20,7 @@ import (
 
 // retailFixture serves the paper's running example: a (name, city, year)
 // sales relation with a string dictionary.
-func retailFixture(t *testing.T) (*Batched, *Store, *Counters, *cube.Result) {
+func retailFixture(t testing.TB) (*Batched, *Store, *Counters, *cube.Result) {
 	t.Helper()
 	rel := relationFromRows(t, [][]string{
 		{"laptop", "Rome", "2012"},
@@ -43,7 +44,7 @@ func retailFixture(t *testing.T) (*Batched, *Store, *Counters, *cube.Result) {
 	return svc, st, m, cube.Brute(rel, agg.Count)
 }
 
-func relationFromRows(t *testing.T, rows [][]string) *relation.Relation {
+func relationFromRows(t testing.TB, rows [][]string) *relation.Relation {
 	t.Helper()
 	rel := relation.New([]string{"name", "city", "year"}, "sales")
 	for _, r := range rows {
@@ -268,4 +269,53 @@ func TestDirectServiceMatchesBatched(t *testing.T) {
 	if _, err := direct.Query(Query{Op: Op(9)}); err == nil {
 		t.Fatal("direct accepted an invalid op")
 	}
+}
+
+// FuzzQueryRequest: whatever bytes arrive as a POST /v1/query body, the
+// handler answers 200 with a well-formed answer or a 4xx carrying an error
+// message — never a panic, never a 5xx.
+func FuzzQueryRequest(f *testing.F) {
+	svc, st, _, _ := retailFixture(f)
+	h := NewHandler(svc, st, nil)
+	for _, seed := range []string{
+		`{"op":"point","group":["laptop","*","2012"]}`,
+		`{"op":"slice","group":["laptop","?","*"]}`,
+		`{"op":"rollup","group":["laptop","Rome","2012"]}`,
+		`{"op":"topk","group":["?","?","*"],"k":3}`,
+		`{"op":"topk","group":["?","*","*"],"k":-1}`,
+		`{"op":"slice","group":["?","Rome","*"]}`,
+		`{"group":["nobody","*","*"]}`,
+		`{"op":"point","group":["?"]}`,
+		`{"op":"point","group":["laptop","*","2012"]} trailing`,
+		`{"op":7}`,
+		`[]`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(body)))
+		var resp QueryResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("body %q: status %d, answer %q is not a QueryResponse: %v", body, w.Code, w.Body.String(), err)
+		}
+		switch {
+		case w.Code == http.StatusOK:
+			if resp.Error != "" || resp.Op == "" {
+				t.Fatalf("body %q: 200 with %+v", body, resp)
+			}
+			for _, g := range resp.Groups {
+				if len(g.Group) != st.D() {
+					t.Fatalf("body %q: group %v is not full width", body, g.Group)
+				}
+			}
+		case w.Code >= 400 && w.Code < 500:
+			if resp.Error == "" {
+				t.Fatalf("body %q: status %d without an error message", body, w.Code)
+			}
+		default:
+			t.Fatalf("body %q: status %d (%s)", body, w.Code, resp.Error)
+		}
+	})
 }

@@ -7,13 +7,14 @@
 // tuples that split sorted(R,C) into k ranges of O(m) non-skewed tuples
 // each (Definition 4.1, Proposition 4.2).
 //
-// The exact ("utopian") sketch would require sorting R once per cuboid; the
-// practical variant is built from a uniform sample: each tuple is kept with
-// probability α = ln(n·k)/m, and a group is recorded as skewed when its
+// The practical sketch is built from a uniform sample: each tuple is kept
+// with probability α = ln(n·k)/m, and a group is recorded as skewed when its
 // sample count exceeds β = ln(n·k) (§4.2, Algorithm 2). Propositions
 // 4.4–4.7 show the sample and the sketch are both O(m) and that all skewed
 // groups are captured with high probability; the package's tests verify
-// these properties empirically.
+// these properties empirically. The exact ("utopian") sketch is the same
+// procedure with α = 1 and β = m, so there is one builder, buildFromSample:
+// Build runs it on round 1's sample, BuildExact on all of R.
 package sketch
 
 import (
@@ -482,9 +483,10 @@ func Build(eng *mr.Engine, rel *relation.Relation, seed int64) (*BuildResult, er
 	return &BuildResult{Sketch: built, Metrics: res.Metrics, EncodedBytes: len(enc)}, nil
 }
 
-// buildFromSample implements the reducer's build-sketch procedure: BUC over
-// the sample with an iceberg threshold of β detects the skewed groups, and
-// per-cuboid sorts of the sample yield the partition elements.
+// buildFromSample implements the build-sketch procedure: BUC over the sample
+// with an iceberg threshold of β detects the skewed groups, and per-cuboid
+// sorts of the sample yield the partition elements. BUC permutes its input,
+// so it runs on a copy: the sample may be a relation somebody else holds.
 func buildFromSample(sample []relation.Tuple, d, k int, alpha, beta float64, charge func(int64)) *Sketch {
 	s := newSketch(d, k)
 	s.SampleN = len(sample)
@@ -547,48 +549,17 @@ func dedupSorted(elems [][]relation.Value) [][]relation.Value {
 	return out
 }
 
-// BuildExact computes the utopian SP-Sketch (§4.2) directly from the full
-// relation: exact group counts decide skews and exact sorts give partition
-// elements. It is quadratic-ish in n·2^d and exists for tests and small
-// inputs.
+// BuildExact computes the utopian SP-Sketch (§4.2) of the full relation. It
+// is Algorithm 2 with nothing left to chance: every tuple is in the "sample"
+// (α = 1) and the skew threshold is the memory itself (β = m), so a group is
+// skewed exactly when its tuple set exceeds m and the partition elements are
+// the exact k-quantiles of each cuboid's sorted tuples. The cost is
+// buildFromSample's on n tuples — one BUC pass pruned at m+1 plus 2^d sorts
+// of n indices — which is what delta.New, every rebuild and every ingest
+// batch's drift measurement pay. SampleN, Alpha and Beta stay zero: an exact
+// sketch was not sampled, and its Encode bytes say so.
 func BuildExact(rel *relation.Relation, k, m int) *Sketch {
-	d := rel.D()
-	s := newSketch(d, k)
-	counts := make([]map[string]int, 1<<uint(d))
-	for i := range counts {
-		counts[i] = make(map[string]int)
-	}
-	for _, t := range rel.Tuples {
-		for mask := lattice.Mask(0); mask <= lattice.Full(d); mask++ {
-			counts[mask][valsKey(relation.Project(t.Dims, uint32(mask)))]++
-		}
-	}
-	for mask := lattice.Mask(0); mask <= lattice.Full(d); mask++ {
-		for key, c := range counts[mask] {
-			if c > m {
-				s.skews[mask][key] = struct{}{}
-			}
-		}
-	}
-	n := rel.N()
-	idx := make([]int, n)
-	for mask := lattice.Mask(1); mask <= lattice.Full(d); mask++ {
-		for i := range idx {
-			idx[i] = i
-		}
-		mm := uint32(mask)
-		sort.SliceStable(idx, func(a, b int) bool {
-			return relation.CompareProjected(rel.Tuples[idx[a]].Dims, rel.Tuples[idx[b]].Dims, mm) < 0
-		})
-		elems := make([][]relation.Value, 0, k-1)
-		for i := 1; i < k; i++ {
-			pos := i * n / k
-			if pos >= n {
-				pos = n - 1
-			}
-			elems = append(elems, relation.Project(rel.Tuples[idx[pos]].Dims, mm))
-		}
-		s.SetPartitionElements(mask, dedupSorted(elems))
-	}
+	s := buildFromSample(rel.Tuples, rel.D(), k, 1, float64(m), func(int64) {})
+	s.SampleN, s.Alpha, s.Beta = 0, 0, 0
 	return s
 }

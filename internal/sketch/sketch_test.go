@@ -3,6 +3,8 @@ package sketch
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -221,23 +223,91 @@ func TestSketchIsSmall(t *testing.T) {
 	}
 }
 
-func TestExactSketchAgainstDefinition(t *testing.T) {
-	// BuildExact must mark exactly the groups with |set(g)| > m.
-	rng := rand.New(rand.NewSource(51))
-	rel := cubetest.SkewedRelation(rng, 2_000, 2, 0.7, 2)
-	m := 100
-	sk := BuildExact(rel, 4, m)
-	counts := make(map[string]int)
-	for _, tu := range rel.Tuples {
-		for mask := lattice.Mask(0); mask <= lattice.Full(2); mask++ {
-			counts[relation.GroupKey(uint32(mask), tu.Dims)]++
-		}
+// sixGenerators is one relation per internal/data generator, d ≤ 6.
+func sixGenerators(n int) map[string]*relation.Relation {
+	return map[string]*relation.Relation{
+		"binomial": data.GenBinomial(n, 4, 0.5, 42),
+		"zipf":     data.GenZipf(n, 42),
+		"wiki":     data.WikiTraffic(n, 42),
+		"usagov":   data.USAGov(n, 42).Restrict(data.USAGovCubeDims),
+		"uniform":  data.Uniform(n, 3, 4, 42),
+		"retail":   data.Retail(n, 42),
 	}
-	for key, c := range counts {
-		mask, packed, _ := relation.DecodeGroupKey(key)
-		got := sk.IsSkewed(lattice.Mask(mask), packed)
-		if got != (c > m) {
-			t.Errorf("group %s count=%d m=%d: IsSkewed=%v", relation.FormatGroup(nil, mask, packed, 2), c, m, got)
+}
+
+// TestExactSketchAgainstDefinition checks BuildExact — Algorithm 2 at α = 1,
+// β = m — against Definition 4.1 by brute force: skews(C) is exactly the
+// groups of C with more than m tuples (the apex included), and
+// partition-elements(C) is the deduplicated projections at positions i·n/k
+// of R sorted w.r.t. <_C. BuildExact runs on the maintainer's live relation,
+// so it must also leave the tuples where they were.
+func TestExactSketchAgainstDefinition(t *testing.T) {
+	const n = 2000
+	for name, rel := range sixGenerators(n) {
+		d := rel.D()
+		if d > 6 {
+			t.Fatalf("%s: d = %d, want at most 6", name, d)
+		}
+		counts := make(map[string]int)
+		for _, tu := range rel.Tuples {
+			for mask := lattice.Mask(0); mask <= lattice.Full(d); mask++ {
+				counts[relation.GroupKey(uint32(mask), tu.Dims)]++
+			}
+		}
+		sorted := make([][]relation.Tuple, 1<<uint(d))
+		for mask := lattice.Mask(1); mask <= lattice.Full(d); mask++ {
+			c := append([]relation.Tuple(nil), rel.Tuples...)
+			sort.SliceStable(c, func(a, b int) bool {
+				return relation.CompareProjected(c[a].Dims, c[b].Dims, uint32(mask)) < 0
+			})
+			sorted[mask] = c
+		}
+		before := append([]relation.Tuple(nil), rel.Tuples...)
+
+		for _, k := range []int{1, 8} {
+			for _, m := range []int{1, 20, n / k, n} {
+				sk := BuildExact(rel, k, m)
+				if !reflect.DeepEqual(before, rel.Tuples) {
+					t.Fatalf("%s k=%d m=%d: BuildExact reordered rel.Tuples", name, k, m)
+				}
+				if sk.D != d || sk.K != k || sk.SampleN != 0 || sk.Alpha != 0 || sk.Beta != 0 {
+					t.Errorf("%s k=%d m=%d: header D=%d K=%d SampleN=%d Alpha=%v Beta=%v, want %d %d 0 0 0",
+						name, k, m, sk.D, sk.K, sk.SampleN, sk.Alpha, sk.Beta, d, k)
+				}
+				want := 0
+				for key, c := range counts {
+					mask, packed, _ := relation.DecodeGroupKey(key)
+					if c > m {
+						want++
+					}
+					if got := sk.IsSkewed(lattice.Mask(mask), packed); got != (c > m) {
+						t.Errorf("%s k=%d m=%d: group %s count=%d: IsSkewed=%v", name, k, m,
+							relation.FormatGroup(nil, mask, packed, d), c, got)
+					}
+				}
+				if sk.NumSkews() != want {
+					t.Errorf("%s k=%d m=%d: %d skews recorded, %d groups exceed m", name, k, m, sk.NumSkews(), want)
+				}
+				if len(sk.parts[0]) != 0 {
+					t.Errorf("%s k=%d m=%d: apex has partition elements %v", name, k, m, sk.parts[0])
+				}
+				for mask := lattice.Mask(1); mask <= lattice.Full(d); mask++ {
+					elems := make([][]relation.Value, 0, k-1)
+					for i := 1; i < k; i++ {
+						elems = append(elems, relation.Project(sorted[mask][i*n/k].Dims, uint32(mask)))
+					}
+					elems = dedupSorted(elems)
+					got := sk.parts[mask]
+					if len(got) != len(elems) {
+						t.Fatalf("%s k=%d m=%d mask %b: %d partition elements, want %d", name, k, m, mask, len(got), len(elems))
+					}
+					for i := range elems {
+						if relation.ComparePacked(got[i], elems[i]) != 0 {
+							t.Errorf("%s k=%d m=%d mask %b: element %d = %v, want %v", name, k, m, mask, i, got[i], elems[i])
+						}
+					}
+				}
+			}
 		}
 	}
 }
@@ -288,15 +358,7 @@ func TestIsSkewedDoesNotAllocate(t *testing.T) {
 // prunes, because it holds.
 func TestSketchSkewsDownClosed(t *testing.T) {
 	const n, k = 4000, 8
-	gens := map[string]*relation.Relation{
-		"binomial": data.GenBinomial(n, 4, 0.5, 42),
-		"zipf":     data.GenZipf(n, 42),
-		"wiki":     data.WikiTraffic(n, 42),
-		"usagov":   data.USAGov(n, 42).Restrict(data.USAGovCubeDims),
-		"uniform":  data.Uniform(n, 3, 4, 42),
-		"retail":   data.Retail(n, 42),
-	}
-	for name, rel := range gens {
+	for name, rel := range sixGenerators(n) {
 		eng := mr.New(mr.Config{Workers: k}, nil)
 		built, err := Build(eng, rel, 7)
 		if err != nil {

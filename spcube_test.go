@@ -231,12 +231,18 @@ func TestSkewStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if rel.NumRows() != 4000 || rel.NumDims() != 2 {
+		t.Errorf("relation is %d rows x %d dims, want 4000 x 2", rel.NumRows(), rel.NumDims())
+	}
 	st := c.Stats()
 	if st.SkewedGroups == 0 {
 		t.Error("heavy skew must be detected in the sketch")
 	}
 	if st.SketchBytes == 0 || st.SampleTuples == 0 {
 		t.Errorf("sketch stats missing: %+v", st)
+	}
+	if st.ShuffleRecords == 0 || st.ShuffleBytes == 0 || st.SimSeconds <= 0 {
+		t.Errorf("run stats missing: %+v", st)
 	}
 	if v, ok := c.Value("hot", "hot"); !ok || v != 2000 {
 		t.Errorf("hot group count = %v,%v", v, ok)
@@ -273,11 +279,11 @@ func TestMinSupport(t *testing.T) {
 
 func TestComputeSet(t *testing.T) {
 	rel := salesRelation()
-	cubes, err := ComputeSet(rel, []Agg{Count, Sum, Avg}, Workers(3), Seed(2))
+	cubes, err := ComputeSet(rel, []Agg{Count, Sum, Avg, Stddev}, Workers(3), Seed(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cubes) != 3 {
+	if len(cubes) != 4 {
 		t.Fatalf("got %d cubes", len(cubes))
 	}
 	cnt, _ := cubes[0].Value("laptop", "*", "*")
@@ -285,6 +291,11 @@ func TestComputeSet(t *testing.T) {
 	avg, _ := cubes[2].Value("laptop", "*", "*")
 	if cnt != 3 || sum != 4400 || avg != sum/cnt {
 		t.Errorf("count=%v sum=%v avg=%v", cnt, sum, avg)
+	}
+	// Population standard deviation of the laptop sales 2000, 1500, 900.
+	wantSD := math.Sqrt((2000*2000+1500*1500+900*900)/3.0 - avg*avg)
+	if sd, ok := cubes[3].Value("laptop", "*", "*"); !ok || math.Abs(sd-wantSD) > 1e-6 {
+		t.Errorf("stddev = %v,%v want %v", sd, ok, wantSD)
 	}
 	// The sketch round must be charged once: the first run has one more
 	// round than the others.
