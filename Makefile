@@ -38,7 +38,8 @@ retry-race:
 # plane's two wire formats: the front-coded record codec and the
 # checksummed block framing (round-trip plus corrupt-input rejection), and
 # the reducers' output records (arbitrary file bytes: the sorted run fails
-# when the map collector fails and otherwise equals it), and the input
+# when the map collector fails and otherwise equals it, iterated and read
+# through cursors, a segment per file and merged), and the input
 # dictionary (arbitrary column values: codes, order and decoded text equal a
 # plain string map's, whichever of its two entry kinds a value takes), and
 # the server's two request decoders (arbitrary /v1/query and /v1/ingest
@@ -165,14 +166,16 @@ loc:
 
 # Old-vs-new comparison of the engine's hot path, of the serving index, of
 # two batch runs (compute + collect + CSV render of the uniform cube; CSV load
-# + compute of the skewed, spilling one) and of a server's start-up build
-# (delta.New over two served relations). Checks out BASE (default: the
-# previous commit) into a temporary git worktree, copies the four portable
-# public-API benchmark files in (so old trees predating them still run the
-# identical workload), benchmarks both trees, and renders one comparison per
-# package with benchstat when installed, falling back to the in-repo
-# cmd/benchcmp. In-package benchmarks (ShuffleMerge, Combine) may not exist
-# in the old tree and then appear as new-only rows.
+# + compute of the skewed, spilling one), of a server's start-up build and
+# ingest cycle (delta.New over the three served relations and under sum;
+# Maintainer.Apply of harness-sized batches) and of the whole of start-up
+# behind the CSV load (relation -> delta.New -> served Store). Checks out BASE
+# (default: the previous commit) into a temporary git worktree, copies the
+# five portable public-API benchmark files in (so old trees predating them
+# still run the identical workload), benchmarks both trees, and renders one
+# comparison per package with benchstat when installed, falling back to the
+# in-repo cmd/benchcmp. In-package benchmarks (ShuffleMerge, Combine) may not
+# exist in the old tree and then appear as new-only rows.
 BASE ?= HEAD~1
 SERVE_BENCH_PATTERN ?= StoreBuild|StorePoint|ApplyPatch
 bench-compare:
@@ -183,7 +186,8 @@ bench-compare:
 	for spec in 'internal/mr hotpath_bench_test.go $(BENCH_PATTERN)' \
 		'internal/serve index_bench_test.go $(SERVE_BENCH_PATTERN)' \
 		'. collect_bench_test.go ComputeWriteCSV|SkewedBatch' \
-		'internal/delta new_bench_test.go DeltaNew'; do \
+		'internal/delta new_bench_test.go DeltaNew|DeltaApply' \
+		'internal/cli ready_bench_test.go ServeReady'; do \
 		set -- $$spec; pkg=$$1; file=$$2; pattern=$$3; \
 		mkdir -p "$$tmp/base/$$pkg"; \
 		cp "$$pkg/$$file" "$$tmp/base/$$pkg/$$file"; \

@@ -125,10 +125,12 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	if err := s.WriteMetrics(func(w io.Writer) error { return mr.ExportMetrics(w, &metrics) }); err != nil {
 		return err
 	}
-	store, err := serve.Build(maint.Relation(), maint.Result())
+	indexing := time.Now()
+	store, err := serve.BuildRun(maint.Relation(), maint.Published)
 	if err != nil {
 		return fmt.Errorf("indexing cube: %w", err)
 	}
+	indexed := time.Since(indexing)
 	svc := serve.NewService(store, serve.Config{
 		CacheEntries: o.cache,
 		BatchWindow:  o.batchWindow,
@@ -137,8 +139,10 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	})
 	defer svc.Close()
 	live.svc.Store(svc)
-	fmt.Fprintf(stderr, "spserve: %s cubed %d rows into %d groups (%d cuboids) in %.2fs\n",
-		s.Algo, rel.N(), store.Groups(), len(store.Cuboids()), time.Since(start).Seconds())
+	built := maint.LastBuild()
+	fmt.Fprintf(stderr, "spserve: %s cubed %d rows into %d groups (%d cuboids) in %.2fs (job %.2fs, index %.2fs, sketch %.2fs, store %.2fs)\n",
+		s.Algo, rel.N(), store.Groups(), len(store.Cuboids()), time.Since(start).Seconds(),
+		built.Job.Seconds(), built.Index.Seconds(), built.Sketch.Seconds(), indexed.Seconds())
 
 	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {

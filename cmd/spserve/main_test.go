@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -139,6 +140,38 @@ func startServer(t *testing.T, extraArgs ...string) (string, func() int) {
 			t.Fatal("server did not stop")
 			return -1
 		}
+	}
+}
+
+// TestStartupLineReportsStages pins the stderr line that answers "where did
+// start-up go?": the total, then the stages it is made of — the cube job, the
+// index over its output, the base sketch, the served store — in seconds.
+func TestStartupLineReportsStages(t *testing.T) {
+	ctx, interrupt := context.WithCancel(context.Background())
+	defer interrupt()
+	addrFile := filepath.Join(t.TempDir(), "addr")
+	var stderr bytes.Buffer
+	done := make(chan int, 1)
+	go func() {
+		done <- exit(ctx, []string{"-in", writeFixture(t), "-addr", "127.0.0.1:0", "-addr-file", addrFile}, &stderr)
+	}()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if data, err := os.ReadFile(addrFile); err == nil && len(data) > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("server never wrote its address")
+		}
+	}
+	interrupt()
+	if code := <-done; code != 0 {
+		t.Fatalf("exit code %d; stderr: %s", code, stderr.String())
+	}
+	secs := `\d+\.\d\ds`
+	want := regexp.MustCompile(`(?m)^spserve: sp-cube cubed 4 rows into 8 groups \(4 cuboids\) in ` + secs +
+		` \(job ` + secs + `, index ` + secs + `, sketch ` + secs + `, store ` + secs + `\)$`)
+	if !want.MatchString(stderr.String()) {
+		t.Errorf("stderr does not report the start-up stages as %s:\n%s", want, stderr.String())
 	}
 }
 

@@ -310,7 +310,7 @@ func (s *Session) DeltaConfig() delta.Config {
 // maintained cube. cur is never modified, so on error it keeps serving.
 func NextStore(cur *serve.Store, maint *delta.Maintainer, rnd *delta.Round) (*serve.Store, error) {
 	if rnd.Mode != "delta" {
-		return serve.Build(maint.Relation(), maint.Result())
+		return serve.BuildRun(maint.Relation(), maint.Published)
 	}
 	p := serve.NewPatch()
 	for _, ch := range rnd.Changes {

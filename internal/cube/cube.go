@@ -192,33 +192,22 @@ func BruteSpec(rel *relation.Relation, spec Spec) *Result {
 }
 
 // CollectDFS parses a cube written to the engine's DFS (non-discard mode)
-// under the given prefix into a Result.
+// under the given prefix into a Result, in file order.
 func CollectDFS(eng *mr.Engine, prefix string, d int) (*Result, error) {
 	res := NewResult(d)
-	err := ScanDFS(eng, prefix, func(key string, val float64) { res.Groups[key] = val })
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// ScanDFS calls visit with the encoded group key and final value of every
-// record of a cube written to the engine's DFS (non-discard mode) under the
-// given prefix, in file order.
-func ScanDFS(eng *mr.Engine, prefix string, visit func(key string, val float64)) error {
 	for _, name := range eng.FS.List(prefix) {
 		data, err := eng.FS.Read(name)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		err = walkRecords(data, func(off, keyLen int) {
-			visit(string(data[off:off+keyLen]), DecodeFinal(data[off+keyLen+1:]))
+			res.Groups[string(data[off:off+keyLen])] = DecodeFinal(data[off+keyLen+1:])
 		})
 		if err != nil {
-			return fmt.Errorf("cube: parsing %s: %w", name, err)
+			return nil, fmt.Errorf("cube: parsing %s: %w", name, err)
 		}
 	}
-	return nil
+	return res, nil
 }
 
 // EncodeFinal serializes a final aggregate value for output records.

@@ -151,10 +151,10 @@ func TestRunFileLimit(t *testing.T) {
 	rec = append(rec, EncodeFinal(1)...)
 	defer func(old int64) { maxFileBytes = old }(maxFileBytes)
 	maxFileBytes = int64(2*len(rec) - 1)
-	if _, err := indexFile("out/x/part-0", rec, 1); err != nil {
+	if _, err := indexFile("out/x/part-0", files{rec}, 0, 1); err != nil {
 		t.Fatalf("a file under the limit: %v", err)
 	}
-	_, err := indexFile("out/x/part-0", append(rec, rec...), 2)
+	_, err := indexFile("out/x/part-0", files{append(rec, rec...)}, 0, 2)
 	if err == nil || !strings.Contains(err.Error(), "out/x/part-0") {
 		t.Fatalf("a file over the limit: error %v, want one naming the file", err)
 	}

@@ -19,41 +19,52 @@ import (
 )
 
 // SortedRun is a computed cube read where the reducers wrote it: an index
-// over the job's output files, each file's records sorted by encoded group
-// key and the files merged on iteration. Keys are ordered as bytes — the
-// order sorting the same keys as strings gives, not ComparePacked
-// order. The record bytes are not copied: the run aliases the DFS files'
-// own slices and keeps them alive. It is immutable once built, so any number
-// of goroutines may read it.
+// over the job's output files, as one or more segments of records sorted by
+// encoded group key and merged on iteration. CollectRun makes a segment of
+// each file; Merged folds them into one. Keys are ordered as bytes — the
+// order sorting the same keys as strings gives, not ComparePacked order. The
+// record bytes are not copied: the run aliases the DFS files' own slices and
+// keeps them alive. It is immutable once built, so any number of goroutines
+// may read it.
 type SortedRun struct {
 	d     int
-	files []runFile
-	n     int // distinct group keys over all files
+	files files
+	// segs are the segments, each ascending with one row per distinct key. A
+	// key in several segments stands as the last of them has it.
+	segs [][]row
+
+	count sync.Once
+	n     int // distinct group keys over all segments; see Len
 }
 
-// runFile is one output file and its records in ascending key order, one row
-// per distinct key.
-type runFile struct {
-	data []byte
-	rows []row
-}
-
-// row locates one output record in its file. It holds no pointer, so a
-// million-row index costs the collector nothing to scan, and is 16 bytes;
-// the 32-bit offset is what limits a file to maxFileBytes.
+// row locates one output record. It holds no pointer, so a million-row index
+// costs the collector nothing to scan, and is 16 bytes in three words the
+// sorts move cheaply; the 32-bit offset is what limits a file to
+// maxFileBytes, the 16-bit file number a cube to maxFiles. (A key is a mask
+// and at most 32 values of at most ten bytes each: its length fits 16 bits.)
 type row struct {
 	prefix uint64 // first 8 key bytes, big-endian, zero-padded: orders most rows without touching the file
-	off    uint32 // of the record in the file
-	klen   uint32 // key length; the value is the 8 bytes behind key and tab
+	off    uint32 // of the record in its file
+	where  uint32 // key length << 16 | position of the file in FS.List order
 }
 
-// maxFileBytes is the largest output file a row can address. A variable so
-// that a test can lower it.
+func newRow(file, off int, key []byte) row {
+	return row{prefix: keyPrefix(key), off: uint32(off), where: uint32(len(key))<<16 | uint32(file)}
+}
+
+// maxFileBytes is the largest output file a row can address, maxFiles the
+// most files. maxFileBytes is a variable so that a test can lower it.
 var maxFileBytes int64 = math.MaxUint32
 
-func (f *runFile) key(r row) []byte { return f.data[r.off : r.off+r.klen] }
+const maxFiles = math.MaxUint16 + 1
 
-func (f *runFile) value(r row) float64 { return DecodeFinal(f.data[r.off+r.klen+1:]) }
+// files is the bytes rows point into.
+type files [][]byte
+
+func (fs files) key(r row) []byte { return fs[r.where&0xffff][r.off : r.off+r.where>>16] }
+
+// The value is the 8 bytes behind key and tab.
+func (fs files) value(r row) float64 { return DecodeFinal(fs[r.where&0xffff][r.off+r.where>>16+1:]) }
 
 func keyPrefix(key []byte) uint64 {
 	if len(key) >= 8 {
@@ -64,30 +75,33 @@ func keyPrefix(key []byte) uint64 {
 	return binary.BigEndian.Uint64(p[:])
 }
 
-// compare orders row a of f against row b of g as bytes.Compare orders
-// their keys, deciding by the prefixes when they differ: zero padding keeps a
-// key before every longer key it is a prefix of, so the prefix order never
-// contradicts the byte order.
-func (f *runFile) compare(a row, g *runFile, b row) int {
+// compare orders two rows as bytes.Compare orders their keys, deciding by the
+// prefixes when they differ: zero padding keeps a key before every longer key
+// it is a prefix of, so the prefix order never contradicts the byte order.
+func (fs files) compare(a, b row) int {
 	if a.prefix != b.prefix {
 		return cmp.Compare(a.prefix, b.prefix)
 	}
-	return bytes.Compare(f.key(a), g.key(b))
+	return bytes.Compare(fs.key(a), fs.key(b))
 }
 
 // CollectRun indexes a cube written to the engine's DFS (non-discard mode)
-// under the given prefix. Files are sorted at most eng.Cfg.Parallelism at a
-// time. A group key written more than once keeps its last record, in file
-// (FS.List) order and then record order — what collecting into a map did.
+// under the given prefix, one segment per file. Files are sorted at most
+// eng.Cfg.Parallelism at a time. A group key written more than once keeps its
+// last record, in file (FS.List) order and then record order — what
+// collecting into a map did.
 func CollectRun(eng *mr.Engine, prefix string, d int) (*SortedRun, error) {
 	names := eng.FS.List(prefix)
-	files := make([]runFile, len(names))
+	if len(names) > maxFiles {
+		return nil, fmt.Errorf("cube: %d output files under %s, above the %d a sorted run indexes", len(names), prefix, maxFiles)
+	}
+	r := &SortedRun{d: d, files: make(files, len(names)), segs: make([][]row, len(names))}
 	errs := make([]error, len(names))
 	sem := make(chan struct{}, max(1, eng.Cfg.Parallelism))
 	var wg sync.WaitGroup
 	for i, name := range names {
-		data, err := eng.FS.Read(name)
-		if err != nil {
+		var err error
+		if r.files[i], err = eng.FS.Read(name); err != nil {
 			errs[i] = err
 			break
 		}
@@ -96,7 +110,7 @@ func CollectRun(eng *mr.Engine, prefix string, d int) (*SortedRun, error) {
 		go func() {
 			defer wg.Done()
 			// One Append per reducer record makes the count exact.
-			files[i], errs[i] = indexFile(name, data, int(eng.FS.Records(name)))
+			r.segs[i], errs[i] = indexFile(name, r.files, i, int(eng.FS.Records(name)))
 			<-sem
 		}()
 	}
@@ -106,47 +120,59 @@ func CollectRun(eng *mr.Engine, prefix string, d int) (*SortedRun, error) {
 			return nil, err
 		}
 	}
-	return newSortedRun(d, files), nil
+	return r, nil
 }
 
-func newSortedRun(d int, files []runFile) *SortedRun {
-	r := &SortedRun{d: d, files: files}
-	for m := r.merge(nil); ; r.n++ {
-		if _, _, ok := m.next(); !ok {
-			return r
+// Merged returns the same cube as one segment. It costs a pass over the cube
+// and, while it runs, a second copy of the index; it pays when the run is to
+// be read at many keys, which then cost one search each, not one per file.
+func (r *SortedRun) Merged() *SortedRun {
+	if len(r.segs) <= 1 {
+		return r
+	}
+	total := 0
+	for _, seg := range r.segs {
+		total += len(seg)
+	}
+	rows := make([]row, 0, total)
+	for m := r.merge(nil); ; {
+		w, ok := m.next()
+		if !ok {
+			return &SortedRun{d: r.d, files: r.files, segs: [][]row{rows}}
 		}
+		rows = append(rows, w)
 	}
 }
 
-// indexFile builds one file's sorted rows; sizeHint is its expected record
-// count.
-func indexFile(name string, data []byte, sizeHint int) (runFile, error) {
+// indexFile builds the sorted rows of file i of fs, one per distinct key;
+// sizeHint is its expected record count.
+func indexFile(name string, fs files, i, sizeHint int) ([]row, error) {
+	data := fs[i]
 	if int64(len(data)) > maxFileBytes {
-		return runFile{}, fmt.Errorf("cube: output file %s is %d bytes, above the %d a sorted run indexes per file", name, len(data), maxFileBytes)
+		return nil, fmt.Errorf("cube: output file %s is %d bytes, above the %d a sorted run indexes per file", name, len(data), maxFileBytes)
 	}
-	f := runFile{data: data, rows: make([]row, 0, sizeHint)}
+	rows := make([]row, 0, sizeHint)
 	err := walkRecords(data, func(off, keyLen int) {
-		f.rows = append(f.rows, row{prefix: keyPrefix(data[off : off+keyLen]), off: uint32(off), klen: uint32(keyLen)})
+		rows = append(rows, newRow(i, off, data[off:off+keyLen]))
 	})
 	if err != nil {
-		return runFile{}, fmt.Errorf("cube: parsing %s: %w", name, err)
+		return nil, fmt.Errorf("cube: parsing %s: %w", name, err)
 	}
-	slices.SortFunc(f.rows, func(a, b row) int {
-		if c := f.compare(a, &f, b); c != 0 {
+	slices.SortFunc(rows, func(a, b row) int {
+		if c := fs.compare(a, b); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.off, b.off)
 	})
 	// Equal keys now sit together in record order; the last one stands.
-	rows := f.rows[:0]
-	for i, r := range f.rows {
-		if i+1 < len(f.rows) && f.compare(r, &f, f.rows[i+1]) == 0 {
+	distinct := rows[:0]
+	for j, r := range rows {
+		if j+1 < len(rows) && fs.compare(r, rows[j+1]) == 0 {
 			continue
 		}
-		rows = append(rows, r)
+		distinct = append(distinct, r)
 	}
-	f.rows = rows
-	return f, nil
+	return distinct, nil
 }
 
 // walkRecords calls visit with the offset and key length of every record of
@@ -174,35 +200,57 @@ func walkRecords(data []byte, visit func(off, keyLen int)) error {
 	return nil
 }
 
-// lowerBound returns the position of the first row whose key is not below
-// key.
-func (f *runFile) lowerBound(key []byte) int {
-	probe := runFile{data: key}
-	at := row{prefix: keyPrefix(key), klen: uint32(len(key))}
-	return sort.Search(len(f.rows), func(i int) bool { return f.compare(f.rows[i], &probe, at) >= 0 })
+// probe is a key to search a segment for, with its row prefix.
+type probe struct {
+	key    []byte
+	prefix uint64
 }
 
-// merger yields the rows of a run's files in ascending key order through a
-// binary heap of the files' next rows, so a row costs O(log files) whatever
-// the reducer count.
+func newProbe(key []byte) probe { return probe{key, keyPrefix(key)} }
+
+// below reports whether w sorts before the probe, by the prefixes alone when
+// they differ.
+func (fs files) below(w row, p probe) bool {
+	if w.prefix != p.prefix {
+		return w.prefix < p.prefix
+	}
+	return bytes.Compare(fs.key(w), p.key) < 0
+}
+
+// lowerBound returns the position of the first row of seg[lo:hi] whose key is
+// not below the probe's, hi when there is none.
+func (fs files) lowerBound(seg []row, lo, hi int, p probe) int {
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); fs.below(seg[mid], p) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// merger yields the rows of a run's segments in ascending key order through a
+// binary heap of the segments' next rows, so a row costs O(log segments)
+// whatever the reducer count.
 type merger struct {
-	files []runFile
-	pos   []int  // position of each file's row in the heap
-	heap  []head // one per file with rows left; least (key, file) first
+	files files
+	rest  [][]row // of each segment, the rows behind the one in the heap
+	heap  []head  // one per segment with rows left; least (key, segment) first
 }
 
 type head struct {
 	row
-	file int
+	seg int
 }
 
 // merge starts a merge at the first key not below from (nil: the first key).
 func (r *SortedRun) merge(from []byte) *merger {
-	m := &merger{files: r.files, pos: make([]int, len(r.files)), heap: make([]head, 0, len(r.files))}
-	for i := range r.files {
-		f := &r.files[i]
-		if m.pos[i] = f.lowerBound(from); m.pos[i] < len(f.rows) {
-			m.heap = append(m.heap, head{f.rows[m.pos[i]], i})
+	m := &merger{files: r.files, rest: make([][]row, len(r.segs)), heap: make([]head, 0, len(r.segs))}
+	p := newProbe(from)
+	for i, seg := range r.segs {
+		if seg = seg[r.files.lowerBound(seg, 0, len(seg), p):]; len(seg) > 0 {
+			m.heap, m.rest[i] = append(m.heap, head{seg[0], i}), seg[1:]
 		}
 	}
 	for i := len(m.heap)/2 - 1; i >= 0; i-- {
@@ -211,15 +259,11 @@ func (r *SortedRun) merge(from []byte) *merger {
 	return m
 }
 
-func (m *merger) compare(a, b head) int {
-	return m.files[a.file].compare(a.row, &m.files[b.file], b.row)
-}
-
 func (m *merger) less(a, b head) bool {
-	if c := m.compare(a, b); c != 0 {
+	if c := m.files.compare(a.row, b.row); c != 0 {
 		return c < 0
 	}
-	return a.file < b.file
+	return a.seg < b.seg
 }
 
 func (m *merger) down(i int) {
@@ -240,44 +284,100 @@ func (m *merger) down(i int) {
 	}
 }
 
-// next returns the file and row of the next distinct key. Equal keys leave
-// the heap in file order, so the record of the last file holding a key is
-// the one returned.
-func (m *merger) next() (*runFile, row, bool) {
+// next returns the row of the next distinct key. Equal keys leave the heap in
+// segment order, so the record of the last segment holding a key is the one
+// returned.
+func (m *merger) next() (row, bool) {
 	for len(m.heap) > 0 {
 		top := m.heap[0]
-		f := &m.files[top.file]
-		if m.pos[top.file]++; m.pos[top.file] < len(f.rows) {
-			m.heap[0].row = f.rows[m.pos[top.file]]
+		if rest := m.rest[top.seg]; len(rest) > 0 {
+			m.heap[0].row, m.rest[top.seg] = rest[0], rest[1:]
 		} else {
 			m.heap[0] = m.heap[len(m.heap)-1]
 			m.heap = m.heap[:len(m.heap)-1]
 		}
 		m.down(0)
-		if len(m.heap) > 0 && m.compare(top, m.heap[0]) == 0 {
+		if len(m.heap) > 0 && m.files.compare(top.row, m.heap[0].row) == 0 {
 			continue
 		}
-		return f, top.row, true
+		return top.row, true
 	}
-	return nil, row{}, false
+	return row{}, false
 }
 
-// Len returns the number of groups in the cube.
-func (r *SortedRun) Len() int { return r.n }
+// find returns the value the run holds for the probe's key. pos, when not
+// nil, holds per segment where the search for the previous key ended: the
+// search for this one starts there, doubles its step away until a row is not
+// below the key and bisects the last step, so a key g rows on costs O(log g)
+// comparisons of rows the last search left in cache, not O(log rows) of rows
+// all over the index. A key below the previous one is searched for among the
+// rows passed. The last segment holding the key stands, so segments are
+// searched last to first and those before a hit keep their positions.
+func (r *SortedRun) find(p probe, pos []int) (float64, bool) {
+	fs := r.files
+	for i := len(r.segs) - 1; i >= 0; i-- {
+		seg := r.segs[i]
+		lo, hi := 0, len(seg)
+		if pos != nil {
+			if lo, hi = pos[i], pos[i]; lo > 0 && !fs.below(seg[lo-1], p) {
+				lo, hi = 0, lo-1
+			} else {
+				for step := 1; hi < len(seg) && fs.below(seg[hi], p); step *= 2 {
+					lo, hi = hi+1, hi+step
+				}
+				hi = min(hi, len(seg))
+			}
+		}
+		j := fs.lowerBound(seg, lo, hi, p)
+		if pos != nil {
+			pos[i] = j
+		}
+		// The prefixes differ for nearly every row that is not the key's:
+		// deciding by them leaves the file's bytes untouched.
+		if j < len(seg) && seg[j].prefix == p.prefix && bytes.Equal(fs.key(seg[j]), p.key) {
+			return fs.value(seg[j]), true
+		}
+	}
+	return 0, false
+}
+
+// Len returns the number of groups in the cube. Over several segments that
+// takes a merge pass to find, made on the first call.
+func (r *SortedRun) Len() int {
+	r.count.Do(func() {
+		if len(r.segs) == 1 {
+			r.n = len(r.segs[0])
+			return
+		}
+		for m := r.merge(nil); ; r.n++ {
+			if _, ok := m.next(); !ok {
+				return
+			}
+		}
+	})
+	return r.n
+}
 
 // Lookup returns the aggregate of the group of dims projected on mask. The
 // dims slice is full-width, as for Result.Lookup.
 func (r *SortedRun) Lookup(mask lattice.Mask, dims []relation.Value) (float64, bool) {
 	var buf [64]byte
-	key := relation.EncodeGroupKey(buf[:0], uint32(mask), dims)
-	for i := len(r.files) - 1; i >= 0; i-- { // the last file holding the key stands
-		f := &r.files[i]
-		if j := f.lowerBound(key); j < len(f.rows) && bytes.Equal(f.key(f.rows[j]), key) {
-			return f.value(f.rows[j]), true
-		}
-	}
-	return 0, false
+	return r.find(newProbe(relation.EncodeGroupKey(buf[:0], uint32(mask), dims)), nil)
 }
+
+// Cursor reads a run at a sequence of encoded keys. It is made for ascending
+// sequences, where each search continues from the one before (see find), and
+// answers any sequence as Lookup does. A cursor is one goroutine's.
+type Cursor struct {
+	run *SortedRun
+	pos []int
+}
+
+// Cursor returns a cursor at the start of the run.
+func (r *SortedRun) Cursor() *Cursor { return &Cursor{run: r, pos: make([]int, len(r.segs))} }
+
+// Seek returns the value of the group with the given encoded key.
+func (c *Cursor) Seek(key []byte) (float64, bool) { return c.run.find(newProbe(key), c.pos) }
 
 // Each calls fn for every group in ascending key order until fn returns
 // false. key aliases the output file and packed is reused between calls:
@@ -290,14 +390,14 @@ func (r *SortedRun) Each(fn func(key []byte, mask lattice.Mask, packed []relatio
 func (r *SortedRun) each(from []byte, fn func(key []byte, mask lattice.Mask, packed []relation.Value, value float64) bool) {
 	var packed []relation.Value
 	for m := r.merge(from); ; {
-		f, row, ok := m.next()
+		w, ok := m.next()
 		if !ok {
 			return
 		}
-		key := f.key(row)
+		key := r.files.key(w)
 		var mask uint32
 		mask, packed, _, _ = relation.ScanGroupKeyInto(packed, key) // indexFile parsed this key already
-		if !fn(key, lattice.Mask(mask), packed, f.value(row)) {
+		if !fn(key, lattice.Mask(mask), packed, r.files.value(w)) {
 			return
 		}
 	}
@@ -373,16 +473,26 @@ func (r *SortedRun) WriteCSV(w io.Writer, rel *relation.Relation, valueName stri
 	return cw.Error()
 }
 
-// WriteCSV writes the result exactly as a SortedRun of the same groups
-// would: the map is laid out as one file of output records and indexed.
-func (r *Result) WriteCSV(w io.Writer, rel *relation.Relation, valueName string) error {
+// Run lays the result out as a SortedRun of the same groups: one file of
+// output records, indexed. It is how a map reaches the code that reads runs —
+// the CSV writer, the serving index.
+func (r *Result) Run() (*SortedRun, error) {
 	var data []byte
 	for key, v := range r.Groups {
-		data = append(append(append(data, key...), '\t'), EncodeFinal(v)...)
+		data = binary.LittleEndian.AppendUint64(append(append(data, key...), '\t'), math.Float64bits(v)) // EncodeFinal's bytes
 	}
-	f, err := indexFile("result", data, len(r.Groups))
+	rows, err := indexFile("result", files{data}, 0, len(r.Groups))
+	if err != nil {
+		return nil, err
+	}
+	return &SortedRun{d: r.D, files: files{data}, segs: [][]row{rows}}, nil
+}
+
+// WriteCSV writes the result exactly as a SortedRun of the same groups would.
+func (r *Result) WriteCSV(w io.Writer, rel *relation.Relation, valueName string) error {
+	run, err := r.Run()
 	if err != nil {
 		return err
 	}
-	return newSortedRun(r.D, []runFile{f}).WriteCSV(w, rel, valueName)
+	return run.WriteCSV(w, rel, valueName)
 }

@@ -39,11 +39,15 @@ func record(mask lattice.Mask, packed []relation.Value, v float64) []byte {
 	return append(rec, cube.EncodeFinal(v)...)
 }
 
-// requireRunEqualsMap is the run ≡ map contract: the run iterates exactly the
-// map's keys in sort.Strings order with bit-equal values, and answers every
-// point and cuboid query as the map does.
+// requireRunEqualsMap is the run ≡ map contract: the run — as collected, one
+// segment per file, and merged into one — iterates exactly the map's keys in
+// sort.Strings order with bit-equal values, and answers every point and
+// cuboid query as the map does.
 func requireRunEqualsMap(t *testing.T, run *cube.SortedRun, want *cube.Result) {
 	t.Helper()
+	if merged := run.Merged(); merged != run { // folded into one segment it is the same cube
+		requireRunEqualsMap(t, merged, want)
+	}
 	keys := make([]string, 0, len(want.Groups))
 	for key := range want.Groups {
 		keys = append(keys, key)
@@ -69,6 +73,8 @@ func requireRunEqualsMap(t *testing.T, run *cube.SortedRun, want *cube.Result) {
 	if i != len(keys) {
 		t.Fatalf("run yielded %d groups, map has %d", i, len(keys))
 	}
+
+	requireCursorEqualsMap(t, run, want, keys)
 
 	masks := map[lattice.Mask]bool{}
 	for _, key := range keys {
@@ -101,6 +107,34 @@ func requireRunEqualsMap(t *testing.T, run *cube.SortedRun, want *cube.Result) {
 			if got[j].Mask != mask || !slices.Equal(got[j].Packed, exp[j].Packed) ||
 				math.Float64bits(got[j].Value) != math.Float64bits(exp[j].Value) {
 				t.Fatalf("cuboid %b group %d: run %+v, map %+v", mask, j, got[j], exp[j])
+			}
+		}
+	}
+}
+
+// requireCursorEqualsMap reads the run through cursors at every key of the
+// map (given sorted) and at two absent neighbours of each — one that sorts
+// directly behind it, one directly before — and wants the map's answer every
+// time: from a cursor that sees the probes ascending, which is what it is
+// built for, and from one that sees them descending, which has it search the
+// rows it has passed and must cost time only.
+func requireCursorEqualsMap(t *testing.T, run *cube.SortedRun, want *cube.Result, keys []string) {
+	t.Helper()
+	var probes []string
+	for _, key := range keys {
+		probes = append(probes, key[:len(key)-1], key, key+"\x00")
+	}
+	sort.Strings(probes)
+	up, down := run.Cursor(), run.Cursor()
+	for i := range probes {
+		for _, c := range []struct {
+			cur   *cube.Cursor
+			probe string
+		}{{up, probes[i]}, {down, probes[len(probes)-1-i]}} {
+			got, ok := c.cur.Seek([]byte(c.probe))
+			exp, expOK := want.Groups[c.probe]
+			if ok != expOK || math.Float64bits(got) != math.Float64bits(exp) {
+				t.Fatalf("Seek(%x) = %v,%v; map says %v,%v", c.probe, got, ok, exp, expOK)
 			}
 		}
 	}
@@ -211,6 +245,61 @@ func TestRunKeepsLaterDuplicate(t *testing.T) {
 	}
 }
 
+// TestCursorAnswersAsLookup: ascending probes over two files — present keys,
+// misses below the first key, between two rows and above the last, and a key
+// both files hold, which the later file wins — answer as Lookup answers them,
+// and so does a probe below the one before it: a cursor is not restricted to
+// ascending keys, only fast on them.
+func TestCursorAnswersAsLookup(t *testing.T) {
+	big := relation.Value(1 << 28)
+	run, _ := handRun(t, 3,
+		slices.Concat(
+			record(0b001, []relation.Value{2}, 1),
+			record(0b001, []relation.Value{6}, 2),
+			record(0b011, []relation.Value{big, 7}, 3),
+		),
+		slices.Concat(
+			record(0b001, []relation.Value{4}, 4),
+			record(0b001, []relation.Value{6}, 5),
+			record(0b011, []relation.Value{big, 9}, 6),
+		),
+	)
+	probes := []struct {
+		name  string
+		mask  lattice.Mask
+		dims  []relation.Value
+		want  float64
+		found bool
+	}{
+		{"below the first key", 0, []relation.Value{0, 0, 0}, 0, false},
+		{"first row of the first file", 0b001, []relation.Value{2, 0, 0}, 1, true},
+		{"between two rows", 0b001, []relation.Value{3, 0, 0}, 0, false},
+		{"first row of the second file", 0b001, []relation.Value{4, 0, 0}, 4, true},
+		{"in both files: the later one's", 0b001, []relation.Value{6, 0, 0}, 5, true},
+		{"the same key again", 0b001, []relation.Value{6, 0, 0}, 5, true},
+		{"between two cuboids", 0b010, []relation.Value{0, 1, 0}, 0, false},
+		{"past the row prefix", 0b011, []relation.Value{big, 7, 0}, 3, true},
+		{"same 8 bytes, absent", 0b011, []relation.Value{big, 8, 0}, 0, false},
+		{"last row", 0b011, []relation.Value{big, 9, 0}, 6, true},
+		{"above the last key", 0b111, []relation.Value{1, 1, 1}, 0, false},
+		{"descending: back to a row passed", 0b001, []relation.Value{4, 0, 0}, 4, true},
+		{"descending: a miss passed", 0, []relation.Value{0, 0, 0}, 0, false},
+		{"ascending again", 0b011, []relation.Value{big, 9, 0}, 6, true},
+	}
+	for name, run := range map[string]*cube.SortedRun{"a segment per file": run, "merged": run.Merged()} {
+		cur := run.Cursor()
+		for _, p := range probes {
+			got, ok := cur.Seek([]byte(relation.GroupKey(uint32(p.mask), p.dims)))
+			if ok != p.found || got != p.want {
+				t.Errorf("%s, %s: Seek = %v,%v, want %v,%v", name, p.name, got, ok, p.want, p.found)
+			}
+			if lv, lok := run.Lookup(p.mask, p.dims); lok != ok || lv != got {
+				t.Errorf("%s, %s: Seek = %v,%v but Lookup = %v,%v", name, p.name, got, ok, lv, lok)
+			}
+		}
+	}
+}
+
 // TestRunRejectsBadRecords: a malformed or truncated record fails the collect
 // with the map collector's own error, which names the file.
 func TestRunRejectsBadRecords(t *testing.T) {
@@ -238,7 +327,8 @@ func TestRunRejectsBadRecords(t *testing.T) {
 
 // FuzzOutputRecords: whatever bytes sit in the output files, collecting them
 // fails exactly when the map collector fails, and otherwise the run is the
-// map — strictly ascending keys, every value read in bounds — never a panic.
+// map — strictly ascending keys, every value read in bounds, the same answer
+// under cursor reads at every key and beside it — never a panic.
 func FuzzOutputRecords(f *testing.F) {
 	eng := cubetest.NewEngine(2)
 	run, err := algo.Table[0].New(1)(eng, data.Retail(60, 1), cube.Spec{Agg: agg.Sum})
@@ -285,5 +375,7 @@ func FuzzOutputRecords(f *testing.F) {
 		if i != len(keys) || run.Len() != len(keys) {
 			t.Fatalf("run yielded %d groups, Len %d, map has %d", i, run.Len(), len(keys))
 		}
+		requireCursorEqualsMap(t, run, want, keys)
+		requireCursorEqualsMap(t, run.Merged(), want, keys)
 	})
 }

@@ -4,11 +4,14 @@
 // relation per batch, run a small delta-cube MR job over just the batch and
 // merge its result into the stored cube.
 //
-// Merging happens on *final* aggregate values (the stored cube holds no
-// partial states), which is sound exactly for the functions whose finals
-// are themselves distributive: count and sum finals add (and subtract, so
-// deletes work), min and max finals combine by extreme (appends only —
-// deleting the minimum reveals an unknown runner-up). For every other
+// Merging happens on *final* aggregate values. The stored cube holds no
+// partial states and is no map: it is the last full build's output, read as
+// a sorted run where the reducers wrote it (a second run carries the tuple
+// counts when the aggregate is not count), under an overlay of the groups
+// batches have touched since. That is sound exactly for the functions whose
+// finals are themselves distributive: count and sum finals add (and
+// subtract, so deletes work), min and max finals combine by extreme (appends
+// only — deleting the minimum reveals an unknown runner-up). For every other
 // aggregate, and for batches whose SP-Sketch has drifted too far from the
 // base sketch (the partitioning decisions of the base cube no longer
 // describe the merged relation), the maintainer falls back to a full
@@ -17,8 +20,8 @@
 // rounds) and emitted as maint-start/maint-end trace events.
 //
 // Deletes are counted: the maintainer keeps every group's tuple count next
-// to its value, so a group whose count reaches zero is removed rather than
-// left at a stale value, and iceberg thresholds (MinSup) are re-evaluated
+// to its value, so a group whose count reaches zero becomes a tombstone in
+// the overlay rather than staying at a stale value, and iceberg thresholds (MinSup) are re-evaluated
 // per cycle against the maintained counts.
 //
 // The maintainer is deliberately storage-agnostic: Apply returns the exact
@@ -30,11 +33,12 @@
 package delta
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -43,6 +47,7 @@ import (
 	"github.com/spcube/spcube/internal/algo/hivecube"
 	"github.com/spcube/spcube/internal/cube"
 	"github.com/spcube/spcube/internal/dfs"
+	"github.com/spcube/spcube/internal/lattice"
 	"github.com/spcube/spcube/internal/mr"
 	"github.com/spcube/spcube/internal/relation"
 	"github.com/spcube/spcube/internal/sketch"
@@ -149,24 +154,98 @@ type Maintainer struct {
 	cfg Config
 	rel *relation.Relation
 
-	// cube is the full (non-iceberg) cube, the maintainer's only copy of
-	// it: encoded group key → final value and tuple count.
-	cube map[string]group
+	// base is the full (non-iceberg) cube as of the last full (re)build,
+	// read where that build's reducers wrote it and never written again.
+	// overlay holds the current state of every group a batch has touched
+	// since — a group of the base at its new value, a group the base lacks,
+	// or a tombstone (cnt 0) for one whose last tuple was deleted — and
+	// supersedes the base key by key; a rebuild replaces the base and
+	// empties it. It is never folded back: it holds at most the groups the
+	// batches since the last build project to, each of which the state map
+	// this design replaced held as well.
+	base    cubeRuns
+	overlay map[string]group
 
 	// baseSketch is the SP-Sketch of the relation as of the last full
 	// (re)build; batch drift is measured against it.
 	baseSketch *sketch.Sketch
+	// built times the stages of that build.
+	built Timing
 
 	metrics mr.JobMetrics
 	rounds  []Round
 	seq     int64 // maintainer-scoped trace sequence
 }
 
+// Timing splits a full (re)build into its stages.
+type Timing struct {
+	// Job is the cube computation: one MR job, or two (values, counts) when
+	// the aggregate is not count.
+	Job time.Duration
+	// Index is the collection of the jobs' output into sorted runs.
+	Index time.Duration
+	// Sketch is the exact base sketch of the relation.
+	Sketch time.Duration
+}
+
 // group is one maintained c-group: its final aggregate value and the number
-// of tuples contributing to it.
+// of tuples contributing to it. No group has cnt 0: the zero group stands
+// for an absent one, and is an overlay's tombstone.
 type group struct {
 	val float64
 	cnt int64
+}
+
+// keyed is a group with its encoded key.
+type keyed struct {
+	key []byte
+	group
+}
+
+// cubeRuns is the cube one runJobs call computed, as the jobs left it: every
+// group's final value and, in a second run over the same keys, its tuple
+// count.
+type cubeRuns struct {
+	vals   *cube.SortedRun
+	counts *cube.SortedRun // nil when the aggregate is count: the value is the count
+}
+
+// cubeReader reads groups out of a cubeRuns at ascending keys.
+type cubeReader struct{ vals, counts *cube.Cursor }
+
+func (c cubeRuns) reader() cubeReader {
+	r := cubeReader{vals: c.vals.Cursor()}
+	if c.counts != nil {
+		r.counts = c.counts.Cursor()
+	}
+	return r
+}
+
+// at returns the group stored under key, the zero group when there is none.
+func (r cubeReader) at(key []byte) group {
+	v, ok := r.vals.Seek(key)
+	if !ok {
+		return group{}
+	}
+	return r.group(key, v)
+}
+
+// group pairs a value read at key with the key's count.
+func (r cubeReader) group(key []byte, v float64) group {
+	if r.counts == nil {
+		return group{val: v, cnt: int64(v)}
+	}
+	n, _ := r.counts.Seek(key)
+	return group{val: v, cnt: int64(n)}
+}
+
+// each calls fn for every group in ascending key order until fn returns
+// false, with cube.SortedRun.Each's aliasing rules.
+func (c cubeRuns) each(fn func(key []byte, mask lattice.Mask, packed []relation.Value, g group) bool) {
+	r := c.reader()
+	c.vals.Each(func(key []byte, mask lattice.Mask, packed []relation.Value, v float64) bool {
+		return fn(key, mask, packed, r.group(key, v))
+	})
 }
 
 // New builds the initial cube over rel (cycle 0, always a full build) and
@@ -204,19 +283,32 @@ func New(rel *relation.Relation, cfg Config) (*Maintainer, error) {
 	m.traceMaint(mr.TraceEvent{Type: mr.EvMaintStart, Round: 0, Job: "maintenance",
 		Mode: info.Mode, Records: int64(own.N())})
 	var metrics mr.JobMetrics
-	groups, err := m.runJobs(own, &metrics)
-	if err != nil {
+	if err := m.rebuild(own, &metrics); err != nil {
 		m.traceMaint(mr.TraceEvent{Type: mr.EvMaintEnd, Round: 0, Job: "maintenance",
 			Failed: true, Err: err.Error()})
 		return nil, err
 	}
-	m.cube = groups
-	m.baseSketch = sketch.BuildExact(own, cfg.Workers, memTuples(own.N(), cfg.Workers))
 	annotate(&metrics, info)
 	m.metrics.Rounds = append(m.metrics.Rounds, metrics.Rounds...)
 	m.traceMaint(mr.TraceEvent{Type: mr.EvMaintEnd, Round: 0, Job: "maintenance",
-		Records: int64(len(groups))})
+		Records: int64(m.base.vals.Len())})
 	return m, nil
+}
+
+// rebuild computes the full cube of rel and, once its jobs have succeeded,
+// makes it the base: the overlay empties and the base sketch is rel's.
+func (m *Maintainer) rebuild(rel *relation.Relation, metrics *mr.JobMetrics) error {
+	var t Timing
+	base, err := m.runJobs(rel, metrics, &t)
+	if err != nil {
+		return err
+	}
+	m.base, m.overlay = base, make(map[string]group)
+	start := time.Now()
+	m.baseSketch = sketch.BuildExact(rel, m.cfg.Workers, memTuples(rel.N(), m.cfg.Workers))
+	t.Sketch = time.Since(start)
+	m.built = t
+	return nil
 }
 
 // Apply runs one maintenance cycle over the batch. On error the maintained
@@ -398,50 +490,65 @@ func (m *Maintainer) applyDelta(batch Batch, deleteIdx map[int]bool, rnd *Round)
 	merge, _ := agg.FinalMerger(m.cfg.Agg)
 	invert, _ := agg.FinalInverter(m.cfg.Agg)
 
-	added, err := m.cubeOver(batch.Append, &rnd.Metrics)
+	adds, err := m.cubeOver(batch.Append, &rnd.Metrics)
 	if err != nil {
 		return fmt.Errorf("delta: append job: %w", err)
 	}
-	deleted, err := m.cubeOver(batch.Delete, &rnd.Metrics)
+	dels, err := m.cubeOver(batch.Delete, &rnd.Metrics)
 	if err != nil {
 		return fmt.Errorf("delta: delete job: %w", err)
 	}
 
 	// Commit point: all jobs succeeded, mutate state — one read-modify-write
-	// per touched key. touched lists each key once, so Changes is unique.
-	touched := make([]string, 0, len(added)+len(deleted))
-	for key, a := range added {
-		touched = append(touched, key)
-		g, exists := m.cube[key]
-		if exists {
-			a.val = merge(g.val, a.val)
+	// per touched key, the two delta cubes merged in key order. That order is
+	// what lets one forward cursor read the base (an independent search of
+	// its files per key costs some fifteen times a map probe) and what
+	// Changes is published in.
+	base, minSup := m.base.reader(), m.minSup()
+	rnd.Changes = make([]Change, 0, len(adds)+len(dels))
+	for len(adds) > 0 || len(dels) > 0 {
+		var side int // of the next key: below 0 appended only, above 0 deleted only
+		switch {
+		case len(dels) == 0:
+			side = -1
+		case len(adds) == 0:
+			side = 1
+		default:
+			side = bytes.Compare(adds[0].key, dels[0].key)
 		}
-		m.cube[key] = group{val: a.val, cnt: g.cnt + a.cnt}
-	}
-	for key, dl := range deleted {
-		if _, dup := added[key]; !dup {
-			touched = append(touched, key)
+		var key []byte
+		var a, dl group
+		if side <= 0 {
+			key, a, adds = adds[0].key, adds[0].group, adds[1:]
 		}
-		g := m.cube[key]
-		if g.cnt -= dl.cnt; g.cnt <= 0 {
-			delete(m.cube, key)
-		} else {
-			g.val = invert(g.val, dl.val)
-			m.cube[key] = g
+		if side >= 0 {
+			key, dl, dels = dels[0].key, dels[0].group, dels[1:]
 		}
+		g, touched := m.overlay[string(key)]
+		if !touched {
+			g = base.at(key)
+		}
+		if a.cnt > 0 {
+			if g.cnt > 0 {
+				a.val = merge(g.val, a.val)
+			}
+			g = group{val: a.val, cnt: g.cnt + a.cnt}
+		}
+		if dl.cnt > 0 {
+			if g.cnt -= dl.cnt; g.cnt <= 0 {
+				g = group{}
+			} else {
+				g.val = invert(g.val, dl.val)
+			}
+		}
+		ch := Change{Key: string(key), Delete: true}
+		if g.cnt >= minSup {
+			ch = Change{Key: ch.Key, Value: g.val}
+		}
+		m.overlay[ch.Key] = g
+		rnd.Changes = append(rnd.Changes, ch)
 	}
 	m.commitRelation(batch, deleteIdx)
-
-	minSup := m.minSup()
-	sort.Strings(touched)
-	rnd.Changes = make([]Change, 0, len(touched))
-	for _, key := range touched {
-		if g, ok := m.cube[key]; ok && g.cnt >= minSup {
-			rnd.Changes = append(rnd.Changes, Change{Key: key, Value: g.val})
-		} else {
-			rnd.Changes = append(rnd.Changes, Change{Key: key, Delete: true})
-		}
-	}
 	return nil
 }
 
@@ -459,15 +566,10 @@ func (m *Maintainer) applyRebuild(batch Batch, deleteIdx map[int]bool, rnd *Roun
 	if next.N() == 0 {
 		return errors.New("delta: batch deletes every tuple; refusing to rebuild an empty cube")
 	}
-
-	groups, err := m.runJobs(next, &rnd.Metrics)
-	if err != nil {
+	if err := m.rebuild(next, &rnd.Metrics); err != nil {
 		return fmt.Errorf("delta: rebuild: %w", err)
 	}
-
-	m.cube = groups
 	m.rel.Tuples = next.Tuples
-	m.baseSketch = sketch.BuildExact(next, m.cfg.Workers, memTuples(next.N(), m.cfg.Workers))
 	return nil
 }
 
@@ -485,48 +587,51 @@ func (m *Maintainer) commitRelation(batch Batch, deleteIdx map[int]bool) {
 	m.rel.Tuples = append(m.rel.Tuples, cloneTuples(batch.Append)...)
 }
 
-// cubeOver runs the maintenance jobs over a tuple batch; an empty batch has
-// no groups and spins up no engine.
-func (m *Maintainer) cubeOver(tuples []relation.Tuple, metrics *mr.JobMetrics) (map[string]group, error) {
+// cubeOver runs the maintenance jobs over a tuple batch and lists the batch's
+// cube in ascending key order, the keys aliasing the jobs' output; an empty
+// batch has no groups and spins up no engine.
+func (m *Maintainer) cubeOver(tuples []relation.Tuple, metrics *mr.JobMetrics) ([]keyed, error) {
 	if len(tuples) == 0 {
 		return nil, nil
 	}
-	return m.runJobs(&relation.Relation{Schema: m.rel.Schema, Tuples: tuples}, metrics)
+	runs, err := m.runJobs(&relation.Relation{Schema: m.rel.Schema, Tuples: tuples}, metrics, new(Timing))
+	if err != nil {
+		return nil, err
+	}
+	out := make([]keyed, 0, runs.vals.Len())
+	runs.each(func(key []byte, _ lattice.Mask, _ []relation.Value, g group) bool {
+		out = append(out, keyed{key, g})
+		return true
+	})
+	return out, nil
 }
 
 // runJobs computes the full cube of rel — the value-cube job, plus a
 // count-cube job when the aggregate is not itself count — appending the
-// jobs' rounds to metrics.
-func (m *Maintainer) runJobs(rel *relation.Relation, metrics *mr.JobMetrics) (map[string]group, error) {
+// jobs' rounds to metrics and their time to t.
+func (m *Maintainer) runJobs(rel *relation.Relation, metrics *mr.JobMetrics, t *Timing) (cubeRuns, error) {
 	fn, err := computeFunc(m.cfg)
 	if err != nil {
-		return nil, err
+		return cubeRuns{}, err
 	}
-	isCount := m.cfg.Agg.Name() == "count"
-	groups := make(map[string]group)
-	err = m.runOne(fn, rel, m.cfg.Agg, metrics, func(key string, v float64) {
-		g := group{val: v}
-		if isCount {
-			g.cnt = int64(v)
+	var out cubeRuns
+	if out.vals, err = m.runOne(fn, rel, m.cfg.Agg, metrics, t); err != nil {
+		return cubeRuns{}, err
+	}
+	if m.cfg.Agg.Name() != "count" {
+		if out.counts, err = m.runOne(fn, rel, agg.Count, metrics, t); err != nil {
+			return cubeRuns{}, err
 		}
-		groups[key] = g
-	})
-	if err == nil && !isCount {
-		err = m.runOne(fn, rel, agg.Count, metrics, func(key string, v float64) {
-			g := groups[key]
-			g.cnt = int64(v)
-			groups[key] = g
-		})
 	}
-	if err != nil {
-		return nil, err
-	}
-	return groups, nil
+	return out, nil
 }
 
-// runOne executes one cube job on a fresh engine and hands every output
-// record to visit.
-func (m *Maintainer) runOne(fn cube.ComputeFunc, rel *relation.Relation, f agg.Func, metrics *mr.JobMetrics, visit func(key string, v float64)) error {
+// runOne executes one cube job on a fresh engine and indexes its output
+// where the reducers wrote it, as one merged segment: a base is read at every
+// key a batch touches for as long as it stands, which that makes one search
+// per key instead of one per output file, and a batch's cube is too small for
+// the merge to show.
+func (m *Maintainer) runOne(fn cube.ComputeFunc, rel *relation.Relation, f agg.Func, metrics *mr.JobMetrics, t *Timing) (*cube.SortedRun, error) {
 	eng := mr.New(mr.Config{
 		Workers:          m.cfg.Workers,
 		Seed:             uint64(m.cfg.Seed),
@@ -542,37 +647,101 @@ func (m *Maintainer) runOne(fn cube.ComputeFunc, rel *relation.Relation, f agg.F
 		Tracer:           m.cfg.Tracer,
 		Context:          m.cfg.Context,
 	}, dfs.New(false))
+	start := time.Now()
 	run, err := fn(eng, rel, cube.Spec{Agg: f})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if err := cube.ScanDFS(eng, run.OutputPrefix, visit); err != nil {
-		return err
+	computed := time.Now()
+	out, err := cube.CollectRun(eng, run.OutputPrefix, rel.D())
+	if err != nil {
+		return nil, err
 	}
+	out = out.Merged()
+	t.Job += computed.Sub(start)
+	t.Index += time.Since(computed)
 	metrics.Rounds = append(metrics.Rounds, run.Metrics.Rounds...)
-	return nil
+	return out, nil
 }
 
-// Result returns a snapshot of the published (iceberg-filtered) cube, sized
-// by what passes the filter: an iceberg cube can publish a small fraction of
-// the maintained groups.
-func (m *Maintainer) Result() *cube.Result {
+// Published calls fn for every group of the published (iceberg-filtered)
+// cube — the base under its overlay — in ascending key order until fn
+// returns false, with cube.SortedRun.Each's callback and aliasing rules. It
+// walks a snapshot: a cycle applied meanwhile does not show.
+func (m *Maintainer) Published(fn func(key []byte, mask lattice.Mask, packed []relation.Value, value float64) bool) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	minSup := m.minSup()
-	n := 0
-	for _, g := range m.cube {
-		if g.cnt >= minSup {
-			n++
-		}
+	base, minSup := m.base, m.minSup()
+	over := make([]keyed, 0, len(m.overlay))
+	for key, g := range m.overlay {
+		over = append(over, keyed{[]byte(key), g})
 	}
-	out := &cube.Result{D: m.rel.D(), Groups: make(map[string]float64, n)}
-	for key, g := range m.cube {
-		if g.cnt >= minSup {
-			out.Groups[key] = g.val
+	m.mu.Unlock()
+	slices.SortFunc(over, func(a, b keyed) int { return bytes.Compare(a.key, b.key) })
+
+	var scratch []relation.Value
+	publish := func(e keyed) bool {
+		if e.cnt < minSup {
+			return true
 		}
+		var mask uint32
+		mask, scratch, _, _ = relation.ScanGroupKeyInto(scratch, e.key) // a key a job wrote
+		return fn(e.key, lattice.Mask(mask), scratch, e.val)
+	}
+	more := true
+	base.each(func(key []byte, mask lattice.Mask, packed []relation.Value, g group) bool {
+		for more && len(over) > 0 {
+			c := bytes.Compare(over[0].key, key)
+			if c > 0 {
+				break
+			}
+			if c == 0 {
+				g = over[0].group // the overlay supersedes the base
+			} else {
+				more = publish(over[0])
+			}
+			over = over[1:]
+		}
+		if more && g.cnt >= minSup {
+			more = fn(key, mask, packed, g.val)
+		}
+		return more
+	})
+	for ; more && len(over) > 0; over = over[1:] {
+		more = publish(over[0])
+	}
+}
+
+// Result returns a snapshot of the published cube as a map: Published,
+// collected. It is the oracle's and the harness's view — and spcube
+// -delta's, which writes it out once — not what a server is built from. The
+// keys are substrings of one string: a million keys allocated one by one cost
+// the garbage collector more than the walk costs.
+func (m *Maintainer) Result() *cube.Result {
+	type entry struct {
+		end int // of the key in keys
+		val float64
+	}
+	var keys []byte
+	var entries []entry
+	m.Published(func(key []byte, _ lattice.Mask, _ []relation.Value, v float64) bool {
+		keys = append(keys, key...)
+		entries = append(entries, entry{len(keys), v})
+		return true
+	})
+	out := &cube.Result{D: m.Relation().D(), Groups: make(map[string]float64, len(entries))}
+	all, start := string(keys), 0
+	for _, e := range entries {
+		out.Groups[all[start:e.end]] = e.val
+		start = e.end
 	}
 	return out
+}
+
+// LastBuild returns the stage times of the last full (re)build.
+func (m *Maintainer) LastBuild() Timing {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.built
 }
 
 // Relation returns the maintained relation. The returned value is live:

@@ -2,6 +2,7 @@ package delta
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"runtime"
@@ -11,6 +12,8 @@ import (
 	"github.com/spcube/spcube/internal/agg"
 	"github.com/spcube/spcube/internal/cube"
 	"github.com/spcube/spcube/internal/cubetest"
+	"github.com/spcube/spcube/internal/data"
+	"github.com/spcube/spcube/internal/dfs"
 	"github.com/spcube/spcube/internal/mr"
 	"github.com/spcube/spcube/internal/relation"
 )
@@ -281,14 +284,58 @@ func TestResultSizedByPublishedCube(t *testing.T) {
 	res := m.Result()
 	runtime.ReadMemStats(&after)
 	exactEqual(t, cube.BruteSpec(rel, cube.Spec{Agg: agg.Count, MinSup: 50}), res)
-	if res.Len() == 0 || res.Len()*100 >= len(m.cube) {
-		t.Fatalf("published %d of %d maintained groups: not a <1%% iceberg", res.Len(), len(m.cube))
+	maintained := m.base.vals.Len()
+	if res.Len() == 0 || res.Len()*100 >= maintained {
+		t.Fatalf("published %d of %d maintained groups: not a <1%% iceberg", res.Len(), maintained)
 	}
 	// ~40 B of map slot per published group; 1 KiB each leaves room for
-	// bucket rounding and is far below presizing for len(m.cube).
+	// bucket rounding and is far below presizing for the maintained cube.
 	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(res.Len())<<10; got > limit {
-		t.Fatalf("Result allocated %d B to publish %d of %d groups (limit %d B)", got, res.Len(), len(m.cube), limit)
+		t.Fatalf("Result allocated %d B to publish %d of %d groups (limit %d B)", got, res.Len(), maintained, limit)
 	}
+}
+
+// TestNewBuildsNoStateMap is the converse: on the iceberg_skew_spill serve
+// shape New leaves the ≈ 1.19 M maintained groups where the job's reducers
+// wrote them. The cube job allocates by the million whoever runs it, so the
+// bound is on what New allocates beyond the job: a tenth of an allocation
+// per group, where a state map paid one per key.
+func TestNewBuildsNoStateMap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("computes a 1.19 M-group cube twice")
+	}
+	rel := data.GenBinomial(38000, 6, 0.5, 1)
+	cfg := Config{Workers: 8, MinSup: 10, Seed: 1}
+	mallocs := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	var m *Maintainer
+	var err error
+	inNew := mallocs(func() { m, err = New(rel, cfg) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	inJob := mallocs(func() {
+		fn, _ := computeFunc(m.cfg)
+		eng := mr.New(mr.Config{Workers: cfg.Workers, Seed: uint64(cfg.Seed)}, dfs.New(false))
+		_, err = fn(eng, rel, cube.Spec{Agg: agg.Count})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := uint64(m.base.vals.Len())
+	if groups < 1_100_000 || len(m.overlay) != 0 {
+		t.Fatalf("maintaining %d groups under %d overlay entries, want ≈ 1.19 M under none", groups, len(m.overlay))
+	}
+	if inNew > inJob+groups/10 {
+		t.Fatalf("New made %d allocations, its cube job %d: the %d beyond the job are more than a tenth of the %d groups",
+			inNew, inJob, inNew-inJob, groups)
+	}
+	t.Logf("New: %d allocations, of them the job's: %d; %d groups", inNew, inJob, groups)
 }
 
 func TestApplyStringsDictionaryCopyOnWrite(t *testing.T) {
@@ -361,27 +408,40 @@ func TestFailedCycleLeavesStateUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := m.Result()
-	beforeN := m.N()
+	// One good cycle first, so that there is an overlay to leave untouched.
+	first := Batch{Append: cubetest.RandomRelation(rng, 10, 2, 4).Tuples}
+	if _, err := m.Apply(first); err != nil {
+		t.Fatal(err)
+	}
+	base = combined(base, first)
+	before, beforeN := m.Result(), m.N()
+	beforeBase, beforeOverlay := m.base, maps.Clone(m.overlay)
+	if len(beforeOverlay) == 0 {
+		t.Fatal("a delta cycle left the overlay empty")
+	}
 
 	// Arm a permanent fault (MaxAttempts 1: the first crash is final).
 	m.cfg.Faults = plan
 	m.cfg.MaxAttempts = 1
-	if _, err := m.Apply(Batch{Append: cubetest.RandomRelation(rng, 10, 2, 4).Tuples}); err == nil {
+	batch := Batch{Append: cubetest.RandomRelation(rng, 10, 2, 4).Tuples}
+	if _, err := m.Apply(batch); err == nil {
 		t.Fatal("cycle under a permanent fault must fail")
 	}
 	if m.N() != beforeN {
 		t.Fatalf("failed cycle changed relation: %d tuples, want %d", m.N(), beforeN)
 	}
+	if m.base != beforeBase || !maps.Equal(m.overlay, beforeOverlay) {
+		t.Fatalf("failed cycle touched the state: base replaced %v, overlay %d entries (was %d)",
+			m.base != beforeBase, len(m.overlay), len(beforeOverlay))
+	}
 	exactEqual(t, before, m.Result())
-	if m.Version() != 0 {
+	if m.Version() != 1 {
 		t.Fatalf("failed cycle recorded a round: Version = %d", m.Version())
 	}
 
 	// Disarm and retry: the same batch applies cleanly.
 	m.cfg.Faults = nil
 	m.cfg.MaxAttempts = 0
-	batch := Batch{Append: cubetest.RandomRelation(rand.New(rand.NewSource(29)), 10, 2, 4).Tuples}
 	if _, err := m.Apply(batch); err != nil {
 		t.Fatal(err)
 	}

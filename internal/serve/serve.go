@@ -1,6 +1,6 @@
-// Package serve is the online serving layer for computed cubes: it ingests
-// a materialized cube.Result into a compact read-optimized index (Store) and
-// answers point / slice / rollup / top-k queries over it, in process through
+// Package serve is the online serving layer for computed cubes: it lays a
+// cube down, group by group as a sorted run or a maintainer yields it, into a
+// compact read-optimized index (Store) and answers point / slice / rollup / top-k queries over it, in process through
 // the Service interface and over HTTP/JSON through NewHandler.
 //
 // A computed cube otherwise dies with the process that computed it; serve is

@@ -1,9 +1,13 @@
 package serve
 
 import (
+	"fmt"
 	"math/bits"
+	"runtime"
+	"slices"
 	"sort"
 	"strconv"
+	"sync"
 
 	"github.com/spcube/spcube/internal/cube"
 	"github.com/spcube/spcube/internal/lattice"
@@ -14,8 +18,8 @@ import (
 // cuboid's groups are held as a sorted run — packed values flattened
 // row-major into one array, ordered by relation.ComparePacked — and the run
 // is the cuboid's only index: points are one binary search, batched points a
-// shared galloping pass, slices a range scan. Nothing of the ingested
-// cube.Result is retained.
+// shared galloping pass, slices a range scan. Nothing of the cube it was
+// built from is retained.
 //
 // A Store is safe for unlimited concurrent readers; it is never mutated
 // after Build. Incremental maintenance produces a NEW store from an old one
@@ -63,40 +67,97 @@ func (c *cuboid) row(i int) []relation.Value {
 	return c.packed[i*c.stride : (i+1)*c.stride]
 }
 
-// Build indexes a computed cube for serving. The relation supplies the
-// schema and dictionary used by the HTTP front end to translate between
-// strings and codes; the result supplies the groups.
+// Build indexes a computed cube held as a map: the map is laid out as a
+// sorted run, the way its CSV writer lays it out, and handed to BuildRun. The
+// tests and the benchmark harness come in here; a server's cube never is a
+// map.
 func Build(rel *relation.Relation, res *cube.Result) (*Store, error) {
+	run, err := res.Run()
+	if err != nil {
+		return nil, err
+	}
+	return BuildRun(rel, run.Each)
+}
+
+// BuildRun indexes for serving the cube that each yields, one call of its
+// argument per group with cube.SortedRun.Each's callback and aliasing rules
+// — a SortedRun's Each, or a maintainer's Published. The relation supplies
+// the schema and the dictionary the HTTP front end translates between strings
+// and codes with.
+//
+// Each cuboid is laid down as its groups arrive. A run yields them in encoded
+// key order, which keeps a cuboid's groups together but is ComparePacked order
+// only while every value encodes in one byte (a varint's low bits lead): a
+// cuboid whose rows did not arrive ascending is sorted afterwards, by a
+// permutation over its flat rows, up to GOMAXPROCS cuboids at a time.
+func BuildRun(rel *relation.Relation, each func(fn func(key []byte, mask lattice.Mask, packed []relation.Value, value float64) bool)) (*Store, error) {
 	st := &Store{
-		d:      res.D,
+		d:      rel.D(),
 		schema: rel.Schema,
 		dict:   rel.Dict,
 		byMask: make(map[lattice.Mask]*cuboid),
-		groups: len(res.Groups),
 	}
-	type entry struct {
-		packed []relation.Value
-		val    float64
-	}
-	perMask := make(map[lattice.Mask][]entry)
-	for key, val := range res.Groups {
-		mask, packed, err := relation.DecodeGroupKey(key)
-		if err != nil {
-			return nil, err
+	var cur *cuboid
+	ascending := false // cur's rows have arrived in ComparePacked order so far
+	unsorted := make(map[*cuboid]bool)
+	var err error
+	each(func(_ []byte, mask lattice.Mask, packed []relation.Value, value float64) bool {
+		if cur == nil || cur.mask != mask {
+			if mask > lattice.Full(st.d) {
+				err = fmt.Errorf("serve: cuboid %b out of range for %d dimensions", uint32(mask), st.d)
+				return false
+			}
+			if cur = st.byMask[mask]; cur == nil {
+				cur = newCuboid(mask, 0)
+				st.byMask[mask] = cur
+			}
+			ascending = !unsorted[cur]
 		}
-		perMask[lattice.Mask(mask)] = append(perMask[lattice.Mask(mask)], entry{packed, val})
-	}
-	for mask, entries := range perMask {
-		sort.Slice(entries, func(i, j int) bool {
-			return relation.ComparePacked(entries[i].packed, entries[j].packed) < 0
-		})
-		c := newCuboid(mask, len(entries))
-		for _, e := range entries {
-			c.push(e.packed, e.val)
+		if n := cur.rows(); ascending && n > 0 && relation.ComparePacked(cur.row(n-1), packed) >= 0 {
+			ascending, unsorted[cur] = false, true
 		}
-		st.byMask[mask] = c
+		cur.push(packed, value)
+		st.groups++
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
+
+	work := make(chan *cuboid)
+	var wg sync.WaitGroup
+	for i := min(runtime.GOMAXPROCS(0), len(unsorted)); i > 0; i-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for c := range work {
+				c.sortRows()
+			}
+		}()
+	}
+	for c := range unsorted {
+		work <- c
+	}
+	close(work)
+	wg.Wait()
 	return st, nil
+}
+
+// sortRows puts the cuboid's rows in ComparePacked order: an index sort, then
+// one gather into arrays of exactly the cuboid's size.
+func (c *cuboid) sortRows() {
+	perm := make([]int32, c.rows())
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortFunc(perm, func(a, b int32) int {
+		return relation.ComparePacked(c.row(int(a)), c.row(int(b)))
+	})
+	sorted := newCuboid(c.mask, len(perm))
+	for _, i := range perm {
+		sorted.push(c.row(int(i)), c.vals[i])
+	}
+	c.packed, c.vals = sorted.packed, sorted.vals
 }
 
 // D returns the cube's dimension count.

@@ -22,7 +22,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"github.com/spcube/spcube/internal/agg"
 	"github.com/spcube/spcube/internal/buc"
@@ -507,30 +511,39 @@ func buildFromSample(sample []relation.Tuple, d, k int, alpha, beta float64, cha
 	charge(int64(len(sample)) * int64(uint(1)<<uint(d)))
 
 	// Partition elements: for every cuboid, sort the sample w.r.t. <_C
-	// and take the k−1 evenly spaced elements (§4.2 "Partitions").
-	idx := make([]int, len(sample))
-	for mask := lattice.Mask(0); mask <= lattice.Full(d); mask++ {
-		if mask == 0 {
-			// The apex cuboid has a single (empty) projection; range
-			// partitioning is vacuous.
-			continue
-		}
-		for i := range idx {
-			idx[i] = i
-		}
-		mm := uint32(mask)
-		sort.Slice(idx, func(a, b int) bool {
-			return relation.CompareProjected(sample[idx[a]].Dims, sample[idx[b]].Dims, mm) < 0
-		})
-		elems := make([][]relation.Value, 0, k-1)
-		for i := 1; i < k; i++ {
-			pos := i * len(sample) / k
-			if pos >= len(sample) {
-				pos = len(sample) - 1
+	// and take the k−1 evenly spaced elements (§4.2 "Partitions"). The apex
+	// cuboid has a single (empty) projection; range partitioning is vacuous
+	// there. The sorts are independent, so they run on up to GOMAXPROCS
+	// goroutines; the charges are a float sum and the sketch is filled
+	// afterwards, both in ascending mask order.
+	full := lattice.Full(d)
+	elems := make([][][]relation.Value, full+1)
+	var next atomic.Uint32 // the last cuboid handed out
+	var wg sync.WaitGroup
+	for i := min(runtime.GOMAXPROCS(0), int(full)); i > 0; i-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			idx := make([]int32, len(sample))
+			for mm := next.Add(1); mm <= uint32(full); mm = next.Add(1) {
+				for i := range idx {
+					idx[i] = int32(i)
+				}
+				slices.SortFunc(idx, func(a, b int32) int {
+					return relation.CompareProjected(sample[a].Dims, sample[b].Dims, mm)
+				})
+				quantiles := make([][]relation.Value, 0, k-1)
+				for i := 1; i < k; i++ {
+					pos := min(i*len(sample)/k, len(sample)-1)
+					quantiles = append(quantiles, relation.Project(sample[idx[pos]].Dims, mm))
+				}
+				elems[mm] = dedupSorted(quantiles)
 			}
-			elems = append(elems, relation.Project(sample[idx[pos]].Dims, mm))
-		}
-		s.SetPartitionElements(mask, dedupSorted(elems))
+		}()
+	}
+	wg.Wait()
+	for mask := lattice.Mask(1); mask <= full; mask++ {
+		s.SetPartitionElements(mask, elems[mask])
 		charge(int64(len(sample)))
 	}
 	return s
