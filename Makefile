@@ -24,8 +24,11 @@ build:
 test:
 	$(GO) test -count=1 ./...
 
+# The second leg runs the range-split CSV render and the striped CSV load —
+# the code whose goroutine count follows GOMAXPROCS — at three widths.
 race:
 	$(GO) test -race -count=1 ./...
+	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/cube ./internal/relation .
 
 # The fault-injection/retry gate: every fault and differential-oracle
 # test, twice, under the race detector.
@@ -39,9 +42,11 @@ retry-race:
 # checksummed block framing (round-trip plus corrupt-input rejection), and
 # the reducers' output records (arbitrary file bytes: the sorted run fails
 # when the map collector fails and otherwise equals it, iterated and read
-# through cursors, a segment per file and merged), and the input
+# through cursors, a segment per file and merged, and renders to the bytes
+# encoding/csv makes of it in ranges of any size), and the input
 # dictionary (arbitrary column values: codes, order and decoded text equal a
-# plain string map's, whichever of its two entry kinds a value takes), and
+# plain string map's, whichever of its two entry kinds a value takes, and
+# the same values as a CSV file load as a serial read loads them), and
 # the server's two request decoders (arbitrary /v1/query and /v1/ingest
 # bodies: a well-formed answer or a 4xx, never a panic or a 5xx).
 fuzz-smoke:
@@ -166,8 +171,9 @@ loc:
 
 # Old-vs-new comparison of the engine's hot path, of the serving index, of
 # two batch runs (compute + collect + CSV render of the uniform cube; CSV load
-# + compute of the skewed, spilling one), of a server's start-up build and
-# ingest cycle (delta.New over the three served relations and under sum;
+# + compute of the skewed, spilling one) and their two ends alone (that render;
+# that load), of a server's start-up build and ingest cycle (delta.New over
+# the three served relations and under sum;
 # Maintainer.Apply of harness-sized batches) and of the whole of start-up
 # behind the CSV load (relation -> delta.New -> served Store). Checks out BASE
 # (default: the previous commit) into a temporary git worktree, copies the
@@ -185,7 +191,7 @@ bench-compare:
 	git worktree add --detach "$$tmp/base" $(BASE) >/dev/null; \
 	for spec in 'internal/mr hotpath_bench_test.go $(BENCH_PATTERN)' \
 		'internal/serve index_bench_test.go $(SERVE_BENCH_PATTERN)' \
-		'. collect_bench_test.go ComputeWriteCSV|SkewedBatch' \
+		'. collect_bench_test.go WriteCSV|ReadCSV|SkewedBatch' \
 		'internal/delta new_bench_test.go DeltaNew|DeltaApply' \
 		'internal/cli ready_bench_test.go ServeReady'; do \
 		set -- $$spec; pkg=$$1; file=$$2; pattern=$$3; \

@@ -12,8 +12,9 @@
 //	spcube -in sales.csv -p 1         # sequential task execution, same cube
 //
 // The -p flag controls how many goroutines execute the simulated map and
-// reduce tasks (0 = all cores). It changes only real wall-clock time: the
-// cube and all simulated statistics are identical at any parallelism.
+// reduce tasks and render the output CSV (0 = all cores). It changes only
+// real wall-clock time: the cube and all simulated statistics are identical
+// at any parallelism.
 //
 // The -faults flag injects deterministic task failures into the simulated
 // cluster (spec: round:phase:task:kind[:attempt[:count]], comma-separated,

@@ -3,14 +3,17 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+	"syscall"
 	"testing"
 
+	"github.com/spcube/spcube/internal/cli"
 	"github.com/spcube/spcube/internal/mr"
 )
 
@@ -250,6 +253,28 @@ func TestRunErrors(t *testing.T) {
 	for name, args := range cases {
 		if err := cube(nil, append(args, "-k", "2")...); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestRunOutputDeviceFull: the cube writer's first write error is the run's
+// error — exit status 1, the operating system's message on stderr — in plain
+// and in -delta mode.
+func TestRunOutputDeviceFull(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full here")
+	}
+	dir := t.TempDir()
+	in := writeTemp(t, dir, "in.csv", sampleCSV)
+	for name, args := range map[string][]string{
+		"plain": {"-in", in, "-o", "/dev/full"},
+		"delta": {"-in", in, "-delta", in, "-o", "/dev/full"},
+	} {
+		var stderr strings.Builder
+		err := cube(nil, append(args, "-k", "2")...)
+		if status := cli.Exit("spcube", &stderr, err); status != 1 || !errors.Is(err, syscall.ENOSPC) ||
+			!strings.Contains(stderr.String(), syscall.ENOSPC.Error()) {
+			t.Errorf("%s: exit status %d, stderr %q, error %v; want 1 and %q", name, status, stderr.String(), err, syscall.ENOSPC.Error())
 		}
 	}
 }

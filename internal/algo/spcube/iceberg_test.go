@@ -7,6 +7,7 @@ import (
 	"github.com/spcube/spcube/internal/agg"
 	"github.com/spcube/spcube/internal/cube"
 	"github.com/spcube/spcube/internal/cubetest"
+	"github.com/spcube/spcube/internal/relation"
 )
 
 func TestIcebergMatchesBruteForce(t *testing.T) {
@@ -114,5 +115,50 @@ func TestComputeMultiErrors(t *testing.T) {
 	eng := cubetest.NewEngine(2)
 	if _, err := ComputeMulti(eng, rel, nil, Options{}); err == nil {
 		t.Error("no specs must fail")
+	}
+}
+
+// TestIcebergAtTheThreshold: the reducer drops a received tuple set smaller
+// than the minimum support before decoding it. Sets of exactly minSup-1,
+// minSup and minSup+1 rows — as finest groups, and again where a coarser
+// cuboid folds them together — must come out as brute force has them, under
+// every aggregate.
+func TestIcebergAtTheThreshold(t *testing.T) {
+	const minSup = 5
+	rel := &relation.Relation{Schema: relation.Schema{DimNames: []string{"a", "b", "c"}, MeasureName: "m"}}
+	id := relation.Value(0)
+	for _, size := range []int{minSup - 1, minSup, minSup + 1} {
+		for rep := 0; rep < 6; rep++ {
+			id++
+			for i := 0; i < size; i++ {
+				// a names the set, b pairs it with one other, c is one of
+				// three values: 2^3 cuboids with sets of every size around
+				// the threshold and far above it.
+				rel.Append([]relation.Value{id, id / 2, id % 3}, int64(7*i)-int64(id))
+			}
+		}
+	}
+	for _, name := range []string{"count", "sum", "min", "max", "avg", "var", "stddev", "distinct"} {
+		f, err := agg.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{1, 4} {
+			spec := cube.Spec{Agg: f, MinSup: minSup}
+			res, _, err := cubetest.RunAndCollect(cubetest.NewEngine(k), Compute, rel, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := cube.BruteSpec(rel, spec)
+			if ok, diff := want.Equal(res); !ok {
+				t.Errorf("%s, k=%d: %s", name, k, diff)
+			}
+			if _, ok := res.Lookup(0b001, []relation.Value{1, 0, 0}); ok {
+				t.Errorf("%s, k=%d: a group of %d rows passed minimum support %d", name, k, minSup-1, minSup)
+			}
+			if _, ok := res.Lookup(0b001, []relation.Value{7, 0, 0}); !ok {
+				t.Errorf("%s, k=%d: a group of exactly %d rows is missing", name, k, minSup)
+			}
+		}
 	}
 }

@@ -369,7 +369,12 @@ func cubeJob(d, k int, spec cube.Spec, sk *sketch.Sketch, opts Options, outPrefi
 			}
 			// Factorized processing: rebuild set(g) and compute every
 			// ancestor group owned by g with local BUC (Algorithm 3,
-			// line 30).
+			// line 30) — which emits nothing and touches no tuple when
+			// set(g) is below the iceberg threshold, as most sets of a
+			// skewed relation are: those are not decoded.
+			if len(vals) < minSup {
+				return
+			}
 			cache := ctx.State().(*taskState).subsetsBFS
 			tuples := make([]relation.Tuple, 0, len(vals))
 			for _, v := range vals {

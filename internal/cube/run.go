@@ -4,13 +4,12 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/binary"
-	"encoding/csv"
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
-	"strconv"
 	"sync"
 
 	"github.com/spcube/spcube/internal/lattice"
@@ -32,9 +31,12 @@ type SortedRun struct {
 	// segs are the segments, each ascending with one row per distinct key. A
 	// key in several segments stands as the last of them has it.
 	segs [][]row
+	// par is how many goroutines a pass over the run may use: the
+	// Parallelism of the job that wrote it.
+	par int
 
 	count sync.Once
-	n     int // distinct group keys over all segments; see Len
+	n     int // distinct group keys over all segments; see Len and WriteCSV
 }
 
 // row locates one output record. It holds no pointer, so a million-row index
@@ -95,9 +97,9 @@ func CollectRun(eng *mr.Engine, prefix string, d int) (*SortedRun, error) {
 	if len(names) > maxFiles {
 		return nil, fmt.Errorf("cube: %d output files under %s, above the %d a sorted run indexes", len(names), prefix, maxFiles)
 	}
-	r := &SortedRun{d: d, files: make(files, len(names)), segs: make([][]row, len(names))}
+	r := &SortedRun{d: d, files: make(files, len(names)), segs: make([][]row, len(names)), par: max(1, eng.Cfg.Parallelism)}
 	errs := make([]error, len(names))
-	sem := make(chan struct{}, max(1, eng.Cfg.Parallelism))
+	sem := make(chan struct{}, r.par)
 	var wg sync.WaitGroup
 	for i, name := range names {
 		var err error
@@ -138,7 +140,7 @@ func (r *SortedRun) Merged() *SortedRun {
 	for m := r.merge(nil); ; {
 		w, ok := m.next()
 		if !ok {
-			return &SortedRun{d: r.d, files: r.files, segs: [][]row{rows}}
+			return &SortedRun{d: r.d, files: r.files, segs: [][]row{rows}, par: r.par}
 		}
 		rows = append(rows, w)
 	}
@@ -246,11 +248,21 @@ type head struct {
 
 // merge starts a merge at the first key not below from (nil: the first key).
 func (r *SortedRun) merge(from []byte) *merger {
-	m := &merger{files: r.files, rest: make([][]row, len(r.segs)), heap: make([]head, 0, len(r.segs))}
+	parts := make([][]row, len(r.segs))
 	p := newProbe(from)
 	for i, seg := range r.segs {
-		if seg = seg[r.files.lowerBound(seg, 0, len(seg), p):]; len(seg) > 0 {
-			m.heap, m.rest[i] = append(m.heap, head{seg[0], i}), seg[1:]
+		parts[i] = seg[r.files.lowerBound(seg, 0, len(seg), p):]
+	}
+	return newMerger(r.files, parts)
+}
+
+// newMerger starts a merge of parts, which it keeps: a stretch of each of a
+// run's segments, in segment order.
+func newMerger(fs files, parts [][]row) *merger {
+	m := &merger{files: fs, rest: parts, heap: make([]head, 0, len(parts))}
+	for i, part := range parts {
+		if len(part) > 0 {
+			m.heap, m.rest[i] = append(m.heap, head{part[0], i}), part[1:]
 		}
 	}
 	for i := len(m.heap)/2 - 1; i >= 0; i-- {
@@ -342,7 +354,8 @@ func (r *SortedRun) find(p probe, pos []int) (float64, bool) {
 }
 
 // Len returns the number of groups in the cube. Over several segments that
-// takes a merge pass to find, made on the first call.
+// takes a merge pass to find, made on the first call unless WriteCSV, which
+// counts the rows it writes, has run.
 func (r *SortedRun) Len() int {
 	r.count.Do(func() {
 		if len(r.segs) == 1 {
@@ -444,35 +457,6 @@ func (r *SortedRun) EachRow(rel *relation.Relation, fn func(dims []string, value
 	return err
 }
 
-// WriteCSV renders the cube as CSV: a header of rel's dimension names plus
-// valueName, then one EachRow row per group with the aggregate in its
-// shortest exact decimal form. It is the one cube writer behind spcube's
-// plain and -delta modes.
-func (r *SortedRun) WriteCSV(w io.Writer, rel *relation.Relation, valueName string) error {
-	cw := csv.NewWriter(w)
-	row := append(append(make([]string, 0, r.d+1), rel.Schema.DimNames...), valueName)
-	if err := cw.Write(row); err != nil {
-		return err
-	}
-	// Counts and sums repeat from group to group: format a value once per
-	// streak.
-	var last uint64
-	text := ""
-	err := r.EachRow(rel, func(dims []string, value float64) error {
-		if bits := math.Float64bits(value); bits != last || text == "" {
-			last, text = bits, strconv.FormatFloat(value, 'g', -1, 64)
-		}
-		copy(row, dims)
-		row[r.d] = text
-		return cw.Write(row)
-	})
-	if err != nil {
-		return err
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 // Run lays the result out as a SortedRun of the same groups: one file of
 // output records, indexed. It is how a map reaches the code that reads runs —
 // the CSV writer, the serving index.
@@ -485,7 +469,7 @@ func (r *Result) Run() (*SortedRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &SortedRun{d: r.D, files: files{data}, segs: [][]row{rows}}, nil
+	return &SortedRun{d: r.D, files: files{data}, segs: [][]row{rows}, par: runtime.GOMAXPROCS(0)}, nil
 }
 
 // WriteCSV writes the result exactly as a SortedRun of the same groups would.

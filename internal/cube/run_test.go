@@ -328,8 +328,11 @@ func TestRunRejectsBadRecords(t *testing.T) {
 // FuzzOutputRecords: whatever bytes sit in the output files, collecting them
 // fails exactly when the map collector fails, and otherwise the run is the
 // map — strictly ascending keys, every value read in bounds, the same answer
-// under cursor reads at every key and beside it — never a panic.
+// under cursor reads at every key and beside it, and renders to the CSV bytes
+// encoding/csv makes of it, in ranges of any size, whether the dictionary has
+// the records' codes or not — never a panic.
 func FuzzOutputRecords(f *testing.F) {
+	rel := awkwardRelation()
 	eng := cubetest.NewEngine(2)
 	run, err := algo.Table[0].New(1)(eng, data.Retail(60, 1), cube.Spec{Agg: agg.Sum})
 	if err != nil {
@@ -377,5 +380,6 @@ func FuzzOutputRecords(f *testing.F) {
 		}
 		requireCursorEqualsMap(t, run, want, keys)
 		requireCursorEqualsMap(t, run.Merged(), want, keys)
+		requireRendersAsReference(t, run, rel)
 	})
 }

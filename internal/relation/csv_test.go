@@ -1,28 +1,152 @@
 package relation
 
 import (
+	"encoding/csv"
+	"fmt"
+	"io"
+	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
+// withBatchRows runs fn with the load's batch size lowered to one row (every
+// row a hand-off), to three (batches that end mid-file and a short last one)
+// and as it is.
+func withBatchRows(t *testing.T, fn func(rows int)) {
+	t.Helper()
+	defer func(old int) { csvBatchRows = old }(csvBatchRows)
+	for _, rows := range []int{1, 3, 4096} {
+		csvBatchRows = rows
+		fn(rows)
+	}
+}
+
+// TestReadCSVRejectsBadShapes pins the text of every load error to what the serial
+// reader returned — the first error in file order, numbered by record — and
+// holds a failed load to leaving no goroutine behind.
 func TestReadCSVRejectsBadShapes(t *testing.T) {
 	wide := strings.Repeat("d,", 33) + "m\n" + strings.Repeat("x,", 33) + "1\n"
 	cases := []struct {
 		name, csv, want string
 	}{
-		{"empty", "", "header"},
-		{"one column", "just\na\n", "measure column"},
-		{"too many dimensions", wide, "exceed the supported maximum"},
+		{"empty", "", "reading header: EOF"},
+		{"one column", "just\na\n", "need at least one dimension column and a measure column, got 1 columns"},
+		{"too many dimensions", wide, "33 dimensions exceed the supported maximum 20"},
 		{"header only", "a,m\n", "no data rows"},
-		{"non-integer measure", "a,m\nx,1\ny,notanumber\n", `line 3: measure "notanumber"`},
-		{"ragged row", "a,b,m\nx,y,1\nx,2\n", "wrong number of fields"},
+		{"ragged row before a bad measure", "a,b,m\nx,y,1\nx,2\nx,y,bad\n", "record on line 3: wrong number of fields"},
+		{"bad measure before a ragged row", "a,b,m\nx,y,1\nx,y,bad\nx,2\n", `line 3: measure "bad" is not an integer: strconv.ParseInt: parsing "bad": invalid syntax`},
+		{"ragged row in a later batch", "a,b,m\nx,y,1\nx,y,2\nx,y,3\nx,y,4\nx,2\n", "record on line 6: wrong number of fields"},
+		{"empty measure on the last line", "a,b,m\nx,y,1\nx,y,2\nx,y,3\nx,y,\n", `line 5: measure "" is not an integer: strconv.ParseInt: parsing "": invalid syntax`},
+		{"bare quote", "a,b,m\nx,y,1\nx\"y,z,2\n", `parse error on line 3, column 2: bare " in non-quoted-field`},
+		{"unterminated quote", "a,b,m\nx,y,1\n\"x,z,2\n", `parse error on line 3, column 8: extraneous or missing " in quoted-field`},
+		// encoding/csv skips the blank line: rows are numbered as records.
+		{"measure out of range", "a,b,m\nx,y,1\n\nx,z,99999999999999999999\n", `line 3: measure "99999999999999999999" is not an integer: strconv.ParseInt: parsing "99999999999999999999": value out of range`},
 	}
-	for _, c := range cases {
-		_, err := ReadCSV(strings.NewReader(c.csv))
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: err = %v, want one mentioning %q", c.name, err, c.want)
+	before := runtime.NumGoroutine()
+	withBatchRows(t, func(rows int) {
+		for _, c := range cases {
+			_, err := ReadCSV(strings.NewReader(c.csv))
+			if err == nil || err.Error() != c.want {
+				t.Errorf("%s, batches of %d: err = %v, want %q", c.name, rows, err, c.want)
+			}
+			if after := goroutinesSettleAt(before); after > before {
+				t.Errorf("%s, batches of %d: %d goroutines before the load, %d after", c.name, rows, before, after)
+			}
+		}
+	})
+}
+
+// goroutinesSettleAt returns the goroutine count once it is down to want. A
+// goroutine that has let its WaitGroup go may still be on its way out when
+// the waiter resumes, so the count is polled for a moment, not read once.
+func goroutinesSettleAt(want int) int {
+	for deadline := time.Now().Add(2 * time.Second); ; runtime.Gosched() {
+		if n := runtime.NumGoroutine(); n <= want || time.Now().After(deadline) {
+			return n
 		}
 	}
+}
+
+// serialLoad is the reader ReadCSV replaced: every record through
+// AppendStrings, one after the other.
+func serialLoad(t testing.TB, file string) *Relation {
+	t.Helper()
+	cr := csv.NewReader(strings.NewReader(file))
+	header, err := cr.Read()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := len(header) - 1
+	rel := New(header[:d], header[d])
+	for {
+		rec, err := cr.Read()
+		if err == io.EOF {
+			return rel
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := strconv.ParseInt(rec[d], 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel.AppendStrings(rec[:d], m)
+	}
+}
+
+// requireSameRelation: the same tuples in the same order under the same
+// codes, and dictionaries that assign and decode alike.
+func requireSameRelation(t testing.TB, got, want *Relation) {
+	t.Helper()
+	if got.N() != want.N() || got.D() != want.D() || got.Schema.MeasureName != want.Schema.MeasureName ||
+		!slices.Equal(got.Schema.DimNames, want.Schema.DimNames) {
+		t.Fatalf("loaded %v, the serial reader %v", got, want)
+	}
+	for i, w := range want.Tuples {
+		if g := got.Tuples[i]; g.Measure != w.Measure || !slices.Equal(g.Dims, w.Dims) {
+			t.Fatalf("row %d: loaded %v, the serial reader %v", i, g, w)
+		}
+	}
+	for c := 0; c < want.D(); c++ {
+		if got.Dict.Cardinality(c) != want.Dict.Cardinality(c) {
+			t.Fatalf("column %d: %d entries, the serial reader has %d", c, got.Dict.Cardinality(c), want.Dict.Cardinality(c))
+		}
+		for v := Value(0); int(v) < want.Dict.Cardinality(c); v++ {
+			g, _ := got.Dict.Decode(c, v)
+			w, _ := want.Dict.Decode(c, v)
+			if code, ok := got.Dict.Code(c, w); g != w || !ok || code != v {
+				t.Fatalf("column %d code %d: decodes to %q and %q encodes to %d, %v; the serial reader has %q", c, v, g, w, code, ok, w)
+			}
+		}
+	}
+}
+
+// TestReadCSVEqualsSerialLoad: a file of several batches whose columns mix
+// integers, text, quoted fields and repeats, under every batch size.
+func TestReadCSVEqualsSerialLoad(t *testing.T) {
+	var file strings.Builder
+	file.WriteString("id,word,\"quoted, name\",mixed,m\n")
+	words := []string{"apple", "", "007", "-0", `"say ""hi"""`, `"a,b"`, " lead", "2147483648", "pear", "\"two\nlines\""}
+	for i := 0; i < 9000; i++ {
+		fmt.Fprintf(&file, "%d,%s,%s,", i*7919%5000, words[i%len(words)], words[(i/3)%len(words)])
+		if i%4 == 0 {
+			fmt.Fprintf(&file, "w%d", i%700)
+		} else {
+			fmt.Fprintf(&file, "%d", -(i % 900))
+		}
+		fmt.Fprintf(&file, ",%d\n", i%11-5)
+	}
+	want := serialLoad(t, file.String())
+	withBatchRows(t, func(int) {
+		got, err := ReadCSV(strings.NewReader(file.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameRelation(t, got, want)
+	})
 }
 
 func TestReadCSV(t *testing.T) {

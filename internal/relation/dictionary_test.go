@@ -1,6 +1,9 @@
 package relation
 
 import (
+	"bytes"
+	"encoding/csv"
+	"strconv"
 	"strings"
 	"testing"
 	"unsafe"
@@ -9,7 +12,10 @@ import (
 // FuzzDictionaryRoundTrip holds the two-kind dictionary to the plain one it
 // replaced — a map[string]int32 and a []string: the same first-seen dense
 // codes in the same order, whichever kind each value takes, and every value's
-// own bytes back from Decode. The input is one column, a value per line.
+// own bytes back from Decode. The input is one column, a value per line. The
+// same values written as a three-column CSV file — the column as given,
+// reversed and rotated — load in batches of three rows to what a serial
+// AppendStrings loop over the file makes of it.
 func FuzzDictionaryRoundTrip(f *testing.F) {
 	f.Add("0\n-1\n007\n+5\n-0\n2147483647\n2147483648\n-2147483648\n-2147483649\n\n 1\n1e3\n١٢")
 	f.Add("1\napple\n2\npear\n1\napple\n3\n-\n--1\n00\n9999999999\n99999999999")
@@ -46,6 +52,22 @@ func FuzzDictionaryRoundTrip(f *testing.F) {
 		if _, ok := d.Decode(1, -1); ok {
 			t.Fatal("Decode of a negative code must miss")
 		}
+
+		values := strings.Split(column, "\n")
+		var file bytes.Buffer
+		cw := csv.NewWriter(&file)
+		cw.Write([]string{"a", "b", "c", "m"})
+		for i, s := range values {
+			cw.Write([]string{s, values[len(values)-1-i], values[(i+len(values)/2)%len(values)], strconv.Itoa(i)})
+		}
+		cw.Flush()
+		defer func(old int) { csvBatchRows = old }(csvBatchRows)
+		csvBatchRows = 3
+		got, err := ReadCSV(bytes.NewReader(file.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameRelation(t, got, serialLoad(t, file.String()))
 	})
 }
 

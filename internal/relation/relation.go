@@ -157,7 +157,22 @@ func (r *Relation) DimString(col int, v Value) string {
 			return s
 		}
 	}
-	return fmt.Sprintf("%d", v)
+	return strconv.Itoa(int(v))
+}
+
+// AppendDimCSV appends DimString(col, v) to dst as one CSV field, without
+// building the string: an integer entry's digits need no quoting, a text
+// entry gets AppendCSVField's.
+func (r *Relation) AppendDimCSV(dst []byte, col int, v Value) []byte {
+	if r.Dict != nil {
+		switch n, text, isText, ok := r.Dict.cols[col].entry(v); {
+		case isText:
+			return AppendCSVField(dst, text)
+		case ok:
+			return strconv.AppendInt(dst, int64(n), 10)
+		}
+	}
+	return strconv.AppendInt(dst, int64(v), 10)
 }
 
 // String renders a short description of the relation.
@@ -270,16 +285,25 @@ func (d *Dictionary) Code(col int, s string) (Value, bool) {
 	return v, ok
 }
 
-// Decode returns the string for code v in column col.
-func (d *Dictionary) Decode(col int, v Value) (string, bool) {
-	c := &d.cols[col]
+// entry returns what code v stands for: the text of a text entry, the value
+// of an integer entry, or !ok for a code never assigned.
+func (c *dictColumn) entry(v Value) (n int32, text string, isText, ok bool) {
 	if v < 0 || int(v) >= len(c.vals) {
-		return "", false
+		return 0, "", false, false
 	}
 	if w := int(v) >> 6; w < len(c.isText) && c.isText[w]&(1<<(uint(v)&63)) != 0 {
-		return c.texts[c.vals[v]], true
+		return 0, c.texts[c.vals[v]], true, true
 	}
-	return strconv.Itoa(int(c.vals[v])), true
+	return c.vals[v], "", false, true
+}
+
+// Decode returns the string for code v in column col.
+func (d *Dictionary) Decode(col int, v Value) (string, bool) {
+	n, text, isText, ok := d.cols[col].entry(v)
+	if !ok || isText {
+		return text, ok
+	}
+	return strconv.Itoa(int(n)), true
 }
 
 // Cardinality returns the number of distinct values seen in column col.

@@ -221,9 +221,10 @@ func Seed(s int64) Option { return func(c *config) { c.eng.Seed = uint64(s) } }
 func MinSupport(n int) Option { return func(c *config) { c.minSup = n } }
 
 // Parallelism sets the number of goroutines executing each round's simulated
-// tasks: 0 (the default) uses all cores, 1 runs them sequentially. The
-// computed cube and all simulated statistics are identical at any setting;
-// only real wall-clock time changes.
+// tasks, and afterwards rendering the cube in WriteCSV: 0 (the default) uses
+// all cores, 1 runs them sequentially. The computed cube, its CSV bytes and
+// all simulated statistics are identical at any setting; only real
+// wall-clock time changes.
 func Parallelism(n int) Option { return func(c *config) { c.eng.Parallelism = n } }
 
 // Faults injects deterministic task failures into the simulated cluster.
