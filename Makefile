@@ -3,10 +3,10 @@
 GO ?= go
 
 .PHONY: check fmt vet build test race retry-race fuzz-smoke chaos chaos-proc \
-	proc-smoke bench bench-json bench-hotpath bench-compare bench-harness \
-	cover-serve cover-delta delta-soak soak-scale lint loc
+	proc-smoke spill-smoke bench bench-json bench-hotpath bench-compare \
+	bench-harness cover-serve cover-delta delta-soak soak-scale lint loc
 
-check: fmt vet race fuzz-smoke chaos proc-smoke chaos-proc \
+check: fmt vet race fuzz-smoke chaos proc-smoke chaos-proc spill-smoke \
 	cover-serve cover-delta delta-soak bench-harness
 
 fmt:
@@ -78,6 +78,24 @@ proc-smoke:
 # brute-force cube or fail plainly, leaking no processes or socket dirs.
 chaos-proc:
 	$(GO) test -count=1 -run TestChaosProcKillSoak ./internal/mr/exec
+
+# The out-of-core shuffle at its extremes, under the default 1,024-fd limit:
+# spilling every record with two-way merges (thousands of merge passes, one
+# run file per task), and a 4 KiB budget on one goroutine, must each write
+# the in-memory run's cube byte for byte.
+spill-smoke:
+	@set -e; \
+	tmp=$$(mktemp -d); \
+	trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/" ./cmd/gendata ./cmd/spcube; \
+	"$$tmp/gendata" -dataset uniform -n 20000 -seed 7 -o "$$tmp/in.csv"; \
+	"$$tmp/spcube" -in "$$tmp/in.csv" -o "$$tmp/mem.csv"; \
+	ulimit -n 1024; \
+	"$$tmp/spcube" -in "$$tmp/in.csv" -spill-budget 0 -merge-fan-in 2 -spill-codec lz -spill-dir "$$tmp" -o "$$tmp/every.csv"; \
+	cmp "$$tmp/mem.csv" "$$tmp/every.csv"; \
+	"$$tmp/spcube" -in "$$tmp/in.csv" -spill-budget 4096 -p 1 -spill-dir "$$tmp" -o "$$tmp/4k.csv"; \
+	cmp "$$tmp/mem.csv" "$$tmp/4k.csv"; \
+	echo "spill-smoke: spilled cubes equal the in-memory cube"
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...

@@ -266,8 +266,11 @@ func runDelta(s *cli.Session, o *options, stdout, stderr io.Writer) error {
 		return err
 	}
 
+	// Result builds a map of the whole published cube: once, for the CSV
+	// and the stats line both.
+	res := maint.Result()
 	err = writeOutput(o.out, stdout, func(w io.Writer) error {
-		return maint.Result().WriteCSV(w, maint.Relation(), s.Agg)
+		return res.WriteCSV(w, maint.Relation(), s.Agg)
 	})
 	if err != nil {
 		return err
@@ -283,7 +286,7 @@ func runDelta(s *cli.Session, o *options, stdout, stderr io.Writer) error {
 		}
 		fmt.Fprintf(stderr,
 			"%s+delta: %d rows -> %d c-groups | cycle %d %s (%s, drift %.3f): +%d/-%d tuples, %s\n",
-			s.Algo, maint.N(), maint.Result().Len(), rnd.Round, rnd.Mode, rnd.Reason,
+			s.Algo, maint.N(), res.Len(), rnd.Round, rnd.Mode, rnd.Reason,
 			rnd.Drift, rnd.Appended, rnd.Deleted, changes)
 	}
 	return nil

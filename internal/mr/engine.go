@@ -366,20 +366,21 @@ type MapCtx struct {
 	tr      *roundTracer
 	attempt int
 
-	// Spill pipeline state: flushes are encoded through codec into one of
-	// writer's double buffers and written by its background goroutine.
-	// blockBuf is codec scratch; flushes records each flush's compressed
-	// size so the attempt can emit spill-flush trace events once its writer
-	// has joined.
+	// Spill pipeline state: each flush is encoded through codec into framed
+	// (reused flush to flush) and appended to spill inline; blockBuf is
+	// codec scratch. spillErr is the first failed append — sticky: later
+	// flushes are still encoded and accounted but not written, and the
+	// attempt fails when it ends. flushes records each flush's compressed
+	// size so a surviving attempt can emit its spill-flush trace events.
 	codec    blockcodec.Codec
-	writer   *spillWriter
+	framed   []byte
 	blockBuf []byte
+	spillErr error
 	flushes  []flushRec
 }
 
 // flushRec is one spill flush's post-write accounting: the framed,
-// compressed bytes the background writer put on disk and the records they
-// hold.
+// compressed bytes put on disk and the records they hold.
 type flushRec struct {
 	bytes   int64
 	records int64
@@ -429,11 +430,10 @@ type taskAbort struct{ err error }
 
 // spillNow flushes the attempt's buffered output toward its on-disk run
 // file: combine (jobs with a combiner pre-aggregate each flushed chunk,
-// Hadoop's per-spill combining), partition, sort, encode the flush into a
-// double buffer and hand it to the background writer, then reset the emit
-// buffer and arena for the next chunk. The foreground only blocks when
-// both buffers are in flight — that wait is the spillWriteStallNs metric.
-// Write errors surface at the attempt's writer join, not here.
+// Hadoop's per-spill combining), partition, sort, encode the flush and
+// append it, then reset the emit buffer and arena for the next chunk. A
+// write error is kept in spillErr and surfaces when the attempt ends, not
+// here.
 func (c *MapCtx) spillNow() {
 	out := c.out
 	if c.job.Combine != nil {
@@ -449,18 +449,18 @@ func (c *MapCtx) spillNow() {
 			panic(taskAbort{err})
 		}
 		c.spill = sf
-		c.writer = newSpillWriter(sf)
 	}
-	buf, stall := c.writer.acquire()
-	c.metrics.SpillWriteStallNs += stall.Nanoseconds()
+	var segs []spillSeg
 	var encBytes int64
-	buf.framed, buf.segs, encBytes = encodeSpill(buckets, c.codec, buf.framed, &c.encBuf, &c.blockBuf)
-	written := int64(len(buf.framed))
+	c.framed, segs, encBytes = encodeSpill(buckets, c.codec, c.framed, &c.encBuf, &c.blockBuf)
+	written := int64(len(c.framed))
 	var records int64
-	for i := range buf.segs {
-		records += buf.segs[i].records
+	for i := range segs {
+		records += segs[i].records
 	}
-	c.writer.submit(buf)
+	if c.spillErr == nil {
+		c.spillErr = c.spill.append(c.framed, segs)
+	}
 	c.metrics.Spills++
 	c.metrics.SpillBytes += encBytes
 	c.metrics.CompressedSpillBytes += written
@@ -1045,16 +1045,7 @@ func (r *round) runReduceTask(task int, runs []streamSource) (*taskAttempt, erro
 			return nil, err
 		}
 	}
-	m := newStreamMerger(runs, defaultPrefetchBudget)
-	defer func() {
-		// The merger (and its read-ahead goroutines) dies with the task,
-		// before the round's spill cleanup can close the files under it.
-		// Prefetch totals accumulate across the task's attempts and are
-		// volatile, like the wall times.
-		m.close()
-		tm.PrefetchHits += m.hits
-		tm.PrefetchMisses += m.misses
-	}()
+	m := newStreamMerger(runs)
 	fs := r.eng.FS
 	file := fmt.Sprintf("%spart-r-%05d", r.outPrefix, task)
 	sideFile := fmt.Sprintf("side/%s/part-r-%05d", r.job.Name, task)
@@ -1116,24 +1107,18 @@ func (r *round) mapAttempt(ctx *MapCtx) (mout mapOutput, err error) {
 				panic(rec)
 			}
 		}
-		// Join the attempt's background spill writer on every exit path —
-		// success, fault, abort — before anything reads or discards the run
-		// file: the writer goroutine must never outlive its attempt, and a
-		// surviving write error fails the attempt.
-		if ctx.writer != nil {
-			jerr, jstall := ctx.writer.join()
-			ctx.metrics.SpillWriteStallNs += jstall.Nanoseconds()
-			if err == nil {
-				err = jerr
-			}
+		// A kept spill write error fails an attempt that otherwise ended
+		// well.
+		if err == nil {
+			err = ctx.spillErr
 		}
 		if err != nil {
 			ctx.spill.discard()
 			ctx.spill = nil
 			mout = mapOutput{}
 		} else if ctx.tr != nil {
-			// All writes are on disk now; report each flush's compressed
-			// size. Emitted only for surviving attempts, at a deterministic
+			// Every flush is on disk; report each one's compressed size.
+			// Emitted only for surviving attempts, at a deterministic
 			// point (before the attempt returns), so the trace stream stays
 			// bit-identical at any parallelism.
 			for _, f := range ctx.flushes {

@@ -29,10 +29,14 @@ const defaultMergeFanIn = 64
 // passes of contiguous group merges, charging tm for the extra I/O (each
 // merged byte is written once and read back once; the first read of the
 // source segments was already charged when the reducer's input was sized)
-// and tracing one merge-pass event per group merge. I/O errors are plain
+// and tracing one merge-pass event per group merge. Every intermediate run
+// appends to one run file, created on the first group merge: later passes
+// read earlier runs back with ReadAt while appending at the end, so the
+// task holds one file however many passes it makes. I/O errors are plain
 // task failures — infrastructure, not injected faults, so not retryable.
 func (r *round) fanInMerge(runs []streamSource, task int, tm *TaskMetrics) ([]streamSource, error) {
 	fanIn := r.eng.Cfg.MergeFanIn
+	var sf *spillFile
 	for len(runs) > fanIn {
 		next := make([]streamSource, 0, (len(runs)+fanIn-1)/fanIn)
 		for lo := 0; lo < len(runs); lo += fanIn {
@@ -46,7 +50,13 @@ func (r *round) fanInMerge(runs []streamSource, task int, tm *TaskMetrics) ([]st
 				next = append(next, runs[lo])
 				continue
 			}
-			src, err := r.mergeRunGroup(runs[lo:hi], task, tm)
+			if sf == nil {
+				var err error
+				if sf, err = r.sd.create("run-i-*"); err != nil {
+					return nil, err
+				}
+			}
+			src, err := r.mergeRunGroup(sf, runs[lo:hi], task, tm)
 			if err != nil {
 				return nil, err
 			}
@@ -57,15 +67,10 @@ func (r *round) fanInMerge(runs []streamSource, task int, tm *TaskMetrics) ([]st
 	return runs, nil
 }
 
-// mergeRunGroup merges one contiguous group of sources into a fresh
-// on-disk run and returns it as a replacement source.
-func (r *round) mergeRunGroup(group []streamSource, task int, tm *TaskMetrics) (streamSource, error) {
-	m := newStreamMerger(group, 0)
-	defer m.close()
-	sf, err := r.sd.create("run-i-*")
-	if err != nil {
-		return streamSource{}, err
-	}
+// mergeRunGroup merges one contiguous group of sources into a new run at
+// the end of sf and returns it as a replacement source.
+func (r *round) mergeRunGroup(sf *spillFile, group []streamSource, task int, tm *TaskMetrics) (streamSource, error) {
+	m := newStreamMerger(group)
 	w := newSegWriter(sf, r.codec)
 	for rec, _ := m.next(); rec != nil; rec, _ = m.next() {
 		if err := w.add(rec.Key, rec.Val); err != nil {
@@ -105,7 +110,7 @@ func newSegWriter(sf *spillFile, codec blockcodec.Codec) *segWriter {
 	return &segWriter{
 		sf:    sf,
 		codec: codec,
-		seg:   spillSeg{f: sf.f, codec: codec},
+		seg:   spillSeg{f: sf.f, off: sf.off, codec: codec},
 	}
 }
 
@@ -130,8 +135,8 @@ func (w *segWriter) flush() error {
 	return w.sf.writeRaw(w.framed)
 }
 
-// finish flushes the tail and returns the completed segment (offset 0:
-// each merged run owns its file).
+// finish flushes the tail and returns the completed segment, which starts
+// where the file ended when the writer was made.
 func (w *segWriter) finish() (*spillSeg, error) {
 	if len(w.enc) > 0 {
 		if err := w.flush(); err != nil {

@@ -76,9 +76,7 @@ func TestFanInMergeMatchesGlobalMerge(t *testing.T) {
 				r := &round{eng: New(Config{Workers: 4, MergeFanIn: fanIn}, dfs.New(false)), sd: sd, codec: codec}
 
 				const nRuns = 17
-				global := newStreamMerger(fanInRuns(t, sd, codec, nRuns), 0)
-				want := drain(t, global)
-				global.close()
+				want := drain(t, newStreamMerger(fanInRuns(t, sd, codec, nRuns)))
 
 				runs := fanInRuns(t, sd, codec, nRuns)
 				var tm TaskMetrics
@@ -96,9 +94,7 @@ func TestFanInMergeMatchesGlobalMerge(t *testing.T) {
 					t.Errorf("intermediate merges not charged: %d bytes, %v cpu",
 						tm.CompressedSpillBytes, tm.CPUSeconds)
 				}
-				final := newStreamMerger(merged, 0)
-				defer final.close()
-				got := drain(t, final)
+				got := drain(t, newStreamMerger(merged))
 
 				if len(got) != len(want) {
 					t.Fatalf("fan-in merge emitted %d records, global merge %d", len(got), len(want))
@@ -151,7 +147,7 @@ func TestSegWriterRoundTrip(t *testing.T) {
 	if seg.length != sf.off {
 		t.Fatalf("segment length %d, file offset %d", seg.length, sf.off)
 	}
-	rd := newSegReader(*seg, 0, nil, nil)
+	rd := newSegReader(*seg)
 	for i := range keys {
 		k, v, ok, err := rd.next()
 		if err != nil || !ok {

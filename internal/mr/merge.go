@@ -191,8 +191,6 @@ type streamMerger struct {
 	tree *loserTree
 	cur  int // source whose head the last next handed out; -1 if none
 	err  error
-	// hits/misses total the file-backed sources' read-ahead counters.
-	hits, misses int64
 }
 
 // mergeSource is one sorted run being merged. cur points at its current
@@ -224,19 +222,12 @@ func (s streamSource) size() (records, raw int64) {
 }
 
 // newStreamMerger builds a merger over runs, which are read, never
-// modified. File-backed sources are granted prefetchers out of
-// prefetchBudget bytes, in source order (deterministic — which sources read
-// ahead never depends on timing).
-func newStreamMerger(runs []streamSource, prefetchBudget int64) *streamMerger {
+// modified.
+func newStreamMerger(runs []streamSource) *streamMerger {
 	m := &streamMerger{srcs: make([]mergeSource, len(runs)), cur: -1}
 	for i, r := range runs {
 		if r.seg != nil {
-			var grant int64
-			if prefetchBudget >= prefetchSegBudget && r.seg.length >= 2*prefetchChunkSize {
-				grant = prefetchSegBudget
-				prefetchBudget -= grant
-			}
-			m.srcs[i].rd = newSegReader(*r.seg, grant, &m.hits, &m.misses)
+			m.srcs[i].rd = newSegReader(*r.seg)
 		} else {
 			m.srcs[i].pairs = r.pairs
 		}
@@ -244,16 +235,6 @@ func newStreamMerger(runs []streamSource, prefetchBudget int64) *streamMerger {
 	}
 	m.tree = newLoserTree(len(m.srcs), m.beats)
 	return m
-}
-
-// close releases every file source's read-ahead goroutine. Must run before
-// the run files are closed; the merger is unusable afterwards.
-func (m *streamMerger) close() {
-	for i := range m.srcs {
-		if m.srcs[i].rd != nil {
-			m.srcs[i].rd.close()
-		}
-	}
 }
 
 // reset rewinds every source to its start (re-reading spill segments from

@@ -75,7 +75,7 @@ func TestStreamMergerMatchesSliceStable(t *testing.T) {
 				want := append([]Pair(nil), concat...)
 				sort.SliceStable(want, func(a, b int) bool { return want[a].Key < want[b].Key })
 
-				m := newStreamMerger(runs, 0)
+				m := newStreamMerger(runs)
 				for pass := 0; pass < 2; pass++ { // second pass exercises reset()
 					m.reset()
 					n := 0
@@ -96,7 +96,6 @@ func TestStreamMergerMatchesSliceStable(t *testing.T) {
 						t.Fatalf("trial %d pass %d (k=%d): merged %d of %d records", trial, pass, k, n, len(want))
 					}
 				}
-				m.close()
 			}
 		})
 	}
@@ -290,7 +289,7 @@ func BenchmarkShuffleMerge(b *testing.B) {
 		scratch = sortPairsStable(runs[r].pairs, scratch)
 		total += len(runs[r].pairs)
 	}
-	m := newStreamMerger(runs, 0)
+	m := newStreamMerger(runs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -38,8 +38,10 @@ import (
 // counters "heartbeatMisses", "workerRestarts" and "rpcRetries" at round
 // and job level — all volatile (real crash recovery and transport
 // flakiness do not replay), always zero under the in-process local
-// backend.
-const MetricsSchemaVersion = 6
+// backend; v7 removed "spillWriteStallNs", "prefetchHits" and
+// "prefetchMisses" with the background spill writer and merge read-ahead
+// they measured (task attempts now do their own spill I/O).
+const MetricsSchemaVersion = 7
 
 // Counters are the additive counters that exist under one name at task,
 // round and job level: a round's are the sum of its tasks', a job's the sum
@@ -62,15 +64,6 @@ type Counters struct {
 	// live run count exceeded Config.MergeFanIn merged groups of runs
 	// into new on-disk runs before its streaming merge. Deterministic.
 	MergePasses int64 `json:"mergePasses"`
-	// SpillWriteStallNs is the real time an attempt's foreground spent
-	// blocked on its background spill writer — waiting for a free double
-	// buffer in spillNow, plus the final join. Volatile, like WallSeconds.
-	SpillWriteStallNs int64 `json:"spillWriteStallNs"`
-	// PrefetchHits/Misses count merge read-ahead chunks that were already
-	// buffered when the merge asked (hits) versus had to be waited for
-	// (misses). Wall-clock races decide each one, so both are volatile.
-	PrefetchHits   int64 `json:"prefetchHits"`
-	PrefetchMisses int64 `json:"prefetchMisses"`
 	// RetryWallSeconds is the real time consumed by failed attempts, and
 	// WastedBytes the output those attempts produced before being
 	// discarded (map: pre-combine emit bytes; reduce: output and side
@@ -98,9 +91,6 @@ func (c *Counters) add(o *Counters) {
 	c.SpillBytes += o.SpillBytes
 	c.CompressedSpillBytes += o.CompressedSpillBytes
 	c.MergePasses += o.MergePasses
-	c.SpillWriteStallNs += o.SpillWriteStallNs
-	c.PrefetchHits += o.PrefetchHits
-	c.PrefetchMisses += o.PrefetchMisses
 	c.RetryWallSeconds += o.RetryWallSeconds
 	c.WastedBytes += o.WastedBytes
 	c.FetchFailures += o.FetchFailures
@@ -111,15 +101,13 @@ func (c *Counters) add(o *Counters) {
 }
 
 // VolatileKeys names, by JSON key, every field outside the determinism
-// contract: real elapsed time, the spill pipeline's overlap counters (races
-// between real goroutines decide them) and the execution-backend health
-// counters (real crash recovery does not replay). For a fixed input,
-// configuration and fault plan every other field is bit-for-bit identical at
-// any Config.Parallelism and on any backend. This is the one declaration;
+// contract: real elapsed time and the execution-backend health counters
+// (real crash recovery does not replay). For a fixed input, configuration
+// and fault plan every other field is bit-for-bit identical at any
+// Config.Parallelism and on any backend. This is the one declaration;
 // WithoutVolatile and bench.StripVolatile read it.
 var VolatileKeys = []string{
 	"wallSeconds", "retryWallSeconds", "speculativeWallSeconds",
-	"spillWriteStallNs", "prefetchHits", "prefetchMisses",
 	"heartbeatMisses", "workerRestarts", "rpcRetries",
 }
 

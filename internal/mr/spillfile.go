@@ -83,8 +83,7 @@ func (d *spillDir) create(pattern string) (*spillFile, error) {
 }
 
 // cleanup closes every run file and removes the spill directory. Called
-// once, after all task attempts have finished (and, per the spill-writer
-// contract, after every attempt has joined its background writer).
+// once, after all task attempts have finished.
 func (d *spillDir) cleanup() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -98,15 +97,16 @@ func (d *spillDir) cleanup() {
 	d.files = nil
 }
 
-// spillFile is one attempt's on-disk run file. A map attempt appends one
+// spillFile is one task's on-disk run file. A map attempt appends one
 // spill block per flush — the sorted per-reducer buckets of everything
 // emitted since the previous flush, each bucket front-coded and framed into
 // checksummed blockcodec blocks as its own segment. spills[i][r] is flush
-// i's segment for reducer r.
+// i's segment for reducer r. A reduce task's fan-in merges append their
+// intermediate runs to one file the same way.
 //
-// Writes go through append, which is single-writer by contract: the
-// attempt's one background spillWriter goroutine. Readers use ReadAt and
-// never touch the write offset.
+// The task that created the file is its only writer. Readers use ReadAt
+// and never touch the write offset, so a merge may read earlier segments
+// while appending at the end.
 type spillFile struct {
 	f      *os.File
 	w      io.Writer // write target: f, or the injection wrapper around it
@@ -214,7 +214,6 @@ func (w *spillFile) close() {
 
 // discard closes and deletes the run file: the attempt that produced it
 // failed, was killed, lost a speculative race, or sat on a crashed node.
-// Only legal after the attempt's background writer (if any) has joined.
 func (w *spillFile) discard() {
 	if w == nil || w.closed {
 		return
@@ -224,41 +223,26 @@ func (w *spillFile) discard() {
 	w.closed = true
 }
 
-// segReader streams one segment's records: a section of the run file,
-// optionally read ahead by a background prefetcher, decoded block by block
-// (CRC-verified), then record by record. reset reopens the segment from
-// the start, so a retried reduce attempt re-reads its input exactly like a
-// real reducer re-fetching a map output; concurrent readers of different
-// segments share the *os.File safely via ReadAt. A segReader with a
-// prefetcher owns a goroutine — close releases it (idempotent; reset
-// restarts it).
+// segReader streams one segment's records: a section of the run file
+// (blockcodec.Reader buffers it), decoded block by block (CRC-verified),
+// then record by record. reset reopens the segment from the start, so a
+// retried reduce attempt re-reads its input exactly like a real reducer
+// re-fetching a map output; concurrent readers of different segments share
+// the *os.File safely via ReadAt.
 type segReader struct {
-	seg      spillSeg
-	prefetch *prefetchReader // nil when the segment is too small to bother
-	blocks   *blockcodec.Reader
-	rr       *recordReader
+	seg    spillSeg
+	blocks *blockcodec.Reader
+	rr     *recordReader
 }
 
-// newSegReader opens a segment. prefetchBudget is the read-ahead byte
-// budget the caller grants this segment (0 disables read-ahead); hits and
-// misses, when non-nil, receive the prefetcher's counters.
-func newSegReader(seg spillSeg, prefetchBudget int64, hits, misses *int64) *segReader {
+func newSegReader(seg spillSeg) *segReader {
 	r := &segReader{seg: seg}
-	if prefetchBudget >= 2*prefetchChunkSize && seg.length >= 2*prefetchChunkSize {
-		r.prefetch = newPrefetchReader(seg.f, seg.off, seg.length, hits, misses)
-	}
 	r.reset()
 	return r
 }
 
 func (r *segReader) reset() {
-	var src io.Reader
-	if r.prefetch != nil {
-		r.prefetch.reset()
-		src = r.prefetch
-	} else {
-		src = io.NewSectionReader(r.seg.f, r.seg.off, r.seg.length)
-	}
+	src := io.NewSectionReader(r.seg.f, r.seg.off, r.seg.length)
 	if r.blocks == nil {
 		r.blocks = blockcodec.NewReader(src, r.seg.codec)
 	} else {
@@ -276,12 +260,4 @@ func (r *segReader) reset() {
 
 func (r *segReader) next() (key, val []byte, ok bool, err error) {
 	return r.rr.next()
-}
-
-// close stops the segment's prefetch goroutine, if any. The segReader may
-// be reset and reused afterwards.
-func (r *segReader) close() {
-	if r.prefetch != nil {
-		r.prefetch.stop()
-	}
 }

@@ -101,7 +101,7 @@ func TestWriteSpillExactBytes(t *testing.T) {
 					if seg.raw != raw {
 						t.Fatalf("flush %d reducer %d: raw %d, want %d", flush, r, seg.raw, raw)
 					}
-					rd := newSegReader(seg, 0, nil, nil)
+					rd := newSegReader(seg)
 					for i := range want {
 						k, v, ok, err := rd.next()
 						if err != nil || !ok {

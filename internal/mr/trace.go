@@ -57,8 +57,8 @@ const (
 	// reduce attempt externally aggregating a group that exceeded its
 	// memory (§3.2 skew penalty). Bytes is the exact encoded run size.
 	EvSpill = "spill"
-	// EvSpillFlush is fired once per map-side spill flush when the flush's
-	// background write has completed (at the attempt's writer join).
+	// EvSpillFlush is fired once per map-side spill flush, all of an
+	// attempt's together when the attempt ends, after its EvSpill events.
 	// Attempts that crashed or aborted emit none — their writes are
 	// discarded with them; attempts that completed and were only then
 	// timeout-killed or lost a speculative race did write, and their
