@@ -46,9 +46,12 @@ retry-race:
 # encoding/csv makes of it in ranges of any size), and the input
 # dictionary (arbitrary column values: codes, order and decoded text equal a
 # plain string map's, whichever of its two entry kinds a value takes, and
-# the same values as a CSV file load as a serial read loads them), and
-# the server's two request decoders (arbitrary /v1/query and /v1/ingest
-# bodies: a well-formed answer or a 4xx, never a panic or a 5xx).
+# the same values as a CSV file load as a serial read loads them), the
+# group-key codec (round trip, uvarint length, byte order equal to
+# ComparePacked order, and only minimal forms decoding), the SP-Sketch wire
+# format (never a panic; Encode∘Decode idempotent), and the server's two
+# request decoders (arbitrary /v1/query and /v1/ingest bodies: a
+# well-formed answer or a 4xx, never a panic or a 5xx). CI runs this target.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzCubeEquivalence -fuzztime=10s ./internal/integration
 	$(GO) test -run=NONE -fuzz=FuzzDeltaEquivalence -fuzztime=10s ./internal/integration
@@ -56,6 +59,8 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzBlockCodec -fuzztime=10s ./internal/mr/blockcodec
 	$(GO) test -run=NONE -fuzz=FuzzOutputRecords -fuzztime=10s ./internal/cube
 	$(GO) test -run=NONE -fuzz=FuzzDictionaryRoundTrip -fuzztime=10s ./internal/relation
+	$(GO) test -run=NONE -fuzz=FuzzGroupKey -fuzztime=10s ./internal/relation
+	$(GO) test -run=NONE -fuzz=FuzzSketchDecode -fuzztime=10s ./internal/sketch
 	$(GO) test -run=NONE -fuzz=FuzzQueryRequest -fuzztime=10s ./internal/serve
 	$(GO) test -run=NONE -fuzz=FuzzIngestRequest -fuzztime=10s ./cmd/spserve
 

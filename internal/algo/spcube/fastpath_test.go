@@ -140,7 +140,7 @@ func TestCorrectUnderInjectedFullMaskSkew(t *testing.T) {
 	for _, d := range []int{3, 6} {
 		rel, hot := fullSkewRelation(d, 40, 25)
 		for _, downClosed := range []bool{true, false} {
-			sk := sketch.NewForTest(d, 2)
+			sk := sketch.New(d, 2)
 			for mask := lattice.Mask(0); mask <= lattice.Full(d); mask++ {
 				if !downClosed && mask == 0b10 {
 					continue

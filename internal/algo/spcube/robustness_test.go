@@ -48,7 +48,7 @@ func TestCorrectUnderArbitrarySketch(t *testing.T) {
 		// groups into the skew set and drop others by rebuilding with a
 		// random subset.
 		exact := sketch.BuildExact(rel, k, rel.N()/k)
-		sk := sketch.NewForTest(3, k)
+		sk := sketch.New(3, k)
 		srng := rand.New(rand.NewSource(int64(skewSeed)))
 		for mask := lattice.Mask(0); mask <= lattice.Full(3); mask++ {
 			// Randomly keep some true skews.

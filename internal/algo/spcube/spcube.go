@@ -299,7 +299,8 @@ func cubeJob(d, k int, spec cube.Spec, sk *sketch.Sketch, opts Options, outPrefi
 		if key[0] == prefixSkew {
 			return 0 // the dedicated skew reducer (§5)
 		}
-		mask, packed, _, err := relation.ScanGroupKey([]byte(key[1:]))
+		var buf [lattice.MaxDims]relation.Value
+		mask, packed, _, err := relation.ScanGroupKeyInto(buf[:0], []byte(key[1:]))
 		if err != nil {
 			return 0
 		}

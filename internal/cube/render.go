@@ -3,6 +3,7 @@ package cube
 import (
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -19,20 +20,25 @@ var renderRangeRows = 32 << 10
 
 // ranges cuts the run into contiguous key ranges of about renderRangeRows
 // rows: ranges()[k][s] is where range k starts in segment s, and the last
-// entry is the segments' lengths. The splitter keys are rows of the largest
-// segment, evenly spaced, and every segment is cut at its first key not below
-// the splitter, so a key that several segments hold — of which the last
-// segment's record stands — lies in one range with all its records. Ranges
-// come out even when the segments are spread alike over the key space, as
-// reducers' files are (keys lead with their values' low bits); where they are
-// not, that costs balance and nothing else.
+// entry is the segments' lengths. Every segment is cut at its first key not
+// below the range's splitter, so a key that several segments hold — of which
+// the last segment's record stands — lies in one range with all its records.
+// The splitters are quantiles of the whole run: one row in every
+// renderRangeRows/8 of the segments laid end to end is taken, and every
+// eighth of those in key order splits. A reducer's file need not span the key
+// space — SP-Cube's hold one key range of each cuboid — so no one segment's
+// rows would do.
 func (r *SortedRun) ranges() [][]int {
-	total, largest := 0, []row(nil)
+	const oversample = 8
+	step, total := max(1, renderRangeRows/oversample), 0
+	var taken []row
 	for _, seg := range r.segs {
-		if total += len(seg); len(seg) > len(largest) {
-			largest = seg
+		for i := (step/2 - total%step + step) % step; i < len(seg); i += step {
+			taken = append(taken, seg[i])
 		}
+		total += len(seg)
 	}
+	slices.SortFunc(taken, r.files.compare)
 	n := max(1, (total+renderRangeRows-1)/renderRangeRows)
 	cuts := make([][]int, n+1)
 	cuts[0] = make([]int, len(r.segs))
@@ -41,7 +47,7 @@ func (r *SortedRun) ranges() [][]int {
 		for s, seg := range r.segs {
 			cuts[k][s] = len(seg)
 			if k < n {
-				w := largest[k*len(largest)/n]
+				w := taken[k*len(taken)/n]
 				cuts[k][s] = r.files.lowerBound(seg, cuts[k-1][s], len(seg), probe{r.files.key(w), w.prefix})
 			}
 		}

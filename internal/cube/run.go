@@ -9,7 +9,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 
 	"github.com/spcube/spcube/internal/lattice"
@@ -20,11 +19,11 @@ import (
 // SortedRun is a computed cube read where the reducers wrote it: an index
 // over the job's output files, as one or more segments of records sorted by
 // encoded group key and merged on iteration. CollectRun makes a segment of
-// each file; Merged folds them into one. Keys are ordered as bytes — the
-// order sorting the same keys as strings gives, not ComparePacked order. The
-// record bytes are not copied: the run aliases the DFS files' own slices and
-// keeps them alive. It is immutable once built, so any number of goroutines
-// may read it.
+// each file; Merged folds them into one. Keys are ordered as bytes, which is
+// cuboid by cuboid in ascending mask, and within a cuboid ComparePacked order:
+// the <_C order of the paper's §4.1. The record bytes are not copied: the run
+// aliases the DFS files' own slices and keeps them alive. It is immutable once
+// built, so any number of goroutines may read it.
 type SortedRun struct {
 	d     int
 	files files
@@ -179,9 +178,9 @@ func indexFile(name string, fs files, i, sizeHint int) ([]row, error) {
 
 // walkRecords calls visit with the offset and key length of every record of
 // one output file. Output records are written by the reducers as concatenated
-// "<group key>\t<8-byte float bits>" frames (see EncodeFinal); a uvarint byte
-// of the key can be 0x09, so records are parsed structurally instead of split
-// on the tab.
+// "<group key>\t<8-byte float bits>" frames (see EncodeFinal); a byte of the
+// key can be 0x09, so records are parsed structurally instead of split on the
+// tab.
 func walkRecords(data []byte, visit func(off, keyLen int)) error {
 	var scratch [lattice.MaxDims]relation.Value
 	for off := 0; off < len(data); {
@@ -416,21 +415,17 @@ func (r *SortedRun) each(from []byte, fn func(key []byte, mask lattice.Mask, pac
 	}
 }
 
-// Cuboid returns the groups of one cuboid, sorted by their packed values.
-// The cuboid's keys share the encoded mask as a prefix no other key has, so
-// they are one contiguous range of the run.
+// Cuboid returns the groups of one cuboid, sorted by their packed values:
+// the run's range of keys that start with the cuboid's prefix, in run order.
 func (r *SortedRun) Cuboid(mask lattice.Mask) []Group {
 	var out []Group
-	from := binary.AppendUvarint(nil, uint64(mask))
+	from := relation.AppendCuboidPrefix(nil, uint32(mask))
 	r.each(from, func(key []byte, _ lattice.Mask, packed []relation.Value, value float64) bool {
 		if !bytes.HasPrefix(key, from) {
 			return false
 		}
 		out = append(out, Group{Mask: mask, Packed: slices.Clone(packed), Value: value})
 		return true
-	})
-	sort.Slice(out, func(i, j int) bool {
-		return relation.ComparePacked(out[i].Packed, out[j].Packed) < 0
 	})
 	return out
 }

@@ -327,7 +327,8 @@ func TestRunRejectsBadRecords(t *testing.T) {
 
 // FuzzOutputRecords: whatever bytes sit in the output files, collecting them
 // fails exactly when the map collector fails, and otherwise the run is the
-// map — strictly ascending keys, every value read in bounds, the same answer
+// map — strictly ascending keys, whose byte order is ascending cuboids and,
+// within one, ComparePacked order, every value read in bounds, the same answer
 // under cursor reads at every key and beside it, and renders to the CSV bytes
 // encoding/csv makes of it, in ranges of any size, whether the dictionary has
 // the records' codes or not — never a panic.
@@ -368,10 +369,17 @@ func FuzzOutputRecords(f *testing.F) {
 		}
 		sort.Strings(keys)
 		i := 0
-		run.Each(func(key []byte, _ lattice.Mask, _ []relation.Value, v float64) bool {
+		var prevMask lattice.Mask
+		var prev []relation.Value
+		run.Each(func(key []byte, mask lattice.Mask, packed []relation.Value, v float64) bool {
 			if i >= len(keys) || string(key) != keys[i] || math.Float64bits(v) != math.Float64bits(want.Groups[keys[i]]) {
 				t.Fatalf("group %d: run yields %x = %v, sorted map differs", i, key, v)
 			}
+			// Byte order is cuboid order, then ComparePacked order.
+			if i > 0 && (mask < prevMask || mask == prevMask && relation.ComparePacked(prev, packed) >= 0) {
+				t.Fatalf("group %d: (%b, %v) follows (%b, %v) in byte order", i, mask, packed, prevMask, prev)
+			}
+			prevMask, prev = mask, slices.Clone(packed)
 			i++
 			return true
 		})

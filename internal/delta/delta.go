@@ -184,7 +184,8 @@ type Timing struct {
 	Job time.Duration
 	// Index is the collection of the jobs' output into sorted runs.
 	Index time.Duration
-	// Sketch is the exact base sketch of the relation.
+	// Sketch is the exact base sketch of the relation, read off the counts
+	// of the cube the jobs computed.
 	Sketch time.Duration
 }
 
@@ -305,10 +306,54 @@ func (m *Maintainer) rebuild(rel *relation.Relation, metrics *mr.JobMetrics) err
 	}
 	m.base, m.overlay = base, make(map[string]group)
 	start := time.Now()
-	m.baseSketch = sketch.BuildExact(rel, m.cfg.Workers, memTuples(rel.N(), m.cfg.Workers))
+	m.baseSketch = exactSketch(base, rel.D(), rel.N(), m.cfg.Workers, memTuples(rel.N(), m.cfg.Workers))
 	t.Sketch = time.Since(start)
 	m.built = t
 	return nil
+}
+
+// exactSketch reads the exact SP-Sketch of a relation of n tuples on k
+// machines of memory m — sketch.BuildExact's — off the relation's full cube,
+// in one pass over its groups and their counts. The cube yields each cuboid's
+// groups together and in <_C order, the order BuildExact sorts the tuples in,
+// so position p of sorted(R, C) falls in the group at which the running count
+// over the cuboid's groups first exceeds p: the k−1 partition elements of a
+// cuboid are the groups holding positions min(i·n/k, n−1), each taken once,
+// and the skews are the groups of more than m tuples.
+func exactSketch(c cubeRuns, d, n, k, m int) *sketch.Sketch {
+	s := sketch.New(d, k)
+	var (
+		cur   lattice.Mask // the cuboid being walked; the apex has no elements
+		elems [][]relation.Value
+		seen  int // tuples in the groups of cur walked so far
+		next  int // the partition element to find next, 1 ≤ next ≤ k
+	)
+	c.each(func(_ []byte, mask lattice.Mask, packed []relation.Value, g group) bool {
+		if g.cnt > int64(m) {
+			s.AddSkew(mask, packed)
+		}
+		if mask == 0 {
+			return true
+		}
+		if mask != cur {
+			if cur != 0 {
+				s.SetPartitionElements(cur, elems)
+			}
+			cur, elems, seen, next = mask, make([][]relation.Value, 0, k-1), 0, 1
+		}
+		seen += int(g.cnt)
+		if next < k && min(next*n/k, n-1) < seen {
+			elems = append(elems, slices.Clone(packed))
+			for next < k && min(next*n/k, n-1) < seen {
+				next++
+			}
+		}
+		return true
+	})
+	if cur != 0 {
+		s.SetPartitionElements(cur, elems)
+	}
+	return s
 }
 
 // Apply runs one maintenance cycle over the batch. On error the maintained

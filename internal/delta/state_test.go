@@ -1,10 +1,13 @@
 package delta
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/spcube/spcube/internal/agg"
@@ -36,47 +39,47 @@ var stateRelations = []struct {
 }
 
 // changesGolden holds, per case of TestMaintainedStateMatchesBrute, a hash
-// of every cycle's Mode and Changes (key, value bits, delete flag, in order),
-// recorded from the commit whose maintainer kept the cube in a
-// map[string]group and sorted the touched keys: whatever holds the state must
-// publish the same edits in the same order.
+// of every cycle's Mode and Changes (see hashChanges). The maintainer that
+// kept the cube in a map[string]group published the same edits in the same
+// order; the hashes were recorded from the last commit whose group keys were
+// uvarints, and decode the keys so that a key encoding is not part of them.
 var changesGolden = map[string]uint64{
-	"binomial/count/minsup=0": 0xb4e5076a9de1a2a4,
-	"binomial/count/minsup=3": 0xca721bc785f25078,
-	"binomial/sum/minsup=0":   0xb4e5076a9de1a2a4,
-	"binomial/sum/minsup=3":   0xca721bc785f25078,
-	"binomial/min/minsup=0":   0xea07116b0a745a21,
-	"binomial/min/minsup=3":   0x1b967e75e6c97a2d,
-	"zipf/count/minsup=0":     0x838ef08d8f3fb2dd,
-	"zipf/count/minsup=3":     0x3aa0001420522751,
-	"zipf/sum/minsup=0":       0x838ef08d8f3fb2dd,
-	"zipf/sum/minsup=3":       0x3aa0001420522751,
-	"zipf/min/minsup=0":       0xbf239a67cfb775d,
-	"zipf/min/minsup=3":       0x4f81738a5d37f941,
-	"uniform/count/minsup=0":  0x6487b7f6f827e769,
-	"uniform/count/minsup=3":  0x72732e2239df5ab4,
-	"uniform/sum/minsup=0":    0x6487b7f6f827e769,
-	"uniform/sum/minsup=3":    0x72732e2239df5ab4,
-	"uniform/min/minsup=0":    0xeb39e2a41bea7bb7,
-	"uniform/min/minsup=3":    0x2890e955d215db97,
-	"wiki/count/minsup=0":     0xe4d39c839c30ac7a,
-	"wiki/count/minsup=3":     0x606ec02284273267,
-	"wiki/sum/minsup=0":       0xed6f5d58e36ab7a6,
-	"wiki/sum/minsup=3":       0x767e24a9cfab890a,
-	"wiki/min/minsup=0":       0xb64ecea1228be535,
-	"wiki/min/minsup=3":       0x17a23a1b7e0b0fad,
-	"usagov/count/minsup=0":   0x63ed39641f0d685d,
-	"usagov/count/minsup=3":   0x2e955c4f4dbd36a8,
-	"usagov/sum/minsup=0":     0x63ed39641f0d685d,
-	"usagov/sum/minsup=3":     0x2e955c4f4dbd36a8,
-	"usagov/min/minsup=0":     0x39873f2e99550fa8,
-	"usagov/min/minsup=3":     0x714f052c7084ec88,
-	"retail/count/minsup=0":   0xc623c02316938d69,
-	"retail/count/minsup=3":   0x736cce5b15c66114,
-	"retail/sum/minsup=0":     0x6da078fb49e91d8c,
-	"retail/sum/minsup=3":     0xe20782e530cbc1f5,
-	"retail/min/minsup=0":     0xba12f94a6ac3fce7,
-	"retail/min/minsup=3":     0x1421e909204f27b7,
+	"binomial/count/minsup=0": 0xc203c312dd6bd646,
+	"binomial/count/minsup=3": 0x8639f4022e2f7f1a,
+	"binomial/sum/minsup=0":   0xc203c312dd6bd646,
+	"binomial/sum/minsup=3":   0x8639f4022e2f7f1a,
+	"binomial/min/minsup=0":   0x82114c476c6f9c9b,
+	"binomial/min/minsup=3":   0x85789adce0027f0b,
+	"zipf/count/minsup=0":     0x1c11496ec4646235,
+	"zipf/count/minsup=3":     0x8a36a2b3d4faa94d,
+	"zipf/sum/minsup=0":       0x1c11496ec4646235,
+	"zipf/sum/minsup=3":       0x8a36a2b3d4faa94d,
+	"zipf/min/minsup=0":       0xa40f67bfb0512735,
+	"zipf/min/minsup=3":       0x22b8770d4c37e765,
+	"uniform/count/minsup=0":  0xaf8a7dbfa9616586,
+	"uniform/count/minsup=3":  0x8372bdeb17c2a1e9,
+	"uniform/sum/minsup=0":    0xaf8a7dbfa9616586,
+	"uniform/sum/minsup=3":    0x8372bdeb17c2a1e9,
+	"uniform/min/minsup=0":    0xc5a468bc2231913c,
+	"uniform/min/minsup=3":    0x78698ab03bf0e718,
+	"wiki/count/minsup=0":     0x20eb47873b140bf5,
+	"wiki/count/minsup=3":     0x2c036bc9a4693b16,
+	"wiki/sum/minsup=0":       0x8a54c0d2c5ba2589,
+	"wiki/sum/minsup=3":       0xcfa3021e0e597d6f,
+	"wiki/min/minsup=0":       0x96eea1806b9e4337,
+	"wiki/min/minsup=3":       0x5cf5c4ae505565f9,
+	"usagov/count/minsup=0":   0x71d6b39b52af1e01,
+	"usagov/count/minsup=3":   0xf15985a7ad7a9544,
+	"usagov/sum/minsup=0":     0x71d6b39b52af1e01,
+	"usagov/sum/minsup=3":     0xf15985a7ad7a9544,
+	"usagov/min/minsup=0":     0x62a5b5d0939fca46,
+	"usagov/min/minsup=3":     0xe3d720d2546bca46,
+	"retail/count/minsup=0":   0xe72519931af0eb3b,
+	"retail/count/minsup=3":   0x27a8f9032ca8d69c,
+	"retail/sum/minsup=0":     0x751a5cf6e16d079c,
+	"retail/sum/minsup=3":     0x64a8470a1b62c671,
+	"retail/min/minsup=0":     0xf49ac0b435f7ccdd,
+	"retail/min/minsup=3":     0xebe3710b7a03753,
 }
 
 // TestMaintainedStateMatchesBrute drives seeded append / delete / mixed
@@ -118,10 +121,7 @@ func TestMaintainedStateMatchesBrute(t *testing.T) {
 						cur = combined(cur, batch)
 						exactEqual(t, cube.BruteSpec(cur, cube.Spec{Agg: fn, MinSup: minSup}), m.Result())
 
-						fmt.Fprintf(h, "%s %d\n", rnd.Mode, len(rnd.Changes))
-						for _, ch := range rnd.Changes {
-							fmt.Fprintf(h, "%x %x %v\n", ch.Key, math.Float64bits(ch.Value), ch.Delete)
-						}
+						hashChanges(t, h, rnd)
 					}
 					if got := h.Sum64(); got != changesGolden[name] {
 						t.Errorf("Changes hash %#x, want %#x", got, changesGolden[name])
@@ -129,6 +129,40 @@ func TestMaintainedStateMatchesBrute(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// hashChanges writes a cycle's Mode and Changes to h: every change's mask,
+// packed values, value bits and delete flag, in (mask, ComparePacked) order.
+// It requires the Changes to be in ascending key order, which is what a Patch
+// is built in.
+func hashChanges(t *testing.T, h io.Writer, rnd *Round) {
+	t.Helper()
+	type edit struct {
+		mask   uint32
+		packed []relation.Value
+		ch     Change
+	}
+	edits := make([]edit, len(rnd.Changes))
+	for i, ch := range rnd.Changes {
+		if i > 0 && rnd.Changes[i-1].Key >= ch.Key {
+			t.Fatalf("change %d is not above change %d in key order", i, i-1)
+		}
+		mask, packed, err := relation.DecodeGroupKey(ch.Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edits[i] = edit{mask, packed, ch}
+	}
+	slices.SortFunc(edits, func(a, b edit) int {
+		if c := cmp.Compare(a.mask, b.mask); c != 0 {
+			return c
+		}
+		return relation.ComparePacked(a.packed, b.packed)
+	})
+	fmt.Fprintf(h, "%s %d\n", rnd.Mode, len(edits))
+	for _, e := range edits {
+		fmt.Fprintf(h, "%b %v %x %v\n", e.mask, e.packed, math.Float64bits(e.ch.Value), e.ch.Delete)
 	}
 }
 

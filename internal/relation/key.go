@@ -3,6 +3,7 @@ package relation
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 	"strings"
 )
@@ -10,24 +11,83 @@ import (
 // A c-group (cube group, §2.1 of the paper) is identified by a cuboid — a
 // bitmask over the dimension attributes — together with the values of the
 // dimensions present in the mask. Group keys are encoded as compact byte
-// strings (uvarint mask followed by one uvarint per present dimension, in
+// strings (the mask followed by one value per present dimension, in
 // ascending attribute order) so that they can serve directly as MapReduce
 // shuffle keys and so that intermediate-data byte accounting is exact.
+//
+// Each number is a big-endian prefix varint: the leading ones of its first
+// byte give the count of bytes behind it — 0xxxxxxx, 10xxxxxx + 1 byte,
+// 110xxxxx + 2 bytes, and so on to 11110xxx + 4 — and the rest of the bits
+// hold the number, most significant first, in the fewest bytes that fit it.
+// n bytes carry 7n bits, as a uvarint's do, so a key is as long as it would
+// be in uvarints; but a shorter number sorts before a longer one and equal
+// lengths sort by value, so keys compare as bytes exactly as ComparePacked
+// compares their values within a cuboid, and all the keys of a cuboid are
+// one contiguous range. Values are written zigzagged (zig), and
+// ComparePacked orders them the same way: numerically when non-negative, as
+// every Dictionary code is, with a negative raw value v just after |v|-1.
 
 // zig/zag encoding keeps negative dictionary codes (not produced by the
 // Dictionary, but allowed for raw integer data) compact.
-func zig(v Value) uint64 { return uint64(uint32((v << 1) ^ (v >> 31))) }
-func zag(u uint64) Value { x := uint32(u); return Value(x>>1) ^ -Value(x&1) }
+func zig(v Value) uint32 { return uint32((v << 1) ^ (v >> 31)) }
+func zag(u uint32) Value { return Value(u>>1) ^ -Value(u&1) }
+
+// appendKeyNum appends x as a prefix varint. Its one-byte case, which masks
+// and small codes take, inlines into the callers.
+func appendKeyNum(b []byte, x uint32) []byte {
+	if x < 1<<7 {
+		return append(b, byte(x))
+	}
+	return appendAnyKeyNum(b, x)
+}
+
+// appendAnyKeyNum is appendKeyNum, out of line.
+func appendAnyKeyNum(b []byte, x uint32) []byte {
+	switch {
+	case x < 1<<7:
+		return append(b, byte(x))
+	case x < 1<<14:
+		return append(b, 0x80|byte(x>>8), byte(x))
+	case x < 1<<21:
+		return append(b, 0xc0|byte(x>>16), byte(x>>8), byte(x))
+	case x < 1<<28:
+		return append(b, 0xe0|byte(x>>24), byte(x>>16), byte(x>>8), byte(x))
+	default:
+		return append(b, 0xf0, byte(x>>24), byte(x>>16), byte(x>>8), byte(x))
+	}
+}
+
+// keyNum reads a prefix varint at the start of b, returning it and its
+// length, or a length of 0 when b does not start with one: too short, a
+// first byte of five leading ones or more, a number longer than it needs to
+// be or wider than 32 bits. Refusing the non-minimal forms makes the
+// encoding a bijection, so that equal keys are equal bytes.
+func keyNum(b []byte) (uint32, int) {
+	if len(b) == 0 {
+		return 0, 0
+	}
+	c := b[0]
+	if c < 0x80 {
+		return uint32(c), 1
+	}
+	n := bits.LeadingZeros8(^c) + 1
+	if n > 5 || len(b) < n {
+		return 0, 0
+	}
+	x := uint64(c & (0xff >> n))
+	for _, c := range b[1:n] {
+		x = x<<8 | uint64(c)
+	}
+	if x < 1<<(7*(n-1)) || x > math.MaxUint32 {
+		return 0, 0
+	}
+	return uint32(x), n
+}
 
 // EncodeGroupKey encodes the c-group of tuple dims projected on mask.
 // The buf slice is reused if large enough; the returned slice aliases it.
 func EncodeGroupKey(buf []byte, mask uint32, dims []Value) []byte {
-	buf = binary.AppendUvarint(buf[:0], uint64(mask))
-	for m := mask; m != 0; m &= m - 1 {
-		i := bits.TrailingZeros32(m)
-		buf = binary.AppendUvarint(buf, zig(dims[i]))
-	}
-	return buf
+	return AppendGroupKey(buf[:0], mask, dims)
 }
 
 // AppendGroupKey appends the encoded c-group key of dims projected on mask
@@ -35,13 +95,16 @@ func EncodeGroupKey(buf []byte, mask uint32, dims []Value) []byte {
 // reset buf, so callers can build prefixed keys (a tag byte followed by the
 // group key) in one reusable scratch buffer.
 func AppendGroupKey(buf []byte, mask uint32, dims []Value) []byte {
-	buf = binary.AppendUvarint(buf, uint64(mask))
+	buf = appendKeyNum(buf, mask)
 	for m := mask; m != 0; m &= m - 1 {
-		i := bits.TrailingZeros32(m)
-		buf = binary.AppendUvarint(buf, zig(dims[i]))
+		buf = appendKeyNum(buf, zig(dims[bits.TrailingZeros32(m)]))
 	}
 	return buf
 }
+
+// AppendCuboidPrefix appends the bytes every key of cuboid mask starts with,
+// and no key of another cuboid does.
+func AppendCuboidPrefix(buf []byte, mask uint32) []byte { return appendKeyNum(buf, mask) }
 
 // GroupKey returns the encoded c-group key of dims projected on mask as a
 // string (usable as a map key and MapReduce shuffle key).
@@ -56,9 +119,9 @@ func GroupKeyPacked(mask uint32, packed []Value) string {
 	if bits.OnesCount32(mask) != len(packed) {
 		panic(fmt.Sprintf("relation: GroupKeyPacked with %d values for mask %b", len(packed), mask))
 	}
-	buf := binary.AppendUvarint(nil, uint64(mask))
+	buf := appendKeyNum(nil, mask)
 	for _, v := range packed {
-		buf = binary.AppendUvarint(buf, zig(v))
+		buf = appendKeyNum(buf, zig(v))
 	}
 	return string(buf)
 }
@@ -87,20 +150,18 @@ func ScanGroupKey(b []byte) (mask uint32, vals []Value, n int, err error) {
 // large enough: walking many keys with one buffer allocates nothing. The
 // returned values alias buf.
 func ScanGroupKeyInto(buf []Value, b []byte) (mask uint32, vals []Value, n int, err error) {
-	m, mn := binary.Uvarint(b)
-	if mn <= 0 {
+	mask, n = keyNum(b)
+	if n == 0 {
 		return 0, nil, 0, fmt.Errorf("relation: bad group key mask")
 	}
-	mask = uint32(m)
-	n = mn
 	cnt := bits.OnesCount32(mask)
 	if buf == nil || cap(buf) < cnt { // nil too: the apex decodes to an empty slice, not nil
 		buf = make([]Value, 0, cnt)
 	}
 	vals = buf[:0]
 	for i := 0; i < cnt; i++ {
-		u, vn := binary.Uvarint(b[n:])
-		if vn <= 0 {
+		u, vn := keyNum(b[n:])
+		if vn == 0 {
 			return 0, nil, 0, fmt.Errorf("relation: truncated group key (have %d of %d values)", i, cnt)
 		}
 		vals = append(vals, zag(u))
@@ -148,7 +209,7 @@ func FormatGroup(rel *Relation, mask uint32, packed []Value, d int) string {
 func EncodeTuple(buf []byte, t Tuple) []byte {
 	buf = buf[:0]
 	for _, v := range t.Dims {
-		buf = binary.AppendUvarint(buf, zig(v))
+		buf = binary.AppendUvarint(buf, uint64(zig(v)))
 	}
 	buf = binary.AppendVarint(buf, t.Measure)
 	return buf
@@ -163,7 +224,7 @@ func DecodeTuple(b []byte, d int) (Tuple, error) {
 		if n <= 0 {
 			return Tuple{}, fmt.Errorf("relation: truncated tuple value at dim %d", i)
 		}
-		dims[i] = zag(u)
+		dims[i] = zag(uint32(u))
 		b = b[n:]
 	}
 	m, n := binary.Varint(b)
@@ -175,32 +236,37 @@ func DecodeTuple(b []byte, d int) (Tuple, error) {
 
 // CompareProjected compares tuples a and b lexicographically with respect to
 // the cuboid mask (the <_C order of §4.1): only dimensions present in mask
-// participate, in ascending attribute order.
+// participate, in ascending attribute order. Values compare as ComparePacked
+// compares them.
 func CompareProjected(a, b []Value, mask uint32) int {
 	for m := mask; m != 0; m &= m - 1 {
-		i := bits.TrailingZeros32(m)
-		switch {
-		case a[i] < b[i]:
-			return -1
-		case a[i] > b[i]:
-			return 1
+		if i := bits.TrailingZeros32(m); a[i] != b[i] {
+			return compareValues(a[i], b[i])
 		}
 	}
 	return 0
 }
 
 // ComparePacked compares two packed projections (as stored in the SP-Sketch
-// partition-element lists) lexicographically.
+// partition-element lists) lexicographically: the order their group keys
+// have as bytes. Non-negative values — every code a Dictionary makes — compare
+// as numbers; a negative raw value compares by its zigzag form, so that -1
+// falls between 0 and 1, -2 between 1 and 2, and so on.
 func ComparePacked(a, b []Value) int {
 	for i := range a {
-		switch {
-		case a[i] < b[i]:
-			return -1
-		case a[i] > b[i]:
-			return 1
+		if a[i] != b[i] {
+			return compareValues(a[i], b[i])
 		}
 	}
 	return 0
+}
+
+// compareValues orders two distinct values by their zigzag forms.
+func compareValues(a, b Value) int {
+	if zig(a) < zig(b) {
+		return -1
+	}
+	return 1
 }
 
 // Project packs the mask-dimensions of dims into a fresh slice, in ascending

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -78,37 +77,22 @@ func codesRelation(n int, lo, span relation.Value) *relation.Relation {
 	return rel
 }
 
-// arrivesAscending reports whether every cuboid's groups leave the run in
-// ComparePacked order — whether BuildRun gets away without sorting.
-func arrivesAscending(run *cube.SortedRun) bool {
-	last := map[lattice.Mask][]relation.Value{}
-	ok := true
-	run.Each(func(_ []byte, mask lattice.Mask, packed []relation.Value, _ float64) bool {
-		if prev, seen := last[mask]; seen && relation.ComparePacked(prev, packed) >= 0 {
-			ok = false
-		}
-		last[mask] = slices.Clone(packed)
-		return ok
-	})
-	return ok
-}
-
 // TestBuildFromRunEqualsMapBuild: a store laid down from a job's sorted run
 // is, cuboid for cuboid, the store the map-fed builder made of the same cube,
-// serves every group through Point and PointBatch as brute force computes
-// it, and does not depend on how many cuboids were sorted at once.
+// and serves every group through Point and PointBatch as brute force
+// computes it — whatever the algorithm, and whatever the values' key widths,
+// which the run's order does not depend on.
 func TestBuildFromRunEqualsMapBuild(t *testing.T) {
 	rels := []struct {
-		name      string
-		rel       *relation.Relation
-		ascending bool // the run's byte order is already every cuboid's row order
+		name string
+		rel  *relation.Relation
 	}{
-		{"uniform", data.Uniform(300, 4, 1<<30, 1), false},
-		{"wiki", data.WikiTraffic(300, 1), false},
-		{"binomial", data.GenBinomial(300, 4, 0.5, 1), false},
-		{"retail", data.Retail(300, 1), true},
-		{"codes below 64", codesRelation(300, 0, 64), true},
-		{"three-byte varints", codesRelation(300, 16384, 500), false},
+		{"uniform", data.Uniform(300, 4, 1<<30, 1)},
+		{"wiki", data.WikiTraffic(300, 1)},
+		{"binomial", data.GenBinomial(300, 4, 0.5, 1)},
+		{"retail", data.Retail(300, 1)},
+		{"codes below 64", codesRelation(300, 0, 64)},
+		{"three-byte varints", codesRelation(300, 16384, 500)},
 	}
 	for _, a := range algo.Table {
 		for _, rc := range rels {
@@ -127,30 +111,49 @@ func TestBuildFromRunEqualsMapBuild(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				// (An iceberg cube of near-distinct rows is little more than the apex.)
-				if got := arrivesAscending(run); minSup == 0 && got != rc.ascending {
-					t.Fatalf("%s/%s/minsup=%d: run arrives in row order: %v, the case wants %v", a.Name, rc.name, minSup, got, rc.ascending)
-				}
 				want, err := mapBuild(rc.rel, res)
 				if err != nil {
 					t.Fatal(err)
 				}
 				brute := cube.BruteSpec(rc.rel, spec)
-				for _, procs := range []int{8, 1, 0} { // 0: through the map wrapper
-					build := func() (*Store, error) { return BuildRun(rc.rel, run.Each) }
-					if procs == 0 {
-						build = func() (*Store, error) { return Build(rc.rel, res) }
-					}
-					prev := runtime.GOMAXPROCS(procs)
+				for name, build := range map[string]func() (*Store, error){
+					"run":         func() (*Store, error) { return BuildRun(rc.rel, run.Each) },
+					"map wrapper": func() (*Store, error) { return Build(rc.rel, res) },
+				} {
 					got, err := build()
-					runtime.GOMAXPROCS(prev)
 					if err != nil {
-						t.Fatalf("%s/%s/minsup=%d at GOMAXPROCS %d: %v", a.Name, rc.name, minSup, procs, err)
+						t.Fatalf("%s/%s/minsup=%d through the %s: %v", a.Name, rc.name, minSup, name, err)
 					}
 					requireSameStore(t, got, want)
 					checkStoreMatches(t, got, brute)
 				}
 			}
+		}
+	}
+}
+
+// TestBuildRunRejectsUnorderedGroups: groups that do not arrive in run order —
+// a cuboid's rows descending, or a cuboid in two stretches — are an error,
+// not a store whose binary searches miss.
+func TestBuildRunRejectsUnorderedGroups(t *testing.T) {
+	type group struct {
+		mask   lattice.Mask
+		packed []relation.Value
+	}
+	for name, groups := range map[string][]group{
+		"descending rows":    {{0b001, []relation.Value{2}}, {0b001, []relation.Value{1}}},
+		"a row twice":        {{0b001, []relation.Value{1}}, {0b001, []relation.Value{1}}},
+		"a cuboid met again": {{0b001, []relation.Value{1}}, {0b010, []relation.Value{1}}, {0b001, []relation.Value{2}}},
+	} {
+		each := func(fn func(key []byte, mask lattice.Mask, packed []relation.Value, value float64) bool) {
+			for _, g := range groups {
+				if !fn(nil, g.mask, g.packed, 1) {
+					return
+				}
+			}
+		}
+		if st, err := BuildRun(codesRelation(4, 0, 4), each); err == nil {
+			t.Errorf("%s: BuildRun accepted the groups into a store of %d", name, st.Groups())
 		}
 	}
 }

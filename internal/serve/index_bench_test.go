@@ -8,6 +8,7 @@ package serve_test
 // worktree of an older commit and run the identical workload there.
 
 import (
+	"sort"
 	"testing"
 
 	"github.com/spcube/spcube/internal/agg"
@@ -61,15 +62,19 @@ func fixture(b *testing.B, name string) *indexFixture {
 		}
 	}
 	seen := map[string]bool{}
+	var keys []string
 	for _, t := range f.rel.Tuples[:300] {
 		for mask := lattice.Mask(0); mask <= full; mask++ {
-			key := relation.GroupKey(uint32(mask), t.Dims)
-			if !seen[key] {
+			if key := relation.GroupKey(uint32(mask), t.Dims); !seen[key] {
 				seen[key] = true
-				if err := f.patch.Set(key, f.res.Groups[key]+1); err != nil {
-					b.Fatal(err)
-				}
+				keys = append(keys, key)
 			}
+		}
+	}
+	sort.Strings(keys) // a patch is built in key order
+	for _, key := range keys {
+		if err := f.patch.Set(key, f.res.Groups[key]+1); err != nil {
+			b.Fatal(err)
 		}
 	}
 	built[name] = f

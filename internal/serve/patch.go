@@ -11,8 +11,9 @@ import (
 // Patch is a batch of group-level edits — upserts and removals keyed by
 // encoded group key — produced by one incremental-maintenance round
 // (delta.Round.Changes) and applied to a Store with ApplyPatch. Entries are
-// grouped by cuboid and may be added in any order, at most one per key:
-// ApplyPatch rejects a patch holding two edits of one group.
+// added in ascending key order, at most one per key, as a round's Changes
+// list them: ApplyPatch rejects a patch whose entries of one cuboid are not
+// strictly ascending, two edits of one group among them.
 type Patch struct {
 	perMask map[lattice.Mask][]patchEntry
 }
@@ -55,7 +56,7 @@ func (p *Patch) add(key string, v float64, del bool) error {
 // snapshot; the receiver is untouched and stays fully servable, also when
 // the patch is rejected. Cuboids the patch does not touch are shared between
 // the two snapshots (copy-on-write); each touched cuboid's run is rewritten
-// by one merge of the old run with the sorted patch entries. A cuboid
+// by one merge of the old run with the patch entries. A cuboid
 // emptied by deletions is dropped; a cuboid the store never held is created.
 //
 // dict, when non-nil, replaces the store's dictionary in the new snapshot
@@ -94,28 +95,24 @@ func (s *Store) ApplyPatch(p *Patch, dict *relation.Dictionary) (*Store, error) 
 	return ns, nil
 }
 
-// patchCuboid merges one cuboid's sorted run (old may be nil) with its patch
-// entries, one cursor on each: the old rows below an entry carry over in
-// bulk, an old row equal to it is superseded — a Set replaces it, a Delete
-// drops it. The entries are sorted into a copy, so the patch stays reusable.
+// patchCuboid merges one cuboid's sorted run (old may be nil) with its
+// ascending patch entries, one cursor on each: the old rows below an entry
+// carry over in bulk, an old row equal to it is superseded — a Set replaces
+// it, a Delete drops it.
 func patchCuboid(old *cuboid, mask lattice.Mask, entries []patchEntry) (*cuboid, error) {
-	sorted := append([]patchEntry(nil), entries...)
-	sort.Slice(sorted, func(i, j int) bool {
-		return relation.ComparePacked(sorted[i].packed, sorted[j].packed) < 0
-	})
 	if old == nil {
 		old = newCuboid(mask, 0)
 	}
-	nc := newCuboid(mask, old.rows()+len(sorted))
+	nc := newCuboid(mask, old.rows()+len(entries))
 	oi := 0
 	carry := func(to int) {
 		nc.packed = append(nc.packed, old.packed[oi*old.stride:to*old.stride]...)
 		nc.vals = append(nc.vals, old.vals[oi:to]...)
 		oi = to
 	}
-	for pi, e := range sorted {
-		if pi > 0 && relation.ComparePacked(sorted[pi-1].packed, e.packed) == 0 {
-			return nil, fmt.Errorf("serve: patch holds two entries for group %v of cuboid %b", e.packed, uint32(mask))
+	for pi, e := range entries {
+		if pi > 0 && relation.ComparePacked(entries[pi-1].packed, e.packed) >= 0 {
+			return nil, fmt.Errorf("serve: patch entry for group %v of cuboid %b is not above the one before it", e.packed, uint32(mask))
 		}
 		carry(oi + sort.Search(old.rows()-oi, func(i int) bool {
 			return relation.ComparePacked(old.row(oi+i), e.packed) >= 0

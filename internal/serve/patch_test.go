@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"github.com/spcube/spcube/internal/agg"
@@ -45,22 +46,32 @@ func (tl *tupleList) relation() *relation.Relation {
 }
 
 // diffPatch turns the difference between two brute cubes into a Patch: a Set
-// for every changed or new group, a Delete for every vanished one.
+// for every changed or new group, a Delete for every vanished one, in key
+// order.
 func diffPatch(t *testing.T, old, new *cube.Result) *Patch {
 	t.Helper()
-	p := NewPatch()
+	var keys []string
 	for key, v := range new.Groups {
 		if ov, ok := old.Groups[key]; !ok || ov != v {
-			if err := p.Set(key, v); err != nil {
-				t.Fatalf("Patch.Set: %v", err)
-			}
+			keys = append(keys, key)
 		}
 	}
 	for key := range old.Groups {
 		if _, ok := new.Groups[key]; !ok {
-			if err := p.Delete(key); err != nil {
-				t.Fatalf("Patch.Delete: %v", err)
-			}
+			keys = append(keys, key)
+		}
+	}
+	sort.Strings(keys)
+	p := NewPatch()
+	for _, key := range keys {
+		var err error
+		if v, ok := new.Groups[key]; ok {
+			err = p.Set(key, v)
+		} else {
+			err = p.Delete(key)
+		}
+		if err != nil {
+			t.Fatalf("Patch: %v", err)
 		}
 	}
 	return p
@@ -285,10 +296,11 @@ func TestApplyPatchCreatesAndDropsCuboids(t *testing.T) {
 	}
 }
 
-// TestPatchRejectsDuplicateKeys: a patch holding two edits of one group is
-// an error at apply time, whatever the pair, and leaves the receiver store
-// serving exactly what it served.
-func TestPatchRejectsDuplicateKeys(t *testing.T) {
+// TestPatchRejectsUnorderedEntries: a patch whose entries of one cuboid are
+// not strictly ascending — two edits of one group among them, whatever the
+// pair — is an error at apply time, and leaves the receiver store serving
+// exactly what it served.
+func TestPatchRejectsUnorderedEntries(t *testing.T) {
 	st, brute, rel := buildStore(t, 100, 2, 3)
 	full := lattice.Full(rel.D())
 	groups := brute.Cuboid(full)
@@ -296,16 +308,18 @@ func TestPatchRejectsDuplicateKeys(t *testing.T) {
 	k1 := relation.GroupKeyPacked(uint32(full), groups[1].Packed)
 	run, total := st.byMask[full], st.Groups()
 
-	for name, second := range map[string]func(p *Patch) error{
-		"set after set":    func(p *Patch) error { return p.Set(k0, 222) },
-		"delete after set": func(p *Patch) error { return p.Delete(k0) },
+	for name, edits := range map[string]func(p *Patch) error{
+		"set after set":        func(p *Patch) error { return errors.Join(p.Set(k0, 111), p.Set(k1, 333), p.Set(k0, 222)) },
+		"delete after set":     func(p *Patch) error { return errors.Join(p.Set(k0, 111), p.Set(k1, 333), p.Delete(k0)) },
+		"one key twice in row": func(p *Patch) error { return errors.Join(p.Set(k0, 111), p.Delete(k0)) },
+		"descending":           func(p *Patch) error { return errors.Join(p.Set(k1, 333), p.Set(k0, 111)) },
 	} {
 		p := NewPatch()
-		if err := errors.Join(p.Set(k0, 111), p.Set(k1, 333), second(p)); err != nil {
+		if err := edits(p); err != nil {
 			t.Fatal(err)
 		}
 		if ns, err := st.ApplyPatch(p, nil); err == nil {
-			t.Fatalf("%s: duplicate key accepted (store of %d groups)", name, ns.Groups())
+			t.Fatalf("%s: unordered patch accepted (store of %d groups)", name, ns.Groups())
 		}
 		if st.byMask[full] != run || st.Groups() != total {
 			t.Fatalf("%s: rejected patch touched the receiver", name)

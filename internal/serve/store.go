@@ -3,11 +3,8 @@ package serve
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
-	"slices"
 	"sort"
 	"strconv"
-	"sync"
 
 	"github.com/spcube/spcube/internal/cube"
 	"github.com/spcube/spcube/internal/lattice"
@@ -85,11 +82,10 @@ func Build(rel *relation.Relation, res *cube.Result) (*Store, error) {
 // the schema and the dictionary the HTTP front end translates between strings
 // and codes with.
 //
-// Each cuboid is laid down as its groups arrive. A run yields them in encoded
-// key order, which keeps a cuboid's groups together but is ComparePacked order
-// only while every value encodes in one byte (a varint's low bits lead): a
-// cuboid whose rows did not arrive ascending is sorted afterwards, by a
-// permutation over its flat rows, up to GOMAXPROCS cuboids at a time.
+// Each cuboid is laid down as its groups arrive. A run yields them in key
+// order, which keeps a cuboid's groups together and in ComparePacked order,
+// so there is nothing to sort: a group that arrives below the one before it,
+// or a cuboid that arrives in two stretches, is an error.
 func BuildRun(rel *relation.Relation, each func(fn func(key []byte, mask lattice.Mask, packed []relation.Value, value float64) bool)) (*Store, error) {
 	st := &Store{
 		d:      rel.D(),
@@ -98,23 +94,23 @@ func BuildRun(rel *relation.Relation, each func(fn func(key []byte, mask lattice
 		byMask: make(map[lattice.Mask]*cuboid),
 	}
 	var cur *cuboid
-	ascending := false // cur's rows have arrived in ComparePacked order so far
-	unsorted := make(map[*cuboid]bool)
 	var err error
 	each(func(_ []byte, mask lattice.Mask, packed []relation.Value, value float64) bool {
-		if cur == nil || cur.mask != mask {
-			if mask > lattice.Full(st.d) {
-				err = fmt.Errorf("serve: cuboid %b out of range for %d dimensions", uint32(mask), st.d)
+		switch {
+		case cur != nil && cur.mask == mask:
+			if relation.ComparePacked(cur.row(cur.rows()-1), packed) >= 0 {
+				err = fmt.Errorf("serve: group %v of cuboid %b arrives out of order", packed, uint32(mask))
 				return false
 			}
-			if cur = st.byMask[mask]; cur == nil {
-				cur = newCuboid(mask, 0)
-				st.byMask[mask] = cur
-			}
-			ascending = !unsorted[cur]
-		}
-		if n := cur.rows(); ascending && n > 0 && relation.ComparePacked(cur.row(n-1), packed) >= 0 {
-			ascending, unsorted[cur] = false, true
+		case mask > lattice.Full(st.d):
+			err = fmt.Errorf("serve: cuboid %b out of range for %d dimensions", uint32(mask), st.d)
+			return false
+		case st.byMask[mask] != nil:
+			err = fmt.Errorf("serve: cuboid %b arrives in two stretches", uint32(mask))
+			return false
+		default:
+			cur = newCuboid(mask, 0)
+			st.byMask[mask] = cur
 		}
 		cur.push(packed, value)
 		st.groups++
@@ -123,41 +119,7 @@ func BuildRun(rel *relation.Relation, each func(fn func(key []byte, mask lattice
 	if err != nil {
 		return nil, err
 	}
-
-	work := make(chan *cuboid)
-	var wg sync.WaitGroup
-	for i := min(runtime.GOMAXPROCS(0), len(unsorted)); i > 0; i-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for c := range work {
-				c.sortRows()
-			}
-		}()
-	}
-	for c := range unsorted {
-		work <- c
-	}
-	close(work)
-	wg.Wait()
 	return st, nil
-}
-
-// sortRows puts the cuboid's rows in ComparePacked order: an index sort, then
-// one gather into arrays of exactly the cuboid's size.
-func (c *cuboid) sortRows() {
-	perm := make([]int32, c.rows())
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	slices.SortFunc(perm, func(a, b int32) int {
-		return relation.ComparePacked(c.row(int(a)), c.row(int(b)))
-	})
-	sorted := newCuboid(c.mask, len(perm))
-	for _, i := range perm {
-		sorted.push(c.row(int(i)), c.vals[i])
-	}
-	c.packed, c.vals = sorted.packed, sorted.vals
 }
 
 // D returns the cube's dimension count.

@@ -1,10 +1,14 @@
 package sketch
 
 import (
+	"bytes"
 	"encoding/binary"
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
+	"github.com/spcube/spcube/internal/cubetest"
 	"github.com/spcube/spcube/internal/lattice"
 	"github.com/spcube/spcube/internal/relation"
 )
@@ -53,7 +57,7 @@ func TestDecodeRejectsMalformedWire(t *testing.T) {
 		{"dims beyond MaxDims", emptyBody(header(lattice.MaxDims+1, 2, 0), 0), "dimensions"},
 		{"zero machines", emptyBody(header(2, 0, 0), 2), "machine count"},
 		{"truncated header", valid[:8], "truncated"},
-		{"truncated skew sets", valid[:len(valid)-3], "truncated"},
+		{"truncated skew sets", valid[:len(valid)-3], "do not fit"},
 		{"oversized skew count", corrupt(func(b []byte) []byte {
 			b[len(b)-5] = 200 // first skew-set count: 200 keys with 4 bytes left
 			return b
@@ -72,6 +76,70 @@ func TestDecodeRejectsMalformedWire(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDecodeBoundsAllocation: a header announcing 2^20 cuboids with no bytes
+// behind it is refused before the 2^20 skew sets are made — a 24-byte input
+// once cost 84 MB and 127 ms to reject — and partition lists that cannot fit
+// behind the skew sets are refused before they are made.
+func TestDecodeBoundsAllocation(t *testing.T) {
+	huge := header(lattice.MaxDims, 1, 0)
+	if len(huge) != 24 {
+		t.Fatalf("header is %d bytes, want 24", len(huge))
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err := Decode(huge)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "skew sets do not fit") {
+		t.Errorf("Decode error %v, want one saying the skew sets do not fit", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Errorf("Decode allocated %d bytes to reject a %d-byte document", got, len(huge))
+	}
+
+	noLists := append(emptyBody(header(4, 2, 0), 4)[:24+16], 1, 0, 0) // flag 1, then 2 of 16 list counts
+	if _, err := Decode(noLists); err == nil || !strings.Contains(err.Error(), "partition lists do not fit") {
+		t.Errorf("Decode error %v, want one saying the partition lists do not fit", err)
+	}
+}
+
+// FuzzSketchDecode: whatever the bytes, Decode returns a sketch or an error,
+// never a panic, and a sketch it returns encodes to a fixed point — decoding
+// and re-encoding its encoding gives the same bytes.
+func FuzzSketchDecode(f *testing.F) {
+	rng := rand.New(rand.NewSource(5))
+	for _, k := range []int{1, 3} {
+		enc, err := BuildExact(cubetest.SkewedRelation(rng, 300, 3, 0.5, 3), k, 40).Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+	}
+	f.Add(emptyBody(header(2, 3, 10), 2))
+	f.Add(header(lattice.MaxDims, 1, 0))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Decode(data)
+		if err != nil {
+			return
+		}
+		once, err := s.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := Decode(once)
+		if err != nil {
+			t.Fatalf("Decode of an encoding failed: %v", err)
+		}
+		twice, err := again.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once, twice) {
+			t.Fatalf("Encode∘Decode is not idempotent: %x then %x", once, twice)
+		}
+	})
 }
 
 func TestDecodeRejectsGarbage(t *testing.T) {
@@ -107,7 +175,7 @@ func TestDecodeAcceptsValidShapes(t *testing.T) {
 // figure — grew by a byte whenever unrelated code gob-encoded first (the
 // proc backend's RPC layer did exactly that).
 func TestEncodeDeterministicAcrossHistory(t *testing.T) {
-	s := newSketch(2, 3)
+	s := New(2, 3)
 	s.SampleN = 7
 	s.Alpha, s.Beta = 0.25, 8.5
 	s.skews[1]["\x02\x04"] = struct{}{}

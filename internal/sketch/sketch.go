@@ -56,7 +56,12 @@ type Sketch struct {
 	parts [][][]relation.Value
 }
 
-func newSketch(d, k int) *Sketch {
+// New returns the empty sketch of a d-dimensional relation on k machines:
+// no skews, no partition elements, nothing sampled. Filled through AddSkew
+// and SetPartitionElements, it is whatever sketch its caller derives — the
+// exact one, when the caller reads skews and quantiles off the relation's
+// full cube, as the maintainer does.
+func New(d, k int) *Sketch {
 	s := &Sketch{
 		D:     d,
 		K:     k,
@@ -89,9 +94,6 @@ func appendUvarint(b []byte, v uint64) []byte {
 	}
 	return append(b, byte(v))
 }
-
-// NewForTest creates an empty sketch for test injection.
-func NewForTest(d, k int) *Sketch { return newSketch(d, k) }
 
 // AddSkew records a skewed c-group.
 func (s *Sketch) AddSkew(mask lattice.Mask, packed []relation.Value) {
@@ -300,6 +302,15 @@ func (r *wireReader) count() int {
 	return int(v)
 }
 
+// fits fails unless n items of at least a byte each fit in the bytes
+// remaining.
+func (r *wireReader) fits(n int, what string) error {
+	if n > len(r.b) {
+		return fmt.Errorf("sketch: decode: %d %s do not fit in the remaining %d bytes", n, what, len(r.b))
+	}
+	return nil
+}
+
 // Decode parses an encoded sketch, validating the wire form before
 // trusting it: a truncated or corrupted sketch file would otherwise panic
 // deep inside cuboid lookups (skews/parts are indexed by mask up to 2^D).
@@ -329,7 +340,12 @@ func Decode(data []byte) (*Sketch, error) {
 	}
 	alpha := math.Float64frombits(binary.LittleEndian.Uint64(ab[:8]))
 	beta := math.Float64frombits(binary.LittleEndian.Uint64(ab[8:]))
-	s := newSketch(d, k)
+	// 2^D skew sets of at least a count byte each, then the partition flag:
+	// a header whose sets cannot fit must not allocate them.
+	if err := r.fits(1<<uint(d)+1, "skew sets"); err != nil {
+		return nil, err
+	}
+	s := New(d, k)
 	s.SampleN = sampleN
 	s.Alpha = alpha
 	s.Beta = beta
@@ -348,9 +364,12 @@ func Decode(data []byte) (*Sketch, error) {
 	}
 	switch flag[0] {
 	case 0:
-		// No partition elements on the wire: keep newSketch's fresh empty
+		// No partition elements on the wire: keep New's fresh empty
 		// sets, so lookups on any cuboid still work.
 	case 1:
+		if err := r.fits(1<<uint(d), "partition lists"); err != nil {
+			return nil, err
+		}
 		s.parts = make([][][]relation.Value, 1<<uint(d))
 		for i := range s.parts {
 			n := r.count()
@@ -475,7 +494,7 @@ func Build(eng *mr.Engine, rel *relation.Relation, seed int64) (*BuildResult, er
 	if built == nil {
 		// Degenerate case: the sample was empty (tiny inputs). Build an
 		// empty sketch so downstream code still works.
-		built = newSketch(d, k)
+		built = New(d, k)
 		built.Alpha = alpha
 		built.Beta = beta
 	}
@@ -492,7 +511,7 @@ func Build(eng *mr.Engine, rel *relation.Relation, seed int64) (*BuildResult, er
 // sorts of the sample yield the partition elements. BUC permutes its input,
 // so it runs on a copy: the sample may be a relation somebody else holds.
 func buildFromSample(sample []relation.Tuple, d, k int, alpha, beta float64, charge func(int64)) *Sketch {
-	s := newSketch(d, k)
+	s := New(d, k)
 	s.SampleN = len(sample)
 	s.Alpha = alpha
 	s.Beta = beta
@@ -568,8 +587,9 @@ func dedupSorted(elems [][]relation.Value) [][]relation.Value {
 // skewed exactly when its tuple set exceeds m and the partition elements are
 // the exact k-quantiles of each cuboid's sorted tuples. The cost is
 // buildFromSample's on n tuples — one BUC pass pruned at m+1 plus 2^d sorts
-// of n indices — which is what delta.New, every rebuild and every ingest
-// batch's drift measurement pay. SampleN, Alpha and Beta stay zero: an exact
+// of n indices — which is what every ingest batch's drift measurement pays.
+// (The maintainer derives its base's exact sketch from the counts of the
+// cube it has just computed, in one pass over it.) SampleN, Alpha and Beta stay zero: an exact
 // sketch was not sampled, and its Encode bytes say so.
 func BuildExact(rel *relation.Relation, k, m int) *Sketch {
 	s := buildFromSample(rel.Tuples, rel.D(), k, 1, float64(m), func(int64) {})

@@ -138,7 +138,7 @@ func TestPartitionBalance(t *testing.T) {
 }
 
 func TestPartitionSemantics(t *testing.T) {
-	s := newSketch(2, 4)
+	s := New(2, 4)
 	s.SetPartitionElements(0b01, [][]relation.Value{{10}, {20}, {30}})
 	cases := []struct {
 		v    relation.Value
@@ -155,17 +155,20 @@ func TestPartitionSemantics(t *testing.T) {
 	}
 }
 
+// TestPartitionMonotone: Partition is monotone in <_C, the ComparePacked
+// order, in which a negative raw value sits between the non-negative ones
+// (by its zigzag form: 0, -1, 1, -2, 2, ...).
 func TestPartitionMonotone(t *testing.T) {
-	s := newSketch(1, 8)
-	elems := [][]relation.Value{{-5}, {0}, {3}, {9}, {100}}
+	s := New(1, 8)
+	elems := [][]relation.Value{{0}, {3}, {-5}, {9}, {100}}
 	s.SetPartitionElements(0b1, elems)
 	f := func(a, b int16) bool {
-		pa := s.Partition(0b1, []relation.Value{relation.Value(a)})
-		pb := s.Partition(0b1, []relation.Value{relation.Value(b)})
-		if a == b {
+		va, vb := []relation.Value{relation.Value(a)}, []relation.Value{relation.Value(b)}
+		pa, pb := s.Partition(0b1, va), s.Partition(0b1, vb)
+		switch relation.ComparePacked(va, vb) {
+		case 0:
 			return pa == pb
-		}
-		if a < b {
+		case -1:
 			return pa <= pb
 		}
 		return pa >= pb
@@ -313,7 +316,7 @@ func TestExactSketchAgainstDefinition(t *testing.T) {
 }
 
 func TestSkewedGroupsListing(t *testing.T) {
-	s := newSketch(2, 2)
+	s := New(2, 2)
 	s.AddSkew(0b11, []relation.Value{3, 4})
 	s.AddSkew(0b11, []relation.Value{1, 2})
 	groups := s.SkewedGroups(0b11)
@@ -331,7 +334,7 @@ func TestSkewedGroupsListing(t *testing.T) {
 // TestIsSkewedDoesNotAllocate: the mapper probes once per lattice node per
 // tuple; neither a hit, a miss, nor a cuboid without skews may allocate.
 func TestIsSkewedDoesNotAllocate(t *testing.T) {
-	s := newSketch(6, 2)
+	s := New(6, 2)
 	hot := []relation.Value{1, -2, 300000, 4, 5, 1 << 30}
 	s.AddSkew(lattice.Full(6), hot)
 	cold := []relation.Value{1, -2, 300000, 4, 5, 7}
