@@ -40,10 +40,13 @@ retry-race:
 # composition x aggregate x rebuild threshold vs recompute), the spill
 # plane's two wire formats: the front-coded record codec and the
 # checksummed block framing (round-trip plus corrupt-input rejection), and
-# the reducers' output records (arbitrary file bytes: the sorted run fails
-# when the map collector fails and otherwise equals it, iterated and read
-# through cursors, a segment per file and merged, and renders to the bytes
-# encoding/csv makes of it in ranges of any size), and the input
+# the reducers' output records (arbitrary file bytes, read as a value job's
+# records or as a counted job's, whose uvarint count follows the final: the
+# sorted run fails when the map collector fails — a truncated or non-minimal
+# count as a truncated value does — and otherwise equals it, the same
+# (value, count) pairs iterated and read through cursors, a segment per file
+# and merged, and renders to the bytes encoding/csv makes of it in ranges of
+# any size), and the input
 # dictionary (arbitrary column values: codes, order and decoded text equal a
 # plain string map's, whichever of its two entry kinds a value takes, and
 # the same values as a CSV file load as a serial read loads them), the
@@ -196,8 +199,8 @@ loc:
 # two batch runs (compute + collect + CSV render of the uniform cube; CSV load
 # + compute of the skewed, spilling one) and their two ends alone (that render;
 # that load), of a server's start-up build and ingest cycle (delta.New over
-# the three served relations and under sum;
-# Maintainer.Apply of harness-sized batches) and of the whole of start-up
+# the three served relations and under sum; Maintainer.Apply of harness-sized
+# batches, under count and under sum) and of the whole of start-up
 # behind the CSV load (relation -> delta.New -> served Store). Checks out BASE
 # (default: the previous commit) into a temporary git worktree, copies the
 # five portable public-API benchmark files in (so old trees predating them

@@ -248,6 +248,12 @@ func TestServeSumAggregateAndMetricsOut(t *testing.T) {
 	if err := json.Unmarshal(data, &doc); err != nil || doc["schemaVersion"] == nil {
 		t.Errorf("metrics file is not a versioned JSON document: %v", err)
 	}
+	// The start-up build is one naive job, of one round, under sum as under
+	// count: its records carry the counts.
+	rounds, _ := doc["rounds"].([]any)
+	if len(rounds) != 1 || rounds[0].(map[string]any)["job"] != "naive-cube" {
+		t.Errorf("metrics document holds %d rounds, want the one of a naive job", len(rounds))
+	}
 }
 
 // postIngest sends one ingest batch and decodes the response.

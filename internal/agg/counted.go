@@ -11,11 +11,17 @@ import (
 // is not count; algorithms wrap the spec's function with WithCount and
 // consult Cardinality at emission time.
 func WithCount(f Func) Func {
-	if f.Name() == "count" {
+	if f.Name() == "count" || Counted(f) {
 		// count already is its own cardinality.
 		return f
 	}
 	return countedFunc{inner: f}
+}
+
+// Counted reports whether f is a WithCount wrapper of another function.
+func Counted(f Func) bool {
+	_, ok := f.(countedFunc)
+	return ok
 }
 
 // Cardinality returns the number of tuples folded into the state, for

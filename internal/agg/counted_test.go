@@ -42,6 +42,18 @@ func TestWithCountOnCountIsIdentity(t *testing.T) {
 	}
 }
 
+// TestCounted: WithCount wraps once — wrapping a counted function again
+// returns it — and Counted tells its wrappers from every built-in function.
+func TestCounted(t *testing.T) {
+	for _, f := range []Func{Count, Sum, Min, Max, Avg, Var, Stddev, Distinct} {
+		counted := WithCount(f)
+		if Counted(f) || Counted(counted) == (f == Count) || WithCount(counted) != counted {
+			t.Errorf("%s: Counted(f) %v, Counted(WithCount(f)) %v, WithCount twice is %s",
+				f.Name(), Counted(f), Counted(counted), WithCount(counted).Name())
+		}
+	}
+}
+
 func TestWithCountSerialization(t *testing.T) {
 	f := quickCheckRoundTrip(t, WithCount(Avg))
 	_ = f

@@ -62,7 +62,7 @@ func Compute(eng *mr.Engine, rel *relation.Relation, spec cube.Spec) (*cube.Run,
 // ComputeOpts runs the Hive-style cube with explicit options.
 func ComputeOpts(eng *mr.Engine, rel *relation.Relation, spec cube.Spec, opts Options) (*cube.Run, error) {
 	d := rel.D()
-	f, minSup := spec.Effective()
+	f, _ := spec.Effective()
 	full := lattice.Full(d)
 	capacity := opts.HashEntries
 	if capacity <= 0 {
@@ -140,10 +140,7 @@ func ComputeOpts(eng *mr.Engine, rel *relation.Relation, spec cube.Spec, opts Op
 				st.Merge(p)
 				ctx.ChargeOps(1)
 			}
-			if !cube.Keep(st, minSup) {
-				return
-			}
-			ctx.EmitKV(key, cube.EncodeFinal(st.Final()))
+			spec.Emit(ctx, key, st)
 		},
 		// Hive's interpreted SerDe/ObjectInspector row pipeline makes its
 		// mappers slow; its reduce side streams pre-serialized counters

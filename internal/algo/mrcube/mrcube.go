@@ -61,7 +61,7 @@ func ComputeOpts(eng *mr.Engine, rel *relation.Relation, spec cube.Spec, opts Op
 	n := rel.N()
 	k := eng.Cfg.Workers
 	m := eng.MemTuples(n)
-	f, minSup := spec.Effective()
+	f, _ := spec.Effective()
 	run := &cube.Run{Algorithm: "mr-cube", OutputPrefix: "out/mr-cube/"}
 
 	// Round 1: sampling. Reuses the same uniform-sampling machinery as
@@ -114,7 +114,7 @@ func ComputeOpts(eng *mr.Engine, rel *relation.Relation, spec cube.Spec, opts Op
 
 	// Final round: post-aggregation of value-partitioned cuboids.
 	if len(partials) > 0 {
-		mres, err := mergeRound(eng, f, minSup, partials, run.OutputPrefix)
+		mres, err := mergeRound(eng, spec, f, partials, run.OutputPrefix)
 		if err != nil {
 			return nil, err
 		}
@@ -241,7 +241,7 @@ func materializeRound(
 	outPrefix string,
 ) (*mr.RoundResult, []lattice.Mask, error) {
 	d := rel.D()
-	f, minSup := spec.Effective()
+	f, _ := spec.Effective()
 
 	computeSet := make([]bool, 1<<uint(d))
 	for _, mask := range compute {
@@ -337,10 +337,7 @@ func materializeRound(
 						return // aborted: recomputed next round
 					}
 				}
-				if !cube.Keep(st, minSup) {
-					return
-				}
-				ctx.EmitKV(gk, cube.EncodeFinal(st.Final()))
+				spec.Emit(ctx, gk, st)
 			case prefixChunked:
 				// Partial aggregate of one chunk; merged in the final
 				// round. Strip the chunk suffix from the key.
@@ -394,7 +391,7 @@ func dropCuboids(partials []mr.Pair, masks []lattice.Mask, d int) []mr.Pair {
 // mergeRound is MR-Cube's post-aggregation: chunk partials of the same
 // group are merged into the final aggregate. Iceberg thresholds can only be
 // applied here, once the chunks are combined.
-func mergeRound(eng *mr.Engine, f agg.Func, minSup int, partials []mr.Pair, outPrefix string) (*mr.RoundResult, error) {
+func mergeRound(eng *mr.Engine, spec cube.Spec, f agg.Func, partials []mr.Pair, outPrefix string) (*mr.RoundResult, error) {
 	job := &mr.Job{
 		Name:            "mr-cube-merge",
 		OutputPrefix:    outPrefix,
@@ -416,10 +413,7 @@ func mergeRound(eng *mr.Engine, f agg.Func, minSup int, partials []mr.Pair, outP
 				st.Merge(p)
 				ctx.ChargeOps(1)
 			}
-			if !cube.Keep(st, minSup) {
-				return
-			}
-			ctx.EmitKV(key, cube.EncodeFinal(st.Final()))
+			spec.Emit(ctx, key, st)
 		},
 	}
 	return eng.RunPairs(job, partials)

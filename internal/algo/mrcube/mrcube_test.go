@@ -51,7 +51,7 @@ func TestValuePartitioningProducesMergeRound(t *testing.T) {
 	if len(run.Metrics.Rounds) < 3 {
 		t.Errorf("expected sampling + materialize + merge rounds, got %d rounds", len(run.Metrics.Rounds))
 	}
-	res, err := cube.CollectDFS(eng, run.OutputPrefix, rel.D())
+	res, err := cube.CollectDFS(eng, run.OutputPrefix, rel.D(), cube.Spec{Agg: agg.Count})
 	if err != nil {
 		t.Fatal(err)
 	}

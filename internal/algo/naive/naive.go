@@ -23,7 +23,7 @@ import (
 // Compute runs the naive cube algorithm.
 func Compute(eng *mr.Engine, rel *relation.Relation, spec cube.Spec) (*cube.Run, error) {
 	d := rel.D()
-	f, minSup := spec.Effective()
+	f, _ := spec.Effective()
 	full := lattice.Full(d)
 
 	// Per-task scratch: map tasks may run in parallel, so the reusable
@@ -56,10 +56,7 @@ func Compute(eng *mr.Engine, rel *relation.Relation, spec cube.Spec) (*cube.Run,
 				st.Add(m)
 				ctx.ChargeOps(1)
 			}
-			if !cube.Keep(st, minSup) {
-				return
-			}
-			ctx.EmitKV(key, cube.EncodeFinal(st.Final()))
+			spec.Emit(ctx, key, st)
 		},
 		OutputPrefix: "out/naive-cube/",
 	}

@@ -35,7 +35,7 @@ func Compute(eng *mr.Engine, rel *relation.Relation, spec cube.Spec) (*cube.Run,
 	if d > lattice.MaxDims {
 		return nil, fmt.Errorf("pipesort: %d dimensions exceed the supported maximum %d", d, lattice.MaxDims)
 	}
-	f, minSup := spec.Effective()
+	f, _ := spec.Effective()
 	run := &cube.Run{Algorithm: "pipesort", OutputPrefix: "out/pipesort/"}
 	full := lattice.Full(d)
 
@@ -55,7 +55,7 @@ func Compute(eng *mr.Engine, rel *relation.Relation, spec cube.Spec) (*cube.Run,
 			ctx.EmitBytes(ts.kb, ts.vb)
 		},
 		Combine: combine(f),
-		Reduce:  reduceLevel(f, minSup, d > 0),
+		Reduce:  reduceLevel(spec, f, d > 0),
 	}
 	res, err := eng.RunTuples(top, rel.Tuples)
 	if err != nil {
@@ -73,7 +73,7 @@ func Compute(eng *mr.Engine, rel *relation.Relation, spec cube.Spec) (*cube.Run,
 			TaskState:     func() any { return new(taskState) },
 			MapPair:       mapChildren(d, level),
 			Combine:       combine(f),
-			Reduce:        reduceLevel(f, minSup, level > 0),
+			Reduce:        reduceLevel(spec, f, level > 0),
 		}
 		res, err := eng.RunPairs(job, parents)
 		if err != nil {
@@ -147,7 +147,7 @@ func combine(f agg.Func) func(key string, vals [][]byte) [][]byte {
 // to the output, and passes unfiltered states to the next round — iceberg
 // thresholds are not anti-monotone across parent aggregation, so filtering
 // must not propagate.
-func reduceLevel(f agg.Func, minSup int, moreLevels bool) func(ctx *mr.RedCtx, key string, vals [][]byte) {
+func reduceLevel(spec cube.Spec, f agg.Func, moreLevels bool) func(ctx *mr.RedCtx, key string, vals [][]byte) {
 	return func(ctx *mr.RedCtx, key string, vals [][]byte) {
 		st := f.NewState()
 		for _, v := range vals {
@@ -158,9 +158,7 @@ func reduceLevel(f agg.Func, minSup int, moreLevels bool) func(ctx *mr.RedCtx, k
 			st.Merge(p)
 			ctx.ChargeOps(1)
 		}
-		if cube.Keep(st, minSup) {
-			ctx.EmitKV(key, cube.EncodeFinal(st.Final()))
-		}
+		spec.Emit(ctx, key, st)
 		if moreLevels {
 			ctx.EmitSide(key, st.AppendEncode(nil))
 		}

@@ -161,7 +161,7 @@ func TestCorrectUnderInjectedFullMaskSkew(t *testing.T) {
 						if _, err := runCubeRound(eng, rel, spec, sk, Options{}, "out/full/"); err != nil {
 							t.Fatal(err)
 						}
-						got, err := cube.CollectDFS(eng, "out/full/", d)
+						got, err := cube.CollectDFS(eng, "out/full/", d, spec)
 						if err != nil {
 							t.Fatal(err)
 						}

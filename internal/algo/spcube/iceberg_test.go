@@ -98,7 +98,7 @@ func TestComputeMultiSharesSketch(t *testing.T) {
 	}
 	// Each output matches its own brute-force reference.
 	for i, spec := range specs {
-		res, err := cube.CollectDFS(eng, runs[i].OutputPrefix, rel.D())
+		res, err := cube.CollectDFS(eng, runs[i].OutputPrefix, rel.D(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}

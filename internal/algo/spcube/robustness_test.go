@@ -23,7 +23,7 @@ func runWithSketch(t *testing.T, rel *relation.Relation, sk *sketch.Sketch, k in
 		t.Fatal(err)
 	}
 	_ = res
-	out, err := cube.CollectDFS(eng, "out/injected/", rel.D())
+	out, err := cube.CollectDFS(eng, "out/injected/", rel.D(), cube.Spec{Agg: agg.Count})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestEverySketchGroupProducedOnce(t *testing.T) {
 	if _, err := runCubeRound(eng, rel, cube.Spec{Agg: agg.Count}, sk, Options{}, "out/once/"); err != nil {
 		t.Fatal(err)
 	}
-	out, err := cube.CollectDFS(eng, "out/once/", rel.D())
+	out, err := cube.CollectDFS(eng, "out/once/", rel.D(), cube.Spec{Agg: agg.Count})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -343,10 +343,7 @@ func cubeJob(d, k int, spec cube.Spec, sk *sketch.Sketch, opts Options, outPrefi
 				st.Merge(part)
 				ctx.ChargeOps(1)
 			}
-			if !cube.Keep(st, minSup) {
-				return
-			}
-			ctx.EmitKV(key[1:], cube.EncodeFinal(st.Final()))
+			spec.Emit(ctx, key[1:], st)
 		case prefixGroup:
 			maskU, _, _, err := relation.ScanGroupKey([]byte(key[1:]))
 			if err != nil {
@@ -363,9 +360,7 @@ func cubeJob(d, k int, spec cube.Spec, sk *sketch.Sketch, opts Options, outPrefi
 					st.Add(m)
 					ctx.ChargeOps(1)
 				}
-				if cube.Keep(st, minSup) {
-					ctx.EmitKV(key[1:], cube.EncodeFinal(st.Final()))
-				}
+				spec.Emit(ctx, key[1:], st)
 				return
 			}
 			// Factorized processing: rebuild set(g) and compute every
@@ -400,7 +395,7 @@ func cubeJob(d, k int, spec cube.Spec, sk *sketch.Sketch, opts Options, outPrefi
 				},
 				func(mask lattice.Mask, packed []relation.Value, st agg.State) {
 					out = relation.EncodeGroupKey(out, uint32(mask), expand(packed, mask, d, &scratch))
-					ctx.EmitKV(string(out), cube.EncodeFinal(st.Final()))
+					spec.Emit(ctx, string(out), st)
 				})
 			ctx.ChargeOps(touches)
 		}

@@ -7,6 +7,7 @@
 package cube
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -42,13 +43,52 @@ func (s Spec) Effective() (agg.Func, int) {
 	return f, 1
 }
 
-// Keep reports whether a final state passes the iceberg threshold.
-func Keep(st agg.State, minSup int) bool {
+// keep reports whether a final state passes the iceberg threshold.
+func keep(st agg.State, minSup int) bool {
 	if minSup <= 1 {
 		return true
 	}
 	c, ok := agg.Cardinality(st)
 	return ok && c >= int64(minSup)
+}
+
+// Emit writes the group of a final state as one output record of a job run
+// under s, unless the group is below s's iceberg threshold: the group key, a
+// tab, the final as the 8 little-endian bytes of its float64 bits and, when
+// s's aggregate is counted (agg.WithCount), the group's tuple count as a
+// uvarint. Every algorithm's reducers write their groups through it; it
+// allocates nothing.
+func (s Spec) Emit(ctx *mr.RedCtx, key string, st agg.State) {
+	if !keep(st, s.MinSup) {
+		return
+	}
+	var buf [8 + binary.MaxVarintLen64]byte
+	v := appendFinal(buf[:0], st.Final())
+	if agg.Counted(s.Agg) {
+		n, _ := agg.Cardinality(st)
+		v = binary.AppendUvarint(v, uint64(n))
+	}
+	ctx.EmitKV(key, v)
+}
+
+// counts is where the records of a job run under a spec keep each group's
+// tuple count.
+type counts uint8
+
+const (
+	noCounts     counts = iota // nowhere: the record is a final
+	countIsFinal               // the job ran count: the final is the count
+	countAfter                 // in a uvarint behind the final: the job ran agg.WithCount
+)
+
+func (s Spec) counts() counts {
+	switch {
+	case agg.Counted(s.Agg):
+		return countAfter
+	case s.Agg == nil || s.Agg.Name() == "count":
+		return countIsFinal
+	}
+	return noCounts
 }
 
 // Run is the outcome of a cube computation on the MapReduce substrate.
@@ -183,7 +223,7 @@ func BruteSpec(rel *relation.Relation, spec Spec) *Result {
 		}
 	}
 	for key, st := range states {
-		if !Keep(st, minSup) {
+		if !keep(st, minSup) {
 			continue
 		}
 		res.Groups[key] = st.Final()
@@ -191,17 +231,17 @@ func BruteSpec(rel *relation.Relation, spec Spec) *Result {
 	return res
 }
 
-// CollectDFS parses a cube written to the engine's DFS (non-discard mode)
-// under the given prefix into a Result, in file order.
-func CollectDFS(eng *mr.Engine, prefix string, d int) (*Result, error) {
+// CollectDFS parses a cube a job run under spec wrote to the engine's DFS
+// (non-discard mode) under the given prefix into a Result, in file order.
+func CollectDFS(eng *mr.Engine, prefix string, d int, spec Spec) (*Result, error) {
 	res := NewResult(d)
 	for _, name := range eng.FS.List(prefix) {
 		data, err := eng.FS.Read(name)
 		if err != nil {
 			return nil, err
 		}
-		err = walkRecords(data, func(off, keyLen int) {
-			res.Groups[string(data[off:off+keyLen])] = DecodeFinal(data[off+keyLen+1:])
+		err = walkRecords(data, spec.counts() == countAfter, func(off, keyLen int) {
+			res.Groups[string(data[off:off+keyLen])] = decodeFinal(data[off+keyLen+1:])
 		})
 		if err != nil {
 			return nil, fmt.Errorf("cube: parsing %s: %w", name, err)
@@ -210,21 +250,11 @@ func CollectDFS(eng *mr.Engine, prefix string, d int) (*Result, error) {
 	return res, nil
 }
 
-// EncodeFinal serializes a final aggregate value for output records.
-func EncodeFinal(v float64) []byte {
-	bits := math.Float64bits(v)
-	out := make([]byte, 8)
-	for i := 0; i < 8; i++ {
-		out[i] = byte(bits >> (8 * uint(i)))
-	}
-	return out
+// appendFinal appends a final aggregate value to dst as an output record
+// holds it: the 8 little-endian bytes of its float64 bits.
+func appendFinal(dst []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 }
 
-// DecodeFinal parses an EncodeFinal value.
-func DecodeFinal(b []byte) float64 {
-	var bits uint64
-	for i := 0; i < 8; i++ {
-		bits |= uint64(b[i]) << (8 * uint(i))
-	}
-	return math.Float64frombits(bits)
-}
+// decodeFinal parses an appendFinal value.
+func decodeFinal(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }

@@ -105,9 +105,9 @@ func TestCuboidExtraction(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeFinal(t *testing.T) {
+func TestEncodedecodeFinal(t *testing.T) {
 	for _, v := range []float64{0, 1, -3.5, 1e300, math.Inf(1), math.NaN()} {
-		got := DecodeFinal(EncodeFinal(v))
+		got := decodeFinal(appendFinal(nil, v))
 		if math.IsNaN(v) {
 			if !math.IsNaN(got) {
 				t.Errorf("NaN round trip: %v", got)
@@ -148,13 +148,13 @@ func TestLookupRandomAgainstRecount(t *testing.T) {
 // name instead of indexed with wrapped offsets.
 func TestRunFileLimit(t *testing.T) {
 	rec := append([]byte(relation.GroupKeyPacked(1, []relation.Value{7})), '\t')
-	rec = append(rec, EncodeFinal(1)...)
+	rec = appendFinal(rec, 1)
 	defer func(old int64) { maxFileBytes = old }(maxFileBytes)
 	maxFileBytes = int64(2*len(rec) - 1)
-	if _, err := indexFile("out/x/part-0", files{rec}, 0, 1); err != nil {
+	if _, err := indexFile("out/x/part-0", files{rec}, 0, 1, false); err != nil {
 		t.Fatalf("a file under the limit: %v", err)
 	}
-	_, err := indexFile("out/x/part-0", files{append(rec, rec...)}, 0, 2)
+	_, err := indexFile("out/x/part-0", files{append(rec, rec...)}, 0, 2, false)
 	if err == nil || !strings.Contains(err.Error(), "out/x/part-0") {
 		t.Fatalf("a file over the limit: error %v, want one naming the file", err)
 	}

@@ -64,7 +64,7 @@ func requireRendersAsReference(t testing.TB, run *cube.SortedRun, rel *relation.
 				t.Fatalf("%s run, ranges of %d rows: WriteCSV wrote\n%q\nencoding/csv over EachRow\n%q", name, rows, got.Bytes(), want)
 			}
 			groups := 0
-			r.Each(func([]byte, lattice.Mask, []relation.Value, float64) bool { groups++; return true })
+			r.Each(func([]byte, lattice.Mask, []relation.Value, float64, int64) bool { groups++; return true })
 			if r.Len() != groups {
 				t.Fatalf("%s run: Len %d after writing %d rows", name, r.Len(), groups)
 			}
@@ -110,7 +110,7 @@ func TestWriteCSVCodesWithoutEntries(t *testing.T) {
 	withDict := relation.New([]string{"a", "b"}, "m")
 	withDict.AppendStrings([]string{"x", "17"}, 1)
 	noDict := &relation.Relation{Schema: relation.Schema{DimNames: []string{"a", "b"}, MeasureName: "m"}}
-	run, _ := handRun(t, 2, slices.Concat(
+	run, _ := handRun(t, 2, valueSpec, slices.Concat(
 		record(0b11, []relation.Value{0, 0}, 1),
 		record(0b11, []relation.Value{1, 0}, math.Inf(1)),
 		record(0b11, []relation.Value{0, -3}, math.NaN()),
@@ -144,7 +144,7 @@ func TestWriteCSVDuplicateKeysOnRangeBoundaries(t *testing.T) {
 			}
 		}
 	}
-	run, want := handRun(t, 2, files[:]...)
+	run, want := handRun(t, 2, valueSpec, files[:]...)
 	requireRendersAsReference(t, run, rel)
 	var got bytes.Buffer
 	cube.SetRenderRangeRows(t, 1)
@@ -171,7 +171,7 @@ func TestWriteCSVSameBytesAtAnyParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := cube.CollectRun(eng, res.OutputPrefix, rel.D())
+		run, err := cube.CollectRun(eng, res.OutputPrefix, rel.D(), cube.Spec{Agg: agg.Sum})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,12 +191,12 @@ func TestWriteCSVSameBytesAtAnyParallelism(t *testing.T) {
 func TestWriteCSVEmptyAndSingleRow(t *testing.T) {
 	rel := relation.New([]string{"a", "b"}, "m")
 	rel.AppendStrings([]string{"x", "y"}, 1)
-	empty, _ := handRun(t, 2)
+	empty, _ := handRun(t, 2, valueSpec)
 	emptyMap, err := cube.NewResult(2).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, _ := handRun(t, 2, record(0b10, []relation.Value{0}, 2.5))
+	single, _ := handRun(t, 2, valueSpec, record(0b10, []relation.Value{0}, 2.5))
 	for name, c := range map[string]struct {
 		run  *cube.SortedRun
 		want string
@@ -225,11 +225,11 @@ func TestLenAfterWriteCSVIsFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := cube.CollectRun(eng, res.OutputPrefix, rel.D())
+		run, err := cube.CollectRun(eng, res.OutputPrefix, rel.D(), cube.Spec{Agg: agg.Count})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := cube.CollectDFS(eng, res.OutputPrefix, rel.D())
+		want, err := cube.CollectDFS(eng, res.OutputPrefix, rel.D(), cube.Spec{Agg: agg.Count})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,7 +289,7 @@ func TestWriteCSVFailingWriter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := cube.CollectRun(eng, res.OutputPrefix, rel.D())
+		run, err := cube.CollectRun(eng, res.OutputPrefix, rel.D(), cube.Spec{Agg: agg.Count})
 		if err != nil {
 			t.Fatal(err)
 		}

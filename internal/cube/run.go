@@ -33,6 +33,8 @@ type SortedRun struct {
 	// par is how many goroutines a pass over the run may use: the
 	// Parallelism of the job that wrote it.
 	par int
+	// counts is where the records keep each group's tuple count.
+	counts counts
 
 	count sync.Once
 	n     int // distinct group keys over all segments; see Len and WriteCSV
@@ -65,7 +67,21 @@ type files [][]byte
 func (fs files) key(r row) []byte { return fs[r.where&0xffff][r.off : r.off+r.where>>16] }
 
 // The value is the 8 bytes behind key and tab.
-func (fs files) value(r row) float64 { return DecodeFinal(fs[r.where&0xffff][r.off+r.where>>16+1:]) }
+func (fs files) value(r row) float64 { return decodeFinal(fs[r.where&0xffff][r.off+r.where>>16+1:]) }
+
+// group returns the value of row w's record and its group's tuple count, 0
+// when the records keep none.
+func (r *SortedRun) group(w row) (float64, int64) {
+	v := r.files.value(w)
+	switch r.counts {
+	case countIsFinal:
+		return v, int64(v)
+	case countAfter: // behind key, tab and the 8-byte final
+		n, _ := binary.Uvarint(r.files[w.where&0xffff][w.off+w.where>>16+9:])
+		return v, int64(n)
+	}
+	return v, 0
+}
 
 func keyPrefix(key []byte) uint64 {
 	if len(key) >= 8 {
@@ -86,17 +102,18 @@ func (fs files) compare(a, b row) int {
 	return bytes.Compare(fs.key(a), fs.key(b))
 }
 
-// CollectRun indexes a cube written to the engine's DFS (non-discard mode)
-// under the given prefix, one segment per file. Files are sorted at most
-// eng.Cfg.Parallelism at a time. A group key written more than once keeps its
-// last record, in file (FS.List) order and then record order — what
-// collecting into a map did.
-func CollectRun(eng *mr.Engine, prefix string, d int) (*SortedRun, error) {
+// CollectRun indexes a cube a job run under spec wrote to the engine's DFS
+// (non-discard mode) under the given prefix, one segment per file; the spec
+// says where its records keep the groups' counts (see Spec.Emit). Files are
+// sorted at most eng.Cfg.Parallelism at a time. A group key written more than
+// once keeps its last record, in file (FS.List) order and then record order —
+// what collecting into a map did.
+func CollectRun(eng *mr.Engine, prefix string, d int, spec Spec) (*SortedRun, error) {
 	names := eng.FS.List(prefix)
 	if len(names) > maxFiles {
 		return nil, fmt.Errorf("cube: %d output files under %s, above the %d a sorted run indexes", len(names), prefix, maxFiles)
 	}
-	r := &SortedRun{d: d, files: make(files, len(names)), segs: make([][]row, len(names)), par: max(1, eng.Cfg.Parallelism)}
+	r := &SortedRun{d: d, files: make(files, len(names)), segs: make([][]row, len(names)), par: max(1, eng.Cfg.Parallelism), counts: spec.counts()}
 	errs := make([]error, len(names))
 	sem := make(chan struct{}, r.par)
 	var wg sync.WaitGroup
@@ -111,7 +128,7 @@ func CollectRun(eng *mr.Engine, prefix string, d int) (*SortedRun, error) {
 		go func() {
 			defer wg.Done()
 			// One Append per reducer record makes the count exact.
-			r.segs[i], errs[i] = indexFile(name, r.files, i, int(eng.FS.Records(name)))
+			r.segs[i], errs[i] = indexFile(name, r.files, i, int(eng.FS.Records(name)), r.counts == countAfter)
 			<-sem
 		}()
 	}
@@ -139,21 +156,22 @@ func (r *SortedRun) Merged() *SortedRun {
 	for m := r.merge(nil); ; {
 		w, ok := m.next()
 		if !ok {
-			return &SortedRun{d: r.d, files: r.files, segs: [][]row{rows}, par: r.par}
+			return &SortedRun{d: r.d, files: r.files, segs: [][]row{rows}, par: r.par, counts: r.counts}
 		}
 		rows = append(rows, w)
 	}
 }
 
 // indexFile builds the sorted rows of file i of fs, one per distinct key;
-// sizeHint is its expected record count.
-func indexFile(name string, fs files, i, sizeHint int) ([]row, error) {
+// sizeHint is its expected record count, and counted says whether a count
+// follows each final.
+func indexFile(name string, fs files, i, sizeHint int, counted bool) ([]row, error) {
 	data := fs[i]
 	if int64(len(data)) > maxFileBytes {
 		return nil, fmt.Errorf("cube: output file %s is %d bytes, above the %d a sorted run indexes per file", name, len(data), maxFileBytes)
 	}
 	rows := make([]row, 0, sizeHint)
-	err := walkRecords(data, func(off, keyLen int) {
+	err := walkRecords(data, counted, func(off, keyLen int) {
 		rows = append(rows, newRow(i, off, data[off:off+keyLen]))
 	})
 	if err != nil {
@@ -178,10 +196,10 @@ func indexFile(name string, fs files, i, sizeHint int) ([]row, error) {
 
 // walkRecords calls visit with the offset and key length of every record of
 // one output file. Output records are written by the reducers as concatenated
-// "<group key>\t<8-byte float bits>" frames (see EncodeFinal); a byte of the
-// key can be 0x09, so records are parsed structurally instead of split on the
-// tab.
-func walkRecords(data []byte, visit func(off, keyLen int)) error {
+// "<group key>\t<8-byte float bits>" frames, counted ones with a minimal
+// uvarint behind (see Spec.Emit); a byte of the key can be 0x09, so records
+// are parsed structurally instead of split on the tab.
+func walkRecords(data []byte, counted bool, visit func(off, keyLen int)) error {
 	var scratch [lattice.MaxDims]relation.Value
 	for off := 0; off < len(data); {
 		_, _, keyLen, err := relation.ScanGroupKeyInto(scratch[:0], data[off:])
@@ -195,8 +213,19 @@ func walkRecords(data []byte, visit func(off, keyLen int)) error {
 		if len(data)-end-1 < 8 {
 			return fmt.Errorf("cube: truncated output value")
 		}
+		next := end + 1 + 8
+		if counted {
+			n, k := binary.Uvarint(data[next:])
+			if k == 0 {
+				return fmt.Errorf("cube: truncated output count")
+			}
+			if k < 0 || k > 1 && data[next+k-1] == 0 || n > math.MaxInt64 {
+				return fmt.Errorf("cube: malformed output count")
+			}
+			next += k
+		}
 		visit(off, keyLen)
-		off = end + 1 + 8
+		off = next
 	}
 	return nil
 }
@@ -316,15 +345,15 @@ func (m *merger) next() (row, bool) {
 	return row{}, false
 }
 
-// find returns the value the run holds for the probe's key. pos, when not
-// nil, holds per segment where the search for the previous key ended: the
-// search for this one starts there, doubles its step away until a row is not
-// below the key and bisects the last step, so a key g rows on costs O(log g)
-// comparisons of rows the last search left in cache, not O(log rows) of rows
-// all over the index. A key below the previous one is searched for among the
+// find returns the value and the count (see group) the run holds for the
+// probe's key. pos, when not nil, holds per segment where the search for the
+// previous key ended: the search for this one starts there, doubles its step
+// away until a row is not below the key and bisects the last step, so a key g
+// rows on costs O(log g) comparisons of rows the last search left in cache,
+// not O(log rows) of rows all over the index. A key below the previous one is searched for among the
 // rows passed. The last segment holding the key stands, so segments are
 // searched last to first and those before a hit keep their positions.
-func (r *SortedRun) find(p probe, pos []int) (float64, bool) {
+func (r *SortedRun) find(p probe, pos []int) (float64, int64, bool) {
 	fs := r.files
 	for i := len(r.segs) - 1; i >= 0; i-- {
 		seg := r.segs[i]
@@ -346,10 +375,11 @@ func (r *SortedRun) find(p probe, pos []int) (float64, bool) {
 		// The prefixes differ for nearly every row that is not the key's:
 		// deciding by them leaves the file's bytes untouched.
 		if j < len(seg) && seg[j].prefix == p.prefix && bytes.Equal(fs.key(seg[j]), p.key) {
-			return fs.value(seg[j]), true
+			v, n := r.group(seg[j])
+			return v, n, true
 		}
 	}
-	return 0, false
+	return 0, 0, false
 }
 
 // Len returns the number of groups in the cube. Over several segments that
@@ -374,7 +404,8 @@ func (r *SortedRun) Len() int {
 // dims slice is full-width, as for Result.Lookup.
 func (r *SortedRun) Lookup(mask lattice.Mask, dims []relation.Value) (float64, bool) {
 	var buf [64]byte
-	return r.find(newProbe(relation.EncodeGroupKey(buf[:0], uint32(mask), dims)), nil)
+	v, _, ok := r.find(newProbe(relation.EncodeGroupKey(buf[:0], uint32(mask), dims)), nil)
+	return v, ok
 }
 
 // Cursor reads a run at a sequence of encoded keys. It is made for ascending
@@ -388,18 +419,21 @@ type Cursor struct {
 // Cursor returns a cursor at the start of the run.
 func (r *SortedRun) Cursor() *Cursor { return &Cursor{run: r, pos: make([]int, len(r.segs))} }
 
-// Seek returns the value of the group with the given encoded key.
-func (c *Cursor) Seek(key []byte) (float64, bool) { return c.run.find(newProbe(key), c.pos) }
+// Seek returns the value and the tuple count (as Each has it) of the group
+// with the given encoded key.
+func (c *Cursor) Seek(key []byte) (float64, int64, bool) { return c.run.find(newProbe(key), c.pos) }
 
 // Each calls fn for every group in ascending key order until fn returns
-// false. key aliases the output file and packed is reused between calls:
-// fn copies what it keeps and modifies neither.
-func (r *SortedRun) Each(fn func(key []byte, mask lattice.Mask, packed []relation.Value, value float64) bool) {
+// false, with the group's tuple count when the job that wrote the run ran
+// count or a counted aggregate (see Spec.Emit), else 0. key aliases the
+// output file and packed is reused between calls: fn copies what it keeps and
+// modifies neither.
+func (r *SortedRun) Each(fn func(key []byte, mask lattice.Mask, packed []relation.Value, value float64, count int64) bool) {
 	r.each(nil, fn)
 }
 
 // each is Each starting at the first key not below from.
-func (r *SortedRun) each(from []byte, fn func(key []byte, mask lattice.Mask, packed []relation.Value, value float64) bool) {
+func (r *SortedRun) each(from []byte, fn func(key []byte, mask lattice.Mask, packed []relation.Value, value float64, count int64) bool) {
 	var packed []relation.Value
 	for m := r.merge(from); ; {
 		w, ok := m.next()
@@ -409,7 +443,8 @@ func (r *SortedRun) each(from []byte, fn func(key []byte, mask lattice.Mask, pac
 		key := r.files.key(w)
 		var mask uint32
 		mask, packed, _, _ = relation.ScanGroupKeyInto(packed, key) // indexFile parsed this key already
-		if !fn(key, lattice.Mask(mask), packed, r.files.value(w)) {
+		v, n := r.group(w)
+		if !fn(key, lattice.Mask(mask), packed, v, n) {
 			return
 		}
 	}
@@ -420,7 +455,7 @@ func (r *SortedRun) each(from []byte, fn func(key []byte, mask lattice.Mask, pac
 func (r *SortedRun) Cuboid(mask lattice.Mask) []Group {
 	var out []Group
 	from := relation.AppendCuboidPrefix(nil, uint32(mask))
-	r.each(from, func(key []byte, _ lattice.Mask, packed []relation.Value, value float64) bool {
+	r.each(from, func(key []byte, _ lattice.Mask, packed []relation.Value, value float64, _ int64) bool {
 		if !bytes.HasPrefix(key, from) {
 			return false
 		}
@@ -436,7 +471,7 @@ func (r *SortedRun) Cuboid(mask lattice.Mask) []Group {
 func (r *SortedRun) EachRow(rel *relation.Relation, fn func(dims []string, value float64) error) error {
 	var err error
 	dims := make([]string, r.d)
-	r.Each(func(_ []byte, mask lattice.Mask, packed []relation.Value, value float64) bool {
+	r.Each(func(_ []byte, mask lattice.Mask, packed []relation.Value, value float64, _ int64) bool {
 		j := 0
 		for i := range dims {
 			if !mask.Has(i) {
@@ -458,9 +493,9 @@ func (r *SortedRun) EachRow(rel *relation.Relation, fn func(dims []string, value
 func (r *Result) Run() (*SortedRun, error) {
 	var data []byte
 	for key, v := range r.Groups {
-		data = binary.LittleEndian.AppendUint64(append(append(data, key...), '\t'), math.Float64bits(v)) // EncodeFinal's bytes
+		data = appendFinal(append(append(data, key...), '\t'), v)
 	}
-	rows, err := indexFile("result", files{data}, 0, len(r.Groups))
+	rows, err := indexFile("result", files{data}, 0, len(r.Groups), false)
 	if err != nil {
 		return nil, err
 	}

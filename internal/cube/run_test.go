@@ -1,6 +1,8 @@
 package cube_test
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/bits"
 	"slices"
@@ -36,36 +38,46 @@ func sharedPrefixRelation(n int) *relation.Relation {
 // record is one reducer output record.
 func record(mask lattice.Mask, packed []relation.Value, v float64) []byte {
 	rec := append([]byte(relation.GroupKeyPacked(uint32(mask), packed)), '\t')
-	return append(rec, cube.EncodeFinal(v)...)
+	return binary.LittleEndian.AppendUint64(rec, math.Float64bits(v))
 }
 
-// requireRunEqualsMap is the run ≡ map contract: the run — as collected, one
-// segment per file, and merged into one — iterates exactly the map's keys in
-// sort.Strings order with bit-equal values, and answers every point and
-// cuboid query as the map does.
-func requireRunEqualsMap(t *testing.T, run *cube.SortedRun, want *cube.Result) {
-	t.Helper()
-	if merged := run.Merged(); merged != run { // folded into one segment it is the same cube
-		requireRunEqualsMap(t, merged, want)
-	}
+// countedRecord is one output record of a job whose aggregate is counted.
+func countedRecord(mask lattice.Mask, packed []relation.Value, v float64, n uint64) []byte {
+	return binary.AppendUvarint(record(mask, packed, v), n)
+}
+
+// Two specs whose jobs write the two record shapes: a final alone, and a final
+// with the group's tuple count behind it.
+var (
+	valueSpec   = cube.Spec{Agg: agg.Sum}
+	countedSpec = cube.Spec{Agg: agg.WithCount(agg.Sum)}
+)
+
+// sortedKeys returns the map's keys in sort.Strings order.
+func sortedKeys(want *cube.Result) []string {
 	keys := make([]string, 0, len(want.Groups))
 	for key := range want.Groups {
 		keys = append(keys, key)
 	}
 	sort.Strings(keys)
-	if run.Len() != len(keys) {
-		t.Fatalf("run has %d groups, map %d", run.Len(), len(keys))
-	}
+	return keys
+}
+
+// requireEachEqualsMap: Each yields exactly the map's keys (given sorted) in
+// that order, each decoded to its own mask and values, with bit-equal values
+// and the counts given (nil: a run whose records keep none, which yields 0).
+func requireEachEqualsMap(t *testing.T, run *cube.SortedRun, want *cube.Result, keys []string, counts map[string]int64) {
+	t.Helper()
 	i := 0
-	run.Each(func(key []byte, mask lattice.Mask, packed []relation.Value, v float64) bool {
+	run.Each(func(key []byte, mask lattice.Mask, packed []relation.Value, v float64, n int64) bool {
 		if i >= len(keys) || string(key) != keys[i] {
 			t.Fatalf("group %d: run yields key %x, sorted map differs", i, key)
 		}
 		if relation.GroupKeyPacked(uint32(mask), packed) != keys[i] {
 			t.Fatalf("group %d: decoded (%b, %v) is not key %x", i, mask, packed, key)
 		}
-		if math.Float64bits(v) != math.Float64bits(want.Groups[keys[i]]) {
-			t.Fatalf("group %x: run value %v, map %v", key, v, want.Groups[keys[i]])
+		if math.Float64bits(v) != math.Float64bits(want.Groups[keys[i]]) || n != counts[keys[i]] {
+			t.Fatalf("group %x: run value %v count %d, map %v count %d", key, v, n, want.Groups[keys[i]], counts[keys[i]])
 		}
 		i++
 		return true
@@ -73,8 +85,23 @@ func requireRunEqualsMap(t *testing.T, run *cube.SortedRun, want *cube.Result) {
 	if i != len(keys) {
 		t.Fatalf("run yielded %d groups, map has %d", i, len(keys))
 	}
+}
 
-	requireCursorEqualsMap(t, run, want, keys)
+// requireRunEqualsMap is the run ≡ map contract: the run — as collected, one
+// segment per file, and merged into one — iterates exactly the map's keys in
+// sort.Strings order with bit-equal values and the given counts, and answers
+// every point and cuboid query as the map does.
+func requireRunEqualsMap(t *testing.T, run *cube.SortedRun, want *cube.Result, counts map[string]int64) {
+	t.Helper()
+	if merged := run.Merged(); merged != run { // folded into one segment it is the same cube
+		requireRunEqualsMap(t, merged, want, counts)
+	}
+	keys := sortedKeys(want)
+	if run.Len() != len(keys) {
+		t.Fatalf("run has %d groups, map %d", run.Len(), len(keys))
+	}
+	requireEachEqualsMap(t, run, want, keys, counts)
+	requireCursorEqualsMap(t, run, want, keys, counts)
 
 	masks := map[lattice.Mask]bool{}
 	for _, key := range keys {
@@ -114,11 +141,11 @@ func requireRunEqualsMap(t *testing.T, run *cube.SortedRun, want *cube.Result) {
 
 // requireCursorEqualsMap reads the run through cursors at every key of the
 // map (given sorted) and at two absent neighbours of each — one that sorts
-// directly behind it, one directly before — and wants the map's answer every
-// time: from a cursor that sees the probes ascending, which is what it is
-// built for, and from one that sees them descending, which has it search the
-// rows it has passed and must cost time only.
-func requireCursorEqualsMap(t *testing.T, run *cube.SortedRun, want *cube.Result, keys []string) {
+// directly behind it, one directly before — and wants the map's answer and
+// the given count every time: from a cursor that sees the probes ascending,
+// which is what it is built for, and from one that sees them descending,
+// which has it search the rows it has passed and must cost time only.
+func requireCursorEqualsMap(t *testing.T, run *cube.SortedRun, want *cube.Result, keys []string, counts map[string]int64) {
 	t.Helper()
 	var probes []string
 	for _, key := range keys {
@@ -131,10 +158,10 @@ func requireCursorEqualsMap(t *testing.T, run *cube.SortedRun, want *cube.Result
 			cur   *cube.Cursor
 			probe string
 		}{{up, probes[i]}, {down, probes[len(probes)-1-i]}} {
-			got, ok := c.cur.Seek([]byte(c.probe))
+			got, n, ok := c.cur.Seek([]byte(c.probe))
 			exp, expOK := want.Groups[c.probe]
-			if ok != expOK || math.Float64bits(got) != math.Float64bits(exp) {
-				t.Fatalf("Seek(%x) = %v,%v; map says %v,%v", c.probe, got, ok, exp, expOK)
+			if ok != expOK || math.Float64bits(got) != math.Float64bits(exp) || n != counts[c.probe] {
+				t.Fatalf("Seek(%x) = %v,%d,%v; map says %v,%d,%v", c.probe, got, n, ok, exp, counts[c.probe], expOK)
 			}
 		}
 	}
@@ -150,41 +177,61 @@ func TestRunEqualsMap(t *testing.T) {
 	}
 	for _, a := range algo.Table {
 		for name, rel := range rels {
+			counts := cube.Brute(rel, agg.Count)
 			for _, minSup := range []int{0, 3} {
-				eng := cubetest.NewEngine(5)
-				run, err := a.New(1)(eng, rel, cube.Spec{Agg: agg.Sum, MinSup: minSup})
-				if err != nil {
-					t.Fatalf("%s/%s/minsup=%d: %v", a.Name, name, minSup, err)
+				var values *cube.Result
+				for _, spec := range []cube.Spec{valueSpec, countedSpec} {
+					label := fmt.Sprintf("%s/%s/%s/minsup=%d", a.Name, name, spec.Agg.Name(), minSup)
+					spec.MinSup = minSup
+					eng := cubetest.NewEngine(5)
+					run, err := a.New(1)(eng, rel, spec)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					want, err := cube.CollectDFS(eng, run.OutputPrefix, rel.D(), spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := cube.CollectRun(eng, run.OutputPrefix, rel.D(), spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want.Len() == 0 {
+						t.Fatalf("%s: empty cube", label)
+					}
+					// A counted job writes the value job's groups and values,
+					// and every group's tuple count behind.
+					var wantCounts map[string]int64
+					if agg.Counted(spec.Agg) {
+						if ok, diff := values.Equal(want); !ok {
+							t.Fatalf("%s: not the value job's cube: %s", label, diff)
+						}
+						wantCounts = make(map[string]int64, want.Len())
+						for key := range want.Groups {
+							wantCounts[key] = int64(counts.Groups[key])
+						}
+					}
+					values = want
+					requireRunEqualsMap(t, got, want, wantCounts)
 				}
-				want, err := cube.CollectDFS(eng, run.OutputPrefix, rel.D())
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := cube.CollectRun(eng, run.OutputPrefix, rel.D())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want.Len() == 0 {
-					t.Fatalf("%s/%s/minsup=%d: empty cube", a.Name, name, minSup)
-				}
-				requireRunEqualsMap(t, got, want)
 			}
 		}
 	}
 }
 
-// handRun collects a run and the map oracle over hand-written output files.
-func handRun(t *testing.T, d int, files ...[]byte) (*cube.SortedRun, *cube.Result) {
+// handRun collects a run and the map oracle over hand-written output files of
+// a job run under spec.
+func handRun(t *testing.T, d int, spec cube.Spec, files ...[]byte) (*cube.SortedRun, *cube.Result) {
 	t.Helper()
 	eng := mr.New(mr.Config{Workers: 1}, dfs.New(false))
 	for i, data := range files {
 		eng.FS.Append("out/hand/part-"+string(rune('a'+i)), data)
 	}
-	run, err := cube.CollectRun(eng, "out/hand/", d)
+	run, err := cube.CollectRun(eng, "out/hand/", d, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := cube.CollectDFS(eng, "out/hand/", d)
+	want, err := cube.CollectDFS(eng, "out/hand/", d, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +240,7 @@ func handRun(t *testing.T, d int, files ...[]byte) (*cube.SortedRun, *cube.Resul
 
 func TestRunLookupMisses(t *testing.T) {
 	big := relation.Value(1 << 28) // five key bytes
-	run, want := handRun(t, 3,
+	run, want := handRun(t, 3, valueSpec,
 		slices.Concat(
 			record(0b011, []relation.Value{big, 7}, 1),
 			record(0b001, []relation.Value{4}, 2),
@@ -204,7 +251,7 @@ func TestRunLookupMisses(t *testing.T) {
 			record(0b111, []relation.Value{big, big, 5}, 5),
 		),
 	)
-	requireRunEqualsMap(t, run, want)
+	requireRunEqualsMap(t, run, want, nil)
 	for name, probe := range map[string]struct {
 		mask lattice.Mask
 		dims []relation.Value
@@ -223,45 +270,61 @@ func TestRunLookupMisses(t *testing.T) {
 	}
 }
 
-// TestRunKeepsLaterDuplicate: a key written twice keeps its later record,
-// within a file and across files in FS.List order — what the map did.
+// TestRunKeepsLaterDuplicate: a key written twice keeps its later record —
+// its value and, in a counted run, its count — within a file and across files
+// in FS.List order: what the map did.
 func TestRunKeepsLaterDuplicate(t *testing.T) {
 	k1, k2 := []relation.Value{1}, []relation.Value{2}
-	run, want := handRun(t, 2,
-		slices.Concat(record(0b01, k1, 1), record(0b01, k2, 2), record(0b01, k1, 3)),
-		slices.Concat(record(0b10, k1, 4), record(0b01, k2, 5)),
-	)
-	requireRunEqualsMap(t, run, want)
-	for _, c := range []struct {
-		dims []relation.Value
-		want float64
-	}{{[]relation.Value{1, 0}, 3}, {[]relation.Value{2, 0}, 5}} {
-		if v, ok := run.Lookup(0b01, c.dims); !ok || v != c.want {
-			t.Errorf("Lookup(%v) = %v,%v, want the later record's %v", c.dims, v, ok, c.want)
+	for _, spec := range []cube.Spec{valueSpec, countedSpec} {
+		rec, counts := record, map[string]int64(nil)
+		if agg.Counted(spec.Agg) {
+			rec = func(mask lattice.Mask, packed []relation.Value, v float64) []byte {
+				return countedRecord(mask, packed, v, uint64(v)+100)
+			}
+			counts = map[string]int64{
+				relation.GroupKeyPacked(0b01, k1): 103, relation.GroupKeyPacked(0b01, k2): 105, relation.GroupKeyPacked(0b10, k1): 104,
+			}
 		}
-	}
-	if run.Len() != 3 {
-		t.Errorf("Len = %d, want 3 distinct keys of 5 records", run.Len())
+		run, want := handRun(t, 2, spec,
+			slices.Concat(rec(0b01, k1, 1), rec(0b01, k2, 2), rec(0b01, k1, 3)),
+			slices.Concat(rec(0b10, k1, 4), rec(0b01, k2, 5)),
+		)
+		requireRunEqualsMap(t, run, want, counts)
+		for _, c := range []struct {
+			dims []relation.Value
+			want float64
+		}{{[]relation.Value{1, 0}, 3}, {[]relation.Value{2, 0}, 5}} {
+			if v, ok := run.Lookup(0b01, c.dims); !ok || v != c.want {
+				t.Errorf("%s: Lookup(%v) = %v,%v, want the later record's %v", spec.Agg.Name(), c.dims, v, ok, c.want)
+			}
+		}
+		if run.Len() != 3 {
+			t.Errorf("%s: Len = %d, want 3 distinct keys of 5 records", spec.Agg.Name(), run.Len())
+		}
 	}
 }
 
-// TestCursorAnswersAsLookup: ascending probes over two files — present keys,
-// misses below the first key, between two rows and above the last, and a key
-// both files hold, which the later file wins — answer as Lookup answers them,
-// and so does a probe below the one before it: a cursor is not restricted to
-// ascending keys, only fast on them.
+// TestCursorAnswersAsLookup: ascending probes over two files of counted
+// records — present keys, misses below the first key, between two rows and
+// above the last, and a key both files hold, which the later file wins —
+// answer as Lookup answers them, with the record's count, and so does a probe
+// below the one before it: a cursor is not restricted to ascending keys, only
+// fast on them.
 func TestCursorAnswersAsLookup(t *testing.T) {
 	big := relation.Value(1 << 28)
-	run, _ := handRun(t, 3,
+	rec := func(mask lattice.Mask, packed []relation.Value, v float64) []byte {
+		return countedRecord(mask, packed, v, uint64(v)<<7) // two-byte counts
+	}
+	run, _ := handRun(t, 3, countedSpec,
 		slices.Concat(
-			record(0b001, []relation.Value{2}, 1),
-			record(0b001, []relation.Value{6}, 2),
-			record(0b011, []relation.Value{big, 7}, 3),
+			rec(0b001, []relation.Value{2}, 1),
+			rec(0b001, []relation.Value{6}, 2),
+			rec(0b011, []relation.Value{big, 7}, 3),
 		),
 		slices.Concat(
-			record(0b001, []relation.Value{4}, 4),
-			record(0b001, []relation.Value{6}, 5),
-			record(0b011, []relation.Value{big, 9}, 6),
+			rec(0b001, []relation.Value{4}, 4),
+			rec(0b001, []relation.Value{6}, 5),
+			rec(0b011, []relation.Value{big, 9}, 6),
 		),
 	)
 	probes := []struct {
@@ -289,9 +352,9 @@ func TestCursorAnswersAsLookup(t *testing.T) {
 	for name, run := range map[string]*cube.SortedRun{"a segment per file": run, "merged": run.Merged()} {
 		cur := run.Cursor()
 		for _, p := range probes {
-			got, ok := cur.Seek([]byte(relation.GroupKey(uint32(p.mask), p.dims)))
-			if ok != p.found || got != p.want {
-				t.Errorf("%s, %s: Seek = %v,%v, want %v,%v", name, p.name, got, ok, p.want, p.found)
+			got, n, ok := cur.Seek([]byte(relation.GroupKey(uint32(p.mask), p.dims)))
+			if ok != p.found || got != p.want || n != int64(p.want)<<7 {
+				t.Errorf("%s, %s: Seek = %v,%d,%v, want %v,%d,%v", name, p.name, got, n, ok, p.want, int64(p.want)<<7, p.found)
 			}
 			if lv, lok := run.Lookup(p.mask, p.dims); lok != ok || lv != got {
 				t.Errorf("%s, %s: Seek = %v,%v but Lookup = %v,%v", name, p.name, got, ok, lv, lok)
@@ -301,21 +364,34 @@ func TestCursorAnswersAsLookup(t *testing.T) {
 }
 
 // TestRunRejectsBadRecords: a malformed or truncated record fails the collect
-// with the map collector's own error, which names the file.
+// with the map collector's own error, which names the file — a counted
+// record's count as its value: truncated, or in a form no job writes.
 func TestRunRejectsBadRecords(t *testing.T) {
 	good := record(0b1, []relation.Value{1}, 1)
-	for name, bad := range map[string][]byte{
-		"truncated value":  good[:len(good)-3],
-		"no tab":           append(good[:len(good)-9:len(good)-9], "x12345678"...),
-		"truncated key":    {0b11, 0x80},
-		"bad mask":         {0x80},
-		"trailing garbage": append(slices.Clone(good), 0xff),
+	counted := countedRecord(0b1, []relation.Value{1}, 1, 300) // a two-byte count
+	for name, c := range map[string]struct {
+		spec      cube.Spec
+		good, bad []byte
+	}{
+		"truncated value":            {valueSpec, good, good[:len(good)-3]},
+		"no tab":                     {valueSpec, good, append(good[:len(good)-9:len(good)-9], "x12345678"...)},
+		"truncated key":              {valueSpec, good, []byte{0b11, 0x80}},
+		"bad mask":                   {valueSpec, good, []byte{0x80}},
+		"trailing garbage":           {valueSpec, good, append(slices.Clone(good), 0xff)},
+		"counted: truncated value":   {countedSpec, counted, counted[:len(counted)-5]},
+		"counted: no count":          {countedSpec, counted, good},
+		"counted: truncated count":   {countedSpec, counted, counted[:len(counted)-1]},
+		"counted: non-minimal count": {countedSpec, counted, append(slices.Clone(good), 0x81, 0x00)},
+		"counted: zero, padded":      {countedSpec, counted, append(slices.Clone(good), 0x80, 0x80, 0x00)},
+		"counted: count above int64": {countedSpec, counted, binary.AppendUvarint(slices.Clone(good), math.MaxUint64)},
+		"counted: count past 64 bits": {countedSpec, counted,
+			append(slices.Clone(good), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f)},
 	} {
 		eng := mr.New(mr.Config{Workers: 1}, dfs.New(false))
-		eng.FS.Append("out/bad/part-0", good)
-		eng.FS.Append("out/bad/part-1", bad)
-		_, err := cube.CollectRun(eng, "out/bad/", 1)
-		_, mapErr := cube.CollectDFS(eng, "out/bad/", 1)
+		eng.FS.Append("out/bad/part-0", c.good)
+		eng.FS.Append("out/bad/part-1", c.bad)
+		_, err := cube.CollectRun(eng, "out/bad/", 1, c.spec)
+		_, mapErr := cube.CollectDFS(eng, "out/bad/", 1, c.spec)
 		if err == nil || mapErr == nil || err.Error() != mapErr.Error() {
 			t.Errorf("%s: CollectRun error %v, CollectDFS error %v", name, err, mapErr)
 		}
@@ -326,68 +402,82 @@ func TestRunRejectsBadRecords(t *testing.T) {
 }
 
 // FuzzOutputRecords: whatever bytes sit in the output files, collecting them
-// fails exactly when the map collector fails, and otherwise the run is the
-// map — strictly ascending keys, whose byte order is ascending cuboids and,
-// within one, ComparePacked order, every value read in bounds, the same answer
-// under cursor reads at every key and beside it, and renders to the CSV bytes
+// — as a value job's records or as a counted job's — fails exactly when the
+// map collector fails, and otherwise the run is the map: strictly ascending
+// keys, whose byte order is ascending cuboids and, within one, ComparePacked
+// order, every value and count read in bounds, the same (value, count) pairs
+// through Each and through cursor reads at every key and beside it, from a
+// segment per file and merged into one, and renders to the CSV bytes
 // encoding/csv makes of it, in ranges of any size, whether the dictionary has
 // the records' codes or not — never a panic.
 func FuzzOutputRecords(f *testing.F) {
 	rel := awkwardRelation()
-	eng := cubetest.NewEngine(2)
-	run, err := algo.Table[0].New(1)(eng, data.Retail(60, 1), cube.Spec{Agg: agg.Sum})
-	if err != nil {
-		f.Fatal(err)
-	}
-	var real [][]byte
-	for _, name := range eng.FS.List(run.OutputPrefix) {
-		file, err := eng.FS.Read(name)
+	for _, spec := range []cube.Spec{valueSpec, countedSpec} {
+		eng := cubetest.NewEngine(2)
+		run, err := algo.Table[0].New(1)(eng, data.Retail(60, 1), spec)
 		if err != nil {
 			f.Fatal(err)
 		}
-		real = append(real, file)
+		var real [][]byte
+		for _, name := range eng.FS.List(run.OutputPrefix) {
+			file, err := eng.FS.Read(name)
+			if err != nil {
+				f.Fatal(err)
+			}
+			real = append(real, file)
+		}
+		counted := agg.Counted(spec.Agg)
+		f.Add(real[0], real[len(real)-1], counted)
+		f.Add(real[0], real[0], counted)
 	}
-	f.Add(real[0], real[len(real)-1])
-	f.Add(real[0], real[0])
-	f.Add([]byte{0}, []byte{0x80})
-	f.Add(record(0b11, []relation.Value{1 << 28, 1}, 1), record(0b11, []relation.Value{1 << 28, 2}, 2))
-	f.Fuzz(func(t *testing.T, a, b []byte) {
+	f.Add([]byte{0}, []byte{0x80}, false)
+	f.Add(record(0b11, []relation.Value{1 << 28, 1}, 1), record(0b11, []relation.Value{1 << 28, 2}, 2), false)
+	f.Add(countedRecord(0b11, []relation.Value{1 << 28, 1}, 1, 1<<40), countedRecord(0b1, []relation.Value{2}, 2, 0), true)
+	f.Add(countedRecord(0b1, []relation.Value{1}, 1, 1), append(record(0b1, []relation.Value{1}, 2), 0x82, 0x00), true)
+	f.Fuzz(func(t *testing.T, a, b []byte, counted bool) {
+		spec := valueSpec
+		if counted {
+			spec = countedSpec
+		}
 		eng := mr.New(mr.Config{Workers: 1}, dfs.New(false))
 		eng.FS.Append("out/fuzz/a", a)
 		eng.FS.Append("out/fuzz/b", b)
-		run, err := cube.CollectRun(eng, "out/fuzz/", 3)
-		want, mapErr := cube.CollectDFS(eng, "out/fuzz/", 3)
+		run, err := cube.CollectRun(eng, "out/fuzz/", 3, spec)
+		want, mapErr := cube.CollectDFS(eng, "out/fuzz/", 3, spec)
 		if (err == nil) != (mapErr == nil) {
 			t.Fatalf("CollectRun error %v, CollectDFS error %v", err, mapErr)
 		}
 		if err != nil {
 			return
 		}
-		keys := make([]string, 0, len(want.Groups))
-		for key := range want.Groups {
-			keys = append(keys, key)
-		}
-		sort.Strings(keys)
+		keys := sortedKeys(want)
+		counts := make(map[string]int64, len(keys))
 		i := 0
 		var prevMask lattice.Mask
 		var prev []relation.Value
-		run.Each(func(key []byte, mask lattice.Mask, packed []relation.Value, v float64) bool {
+		run.Each(func(key []byte, mask lattice.Mask, packed []relation.Value, v float64, n int64) bool {
 			if i >= len(keys) || string(key) != keys[i] || math.Float64bits(v) != math.Float64bits(want.Groups[keys[i]]) {
 				t.Fatalf("group %d: run yields %x = %v, sorted map differs", i, key, v)
+			}
+			if n < 0 || !counted && n != 0 {
+				t.Fatalf("group %x: count %d (counted records: %v)", key, n, counted)
 			}
 			// Byte order is cuboid order, then ComparePacked order.
 			if i > 0 && (mask < prevMask || mask == prevMask && relation.ComparePacked(prev, packed) >= 0) {
 				t.Fatalf("group %d: (%b, %v) follows (%b, %v) in byte order", i, mask, packed, prevMask, prev)
 			}
 			prevMask, prev = mask, slices.Clone(packed)
+			counts[keys[i]] = n
 			i++
 			return true
 		})
 		if i != len(keys) || run.Len() != len(keys) {
 			t.Fatalf("run yielded %d groups, Len %d, map has %d", i, run.Len(), len(keys))
 		}
-		requireCursorEqualsMap(t, run, want, keys)
-		requireCursorEqualsMap(t, run.Merged(), want, keys)
+		merged := run.Merged()
+		requireEachEqualsMap(t, merged, want, keys, counts)
+		requireCursorEqualsMap(t, run, want, keys, counts)
+		requireCursorEqualsMap(t, merged, want, keys, counts)
 		requireRendersAsReference(t, run, rel)
 	})
 }

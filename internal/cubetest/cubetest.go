@@ -71,7 +71,7 @@ func RunAndCollect(eng *mr.Engine, f cube.ComputeFunc, rel *relation.Relation, s
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := cube.CollectDFS(eng, run.OutputPrefix, rel.D())
+	res, err := cube.CollectDFS(eng, run.OutputPrefix, rel.D(), spec)
 	if err != nil {
 		return nil, run, err
 	}

@@ -6,9 +6,10 @@
 //
 // Merging happens on *final* aggregate values. The stored cube holds no
 // partial states and is no map: it is the last full build's output, read as
-// a sorted run where the reducers wrote it (a second run carries the tuple
-// counts when the aggregate is not count), under an overlay of the groups
-// batches have touched since. That is sound exactly for the functions whose
+// a sorted run where the reducers wrote it — the job runs the aggregate
+// counted (agg.WithCount), so every record carries its group's tuple count
+// beside the final — under an overlay of the groups batches have touched
+// since. That is sound exactly for the functions whose
 // finals are themselves distributive: count and sum finals add (and
 // subtract, so deletes work), min and max finals combine by extreme (appends
 // only — deleting the minimum reveals an unknown runner-up). For every other
@@ -163,7 +164,7 @@ type Maintainer struct {
 	// empties it. It is never folded back: it holds at most the groups the
 	// batches since the last build project to, each of which the state map
 	// this design replaced held as well.
-	base    cubeRuns
+	base    *cube.SortedRun
 	overlay map[string]group
 
 	// baseSketch is the SP-Sketch of the relation as of the last full
@@ -179,13 +180,13 @@ type Maintainer struct {
 
 // Timing splits a full (re)build into its stages.
 type Timing struct {
-	// Job is the cube computation: one MR job, or two (values, counts) when
-	// the aggregate is not count.
+	// Job is the cube computation: one MR job, whose records carry every
+	// group's tuple count beside its value.
 	Job time.Duration
-	// Index is the collection of the jobs' output into sorted runs.
+	// Index is the collection of the job's output into a sorted run.
 	Index time.Duration
 	// Sketch is the exact base sketch of the relation, read off the counts
-	// of the cube the jobs computed.
+	// of the cube the job computed.
 	Sketch time.Duration
 }
 
@@ -201,52 +202,6 @@ type group struct {
 type keyed struct {
 	key []byte
 	group
-}
-
-// cubeRuns is the cube one runJobs call computed, as the jobs left it: every
-// group's final value and, in a second run over the same keys, its tuple
-// count.
-type cubeRuns struct {
-	vals   *cube.SortedRun
-	counts *cube.SortedRun // nil when the aggregate is count: the value is the count
-}
-
-// cubeReader reads groups out of a cubeRuns at ascending keys.
-type cubeReader struct{ vals, counts *cube.Cursor }
-
-func (c cubeRuns) reader() cubeReader {
-	r := cubeReader{vals: c.vals.Cursor()}
-	if c.counts != nil {
-		r.counts = c.counts.Cursor()
-	}
-	return r
-}
-
-// at returns the group stored under key, the zero group when there is none.
-func (r cubeReader) at(key []byte) group {
-	v, ok := r.vals.Seek(key)
-	if !ok {
-		return group{}
-	}
-	return r.group(key, v)
-}
-
-// group pairs a value read at key with the key's count.
-func (r cubeReader) group(key []byte, v float64) group {
-	if r.counts == nil {
-		return group{val: v, cnt: int64(v)}
-	}
-	n, _ := r.counts.Seek(key)
-	return group{val: v, cnt: int64(n)}
-}
-
-// each calls fn for every group in ascending key order until fn returns
-// false, with cube.SortedRun.Each's aliasing rules.
-func (c cubeRuns) each(fn func(key []byte, mask lattice.Mask, packed []relation.Value, g group) bool) {
-	r := c.reader()
-	c.vals.Each(func(key []byte, mask lattice.Mask, packed []relation.Value, v float64) bool {
-		return fn(key, mask, packed, r.group(key, v))
-	})
 }
 
 // New builds the initial cube over rel (cycle 0, always a full build) and
@@ -292,15 +247,15 @@ func New(rel *relation.Relation, cfg Config) (*Maintainer, error) {
 	annotate(&metrics, info)
 	m.metrics.Rounds = append(m.metrics.Rounds, metrics.Rounds...)
 	m.traceMaint(mr.TraceEvent{Type: mr.EvMaintEnd, Round: 0, Job: "maintenance",
-		Records: int64(m.base.vals.Len())})
+		Records: int64(m.base.Len())})
 	return m, nil
 }
 
-// rebuild computes the full cube of rel and, once its jobs have succeeded,
+// rebuild computes the full cube of rel and, once its job has succeeded,
 // makes it the base: the overlay empties and the base sketch is rel's.
 func (m *Maintainer) rebuild(rel *relation.Relation, metrics *mr.JobMetrics) error {
 	var t Timing
-	base, err := m.runJobs(rel, metrics, &t)
+	base, err := m.runJob(rel, metrics, &t)
 	if err != nil {
 		return err
 	}
@@ -320,7 +275,7 @@ func (m *Maintainer) rebuild(rel *relation.Relation, metrics *mr.JobMetrics) err
 // over the cuboid's groups first exceeds p: the k−1 partition elements of a
 // cuboid are the groups holding positions min(i·n/k, n−1), each taken once,
 // and the skews are the groups of more than m tuples.
-func exactSketch(c cubeRuns, d, n, k, m int) *sketch.Sketch {
+func exactSketch(c *cube.SortedRun, d, n, k, m int) *sketch.Sketch {
 	s := sketch.New(d, k)
 	var (
 		cur   lattice.Mask // the cuboid being walked; the apex has no elements
@@ -328,8 +283,8 @@ func exactSketch(c cubeRuns, d, n, k, m int) *sketch.Sketch {
 		seen  int // tuples in the groups of cur walked so far
 		next  int // the partition element to find next, 1 ≤ next ≤ k
 	)
-	c.each(func(_ []byte, mask lattice.Mask, packed []relation.Value, g group) bool {
-		if g.cnt > int64(m) {
+	c.Each(func(_ []byte, mask lattice.Mask, packed []relation.Value, _ float64, cnt int64) bool {
+		if cnt > int64(m) {
 			s.AddSkew(mask, packed)
 		}
 		if mask == 0 {
@@ -341,7 +296,7 @@ func exactSketch(c cubeRuns, d, n, k, m int) *sketch.Sketch {
 			}
 			cur, elems, seen, next = mask, make([][]relation.Value, 0, k-1), 0, 1
 		}
-		seen += int(g.cnt)
+		seen += int(cnt)
 		if next < k && min(next*n/k, n-1) < seen {
 			elems = append(elems, slices.Clone(packed))
 			for next < k && min(next*n/k, n-1) < seen {
@@ -549,7 +504,7 @@ func (m *Maintainer) applyDelta(batch Batch, deleteIdx map[int]bool, rnd *Round)
 	// what lets one forward cursor read the base (an independent search of
 	// its files per key costs some fifteen times a map probe) and what
 	// Changes is published in.
-	base, minSup := m.base.reader(), m.minSup()
+	base, minSup := m.base.Cursor(), m.minSup()
 	rnd.Changes = make([]Change, 0, len(adds)+len(dels))
 	for len(adds) > 0 || len(dels) > 0 {
 		var side int // of the next key: below 0 appended only, above 0 deleted only
@@ -571,7 +526,7 @@ func (m *Maintainer) applyDelta(batch Batch, deleteIdx map[int]bool, rnd *Round)
 		}
 		g, touched := m.overlay[string(key)]
 		if !touched {
-			g = base.at(key)
+			g.val, g.cnt, _ = base.Seek(key)
 		}
 		if a.cnt > 0 {
 			if g.cnt > 0 {
@@ -632,51 +587,37 @@ func (m *Maintainer) commitRelation(batch Batch, deleteIdx map[int]bool) {
 	m.rel.Tuples = append(m.rel.Tuples, cloneTuples(batch.Append)...)
 }
 
-// cubeOver runs the maintenance jobs over a tuple batch and lists the batch's
-// cube in ascending key order, the keys aliasing the jobs' output; an empty
+// cubeOver runs the maintenance job over a tuple batch and lists the batch's
+// cube in ascending key order, the keys aliasing the job's output; an empty
 // batch has no groups and spins up no engine.
 func (m *Maintainer) cubeOver(tuples []relation.Tuple, metrics *mr.JobMetrics) ([]keyed, error) {
 	if len(tuples) == 0 {
 		return nil, nil
 	}
-	runs, err := m.runJobs(&relation.Relation{Schema: m.rel.Schema, Tuples: tuples}, metrics, new(Timing))
+	run, err := m.runJob(&relation.Relation{Schema: m.rel.Schema, Tuples: tuples}, metrics, new(Timing))
 	if err != nil {
 		return nil, err
 	}
-	out := make([]keyed, 0, runs.vals.Len())
-	runs.each(func(key []byte, _ lattice.Mask, _ []relation.Value, g group) bool {
-		out = append(out, keyed{key, g})
+	out := make([]keyed, 0, run.Len())
+	run.Each(func(key []byte, _ lattice.Mask, _ []relation.Value, v float64, n int64) bool {
+		out = append(out, keyed{key, group{v, n}})
 		return true
 	})
 	return out, nil
 }
 
-// runJobs computes the full cube of rel — the value-cube job, plus a
-// count-cube job when the aggregate is not itself count — appending the
-// jobs' rounds to metrics and their time to t.
-func (m *Maintainer) runJobs(rel *relation.Relation, metrics *mr.JobMetrics, t *Timing) (cubeRuns, error) {
-	fn, err := computeFunc(m.cfg)
-	if err != nil {
-		return cubeRuns{}, err
-	}
-	var out cubeRuns
-	if out.vals, err = m.runOne(fn, rel, m.cfg.Agg, metrics, t); err != nil {
-		return cubeRuns{}, err
-	}
-	if m.cfg.Agg.Name() != "count" {
-		if out.counts, err = m.runOne(fn, rel, agg.Count, metrics, t); err != nil {
-			return cubeRuns{}, err
-		}
-	}
-	return out, nil
-}
-
-// runOne executes one cube job on a fresh engine and indexes its output
+// runJob computes the full cube of rel on a fresh engine — one job, of the
+// aggregate counted, so that every record carries its group's tuple count —
+// appending its rounds to metrics and its time to t. It indexes the output
 // where the reducers wrote it, as one merged segment: a base is read at every
 // key a batch touches for as long as it stands, which that makes one search
 // per key instead of one per output file, and a batch's cube is too small for
 // the merge to show.
-func (m *Maintainer) runOne(fn cube.ComputeFunc, rel *relation.Relation, f agg.Func, metrics *mr.JobMetrics, t *Timing) (*cube.SortedRun, error) {
+func (m *Maintainer) runJob(rel *relation.Relation, metrics *mr.JobMetrics, t *Timing) (*cube.SortedRun, error) {
+	fn, err := computeFunc(m.cfg)
+	if err != nil {
+		return nil, err
+	}
 	eng := mr.New(mr.Config{
 		Workers:          m.cfg.Workers,
 		Seed:             uint64(m.cfg.Seed),
@@ -693,12 +634,13 @@ func (m *Maintainer) runOne(fn cube.ComputeFunc, rel *relation.Relation, f agg.F
 		Context:          m.cfg.Context,
 	}, dfs.New(false))
 	start := time.Now()
-	run, err := fn(eng, rel, cube.Spec{Agg: f})
+	spec := cube.Spec{Agg: agg.WithCount(m.cfg.Agg)}
+	run, err := fn(eng, rel, spec)
 	if err != nil {
 		return nil, err
 	}
 	computed := time.Now()
-	out, err := cube.CollectRun(eng, run.OutputPrefix, rel.D())
+	out, err := cube.CollectRun(eng, run.OutputPrefix, rel.D(), spec)
 	if err != nil {
 		return nil, err
 	}
@@ -711,9 +653,10 @@ func (m *Maintainer) runOne(fn cube.ComputeFunc, rel *relation.Relation, f agg.F
 
 // Published calls fn for every group of the published (iceberg-filtered)
 // cube — the base under its overlay — in ascending key order until fn
-// returns false, with cube.SortedRun.Each's callback and aliasing rules. It
-// walks a snapshot: a cycle applied meanwhile does not show.
-func (m *Maintainer) Published(fn func(key []byte, mask lattice.Mask, packed []relation.Value, value float64) bool) {
+// returns false, with cube.SortedRun.Each's callback and aliasing rules and
+// every group's tuple count. It walks a snapshot: a cycle applied meanwhile
+// does not show.
+func (m *Maintainer) Published(fn func(key []byte, mask lattice.Mask, packed []relation.Value, value float64, count int64) bool) {
 	m.mu.Lock()
 	base, minSup := m.base, m.minSup()
 	over := make([]keyed, 0, len(m.overlay))
@@ -730,10 +673,11 @@ func (m *Maintainer) Published(fn func(key []byte, mask lattice.Mask, packed []r
 		}
 		var mask uint32
 		mask, scratch, _, _ = relation.ScanGroupKeyInto(scratch, e.key) // a key a job wrote
-		return fn(e.key, lattice.Mask(mask), scratch, e.val)
+		return fn(e.key, lattice.Mask(mask), scratch, e.val, e.cnt)
 	}
 	more := true
-	base.each(func(key []byte, mask lattice.Mask, packed []relation.Value, g group) bool {
+	base.Each(func(key []byte, mask lattice.Mask, packed []relation.Value, v float64, n int64) bool {
+		g := group{v, n}
 		for more && len(over) > 0 {
 			c := bytes.Compare(over[0].key, key)
 			if c > 0 {
@@ -747,7 +691,7 @@ func (m *Maintainer) Published(fn func(key []byte, mask lattice.Mask, packed []r
 			over = over[1:]
 		}
 		if more && g.cnt >= minSup {
-			more = fn(key, mask, packed, g.val)
+			more = fn(key, mask, packed, g.val, g.cnt)
 		}
 		return more
 	})
@@ -768,7 +712,7 @@ func (m *Maintainer) Result() *cube.Result {
 	}
 	var keys []byte
 	var entries []entry
-	m.Published(func(key []byte, _ lattice.Mask, _ []relation.Value, v float64) bool {
+	m.Published(func(key []byte, _ lattice.Mask, _ []relation.Value, v float64, _ int64) bool {
 		keys = append(keys, key...)
 		entries = append(entries, entry{len(keys), v})
 		return true

@@ -10,10 +10,12 @@ import (
 	"testing"
 
 	"github.com/spcube/spcube/internal/agg"
+	"github.com/spcube/spcube/internal/algo"
 	"github.com/spcube/spcube/internal/cube"
 	"github.com/spcube/spcube/internal/cubetest"
 	"github.com/spcube/spcube/internal/data"
 	"github.com/spcube/spcube/internal/dfs"
+	"github.com/spcube/spcube/internal/lattice"
 	"github.com/spcube/spcube/internal/mr"
 	"github.com/spcube/spcube/internal/relation"
 )
@@ -284,7 +286,7 @@ func TestResultSizedByPublishedCube(t *testing.T) {
 	res := m.Result()
 	runtime.ReadMemStats(&after)
 	exactEqual(t, cube.BruteSpec(rel, cube.Spec{Agg: agg.Count, MinSup: 50}), res)
-	maintained := m.base.vals.Len()
+	maintained := m.base.Len()
 	if res.Len() == 0 || res.Len()*100 >= maintained {
 		t.Fatalf("published %d of %d maintained groups: not a <1%% iceberg", res.Len(), maintained)
 	}
@@ -327,7 +329,7 @@ func TestNewBuildsNoStateMap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups := uint64(m.base.vals.Len())
+	groups := uint64(m.base.Len())
 	if groups < 1_100_000 || len(m.overlay) != 0 {
 		t.Fatalf("maintaining %d groups under %d overlay entries, want ≈ 1.19 M under none", groups, len(m.overlay))
 	}
@@ -500,6 +502,60 @@ func TestMetricsAndTraceAnnotation(t *testing.T) {
 	for i := 1; i < len(seq); i++ {
 		if seq[i] != seq[i-1]+1 {
 			t.Fatalf("maintainer Seq not consecutive: %v", seq)
+		}
+	}
+}
+
+// TestOneJobPerBuildAndCycle: whatever the aggregate, a build and a cycle run
+// one cube job of the configured algorithm — as many engine rounds as under
+// count, for a delta cycle and for a rebuild — and the base run hands out
+// brute force's tuple count at every key.
+func TestOneJobPerBuildAndCycle(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	base := cubetest.RandomRelation(rng, 200, 3, 5)
+	batch := Batch{Append: cubetest.RandomRelation(rng, 20, 3, 5).Tuples}
+	counts := cube.Brute(base, agg.Count)
+	for _, a := range algo.Table {
+		// rounds returns the engine rounds New and one cycle over batch add.
+		rounds := func(fn agg.Func, threshold float64) (build, cycle int, mode string) {
+			t.Helper()
+			m, err := New(base, Config{Algorithm: a.Name, Agg: fn, Workers: 4, RebuildThreshold: threshold})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", a.Name, fn.Name(), err)
+			}
+			groups := 0
+			m.base.Each(func(key []byte, _ lattice.Mask, _ []relation.Value, _ float64, n int64) bool {
+				if want := counts.Groups[string(key)]; float64(n) != want {
+					t.Fatalf("%s/%s: group %x counts %d tuples, brute force %v", a.Name, fn.Name(), key, n, want)
+				}
+				groups++
+				return true
+			})
+			if groups != counts.Len() {
+				t.Fatalf("%s/%s: base has %d groups, brute force %d", a.Name, fn.Name(), groups, counts.Len())
+			}
+			build = len(m.Metrics().Rounds)
+			rnd, err := m.Apply(batch)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", a.Name, fn.Name(), err)
+			}
+			return build, len(rnd.Metrics.Rounds), rnd.Mode
+		}
+		build, deltaCycle, mode := rounds(agg.Count, 0)
+		_, rebuildCycle, _ := rounds(agg.Count, -1)
+		if mode != "delta" {
+			t.Fatalf("%s/count: the batch is applied as a %s", a.Name, mode)
+		}
+		for _, fn := range []agg.Func{agg.Sum, agg.Min, agg.Max, agg.Avg, agg.Var, agg.Stddev, agg.Distinct} {
+			gotBuild, gotCycle, mode := rounds(fn, 0)
+			wantMode, want := "rebuild", rebuildCycle
+			if _, mergeable := agg.FinalMerger(fn); mergeable {
+				wantMode, want = "delta", deltaCycle
+			}
+			if mode != wantMode || gotBuild != build || gotCycle != want {
+				t.Errorf("%s/%s: New ran %d rounds and a %s cycle %d; count's New %d, its cycle %d",
+					a.Name, fn.Name(), gotBuild, mode, gotCycle, build, want)
+			}
 		}
 	}
 }

@@ -1,9 +1,9 @@
 package delta_test
 
 // BenchmarkDeltaNew times what a server does between loading its input and
-// building its index: delta.New — the full cube job (two of them when the
-// aggregate is not count), the collection of its output and the base sketch —
-// over the served relations of the three harness workloads.
+// building its index: delta.New — the full cube job, the collection of its
+// output and the base sketch — over the served relations of the three harness
+// workloads.
 // BenchmarkDeltaApply times what one ingest cycle adds to it: a delta job over
 // a harness-sized batch, merged into the maintained state. Both use only API
 // older commits have (delta.New, delta.Config's Algorithm, Agg, MinSup,
@@ -31,8 +31,8 @@ func BenchmarkDeltaNew(b *testing.B) {
 		// iceberg_skew_spill's: ≈ 1.2 M maintained groups behind 1,261
 		// published ones.
 		{"binomial38k", func() *relation.Relation { return data.GenBinomial(38000, 6, 0.5, 1) }, agg.Count, 10},
-		// wiki_serve_ingest's, and the same under sum: two jobs, and a run of
-		// counts beside the run of values.
+		// wiki_serve_ingest's, and the same under sum, whose job also carries
+		// every group's count.
 		{"wiki125k", func() *relation.Relation { return data.WikiTraffic(125000, 1) }, agg.Count, 0},
 		{"wiki125k_sum", func() *relation.Relation { return data.WikiTraffic(125000, 1) }, agg.Sum, 0},
 	} {
@@ -62,10 +62,13 @@ func BenchmarkDeltaApply(b *testing.B) {
 		name          string
 		rel           func() *relation.Relation
 		served, batch int
+		fn            agg.Func
 		minSup        int
 	}{
-		{"uniform58k_300", func() *relation.Relation { return data.Uniform(80000, 4, 1<<30, 1) }, 58000, 300, 0},
-		{"binomial38k_200", func() *relation.Relation { return data.GenBinomial(50000, 6, 0.5, 1) }, 38000, 200, 10},
+		{"uniform58k_300", func() *relation.Relation { return data.Uniform(80000, 4, 1<<30, 1) }, 58000, 300, agg.Count, 0},
+		{"binomial38k_200", func() *relation.Relation { return data.GenBinomial(50000, 6, 0.5, 1) }, 38000, 200, agg.Count, 10},
+		// wiki_serve_ingest's cycle under sum: a non-count aggregate's delta job.
+		{"wiki125k_sum_150", func() *relation.Relation { return data.WikiTraffic(140000, 1) }, 125000, 150, agg.Sum, 0},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			all := bc.rel()
@@ -78,7 +81,7 @@ func BenchmarkDeltaApply(b *testing.B) {
 					b.StopTimer()
 					var err error
 					served := &relation.Relation{Schema: all.Schema, Dict: all.Dict, Tuples: all.Tuples[:bc.served]}
-					if m, err = delta.New(served, delta.Config{Algorithm: "sp-cube", Agg: agg.Count, MinSup: bc.minSup, Workers: 8, Seed: 1}); err != nil {
+					if m, err = delta.New(served, delta.Config{Algorithm: "sp-cube", Agg: bc.fn, MinSup: bc.minSup, Workers: 8, Seed: 1}); err != nil {
 						b.Fatal(err)
 					}
 					pool = all.Tuples[bc.served:]

@@ -38,9 +38,9 @@ func requireExactSketch(t *testing.T, m *Maintainer, when string) {
 
 // TestBaseSketchIsBuildExact: the base sketch a build reads off its cube's
 // counts is BuildExact's, field for field, on every generator cut to every
-// width from one to six dimensions, under count and under aggregates whose
-// counts come from a second run — after the initial build, and after a
-// rebuild that follows delta rounds.
+// width from one to six dimensions, under count, whose values are the counts,
+// and under aggregates whose records carry the counts behind the values —
+// after the initial build, and after a rebuild that follows delta rounds.
 func TestBaseSketchIsBuildExact(t *testing.T) {
 	for _, sr := range sketchRelations {
 		all := sr.rel()
@@ -92,11 +92,11 @@ func TestBaseSketchOfNoTuples(t *testing.T) {
 		t.Fatal(err)
 	}
 	empty := &relation.Relation{Schema: m.rel.Schema, Dict: m.rel.Dict}
-	runs, err := m.runJobs(empty, new(mr.JobMetrics), new(Timing))
+	run, err := m.runJob(empty, new(mr.JobMetrics), new(Timing))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := exactSketch(runs, empty.D(), 0, 3, memTuples(0, 3)), sketch.BuildExact(empty, 3, memTuples(0, 3)); !reflect.DeepEqual(got, want) {
+	if got, want := exactSketch(run, empty.D(), 0, 3, memTuples(0, 3)), sketch.BuildExact(empty, 3, memTuples(0, 3)); !reflect.DeepEqual(got, want) {
 		t.Fatalf("sketch of no tuples: %+v, BuildExact's %+v", got, want)
 	}
 }

@@ -166,9 +166,10 @@ func hashChanges(t *testing.T, h io.Writer, rnd *Round) {
 	}
 }
 
-// TestOverlayCases walks the overlay's edge states by name, under count (one
-// run) and sum (a value run and a count run read in lockstep). After every
-// step the published cube is brute force's over the maintained relation.
+// TestOverlayCases walks the overlay's edge states by name, under count (the
+// base's values are its counts) and sum (the base's records carry the counts
+// behind the values). After every step the published cube is brute force's
+// over the maintained relation.
 func TestOverlayCases(t *testing.T) {
 	row := func(name string, measure int64) []Row { return []Row{{Dims: []string{name, "r"}, Measure: measure}} }
 	newMaintainer := func(t *testing.T, fn agg.Func, minSup int) *Maintainer {
@@ -265,8 +266,8 @@ func TestOverlayCases(t *testing.T) {
 				if err != nil || rnd.Mode != "rebuild" {
 					t.Fatalf("forced rebuild: %+v, %v", rnd, err)
 				}
-				if len(m.overlay) != 0 || m.base.vals == old.vals {
-					t.Fatalf("after a rebuild: %d overlay entries, base replaced: %v", len(m.overlay), m.base.vals != old.vals)
+				if len(m.overlay) != 0 || m.base == old {
+					t.Fatalf("after a rebuild: %d overlay entries, base replaced: %v", len(m.overlay), m.base != old)
 				}
 				exactEqual(t, cube.Brute(m.rel, fn), m.Result())
 			})

@@ -68,7 +68,7 @@ func TestChaosRandomFaultPlans(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		got, err := cube.CollectDFS(eng, run.OutputPrefix, d)
+		got, err := cube.CollectDFS(eng, run.OutputPrefix, d, cube.Spec{Agg: agg.Count})
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}

@@ -58,7 +58,7 @@ func runDeterminismSpill(t *testing.T, fn cube.ComputeFunc, rel *relation.Relati
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cube.CollectDFS(eng, run.OutputPrefix, rel.D())
+	res, err := cube.CollectDFS(eng, run.OutputPrefix, rel.D(), cube.Spec{Agg: agg.Count})
 	if err != nil {
 		t.Fatal(err)
 	}

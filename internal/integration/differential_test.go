@@ -48,7 +48,7 @@ func runWithFaults(t *testing.T, fn cube.ComputeFunc, rel *relation.Relation, sp
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cube.CollectDFS(eng, run.OutputPrefix, rel.D())
+	res, err := cube.CollectDFS(eng, run.OutputPrefix, rel.D(), cube.Spec{Agg: agg.Count})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestDifferentialOracleSpill(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						res, err := cube.CollectDFS(eng, run.OutputPrefix, w.rel.D())
+						res, err := cube.CollectDFS(eng, run.OutputPrefix, w.rel.D(), cube.Spec{Agg: agg.Count})
 						if err != nil {
 							t.Fatal(err)
 						}

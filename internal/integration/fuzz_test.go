@@ -73,7 +73,7 @@ func FuzzCubeEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatalf("spec %q n=%d d=%d card=%d: %v", spec, n, d, card, err)
 		}
-		got, err := cube.CollectDFS(eng, run.OutputPrefix, d)
+		got, err := cube.CollectDFS(eng, run.OutputPrefix, d, cube.Spec{Agg: agg.Count})
 		if err != nil {
 			t.Fatal(err)
 		}

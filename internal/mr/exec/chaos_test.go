@@ -70,7 +70,7 @@ func TestChaosProcKillSoak(t *testing.T) {
 			}
 			failed++
 		} else {
-			got, cerr := cube.CollectDFS(eng, run.OutputPrefix, d)
+			got, cerr := cube.CollectDFS(eng, run.OutputPrefix, d, cube.Spec{Agg: agg.Count})
 			if cerr != nil {
 				t.Fatalf("%s: %v", label, cerr)
 			}

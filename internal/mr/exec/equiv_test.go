@@ -114,7 +114,7 @@ func runBackend(t *testing.T, fn cube.ComputeFunc, rel *relation.Relation, paral
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cube.CollectDFS(eng, run.OutputPrefix, rel.D())
+	res, err := cube.CollectDFS(eng, run.OutputPrefix, rel.D(), cube.Spec{Agg: agg.Count})
 	if err != nil {
 		t.Fatal(err)
 	}

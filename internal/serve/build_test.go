@@ -103,11 +103,11 @@ func TestBuildFromRunEqualsMapBuild(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s/minsup=%d: %v", a.Name, rc.name, minSup, err)
 				}
-				run, err := cube.CollectRun(eng, job.OutputPrefix, rc.rel.D())
+				run, err := cube.CollectRun(eng, job.OutputPrefix, rc.rel.D(), spec)
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := cube.CollectDFS(eng, job.OutputPrefix, rc.rel.D())
+				res, err := cube.CollectDFS(eng, job.OutputPrefix, rc.rel.D(), spec)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -145,9 +145,9 @@ func TestBuildRunRejectsUnorderedGroups(t *testing.T) {
 		"a row twice":        {{0b001, []relation.Value{1}}, {0b001, []relation.Value{1}}},
 		"a cuboid met again": {{0b001, []relation.Value{1}}, {0b010, []relation.Value{1}}, {0b001, []relation.Value{2}}},
 	} {
-		each := func(fn func(key []byte, mask lattice.Mask, packed []relation.Value, value float64) bool) {
+		each := func(fn func(key []byte, mask lattice.Mask, packed []relation.Value, value float64, count int64) bool) {
 			for _, g := range groups {
-				if !fn(nil, g.mask, g.packed, 1) {
+				if !fn(nil, g.mask, g.packed, 1, 1) {
 					return
 				}
 			}

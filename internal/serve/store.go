@@ -86,7 +86,7 @@ func Build(rel *relation.Relation, res *cube.Result) (*Store, error) {
 // order, which keeps a cuboid's groups together and in ComparePacked order,
 // so there is nothing to sort: a group that arrives below the one before it,
 // or a cuboid that arrives in two stretches, is an error.
-func BuildRun(rel *relation.Relation, each func(fn func(key []byte, mask lattice.Mask, packed []relation.Value, value float64) bool)) (*Store, error) {
+func BuildRun(rel *relation.Relation, each func(fn func(key []byte, mask lattice.Mask, packed []relation.Value, value float64, count int64) bool)) (*Store, error) {
 	st := &Store{
 		d:      rel.D(),
 		schema: rel.Schema,
@@ -95,7 +95,7 @@ func BuildRun(rel *relation.Relation, each func(fn func(key []byte, mask lattice
 	}
 	var cur *cuboid
 	var err error
-	each(func(_ []byte, mask lattice.Mask, packed []relation.Value, value float64) bool {
+	each(func(_ []byte, mask lattice.Mask, packed []relation.Value, value float64, _ int64) bool {
 		switch {
 		case cur != nil && cur.mask == mask:
 			if relation.ComparePacked(cur.row(cur.rows()-1), packed) >= 0 {

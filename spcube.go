@@ -454,9 +454,9 @@ func newEngine(rel *Relation, opts []Option) (*config, *mr.Engine, func(), error
 	return cfg, mr.New(cfg.eng, dfs.New(false)), closeEx, nil
 }
 
-// collect indexes one finished run's output as a Cube.
-func collect(eng *mr.Engine, rel *Relation, run *cube.Run) (*Cube, error) {
-	sorted, err := cube.CollectRun(eng, run.OutputPrefix, rel.NumDims())
+// collect indexes the output of one finished run under spec as a Cube.
+func collect(eng *mr.Engine, rel *Relation, run *cube.Run, spec cube.Spec) (*Cube, error) {
+	sorted, err := cube.CollectRun(eng, run.OutputPrefix, rel.NumDims(), spec)
 	if err != nil {
 		return nil, err
 	}
@@ -474,11 +474,12 @@ func Compute(rel *Relation, opts ...Option) (*Cube, error) {
 		return nil, fmt.Errorf("spcube: unknown algorithm %v", cfg.alg)
 	}
 	fn := algo.Table[cfg.alg].New(int64(cfg.eng.Seed))
-	run, err := fn(eng, rel.inner, cube.Spec{Agg: cfg.aggFn, MinSup: cfg.minSup})
+	spec := cube.Spec{Agg: cfg.aggFn, MinSup: cfg.minSup}
+	run, err := fn(eng, rel.inner, spec)
 	if err != nil {
 		return nil, fmt.Errorf("spcube: %s failed: %w", cfg.alg, err)
 	}
-	c, err := collect(eng, rel, run)
+	c, err := collect(eng, rel, run, spec)
 	if err != nil {
 		return nil, fmt.Errorf("spcube: collecting output: %w", err)
 	}
@@ -510,7 +511,7 @@ func ComputeSet(rel *Relation, aggs []Agg, opts ...Option) ([]*Cube, error) {
 	}
 	cubes := make([]*Cube, len(runs))
 	for i, run := range runs {
-		if cubes[i], err = collect(eng, rel, run); err != nil {
+		if cubes[i], err = collect(eng, rel, run, specs[i]); err != nil {
 			return nil, fmt.Errorf("spcube: collecting output %d: %w", i, err)
 		}
 	}
