@@ -90,7 +90,9 @@ chaos-proc:
 # The out-of-core shuffle at its extremes, under the default 1,024-fd limit:
 # spilling every record with two-way merges (thousands of merge passes, one
 # run file per task), and a 4 KiB budget on one goroutine, must each write
-# the in-memory run's cube byte for byte.
+# the in-memory run's cube byte for byte. So must the skewed iceberg batch
+# (binomial, d = 6, half the rows one tuple) through a 64 KiB lz budget: the
+# benchmark's spilling shape, at a fourteenth of its rows.
 spill-smoke:
 	@set -e; \
 	tmp=$$(mktemp -d); \
@@ -103,6 +105,10 @@ spill-smoke:
 	cmp "$$tmp/mem.csv" "$$tmp/every.csv"; \
 	"$$tmp/spcube" -in "$$tmp/in.csv" -spill-budget 4096 -p 1 -spill-dir "$$tmp" -o "$$tmp/4k.csv"; \
 	cmp "$$tmp/mem.csv" "$$tmp/4k.csv"; \
+	"$$tmp/gendata" -dataset binomial -d 6 -p 0.5 -n 40000 -o "$$tmp/skew.csv"; \
+	"$$tmp/spcube" -in "$$tmp/skew.csv" -minsup 10 -o "$$tmp/skew-mem.csv"; \
+	"$$tmp/spcube" -in "$$tmp/skew.csv" -minsup 10 -spill-budget 65536 -spill-codec lz -spill-dir "$$tmp" -o "$$tmp/skew-64k.csv"; \
+	cmp "$$tmp/skew-mem.csv" "$$tmp/skew-64k.csv"; \
 	echo "spill-smoke: spilled cubes equal the in-memory cube"
 
 bench:
@@ -142,10 +148,11 @@ soak-scale:
 		$(GO) test -count=1 -timeout 45m -run TestSoakScale -v ./internal/integration
 
 # Hot-path micro-benchmarks of the MR engine's data plane (shuffle merge,
-# partitioner, combiner, end-to-end naive cube). BENCH_COUNT runs each;
-# `make bench-compare` sets them against another commit.
+# partitioner, combiner, end-to-end naive cube, one spilling round).
+# BENCH_COUNT runs each; `make bench-compare` sets them against another
+# commit.
 BENCH_COUNT ?= 6
-BENCH_PATTERN ?= EngineHotPath|HashPartition|ShuffleMerge|Combine
+BENCH_PATTERN ?= EngineHotPath|HashPartition|ShuffleMerge|Combine|SpillRound
 bench-hotpath:
 	$(GO) test -run=NONE -bench='$(BENCH_PATTERN)' -count=$(BENCH_COUNT) ./internal/mr/
 

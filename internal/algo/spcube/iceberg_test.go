@@ -7,7 +7,11 @@ import (
 	"github.com/spcube/spcube/internal/agg"
 	"github.com/spcube/spcube/internal/cube"
 	"github.com/spcube/spcube/internal/cubetest"
+	"github.com/spcube/spcube/internal/data"
+	"github.com/spcube/spcube/internal/dfs"
+	"github.com/spcube/spcube/internal/mr"
 	"github.com/spcube/spcube/internal/relation"
+	"github.com/spcube/spcube/internal/sketch"
 )
 
 func TestIcebergMatchesBruteForce(t *testing.T) {
@@ -160,5 +164,40 @@ func TestIcebergAtTheThreshold(t *testing.T) {
 				t.Errorf("%s, k=%d: a group of exactly %d rows is missing", name, k, minSup)
 			}
 		}
+	}
+}
+
+// TestGroupsBelowMinSupAllocateNothing: the reducer returns from a set(g)
+// below the iceberg threshold before it scans the key or decodes a tuple, so
+// on a skewed relation, where most sets are that small, most reduce calls
+// allocate nothing. Each such call of a real run is measured in place, with
+// the engine's own reduce context, on one goroutine.
+func TestGroupsBelowMinSupAllocateNothing(t *testing.T) {
+	const k, minSup = 4, 10
+	rel := data.GenBinomial(6000, 6, 0.5, 7)
+	spec := cube.Spec{Agg: agg.Count, MinSup: minSup}
+	built, err := sketch.Build(cubetest.NewEngine(k), rel, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := cubeJob(rel.D(), k, spec, built.Sketch, Options{}, "out/allocs/")
+	reduce := job.Reduce
+	checked := 0
+	job.Reduce = func(ctx *mr.RedCtx, key string, vals [][]byte) {
+		if key[0] != prefixGroup || len(vals) >= minSup || checked == 500 || t.Failed() {
+			reduce(ctx, key, vals)
+			return
+		}
+		checked++
+		if n := testing.AllocsPerRun(1, func() { reduce(ctx, key, vals) }); n != 0 {
+			t.Errorf("group %x with %d tuples: %v allocations", key, len(vals), n)
+		}
+	}
+	eng := mr.New(mr.Config{Workers: k, Parallelism: 1}, dfs.New(false))
+	if _, err := eng.RunTuples(job, rel.Tuples); err != nil {
+		t.Fatal(err)
+	}
+	if checked == 0 {
+		t.Fatal("no set(g) below the threshold reached a reducer")
 	}
 }

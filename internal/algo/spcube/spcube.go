@@ -160,6 +160,10 @@ type taskState struct {
 	packBuf []relation.Value
 	// subsetsBFS caches subset BFS orders per mask (reduce side).
 	subsetsBFS [][]lattice.Mask
+	// tuples is the reduce side's decoded set(g), its Dims carved from the
+	// one arena dims; both are reused from group to group.
+	tuples []relation.Tuple
+	dims   []relation.Value
 }
 
 // cubeJob builds round 2 (Algorithm 3) for d dimensions on k machines.
@@ -345,7 +349,16 @@ func cubeJob(d, k int, spec cube.Spec, sk *sketch.Sketch, opts Options, outPrefi
 			}
 			spec.Emit(ctx, key[1:], st)
 		case prefixGroup:
-			maskU, _, _, err := relation.ScanGroupKey([]byte(key[1:]))
+			// Factorized processing: rebuild set(g) and compute every
+			// ancestor group owned by g with local BUC (Algorithm 3,
+			// line 30) — which emits nothing and touches no tuple when
+			// set(g) is below the iceberg threshold, as most sets of a
+			// skewed relation are: those return before anything is read.
+			if !opts.DisableFactorization && len(vals) < minSup {
+				return
+			}
+			var maskBuf [lattice.MaxDims]relation.Value
+			maskU, _, _, err := relation.ScanGroupKeyInto(maskBuf[:0], []byte(key[1:]))
 			if err != nil {
 				return
 			}
@@ -363,23 +376,18 @@ func cubeJob(d, k int, spec cube.Spec, sk *sketch.Sketch, opts Options, outPrefi
 				spec.Emit(ctx, key[1:], st)
 				return
 			}
-			// Factorized processing: rebuild set(g) and compute every
-			// ancestor group owned by g with local BUC (Algorithm 3,
-			// line 30) — which emits nothing and touches no tuple when
-			// set(g) is below the iceberg threshold, as most sets of a
-			// skewed relation are: those are not decoded.
-			if len(vals) < minSup {
-				return
-			}
-			cache := ctx.State().(*taskState).subsetsBFS
-			tuples := make([]relation.Tuple, 0, len(vals))
-			for _, v := range vals {
-				t, err := relation.DecodeTuple(v, d)
+			ts := ctx.State().(*taskState)
+			cache := ts.subsetsBFS
+			ts.dims = slices.Grow(ts.dims[:0], len(vals)*d)[:len(vals)*d]
+			tuples := ts.tuples[:0]
+			for i, v := range vals {
+				t, err := relation.DecodeTupleInto(ts.dims[i*d:(i+1)*d:(i+1)*d], v)
 				if err != nil {
 					continue
 				}
 				tuples = append(tuples, t)
 			}
+			ts.tuples = tuples
 			// BUC's iceberg threshold is exactly the cube's minimum
 			// support: each received c-group's full tuple set is present
 			// here, so pruning small partitions implements the iceberg

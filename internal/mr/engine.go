@@ -58,7 +58,6 @@ import (
 	"io"
 	"math"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -352,15 +351,15 @@ type MapCtx struct {
 	// counts raw emitted bytes since the last flush; once it crosses
 	// budget, spillNow combines, partitions, sorts and appends the
 	// buffered records to the attempt's run file.
-	reducers    int
-	partition   func(string, int) int
-	budget      int64
-	pending     int64
-	sd          *spillDir
-	spill       *spillFile
-	sortScratch []Pair
-	bucketRaw   []int64 // Σ pairBytes per bucket of the last partitionSort
-	encBuf      []byte
+	reducers  int
+	partition func(string, int) int
+	budget    int64
+	pending   int64
+	sd        *spillDir
+	spill     *spillFile
+	sortBuf   sortScratch
+	bucketRaw []int64 // Σ pairBytes per bucket of the last partitionSort
+	encBuf    []byte
 	// tr (nil when tracing is off; its methods are nil-safe) and attempt
 	// address the attempt's spill trace events.
 	tr      *roundTracer
@@ -1198,7 +1197,7 @@ func (e *Engine) partitionSort(job *Job, ctx *MapCtx, out []Pair) ([][]Pair, err
 	buckets := make([][]Pair, reducers)
 	for r := 0; r < reducers; r++ {
 		b := backing[offs[r]:offs[r+1]:offs[r+1]]
-		ctx.sortScratch = sortPairsStable(b, ctx.sortScratch)
+		sortPairsStable(b, &ctx.sortBuf)
 		buckets[r] = b
 	}
 	return buckets, nil
@@ -1215,8 +1214,9 @@ func (e *Engine) partitionSort(job *Job, ctx *MapCtx, out []Pair) ([][]Pair, err
 // Aliasing contract, the mirror image of Emit's zero-copy one: a reducer
 // may retain the key and the value slices past its Reduce call — records
 // from memory-backed runs alias the map tasks' stable output, records from
-// file-backed runs are copied out of the reader's reused decode buffers —
-// but not the vals container, which is per-group scratch.
+// file-backed runs are copied out of the reader's reused decode buffers
+// into the attempt's readArena — but not the vals container, which is
+// per-group scratch.
 func (r *round) reduceAttempt(ctx *RedCtx, m *streamMerger) (err error) {
 	job := r.job
 	defer func() {
@@ -1236,19 +1236,20 @@ func (r *round) reduceAttempt(ctx *RedCtx, m *streamMerger) (err error) {
 	tm := ctx.metrics
 	capRecords := int64(r.oomMem / r.inflation)
 	vals := make([][]byte, 0, 16)
+	var arena readArena
 	var spillCPU float64
 	rec, stable := m.next()
 	for rec != nil {
 		group := rec.Key
 		if !stable {
-			group = strings.Clone(group)
+			group = arena.string(group)
 		}
 		vals = vals[:0]
 		var keyBytes int64
 		for rec != nil && rec.Key == group {
 			val := rec.Val
 			if !stable {
-				val = append([]byte(nil), val...)
+				val = arena.bytes(val)
 			}
 			vals = append(vals, val)
 			keyBytes += pairBytes(group, val)
@@ -1279,6 +1280,51 @@ func (r *round) reduceAttempt(ctx *RedCtx, m *streamMerger) (err error) {
 	}
 	tm.CPUSeconds += spillCPU
 	return nil
+}
+
+// readChunk is the size of the chunks a readArena copies records into.
+const readChunk = 64 << 10
+
+// readArena is one reduce attempt's copies of file-backed records: keys and
+// values are appended to 64 KiB chunks, one allocation per chunk instead of
+// two per record. A chunk is written once and never rewritten — a copy that
+// does not fit starts a new one — so every slice and string handed out stays
+// valid for as long as the reducer retains it, and dies with it. A record
+// larger than a quarter of a chunk gets its own allocation.
+type readArena struct{ chunk []byte }
+
+// alloc returns n fresh bytes, capped so that appends through the slice
+// cannot reach the next copy.
+func (a *readArena) alloc(n int) []byte {
+	if n > readChunk/4 {
+		return make([]byte, n)
+	}
+	if cap(a.chunk)-len(a.chunk) < n {
+		a.chunk = make([]byte, 0, readChunk)
+	}
+	m := len(a.chunk)
+	a.chunk = a.chunk[:m+n]
+	return a.chunk[m : m+n : m+n]
+}
+
+// bytes copies b; an empty b copies to nil, as append([]byte(nil), b...) does.
+func (a *readArena) bytes(b []byte) []byte {
+	if len(b) == 0 {
+		return nil
+	}
+	c := a.alloc(len(b))
+	copy(c, b)
+	return c
+}
+
+// string copies s, building the copy over chunk bytes as EmitBytes does.
+func (a *readArena) string(s string) string {
+	if s == "" {
+		return ""
+	}
+	c := a.alloc(len(s))
+	copy(c, s)
+	return unsafe.String(&c[0], len(c))
 }
 
 // externalAgg accounts — and, in out-of-core mode, performs — the external

@@ -65,6 +65,59 @@ func BenchmarkEngineHotPathParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkSpillRound is one engine round shaped like SP-Cube's spilling
+// skewed batch: 60000 gen-binomial tuples each emit six 7-byte group-shaped
+// keys ('G', a mask, five one-byte values) with 30-byte values, 360k records
+// through a 1 MiB spill budget, the lz codec and 9 reducers. It times the
+// map-side bucket sort, the spill flushes, and the reducers' merge and copies
+// out of the run files.
+func BenchmarkSpillRound(b *testing.B) {
+	const n = 60000
+	rel := data.GenBinomial(n, 6, 0.5, 31)
+	job := &mr.Job{
+		Name:      "spill-round",
+		Reducers:  9,
+		TaskState: func() any { return new([2][]byte) },
+		MapTuple: func(ctx *mr.MapCtx, t relation.Tuple) {
+			buf := ctx.State().(*[2][]byte)
+			val := buf[1][:0]
+			h := uint64(t.Measure)*0x9e3779b97f4a7c15 + uint64(t.Dims[0])
+			for len(val) < 30 {
+				h ^= h << 13
+				h ^= h >> 7
+				h ^= h << 17
+				val = append(val, byte(h))
+			}
+			for skip := 0; skip < 6; skip++ {
+				key := append(buf[0][:0], 'G', byte(0x3f&^(1<<skip)))
+				for i, v := range t.Dims {
+					if i != skip {
+						key = append(key, byte(v&0x7f))
+					}
+				}
+				ctx.EmitBytes(key, val)
+				buf[0] = key
+			}
+			buf[1] = val
+		},
+		Reduce: func(ctx *mr.RedCtx, key string, vals [][]byte) { ctx.ChargeOps(int64(len(vals))) },
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng := mr.New(mr.Config{Workers: 8, Seed: 42, Parallelism: 1,
+			SpillBudgetBytes: 1 << 20, SpillCodec: "lz", SpillDir: b.TempDir()}, nil)
+		res, err := eng.RunTuples(job, rel.Tuples)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if m := res.Metrics; m.Spills == 0 || m.ShuffleRecords != 6*n {
+			b.Fatalf("%d spills, %d shuffle records; want some spills and %d records", m.Spills, m.ShuffleRecords, 6*n)
+		}
+	}
+	b.ReportMetric(6*n*float64(b.N)/b.Elapsed().Seconds(), "records/s")
+}
+
 // BenchmarkHashPartition measures the default partitioner on a realistic
 // encoded-group-key mix. The acceptance bar is 0 allocs/op.
 func BenchmarkHashPartition(b *testing.B) {

@@ -1,9 +1,13 @@
 package mr
 
-import "strings"
+import (
+	"encoding/binary"
+	"slices"
+	"strings"
+)
 
 // This file is the sort-merge half of the engine's data plane: a stable
-// bottom-up merge sort for the map side's per-reducer buckets and a
+// key-prefix radix sort for the map side's per-reducer buckets and a
 // loser-tree k-way merge for the reduce side. Together they reproduce
 // Hadoop's actual shuffle structure (the cluster model of §2.3 assumes it):
 // every map task sorts each of its per-reducer buckets once — per spill
@@ -18,78 +22,108 @@ import "strings"
 // i.e. by map-task order — the same tiebreak a stable sort of the
 // concatenation produces.
 
-// sortRun is the insertion-sort block size of sortPairsStable; blocks of
-// this size are sorted in place before the merge passes start.
-const sortRun = 16
+// sortRow is one record's entry in sortPairsStable's index. It holds no
+// pointer, so the radix passes move 16 bytes a record and the collector
+// never scans them.
+type sortRow struct {
+	prefix uint64 // first 8 key bytes, big-endian, zero-padded
+	idx    uint32 // the record's position in the bucket
+	n      uint32 // key length
+}
 
-// sortPairsStable stably sorts pairs by key — equivalent to
-// sort.SliceStable with a key comparison, but monomorphic (no reflection
-// swapper) and reusing scratch across calls. It returns the scratch slice,
-// grown if needed, for the caller to keep.
-func sortPairsStable(pairs, scratch []Pair) []Pair {
+// sortScratch is sortPairsStable's working memory, kept by a map attempt
+// from one bucket to the next.
+type sortScratch struct {
+	rows, tmp []sortRow
+	pairs     []Pair
+	hist      [8][256]uint32 // hist[k][b] counts the rows whose prefix byte k, from the least significant, is b
+}
+
+// sortPairsStable stably sorts pairs by key — the order sort.SliceStable
+// with a key comparison gives — reusing s across calls.
+//
+// It is an LSD radix sort over a pointer-free index of the keys' first 8
+// bytes, then one tie-break pass. The radix passes skip every byte position
+// whose digit is the same for all rows (the tag byte of a group key never
+// varies within a bucket, nor do the zero-padding bytes of short keys), and,
+// being stable, leave rows of equal prefix in emission order. Where prefixes
+// differ they decide: zero padding sorts a key before every longer key it is
+// a prefix of, so prefix order never contradicts byte order. Where they are
+// equal, the keys are equal too only if both are no longer than 8 bytes and
+// equally long — "ab" and "ab\x00" share a prefix — so a run of equal
+// prefixes that holds a longer key or two lengths is stably sorted by full
+// key. Group keys of a tag, a mask and a value or two fit in 8 bytes, so the
+// prefix alone orders nearly every record. The pairs are finally gathered
+// through the permutation.
+func sortPairsStable(pairs []Pair, s *sortScratch) {
 	n := len(pairs)
 	if n < 2 {
-		return scratch
+		return
 	}
-	// Insertion-sort blocks of sortRun (stable: shift only strictly
-	// greater keys).
-	for lo := 0; lo < n; lo += sortRun {
-		hi := lo + sortRun
-		if hi > n {
-			hi = n
+	s.rows = slices.Grow(s.rows[:0], n)[:n]
+	s.tmp = slices.Grow(s.tmp[:0], n)[:n]
+	s.hist = [8][256]uint32{}
+	h := &s.hist
+	for i := range pairs {
+		key := pairs[i].Key
+		p := keyPrefix(key)
+		s.rows[i] = sortRow{prefix: p, idx: uint32(i), n: uint32(len(key))}
+		h[0][byte(p)]++
+		h[1][byte(p>>8)]++
+		h[2][byte(p>>16)]++
+		h[3][byte(p>>24)]++
+		h[4][byte(p>>32)]++
+		h[5][byte(p>>40)]++
+		h[6][byte(p>>48)]++
+		h[7][byte(p>>56)]++
+	}
+	src, dst := s.rows, s.tmp
+	for k := range h {
+		shift := 8 * uint(k)
+		count := &h[k]
+		if count[byte(src[0].prefix>>shift)] == uint32(n) {
+			continue // every row has this digit
 		}
-		for i := lo + 1; i < hi; i++ {
-			p := pairs[i]
-			j := i
-			for j > lo && pairs[j-1].Key > p.Key {
-				pairs[j] = pairs[j-1]
-				j--
-			}
-			pairs[j] = p
+		var off uint32
+		for b, c := range count {
+			count[b] = off
+			off += c
 		}
-	}
-	if n <= sortRun {
-		return scratch
-	}
-	if cap(scratch) < n {
-		scratch = make([]Pair, n)
-	}
-	buf := scratch[:n]
-	src, dst := pairs, buf
-	for width := sortRun; width < n; width *= 2 {
-		for lo := 0; lo < n; lo += 2 * width {
-			mid, hi := lo+width, lo+2*width
-			if mid >= n {
-				// Lone tail run: carry it over unmerged.
-				copy(dst[lo:n], src[lo:n])
-				break
-			}
-			if hi > n {
-				hi = n
-			}
-			mergeInto(dst[lo:hi], src[lo:mid], src[mid:hi])
+		for _, r := range src {
+			d := byte(r.prefix >> shift)
+			dst[count[d]] = r
+			count[d]++
 		}
 		src, dst = dst, src
 	}
-	if &src[0] != &pairs[0] {
-		copy(pairs, src)
+	rows := src // s.rows or s.tmp, after an even or odd number of passes
+	for lo := 0; lo < n; {
+		hi, ties := lo+1, false
+		for ; hi < n && rows[hi].prefix == rows[lo].prefix; hi++ {
+			ties = ties || rows[hi].n != rows[lo].n || rows[hi].n > 8
+		}
+		if ties {
+			slices.SortStableFunc(rows[lo:hi], func(a, b sortRow) int {
+				return strings.Compare(pairs[a.idx].Key, pairs[b.idx].Key)
+			})
+		}
+		lo = hi
 	}
-	return scratch
+	s.pairs = slices.Grow(s.pairs[:0], n)[:n]
+	for i, r := range rows {
+		s.pairs[i] = pairs[r.idx]
+	}
+	copy(pairs, s.pairs)
 }
 
-// mergeInto merges two sorted runs into dst (len(dst) == len(a)+len(b)),
-// taking from a on equal keys (stability).
-func mergeInto(dst, a, b []Pair) {
-	i, j := 0, 0
-	for k := range dst {
-		if i < len(a) && (j >= len(b) || a[i].Key <= b[j].Key) {
-			dst[k] = a[i]
-			i++
-		} else {
-			dst[k] = b[j]
-			j++
-		}
+// keyPrefix returns key's first 8 bytes as a big-endian number, zero-padded.
+func keyPrefix(key string) uint64 {
+	if len(key) >= 8 {
+		return binary.BigEndian.Uint64([]byte(key[:8]))
 	}
+	var p [8]byte
+	copy(p[:], key)
+	return binary.BigEndian.Uint64(p[:])
 }
 
 // loserTree is a k-way tournament over run indices 0..k-1 with a

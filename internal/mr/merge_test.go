@@ -27,21 +27,67 @@ func randPairs(rng *rand.Rand, n, keySpace int) []Pair {
 	return out
 }
 
+// keyShapes are the key distributions the sort and merge property tests
+// draw buckets from. Beyond a small alphabet heavy with duplicates they hold
+// what a key-prefix sort can get wrong: keys of 0–20 bytes with zero bytes
+// in them, keys that differ only by trailing zero bytes ("ab" beside
+// "ab\x00"), many keys that share their first 8 bytes, and all keys equal.
+var keyShapes = []struct {
+	name string
+	key  func(rng *rand.Rand) string
+}{
+	{"words", func(rng *rand.Rand) string { return fmt.Sprintf("k%03d", rng.Intn(40)) }},
+	{"len0to20", func(rng *rand.Rand) string {
+		b := make([]byte, rng.Intn(21))
+		for i := range b {
+			b[i] = "\x00\x01ab\xff"[rng.Intn(5)]
+		}
+		return string(b)
+	}},
+	{"zeroPadding", func(rng *rand.Rand) string {
+		return []string{"", "\x00", "ab", "ab\x00", "ab\x00\x00", "ab\x01", "abcdefg",
+			"abcdefg\x00", "abcdefgh", "abcdefgh\x00", "abcdefghi"}[rng.Intn(11)]
+	}},
+	{"sharedPrefix", func(rng *rand.Rand) string {
+		b := []byte("G\x05\x01\x02\x03\x04\x05\x06")
+		for n := rng.Intn(5); n > 0; n-- {
+			b = append(b, "\x00\x01\x7f\x80"[rng.Intn(4)])
+		}
+		return string(b)
+	}},
+	{"allEqual", func(*rand.Rand) string { return "same-key" }},
+}
+
+// shapedPairs generates n pairs with keys drawn by key and values that
+// identify the emission index — the witness for stability checks.
+func shapedPairs(rng *rand.Rand, n int, key func(*rand.Rand) string) []Pair {
+	out := make([]Pair, n)
+	for i := range out {
+		out[i] = Pair{Key: key(rng), Val: binary.AppendUvarint(nil, uint64(i))}
+	}
+	return out
+}
+
 // TestSortPairsStableMatchesSliceStable is the property test for the
-// map-side sort: on random inputs heavy with duplicate keys it must agree
-// exactly — order of equal keys included — with sort.SliceStable.
+// map-side sort: on random buckets of every key shape, up to 5,000 records,
+// it must agree exactly — order of equal keys included — with
+// sort.SliceStable.
 func TestSortPairsStableMatchesSliceStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	var scratch []Pair
-	for trial := 0; trial < 200; trial++ {
-		n := rng.Intn(300)
-		keySpace := 1 + rng.Intn(40)
-		pairs := randPairs(rng, n, keySpace)
-		want := append([]Pair(nil), pairs...)
-		sort.SliceStable(want, func(a, b int) bool { return want[a].Key < want[b].Key })
-		scratch = sortPairsStable(pairs, scratch)
-		if !reflect.DeepEqual(pairs, want) {
-			t.Fatalf("trial %d (n=%d, keys=%d): sortPairsStable diverges from sort.SliceStable", trial, n, keySpace)
+	var scratch sortScratch
+	for _, shape := range keyShapes {
+		for trial := 0; trial < 100; trial++ {
+			n := rng.Intn(300)
+			if trial%20 == 0 {
+				n = 5000 - trial
+			}
+			pairs := shapedPairs(rng, n, shape.key)
+			want := append([]Pair(nil), pairs...)
+			sort.SliceStable(want, func(a, b int) bool { return want[a].Key < want[b].Key })
+			sortPairsStable(pairs, &scratch)
+			if !reflect.DeepEqual(pairs, want) {
+				t.Fatalf("%s trial %d (n=%d): sortPairsStable diverges from sort.SliceStable", shape.name, trial, n)
+			}
 		}
 	}
 }
@@ -49,23 +95,31 @@ func TestSortPairsStableMatchesSliceStable(t *testing.T) {
 // TestStreamMergerMatchesSliceStable is the property test of the merge's
 // order-equivalence claim: the loser-tree merge of per-run stably-sorted
 // runs must equal sort.SliceStable applied to the run-ordered concatenation
-// — whether the runs are memory-backed, file-backed or a mix — and only
-// memory-backed records may be handed out as stable.
+// — whether the runs are memory-backed, file-backed or a mix, over every
+// key shape — and only memory-backed records may be handed out as stable.
 func TestStreamMergerMatchesSliceStable(t *testing.T) {
 	for _, mode := range []string{"memory", "file", "mixed"} {
 		t.Run(mode, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
 			sd := newSpillDir(t.TempDir(), nil)
 			defer sd.cleanup()
-			var scratch []Pair
+			var scratch sortScratch
 			for trial := 0; trial < 200; trial++ {
+				shape := keyShapes[trial%len(keyShapes)]
 				k := rng.Intn(9) // 0 runs and 1 run are valid edge cases
 				runs := make([]streamSource, k)
 				var concat []Pair
 				for r := 0; r < k; r++ {
-					pairs := randPairs(rng, rng.Intn(80), 1+rng.Intn(15))
+					n := rng.Intn(80)
+					if trial%50 == 0 {
+						n = rng.Intn(5000)
+					}
+					pairs := shapedPairs(rng, n, shape.key)
+					for i := range pairs {
+						pairs[i].Val = fmt.Appendf(nil, "run%d#%d", r, i)
+					}
 					concat = append(concat, pairs...)
-					scratch = sortPairsStable(pairs, scratch)
+					sortPairsStable(pairs, &scratch)
 					if mode == "file" || (mode == "mixed" && rng.Intn(2) == 0) {
 						runs[r] = writeRun(t, sd, blockcodec.Raw{}, pairs)
 					} else {
@@ -81,8 +135,8 @@ func TestStreamMergerMatchesSliceStable(t *testing.T) {
 					n := 0
 					for rec, stable := m.next(); rec != nil; rec, stable = m.next() {
 						if n >= len(want) || rec.Key != want[n].Key || !bytes.Equal(rec.Val, want[n].Val) {
-							t.Fatalf("trial %d pass %d (k=%d): record %d diverges from stable sort of concatenation",
-								trial, pass, k, n)
+							t.Fatalf("%s trial %d pass %d (k=%d): record %d diverges from stable sort of concatenation",
+								shape.name, trial, pass, k, n)
 						}
 						if mode != "mixed" && stable != (mode == "memory") {
 							t.Fatalf("trial %d: %s-backed record handed out with stable=%v", trial, mode, stable)
@@ -93,7 +147,7 @@ func TestStreamMergerMatchesSliceStable(t *testing.T) {
 						t.Fatal(m.err)
 					}
 					if n != len(want) {
-						t.Fatalf("trial %d pass %d (k=%d): merged %d of %d records", trial, pass, k, n, len(want))
+						t.Fatalf("%s trial %d pass %d (k=%d): merged %d of %d records", shape.name, trial, pass, k, n, len(want))
 					}
 				}
 			}
@@ -282,11 +336,11 @@ func TestTupleInputBytesMemoized(t *testing.T) {
 func BenchmarkShuffleMerge(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	runs := make([]streamSource, 8)
-	var scratch []Pair
+	var scratch sortScratch
 	total := 0
 	for r := range runs {
 		runs[r].pairs = randPairs(rng, 16<<10, 512)
-		scratch = sortPairsStable(runs[r].pairs, scratch)
+		sortPairsStable(runs[r].pairs, &scratch)
 		total += len(runs[r].pairs)
 	}
 	m := newStreamMerger(runs)

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/spcube/spcube/internal/dfs"
+	"github.com/spcube/spcube/internal/mr/blockcodec"
 	"github.com/spcube/spcube/internal/relation"
 )
 
@@ -292,6 +293,43 @@ func TestStreamReduceValueRetention(t *testing.T) {
 				t.Fatalf("key %s value %d corrupted after reduce: %q (aliased a reused buffer?)", key, i, v)
 			}
 		}
+	}
+}
+
+// TestSpilledReduceAllocations: a reduce attempt copies a file-backed run's
+// records into its own chunks, so reducing 20,000 single-record groups makes
+// a handful of allocations in all, not two per record — and the copies are
+// the records.
+func TestSpilledReduceAllocations(t *testing.T) {
+	const groups = 20000
+	sd := newSpillDir(t.TempDir(), nil)
+	defer sd.cleanup()
+	pairs := make([]Pair, groups)
+	for i := range pairs {
+		pairs[i] = Pair{Key: fmt.Sprintf("group-%06d", i), Val: fmt.Appendf(nil, "value-%06d", i)}
+	}
+	m := newStreamMerger([]streamSource{writeRun(t, sd, blockcodec.LZ{}, pairs)})
+	reduced := 0
+	job := &Job{Name: "allocs", Reduce: func(ctx *RedCtx, key string, vals [][]byte) {
+		if len(vals) != 1 || key[len("group-"):] != string(vals[0][len("value-"):]) {
+			t.Fatalf("group %q: values %q", key, vals)
+		}
+		reduced++
+	}}
+	eng := New(Config{Workers: 1}, dfs.New(true))
+	r := &round{eng: eng, job: job, oomMem: MinOOMMemTuples, inflation: 1}
+	var tm TaskMetrics
+	ctx := &RedCtx{job: job, eng: eng, metrics: &tm}
+	allocs := testing.AllocsPerRun(3, func() {
+		if err := r.reduceAttempt(ctx, m); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if reduced != 4*groups {
+		t.Fatalf("reduced %d groups in 4 attempts, want %d", reduced, 4*groups)
+	}
+	if perRecord := allocs / groups; perRecord >= 0.05 {
+		t.Errorf("%.0f allocations per attempt over %d records: %.3f per record, want < 0.05", allocs, groups, perRecord)
 	}
 }
 

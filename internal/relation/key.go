@@ -218,8 +218,14 @@ func EncodeTuple(buf []byte, t Tuple) []byte {
 // DecodeTuple decodes a tuple encoded by EncodeTuple, given the dimension
 // count d.
 func DecodeTuple(b []byte, d int) (Tuple, error) {
-	dims := make([]Value, d)
-	for i := 0; i < d; i++ {
+	return DecodeTupleInto(make([]Value, d), b)
+}
+
+// DecodeTupleInto decodes a tuple encoded by EncodeTuple, with len(dims)
+// dimensions, into dims: the returned tuple's Dims is dims. Decoding many
+// tuples into one arena allocates nothing per tuple.
+func DecodeTupleInto(dims []Value, b []byte) (Tuple, error) {
+	for i := range dims {
 		u, n := binary.Uvarint(b)
 		if n <= 0 {
 			return Tuple{}, fmt.Errorf("relation: truncated tuple value at dim %d", i)
