@@ -31,13 +31,16 @@ race:
 	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/cube ./internal/relation .
 
 # The fault-injection/retry gate: every fault and differential-oracle
-# test, twice, under the race detector.
+# test, and the seeds of the two equivalence fuzz targets, twice, under the
+# race detector.
 retry-race:
-	$(GO) test -race -count=2 -run 'Fault|Differential' ./...
+	$(GO) test -race -count=2 -run 'Fault|Differential|Equivalence' ./...
 
-# Short fuzz of the cube-equivalence oracle (relation shape x fault
-# coordinate vs brute force), the delta-maintenance oracle (batch
-# composition x aggregate x rebuild threshold vs recompute), the spill
+# Short fuzz of the cube-equivalence oracle (algorithm x distribution x
+# aggregate x cluster shape x parallelism x spill leg x fault plan vs brute
+# force and the point's own twins), the delta-maintenance oracle (batch
+# composition x aggregate x rebuild threshold x algorithm x parallelism x
+# fault plan vs recompute and twins), the spill
 # plane's two wire formats: the front-coded record codec and the
 # checksummed block framing (round-trip plus corrupt-input rejection), and
 # the reducers' output records (arbitrary file bytes, read as a value job's
@@ -67,11 +70,12 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzQueryRequest -fuzztime=10s ./internal/serve
 	$(GO) test -run=NONE -fuzz=FuzzIngestRequest -fuzztime=10s ./cmd/spserve
 
-# Randomized fault-plan soak: deterministically generated multi-fault plans
-# (every task-fault kind, whole-node crashes, speculation, task timeouts)
-# differentially validated against the brute-force cube.
+# Randomized soak of the whole configuration space: 30 s of the cube
+# fuzzer past its seed corpus (which holds the old fixed random fault plans).
+# A failure is minimized into internal/integration/testdata/fuzz/; commit
+# that file to pin it.
 chaos:
-	$(GO) test -count=1 -run TestChaosRandomFaultPlans ./internal/integration
+	$(GO) test -run=NONE -fuzz=FuzzCubeEquivalence -fuzztime=30s ./internal/integration
 
 # Execution-backend equivalence gate: every algorithm x fault plan on the
 # proc backend — real worker processes, node crashes delivered as real

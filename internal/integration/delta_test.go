@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/spcube/spcube/internal/agg"
@@ -67,203 +69,201 @@ func randomTuples(rng *rand.Rand, n, d, card int) []relation.Tuple {
 	return rows
 }
 
-// checkMaintainedCube asserts exact equality (group set and bit-identical
-// values) between the maintained cube and a brute-force recompute over the
-// edited relation.
-func checkMaintainedCube(t *testing.T, maint *delta.Maintainer, ts *tupleSet, fn agg.Func) {
-	t.Helper()
-	got := maint.Result()
-	want := cube.Brute(ts.relation(), fn)
-	if got.D != want.D {
-		t.Fatalf("maintained cube has d=%d, recompute d=%d", got.D, want.D)
-	}
-	if !reflect.DeepEqual(got.Groups, want.Groups) {
-		for k, v := range want.Groups {
-			if gv, ok := got.Groups[k]; !ok || gv != v {
-				t.Errorf("group %q: maintained %v, recompute %v", k, got.Groups[k], v)
-			}
-		}
-		for k := range got.Groups {
-			if _, ok := want.Groups[k]; !ok {
-				t.Errorf("group %q: maintained cube has it, recompute does not", k)
-			}
-		}
-		t.Fatalf("maintained cube diverges from recompute: %d vs %d groups", len(got.Groups), len(want.Groups))
-	}
-}
-
-// TestDifferentialDeltaMaintenance is the maintenance leg of the
-// differential oracle: for every cube algorithm, on uniform and skewed
-// bases, under append-only and append+delete batches, at parallelism 1 and
-// 8, the cube maintained through delta.Maintainer must equal a full
-// recompute over base∪delta exactly. sp-cube additionally runs under an
-// injected fault plan — recovery must not leak into the maintained state.
-func TestDifferentialDeltaMaintenance(t *testing.T) {
-	algos := []string{"sp-cube", "naive", "mr-cube", "hive", "pipesort"}
-	bases := []struct {
-		name string
-		gen  func(rng *rand.Rand) []relation.Tuple
-	}{
-		{"uniform", func(rng *rand.Rand) []relation.Tuple { return randomTuples(rng, 300, 3, 6) }},
-		{"skewed", func(rng *rand.Rand) []relation.Tuple {
-			// Half the rows collapse onto one hot tuple; the rest are uniform.
-			rows := randomTuples(rng, 300, 3, 6)
-			for i := 0; i < len(rows)/2; i++ {
-				rows[i].Dims = []relation.Value{1, 2, 3}
-			}
-			return rows
-		}},
-	}
-	batches := []string{"append", "append+delete"}
-	pars := []int{1, 8}
-
-	for _, algoName := range algos {
-		faultPlans := []string{""}
-		if algoName == "sp-cube" {
-			faultPlans = append(faultPlans, "*:map:*:crash,*:reduce:0:mid-emit@2")
-		}
-		for _, base := range bases {
-			for _, batchKind := range batches {
-				for _, par := range pars {
-					for _, faults := range faultPlans {
-						name := fmt.Sprintf("%s/%s/%s/p%d", algoName, base.name, batchKind, par)
-						if faults != "" {
-							name += "/faulted"
-						}
-						t.Run(name, func(t *testing.T) {
-							rng := rand.New(rand.NewSource(int64(len(name)) * 31))
-							ts := &tupleSet{d: 3, rows: base.gen(rng)}
-							plan, err := mr.ParseFaultPlan(faults)
-							if err != nil {
-								t.Fatal(err)
-							}
-							maint, err := delta.New(ts.relation(), delta.Config{
-								Algorithm:   algoName,
-								Agg:         agg.Sum,
-								Workers:     4,
-								Parallelism: par,
-								Seed:        42,
-								Faults:      plan,
-								// Keep drift from forcing rebuilds so the
-								// delta-merge path is what gets tested.
-								RebuildThreshold: 0.999,
-							})
-							if err != nil {
-								t.Fatal(err)
-							}
-							batch := delta.Batch{Append: randomTuples(rng, 40, 3, 6)}
-							if batchKind == "append+delete" {
-								for i := 0; i < 15; i++ {
-									batch.Delete = append(batch.Delete, ts.rows[rng.Intn(len(ts.rows))].Clone())
-								}
-								// Duplicate picks delete one occurrence each;
-								// drop duplicates to keep the oracle simple.
-								batch.Delete = dedupTuples(batch.Delete)
-							}
-							rnd, err := maint.Apply(batch)
-							if err != nil {
-								t.Fatal(err)
-							}
-							// Sum inverts cleanly, so both batch kinds must
-							// take the delta-merge path at this threshold.
-							if rnd.Mode != "delta" {
-								t.Fatalf("cycle took mode %q (reason %s, drift %.3f), want delta", rnd.Mode, rnd.Reason, rnd.Drift)
-							}
-							ts.apply(batch)
-							checkMaintainedCube(t, maint, ts, agg.Sum)
-
-							// A second batch stacks on the first: state, not
-							// just a single transition, must be maintained.
-							batch2 := delta.Batch{Append: randomTuples(rng, 25, 3, 6)}
-							if _, err := maint.Apply(batch2); err != nil {
-								t.Fatal(err)
-							}
-							ts.apply(batch2)
-							checkMaintainedCube(t, maint, ts, agg.Sum)
-						})
-					}
-				}
-			}
-		}
-	}
-}
-
 func dedupTuples(ts []relation.Tuple) []relation.Tuple {
 	var out []relation.Tuple
 	for _, tp := range ts {
-		dup := false
-		for _, o := range out {
-			if o.Measure == tp.Measure && relation.ComparePacked(o.Dims, tp.Dims) == 0 {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if !slices.ContainsFunc(out, func(o relation.Tuple) bool {
+			return o.Measure == tp.Measure && relation.ComparePacked(o.Dims, tp.Dims) == 0
+		}) {
 			out = append(out, tp)
 		}
 	}
 	return out
 }
 
-// FuzzDeltaEquivalence fuzzes the maintenance input space — base shape,
-// batch composition, delete selection, aggregate, rebuild threshold — and
-// checks that the maintained cube always equals a brute-force recompute
-// over the edited relation, whichever mode (delta-merge or rebuild) the
-// maintainer chose. `make fuzz-smoke` runs it for 10s alongside the
-// engine-level cube fuzzer.
-func FuzzDeltaEquivalence(f *testing.F) {
-	f.Add(int64(1), uint16(50), uint8(2), uint8(3), uint8(10), uint8(0), uint8(0))
-	f.Add(int64(2), uint16(120), uint8(3), uint8(5), uint8(30), uint8(7), uint8(1))
-	f.Add(int64(3), uint16(200), uint8(1), uint8(1), uint8(0), uint8(15), uint8(2)) // deletes only, forced rebuild
-	f.Add(int64(4), uint16(80), uint8(3), uint8(2), uint8(25), uint8(12), uint8(4)) // min + deletes: rebuild reason "aggregate"
-	f.Add(int64(5), uint16(30), uint8(2), uint8(6), uint8(40), uint8(0), uint8(5))
-	f.Fuzz(func(t *testing.T, seed int64, nRaw uint16, dRaw, cardRaw, appRaw, delRaw, modeRaw uint8) {
-		rng := rand.New(rand.NewSource(seed))
-		d := 1 + int(dRaw)%3
-		card := 1 + int(cardRaw)%6
-		n := 1 + int(nRaw)%200
-		ts := &tupleSet{d: d, rows: randomTuples(rng, n, d, card)}
+// maintainedDiff describes how the maintained cube differs, group set or
+// any value's bits, from a brute-force recompute over the edited relation.
+func maintainedDiff(maint *delta.Maintainer, ts *tupleSet, fn agg.Func) string {
+	if got, want := maint.Result(), cube.Brute(ts.relation(), fn); !reflect.DeepEqual(got, want) {
+		_, diff := want.Equal(got)
+		return "maintained cube diverges from recompute: " + diff
+	}
+	return ""
+}
 
-		aggs := []struct {
-			name string
-			fn   agg.Func
-		}{{"count", agg.Count}, {"sum", agg.Sum}, {"min", agg.Min}}
-		chosen := aggs[int(modeRaw)%3]
-		thresholds := []float64{0, 0.999, -1}
-		thr := thresholds[int(modeRaw/3)%3]
+// deltaPoint is one maintenance sequence: a maintainer over a random base
+// relation takes two stacked batches, app appends and del deletes drawn from
+// the base and then 25 appends, with an algorithm, aggregate and rebuild
+// threshold, on a cluster shape, at a parallelism, under a fault plan.
+type deltaPoint struct {
+	algo       string
+	skewed     bool  // half the base rows collapse onto one hot tuple
+	seed       int64 // draws the base, the batches and the deletes
+	n, d, card int
+	agg        string
+	threshold  float64 // 0: the default, negative: rebuild every batch
+	k, p       int
+	eseed      int64
+	faults     string // an mr.ParseFaultPlan spec that recoverable accepts
+	app, del   int
+}
 
-		maint, err := delta.New(ts.relation(), delta.Config{
-			Agg:              chosen.fn,
-			Workers:          3,
-			Seed:             seed,
-			RebuildThreshold: thr,
-		})
+var (
+	deltaAggs  = []string{"count", "sum", "min"}
+	thresholds = []float64{0, 0.999, -1}
+)
+
+// deltaCoords is a deltaPoint as FuzzDeltaEquivalence takes it.
+type deltaCoords struct {
+	algo, d, card, agg, threshold, k, p, app, del uint8
+	n                                             uint16
+	seed, eseed                                   int64
+	skewed                                        bool
+	faults                                        string
+}
+
+// decode maps c onto a deltaPoint, every axis modulo its range.
+func (c deltaCoords) decode() deltaPoint {
+	p := deltaPoint{algo: allAlgorithms[int(c.algo)%len(allAlgorithms)].name, skewed: c.skewed, seed: c.seed,
+		n: 1 + int(c.n)%300, d: 1 + int(c.d)%3, card: 1 + int(c.card)%6, agg: deltaAggs[int(c.agg)%len(deltaAggs)],
+		threshold: thresholds[int(c.threshold)%len(thresholds)], k: 1 + int(c.k)%8, p: int(c.p) % 9,
+		eseed: c.eseed, app: int(c.app) % 41, del: int(c.del) % 16}
+	p.faults = recoverable(c.faults, p.k)
+	return p
+}
+
+// encode is decode's inverse on seed points.
+func (p deltaPoint) encode() deltaCoords {
+	return deltaCoords{uint8(algoIndex(p.algo)), uint8(p.d - 1), uint8(p.card - 1), uint8(slices.Index(deltaAggs, p.agg)),
+		uint8(slices.Index(thresholds, p.threshold)), uint8(p.k - 1), uint8(p.p), uint8(p.app), uint8(p.del),
+		uint16(p.n - 1), p.seed, p.eseed, p.skewed, p.faults}
+}
+
+// runDelta returns the rounds p's batches took, metrics dropped, and how
+// the maintained cube diverged from brute force after each.
+func runDelta(t *testing.T, p deltaPoint) (rounds []delta.Round, errs []string) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(p.seed))
+	ts := &tupleSet{d: p.d, rows: randomTuples(rng, p.n, p.d, p.card)}
+	if p.skewed {
+		for _, tp := range ts.rows[:p.n/2] {
+			for j := range tp.Dims {
+				tp.Dims[j] = relation.Value(j + 1)
+			}
+		}
+	}
+	fn, _ := agg.ByName(p.agg)
+	plan, _ := mr.ParseFaultPlan(p.faults)
+	maint, err := delta.New(ts.relation(), delta.Config{Algorithm: p.algo, Agg: fn, Workers: p.k, Parallelism: p.p,
+		Seed: p.eseed, Faults: plan, MaxAttempts: maxAttempts, RebuildThreshold: p.threshold})
+	if err != nil {
+		t.Fatalf("%#v: %v", p, err)
+	}
+	first := delta.Batch{Append: randomTuples(rng, p.app, p.d, p.card)}
+	for i := 0; i < min(p.del, len(ts.rows)); i++ {
+		first.Delete = append(first.Delete, ts.rows[rng.Intn(len(ts.rows))].Clone())
+	}
+	first.Delete = dedupTuples(first.Delete)
+	for _, b := range []delta.Batch{first, {Append: randomTuples(rng, 25, p.d, p.card)}} {
+		if len(b.Append) == 0 && (len(b.Delete) == 0 || len(b.Delete) >= len(ts.rows)) {
+			continue // the maintainer refuses an empty batch or an emptied relation
+		}
+		rnd, err := maint.Apply(b)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%#v: %v", p, err)
 		}
-		batch := delta.Batch{Append: randomTuples(rng, int(appRaw)%40, d, card)}
-		nd := int(delRaw) % 16
-		if nd > len(ts.rows) {
-			nd = len(ts.rows)
+		ts.apply(b)
+		rnd.Metrics = mr.JobMetrics{}
+		rounds = append(rounds, *rnd)
+		if diff := maintainedDiff(maint, ts, fn); diff != "" {
+			errs = append(errs, fmt.Sprintf("round %d: %s", rnd.Round, diff))
 		}
-		for i := 0; i < nd; i++ {
-			batch.Delete = append(batch.Delete, ts.rows[rng.Intn(len(ts.rows))].Clone())
+	}
+	return rounds, errs
+}
+
+// checkDelta holds p's maintained cube to brute force after each batch, and
+// its rounds — mode, reason, drift and changes — to its parallelism twin's
+// and, under faults, to its fault-free twin's.
+func checkDelta(t *testing.T, p deltaPoint) {
+	t.Helper()
+	rounds, errs := runDelta(t, p)
+	par, clean := p, p
+	par.p, clean.faults = 1, ""
+	if p.p == 1 {
+		par.p = 8
+	}
+	for _, q := range []deltaPoint{par, clean} {
+		if q == p {
+			continue
 		}
-		batch.Delete = dedupTuples(batch.Delete)
-		if len(batch.Append) == 0 && len(batch.Delete) == 0 {
-			return
+		if tw, _ := runDelta(t, q); !reflect.DeepEqual(rounds, tw) {
+			errs = append(errs, fmt.Sprintf("rounds differ from those at p=%d under %q:\n%+v\n%+v", q.p, q.faults, rounds, tw))
 		}
-		if len(batch.Append) == 0 && len(batch.Delete) >= len(ts.rows) {
-			// The maintainer refuses batches that would empty the relation;
-			// that rejection (and its atomicity) is pinned elsewhere.
-			return
+	}
+	for _, r := range rounds {
+		// Sum merges and inverts, so only drift past the threshold rebuilds.
+		if p.agg == "sum" && p.threshold == 0.999 && r.Mode != "delta" && r.Drift <= p.threshold {
+			errs = append(errs, fmt.Sprintf("round %d took mode %q (%s, drift %.3f), want delta", r.Round, r.Mode, r.Reason, r.Drift))
 		}
-		if _, err := maint.Apply(batch); err != nil {
-			t.Fatal(err)
+	}
+	if len(errs) > 0 {
+		t.Errorf("%#v:\n\t%s", p, strings.Join(errs, "\n\t"))
+	}
+}
+
+// FuzzDeltaEquivalence decodes a maintenance sequence from its inputs and
+// checks it. Its seeds, each of which must decode back from its encoding,
+// are the differential maintenance table it replaced — every algorithm on
+// uniform and skewed bases, under append-only and append+delete batches, at
+// p = 1 and 8, SP-Cube also under faults — and the first fuzz corpus.
+func FuzzDeltaEquivalence(f *testing.F) {
+	for _, p := range deltaSeeds() {
+		c := p.encode()
+		if q := c.decode(); q != p {
+			f.Fatalf("seed %#v decodes back as %#v", p, q)
 		}
-		ts.apply(batch)
-		checkMaintainedCube(t, maint, ts, chosen.fn)
+		f.Add(c.algo, c.d, c.card, c.agg, c.threshold, c.k, c.p, c.app, c.del, c.n, c.seed, c.eseed, c.skewed, c.faults)
+	}
+	f.Fuzz(func(t *testing.T, algo, d, card, aggr, threshold, k, par, app, del uint8, n uint16, seed, eseed int64,
+		skewed bool, faults string) {
+		checkDelta(t, deltaCoords{algo, d, card, aggr, threshold, k, par, app, del, n, seed, eseed, skewed, faults}.decode())
 	})
+}
+
+func deltaSeeds() []deltaPoint {
+	var seeds []deltaPoint
+	for _, a := range allAlgorithms {
+		plans := []string{""}
+		if a.name == "sp-cube" {
+			plans = append(plans, "*:map:*:crash,*:reduce:0:mid-emit@2")
+		}
+		for _, base := range []string{"uniform", "skewed"} {
+			for _, batch := range []string{"append", "append+delete"} {
+				for _, par := range []int{1, 8} {
+					for _, faults := range plans {
+						// The table seeded each cell by the length of its name.
+						name := fmt.Sprintf("%s/%s/%s/p%d", a.name, base, batch, par)
+						if faults != "" {
+							name += "/faulted"
+						}
+						seeds = append(seeds, deltaPoint{algo: a.name, skewed: base == "skewed", seed: int64(len(name)) * 31,
+							n: 300, d: 3, card: 6, agg: "sum", threshold: 0.999, k: 4, p: par, eseed: 42,
+							faults: faults, app: 40, del: map[string]int{"append+delete": 15}[batch]})
+					}
+				}
+			}
+		}
+	}
+	for _, p := range []deltaPoint{{seed: 1, n: 51, d: 3, card: 4, agg: "count", app: 10},
+		{seed: 2, n: 121, d: 1, card: 6, agg: "sum", app: 30, del: 7},
+		{seed: 3, n: 1, d: 2, card: 2, agg: "min", del: 15}, // deletes only: the first batch is refused
+		{seed: 4, n: 81, d: 1, card: 3, agg: "sum", threshold: 0.999, app: 25, del: 12},
+		{seed: 5, n: 31, d: 3, card: 1, agg: "min", threshold: 0.999}} {
+		p.algo, p.k, p.eseed = "sp-cube", 3, p.seed
+		seeds = append(seeds, p)
+	}
+	return seeds
 }
 
 // TestDeltaSoak is the randomized maintenance soak behind `make delta-soak`:
@@ -355,7 +355,9 @@ func TestDeltaSoak(t *testing.T) {
 			t.Fatalf("cycle %d: %v", cycle, err)
 		}
 		ts.apply(batch)
-		checkMaintainedCube(t, maint, ts, agg.Sum)
+		if diff := maintainedDiff(maint, ts, agg.Sum); diff != "" {
+			t.Fatalf("cycle %d: %s", cycle, diff)
+		}
 
 		next, err := cli.NextStore(svc.Store(), maint, rnd)
 		if err != nil {

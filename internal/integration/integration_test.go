@@ -1,11 +1,10 @@
-// Package integration cross-validates every cube algorithm against the
-// brute-force reference and against each other over a matrix of data
-// distributions, aggregate functions, iceberg thresholds and cluster
-// shapes — the end-to-end safety net on top of the per-package suites.
+// Package integration is the end-to-end safety net on top of the
+// per-package suites. Its two fuzz targets hold every cube algorithm, and
+// incremental maintenance, to brute force and to their own runs at another
+// parallelism, without faults and without a spill budget.
 package integration
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -20,116 +19,27 @@ import (
 	"github.com/spcube/spcube/internal/relation"
 )
 
-// hiveNoOOM disables the Hive model's hard failure so correctness can be
-// checked even on configurations that would OOM its reducers.
-func hiveNoOOM(eng *mr.Engine, rel *relation.Relation, spec cube.Spec) (*cube.Run, error) {
-	return hivecube.ComputeOpts(eng, rel, spec, hivecube.Options{DisableOOM: true})
-}
-
 type namedAlgorithm struct {
 	name string
 	fn   cube.ComputeFunc
 }
 
 // allAlgorithms is the shared algorithm table at the default seed, with
-// Hive's OOM failure disabled.
+// Hive's OOM failure disabled so correctness can be checked even on
+// configurations that would OOM its reducers.
 var allAlgorithms = func() []namedAlgorithm {
 	var out []namedAlgorithm
 	for _, a := range algo.Table {
 		fn := a.New(0)
 		if a.Name == "hive" {
-			fn = hiveNoOOM
+			fn = func(eng *mr.Engine, rel *relation.Relation, spec cube.Spec) (*cube.Run, error) {
+				return hivecube.ComputeOpts(eng, rel, spec, hivecube.Options{DisableOOM: true})
+			}
 		}
 		out = append(out, namedAlgorithm{a.Name, fn})
 	}
 	return out
 }()
-
-var workloads = []struct {
-	name string
-	rel  *relation.Relation
-}{
-	{"uniform-dense", cubetest.RandomRelation(rand.New(rand.NewSource(1)), 400, 3, 4)},
-	{"uniform-sparse", cubetest.RandomRelation(rand.New(rand.NewSource(2)), 400, 3, 100000)},
-	{"binomial-0.5", data.GenBinomial(400, 3, 0.5, 3)},
-	{"zipf", data.GenZipf(400, 4)},
-	{"wiki", data.WikiTraffic(400, 5)},
-	{"usagov-4d", data.USAGov(400, 6).Restrict(data.USAGovCubeDims)},
-	{"retail", data.Retail(400, 7)},
-	{"adversarial", data.Adversarial(4, 25)},
-}
-
-// TestAllAlgorithmsMatchBruteForce is the full correctness matrix.
-func TestAllAlgorithmsMatchBruteForce(t *testing.T) {
-	for _, w := range workloads {
-		for _, a := range allAlgorithms {
-			t.Run(w.name+"/"+a.name, func(t *testing.T) {
-				if err := cubetest.CheckAgainstBrute(a.fn, w.rel, agg.Count, 5); err != nil {
-					t.Error(err)
-				}
-			})
-		}
-	}
-}
-
-// TestAggregateMatrix runs every aggregate function (and an iceberg
-// threshold) through every algorithm on one skewed workload.
-func TestAggregateMatrix(t *testing.T) {
-	rel := data.GenBinomial(500, 3, 0.4, 11)
-	specs := []cube.Spec{
-		{Agg: agg.Count},
-		{Agg: agg.Sum},
-		{Agg: agg.Min},
-		{Agg: agg.Max},
-		{Agg: agg.Avg},
-		{Agg: agg.Var},
-		{Agg: agg.Stddev},
-		{Agg: agg.Distinct},
-		{Agg: agg.Sum, MinSup: 10},
-		{Agg: agg.Count, MinSup: 50},
-	}
-	for _, spec := range specs {
-		want := cube.BruteSpec(rel, spec)
-		for _, a := range allAlgorithms {
-			name := fmt.Sprintf("%s/%s-minsup%d", a.name, spec.Agg.Name(), spec.MinSup)
-			t.Run(name, func(t *testing.T) {
-				eng := cubetest.NewEngine(4)
-				res, _, err := cubetest.RunAndCollect(eng, a.fn, rel, spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ok, diff := want.Equal(res); !ok {
-					t.Error(diff)
-				}
-			})
-		}
-	}
-}
-
-// TestClusterShapes varies k and m, including memory tighter than n/k.
-func TestClusterShapes(t *testing.T) {
-	rel := data.GenZipf(600, 13)
-	want := cube.Brute(rel, agg.Count)
-	for _, shape := range []struct{ k, m int }{
-		{1, 0}, {2, 0}, {7, 0}, {16, 0},
-		{4, 50},  // memory much tighter than n/k: everything looks skewed
-		{4, 600}, // memory covers the whole relation: nothing is skewed
-	} {
-		for _, a := range allAlgorithms {
-			t.Run(fmt.Sprintf("%s/k%d-m%d", a.name, shape.k, shape.m), func(t *testing.T) {
-				eng := mr.New(mr.Config{Workers: shape.k, MemTuples: shape.m}, cubetest.NewEngine(1).FS)
-				eng.FS.Remove("out/")
-				res, _, err := cubetest.RunAndCollect(eng, a.fn, rel, cube.Spec{Agg: agg.Count})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ok, diff := want.Equal(res); !ok {
-					t.Error(diff)
-				}
-			})
-		}
-	}
-}
 
 // TestAlgorithmsAgreePairwise validates outputs against each other via DFS
 // checksums over a larger input than the brute-force tests can afford.

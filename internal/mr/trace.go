@@ -52,10 +52,11 @@ const (
 	// reducers; the task is re-executed (a task-start at the next attempt
 	// index follows).
 	EvFetchFail = "fetch-fail"
-	// EvSpill is fired by the spill writer, once per flush: a map attempt
-	// spilling a sorted run to disk under Config.SpillBudgetBytes, or a
-	// reduce attempt externally aggregating a group that exceeded its
-	// memory (§3.2 skew penalty). Bytes is the exact encoded run size.
+	// EvSpill is fired once per spill, inline by the attempt that spills:
+	// the map attempt's flush of a sorted run to disk under
+	// Config.SpillBudgetBytes, and the reducer's external aggregation of a
+	// group that exceeded its memory (§3.2 skew penalty). Bytes is the exact
+	// encoded run size.
 	EvSpill = "spill"
 	// EvSpillFlush is fired once per map-side spill flush, all of an
 	// attempt's together when the attempt ends, after its EvSpill events.
