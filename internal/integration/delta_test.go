@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"slices"
 	"strconv"
-	"strings"
 	"testing"
 
 	"github.com/spcube/spcube/internal/agg"
@@ -189,10 +188,7 @@ func checkDelta(t *testing.T, p deltaPoint) {
 	t.Helper()
 	rounds, errs := runDelta(t, p)
 	par, clean := p, p
-	par.p, clean.faults = 1, ""
-	if p.p == 1 {
-		par.p = 8
-	}
+	par.p, clean.faults = otherP(p.p), ""
 	for _, q := range []deltaPoint{par, clean} {
 		if q == p {
 			continue
@@ -201,15 +197,16 @@ func checkDelta(t *testing.T, p deltaPoint) {
 			errs = append(errs, fmt.Sprintf("rounds differ from those at p=%d under %q:\n%+v\n%+v", q.p, q.faults, rounds, tw))
 		}
 	}
+	// The differential table's cells (300 base rows, 40 appends) drift far
+	// below the threshold, so a rebuild there means a miscomputed drift.
+	table := p.n == 300 && p.app == 40
 	for _, r := range rounds {
 		// Sum merges and inverts, so only drift past the threshold rebuilds.
-		if p.agg == "sum" && p.threshold == 0.999 && r.Mode != "delta" && r.Drift <= p.threshold {
+		if p.agg == "sum" && p.threshold == 0.999 && r.Mode != "delta" && (table || r.Drift <= p.threshold) {
 			errs = append(errs, fmt.Sprintf("round %d took mode %q (%s, drift %.3f), want delta", r.Round, r.Mode, r.Reason, r.Drift))
 		}
 	}
-	if len(errs) > 0 {
-		t.Errorf("%#v:\n\t%s", p, strings.Join(errs, "\n\t"))
-	}
+	report(t, p, errs)
 }
 
 // FuzzDeltaEquivalence decodes a maintenance sequence from its inputs and
