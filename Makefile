@@ -125,11 +125,12 @@ bench:
 bench-harness:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# Machine-readable benchmark artifact: the fig6 sweep plus every run's full
-# per-round metrics as a versioned JSON document, then self-validated.
+# Rewrite the fig6 golden (internal/bench/testdata/fig6.golden.json): the
+# figures of `spbench -exp fig6 -scale 0.05` and the SHA-256 of its
+# volatile-stripped -metrics-out document, which TestFig6Golden holds every
+# tree to. Run it only after a change that is meant to move them.
 bench-json:
-	$(GO) run ./cmd/spbench -exp fig6 -scale 0.05 -metrics-out BENCH_fig6.json > /dev/null
-	$(GO) run ./cmd/spbench -validate BENCH_fig6.json
+	$(GO) test ./internal/bench -run TestFig6Golden -update
 
 # Randomized incremental-maintenance soak: chaos-faulted delta cycles with
 # appends and deletes feeding the serving store through patch + swap, each

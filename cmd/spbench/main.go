@@ -27,8 +27,8 @@
 // events as JSON lines, and -pprof ADDR serves net/http/pprof and runtime
 // metrics for the benchmarking process itself:
 //
-//	spbench -exp fig6 -metrics-out BENCH_fig6.json
-//	spbench -validate BENCH_fig6.json
+//	spbench -exp fig6 -metrics-out fig6.json
+//	spbench -validate fig6.json
 //	spbench -exp all -pprof localhost:6060
 //
 // Execution backends: -backend proc runs every experiment engine against
@@ -71,7 +71,7 @@ func declare(fs *flag.FlagSet) (*cli.Flags, *options) {
 	f.Spill()
 	fs.StringVar(&o.exp, "exp", "all", "experiment id: fig4 fig5 fig6 fig7 fig8 balance traffic ablation rounds sketch, or all")
 	fs.Float64Var(&o.scale, "scale", 1, "sweep size multiplier (1 = paper scale / 1000)")
-	fs.StringVar(&o.format, "format", "table", "output format: table, csv, or chart")
+	fs.StringVar(&o.format, "format", "table", "output format: table or csv")
 	fs.StringVar(&o.validate, "validate", "", "validate a metrics JSON document and exit (no experiments are run)")
 	return f, o
 }
@@ -116,7 +116,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	figs := runner(cfg)
 	// An interrupted sweep reports its remaining points as DNF: rendering it
 	// or writing its metrics document would pass a truncated run off as a
-	// result (and let `make bench-json` overwrite the committed artifact).
+	// result.
 	if err := s.Config.Context.Err(); err != nil {
 		return fmt.Errorf("interrupted: %w", err)
 	}
@@ -126,10 +126,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		err = bench.Render(stdout, figs)
 	case "csv":
 		err = bench.RenderCSV(stdout, figs)
-	case "chart":
-		err = bench.RenderCharts(stdout, figs)
 	default:
-		err = fmt.Errorf("unknown format %q (want table, csv, or chart)", o.format)
+		err = fmt.Errorf("unknown format %q (want table or csv)", o.format)
 	}
 	if err != nil {
 		return err

@@ -95,13 +95,17 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestRunUnknownFormat: -format takes table or csv; anything else — the
+// retired ASCII chart renderer's "chart" included — fails naming it.
 func TestRunUnknownFormat(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := exit([]string{"-exp", "fig6", "-scale", "0.01", "-format", "xml"}, &stdout, &stderr); code != 1 {
-		t.Fatalf("exit code = %d, want 1; stderr: %s", code, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "xml") {
-		t.Errorf("error does not name the bad format: %s", stderr.String())
+	for _, format := range []string{"xml", "chart"} {
+		var stdout, stderr bytes.Buffer
+		if code := exit([]string{"-exp", "fig6", "-scale", "0.01", "-format", format}, &stdout, &stderr); code != 1 {
+			t.Fatalf("-format %s: exit code = %d, want 1; stderr: %s", format, code, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), format) {
+			t.Errorf("-format %s: error does not name the bad format: %s", format, stderr.String())
+		}
 	}
 }
 

@@ -61,7 +61,11 @@ func ComputeOpts(eng *mr.Engine, rel *relation.Relation, spec cube.Spec, opts Op
 	n := rel.N()
 	k := eng.Cfg.Workers
 	m := eng.MemTuples(n)
+	// Every round runs the aggregate counted, so that oversize detection
+	// reads each group's cardinality; the output records are still spec's
+	// (cube.Spec.Emit reads spec.Agg).
 	f, _ := spec.Effective()
+	f = agg.WithCount(f)
 	run := &cube.Run{Algorithm: "mr-cube", OutputPrefix: "out/mr-cube/"}
 
 	// Round 1: sampling. Reuses the same uniform-sampling machinery as
@@ -90,7 +94,7 @@ func ComputeOpts(eng *mr.Engine, rel *relation.Relation, spec cube.Spec, opts Op
 	compute := allMasks(d)
 	var partials []mr.Pair
 	for round := 0; ; round++ {
-		res, oversized, err := materializeRound(eng, rel, spec, compute, factors, capacity, run.OutputPrefix)
+		res, oversized, err := materializeRound(eng, rel, spec, f, compute, factors, capacity, run.OutputPrefix)
 		if err != nil {
 			return nil, err
 		}
@@ -235,13 +239,13 @@ func materializeRound(
 	eng *mr.Engine,
 	rel *relation.Relation,
 	spec cube.Spec,
+	f agg.Func,
 	compute []lattice.Mask,
 	factors []int,
 	capacity float64,
 	outPrefix string,
 ) (*mr.RoundResult, []lattice.Mask, error) {
 	d := rel.D()
-	f, _ := spec.Effective()
 
 	computeSet := make([]bool, 1<<uint(d))
 	for _, mask := range compute {
@@ -261,9 +265,8 @@ func materializeRound(
 	oversizedSet := make(map[lattice.Mask]bool)
 
 	job := &mr.Job{
-		Name:          "mr-cube-materialize",
-		CollectOutput: true,
-		OutputPrefix:  outPrefix,
+		Name:         "mr-cube-materialize",
+		OutputPrefix: outPrefix,
 		// Pig's reduce-side POPackage/algebraic-bag machinery is the
 		// heavyweight stage (calibrated against Figure 4b).
 		MapCPUFactor:    1.15,
@@ -307,7 +310,6 @@ func materializeRound(
 				return
 			}
 			st := f.NewState()
-			var rawCount int64
 			for _, v := range vals {
 				p, err := f.DecodeState(v)
 				if err != nil {
@@ -316,19 +318,14 @@ func materializeRound(
 				st.Merge(p)
 				ctx.ChargeOps(1)
 			}
-			// Reducer-side failure detection for the recursion: states
-			// expose the true group cardinality when the function tracks
-			// it; otherwise MR-Cube falls back to the per-key record
-			// count heuristic.
-			if c, ok := agg.Cardinality(st); ok {
-				rawCount = c
-			} else {
-				rawCount = int64(len(vals))
-			}
+			// Reducer-side failure detection for the recursion: f is
+			// counted, so the state holds the group's true cardinality,
+			// whatever the combiners and spills did to its record count.
+			card, _ := agg.Cardinality(st)
 			switch key[0] {
 			case prefixPlain:
 				gk := key[1:]
-				if float64(rawCount) > capacity {
+				if float64(card) > capacity {
 					mask, _, _, err := relation.ScanGroupKey([]byte(gk))
 					if err == nil {
 						overMu.Lock()

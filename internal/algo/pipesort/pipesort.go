@@ -41,10 +41,9 @@ func Compute(eng *mr.Engine, rel *relation.Relation, spec cube.Spec) (*cube.Run,
 
 	// Round 0: the top cuboid (all attributes) from the raw relation.
 	top := &mr.Job{
-		Name:          "pipesort-l" + itoa(d),
-		CollectOutput: true,
-		OutputPrefix:  run.OutputPrefix,
-		TaskState:     func() any { return new(taskState) },
+		Name:         "pipesort-l" + itoa(d),
+		OutputPrefix: run.OutputPrefix,
+		TaskState:    func() any { return new(taskState) },
 		MapTuple: func(ctx *mr.MapCtx, t relation.Tuple) {
 			ts := ctx.State().(*taskState)
 			ctx.ChargeOps(1)
@@ -67,13 +66,12 @@ func Compute(eng *mr.Engine, rel *relation.Relation, spec cube.Spec) (*cube.Run,
 	// Rounds 1..d: level l from level l+1.
 	for level := d - 1; level >= 0; level-- {
 		job := &mr.Job{
-			Name:          "pipesort-l" + itoa(level),
-			CollectOutput: true,
-			OutputPrefix:  run.OutputPrefix,
-			TaskState:     func() any { return new(taskState) },
-			MapPair:       mapChildren(d, level),
-			Combine:       combine(f),
-			Reduce:        reduceLevel(spec, f, level > 0),
+			Name:         "pipesort-l" + itoa(level),
+			OutputPrefix: run.OutputPrefix,
+			TaskState:    func() any { return new(taskState) },
+			MapPair:      mapChildren(d, level),
+			Combine:      combine(f),
+			Reduce:       reduceLevel(spec, f, level > 0),
 		}
 		res, err := eng.RunPairs(job, parents)
 		if err != nil {

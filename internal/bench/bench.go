@@ -14,7 +14,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/spcube/spcube/internal/cube"
 	"github.com/spcube/spcube/internal/data"
@@ -102,11 +101,15 @@ type measures struct {
 	reduceAvg    float64
 	shuffleBytes int64
 	sketchBytes  int
-	outBalance   []int64
 	shuffleRecs  int64
-	inBalance    []int64
-	rounds       int
-	dnf          bool
+	// outBalance and inBalance are the last round's reducer output and
+	// input imbalance: max/median (mr.LoadBalance.MaxOverMedian). The median
+	// is robust to a single special-role reducer with near-empty output
+	// (SP-Cube's dedicated skew reducer emits only the few dozen skewed
+	// groups), which would otherwise drag a mean-based metric.
+	outBalance, inBalance float64
+	rounds                int
+	dnf                   bool
 }
 
 // algorithms under test, in the paper's plotting order.
@@ -147,10 +150,13 @@ func runOne(cfg Config, a algo, rel *relation.Relation) measures {
 	ms.rounds = len(run.Metrics.Rounds)
 	if n := ms.rounds; n > 0 {
 		last := &run.Metrics.Rounds[n-1]
-		ms.outBalance = last.ReducerOutputBytes()
+		in := make([]int64, len(last.Reducers))
 		for i := range last.Reducers {
-			ms.inBalance = append(ms.inBalance, last.Reducers[i].InBytes)
+			in[i] = last.Reducers[i].InBytes
 		}
+		// A round has at least one reducer, so neither balance is nil.
+		ms.outBalance = mr.NewLoadBalance(last.ReducerOutputBytes()).MaxOverMedian
+		ms.inBalance = mr.NewLoadBalance(in).MaxOverMedian
 	}
 	return ms
 }
@@ -322,31 +328,13 @@ func Balance(cfg Config) []Figure {
 		si := Series{Name: a.name}
 		for wi, w := range workloads {
 			ms := runOne(cfg, a, w.rel)
-			so.Points = append(so.Points, Point{X: float64(wi), Y: imbalance(ms.outBalance), DNF: ms.dnf})
-			si.Points = append(si.Points, Point{X: float64(wi), Y: imbalance(ms.inBalance), DNF: ms.dnf})
+			so.Points = append(so.Points, Point{X: float64(wi), Y: ms.outBalance, DNF: ms.dnf})
+			si.Points = append(si.Points, Point{X: float64(wi), Y: ms.inBalance, DNF: ms.dnf})
 		}
 		out.Series = append(out.Series, so)
 		in.Series = append(in.Series, si)
 	}
 	return []Figure{out, in}
-}
-
-// imbalance is max/median over the reducers' output sizes. The median is
-// robust to a single special-role reducer with near-empty output (SP-Cube's
-// dedicated skew reducer emits only the few dozen skewed groups), which
-// would otherwise drag a mean-based metric.
-func imbalance(outs []int64) float64 {
-	if len(outs) == 0 {
-		return 0
-	}
-	sorted := append([]int64(nil), outs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	median := float64(sorted[len(sorted)/2])
-	maxV := float64(sorted[len(sorted)-1])
-	if median == 0 {
-		return maxV
-	}
-	return maxV / median
 }
 
 // Traffic verifies the intermediate-data bounds of §5.2: on uniform

@@ -160,18 +160,6 @@ func TestBalanceReports(t *testing.T) {
 	}
 }
 
-func TestImbalance(t *testing.T) {
-	if got := imbalance(nil); got != 0 {
-		t.Errorf("empty: %v", got)
-	}
-	if got := imbalance([]int64{10, 10, 10}); got != 1 {
-		t.Errorf("uniform: %v", got)
-	}
-	if got := imbalance([]int64{0, 10, 20}); got != 2 {
-		t.Errorf("max/median: %v", got)
-	}
-}
-
 func TestSketchQualityRecall(t *testing.T) {
 	figs := SketchQuality(tiny())
 	if len(figs) != 3 {
@@ -246,39 +234,6 @@ func TestRenderFormats(t *testing.T) {
 	}
 	if got := len(strings.Split(strings.TrimSpace(buf.String()), "\n")); got != 5 {
 		t.Errorf("csv rows = %d, want 5", got)
-	}
-}
-
-func TestRenderCharts(t *testing.T) {
-	figs := []Figure{{
-		ID: "c", Title: "chart demo", XLabel: "n", YLabel: "secs", LogX: true,
-		Series: []Series{
-			{Name: "A", Points: []Point{{X: 10, Y: 5}, {X: 100, Y: 50}, {X: 1000, Y: 500}}},
-			{Name: "B", Points: []Point{{X: 10, Y: 20}, {X: 1000, DNF: true}}},
-		},
-	}}
-	var buf bytes.Buffer
-	if err := RenderCharts(&buf, figs); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"chart demo", "legend: * A · o B", "x"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("chart missing %q in:\n%s", want, out)
-		}
-	}
-	// The largest completed value sits on the top row region, zero at the
-	// bottom: glyph counts must match point counts.
-	if got := strings.Count(out, "*"); got != 3 {
-		t.Errorf("series A drew %d glyphs, want 3", got)
-	}
-	// Empty figure does not crash.
-	var empty bytes.Buffer
-	if err := RenderCharts(&empty, []Figure{{ID: "e", Title: "empty"}}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(empty.String(), "no completed points") {
-		t.Error("empty figure should say so")
 	}
 }
 

@@ -2,13 +2,20 @@ package bench
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"flag"
 	"fmt"
+	"os"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"github.com/spcube/spcube/internal/mr"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/fig6.golden.json from this tree")
 
 // runFig6Doc runs the fig6 experiment at a tiny scale and assembles its
 // metrics document.
@@ -22,6 +29,13 @@ func runFig6Doc(t *testing.T, par int, faults string) []byte {
 		}
 		cfg.Faults = fp
 	}
+	return fig6Doc(t, cfg)
+}
+
+// fig6Doc runs the fig6 experiment under cfg and returns the metrics
+// document `spbench -metrics-out` writes for it.
+func fig6Doc(t *testing.T, cfg Config) []byte {
+	t.Helper()
 	var col Collector
 	cfg.Collect = col.Collect
 	figs := Fig6(cfg)
@@ -30,6 +44,71 @@ func runFig6Doc(t *testing.T, par int, faults string) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// fig6Golden is testdata/fig6.golden.json: the sweep `spbench -exp fig6
+// -scale 0.05` runs, its figures, and the SHA-256 of its whole metrics
+// document (every run's per-round, per-task metrics) once StripVolatile has
+// dropped what may differ between two runs of the same tree.
+type fig6Golden struct {
+	Experiment    string   `json:"experiment"`
+	Workers       int      `json:"workers"`
+	Seed          int64    `json:"seed"`
+	Scale         float64  `json:"scale"`
+	SchemaVersion int      `json:"schemaVersion"`
+	Figures       []Figure `json:"figures"`
+	MetricsSHA256 string   `json:"metricsSHA256"`
+}
+
+// TestFig6Golden holds the fig6 sweep's figures and metrics to the pinned
+// golden: a change that moves any deterministic counter or simulated second
+// of any of its 18 runs fails here. `go test ./internal/bench -run
+// TestFig6Golden -update` (`make bench-json`) rewrites the golden after a
+// deliberate change.
+func TestFig6Golden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("the golden was recorded on amd64; on %s the compiler may fuse multiply-adds, which moves the last digits of simulated seconds", runtime.GOARCH)
+	}
+	const path = "testdata/fig6.golden.json"
+	cfg := Config{Config: mr.Config{Workers: 20, Seed: 2016}, Scale: 0.05}
+	data := fig6Doc(t, cfg)
+	var doc MetricsDoc
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	stripped, err := StripVolatile(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := fig6Golden{
+		Experiment: doc.Experiment, Workers: doc.Workers, Seed: doc.Seed, Scale: doc.Scale,
+		SchemaVersion: doc.SchemaVersion, Figures: doc.Figures,
+		MetricsSHA256: fmt.Sprintf("%x", sha256.Sum256(stripped)),
+	}
+	if *update {
+		out, err := json.MarshalIndent(got, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want fig6Golden
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	if !reflect.DeepEqual(got.Figures, want.Figures) {
+		t.Errorf("fig6 figures differ from %s:\ngot  %+v\nwant %+v", path, got.Figures, want.Figures)
+	}
+	got.Figures, want.Figures = nil, nil
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("fig6 metrics differ from %s:\ngot  %+v\nwant %+v", path, got, want)
+	}
 }
 
 func TestMetricsDocValidates(t *testing.T) {

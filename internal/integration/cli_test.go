@@ -25,9 +25,10 @@ func TestCLIExitCodes(t *testing.T) {
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	missing := filepath.Join(bin, "missing.csv")
-	input := filepath.Join(bin, "in.csv")
-	if err := os.WriteFile(input, []byte("a,b,m\nx,y,1\nx,z,2\n"), 0o644); err != nil {
+	// The binaries run in bin and name their files relative to it, so the
+	// subtest names, built from the arguments, carry no random temp-dir part.
+	missing, input := "missing.csv", "in.csv"
+	if err := os.WriteFile(filepath.Join(bin, input), []byte("a,b,m\nx,y,1\nx,z,2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// What each binary is asked to do when the case adds nothing else: read
@@ -66,6 +67,7 @@ func TestCLIExitCodes(t *testing.T) {
 			t.Run(name+" "+strings.Join(c.args, " "), func(t *testing.T) {
 				var stderr bytes.Buffer
 				cmd := exec.Command(filepath.Join(bin, name), args...)
+				cmd.Dir = bin
 				cmd.Stderr = &stderr
 				code := 0
 				var ee *exec.ExitError

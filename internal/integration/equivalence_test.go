@@ -272,11 +272,7 @@ func check(t *testing.T, p point) {
 		checkFired(p, o, c, fail)
 	}
 	checkClean(clean, c, fail)
-	// MR-Cube finds oversized groups by their record count at the reducer
-	// when the aggregate tracks no cardinality, and per-spill combining
-	// changes that count: its re-partition rounds, and with them its output
-	// files, may follow the budget. Its cube must still be exact.
-	if p.budget > 0 && (p.algo != "mr-cube" || p.agg == "count" || p.minsup > 1) {
+	if p.budget > 0 {
 		mem := clean
 		mem.budget, mem.codec, mem.fanIn = 0, "", 0
 		same("in-memory", o, run(t, mem), nil, false)

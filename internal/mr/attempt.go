@@ -50,7 +50,7 @@ type taskSpec struct {
 	body func(a *taskAttempt)
 	// undo drops the output of an attempt whose body ran: map — delete its
 	// spill run file (the buckets die with the attempt); reduce — roll its
-	// DFS appends back to the attempt's marks.
+	// DFS appends back to the attempt's mark.
 	undo func(a *taskAttempt)
 }
 
@@ -68,9 +68,9 @@ type taskAttempt struct {
 	// discarded (map: pre-combine emit bytes; reduce: output and side bytes).
 	metrics TaskMetrics
 	wasted  int64
-	mout    mapOutput       // map: sorted buckets and run file
-	collect []Pair          // reduce: collected side output
-	marks   [2]dfs.FileMark // reduce: output and side file before the attempt
+	mout    mapOutput    // map: sorted buckets and run file
+	collect []Pair       // reduce: collected side output
+	mark    dfs.FileMark // reduce: the output file before the attempt
 }
 
 // specOutcome is one speculative race's recovery accounting: the loser's

@@ -8,7 +8,7 @@ package mr
 // model; they differ only in the operations they actually perform, which the
 // engine counts.
 //
-// The defaults are calibrated to the paper's testbed (20×m3.xlarge, Hadoop
+// The engine's one model, cost, is calibrated to the paper's testbed (20×m3.xlarge, Hadoop
 // 2.4) under the experiments' 1000× data down-scaling: each simulated record
 // stands for ~1000 real records, so per-record CPU costs are the paper-scale
 // microseconds multiplied by 1000, and bandwidths are divided by 1000, while
@@ -56,19 +56,17 @@ type CostModel struct {
 	RoundStartup float64
 }
 
-// DefaultCost returns the calibration used by all experiments.
-func DefaultCost() CostModel {
-	return CostModel{
-		MapCPUPerRecord:     4e-3,
-		MapCPUPerEmit:       2e-3,
-		CPUPerOp:            0.15e-3,
-		CombineCPUPerRecord: 1e-3,
-		ReduceCPUPerRecord:  1.5e-3,
-		ReduceCPUPerEmit:    1.5e-3,
-		NetBytesPerSec:      1.2e6, // ~10 Gbit/s aggregate, scaled
-		NodeNetBytesPerSec:  120e3, // ~1 Gbit/s per node, scaled
-		DiskBytesPerSec:     90e3,
-		SpillPasses:         3,
-		RoundStartup:        12,
-	}
+// cost is the one calibration every round is charged by.
+var cost = CostModel{
+	MapCPUPerRecord:     4e-3,
+	MapCPUPerEmit:       2e-3,
+	CPUPerOp:            0.15e-3,
+	CombineCPUPerRecord: 1e-3,
+	ReduceCPUPerRecord:  1.5e-3,
+	ReduceCPUPerEmit:    1.5e-3,
+	NetBytesPerSec:      1.2e6, // ~10 Gbit/s aggregate, scaled
+	NodeNetBytesPerSec:  120e3, // ~1 Gbit/s per node, scaled
+	DiskBytesPerSec:     90e3,
+	SpillPasses:         3,
+	RoundStartup:        12,
 }

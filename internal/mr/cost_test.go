@@ -29,7 +29,7 @@ type costMeasures [5]int64
 
 var costMeasureNames = [...]string{"map input records", "emitted records", "shuffle bytes", "spilled bytes", "output records"}
 
-// costRound runs the word count of shape s on the default cost model.
+// costRound runs the word count of shape s on the cost model.
 func costRound(t *testing.T, s costShape) (costMeasures, float64) {
 	t.Helper()
 	value := func(n uint64) []byte {
@@ -68,7 +68,7 @@ func costRound(t *testing.T, s costShape) (costMeasures, float64) {
 			tuples[i].Measure = int64(s.emits)
 		}
 	}
-	eng := New(Config{Workers: costWorkers, Cost: DefaultCost(), SpillBudgetBytes: s.budget, SpillDir: t.TempDir()}, dfs.New(true))
+	eng := New(Config{Workers: costWorkers, SpillBudgetBytes: s.budget, SpillDir: t.TempDir()}, dfs.New(true))
 	res, err := eng.RunTuples(job, tuples)
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func costRound(t *testing.T, s costShape) (costMeasures, float64) {
 	return m, r.SimSeconds
 }
 
-// TestSimSecondsMonotone: on the default cost model, a round's simulated time
+// TestSimSecondsMonotone: on the cost model, a round's simulated time
 // never decreases as one of the quantities it is charged by grows — map input
 // records, emitted records, shuffle bytes, spilled bytes, output records —
 // with the other four held fixed, and a leg that grows its quantity costs

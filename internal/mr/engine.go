@@ -100,8 +100,6 @@ type Config struct {
 	// paper sets m = n/k). If zero, the engine derives it as n/k at run
 	// time from the current input.
 	MemTuples int
-	// Cost converts accounting into simulated seconds.
-	Cost CostModel
 	// OOMFactor: a reducer whose (inflation-adjusted) input bytes exceed
 	// OOMFactor × machine memory bytes fails when the job sets
 	// FailOnReducerOOM. Default 48 (roughly: a reducer can externally
@@ -254,9 +252,6 @@ type Job struct {
 	// MemInflation scales reducer input bytes when checking memory
 	// pressure (deserialized-object overhead). Default 1.
 	MemInflation float64
-	// CollectOutput retains reducer EmitSide pairs in the RoundResult for
-	// use as the next round's input.
-	CollectOutput bool
 	// OutputPrefix overrides the DFS prefix reducer output is written
 	// under (default "out/<job name>/").
 	OutputPrefix string
@@ -265,7 +260,8 @@ type Job struct {
 // RoundResult is the outcome of one engine round.
 type RoundResult struct {
 	Metrics RoundMetrics
-	// Output holds the reducers' EmitKV pairs when CollectOutput is set.
+	// Output holds the reducers' EmitSide pairs, in reduce-task order: the
+	// input of a following round.
 	Output []Pair
 }
 
@@ -304,9 +300,6 @@ func New(cfg Config, fs *dfs.FS) *Engine {
 		cfg.MergeFanIn = defaultMergeFanIn
 	} else if cfg.MergeFanIn < 2 {
 		cfg.MergeFanIn = 2 // a two-way merge is the smallest that makes progress
-	}
-	if cfg.Cost == (CostModel{}) {
-		cfg.Cost = DefaultCost()
 	}
 	if cfg.Executor == nil {
 		cfg.Executor = localExecutor{}
@@ -412,7 +405,7 @@ func (c *MapCtx) Emit(key string, val []byte) {
 	pb := pairBytes(key, val)
 	c.metrics.PreCombineRecords++
 	c.metrics.PreCombineBytes += pb
-	c.metrics.CPUSeconds += c.eng.Cfg.Cost.MapCPUPerEmit
+	c.metrics.CPUSeconds += cost.MapCPUPerEmit
 	c.inject.onEmit()
 	if c.budget > 0 {
 		c.pending += pb
@@ -463,7 +456,7 @@ func (c *MapCtx) spillNow() {
 	c.metrics.Spills++
 	c.metrics.SpillBytes += encBytes
 	c.metrics.CompressedSpillBytes += written
-	c.metrics.CPUSeconds += float64(written) / c.eng.Cfg.Cost.DiskBytesPerSec
+	c.metrics.CPUSeconds += float64(written) / cost.DiskBytesPerSec
 	c.tr.add(PhaseMap, c.Task, TraceEvent{Type: EvSpill, Attempt: c.attempt, Bytes: encBytes})
 	c.flushes = append(c.flushes, flushRec{bytes: written, records: records})
 	c.out = c.out[:0]
@@ -508,7 +501,7 @@ func (c *MapCtx) arenaAppend(b []byte) []byte {
 // node visits) for CPU cost accounting.
 func (c *MapCtx) ChargeOps(n int64) {
 	c.metrics.Ops += n
-	c.metrics.CPUSeconds += float64(n) * c.eng.Cfg.Cost.CPUPerOp
+	c.metrics.CPUSeconds += float64(n) * cost.CPUPerOp
 }
 
 // Workers returns the cluster size k.
@@ -516,37 +509,26 @@ func (c *MapCtx) Workers() int { return c.eng.Cfg.Workers }
 
 // RedCtx is the context passed to reduce functions.
 type RedCtx struct {
-	Task     int
-	job      *Job
-	eng      *Engine
-	file     string
-	sideFile string
-	collect  []Pair
-	state    any
-	metrics  *TaskMetrics
-	scratch  []byte
-	inject   *injector
-	// External-aggregation spill state: oversized groups are encoded
+	Task    int
+	job     *Job
+	eng     *Engine
+	file    string
+	collect []Pair
+	state   any
+	metrics *TaskMetrics
+	scratch []byte
+	inject  *injector
+	// External-aggregation accounting state: oversized groups are encoded
 	// through the spill codec (SpillBytes is the exact encoded size) and,
-	// when out-of-core mode is on, block-framed through codec and written
-	// to a per-attempt run file (frameBuf/blockBuf are framing scratch).
-	sd       *spillDir
+	// when out-of-core mode is on, block-framed through codec
+	// (frameBuf/blockBuf are framing scratch) to size the charged I/O.
 	budget   int64
-	extSpill *spillFile
 	encBuf   []byte
 	codec    blockcodec.Codec
 	frameBuf []byte
 	blockBuf []byte
 	tr       *roundTracer // see MapCtx.tr
 	attempt  int
-}
-
-// discardExtSpill deletes the attempt's external-aggregation run file (it
-// is written for its I/O, never merged back); called when the attempt ends,
-// on every path.
-func (c *RedCtx) discardExtSpill() {
-	c.extSpill.discard()
-	c.extSpill = nil
 }
 
 // State returns the task-private state created by Job.TaskState, or nil
@@ -558,7 +540,7 @@ func (c *RedCtx) State() any { return c.state }
 func (c *RedCtx) EmitKV(key string, val []byte) {
 	c.metrics.OutRecords++
 	c.metrics.OutBytes += pairBytes(key, val)
-	c.metrics.CPUSeconds += c.eng.Cfg.Cost.ReduceCPUPerEmit
+	c.metrics.CPUSeconds += cost.ReduceCPUPerEmit
 	c.scratch = c.scratch[:0]
 	c.scratch = append(c.scratch, key...)
 	c.scratch = append(c.scratch, '\t')
@@ -567,29 +549,21 @@ func (c *RedCtx) EmitKV(key string, val []byte) {
 	c.inject.onEmit()
 }
 
-// EmitSide writes one record to the reducer's side-output file (kept apart
-// from the job's primary output) and, when the job collects output, retains
-// it for the next round — how multi-round algorithms pass intermediate
-// results forward.
+// EmitSide retains one record, apart from the job's DFS output, in the
+// round's RoundResult.Output — how multi-round algorithms pass intermediate
+// results forward. val is copied.
 func (c *RedCtx) EmitSide(key string, val []byte) {
 	c.metrics.SideRecords++
 	c.metrics.SideBytes += pairBytes(key, val)
-	c.metrics.CPUSeconds += c.eng.Cfg.Cost.ReduceCPUPerEmit
-	c.scratch = c.scratch[:0]
-	c.scratch = append(c.scratch, key...)
-	c.scratch = append(c.scratch, '\t')
-	c.scratch = append(c.scratch, val...)
-	c.eng.FS.Append(c.sideFile, c.scratch)
-	if c.job.CollectOutput {
-		c.collect = append(c.collect, Pair{Key: key, Val: append([]byte(nil), val...)})
-	}
+	c.metrics.CPUSeconds += cost.ReduceCPUPerEmit
+	c.collect = append(c.collect, Pair{Key: key, Val: append([]byte(nil), val...)})
 	c.inject.onEmit()
 }
 
 // ChargeOps reports n elementary algorithm operations.
 func (c *RedCtx) ChargeOps(n int64) {
 	c.metrics.Ops += n
-	c.metrics.CPUSeconds += float64(n) * c.eng.Cfg.Cost.CPUPerOp
+	c.metrics.CPUSeconds += float64(n) * cost.CPUPerOp
 }
 
 // Workers returns the cluster size k.
@@ -607,7 +581,7 @@ func (e *Engine) RunTuples(job *Job, tuples []relation.Tuple) (*RoundResult, err
 		lo, hi := split(n, e.Cfg.Workers, task)
 		for i := lo; i < hi; i++ {
 			ctx.metrics.InRecords++
-			ctx.metrics.CPUSeconds += e.Cfg.Cost.MapCPUPerRecord
+			ctx.metrics.CPUSeconds += cost.MapCPUPerRecord
 			job.MapTuple(ctx, tuples[i])
 		}
 		ctx.metrics.InBytes = inBytes * int64(hi-lo) / int64(max(n, 1))
@@ -625,7 +599,7 @@ func (e *Engine) RunPairs(job *Job, pairs []Pair) (*RoundResult, error) {
 		for i := lo; i < hi; i++ {
 			ctx.metrics.InRecords++
 			ctx.metrics.InBytes += pairBytes(pairs[i].Key, pairs[i].Val)
-			ctx.metrics.CPUSeconds += e.Cfg.Cost.MapCPUPerRecord
+			ctx.metrics.CPUSeconds += cost.MapCPUPerRecord
 			job.MapPair(ctx, pairs[i].Key, pairs[i].Val)
 		}
 	})
@@ -778,7 +752,7 @@ func (r *round) open() error {
 	if err != nil {
 		r.rm.Failed = true
 		r.rm.FailReason = fmt.Sprintf("execution backend: %v", err)
-		r.rm.finalize(e.Cfg.Cost)
+		r.rm.finalize()
 		r.rm.WallSeconds = time.Since(r.start).Seconds()
 		r.tr.roundEnd(r.rm)
 		return fmt.Errorf("mr: job %s: execution backend: %w", r.job.Name, err)
@@ -792,7 +766,7 @@ func (r *round) open() error {
 // metrics, and emit the round-end event.
 func (r *round) finish() {
 	st := r.rex.RoundEnd()
-	r.rm.finalize(r.eng.Cfg.Cost)
+	r.rm.finalize()
 	r.rm.HeartbeatMisses = st.HeartbeatMisses
 	r.rm.WorkerRestarts = st.WorkerRestarts
 	r.rm.RPCRetries = st.RPCRetries
@@ -1008,10 +982,10 @@ func (r *round) sizeReducers(srcs [][]streamSource) (int, error) {
 			tm.InBytes += raw
 			if src.seg != nil {
 				// The encoded length is charged as one streaming read pass.
-				tm.CPUSeconds += float64(src.seg.length) / cfg.Cost.DiskBytesPerSec
+				tm.CPUSeconds += float64(src.seg.length) / cost.DiskBytesPerSec
 			}
 		}
-		tm.CPUSeconds += float64(tm.InRecords) * cfg.Cost.ReduceCPUPerRecord
+		tm.CPUSeconds += float64(tm.InRecords) * cost.ReduceCPUPerRecord
 		if r.job.FailOnReducerOOM && float64(tm.InRecords)*r.inflation > cfg.OOMFactor*r.oomMem {
 			r.rm.Failed = true
 			r.rm.FailReason = fmt.Sprintf("reducer %d out of memory: %d input records (×%.0f inflation) exceed %.0f×m (m=%d tuples)",
@@ -1029,7 +1003,7 @@ func (r *round) sizeReducers(srcs [][]streamSource) (int, error) {
 // k-way merge over the task's sorted runs is read-only (spill segments are
 // re-read via ReadAt), so one merger serves every attempt; each attempt
 // rewinds it. A failed attempt's DFS appends are rolled back to the
-// pre-attempt marks, so the output files hold exactly one successful
+// pre-attempt mark, so the output file holds exactly one successful
 // attempt's records.
 func (r *round) runReduceTask(task int, runs []streamSource) (*taskAttempt, error) {
 	tm := &r.rm.Reducers[task] // holds the pre-scan's input accounting
@@ -1047,20 +1021,15 @@ func (r *round) runReduceTask(task int, runs []streamSource) (*taskAttempt, erro
 	m := newStreamMerger(runs)
 	fs := r.eng.FS
 	file := fmt.Sprintf("%spart-r-%05d", r.outPrefix, task)
-	sideFile := fmt.Sprintf("side/%s/part-r-%05d", r.job.Name, task)
 	return r.runTask(&taskSpec{
 		phase: PhaseReduce, task: task, tm: tm, down: r.barrierDown,
 		body: func(a *taskAttempt) {
-			a.marks = [2]dfs.FileMark{fs.Mark(file), fs.Mark(sideFile)}
-			ctx := r.newRedCtx(task, a, file, sideFile)
+			a.mark = fs.Mark(file)
+			ctx := r.newRedCtx(task, a, file)
 			a.err = r.reduceAttempt(ctx, m)
-			ctx.discardExtSpill()
 			a.collect, a.wasted = ctx.collect, a.metrics.OutBytes+a.metrics.SideBytes
 		},
-		undo: func(a *taskAttempt) {
-			fs.Rollback(file, a.marks[0])
-			fs.Rollback(sideFile, a.marks[1])
-		},
+		undo: func(a *taskAttempt) { fs.Rollback(file, a.mark) },
 	})
 }
 
@@ -1077,10 +1046,10 @@ func (r *round) newMapCtx(task int, a *taskAttempt) *MapCtx {
 
 // newRedCtx builds one reduce attempt's context, accounting into the
 // attempt's metrics.
-func (r *round) newRedCtx(task int, a *taskAttempt, file, sideFile string) *RedCtx {
+func (r *round) newRedCtx(task int, a *taskAttempt, file string) *RedCtx {
 	return &RedCtx{
-		Task: task, job: r.job, eng: r.eng, file: file, sideFile: sideFile,
-		metrics: &a.metrics, inject: a.inj, sd: r.sd, budget: r.eng.Cfg.SpillBudgetBytes,
+		Task: task, job: r.job, eng: r.eng, file: file,
+		metrics: &a.metrics, inject: a.inj, budget: r.eng.Cfg.SpillBudgetBytes,
 		codec: r.codec, tr: r.tr, attempt: a.index,
 	}
 }
@@ -1264,11 +1233,7 @@ func (r *round) reduceAttempt(ctx *RedCtx, m *streamMerger) (err error) {
 		// SP-Cube avoids it by pre-aggregating skews in the mappers; the
 		// naive algorithm pays it in full.
 		if excess := int64(len(vals)) - capRecords; excess > 0 {
-			cpu, err := r.eng.externalAgg(ctx, group, vals[int64(len(vals))-excess:])
-			if err != nil {
-				return err
-			}
-			spillCPU += cpu
+			spillCPU += externalAgg(ctx, group, vals[int64(len(vals))-excess:])
 		}
 		job.Reduce(ctx, group, vals)
 	}
@@ -1327,13 +1292,17 @@ func (a *readArena) string(s string) string {
 	return unsafe.String(&c[0], len(c))
 }
 
-// externalAgg accounts — and, in out-of-core mode, performs — the external
-// aggregation of one group whose value list exceeds the task's memory: the
-// excess records are encoded through the spill codec, so SpillBytes is the
-// exact encoded size, and the charge is SpillPasses passes over those bytes. With SpillBudgetBytes
-// > 0 the encoded run is physically written to the attempt's run file.
-// The returned CPU charge is added after ReduceCPUFactor scaling.
-func (e *Engine) externalAgg(ctx *RedCtx, key string, excess [][]byte) (float64, error) {
+// externalAgg charges the external aggregation of one group whose value
+// list exceeds the task's memory — the skewed-group I/O penalty — without
+// performing it: the values stay in memory and go to Reduce, so a copy on
+// disk would be written only to be deleted. The excess records are encoded
+// through the spill codec, so SpillBytes is the exact encoded size; with
+// SpillBudgetBytes > 0 they are also framed through the run files' block
+// codec, and CompressedSpillBytes is the framed size a run file would hold.
+// The charge is SpillPasses passes over the framed bytes, or over the encoded
+// ones when out-of-core mode is off. The returned CPU charge is added after
+// ReduceCPUFactor scaling.
+func externalAgg(ctx *RedCtx, key string, excess [][]byte) float64 {
 	buf := ctx.encBuf[:0]
 	prev := ""
 	for _, v := range excess {
@@ -1342,29 +1311,16 @@ func (e *Engine) externalAgg(ctx *RedCtx, key string, excess [][]byte) (float64,
 	}
 	ctx.encBuf = buf
 	tm := ctx.metrics
-	// The cost model charges the bytes the disk absorbs: the framed,
-	// compressed size when the run is physically written, the encoded size
-	// when out-of-core mode is off and the write is only simulated.
 	charged := int64(len(buf))
 	if ctx.budget > 0 {
-		if ctx.extSpill == nil {
-			sf, err := ctx.sd.create("run-r-*")
-			if err != nil {
-				return 0, err
-			}
-			ctx.extSpill = sf
-		}
 		ctx.frameBuf, ctx.blockBuf = blockcodec.AppendAll(ctx.frameBuf[:0], ctx.codec, buf, ctx.blockBuf)
-		if err := ctx.extSpill.writeRaw(ctx.frameBuf); err != nil {
-			return 0, err
-		}
 		charged = int64(len(ctx.frameBuf))
 		tm.CompressedSpillBytes += charged
 	}
 	tm.Spills++
 	tm.SpillBytes += int64(len(buf))
 	ctx.tr.add(PhaseReduce, ctx.Task, TraceEvent{Type: EvSpill, Attempt: ctx.attempt, Bytes: int64(len(buf))})
-	return float64(charged) * e.Cfg.Cost.SpillPasses / e.Cfg.Cost.DiskBytesPerSec, nil
+	return float64(charged) * cost.SpillPasses / cost.DiskBytesPerSec
 }
 
 // isFaultError reports whether err is an injected-fault failure (retryable)
@@ -1439,7 +1395,7 @@ func (e *Engine) forEachTask(n int, fn func(task int)) {
 // combined = out[:0] in place, which corrupted later groups whenever a
 // combiner returned more values than it consumed.
 func (e *Engine) combine(job *Job, ctx *MapCtx, out []Pair) []Pair {
-	ctx.metrics.CPUSeconds += float64(len(out)) * e.Cfg.Cost.CombineCPUPerRecord
+	ctx.metrics.CPUSeconds += float64(len(out)) * cost.CombineCPUPerRecord
 	if len(out) == 0 {
 		return out
 	}

@@ -205,8 +205,7 @@ func TestRunPairsChaining(t *testing.T) {
 	// Round 1 emits partial sums as side output; round 2 consumes them.
 	tuples, _ := tuplesFromWords(strings.Fields("a a b b b c"))
 	first := &Job{
-		Name:          "r1",
-		CollectOutput: true,
+		Name: "r1",
 		MapTuple: func(ctx *MapCtx, t relation.Tuple) {
 			ctx.Emit(fmt.Sprintf("w%d", t.Dims[0]), []byte{1})
 		},
@@ -370,8 +369,7 @@ func TestCPUFactorsScaleTaskTime(t *testing.T) {
 func TestEmitSideAccounting(t *testing.T) {
 	tuples, _ := tuplesFromWords(strings.Fields("a b c"))
 	job := &Job{
-		Name:          "side",
-		CollectOutput: true,
+		Name: "side",
 		MapTuple: func(ctx *MapCtx, tu relation.Tuple) {
 			ctx.Emit(fmt.Sprintf("w%d", tu.Dims[0]), nil)
 		},
@@ -394,14 +392,20 @@ func TestEmitSideAccounting(t *testing.T) {
 		t.Errorf("side=%d out=%d, want 3/3", side, out)
 	}
 	if len(res.Output) != 3 {
-		t.Errorf("collected %d side pairs", len(res.Output))
+		t.Fatalf("collected %d side pairs, want 3", len(res.Output))
 	}
-	// Side output lands under side/<job>/, not in the primary output.
+	for _, p := range res.Output {
+		if string(p.Val) != "partial" {
+			t.Errorf("collected %s=%q, want the side record %q", p.Key, p.Val, "partial")
+		}
+	}
+	// Side records live in the result alone: the DFS holds the primary
+	// output and nothing else.
 	if eng.FS.TotalRecords("out/side/") != 3 {
 		t.Error("primary output records wrong")
 	}
-	if eng.FS.TotalRecords("side/side/") != 3 {
-		t.Error("side output records wrong")
+	if files := eng.FS.List("side/"); len(files) != 0 {
+		t.Errorf("side records written to the DFS: %v", files)
 	}
 }
 

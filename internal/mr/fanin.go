@@ -86,7 +86,7 @@ func (r *round) mergeRunGroup(sf *spillFile, group []streamSource, task int, tm 
 	}
 	tm.MergePasses++
 	tm.CompressedSpillBytes += seg.length
-	tm.CPUSeconds += 2 * float64(seg.length) / r.eng.Cfg.Cost.DiskBytesPerSec
+	tm.CPUSeconds += 2 * float64(seg.length) / cost.DiskBytesPerSec
 	r.tr.add(PhaseReduce, task, TraceEvent{
 		Type: EvMergePass, Bytes: seg.length, Records: seg.records,
 	})
@@ -132,7 +132,7 @@ func (w *segWriter) flush() error {
 	w.framed, w.block = blockcodec.AppendAll(w.framed[:0], w.codec, w.enc, w.block)
 	w.seg.length += int64(len(w.framed))
 	w.enc = w.enc[:0]
-	return w.sf.writeRaw(w.framed)
+	return w.sf.write(w.framed)
 }
 
 // finish flushes the tail and returns the completed segment, which starts

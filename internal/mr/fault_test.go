@@ -17,8 +17,7 @@ import (
 // state, so a faulted run can be compared bit-for-bit to a fault-free one.
 func faultTestJob() *Job {
 	return &Job{
-		Name:          "faultwc",
-		CollectOutput: true,
+		Name: "faultwc",
 		MapTuple: func(ctx *MapCtx, t relation.Tuple) {
 			ctx.Emit(fmt.Sprintf("w%03d", t.Dims[0]), []byte{1})
 		},
@@ -346,9 +345,8 @@ func TestTaskStateFreshPerAttempt(t *testing.T) {
 	// key/value and diverge from the fault-free run.
 	statefulJob := func() *Job {
 		return &Job{
-			Name:          "stateful",
-			CollectOutput: true,
-			TaskState:     func() any { c := 0; return &c },
+			Name:      "stateful",
+			TaskState: func() any { c := 0; return &c },
 			MapTuple: func(ctx *MapCtx, tu relation.Tuple) {
 				c := ctx.State().(*int)
 				ctx.Emit(fmt.Sprintf("k%03d", *c), nil)

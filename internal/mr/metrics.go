@@ -233,7 +233,7 @@ type MaintInfo struct {
 }
 
 // finalize derives the round's totals from its tasks, once, at round end.
-func (r *RoundMetrics) finalize(cost CostModel) {
+func (r *RoundMetrics) finalize() {
 	for _, tasks := range [][]TaskMetrics{r.Mappers, r.Reducers} {
 		for i := range tasks {
 			t := &tasks[i]

@@ -39,7 +39,6 @@ func runWordCount(t *testing.T, parallelism int) (RoundMetrics, []Pair, uint64) 
 	tuples, _ := tuplesFromWords(words)
 	counts := make(map[string]int64)
 	job := wordCountJob(counts)
-	job.CollectOutput = true
 	job.OutputPrefix = "out/wordcount/"
 	job.Combine = func(key string, vals [][]byte) [][]byte {
 		var total byte

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -215,9 +216,11 @@ func TestSpillMetricsMatchTrace(t *testing.T) {
 	}
 }
 
-// TestExternalAggExactBytes is the satellite-1 regression: reduce-side
-// external-aggregation spill volume must be the exact encoded size of the
-// excess records — not the historical hardcoded 24-byte-per-record guess.
+// TestExternalAggExactBytes: reduce-side external-aggregation spill volume
+// must be the exact encoded size of the excess records — not the historical
+// hardcoded 24-byte-per-record guess — and, out of core, the disk volume
+// their block framing. The aggregation is charged, not performed: no run file
+// is created for it.
 func TestExternalAggExactBytes(t *testing.T) {
 	const n = 5000
 	val := []byte("0123456789abcdef")
@@ -231,28 +234,45 @@ func TestExternalAggExactBytes(t *testing.T) {
 		Reduce:       func(*RedCtx, string, [][]byte) {},
 		MemInflation: 8,
 	}
-	eng := New(Config{Workers: 4, Parallelism: 1}, nil)
-	res, err := eng.RunTuples(job, tuples)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// All n records carry the key "hot" and land on one reducer; the
 	// records beyond the task's capacity (oomMem/inflation) are aggregated
-	// externally. Re-encode that excess independently through the codec.
+	// externally. Re-encode that excess independently through the codec,
+	// and frame it as a run file would.
 	capRecords := MinOOMMemTuples / 8 // oomMem floors at MinOOMMemTuples; inflation 8
-	excess := n - capRecords
-	want := int64(len(appendSpillRecord(nil, "", "hot", val))) +
-		int64(excess-1)*int64(len(appendSpillRecord(nil, "hot", "hot", val)))
-	var got, spills int64
-	for _, r := range res.Metrics.Reducers {
-		got += r.SpillBytes
-		spills += r.Spills
+	enc := appendSpillRecord(nil, "", "hot", val)
+	for i := 1; i < n-capRecords; i++ {
+		enc = appendSpillRecord(enc, "hot", "hot", val)
 	}
-	if got != want {
-		t.Errorf("external-agg SpillBytes = %d, want exact encoded size %d", got, want)
+	framed, _ := blockcodec.AppendAll(nil, blockcodec.Raw{}, enc, nil)
+	files := 0
+	countFiles := func(w io.Writer) io.Writer { files++; return w }
+	for _, leg := range []struct {
+		name string
+		cfg  Config
+		disk int
+	}{
+		{"in memory", Config{}, 0},
+		// The budget is never reached, so the map side writes nothing either.
+		{"out of core", Config{SpillBudgetBytes: 1 << 40, SpillDir: t.TempDir(), SpillWriteWrapper: countFiles}, len(framed)},
+	} {
+		leg.cfg.Workers, leg.cfg.Parallelism = 4, 1
+		res, err := New(leg.cfg, nil).RunTuples(job, tuples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := res.Metrics
+		if m.SpillBytes != int64(len(enc)) {
+			t.Errorf("%s: external-agg SpillBytes = %d, want exact encoded size %d", leg.name, m.SpillBytes, len(enc))
+		}
+		if m.CompressedSpillBytes != int64(leg.disk) {
+			t.Errorf("%s: CompressedSpillBytes = %d, want the framed size %d", leg.name, m.CompressedSpillBytes, leg.disk)
+		}
+		if m.Spills != 1 {
+			t.Errorf("%s: Spills = %d, want 1 (one oversized group)", leg.name, m.Spills)
+		}
 	}
-	if spills != 1 {
-		t.Errorf("Spills = %d, want 1 (one oversized group)", spills)
+	if files != 0 {
+		t.Errorf("external aggregation created %d run files, want none", files)
 	}
 }
 

@@ -197,13 +197,6 @@ func (w *spillFile) append(framed []byte, segs []spillSeg) error {
 	return nil
 }
 
-// writeRaw appends already-framed bytes without recording segments
-// (reduce-side external-aggregation runs, which are written for their I/O
-// cost but never merged back).
-func (w *spillFile) writeRaw(buf []byte) error {
-	return w.write(buf)
-}
-
 func (w *spillFile) close() {
 	if w == nil || w.closed {
 		return

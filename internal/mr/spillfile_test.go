@@ -159,7 +159,7 @@ func TestSpillFileDiscard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sf.writeRaw([]byte("doomed")); err != nil {
+	if err := sf.write([]byte("doomed")); err != nil {
 		t.Fatal(err)
 	}
 	sf.discard()

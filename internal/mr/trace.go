@@ -55,8 +55,8 @@ const (
 	// EvSpill is fired once per spill, inline by the attempt that spills:
 	// the map attempt's flush of a sorted run to disk under
 	// Config.SpillBudgetBytes, and the reducer's external aggregation of a
-	// group that exceeded its memory (§3.2 skew penalty). Bytes is the exact
-	// encoded run size.
+	// group that exceeded its memory (§3.2 skew penalty), which is charged
+	// but writes no file. Bytes is the exact encoded run size.
 	EvSpill = "spill"
 	// EvSpillFlush is fired once per map-side spill flush, all of an
 	// attempt's together when the attempt ends, after its EvSpill events.
