@@ -44,11 +44,11 @@ retry-race:
 # plane's two wire formats: the front-coded record codec and the
 # checksummed block framing (round-trip plus corrupt-input rejection), and
 # the reducers' output records (arbitrary file bytes, read as a value job's
-# records or as a counted job's, whose uvarint count follows the final: the
-# sorted run fails when the map collector fails — a truncated or non-minimal
-# count as a truncated value does — and otherwise equals it, the same
-# (value, count) pairs iterated and read through cursors, a segment per file
-# and merged, and renders to the bytes encoding/csv makes of it in ranges of
+# records or as a counted job's, whose state follows the final: the
+# sorted run fails when the map collector fails — a truncated state or a
+# non-minimal count as a truncated value does — and otherwise equals it, the
+# same (value, count) pairs iterated and the same states iterated and read
+# through cursors, a segment per file and merged, and renders to the bytes encoding/csv makes of it in ranges of
 # any size), and the input
 # dictionary (arbitrary column values: codes, order and decoded text equal a
 # plain string map's, whichever of its two entry kinds a value takes, and

@@ -7,7 +7,8 @@
 // SP-Cube supports all distributive and algebraic functions because skewed
 // c-groups are partially aggregated in the mappers and the partial states
 // are merged by the skew reducer; the framework therefore revolves around a
-// serializable, mergeable partial State.
+// serializable, mergeable partial State. Incremental maintenance merges the
+// same states, and takes deleted tuples' states out again through Inverter.
 package agg
 
 import (
@@ -34,34 +35,26 @@ type Func interface {
 	NewState() State
 	// DecodeState parses a state serialized by State.AppendEncode.
 	DecodeState(b []byte) (State, error)
-	// Kind reports the Gray et al. classification of the function.
-	Kind() Kind
 }
 
-// Kind classifies aggregate functions.
-type Kind int
+// Inverter is a State whose Merge has an exact inverse: count, sum, avg, var
+// and stddev, whose states are integer sums. Min, max and distinct have none
+// (removing the minimum reveals an unknown runner-up).
+type Inverter interface {
+	// Unmerge removes from the state a partial state of the same function
+	// that was merged into it, leaving the state of the remaining tuples.
+	Unmerge(part State)
+}
 
-const (
-	// Distributive functions merge by combining single partial values
-	// (count, sum, min, max).
-	Distributive Kind = iota
-	// Algebraic functions merge via a bounded-size partial state (avg).
-	Algebraic
-	// Holistic functions cannot in general be computed from partial
-	// aggregates; SP-Cube supports only the partially-algebraic subset.
-	Holistic
-)
-
-func (k Kind) String() string {
-	switch k {
-	case Distributive:
-		return "distributive"
-	case Algebraic:
-		return "algebraic"
-	case Holistic:
-		return "holistic"
+// Invertible reports whether f's states are Inverters; a WithCount wrapper's
+// are when its inner function's are.
+func Invertible(f Func) bool {
+	st := f.NewState()
+	if c, ok := st.(*countedState); ok {
+		st = c.inner
 	}
-	return fmt.Sprintf("Kind(%d)", int(k))
+	_, ok := st.(Inverter)
+	return ok
 }
 
 // ByName returns the built-in aggregate function with the given name.
@@ -102,7 +95,6 @@ var (
 type countFunc struct{}
 
 func (countFunc) Name() string    { return "count" }
-func (countFunc) Kind() Kind      { return Distributive }
 func (countFunc) NewState() State { return new(countState) }
 func (countFunc) DecodeState(b []byte) (State, error) {
 	v, err := decodeOneVarint(b, "count")
@@ -115,9 +107,10 @@ func (countFunc) DecodeState(b []byte) (State, error) {
 
 type countState int64
 
-func (s *countState) Add(int64)      { *s++ }
-func (s *countState) Merge(o State)  { *s += *o.(*countState) }
-func (s *countState) Final() float64 { return float64(*s) }
+func (s *countState) Add(int64)       { *s++ }
+func (s *countState) Merge(o State)   { *s += *o.(*countState) }
+func (s *countState) Unmerge(o State) { *s -= *o.(*countState) }
+func (s *countState) Final() float64  { return float64(*s) }
 func (s *countState) AppendEncode(buf []byte) []byte {
 	return binary.AppendVarint(buf, int64(*s))
 }
@@ -127,7 +120,6 @@ func (s *countState) AppendEncode(buf []byte) []byte {
 type sumFunc struct{}
 
 func (sumFunc) Name() string    { return "sum" }
-func (sumFunc) Kind() Kind      { return Distributive }
 func (sumFunc) NewState() State { return new(sumState) }
 func (sumFunc) DecodeState(b []byte) (State, error) {
 	v, err := decodeOneVarint(b, "sum")
@@ -140,9 +132,10 @@ func (sumFunc) DecodeState(b []byte) (State, error) {
 
 type sumState int64
 
-func (s *sumState) Add(m int64)    { *s += sumState(m) }
-func (s *sumState) Merge(o State)  { *s += *o.(*sumState) }
-func (s *sumState) Final() float64 { return float64(*s) }
+func (s *sumState) Add(m int64)     { *s += sumState(m) }
+func (s *sumState) Merge(o State)   { *s += *o.(*sumState) }
+func (s *sumState) Unmerge(o State) { *s -= *o.(*sumState) }
+func (s *sumState) Final() float64  { return float64(*s) }
 func (s *sumState) AppendEncode(buf []byte) []byte {
 	return binary.AppendVarint(buf, int64(*s))
 }
@@ -152,14 +145,12 @@ func (s *sumState) AppendEncode(buf []byte) []byte {
 type minFunc struct{}
 
 func (minFunc) Name() string                        { return "min" }
-func (minFunc) Kind() Kind                          { return Distributive }
 func (minFunc) NewState() State                     { return &extremeState{min: true, empty: true} }
 func (minFunc) DecodeState(b []byte) (State, error) { return decodeExtreme(b, true) }
 
 type maxFunc struct{}
 
 func (maxFunc) Name() string                        { return "max" }
-func (maxFunc) Kind() Kind                          { return Distributive }
 func (maxFunc) NewState() State                     { return &extremeState{min: false, empty: true} }
 func (maxFunc) DecodeState(b []byte) (State, error) { return decodeExtreme(b, false) }
 
@@ -219,7 +210,6 @@ func decodeExtreme(b []byte, min bool) (State, error) {
 type avgFunc struct{}
 
 func (avgFunc) Name() string    { return "avg" }
-func (avgFunc) Kind() Kind      { return Algebraic }
 func (avgFunc) NewState() State { return new(avgState) }
 func (avgFunc) DecodeState(b []byte) (State, error) {
 	sum, n := binary.Varint(b)
@@ -245,6 +235,12 @@ func (s *avgState) Merge(o State) {
 	os := o.(*avgState)
 	s.sum += os.sum
 	s.cnt += os.cnt
+}
+
+func (s *avgState) Unmerge(o State) {
+	os := o.(*avgState)
+	s.sum -= os.sum
+	s.cnt -= os.cnt
 }
 
 func (s *avgState) Final() float64 {

@@ -3,6 +3,7 @@ package agg
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -24,18 +25,41 @@ func TestByName(t *testing.T) {
 	}
 }
 
-func TestKinds(t *testing.T) {
-	for _, f := range []Func{Count, Sum, Min, Max} {
-		if f.Kind() != Distributive {
-			t.Errorf("%s should be distributive", f.Name())
+// TestUnmergeInvertsMerge: for the invertible functions, and their WithCount
+// wrappers, removing a part merged into a state leaves exactly the state of
+// the other part — its encoding, so any final derived from it, bit for bit —
+// over full-range measures, whose squares carry into the high word of var's
+// 128-bit sum; min, max and distinct report no inverse.
+func TestUnmergeInvertsMerge(t *testing.T) {
+	invertible := []Func{Count, Sum, Avg, Var, Stddev}
+	for _, f := range append([]Func{Min, Max, Distinct}, invertible...) {
+		if want := slices.Contains(invertible, f); Invertible(f) != want || Invertible(WithCount(f)) != want {
+			t.Errorf("%s: Invertible %v, of its WithCount wrapper %v; want %v", f.Name(), Invertible(f), Invertible(WithCount(f)), want)
 		}
 	}
-	if Avg.Kind() != Algebraic {
-		t.Error("avg should be algebraic")
+	check := func(keep, part []int64) bool {
+		for _, f := range invertible {
+			for _, fn := range []Func{f, WithCount(f)} {
+				total, rest, removed := fn.NewState(), fn.NewState(), fn.NewState()
+				for _, v := range keep {
+					total.Add(v)
+					rest.Add(v)
+				}
+				for _, v := range part {
+					total.Add(v)
+					removed.Add(v)
+				}
+				total.(Inverter).Unmerge(removed)
+				if got, want := total.AppendEncode(nil), rest.AppendEncode(nil); !bytes.Equal(got, want) {
+					t.Logf("%s: %x after Unmerge, %x direct (keep %v, part %v)", fn.Name(), got, want, keep, part)
+					return false
+				}
+			}
+		}
+		return true
 	}
-	if Distributive.String() != "distributive" || Algebraic.String() != "algebraic" ||
-		Holistic.String() != "holistic" || Kind(42).String() != "Kind(42)" {
-		t.Error("Kind.String broken")
+	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -41,7 +41,6 @@ type countedFunc struct {
 }
 
 func (f countedFunc) Name() string { return f.inner.Name() + "+count" }
-func (f countedFunc) Kind() Kind   { return f.inner.Kind() }
 func (f countedFunc) NewState() State {
 	return &countedState{inner: f.inner.NewState()}
 }
@@ -72,6 +71,13 @@ func (s *countedState) Merge(o State) {
 	os := o.(*countedState)
 	s.cnt += os.cnt
 	s.inner.Merge(os.inner)
+}
+
+// Unmerge is the inner state's, which must be an Inverter (see Invertible).
+func (s *countedState) Unmerge(o State) {
+	os := o.(*countedState)
+	s.cnt -= os.cnt
+	s.inner.(Inverter).Unmerge(os.inner)
 }
 
 func (s *countedState) Final() float64 { return s.inner.Final() }

@@ -106,9 +106,6 @@ func TestDistinctBasics(t *testing.T) {
 	if st.Final() != 4 {
 		t.Errorf("merged distinct = %v, want 4", st.Final())
 	}
-	if Distinct.Kind() != Holistic {
-		t.Error("distinct must be classified holistic")
-	}
 }
 
 func TestDistinctSerializationRoundTrip(t *testing.T) {

@@ -20,7 +20,6 @@ var Distinct Func = distinctFunc{}
 type distinctFunc struct{}
 
 func (distinctFunc) Name() string    { return "distinct" }
-func (distinctFunc) Kind() Kind      { return Holistic }
 func (distinctFunc) NewState() State { return &distinctState{seen: make(map[int64]struct{})} }
 
 func (distinctFunc) DecodeState(b []byte) (State, error) {

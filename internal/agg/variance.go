@@ -27,8 +27,6 @@ func (f momentsFunc) Name() string {
 	return "var"
 }
 
-func (momentsFunc) Kind() Kind { return Algebraic }
-
 func (f momentsFunc) NewState() State { return &momentsState{stddev: f.stddev} }
 
 func (f momentsFunc) DecodeState(b []byte) (State, error) {
@@ -92,6 +90,17 @@ func (s *momentsState) Merge(o State) {
 	var carry uint64
 	s.sqLo, carry = bits.Add64(s.sqLo, os.sqLo, 0)
 	s.sqHi, _ = bits.Add64(s.sqHi, os.sqHi, carry)
+}
+
+// Unmerge subtracts the moments Merge added, the sum of squares with a
+// 128-bit borrow: modular arithmetic, so it is exact for any state.
+func (s *momentsState) Unmerge(o State) {
+	os := o.(*momentsState)
+	s.cnt -= os.cnt
+	s.sum -= os.sum
+	var borrow uint64
+	s.sqLo, borrow = bits.Sub64(s.sqLo, os.sqLo, 0)
+	s.sqHi, _ = bits.Sub64(s.sqHi, os.sqHi, borrow)
 }
 
 func (s *momentsState) Final() float64 {

@@ -55,21 +55,28 @@ func keep(st agg.State, minSup int) bool {
 // Emit writes the group of a final state as one output record of a job run
 // under s, unless the group is below s's iceberg threshold: the group key, a
 // tab, the final as the 8 little-endian bytes of its float64 bits and, when
-// s's aggregate is counted (agg.WithCount), the group's tuple count as a
-// uvarint. Every algorithm's reducers write their groups through it; it
-// allocates nothing.
+// s's aggregate is counted (agg.WithCount), the group's encoded state behind
+// a uvarint of its length. A counted state leads with the group's tuple count
+// (a varint), so the records of count and of counted jobs both carry every
+// group's count and its state (count's state is its count). Every
+// algorithm's reducers write their groups through it; it allocates nothing
+// but the encoded state of a counted job's group.
 func (s Spec) Emit(ctx *mr.RedCtx, key string, st agg.State) {
 	if !keep(st, s.MinSup) {
 		return
 	}
-	var buf [8 + binary.MaxVarintLen64]byte
+	var buf [8 + binary.MaxVarintLen64 + stateRoom]byte
 	v := appendFinal(buf[:0], st.Final())
 	if agg.Counted(s.Agg) {
-		n, _ := agg.Cardinality(st)
-		v = binary.AppendUvarint(v, uint64(n))
+		state := st.AppendEncode(make([]byte, 0, stateRoom))
+		v = append(binary.AppendUvarint(v, uint64(len(state))), state...)
 	}
 	ctx.EmitKV(key, v)
 }
+
+// stateRoom holds every fixed-size state encoding: count and var's four
+// varints, the longest, take at most 50 bytes.
+const stateRoom = 64
 
 // counts is where the records of a job run under a spec keep each group's
 // tuple count.
@@ -78,13 +85,13 @@ type counts uint8
 const (
 	noCounts     counts = iota // nowhere: the record is a final
 	countIsFinal               // the job ran count: the final is the count
-	countAfter                 // in a uvarint behind the final: the job ran agg.WithCount
+	countInState               // in the state behind the final: the job ran agg.WithCount
 )
 
 func (s Spec) counts() counts {
 	switch {
 	case agg.Counted(s.Agg):
-		return countAfter
+		return countInState
 	case s.Agg == nil || s.Agg.Name() == "count":
 		return countIsFinal
 	}
@@ -240,7 +247,7 @@ func CollectDFS(eng *mr.Engine, prefix string, d int, spec Spec) (*Result, error
 		if err != nil {
 			return nil, err
 		}
-		err = walkRecords(data, spec.counts() == countAfter, func(off, keyLen int) {
+		err = walkRecords(data, spec.counts() == countInState, func(off, keyLen int) {
 			res.Groups[string(data[off:off+keyLen])] = decodeFinal(data[off+keyLen+1:])
 		})
 		if err != nil {

@@ -76,11 +76,26 @@ func (r *SortedRun) group(w row) (float64, int64) {
 	switch r.counts {
 	case countIsFinal:
 		return v, int64(v)
-	case countAfter: // behind key, tab and the 8-byte final
-		n, _ := binary.Uvarint(r.files[w.where&0xffff][w.off+w.where>>16+9:])
-		return v, int64(n)
+	case countInState: // the state's leading varint
+		n, _ := binary.Varint(r.groupState(w, nil))
+		return v, n
 	}
 	return v, 0
+}
+
+// groupState returns the encoded aggregate state of row w's group: a counted
+// job's record's own, aliasing the file, or count's — the count as a varint —
+// in buf; nil when the records keep none.
+func (r *SortedRun) groupState(w row, buf []byte) []byte {
+	switch r.counts {
+	case countIsFinal:
+		return binary.AppendVarint(buf[:0], int64(r.files.value(w)))
+	case countInState: // behind key, tab, the 8-byte final and its length
+		b := r.files[w.where&0xffff][w.off+w.where>>16+9:]
+		n, k := binary.Uvarint(b)
+		return b[k : k+int(n)]
+	}
+	return nil
 }
 
 func keyPrefix(key []byte) uint64 {
@@ -128,7 +143,7 @@ func CollectRun(eng *mr.Engine, prefix string, d int, spec Spec) (*SortedRun, er
 		go func() {
 			defer wg.Done()
 			// One Append per reducer record makes the count exact.
-			r.segs[i], errs[i] = indexFile(name, r.files, i, int(eng.FS.Records(name)), r.counts == countAfter)
+			r.segs[i], errs[i] = indexFile(name, r.files, i, int(eng.FS.Records(name)), r.counts == countInState)
 			<-sem
 		}()
 	}
@@ -163,7 +178,7 @@ func (r *SortedRun) Merged() *SortedRun {
 }
 
 // indexFile builds the sorted rows of file i of fs, one per distinct key;
-// sizeHint is its expected record count, and counted says whether a count
+// sizeHint is its expected record count, and counted says whether a state
 // follows each final.
 func indexFile(name string, fs files, i, sizeHint int, counted bool) ([]row, error) {
 	data := fs[i]
@@ -196,9 +211,10 @@ func indexFile(name string, fs files, i, sizeHint int, counted bool) ([]row, err
 
 // walkRecords calls visit with the offset and key length of every record of
 // one output file. Output records are written by the reducers as concatenated
-// "<group key>\t<8-byte float bits>" frames, counted ones with a minimal
-// uvarint behind (see Spec.Emit); a byte of the key can be 0x09, so records
-// are parsed structurally instead of split on the tab.
+// "<group key>\t<8-byte float bits>" frames, counted ones with a state behind
+// its minimal uvarint length, which starts with the group's count as a
+// minimal, non-negative varint (see Spec.Emit); a byte of the key can be 0x09,
+// so records are parsed structurally instead of split on the tab.
 func walkRecords(data []byte, counted bool, visit func(off, keyLen int)) error {
 	var scratch [lattice.MaxDims]relation.Value
 	for off := 0; off < len(data); {
@@ -215,14 +231,15 @@ func walkRecords(data []byte, counted bool, visit func(off, keyLen int)) error {
 		}
 		next := end + 1 + 8
 		if counted {
-			n, k := binary.Uvarint(data[next:])
-			if k == 0 {
-				return fmt.Errorf("cube: truncated output count")
+			size, k := binary.Uvarint(data[next:])
+			if k <= 0 || k > 1 && data[next+k-1] == 0 || uint64(len(data)-next-k) < size {
+				return fmt.Errorf("cube: malformed output state")
 			}
-			if k < 0 || k > 1 && data[next+k-1] == 0 || n > math.MaxInt64 {
+			state := data[next+k : next+k+int(size)]
+			if n, c := binary.Varint(state); c <= 0 || c > 1 && state[c-1] == 0 || n < 0 {
 				return fmt.Errorf("cube: malformed output count")
 			}
-			next += k
+			next += k + int(size)
 		}
 		visit(off, keyLen)
 		off = next
@@ -345,15 +362,15 @@ func (m *merger) next() (row, bool) {
 	return row{}, false
 }
 
-// find returns the value and the count (see group) the run holds for the
-// probe's key. pos, when not nil, holds per segment where the search for the
-// previous key ended: the search for this one starts there, doubles its step
-// away until a row is not below the key and bisects the last step, so a key g
-// rows on costs O(log g) comparisons of rows the last search left in cache,
-// not O(log rows) of rows all over the index. A key below the previous one is searched for among the
+// find returns the row the run holds for the probe's key. pos, when not nil,
+// holds per segment where the search for the previous key ended: the search
+// for this one starts there, doubles its step away until a row is not below
+// the key and bisects the last step, so a key g rows on costs O(log g)
+// comparisons of rows the last search left in cache, not O(log rows) of rows
+// all over the index. A key below the previous one is searched for among the
 // rows passed. The last segment holding the key stands, so segments are
 // searched last to first and those before a hit keep their positions.
-func (r *SortedRun) find(p probe, pos []int) (float64, int64, bool) {
+func (r *SortedRun) find(p probe, pos []int) (row, bool) {
 	fs := r.files
 	for i := len(r.segs) - 1; i >= 0; i-- {
 		seg := r.segs[i]
@@ -375,11 +392,10 @@ func (r *SortedRun) find(p probe, pos []int) (float64, int64, bool) {
 		// The prefixes differ for nearly every row that is not the key's:
 		// deciding by them leaves the file's bytes untouched.
 		if j < len(seg) && seg[j].prefix == p.prefix && bytes.Equal(fs.key(seg[j]), p.key) {
-			v, n := r.group(seg[j])
-			return v, n, true
+			return seg[j], true
 		}
 	}
-	return 0, 0, false
+	return row{}, false
 }
 
 // Len returns the number of groups in the cube. Over several segments that
@@ -404,8 +420,11 @@ func (r *SortedRun) Len() int {
 // dims slice is full-width, as for Result.Lookup.
 func (r *SortedRun) Lookup(mask lattice.Mask, dims []relation.Value) (float64, bool) {
 	var buf [64]byte
-	v, _, ok := r.find(newProbe(relation.EncodeGroupKey(buf[:0], uint32(mask), dims)), nil)
-	return v, ok
+	w, ok := r.find(newProbe(relation.EncodeGroupKey(buf[:0], uint32(mask), dims)), nil)
+	if !ok {
+		return 0, false
+	}
+	return r.files.value(w), true
 }
 
 // Cursor reads a run at a sequence of encoded keys. It is made for ascending
@@ -414,14 +433,22 @@ func (r *SortedRun) Lookup(mask lattice.Mask, dims []relation.Value) (float64, b
 type Cursor struct {
 	run *SortedRun
 	pos []int
+	buf [binary.MaxVarintLen64]byte // a count job's state
 }
 
 // Cursor returns a cursor at the start of the run.
 func (r *SortedRun) Cursor() *Cursor { return &Cursor{run: r, pos: make([]int, len(r.segs))} }
 
-// Seek returns the value and the tuple count (as Each has it) of the group
-// with the given encoded key.
-func (c *Cursor) Seek(key []byte) (float64, int64, bool) { return c.run.find(newProbe(key), c.pos) }
+// Seek returns the encoded aggregate state (as EachState has it) of the group
+// with the given encoded key. The state aliases the run or the cursor, and
+// holds until the next Seek.
+func (c *Cursor) Seek(key []byte) ([]byte, bool) {
+	w, ok := c.run.find(newProbe(key), c.pos)
+	if !ok {
+		return nil, false
+	}
+	return c.run.groupState(w, c.buf[:]), true
+}
 
 // Each calls fn for every group in ascending key order until fn returns
 // false, with the group's tuple count when the job that wrote the run ran
@@ -430,6 +457,21 @@ func (c *Cursor) Seek(key []byte) (float64, int64, bool) { return c.run.find(new
 // modifies neither.
 func (r *SortedRun) Each(fn func(key []byte, mask lattice.Mask, packed []relation.Value, value float64, count int64) bool) {
 	r.each(nil, fn)
+}
+
+// EachState calls fn for every group in ascending key order until fn returns
+// false, with the group's encoded aggregate state when the job that wrote the
+// run ran count (the count as a varint) or a counted aggregate (the state its
+// records carry), else nil. key and state alias the output file or a buffer
+// reused between calls: fn copies what it keeps and modifies neither.
+func (r *SortedRun) EachState(fn func(key, state []byte) bool) {
+	var buf [binary.MaxVarintLen64]byte
+	for m := r.merge(nil); ; {
+		w, ok := m.next()
+		if !ok || !fn(r.files.key(w), r.groupState(w, buf[:])) {
+			return
+		}
+	}
 }
 
 // each is Each starting at the first key not below from.

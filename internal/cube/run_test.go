@@ -41,13 +41,25 @@ func record(mask lattice.Mask, packed []relation.Value, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(rec, math.Float64bits(v))
 }
 
-// countedRecord is one output record of a job whose aggregate is counted.
-func countedRecord(mask lattice.Mask, packed []relation.Value, v float64, n uint64) []byte {
-	return binary.AppendUvarint(record(mask, packed, v), n)
+// countedRecord is one output record of a job whose aggregate is counted
+// sum: the state behind the final holds the count n and the sum v.
+func countedRecord(mask lattice.Mask, packed []relation.Value, v float64, n int64) []byte {
+	return withState(record(mask, packed, v), binary.AppendVarint(binary.AppendVarint(nil, n), int64(v)))
+}
+
+// withState appends a state behind its uvarint length to rec.
+func withState(rec, state []byte) []byte {
+	return append(binary.AppendUvarint(rec, uint64(len(state))), state...)
+}
+
+// stateCount is the count a state leads with, 0 for none.
+func stateCount(state []byte) int64 {
+	n, _ := binary.Varint(state)
+	return n
 }
 
 // Two specs whose jobs write the two record shapes: a final alone, and a final
-// with the group's tuple count behind it.
+// with the group's state, which leads with its tuple count, behind it.
 var (
 	valueSpec   = cube.Spec{Agg: agg.Sum}
 	countedSpec = cube.Spec{Agg: agg.WithCount(agg.Sum)}
@@ -141,12 +153,18 @@ func requireRunEqualsMap(t *testing.T, run *cube.SortedRun, want *cube.Result, c
 
 // requireCursorEqualsMap reads the run through cursors at every key of the
 // map (given sorted) and at two absent neighbours of each — one that sorts
-// directly behind it, one directly before — and wants the map's answer and
-// the given count every time: from a cursor that sees the probes ascending,
-// which is what it is built for, and from one that sees them descending,
-// which has it search the rows it has passed and must cost time only.
+// directly behind it, one directly before — and wants the map's presence, the
+// state EachState yields and the given count every time: from a cursor that
+// sees the probes ascending, which is what it is built for, and from one that
+// sees them descending, which has it search the rows it has passed and must
+// cost time only.
 func requireCursorEqualsMap(t *testing.T, run *cube.SortedRun, want *cube.Result, keys []string, counts map[string]int64) {
 	t.Helper()
+	states := make(map[string]string, len(keys))
+	run.EachState(func(key, state []byte) bool {
+		states[string(key)] = string(state)
+		return true
+	})
 	var probes []string
 	for _, key := range keys {
 		probes = append(probes, key[:len(key)-1], key, key+"\x00")
@@ -158,10 +176,10 @@ func requireCursorEqualsMap(t *testing.T, run *cube.SortedRun, want *cube.Result
 			cur   *cube.Cursor
 			probe string
 		}{{up, probes[i]}, {down, probes[len(probes)-1-i]}} {
-			got, n, ok := c.cur.Seek([]byte(c.probe))
-			exp, expOK := want.Groups[c.probe]
-			if ok != expOK || math.Float64bits(got) != math.Float64bits(exp) || n != counts[c.probe] {
-				t.Fatalf("Seek(%x) = %v,%d,%v; map says %v,%d,%v", c.probe, got, n, ok, exp, counts[c.probe], expOK)
+			got, ok := c.cur.Seek([]byte(c.probe))
+			_, expOK := want.Groups[c.probe]
+			if ok != expOK || string(got) != states[c.probe] || stateCount(got) != counts[c.probe] {
+				t.Fatalf("Seek(%x) = %x,%v; map says %v, EachState %x, count %d", c.probe, got, ok, expOK, states[c.probe], counts[c.probe])
 			}
 		}
 	}
@@ -200,7 +218,7 @@ func TestRunEqualsMap(t *testing.T) {
 						t.Fatalf("%s: empty cube", label)
 					}
 					// A counted job writes the value job's groups and values,
-					// and every group's tuple count behind.
+					// and every group's state, tuple count first, behind.
 					var wantCounts map[string]int64
 					if agg.Counted(spec.Agg) {
 						if ok, diff := values.Equal(want); !ok {
@@ -279,7 +297,7 @@ func TestRunKeepsLaterDuplicate(t *testing.T) {
 		rec, counts := record, map[string]int64(nil)
 		if agg.Counted(spec.Agg) {
 			rec = func(mask lattice.Mask, packed []relation.Value, v float64) []byte {
-				return countedRecord(mask, packed, v, uint64(v)+100)
+				return countedRecord(mask, packed, v, int64(v)+100)
 			}
 			counts = map[string]int64{
 				relation.GroupKeyPacked(0b01, k1): 103, relation.GroupKeyPacked(0b01, k2): 105, relation.GroupKeyPacked(0b10, k1): 104,
@@ -307,13 +325,13 @@ func TestRunKeepsLaterDuplicate(t *testing.T) {
 // TestCursorAnswersAsLookup: ascending probes over two files of counted
 // records — present keys, misses below the first key, between two rows and
 // above the last, and a key both files hold, which the later file wins —
-// answer as Lookup answers them, with the record's count, and so does a probe
+// answer as Lookup answers them, with the record's state, and so does a probe
 // below the one before it: a cursor is not restricted to ascending keys, only
 // fast on them.
 func TestCursorAnswersAsLookup(t *testing.T) {
 	big := relation.Value(1 << 28)
 	rec := func(mask lattice.Mask, packed []relation.Value, v float64) []byte {
-		return countedRecord(mask, packed, v, uint64(v)<<7) // two-byte counts
+		return countedRecord(mask, packed, v, int64(v)<<7) // two-byte counts
 	}
 	run, _ := handRun(t, 3, countedSpec,
 		slices.Concat(
@@ -352,9 +370,17 @@ func TestCursorAnswersAsLookup(t *testing.T) {
 	for name, run := range map[string]*cube.SortedRun{"a segment per file": run, "merged": run.Merged()} {
 		cur := run.Cursor()
 		for _, p := range probes {
-			got, n, ok := cur.Seek([]byte(relation.GroupKey(uint32(p.mask), p.dims)))
-			if ok != p.found || got != p.want || n != int64(p.want)<<7 {
-				t.Errorf("%s, %s: Seek = %v,%d,%v, want %v,%d,%v", name, p.name, got, n, ok, p.want, int64(p.want)<<7, p.found)
+			state, ok := cur.Seek([]byte(relation.GroupKey(uint32(p.mask), p.dims)))
+			var got float64
+			if ok {
+				st, err := countedSpec.Agg.DecodeState(state)
+				if err != nil {
+					t.Fatalf("%s, %s: Seek = %x: %v", name, p.name, state, err)
+				}
+				got = st.Final()
+			}
+			if ok != p.found || got != p.want || stateCount(state) != int64(p.want)<<7 {
+				t.Errorf("%s, %s: Seek = %v,%d,%v, want %v,%d,%v", name, p.name, got, stateCount(state), ok, p.want, int64(p.want)<<7, p.found)
 			}
 			if lv, lok := run.Lookup(p.mask, p.dims); lok != ok || lv != got {
 				t.Errorf("%s, %s: Seek = %v,%v but Lookup = %v,%v", name, p.name, got, ok, lv, lok)
@@ -365,7 +391,8 @@ func TestCursorAnswersAsLookup(t *testing.T) {
 
 // TestRunRejectsBadRecords: a malformed or truncated record fails the collect
 // with the map collector's own error, which names the file — a counted
-// record's count as its value: truncated, or in a form no job writes.
+// record's state, and the count it leads with, as its value: truncated, or in
+// a form no job writes.
 func TestRunRejectsBadRecords(t *testing.T) {
 	good := record(0b1, []relation.Value{1}, 1)
 	counted := countedRecord(0b1, []relation.Value{1}, 1, 300) // a two-byte count
@@ -373,19 +400,24 @@ func TestRunRejectsBadRecords(t *testing.T) {
 		spec      cube.Spec
 		good, bad []byte
 	}{
-		"truncated value":            {valueSpec, good, good[:len(good)-3]},
-		"no tab":                     {valueSpec, good, append(good[:len(good)-9:len(good)-9], "x12345678"...)},
-		"truncated key":              {valueSpec, good, []byte{0b11, 0x80}},
-		"bad mask":                   {valueSpec, good, []byte{0x80}},
-		"trailing garbage":           {valueSpec, good, append(slices.Clone(good), 0xff)},
-		"counted: truncated value":   {countedSpec, counted, counted[:len(counted)-5]},
-		"counted: no count":          {countedSpec, counted, good},
-		"counted: truncated count":   {countedSpec, counted, counted[:len(counted)-1]},
-		"counted: non-minimal count": {countedSpec, counted, append(slices.Clone(good), 0x81, 0x00)},
-		"counted: zero, padded":      {countedSpec, counted, append(slices.Clone(good), 0x80, 0x80, 0x00)},
-		"counted: count above int64": {countedSpec, counted, binary.AppendUvarint(slices.Clone(good), math.MaxUint64)},
-		"counted: count past 64 bits": {countedSpec, counted,
+		"truncated value":          {valueSpec, good, good[:len(good)-3]},
+		"no tab":                   {valueSpec, good, append(good[:len(good)-9:len(good)-9], "x12345678"...)},
+		"truncated key":            {valueSpec, good, []byte{0b11, 0x80}},
+		"bad mask":                 {valueSpec, good, []byte{0x80}},
+		"trailing garbage":         {valueSpec, good, append(slices.Clone(good), 0xff)},
+		"counted: truncated value": {countedSpec, counted, counted[:len(counted)-9]},
+		"counted: no state":        {countedSpec, counted, good},
+		"counted: truncated state": {countedSpec, counted, counted[:len(counted)-1]},
+		"counted: state past 64 bits": {countedSpec, counted,
 			append(slices.Clone(good), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f)},
+		"counted: non-minimal length": {countedSpec, counted, append(slices.Clone(good), 0x81, 0x00, 0x02)},
+		"counted: empty state":        {countedSpec, counted, withState(slices.Clone(good), nil)},
+		"counted: truncated count":    {countedSpec, counted, withState(slices.Clone(good), []byte{0x80})},
+		"counted: non-minimal count":  {countedSpec, counted, withState(slices.Clone(good), []byte{0x82, 0x00})},
+		"counted: zero, padded":       {countedSpec, counted, withState(slices.Clone(good), []byte{0x80, 0x80, 0x00})},
+		"counted: negative count":     {countedSpec, counted, withState(slices.Clone(good), binary.AppendVarint(nil, -3))},
+		"counted: count past 64 bits": {countedSpec, counted,
+			withState(slices.Clone(good), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})},
 	} {
 		eng := mr.New(mr.Config{Workers: 1}, dfs.New(false))
 		eng.FS.Append("out/bad/part-0", c.good)
@@ -405,9 +437,10 @@ func TestRunRejectsBadRecords(t *testing.T) {
 // — as a value job's records or as a counted job's — fails exactly when the
 // map collector fails, and otherwise the run is the map: strictly ascending
 // keys, whose byte order is ascending cuboids and, within one, ComparePacked
-// order, every value and count read in bounds, the same (value, count) pairs
-// through Each and through cursor reads at every key and beside it, from a
-// segment per file and merged into one, and renders to the CSV bytes
+// order, every value, count and state read in bounds, the same (value, count)
+// pairs through Each, and the same states through EachState and cursor reads
+// at every key and beside it, from a segment per file and merged into one,
+// and renders to the CSV bytes
 // encoding/csv makes of it, in ranges of any size, whether the dictionary has
 // the records' codes or not — never a panic.
 func FuzzOutputRecords(f *testing.F) {
@@ -433,7 +466,7 @@ func FuzzOutputRecords(f *testing.F) {
 	f.Add([]byte{0}, []byte{0x80}, false)
 	f.Add(record(0b11, []relation.Value{1 << 28, 1}, 1), record(0b11, []relation.Value{1 << 28, 2}, 2), false)
 	f.Add(countedRecord(0b11, []relation.Value{1 << 28, 1}, 1, 1<<40), countedRecord(0b1, []relation.Value{2}, 2, 0), true)
-	f.Add(countedRecord(0b1, []relation.Value{1}, 1, 1), append(record(0b1, []relation.Value{1}, 2), 0x82, 0x00), true)
+	f.Add(countedRecord(0b1, []relation.Value{1}, 1, 1), withState(record(0b1, []relation.Value{1}, 2), []byte{0x82, 0x00}), true)
 	f.Fuzz(func(t *testing.T, a, b []byte, counted bool) {
 		spec := valueSpec
 		if counted {

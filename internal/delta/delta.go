@@ -4,26 +4,29 @@
 // relation per batch, run a small delta-cube MR job over just the batch and
 // merge its result into the stored cube.
 //
-// Merging happens on *final* aggregate values. The stored cube holds no
-// partial states and is no map: it is the last full build's output, read as
-// a sorted run where the reducers wrote it — the job runs the aggregate
-// counted (agg.WithCount), so every record carries its group's tuple count
-// beside the final — under an overlay of the groups batches have touched
-// since. That is sound exactly for the functions whose
-// finals are themselves distributive: count and sum finals add (and
-// subtract, so deletes work), min and max finals combine by extreme (appends
-// only — deleting the minimum reveals an unknown runner-up). For every other
-// aggregate, and for batches whose SP-Sketch has drifted too far from the
-// base sketch (the partitioning decisions of the base cube no longer
-// describe the merged relation), the maintainer falls back to a full
-// rebuild. The decision, its reason and the measured drift are recorded on
-// every cycle, annotated into the engine metrics (schema v3 "maint"
-// rounds) and emitted as maint-start/maint-end trace events.
+// Merging happens on the aggregate's own partial states, with the Merge
+// every combiner uses (paper §5.1). The stored cube is no map: it is the last
+// full build's output, read as a sorted run where the reducers wrote it — the
+// job runs the aggregate counted (agg.WithCount), so every record carries its
+// group's encoded state, which leads with the group's tuple count, beside the
+// final — under an overlay of the states of the groups batches have touched
+// since. A batch's appended and deleted tuples are cubed by the same job; a
+// touched group's state merges the appended part's state in and, for the
+// aggregates whose states invert (agg.Invertible: count, sum, avg, var,
+// stddev), takes the deleted part's out, and its published value is the
+// merged state's final: bit for bit what a recompute publishes. Deletes under
+// min, max and distinct, which have no inverse (deleting the minimum reveals
+// an unknown runner-up), and batches whose SP-Sketch has drifted too far from
+// the base sketch (the partitioning decisions of the base cube no longer
+// describe the merged relation), fall back to a full rebuild. The decision,
+// its reason and the measured drift are recorded on every cycle, annotated
+// into the engine metrics (schema v3 "maint" rounds) and emitted as
+// maint-start/maint-end trace events.
 //
-// Deletes are counted: the maintainer keeps every group's tuple count next
-// to its value, so a group whose count reaches zero becomes a tombstone in
-// the overlay rather than staying at a stale value, and iceberg thresholds (MinSup) are re-evaluated
-// per cycle against the maintained counts.
+// Deletes are counted: every state carries its group's tuple count, so a
+// group whose count reaches zero becomes a tombstone in the overlay rather
+// than staying at a stale value, and iceberg thresholds (MinSup) are
+// re-evaluated per cycle against the maintained counts.
 //
 // The maintainer is deliberately storage-agnostic: Apply returns the exact
 // set of changed c-groups (or nil for a rebuild), and the serving layer
@@ -133,7 +136,7 @@ type Round struct {
 	// Round is the 1-based cycle ordinal.
 	Round int
 	// Mode is "delta" or "rebuild"; Reason explains the choice
-	// ("mergeable", "aggregate", "deletes", "drift", "forced").
+	// ("mergeable", "deletes", "drift", "forced").
 	Mode   string
 	Reason string
 	// Drift is the batch's sketch drift vs. the base sketch.
@@ -158,14 +161,15 @@ type Maintainer struct {
 	// base is the full (non-iceberg) cube as of the last full (re)build,
 	// read where that build's reducers wrote it and never written again.
 	// overlay holds the current state of every group a batch has touched
-	// since — a group of the base at its new value, a group the base lacks,
-	// or a tombstone (cnt 0) for one whose last tuple was deleted — and
+	// since — a group of the base at its new state, a group the base lacks,
+	// or a tombstone (count 0) for one whose last tuple was deleted — and
 	// supersedes the base key by key; a rebuild replaces the base and
-	// empties it. It is never folded back: it holds at most the groups the
-	// batches since the last build project to, each of which the state map
-	// this design replaced held as well.
+	// empties it. Its states are never written once stored, so a snapshot of
+	// it stays valid. It is never folded back: it holds at most the groups
+	// the batches since the last build project to, each of which the state
+	// map this design replaced held as well.
 	base    *cube.SortedRun
-	overlay map[string]group
+	overlay map[string]agg.State
 
 	// baseSketch is the SP-Sketch of the relation as of the last full
 	// (re)build; batch drift is measured against it.
@@ -181,7 +185,7 @@ type Maintainer struct {
 // Timing splits a full (re)build into its stages.
 type Timing struct {
 	// Job is the cube computation: one MR job, whose records carry every
-	// group's tuple count beside its value.
+	// group's state, and so its tuple count, beside its value.
 	Job time.Duration
 	// Index is the collection of the job's output into a sorted run.
 	Index time.Duration
@@ -190,18 +194,17 @@ type Timing struct {
 	Sketch time.Duration
 }
 
-// group is one maintained c-group: its final aggregate value and the number
-// of tuples contributing to it. No group has cnt 0: the zero group stands
-// for an absent one, and is an overlay's tombstone.
-type group struct {
-	val float64
-	cnt int64
-}
-
-// keyed is a group with its encoded key.
+// keyed is a maintained c-group's state with its encoded key.
 type keyed struct {
 	key []byte
-	group
+	st  agg.State
+}
+
+// count returns the number of tuples a maintained state folds in: they are
+// counted (agg.WithCount) or count's.
+func count(st agg.State) int64 {
+	n, _ := agg.Cardinality(st)
+	return n
 }
 
 // New builds the initial cube over rel (cycle 0, always a full build) and
@@ -259,7 +262,7 @@ func (m *Maintainer) rebuild(rel *relation.Relation, metrics *mr.JobMetrics) err
 	if err != nil {
 		return err
 	}
-	m.base, m.overlay = base, make(map[string]group)
+	m.base, m.overlay = base, make(map[string]agg.State)
 	start := time.Now()
 	m.baseSketch = exactSketch(base, rel.D(), rel.N(), m.cfg.Workers, memTuples(rel.N(), m.cfg.Workers))
 	t.Sketch = time.Since(start)
@@ -412,17 +415,12 @@ func (m *Maintainer) applyLocked(batch Batch, newDict *relation.Dictionary) (*Ro
 	return &out, nil
 }
 
-// decide picks the cycle's mode. Delta-merge requires mergeable finals,
-// invertible finals when the batch deletes, and bounded sketch drift.
+// decide picks the cycle's mode. Delta-merge requires invertible states
+// when the batch deletes, and bounded sketch drift.
 func (m *Maintainer) decide(batch Batch) (mode, reason string, drift float64) {
 	drift = m.batchDrift(batch)
-	if _, ok := agg.FinalMerger(m.cfg.Agg); !ok {
-		return "rebuild", "aggregate", drift
-	}
-	if len(batch.Delete) > 0 {
-		if _, ok := agg.FinalInverter(m.cfg.Agg); !ok {
-			return "rebuild", "deletes", drift
-		}
+	if len(batch.Delete) > 0 && !agg.Invertible(m.cfg.Agg) {
+		return "rebuild", "deletes", drift
 	}
 	if m.cfg.RebuildThreshold < 0 {
 		return "rebuild", "forced", drift
@@ -448,9 +446,9 @@ func (m *Maintainer) batchDrift(batch Batch) float64 {
 	// fraction of the batch as a skewed group holds of the base counts as
 	// skewed in the delta sketch — plus a 3σ Poisson margin so small
 	// batches' sampling noise does not masquerade as fresh skew.
-	scaled := float64(mem) * float64(len(batch.Append)) / float64(maxInt(n, 1))
+	scaled := float64(mem) * float64(len(batch.Append)) / float64(max(n, 1))
 	dm := int(scaled + 3*math.Sqrt(scaled))
-	deltaSketch := sketch.BuildExact(deltaRel, m.cfg.Workers, maxInt(dm, 1))
+	deltaSketch := sketch.BuildExact(deltaRel, m.cfg.Workers, max(dm, 1))
 	return sketch.Drift(m.baseSketch, deltaSketch)
 }
 
@@ -484,12 +482,9 @@ func (m *Maintainer) locateDeletes(dels []relation.Tuple) (map[int]bool, error) 
 }
 
 // applyDelta computes delta cubes over the appended and deleted tuples and
-// merges them into the stored cube on finals. All MR jobs complete before
-// any state is mutated.
+// merges their states into the stored cube's. All MR jobs complete, and every
+// state is read, before any state is mutated.
 func (m *Maintainer) applyDelta(batch Batch, deleteIdx map[int]bool, rnd *Round) error {
-	merge, _ := agg.FinalMerger(m.cfg.Agg)
-	invert, _ := agg.FinalInverter(m.cfg.Agg)
-
 	adds, err := m.cubeOver(batch.Append, &rnd.Metrics)
 	if err != nil {
 		return fmt.Errorf("delta: append job: %w", err)
@@ -499,13 +494,13 @@ func (m *Maintainer) applyDelta(batch Batch, deleteIdx map[int]bool, rnd *Round)
 		return fmt.Errorf("delta: delete job: %w", err)
 	}
 
-	// Commit point: all jobs succeeded, mutate state — one read-modify-write
-	// per touched key, the two delta cubes merged in key order. That order is
-	// what lets one forward cursor read the base (an independent search of
-	// its files per key costs some fifteen times a map probe) and what
-	// Changes is published in.
-	base, minSup := m.base.Cursor(), m.minSup()
+	// All jobs succeeded: one fresh state per touched key, the two delta
+	// cubes merged in key order. That order is what lets one forward cursor
+	// read the base (an independent search of its files per key costs some
+	// fifteen times a map probe) and what Changes is published in.
+	fn, base := agg.WithCount(m.cfg.Agg), m.base.Cursor()
 	rnd.Changes = make([]Change, 0, len(adds)+len(dels))
+	states := make([]agg.State, 0, cap(rnd.Changes))
 	for len(adds) > 0 || len(dels) > 0 {
 		var side int // of the next key: below 0 appended only, above 0 deleted only
 		switch {
@@ -517,36 +512,48 @@ func (m *Maintainer) applyDelta(batch Batch, deleteIdx map[int]bool, rnd *Round)
 			side = bytes.Compare(adds[0].key, dels[0].key)
 		}
 		var key []byte
-		var a, dl group
+		var a, dl agg.State
 		if side <= 0 {
-			key, a, adds = adds[0].key, adds[0].group, adds[1:]
+			key, a, adds = adds[0].key, adds[0].st, adds[1:]
 		}
 		if side >= 0 {
-			key, dl, dels = dels[0].key, dels[0].group, dels[1:]
+			key, dl, dels = dels[0].key, dels[0].st, dels[1:]
 		}
-		g, touched := m.overlay[string(key)]
-		if !touched {
-			g.val, g.cnt, _ = base.Seek(key)
-		}
-		if a.cnt > 0 {
-			if g.cnt > 0 {
-				a.val = merge(g.val, a.val)
-			}
-			g = group{val: a.val, cnt: g.cnt + a.cnt}
-		}
-		if dl.cnt > 0 {
-			if g.cnt -= dl.cnt; g.cnt <= 0 {
-				g = group{}
-			} else {
-				g.val = invert(g.val, dl.val)
+		// A copy of the group's state — the overlay's, which is never
+		// written, else the base's — takes the batch's; a group neither
+		// holds takes the batch's own.
+		var st agg.State
+		if old, touched := m.overlay[string(key)]; touched {
+			st = fn.NewState()
+			st.Merge(old)
+		} else if state, ok := base.Seek(key); ok {
+			if st, err = fn.DecodeState(state); err != nil {
+				return fmt.Errorf("delta: base state: %w", err)
 			}
 		}
-		ch := Change{Key: string(key), Delete: true}
-		if g.cnt >= minSup {
-			ch = Change{Key: ch.Key, Value: g.val}
+		switch {
+		case st == nil:
+			st = a
+		case a != nil:
+			st.Merge(a)
 		}
-		m.overlay[ch.Key] = g
-		rnd.Changes = append(rnd.Changes, ch)
+		if dl != nil {
+			st.(agg.Inverter).Unmerge(dl)
+		}
+		rnd.Changes = append(rnd.Changes, Change{Key: string(key)})
+		states = append(states, st)
+	}
+
+	// Commit point: mutate state.
+	minSup := m.minSup()
+	for i, st := range states {
+		ch := &rnd.Changes[i]
+		if count(st) >= minSup {
+			ch.Value = st.Final()
+		} else {
+			ch.Delete = true
+		}
+		m.overlay[ch.Key] = st
 	}
 	m.commitRelation(batch, deleteIdx)
 	return nil
@@ -588,8 +595,8 @@ func (m *Maintainer) commitRelation(batch Batch, deleteIdx map[int]bool) {
 }
 
 // cubeOver runs the maintenance job over a tuple batch and lists the batch's
-// cube in ascending key order, the keys aliasing the job's output; an empty
-// batch has no groups and spins up no engine.
+// cube's states in ascending key order, the keys aliasing the job's output;
+// an empty batch has no groups and spins up no engine.
 func (m *Maintainer) cubeOver(tuples []relation.Tuple, metrics *mr.JobMetrics) ([]keyed, error) {
 	if len(tuples) == 0 {
 		return nil, nil
@@ -598,16 +605,22 @@ func (m *Maintainer) cubeOver(tuples []relation.Tuple, metrics *mr.JobMetrics) (
 	if err != nil {
 		return nil, err
 	}
+	fn := agg.WithCount(m.cfg.Agg)
 	out := make([]keyed, 0, run.Len())
-	run.Each(func(key []byte, _ lattice.Mask, _ []relation.Value, v float64, n int64) bool {
-		out = append(out, keyed{key, group{v, n}})
+	run.EachState(func(key, state []byte) bool {
+		var st agg.State
+		if st, err = fn.DecodeState(state); err != nil {
+			return false
+		}
+		out = append(out, keyed{key, st})
 		return true
 	})
-	return out, nil
+	return out, err
 }
 
 // runJob computes the full cube of rel on a fresh engine — one job, of the
-// aggregate counted, so that every record carries its group's tuple count —
+// aggregate counted, so that every record carries its group's state and tuple
+// count —
 // appending its rounds to metrics and its time to t. It indexes the output
 // where the reducers wrote it, as one merged segment: a base is read at every
 // key a batch touches for as long as it stands, which that makes one search
@@ -660,38 +673,38 @@ func (m *Maintainer) Published(fn func(key []byte, mask lattice.Mask, packed []r
 	m.mu.Lock()
 	base, minSup := m.base, m.minSup()
 	over := make([]keyed, 0, len(m.overlay))
-	for key, g := range m.overlay {
-		over = append(over, keyed{[]byte(key), g})
+	for key, st := range m.overlay {
+		over = append(over, keyed{[]byte(key), st})
 	}
 	m.mu.Unlock()
 	slices.SortFunc(over, func(a, b keyed) int { return bytes.Compare(a.key, b.key) })
 
 	var scratch []relation.Value
 	publish := func(e keyed) bool {
-		if e.cnt < minSup {
+		n := count(e.st)
+		if n < minSup {
 			return true
 		}
 		var mask uint32
 		mask, scratch, _, _ = relation.ScanGroupKeyInto(scratch, e.key) // a key a job wrote
-		return fn(e.key, lattice.Mask(mask), scratch, e.val, e.cnt)
+		return fn(e.key, lattice.Mask(mask), scratch, e.st.Final(), n)
 	}
 	more := true
 	base.Each(func(key []byte, mask lattice.Mask, packed []relation.Value, v float64, n int64) bool {
-		g := group{v, n}
 		for more && len(over) > 0 {
 			c := bytes.Compare(over[0].key, key)
 			if c > 0 {
 				break
 			}
-			if c == 0 {
-				g = over[0].group // the overlay supersedes the base
+			if c == 0 { // the overlay supersedes the base
+				v, n = over[0].st.Final(), count(over[0].st)
 			} else {
 				more = publish(over[0])
 			}
 			over = over[1:]
 		}
-		if more && g.cnt >= minSup {
-			more = fn(key, mask, packed, g.val, g.cnt)
+		if more && n >= minSup {
+			more = fn(key, mask, packed, v, n)
 		}
 		return more
 	})
@@ -821,14 +834,4 @@ func cloneTuples(ts []relation.Tuple) []relation.Tuple {
 	return out
 }
 
-func memTuples(n, k int) int {
-	m := n / maxInt(k, 1)
-	return maxInt(m, 1)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
+func memTuples(n, k int) int { return max(n/max(k, 1), 1) }

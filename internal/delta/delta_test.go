@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -62,8 +63,15 @@ func exactEqual(t *testing.T, want, got *cube.Result) {
 	}
 }
 
+// allFuncs are the built-in aggregates, invertible ones the five whose
+// states undo a merge.
+var (
+	allFuncs   = []agg.Func{agg.Count, agg.Sum, agg.Min, agg.Max, agg.Avg, agg.Var, agg.Stddev, agg.Distinct}
+	invertible = []agg.Func{agg.Count, agg.Sum, agg.Avg, agg.Var, agg.Stddev}
+)
+
 func TestDeltaAppendMatchesFullRecompute(t *testing.T) {
-	for _, fn := range []agg.Func{agg.Count, agg.Sum, agg.Min, agg.Max} {
+	for _, fn := range allFuncs {
 		t.Run(fn.Name(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			base := cubetest.RandomRelation(rng, 300, 3, 6)
@@ -88,7 +96,7 @@ func TestDeltaAppendMatchesFullRecompute(t *testing.T) {
 }
 
 func TestDeltaDeleteMatchesFullRecompute(t *testing.T) {
-	for _, fn := range []agg.Func{agg.Count, agg.Sum} {
+	for _, fn := range invertible {
 		t.Run(fn.Name(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
 			base := cubetest.RandomRelation(rng, 300, 3, 5)
@@ -112,44 +120,111 @@ func TestDeltaDeleteMatchesFullRecompute(t *testing.T) {
 	}
 }
 
+// TestBigSumMaintenanceIsExact: a sum past 2^53 is maintained in its integer
+// state, not in its float64 final, where 2^53+1 plus 1 rounds to 2^53.
+func TestBigSumMaintenanceIsExact(t *testing.T) {
+	rel := relation.New([]string{"a", "b"}, "m")
+	rel.AppendStrings([]string{"x", "u"}, 1<<53+1)
+	rel.AppendStrings([]string{"y", "u"}, 3)
+	m, err := New(rel, Config{Agg: agg.Sum, Workers: 2, RebuildThreshold: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, _ := rel.Dict.Code(0, "x")
+	u, _ := rel.Dict.Code(1, "u")
+	batch := Batch{Append: []relation.Tuple{{Dims: []relation.Value{x, u}, Measure: 1}}}
+	rnd, err := m.Apply(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rnd.Mode != "delta" {
+		t.Fatalf("mode = %s/%s, want delta", rnd.Mode, rnd.Reason)
+	}
+	want := cube.BruteSpec(combined(rel, batch), cube.Spec{Agg: agg.Sum})
+	if got := want.Groups[relation.GroupKey(0b11, []relation.Value{x, u})]; got != 1<<53+2 {
+		t.Fatalf("brute force sums the group to %v, want 2^53+2", got)
+	}
+	exactEqual(t, want, m.Result())
+}
+
+// TestPublishedWhileApplying: walks of the published cube run beside cycles
+// that merge into, and take deletes out of, the states they walk. Each walk
+// is of its snapshot, so it sees one version whole; run under -race, it shows
+// that no cycle writes a state a snapshot holds.
+func TestPublishedWhileApplying(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	cur := cubetest.RandomRelation(rng, 200, 3, 4)
+	m, err := New(cur, Config{Agg: agg.Var, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	versions := []*cube.Result{cube.Brute(cur, agg.Var)}
+	var batches []Batch
+	for i := 0; i < 6; i++ {
+		b := Batch{Append: cubetest.RandomRelation(rng, 15, 3, 4).Tuples, Delete: cloneTuples(cur.Tuples[i : i+5])}
+		cur = combined(cur, b)
+		batches, versions = append(batches, b), append(versions, cube.Brute(cur, agg.Var))
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			walk := m.Result()
+			if !slices.ContainsFunc(versions, func(v *cube.Result) bool { return maps.Equal(v.Groups, walk.Groups) }) {
+				t.Errorf("a walk of %d groups is no version of the cube", walk.Len())
+				return
+			}
+		}
+	}()
+	for i, b := range batches {
+		if rnd, err := m.Apply(b); err != nil || rnd.Mode != "delta" {
+			t.Fatalf("cycle %d: %+v, %v", i+1, rnd, err)
+		}
+	}
+	close(stop)
+	<-done
+	exactEqual(t, versions[len(versions)-1], m.Result())
+}
+
 func TestRebuildReasons(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	base := cubetest.RandomRelation(rng, 200, 2, 4)
 	appendBatch := Batch{Append: cubetest.RandomRelation(rng, 20, 2, 4).Tuples}
 
-	t.Run("aggregate", func(t *testing.T) {
-		m, err := New(base, Config{Agg: agg.Avg, Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rnd, err := m.Apply(appendBatch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rnd.Mode != "rebuild" || rnd.Reason != "aggregate" {
-			t.Fatalf("mode = %s/%s, want rebuild/aggregate", rnd.Mode, rnd.Reason)
-		}
-		if rnd.Changes != nil {
-			t.Fatal("rebuild cycle must return nil Changes")
-		}
-		exactEqual(t, cube.Brute(combined(base, appendBatch), agg.Avg), m.Result())
-	})
-
-	t.Run("deletes-non-invertible", func(t *testing.T) {
-		m, err := New(base, Config{Agg: agg.Min, Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		batch := Batch{Delete: cloneTuples(base.Tuples[:5])}
-		rnd, err := m.Apply(batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rnd.Mode != "rebuild" || rnd.Reason != "deletes" {
-			t.Fatalf("mode = %s/%s, want rebuild/deletes", rnd.Mode, rnd.Reason)
-		}
-		exactEqual(t, cube.Brute(combined(base, batch), agg.Min), m.Result())
-	})
+	// No aggregate rebuilds for what it is: deletes rebuild exactly those
+	// whose states do not invert.
+	deleteBatch := Batch{Append: appendBatch.Append, Delete: cloneTuples(base.Tuples[:5])}
+	for _, c := range []struct {
+		name         string
+		fns          []agg.Func
+		mode, reason string
+		changes      bool
+	}{
+		{"deletes-invertible", invertible, "delta", "mergeable", true},
+		{"deletes-non-invertible", []agg.Func{agg.Min, agg.Max, agg.Distinct}, "rebuild", "deletes", false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for _, fn := range c.fns {
+				m, err := New(base, Config{Agg: fn, Workers: 4})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rnd, err := m.Apply(deleteBatch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rnd.Mode != c.mode || rnd.Reason != c.reason || (rnd.Changes != nil) != c.changes {
+					t.Fatalf("%s: mode = %s/%s with %d changes, want %s/%s", fn.Name(), rnd.Mode, rnd.Reason, len(rnd.Changes), c.mode, c.reason)
+				}
+				exactEqual(t, cube.Brute(combined(base, deleteBatch), fn), m.Result())
+			}
+		})
+	}
 
 	t.Run("forced", func(t *testing.T) {
 		m, err := New(base, Config{Workers: 4, RebuildThreshold: -1})
@@ -506,10 +581,10 @@ func TestMetricsAndTraceAnnotation(t *testing.T) {
 	}
 }
 
-// TestOneJobPerBuildAndCycle: whatever the aggregate, a build and a cycle run
-// one cube job of the configured algorithm — as many engine rounds as under
-// count, for a delta cycle and for a rebuild — and the base run hands out
-// brute force's tuple count at every key.
+// TestOneJobPerBuildAndCycle: whatever the aggregate, a build and an
+// append-only cycle run one cube job of the configured algorithm — as many
+// engine rounds as under count, and the cycle is a delta — and the base run
+// hands out brute force's tuple count at every key.
 func TestOneJobPerBuildAndCycle(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	base := cubetest.RandomRelation(rng, 200, 3, 5)
@@ -542,19 +617,14 @@ func TestOneJobPerBuildAndCycle(t *testing.T) {
 			return build, len(rnd.Metrics.Rounds), rnd.Mode
 		}
 		build, deltaCycle, mode := rounds(agg.Count, 0)
-		_, rebuildCycle, _ := rounds(agg.Count, -1)
 		if mode != "delta" {
 			t.Fatalf("%s/count: the batch is applied as a %s", a.Name, mode)
 		}
-		for _, fn := range []agg.Func{agg.Sum, agg.Min, agg.Max, agg.Avg, agg.Var, agg.Stddev, agg.Distinct} {
+		for _, fn := range allFuncs[1:] {
 			gotBuild, gotCycle, mode := rounds(fn, 0)
-			wantMode, want := "rebuild", rebuildCycle
-			if _, mergeable := agg.FinalMerger(fn); mergeable {
-				wantMode, want = "delta", deltaCycle
-			}
-			if mode != wantMode || gotBuild != build || gotCycle != want {
-				t.Errorf("%s/%s: New ran %d rounds and a %s cycle %d; count's New %d, its cycle %d",
-					a.Name, fn.Name(), gotBuild, mode, gotCycle, build, want)
+			if mode != "delta" || gotBuild != build || gotCycle != deltaCycle {
+				t.Errorf("%s/%s: New ran %d rounds and a %s cycle %d; count's New %d, its delta cycle %d",
+					a.Name, fn.Name(), gotBuild, mode, gotCycle, build, deltaCycle)
 			}
 		}
 	}

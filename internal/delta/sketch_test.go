@@ -39,8 +39,9 @@ func requireExactSketch(t *testing.T, m *Maintainer, when string) {
 // TestBaseSketchIsBuildExact: the base sketch a build reads off its cube's
 // counts is BuildExact's, field for field, on every generator cut to every
 // width from one to six dimensions, under count, whose values are the counts,
-// and under aggregates whose records carry the counts behind the values —
-// after the initial build, and after a rebuild that follows delta rounds.
+// and under aggregates whose records carry the counts in the states behind
+// the values — after the initial build, and after a rebuild that follows
+// delta rounds.
 func TestBaseSketchIsBuildExact(t *testing.T) {
 	for _, sr := range sketchRelations {
 		all := sr.rel()

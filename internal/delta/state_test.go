@@ -166,8 +166,14 @@ func hashChanges(t *testing.T, h io.Writer, rnd *Round) {
 	}
 }
 
+// group is a maintained state as it publishes: its final and its count.
+type group struct {
+	val float64
+	cnt int64
+}
+
 // TestOverlayCases walks the overlay's edge states by name, under count (the
-// base's values are its counts) and sum (the base's records carry the counts
+// base's values are its counts) and sum (the base's records carry the states
 // behind the values). After every step the published cube is brute force's
 // over the maintained relation.
 func TestOverlayCases(t *testing.T) {
@@ -198,13 +204,13 @@ func TestOverlayCases(t *testing.T) {
 		code, _ := m.rel.Dict.Code(0, name)
 		r, _ := m.rel.Dict.Code(1, "r")
 		key := relation.GroupKey(0b11, []relation.Value{code, r})
-		g, ok := m.overlay[key]
+		st, ok := m.overlay[key]
 		if !ok {
 			t.Fatalf("group %s is not in the overlay after a cycle that touched it", name)
 		}
 		for _, ch := range rnd.Changes {
 			if ch.Key == key {
-				return g, ch
+				return group{st.Final(), count(st)}, ch
 			}
 		}
 		t.Fatalf("no change published for group %s", name)

@@ -107,10 +107,7 @@ type deltaPoint struct {
 	app, del   int
 }
 
-var (
-	deltaAggs  = []string{"count", "sum", "min"}
-	thresholds = []float64{0, 0.999, -1}
-)
+var thresholds = []float64{0, 0.999, -1}
 
 // deltaCoords is a deltaPoint as FuzzDeltaEquivalence takes it.
 type deltaCoords struct {
@@ -124,7 +121,7 @@ type deltaCoords struct {
 // decode maps c onto a deltaPoint, every axis modulo its range.
 func (c deltaCoords) decode() deltaPoint {
 	p := deltaPoint{algo: allAlgorithms[int(c.algo)%len(allAlgorithms)].name, skewed: c.skewed, seed: c.seed,
-		n: 1 + int(c.n)%300, d: 1 + int(c.d)%3, card: 1 + int(c.card)%6, agg: deltaAggs[int(c.agg)%len(deltaAggs)],
+		n: 1 + int(c.n)%300, d: 1 + int(c.d)%3, card: 1 + int(c.card)%6, agg: aggNames[int(c.agg)%len(aggNames)],
 		threshold: thresholds[int(c.threshold)%len(thresholds)], k: 1 + int(c.k)%8, p: int(c.p) % 9,
 		eseed: c.eseed, app: int(c.app) % 41, del: int(c.del) % 16}
 	p.faults = recoverable(c.faults, p.k)
@@ -133,7 +130,7 @@ func (c deltaCoords) decode() deltaPoint {
 
 // encode is decode's inverse on seed points.
 func (p deltaPoint) encode() deltaCoords {
-	return deltaCoords{uint8(algoIndex(p.algo)), uint8(p.d - 1), uint8(p.card - 1), uint8(slices.Index(deltaAggs, p.agg)),
+	return deltaCoords{uint8(algoIndex(p.algo)), uint8(p.d - 1), uint8(p.card - 1), uint8(slices.Index(aggNames, p.agg)),
 		uint8(slices.Index(thresholds, p.threshold)), uint8(p.k - 1), uint8(p.p), uint8(p.app), uint8(p.del),
 		uint16(p.n - 1), p.seed, p.eseed, p.skewed, p.faults}
 }
@@ -197,13 +194,19 @@ func checkDelta(t *testing.T, p deltaPoint) {
 			errs = append(errs, fmt.Sprintf("rounds differ from those at p=%d under %q:\n%+v\n%+v", q.p, q.faults, rounds, tw))
 		}
 	}
-	// The differential table's cells (300 base rows, 40 appends) drift far
-	// below the threshold, so a rebuild there means a miscomputed drift.
+	// Every aggregate's states merge, so below the threshold only deletes
+	// under one whose states do not invert rebuild, and those always do. The
+	// differential table's cells (300 base rows, 40 appends) drift far below
+	// the threshold, so a rebuild there means a miscomputed drift.
+	fn, _ := agg.ByName(p.agg)
 	table := p.n == 300 && p.app == 40
 	for _, r := range rounds {
-		// Sum merges and inverts, so only drift past the threshold rebuilds.
-		if p.agg == "sum" && p.threshold == 0.999 && r.Mode != "delta" && (table || r.Drift <= p.threshold) {
+		inverts := r.Deleted == 0 || agg.Invertible(fn)
+		if inverts && p.threshold == 0.999 && r.Mode != "delta" && (table || r.Drift <= p.threshold) {
 			errs = append(errs, fmt.Sprintf("round %d took mode %q (%s, drift %.3f), want delta", r.Round, r.Mode, r.Reason, r.Drift))
+		}
+		if !inverts && (r.Mode != "rebuild" || r.Reason != "deletes") {
+			errs = append(errs, fmt.Sprintf("round %d deletes under %s as %s/%s, want rebuild/deletes", r.Round, p.agg, r.Mode, r.Reason))
 		}
 	}
 	report(t, p, errs)
@@ -213,7 +216,8 @@ func checkDelta(t *testing.T, p deltaPoint) {
 // checks it. Its seeds, each of which must decode back from its encoding,
 // are the differential maintenance table it replaced — every algorithm on
 // uniform and skewed bases, under append-only and append+delete batches, at
-// p = 1 and 8, SP-Cube also under faults — and the first fuzz corpus.
+// p = 1 and 8, SP-Cube also under faults — the first fuzz corpus, and deletes
+// under the aggregates whose finals are no sums of parts.
 func FuzzDeltaEquivalence(f *testing.F) {
 	for _, p := range deltaSeeds() {
 		c := p.encode()
@@ -260,13 +264,20 @@ func deltaSeeds() []deltaPoint {
 		p.algo, p.k, p.eseed = "sp-cube", 3, p.seed
 		seeds = append(seeds, p)
 	}
+	for i, name := range []string{"avg", "var", "stddev", "distinct"} {
+		for j, a := range allAlgorithms[:2] {
+			seeds = append(seeds, deltaPoint{algo: a.name, skewed: j == 1, seed: int64(6 + 2*i + j), n: 90, d: 3, card: 4,
+				agg: name, threshold: 0.999, k: 3, p: 1 + 7*j, eseed: 7, app: 20, del: 12})
+		}
+	}
 	return seeds
 }
 
 // TestDeltaSoak is the randomized maintenance soak behind `make delta-soak`:
-// a maintainer with chaos faults injected into every cycle's jobs feeds a
-// serving store through the patch/rebuild + swap path, each cycle verified
-// exactly against brute force; interleaved failing cycles (invalid deletes)
+// a variance maintainer with chaos faults injected into every cycle's jobs —
+// whose deletes take the 128-bit inverse of its states — feeds a serving
+// store through the patch/rebuild + swap path, each cycle verified exactly
+// against brute force; interleaved failing cycles (invalid deletes)
 // and a permanently-faulted maintainer must leave both the maintained state
 // and the served snapshot untouched. SPCUBE_SOAK_CYCLES scales the run.
 func TestDeltaSoak(t *testing.T) {
@@ -285,7 +296,7 @@ func TestDeltaSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	maint, err := delta.New(ts.relation(), delta.Config{
-		Agg:     agg.Sum,
+		Agg:     agg.Var,
 		Workers: 4,
 		Seed:    9,
 		Faults:  plan,
@@ -302,7 +313,7 @@ func TestDeltaSoak(t *testing.T) {
 	// checkServed asserts the served snapshot equals brute force exactly.
 	checkServed := func(cycle int) {
 		t.Helper()
-		want := cube.Brute(ts.relation(), agg.Sum)
+		want := cube.Brute(ts.relation(), agg.Var)
 		store := svc.Store()
 		if store.Groups() != want.Len() {
 			t.Fatalf("cycle %d: served store has %d groups, brute %d", cycle, store.Groups(), want.Len())
@@ -352,7 +363,7 @@ func TestDeltaSoak(t *testing.T) {
 			t.Fatalf("cycle %d: %v", cycle, err)
 		}
 		ts.apply(batch)
-		if diff := maintainedDiff(maint, ts, agg.Sum); diff != "" {
+		if diff := maintainedDiff(maint, ts, agg.Var); diff != "" {
 			t.Fatalf("cycle %d: %s", cycle, diff)
 		}
 

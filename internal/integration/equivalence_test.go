@@ -576,7 +576,7 @@ func TestDecodersReachTheSpace(t *testing.T) {
 	}
 	for axis, want := range map[string]int{"algorithm": len(algo.Table), "distribution": len(gens), "aggregate": 8,
 		"spill leg": len(budgets) * len(codecs) * len(fanIns), "delta algorithm": len(algo.Table),
-		"delta aggregate and threshold": 9, "fault kind": int(mr.FaultNodeCrash) + 1} {
+		"delta aggregate and threshold": len(aggNames) * len(thresholds), "fault kind": int(mr.FaultNodeCrash) + 1} {
 		if len(reached[axis]) != want {
 			t.Errorf("%d of %d values of the %s axis decode from some input", len(reached[axis]), want, axis)
 		}

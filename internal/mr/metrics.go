@@ -223,7 +223,7 @@ type MaintInfo struct {
 	// Mode is "delta" or "rebuild".
 	Mode string `json:"mode"`
 	// Reason explains the mode choice ("mergeable", "drift", "deletes",
-	// "aggregate", "forced", ...).
+	// "forced", ...).
 	Reason string `json:"reason,omitempty"`
 	// Drift is the sketch drift of the batch vs. the base sketch in [0,1].
 	Drift float64 `json:"drift"`
