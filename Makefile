@@ -125,12 +125,15 @@ bench:
 bench-harness:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# Rewrite the fig6 golden (internal/bench/testdata/fig6.golden.json): the
-# figures of `spbench -exp fig6 -scale 0.05` and the SHA-256 of its
-# volatile-stripped -metrics-out document, which TestFig6Golden holds every
-# tree to. Run it only after a change that is meant to move them.
+# Rewrite the golden legs (internal/bench/testdata/<leg>.golden.json): the
+# figures of `spbench -exp <leg> -scale 0.05` and the SHA-256 of its
+# volatile-stripped -metrics-out document, which TestFiguresGolden holds every
+# tree to. The legs are fig6 (Pig, Hive, SP-Cube and both sampling rounds),
+# ablation (SP-Cube without skew handling, without factorization, and the
+# naive cube) and rounds (Pipesort). Run it only after a change that is meant
+# to move them.
 bench-json:
-	$(GO) test ./internal/bench -run TestFig6Golden -update
+	$(GO) test ./internal/bench -run TestFiguresGolden -update
 
 # Randomized incremental-maintenance soak: chaos-faulted delta cycles with
 # appends and deletes feeding the serving store through patch + swap, each

@@ -15,7 +15,7 @@ import (
 	"github.com/spcube/spcube/internal/mr"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/fig6.golden.json from this tree")
+var update = flag.Bool("update", false, "rewrite testdata/<leg>.golden.json from this tree")
 
 // runFig6Doc runs the fig6 experiment at a tiny scale and assembles its
 // metrics document.
@@ -29,28 +29,31 @@ func runFig6Doc(t *testing.T, par int, faults string) []byte {
 		}
 		cfg.Faults = fp
 	}
-	return fig6Doc(t, cfg)
+	return experimentDoc(t, cfg, "fig6")
 }
 
-// fig6Doc runs the fig6 experiment under cfg and returns the metrics
-// document `spbench -metrics-out` writes for it.
-func fig6Doc(t *testing.T, cfg Config) []byte {
+// experimentDoc runs one experiment under cfg and returns the metrics
+// document `spbench -exp <id> -metrics-out` writes for it.
+func experimentDoc(t *testing.T, cfg Config, id string) []byte {
 	t.Helper()
 	var col Collector
 	cfg.Collect = col.Collect
-	figs := Fig6(cfg)
+	figs, err := ByID(id, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := WriteMetricsDoc(&buf, NewMetricsDoc(cfg, "fig6", figs, col.Runs)); err != nil {
+	if err := WriteMetricsDoc(&buf, NewMetricsDoc(cfg, id, figs, col.Runs)); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-// fig6Golden is testdata/fig6.golden.json: the sweep `spbench -exp fig6
+// golden is testdata/<leg>.golden.json: the sweep `spbench -exp <leg>
 // -scale 0.05` runs, its figures, and the SHA-256 of its whole metrics
 // document (every run's per-round, per-task metrics) once StripVolatile has
 // dropped what may differ between two runs of the same tree.
-type fig6Golden struct {
+type golden struct {
 	Experiment    string   `json:"experiment"`
 	Workers       int      `json:"workers"`
 	Seed          int64    `json:"seed"`
@@ -60,18 +63,30 @@ type fig6Golden struct {
 	MetricsSHA256 string   `json:"metricsSHA256"`
 }
 
-// TestFig6Golden holds the fig6 sweep's figures and metrics to the pinned
+// goldenLegs are the pinned sweeps. Between them they run all five
+// algorithms, both sampling rounds and both SP-Cube ablations: fig6 runs
+// Pig, Hive and SP-Cube; ablation runs SP-Cube without skew handling,
+// without factorization, and the naive cube; rounds runs Pipesort.
+var goldenLegs = []string{"fig6", "ablation", "rounds"}
+
+// TestFiguresGolden holds each leg's figures and metrics to its pinned
 // golden: a change that moves any deterministic counter or simulated second
-// of any of its 18 runs fails here. `go test ./internal/bench -run
-// TestFig6Golden -update` (`make bench-json`) rewrites the golden after a
-// deliberate change.
-func TestFig6Golden(t *testing.T) {
+// of any of its runs fails here. `go test ./internal/bench -run
+// TestFiguresGolden -update` (`make bench-json`) rewrites every golden after
+// a deliberate change.
+func TestFiguresGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
-		t.Skipf("the golden was recorded on amd64; on %s the compiler may fuse multiply-adds, which moves the last digits of simulated seconds", runtime.GOARCH)
+		t.Skipf("the goldens were recorded on amd64; on %s the compiler may fuse multiply-adds, which moves the last digits of simulated seconds", runtime.GOARCH)
 	}
-	const path = "testdata/fig6.golden.json"
+	for _, leg := range goldenLegs {
+		t.Run(leg, func(t *testing.T) { checkGolden(t, leg) })
+	}
+}
+
+func checkGolden(t *testing.T, leg string) {
+	path := "testdata/" + leg + ".golden.json"
 	cfg := Config{Config: mr.Config{Workers: 20, Seed: 2016}, Scale: 0.05}
-	data := fig6Doc(t, cfg)
+	data := experimentDoc(t, cfg, leg)
 	var doc MetricsDoc
 	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatal(err)
@@ -80,7 +95,7 @@ func TestFig6Golden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := fig6Golden{
+	got := golden{
 		Experiment: doc.Experiment, Workers: doc.Workers, Seed: doc.Seed, Scale: doc.Scale,
 		SchemaVersion: doc.SchemaVersion, Figures: doc.Figures,
 		MetricsSHA256: fmt.Sprintf("%x", sha256.Sum256(stripped)),
@@ -98,16 +113,16 @@ func TestFig6Golden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want fig6Golden
+	var want golden
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatalf("%s: %v", path, err)
 	}
 	if !reflect.DeepEqual(got.Figures, want.Figures) {
-		t.Errorf("fig6 figures differ from %s:\ngot  %+v\nwant %+v", path, got.Figures, want.Figures)
+		t.Errorf("%s figures differ from %s:\ngot  %+v\nwant %+v", leg, path, got.Figures, want.Figures)
 	}
 	got.Figures, want.Figures = nil, nil
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("fig6 metrics differ from %s:\ngot  %+v\nwant %+v", path, got, want)
+		t.Errorf("%s metrics differ from %s:\ngot  %+v\nwant %+v", leg, path, got, want)
 	}
 }
 
