@@ -22,8 +22,6 @@
 package hivecube
 
 import (
-	"sort"
-
 	"github.com/spcube/spcube/internal/agg"
 	"github.com/spcube/spcube/internal/cube"
 	"github.com/spcube/spcube/internal/lattice"
@@ -37,21 +35,9 @@ const memInflation = 2
 
 // Options tune the model.
 type Options struct {
-	// HashEntries is the capacity of the map-side aggregation hash table
-	// (rows of per-group state a mapper's heap holds). Zero derives it as
-	// MemTuples/32, reflecting hive.map.aggr.hash.percentmemory and Java
-	// per-entry overhead.
-	HashEntries int
 	// DisableOOM makes reducer overload degrade into spill time instead of
 	// failing, for experiments that need Hive to limp through.
 	DisableOOM bool
-	// DisableMapAggregation models Hive's hash.min.reduction heuristic
-	// giving up on map-side aggregation (which real Hive 0.13 does on
-	// high-cardinality mixtures — the paper's gen-binomial runs at p>=0.4
-	// "got stuck as some reducers got out of memory", consistent with raw
-	// grouping-set rows flooding the reducers). Every grouping-set row is
-	// then shuffled raw.
-	DisableMapAggregation bool
 }
 
 // Compute runs the Hive-style cube with default options.
@@ -64,15 +50,11 @@ func ComputeOpts(eng *mr.Engine, rel *relation.Relation, spec cube.Spec, opts Op
 	d := rel.D()
 	f, _ := spec.Effective()
 	full := lattice.Full(d)
-	capacity := opts.HashEntries
-	if capacity <= 0 {
-		// The hash competes with the 2^d grouping-set expansion buffers
-		// and Java object overhead for the task heap.
-		capacity = eng.MemTuples(rel.N()) / 32
-	}
-	if capacity < 16 {
-		capacity = 16
-	}
+	// The capacity of the map-side aggregation hash, in rows of per-group
+	// state: hive.map.aggr.hash.percentmemory of the task heap, which the
+	// hash shares with the 2^d grouping-set expansion buffers and Java
+	// per-entry overhead.
+	capacity := max(eng.MemTuples(rel.N())/32, 16)
 
 	// Map-side aggregation hash. Map tasks may run in parallel, so each
 	// task owns its table and key buffer through the engine's task state;
@@ -82,20 +64,8 @@ func ComputeOpts(eng *mr.Engine, rel *relation.Relation, spec cube.Spec, opts Op
 		kb   []byte
 		vb   []byte
 	}
-	flush := func(ctx *mr.MapCtx, ts *taskState) {
-		// Hive flushes the whole table under memory pressure; emission
-		// order must be deterministic for reproducible runs.
-		keys := make([]string, 0, len(ts.hash))
-		for key := range ts.hash {
-			keys = append(keys, key)
-		}
-		sort.Strings(keys)
-		for _, key := range keys {
-			ts.vb = ts.hash[key].AppendEncode(ts.vb[:0])
-			ctx.EmitCopied(key, ts.vb)
-		}
-		clear(ts.hash)
-	}
+	// Hive flushes the whole table under memory pressure.
+	flush := func(ctx *mr.MapCtx, ts *taskState) { ts.vb = cube.EmitStates(ctx, ts.hash, ts.vb) }
 
 	job := &mr.Job{
 		Name: "hive-cube",
@@ -109,13 +79,6 @@ func ComputeOpts(eng *mr.Engine, rel *relation.Relation, spec cube.Spec, opts Op
 				// inspection per grouping-set row, then the hash probe.
 				ctx.ChargeOps(2)
 				ts.kb = relation.EncodeGroupKey(ts.kb, uint32(mask), t.Dims)
-				if opts.DisableMapAggregation {
-					st := f.NewState()
-					st.Add(t.Measure)
-					ts.vb = st.AppendEncode(ts.vb[:0])
-					ctx.EmitBytes(ts.kb, ts.vb)
-					continue
-				}
 				// The string(ts.kb) lookup does not allocate; the key is
 				// materialized only when a new table entry is created.
 				st, ok := ts.hash[string(ts.kb)]
@@ -131,16 +94,7 @@ func ComputeOpts(eng *mr.Engine, rel *relation.Relation, spec cube.Spec, opts Op
 		},
 		MapFlush: func(ctx *mr.MapCtx) { flush(ctx, ctx.State().(*taskState)) },
 		Reduce: func(ctx *mr.RedCtx, key string, vals [][]byte) {
-			st := f.NewState()
-			for _, v := range vals {
-				p, err := f.DecodeState(v)
-				if err != nil {
-					continue
-				}
-				st.Merge(p)
-				ctx.ChargeOps(1)
-			}
-			spec.Emit(ctx, key, st)
+			spec.Emit(ctx, key, cube.MergeStates(ctx, f, vals))
 		},
 		// Hive's interpreted SerDe/ObjectInspector row pipeline makes its
 		// mappers slow; its reduce side streams pre-serialized counters
@@ -157,8 +111,5 @@ func ComputeOpts(eng *mr.Engine, rel *relation.Relation, spec cube.Spec, opts Op
 	if res != nil {
 		run.Metrics.Add(res.Metrics)
 	}
-	if err != nil {
-		return run, err
-	}
-	return run, nil
+	return run, err
 }

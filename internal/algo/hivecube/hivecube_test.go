@@ -45,46 +45,12 @@ func TestMatchesBruteForceSkewed(t *testing.T) {
 }
 
 func TestHashFlushBoundsMapperMemory(t *testing.T) {
-	// With a tiny hash capacity, the mapper must flush repeatedly: output
-	// records exceed the hash capacity but the cube must stay correct.
+	// 300 tuples on 3 machines give the smallest hash capacity, 16 (m/32 =
+	// 3, floored), so the mapper must flush repeatedly: output records
+	// exceed the hash capacity but the cube must stay correct.
 	rng := rand.New(rand.NewSource(16))
 	rel := cubetest.RandomRelation(rng, 300, 3, 50)
-	f := func(eng *mr.Engine, r *relation.Relation, spec cube.Spec) (*cube.Run, error) {
-		return ComputeOpts(eng, r, spec, Options{HashEntries: 16, DisableOOM: true})
-	}
-	if err := cubetest.CheckAgainstBrute(f, rel, agg.Sum, 3); err != nil {
+	if err := cubetest.CheckAgainstBrute(noOOM, rel, agg.Sum, 3); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestDisableMapAggregationModel(t *testing.T) {
-	// The min-reduction-heuristic model: no map-side aggregation, so the
-	// shuffle is the raw 2^d expansion — larger than with the hash — and
-	// the cube stays correct.
-	rng := rand.New(rand.NewSource(18))
-	rel := cubetest.SkewedRelation(rng, 800, 3, 0.5, 3)
-	raw := func(eng *mr.Engine, r *relation.Relation, spec cube.Spec) (*cube.Run, error) {
-		return ComputeOpts(eng, r, spec, Options{DisableMapAggregation: true, DisableOOM: true})
-	}
-	if err := cubetest.CheckAgainstBrute(raw, rel, agg.Count, 4); err != nil {
-		t.Fatal(err)
-	}
-
-	engRaw := cubetest.NewEngine(4)
-	runRaw, err := raw(engRaw, rel, cube.Spec{Agg: agg.Count})
-	if err != nil {
-		t.Fatal(err)
-	}
-	engHash := cubetest.NewEngine(4)
-	runHash, err := ComputeOpts(engHash, rel, cube.Spec{Agg: agg.Count}, Options{DisableOOM: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if runRaw.Metrics.Totals().ShuffleRecords != int64(rel.N())*8 {
-		t.Errorf("raw shuffle = %d records, want n*2^d = %d", runRaw.Metrics.Totals().ShuffleRecords, rel.N()*8)
-	}
-	if runRaw.Metrics.Totals().ShuffleRecords <= runHash.Metrics.Totals().ShuffleRecords {
-		t.Errorf("disabling map aggregation should increase shuffle: %d vs %d",
-			runRaw.Metrics.Totals().ShuffleRecords, runHash.Metrics.Totals().ShuffleRecords)
 	}
 }

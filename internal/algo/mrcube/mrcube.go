@@ -23,7 +23,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"sync"
 
@@ -155,58 +154,29 @@ func sampleCuboidMax(eng *mr.Engine, rel *relation.Relation, alpha float64, seed
 	d := rel.D()
 	maxPerCuboid := make([]float64, 1<<uint(d))
 
-	// The sampling RNG and the reusable encode buffer are engine-issued
-	// task state: map tasks may run in parallel, and a retried task must
-	// restart its RNG stream from the beginning or it would sample
-	// different tuples than the fault-free run. TaskState has no task-id
-	// argument, so the RNG is seeded lazily on first use. The single
-	// reducer writes maxPerCuboid without contention (and retries of it
-	// recompute the same monotone maxima, so replay is idempotent).
-	type sampleState struct {
-		rng *rand.Rand
-		buf []byte
-	}
-	job := &mr.Job{
-		Name:      "mr-cube-sample",
-		Reducers:  1,
-		Partition: func(string, int) int { return 0 },
-		TaskState: func() any { return new(sampleState) },
-		MapTuple: func(ctx *mr.MapCtx, t relation.Tuple) {
-			ts := ctx.State().(*sampleState)
-			if ts.rng == nil {
-				ts.rng = rand.New(rand.NewSource(seed*999_983 + int64(ctx.Task)))
+	// The single reducer writes maxPerCuboid without contention (and retries
+	// of it recompute the same monotone maxima, so replay is idempotent).
+	job := sketch.SampleJob("mr-cube-sample", d, seed, 999_983, alpha, func(ctx *mr.RedCtx, sample []relation.Tuple) {
+		counts := make(map[string]int)
+		var kb []byte
+		for _, t := range sample {
+			for mask := 0; mask < 1<<uint(d); mask++ {
+				kb = relation.EncodeGroupKey(kb, uint32(mask), t.Dims)
+				counts[string(kb)]++
+				ctx.ChargeOps(1)
 			}
-			if ts.rng.Float64() <= alpha {
-				ts.buf = relation.EncodeTuple(ts.buf, t)
-				ctx.EmitCopied("s", ts.buf)
+		}
+		for gk, c := range counts {
+			mask, _, _, err := relation.ScanGroupKey([]byte(gk))
+			if err != nil {
+				continue
 			}
-		},
-		Reduce: func(ctx *mr.RedCtx, key string, vals [][]byte) {
-			counts := make(map[string]int)
-			var kb []byte
-			for _, v := range vals {
-				t, err := relation.DecodeTuple(v, d)
-				if err != nil {
-					continue
-				}
-				for mask := 0; mask < 1<<uint(d); mask++ {
-					kb = relation.EncodeGroupKey(kb, uint32(mask), t.Dims)
-					counts[string(kb)]++
-					ctx.ChargeOps(1)
-				}
+			if fc := float64(c); fc > maxPerCuboid[mask] {
+				maxPerCuboid[mask] = fc
 			}
-			for gk, c := range counts {
-				mask, _, _, err := relation.ScanGroupKey([]byte(gk))
-				if err != nil {
-					continue
-				}
-				if fc := float64(c); fc > maxPerCuboid[mask] {
-					maxPerCuboid[mask] = fc
-				}
-			}
-			ctx.EmitKV("plan", encodePlan(maxPerCuboid))
-		},
-	}
+		}
+		ctx.EmitKV("plan", encodePlan(maxPerCuboid))
+	})
 	res, err := eng.RunTuples(job, rel.Tuples)
 	if err != nil {
 		return nil, mr.RoundMetrics{}, err
@@ -294,30 +264,12 @@ func materializeRound(
 				ctx.EmitBytes(ts.kb, ts.vb)
 			}
 		},
-		Combine: func(key string, vals [][]byte) [][]byte {
-			st := f.NewState()
-			for _, v := range vals {
-				p, err := f.DecodeState(v)
-				if err != nil {
-					continue
-				}
-				st.Merge(p)
-			}
-			return [][]byte{st.AppendEncode(nil)}
-		},
+		Combine: cube.Combiner(f),
 		Reduce: func(ctx *mr.RedCtx, key string, vals [][]byte) {
 			if len(key) == 0 {
 				return
 			}
-			st := f.NewState()
-			for _, v := range vals {
-				p, err := f.DecodeState(v)
-				if err != nil {
-					continue
-				}
-				st.Merge(p)
-				ctx.ChargeOps(1)
-			}
+			st := cube.MergeStates(ctx, f, vals)
 			// Reducer-side failure detection for the recursion: f is
 			// counted, so the state holds the group's true cardinality,
 			// whatever the combiners and spills did to its record count.
@@ -401,16 +353,7 @@ func mergeRound(eng *mr.Engine, spec cube.Spec, f agg.Func, partials []mr.Pair, 
 			ctx.Emit(key, val)
 		},
 		Reduce: func(ctx *mr.RedCtx, key string, vals [][]byte) {
-			st := f.NewState()
-			for _, v := range vals {
-				p, err := f.DecodeState(v)
-				if err != nil {
-					continue
-				}
-				st.Merge(p)
-				ctx.ChargeOps(1)
-			}
-			spec.Emit(ctx, key, st)
+			spec.Emit(ctx, key, cube.MergeStates(ctx, f, vals))
 		},
 	}
 	return eng.RunPairs(job, partials)

@@ -12,8 +12,6 @@
 package naive
 
 import (
-	"encoding/binary"
-
 	"github.com/spcube/spcube/internal/cube"
 	"github.com/spcube/spcube/internal/lattice"
 	"github.com/spcube/spcube/internal/mr"
@@ -39,7 +37,7 @@ func Compute(eng *mr.Engine, rel *relation.Relation, spec cube.Spec) (*cube.Run,
 		TaskState: func() any { return new(taskState) },
 		MapTuple: func(ctx *mr.MapCtx, t relation.Tuple) {
 			st := ctx.State().(*taskState)
-			st.valBuf = encodeMeasure(st.valBuf, t.Measure)
+			st.valBuf = cube.AppendMeasure(st.valBuf[:0], t.Measure)
 			for mask := lattice.Mask(0); mask <= full; mask++ {
 				ctx.ChargeOps(1)
 				st.keyBuf = relation.EncodeGroupKey(st.keyBuf, uint32(mask), t.Dims)
@@ -47,16 +45,7 @@ func Compute(eng *mr.Engine, rel *relation.Relation, spec cube.Spec) (*cube.Run,
 			}
 		},
 		Reduce: func(ctx *mr.RedCtx, key string, vals [][]byte) {
-			st := f.NewState()
-			for _, v := range vals {
-				m, ok := decodeMeasure(v)
-				if !ok {
-					continue
-				}
-				st.Add(m)
-				ctx.ChargeOps(1)
-			}
-			spec.Emit(ctx, key, st)
+			spec.Emit(ctx, key, cube.AddMeasures(ctx, f, vals))
 		},
 		OutputPrefix: "out/naive-cube/",
 	}
@@ -68,13 +57,4 @@ func Compute(eng *mr.Engine, rel *relation.Relation, spec cube.Spec) (*cube.Run,
 	run := &cube.Run{Algorithm: "naive", OutputPrefix: "out/naive-cube/"}
 	run.Metrics.Add(res.Metrics)
 	return run, nil
-}
-
-func encodeMeasure(buf []byte, m int64) []byte {
-	return binary.AppendVarint(buf[:0], m)
-}
-
-func decodeMeasure(b []byte) (int64, bool) {
-	v, n := binary.Varint(b)
-	return v, n > 0
 }

@@ -53,7 +53,7 @@ func Compute(eng *mr.Engine, rel *relation.Relation, spec cube.Spec) (*cube.Run,
 			ts.vb = st.AppendEncode(ts.vb[:0])
 			ctx.EmitBytes(ts.kb, ts.vb)
 		},
-		Combine: combine(f),
+		Combine: cube.Combiner(f),
 		Reduce:  reduceLevel(spec, f, d > 0),
 	}
 	res, err := eng.RunTuples(top, rel.Tuples)
@@ -70,7 +70,7 @@ func Compute(eng *mr.Engine, rel *relation.Relation, spec cube.Spec) (*cube.Run,
 			OutputPrefix: run.OutputPrefix,
 			TaskState:    func() any { return new(taskState) },
 			MapPair:      mapChildren(d, level),
-			Combine:      combine(f),
+			Combine:      cube.Combiner(f),
 			Reduce:       reduceLevel(spec, f, level > 0),
 		}
 		res, err := eng.RunPairs(job, parents)
@@ -127,35 +127,13 @@ func mapChildren(d, level int) func(ctx *mr.MapCtx, key string, val []byte) {
 	}
 }
 
-func combine(f agg.Func) func(key string, vals [][]byte) [][]byte {
-	return func(key string, vals [][]byte) [][]byte {
-		st := f.NewState()
-		for _, v := range vals {
-			p, err := f.DecodeState(v)
-			if err != nil {
-				continue
-			}
-			st.Merge(p)
-		}
-		return [][]byte{st.AppendEncode(nil)}
-	}
-}
-
 // reduceLevel merges partial states, writes final groups (iceberg-filtered)
 // to the output, and passes unfiltered states to the next round — iceberg
 // thresholds are not anti-monotone across parent aggregation, so filtering
 // must not propagate.
 func reduceLevel(spec cube.Spec, f agg.Func, moreLevels bool) func(ctx *mr.RedCtx, key string, vals [][]byte) {
 	return func(ctx *mr.RedCtx, key string, vals [][]byte) {
-		st := f.NewState()
-		for _, v := range vals {
-			p, err := f.DecodeState(v)
-			if err != nil {
-				continue
-			}
-			st.Merge(p)
-			ctx.ChargeOps(1)
-		}
+		st := cube.MergeStates(ctx, f, vals)
 		spec.Emit(ctx, key, st)
 		if moreLevels {
 			ctx.EmitSide(key, st.AppendEncode(nil))

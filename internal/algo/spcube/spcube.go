@@ -20,10 +20,8 @@
 package spcube
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
 
 	"github.com/spcube/spcube/internal/agg"
 	"github.com/spcube/spcube/internal/buc"
@@ -64,30 +62,11 @@ func Compute(eng *mr.Engine, rel *relation.Relation, spec cube.Spec) (*cube.Run,
 
 // ComputeOpts runs SP-Cube with explicit options.
 func ComputeOpts(eng *mr.Engine, rel *relation.Relation, spec cube.Spec, opts Options) (*cube.Run, error) {
-	d := rel.D()
-	if d > lattice.MaxDims {
-		return nil, fmt.Errorf("spcube: %d dimensions exceed the supported maximum %d", d, lattice.MaxDims)
-	}
-	run := &cube.Run{Algorithm: "sp-cube", OutputPrefix: "out/sp-cube/"}
-
-	// Round 1: build the SP-Sketch.
-	built, err := sketch.Build(eng, rel, opts.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("spcube: sketch round: %w", err)
-	}
-	sk := built.Sketch
-	run.Metrics.Add(built.Metrics)
-	run.SketchBytes = built.EncodedBytes
-	run.SampleTuples = sk.SampleN
-	run.SkewedGroups = sk.NumSkews()
-
-	// Round 2: cube computation (Algorithm 3).
-	round, err := runCubeRound(eng, rel, spec, sk, opts, run.OutputPrefix)
+	runs, err := compute(eng, rel, []cube.Spec{spec}, opts, func(int) string { return "out/sp-cube/" })
 	if err != nil {
 		return nil, err
 	}
-	run.Metrics.Add(round.Metrics)
-	return run, nil
+	return runs[0], nil
 }
 
 // ComputeMulti computes one cube per spec while building the SP-Sketch only
@@ -99,8 +78,14 @@ func ComputeMulti(eng *mr.Engine, rel *relation.Relation, specs []cube.Spec, opt
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("spcube: ComputeMulti with no specs")
 	}
-	d := rel.D()
-	if d > lattice.MaxDims {
+	return compute(eng, rel, specs, opts, func(i int) string { return fmt.Sprintf("out/sp-cube/%d/", i) })
+}
+
+// compute runs round 1, building the SP-Sketch, and then one round 2
+// (Algorithm 3) per spec, the i-th writing under prefix(i). The sketch round
+// is charged once, to the first run.
+func compute(eng *mr.Engine, rel *relation.Relation, specs []cube.Spec, opts Options, prefix func(int) string) ([]*cube.Run, error) {
+	if d := rel.D(); d > lattice.MaxDims {
 		return nil, fmt.Errorf("spcube: %d dimensions exceed the supported maximum %d", d, lattice.MaxDims)
 	}
 	built, err := sketch.Build(eng, rel, opts.Seed)
@@ -111,13 +96,12 @@ func ComputeMulti(eng *mr.Engine, rel *relation.Relation, specs []cube.Spec, opt
 	for i, spec := range specs {
 		run := &cube.Run{
 			Algorithm:    "sp-cube",
-			OutputPrefix: fmt.Sprintf("out/sp-cube/%d/", i),
+			OutputPrefix: prefix(i),
 			SketchBytes:  built.EncodedBytes,
 			SampleTuples: built.Sketch.SampleN,
 			SkewedGroups: built.Sketch.NumSkews(),
 		}
 		if i == 0 {
-			// The sketch round is charged once, to the first run.
 			run.Metrics.Add(built.Metrics)
 		}
 		round, err := runCubeRound(eng, rel, spec, built.Sketch, opts, run.OutputPrefix)
@@ -256,7 +240,7 @@ func cubeJob(d, k int, spec cube.Spec, sk *sketch.Sketch, opts Options, outPrefi
 			ts.keyBuf = append(ts.keyBuf[:0], prefixGroup)
 			ts.keyBuf = relation.AppendGroupKey(ts.keyBuf, uint32(mask), t.Dims)
 			if opts.DisableFactorization {
-				ts.valBuf = encodeMeasure(ts.valBuf, t.Measure)
+				ts.valBuf = cube.AppendMeasure(ts.valBuf[:0], t.Measure)
 				ctx.EmitBytes(ts.keyBuf, ts.valBuf)
 				ts.marks.Mark(mask)
 			} else {
@@ -284,16 +268,7 @@ func cubeJob(d, k int, spec cube.Spec, sk *sketch.Sketch, opts Options, outPrefi
 			}
 		}
 		clear(ts.fullAgg)
-		keys := make([]string, 0, len(ts.skewAgg))
-		for key := range ts.skewAgg {
-			keys = append(keys, key)
-		}
-		sort.Strings(keys)
-		for _, key := range keys {
-			ts.valBuf = ts.skewAgg[key].AppendEncode(ts.valBuf[:0])
-			ctx.EmitCopied(key, ts.valBuf)
-		}
-		clear(ts.skewAgg)
+		ts.valBuf = cube.EmitStates(ctx, ts.skewAgg, ts.valBuf)
 	}
 
 	partition := func(key string, reducers int) int {
@@ -338,23 +313,18 @@ func cubeJob(d, k int, spec cube.Spec, sk *sketch.Sketch, opts Options, outPrefi
 		case prefixSkew:
 			// Merge the (at most k) mapper partial states of one skewed
 			// c-group (Algorithm 3, lines 24-27).
-			st := f.NewState()
-			for _, v := range vals {
-				part, err := f.DecodeState(v)
-				if err != nil {
-					continue
-				}
-				st.Merge(part)
-				ctx.ChargeOps(1)
-			}
-			spec.Emit(ctx, key[1:], st)
+			spec.Emit(ctx, key[1:], cube.MergeStates(ctx, f, vals))
 		case prefixGroup:
+			if opts.DisableFactorization {
+				spec.Emit(ctx, key[1:], cube.AddMeasures(ctx, f, vals))
+				return
+			}
 			// Factorized processing: rebuild set(g) and compute every
 			// ancestor group owned by g with local BUC (Algorithm 3,
 			// line 30) — which emits nothing and touches no tuple when
 			// set(g) is below the iceberg threshold, as most sets of a
 			// skewed relation are: those return before anything is read.
-			if !opts.DisableFactorization && len(vals) < minSup {
+			if len(vals) < minSup {
 				return
 			}
 			var maskBuf [lattice.MaxDims]relation.Value
@@ -363,19 +333,6 @@ func cubeJob(d, k int, spec cube.Spec, sk *sketch.Sketch, opts Options, outPrefi
 				return
 			}
 			base := lattice.Mask(maskU)
-			if opts.DisableFactorization {
-				st := f.NewState()
-				for _, v := range vals {
-					m, ok := decodeMeasure(v)
-					if !ok {
-						continue
-					}
-					st.Add(m)
-					ctx.ChargeOps(1)
-				}
-				spec.Emit(ctx, key[1:], st)
-				return
-			}
 			ts := ctx.State().(*taskState)
 			cache := ts.subsetsBFS
 			ts.dims = slices.Grow(ts.dims[:0], len(vals)*d)[:len(vals)*d]
@@ -440,13 +397,4 @@ func expand(packed []relation.Value, mask lattice.Mask, d int, scratch *[]relati
 	}
 	*scratch = s
 	return s
-}
-
-func encodeMeasure(buf []byte, m int64) []byte {
-	return binary.AppendVarint(buf[:0], m)
-}
-
-func decodeMeasure(b []byte) (int64, bool) {
-	v, n := binary.Varint(b)
-	return v, n > 0
 }

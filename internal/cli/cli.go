@@ -142,6 +142,23 @@ func (f *Flags) Resolve() (mr.Config, agg.Func, error) {
 	bad := func(name string, value any, err error) (mr.Config, agg.Func, error) {
 		return mr.Config{}, nil, Usagef("-%s %v: %w", name, value, err)
 	}
+	// Zero means the engine's default or off; the cluster has at least one
+	// machine.
+	for _, c := range []struct {
+		name       string
+		value, min float64
+	}{
+		{"k", float64(f.Workers), 1},
+		{"p", float64(f.Par), 0},
+		{"max-attempts", float64(f.MaxAttempts), 0},
+		{"merge-fan-in", float64(f.MergeFanIn), 0},
+		{"spec-slack", f.SpecSlack, 0},
+		{"task-timeout", f.TaskTimeout, 0},
+	} {
+		if c.value < c.min {
+			return bad(c.name, c.value, fmt.Errorf("want at least %v", c.min))
+		}
+	}
 	plan, err := mr.ParseFaultPlan(f.Faults)
 	if err != nil {
 		return bad("faults", f.Faults, err)

@@ -52,6 +52,14 @@ func TestCLIExitCodes(t *testing.T) {
 		{spill, []string{"-spill-budget", "-7"}, 2, []string{"-spill-budget", "-7"}},
 		{spill, []string{"-spill-codec", "zip", "-spill-budget", "0"}, 2, []string{"-spill-codec", "zip"}},
 		{spill, []string{"-backend", "nope"}, 2, []string{"-backend", "nope"}},
+		{engine, []string{"-k", "0"}, 2, []string{"-k 0"}},
+		{engine, []string{"-k", "-3"}, 2, []string{"-k -3"}},
+		{engine, []string{"-p", "-1"}, 2, []string{"-p -1"}},
+		{engine, []string{"-max-attempts", "-1"}, 2, []string{"-max-attempts -1"}},
+		{engine, []string{"-spec-slack", "-0.5"}, 2, []string{"-spec-slack -0.5"}},
+		{engine, []string{"-task-timeout", "-2"}, 2, []string{"-task-timeout -2"}},
+		{spill, []string{"-merge-fan-in", "-4"}, 2, []string{"-merge-fan-in -4"}},
+		{[]string{"spcube"}, []string{"-delta", missing, "-k", "0"}, 2, []string{"-k 0"}},
 		{[]string{"spcube"}, []string{"-delta", missing, "-faults", "bogus"}, 2, []string{"-faults"}},
 		{[]string{"spcube"}, []string{"-delta", input, "-in", ""}, 2, []string{"-in"}},
 		{[]string{"spbench"}, []string{"-exp", "fig99"}, 2, []string{"fig99"}},

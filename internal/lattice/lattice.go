@@ -71,16 +71,6 @@ func Descendants(m Mask, fn func(Mask)) {
 	}
 }
 
-// Ancestors calls fn for every ancestor of m within d dimensions: each mask
-// obtained by adding exactly one dimension not in m.
-func Ancestors(m Mask, d int, fn func(Mask)) {
-	free := uint32(Full(d) &^ m)
-	for x := free; x != 0; x &= x - 1 {
-		low := x & -x
-		fn(m | Mask(low))
-	}
-}
-
 // Supersets calls fn for every strict superset of m within d dimensions,
 // i.e. the transitive ancestors of m in the lattice.
 func Supersets(m Mask, d int, fn func(Mask)) {

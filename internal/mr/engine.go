@@ -83,6 +83,13 @@ const RecordOverhead = 8
 // physical machines.
 const MinOOMMemTuples = 4000
 
+// OOMFactor is how many machine memory-fuls of (inflation-adjusted) input
+// records a reducer holds before it fails, when its job sets
+// FailOnReducerOOM: roughly, a reducer can externally sort/merge a few dozen
+// memory-fuls before its task trackers give up, but not an unbounded
+// pile-up.
+const OOMFactor = 48
+
 func pairBytes(key string, val []byte) int64 {
 	return int64(len(key) + len(val) + RecordOverhead)
 }
@@ -100,12 +107,6 @@ type Config struct {
 	// paper sets m = n/k). If zero, the engine derives it as n/k at run
 	// time from the current input.
 	MemTuples int
-	// OOMFactor: a reducer whose (inflation-adjusted) input bytes exceed
-	// OOMFactor × machine memory bytes fails when the job sets
-	// FailOnReducerOOM. Default 48 (roughly: a reducer can externally
-	// sort/merge a few dozen memory-fuls before its task trackers give
-	// up, but not an unbounded pile-up).
-	OOMFactor float64
 	// Seed namespaces hash partitioning so runs are reproducible.
 	Seed uint64
 	// Parallelism is the number of goroutines executing a round's tasks:
@@ -286,9 +287,6 @@ type Engine struct {
 func New(cfg Config, fs *dfs.FS) *Engine {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
-	}
-	if cfg.OOMFactor <= 0 {
-		cfg.OOMFactor = 48
 	}
 	if cfg.Parallelism <= 0 {
 		cfg.Parallelism = runtime.GOMAXPROCS(0)
@@ -973,7 +971,6 @@ func (r *round) reduceStage(srcs [][]streamSource) error {
 // opts into hard failure (the Hive model); others absorb oversized *groups*
 // as external aggregation I/O in reduceAttempt.
 func (r *round) sizeReducers(srcs [][]streamSource) (int, error) {
-	cfg := &r.eng.Cfg
 	for task, runs := range srcs {
 		tm := &r.rm.Reducers[task]
 		for _, src := range runs {
@@ -986,10 +983,10 @@ func (r *round) sizeReducers(srcs [][]streamSource) (int, error) {
 			}
 		}
 		tm.CPUSeconds += float64(tm.InRecords) * cost.ReduceCPUPerRecord
-		if r.job.FailOnReducerOOM && float64(tm.InRecords)*r.inflation > cfg.OOMFactor*r.oomMem {
+		if r.job.FailOnReducerOOM && float64(tm.InRecords)*r.inflation > OOMFactor*r.oomMem {
 			r.rm.Failed = true
-			r.rm.FailReason = fmt.Sprintf("reducer %d out of memory: %d input records (×%.0f inflation) exceed %.0f×m (m=%d tuples)",
-				task, tm.InRecords, r.inflation, cfg.OOMFactor, r.memTuples)
+			r.rm.FailReason = fmt.Sprintf("reducer %d out of memory: %d input records (×%.0f inflation) exceed %d×m (m=%d tuples)",
+				task, tm.InRecords, r.inflation, OOMFactor, r.memTuples)
 			err := fmt.Errorf("mr: job %s: %s", r.job.Name, r.rm.FailReason)
 			r.tr.attemptFailure(PhaseReduce, task, 0, err)
 			return task, err

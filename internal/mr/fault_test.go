@@ -292,9 +292,9 @@ func TestDeterministicFailuresAreNotRetried(t *testing.T) {
 		MapTuple:         func(ctx *MapCtx, tu relation.Tuple) { ctx.Emit("hot", []byte("0123456789abcdef")) },
 		Reduce:           func(*RedCtx, string, [][]byte) {},
 		FailOnReducerOOM: true,
-		MemInflation:     8,
+		MemInflation:     192, // OOM past OOMFactor/192 = a quarter memory-ful of records
 	}
-	eng = New(Config{Workers: 4, OOMFactor: 2, MaxAttempts: 4}, nil)
+	eng = New(Config{Workers: 4, MaxAttempts: 4}, nil)
 	res, err = eng.RunTuples(oomJob, hot)
 	if err == nil {
 		t.Fatal("expected OOM failure")

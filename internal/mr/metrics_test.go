@@ -47,11 +47,12 @@ func TestPhaseAveragesExcludeUnexecutedTasks(t *testing.T) {
 		},
 		Reduce:           func(*mr.RedCtx, string, [][]byte) {},
 		FailOnReducerOOM: true,
+		// OOMFactor (48) over the 4000-tuple memory floor, at this
+		// inflation, puts the OOM threshold at 40 input records: reducer 0
+		// (10 records) survives, reducer 1 (100 records) dies.
+		MemInflation: 4800,
 	}
-	// OOMFactor 0.01 over the 4000-tuple memory floor puts the OOM
-	// threshold at 40 input records: reducer 0 (10 records) survives,
-	// reducer 1 (100 records) dies.
-	eng := mr.New(mr.Config{Workers: 2, OOMFactor: 0.01}, nil)
+	eng := mr.New(mr.Config{Workers: 2}, nil)
 	res, err := eng.RunTuples(job, tuples)
 	if err == nil {
 		t.Fatal("expected OOM failure")

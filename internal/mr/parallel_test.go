@@ -154,9 +154,9 @@ func TestParallelOOMMatchesSequential(t *testing.T) {
 			},
 			Reduce:           func(*RedCtx, string, [][]byte) {},
 			FailOnReducerOOM: true,
-			MemInflation:     8,
+			MemInflation:     192, // OOM past OOMFactor/192 = a quarter memory-ful of records
 		}
-		eng := New(Config{Workers: 4, OOMFactor: 2, Seed: 3, Parallelism: parallelism}, nil)
+		eng := New(Config{Workers: 4, Seed: 3, Parallelism: parallelism}, nil)
 		res, err := eng.RunTuples(job, tuples)
 		if err == nil {
 			t.Fatal("expected OOM failure")

@@ -432,6 +432,50 @@ type BuildResult struct {
 	EncodedBytes int
 }
 
+// SampleJob is the sampling round that opens Algorithm 2, as one job: every
+// map task keeps each tuple of its split with probability alpha and ships
+// it to the single reducer, which hands reduce the decoded sample of a
+// d-dimensional relation (it is not called on an empty sample). A map task's
+// RNG stream is a function of seed·salt and its task id alone: map tasks may
+// run in parallel, and a retried task must restart its stream from the
+// beginning or it would sample different tuples than the fault-free run.
+// Callers with different salts draw independent samples. The RNG and the
+// encode buffer are engine-issued task state; TaskState has no task-id
+// argument, so the RNG is seeded lazily on first use.
+func SampleJob(name string, d int, seed, salt int64, alpha float64, reduce func(ctx *mr.RedCtx, sample []relation.Tuple)) *mr.Job {
+	type taskState struct {
+		rng *rand.Rand
+		buf []byte
+	}
+	return &mr.Job{
+		Name:      name,
+		Reducers:  1,
+		Partition: func(string, int) int { return 0 },
+		TaskState: func() any { return new(taskState) },
+		MapTuple: func(ctx *mr.MapCtx, t relation.Tuple) {
+			ts := ctx.State().(*taskState)
+			if ts.rng == nil {
+				ts.rng = rand.New(rand.NewSource(seed*salt + int64(ctx.Task)))
+			}
+			if ts.rng.Float64() <= alpha {
+				ts.buf = relation.EncodeTuple(ts.buf, t)
+				ctx.EmitCopied("s", ts.buf)
+			}
+		},
+		Reduce: func(ctx *mr.RedCtx, _ string, vals [][]byte) {
+			sample := make([]relation.Tuple, 0, len(vals))
+			for _, v := range vals {
+				t, err := relation.DecodeTuple(v, d)
+				if err != nil {
+					continue
+				}
+				sample = append(sample, t)
+			}
+			reduce(ctx, sample)
+		},
+	}
+}
+
 // Build runs the paper's Algorithm 2 as round 1 of SP-Cube: k mappers
 // sample their input splits, one reducer assembles the sample, builds the
 // sketch in memory, and writes it to the DFS for distribution.
@@ -443,50 +487,13 @@ func Build(eng *mr.Engine, rel *relation.Relation, seed int64) (*BuildResult, er
 	alpha, beta := Params(n, k, m)
 
 	var built *Sketch
-	job := &mr.Job{
-		Name:      "sp-sketch",
-		Reducers:  1,
-		MapTuple:  nil, // set below (needs per-task RNG)
-		Partition: func(string, int) int { return 0 },
-		Reduce: func(ctx *mr.RedCtx, key string, vals [][]byte) {
-			sample := make([]relation.Tuple, 0, len(vals))
-			for _, v := range vals {
-				t, err := relation.DecodeTuple(v, d)
-				if err != nil {
-					continue
-				}
-				sample = append(sample, t)
-			}
-			built = buildFromSample(sample, d, k, alpha, beta, ctx.ChargeOps)
-			enc, err := built.Encode()
-			if err == nil {
-				ctx.EmitKV("sketch", enc)
-			}
-		},
-	}
-
-	// Per-mapper deterministic sampling: the RNG stream is a function of
-	// the experiment seed and the map task id. Both the RNG and the encode
-	// buffer are engine-issued task state — map tasks may run in parallel,
-	// and a retried task must restart its stream from the beginning or it
-	// would sample different tuples than the fault-free run. TaskState has
-	// no task-id argument, so the RNG is seeded lazily on first use.
-	type taskState struct {
-		rng *rand.Rand
-		buf []byte
-	}
-	job.TaskState = func() any { return new(taskState) }
-	job.MapTuple = func(ctx *mr.MapCtx, t relation.Tuple) {
-		ts := ctx.State().(*taskState)
-		if ts.rng == nil {
-			ts.rng = rand.New(rand.NewSource(seed*1_000_003 + int64(ctx.Task)))
+	job := SampleJob("sp-sketch", d, seed, 1_000_003, alpha, func(ctx *mr.RedCtx, sample []relation.Tuple) {
+		built = buildFromSample(sample, d, k, alpha, beta, ctx.ChargeOps)
+		enc, err := built.Encode()
+		if err == nil {
+			ctx.EmitKV("sketch", enc)
 		}
-		if ts.rng.Float64() <= alpha {
-			ts.buf = relation.EncodeTuple(ts.buf, t)
-			ctx.EmitCopied("s", ts.buf)
-		}
-	}
-
+	})
 	res, err := eng.RunTuples(job, rel.Tuples)
 	if err != nil {
 		return nil, err
