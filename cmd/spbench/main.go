@@ -85,6 +85,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	defer s.Close()
+	if o.format != "table" && o.format != "csv" {
+		return cli.Usagef("-format %s: want table or csv", o.format)
+	}
+	if !(o.scale > 0) { // NaN too
+		return cli.Usagef("-scale %v: want a positive multiplier", o.scale)
+	}
 
 	if o.validate != "" {
 		data, err := os.ReadFile(o.validate)
@@ -121,15 +127,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("interrupted: %w", err)
 	}
 
-	switch o.format {
-	case "table":
-		err = bench.Render(stdout, figs)
-	case "csv":
-		err = bench.RenderCSV(stdout, figs)
-	default:
-		err = fmt.Errorf("unknown format %q (want table or csv)", o.format)
+	render := bench.Render
+	if o.format == "csv" {
+		render = bench.RenderCSV
 	}
-	if err != nil {
+	if err := render(stdout, figs); err != nil {
 		return err
 	}
 	return s.WriteMetrics(func(w io.Writer) error {

@@ -96,12 +96,16 @@ func TestRunUnknownExperiment(t *testing.T) {
 }
 
 // TestRunUnknownFormat: -format takes table or csv; anything else — the
-// retired ASCII chart renderer's "chart" included — fails naming it.
+// retired ASCII chart renderer's "chart" included — is a usage error naming
+// it, reported before the sweep runs.
 func TestRunUnknownFormat(t *testing.T) {
 	for _, format := range []string{"xml", "chart"} {
 		var stdout, stderr bytes.Buffer
-		if code := exit([]string{"-exp", "fig6", "-scale", "0.01", "-format", format}, &stdout, &stderr); code != 1 {
-			t.Fatalf("-format %s: exit code = %d, want 1; stderr: %s", format, code, stderr.String())
+		if code := exit([]string{"-exp", "fig6", "-scale", "0.01", "-format", format}, &stdout, &stderr); code != 2 {
+			t.Fatalf("-format %s: exit code = %d, want 2; stderr: %s", format, code, stderr.String())
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("-format %s: unexpected stdout: %s", format, stdout.String())
 		}
 		if !strings.Contains(stderr.String(), format) {
 			t.Errorf("-format %s: error does not name the bad format: %s", format, stderr.String())

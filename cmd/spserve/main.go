@@ -110,6 +110,12 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		return err
 	}
 	defer s.Close()
+	if o.maxBatch < 0 {
+		return cli.Usagef("-max-batch %d: want at least 0", o.maxBatch)
+	}
+	if o.batchWindow < 0 {
+		return cli.Usagef("-batch-window %v: want at least 0", o.batchWindow)
+	}
 
 	// Cycle 0 of the incremental maintainer is the full initial build.
 	rel, err := s.LoadRelation()

@@ -84,10 +84,12 @@ func Compute(eng *mr.Engine, rel *relation.Relation, spec cube.Spec) (*cube.Run,
 }
 
 // taskState is the per-map-task scratch (map tasks may run in parallel):
-// reusable key/value encode buffers emitted through EmitBytes.
+// the widened group and the reusable key/value encode buffers emitted
+// through EmitBytes.
 type taskState struct {
-	kb []byte
-	vb []byte
+	dims []relation.Value
+	kb   []byte
+	vb   []byte
 }
 
 // parentOf returns the level-(l+1) cuboid that computes the given cuboid:
@@ -118,10 +120,10 @@ func mapChildren(d, level int) func(ctx *mr.MapCtx, key string, val []byte) {
 		if err != nil {
 			return
 		}
-		dims := relation.GroupVals(mask, packed, d)
+		ts.dims = relation.GroupVals(ts.dims, mask, packed, d)
 		for _, child := range children[lattice.Mask(mask)] {
 			ctx.ChargeOps(1)
-			ts.kb = relation.EncodeGroupKey(ts.kb, uint32(child), dims)
+			ts.kb = relation.EncodeGroupKey(ts.kb, uint32(child), ts.dims)
 			ctx.EmitBytes(ts.kb, val)
 		}
 	}

@@ -32,7 +32,7 @@ func referenceWalk(d int, f agg.Func, sk *sketch.Sketch) func(*mr.MapCtx, relati
 				continue
 			}
 			ctx.ChargeOps(1)
-			if sk.IsSkewedDims(mask, t.Dims) {
+			if sk.IsSkewed(mask, relation.Project(t.Dims, uint32(mask))) {
 				key := string(prefixSkew) + relation.GroupKey(uint32(mask), t.Dims)
 				if ts.skewAgg[key] == nil {
 					ts.skewAgg[key] = f.NewState()

@@ -359,7 +359,8 @@ func cubeJob(d, k int, spec cube.Spec, sk *sketch.Sketch, opts Options, outPrefi
 					return buc.Prune
 				},
 				func(mask lattice.Mask, packed []relation.Value, st agg.State) {
-					out = relation.EncodeGroupKey(out, uint32(mask), expand(packed, mask, d, &scratch))
+					scratch = relation.GroupVals(scratch, uint32(mask), packed, d)
+					out = relation.EncodeGroupKey(out, uint32(mask), scratch)
 					spec.Emit(ctx, string(out), st)
 				})
 			ctx.ChargeOps(touches)
@@ -376,25 +377,4 @@ func cubeJob(d, k int, spec cube.Spec, sk *sketch.Sketch, opts Options, outPrefi
 		Reduce:       reduce,
 		OutputPrefix: outPrefix,
 	}
-}
-
-// expand widens a packed projection back to full width so EncodeGroupKey
-// (which projects by mask) can re-encode it.
-func expand(packed []relation.Value, mask lattice.Mask, d int, scratch *[]relation.Value) []relation.Value {
-	s := *scratch
-	if cap(s) < d {
-		s = make([]relation.Value, d)
-	}
-	s = s[:d]
-	j := 0
-	for i := 0; i < d; i++ {
-		if mask.Has(i) {
-			s[i] = packed[j]
-			j++
-		} else {
-			s[i] = 0
-		}
-	}
-	*scratch = s
-	return s
 }

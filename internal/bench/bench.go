@@ -15,17 +15,13 @@ package bench
 import (
 	"fmt"
 
+	"github.com/spcube/spcube/internal/agg"
+	"github.com/spcube/spcube/internal/algo"
+	"github.com/spcube/spcube/internal/algo/spcube"
 	"github.com/spcube/spcube/internal/cube"
 	"github.com/spcube/spcube/internal/data"
 	"github.com/spcube/spcube/internal/mr"
 	"github.com/spcube/spcube/internal/relation"
-
-	"github.com/spcube/spcube/internal/agg"
-	"github.com/spcube/spcube/internal/algo/hivecube"
-	"github.com/spcube/spcube/internal/algo/mrcube"
-	"github.com/spcube/spcube/internal/algo/naive"
-	"github.com/spcube/spcube/internal/algo/pipesort"
-	"github.com/spcube/spcube/internal/algo/spcube"
 )
 
 // Config parameterizes an experiment run.
@@ -112,26 +108,33 @@ type measures struct {
 	dnf                   bool
 }
 
-// algorithms under test, in the paper's plotting order.
-type algo struct {
+// plotted is one series' algorithm: its display name and compute function.
+type plotted struct {
 	name string
 	fn   cube.ComputeFunc
 }
 
-func paperAlgos(seed int64) []algo {
-	return []algo{
-		{"Pig", func(e *mr.Engine, r *relation.Relation, s cube.Spec) (*cube.Run, error) {
-			return mrcube.ComputeOpts(e, r, s, mrcube.Options{Seed: seed})
-		}},
-		{"Hive", hivecube.Compute},
-		{"SP-Cube", func(e *mr.Engine, r *relation.Relation, s cube.Spec) (*cube.Run, error) {
-			return spcube.ComputeOpts(e, r, s, spcube.Options{Seed: seed})
-		}},
+// table is algo.Table's algorithm of the given canonical name, built from
+// seed and plotted under the display name.
+func table(display, name string, seed int64) plotted {
+	i, err := algo.ByName(name)
+	if err != nil {
+		panic(err)
+	}
+	return plotted{display, algo.Table[i].New(seed)}
+}
+
+// paperAlgos are the algorithms under test, in the paper's plotting order.
+func paperAlgos(seed int64) []plotted {
+	return []plotted{
+		table("Pig", "mr-cube", seed),
+		table("Hive", "hive", seed),
+		table("SP-Cube", "sp-cube", seed),
 	}
 }
 
 // runOne executes one algorithm on one relation with a fresh engine.
-func runOne(cfg Config, a algo, rel *relation.Relation) measures {
+func runOne(cfg Config, a plotted, rel *relation.Relation) measures {
 	eng := mr.New(cfg.Config, nil)
 	run, err := a.fn(eng, rel, cube.Spec{Agg: agg.Count})
 	ms := measures{dnf: err != nil}
@@ -163,7 +166,7 @@ func runOne(cfg Config, a algo, rel *relation.Relation) measures {
 
 // runSweep runs every algorithm across the x-axis, building one series per
 // algorithm for each requested measure.
-func runSweep(cfg Config, xs []float64, build func(x float64) *relation.Relation, algos []algo, wants []string) map[string][]Series {
+func runSweep(cfg Config, xs []float64, build func(x float64) *relation.Relation, algos []plotted, wants []string) map[string][]Series {
 	out := make(map[string][]Series, len(wants))
 	for _, w := range wants {
 		out[w] = make([]Series, len(algos))
@@ -347,15 +350,16 @@ func Traffic(cfg Config) []Figure {
 	adversarial := Series{Name: "adversarial (records/n)"}
 	bound := Series{Name: "d (Prop 5.5 record bound)"}
 	expBound := Series{Name: "2^(d-1) (Thm 5.3 scale)"}
+	sp := table("SP-Cube", "sp-cube", cfg.seed())
 	for _, d := range []int{4, 6, 8, 10} {
 		n := int(cfg.sizes(40_000)[0])
 		relU := data.Uniform(n, d, 1<<30, cfg.seed())
-		msU := runOne(cfg, paperAlgos(cfg.seed())[2], relU)
+		msU := runOne(cfg, sp, relU)
 		uniform.Points = append(uniform.Points, Point{X: float64(d), Y: float64(msU.shuffleRecs) / float64(n)})
 
 		m := 40 * int(cfg.Scale*10+1)
 		relA := data.Adversarial(d, m)
-		msA := runOne(cfg, paperAlgos(cfg.seed())[2], relA)
+		msA := runOne(cfg, sp, relA)
 		adversarial.Points = append(adversarial.Points, Point{X: float64(d), Y: float64(msA.shuffleRecs) / float64(relA.N())})
 
 		bound.Points = append(bound.Points, Point{X: float64(d), Y: float64(d)})
@@ -375,28 +379,23 @@ func Ablation(cfg Config) []Figure {
 	cfg.defaults()
 	n := int(cfg.sizes(100_000)[0])
 	rel := data.GenBinomial(n, 4, 0.4, cfg.seed())
-	variants := []struct {
-		name string
-		opts spcube.Options
-	}{
-		{"SP-Cube", spcube.Options{Seed: cfg.seed()}},
-		{"no-skew-handling", spcube.Options{Seed: cfg.seed(), DisableSkewHandling: true}},
-		{"no-factorization", spcube.Options{Seed: cfg.seed(), DisableFactorization: true}},
-		{"naive", spcube.Options{}},
+	// The two ablations switch off one SP-Cube design choice each.
+	ablate := func(name string, opts spcube.Options) plotted {
+		opts.Seed = cfg.seed()
+		return plotted{name, func(e *mr.Engine, r *relation.Relation, s cube.Spec) (*cube.Run, error) {
+			return spcube.ComputeOpts(e, r, s, opts)
+		}}
+	}
+	variants := []plotted{
+		table("SP-Cube", "sp-cube", cfg.seed()),
+		ablate("no-skew-handling", spcube.Options{DisableSkewHandling: true}),
+		ablate("no-factorization", spcube.Options{DisableFactorization: true}),
+		table("naive", "naive", cfg.seed()),
 	}
 	timeFig := Figure{ID: "ablation-time", Title: "ablation: gen-binomial p=0.4 running time", XLabel: "variant", YLabel: "time (sim s)"}
 	shuffleFig := Figure{ID: "ablation-shuffle", Title: "ablation: gen-binomial p=0.4 intermediate bytes", XLabel: "variant", YLabel: "bytes"}
 	for vi, v := range variants {
-		var fn cube.ComputeFunc
-		if v.name == "naive" {
-			fn = naive.Compute
-		} else {
-			opts := v.opts
-			fn = func(e *mr.Engine, r *relation.Relation, s cube.Spec) (*cube.Run, error) {
-				return spcube.ComputeOpts(e, r, s, opts)
-			}
-		}
-		ms := runOne(cfg, algo{v.name, fn}, rel)
+		ms := runOne(cfg, v, rel)
 		timeFig.Series = append(timeFig.Series, Series{Name: v.name, Points: []Point{{X: float64(vi), Y: ms.totalSim, DNF: ms.dnf}}})
 		shuffleFig.Series = append(shuffleFig.Series, Series{Name: v.name, Points: []Point{{X: float64(vi), Y: float64(ms.shuffleBytes), DNF: ms.dnf}}})
 	}
@@ -414,10 +413,10 @@ func Rounds(cfg Config) []Figure {
 		XLabel: "dimensions d", YLabel: "time (sim s)"}
 	roundFig := Figure{ID: "rounds-count", Title: "MapReduce rounds vs dimensions",
 		XLabel: "dimensions d", YLabel: "rounds"}
-	algos := []algo{
-		{"Pipesort", pipesort.Compute},
-		paperAlgos(cfg.seed())[0], // Pig
-		paperAlgos(cfg.seed())[2], // SP-Cube
+	algos := []plotted{
+		table("Pipesort", "pipesort", cfg.seed()),
+		table("Pig", "mr-cube", cfg.seed()),
+		table("SP-Cube", "sp-cube", cfg.seed()),
 	}
 	for _, a := range algos {
 		st := Series{Name: a.name}

@@ -121,111 +121,79 @@ func acceptSchemaVersion(v int, where string) error {
 	return nil
 }
 
-// ValidateMetricsJSON structurally validates a serialized MetricsDoc: the
-// schema version (exactly mr.MetricsSchemaVersion, both at the top level
-// and inside each run's embedded engine metrics), the presence and types of every required
-// top-level field, and the shape of each figure and run. It is the check
-// behind `spbench -validate` and the CI bench-json smoke leg.
+// ValidateMetricsJSON validates a serialized MetricsDoc: it must decode into
+// the document's own types, carry exactly mr.MetricsSchemaVersion both at
+// the top level and inside each run's embedded engine metrics, name its
+// tool, experiment, Go version, figures, series and runs, and hold every
+// array and top-level number it is written with. It is the check behind
+// `spbench -validate` and the CI bench-json smoke leg.
 func ValidateMetricsJSON(data []byte) error {
-	var doc map[string]any
+	// The document's types, except where a zero value would hide an absent
+	// field: the three numbers, and a run's metrics, whose schema version
+	// and rounds only the marshalled form carries.
+	var doc struct {
+		MetricsDoc
+		Workers *int     `json:"workers"`
+		Seed    *int64   `json:"seed"`
+		Scale   *float64 `json:"scale"`
+		Runs    []struct {
+			Algo    string `json:"algo"`
+			Metrics *struct {
+				SchemaVersion int               `json:"schemaVersion"`
+				Rounds        []json.RawMessage `json:"rounds"`
+			} `json:"metrics"`
+		} `json:"runs"`
+	}
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return fmt.Errorf("bench: metrics document: %w", describeJSONError(data, err))
 	}
-	v, ok := doc["schemaVersion"].(float64)
-	if !ok {
-		return fmt.Errorf("bench: metrics document: missing numeric schemaVersion")
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("bench: metrics document: "+format, args...)
 	}
-	if err := acceptSchemaVersion(int(v), "top-level"); err != nil {
+	if err := acceptSchemaVersion(doc.SchemaVersion, "top-level"); err != nil {
 		return err
 	}
-	for _, key := range []string{"tool", "experiment"} {
-		if s, ok := doc[key].(string); !ok || s == "" {
-			return fmt.Errorf("bench: metrics document: missing %s", key)
-		}
+	switch {
+	case doc.Tool == "":
+		return bad("missing tool")
+	case doc.Experiment == "":
+		return bad("missing experiment")
+	case doc.Workers == nil || doc.Seed == nil || doc.Scale == nil:
+		return bad("missing numeric workers, seed or scale")
+	case doc.Environment.GoVersion == "":
+		return bad("environment missing goVersion")
+	case doc.Figures == nil:
+		return bad("missing figures array")
+	case doc.Runs == nil:
+		return bad("missing runs array")
 	}
-	for _, key := range []string{"workers", "seed", "scale"} {
-		if _, ok := doc[key].(float64); !ok {
-			return fmt.Errorf("bench: metrics document: missing numeric %s", key)
+	for i, fig := range doc.Figures {
+		switch {
+		case fig.ID == "":
+			return bad("figure %d has no id", i)
+		case fig.Series == nil:
+			return bad("figure %s has no series array", fig.ID)
 		}
-	}
-	env, ok := doc["environment"].(map[string]any)
-	if !ok {
-		return fmt.Errorf("bench: metrics document: missing environment")
-	}
-	if s, ok := env["goVersion"].(string); !ok || s == "" {
-		return fmt.Errorf("bench: metrics document: environment missing goVersion")
-	}
-	figures, ok := doc["figures"].([]any)
-	if !ok {
-		return fmt.Errorf("bench: metrics document: missing figures array")
-	}
-	for i, f := range figures {
-		fig, ok := f.(map[string]any)
-		if !ok {
-			return fmt.Errorf("bench: metrics document: figure %d is not an object", i)
-		}
-		id, _ := fig["id"].(string)
-		if id == "" {
-			return fmt.Errorf("bench: metrics document: figure %d has no id", i)
-		}
-		series, ok := fig["series"].([]any)
-		if !ok {
-			return fmt.Errorf("bench: metrics document: figure %s has no series array", id)
-		}
-		for _, s := range series {
-			ser, ok := s.(map[string]any)
-			if !ok {
-				return fmt.Errorf("bench: metrics document: figure %s has a non-object series", id)
-			}
-			if name, _ := ser["name"].(string); name == "" {
-				return fmt.Errorf("bench: metrics document: figure %s has an unnamed series", id)
-			}
-			points, ok := ser["points"].([]any)
-			if !ok {
-				return fmt.Errorf("bench: metrics document: figure %s series %v has no points array", id, ser["name"])
-			}
-			for j, p := range points {
-				pt, ok := p.(map[string]any)
-				if !ok {
-					return fmt.Errorf("bench: metrics document: figure %s point %d is not an object", id, j)
-				}
-				for _, key := range []string{"x", "y"} {
-					if _, ok := pt[key].(float64); !ok {
-						return fmt.Errorf("bench: metrics document: figure %s point %d lacks numeric %s", id, j, key)
-					}
-				}
+		for _, ser := range fig.Series {
+			switch {
+			case ser.Name == "":
+				return bad("figure %s has an unnamed series", fig.ID)
+			case ser.Points == nil:
+				return bad("figure %s series %s has no points array", fig.ID, ser.Name)
 			}
 		}
 	}
-	runs, ok := doc["runs"].([]any)
-	if !ok {
-		return fmt.Errorf("bench: metrics document: missing runs array")
-	}
-	for i, r := range runs {
-		run, ok := r.(map[string]any)
-		if !ok {
-			return fmt.Errorf("bench: metrics document: run %d is not an object", i)
+	for i, run := range doc.Runs {
+		if run.Algo == "" {
+			return bad("run %d has no algo", i)
 		}
-		if algo, _ := run["algo"].(string); algo == "" {
-			return fmt.Errorf("bench: metrics document: run %d has no algo", i)
-		}
-		m, present := run["metrics"]
-		if !present {
-			continue
-		}
-		metrics, ok := m.(map[string]any)
-		if !ok {
-			return fmt.Errorf("bench: metrics document: run %d metrics is not an object", i)
-		}
-		mv, ok := metrics["schemaVersion"].(float64)
-		if !ok {
-			return fmt.Errorf("bench: metrics document: run %d metrics has no numeric schemaVersion", i)
-		}
-		if err := acceptSchemaVersion(int(mv), fmt.Sprintf("run %d metrics", i)); err != nil {
-			return err
-		}
-		if _, ok := metrics["rounds"].([]any); !ok {
-			return fmt.Errorf("bench: metrics document: run %d metrics has no rounds array", i)
+		if m := run.Metrics; m != nil {
+			if err := acceptSchemaVersion(m.SchemaVersion, fmt.Sprintf("run %d metrics", i)); err != nil {
+				return err
+			}
+			if m.Rounds == nil {
+				return bad("run %d metrics has no rounds array", i)
+			}
 		}
 	}
 	return nil

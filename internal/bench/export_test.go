@@ -17,10 +17,18 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/<leg>.golden.json from this tree")
 
+// fig6Docs holds runFig6Doc's documents by configuration: the tests read
+// seven documents of four configurations, and each is a whole sweep.
+var fig6Docs = map[string][]byte{}
+
 // runFig6Doc runs the fig6 experiment at a tiny scale and assembles its
-// metrics document.
+// metrics document, once per configuration and test binary.
 func runFig6Doc(t *testing.T, par int, faults string) []byte {
 	t.Helper()
+	key := fmt.Sprintf("%d %s", par, faults)
+	if doc, ok := fig6Docs[key]; ok {
+		return doc
+	}
 	cfg := Config{Config: mr.Config{Workers: 10, Seed: 2016, Parallelism: par}, Scale: 0.01}
 	if faults != "" {
 		fp, err := mr.ParseFaultPlan(faults)
@@ -29,7 +37,8 @@ func runFig6Doc(t *testing.T, par int, faults string) []byte {
 		}
 		cfg.Faults = fp
 	}
-	return experimentDoc(t, cfg, "fig6")
+	fig6Docs[key] = experimentDoc(t, cfg, "fig6")
+	return fig6Docs[key]
 }
 
 // experimentDoc runs one experiment under cfg and returns the metrics

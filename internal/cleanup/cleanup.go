@@ -3,13 +3,12 @@
 // The CLIs rely on deferred cleanup (spill temp directories, output
 // flushes) that a SIGINT or SIGTERM would skip: Go's default handler
 // exits the process immediately, leaking whatever the deferred calls
-// would have removed. OnSignal installs a handler that runs the given
-// teardown first and then exits with the conventional 128+signum status,
-// so an interrupted run leaves no spill directories behind. NotifyContext
-// adds a graceful stage in front: the first signal cancels a context so
-// the engine can unwind cleanly (reaping worker processes and running the
-// deferred cleanup on the normal return path), and only a second signal
-// forces the teardown-and-exit path.
+// would have removed. NotifyContext installs a two-stage handler: the
+// first signal cancels a context so the engine can unwind cleanly (reaping
+// worker processes and running the deferred cleanup on the normal return
+// path), and only a second signal runs the given teardown and exits with
+// the conventional 128+signum status, so even a forced exit leaves no
+// spill directories behind.
 package cleanup
 
 import (
@@ -18,34 +17,6 @@ import (
 	"os/signal"
 	"syscall"
 )
-
-// OnSignal runs fn and then exit(128+signum) when sig (or any of sigs)
-// arrives. It returns a stop function that uninstalls the handler —
-// callers defer it so a normal return restores default signal behavior.
-// exit is a parameter (os.Exit in production) so tests can observe the
-// teardown without losing the process.
-func OnSignal(fn func(), exit func(code int), sigs ...os.Signal) (stop func()) {
-	if len(sigs) == 0 {
-		sigs = []os.Signal{os.Interrupt, syscall.SIGTERM}
-	}
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, sigs...)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		sig, ok := <-ch
-		if !ok {
-			return
-		}
-		fn()
-		exit(128 + signum(sig))
-	}()
-	return func() {
-		signal.Stop(ch)
-		close(ch)
-		<-done
-	}
-}
 
 // NotifyContext installs a two-stage interrupt handler: the first SIGINT
 // or SIGTERM cancels the returned context — the engine stops in-flight

@@ -9,43 +9,6 @@ import (
 	"time"
 )
 
-// TestOnSignalRunsTeardown delivers a real SIGINT to the test process and
-// asserts the handler removes the guarded directory before exiting with
-// the conventional 130 (128+SIGINT) status. exit is injected so the test
-// binary survives its own interrupt.
-func TestOnSignalRunsTeardown(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "spill")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "run-m-1"), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	exited := make(chan int, 1)
-	stop := OnSignal(
-		func() { os.RemoveAll(dir) },
-		func(code int) { exited <- code },
-		os.Interrupt,
-	)
-	defer stop()
-
-	if err := syscall.Kill(os.Getpid(), syscall.SIGINT); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case code := <-exited:
-		if code != 130 {
-			t.Errorf("exit code %d, want 130", code)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("signal handler did not fire")
-	}
-	if _, err := os.Stat(dir); !os.IsNotExist(err) {
-		t.Errorf("spill dir survived the interrupt: stat err = %v", err)
-	}
-}
-
 // TestNotifyContextTwoStage delivers two SIGINTs: the first must cancel
 // the context without running the teardown (the graceful path), the second
 // must run the teardown and exit 130.
@@ -103,17 +66,5 @@ func TestNotifyContextStopUninstalls(t *testing.T) {
 	case <-ctx.Done():
 	default:
 		t.Error("stop did not cancel the context")
-	}
-}
-
-// TestOnSignalStopUninstalls verifies stop removes the handler: a later
-// teardown must not fire (the signal would then hit Go's default handler,
-// so the test delivers none — it only checks the goroutine is released).
-func TestOnSignalStopUninstalls(t *testing.T) {
-	ran := false
-	stop := OnSignal(func() { ran = true }, func(int) {}, os.Interrupt)
-	stop() // must not hang
-	if ran {
-		t.Error("teardown ran without a signal")
 	}
 }

@@ -123,7 +123,7 @@ func requireRunEqualsMap(t *testing.T, run *cube.SortedRun, want *cube.Result, c
 		}
 		mask := lattice.Mask(m)
 		masks[mask] = true
-		dims := relation.GroupVals(m, packed, want.D)
+		dims := relation.GroupVals(nil, m, packed, want.D)
 		// The group itself, then a neighbour that shares all but the key's
 		// last byte or two and may or may not exist.
 		for _, bump := range []relation.Value{0, 1} {

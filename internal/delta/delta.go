@@ -264,7 +264,7 @@ func (m *Maintainer) rebuild(rel *relation.Relation, metrics *mr.JobMetrics) err
 	}
 	m.base, m.overlay = base, make(map[string]agg.State)
 	start := time.Now()
-	m.baseSketch = exactSketch(base, rel.D(), rel.N(), m.cfg.Workers, memTuples(rel.N(), m.cfg.Workers))
+	m.baseSketch = exactSketch(base, rel.D(), rel.N(), m.cfg.Workers, mr.MachineMemory(rel.N(), m.cfg.Workers))
 	t.Sketch = time.Since(start)
 	m.built = t
 	return nil
@@ -441,7 +441,7 @@ func (m *Maintainer) batchDrift(batch Batch) float64 {
 	}
 	deltaRel := &relation.Relation{Schema: m.rel.Schema, Tuples: batch.Append}
 	n := m.rel.N()
-	mem := memTuples(n, m.cfg.Workers)
+	mem := mr.MachineMemory(n, m.cfg.Workers)
 	// Scale the skew threshold to the batch — a group holding the same
 	// fraction of the batch as a skewed group holds of the base counts as
 	// skewed in the delta sketch — plus a 3σ Poisson margin so small
@@ -833,5 +833,3 @@ func cloneTuples(ts []relation.Tuple) []relation.Tuple {
 	}
 	return out
 }
-
-func memTuples(n, k int) int { return max(n/max(k, 1), 1) }

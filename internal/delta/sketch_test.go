@@ -30,7 +30,7 @@ var sketchRelations = []struct {
 // its relation.
 func requireExactSketch(t *testing.T, m *Maintainer, when string) {
 	t.Helper()
-	want := sketch.BuildExact(m.rel, m.cfg.Workers, memTuples(m.rel.N(), m.cfg.Workers))
+	want := sketch.BuildExact(m.rel, m.cfg.Workers, mr.MachineMemory(m.rel.N(), m.cfg.Workers))
 	if !reflect.DeepEqual(m.baseSketch, want) {
 		t.Fatalf("%s: the sketch read off the counts is not BuildExact's", when)
 	}
@@ -97,7 +97,7 @@ func TestBaseSketchOfNoTuples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := exactSketch(run, empty.D(), 0, 3, memTuples(0, 3)), sketch.BuildExact(empty, 3, memTuples(0, 3)); !reflect.DeepEqual(got, want) {
+	if got, want := exactSketch(run, empty.D(), 0, 3, mr.MachineMemory(0, 3)), sketch.BuildExact(empty, 3, mr.MachineMemory(0, 3)); !reflect.DeepEqual(got, want) {
 		t.Fatalf("sketch of no tuples: %+v, BuildExact's %+v", got, want)
 	}
 }

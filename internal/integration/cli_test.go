@@ -13,8 +13,9 @@ import (
 // TestCLIExitCodes is the one table pinning the exit-code contract of the
 // three binaries that share internal/cli, on the real executables: a bad
 // value for any shared flag is a usage error — exit 2, the message names
-// the flag and the value, and the input is never opened (it does not exist,
-// and no message says so) — while a failure after validation exits 1.
+// the flag and the value, nothing reaches stdout, and the input is never
+// opened (it does not exist, and no message says so) — while a failure
+// after validation exits 1.
 func TestCLIExitCodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the three binaries")
@@ -63,6 +64,11 @@ func TestCLIExitCodes(t *testing.T) {
 		{[]string{"spcube"}, []string{"-delta", missing, "-faults", "bogus"}, 2, []string{"-faults"}},
 		{[]string{"spcube"}, []string{"-delta", input, "-in", ""}, 2, []string{"-in"}},
 		{[]string{"spbench"}, []string{"-exp", "fig99"}, 2, []string{"fig99"}},
+		{[]string{"spbench"}, []string{"-format", "xml"}, 2, []string{"-format", "xml"}},
+		{[]string{"spbench"}, []string{"-scale", "0"}, 2, []string{"-scale 0"}},
+		{[]string{"spbench"}, []string{"-scale", "-1"}, 2, []string{"-scale -1"}},
+		{[]string{"spserve"}, []string{"-max-batch", "-3"}, 2, []string{"-max-batch -3"}},
+		{[]string{"spserve"}, []string{"-batch-window", "-1s"}, 2, []string{"-batch-window -1s"}},
 		{engine, []string{"-no-such-flag"}, 2, []string{"-no-such-flag"}},
 		{engine, []string{"-h"}, 0, []string{"-faults"}},
 		{in, nil, 1, []string{"missing.csv"}},
@@ -73,10 +79,10 @@ func TestCLIExitCodes(t *testing.T) {
 		for _, name := range c.bins {
 			args := append(append([]string(nil), base[name]...), c.args...)
 			t.Run(name+" "+strings.Join(c.args, " "), func(t *testing.T) {
-				var stderr bytes.Buffer
+				var stdout, stderr bytes.Buffer
 				cmd := exec.Command(filepath.Join(bin, name), args...)
 				cmd.Dir = bin
-				cmd.Stderr = &stderr
+				cmd.Stdout, cmd.Stderr = &stdout, &stderr
 				code := 0
 				var ee *exec.ExitError
 				if err := cmd.Run(); errors.As(err, &ee) {
@@ -94,6 +100,9 @@ func TestCLIExitCodes(t *testing.T) {
 				}
 				if c.code == 2 && strings.Contains(stderr.String(), "no such file") {
 					t.Errorf("usage error reported after the input was opened: %s", stderr.String())
+				}
+				if c.code == 2 && stdout.Len() != 0 {
+					t.Errorf("usage error wrote to stdout: %s", stdout.String())
 				}
 			})
 		}

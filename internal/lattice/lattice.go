@@ -35,10 +35,6 @@ func (m Mask) Level() int { return bits.OnesCount32(uint32(m)) }
 // Full returns the mask of the top cuboid (all d dimensions).
 func Full(d int) Mask { return Mask(1<<uint(d)) - 1 }
 
-// IsSubset reports whether m's dimensions are a subset of o's, i.e. whether
-// the c-groups of cuboid o are (weak) ancestors of those of cuboid m.
-func (m Mask) IsSubset(o Mask) bool { return m&^o == 0 }
-
 // BFSLess reports whether a precedes b in the canonical bottom-up BFS order.
 func BFSLess(a, b Mask) bool {
 	la, lb := a.Level(), b.Level()
@@ -62,15 +58,6 @@ func BFSOrder(d int) []Mask {
 	return masks
 }
 
-// Descendants calls fn for every descendant of m: each mask obtained by
-// dropping exactly one dimension of m.
-func Descendants(m Mask, fn func(Mask)) {
-	for x := uint32(m); x != 0; x &= x - 1 {
-		low := x & -x
-		fn(m &^ Mask(low))
-	}
-}
-
 // Supersets calls fn for every strict superset of m within d dimensions,
 // i.e. the transitive ancestors of m in the lattice.
 func Supersets(m Mask, d int, fn func(Mask)) {
@@ -87,20 +74,6 @@ func Supersets(m Mask, d int, fn func(Mask)) {
 func SupersetsIncl(m Mask, d int, fn func(Mask)) {
 	fn(m)
 	Supersets(m, d, fn)
-}
-
-// Subsets calls fn for every strict subset of m (the transitive descendants
-// of m in the lattice).
-func Subsets(m Mask, fn func(Mask)) {
-	if m == 0 {
-		return
-	}
-	for s := (m - 1) & m; ; s = (s - 1) & m {
-		fn(s)
-		if s == 0 {
-			return
-		}
-	}
 }
 
 // SubsetsBFS returns all subsets of m (including m itself and the empty

@@ -308,16 +308,17 @@ func New(cfg Config, fs *dfs.FS) *Engine {
 	return &Engine{Cfg: cfg, FS: fs}
 }
 
-// MemTuples returns the machine memory in tuples for an input of n tuples.
+// MachineMemory is m, a machine's memory in tuples, for an input of n
+// tuples spread over k machines: max(⌊n/k⌋, 1), the paper's m = n/k.
+func MachineMemory(n, k int) int { return max(n/max(k, 1), 1) }
+
+// MemTuples returns the machine memory in tuples for an input of n tuples:
+// Config.MemTuples when set, else MachineMemory over the cluster.
 func (e *Engine) MemTuples(n int) int {
 	if e.Cfg.MemTuples > 0 {
 		return e.Cfg.MemTuples
 	}
-	m := n / e.Cfg.Workers
-	if m < 1 {
-		m = 1
-	}
-	return m
+	return MachineMemory(n, e.Cfg.Workers)
 }
 
 // MapCtx is the context passed to map functions.

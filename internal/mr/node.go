@@ -102,12 +102,6 @@ func (e *Engine) placeAttempt(round int, phase Phase, task, attempt int, down []
 	return node, nil
 }
 
-// nodeKill returns the kill for an attempt placed on a dead node, or nil.
-func (e *Engine) nodeKill(round int, phase Phase, task, attempt int, dead []bool, nodes int) error {
-	_, err := e.placeAttempt(round, phase, task, attempt, dead, nodes)
-	return err
-}
-
 // unionDead merges two down sets (either may be nil, and nil means "none
 // down"). When only one is non-nil it is returned as-is — the common case,
 // since the local backend never reports down nodes.

@@ -113,7 +113,7 @@ func TestPlaceLive(t *testing.T) {
 
 func TestNodeKillAndTimeout(t *testing.T) {
 	eng := New(Config{Workers: 4, Seed: 7}, nil)
-	if err := eng.nodeKill(0, PhaseReduce, 0, 0, nil, 4); err != nil {
+	if _, err := eng.placeAttempt(0, PhaseReduce, 0, 0, nil, 4); err != nil {
 		t.Errorf("no dead nodes: %v", err)
 	}
 	// Kill attempt 0 exactly where its raw placement lands; later attempts
@@ -121,15 +121,15 @@ func TestNodeKillAndTimeout(t *testing.T) {
 	home := PlaceNode(7, 0, PhaseReduce, 0, 0, 4)
 	dead := make([]bool, 4)
 	dead[home] = true
-	err := eng.nodeKill(0, PhaseReduce, 0, 0, dead, 4)
+	_, err := eng.placeAttempt(0, PhaseReduce, 0, 0, dead, 4)
 	if !isKillError(err) || !strings.Contains(err.Error(), "crashed") {
 		t.Errorf("attempt 0 on a dead node: %v", err)
 	}
-	if err := eng.nodeKill(0, PhaseReduce, 0, 1, dead, 4); err != nil {
+	if _, err := eng.placeAttempt(0, PhaseReduce, 0, 1, dead, 4); err != nil {
 		t.Errorf("attempt 1 must be re-placed on a live node: %v", err)
 	}
 	allDead := []bool{true, true, true, true}
-	err = eng.nodeKill(0, PhaseReduce, 0, 1, allDead, 4)
+	_, err = eng.placeAttempt(0, PhaseReduce, 0, 1, allDead, 4)
 	if !isKillError(err) || !strings.Contains(err.Error(), "no live node") {
 		t.Errorf("attempt 1 with no live node: %v", err)
 	}

@@ -134,3 +134,59 @@ func TestDictionaryDoesNotPinItsInput(t *testing.T) {
 		t.Error("the dictionary entry aliases the line its value was cut from")
 	}
 }
+
+// TestTextLookupInverse: a code reads as its entry, or as its decimal when
+// it has none, and a text names the code that reads as it — so text → code
+// → text is the identity for every code, on a column with entries, on one
+// without, and without a dictionary. Nothing else names a code: not a
+// non-canonical decimal, and not the decimal of a code that has an entry.
+func TestTextLookupInverse(t *testing.T) {
+	d := NewDictionary(2)
+	for _, s := range []string{"laptop", "phone", "42"} {
+		d.Encode(0, s)
+	}
+	columns := []struct {
+		name string
+		dict *Dictionary
+		col  int
+	}{{"entries", d, 0}, {"no entries", d, 1}, {"no dictionary", nil, 0}}
+	for _, c := range columns {
+		for v := Value(-3); v <= 45; v++ {
+			text := c.dict.Text(c.col, v)
+			got, ok := c.dict.Lookup(c.col, text)
+			if !ok || c.dict.Text(c.col, got) != text {
+				t.Errorf("%s: code %d reads %q, which resolves to %d (%v)", c.name, v, text, got, ok)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		col  int
+		text string
+		code Value
+		ok   bool
+	}{
+		{0, "phone", 1, true},
+		{0, "42", 2, true}, // an entry's text, although code 42 exists too
+		{0, "5", 5, true},  // the decimal of a code without an entry
+		{0, "-1", -1, true},
+		{0, "0", 0, false}, // code 0 reads as laptop
+		{0, "2", 0, false},
+		{0, "007", 0, false},
+		{0, "-0", 0, false},
+		{0, "tablet", 0, false},
+		{1, "0", 0, true},
+		{1, "007", 0, false},
+		{1, "-0", 0, false},
+		{1, "+5", 0, false},
+	} {
+		if got, ok := d.Lookup(tc.col, tc.text); got != tc.code || ok != tc.ok {
+			t.Errorf("column %d: Lookup(%q) = %d, %v; want %d, %v", tc.col, tc.text, got, ok, tc.code, tc.ok)
+		}
+	}
+	var none *Dictionary
+	for _, text := range []string{"007", "-0", "x"} {
+		if _, ok := none.Lookup(0, text); ok {
+			t.Errorf("no dictionary: %q names a code", text)
+		}
+	}
+}

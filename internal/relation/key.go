@@ -170,32 +170,37 @@ func ScanGroupKeyInto(buf []Value, b []byte) (mask uint32, vals []Value, n int, 
 	return mask, vals, n, nil
 }
 
-// GroupVals expands the packed projected values of a group key back to a
-// full-width dims slice, with zero in star positions. The second return
-// value reports, per attribute, whether it is present in the mask.
-func GroupVals(mask uint32, packed []Value, d int) []Value {
-	out := make([]Value, d)
+// GroupVals widens the packed values of a c-group of cuboid mask to a
+// full-width dims slice of d values, with zero in the star positions, so
+// that a key can be re-encoded for another cuboid by projection. It writes
+// into buf, reused when large enough, and returns the widened slice.
+func GroupVals(buf []Value, mask uint32, packed []Value, d int) []Value {
+	if cap(buf) < d {
+		buf = make([]Value, d)
+	}
+	buf = buf[:d]
+	clear(buf)
 	j := 0
 	for m := mask; m != 0; m &= m - 1 {
-		out[bits.TrailingZeros32(m)] = packed[j]
+		buf[bits.TrailingZeros32(m)] = packed[j]
 		j++
 	}
-	return out
+	return buf
 }
 
 // FormatGroup renders a c-group in the paper's notation, e.g.
 // "(laptop,*,2012)". The rel may be nil, in which case numeric codes are
 // printed.
 func FormatGroup(rel *Relation, mask uint32, packed []Value, d int) string {
+	var dict *Dictionary
+	if rel != nil {
+		dict = rel.Dict
+	}
 	parts := make([]string, d)
 	j := 0
 	for i := 0; i < d; i++ {
 		if mask&(1<<uint(i)) != 0 {
-			if rel != nil {
-				parts[i] = rel.DimString(i, packed[j])
-			} else {
-				parts[i] = fmt.Sprintf("%d", packed[j])
-			}
+			parts[i] = dict.Text(i, packed[j])
 			j++
 		} else {
 			parts[i] = "*"
@@ -204,15 +209,35 @@ func FormatGroup(rel *Relation, mask uint32, packed []Value, d int) string {
 	return "(" + strings.Join(parts, ",") + ")"
 }
 
+// AppendValues appends vals to buf as a run of zigzag uvarints, one per
+// value. It is the value encoding of a shuffled tuple's dimensions and of
+// the SP-Sketch's skewed-group keys, whose bytes the sketch's encoded size
+// (Figures 5c and 6c) counts.
+func AppendValues(buf []byte, vals []Value) []byte {
+	for _, v := range vals {
+		buf = binary.AppendUvarint(buf, uint64(zig(v)))
+	}
+	return buf
+}
+
+// DecodeValues reads len(vals) values written by AppendValues from the
+// start of b into vals and returns the bytes after them.
+func DecodeValues(vals []Value, b []byte) ([]byte, error) {
+	for i := range vals {
+		u, n := binary.Uvarint(b)
+		if n <= 0 {
+			return nil, fmt.Errorf("relation: truncated value %d of %d", i, len(vals))
+		}
+		vals[i] = zag(uint32(u))
+		b = b[n:]
+	}
+	return b, nil
+}
+
 // EncodeTuple encodes a full tuple (all dims plus measure) for use as a
 // MapReduce value. The buf slice is reused if large enough.
 func EncodeTuple(buf []byte, t Tuple) []byte {
-	buf = buf[:0]
-	for _, v := range t.Dims {
-		buf = binary.AppendUvarint(buf, uint64(zig(v)))
-	}
-	buf = binary.AppendVarint(buf, t.Measure)
-	return buf
+	return binary.AppendVarint(AppendValues(buf[:0], t.Dims), t.Measure)
 }
 
 // DecodeTuple decodes a tuple encoded by EncodeTuple, given the dimension
@@ -225,13 +250,9 @@ func DecodeTuple(b []byte, d int) (Tuple, error) {
 // dimensions, into dims: the returned tuple's Dims is dims. Decoding many
 // tuples into one arena allocates nothing per tuple.
 func DecodeTupleInto(dims []Value, b []byte) (Tuple, error) {
-	for i := range dims {
-		u, n := binary.Uvarint(b)
-		if n <= 0 {
-			return Tuple{}, fmt.Errorf("relation: truncated tuple value at dim %d", i)
-		}
-		dims[i] = zag(uint32(u))
-		b = b[n:]
+	b, err := DecodeValues(dims, b)
+	if err != nil {
+		return Tuple{}, err
 	}
 	m, n := binary.Varint(b)
 	if n <= 0 {

@@ -149,16 +149,8 @@ func (r *Relation) Restrict(cols []int) *Relation {
 	return out
 }
 
-// DimString renders the value of dimension col of an encoded value,
-// falling back to the numeric form when no dictionary entry exists.
-func (r *Relation) DimString(col int, v Value) string {
-	if r.Dict != nil {
-		if s, ok := r.Dict.Decode(col, v); ok {
-			return s
-		}
-	}
-	return strconv.Itoa(int(v))
-}
+// DimString is the text of value v of dimension col (Dictionary.Text).
+func (r *Relation) DimString(col int, v Value) string { return r.Dict.Text(col, v) }
 
 // AppendDimCSV appends DimString(col, v) to dst as one CSV field, without
 // building the string: an integer entry's digits need no quoting, a text
@@ -283,6 +275,36 @@ func (d *Dictionary) Code(col int, s string) (Value, bool) {
 	}
 	v, ok := c.strs[s]
 	return v, ok
+}
+
+// Text is what code v of column col reads as: its entry's text, or its
+// decimal when it has no entry — as every code does in a nil dictionary, a
+// relation's without one. Lookup is its inverse.
+func (d *Dictionary) Text(col int, v Value) string {
+	if d != nil {
+		if s, ok := d.Decode(col, v); ok {
+			return s
+		}
+	}
+	return strconv.Itoa(int(v))
+}
+
+// Lookup resolves the text s of column col to the code that reads as it
+// (Text), or reports false when no code does. An entry's text names its
+// code; the decimal of a code without an entry names that code. Nothing
+// else names a code: not "007" or "-0", and not the decimal of a code that
+// has an entry, which reads as its entry's text.
+func (d *Dictionary) Lookup(col int, s string) (Value, bool) {
+	if d != nil {
+		if v, ok := d.Code(col, s); ok {
+			return v, true
+		}
+	}
+	n, ok := canonicalInt32(s)
+	if !ok || d != nil && n >= 0 && int(n) < d.Cardinality(col) {
+		return 0, false
+	}
+	return n, true
 }
 
 // entry returns what code v stands for: the text of a text entry, the value

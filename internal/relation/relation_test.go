@@ -196,8 +196,14 @@ func TestFormatGroup(t *testing.T) {
 }
 
 func TestGroupVals(t *testing.T) {
-	out := GroupVals(0b101, []Value{7, 9}, 3)
+	out := GroupVals(nil, 0b101, []Value{7, 9}, 3)
 	if !reflect.DeepEqual(out, []Value{7, 0, 9}) {
 		t.Errorf("GroupVals = %v", out)
+	}
+	// A buffer with room is written in place, its stale stars zeroed.
+	buf := []Value{1, 2, 3, 4}
+	out = GroupVals(buf, 0b010, []Value{5}, 3)
+	if !reflect.DeepEqual(out, []Value{0, 5, 0}) || &out[0] != &buf[0] {
+		t.Errorf("GroupVals into a reused buffer = %v", out)
 	}
 }

@@ -92,7 +92,7 @@ func TestConcurrentMixedQueries(t *testing.T) {
 					want := sliceCount[fmt.Sprintf("%d|%v", full, g.Packed[:p])]
 					ok := err == nil && len(res.Groups) == want
 					for _, sg := range res.Groups {
-						v, found := brute.Lookup(sg.Mask, relation.GroupVals(uint32(sg.Mask), sg.Packed, d))
+						v, found := brute.Lookup(sg.Mask, relation.GroupVals(nil, uint32(sg.Mask), sg.Packed, d))
 						ok = ok && found && v == sg.Value
 					}
 					check(id, "slice", ok,
@@ -102,7 +102,7 @@ func TestConcurrentMixedQueries(t *testing.T) {
 					res, err := svc.Query(Query{Op: OpRollup, Mask: full, Packed: g.Packed})
 					ok := err == nil && len(res.Groups) == d+1
 					for _, sg := range res.Groups {
-						v, found := brute.Lookup(sg.Mask, relation.GroupVals(uint32(sg.Mask), sg.Packed, d))
+						v, found := brute.Lookup(sg.Mask, relation.GroupVals(nil, uint32(sg.Mask), sg.Packed, d))
 						ok = ok && found && v == sg.Value
 					}
 					check(id, "rollup", ok, fmt.Sprintf("%v -> %+v, %v", g.Packed, res, err))

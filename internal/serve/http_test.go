@@ -18,18 +18,21 @@ import (
 	"github.com/spcube/spcube/internal/relation"
 )
 
-// retailFixture serves the paper's running example: a (name, city, year)
-// sales relation with a string dictionary.
+// retailRows is the paper's running example: (name, city, year) sales rows.
+var retailRows = [][]string{
+	{"laptop", "Rome", "2012"},
+	{"laptop", "Rome", "2012"},
+	{"laptop", "Oslo", "2012"},
+	{"phone", "Rome", "2012"},
+	{"phone", "Rome", "2013"},
+	{"tablet", "Oslo", "2013"},
+}
+
+// retailFixture serves retailRows, one sale each, as a relation with a
+// string dictionary.
 func retailFixture(t testing.TB) (*Batched, *Store, *Counters, *cube.Result) {
 	t.Helper()
-	rel := relationFromRows(t, [][]string{
-		{"laptop", "Rome", "2012"},
-		{"laptop", "Rome", "2012"},
-		{"laptop", "Oslo", "2012"},
-		{"phone", "Rome", "2012"},
-		{"phone", "Rome", "2013"},
-		{"tablet", "Oslo", "2013"},
-	})
+	rel := relationFromRows(t, retailRows)
 	res, _, err := cubetest.RunAndCollect(cubetest.NewEngine(2), naive.Compute, rel, cube.Spec{})
 	if err != nil {
 		t.Fatal(err)
@@ -271,14 +274,76 @@ func TestDirectServiceMatchesBatched(t *testing.T) {
 	}
 }
 
+// textCube is the brute-force count cube of rows, keyed by group text: the
+// values as the rows spell them, "*" where aggregated away. It knows nothing
+// of codes, so it checks the server's text → code → text path end to end.
+func textCube(rows [][]string) map[string]float64 {
+	out := make(map[string]float64)
+	for _, row := range rows {
+		for m := lattice.Mask(0); m <= lattice.Full(len(row)); m++ {
+			g := make([]string, len(row))
+			for i := range row {
+				g[i] = "*"
+				if m.Has(i) {
+					g[i] = row[i]
+				}
+			}
+			out[strings.Join(g, "\x00")]++
+		}
+	}
+	return out
+}
+
+// TestPointDecimalOfACodeNamesNothing: a query value is read as the served
+// cube prints it, so where code 0 reads as "laptop" (or "Rome"), "0" names
+// no group, however the relation happens to encode it.
+func TestPointDecimalOfACodeNamesNothing(t *testing.T) {
+	rel, err := relation.ReadCSV(strings.NewReader("name,city,sales\nlaptop,Rome,5\nphone,Paris,7\nlaptop,Paris,1\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := cubetest.RunAndCollect(cubetest.NewEngine(2), naive.Compute, rel, cube.Spec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Build(rel, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := NewService(st, Config{})
+	t.Cleanup(func() { svc.Close() })
+	h := NewHandler(svc, st, nil)
+	for _, tc := range []struct {
+		group []string
+		found bool
+		value float64
+	}{
+		{[]string{"0", "*"}, false, 0},
+		{[]string{"1", "*"}, false, 0},
+		{[]string{"*", "0"}, false, 0},
+		{[]string{"laptop", "*"}, true, 2},
+		{[]string{"*", "Rome"}, true, 1},
+	} {
+		body, _ := json.Marshal(QueryRequest{Op: "point", Group: tc.group})
+		code, resp := doReq(t, h, http.MethodPost, "/v1/query", string(body))
+		if code != http.StatusOK || resp.Found != tc.found || resp.Value != tc.value {
+			t.Errorf("point %q: %d %+v, want found=%v value=%v", tc.group, code, resp, tc.found, tc.value)
+		}
+	}
+}
+
 // FuzzQueryRequest: whatever bytes arrive as a POST /v1/query body, the
-// handler answers 200 with a well-formed answer or a 4xx carrying an error
-// message — never a panic, never a 5xx.
+// handler answers a 4xx carrying an error message, or a 200 whose every
+// group — and a point's request group — is in the fixture's brute-force
+// cube with the answered value (a point not found is not in it): never a
+// panic, never a 5xx.
 func FuzzQueryRequest(f *testing.F) {
 	svc, st, _, _ := retailFixture(f)
 	h := NewHandler(svc, st, nil)
+	brute := textCube(retailRows)
 	for _, seed := range []string{
 		`{"op":"point","group":["laptop","*","2012"]}`,
+		`{"op":"point","group":["0","*","*"]}`,
 		`{"op":"slice","group":["laptop","?","*"]}`,
 		`{"op":"rollup","group":["laptop","Rome","2012"]}`,
 		`{"op":"topk","group":["?","?","*"],"k":3}`,
@@ -308,6 +373,20 @@ func FuzzQueryRequest(f *testing.F) {
 			for _, g := range resp.Groups {
 				if len(g.Group) != st.D() {
 					t.Fatalf("body %q: group %v is not full width", body, g.Group)
+				}
+				if want, ok := brute[strings.Join(g.Group, "\x00")]; !ok || want != g.Value {
+					t.Fatalf("body %q: answered %v = %v; the cube has %v (%v)", body, g.Group, g.Value, want, ok)
+				}
+			}
+			if resp.Op == "point" {
+				// The handler reads only the body's first JSON value.
+				var req QueryRequest
+				if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+					t.Fatalf("body %q: answered 200, but does not decode: %v", body, err)
+				}
+				want, ok := brute[strings.Join(req.Group, "\x00")]
+				if resp.Found != ok || resp.Value != want {
+					t.Fatalf("body %q: point %q answered found=%v value=%v; the cube has %v (%v)", body, req.Group, resp.Found, resp.Value, want, ok)
 				}
 			}
 		case w.Code >= 400 && w.Code < 500:

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
-	"strconv"
 
 	"github.com/spcube/spcube/internal/cube"
 	"github.com/spcube/spcube/internal/lattice"
@@ -148,27 +147,13 @@ type CuboidInfo struct {
 	Size int
 }
 
-// DimString renders an encoded dimension value for display, falling back to
-// the numeric form when the relation carried no dictionary.
-func (s *Store) DimString(col int, v relation.Value) string {
-	if s.dict != nil {
-		if str, ok := s.dict.Decode(col, v); ok {
-			return str
-		}
-	}
-	return relationValueString(v)
-}
+// DimString is the text of value v of dimension col
+// (relation.Dictionary.Text).
+func (s *Store) DimString(col int, v relation.Value) string { return s.dict.Text(col, v) }
 
-// DimCode resolves a dimension value string to its code: through the
-// dictionary when one exists, else as a literal integer.
-func (s *Store) DimCode(col int, str string) (relation.Value, bool) {
-	if s.dict != nil {
-		if v, ok := s.dict.Code(col, str); ok {
-			return v, true
-		}
-	}
-	return parseRelationValue(str)
-}
+// DimCode resolves the text of a value of dimension col to its code, or
+// reports false when it names none (relation.Dictionary.Lookup).
+func (s *Store) DimCode(col int, str string) (relation.Value, bool) { return s.dict.Lookup(col, str) }
 
 // DimValues returns up to max distinct served values of dimension col (as
 // display strings), read from the single-attribute cuboid's sorted run. With
@@ -339,19 +324,4 @@ func (s *Store) Execute(q Query) (Result, error) {
 		}
 		return Result{Groups: s.TopK(q.Mask, k)}, nil
 	}
-}
-
-// relationValueString renders an encoded value with no dictionary.
-func relationValueString(v relation.Value) string {
-	return strconv.FormatInt(int64(v), 10)
-}
-
-// parseRelationValue parses a literal integer dimension value (the encoding
-// used by relations populated without a dictionary).
-func parseRelationValue(s string) (relation.Value, bool) {
-	n, err := strconv.ParseInt(s, 10, 32)
-	if err != nil {
-		return 0, false
-	}
-	return relation.Value(n), true
 }

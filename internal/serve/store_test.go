@@ -189,7 +189,7 @@ func TestStoreRollup(t *testing.T) {
 			if step.Mask != mask {
 				t.Fatalf("rollup step %d mask %b, want %b", i, step.Mask, mask)
 			}
-			want, ok := brute.Lookup(mask, relation.GroupVals(uint32(mask), packed, d))
+			want, ok := brute.Lookup(mask, relation.GroupVals(nil, uint32(mask), packed, d))
 			if !ok || step.Value != want {
 				t.Fatalf("rollup step %d = %v, want %v (ok=%v)", i, step.Value, want, ok)
 			}

@@ -81,7 +81,7 @@ func TestReadWhileUpdate(t *testing.T) {
 
 	// pointOK reports whether a point response matches brute version v.
 	pointOK := func(v int, mask lattice.Mask, packed []relation.Value, res Result) bool {
-		want, found := brutes[v].Lookup(mask, relation.GroupVals(uint32(mask), packed, d))
+		want, found := brutes[v].Lookup(mask, relation.GroupVals(nil, uint32(mask), packed, d))
 		return res.Found == found && (!found || res.Value == want)
 	}
 	// sliceOK reports whether a whole-cuboid slice matches version v
@@ -104,7 +104,7 @@ func TestReadWhileUpdate(t *testing.T) {
 			return false
 		}
 		for _, g := range res.Groups {
-			want, found := brutes[v].Lookup(g.Mask, relation.GroupVals(uint32(g.Mask), g.Packed, d))
+			want, found := brutes[v].Lookup(g.Mask, relation.GroupVals(nil, uint32(g.Mask), g.Packed, d))
 			if !found || g.Value != want {
 				return false
 			}
@@ -181,7 +181,7 @@ func TestReadWhileUpdate(t *testing.T) {
 	}
 	// Post-swap staleness check: with all swaps complete, the cache may
 	// only answer from the final snapshot.
-	wantFinal, _ := brutes[versions].Lookup(full, relation.GroupVals(uint32(full), witness, d))
+	wantFinal, _ := brutes[versions].Lookup(full, relation.GroupVals(nil, uint32(full), witness, d))
 	for i := 0; i < 20; i++ {
 		res, err := svc.Query(Query{Op: OpPoint, Mask: full, Packed: witness})
 		if err != nil || !res.Found || res.Value != wantFinal {

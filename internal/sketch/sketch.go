@@ -74,31 +74,10 @@ func New(d, k int) *Sketch {
 	return s
 }
 
-func valsKey(packed []relation.Value) string {
-	return string(appendValsKey(make([]byte, 0, 4*len(packed)), packed))
-}
-
-func appendValsKey(buf []byte, packed []relation.Value) []byte {
-	for _, v := range packed {
-		buf = appendUvarint(buf, zig(v))
-	}
-	return buf
-}
-
-func zig(v relation.Value) uint64 { return uint64(uint32((v << 1) ^ (v >> 31))) }
-
-func appendUvarint(b []byte, v uint64) []byte {
-	for v >= 0x80 {
-		b = append(b, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(b, byte(v))
-}
-
 // AddSkew records a skewed c-group.
 func (s *Sketch) AddSkew(mask lattice.Mask, packed []relation.Value) {
-	cp := append([]relation.Value(nil), packed...)
-	s.skews[mask][valsKey(cp)] = struct{}{}
+	var buf [binary.MaxVarintLen32 * lattice.MaxDims]byte
+	s.skews[mask][string(relation.AppendValues(buf[:0], packed))] = struct{}{}
 }
 
 // SetPartitionElements records a cuboid's sorted partition elements.
@@ -111,21 +90,16 @@ func (s *Sketch) HasSkews(mask lattice.Mask) bool { return len(s.skews[mask]) > 
 
 // IsSkewed reports whether the c-group of the given packed projection is
 // recorded as skewed in cuboid mask. The mapper probes it once per lattice
-// node per tuple, so the probe key is built on the stack (valsKey's bytes,
-// without its string) and a cuboid with no skews answers without one.
+// node per tuple, so the probe key is built on the stack and a cuboid with
+// no skews answers without one.
 func (s *Sketch) IsSkewed(mask lattice.Mask, packed []relation.Value) bool {
 	m := s.skews[mask]
 	if len(m) == 0 {
 		return false
 	}
 	var buf [binary.MaxVarintLen32 * lattice.MaxDims]byte
-	_, ok := m[string(appendValsKey(buf[:0], packed))]
+	_, ok := m[string(relation.AppendValues(buf[:0], packed))]
 	return ok
-}
-
-// IsSkewedDims is IsSkewed for a full-width dims slice.
-func (s *Sketch) IsSkewedDims(mask lattice.Mask, dims []relation.Value) bool {
-	return s.IsSkewed(mask, relation.Project(dims, uint32(mask)))
 }
 
 // Partition returns the range partition (in [0, K)) that the packed
@@ -136,11 +110,6 @@ func (s *Sketch) Partition(mask lattice.Mask, packed []relation.Value) int {
 	return sort.Search(len(elems), func(i int) bool {
 		return relation.ComparePacked(packed, elems[i]) <= 0
 	})
-}
-
-// PartitionDims is Partition for a full-width dims slice.
-func (s *Sketch) PartitionDims(mask lattice.Mask, dims []relation.Value) int {
-	return s.Partition(mask, relation.Project(dims, uint32(mask)))
 }
 
 // NumSkews returns the total number of skewed c-groups recorded.
@@ -157,30 +126,12 @@ func (s *Sketch) NumSkews() int {
 func (s *Sketch) SkewedGroups(mask lattice.Mask) [][]relation.Value {
 	var out [][]relation.Value
 	for key := range s.skews[mask] {
-		out = append(out, decodeValsKey(key))
+		g := make([]relation.Value, mask.Level())
+		if _, err := relation.DecodeValues(g, []byte(key)); err == nil {
+			out = append(out, g)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return relation.ComparePacked(out[i], out[j]) < 0 })
-	return out
-}
-
-func decodeValsKey(key string) []relation.Value {
-	b := []byte(key)
-	var out []relation.Value
-	for len(b) > 0 {
-		var v uint64
-		var shift uint
-		for {
-			c := b[0]
-			b = b[1:]
-			v |= uint64(c&0x7f) << shift
-			if c < 0x80 {
-				break
-			}
-			shift += 7
-		}
-		x := uint32(v)
-		out = append(out, relation.Value(x>>1)^-relation.Value(x&1))
-	}
 	return out
 }
 
@@ -196,7 +147,7 @@ func decodeValsKey(key string) []relation.Value {
 //	Alpha, Beta (IEEE 754 bits, 8 bytes little-endian each)
 //	2^D skew sets: count, then each key as length-prefixed bytes (sorted)
 //	parts presence flag (1 byte); if 1, 2^D element lists: count, then
-//	each element as a count-prefixed run of zigzag-varint values
+//	each element as a count-prefixed run of values (relation.AppendValues)
 const (
 	wireMagic   = "SPSK"
 	wireVersion = 1
@@ -235,9 +186,7 @@ func (s *Sketch) Encode() ([]byte, error) {
 		buf = binary.AppendUvarint(buf, uint64(len(elems)))
 		for _, el := range elems {
 			buf = binary.AppendUvarint(buf, uint64(len(el)))
-			for _, v := range el {
-				buf = binary.AppendVarint(buf, int64(v))
-			}
+			buf = relation.AppendValues(buf, el)
 		}
 	}
 	return buf, nil
@@ -264,17 +213,16 @@ func (r *wireReader) uvarint() uint64 {
 	return v
 }
 
-func (r *wireReader) varint() int64 {
+// values reads n values written by relation.AppendValues.
+func (r *wireReader) values(n int) []relation.Value {
 	if r.err != nil {
-		return 0
+		return nil
 	}
-	v, n := binary.Varint(r.b)
-	if n <= 0 {
-		r.err = fmt.Errorf("sketch: decode: truncated varint")
-		return 0
+	vals := make([]relation.Value, n)
+	if r.b, r.err = relation.DecodeValues(vals, r.b); r.err != nil {
+		r.err = fmt.Errorf("sketch: decode: %w", r.err)
 	}
-	r.b = r.b[n:]
-	return v
+	return vals
 }
 
 func (r *wireReader) bytes(n uint64) []byte {
@@ -375,12 +323,7 @@ func Decode(data []byte) (*Sketch, error) {
 			n := r.count()
 			elems := make([][]relation.Value, 0, n)
 			for j := 0; j < n && r.err == nil; j++ {
-				vn := r.count()
-				el := make([]relation.Value, 0, vn)
-				for v := 0; v < vn && r.err == nil; v++ {
-					el = append(el, relation.Value(r.varint()))
-				}
-				elems = append(elems, el)
+				elems = append(elems, r.values(r.count()))
 			}
 			s.parts[i] = elems
 		}
@@ -505,12 +448,7 @@ func Build(eng *mr.Engine, rel *relation.Relation, seed int64) (*BuildResult, er
 		built.Alpha = alpha
 		built.Beta = beta
 	}
-	enc, err := built.Encode()
-	if err != nil {
-		return nil, err
-	}
-	eng.FS.Write("sketch/current", enc)
-	return &BuildResult{Sketch: built, Metrics: res.Metrics, EncodedBytes: len(enc)}, nil
+	return &BuildResult{Sketch: built, Metrics: res.Metrics, EncodedBytes: built.Bytes()}, nil
 }
 
 // buildFromSample implements the build-sketch procedure: BUC over the sample

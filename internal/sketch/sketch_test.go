@@ -124,10 +124,10 @@ func TestPartitionBalance(t *testing.T) {
 	for mask := lattice.Mask(1); mask <= lattice.Full(3); mask++ {
 		loads := make([]int, k)
 		for _, tu := range rel.Tuples {
-			if sk.IsSkewedDims(mask, tu.Dims) {
+			if sk.IsSkewed(mask, relation.Project(tu.Dims, uint32(mask))) {
 				continue
 			}
-			loads[sk.PartitionDims(mask, tu.Dims)]++
+			loads[sk.Partition(mask, relation.Project(tu.Dims, uint32(mask)))]++
 		}
 		for i, load := range loads {
 			if load > 4*m {
@@ -195,10 +195,11 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	for mask := lattice.Mask(0); mask <= lattice.Full(3); mask++ {
 		for _, tu := range rel.Tuples[:200] {
-			if sk.IsSkewedDims(mask, tu.Dims) != dec.IsSkewedDims(mask, tu.Dims) {
+			p := relation.Project(tu.Dims, uint32(mask))
+			if sk.IsSkewed(mask, p) != dec.IsSkewed(mask, p) {
 				t.Fatalf("IsSkewed differs after decode (mask %b)", mask)
 			}
-			if sk.PartitionDims(mask, tu.Dims) != dec.PartitionDims(mask, tu.Dims) {
+			if sk.Partition(mask, p) != dec.Partition(mask, p) {
 				t.Fatalf("Partition differs after decode (mask %b)", mask)
 			}
 		}
@@ -374,15 +375,18 @@ func TestSketchSkewsDownClosed(t *testing.T) {
 			}
 			for mask := lattice.Mask(1); mask <= lattice.Full(rel.D()); mask++ {
 				for _, g := range sk.SkewedGroups(mask) {
+					// Each one-dimension descendant: drop the j-th present
+					// dimension, the lowest first.
 					j := 0
-					lattice.Descendants(mask, func(sub lattice.Mask) {
+					for x := uint32(mask); x != 0; x &= x - 1 {
+						sub := mask &^ lattice.Mask(x&-x)
 						proj := append(append([]relation.Value(nil), g[:j]...), g[j+1:]...)
 						if !sk.IsSkewed(sub, proj) {
 							t.Errorf("%s/%s: %s is skewed, its projection %s is not", name, kind,
 								relation.FormatGroup(nil, uint32(mask), g, rel.D()), relation.FormatGroup(nil, uint32(sub), proj, rel.D()))
 						}
 						j++
-					})
+					}
 				}
 			}
 		}

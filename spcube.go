@@ -540,7 +540,8 @@ func (c *Cube) NumGroups() int { return c.run.Len() }
 // Value looks up the aggregate of one c-group. Pass one value per
 // dimension, with "*" for dimensions aggregated away; for example, with
 // dimensions (name, city, year), Value("laptop", "*", "2012") returns the
-// aggregate over all laptop rows of 2012.
+// aggregate over all laptop rows of 2012. A value is read as Groups and
+// Cuboid print it: a value added by AddRowInts is its decimal.
 func (c *Cube) Value(vals ...string) (float64, bool) {
 	d := c.rel.NumDims()
 	if len(vals) != d {
@@ -552,7 +553,7 @@ func (c *Cube) Value(vals ...string) (float64, bool) {
 		if v == "*" {
 			continue
 		}
-		code, ok := c.code(i, v)
+		code, ok := c.rel.inner.Dict.Lookup(i, v)
 		if !ok {
 			return 0, false
 		}
@@ -587,13 +588,6 @@ func (c *Cube) ValueInts(vals ...int64) (float64, bool) {
 
 // StarInt marks an aggregated-away dimension in ValueInts.
 const StarInt = int64(math.MinInt64)
-
-func (c *Cube) code(col int, v string) (relation.Value, bool) {
-	if c.rel.inner.Dict == nil {
-		return 0, false
-	}
-	return c.rel.inner.Dict.Code(col, v)
-}
 
 // Cuboid returns the groups of the cuboid defined by the given dimension
 // names (in schema order), sorted by their values. Unknown names are an

@@ -143,6 +143,34 @@ func TestGroupsVisitsEverything(t *testing.T) {
 	}
 }
 
+// TestValueReadsWhatGroupsPrints: Value accepts exactly the text Groups
+// prints — an AddRow value's own text, an AddRowInts value's decimal — so
+// every group Groups yields is found again by its Dims.
+func TestValueReadsWhatGroupsPrints(t *testing.T) {
+	ints := NewRelation([]string{"x", "y"}, "m")
+	ints.AddRowInts([]int32{5, 10}, 5)
+	ints.AddRowInts([]int32{5, 20}, 7)
+	ints.AddRowInts([]int32{2, 10}, 1)
+	for name, rel := range map[string]*Relation{"strings": salesRelation(), "ints": ints} {
+		c, err := Compute(rel, Aggregate(Sum), Workers(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Groups(func(g Group) {
+			if v, ok := c.Value(g.Dims...); !ok || v != g.Value {
+				t.Errorf("%s: Value(%q) = %v, %v; Groups printed %v", name, g.Dims, v, ok, g.Value)
+			}
+		})
+	}
+	c, err := Compute(ints, Aggregate(Sum), Workers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := c.Value("5", "*"); !ok || v != 12 {
+		t.Errorf(`Value("5", "*") = %v, %v; want 12`, v, ok)
+	}
+}
+
 func TestIntRelation(t *testing.T) {
 	rel := NewRelation([]string{"x", "y"}, "m")
 	rel.AddRowInts([]int32{1, 10}, 5)
