@@ -101,11 +101,12 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
-	"github.com/spcube/spcube"
+	"github.com/spcube/spcube/internal/algo"
 	"github.com/spcube/spcube/internal/cli"
+	"github.com/spcube/spcube/internal/cube"
 	"github.com/spcube/spcube/internal/delta"
+	"github.com/spcube/spcube/internal/dfs"
 	"github.com/spcube/spcube/internal/mr"
 	"github.com/spcube/spcube/internal/mr/exec"
 	"github.com/spcube/spcube/internal/relation"
@@ -149,77 +150,54 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if o.deltaFile != "" || o.deltaDeleteFile != "" {
 		return runDelta(s, o, stdout, stderr)
 	}
-	aggFn, err := spcube.AggByName(s.Agg)
+	rel, err := s.LoadRelation()
 	if err != nil {
 		return err
 	}
-	alg, err := spcube.AlgByName(s.Algo)
+	eng := mr.New(s.Config, dfs.New(false))
+	alg, _ := algo.ByName(s.Algo) // Start validated the name
+	spec := cube.Spec{Agg: s.AggFn, MinSup: s.MinSup}
+	cr, err := algo.Table[alg].New(s.Seed)(eng, rel, spec)
 	if err != nil {
-		return err
+		return fmt.Errorf("%s failed: %w", algo.Table[alg].Name, err)
 	}
-
-	in, err := s.OpenInput()
+	c, err := cube.CollectRun(eng, cr.OutputPrefix, rel.D(), spec)
 	if err != nil {
+		return fmt.Errorf("collecting output: %w", err)
+	}
+	if err := writeOutput(o.out, stdout, func(w io.Writer) error { return c.WriteCSV(w, rel, s.Agg) }); err != nil {
 		return err
 	}
-	defer in.Close()
-	rel, err := spcube.ReadCSV(in)
-	if err != nil {
-		return err
-	}
-
-	cfg := s.Config
-	c, err := spcube.Compute(rel,
-		spcube.Aggregate(aggFn), spcube.Algorithm(alg), spcube.MinSupport(s.MinSup),
-		spcube.Workers(cfg.Workers), spcube.Parallelism(cfg.Parallelism), spcube.Seed(s.Seed),
-		spcube.Faults(s.Faults), spcube.MaxAttempts(cfg.MaxAttempts),
-		spcube.SpeculativeSlack(cfg.SpeculativeSlack), spcube.TaskTimeout(cfg.TaskTimeout),
-		spcube.SpillBudget(cfg.SpillBudgetBytes), spcube.SpillDir(cfg.SpillDir),
-		spcube.SpillCodec(cfg.SpillCodec), spcube.MergeFanIn(cfg.MergeFanIn),
-		spcube.Backend(s.Backend), spcube.WorkerCommand(strings.Fields(s.WorkerCmd)...),
-		spcube.Context(cfg.Context), spcube.Trace(s.TraceW))
-	if err != nil {
-		return err
-	}
-	if err := writeOutput(o.out, stdout, func(w io.Writer) error { return c.WriteCSV(w, s.Agg) }); err != nil {
-		return err
-	}
-	err = s.WriteMetrics(func(w io.Writer) error {
-		data, err := c.MetricsJSON()
-		if err == nil {
-			_, err = w.Write(data)
-		}
-		return err
-	})
+	err = s.WriteMetrics(func(w io.Writer) error { return mr.ExportMetrics(w, &cr.Metrics) })
 	if err != nil || !o.stats {
 		return err
 	}
 
-	st := c.Stats()
+	t := cr.Metrics.Totals()
 	fmt.Fprintf(stderr,
 		"%s: %d rows -> %d c-groups | %d rounds, %.1f simulated s (%.2fs wall), %d intermediate records (%d B)",
-		st.Algorithm, rel.NumRows(), c.NumGroups(), st.Rounds, st.SimSeconds, st.WallSeconds,
-		st.ShuffleRecords, st.ShuffleBytes)
-	if st.SketchBytes > 0 {
-		fmt.Fprintf(stderr, " | sketch %d B, %d skewed groups", st.SketchBytes, st.SkewedGroups)
+		cr.Algorithm, rel.N(), c.Len(), len(cr.Metrics.Rounds), t.SimSeconds, t.WallSeconds,
+		t.ShuffleRecords, t.ShuffleBytes)
+	if cr.SketchBytes > 0 {
+		fmt.Fprintf(stderr, " | sketch %d B, %d skewed groups", cr.SketchBytes, cr.SkewedGroups)
 	}
-	if st.Spills > 0 {
-		fmt.Fprintf(stderr, " | %d spills (%d B, %d B on disk)", st.Spills, st.SpillBytes, st.CompressedSpillBytes)
-		if st.MergePasses > 0 {
-			fmt.Fprintf(stderr, ", %d merge passes", st.MergePasses)
+	if t.Spills > 0 {
+		fmt.Fprintf(stderr, " | %d spills (%d B, %d B on disk)", t.Spills, t.SpillBytes, t.CompressedSpillBytes)
+		if t.MergePasses > 0 {
+			fmt.Fprintf(stderr, ", %d merge passes", t.MergePasses)
 		}
 	}
-	if st.Retries > 0 {
+	if t.Retries > 0 {
 		fmt.Fprintf(stderr, " | %d task retries (%d B wasted, %.2fs retry wall)",
-			st.Retries, st.WastedBytes, st.RetryWallSeconds)
+			t.Retries, t.WastedBytes, t.RetryWallSeconds)
 	}
-	if st.MapReexecutions > 0 {
+	if t.MapReexecutions > 0 {
 		fmt.Fprintf(stderr, " | %d map re-executions (%d fetch failures)",
-			st.MapReexecutions, st.FetchFailures)
+			t.MapReexecutions, t.FetchFailures)
 	}
-	if st.SpeculativeLaunched > 0 {
+	if t.SpeculativeLaunched > 0 {
 		fmt.Fprintf(stderr, " | %d speculative attempts (won %d, killed %d)",
-			st.SpeculativeLaunched, st.SpeculativeWon, st.SpeculativeKilled)
+			t.SpeculativeLaunched, t.SpeculativeWon, t.SpeculativeKilled)
 	}
 	fmt.Fprintln(stderr)
 	return nil

@@ -15,6 +15,7 @@ import (
 
 	"github.com/spcube/spcube/internal/cli"
 	"github.com/spcube/spcube/internal/mr"
+	"github.com/spcube/spcube/internal/mr/exec"
 )
 
 const sampleCSV = `name,city,year,sales
@@ -24,9 +25,9 @@ printer,Rome,2013,300
 laptop,Rome,2013,900
 `
 
-// cube runs one spcube invocation the way main does, minus the process exit. A
+// spcube runs one invocation the way main does, minus the process exit. A
 // nil stderr discards it and turns the stats line off.
-func cube(stderr io.Writer, args ...string) error {
+func spcube(stderr io.Writer, args ...string) error {
 	if stderr == nil {
 		stderr, args = io.Discard, append([]string{"-stats=false"}, args...)
 	}
@@ -168,7 +169,7 @@ func requireWriterGolden(t *testing.T, want, input string, baseRows int) {
 		"delta": {"-in", base, "-delta", batch},
 	} {
 		out := filepath.Join(dir, name+".out")
-		if err := cube(nil, append(args, "-agg", "sum", "-o", out)...); err != nil {
+		if err := spcube(nil, append(args, "-agg", "sum", "-o", out)...); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		got, err := os.ReadFile(out)
@@ -185,7 +186,7 @@ func TestRunEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	in := writeTemp(t, dir, "in.csv", sampleCSV)
 	out := filepath.Join(dir, "out.csv")
-	if err := cube(nil, "-in", in, "-o", out, "-agg", "sum", "-k", "3"); err != nil {
+	if err := spcube(nil, "-in", in, "-o", out, "-agg", "sum", "-k", "3"); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(out)
@@ -216,12 +217,12 @@ func TestRunAllAlgorithmsAndMinSup(t *testing.T) {
 	dir := t.TempDir()
 	in := writeTemp(t, dir, "in.csv", sampleCSV)
 	for _, algo := range []string{"sp-cube", "naive", "mr-cube", "hive"} {
-		if err := cube(nil, "-in", in, "-o", filepath.Join(dir, algo+".csv"), "-algo", algo, "-k", "2"); err != nil {
+		if err := spcube(nil, "-in", in, "-o", filepath.Join(dir, algo+".csv"), "-algo", algo, "-k", "2"); err != nil {
 			t.Errorf("%s: %v", algo, err)
 		}
 	}
 	out := filepath.Join(dir, "iceberg.csv")
-	if err := cube(nil, "-in", in, "-o", out, "-k", "2", "-minsup", "3"); err != nil {
+	if err := spcube(nil, "-in", in, "-o", out, "-k", "2", "-minsup", "3"); err != nil {
 		t.Fatal(err)
 	}
 	data, _ := os.ReadFile(out)
@@ -251,7 +252,7 @@ func TestRunErrors(t *testing.T) {
 		"missing spill dir root": {"-in", ok, "-spill-budget", "0", "-spill-dir", filepath.Join(dir, "no")},
 	}
 	for name, args := range cases {
-		if err := cube(nil, append(args, "-k", "2")...); err == nil {
+		if err := spcube(nil, append(args, "-k", "2")...); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -271,7 +272,7 @@ func TestRunOutputDeviceFull(t *testing.T) {
 		"delta": {"-in", in, "-delta", in, "-o", "/dev/full"},
 	} {
 		var stderr strings.Builder
-		err := cube(nil, append(args, "-k", "2")...)
+		err := spcube(nil, append(args, "-k", "2")...)
 		if status := cli.Exit("spcube", &stderr, err); status != 1 || !errors.Is(err, syscall.ENOSPC) ||
 			!strings.Contains(stderr.String(), syscall.ENOSPC.Error()) {
 			t.Errorf("%s: exit status %d, stderr %q, error %v; want 1 and %q", name, status, stderr.String(), err, syscall.ENOSPC.Error())
@@ -284,7 +285,7 @@ func TestRunTraceAndMetricsOut(t *testing.T) {
 	in := writeTemp(t, dir, "in.csv", sampleCSV)
 	trace := filepath.Join(dir, "trace.jsonl")
 	metrics := filepath.Join(dir, "metrics.json")
-	err := cube(nil, "-in", in, "-o", filepath.Join(dir, "out.csv"), "-k", "2", "-trace", trace, "-metrics-out", metrics)
+	err := spcube(nil, "-in", in, "-o", filepath.Join(dir, "out.csv"), "-k", "2", "-trace", trace, "-metrics-out", metrics)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +332,7 @@ func TestRunNodeCrashAndSpeculationStats(t *testing.T) {
 	dir := t.TempDir()
 	in := writeTemp(t, dir, "in.csv", sampleCSV)
 	clean := filepath.Join(dir, "clean.csv")
-	if err := cube(nil, "-in", in, "-o", clean, "-k", "2"); err != nil {
+	if err := spcube(nil, "-in", in, "-o", clean, "-k", "2"); err != nil {
 		t.Fatal(err)
 	}
 	want, err := os.ReadFile(clean)
@@ -354,7 +355,7 @@ func TestRunNodeCrashAndSpeculationStats(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			out, metrics := filepath.Join(dir, tc.name+".csv"), filepath.Join(dir, tc.name+".json")
 			var stderr strings.Builder
-			if err := cube(&stderr, append(tc.args, "-in", in, "-o", out, "-k", "2", "-metrics-out", metrics)...); err != nil {
+			if err := spcube(&stderr, append(tc.args, "-in", in, "-o", out, "-k", "2", "-metrics-out", metrics)...); err != nil {
 				t.Fatal(err)
 			}
 			if !strings.Contains(stderr.String(), tc.stats) {
@@ -416,12 +417,12 @@ printer,Paris,2012,100
 
 	for _, aggName := range []string{"count", "sum"} {
 		wantOut := filepath.Join(dir, aggName+".want.csv")
-		if err := cube(nil, "-in", editedF, "-o", wantOut, "-agg", aggName, "-k", "3"); err != nil {
+		if err := spcube(nil, "-in", editedF, "-o", wantOut, "-agg", aggName, "-k", "3"); err != nil {
 			t.Fatal(err)
 		}
 		var stderr strings.Builder
 		out := filepath.Join(dir, aggName+".csv")
-		err := cube(&stderr, "-in", base, "-delta", deltaF, "-delta-delete", delF, "-o", out, "-agg", aggName, "-k", "3")
+		err := spcube(&stderr, "-in", base, "-delta", deltaF, "-delta-delete", delF, "-o", out, "-agg", aggName, "-k", "3")
 		if err != nil {
 			t.Fatalf("%s: delta run: %v", aggName, err)
 		}
@@ -450,7 +451,7 @@ func TestRunDeltaRebuildAndMetrics(t *testing.T) {
 	metrics := filepath.Join(dir, "metrics.json")
 
 	var stderr strings.Builder
-	err := cube(&stderr, "-in", base, "-delta", deltaF, "-k", "2", "-rebuild-threshold", "-1",
+	err := spcube(&stderr, "-in", base, "-delta", deltaF, "-k", "2", "-rebuild-threshold", "-1",
 		"-metrics-out", metrics, "-o", filepath.Join(dir, "out.csv"))
 	if err != nil {
 		t.Fatal(err)
@@ -495,7 +496,7 @@ func TestRunDeltaErrors(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := cube(nil, "-in", base, "-k", "2", c.flag, writeTemp(t, dir, "batch.csv", c.batch))
+			err := spcube(nil, "-in", base, "-k", "2", c.flag, writeTemp(t, dir, "batch.csv", c.batch))
 			if err == nil {
 				t.Fatal("accepted")
 			}
@@ -512,14 +513,14 @@ func TestSpillBudgetEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	in := writeTemp(t, dir, "in.csv", sampleCSV)
 	memOut, spillOut := filepath.Join(dir, "mem.csv"), filepath.Join(dir, "spill.csv")
-	if err := cube(nil, "-in", in, "-o", memOut, "-agg", "sum", "-k", "3"); err != nil {
+	if err := spcube(nil, "-in", in, "-o", memOut, "-agg", "sum", "-k", "3"); err != nil {
 		t.Fatal(err)
 	}
 	spillDir := filepath.Join(dir, "spill")
 	if err := os.Mkdir(spillDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := cube(nil, "-in", in, "-o", spillOut, "-agg", "sum", "-k", "3", "-spill-budget", "0", "-spill-dir", spillDir); err != nil {
+	if err := spcube(nil, "-in", in, "-o", spillOut, "-agg", "sum", "-k", "3", "-spill-budget", "0", "-spill-dir", spillDir); err != nil {
 		t.Fatal(err)
 	}
 	mem, _ := os.ReadFile(memOut)
@@ -546,7 +547,7 @@ func TestFailedRunLeavesNoSpillFiles(t *testing.T) {
 	if err := os.Mkdir(spillDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	err := cube(nil, "-in", in, "-o", filepath.Join(dir, "out.csv"), "-k", "2",
+	err := spcube(nil, "-in", in, "-o", filepath.Join(dir, "out.csv"), "-k", "2",
 		"-spill-budget", "0", "-spill-dir", spillDir, "-faults", "*:map:*:crash:0:*", "-max-attempts", "1")
 	if err == nil {
 		t.Fatal("expected the permanently faulted run to fail")
@@ -557,5 +558,52 @@ func TestFailedRunLeavesNoSpillFiles(t *testing.T) {
 	}
 	if len(ents) != 0 {
 		t.Errorf("failed run left spill files: %v", ents)
+	}
+}
+
+// TestMain lets the test binary serve as its own proc-backend workers, as the
+// spcube binary does.
+func TestMain(m *testing.M) {
+	exec.MaybeWorkerMain()
+	os.Exit(m.Run())
+}
+
+// TestProcBackendMatchesLocal: -backend proc writes the local backend's cube
+// to stdout and, volatile keys stripped, its -metrics-out document — fault
+// free, and when a node crash kills a real worker process.
+func TestProcBackendMatchesLocal(t *testing.T) {
+	dir := t.TempDir()
+	in := writeTemp(t, dir, "in.csv", sampleCSV)
+	for _, faults := range []string{"", "*:node:1:node-crash"} {
+		var outs, docs [2]string
+		for i, backend := range []string{"local", "proc"} {
+			metrics := filepath.Join(dir, backend+".json")
+			var stdout strings.Builder
+			args := []string{"-stats=false", "-in", in, "-k", "3", "-backend", backend, "-faults", faults, "-metrics-out", metrics}
+			if err := run(context.Background(), args, &stdout, io.Discard); err != nil {
+				t.Fatalf("-backend %s -faults %q: %v", backend, faults, err)
+			}
+			data, err := os.ReadFile(metrics)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if data, err = mr.StripVolatile(data); err != nil {
+				t.Fatal(err)
+			}
+			outs[i], docs[i] = stdout.String(), string(data)
+		}
+		if outs[0] == "" || outs[1] != outs[0] {
+			t.Errorf("-faults %q: proc wrote\n%s\nlocal wrote\n%s", faults, outs[1], outs[0])
+		}
+		if docs[1] != docs[0] {
+			t.Errorf("-faults %q: metrics differ once volatile keys are stripped:\nproc:  %s\nlocal: %s", faults, docs[1], docs[0])
+		}
+		var doc map[string]any
+		if err := json.Unmarshal([]byte(docs[0]), &doc); err != nil {
+			t.Fatal(err)
+		}
+		if v, _ := doc["mapReexecutions"].(float64); (v > 0) != (faults != "") {
+			t.Errorf("-faults %q: %v map re-executions", faults, v)
+		}
 	}
 }

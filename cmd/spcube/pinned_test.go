@@ -47,7 +47,7 @@ func TestSortedOutputPinned(t *testing.T) {
 		for _, algo := range []string{"sp-cube", "naive", "mr-cube", "hive", "pipesort"} {
 			for _, fn := range []string{"count", "sum", "min", "avg"} {
 				out := filepath.Join(dir, "out.csv")
-				if err := cube(nil, "-in", path, "-o", out, "-algo", algo, "-agg", fn, "-k", "4"); err != nil {
+				if err := spcube(nil, "-in", path, "-o", out, "-algo", algo, "-agg", fn, "-k", "4"); err != nil {
 					t.Fatalf("%s/%s/%s: %v", in.name, algo, fn, err)
 				}
 				sum := sha256.Sum256([]byte(sortedLines(t, out)))

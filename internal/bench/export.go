@@ -230,39 +230,3 @@ func describeJSONError(data []byte, err error) error {
 	}
 	return fmt.Errorf("line %d, column %d: %s", line, col, detail)
 }
-
-// StripVolatile removes the keys outside the determinism contract —
-// mr.VolatileKeys, this document's own environment provenance, plus any
-// extras, e.g. "retries"/"wastedBytes"/"attempts" when comparing a faulted
-// run against a fault-free one — from a JSON document at every nesting level
-// and re-marshals it canonically (sorted keys, no indentation), so two
-// deterministically-equal documents compare byte-equal.
-func StripVolatile(data []byte, extra ...string) ([]byte, error) {
-	drop := map[string]bool{"time": true, "generatedAt": true, "goVersion": true, "parallelism": true}
-	for _, k := range append(extra, mr.VolatileKeys...) {
-		drop[k] = true
-	}
-	var doc any
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, fmt.Errorf("bench: strip volatile: %w", err)
-	}
-	stripVolatile(doc, drop)
-	return json.Marshal(doc)
-}
-
-func stripVolatile(v any, drop map[string]bool) {
-	switch x := v.(type) {
-	case map[string]any:
-		for k, sub := range x {
-			if drop[k] {
-				delete(x, k)
-				continue
-			}
-			stripVolatile(sub, drop)
-		}
-	case []any:
-		for _, sub := range x {
-			stripVolatile(sub, drop)
-		}
-	}
-}

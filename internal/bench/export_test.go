@@ -60,7 +60,7 @@ func experimentDoc(t *testing.T, cfg Config, id string) []byte {
 
 // golden is testdata/<leg>.golden.json: the sweep `spbench -exp <leg>
 // -scale 0.05` runs, its figures, and the SHA-256 of its whole metrics
-// document (every run's per-round, per-task metrics) once StripVolatile has
+// document (every run's per-round, per-task metrics) once mr.StripVolatile has
 // dropped what may differ between two runs of the same tree.
 type golden struct {
 	Experiment    string   `json:"experiment"`
@@ -100,7 +100,7 @@ func checkGolden(t *testing.T, leg string) {
 	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatal(err)
 	}
-	stripped, err := StripVolatile(data)
+	stripped, err := mr.StripVolatile(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,11 +250,11 @@ func TestValidateMetricsJSONSyntaxErrorNamesPosition(t *testing.T) {
 // injected fault plan.
 func TestMetricsDocDeterministicAcrossParallelism(t *testing.T) {
 	for _, faults := range []string{"", "*:map:*:crash"} {
-		a, err := StripVolatile(runFig6Doc(t, 1, faults))
+		a, err := mr.StripVolatile(runFig6Doc(t, 1, faults))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := StripVolatile(runFig6Doc(t, 8, faults))
+		b, err := mr.StripVolatile(runFig6Doc(t, 8, faults))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,31 +269,16 @@ func TestMetricsDocDeterministicAcrossParallelism(t *testing.T) {
 // one only in the recovery-accounting fields.
 func TestMetricsDocFaultedMatchesCleanModuloRecovery(t *testing.T) {
 	recovery := []string{"retries", "wastedBytes", "attempts"}
-	clean, err := StripVolatile(runFig6Doc(t, 1, ""), recovery...)
+	clean, err := mr.StripVolatile(runFig6Doc(t, 1, ""), recovery...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulted, err := StripVolatile(runFig6Doc(t, 1, "*:map:*:crash"), append([]string{"faults"}, recovery...)...)
+	faulted, err := mr.StripVolatile(runFig6Doc(t, 1, "*:map:*:crash"), append([]string{"faults"}, recovery...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(clean, faulted) {
 		t.Error("faulted document differs from fault-free beyond recovery fields")
-	}
-}
-
-func TestStripVolatile(t *testing.T) {
-	in := []byte(`{"a":1,"wallSeconds":2,"nested":{"time":"x","b":[{"generatedAt":"y","c":3}]}}`)
-	out, err := StripVolatile(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := `{"a":1,"nested":{"b":[{"c":3}]}}`
-	if string(out) != want {
-		t.Errorf("got %s, want %s", out, want)
-	}
-	if _, err := StripVolatile([]byte("bad")); err == nil {
-		t.Error("StripVolatile accepted invalid JSON")
 	}
 }
 

@@ -52,7 +52,7 @@ type row struct {
 }
 
 func newRow(file, off int, key []byte) row {
-	return row{prefix: keyPrefix(key), off: uint32(off), where: uint32(len(key))<<16 | uint32(file)}
+	return row{prefix: mr.KeyPrefix(key), off: uint32(off), where: uint32(len(key))<<16 | uint32(file)}
 }
 
 // maxFileBytes is the largest output file a row can address, maxFiles the
@@ -98,18 +98,8 @@ func (r *SortedRun) groupState(w row, buf []byte) []byte {
 	return nil
 }
 
-func keyPrefix(key []byte) uint64 {
-	if len(key) >= 8 {
-		return binary.BigEndian.Uint64(key)
-	}
-	var p [8]byte
-	copy(p[:], key)
-	return binary.BigEndian.Uint64(p[:])
-}
-
 // compare orders two rows as bytes.Compare orders their keys, deciding by the
-// prefixes when they differ: zero padding keeps a key before every longer key
-// it is a prefix of, so the prefix order never contradicts the byte order.
+// prefixes when they differ (see mr.KeyPrefix).
 func (fs files) compare(a, b row) int {
 	if a.prefix != b.prefix {
 		return cmp.Compare(a.prefix, b.prefix)
@@ -253,7 +243,7 @@ type probe struct {
 	prefix uint64
 }
 
-func newProbe(key []byte) probe { return probe{key, keyPrefix(key)} }
+func newProbe(key []byte) probe { return probe{key, mr.KeyPrefix(key)} }
 
 // below reports whether w sorts before the probe, by the prefixes alone when
 // they differ.
@@ -277,18 +267,13 @@ func (fs files) lowerBound(seg []row, lo, hi int, p probe) int {
 	return lo
 }
 
-// merger yields the rows of a run's segments in ascending key order through a
-// binary heap of the segments' next rows, so a row costs O(log segments)
-// whatever the reducer count.
+// merger yields the rows of a run's segments in ascending key order through
+// mr's loser tree over the segments' next rows, so a row costs O(log
+// segments) whatever the reducer count.
 type merger struct {
 	files files
-	rest  [][]row // of each segment, the rows behind the one in the heap
-	heap  []head  // one per segment with rows left; least (key, segment) first
-}
-
-type head struct {
-	row
-	seg int
+	parts [][]row // of each segment, the rows not yet yielded
+	tree  mr.LoserTree
 }
 
 // merge starts a merge at the first key not below from (nil: the first key).
@@ -304,62 +289,43 @@ func (r *SortedRun) merge(from []byte) *merger {
 // newMerger starts a merge of parts, which it keeps: a stretch of each of a
 // run's segments, in segment order.
 func newMerger(fs files, parts [][]row) *merger {
-	m := &merger{files: fs, rest: parts, heap: make([]head, 0, len(parts))}
-	for i, part := range parts {
-		if len(part) > 0 {
-			m.heap, m.rest[i] = append(m.heap, head{part[0], i}), part[1:]
-		}
-	}
-	for i := len(m.heap)/2 - 1; i >= 0; i-- {
-		m.down(i)
-	}
+	m := &merger{files: fs, parts: parts}
+	m.tree = mr.NewLoserTree(len(parts), m.beats)
 	return m
 }
 
-func (m *merger) less(a, b head) bool {
-	if c := m.files.compare(a.row, b.row); c != 0 {
-		return c < 0
+// beats reports whether segment a's next row precedes segment b's: drained
+// segments lose to live ones, equal keys go to the lower segment.
+func (m *merger) beats(a, b int) bool {
+	switch pa, pb := m.parts[a], m.parts[b]; {
+	case len(pa) == 0:
+		return false
+	case len(pb) == 0:
+		return true
+	default:
+		if c := m.files.compare(pa[0], pb[0]); c != 0 {
+			return c < 0
+		}
 	}
-	return a.seg < b.seg
+	return a < b
 }
 
-func (m *merger) down(i int) {
-	h := m.heap
-	for {
-		c := 2*i + 1
-		if c >= len(h) {
-			return
-		}
-		if c+1 < len(h) && m.less(h[c+1], h[c]) {
-			c++
-		}
-		if !m.less(h[c], h[i]) {
-			return
-		}
-		h[i], h[c] = h[c], h[i]
-		i = c
-	}
-}
-
-// next returns the row of the next distinct key. Equal keys leave the heap in
-// segment order, so the record of the last segment holding a key is the one
+// next returns the row of the next distinct key. Equal keys win in segment
+// order, so the record of the last segment holding a key is the one
 // returned.
 func (m *merger) next() (row, bool) {
-	for len(m.heap) > 0 {
-		top := m.heap[0]
-		if rest := m.rest[top.seg]; len(rest) > 0 {
-			m.heap[0].row, m.rest[top.seg] = rest[0], rest[1:]
-		} else {
-			m.heap[0] = m.heap[len(m.heap)-1]
-			m.heap = m.heap[:len(m.heap)-1]
+	for {
+		w := m.tree.Winner()
+		if w < 0 || len(m.parts[w]) == 0 {
+			return row{}, false
 		}
-		m.down(0)
-		if len(m.heap) > 0 && m.files.compare(top.row, m.heap[0].row) == 0 {
-			continue
+		top := m.parts[w][0]
+		m.parts[w] = m.parts[w][1:]
+		m.tree.Replay(m.beats)
+		if rest := m.parts[m.tree.Winner()]; len(rest) == 0 || m.files.compare(top, rest[0]) != 0 {
+			return top, true
 		}
-		return top.row, true
 	}
-	return row{}, false
 }
 
 // find returns the row the run holds for the probe's key. pos, when not nil,
@@ -514,16 +480,7 @@ func (r *SortedRun) EachRow(rel *relation.Relation, fn func(dims []string, value
 	var err error
 	dims := make([]string, r.d)
 	r.Each(func(_ []byte, mask lattice.Mask, packed []relation.Value, value float64, _ int64) bool {
-		j := 0
-		for i := range dims {
-			if !mask.Has(i) {
-				dims[i] = "*"
-				continue
-			}
-			dims[i] = rel.DimString(i, packed[j])
-			j++
-		}
-		err = fn(dims, value)
+		err = fn(rel.Dict.GroupText(dims, uint32(mask), packed), value)
 		return err == nil
 	})
 	return err

@@ -178,7 +178,7 @@ type Maintainer struct {
 	built Timing
 
 	metrics mr.JobMetrics
-	rounds  []Round
+	cycles  int   // applied maintenance cycles; a cycle's changes are its caller's
 	seq     int64 // maintainer-scoped trace sequence
 }
 
@@ -380,7 +380,7 @@ func (m *Maintainer) applyLocked(batch Batch, newDict *relation.Dictionary) (*Ro
 	}
 
 	rnd := Round{
-		Round:    len(m.rounds) + 1,
+		Round:    m.cycles + 1,
 		Appended: len(batch.Append),
 		Deleted:  len(batch.Delete),
 	}
@@ -408,7 +408,7 @@ func (m *Maintainer) applyLocked(batch Batch, newDict *relation.Dictionary) (*Ro
 	}
 	annotate(&rnd.Metrics, info)
 	m.metrics.Rounds = append(m.metrics.Rounds, rnd.Metrics.Rounds...)
-	m.rounds = append(m.rounds, rnd)
+	m.cycles++
 	m.traceMaint(mr.TraceEvent{Type: mr.EvMaintEnd, Round: rnd.Round, Job: "maintenance",
 		Records: int64(len(rnd.Changes))})
 	out := rnd
@@ -766,14 +766,7 @@ func (m *Maintainer) N() int {
 func (m *Maintainer) Version() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.rounds)
-}
-
-// Rounds returns the applied cycles, oldest first.
-func (m *Maintainer) Rounds() []Round {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]Round(nil), m.rounds...)
+	return m.cycles
 }
 
 // Metrics returns the accumulated engine metrics of every cycle, each

@@ -308,7 +308,8 @@ func TestDeltaSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := serve.NewDirect(st, nil)
+	svc := serve.NewService(st, serve.Config{})
+	t.Cleanup(func() { svc.Close() })
 
 	// checkServed asserts the served snapshot equals brute force exactly.
 	checkServed := func(cycle int) {

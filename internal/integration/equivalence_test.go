@@ -1,6 +1,7 @@
 package integration
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -160,7 +161,7 @@ type outcome struct {
 	res      *cube.Result
 	checksum uint64
 	records  int64
-	metrics  mr.JobMetrics // mr.VolatileKeys stripped
+	metrics  mr.JobMetrics
 	sim      float64
 	trace    []mr.TraceEvent // timestamps zeroed
 	left     []string        // what is left in the point's spill directory
@@ -200,7 +201,7 @@ func run(t *testing.T, p point) *outcome {
 		tracer.Events[i].Time = time.Time{}
 	}
 	o := &outcome{res, eng.FS.TotalChecksum(cr.OutputPrefix), eng.FS.TotalRecords(cr.OutputPrefix),
-		cr.Metrics.WithoutVolatile(), cr.Metrics.Totals().SimSeconds, tracer.Events, leftIn(dir)}
+		cr.Metrics, cr.Metrics.Totals().SimSeconds, tracer.Events, leftIn(dir)}
 	if len(runs) == 128 {
 		clear(runs)
 	}
@@ -220,13 +221,23 @@ func brute(p point) *cube.Result {
 	return brutes[key]
 }
 
-// zeroRecovery strips, on top of the volatile fields, the recovery
-// accounting (task attempts, wasted bytes, map re-executions, fetch failures
-// and the speculation counters) — the only counters a faulted run is allowed
-// to differ from a fault-free run on.
-func zeroRecovery(m mr.JobMetrics) mr.JobMetrics {
-	return m.WithoutVolatile("retries", "attempts", "wastedBytes", "mapReexecutions", "reexecutions",
-		"fetchFailures", "speculativeLaunched", "speculativeWon", "speculativeKilled")
+// recovery is the recovery accounting (task attempts, wasted bytes, map
+// re-executions, fetch failures and the speculation counters) — the only
+// counters a faulted run is allowed to differ from a fault-free run on.
+var recovery = []string{"retries", "attempts", "wastedBytes", "mapReexecutions", "reexecutions",
+	"fetchFailures", "speculativeLaunched", "speculativeWon", "speculativeKilled"}
+
+// doc is o's metrics document through mr.StripVolatile, less the extra keys.
+func (o *outcome) doc(t *testing.T, extra ...string) string {
+	t.Helper()
+	doc, err := json.Marshal(&o.metrics)
+	if err == nil {
+		doc, err = mr.StripVolatile(doc, extra...)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(doc)
 }
 
 // check holds p to brute force and to its twins: the same point at another
@@ -237,15 +248,15 @@ func check(t *testing.T, p point) {
 	var errs []string
 	fail := func(format string, args ...any) { errs = append(errs, fmt.Sprintf(format, args...)) }
 	// same compares a with twin b: output bytes always, simulated seconds and
-	// metrics when strip is set, traces when asked to.
-	same := func(twin string, a, b *outcome, strip func(mr.JobMetrics) mr.JobMetrics, trace bool) {
+	// metrics documents through strip when it is set, traces when asked to.
+	same := func(twin string, a, b *outcome, strip func(*outcome) string, trace bool) {
 		for _, c := range []struct {
 			what string
 			eq   bool
 		}{
 			{"DFS output", a.checksum == b.checksum && a.records == b.records},
 			{"simulated seconds", strip == nil || a.sim == b.sim},
-			{"metrics", strip == nil || reflect.DeepEqual(strip(a.metrics), strip(b.metrics))},
+			{"metrics", strip == nil || strip(a) == strip(b)},
 			{"trace", !trace || reflect.DeepEqual(a.trace, b.trace)},
 		} {
 			if !c.eq {
@@ -262,13 +273,13 @@ func check(t *testing.T, p point) {
 	}
 	par := p
 	par.p = otherP(p.p)
-	same("parallelism", o, run(t, par), func(m mr.JobMetrics) mr.JobMetrics { return m }, true)
+	same("parallelism", o, run(t, par), func(o *outcome) string { return o.doc(t) }, true)
 
 	clean, c := p, o
 	clean.faults, clean.slack, clean.timeout = "", 0, 0
 	if p.faults != "" {
 		c = run(t, clean)
-		same("fault-free", o, c, zeroRecovery, false)
+		same("fault-free", o, c, func(o *outcome) string { return o.doc(t, recovery...) }, false)
 		checkFired(p, o, c, fail)
 	}
 	checkClean(clean, c, fail)

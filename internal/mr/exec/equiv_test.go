@@ -5,13 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"reflect"
 	"testing"
 
 	"github.com/spcube/spcube/internal/agg"
 	"github.com/spcube/spcube/internal/algo"
 	"github.com/spcube/spcube/internal/algo/hivecube"
-	"github.com/spcube/spcube/internal/bench"
 	"github.com/spcube/spcube/internal/cube"
 	"github.com/spcube/spcube/internal/data"
 	"github.com/spcube/spcube/internal/dfs"
@@ -69,8 +67,7 @@ var equivPlans = []struct {
 
 type equivRun struct {
 	res      *cube.Result
-	metrics  mr.JobMetrics
-	doc      []byte // the -metrics-out document, through bench.StripVolatile
+	doc      []byte // the -metrics-out document, through mr.StripVolatile
 	sim      float64
 	checksum uint64
 }
@@ -122,12 +119,11 @@ func runBackend(t *testing.T, fn cube.ComputeFunc, rel *relation.Relation, paral
 	if err != nil {
 		t.Fatal(err)
 	}
-	if doc, err = bench.StripVolatile(doc); err != nil {
+	if doc, err = mr.StripVolatile(doc); err != nil {
 		t.Fatal(err)
 	}
 	return equivRun{
 		res:      res,
-		metrics:  run.Metrics.WithoutVolatile(),
 		doc:      doc,
 		sim:      run.Metrics.Totals().SimSeconds,
 		checksum: eng.FS.TotalChecksum(run.OutputPrefix),
@@ -146,7 +142,7 @@ func newTestProc() *Proc {
 // TestBackendDeterminismProc is the backend-equivalence table: every
 // algorithm under every fault plan must produce byte-identical cube
 // output, DFS checksums, simulated time and volatile-stripped metrics
-// (struct and JSON document alike) on the proc backend — real worker processes, real SIGKILLs — as on the
+// documents on the proc backend — real worker processes, real SIGKILLs — as on the
 // in-process local backend, at parallelism 1 and 8, with no leaked worker
 // processes or socket directories.
 func TestBackendDeterminismProc(t *testing.T) {
@@ -170,13 +166,8 @@ func TestBackendDeterminismProc(t *testing.T) {
 					if local.sim != proc.sim {
 						t.Errorf("%s: simulated seconds differ from local: %v vs %v", label, proc.sim, local.sim)
 					}
-					if !reflect.DeepEqual(local.metrics, proc.metrics) {
-						t.Errorf("%s: volatile-stripped metrics differ from local:\nlocal: %+v\nproc:  %+v",
-							label, local.metrics, proc.metrics)
-					}
-					// The document-level strip reads the same volatile list: a
-					// node-crash run restarts real workers, and those health
-					// counters must not survive it.
+					// A node-crash run restarts real workers, and those health
+					// counters must not survive the strip.
 					if !bytes.Equal(local.doc, proc.doc) {
 						t.Errorf("%s: metrics document differs from local after StripVolatile:\nlocal: %s\nproc:  %s",
 							label, local.doc, proc.doc)

@@ -104,14 +104,32 @@ func TestMetricsMarshalJSONSchema(t *testing.T) {
 func TestMetricsJSONDeterministicAcrossParallelism(t *testing.T) {
 	var docs [2][]byte
 	for i, par := range []int{1, 8} {
-		jm := runSmallJob(t, par).WithoutVolatile()
+		var buf bytes.Buffer
+		if err := ExportMetrics(&buf, runSmallJob(t, par)); err != nil {
+			t.Fatal(err)
+		}
 		var err error
-		if docs[i], err = json.Marshal(&jm); err != nil {
+		if docs[i], err = StripVolatile(buf.Bytes()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if !bytes.Equal(docs[0], docs[1]) {
-		t.Error("metrics document differs between parallelism 1 and 8 after zeroing the volatile fields")
+		t.Error("metrics document differs between parallelism 1 and 8 after stripping the volatile fields")
+	}
+}
+
+func TestStripVolatile(t *testing.T) {
+	in := []byte(`{"a":1,"wallSeconds":2,"nested":{"time":"x","b":[{"generatedAt":"y","c":3}]}}`)
+	out, err := StripVolatile(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"a":1,"nested":{"b":[{"c":3}]}}`
+	if string(out) != want {
+		t.Errorf("got %s, want %s", out, want)
+	}
+	if _, err := StripVolatile([]byte("bad")); err == nil {
+		t.Error("StripVolatile accepted invalid JSON")
 	}
 }
 

@@ -66,7 +66,7 @@ func sortPairsStable(pairs []Pair, s *sortScratch) {
 	h := &s.hist
 	for i := range pairs {
 		key := pairs[i].Key
-		p := keyPrefix(key)
+		p := KeyPrefix(key)
 		s.rows[i] = sortRow{prefix: p, idx: uint32(i), n: uint32(len(key))}
 		h[0][byte(p)]++
 		h[1][byte(p>>8)]++
@@ -116,55 +116,52 @@ func sortPairsStable(pairs []Pair, s *sortScratch) {
 	copy(pairs, s.pairs)
 }
 
-// keyPrefix returns key's first 8 bytes as a big-endian number, zero-padded.
-func keyPrefix(key string) uint64 {
-	if len(key) >= 8 {
-		return binary.BigEndian.Uint64([]byte(key[:8]))
-	}
+// KeyPrefix returns key's first 8 bytes as a big-endian number, zero-padded.
+// Zero padding keeps a key before every longer key it is a prefix of, so the
+// prefix order never contradicts bytes.Compare: where two prefixes differ they
+// decide. It is the key prefix of the map-side sort and of cube's sorted runs.
+func KeyPrefix[K ~string | ~[]byte](key K) uint64 {
 	var p [8]byte
 	copy(p[:], key)
 	return binary.BigEndian.Uint64(p[:])
 }
 
-// loserTree is a k-way tournament over run indices 0..k-1 with a
-// caller-supplied ordering: the core of the reduce-side shuffle merge.
+// LoserTree is a k-way tournament over run indices 0..k-1 with a
+// caller-supplied ordering: the core of the reduce-side shuffle merge and of
+// cube's merge of a sorted run's segments.
 //
 // The tree is the classic 2k-slot tournament layout: leaf j sits at node
 // k+j, internal node i holds the loser of the match between its subtrees,
 // and the overall winner is kept at slot 0. The caller's beats(a, b) must
 // report whether run a's current head precedes run b's; the convention for
 // drained runs is to make them lose to live ones (acting as +∞ sentinels),
-// so no special casing is needed as runs drain. After consuming the
+// so no special casing is needed as runs drain. beats must be a strict weak
+// order — a key comparison with ties broken by run index is one — which is
+// what lets a winner that beats the runner-up skip its replay. After
+// consuming the
 // winner's head element the caller advances that run's cursor and calls
-// Replay, which replays one leaf-to-root path — log k comparisons.
-type loserTree struct {
-	beats func(a, b int) bool
+// Replay, which replays one leaf-to-root path — log k comparisons, one while
+// a run's stretch of heads lasts. beats is passed to each call rather than
+// kept, so a tree costs one allocation.
+type LoserTree struct {
 	loser []int // loser[0] = overall winner; loser[1..k-1] = match losers
-	win   []int // build() scratch, kept so Reset() does not allocate
+	win   []int // build scratch, kept so Reset does not allocate
 	k     int
+	next  int // the runner-up, -1 when not known
 }
 
-// newLoserTree builds a tree over k runs and plays the initial tournament.
-// beats reports whether run a's current head precedes run b's.
-func newLoserTree(k int, beats func(a, b int) bool) *loserTree {
-	t := &loserTree{
-		beats: beats,
-		loser: make([]int, max(k, 1)),
-		win:   make([]int, 2*k),
-		k:     k,
-	}
-	t.build()
+// NewLoserTree builds a tree over k runs and plays the initial tournament.
+func NewLoserTree(k int, beats func(a, b int) bool) LoserTree {
+	slots := make([]int, max(k, 1)+2*k)
+	t := LoserTree{loser: slots[:max(k, 1)], win: slots[max(k, 1):], k: k}
+	t.Reset(beats)
 	return t
 }
-
-// Reset replays the initial tournament, for reuse after the caller rewound
-// its run cursors.
-func (t *loserTree) Reset() { t.build() }
 
 // Winner returns the index of the run whose head currently wins the
 // tournament, or -1 for an empty tree. Whether that run still has elements
 // is the caller's to check — a drained winner means every run is drained.
-func (t *loserTree) Winner() int {
+func (t *LoserTree) Winner() int {
 	if t.k == 0 {
 		return -1
 	}
@@ -172,22 +169,43 @@ func (t *loserTree) Winner() int {
 }
 
 // Replay re-seats the winner after the caller advanced its run's cursor,
-// replaying the winner's leaf-to-root path against the stored losers.
-func (t *loserTree) Replay() {
-	if t.k == 0 {
+// replaying the winner's leaf-to-root path against the stored losers. A run
+// that wins twice in a row may hold a stretch of heads: the tree then finds
+// the runner-up — the best loser on the winner's path, second overall — and
+// while the winner still beats it nothing moves, so each head of the
+// stretch costs one comparison instead of log k.
+func (t *LoserTree) Replay(beats func(a, b int) bool) {
+	if t.k <= 1 {
 		return
 	}
 	w := t.loser[0]
+	if t.next >= 0 {
+		if beats(w, t.next) {
+			return
+		}
+		t.next = -1
+	}
+	won := w
 	for i := (t.k + w) / 2; i >= 1; i /= 2 {
-		if t.beats(t.loser[i], w) {
+		if beats(t.loser[i], w) {
 			t.loser[i], w = w, t.loser[i]
 		}
 	}
 	t.loser[0] = w
+	if w != won {
+		return
+	}
+	for i := (t.k + w) / 2; i >= 1; i /= 2 {
+		if t.next < 0 || beats(t.loser[i], t.next) {
+			t.next = t.loser[i]
+		}
+	}
 }
 
-// build plays the initial tournament bottom-up.
-func (t *loserTree) build() {
+// Reset plays the initial tournament bottom-up, again after the caller
+// rewound its run cursors.
+func (t *LoserTree) Reset(beats func(a, b int) bool) {
+	t.next = -1
 	if t.k == 0 {
 		return
 	}
@@ -203,7 +221,7 @@ func (t *loserTree) build() {
 	}
 	for i := t.k - 1; i >= 1; i-- {
 		a, b := win[2*i], win[2*i+1]
-		if t.beats(a, b) {
+		if beats(a, b) {
 			win[i], t.loser[i] = a, b
 		} else {
 			win[i], t.loser[i] = b, a
@@ -213,7 +231,7 @@ func (t *loserTree) build() {
 }
 
 // streamMerger k-way merges sorted runs — in-memory buckets and on-disk
-// spill segments alike — through a loserTree, holding only one head record
+// spill segments alike — through a LoserTree, holding only one head record
 // per source: each next replays one leaf-to-root path (log k key
 // comparisons) instead of re-scanning all run heads, and reduce memory is
 // O(sources), not O(input). Key ties go to the lower source index, which,
@@ -222,7 +240,7 @@ func (t *loserTree) build() {
 // concatenation sort exactly — whether or not anything spilled.
 type streamMerger struct {
 	srcs []mergeSource
-	tree *loserTree
+	tree LoserTree
 	cur  int // source whose head the last next handed out; -1 if none
 	err  error
 }
@@ -267,7 +285,7 @@ func newStreamMerger(runs []streamSource) *streamMerger {
 		}
 		m.advance(i)
 	}
-	m.tree = newLoserTree(len(m.srcs), m.beats)
+	m.tree = NewLoserTree(len(m.srcs), m.beats)
 	return m
 }
 
@@ -285,7 +303,7 @@ func (m *streamMerger) reset() {
 		}
 		m.advance(i)
 	}
-	m.tree.Reset()
+	m.tree.Reset(m.beats)
 }
 
 // advance loads source i's next head record.
@@ -338,7 +356,7 @@ func (m *streamMerger) beats(a, b int) bool {
 func (m *streamMerger) next() (rec *Pair, stable bool) {
 	if m.cur >= 0 {
 		m.advance(m.cur)
-		m.tree.Replay()
+		m.tree.Replay(m.beats)
 	}
 	w := m.tree.Winner()
 	if w < 0 || m.srcs[w].cur == nil {

@@ -1,8 +1,8 @@
 package mr
 
 import (
+	"encoding/json"
 	"fmt"
-	"reflect"
 	"strings"
 )
 
@@ -105,10 +105,48 @@ func (c *Counters) add(o *Counters) {
 // (real crash recovery does not replay). For a fixed input, configuration
 // and fault plan every other field is bit-for-bit identical at any
 // Config.Parallelism and on any backend. This is the one declaration;
-// WithoutVolatile and bench.StripVolatile read it.
+// StripVolatile reads it.
 var VolatileKeys = []string{
 	"wallSeconds", "retryWallSeconds", "speculativeWallSeconds",
 	"heartbeatMisses", "workerRestarts", "rpcRetries",
+}
+
+// StripVolatile removes the keys outside the determinism contract from a
+// JSON document — a -metrics-out document or spbench's, which shares its
+// schema — at every nesting level: VolatileKeys, the document's provenance
+// (when it was made, by which Go, at what parallelism), plus any extras, e.g.
+// "retries"/"wastedBytes"/"attempts" when comparing a faulted run against a
+// fault-free one. It re-marshals the rest canonically (sorted keys, no
+// indentation), so two deterministically-equal documents compare byte-equal.
+// It is the one volatile filter.
+func StripVolatile(data []byte, extra ...string) ([]byte, error) {
+	drop := map[string]bool{"time": true, "generatedAt": true, "goVersion": true, "parallelism": true}
+	for _, k := range append(extra, VolatileKeys...) {
+		drop[k] = true
+	}
+	var doc any
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return nil, fmt.Errorf("mr: strip volatile: %w", err)
+	}
+	stripVolatile(doc, drop)
+	return json.Marshal(doc)
+}
+
+func stripVolatile(v any, drop map[string]bool) {
+	switch x := v.(type) {
+	case map[string]any:
+		for k, sub := range x {
+			if drop[k] {
+				delete(x, k)
+				continue
+			}
+			stripVolatile(sub, drop)
+		}
+	case []any:
+		for _, sub := range x {
+			stripVolatile(sub, drop)
+		}
+	}
 }
 
 // TaskMetrics records the exact work performed by one map or reduce task.
@@ -329,45 +367,6 @@ func (j *JobMetrics) Totals() Totals {
 		t.ReduceTimeAvg /= float64(reds)
 	}
 	return t
-}
-
-// WithoutVolatile returns a copy of the job's metrics with every field whose
-// JSON key is in VolatileKeys, or in extra, zeroed at round and task level —
-// what remains is comparable with reflect.DeepEqual under the determinism
-// contract.
-func (j *JobMetrics) WithoutVolatile(extra ...string) JobMetrics {
-	drop := make(map[string]bool)
-	for _, k := range append(extra, VolatileKeys...) {
-		drop[k] = true
-	}
-	out := JobMetrics{Rounds: append([]RoundMetrics(nil), j.Rounds...)}
-	for i := range out.Rounds {
-		r := &out.Rounds[i]
-		r.Mappers = append([]TaskMetrics(nil), r.Mappers...)
-		r.Reducers = append([]TaskMetrics(nil), r.Reducers...)
-	}
-	zeroKeys(reflect.ValueOf(out.Rounds), drop)
-	return out
-}
-
-// zeroKeys zeroes, in place, the struct fields tagged with a dropped JSON
-// key, descending through embedded structs and slices.
-func zeroKeys(v reflect.Value, drop map[string]bool) {
-	switch v.Kind() {
-	case reflect.Slice:
-		for i := 0; i < v.Len(); i++ {
-			zeroKeys(v.Index(i), drop)
-		}
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			key, _, _ := strings.Cut(v.Type().Field(i).Tag.Get("json"), ",")
-			if drop[key] {
-				v.Field(i).SetZero()
-			} else {
-				zeroKeys(v.Field(i), drop)
-			}
-		}
-	}
 }
 
 // String renders a compact per-round summary.

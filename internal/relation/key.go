@@ -196,17 +196,7 @@ func FormatGroup(rel *Relation, mask uint32, packed []Value, d int) string {
 	if rel != nil {
 		dict = rel.Dict
 	}
-	parts := make([]string, d)
-	j := 0
-	for i := 0; i < d; i++ {
-		if mask&(1<<uint(i)) != 0 {
-			parts[i] = dict.Text(i, packed[j])
-			j++
-		} else {
-			parts[i] = "*"
-		}
-	}
-	return "(" + strings.Join(parts, ",") + ")"
+	return "(" + strings.Join(dict.GroupText(make([]string, d), mask, packed), ",") + ")"
 }
 
 // AppendValues appends vals to buf as a run of zigzag uvarints, one per

@@ -289,6 +289,23 @@ func (d *Dictionary) Text(col int, v Value) string {
 	return strconv.Itoa(int(v))
 }
 
+// GroupText writes a group's full-width text into dims, one string per
+// dimension: the Text of the group's value where mask has the dimension, "*"
+// where it is aggregated away. packed holds the group's values in dimension
+// order. It returns dims. A nil dictionary writes decimals, as Text does.
+func (d *Dictionary) GroupText(dims []string, mask uint32, packed []Value) []string {
+	j := 0
+	for i := range dims {
+		if mask&(1<<uint(i)) == 0 {
+			dims[i] = "*"
+			continue
+		}
+		dims[i] = d.Text(i, packed[j])
+		j++
+	}
+	return dims
+}
+
 // Lookup resolves the text s of column col to the code that reads as it
 // (Text), or reports false when no code does. An entry's text names its
 // code; the decimal of a code without an entry names that code. Nothing

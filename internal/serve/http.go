@@ -82,7 +82,7 @@ const maxQueryBody = 1 << 20
 
 // NewHandler builds the HTTP front end over a service: POST|GET /v1/query,
 // GET /v1/schema, GET /v1/stats, GET /healthz. src must yield the snapshot
-// the service serves — pass the Batched/Direct service itself so the
+// the service serves — pass the Batched service itself so the
 // handlers follow maintenance swaps, or a bare *Store for a static cube; m
 // may be nil. A request resolves its values against the snapshot current when
 // it arrives and renders its answer with the one current when the query has
@@ -247,24 +247,10 @@ func handleQuery(w http.ResponseWriter, svc Service, src StoreSource, req QueryR
 	store := src.Store()
 	resp := QueryResponse{Op: op.String(), Found: res.Found, Value: res.Value}
 	for _, g := range res.Groups {
-		resp.Groups = append(resp.Groups, GroupDoc{Group: renderGroup(store, g), Value: g.Value})
+		text := store.dict.GroupText(make([]string, store.D()), uint32(g.Mask), g.Packed)
+		resp.Groups = append(resp.Groups, GroupDoc{Group: text, Value: g.Value})
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// renderGroup expands a packed group to its full-width display form.
-func renderGroup(store *Store, g Group) []string {
-	out := make([]string, store.D())
-	j := 0
-	for i := range out {
-		if g.Mask.Has(i) {
-			out[i] = store.DimString(i, g.Packed[j])
-			j++
-		} else {
-			out[i] = "*"
-		}
-	}
-	return out
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -255,22 +255,22 @@ func TestHTTPClosedService(t *testing.T) {
 	}
 }
 
-func TestDirectServiceMatchesBatched(t *testing.T) {
+// TestBatchedMatchesExecute: the batched, cached service answers every point
+// query as the store evaluates it on its own.
+func TestBatchedMatchesExecute(t *testing.T) {
 	svc, st, _, brute := retailFixture(t)
-	direct := NewDirect(st, &Counters{})
-	defer direct.Close()
 	full := lattice.Full(st.D())
 	for _, g := range brute.Cuboid(full) {
 		q := Query{Op: OpPoint, Mask: full, Packed: g.Packed}
 		a, errA := svc.Query(q)
-		b, errB := direct.Query(q)
+		b, errB := st.Execute(q)
 		if errA != nil || errB != nil || a.Found != b.Found || a.Value != b.Value ||
 			!a.Found || a.Value != g.Value {
-			t.Fatalf("batched %+v/%v vs direct %+v/%v for %v", a, errA, b, errB, g.Packed)
+			t.Fatalf("batched %+v/%v vs Execute %+v/%v for %v", a, errA, b, errB, g.Packed)
 		}
 	}
-	if _, err := direct.Query(Query{Op: Op(9)}); err == nil {
-		t.Fatal("direct accepted an invalid op")
+	if _, err := st.Execute(Query{Op: Op(9)}); err == nil {
+		t.Fatal("Execute accepted an invalid op")
 	}
 }
 

@@ -117,45 +117,3 @@ func (s *Batched) Close() error {
 	s.batcher.close()
 	return nil
 }
-
-// Direct is the unbatched, uncached Service: every query is evaluated
-// immediately against the store. It exists as the baseline the batched
-// service is differentially tested (and benchmarked) against. Like Batched
-// it is swappable; with no cache to flush, Swap is just the pointer move.
-type Direct struct {
-	store   atomic.Pointer[Store]
-	metrics *Counters
-}
-
-var _ Service = (*Direct)(nil)
-var _ StoreSource = (*Direct)(nil)
-
-// NewDirect builds a direct service over a store; m may be nil.
-func NewDirect(store *Store, m *Counters) *Direct {
-	s := &Direct{metrics: m}
-	s.store.Store(store)
-	return s
-}
-
-// Store returns the currently served snapshot.
-func (s *Direct) Store() *Store { return s.store.Load() }
-
-// Swap atomically publishes a new snapshot.
-func (s *Direct) Swap(store *Store) {
-	s.store.Store(store)
-	s.metrics.swap()
-}
-
-// Query evaluates one query immediately.
-func (s *Direct) Query(q Query) (Result, error) {
-	res, err := s.store.Load().Execute(q)
-	if err != nil {
-		s.metrics.queryError()
-		return res, err
-	}
-	s.metrics.query(q.Op)
-	return res, nil
-}
-
-// Close is a no-op.
-func (s *Direct) Close() error { return nil }

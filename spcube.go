@@ -43,7 +43,6 @@ import (
 	"github.com/spcube/spcube/internal/dfs"
 	"github.com/spcube/spcube/internal/lattice"
 	"github.com/spcube/spcube/internal/mr"
-	"github.com/spcube/spcube/internal/mr/exec"
 	"github.com/spcube/spcube/internal/relation"
 )
 
@@ -172,28 +171,11 @@ func AlgByName(name string) (Alg, error) {
 // config is what the options build: the engine configuration they write
 // into directly, plus the few choices that live above the engine.
 type config struct {
-	eng       mr.Config
-	aggFn     agg.Func
-	alg       Alg
-	minSup    int
-	backend   string
-	workerCmd []string
-	err       error // first option that could not be applied (a bad fault spec)
-}
-
-// newExecutor resolves the configured execution backend. The local backend
-// needs no construction (a nil Executor selects it); the proc backend
-// spawns one worker process per simulated node and must be closed after
-// the run — the caller defers the returned cleanup.
-func (c *config) newExecutor() (mr.Executor, func(), error) {
-	switch c.backend {
-	case "", "local":
-		return nil, func() {}, nil
-	case "proc":
-		p := exec.NewProc(exec.Options{WorkerCommand: c.workerCmd})
-		return p, func() { p.Close() }, nil
-	}
-	return nil, nil, fmt.Errorf("unknown backend %q (want local or proc)", c.backend)
+	eng    mr.Config
+	aggFn  agg.Func
+	alg    Alg
+	minSup int
+	err    error // first option that could not be applied (a bad fault spec)
 }
 
 // Option configures Compute.
@@ -311,24 +293,9 @@ func Trace(w io.Writer) Option {
 	}
 }
 
-// Backend selects the execution backend: "local" (the default — simulated
-// nodes execute as goroutines in this process) or "proc", which runs one
-// real worker process per simulated node, with heartbeat liveness, RPC
-// deadlines and crash recovery that kills and respawns actual OS
-// processes. Output is byte-identical across backends; "proc" trades
-// process-spawn and RPC overhead for genuine fault isolation.
-func Backend(name string) Option { return func(c *config) { c.backend = name } }
-
-// WorkerCommand overrides the worker argv for the proc backend (default:
-// the current binary re-executes itself as its workers; cmd/spworker is a
-// standalone alternative). Ignored by the local backend.
-func WorkerCommand(argv ...string) Option {
-	return func(c *config) { c.workerCmd = argv }
-}
-
 // Context attaches a cancellation context to the computation: when ctx is
 // cancelled (e.g. on SIGINT), in-flight rounds stop at the next attempt
-// boundary, worker processes are reaped, and Compute returns ctx's error.
+// boundary and Compute returns ctx's error.
 func Context(ctx context.Context) Option { return func(c *config) { c.eng.Context = ctx } }
 
 // Stats summarizes a computation's execution on the simulated cluster.
@@ -428,30 +395,25 @@ type Cube struct {
 }
 
 // newEngine applies the options and builds the engine a computation runs
-// on; the caller defers the returned cleanup (it reaps proc-backend workers).
-func newEngine(rel *Relation, opts []Option) (*config, *mr.Engine, func(), error) {
+// on.
+func newEngine(rel *Relation, opts []Option) (*config, *mr.Engine, error) {
 	cfg := &config{eng: mr.Config{Workers: 8, Seed: 1}, aggFn: agg.Count, alg: AlgSPCube}
 	for _, opt := range opts {
 		opt(cfg)
 	}
 	if rel == nil || rel.NumRows() == 0 {
-		return nil, nil, nil, errors.New("spcube: empty relation")
+		return nil, nil, errors.New("spcube: empty relation")
 	}
 	if rel.NumDims() == 0 || rel.NumDims() > MaxDims {
-		return nil, nil, nil, fmt.Errorf("spcube: dimension count %d out of range [1,%d]", rel.NumDims(), MaxDims)
+		return nil, nil, fmt.Errorf("spcube: dimension count %d out of range [1,%d]", rel.NumDims(), MaxDims)
 	}
 	if cfg.eng.Workers < 1 {
-		return nil, nil, nil, errors.New("spcube: need at least 1 worker")
+		return nil, nil, errors.New("spcube: need at least 1 worker")
 	}
 	if cfg.err != nil {
-		return nil, nil, nil, fmt.Errorf("spcube: %w", cfg.err)
+		return nil, nil, fmt.Errorf("spcube: %w", cfg.err)
 	}
-	ex, closeEx, err := cfg.newExecutor()
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("spcube: %w", err)
-	}
-	cfg.eng.Executor = ex
-	return cfg, mr.New(cfg.eng, dfs.New(false)), closeEx, nil
+	return cfg, mr.New(cfg.eng, dfs.New(false)), nil
 }
 
 // collect indexes the output of one finished run under spec as a Cube.
@@ -465,11 +427,10 @@ func collect(eng *mr.Engine, rel *Relation, run *cube.Run, spec cube.Spec) (*Cub
 
 // Compute runs a cube computation over the relation.
 func Compute(rel *Relation, opts ...Option) (*Cube, error) {
-	cfg, eng, closeEx, err := newEngine(rel, opts)
+	cfg, eng, err := newEngine(rel, opts)
 	if err != nil {
 		return nil, err
 	}
-	defer closeEx()
 	if cfg.alg < 0 || int(cfg.alg) >= len(algo.Table) {
 		return nil, fmt.Errorf("spcube: unknown algorithm %v", cfg.alg)
 	}
@@ -496,11 +457,10 @@ func ComputeSet(rel *Relation, aggs []Agg, opts ...Option) ([]*Cube, error) {
 	if len(aggs) == 0 {
 		return nil, errors.New("spcube: ComputeSet needs at least one aggregate")
 	}
-	cfg, eng, closeEx, err := newEngine(rel, opts)
+	cfg, eng, err := newEngine(rel, opts)
 	if err != nil {
 		return nil, err
 	}
-	defer closeEx()
 	specs := make([]cube.Spec, len(aggs))
 	for i, a := range aggs {
 		specs[i] = cube.Spec{Agg: a.f, MinSup: cfg.minSup}
@@ -612,16 +572,7 @@ func (c *Cube) Cuboid(dimNames ...string) ([]Group, error) {
 	groups := c.run.Cuboid(mask)
 	out := make([]Group, 0, len(groups))
 	for _, g := range groups {
-		dims := make([]string, d)
-		j := 0
-		for i := 0; i < d; i++ {
-			if mask.Has(i) {
-				dims[i] = c.rel.inner.DimString(i, g.Packed[j])
-				j++
-			} else {
-				dims[i] = "*"
-			}
-		}
+		dims := c.rel.inner.Dict.GroupText(make([]string, d), uint32(mask), g.Packed)
 		out = append(out, Group{Dims: dims, Value: g.Value})
 	}
 	return out, nil
