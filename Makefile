@@ -6,8 +6,8 @@ GO ?= go
 	proc-smoke spill-smoke bench bench-json bench-hotpath bench-compare \
 	bench-harness cover-serve cover-delta delta-soak soak-scale lint loc
 
-check: fmt vet race fuzz-smoke chaos proc-smoke chaos-proc spill-smoke \
-	cover-serve cover-delta delta-soak bench-harness
+check: fmt vet race fuzz-smoke chaos spill-smoke cover-serve cover-delta \
+	delta-soak bench-harness
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -77,6 +77,9 @@ fuzz-smoke:
 chaos:
 	$(GO) test -run=NONE -fuzz=FuzzCubeEquivalence -fuzztime=30s ./internal/integration
 
+# The next two targets rerun, without the race detector, tests that `make
+# race` already runs; they are for quick local iteration on the proc backend.
+#
 # Execution-backend equivalence gate: every algorithm x fault plan on the
 # proc backend — real worker processes, node crashes delivered as real
 # SIGKILLs — must produce byte-identical output and volatile-stripped

@@ -14,12 +14,10 @@
 // real time to produce it changes. Likewise -faults injects deterministic
 // task failures (see mr.ParseFaultPlan for the spec syntax, including
 // round:node:N:node-crash to kill a whole simulated machine) that the
-// engine's recovery layer must absorb without changing a single figure;
-// -spec-slack and -task-timeout exercise straggler mitigation the same way:
+// engine's recovery layer must absorb without changing a single figure:
 //
 //	spbench -exp fig6 -faults '*:map:*:crash'        # same figures, every map task retried
 //	spbench -exp fig6 -faults '*:node:1:node-crash'  # same figures, node 1's output recomputed
-//	spbench -exp fig6 -faults '*:map:2:slow@20' -spec-slack 0.01
 //
 // Observability: -metrics-out FILE writes the figures plus every run's full
 // per-round metrics as a versioned JSON document (validate one with

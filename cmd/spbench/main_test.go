@@ -37,11 +37,9 @@ p=0
 pprof=
 scale=1
 seed=2016
-spec-slack=0
 spill-budget=-1
 spill-codec=raw
 spill-dir=
-task-timeout=0
 trace=
 validate=
 worker-cmd=

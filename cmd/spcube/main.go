@@ -18,7 +18,7 @@
 //
 // The -faults flag injects deterministic task failures into the simulated
 // cluster (spec: round:phase:task:kind[:attempt[:count]], comma-separated,
-// "*" wildcards; kinds: crash, mid-emit, slow, oom, plus
+// "*" wildcards; kinds: crash, mid-emit, oom, plus
 // round:node:N:node-crash to kill simulated machine N at a round's shuffle
 // barrier — its completed map output is lost and recomputed). Failed tasks
 // are re-executed up to -max-attempts times; the cube and every statistic
@@ -26,13 +26,6 @@
 //
 //	spcube -in sales.csv -faults '*:map:*:crash'      # every map task retried once
 //	spcube -in sales.csv -faults '*:node:1:node-crash' # lose node 1's map output
-//
-// Straggler mitigation: -spec-slack S races a backup attempt against any
-// task stalled (by a slow fault) more than S simulated seconds, keeping the
-// attempt with the lower simulated finish time; -task-timeout T kills and
-// retries attempts stalled past T simulated seconds:
-//
-//	spcube -in sales.csv -faults '*:map:2:slow@40' -spec-slack 0.01
 //
 // Out-of-core shuffle: -spill-budget N caps each map task's in-memory emit
 // buffer at N bytes — past the budget the task sorts and flushes its output
@@ -194,10 +187,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if t.MapReexecutions > 0 {
 		fmt.Fprintf(stderr, " | %d map re-executions (%d fetch failures)",
 			t.MapReexecutions, t.FetchFailures)
-	}
-	if t.SpeculativeLaunched > 0 {
-		fmt.Fprintf(stderr, " | %d speculative attempts (won %d, killed %d)",
-			t.SpeculativeLaunched, t.SpeculativeWon, t.SpeculativeKilled)
 	}
 	fmt.Fprintln(stderr)
 	return nil

@@ -4,8 +4,8 @@
 // so concurrent clients coalesce into few index probes.
 //
 // The input format is cmd/spcube's, and the compute flags are the shared
-// engine group (-k -p -seed -faults -max-attempts -spec-slack -task-timeout
-// -trace -metrics-out -pprof) and input group (-in -agg -algo -minsup
+// engine group (-k -p -seed -faults -max-attempts -trace -metrics-out
+// -pprof) and input group (-in -agg -algo -minsup
 // -rebuild-threshold) of internal/cli, declared and validated there for all
 // three binaries: a bad value exits 2 before the input is opened. The
 // serving side adds:

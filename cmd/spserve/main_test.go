@@ -61,8 +61,6 @@ p=0
 pprof=
 rebuild-threshold=0
 seed=1
-spec-slack=0
-task-timeout=0
 trace=
 `
 	fs := flag.NewFlagSet("spserve", flag.ContinueOnError)

@@ -53,8 +53,8 @@ type Environment struct {
 // everything except the environment block and the fields mr.VolatileKeys
 // names is bit-for-bit identical at any parallelism, and only the recovery
 // fields ("retries", "wastedBytes", "attempts", "reexecutions"/
-// "mapReexecutions", "fetchFailures", "speculativeLaunched"/"Won"/"Killed")
-// additionally differ between faulted and fault-free runs.
+// "mapReexecutions", "fetchFailures") additionally differ between faulted
+// and fault-free runs.
 type MetricsDoc struct {
 	SchemaVersion int    `json:"schemaVersion"`
 	Tool          string `json:"tool"`

@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 
@@ -42,7 +43,6 @@ type Flags struct {
 	Workers, Par, MaxAttempts int
 	Seed                      int64
 	Faults                    string
-	SpecSlack, TaskTimeout    float64
 	Trace, MetricsOut, Pprof  string
 
 	// Spill + backend group.
@@ -73,8 +73,6 @@ func (f *Flags) Engine(k int, seed int64) {
 	fs.Int64Var(&f.Seed, "seed", seed, "deterministic seed for sampling (and data generation)")
 	fs.StringVar(&f.Faults, "faults", "", "fault-injection spec: round:phase:task:kind[:attempt[:count]] or round:node:N:node-crash, comma-separated (e.g. '*:map:*:crash', '*:node:1:node-crash'); results are identical to a fault-free run")
 	fs.IntVar(&f.MaxAttempts, "max-attempts", 0, "task attempts before an injected failure becomes permanent (0 = engine default, 4)")
-	fs.Float64Var(&f.SpecSlack, "spec-slack", 0, "speculative-execution slack in simulated seconds: race a backup attempt against tasks stalled longer than this (0 = disabled)")
-	fs.Float64Var(&f.TaskTimeout, "task-timeout", 0, "kill and retry task attempts stalled longer than this many simulated seconds (0 = disabled)")
 	fs.StringVar(&f.Trace, "trace", "", "write structured engine trace events (JSON lines) to this file")
 	fs.StringVar(&f.MetricsOut, "metrics-out", "", "write the run's per-round metrics (versioned JSON) to this file")
 	fs.StringVar(&f.Pprof, "pprof", "", "serve net/http/pprof and /debug/runtime on this address (e.g. localhost:6060)")
@@ -152,12 +150,15 @@ func (f *Flags) Resolve() (mr.Config, agg.Func, error) {
 		{"p", float64(f.Par), 0},
 		{"max-attempts", float64(f.MaxAttempts), 0},
 		{"merge-fan-in", float64(f.MergeFanIn), 0},
-		{"spec-slack", f.SpecSlack, 0},
-		{"task-timeout", f.TaskTimeout, 0},
 	} {
 		if c.value < c.min {
 			return bad(c.name, c.value, fmt.Errorf("want at least %v", c.min))
 		}
+	}
+	// A NaN threshold would compare false against every drift and so
+	// silently disable the rebuild fallback.
+	if math.IsNaN(f.RebuildThreshold) {
+		return bad("rebuild-threshold", f.RebuildThreshold, errors.New("want a number"))
 	}
 	plan, err := mr.ParseFaultPlan(f.Faults)
 	if err != nil {
@@ -191,7 +192,6 @@ func (f *Flags) Resolve() (mr.Config, agg.Func, error) {
 	return mr.Config{
 		Workers: f.Workers, Seed: uint64(f.Seed), Parallelism: f.Par,
 		Faults: plan, MaxAttempts: f.MaxAttempts,
-		SpeculativeSlack: f.SpecSlack, TaskTimeout: f.TaskTimeout,
 		SpillBudgetBytes: budget, SpillDir: f.SpillDir,
 		SpillCodec: f.SpillCodec, MergeFanIn: f.MergeFanIn,
 	}, aggFn, nil
@@ -313,7 +313,6 @@ func (s *Session) DeltaConfig() delta.Config {
 		Algorithm: s.Algo, Agg: s.AggFn, MinSup: s.MinSup,
 		Workers: c.Workers, Parallelism: c.Parallelism, Seed: s.Seed,
 		Faults: c.Faults, MaxAttempts: c.MaxAttempts,
-		SpeculativeSlack: c.SpeculativeSlack, TaskTimeout: c.TaskTimeout,
 		SpillBudgetBytes: c.SpillBudgetBytes, SpillDir: c.SpillDir,
 		SpillCodec: c.SpillCodec, MergeFanIn: c.MergeFanIn,
 		RebuildThreshold: s.RebuildThreshold,

@@ -76,15 +76,12 @@ type Config struct {
 	MinSup int
 	// Workers is the simulated cluster size (default 8).
 	Workers int
-	// Parallelism, Seed, Faults, MaxAttempts, SpeculativeSlack and
-	// TaskTimeout configure the engines the maintenance jobs run on, with
-	// mr.Config semantics.
-	Parallelism      int
-	Seed             int64
-	Faults           *mr.FaultPlan
-	MaxAttempts      int
-	SpeculativeSlack float64
-	TaskTimeout      float64
+	// Parallelism, Seed, Faults and MaxAttempts configure the engines the
+	// maintenance jobs run on, with mr.Config semantics.
+	Parallelism int
+	Seed        int64
+	Faults      *mr.FaultPlan
+	MaxAttempts int
 	// SpillBudgetBytes, SpillDir, SpillCodec and MergeFanIn configure the
 	// engines' out-of-core shuffle, with mr.Config semantics (0 keeps
 	// everything in memory; empty codec means raw; 0 fan-in means the
@@ -637,8 +634,6 @@ func (m *Maintainer) runJob(rel *relation.Relation, metrics *mr.JobMetrics, t *T
 		Parallelism:      m.cfg.Parallelism,
 		Faults:           m.cfg.Faults,
 		MaxAttempts:      m.cfg.MaxAttempts,
-		SpeculativeSlack: m.cfg.SpeculativeSlack,
-		TaskTimeout:      m.cfg.TaskTimeout,
 		SpillBudgetBytes: m.cfg.SpillBudgetBytes,
 		SpillDir:         m.cfg.SpillDir,
 		SpillCodec:       m.cfg.SpillCodec,

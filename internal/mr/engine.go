@@ -21,7 +21,7 @@
 // The engine also models MapReduce's core robustness contract: failed tasks
 // are transparently re-executed and the job's output is unchanged. Failures
 // are injected deterministically through Config.Faults (crash-before-emit,
-// crash-mid-emit, slow-task, transient OOM, addressed by round, phase, task
+// crash-mid-emit, transient OOM, addressed by round, phase, task
 // and attempt); a failed attempt's partial output — buffered map emits,
 // reduce-side DFS appends — is discarded, the task re-runs with fresh
 // TaskState up to Config.MaxAttempts, and the merged result stays
@@ -40,13 +40,8 @@
 // becomes unfetchable — reducers observe fetch failures and the engine
 // re-executes the lost map tasks on live nodes (Hadoop's
 // re-run-completed-maps-on-node-loss semantics) — and reduce attempts
-// placed on the dead node are killed and re-placed. Straggler mitigation
-// rides on the same scheduler: Config.SpeculativeSlack launches one
-// deterministic backup attempt for a task whose injected stall exceeds the
-// slack (the winner is the attempt with the lowest simulated finish time,
-// ties keeping the lower attempt index), and Config.TaskTimeout kills and
-// retries attempts that stall past it. Because attempts are byte-identical
-// (the re-entrancy contract), re-execution, speculation and kills never
+// placed on the dead node are killed and re-placed. Because attempts are
+// byte-identical (the re-entrancy contract), re-execution and kills never
 // change a single output byte; they only move work and show up in the
 // recovery counters.
 package mr
@@ -124,25 +119,11 @@ type Config struct {
 	// MaxAttempts bounds how many times one task is executed before its
 	// failure becomes permanent and fails the round (Hadoop's
 	// mapreduce.map.maxattempts). 0 defaults to 4. Only injected faults
-	// and engine-initiated kills (node loss, task timeout) are retried:
+	// and engine-initiated kills (node loss, backend refusals) are retried:
 	// deterministic failures — reducer OOM under FailOnReducerOOM,
 	// partition range errors — would fail identically again and abort the
 	// round on the first attempt.
 	MaxAttempts int
-	// SpeculativeSlack enables straggler mitigation when positive: a task
-	// attempt whose injected stall (the slow fault's delay, in simulated
-	// seconds) exceeds the slack gets one deterministic backup attempt at
-	// the next attempt index. The winner is the attempt with the lowest
-	// simulated finish time (CPU + stall), ties keeping the lower attempt
-	// index; the loser's output is discarded into WastedBytes. Output and
-	// deterministic metrics are unchanged — only the Speculative* recovery
-	// counters record the race.
-	SpeculativeSlack float64
-	// TaskTimeout, when positive, kills a task attempt whose injected
-	// stall exceeds it (in simulated seconds — the analog of Hadoop's
-	// progress timeout) and retries it, counting against MaxAttempts.
-	// Checked before SpeculativeSlack.
-	TaskTimeout float64
 	// Tracer receives structured lifecycle events (round start/end, task
 	// attempt start/success/failure/retry, shuffle, spill, fault
 	// injection). Nil — the default — disables tracing; the engine then

@@ -49,20 +49,14 @@ var equivAlgorithms = func() []namedAlgorithm {
 }()
 
 // equivPlans is the backend-equivalence fault matrix: clean, injected task
-// crashes, a whole-node crash (realized as a real SIGKILL under proc), and
-// speculation. Plans are kept separate — combining node-crash with
-// speculation is the one corner where local and proc may legitimately pick
-// different winner indices (backups skip the simulated node check), which
-// would break metrics equality without affecting output bytes.
+// crashes, and a whole-node crash (realized as a real SIGKILL under proc).
 var equivPlans = []struct {
-	name  string
-	spec  string
-	slack float64
+	name string
+	spec string
 }{
-	{"clean", "", 0},
-	{"crash", "*:map:*:crash,*:reduce:*:mid-emit@4", 0},
-	{"node-crash", "*:node:1:node-crash", 0},
-	{"speculate", "*:map:*:slow@2,*:reduce:2:slow@2", 0.0005},
+	{"clean", ""},
+	{"crash", "*:map:*:crash,*:reduce:*:mid-emit@4"},
+	{"node-crash", "*:node:1:node-crash"},
 }
 
 type equivRun struct {
@@ -77,14 +71,13 @@ type equivRun struct {
 // and runBackend closes it, asserting no worker process or socket
 // directory survives.
 func runBackend(t *testing.T, fn cube.ComputeFunc, rel *relation.Relation, parallelism int,
-	spec string, slack float64, p *Proc) equivRun {
+	spec string, p *Proc) equivRun {
 	t.Helper()
 	plan, err := mr.ParseFaultPlan(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := mr.Config{Workers: 6, Seed: 42, Parallelism: parallelism, Faults: plan,
-		SpeculativeSlack: slack, MaxAttempts: 6}
+	cfg := mr.Config{Workers: 6, Seed: 42, Parallelism: parallelism, Faults: plan, MaxAttempts: 6}
 	if p != nil {
 		cfg.Executor = p
 	}
@@ -153,9 +146,9 @@ func TestBackendDeterminismProc(t *testing.T) {
 	for _, fp := range equivPlans {
 		for _, a := range equivAlgorithms {
 			t.Run(fp.name+"/"+a.name, func(t *testing.T) {
-				local := runBackend(t, a.fn, rel, 1, fp.spec, fp.slack, nil)
+				local := runBackend(t, a.fn, rel, 1, fp.spec, nil)
 				for _, par := range []int{1, 8} {
-					proc := runBackend(t, a.fn, rel, par, fp.spec, fp.slack, newTestProc())
+					proc := runBackend(t, a.fn, rel, par, fp.spec, newTestProc())
 					label := fmt.Sprintf("proc p=%d", par)
 					if ok, diff := local.res.Equal(proc.res); !ok {
 						t.Errorf("%s: cube output differs from local: %s", label, diff)
@@ -198,7 +191,7 @@ func TestBackendDifferentialProc(t *testing.T) {
 		want := cube.Brute(w.rel, agg.Count)
 		for _, a := range equivAlgorithms {
 			t.Run(w.name+"/"+a.name, func(t *testing.T) {
-				got := runBackend(t, a.fn, w.rel, 8, spec, 0, newTestProc())
+				got := runBackend(t, a.fn, w.rel, 8, spec, newTestProc())
 				if ok, diff := want.Equal(got.res); !ok {
 					t.Errorf("proc backend diverges from brute force: %s", diff)
 				}

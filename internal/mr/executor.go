@@ -1,8 +1,8 @@
 package mr
 
 // Executor is the execution backend task attempts are dispatched through.
-// The engine owns every scheduling decision — placement, retries,
-// speculation, timeouts, and which attempt's output wins — because those
+// The engine owns every scheduling decision — placement, retries, and
+// which attempt's output wins — because those
 // decisions must be deterministic for the byte-identity contract to hold.
 // The executor's job is the opposite half: realize (and verify) each
 // decision against real execution resources. The default localExecutor has

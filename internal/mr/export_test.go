@@ -204,11 +204,12 @@ func keyPaths(v any, prefix string, out map[string]bool) {
 	}
 }
 
-// TestMetricsDocumentKeyPaths pins schema v7: the document's key-path set —
-// 124 paths for an ordinary run, 131 with a maintenance annotation — equals
+// TestMetricsDocumentKeyPaths pins schema v8: the document's key-path set —
+// 108 paths for an ordinary run, 115 with a maintenance annotation — equals
 // the golden captured from the last commit that still copied the structs
 // into hand-written wire mirrors, less the three volatile spill-pipeline
-// counters v7 dropped. Adding, renaming or dropping a key edits
+// counters v7 dropped and the four backup-attempt counters v8 dropped at
+// every level. Adding, renaming or dropping a key edits
 // the golden (and, when incompatible, bumps MetricsSchemaVersion).
 func TestMetricsDocumentKeyPaths(t *testing.T) {
 	golden, err := os.ReadFile("testdata/metrics_keypaths.txt")
@@ -221,8 +222,8 @@ func TestMetricsDocumentKeyPaths(t *testing.T) {
 		maint *MaintInfo
 		paths int
 	}{
-		{"ordinary", nil, 124},
-		{"maint", &MaintInfo{Round: 1, Mode: "delta", Reason: "mergeable"}, 131},
+		{"ordinary", nil, 108},
+		{"maint", &MaintInfo{Round: 1, Mode: "delta", Reason: "mergeable"}, 115},
 	} {
 		var want []string
 		for _, p := range strings.Fields(string(golden)) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // Phase identifies the half of a MapReduce round a task belongs to.
@@ -56,9 +55,6 @@ const (
 	// (Fault.AfterEmits, default 1), leaving partial output the engine
 	// must discard.
 	FaultCrashMidEmit
-	// FaultSlowTask delays the attempt by Fault.Delay of real wall-clock
-	// time (a straggler); the attempt then completes normally.
-	FaultSlowTask
 	// FaultTransientOOM kills the attempt before the task body runs with
 	// an out-of-memory flavored reason — the transient kind that a retry
 	// on a less loaded machine survives, as opposed to the deterministic
@@ -86,7 +82,6 @@ var faultKindNames = []struct {
 }{
 	{FaultCrashBeforeEmit, "crash", []string{"crash-before-emit"}},
 	{FaultCrashMidEmit, "mid-emit", []string{"mid", "crash-mid-emit"}},
-	{FaultSlowTask, "slow", []string{"slow-task"}},
 	{FaultTransientOOM, "oom", []string{"transient-oom"}},
 	{FaultNodeCrash, "node-crash", []string{"nodecrash"}},
 }
@@ -152,8 +147,6 @@ type Fault struct {
 	// AfterEmits is the 1-based emit index FaultCrashMidEmit dies on
 	// (default 1: crash on the first emitted record).
 	AfterEmits int64
-	// Delay is FaultSlowTask's added wall-clock latency (default 2ms).
-	Delay time.Duration
 }
 
 func (f *Fault) matches(round int, phase Phase, task, attempt int) bool {
@@ -183,13 +176,6 @@ func (f *Fault) afterEmits() int64 {
 	return f.AfterEmits
 }
 
-func (f *Fault) delay() time.Duration {
-	if f.Delay <= 0 {
-		return 2 * time.Millisecond
-	}
-	return f.Delay
-}
-
 // String renders the fault in the spec syntax ParseFaultPlan accepts.
 func (f *Fault) String() string {
 	var b strings.Builder
@@ -207,11 +193,8 @@ func (f *Fault) String() string {
 	writeIdx(f.Task)
 	b.WriteByte(':')
 	b.WriteString(f.Kind.String())
-	switch {
-	case f.Kind == FaultCrashMidEmit && f.AfterEmits > 1:
+	if f.Kind == FaultCrashMidEmit && f.AfterEmits > 1 {
 		fmt.Fprintf(&b, "@%d", f.AfterEmits)
-	case f.Kind == FaultSlowTask && f.Delay > 0:
-		fmt.Fprintf(&b, "@%d", int64(f.Delay/time.Millisecond))
 	}
 	if f.Attempt != 0 || (f.Count != 0 && f.Count != 1) {
 		b.WriteByte(':')
@@ -265,11 +248,10 @@ func (p *FaultPlan) String() string {
 //	round:phase:task:kind[:attempt[:count]]
 //
 // where round and task are 0-based indices or "*" (any), phase is "map" or
-// "reduce", kind is crash | mid-emit | slow | oom optionally suffixed with
-// "@n" (mid-emit: crash on the n-th emitted record; slow: delay in
-// milliseconds), attempt is the first affected attempt (default 0), and
-// count is how many consecutive attempts fail (default 1, "*" = all, i.e. a
-// permanent failure).
+// "reduce", kind is crash | mid-emit | oom (mid-emit optionally suffixed
+// with "@n": crash on the n-th emitted record), attempt is the first
+// affected attempt (default 0), and count is how many consecutive attempts
+// fail (default 1, "*" = all, i.e. a permanent failure).
 //
 // Node faults use the "node" pseudo-phase with the node-crash kind and no
 // attempt/count selectors:
@@ -283,7 +265,6 @@ func (p *FaultPlan) String() string {
 //	1:reduce:0:mid-emit        round 1, reduce task 0 crashes mid-emit once
 //	*:map:*:oom                first attempt of every map task OOMs
 //	0:map:2:crash:0:*          map task 2 of round 0 fails permanently
-//	*:reduce:1:slow@10         reduce task 1 is delayed 10ms every round
 //	*:node:2:node-crash        node 2 dies at every round's shuffle barrier
 //
 // An empty spec yields a nil plan (no injection).
@@ -339,14 +320,10 @@ func parseFault(s string) (Fault, error) {
 		return Fault{}, err
 	}
 	if arg > 0 {
-		switch f.Kind {
-		case FaultCrashMidEmit:
-			f.AfterEmits = arg
-		case FaultSlowTask:
-			f.Delay = time.Duration(arg) * time.Millisecond
-		default:
+		if f.Kind != FaultCrashMidEmit {
 			return Fault{}, fmt.Errorf("kind %s takes no @ argument", f.Kind)
 		}
+		f.AfterEmits = arg
 	}
 	// Node faults pair the node pseudo-phase with the node-crash kind and
 	// are matched per round, so attempt/count selectors make no sense.
@@ -438,17 +415,14 @@ func (e *Engine) injectorFor(round int, phase Phase, task, attempt int) *injecto
 	return &injector{fault: f, phase: phase, task: task, attempt: attempt}
 }
 
-// start fires start-of-attempt faults: crash kinds abort the attempt
-// immediately, slow-task sleeps and lets the attempt proceed.
+// start fires start-of-attempt faults: crash and oom abort the attempt
+// before its body runs.
 func (in *injector) start() {
 	if in == nil {
 		return
 	}
-	switch in.fault.Kind {
-	case FaultCrashBeforeEmit, FaultTransientOOM:
+	if k := in.fault.Kind; k == FaultCrashBeforeEmit || k == FaultTransientOOM {
 		panic(faultSignal{in.fault})
-	case FaultSlowTask:
-		time.Sleep(in.fault.delay())
 	}
 }
 
@@ -471,22 +445,9 @@ func (in *injector) err(f *Fault) error {
 	return &FaultError{Kind: f.Kind, Phase: in.phase, Task: in.task, Attempt: in.attempt}
 }
 
-// simDelay is the attempt's simulated straggler stall in seconds: the slow
-// fault's injected delay (zero for other kinds and unfaulted attempts). It
-// is the quantity Config.SpeculativeSlack and Config.TaskTimeout compare
-// against — the deterministic analog of a Hadoop task reporting no progress —
-// and is deliberately not charged to CPUSeconds, so a stalled run's
-// simulated-time accounting stays identical to a fault-free run's.
-func (in *injector) simDelay() float64 {
-	if in == nil || in.fault.Kind != FaultSlowTask {
-		return 0
-	}
-	return in.fault.delay().Seconds()
-}
-
 // killError is an engine-initiated attempt kill: the attempt's node crashed
-// under it, no live node was left to place it on, or it exceeded
-// Config.TaskTimeout. Kills are retried up to Config.MaxAttempts like
+// under it, no live node was left to place it on, or the execution backend
+// refused or lost it. Kills are retried up to Config.MaxAttempts like
 // injected faults, but a killError is deliberately not a *FaultError: a
 // round that fails by exhausting its attempts on kills (e.g. every node
 // dead) surfaces a plain, non-injected error.

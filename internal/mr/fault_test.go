@@ -58,8 +58,7 @@ func runFaulted(t *testing.T, plan *FaultPlan, maxAttempts, parallelism int) fau
 		Faults: plan, MaxAttempts: maxAttempts})
 }
 
-// runFaultedCfg is runFaulted with full control over the engine config, for
-// tests that need the recovery knobs (SpeculativeSlack, TaskTimeout).
+// runFaultedCfg is runFaulted with full control over the engine config.
 func runFaultedCfg(t *testing.T, cfg Config) faultRun {
 	t.Helper()
 	words := strings.Fields(strings.Repeat("a b c d e f g a b a ", 50))
@@ -92,14 +91,10 @@ func stripRecovery(rm RoundMetrics) RoundMetrics {
 	out := stripWall(rm)
 	out.Retries, out.RetryWallSeconds, out.WastedBytes = 0, 0, 0
 	out.MapReexecutions, out.FetchFailures = 0, 0
-	out.SpeculativeLaunched, out.SpeculativeWon, out.SpeculativeKilled = 0, 0, 0
-	out.SpeculativeWallSeconds = 0
 	for _, tasks := range [][]TaskMetrics{out.Mappers, out.Reducers} {
 		for i := range tasks {
 			tasks[i].Attempts, tasks[i].RetryWallSeconds, tasks[i].WastedBytes = 0, 0, 0
 			tasks[i].Reexecutions, tasks[i].FetchFailures = 0, 0
-			tasks[i].SpeculativeLaunched, tasks[i].SpeculativeWon, tasks[i].SpeculativeKilled = 0, 0, 0
-			tasks[i].SpeculativeWallSeconds = 0
 		}
 	}
 	return out
@@ -110,10 +105,10 @@ func stripRecovery(rm RoundMetrics) RoundMetrics {
 // those must match across parallelism levels too.
 func stripTimes(rm RoundMetrics) RoundMetrics {
 	out := stripWall(rm)
-	out.RetryWallSeconds, out.SpeculativeWallSeconds = 0, 0
+	out.RetryWallSeconds = 0
 	for _, tasks := range [][]TaskMetrics{out.Mappers, out.Reducers} {
 		for i := range tasks {
-			tasks[i].RetryWallSeconds, tasks[i].SpeculativeWallSeconds = 0, 0
+			tasks[i].RetryWallSeconds = 0
 		}
 	}
 	return out
@@ -135,11 +130,9 @@ func TestFaultKindsMatchFaultFree(t *testing.T) {
 	}{
 		{"crash-map", "0:map:1:crash", PhaseMap, 1, 2, 1, false},
 		{"mid-emit-map", "0:map:2:mid-emit@5", PhaseMap, 2, 2, 1, true},
-		{"slow-map", "0:map:0:slow@1", PhaseMap, 0, 1, 0, false},
 		{"oom-map", "0:map:3:oom", PhaseMap, 3, 2, 1, false},
 		{"crash-reduce", "0:reduce:1:crash", PhaseReduce, 1, 2, 1, false},
 		{"mid-emit-reduce", "0:reduce:0:mid-emit@2", PhaseReduce, 0, 2, 1, true},
-		{"slow-reduce", "0:reduce:2:slow@1", PhaseReduce, 2, 1, 0, false},
 		{"oom-reduce", "0:reduce:3:oom", PhaseReduce, 3, 2, 1, false},
 		{"double-fault", "0:map:1:crash:0:2", PhaseMap, 1, 3, 2, false},
 		{"last-allowed-attempt", "0:reduce:2:crash:0:3", PhaseReduce, 2, 4, 3, false},
@@ -192,7 +185,7 @@ func TestFaultKindsMatchFaultFree(t *testing.T) {
 }
 
 func TestFaultedRunMatchesAcrossParallelism(t *testing.T) {
-	plan := mustPlan(t, "*:map:1:mid-emit@3,*:reduce:2:crash,*:reduce:0:slow@1")
+	plan := mustPlan(t, "*:map:1:mid-emit@3,*:reduce:2:crash,*:reduce:0:oom")
 	seq := runFaulted(t, plan, 4, 1)
 	par := runFaulted(t, plan, 4, 8)
 	if seq.err != nil || par.err != nil {
@@ -385,7 +378,6 @@ func TestParseFaultPlanRoundTrip(t *testing.T) {
 		"0:map:1:crash",
 		"*:reduce:*:oom",
 		"1:map:2:mid-emit@3:1:2",
-		"*:reduce:1:slow@10",
 		"0:map:2:crash:0:*",
 		"2:reduce:0:mid-emit",
 		"0:map:0:crash,1:reduce:3:oom:2",
@@ -417,7 +409,9 @@ func TestParseFaultPlanRoundTrip(t *testing.T) {
 		"0:map:y:crash",           // bad task
 		"0:map:0:weird",           // bad kind
 		"0:map:0:crash@3",         // kind takes no argument
-		"0:map:0:slow@0",          // argument must be positive
+		"0:map:0:mid-emit@0",      // argument must be positive
+		"0:map:0:slow",            // no straggler kind
+		"0:map:0:slow@10",         // no straggler kind
 		"0:map:0:crash:-1",        // bad attempt
 		"0:map:0:crash:0:0",       // bad count
 		"0:map:0:node-crash",      // node-crash needs the node phase

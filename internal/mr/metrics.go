@@ -17,11 +17,11 @@ import (
 // and fault plan, every field is bit-for-bit identical at any
 // Config.Parallelism and on any backend except those VolatileKeys names.
 // Additionally, the recovery-accounting fields ("retries", "wastedBytes",
-// "attempts", "reexecutions"/"mapReexecutions", "fetchFailures",
-// "speculativeLaunched"/"Won"/"Killed") are the only deterministic fields
-// that differ between a faulted and a fault-free run of the same job.
+// "attempts", "reexecutions"/"mapReexecutions", "fetchFailures") are the
+// only deterministic fields that differ between a faulted and a fault-free
+// run of the same job.
 //
-// Version history: v2 added the node-failure and speculation recovery
+// Version history: v2 added the node-failure and backup-attempt recovery
 // counters at every level (task, round, job); v3 added the optional
 // per-round "maint" annotation describing incremental-maintenance cycles
 // (cycle ordinal, delta-vs-rebuild mode, decision reason, sketch drift,
@@ -40,8 +40,10 @@ import (
 // flakiness do not replay), always zero under the in-process local
 // backend; v7 removed "spillWriteStallNs", "prefetchHits" and
 // "prefetchMisses" with the background spill writer and merge read-ahead
-// they measured (task attempts now do their own spill I/O).
-const MetricsSchemaVersion = 7
+// they measured (task attempts now do their own spill I/O); v8 removed the
+// four backup-attempt counters (three deterministic, one volatile) with the
+// simulated stragglers whose backups they counted.
+const MetricsSchemaVersion = 8
 
 // Counters are the additive counters that exist under one name at task,
 // round and job level: a round's are the sum of its tasks', a job's the sum
@@ -74,16 +76,7 @@ type Counters struct {
 	WastedBytes      int64   `json:"wastedBytes"`
 	// FetchFailures, on a reduce task, counts the lost map outputs it
 	// could not fetch at the shuffle after a node crash.
-	// SpeculativeLaunched, Won and Killed count backup attempts under
-	// Config.SpeculativeSlack (Won: the backup's result was kept; Killed:
-	// the race's loser was discarded — its output lands in WastedBytes).
-	// SpeculativeWallSeconds is the real time consumed by the race's loser
-	// and is volatile like WallSeconds; the counters are deterministic.
-	FetchFailures          int64   `json:"fetchFailures"`
-	SpeculativeLaunched    int64   `json:"speculativeLaunched"`
-	SpeculativeWon         int64   `json:"speculativeWon"`
-	SpeculativeKilled      int64   `json:"speculativeKilled"`
-	SpeculativeWallSeconds float64 `json:"speculativeWallSeconds"`
+	FetchFailures int64 `json:"fetchFailures"`
 }
 
 func (c *Counters) add(o *Counters) {
@@ -94,10 +87,6 @@ func (c *Counters) add(o *Counters) {
 	c.RetryWallSeconds += o.RetryWallSeconds
 	c.WastedBytes += o.WastedBytes
 	c.FetchFailures += o.FetchFailures
-	c.SpeculativeLaunched += o.SpeculativeLaunched
-	c.SpeculativeWon += o.SpeculativeWon
-	c.SpeculativeKilled += o.SpeculativeKilled
-	c.SpeculativeWallSeconds += o.SpeculativeWallSeconds
 }
 
 // VolatileKeys names, by JSON key, every field outside the determinism
@@ -107,7 +96,7 @@ func (c *Counters) add(o *Counters) {
 // Config.Parallelism and on any backend. This is the one declaration;
 // StripVolatile reads it.
 var VolatileKeys = []string{
-	"wallSeconds", "retryWallSeconds", "speculativeWallSeconds",
+	"wallSeconds", "retryWallSeconds",
 	"heartbeatMisses", "workerRestarts", "rpcRetries",
 }
 
@@ -178,9 +167,9 @@ type TaskMetrics struct {
 	// injected; 0 for tasks that never ran, e.g. reducers after an OOM).
 	// Reexecutions counts full re-runs of a completed map task whose stored
 	// output was lost to a node crash (Hadoop's re-run-completed-maps
-	// semantics). Both are recovery accounting, like the Counters' retry,
-	// fetch-failure and speculation fields: every other deterministic
-	// counter equals the fault-free run's.
+	// semantics). Both are recovery accounting, like the Counters' retry
+	// and fetch-failure fields: every other deterministic counter equals
+	// the fault-free run's.
 	Attempts     int64 `json:"attempts"`
 	Reexecutions int64 `json:"reexecutions"`
 }
@@ -275,9 +264,7 @@ func (r *RoundMetrics) finalize() {
 	for _, tasks := range [][]TaskMetrics{r.Mappers, r.Reducers} {
 		for i := range tasks {
 			t := &tasks[i]
-			// Speculative backups are extra attempts but not retries: the
-			// task never failed, the scheduler just raced a copy of it.
-			if extra := t.Attempts - 1 - t.SpeculativeLaunched; extra > 0 {
+			if extra := t.Attempts - 1; extra > 0 {
 				r.Retries += extra
 			}
 			r.MapReexecutions += t.Reexecutions // only map tasks re-execute
@@ -381,10 +368,6 @@ func (j *JobMetrics) String() string {
 		}
 		if r.MapReexecutions > 0 {
 			fmt.Fprintf(&b, ", map reexec=%d (%d fetch failures)", r.MapReexecutions, r.FetchFailures)
-		}
-		if r.SpeculativeLaunched > 0 {
-			fmt.Fprintf(&b, ", speculative=%d (won %d, killed %d)",
-				r.SpeculativeLaunched, r.SpeculativeWon, r.SpeculativeKilled)
 		}
 		if r.Failed {
 			fmt.Fprintf(&b, " FAILED: %s", r.FailReason)

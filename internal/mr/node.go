@@ -119,25 +119,6 @@ func unionDead(a, b []bool) []bool {
 	return out
 }
 
-// timeoutKill returns the kill for a completed attempt whose simulated
-// stall exceeded Config.TaskTimeout (the progress-timeout analog), or nil.
-func (e *Engine) timeoutKill(phase Phase, task, attempt int, stall float64) error {
-	if e.Cfg.TaskTimeout <= 0 || stall <= e.Cfg.TaskTimeout {
-		return nil
-	}
-	return &killError{
-		reason: fmt.Sprintf("stalled %.3gs beyond the %.3gs task timeout", stall, e.Cfg.TaskTimeout),
-		phase:  phase, task: task, attempt: attempt,
-	}
-}
-
-// backupWins applies the deterministic speculation winner rule: the backup
-// replaces the original only when its simulated finish time is strictly
-// lower; ties keep the original (the lower attempt index).
-func backupWins(backupFinish, originalFinish float64) bool {
-	return backupFinish < originalFinish
-}
-
 // isKillError reports whether err is an engine-initiated kill (retryable,
 // but not an injected fault).
 func isKillError(err error) bool {

@@ -111,7 +111,7 @@ func TestPlaceLive(t *testing.T) {
 	}
 }
 
-func TestNodeKillAndTimeout(t *testing.T) {
+func TestNodeKill(t *testing.T) {
 	eng := New(Config{Workers: 4, Seed: 7}, nil)
 	if _, err := eng.placeAttempt(0, PhaseReduce, 0, 0, nil, 4); err != nil {
 		t.Errorf("no dead nodes: %v", err)
@@ -134,21 +134,6 @@ func TestNodeKillAndTimeout(t *testing.T) {
 		t.Errorf("attempt 1 with no live node: %v", err)
 	}
 
-	if err := eng.timeoutKill(PhaseMap, 0, 0, 99); err != nil {
-		t.Errorf("timeout disabled: %v", err)
-	}
-	eng.Cfg.TaskTimeout = 0.5
-	if err := eng.timeoutKill(PhaseMap, 0, 0, 0.5); err != nil {
-		t.Errorf("stall at the threshold must not kill: %v", err)
-	}
-	err = eng.timeoutKill(PhaseMap, 1, 2, 0.7)
-	if !isKillError(err) || !strings.Contains(err.Error(), "task timeout") {
-		t.Errorf("stall past the threshold: %v", err)
-	}
-
-	if !backupWins(1, 2) || backupWins(2, 2) || backupWins(3, 2) {
-		t.Error("backupWins must be strictly-less-than (ties keep the original)")
-	}
 	if isKillError(&FaultError{}) || !isKillError(&killError{}) {
 		t.Error("isKillError confuses fault and kill errors")
 	}
@@ -218,120 +203,5 @@ func TestPermanentNodeFailure(t *testing.T) {
 	}
 	if !got.metrics.Failed || !strings.Contains(got.metrics.FailReason, "attempts") {
 		t.Errorf("Failed=%v FailReason=%q", got.metrics.Failed, got.metrics.FailReason)
-	}
-}
-
-// TestSpeculativeExecution races backups against injected stragglers in both
-// phases and checks the deterministic winner rule and its accounting.
-func TestSpeculativeExecution(t *testing.T) {
-	base := runFaulted(t, nil, 0, 1)
-	if base.err != nil {
-		t.Fatal(base.err)
-	}
-	cases := []struct {
-		name             string
-		spec             string
-		phase            Phase
-		task             int
-		wantWon, wantTot int64
-	}{
-		// Only attempt 0 is slow: the unstalled backup finishes first.
-		{"map backup wins", "0:map:2:slow@50", PhaseMap, 2, 1, 1},
-		{"reduce backup wins", "0:reduce:1:slow@50", PhaseReduce, 1, 1, 1},
-		// Both attempts are equally slow: the tie keeps the original.
-		{"tie keeps original", "0:map:2:slow@50:0:2", PhaseMap, 2, 0, 1},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got := runFaultedCfg(t, Config{Workers: 4, Seed: 7, Parallelism: 1,
-				Faults: mustPlan(t, tc.spec), SpeculativeSlack: 0.01})
-			if got.err != nil {
-				t.Fatal(got.err)
-			}
-			if got.metrics.SpeculativeLaunched != tc.wantTot ||
-				got.metrics.SpeculativeWon != tc.wantWon ||
-				got.metrics.SpeculativeKilled != tc.wantTot {
-				t.Errorf("launched/won/killed = %d/%d/%d, want %d/%d/%d",
-					got.metrics.SpeculativeLaunched, got.metrics.SpeculativeWon,
-					got.metrics.SpeculativeKilled, tc.wantTot, tc.wantWon, tc.wantTot)
-			}
-			tasks := got.metrics.Mappers
-			if tc.phase == PhaseReduce {
-				tasks = got.metrics.Reducers
-			}
-			if tasks[tc.task].Attempts != 2 {
-				t.Errorf("raced task attempts = %d, want 2 (original + backup)", tasks[tc.task].Attempts)
-			}
-			if got.metrics.Retries != 0 {
-				t.Errorf("speculative backups counted as retries: %d", got.metrics.Retries)
-			}
-			if got.metrics.WastedBytes == 0 {
-				t.Error("the race's loser left no wasted bytes")
-			}
-			if !reflect.DeepEqual(stripRecovery(got.metrics), stripRecovery(base.metrics)) {
-				t.Error("metrics diverge from fault-free run beyond recovery accounting")
-			}
-			if got.sum != base.sum || got.recs != base.recs ||
-				!reflect.DeepEqual(got.output, base.output) {
-				t.Error("speculation changed the job's output")
-			}
-		})
-	}
-	// Below the slack threshold nothing is launched.
-	got := runFaultedCfg(t, Config{Workers: 4, Seed: 7, Parallelism: 1,
-		Faults: mustPlan(t, "0:map:2:slow@50"), SpeculativeSlack: 0.1})
-	if got.err != nil {
-		t.Fatal(got.err)
-	}
-	if got.metrics.SpeculativeLaunched != 0 {
-		t.Errorf("stall below the slack launched %d backups", got.metrics.SpeculativeLaunched)
-	}
-}
-
-// TestTaskTimeoutRetriesStalledAttempts drives the hard progress timeout:
-// the stalled attempt is killed and retried, and the output is unchanged.
-func TestTaskTimeoutRetriesStalledAttempts(t *testing.T) {
-	base := runFaulted(t, nil, 0, 1)
-	if base.err != nil {
-		t.Fatal(base.err)
-	}
-	for _, tc := range []struct {
-		name  string
-		spec  string
-		phase Phase
-		task  int
-	}{
-		{"map", "0:map:1:slow@50", PhaseMap, 1},
-		{"reduce", "0:reduce:3:slow@50", PhaseReduce, 3},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			got := runFaultedCfg(t, Config{Workers: 4, Seed: 7, Parallelism: 1,
-				Faults: mustPlan(t, tc.spec), TaskTimeout: 0.01})
-			if got.err != nil {
-				t.Fatal(got.err)
-			}
-			tasks := got.metrics.Mappers
-			if tc.phase == PhaseReduce {
-				tasks = got.metrics.Reducers
-			}
-			if tasks[tc.task].Attempts != 2 || got.metrics.Retries != 1 {
-				t.Errorf("attempts=%d retries=%d, want 2/1 (timed-out attempt retried once)",
-					tasks[tc.task].Attempts, got.metrics.Retries)
-			}
-			if got.sum != base.sum || got.recs != base.recs ||
-				!reflect.DeepEqual(got.output, base.output) {
-				t.Error("task timeout changed the job's output")
-			}
-		})
-	}
-	// A permanently stalled task exhausts its attempts on kills: a plain
-	// (non-injected) failure, like the all-nodes-dead case.
-	got := runFaultedCfg(t, Config{Workers: 4, Seed: 7, Parallelism: 1, MaxAttempts: 2,
-		Faults: mustPlan(t, "0:map:1:slow@50:0:*"), TaskTimeout: 0.01})
-	if got.err == nil {
-		t.Fatal("permanently stalled task must fail the round")
-	}
-	if isFaultError(got.err) || !isKillError(got.err) {
-		t.Errorf("timeout exhaustion error: %v (want a kill, not a FaultError)", got.err)
 	}
 }

@@ -352,51 +352,3 @@ func TestSpilledReduceAllocations(t *testing.T) {
 		t.Errorf("%.0f allocations per attempt over %d records: %.3f per record, want < 0.05", allocs, groups, perRecord)
 	}
 }
-
-// TestSpillSpeculationCleanup: the losing attempt of a speculative race
-// must take its run file with it.
-func TestSpillSpeculationCleanup(t *testing.T) {
-	dir := t.TempDir()
-	_, sum, m := runSpill(t, 1, dir, "", false)
-	_ = m
-	specDir := t.TempDir()
-	plan, err := ParseFaultPlan("*:map:2:slow@2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tuples, _ := tuplesFromWords(spillWords())
-	counts := make(map[string]int64)
-	var mu sync.Mutex
-	job := &Job{
-		Name: "spillcount",
-		MapTuple: func(ctx *MapCtx, tp relation.Tuple) {
-			ctx.Emit(fmt.Sprintf("word-%c", 'a'+rune(tp.Dims[0])%26), binary.AppendVarint(nil, 1))
-		},
-		Reduce: func(ctx *RedCtx, key string, vals [][]byte) {
-			var total int64
-			for _, v := range vals {
-				n, _ := binary.Varint(v)
-				total += n
-			}
-			mu.Lock()
-			counts[key] += total
-			mu.Unlock()
-			ctx.EmitKV(key, binary.AppendVarint(nil, total))
-		},
-	}
-	eng := New(Config{Workers: 4, Parallelism: 1, Faults: plan, SpeculativeSlack: 0.0005,
-		SpillBudgetBytes: 1, SpillDir: specDir}, dfs.New(false))
-	res, err := eng.RunTuples(job, tuples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Metrics.SpeculativeLaunched == 0 {
-		t.Fatal("expected a speculative attempt")
-	}
-	if got := eng.FS.TotalChecksum("out/spillcount/"); got != sum {
-		t.Errorf("speculated spilled output %x differs from clean %x", got, sum)
-	}
-	if leaked := listAll(t, specDir); len(leaked) != 0 {
-		t.Errorf("speculation loser leaked run files: %v", leaked)
-	}
-}

@@ -206,7 +206,7 @@ func (w *spillFile) close() {
 }
 
 // discard closes and deletes the run file: the attempt that produced it
-// failed, was killed, lost a speculative race, or sat on a crashed node.
+// failed, was killed, or sat on a crashed node.
 func (w *spillFile) discard() {
 	if w == nil || w.closed {
 		return

@@ -31,19 +31,15 @@ const (
 	// task is being re-executed after a fault.
 	EvTaskStart = "task-start"
 	// EvFaultInjected reports that Config.Faults armed a fault for the
-	// attempt (Fault holds the kind); crash kinds are followed by
-	// EvTaskRetry or EvTaskFailure, slow tasks complete normally.
+	// attempt (Fault holds the kind); a task-start carrying one is followed
+	// by EvTaskRetry or EvTaskFailure (a mid-emit fault only fires if the
+	// attempt reaches its emit).
 	EvFaultInjected = "fault-injected"
 	// EvTaskRetry reports a failed attempt that will be re-executed.
 	EvTaskRetry = "task-retry"
 	// EvTaskFailure reports a permanent task failure (retries exhausted or
 	// a non-retryable error such as reducer OOM); the round fails.
 	EvTaskFailure = "task-failure"
-	// EvSpeculate reports a speculative backup attempt launching against a
-	// stalled original (Attempt is the backup's attempt index); it is
-	// followed by the backup's own task-start, and the race's winner is the
-	// attempt index carried by the task's task-success event.
-	EvSpeculate = "speculate"
 	// EvNodeCrash is a round-level event reporting a node-crash fault
 	// killing failure domain Node at the round's shuffle barrier.
 	EvNodeCrash = "node-crash"
@@ -62,8 +58,7 @@ const (
 	// attempt's together when the attempt ends, after its EvSpill events.
 	// Attempts that crashed or aborted emit none — their writes are
 	// discarded with them; attempts that completed and were only then
-	// timeout-killed or lost a speculative race did write, and their
-	// events stand. Bytes is the framed, block-compressed size physically
+	// killed by the execution backend did write, and their events stand. Bytes is the framed, block-compressed size physically
 	// written — the on-disk counterpart of the preceding EvSpill's
 	// pre-compression Bytes — and Records the flush's record count.
 	EvSpillFlush = "spill-flush"
@@ -316,14 +311,6 @@ func (t *roundTracer) taskSuccess(phase Phase, task, attempt int, tm *TaskMetric
 		Type: EvTaskSuccess, Attempt: attempt,
 		Records: records, Bytes: bytes, CPUSeconds: tm.CPUSeconds,
 	})
-}
-
-// speculate records a backup attempt launching against a stalled original.
-func (t *roundTracer) speculate(phase Phase, task, attempt int) {
-	if t == nil {
-		return
-	}
-	t.add(phase, task, TraceEvent{Type: EvSpeculate, Attempt: attempt})
 }
 
 // nodeCrash records a failure domain dying at the round's shuffle barrier.

@@ -211,8 +211,8 @@ func Parallelism(n int) Option { return func(c *config) { c.eng.Parallelism = n 
 
 // Faults injects deterministic task failures into the simulated cluster.
 // The spec is a comma-separated list of round:phase:task:kind[:attempt[:count]]
-// entries ("*" wildcards round and task; kinds: crash, mid-emit, slow, oom,
-// plus round:node:N:node-crash to kill a whole simulated machine — see
+// entries ("*" wildcards round and task; kinds: crash, mid-emit, oom, plus
+// round:node:N:node-crash to kill a whole simulated machine — see
 // mr.ParseFaultPlan). Failed tasks are transparently re-executed, and map
 // output lost to a node crash is recomputed: the computed cube and all
 // simulated statistics except the recovery counters are identical to a
@@ -229,23 +229,9 @@ func Faults(spec string) Option {
 
 // MaxAttempts bounds how many times one simulated task is executed before
 // its injected failure becomes permanent and the computation fails
-// (default 4). Only injected faults and engine-initiated kills (node loss,
-// task timeout) are retried.
+// (default 4). Only injected faults and engine-initiated kills (node loss)
+// are retried.
 func MaxAttempts(n int) Option { return func(c *config) { c.eng.MaxAttempts = n } }
-
-// SpeculativeSlack enables straggler mitigation: a task attempt stalled (by
-// a slow fault) more than slack simulated seconds races one backup attempt,
-// and the attempt with the lower simulated finish time wins — ties keep the
-// original. The loser's output is discarded into Stats.WastedBytes; the
-// computed cube is unchanged. 0 (the default) disables speculation.
-func SpeculativeSlack(slack float64) Option {
-	return func(c *config) { c.eng.SpeculativeSlack = slack }
-}
-
-// TaskTimeout kills a task attempt stalled more than the given number of
-// simulated seconds and retries it (counting against MaxAttempts) — the
-// analog of Hadoop's progress timeout. 0 (the default) disables it.
-func TaskTimeout(seconds float64) Option { return func(c *config) { c.eng.TaskTimeout = seconds } }
 
 // SpillBudget caps a map task's in-memory emit buffer at the given number
 // of bytes: when key+value bytes held in memory reach the budget, the task
@@ -339,14 +325,9 @@ type Stats struct {
 	MergePasses          int64
 	// MapReexecutions is the number of completed map tasks re-run because a
 	// node crash lost their output, and FetchFailures the lost map outputs
-	// the reducers observed. SpeculativeLaunched/Won/Killed count straggler
-	// backup attempts under the SpeculativeSlack option. All zero without
-	// node-crash faults and speculation.
-	MapReexecutions     int64
-	FetchFailures       int64
-	SpeculativeLaunched int64
-	SpeculativeWon      int64
-	SpeculativeKilled   int64
+	// the reducers observed. Both zero without node-crash faults.
+	MapReexecutions int64
+	FetchFailures   int64
 }
 
 // statsFromRun extracts the facade statistics from a finished run.
@@ -371,11 +352,8 @@ func statsFromRun(run *cube.Run) Stats {
 		CompressedSpillBytes: t.CompressedSpillBytes,
 		MergePasses:          t.MergePasses,
 
-		MapReexecutions:     t.MapReexecutions,
-		FetchFailures:       t.FetchFailures,
-		SpeculativeLaunched: t.SpeculativeLaunched,
-		SpeculativeWon:      t.SpeculativeWon,
-		SpeculativeKilled:   t.SpeculativeKilled,
+		MapReexecutions: t.MapReexecutions,
+		FetchFailures:   t.FetchFailures,
 	}
 }
 
