@@ -159,11 +159,12 @@ soak-scale:
 		$(GO) test -count=1 -timeout 45m -run TestSoakScale -v ./internal/integration
 
 # Hot-path micro-benchmarks of the MR engine's data plane (shuffle merge,
-# partitioner, combiner, end-to-end naive cube, one spilling round).
+# partitioner, combiner, end-to-end naive cube, one spilling round, the
+# reducers' output path).
 # BENCH_COUNT runs each; `make bench-compare` sets them against another
 # commit.
 BENCH_COUNT ?= 6
-BENCH_PATTERN ?= EngineHotPath|HashPartition|ShuffleMerge|Combine|SpillRound
+BENCH_PATTERN ?= EngineHotPath|HashPartition|ShuffleMerge|Combine|SpillRound|ReduceEmit
 bench-hotpath:
 	$(GO) test -run=NONE -bench='$(BENCH_PATTERN)' -count=$(BENCH_COUNT) ./internal/mr/
 

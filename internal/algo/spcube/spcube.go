@@ -22,6 +22,7 @@ package spcube
 import (
 	"fmt"
 	"slices"
+	"unsafe"
 
 	"github.com/spcube/spcube/internal/agg"
 	"github.com/spcube/spcube/internal/buc"
@@ -148,6 +149,13 @@ type taskState struct {
 	// one arena dims; both are reused from group to group.
 	tuples []relation.Tuple
 	dims   []relation.Value
+	// The reduce side's BUC callbacks read the c-group they serve from ctx
+	// and base; vals is their scratch.
+	decide func(lattice.Mask, []relation.Value) buc.Decision
+	emit   buc.Emitted
+	ctx    *mr.RedCtx
+	base   lattice.Mask
+	vals   []relation.Value
 }
 
 // cubeJob builds round 2 (Algorithm 3) for d dimensions on k machines.
@@ -166,13 +174,49 @@ func cubeJob(d, k int, spec cube.Spec, sk *sketch.Sketch, opts Options, outPrefi
 	// (every uniform input): the per-tuple probe below is skipped outright.
 	fullSkews := !opts.DisableSkewHandling && sk.HasSkews(full)
 
+	// Ownership rule for reducers: node A (with representative dims)
+	// belongs to base group M iff M is the BFS-minimal non-skewed subset
+	// of A. Subset BFS orders are cached per mask in the reduce task's
+	// private state.
+	ownerIs := func(cache [][]lattice.Mask, base, a lattice.Mask, dims []relation.Value, scratch *[]relation.Value) bool {
+		subs := cache[a]
+		if subs == nil {
+			subs = lattice.SubsetsBFS(a)
+			cache[a] = subs
+		}
+		for _, m := range subs {
+			*scratch = relation.ProjectInto(*scratch, dims, uint32(m))
+			if !isSkewed(m, *scratch) {
+				return m == base
+			}
+		}
+		return false // all subsets skewed: A itself is skewed, not owned
+	}
+
+	// A task's BUC callbacks (reduce side) own a node when the c-group in
+	// ts.base does, and write each owned group's record to ts.ctx, the key
+	// encoded in the task's keyBuf. EmitKV copies the key before it
+	// returns, so the string over keyBuf is never read after keyBuf
+	// changes.
 	taskStateFn := func() any {
-		return &taskState{
+		ts := &taskState{
 			marks:      lattice.NewMarks(d),
 			skewAgg:    make(map[string]agg.State),
 			fullAgg:    make(map[string]*fullySkewed),
 			subsetsBFS: make([][]lattice.Mask, 1<<uint(d)),
 		}
+		ts.decide = func(mask lattice.Mask, dims []relation.Value) buc.Decision {
+			if ownerIs(ts.subsetsBFS, ts.base, mask, dims, &ts.vals) {
+				return buc.Emit
+			}
+			return buc.Prune
+		}
+		ts.emit = func(mask lattice.Mask, packed []relation.Value, st agg.State) {
+			ts.vals = relation.GroupVals(ts.vals, uint32(mask), packed, d)
+			ts.keyBuf = relation.EncodeGroupKey(ts.keyBuf, uint32(mask), ts.vals)
+			spec.Emit(ts.ctx, unsafe.String(unsafe.SliceData(ts.keyBuf), len(ts.keyBuf)), st)
+		}
+		return ts
 	}
 
 	// skewState returns the task's partial aggregate of the skewed c-group
@@ -286,25 +330,6 @@ func cubeJob(d, k int, spec cube.Spec, sk *sketch.Sketch, opts Options, outPrefi
 		return 1 + sk.Partition(lattice.Mask(mask), packed)
 	}
 
-	// Ownership rule for reducers: node A (with representative dims)
-	// belongs to base group M iff M is the BFS-minimal non-skewed subset
-	// of A. Subset BFS orders are cached per mask in the reduce task's
-	// private state.
-	ownerIs := func(cache [][]lattice.Mask, base, a lattice.Mask, dims []relation.Value, scratch *[]relation.Value) bool {
-		subs := cache[a]
-		if subs == nil {
-			subs = lattice.SubsetsBFS(a)
-			cache[a] = subs
-		}
-		for _, m := range subs {
-			*scratch = relation.ProjectInto(*scratch, dims, uint32(m))
-			if !isSkewed(m, *scratch) {
-				return m == base
-			}
-		}
-		return false // all subsets skewed: A itself is skewed, not owned
-	}
-
 	reduce := func(ctx *mr.RedCtx, key string, vals [][]byte) {
 		if len(key) == 0 {
 			return
@@ -332,9 +357,8 @@ func cubeJob(d, k int, spec cube.Spec, sk *sketch.Sketch, opts Options, outPrefi
 			if err != nil {
 				return
 			}
-			base := lattice.Mask(maskU)
 			ts := ctx.State().(*taskState)
-			cache := ts.subsetsBFS
+			ts.ctx, ts.base = ctx, lattice.Mask(maskU)
 			ts.dims = slices.Grow(ts.dims[:0], len(vals)*d)[:len(vals)*d]
 			tuples := ts.tuples[:0]
 			for i, v := range vals {
@@ -349,20 +373,7 @@ func cubeJob(d, k int, spec cube.Spec, sk *sketch.Sketch, opts Options, outPrefi
 			// support: each received c-group's full tuple set is present
 			// here, so pruning small partitions implements the iceberg
 			// semantics precisely.
-			var scratch []relation.Value
-			var out []byte
-			touches := buc.ComputeFrom(tuples, d, base, f, minSup,
-				func(mask lattice.Mask, dims []relation.Value) buc.Decision {
-					if ownerIs(cache, base, mask, dims, &scratch) {
-						return buc.Emit
-					}
-					return buc.Prune
-				},
-				func(mask lattice.Mask, packed []relation.Value, st agg.State) {
-					scratch = relation.GroupVals(scratch, uint32(mask), packed, d)
-					out = relation.EncodeGroupKey(out, uint32(mask), scratch)
-					spec.Emit(ctx, string(out), st)
-				})
+			touches := buc.ComputeFrom(tuples, d, ts.base, f, minSup, ts.decide, ts.emit)
 			ctx.ChargeOps(touches)
 		}
 	}

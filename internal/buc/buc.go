@@ -7,13 +7,15 @@
 // BUC recursively partitions the input: at each lattice node it aggregates
 // the current partition, then for every remaining dimension (in ascending
 // attribute order) sorts the partition on that dimension and recurses into
-// each value run. Every cuboid is thus reached exactly once, and iceberg
+// each value run. The sort is not stable: every aggregate's Add is exact and
+// order-free, so the order of a run's tuples changes no state. Every cuboid is thus reached exactly once, and iceberg
 // thresholds (minSup) prune partitions that are too small — which is also
 // how the sketch builder detects skewed groups efficiently.
 package buc
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"github.com/spcube/spcube/internal/agg"
 	"github.com/spcube/spcube/internal/lattice"
@@ -120,8 +122,9 @@ func (c *computation) run(lo, hi int, mask lattice.Mask, nextFree int) {
 		if mask.Has(j) {
 			continue
 		}
-		part := c.tuples[lo:hi]
-		sort.Slice(part, func(a, b int) bool { return part[a].Dims[j] < part[b].Dims[j] })
+		if hi-lo > 1 {
+			slices.SortFunc(c.tuples[lo:hi], func(a, b relation.Tuple) int { return cmp.Compare(a.Dims[j], b.Dims[j]) })
+		}
 		runStart := lo
 		for i := lo + 1; i <= hi; i++ {
 			if i == hi || c.tuples[i].Dims[j] != c.tuples[runStart].Dims[j] {

@@ -59,24 +59,28 @@ func keep(st agg.State, minSup int) bool {
 // a uvarint of its length. A counted state leads with the group's tuple count
 // (a varint), so the records of count and of counted jobs both carry every
 // group's count and its state (count's state is its count). Every
-// algorithm's reducers write their groups through it; it allocates nothing
-// but the encoded state of a counted job's group.
+// algorithm's reducers write their groups through it; it builds the value in
+// the attempt's ValBuf, so it allocates nothing once that has grown.
 func (s Spec) Emit(ctx *mr.RedCtx, key string, st agg.State) {
 	if !keep(st, s.MinSup) {
 		return
 	}
-	var buf [8 + binary.MaxVarintLen64 + stateRoom]byte
-	v := appendFinal(buf[:0], st.Final())
+	buf := ctx.ValBuf()
+	v := appendFinal((*buf)[:0], st.Final())
 	if agg.Counted(s.Agg) {
-		state := st.AppendEncode(make([]byte, 0, stateRoom))
-		v = append(binary.AppendUvarint(v, uint64(len(state))), state...)
+		// Encode the state behind the final, then move it up past its
+		// length.
+		v = st.AppendEncode(v)
+		n := len(v) - 8
+		var size [binary.MaxVarintLen64]byte
+		k := binary.PutUvarint(size[:], uint64(n))
+		v = append(v, size[:k]...)
+		copy(v[8+k:], v[8:8+n])
+		copy(v[8:], size[:k])
 	}
+	*buf = v
 	ctx.EmitKV(key, v)
 }
-
-// stateRoom holds every fixed-size state encoding: count and var's four
-// varints, the longest, take at most 50 bytes.
-const stateRoom = 64
 
 // counts is where the records of a job run under a spec keep each group's
 // tuple count.

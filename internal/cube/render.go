@@ -48,7 +48,7 @@ func (r *SortedRun) ranges() [][]int {
 			cuts[k][s] = len(seg)
 			if k < n {
 				w := taken[k*len(taken)/n]
-				cuts[k][s] = r.files.lowerBound(seg, cuts[k-1][s], len(seg), probe{r.files.key(w), w.prefix})
+				cuts[k][s] = r.files.lowerBound(seg, cuts[k-1][s], len(seg), probe{r.files.key(w), w.Prefix})
 			}
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"github.com/spcube/spcube/internal/lattice"
 	"github.com/spcube/spcube/internal/mr"
@@ -40,19 +41,18 @@ type SortedRun struct {
 	n     int // distinct group keys over all segments; see Len and WriteCSV
 }
 
-// row locates one output record. It holds no pointer, so a million-row index
-// costs the collector nothing to scan, and is 16 bytes in three words the
-// sorts move cheaply; the 32-bit offset is what limits a file to
-// maxFileBytes, the 16-bit file number a cube to maxFiles. (A key is a mask
-// and at most 32 values of at most ten bytes each: its length fits 16 bits.)
-type row struct {
-	prefix uint64 // first 8 key bytes, big-endian, zero-padded: orders most rows without touching the file
-	off    uint32 // of the record in its file
-	where  uint32 // key length << 16 | position of the file in FS.List order
-}
+// row locates one output record: Prefix is its key's first 8 bytes, which
+// order most rows without touching the file, Pos its offset in its file, and
+// Tag its key's length << 16 | the position of its file in FS.List order.
+// It is mr's index row, so collect sorts it with the map side's radix
+// kernel; it holds no pointer, so a million-row index costs the collector
+// nothing to scan. The 32-bit offset is what limits a file to maxFileBytes,
+// the 16-bit file number a cube to maxFiles. (A key is a mask and at most 32
+// values of at most ten bytes each: its length fits 16 bits.)
+type row = mr.IndexRow
 
 func newRow(file, off int, key []byte) row {
-	return row{prefix: mr.KeyPrefix(key), off: uint32(off), where: uint32(len(key))<<16 | uint32(file)}
+	return row{Prefix: mr.KeyPrefix(key), Pos: uint32(off), Tag: uint32(len(key))<<16 | uint32(file)}
 }
 
 // maxFileBytes is the largest output file a row can address, maxFiles the
@@ -64,10 +64,10 @@ const maxFiles = math.MaxUint16 + 1
 // files is the bytes rows point into.
 type files [][]byte
 
-func (fs files) key(r row) []byte { return fs[r.where&0xffff][r.off : r.off+r.where>>16] }
+func (fs files) key(r row) []byte { return fs[r.Tag&0xffff][r.Pos : r.Pos+r.Tag>>16] }
 
 // The value is the 8 bytes behind key and tab.
-func (fs files) value(r row) float64 { return decodeFinal(fs[r.where&0xffff][r.off+r.where>>16+1:]) }
+func (fs files) value(r row) float64 { return decodeFinal(fs[r.Tag&0xffff][r.Pos+r.Tag>>16+1:]) }
 
 // group returns the value of row w's record and its group's tuple count, 0
 // when the records keep none.
@@ -91,7 +91,7 @@ func (r *SortedRun) groupState(w row, buf []byte) []byte {
 	case countIsFinal:
 		return binary.AppendVarint(buf[:0], int64(r.files.value(w)))
 	case countInState: // behind key, tab, the 8-byte final and its length
-		b := r.files[w.where&0xffff][w.off+w.where>>16+9:]
+		b := r.files[w.Tag&0xffff][w.Pos+w.Tag>>16+9:]
 		n, k := binary.Uvarint(b)
 		return b[k : k+int(n)]
 	}
@@ -101,8 +101,8 @@ func (r *SortedRun) groupState(w row, buf []byte) []byte {
 // compare orders two rows as bytes.Compare orders their keys, deciding by the
 // prefixes when they differ (see mr.KeyPrefix).
 func (fs files) compare(a, b row) int {
-	if a.prefix != b.prefix {
-		return cmp.Compare(a.prefix, b.prefix)
+	if a.Prefix != b.Prefix {
+		return cmp.Compare(a.Prefix, b.Prefix)
 	}
 	return bytes.Compare(fs.key(a), fs.key(b))
 }
@@ -110,9 +110,9 @@ func (fs files) compare(a, b row) int {
 // CollectRun indexes a cube a job run under spec wrote to the engine's DFS
 // (non-discard mode) under the given prefix, one segment per file; the spec
 // says where its records keep the groups' counts (see Spec.Emit). Files are
-// sorted at most eng.Cfg.Parallelism at a time. A group key written more than
-// once keeps its last record, in file (FS.List) order and then record order —
-// what collecting into a map did.
+// sorted by at most eng.Cfg.Parallelism workers. A group key written more
+// than once keeps its last record, in file (FS.List) order and then record
+// order — what collecting into a map did.
 func CollectRun(eng *mr.Engine, prefix string, d int, spec Spec) (*SortedRun, error) {
 	names := eng.FS.List(prefix)
 	if len(names) > maxFiles {
@@ -120,21 +120,26 @@ func CollectRun(eng *mr.Engine, prefix string, d int, spec Spec) (*SortedRun, er
 	}
 	r := &SortedRun{d: d, files: make(files, len(names)), segs: make([][]row, len(names)), par: max(1, eng.Cfg.Parallelism), counts: spec.counts()}
 	errs := make([]error, len(names))
-	sem := make(chan struct{}, r.par)
-	var wg sync.WaitGroup
+	n := len(names) // files read
 	for i, name := range names {
-		var err error
-		if r.files[i], err = eng.FS.Read(name); err != nil {
-			errs[i] = err
+		if r.files[i], errs[i] = eng.FS.Read(name); errs[i] != nil {
+			n = i
 			break
 		}
+	}
+	// Each worker sorts through one scratch array, reused from file to
+	// file: a fresh one per file would raise the peak heap by its size.
+	var next atomic.Int32
+	var wg sync.WaitGroup
+	for range min(r.par, n) {
 		wg.Add(1)
-		sem <- struct{}{}
 		go func() {
 			defer wg.Done()
-			// One Append per reducer record makes the count exact.
-			r.segs[i], errs[i] = indexFile(name, r.files, i, int(eng.FS.Records(name)), r.counts == countInState)
-			<-sem
+			var scratch mr.IndexScratch
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				// One record per EmitKV makes the count exact.
+				r.segs[i], errs[i] = indexFile(names[i], r.files, i, int(eng.FS.Records(names[i])), r.counts == countInState, &scratch)
+			}
 		}()
 	}
 	wg.Wait()
@@ -168,9 +173,9 @@ func (r *SortedRun) Merged() *SortedRun {
 }
 
 // indexFile builds the sorted rows of file i of fs, one per distinct key;
-// sizeHint is its expected record count, and counted says whether a state
-// follows each final.
-func indexFile(name string, fs files, i, sizeHint int, counted bool) ([]row, error) {
+// sizeHint is its expected record count, counted says whether a state
+// follows each final, and scratch is the sort's working memory.
+func indexFile(name string, fs files, i, sizeHint int, counted bool, scratch *mr.IndexScratch) ([]row, error) {
 	data := fs[i]
 	if int64(len(data)) > maxFileBytes {
 		return nil, fmt.Errorf("cube: output file %s is %d bytes, above the %d a sorted run indexes per file", name, len(data), maxFileBytes)
@@ -182,11 +187,15 @@ func indexFile(name string, fs files, i, sizeHint int, counted bool) ([]row, err
 	if err != nil {
 		return nil, fmt.Errorf("cube: parsing %s: %w", name, err)
 	}
-	slices.SortFunc(rows, func(a, b row) int {
-		if c := fs.compare(a, b); c != 0 {
-			return c
+	// Rows of equal prefix stay in record order, and so do equal keys: the
+	// prefix decides equality only for two keys of one length up to 8 bytes.
+	mr.SortIndex(rows, scratch, func(run []row) {
+		for _, r := range run {
+			if r.Tag != run[0].Tag || r.Tag>>16 > 8 {
+				slices.SortStableFunc(run, func(a, b row) int { return bytes.Compare(fs.key(a), fs.key(b)) })
+				return
+			}
 		}
-		return cmp.Compare(a.off, b.off)
 	})
 	// Equal keys now sit together in record order; the last one stands.
 	distinct := rows[:0]
@@ -248,8 +257,8 @@ func newProbe(key []byte) probe { return probe{key, mr.KeyPrefix(key)} }
 // below reports whether w sorts before the probe, by the prefixes alone when
 // they differ.
 func (fs files) below(w row, p probe) bool {
-	if w.prefix != p.prefix {
-		return w.prefix < p.prefix
+	if w.Prefix != p.prefix {
+		return w.Prefix < p.prefix
 	}
 	return bytes.Compare(fs.key(w), p.key) < 0
 }
@@ -357,7 +366,7 @@ func (r *SortedRun) find(p probe, pos []int) (row, bool) {
 		}
 		// The prefixes differ for nearly every row that is not the key's:
 		// deciding by them leaves the file's bytes untouched.
-		if j < len(seg) && seg[j].prefix == p.prefix && bytes.Equal(fs.key(seg[j]), p.key) {
+		if j < len(seg) && seg[j].Prefix == p.prefix && bytes.Equal(fs.key(seg[j]), p.key) {
 			return seg[j], true
 		}
 	}
@@ -494,7 +503,7 @@ func (r *Result) Run() (*SortedRun, error) {
 	for key, v := range r.Groups {
 		data = appendFinal(append(append(data, key...), '\t'), v)
 	}
-	rows, err := indexFile("result", files{data}, 0, len(r.Groups), false)
+	rows, err := indexFile("result", files{data}, 0, len(r.Groups), false, new(mr.IndexScratch))
 	if err != nil {
 		return nil, err
 	}

@@ -7,11 +7,14 @@
 // in Discard mode, in which written bytes are counted (and folded into a
 // rolling checksum) but not retained — large cube outputs can then be
 // produced at benchmark scale without materializing them.
+//
+// A reduce task attempt writes its output file through a Writer of its own,
+// which takes no lock, and the file appears in the FS only when the attempt
+// commits it: a failed attempt leaves nothing behind.
 package dfs
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 )
@@ -36,8 +39,72 @@ func New(discard bool) *FS {
 	return &FS{files: make(map[string]*file), discard: discard}
 }
 
-// Append appends one record to the named file, creating it if needed.
-func (fs *FS) Append(name string, rec []byte) {
+// Record checksums are FNV-1a (64-bit); a file folds its records' sums with
+// XOR, which makes its checksum independent of record order.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+func fnv1a[B ~string | ~[]byte](h uint64, b B) uint64 {
+	for i := 0; i < len(b); i++ {
+		h = (h ^ uint64(b[i])) * fnvPrime
+	}
+	return h
+}
+
+// Writer builds one file's next records privately — one task attempt's
+// output — and Commit appends them to the file. It keeps the bytes in chunks
+// that each hold whole records, so a growing output is never copied, and in
+// a discard-mode FS it keeps only the accounting. A Writer is not safe for
+// concurrent use.
+type Writer struct {
+	discard bool
+	chunks  [][]byte // filled chunks, in order; cur is being filled
+	cur     []byte
+	size    int64
+	recs    int64
+	sum     uint64
+}
+
+// The first chunk is minChunk bytes, and each next one twice its
+// predecessor, up to maxChunk: a small output costs little, and a large one
+// grows in fixed-size steps.
+const (
+	minChunk = 4 << 10
+	maxChunk = 256 << 10
+)
+
+// NewWriter returns an empty Writer for a file of fs.
+func (fs *FS) NewWriter() *Writer { return &Writer{discard: fs.discard} }
+
+// AppendKV appends one record: key, a tab, and val.
+func (w *Writer) AppendKV(key string, val []byte) {
+	n := len(key) + 1 + len(val)
+	w.size += int64(n)
+	w.recs++
+	w.sum ^= fnv1a((fnv1a(fnvOffset, key)^'\t')*fnvPrime, val)
+	if w.discard {
+		return
+	}
+	if len(w.cur)+n > cap(w.cur) {
+		if len(w.cur) > 0 {
+			w.chunks = append(w.chunks, w.cur)
+		}
+		w.cur = make([]byte, 0, max(n, min(maxChunk, max(minChunk, 2*cap(w.cur)))))
+	}
+	w.cur = append(w.cur, key...)
+	w.cur = append(w.cur, '\t')
+	w.cur = append(w.cur, val...)
+}
+
+// Commit appends w's records to the named file, creating it if needed; a
+// Writer with no records creates no file. The file's bytes are joined into
+// one exact-size slice.
+func (fs *FS) Commit(name string, w *Writer) {
+	if w.recs == 0 {
+		return
+	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	f := fs.files[name]
@@ -45,23 +112,24 @@ func (fs *FS) Append(name string, rec []byte) {
 		f = &file{}
 		fs.files[name] = f
 	}
-	f.size += int64(len(rec))
-	f.recs++
-	h := fnv.New64a()
-	h.Write(rec)
-	f.sum ^= h.Sum64() // order-independent combination
 	if !fs.discard {
-		f.data = append(f.data, rec...)
+		data := make([]byte, 0, f.size+w.size)
+		data = append(data, f.data...)
+		for _, c := range w.chunks {
+			data = append(data, c...)
+		}
+		f.data = append(data, w.cur...)
 	}
+	f.size += w.size
+	f.recs += w.recs
+	f.sum ^= w.sum
 }
 
-// Write replaces the named file's content.
+// Write replaces the named file's content with one record.
 func (fs *FS) Write(name string, data []byte) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	h := fnv.New64a()
-	h.Write(data)
-	f := &file{size: int64(len(data)), recs: 1, sum: h.Sum64()}
+	f := &file{size: int64(len(data)), recs: 1, sum: fnv1a(fnvOffset, data)}
 	if !fs.discard {
 		f.data = append([]byte(nil), data...)
 	}
@@ -113,55 +181,6 @@ func (fs *FS) Checksum(name string) uint64 {
 		return f.sum
 	}
 	return 0
-}
-
-// FileMark is a point-in-time snapshot of one file's accounting, taken with
-// Mark and restored with Rollback. It makes a task attempt's appends
-// revertible: the MapReduce engine marks a reduce task's output files before
-// each attempt and rolls them back when the attempt fails, so retried tasks
-// leave no trace of their partial emits.
-type FileMark struct {
-	existed bool
-	size    int64
-	recs    int64
-	sum     uint64
-	dataLen int
-}
-
-// Mark snapshots the named file's current accounting (a missing file yields
-// the zero mark, and rolling back to it removes the file again).
-func (fs *FS) Mark(name string) FileMark {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	f, ok := fs.files[name]
-	if !ok {
-		return FileMark{}
-	}
-	return FileMark{existed: true, size: f.size, recs: f.recs, sum: f.sum, dataLen: len(f.data)}
-}
-
-// Rollback restores the named file to the state captured by Mark, discarding
-// every record appended since. The mark's checksum is restored exactly (the
-// rolling checksum is an XOR fold, so re-appending the same records after a
-// rollback reproduces the original sum). Rolling back to a mark taken before
-// the file existed deletes it.
-func (fs *FS) Rollback(name string, m FileMark) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	f, ok := fs.files[name]
-	if !ok {
-		return
-	}
-	if !m.existed {
-		delete(fs.files, name)
-		return
-	}
-	f.size = m.size
-	f.recs = m.recs
-	f.sum = m.sum
-	if len(f.data) > m.dataLen {
-		f.data = f.data[:m.dataLen]
-	}
 }
 
 // List returns the file names with a given prefix, sorted.

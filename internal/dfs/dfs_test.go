@@ -2,28 +2,94 @@ package dfs
 
 import (
 	"bytes"
+	"fmt"
+	"hash/fnv"
 	"testing"
 )
 
+// write commits one writer holding the given key/value records to name.
+func write(fs *FS, name string, kvs ...string) {
+	w := fs.NewWriter()
+	for i := 0; i+1 < len(kvs); i += 2 {
+		w.AppendKV(kvs[i], []byte(kvs[i+1]))
+	}
+	fs.Commit(name, w)
+}
+
 func TestReadBack(t *testing.T) {
 	fs := New(false)
-	fs.Append("a/1", []byte("hello"))
-	fs.Append("a/1", []byte("world"))
+	write(fs, "a/1", "hello", "1", "world", "2")
 	data, err := fs.Read("a/1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(data, []byte("helloworld")) {
+	if !bytes.Equal(data, []byte("hello\t1world\t2")) {
 		t.Errorf("read back %q", data)
 	}
-	if fs.Size("a/1") != 10 || fs.Records("a/1") != 2 {
+	if fs.Size("a/1") != 14 || fs.Records("a/1") != 2 {
 		t.Errorf("size=%d records=%d", fs.Size("a/1"), fs.Records("a/1"))
+	}
+}
+
+// TestCommitAppends: a second commit to a file appends to it, as the rounds
+// of a job that share an output prefix do; the accounting adds up.
+func TestCommitAppends(t *testing.T) {
+	fs := New(false)
+	write(fs, "f", "a", "1")
+	write(fs, "f", "b", "2")
+	one := New(false)
+	write(one, "f", "a", "1", "b", "2")
+	data, _ := fs.Read("f")
+	want, _ := one.Read("f")
+	if !bytes.Equal(data, want) || fs.Size("f") != one.Size("f") ||
+		fs.Records("f") != one.Records("f") || fs.Checksum("f") != one.Checksum("f") {
+		t.Errorf("two commits: %q size %d recs %d; one commit: %q size %d recs %d",
+			data, fs.Size("f"), fs.Records("f"), want, one.Size("f"), one.Records("f"))
+	}
+}
+
+// TestWriterChunks writes past several chunk boundaries, with records of
+// every size up to two chunks: the committed file is the records in order,
+// and each record's checksum is the FNV-1a of its bytes.
+func TestWriterChunks(t *testing.T) {
+	fs := New(false)
+	w := fs.NewWriter()
+	var want []byte
+	var sum uint64
+	for i := 0; len(want) < 3*maxChunk; i++ {
+		key := fmt.Sprintf("k%d", i)
+		val := bytes.Repeat([]byte{byte(i)}, (i*7919)%(2*maxChunk/(i%5+1)))
+		w.AppendKV(key, val)
+		rec := append(append([]byte(key), '\t'), val...)
+		want = append(want, rec...)
+		h := fnv.New64a()
+		h.Write(rec)
+		sum ^= h.Sum64()
+	}
+	if _, err := fs.Read("f"); err == nil {
+		t.Fatal("an uncommitted file must not exist")
+	}
+	fs.Commit("f", w)
+	data, _ := fs.Read("f")
+	if !bytes.Equal(data, want) || cap(data) != len(want) {
+		t.Errorf("committed %d bytes (cap %d), want the %d written", len(data), cap(data), len(want))
+	}
+	if fs.Checksum("f") != sum || fs.Size("f") != int64(len(want)) {
+		t.Errorf("checksum %x size %d, want %x %d", fs.Checksum("f"), fs.Size("f"), sum, len(want))
+	}
+}
+
+func TestEmptyCommitCreatesNoFile(t *testing.T) {
+	fs := New(false)
+	fs.Commit("f", fs.NewWriter())
+	if len(fs.List("")) != 0 {
+		t.Errorf("empty commit created %v", fs.List(""))
 	}
 }
 
 func TestWriteReplaces(t *testing.T) {
 	fs := New(false)
-	fs.Append("f", []byte("old"))
+	write(fs, "f", "old", "")
 	fs.Write("f", []byte("new!"))
 	data, _ := fs.Read("f")
 	if string(data) != "new!" || fs.Size("f") != 4 || fs.Records("f") != 1 {
@@ -33,7 +99,7 @@ func TestWriteReplaces(t *testing.T) {
 
 func TestDiscardModeAccountsWithoutRetaining(t *testing.T) {
 	fs := New(true)
-	fs.Append("big", []byte("0123456789"))
+	write(fs, "big", "01234", "6789")
 	if fs.Size("big") != 10 || fs.Records("big") != 1 {
 		t.Error("discard mode must still account")
 	}
@@ -43,14 +109,17 @@ func TestDiscardModeAccountsWithoutRetaining(t *testing.T) {
 	if fs.Checksum("big") == 0 {
 		t.Error("discard mode must checksum")
 	}
+	kept := New(false)
+	write(kept, "big", "01234", "6789")
+	if fs.Checksum("big") != kept.Checksum("big") {
+		t.Error("discard mode must checksum as store mode does")
+	}
 }
 
 func TestChecksumOrderIndependent(t *testing.T) {
 	a, b := New(true), New(true)
-	a.Append("f", []byte("x"))
-	a.Append("f", []byte("y"))
-	b.Append("f", []byte("y"))
-	b.Append("f", []byte("x"))
+	write(a, "f", "x", "1", "y", "2")
+	write(b, "f", "y", "2", "x", "1")
 	if a.Checksum("f") != b.Checksum("f") {
 		t.Error("checksum must be order independent")
 	}
@@ -61,9 +130,9 @@ func TestChecksumOrderIndependent(t *testing.T) {
 
 func TestPrefixOperations(t *testing.T) {
 	fs := New(false)
-	fs.Append("out/job/p0", []byte("aa"))
-	fs.Append("out/job/p1", []byte("bbb"))
-	fs.Append("other/x", []byte("c"))
+	write(fs, "out/job/p0", "a", "")
+	write(fs, "out/job/p1", "bb", "")
+	write(fs, "other/x", "", "")
 	if got := fs.List("out/job/"); len(got) != 2 || got[0] != "out/job/p0" {
 		t.Errorf("List: %v", got)
 	}

@@ -14,9 +14,9 @@ import (
 // budget, the recovery counters and the trace events are written once.
 // What differs between callers is data on a taskSpec:
 //
-//	             attempt index, budget      placed around  discarding an attempt
-//	first run    0.., MaxAttempts           spec.down      spec.undo
-//	re-execution continues the lost run's   spec.down      spec.undo
+//	             attempt index, budget      placed around  keeping / discarding an attempt
+//	first run    0.., MaxAttempts           spec.down      spec.commit / spec.undo
+//	re-execution continues the lost run's   spec.down      spec.commit / spec.undo
 //	             numbering, fresh budget
 
 // taskSpec describes one task to runTask.
@@ -42,9 +42,13 @@ type taskSpec struct {
 	// body runs one placed and opened attempt's task code, filling in the
 	// attempt's metrics, wasted bytes, output and error.
 	body func(a *taskAttempt)
-	// undo drops the output of an attempt whose body ran: map — delete its
-	// spill run file (the buckets die with the attempt); reduce — roll its
-	// DFS appends back to the attempt's mark.
+	// commit publishes the output of an attempt that succeeded, after the
+	// backend's EndAttempt: reduce — append its output to the DFS file; nil
+	// for a map task, whose output the backend stores.
+	commit func(a *taskAttempt)
+	// undo drops the output of an attempt whose body ran and failed: map —
+	// delete its spill run file (the buckets die with the attempt); nil for
+	// a reduce task, whose uncommitted output dies with the attempt.
 	undo func(a *taskAttempt)
 }
 
@@ -62,9 +66,9 @@ type taskAttempt struct {
 	// discarded (map: pre-combine emit bytes; reduce: output and side bytes).
 	metrics TaskMetrics
 	wasted  int64
-	mout    mapOutput    // map: sorted buckets and run file
-	collect []Pair       // reduce: collected side output
-	mark    dfs.FileMark // reduce: the output file before the attempt
+	mout    mapOutput   // map: sorted buckets and run file
+	collect []Pair      // reduce: collected side output
+	out     *dfs.Writer // reduce: the output file's records
 }
 
 // runTask runs one task to success or permanent failure and returns the
@@ -153,6 +157,9 @@ func (r *round) runAttempt(s *taskSpec, index int, base TaskMetrics) *taskAttemp
 				a.err = kill("storing map output failed", err)
 			}
 		}
+		if a.err == nil && s.commit != nil {
+			s.commit(a)
+		}
 	}
 	a.wall = time.Since(start).Seconds()
 	return a
@@ -160,7 +167,7 @@ func (r *round) runAttempt(s *taskSpec, index int, base TaskMetrics) *taskAttemp
 
 // discard undoes an attempt's output, if its body ever ran.
 func (s *taskSpec) discard(a *taskAttempt) {
-	if a.ran {
+	if a.ran && s.undo != nil {
 		s.undo(a)
 	}
 }

@@ -30,9 +30,15 @@ type Reader struct {
 // header plus a typical compressed payload needs one underlying read.
 const readerBufSize = 32 << 10
 
-// NewReader creates a Reader decoding r's framed stream through c.
+// NewReader creates a Reader decoding r's framed stream through c. A source
+// that knows its size (an io.SectionReader over one segment of a run file)
+// gets a buffer no larger than it.
 func NewReader(r io.Reader, c Codec) *Reader {
-	return &Reader{src: bufio.NewReaderSize(r, readerBufSize), codec: c}
+	size := int64(readerBufSize)
+	if s, ok := r.(interface{ Size() int64 }); ok {
+		size = min(size, s.Size())
+	}
+	return &Reader{src: bufio.NewReaderSize(r, int(size)), codec: c}
 }
 
 // Reset re-points the Reader at a new source stream, reusing its buffers.

@@ -23,7 +23,7 @@
 // are injected deterministically through Config.Faults (crash-before-emit,
 // crash-mid-emit, transient OOM, addressed by round, phase, task
 // and attempt); a failed attempt's partial output — buffered map emits,
-// reduce-side DFS appends — is discarded, the task re-runs with fresh
+// uncommitted reduce output — is discarded, the task re-runs with fresh
 // TaskState up to Config.MaxAttempts, and the merged result stays
 // bit-for-bit identical to a fault-free run. Attempt counts, retry latency
 // and wasted-work bytes are surfaced in TaskMetrics/RoundMetrics. This
@@ -492,11 +492,11 @@ type RedCtx struct {
 	Task    int
 	job     *Job
 	eng     *Engine
-	file    string
+	out     *dfs.Writer // the attempt's output file, committed if it succeeds
 	collect []Pair
 	state   any
 	metrics *TaskMetrics
-	scratch []byte
+	valBuf  []byte
 	inject  *injector
 	// External-aggregation accounting state: oversized groups are encoded
 	// through the spill codec (SpillBytes is the exact encoded size) and,
@@ -516,18 +516,19 @@ type RedCtx struct {
 func (c *RedCtx) State() any { return c.state }
 
 // EmitKV writes one output record (an encoded key/value) to the reducer's
-// DFS output file.
+// DFS output file. Both are copied before it returns.
 func (c *RedCtx) EmitKV(key string, val []byte) {
 	c.metrics.OutRecords++
 	c.metrics.OutBytes += pairBytes(key, val)
 	c.metrics.CPUSeconds += cost.ReduceCPUPerEmit
-	c.scratch = c.scratch[:0]
-	c.scratch = append(c.scratch, key...)
-	c.scratch = append(c.scratch, '\t')
-	c.scratch = append(c.scratch, val...)
-	c.eng.FS.Append(c.file, c.scratch)
+	c.out.AppendKV(key, val)
 	c.inject.onEmit()
 }
+
+// ValBuf is the attempt's reusable buffer for building a value to pass to
+// EmitKV: a reducer appends to (*ValBuf())[:0] and stores the result back,
+// so a grown buffer serves the next record.
+func (c *RedCtx) ValBuf() *[]byte { return &c.valBuf }
 
 // EmitSide retains one record, apart from the job's DFS output, in the
 // round's RoundResult.Output — how multi-round algorithms pass intermediate
@@ -981,8 +982,8 @@ func (r *round) sizeReducers(srcs [][]streamSource) (int, error) {
 // the winning attempt, which carries the task's collected side output. The
 // k-way merge over the task's sorted runs is read-only (spill segments are
 // re-read via ReadAt), so one merger serves every attempt; each attempt
-// rewinds it. A failed attempt's DFS appends are rolled back to the
-// pre-attempt mark, so the output file holds exactly one successful
+// rewinds it. Each attempt writes its own output, and only the winning one
+// is committed to the DFS, so the output file holds exactly one successful
 // attempt's records.
 func (r *round) runReduceTask(task int, runs []streamSource) (*taskAttempt, error) {
 	tm := &r.rm.Reducers[task] // holds the pre-scan's input accounting
@@ -1003,12 +1004,16 @@ func (r *round) runReduceTask(task int, runs []streamSource) (*taskAttempt, erro
 	return r.runTask(&taskSpec{
 		phase: PhaseReduce, task: task, tm: tm, down: r.barrierDown,
 		body: func(a *taskAttempt) {
-			a.mark = fs.Mark(file)
-			ctx := r.newRedCtx(task, a, file)
+			ctx := r.newRedCtx(task, a)
 			a.err = r.reduceAttempt(ctx, m)
-			a.collect, a.wasted = ctx.collect, a.metrics.OutBytes+a.metrics.SideBytes
+			a.out, a.collect, a.wasted = ctx.out, ctx.collect, a.metrics.OutBytes+a.metrics.SideBytes
 		},
-		undo: func(a *taskAttempt) { fs.Rollback(file, a.mark) },
+		commit: func(a *taskAttempt) {
+			// The winning attempt lives as long as the round; its chunks
+			// need not.
+			fs.Commit(file, a.out)
+			a.out = nil
+		},
 	})
 }
 
@@ -1025,9 +1030,9 @@ func (r *round) newMapCtx(task int, a *taskAttempt) *MapCtx {
 
 // newRedCtx builds one reduce attempt's context, accounting into the
 // attempt's metrics.
-func (r *round) newRedCtx(task int, a *taskAttempt, file string) *RedCtx {
+func (r *round) newRedCtx(task int, a *taskAttempt) *RedCtx {
 	return &RedCtx{
-		Task: task, job: r.job, eng: r.eng, file: file,
+		Task: task, job: r.job, eng: r.eng, out: r.eng.FS.NewWriter(),
 		metrics: &a.metrics, inject: a.inj, budget: r.eng.Cfg.SpillBudgetBytes,
 		codec: r.codec, tr: r.tr, attempt: a.index,
 	}
@@ -1156,8 +1161,8 @@ func (e *Engine) partitionSort(job *Job, ctx *MapCtx, out []Pair) ([][]Pair, err
 // straight off the merge (adjacent equal keys form a group, as in Hadoop's
 // reduce iterator), the reduce function, and external aggregation of
 // oversized groups. An injected crash surfaces as a *FaultError, a corrupt
-// or truncated run as the merger's plain decode error; the runner undoes
-// the attempt's DFS appends either way.
+// or truncated run as the merger's plain decode error; the runner commits
+// the attempt's output only if neither happened.
 //
 // Aliasing contract, the mirror image of Emit's zero-copy one: a reducer
 // may retain the key and the value slices past its Reduce call — records

@@ -45,13 +45,14 @@ type faultRun struct {
 	output  []Pair
 	sum     uint64
 	recs    int64
+	files   map[string][]byte // every DFS output file's bytes
 	err     error
 }
 
 // runFaulted executes the fault-test word count on a 4-worker engine with
 // the given plan and returns everything a differential comparison needs.
-// The DFS runs in store mode so reduce-attempt rollback of real bytes is
-// exercised, not just the counters.
+// The DFS runs in store mode so that what a retried reduce commits is
+// compared as bytes, not just as counters.
 func runFaulted(t *testing.T, plan *FaultPlan, maxAttempts, parallelism int) faultRun {
 	t.Helper()
 	return runFaultedCfg(t, Config{Workers: 4, Seed: 7, Parallelism: parallelism,
@@ -66,11 +67,20 @@ func runFaultedCfg(t *testing.T, cfg Config) faultRun {
 	fs := dfs.New(false)
 	eng := New(cfg, fs)
 	res, err := eng.RunTuples(faultTestJob(), tuples)
+	files := make(map[string][]byte)
+	for _, name := range fs.List("") {
+		data, rerr := fs.Read(name)
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		files[name] = data
+	}
 	return faultRun{
 		metrics: res.Metrics,
 		output:  res.Output,
 		sum:     fs.TotalChecksum(""),
 		recs:    fs.TotalRecords(""),
+		files:   files,
 		err:     err,
 	}
 }
@@ -151,6 +161,12 @@ func TestFaultKindsMatchFaultFree(t *testing.T) {
 			if got.sum != base.sum || got.recs != base.recs {
 				t.Errorf("DFS output diverges: sum %d/%d recs %d/%d",
 					got.sum, base.sum, got.recs, base.recs)
+			}
+			// The checksum is an XOR fold and blind to record order; a
+			// retried reduce that committed its records out of order, or
+			// twice, shows only in the bytes.
+			if !reflect.DeepEqual(got.files, base.files) {
+				t.Errorf("DFS files diverge from the fault-free run:\nfaulted: %q\nclean:   %q", got.files, base.files)
 			}
 			if !reflect.DeepEqual(got.output, base.output) {
 				t.Error("collected output diverges from fault-free run")

@@ -20,6 +20,7 @@ import (
 	"github.com/spcube/spcube/internal/algo/naive"
 	"github.com/spcube/spcube/internal/cube"
 	"github.com/spcube/spcube/internal/data"
+	"github.com/spcube/spcube/internal/dfs"
 	"github.com/spcube/spcube/internal/mr"
 	"github.com/spcube/spcube/internal/relation"
 )
@@ -116,6 +117,51 @@ func BenchmarkSpillRound(b *testing.B) {
 		}
 	}
 	b.ReportMetric(6*n*float64(b.N)/b.Elapsed().Seconds(), "records/s")
+}
+
+// BenchmarkReduceEmit is one round whose reducers write many small records
+// to a retaining DFS, as SP-Cube's BUC reducers do: 20000 tuples in 2000
+// groups, and each group's reduce writes 64 records of its 4-byte key and an
+// 8-byte value, 128k output records per iteration through 8 reducers. It
+// times the reduce output path — EmitKV, the output file and its commit —
+// and its allocs/op count what that path allocates per record.
+func BenchmarkReduceEmit(b *testing.B) {
+	const n, groups, perGroup = 20000, 2000, 64
+	tuples := make([]relation.Tuple, n)
+	for i := range tuples {
+		tuples[i] = relation.Tuple{Dims: []relation.Value{relation.Value(i % groups)}, Measure: int64(i)}
+	}
+	job := &mr.Job{
+		Name:      "reduce-emit",
+		Reducers:  8,
+		TaskState: func() any { return new([]byte) },
+		MapTuple: func(ctx *mr.MapCtx, t relation.Tuple) {
+			buf := ctx.State().(*[]byte)
+			v := uint32(t.Dims[0])
+			*buf = append((*buf)[:0], byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
+			ctx.EmitBytes(*buf, (*buf)[2:])
+		},
+		Reduce: func(ctx *mr.RedCtx, key string, vals [][]byte) {
+			buf := ctx.State().(*[]byte)
+			for j := 0; j < perGroup; j++ {
+				*buf = append((*buf)[:0], byte(j), byte(len(vals)), key[2], key[3], 0, 0, 0, 1)
+				ctx.EmitKV(key, *buf)
+			}
+		},
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng := mr.New(mr.Config{Workers: 8, Seed: 42, Parallelism: 1}, dfs.New(false))
+		res, err := eng.RunTuples(job, tuples)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if recs := eng.FS.TotalRecords(""); recs != groups*perGroup || res.Metrics.OutputRecords != recs {
+			b.Fatalf("%d output records, want %d", recs, groups*perGroup)
+		}
+	}
+	b.ReportMetric(groups*perGroup*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }
 
 // BenchmarkHashPartition measures the default partitioner on a realistic

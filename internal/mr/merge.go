@@ -22,52 +22,86 @@ import (
 // i.e. by map-task order — the same tiebreak a stable sort of the
 // concatenation produces.
 
-// sortRow is one record's entry in sortPairsStable's index. It holds no
-// pointer, so the radix passes move 16 bytes a record and the collector
-// never scans them.
-type sortRow struct {
-	prefix uint64 // first 8 key bytes, big-endian, zero-padded
-	idx    uint32 // the record's position in the bucket
-	n      uint32 // key length
-}
-
 // sortScratch is sortPairsStable's working memory, kept by a map attempt
 // from one bucket to the next.
 type sortScratch struct {
-	rows, tmp []sortRow
-	pairs     []Pair
-	hist      [8][256]uint32 // hist[k][b] counts the rows whose prefix byte k, from the least significant, is b
+	rows  []IndexRow
+	index IndexScratch
+	pairs []Pair
 }
 
 // sortPairsStable stably sorts pairs by key — the order sort.SliceStable
-// with a key comparison gives — reusing s across calls.
-//
-// It is an LSD radix sort over a pointer-free index of the keys' first 8
-// bytes, then one tie-break pass. The radix passes skip every byte position
-// whose digit is the same for all rows (the tag byte of a group key never
-// varies within a bucket, nor do the zero-padding bytes of short keys), and,
-// being stable, leave rows of equal prefix in emission order. Where prefixes
-// differ they decide: zero padding sorts a key before every longer key it is
-// a prefix of, so prefix order never contradicts byte order. Where they are
-// equal, the keys are equal too only if both are no longer than 8 bytes and
-// equally long — "ab" and "ab\x00" share a prefix — so a run of equal
-// prefixes that holds a longer key or two lengths is stably sorted by full
-// key. Group keys of a tag, a mask and a value or two fit in 8 bytes, so the
-// prefix alone orders nearly every record. The pairs are finally gathered
-// through the permutation.
+// with a key comparison gives — reusing s across calls: SortIndex over one
+// row per record (Pos its position in the bucket, Tag its key's length),
+// then a gather through the permutation. Where prefixes are equal, the keys
+// are equal too only if both are no longer than 8 bytes and equally long —
+// "ab" and "ab\x00" share a prefix — so a run of equal prefixes that holds a
+// longer key or two lengths is stably sorted by full key. Group keys of a
+// tag, a mask and a value or two fit in 8 bytes, so the prefix alone orders
+// nearly every record.
 func sortPairsStable(pairs []Pair, s *sortScratch) {
 	n := len(pairs)
 	if n < 2 {
 		return
 	}
 	s.rows = slices.Grow(s.rows[:0], n)[:n]
+	for i := range pairs {
+		key := pairs[i].Key
+		s.rows[i] = IndexRow{Prefix: KeyPrefix(key), Pos: uint32(i), Tag: uint32(len(key))}
+	}
+	SortIndex(s.rows, &s.index, func(run []IndexRow) {
+		for _, r := range run {
+			if r.Tag != run[0].Tag || r.Tag > 8 {
+				slices.SortStableFunc(run, func(a, b IndexRow) int {
+					return strings.Compare(pairs[a.Pos].Key, pairs[b.Pos].Key)
+				})
+				return
+			}
+		}
+	})
+	s.pairs = slices.Grow(s.pairs[:0], n)[:n]
+	for i, r := range s.rows {
+		s.pairs[i] = pairs[r.Pos]
+	}
+	copy(pairs, s.pairs)
+}
+
+// IndexRow is one record's entry in a key-prefix index: the map side's
+// bucket sort and a cube's sorted run both keep one. It holds no pointer, so
+// SortIndex's passes move 16 bytes a record and the collector never scans
+// a million of them. SortIndex reads only Prefix; the other two words are
+// the index's own.
+type IndexRow struct {
+	Prefix uint64 // KeyPrefix of the record's key
+	Pos    uint32 // where the record is: its index in a bucket, its offset in a file
+	Tag    uint32 // what else the index keeps of it, such as its key's length
+}
+
+// IndexScratch is SortIndex's working memory, to reuse from call to call.
+type IndexScratch struct {
+	tmp  []IndexRow
+	hist [8][256]uint32 // hist[k][b] counts the rows whose prefix byte k, from the least significant, is b
+}
+
+// SortIndex stably sorts rows by Prefix, in place, and then calls ties on
+// every run of two or more rows whose prefixes are equal, which the prefix
+// therefore does not order; ties may reorder its run, by full key.
+//
+// It is an LSD radix sort on the prefix's 8 bytes, through s.tmp. The
+// passes skip every byte position whose digit is the same for all rows (the
+// tag byte of a group key never varies within a bucket, nor do the
+// zero-padding bytes of short keys), and, being stable, leave rows of equal
+// prefix in their input order.
+func SortIndex(rows []IndexRow, s *IndexScratch, ties func(run []IndexRow)) {
+	n := len(rows)
+	if n < 2 {
+		return
+	}
 	s.tmp = slices.Grow(s.tmp[:0], n)[:n]
 	s.hist = [8][256]uint32{}
 	h := &s.hist
-	for i := range pairs {
-		key := pairs[i].Key
-		p := KeyPrefix(key)
-		s.rows[i] = sortRow{prefix: p, idx: uint32(i), n: uint32(len(key))}
+	for _, r := range rows {
+		p := r.Prefix
 		h[0][byte(p)]++
 		h[1][byte(p>>8)]++
 		h[2][byte(p>>16)]++
@@ -77,11 +111,11 @@ func sortPairsStable(pairs []Pair, s *sortScratch) {
 		h[6][byte(p>>48)]++
 		h[7][byte(p>>56)]++
 	}
-	src, dst := s.rows, s.tmp
+	src, dst := rows, s.tmp
 	for k := range h {
 		shift := 8 * uint(k)
 		count := &h[k]
-		if count[byte(src[0].prefix>>shift)] == uint32(n) {
+		if count[byte(src[0].Prefix>>shift)] == uint32(n) {
 			continue // every row has this digit
 		}
 		var off uint32
@@ -90,30 +124,25 @@ func sortPairsStable(pairs []Pair, s *sortScratch) {
 			off += c
 		}
 		for _, r := range src {
-			d := byte(r.prefix >> shift)
+			d := byte(r.Prefix >> shift)
 			dst[count[d]] = r
 			count[d]++
 		}
 		src, dst = dst, src
 	}
-	rows := src // s.rows or s.tmp, after an even or odd number of passes
+	if &src[0] != &rows[0] {
+		copy(rows, src) // an odd number of passes
+	}
 	for lo := 0; lo < n; {
-		hi, ties := lo+1, false
-		for ; hi < n && rows[hi].prefix == rows[lo].prefix; hi++ {
-			ties = ties || rows[hi].n != rows[lo].n || rows[hi].n > 8
+		hi := lo + 1
+		for hi < n && rows[hi].Prefix == rows[lo].Prefix {
+			hi++
 		}
-		if ties {
-			slices.SortStableFunc(rows[lo:hi], func(a, b sortRow) int {
-				return strings.Compare(pairs[a.idx].Key, pairs[b.idx].Key)
-			})
+		if hi-lo > 1 {
+			ties(rows[lo:hi])
 		}
 		lo = hi
 	}
-	s.pairs = slices.Grow(s.pairs[:0], n)[:n]
-	for i, r := range rows {
-		s.pairs[i] = pairs[r.idx]
-	}
-	copy(pairs, s.pairs)
 }
 
 // KeyPrefix returns key's first 8 bytes as a big-endian number, zero-padded.

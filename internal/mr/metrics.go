@@ -69,7 +69,7 @@ type Counters struct {
 	// RetryWallSeconds is the real time consumed by failed attempts, and
 	// WastedBytes the output those attempts produced before being
 	// discarded (map: pre-combine emit bytes; reduce: output and side
-	// bytes rolled back from the DFS). Recovery accounting only — the
+	// bytes never committed to the DFS). Recovery accounting only — the
 	// determinism contract excludes RetryWallSeconds along with
 	// WallSeconds, and WastedBytes is zero in a fault-free run.
 	RetryWallSeconds float64 `json:"retryWallSeconds"`
