@@ -39,8 +39,8 @@ retry-race:
 # Short fuzz of the cube-equivalence oracle (algorithm x distribution x
 # aggregate x cluster shape x parallelism x spill leg x fault plan vs brute
 # force and the point's own twins), the delta-maintenance oracle (batch
-# composition x aggregate x rebuild threshold x algorithm x parallelism x
-# fault plan vs recompute and twins), the spill
+# composition x aggregate x algorithm x parallelism x fault plan vs
+# recompute and twins, and the one rebuild rule), the spill
 # plane's two wire formats: the front-coded record codec and the
 # checksummed block framing (round-trip plus corrupt-input rejection), and
 # the reducers' output records (arbitrary file bytes, read as a value job's
@@ -138,8 +138,9 @@ bench-harness:
 bench-json:
 	$(GO) test ./internal/bench -run TestFiguresGolden -update
 
-# Randomized incremental-maintenance soak: chaos-faulted delta cycles with
-# appends and deletes feeding the serving store through patch + swap, each
+# Randomized incremental-maintenance soak: chaos-faulted cycles with appends
+# and deletes feeding the serving store through patch or rebuild + swap
+# (under var every cycle merges; under min the deleting cycles rebuild), each
 # cycle verified exactly against brute force; failing cycles must leave the
 # served cube untouched.
 SOAK_CYCLES ?= 40

@@ -71,21 +71,21 @@
 //	spcube -in big.csv -pprof localhost:6060 &
 //
 // The shared flags (-k -p -seed -faults ... -spill-* -backend -in -agg -algo
-// -minsup -rebuild-threshold) are declared and validated once, in
-// internal/cli, for spcube, spbench and spserve alike; a bad value exits 2
-// before the input is opened, a failure while running exits 1.
+// -minsup) are declared and validated once, in internal/cli, for spcube,
+// spbench and spserve alike; a bad value exits 2 before the input is opened,
+// a failure while running exits 1.
 //
 // Incremental maintenance: -delta FILE applies the rows of FILE (same CSV
 // shape as the base input) as an append batch AFTER the initial cube is
 // built, through the delta-cube maintenance layer — a small cube job over
-// the batch merged into the base cube, or a full rebuild when the batch's
-// SP-Sketch drift exceeds -rebuild-threshold. -delta-delete FILE deletes its
-// rows instead (they must exist in the base input). The emitted cube is the
-// maintained (post-batch) cube and the stats line reports the chosen mode
-// and measured drift:
+// the batch merged into the base cube, or a full rebuild when the batch
+// deletes under an aggregate whose states do not invert (min, max,
+// distinct). -delta-delete FILE deletes its rows (they must exist in the
+// base input). The emitted cube is the maintained (post-batch) cube and the
+// stats line reports the chosen mode and its reason:
 //
 //	spcube -in sales.csv -delta monday.csv -o cube.csv
-//	spcube -in sales.csv -delta-delete returns.csv -rebuild-threshold 0.3
+//	spcube -in sales.csv -delta-delete returns.csv -agg max
 package main
 
 import (
@@ -252,9 +252,9 @@ func runDelta(s *cli.Session, o *options, stdout, stderr io.Writer) error {
 			changes = fmt.Sprintf("%d changed groups", len(rnd.Changes))
 		}
 		fmt.Fprintf(stderr,
-			"%s+delta: %d rows -> %d c-groups | cycle %d %s (%s, drift %.3f): +%d/-%d tuples, %s\n",
+			"%s+delta: %d rows -> %d c-groups | cycle %d %s (%s): +%d/-%d tuples, %s\n",
 			s.Algo, maint.N(), res.Len(), rnd.Round, rnd.Mode, rnd.Reason,
-			rnd.Drift, rnd.Appended, rnd.Deleted, changes)
+			rnd.Appended, rnd.Deleted, changes)
 	}
 	return nil
 }

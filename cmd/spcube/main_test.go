@@ -63,7 +63,6 @@ minsup=0
 o=
 p=0
 pprof=
-rebuild-threshold=0
 seed=1
 spill-budget=-1
 spill-codec=raw
@@ -426,35 +425,40 @@ printer,Paris,2012,100
 		if got, want := sortedLines(t, out), sortedLines(t, wantOut); got != want {
 			t.Errorf("%s: maintained cube\n%s\nwant\n%s", aggName, got, want)
 		}
-		st := stderr.String()
-		if !strings.Contains(st, "cycle 1") || !strings.Contains(st, "drift") {
-			t.Errorf("%s: stats line does not report the maintenance cycle: %q", aggName, st)
-		}
-		// sum supports deletes via inversion, so the batch must have gone
-		// through the delta path, not a rebuild.
-		if aggName == "sum" && !strings.Contains(st, "cycle 1 delta") {
-			t.Errorf("sum: expected a delta-mode cycle, stats: %q", st)
+		// count and sum take deletes out through their inverses, so the
+		// batch must have gone through the delta path, not a rebuild.
+		if st := stderr.String(); !strings.Contains(st, "cycle 1 delta (mergeable)") {
+			t.Errorf("%s: stats line does not report a delta cycle: %q", aggName, st)
 		}
 	}
 }
 
-// TestRunDeltaRebuildAndMetrics checks the forced-rebuild escape hatch and
+// TestRunDeltaRebuildAndMetrics checks the rebuild a delete under max takes
+// — deleting a group's maximum leaves a runner-up no state records — and
 // that a maintenance run's metrics document carries per-round maintenance
 // annotations.
 func TestRunDeltaRebuildAndMetrics(t *testing.T) {
 	dir := t.TempDir()
 	base := writeTemp(t, dir, "base.csv", sampleCSV)
-	deltaF := writeTemp(t, dir, "delta.csv", "name,city,year,sales\nlaptop,Oslo,2014,50\n")
+	delF := writeTemp(t, dir, "del.csv", "name,city,year,sales\nlaptop,Rome,2012,2000\n")
+	editedF := writeTemp(t, dir, "edited.csv", "name,city,year,sales\nlaptop,Paris,2012,1500\nprinter,Rome,2013,300\nlaptop,Rome,2013,900\n")
 	metrics := filepath.Join(dir, "metrics.json")
 
 	var stderr strings.Builder
-	err := spcube(&stderr, "-in", base, "-delta", deltaF, "-k", "2", "-rebuild-threshold", "-1",
-		"-metrics-out", metrics, "-o", filepath.Join(dir, "out.csv"))
+	out, wantOut := filepath.Join(dir, "out.csv"), filepath.Join(dir, "want.csv")
+	err := spcube(&stderr, "-in", base, "-delta-delete", delF, "-agg", "max", "-k", "2",
+		"-metrics-out", metrics, "-o", out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := stderr.String(); !strings.Contains(st, "rebuild") || !strings.Contains(st, "forced") {
-		t.Errorf("stats line does not report the forced rebuild: %q", st)
+	if st := stderr.String(); !strings.Contains(st, "cycle 1 rebuild (deletes)") {
+		t.Errorf("stats line does not report a rebuild on deletes: %q", st)
+	}
+	if err := spcube(nil, "-in", editedF, "-agg", "max", "-k", "2", "-o", wantOut); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sortedLines(t, out), sortedLines(t, wantOut); got != want {
+		t.Errorf("rebuilt cube\n%s\nwant\n%s", got, want)
 	}
 	data, err := os.ReadFile(metrics)
 	if err != nil {
@@ -468,14 +472,16 @@ func TestRunDeltaRebuildAndMetrics(t *testing.T) {
 		t.Errorf("maintenance metrics schemaVersion = %v, want %d", doc["schemaVersion"], mr.MetricsSchemaVersion)
 	}
 	rounds, _ := doc["rounds"].([]any)
-	foundMaint := false
+	foundRebuild := false
 	for _, r := range rounds {
-		if m, ok := r.(map[string]any); ok && m["maint"] != nil {
-			foundMaint = true
+		if m, ok := r.(map[string]any); ok {
+			if maint, ok := m["maint"].(map[string]any); ok && maint["mode"] == "rebuild" && maint["reason"] == "deletes" {
+				foundRebuild = true
+			}
 		}
 	}
-	if !foundMaint {
-		t.Errorf("no round carries a maint annotation:\n%s", data)
+	if !foundRebuild {
+		t.Errorf("no round carries the cycle's rebuild/deletes maint annotation:\n%s", data)
 	}
 }
 

@@ -5,10 +5,9 @@
 //
 // The input format is cmd/spcube's, and the compute flags are the shared
 // engine group (-k -p -seed -faults -max-attempts -trace -metrics-out
-// -pprof) and input group (-in -agg -algo -minsup
-// -rebuild-threshold) of internal/cli, declared and validated there for all
-// three binaries: a bad value exits 2 before the input is opened. The
-// serving side adds:
+// -pprof) and input group (-in -agg -algo -minsup) of internal/cli,
+// declared and validated there for all three binaries: a bad value exits 2
+// before the input is opened. The serving side adds:
 //
 //	spserve -in sales.csv -addr localhost:8080
 //	curl 'localhost:8080/v1/query?op=point&group=laptop,*,2012'
@@ -19,17 +18,14 @@
 // The served cube is maintainable online: POST /v1/ingest applies a batch of
 // appended and/or deleted rows through the incremental-maintenance layer
 // (internal/delta) — delta-cube MR jobs merged into the serving index as a
-// copy-on-write patch, or a full rebuild when the batch's sketch drift says
-// the base partitioning no longer fits — and atomically swaps the new
-// snapshot in. In-flight queries keep reading the old snapshot; no request
-// ever sees a half-updated cube.
+// copy-on-write patch, or a full rebuild when the batch deletes under an
+// aggregate whose states do not invert (min, max, distinct) — and atomically
+// swaps the new snapshot in. In-flight queries keep reading the old
+// snapshot; no request ever sees a half-updated cube.
 //
 //	curl -d '{"append":[{"dims":["laptop","Rome","2013"],"measure":5}],
 //	          "delete":[{"dims":["laptop","Rome","2012"],"measure":3}]}' \
 //	     localhost:8080/v1/ingest
-//
-// -rebuild-threshold tunes the drift level that forces a rebuild (0 =
-// default, negative = always rebuild).
 //
 // -addr :0 binds a free port; -addr-file writes the resolved host:port to a
 // file once the server is listening (how the benchmark harness finds it).
@@ -146,9 +142,9 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	defer svc.Close()
 	live.svc.Store(svc)
 	built := maint.LastBuild()
-	fmt.Fprintf(stderr, "spserve: %s cubed %d rows into %d groups (%d cuboids) in %.2fs (job %.2fs, index %.2fs, sketch %.2fs, store %.2fs)\n",
+	fmt.Fprintf(stderr, "spserve: %s cubed %d rows into %d groups (%d cuboids) in %.2fs (job %.2fs, index %.2fs, store %.2fs)\n",
 		s.Algo, rel.N(), store.Groups(), len(store.Cuboids()), time.Since(start).Seconds(),
-		built.Job.Seconds(), built.Index.Seconds(), built.Sketch.Seconds(), indexed.Seconds())
+		built.Job.Seconds(), built.Index.Seconds(), indexed.Seconds())
 
 	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
@@ -209,14 +205,13 @@ type IngestRequest struct {
 
 // IngestResponse reports one applied maintenance cycle.
 type IngestResponse struct {
-	Round    int     `json:"round,omitempty"`
-	Mode     string  `json:"mode,omitempty"`
-	Reason   string  `json:"reason,omitempty"`
-	Drift    float64 `json:"drift"`
-	Appended int     `json:"appended"`
-	Deleted  int     `json:"deleted"`
-	Groups   int     `json:"groups"`
-	Error    string  `json:"error,omitempty"`
+	Round    int    `json:"round,omitempty"`
+	Mode     string `json:"mode,omitempty"`
+	Reason   string `json:"reason,omitempty"`
+	Appended int    `json:"appended"`
+	Deleted  int    `json:"deleted"`
+	Groups   int    `json:"groups"`
+	Error    string `json:"error,omitempty"`
 }
 
 // ingestHandler applies maintenance batches: run the delta (or rebuild)
@@ -266,7 +261,6 @@ func ingestHandler(svc *serve.Batched, maint *delta.Maintainer) http.Handler {
 			Round:    rnd.Round,
 			Mode:     rnd.Mode,
 			Reason:   rnd.Reason,
-			Drift:    rnd.Drift,
 			Appended: rnd.Appended,
 			Deleted:  rnd.Deleted,
 			Groups:   next.Groups(),

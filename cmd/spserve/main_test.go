@@ -59,7 +59,6 @@ metrics-out=
 minsup=0
 p=0
 pprof=
-rebuild-threshold=0
 seed=1
 trace=
 `
@@ -143,7 +142,7 @@ func startServer(t *testing.T, extraArgs ...string) (string, func() int) {
 
 // TestStartupLineReportsStages pins the stderr line that answers "where did
 // start-up go?": the total, then the stages it is made of — the cube job, the
-// index over its output, the base sketch, the served store — in seconds.
+// index over its output, the served store — in seconds.
 func TestStartupLineReportsStages(t *testing.T) {
 	ctx, interrupt := context.WithCancel(context.Background())
 	defer interrupt()
@@ -167,7 +166,7 @@ func TestStartupLineReportsStages(t *testing.T) {
 	}
 	secs := `\d+\.\d\ds`
 	want := regexp.MustCompile(`(?m)^spserve: sp-cube cubed 4 rows into 8 groups \(4 cuboids\) in ` + secs +
-		` \(job ` + secs + `, index ` + secs + `, sketch ` + secs + `, store ` + secs + `\)$`)
+		` \(job ` + secs + `, index ` + secs + `, store ` + secs + `\)$`)
 	if !want.MatchString(stderr.String()) {
 		t.Errorf("stderr does not report the start-up stages as %s:\n%s", want, stderr.String())
 	}
@@ -406,18 +405,21 @@ func TestIngestBodyLimit(t *testing.T) {
 }
 
 func TestServeIngestRebuildPath(t *testing.T) {
-	// A negative rebuild threshold forces every ingest cycle down the
-	// full-rebuild + reindex path.
-	base, shutdown := startServer(t, "-rebuild-threshold", "-1")
+	// Deleting a group's minimum leaves a runner-up no state records, so
+	// the cycle takes the full-rebuild + reindex path.
+	base, shutdown := startServer(t, "-agg", "min")
 	defer shutdown()
 	res, code := postIngest(t, base, IngestRequest{
 		Append: []IngestRow{{Dims: []string{"phone", "Oslo"}, Measure: 7}},
+		Delete: []IngestRow{{Dims: []string{"phone", "Rome"}, Measure: 2}},
 	})
-	if code != http.StatusOK || res.Mode != "rebuild" || res.Reason != "forced" {
-		t.Fatalf("ingest: %d %+v (want forced rebuild)", code, res)
+	if code != http.StatusOK || res.Mode != "rebuild" || res.Reason != "deletes" {
+		t.Fatalf("ingest: %d %+v (want a rebuild on deletes)", code, res)
 	}
-	if v, ok := pointValue(t, base, "phone,Oslo"); !ok || v != 1 {
-		t.Fatalf("post-rebuild count = %v,%v want 1", v, ok)
+	for group, want := range map[string]float64{"phone,Rome": 5, "phone,Oslo": 7, "phone,*": 5} {
+		if v, ok := pointValue(t, base, group); !ok || v != want {
+			t.Fatalf("post-rebuild min of %s = %v,%v want %v", group, v, ok, want)
+		}
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"strings"
 
@@ -52,9 +51,8 @@ type Flags struct {
 	Backend, WorkerCmd   string
 
 	// Input group.
-	In, Agg, Algo    string
-	MinSup           int
-	RebuildThreshold float64
+	In, Agg, Algo string
+	MinSup        int
 }
 
 // New returns the shared flags over fs, every value at its default — so
@@ -97,7 +95,6 @@ func (f *Flags) Input() {
 	fs.StringVar(&f.Agg, "agg", f.Agg, "aggregate function: count, sum, min, max, avg, var, stddev, distinct")
 	fs.StringVar(&f.Algo, "algo", f.Algo, "algorithm: "+algo.Names())
 	fs.IntVar(&f.MinSup, "minsup", 0, "iceberg threshold: only materialize groups with at least this many rows")
-	fs.Float64Var(&f.RebuildThreshold, "rebuild-threshold", 0, "sketch-drift level above which a maintenance batch is applied by full rebuild (0 = default, negative = always rebuild)")
 }
 
 // UsageError marks an error as the caller's fault — a bad flag value rather
@@ -154,11 +151,6 @@ func (f *Flags) Resolve() (mr.Config, agg.Func, error) {
 		if c.value < c.min {
 			return bad(c.name, c.value, fmt.Errorf("want at least %v", c.min))
 		}
-	}
-	// A NaN threshold would compare false against every drift and so
-	// silently disable the rebuild fallback.
-	if math.IsNaN(f.RebuildThreshold) {
-		return bad("rebuild-threshold", f.RebuildThreshold, errors.New("want a number"))
 	}
 	plan, err := mr.ParseFaultPlan(f.Faults)
 	if err != nil {
@@ -315,8 +307,7 @@ func (s *Session) DeltaConfig() delta.Config {
 		Faults: c.Faults, MaxAttempts: c.MaxAttempts,
 		SpillBudgetBytes: c.SpillBudgetBytes, SpillDir: c.SpillDir,
 		SpillCodec: c.SpillCodec, MergeFanIn: c.MergeFanIn,
-		RebuildThreshold: s.RebuildThreshold,
-		Tracer:           c.Tracer, Context: c.Context,
+		Tracer: c.Tracer, Context: c.Context,
 	}
 }
 

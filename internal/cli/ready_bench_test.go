@@ -3,10 +3,10 @@ package cli_test
 // BenchmarkServeReady times a server's start-up behind the CSV load: the
 // relation goes through delta.New and the maintained cube into a served
 // Store, over the served relations of the three harness workloads. The store
-// is built by NextStore's rebuild branch — the code a drift rebuild runs and,
-// line for line, what spserve's start runs — which older commits have too, so
-// `make bench-compare` can copy this file into a checkout of one and run the
-// identical workload there.
+// is built by NextStore's rebuild branch — the code a rebuild on deletes runs
+// and, line for line, what spserve's start runs — which older commits have
+// too, so `make bench-compare` can copy this file into a checkout of one and
+// run the identical workload there.
 
 import (
 	"testing"

@@ -128,9 +128,11 @@ type Group struct {
 }
 
 // Result is a fully materialized cube, keyed by encoded group key: the test
-// suite's oracle, and what incremental maintenance and the serving index
-// consume. The public API reads a SortedRun instead; benchmarks leave the
-// cube in the (discarding) DFS and compare checksums.
+// suite's oracle, and the map delta.Maintainer.Result collects for spcube
+// -delta and the benchmark harness. Neither the maintained cube nor a served
+// one is a Result: the maintainer keeps a SortedRun under an overlay, a
+// server is built from its walk, and the public API reads a SortedRun too;
+// benchmarks leave the cube in the (discarding) DFS and compare checksums.
 type Result struct {
 	D      int
 	Groups map[string]float64

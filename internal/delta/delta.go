@@ -16,12 +16,12 @@
 // stddev), takes the deleted part's out, and its published value is the
 // merged state's final: bit for bit what a recompute publishes. Deletes under
 // min, max and distinct, which have no inverse (deleting the minimum reveals
-// an unknown runner-up), and batches whose SP-Sketch has drifted too far from
-// the base sketch (the partitioning decisions of the base cube no longer
-// describe the merged relation), fall back to a full rebuild. The decision,
-// its reason and the measured drift are recorded on every cycle, annotated
-// into the engine metrics (schema v3 "maint" rounds) and emitted as
-// maint-start/maint-end trace events.
+// an unknown runner-up), are the one case that falls back to a full rebuild:
+// every other batch merges, whatever its size or distribution, since the
+// stored cube is a sorted run keyed by group and nothing reads the partition
+// decisions of the job that built it. The decision and its reason are
+// recorded on every cycle, annotated into the engine metrics ("maint" rounds)
+// and emitted as maint-start/maint-end trace events.
 //
 // Deletes are counted: every state carries its group's tuple count, so a
 // group whose count reaches zero becomes a tombstone in the overlay rather
@@ -41,7 +41,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"time"
@@ -54,12 +53,7 @@ import (
 	"github.com/spcube/spcube/internal/lattice"
 	"github.com/spcube/spcube/internal/mr"
 	"github.com/spcube/spcube/internal/relation"
-	"github.com/spcube/spcube/internal/sketch"
 )
-
-// DefaultRebuildThreshold is the sketch-drift level above which a delta
-// batch forces a full rebuild when Config.RebuildThreshold is unset.
-const DefaultRebuildThreshold = 0.6
 
 // Config parameterizes a Maintainer.
 type Config struct {
@@ -90,10 +84,6 @@ type Config struct {
 	SpillDir         string
 	SpillCodec       string
 	MergeFanIn       int
-	// RebuildThreshold is the sketch-drift level in [0,1] above which a
-	// batch is applied by full rebuild instead of delta-merge; 0 means
-	// DefaultRebuildThreshold, negative forces rebuild on every batch.
-	RebuildThreshold float64
 	// Tracer receives the engines' lifecycle events plus the maintainer's
 	// maint-start/maint-end cycle events (numbered by the maintainer's own
 	// sequence counter; engine sequences restart per cycle).
@@ -132,11 +122,15 @@ type Change struct {
 type Round struct {
 	// Round is the 1-based cycle ordinal.
 	Round int
-	// Mode is "delta" or "rebuild"; Reason explains the choice
-	// ("mergeable", "deletes", "drift", "forced").
+	// Mode is "delta" or "rebuild"; Reason explains the choice:
+	// "mergeable", or "deletes" for a batch that deletes under an aggregate
+	// whose states do not invert.
 	Mode   string
 	Reason string
-	// Drift is the batch's sketch drift vs. the base sketch.
+	// Drift is always 0.
+	//
+	// Deprecated: the maintainer no longer measures sketch drift; the field
+	// stays only because the benchmark harness still reads it.
 	Drift float64
 	// Appended/Deleted count the batch's tuples.
 	Appended int
@@ -168,9 +162,6 @@ type Maintainer struct {
 	base    *cube.SortedRun
 	overlay map[string]agg.State
 
-	// baseSketch is the SP-Sketch of the relation as of the last full
-	// (re)build; batch drift is measured against it.
-	baseSketch *sketch.Sketch
 	// built times the stages of that build.
 	built Timing
 
@@ -186,9 +177,6 @@ type Timing struct {
 	Job time.Duration
 	// Index is the collection of the job's output into a sorted run.
 	Index time.Duration
-	// Sketch is the exact base sketch of the relation, read off the counts
-	// of the cube the job computed.
-	Sketch time.Duration
 }
 
 // keyed is a maintained c-group's state with its encoded key.
@@ -220,9 +208,6 @@ func New(rel *relation.Relation, cfg Config) (*Maintainer, error) {
 	if cfg.Algorithm == "" {
 		cfg.Algorithm = "sp-cube"
 	}
-	if cfg.RebuildThreshold == 0 {
-		cfg.RebuildThreshold = DefaultRebuildThreshold
-	}
 	if _, err := computeFunc(cfg); err != nil {
 		return nil, err
 	}
@@ -252,67 +237,19 @@ func New(rel *relation.Relation, cfg Config) (*Maintainer, error) {
 }
 
 // rebuild computes the full cube of rel and, once its job has succeeded,
-// makes it the base: the overlay empties and the base sketch is rel's.
+// makes it the base: the overlay empties.
 func (m *Maintainer) rebuild(rel *relation.Relation, metrics *mr.JobMetrics) error {
 	var t Timing
 	base, err := m.runJob(rel, metrics, &t)
 	if err != nil {
 		return err
 	}
-	m.base, m.overlay = base, make(map[string]agg.State)
-	start := time.Now()
-	m.baseSketch = exactSketch(base, rel.D(), rel.N(), m.cfg.Workers, mr.MachineMemory(rel.N(), m.cfg.Workers))
-	t.Sketch = time.Since(start)
-	m.built = t
+	m.base, m.overlay, m.built = base, make(map[string]agg.State), t
 	return nil
 }
 
-// exactSketch reads the exact SP-Sketch of a relation of n tuples on k
-// machines of memory m — sketch.BuildExact's — off the relation's full cube,
-// in one pass over its groups and their counts. The cube yields each cuboid's
-// groups together and in <_C order, the order BuildExact sorts the tuples in,
-// so position p of sorted(R, C) falls in the group at which the running count
-// over the cuboid's groups first exceeds p: the k−1 partition elements of a
-// cuboid are the groups holding positions min(i·n/k, n−1), each taken once,
-// and the skews are the groups of more than m tuples.
-func exactSketch(c *cube.SortedRun, d, n, k, m int) *sketch.Sketch {
-	s := sketch.New(d, k)
-	var (
-		cur   lattice.Mask // the cuboid being walked; the apex has no elements
-		elems [][]relation.Value
-		seen  int // tuples in the groups of cur walked so far
-		next  int // the partition element to find next, 1 ≤ next ≤ k
-	)
-	c.Each(func(_ []byte, mask lattice.Mask, packed []relation.Value, _ float64, cnt int64) bool {
-		if cnt > int64(m) {
-			s.AddSkew(mask, packed)
-		}
-		if mask == 0 {
-			return true
-		}
-		if mask != cur {
-			if cur != 0 {
-				s.SetPartitionElements(cur, elems)
-			}
-			cur, elems, seen, next = mask, make([][]relation.Value, 0, k-1), 0, 1
-		}
-		seen += int(cnt)
-		if next < k && min(next*n/k, n-1) < seen {
-			elems = append(elems, slices.Clone(packed))
-			for next < k && min(next*n/k, n-1) < seen {
-				next++
-			}
-		}
-		return true
-	})
-	if cur != 0 {
-		s.SetPartitionElements(cur, elems)
-	}
-	return s
-}
-
 // Apply runs one maintenance cycle over the batch. On error the maintained
-// cube, relation and sketch are unchanged.
+// cube and relation are unchanged.
 func (m *Maintainer) Apply(batch Batch) (*Round, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -381,13 +318,13 @@ func (m *Maintainer) applyLocked(batch Batch, newDict *relation.Dictionary) (*Ro
 		Appended: len(batch.Append),
 		Deleted:  len(batch.Delete),
 	}
-	rnd.Mode, rnd.Reason, rnd.Drift = m.decide(batch)
+	rnd.Mode, rnd.Reason = m.decide(batch)
 	info := &mr.MaintInfo{
-		Round: rnd.Round, Mode: rnd.Mode, Reason: rnd.Reason, Drift: rnd.Drift,
+		Round: rnd.Round, Mode: rnd.Mode, Reason: rnd.Reason,
 		Appended: rnd.Appended, Deleted: rnd.Deleted,
 	}
 	m.traceMaint(mr.TraceEvent{Type: mr.EvMaintStart, Round: rnd.Round, Job: "maintenance",
-		Mode: rnd.Mode, Drift: rnd.Drift, Records: int64(rnd.Appended), Bytes: int64(rnd.Deleted)})
+		Mode: rnd.Mode, Records: int64(rnd.Appended), Bytes: int64(rnd.Deleted)})
 
 	var applyErr error
 	if rnd.Mode == "delta" {
@@ -412,41 +349,13 @@ func (m *Maintainer) applyLocked(batch Batch, newDict *relation.Dictionary) (*Ro
 	return &out, nil
 }
 
-// decide picks the cycle's mode. Delta-merge requires invertible states
-// when the batch deletes, and bounded sketch drift.
-func (m *Maintainer) decide(batch Batch) (mode, reason string, drift float64) {
-	drift = m.batchDrift(batch)
+// decide picks the cycle's mode: a batch merges unless it deletes under an
+// aggregate whose states do not invert.
+func (m *Maintainer) decide(batch Batch) (mode, reason string) {
 	if len(batch.Delete) > 0 && !agg.Invertible(m.cfg.Agg) {
-		return "rebuild", "deletes", drift
+		return "rebuild", "deletes"
 	}
-	if m.cfg.RebuildThreshold < 0 {
-		return "rebuild", "forced", drift
-	}
-	if drift > m.cfg.RebuildThreshold {
-		return "rebuild", "drift", drift
-	}
-	return "delta", "mergeable", drift
-}
-
-// batchDrift measures the appended tuples' sketch drift against the base
-// sketch (a pure-delete batch does not shift the value distribution the
-// base partitioning was derived from in a way a sketch of the deleted
-// tuples would measure; it scores 0).
-func (m *Maintainer) batchDrift(batch Batch) float64 {
-	if len(batch.Append) == 0 || m.baseSketch == nil {
-		return 0
-	}
-	deltaRel := &relation.Relation{Schema: m.rel.Schema, Tuples: batch.Append}
-	n := m.rel.N()
-	mem := mr.MachineMemory(n, m.cfg.Workers)
-	// Scale the skew threshold to the batch — a group holding the same
-	// fraction of the batch as a skewed group holds of the base counts as
-	// skewed in the delta sketch — plus a 3σ Poisson margin so small
-	// batches' sampling noise does not masquerade as fresh skew.
-	scaled := float64(mem) * float64(len(batch.Append)) / float64(max(n, 1))
-	dm := int(scaled + 3*math.Sqrt(scaled))
-	deltaSketch := sketch.BuildExact(deltaRel, m.cfg.Workers, max(dm, 1))
-	return sketch.Drift(m.baseSketch, deltaSketch)
+	return "delta", "mergeable"
 }
 
 // locateDeletes resolves the batch's deleted tuples to positions in the

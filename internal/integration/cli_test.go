@@ -60,7 +60,6 @@ func TestCLIExitCodes(t *testing.T) {
 		{engine, []string{"-spec-slack", "0.01"}, 2, []string{"-spec-slack"}},
 		{engine, []string{"-task-timeout", "1"}, 2, []string{"-task-timeout"}},
 		{engine, []string{"-faults", "*:map:*:slow@2"}, 2, []string{"-faults", "slow"}},
-		{in, []string{"-rebuild-threshold", "NaN"}, 2, []string{"-rebuild-threshold"}},
 		{spill, []string{"-merge-fan-in", "-4"}, 2, []string{"-merge-fan-in -4"}},
 		{[]string{"spcube"}, []string{"-delta", missing, "-k", "0"}, 2, []string{"-k 0"}},
 		{[]string{"spcube"}, []string{"-delta", missing, "-faults", "bogus"}, 2, []string{"-faults"}},

@@ -92,38 +92,34 @@ func maintainedDiff(maint *delta.Maintainer, ts *tupleSet, fn agg.Func) string {
 
 // deltaPoint is one maintenance sequence: a maintainer over a random base
 // relation takes two stacked batches, app appends and del deletes drawn from
-// the base and then 25 appends, with an algorithm, aggregate and rebuild
-// threshold, on a cluster shape, at a parallelism, under a fault plan.
+// the base and then 25 appends, with an algorithm and aggregate, on a cluster
+// shape, at a parallelism, under a fault plan.
 type deltaPoint struct {
 	algo       string
 	skewed     bool  // half the base rows collapse onto one hot tuple
 	seed       int64 // draws the base, the batches and the deletes
 	n, d, card int
 	agg        string
-	threshold  float64 // 0: the default, negative: rebuild every batch
 	k, p       int
 	eseed      int64
 	faults     string // an mr.ParseFaultPlan spec that recoverable accepts
 	app, del   int
 }
 
-var thresholds = []float64{0, 0.999, -1}
-
 // deltaCoords is a deltaPoint as FuzzDeltaEquivalence takes it.
 type deltaCoords struct {
-	algo, d, card, agg, threshold, k, p, app, del uint8
-	n                                             uint16
-	seed, eseed                                   int64
-	skewed                                        bool
-	faults                                        string
+	algo, d, card, agg, k, p, app, del uint8
+	n                                  uint16
+	seed, eseed                        int64
+	skewed                             bool
+	faults                             string
 }
 
 // decode maps c onto a deltaPoint, every axis modulo its range.
 func (c deltaCoords) decode() deltaPoint {
 	p := deltaPoint{algo: allAlgorithms[int(c.algo)%len(allAlgorithms)].name, skewed: c.skewed, seed: c.seed,
 		n: 1 + int(c.n)%300, d: 1 + int(c.d)%3, card: 1 + int(c.card)%6, agg: aggNames[int(c.agg)%len(aggNames)],
-		threshold: thresholds[int(c.threshold)%len(thresholds)], k: 1 + int(c.k)%8, p: int(c.p) % 9,
-		eseed: c.eseed, app: int(c.app) % 41, del: int(c.del) % 16}
+		k: 1 + int(c.k)%8, p: int(c.p) % 9, eseed: c.eseed, app: int(c.app) % 41, del: int(c.del) % 16}
 	p.faults = recoverable(c.faults, p.k)
 	return p
 }
@@ -131,8 +127,7 @@ func (c deltaCoords) decode() deltaPoint {
 // encode is decode's inverse on seed points.
 func (p deltaPoint) encode() deltaCoords {
 	return deltaCoords{uint8(algoIndex(p.algo)), uint8(p.d - 1), uint8(p.card - 1), uint8(slices.Index(aggNames, p.agg)),
-		uint8(slices.Index(thresholds, p.threshold)), uint8(p.k - 1), uint8(p.p), uint8(p.app), uint8(p.del),
-		uint16(p.n - 1), p.seed, p.eseed, p.skewed, p.faults}
+		uint8(p.k - 1), uint8(p.p), uint8(p.app), uint8(p.del), uint16(p.n - 1), p.seed, p.eseed, p.skewed, p.faults}
 }
 
 // runDelta returns the rounds p's batches took, metrics dropped, and how
@@ -151,7 +146,7 @@ func runDelta(t *testing.T, p deltaPoint) (rounds []delta.Round, errs []string) 
 	fn, _ := agg.ByName(p.agg)
 	plan, _ := mr.ParseFaultPlan(p.faults)
 	maint, err := delta.New(ts.relation(), delta.Config{Algorithm: p.algo, Agg: fn, Workers: p.k, Parallelism: p.p,
-		Seed: p.eseed, Faults: plan, MaxAttempts: maxAttempts, RebuildThreshold: p.threshold})
+		Seed: p.eseed, Faults: plan, MaxAttempts: maxAttempts})
 	if err != nil {
 		t.Fatalf("%#v: %v", p, err)
 	}
@@ -179,8 +174,8 @@ func runDelta(t *testing.T, p deltaPoint) (rounds []delta.Round, errs []string) 
 }
 
 // checkDelta holds p's maintained cube to brute force after each batch, and
-// its rounds — mode, reason, drift and changes — to its parallelism twin's
-// and, under faults, to its fault-free twin's.
+// its rounds — mode, reason and changes — to its parallelism twin's and,
+// under faults, to its fault-free twin's.
 func checkDelta(t *testing.T, p deltaPoint) {
 	t.Helper()
 	rounds, errs := runDelta(t, p)
@@ -194,19 +189,17 @@ func checkDelta(t *testing.T, p deltaPoint) {
 			errs = append(errs, fmt.Sprintf("rounds differ from those at p=%d under %q:\n%+v\n%+v", q.p, q.faults, rounds, tw))
 		}
 	}
-	// Every aggregate's states merge, so below the threshold only deletes
-	// under one whose states do not invert rebuild, and those always do. The
-	// differential table's cells (300 base rows, 40 appends) drift far below
-	// the threshold, so a rebuild there means a miscomputed drift.
-	fn, _ := agg.ByName(p.agg)
-	table := p.n == 300 && p.app == 40
+	// Every aggregate's states merge, and those of all but min, max and
+	// distinct invert: a round rebuilds exactly when it deletes under one of
+	// those three.
 	for _, r := range rounds {
-		inverts := r.Deleted == 0 || agg.Invertible(fn)
-		if inverts && p.threshold == 0.999 && r.Mode != "delta" && (table || r.Drift <= p.threshold) {
-			errs = append(errs, fmt.Sprintf("round %d took mode %q (%s, drift %.3f), want delta", r.Round, r.Mode, r.Reason, r.Drift))
+		mode, reason := "delta", "mergeable"
+		if r.Deleted > 0 && slices.Contains([]string{"min", "max", "distinct"}, p.agg) {
+			mode, reason = "rebuild", "deletes"
 		}
-		if !inverts && (r.Mode != "rebuild" || r.Reason != "deletes") {
-			errs = append(errs, fmt.Sprintf("round %d deletes under %s as %s/%s, want rebuild/deletes", r.Round, p.agg, r.Mode, r.Reason))
+		if r.Mode != mode || r.Reason != reason {
+			errs = append(errs, fmt.Sprintf("round %d (+%d/-%d under %s) took %s/%s, want %s/%s",
+				r.Round, r.Appended, r.Deleted, p.agg, r.Mode, r.Reason, mode, reason))
 		}
 	}
 	report(t, p, errs)
@@ -217,18 +210,20 @@ func checkDelta(t *testing.T, p deltaPoint) {
 // are the differential maintenance table it replaced — every algorithm on
 // uniform and skewed bases, under append-only and append+delete batches, at
 // p = 1 and 8, SP-Cube also under faults — the first fuzz corpus, and deletes
-// under the aggregates whose finals are no sums of parts.
+// under the aggregates whose finals are no sums of parts. Those under distinct
+// rebuild on their first batch and merge their 25 appends into the rebuilt
+// base.
 func FuzzDeltaEquivalence(f *testing.F) {
 	for _, p := range deltaSeeds() {
 		c := p.encode()
 		if q := c.decode(); q != p {
 			f.Fatalf("seed %#v decodes back as %#v", p, q)
 		}
-		f.Add(c.algo, c.d, c.card, c.agg, c.threshold, c.k, c.p, c.app, c.del, c.n, c.seed, c.eseed, c.skewed, c.faults)
+		f.Add(c.algo, c.d, c.card, c.agg, c.k, c.p, c.app, c.del, c.n, c.seed, c.eseed, c.skewed, c.faults)
 	}
-	f.Fuzz(func(t *testing.T, algo, d, card, aggr, threshold, k, par, app, del uint8, n uint16, seed, eseed int64,
+	f.Fuzz(func(t *testing.T, algo, d, card, aggr, k, par, app, del uint8, n uint16, seed, eseed int64,
 		skewed bool, faults string) {
-		checkDelta(t, deltaCoords{algo, d, card, aggr, threshold, k, par, app, del, n, seed, eseed, skewed, faults}.decode())
+		checkDelta(t, deltaCoords{algo, d, card, aggr, k, par, app, del, n, seed, eseed, skewed, faults}.decode())
 	})
 }
 
@@ -249,7 +244,7 @@ func deltaSeeds() []deltaPoint {
 							name += "/faulted"
 						}
 						seeds = append(seeds, deltaPoint{algo: a.name, skewed: base == "skewed", seed: int64(len(name)) * 31,
-							n: 300, d: 3, card: 6, agg: "sum", threshold: 0.999, k: 4, p: par, eseed: 42,
+							n: 300, d: 3, card: 6, agg: "sum", k: 4, p: par, eseed: 42,
 							faults: faults, app: 40, del: map[string]int{"append+delete": 15}[batch]})
 					}
 				}
@@ -259,27 +254,31 @@ func deltaSeeds() []deltaPoint {
 	for _, p := range []deltaPoint{{seed: 1, n: 51, d: 3, card: 4, agg: "count", app: 10},
 		{seed: 2, n: 121, d: 1, card: 6, agg: "sum", app: 30, del: 7},
 		{seed: 3, n: 1, d: 2, card: 2, agg: "min", del: 15}, // deletes only: the first batch is refused
-		{seed: 4, n: 81, d: 1, card: 3, agg: "sum", threshold: 0.999, app: 25, del: 12},
-		{seed: 5, n: 31, d: 3, card: 1, agg: "min", threshold: 0.999}} {
+		{seed: 4, n: 81, d: 1, card: 3, agg: "sum", app: 25, del: 12},
+		{seed: 5, n: 31, d: 3, card: 1, agg: "min"}} {
 		p.algo, p.k, p.eseed = "sp-cube", 3, p.seed
 		seeds = append(seeds, p)
 	}
 	for i, name := range []string{"avg", "var", "stddev", "distinct"} {
 		for j, a := range allAlgorithms[:2] {
 			seeds = append(seeds, deltaPoint{algo: a.name, skewed: j == 1, seed: int64(6 + 2*i + j), n: 90, d: 3, card: 4,
-				agg: name, threshold: 0.999, k: 3, p: 1 + 7*j, eseed: 7, app: 20, del: 12})
+				agg: name, k: 3, p: 1 + 7*j, eseed: 7, app: 20, del: 12})
 		}
 	}
 	return seeds
 }
 
 // TestDeltaSoak is the randomized maintenance soak behind `make delta-soak`:
-// a variance maintainer with chaos faults injected into every cycle's jobs —
-// whose deletes take the 128-bit inverse of its states — feeds a serving
-// store through the patch/rebuild + swap path, each cycle verified exactly
-// against brute force; interleaved failing cycles (invalid deletes)
-// and a permanently-faulted maintainer must leave both the maintained state
-// and the served snapshot untouched. SPCUBE_SOAK_CYCLES scales the run.
+// maintainers with chaos faults injected into every cycle's jobs feed a
+// serving store through cli.NextStore + swap, each cycle and each served
+// snapshot verified exactly against brute force. Two legs run the same fault
+// plan and batches: under var every cycle merges, its deletes taking the
+// 128-bit inverse of its states; under min, whose states do not invert, the
+// cycles that delete rebuild the cube and so take NextStore's rebuild branch.
+// Odd cycles only append, so the min leg takes both modes. Interleaved
+// failing cycles (invalid deletes) and a permanently-faulted maintainer must
+// leave both the maintained state and the served snapshot untouched.
+// SPCUBE_SOAK_CYCLES scales the run.
 func TestDeltaSoak(t *testing.T) {
 	cycles := 8
 	if s := os.Getenv("SPCUBE_SOAK_CYCLES"); s != "" {
@@ -289,18 +288,44 @@ func TestDeltaSoak(t *testing.T) {
 		}
 		cycles = v
 	}
-	rng := rand.New(rand.NewSource(2016))
-	ts := &tupleSet{d: 3, rows: randomTuples(rng, 400, 3, 5)}
 	plan, err := mr.ParseFaultPlan("*:map:*:crash,*:node:1:node-crash")
 	if err != nil {
 		t.Fatal(err)
 	}
-	maint, err := delta.New(ts.relation(), delta.Config{
-		Agg:     agg.Var,
-		Workers: 4,
-		Seed:    9,
-		Faults:  plan,
-	})
+	for _, fn := range []agg.Func{agg.Var, agg.Min} {
+		t.Run(fn.Name(), func(t *testing.T) {
+			modes := soakMaintainer(t, fn, plan, cycles)
+			t.Logf("%d cycles under %s took modes %v", cycles, fn.Name(), modes)
+			if agg.Invertible(fn) && modes["rebuild"] > 0 {
+				t.Errorf("%d of the cycles rebuilt under %s, whose states invert", modes["rebuild"], fn.Name())
+			}
+			if !agg.Invertible(fn) && cycles >= 2 && (modes["delta"] == 0 || modes["rebuild"] == 0) {
+				t.Errorf("cycles under %s took modes %v, want both delta and rebuild", fn.Name(), modes)
+			}
+		})
+	}
+
+	// A permanently-faulted configuration (every map attempt crashes, no
+	// retries left) must fail the initial build cleanly rather than hand
+	// back a half-built maintainer. Mid-life job failures leaving state
+	// untouched are pinned by internal/delta's
+	// TestFailedCycleLeavesStateUntouched.
+	fatal, err := mr.ParseFaultPlan("*:map:*:crash:0:*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := &tupleSet{d: 2, rows: randomTuples(rand.New(rand.NewSource(5)), 100, 2, 4)}
+	if _, err := delta.New(ts.relation(), delta.Config{Agg: agg.Count, Workers: 3, Seed: 5, Faults: fatal}); err == nil {
+		t.Fatal("permanently-faulted initial build succeeded")
+	}
+}
+
+// soakMaintainer runs one leg of TestDeltaSoak under fn and counts the modes
+// its cycles took.
+func soakMaintainer(t *testing.T, fn agg.Func, plan *mr.FaultPlan, cycles int) map[string]int {
+	rng := rand.New(rand.NewSource(2016))
+	ts := &tupleSet{d: 3, rows: randomTuples(rng, 400, 3, 5)}
+	maint, err := delta.New(ts.relation(), delta.Config{Agg: fn, Workers: 4, Seed: 9, Faults: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +339,7 @@ func TestDeltaSoak(t *testing.T) {
 	// checkServed asserts the served snapshot equals brute force exactly.
 	checkServed := func(cycle int) {
 		t.Helper()
-		want := cube.Brute(ts.relation(), agg.Var)
+		want := cube.Brute(ts.relation(), fn)
 		store := svc.Store()
 		if store.Groups() != want.Len() {
 			t.Fatalf("cycle %d: served store has %d groups, brute %d", cycle, store.Groups(), want.Len())
@@ -332,6 +357,7 @@ func TestDeltaSoak(t *testing.T) {
 	}
 	checkServed(0)
 
+	modes := map[string]int{}
 	for cycle := 1; cycle <= cycles; cycle++ {
 		if cycle%4 == 0 {
 			// A failing cycle: deleting a tuple that does not exist must
@@ -355,8 +381,10 @@ func TestDeltaSoak(t *testing.T) {
 			continue
 		}
 		batch := delta.Batch{Append: randomTuples(rng, 10+rng.Intn(30), 3, 5)}
-		for i := rng.Intn(8); i > 0 && len(ts.rows) > 50; i-- {
-			batch.Delete = append(batch.Delete, ts.rows[rng.Intn(len(ts.rows))].Clone())
+		if cycle%2 == 0 { // odd cycles only append
+			for i := 1 + rng.Intn(7); i > 0 && len(ts.rows) > 50; i-- {
+				batch.Delete = append(batch.Delete, ts.rows[rng.Intn(len(ts.rows))].Clone())
+			}
 		}
 		batch.Delete = dedupTuples(batch.Delete)
 		rnd, err := maint.Apply(batch)
@@ -364,8 +392,9 @@ func TestDeltaSoak(t *testing.T) {
 			t.Fatalf("cycle %d: %v", cycle, err)
 		}
 		ts.apply(batch)
-		if diff := maintainedDiff(maint, ts, agg.Var); diff != "" {
-			t.Fatalf("cycle %d: %s", cycle, diff)
+		modes[rnd.Mode]++
+		if diff := maintainedDiff(maint, ts, fn); diff != "" {
+			t.Fatalf("cycle %d (%s): %s", cycle, rnd.Mode, diff)
 		}
 
 		next, err := cli.NextStore(svc.Store(), maint, rnd)
@@ -375,18 +404,5 @@ func TestDeltaSoak(t *testing.T) {
 		svc.Swap(next)
 		checkServed(cycle)
 	}
-
-	// A permanently-faulted configuration (every map attempt crashes, no
-	// retries left) must fail the initial build cleanly rather than hand
-	// back a half-built maintainer. Mid-life job failures leaving state
-	// untouched are pinned by internal/delta's
-	// TestFailedCycleLeavesStateUntouched.
-	fatal, err := mr.ParseFaultPlan("*:map:*:crash:0:*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts2 := &tupleSet{d: 2, rows: randomTuples(rng, 100, 2, 4)}
-	if _, err := delta.New(ts2.relation(), delta.Config{Agg: agg.Count, Workers: 3, Seed: 5, Faults: fatal}); err == nil {
-		t.Fatal("permanently-faulted initial build succeeded")
-	}
+	return modes
 }

@@ -557,10 +557,9 @@ func TestDecodersReachTheSpace(t *testing.T) {
 	for i := 0; i < 256; i++ {
 		b := uint8(i)
 		p := coords{algo: b, gen: b, agg: b, budget: b, codec: b / 4, fanIn: b / 8}.decode()
-		q := deltaCoords{algo: b, agg: b, threshold: b / 3}.decode()
+		q := deltaCoords{algo: b, agg: b}.decode()
 		for axis, v := range map[string]any{"algorithm": p.algo, "distribution": p.gen, "aggregate": p.agg,
-			"spill leg": [3]any{p.budget, p.codec, p.fanIn}, "delta algorithm": q.algo,
-			"delta aggregate and threshold": [2]any{q.agg, q.threshold}} {
+			"spill leg": [3]any{p.budget, p.codec, p.fanIn}, "delta algorithm": q.algo, "delta aggregate": q.agg} {
 			if reached[axis] == nil {
 				reached[axis] = map[any]bool{}
 			}
@@ -575,7 +574,7 @@ func TestDecodersReachTheSpace(t *testing.T) {
 	}
 	for axis, want := range map[string]int{"algorithm": len(algo.Table), "distribution": len(gens), "aggregate": 8,
 		"spill leg": len(budgets) * len(codecs) * len(fanIns), "delta algorithm": len(algo.Table),
-		"delta aggregate and threshold": len(aggNames) * len(thresholds), "fault kind": int(mr.FaultNodeCrash) + 1} {
+		"delta aggregate": len(aggNames), "fault kind": int(mr.FaultNodeCrash) + 1} {
 		if len(reached[axis]) != want {
 			t.Errorf("%d of %d values of the %s axis decode from some input", len(reached[axis]), want, axis)
 		}

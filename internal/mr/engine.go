@@ -289,17 +289,14 @@ func New(cfg Config, fs *dfs.FS) *Engine {
 	return &Engine{Cfg: cfg, FS: fs}
 }
 
-// MachineMemory is m, a machine's memory in tuples, for an input of n
-// tuples spread over k machines: max(⌊n/k⌋, 1), the paper's m = n/k.
-func MachineMemory(n, k int) int { return max(n/max(k, 1), 1) }
-
-// MemTuples returns the machine memory in tuples for an input of n tuples:
-// Config.MemTuples when set, else MachineMemory over the cluster.
+// MemTuples returns m, a machine's memory in tuples, for an input of n
+// tuples: Config.MemTuples when set, else the paper's m = n/k over the
+// cluster's k machines, max(⌊n/k⌋, 1).
 func (e *Engine) MemTuples(n int) int {
 	if e.Cfg.MemTuples > 0 {
 		return e.Cfg.MemTuples
 	}
-	return MachineMemory(n, e.Cfg.Workers)
+	return max(n/max(e.Cfg.Workers, 1), 1)
 }
 
 // MapCtx is the context passed to map functions.

@@ -42,8 +42,9 @@ import (
 // "prefetchMisses" with the background spill writer and merge read-ahead
 // they measured (task attempts now do their own spill I/O); v8 removed the
 // four backup-attempt counters (three deterministic, one volatile) with the
-// simulated stragglers whose backups they counted.
-const MetricsSchemaVersion = 8
+// simulated stragglers whose backups they counted; v9 removed "maint"'s
+// "drift" with the sketch-drift rebuild policy that measured it.
+const MetricsSchemaVersion = 9
 
 // Counters are the additive counters that exist under one name at task,
 // round and job level: a round's are the sum of its tasks', a job's the sum
@@ -243,17 +244,16 @@ type RoundMetrics struct {
 
 // MaintInfo describes the maintenance cycle a round was executed for: the
 // cycle's ordinal, whether the cycle merged a delta cube or rebuilt from
-// scratch, why, and the sketch drift that informed the decision.
+// scratch, and why.
 type MaintInfo struct {
 	// Round is the 1-based maintenance-cycle ordinal (0 = initial build).
 	Round int `json:"round"`
 	// Mode is "delta" or "rebuild".
 	Mode string `json:"mode"`
-	// Reason explains the mode choice ("mergeable", "drift", "deletes",
-	// "forced", ...).
+	// Reason explains the mode choice: "initial" for the first build,
+	// "mergeable" for a delta cycle, "deletes" for a batch that deletes
+	// under an aggregate whose states do not invert.
 	Reason string `json:"reason,omitempty"`
-	// Drift is the sketch drift of the batch vs. the base sketch in [0,1].
-	Drift float64 `json:"drift"`
 	// Appended/Deleted count the batch's tuples.
 	Appended int `json:"appended"`
 	Deleted  int `json:"deleted"`

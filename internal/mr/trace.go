@@ -79,7 +79,7 @@ const (
 
 	// EvMaintStart opens an incremental-maintenance cycle (Round is the
 	// cycle ordinal; Records/Bytes carry the batch's appended/deleted tuple
-	// counts; Mode and Drift carry the delta-vs-rebuild decision). It is
+	// counts; Mode carries the delta-vs-rebuild decision). It is
 	// emitted by the maintainer, not the engine, around the cycle's MR
 	// rounds; the maintainer numbers these events with its own Seq counter.
 	EvMaintStart = "maint-start"
@@ -148,10 +148,9 @@ type TraceEvent struct {
 	Err string `json:"err,omitempty"`
 	// Failed marks a failed round's round-end event.
 	Failed bool `json:"failed,omitempty"`
-	// Mode and Drift describe a maintenance cycle's delta-vs-rebuild
-	// decision (maint-start only).
-	Mode  string  `json:"mode,omitempty"`
-	Drift float64 `json:"drift,omitempty"`
+	// Mode is a maintenance cycle's delta-vs-rebuild decision (maint-start
+	// only).
+	Mode string `json:"mode,omitempty"`
 }
 
 // JSONLTracer writes one JSON object per event (JSON Lines) to an

@@ -14,7 +14,9 @@
 // groups are captured with high probability; the package's tests verify
 // these properties empirically. The exact ("utopian") sketch is the same
 // procedure with α = 1 and β = m, so there is one builder, buildFromSample:
-// Build runs it on round 1's sample, BuildExact on all of R.
+// Build runs it on round 1's sample, BuildExact on all of R. Only SP-Cube's
+// sketch round builds a sketch to run on; the exact one is the reference the
+// tests hold the sampled one to.
 package sketch
 
 import (
@@ -58,9 +60,7 @@ type Sketch struct {
 
 // New returns the empty sketch of a d-dimensional relation on k machines:
 // no skews, no partition elements, nothing sampled. Filled through AddSkew
-// and SetPartitionElements, it is whatever sketch its caller derives — the
-// exact one, when the caller reads skews and quantiles off the relation's
-// full cube, as the maintainer does.
+// and SetPartitionElements, it is whatever sketch its caller derives.
 func New(d, k int) *Sketch {
 	s := &Sketch{
 		D:     d,
@@ -532,10 +532,8 @@ func dedupSorted(elems [][]relation.Value) [][]relation.Value {
 // skewed exactly when its tuple set exceeds m and the partition elements are
 // the exact k-quantiles of each cuboid's sorted tuples. The cost is
 // buildFromSample's on n tuples — one BUC pass pruned at m+1 plus 2^d sorts
-// of n indices — which is what every ingest batch's drift measurement pays.
-// (The maintainer derives its base's exact sketch from the counts of the
-// cube it has just computed, in one pass over it.) SampleN, Alpha and Beta stay zero: an exact
-// sketch was not sampled, and its Encode bytes say so.
+// of n indices. SampleN, Alpha and Beta stay zero: an exact sketch was not
+// sampled, and its Encode bytes say so.
 func BuildExact(rel *relation.Relation, k, m int) *Sketch {
 	s := buildFromSample(rel.Tuples, rel.D(), k, 1, float64(m), func(int64) {})
 	s.SampleN, s.Alpha, s.Beta = 0, 0, 0

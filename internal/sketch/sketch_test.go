@@ -243,8 +243,8 @@ func sixGenerators(n int) map[string]*relation.Relation {
 // β = m — against Definition 4.1 by brute force: skews(C) is exactly the
 // groups of C with more than m tuples (the apex included), and
 // partition-elements(C) is the deduplicated projections at positions i·n/k
-// of R sorted w.r.t. <_C. BuildExact runs on the maintainer's live relation,
-// so it must also leave the tuples where they were.
+// of R sorted w.r.t. <_C. BuildExact reads its caller's relation, so it must
+// also leave the tuples where they were.
 func TestExactSketchAgainstDefinition(t *testing.T) {
 	const n = 2000
 	for name, rel := range sixGenerators(n) {
