@@ -81,16 +81,17 @@ chaos:
 # race` already runs; they are for quick local iteration on the proc backend.
 #
 # Execution-backend equivalence gate: every algorithm x fault plan on the
-# proc backend — real worker processes, node crashes delivered as real
-# SIGKILLs — must produce byte-identical output and volatile-stripped
-# metrics vs the local backend, plus the differential oracle check and the
+# proc backend's default NewProc() — one worker process per node, node
+# crashes delivered as real SIGKILLs, dead workers respawned at the next
+# round — must produce byte-identical output and volatile-stripped metrics
+# vs the local backend, plus the differential oracle check and the
 # cancellation/reap contract.
 proc-smoke:
 	$(GO) test -count=1 -run 'TestBackendDeterminismProc|TestBackendDifferentialProc|TestContextCancelProc' ./internal/mr/exec
 
 # Randomized kill soak for the proc backend: SIGKILL worker processes at
 # random moments mid-run; every run must either recover to the exact
-# brute-force cube or fail plainly, leaking no processes or socket dirs.
+# brute-force cube or fail plainly, leaking no worker processes.
 chaos-proc:
 	$(GO) test -count=1 -run TestChaosProcKillSoak ./internal/mr/exec
 

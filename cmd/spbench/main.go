@@ -30,10 +30,12 @@
 //	spbench -exp all -pprof localhost:6060
 //
 // Execution backends: -backend proc runs every experiment engine against
-// real worker processes (one per simulated machine, with heartbeats, RPC
-// deadlines and crash recovery) instead of in-process goroutines. Figures
-// are identical across backends; comparing wall-clock between -backend
-// local and -backend proc measures the process-isolation overhead:
+// real worker processes (one per simulated machine, re-executed from this
+// binary; each acknowledges task attempts, is SIGKILLed when its node
+// crashes and is respawned at the next round) instead of in-process
+// goroutines. Figures are identical across backends; comparing wall-clock
+// between -backend local and -backend proc measures the process-isolation
+// overhead:
 //
 //	spbench -exp fig6 -backend proc
 package main

@@ -42,7 +42,6 @@ spill-codec=raw
 spill-dir=
 trace=
 validate=
-worker-cmd=
 `
 	fs := flag.NewFlagSet("spbench", flag.ContinueOnError)
 	declare(fs)

@@ -50,14 +50,13 @@
 //	spcube -in big.csv -spill-budget 1024 -merge-fan-in 8
 //
 // Execution backends: -backend local (the default) executes the simulated
-// cluster's tasks as goroutines inside this process; -backend proc runs
-// one real worker process per simulated node — spawned by re-executing
-// this binary (override with -worker-cmd, e.g. a cmd/spworker build) —
-// with heartbeat liveness, RPC deadlines and crash recovery that SIGKILLs
-// and respawns actual OS processes. A node-crash fault under proc kills a
-// real process. The cube and all simulated statistics are byte-identical
-// across backends; only the health counters (heartbeat misses, worker
-// restarts, RPC retries) and wall-clock time differ:
+// cluster's tasks as goroutines inside this process; -backend proc also
+// runs one real worker process per simulated node, spawned by
+// re-executing this binary. The tasks still run here: a worker only
+// acknowledges each attempt over a pipe. A node-crash fault under proc
+// SIGKILLs the node's worker, and the next round respawns it. The cube,
+// every statistic, the -metrics-out document (wall-clock fields aside)
+// and the -trace events (times aside) are identical across backends:
 //
 //	spcube -in sales.csv -backend proc
 //	spcube -in sales.csv -backend proc -faults '*:node:1:node-crash'  # real SIGKILL

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"syscall"
@@ -69,7 +71,6 @@ spill-codec=raw
 spill-dir=
 stats=true
 trace=
-worker-cmd=
 `
 	fs := flag.NewFlagSet("spcube", flag.ContinueOnError)
 	declare(fs)
@@ -572,41 +573,64 @@ func TestMain(m *testing.M) {
 }
 
 // TestProcBackendMatchesLocal: -backend proc writes the local backend's cube
-// to stdout and, volatile keys stripped, its -metrics-out document — fault
-// free, and when a node crash kills a real worker process.
+// to stdout, its -metrics-out document once volatile keys are stripped, and
+// its -trace once times are masked — fault free, and when a node crash kills
+// a real worker process. Pipesort's five rounds on four dimensions crash
+// node 1 in every round, so its worker must be respawned each time.
 func TestProcBackendMatchesLocal(t *testing.T) {
 	dir := t.TempDir()
-	in := writeTemp(t, dir, "in.csv", sampleCSV)
-	for _, faults := range []string{"", "*:node:1:node-crash"} {
-		var outs, docs [2]string
-		for i, backend := range []string{"local", "proc"} {
-			metrics := filepath.Join(dir, backend+".json")
-			var stdout strings.Builder
-			args := []string{"-stats=false", "-in", in, "-k", "3", "-backend", backend, "-faults", faults, "-metrics-out", metrics}
-			if err := run(context.Background(), args, &stdout, io.Discard); err != nil {
-				t.Fatalf("-backend %s -faults %q: %v", backend, faults, err)
+	small := writeTemp(t, dir, "in.csv", sampleCSV)
+	wide := filepath.Join(dir, "wide.csv")
+	writeGenerated(t, wide, "uniform", 2000, 4)
+	for _, leg := range []struct{ in, algo string }{{small, "sp-cube"}, {wide, "pipesort"}} {
+		for _, faults := range []string{"", "*:node:1:node-crash"} {
+			label := fmt.Sprintf("-algo %s -faults %q", leg.algo, faults)
+			var outs, docs, traces [2]string
+			for i, backend := range []string{"local", "proc"} {
+				metrics := filepath.Join(dir, backend+".json")
+				trace := filepath.Join(dir, backend+".jsonl")
+				var stdout strings.Builder
+				args := []string{"-stats=false", "-in", leg.in, "-algo", leg.algo, "-k", "3", "-backend", backend,
+					"-faults", faults, "-metrics-out", metrics, "-trace", trace}
+				if err := run(context.Background(), args, &stdout, io.Discard); err != nil {
+					t.Fatalf("%s -backend %s: %v", label, backend, err)
+				}
+				data, err := os.ReadFile(metrics)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if data, err = mr.StripVolatile(data); err != nil {
+					t.Fatal(err)
+				}
+				outs[i], docs[i], traces[i] = stdout.String(), string(data), maskedTrace(t, trace)
 			}
-			data, err := os.ReadFile(metrics)
-			if err != nil {
+			if outs[0] == "" || outs[1] != outs[0] {
+				t.Errorf("%s: proc wrote\n%s\nlocal wrote\n%s", label, outs[1], outs[0])
+			}
+			if docs[1] != docs[0] {
+				t.Errorf("%s: metrics differ once volatile keys are stripped:\nproc:  %s\nlocal: %s", label, docs[1], docs[0])
+			}
+			if traces[1] != traces[0] {
+				t.Errorf("%s: traces differ once times are masked:\nproc:\n%s\nlocal:\n%s", label, traces[1], traces[0])
+			}
+			var doc map[string]any
+			if err := json.Unmarshal([]byte(docs[0]), &doc); err != nil {
 				t.Fatal(err)
 			}
-			if data, err = mr.StripVolatile(data); err != nil {
-				t.Fatal(err)
+			if v, _ := doc["mapReexecutions"].(float64); (v > 0) != (faults != "") {
+				t.Errorf("%s: %v map re-executions", label, v)
 			}
-			outs[i], docs[i] = stdout.String(), string(data)
-		}
-		if outs[0] == "" || outs[1] != outs[0] {
-			t.Errorf("-faults %q: proc wrote\n%s\nlocal wrote\n%s", faults, outs[1], outs[0])
-		}
-		if docs[1] != docs[0] {
-			t.Errorf("-faults %q: metrics differ once volatile keys are stripped:\nproc:  %s\nlocal: %s", faults, docs[1], docs[0])
-		}
-		var doc map[string]any
-		if err := json.Unmarshal([]byte(docs[0]), &doc); err != nil {
-			t.Fatal(err)
-		}
-		if v, _ := doc["mapReexecutions"].(float64); (v > 0) != (faults != "") {
-			t.Errorf("-faults %q: %v map re-executions", faults, v)
 		}
 	}
+}
+
+// maskedTrace reads a -trace file and blanks every event's time, the one
+// field outside the determinism contract.
+func maskedTrace(t *testing.T, path string) string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return regexp.MustCompile(`"time":"[^"]*"`).ReplaceAllString(string(data), `"time":""`)
 }

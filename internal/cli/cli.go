@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"github.com/spcube/spcube/internal/agg"
 	"github.com/spcube/spcube/internal/algo"
@@ -48,7 +47,7 @@ type Flags struct {
 	SpillBudget          int64
 	SpillDir, SpillCodec string
 	MergeFanIn           int
-	Backend, WorkerCmd   string
+	Backend              string
 
 	// Input group.
 	In, Agg, Algo string
@@ -83,8 +82,7 @@ func (f *Flags) Spill() {
 	fs.StringVar(&f.SpillDir, "spill-dir", "", "directory for spill run files (default: the system temp dir, honoring $TMPDIR); a per-run subdirectory is created and removed on exit, interrupts included")
 	fs.StringVar(&f.SpillCodec, "spill-codec", f.SpillCodec, "block compression codec for spill run files: raw or lz; cube bytes are identical under any codec")
 	fs.IntVar(&f.MergeFanIn, "merge-fan-in", 0, "cap on runs merged at once by a reducer (0 = engine default, 64; minimum 2); excess runs are first merged into intermediate on-disk runs")
-	fs.StringVar(&f.Backend, "backend", f.Backend, "execution backend: local (simulated nodes are goroutines) or proc (one real worker process per node, with heartbeats, RPC deadlines and crash recovery); results are byte-identical across backends")
-	fs.StringVar(&f.WorkerCmd, "worker-cmd", "", "worker argv for -backend proc, space-separated (default: this binary re-executes itself; cmd/spworker is a standalone alternative)")
+	fs.StringVar(&f.Backend, "backend", f.Backend, "execution backend: local (simulated nodes are goroutines) or proc (one worker process per node, re-executing this binary, that acknowledges attempts and is SIGKILLed when its node crashes); results are byte-identical across backends")
 }
 
 // Input registers the group that says which cube to compute over which
@@ -263,7 +261,7 @@ func (s *Session) acquire(ctx context.Context, stderr io.Writer, routes []obs.Ro
 		s.Config.Tracer = mr.NewJSONLTracer(tf)
 	}
 	if s.Backend == "proc" {
-		p := exec.NewProc(exec.Options{WorkerCommand: strings.Fields(s.WorkerCmd)})
+		p := exec.NewProc()
 		s.closers = append(s.closers, func() { p.Close() })
 		s.Config.Executor = p
 	}

@@ -14,9 +14,10 @@ import (
 // budget, the recovery counters and the trace events are written once.
 // What differs between callers is data on a taskSpec:
 //
-//	             attempt index, budget      placed around  keeping / discarding an attempt
-//	first run    0.., MaxAttempts           spec.down      spec.commit / spec.undo
-//	re-execution continues the lost run's   spec.down      spec.commit / spec.undo
+//	             attempt index, budget      placed around      keeping / discarding an attempt
+//	first run    0.., MaxAttempts           map: nothing;      spec.commit / spec.undo
+//	                                        reduce: r.dead
+//	re-execution continues the lost run's   r.dead             spec.commit / spec.undo
 //	             numbering, fresh budget
 
 // taskSpec describes one task to runTask.
@@ -35,10 +36,6 @@ type taskSpec struct {
 	// counter for a re-launched map), and the lost run's output and wall
 	// time move into WastedBytes/RetryWallSeconds.
 	reexec bool
-	// down is the set of nodes the task's attempts place around: the
-	// backend's failed workers before the crash barrier, those plus the
-	// round's dead nodes after it.
-	down []bool
 	// body runs one placed and opened attempt's task code, filling in the
 	// attempt's metrics, wasted bytes, output and error.
 	body func(a *taskAttempt)
@@ -138,7 +135,13 @@ func (r *round) runAttempt(s *taskSpec, index int, base TaskMetrics) *taskAttemp
 	kill := func(reason string, err error) error {
 		return &killError{reason: fmt.Sprintf("%s: %v", reason, err), phase: s.phase, task: s.task, attempt: index}
 	}
-	a.node, a.err = r.eng.placeAttempt(r.index, s.phase, s.task, index, s.down, r.eng.Cfg.Workers)
+	// A first-run map attempt places on the raw hash; everything after the
+	// crash barrier places around the round's dead nodes.
+	var down []bool
+	if s.reexec || s.phase == PhaseReduce {
+		down = r.dead
+	}
+	a.node, a.err = r.eng.placeAttempt(r.index, s.phase, s.task, index, down, r.eng.Cfg.Workers)
 	if a.err == nil {
 		if err := r.rex.BeginAttempt(s.phase, s.task, index, a.node); err != nil {
 			a.err = kill("backend refused attempt", err)
@@ -153,7 +156,7 @@ func (r *round) runAttempt(s *taskSpec, index int, base TaskMetrics) *taskAttemp
 			}
 		}
 		if a.err == nil && s.phase == PhaseMap {
-			if err := r.rex.StoreMapOutput(s.task, index, a.node, a.metrics.OutRecords, a.metrics.OutBytes); err != nil {
+			if err := r.rex.StoreMapOutput(s.task, index, a.node); err != nil {
 				a.err = kill("storing map output failed", err)
 			}
 		}

@@ -624,13 +624,10 @@ type round struct {
 
 	// Failure domains. The engine makes every scheduling decision and the
 	// backend (rex) realizes it. dead is the round's planned node crashes,
-	// delivered at the crash barrier; down is the backend's own permanently
-	// unusable workers (nil under the local backend); barrierDown is their
-	// union, which everything placed after the barrier drains around.
-	rex         RoundExecutor
-	dead        []bool
-	down        []bool
-	barrierDown []bool
+	// delivered at the crash barrier; everything placed after the barrier
+	// drains around them.
+	rex  RoundExecutor
+	dead []bool
 
 	start time.Time
 	res   *RoundResult
@@ -721,12 +718,12 @@ func (e *Engine) planRound(job *Job, n int, feed func(task int, ctx *MapCtx)) (*
 	return r, nil
 }
 
-// open starts the round on the execution backend. A backend with no usable
-// node at all fails the round plainly instead of hanging.
+// open starts the round on the execution backend. A backend that cannot
+// start the round fails it plainly instead of hanging.
 func (r *round) open() error {
 	e := r.eng
 	var err error
-	r.rex, r.down, err = e.Cfg.Executor.RoundStart(r.index, e.Cfg.Workers, r.dead, RoundHooks{Trace: r.tr.event})
+	r.rex, err = e.Cfg.Executor.RoundStart(r.index, e.Cfg.Workers, r.dead)
 	if err != nil {
 		r.rm.Failed = true
 		r.rm.FailReason = fmt.Sprintf("execution backend: %v", err)
@@ -739,21 +736,11 @@ func (r *round) open() error {
 	return nil
 }
 
-// finish closes an opened round on every exit path: collect the backend's
-// health counters (volatile; zero under the local backend), finalize the
-// metrics, and emit the round-end event.
+// finish closes an opened round on every exit path: finalize the metrics
+// and emit the round-end event.
 func (r *round) finish() {
-	st := r.rex.RoundEnd()
 	r.rm.finalize()
-	r.rm.HeartbeatMisses = st.HeartbeatMisses
-	r.rm.WorkerRestarts = st.WorkerRestarts
-	r.rm.RPCRetries = st.RPCRetries
 	r.rm.WallSeconds = time.Since(r.start).Seconds()
-	if st.RPCRetries > 0 {
-		// Volatile by nature (real transport flakiness does not replay);
-		// emitted from the run goroutine so the sequence stays ordered.
-		r.tr.event(TraceEvent{Type: EvRPCRetry, Records: st.RPCRetries})
-	}
 	r.tr.roundEnd(r.rm)
 }
 
@@ -764,7 +751,7 @@ func (r *round) finish() {
 func (r *round) mapStage() error {
 	workers := r.eng.Cfg.Workers
 	r.tr.startPhase(workers)
-	r.eng.forEachTask(workers, func(task int) { r.runMapTask(task, false, r.down) })
+	r.eng.forEachTask(workers, func(task int) { r.runMapTask(task, false) })
 	r.tr.flushPhase()
 	return r.mapFailure()
 }
@@ -772,9 +759,9 @@ func (r *round) mapStage() error {
 // runMapTask runs one map task through the attempt runner — its first run,
 // or the re-execution of a completed task whose stored output was lost —
 // and records the winning attempt.
-func (r *round) runMapTask(task int, reexec bool, down []bool) {
+func (r *round) runMapTask(task int, reexec bool) {
 	win, err := r.runTask(&taskSpec{
-		phase: PhaseMap, task: task, tm: &r.rm.Mappers[task], reexec: reexec, down: down,
+		phase: PhaseMap, task: task, tm: &r.rm.Mappers[task], reexec: reexec,
 		body: func(a *taskAttempt) {
 			ctx := r.newMapCtx(task, a)
 			a.mout, a.err = r.mapAttempt(ctx)
@@ -828,7 +815,6 @@ func (r *round) crashBarrier() error {
 		}
 	}
 	r.rex.CrashNodes()
-	r.barrierDown = unionDead(r.dead, r.down)
 	var lost []int
 	for task, mt := range r.maps {
 		if r.rex.FetchMapOutput(task, mt.win.index, mt.win.node) != nil {
@@ -850,7 +836,7 @@ func (r *round) crashBarrier() error {
 		r.rm.Reducers[red].FetchFailures = int64(len(lost))
 	}
 	r.tr.startPhase(len(r.maps))
-	r.eng.forEachTask(len(lost), func(i int) { r.runMapTask(lost[i], true, r.barrierDown) })
+	r.eng.forEachTask(len(lost), func(i int) { r.runMapTask(lost[i], true) })
 	r.tr.flushPhase()
 	return r.mapFailure()
 }
@@ -999,7 +985,7 @@ func (r *round) runReduceTask(task int, runs []streamSource) (*taskAttempt, erro
 	fs := r.eng.FS
 	file := fmt.Sprintf("%spart-r-%05d", r.outPrefix, task)
 	return r.runTask(&taskSpec{
-		phase: PhaseReduce, task: task, tm: tm, down: r.barrierDown,
+		phase: PhaseReduce, task: task, tm: tm,
 		body: func(a *taskAttempt) {
 			ctx := r.newRedCtx(task, a)
 			a.err = r.reduceAttempt(ctx, m)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"testing"
 	"time"
 
@@ -24,7 +23,7 @@ import (
 // brute-force cube (retries re-place onto surviving nodes; MaxAttempts 6
 // gives the placement hash room) or fail with a plain error — never hang,
 // never return a wrong or truncated cube — and must never leak worker
-// processes or socket directories.
+// processes.
 func TestChaosProcKillSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns and kills real worker processes")
@@ -48,13 +47,13 @@ func TestChaosProcKillSoak(t *testing.T) {
 		}
 		label := fmt.Sprintf("iter %d: %s n=%d d=%d card=%d kills=%v", iter, a.name, n, d, card, targets)
 
-		p := NewProc(Options{RestartLimit: 64})
+		p := NewProc()
 		killerDone := make(chan struct{})
 		go func() {
 			defer close(killerDone)
 			for i := 0; i < kills; i++ {
 				time.Sleep(delays[i])
-				p.KillWorker(targets[i])
+				p.killWorker(targets[i])
 			}
 		}()
 
@@ -80,22 +79,7 @@ func TestChaosProcKillSoak(t *testing.T) {
 			recovered++
 		}
 
-		pids := p.WorkerPIDs()
-		dir := p.dir
-		p.Close()
-		if n := p.LiveWorkers(); n != 0 {
-			t.Errorf("%s: %d live workers after Close", label, n)
-		}
-		for _, pid := range pids {
-			if pidAlive(pid) {
-				t.Errorf("%s: worker pid %d still alive after Close", label, pid)
-			}
-		}
-		if dir != "" {
-			if _, serr := os.Stat(dir); !os.IsNotExist(serr) {
-				t.Errorf("%s: socket dir %s survived Close", label, dir)
-			}
-		}
+		closeAndCheck(t, p, label+": ")
 	}
 	t.Logf("kill soak: %d runs recovered byte-identically, %d failed plainly", recovered, failed)
 }
@@ -103,7 +87,7 @@ func TestChaosProcKillSoak(t *testing.T) {
 // TestContextCancelProc cancels a run on the proc backend mid-flight (the
 // SIGINT shape): the engine must unwind with the context's error — or
 // finish, if the run outraced the timer — and Close must reap every worker
-// process and remove the socket directory either way.
+// process either way.
 func TestContextCancelProc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real worker processes")
@@ -116,7 +100,7 @@ func TestContextCancelProc(t *testing.T) {
 		} else {
 			time.AfterFunc(delay, cancel)
 		}
-		p := NewProc(Options{RestartLimit: 64})
+		p := NewProc()
 		eng := mr.New(mr.Config{Workers: 5, Seed: 7, Parallelism: 4,
 			MaxAttempts: 4, Executor: p, Context: ctx}, dfs.New(false))
 		_, err := equivAlgorithms[0].fn(eng, rel, cube.Spec{Agg: agg.Count})
@@ -126,22 +110,7 @@ func TestContextCancelProc(t *testing.T) {
 		if delay == 0 && err == nil {
 			t.Error("pre-cancelled run reported success")
 		}
-		pids := p.WorkerPIDs()
-		dir := p.dir
-		p.Close()
-		if n := p.LiveWorkers(); n != 0 {
-			t.Errorf("delay %v: %d live workers after Close", delay, n)
-		}
-		for _, pid := range pids {
-			if pidAlive(pid) {
-				t.Errorf("delay %v: worker pid %d alive after Close", delay, pid)
-			}
-		}
-		if dir != "" {
-			if _, serr := os.Stat(dir); !os.IsNotExist(serr) {
-				t.Errorf("delay %v: socket dir %s survived Close", delay, dir)
-			}
-		}
+		closeAndCheck(t, p, fmt.Sprintf("delay %v: ", delay))
 		cancel()
 	}
 }

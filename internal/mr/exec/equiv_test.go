@@ -18,8 +18,8 @@ import (
 )
 
 // TestMain routes spawned copies of the test binary into the worker loop:
-// the proc backend's default worker command re-executes the current
-// executable, which for these tests is the test binary itself.
+// the proc backend re-executes the current executable, which for these
+// tests is the test binary itself.
 func TestMain(m *testing.M) {
 	MaybeWorkerMain()
 	os.Exit(m.Run())
@@ -68,8 +68,7 @@ type equivRun struct {
 
 // runBackend executes one algorithm over one backend. A nil executor is
 // the in-process local backend; otherwise the caller passes a fresh Proc
-// and runBackend closes it, asserting no worker process or socket
-// directory survives.
+// and runBackend closes it, asserting no worker process survives.
 func runBackend(t *testing.T, fn cube.ComputeFunc, rel *relation.Relation, parallelism int,
 	spec string, p *Proc) equivRun {
 	t.Helper()
@@ -84,22 +83,7 @@ func runBackend(t *testing.T, fn cube.ComputeFunc, rel *relation.Relation, paral
 	eng := mr.New(cfg, dfs.New(false))
 	run, err := fn(eng, rel, cube.Spec{Agg: agg.Count})
 	if p != nil {
-		pids := p.WorkerPIDs()
-		dir := p.dir
-		p.Close()
-		if n := p.LiveWorkers(); n != 0 {
-			t.Errorf("%d live workers after Close", n)
-		}
-		for _, pid := range pids {
-			if pidAlive(pid) {
-				t.Errorf("worker pid %d still alive after Close", pid)
-			}
-		}
-		if dir != "" {
-			if _, serr := os.Stat(dir); !os.IsNotExist(serr) {
-				t.Errorf("socket dir %s survived Close (stat err: %v)", dir, serr)
-			}
-		}
+		closeAndCheck(t, p, "")
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -123,21 +107,12 @@ func runBackend(t *testing.T, fn cube.ComputeFunc, rel *relation.Relation, paral
 	}
 }
 
-// newTestProc builds a proc backend for the equivalence tests: the worker
-// command is the test binary itself (via TestMain/MaybeWorkerMain), and
-// the restart budget is raised so per-round node-crash plans in
-// multi-round algorithms never exhaust it — budget exhaustion would drain
-// placement differently from the local backend.
-func newTestProc() *Proc {
-	return NewProc(Options{RestartLimit: 64})
-}
-
 // TestBackendDeterminismProc is the backend-equivalence table: every
 // algorithm under every fault plan must produce byte-identical cube
 // output, DFS checksums, simulated time and volatile-stripped metrics
 // documents on the proc backend — real worker processes, real SIGKILLs — as on the
 // in-process local backend, at parallelism 1 and 8, with no leaked worker
-// processes or socket directories.
+// processes.
 func TestBackendDeterminismProc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real worker processes")
@@ -148,7 +123,7 @@ func TestBackendDeterminismProc(t *testing.T) {
 			t.Run(fp.name+"/"+a.name, func(t *testing.T) {
 				local := runBackend(t, a.fn, rel, 1, fp.spec, nil)
 				for _, par := range []int{1, 8} {
-					proc := runBackend(t, a.fn, rel, par, fp.spec, newTestProc())
+					proc := runBackend(t, a.fn, rel, par, fp.spec, NewProc())
 					label := fmt.Sprintf("proc p=%d", par)
 					if ok, diff := local.res.Equal(proc.res); !ok {
 						t.Errorf("%s: cube output differs from local: %s", label, diff)
@@ -159,8 +134,6 @@ func TestBackendDeterminismProc(t *testing.T) {
 					if local.sim != proc.sim {
 						t.Errorf("%s: simulated seconds differ from local: %v vs %v", label, proc.sim, local.sim)
 					}
-					// A node-crash run restarts real workers, and those health
-					// counters must not survive the strip.
 					if !bytes.Equal(local.doc, proc.doc) {
 						t.Errorf("%s: metrics document differs from local after StripVolatile:\nlocal: %s\nproc:  %s",
 							label, local.doc, proc.doc)
@@ -191,7 +164,7 @@ func TestBackendDifferentialProc(t *testing.T) {
 		want := cube.Brute(w.rel, agg.Count)
 		for _, a := range equivAlgorithms {
 			t.Run(w.name+"/"+a.name, func(t *testing.T) {
-				got := runBackend(t, a.fn, w.rel, 8, spec, newTestProc())
+				got := runBackend(t, a.fn, w.rel, 8, spec, NewProc())
 				if ok, diff := want.Equal(got.res); !ok {
 					t.Errorf("proc backend diverges from brute force: %s", diff)
 				}

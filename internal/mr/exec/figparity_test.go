@@ -30,7 +30,7 @@ func TestFig6BackendParity(t *testing.T) {
 	ctx := context.Background()
 	cfg := bench.Config{Config: mr.Config{Workers: 20, Seed: 2016, Context: ctx}, Scale: 0.02}
 	local := series(cfg)
-	p := NewProc(Options{})
+	p := NewProc()
 	defer p.Close()
 	cfg.Executor = p
 	proc := series(cfg)

@@ -1,385 +1,198 @@
+// Package exec provides the multi-process execution backend for the MR
+// engine: one real worker process per simulated failure domain, attempts
+// acknowledged over gob-encoded RPCs on a pipe pair, and node-crash faults
+// realized by SIGKILLing the actual worker process.
+//
+// The division of labor mirrors a task-tracker architecture under the
+// engine's determinism contract (see mr.Executor): the engine decides,
+// workers attest. Map and reduce functions run in the parent — moving the
+// computation out of process would force output bytes through a codec and
+// make results depend on which process survived — while each worker is its
+// node's liveness and storage agent: an attempt only counts if its worker
+// acknowledged it at open and close, and a map output is only fetchable if
+// the worker that recorded it is still alive to say so. SIGKILL therefore
+// makes exactly the RPCs fail that the simulated plan says must fail, and
+// recovery exercises genuine crash paths end to end.
 package exec
 
 import (
+	"encoding/gob"
 	"fmt"
-	"math/rand"
-	"net"
 	"os"
 	osexec "os/exec"
 	"sync"
-	"sync/atomic"
-	"syscall"
 	"time"
 
 	"github.com/spcube/spcube/internal/mr"
 )
 
-// Options tunes the proc backend. The zero value gives the defaults noted
-// on each field.
-type Options struct {
-	// WorkerCommand is the worker process argv. Empty means re-execute the
-	// current binary (os.Executable), relying on MaybeWorkerMain at the top
-	// of its main to route the child into the worker loop.
-	WorkerCommand []string
-	// RPCTimeout bounds every worker RPC (per call, as a connection
-	// deadline). Default 2s.
-	RPCTimeout time.Duration
-	// HeartbeatInterval is the liveness probe period per worker. Default
-	// 250ms.
-	HeartbeatInterval time.Duration
-	// HeartbeatMissLimit is the number of consecutive failed probes after
-	// which a worker is declared dead. Default 3.
-	HeartbeatMissLimit int
-	// RestartLimit is the per-node spawn budget across the backend's
-	// lifetime. A node whose budget is exhausted is permanently failed: its
-	// tasks drain onto live nodes (the engine's down set). Default 3.
-	RestartLimit int
-	// DialBudget bounds the exponential-backoff-with-jitter connect loop
-	// after spawning a worker. Default 5s.
-	DialBudget time.Duration
-}
-
-func (o *Options) withDefaults() Options {
-	out := *o
-	if out.RPCTimeout <= 0 {
-		out.RPCTimeout = 2 * time.Second
-	}
-	if out.HeartbeatInterval <= 0 {
-		out.HeartbeatInterval = 250 * time.Millisecond
-	}
-	if out.HeartbeatMissLimit <= 0 {
-		out.HeartbeatMissLimit = 3
-	}
-	if out.RestartLimit <= 0 {
-		out.RestartLimit = 3
-	}
-	if out.DialBudget <= 0 {
-		out.DialBudget = 5 * time.Second
-	}
-	return out
-}
+// rpcTimeout bounds every worker RPC. A dead worker fails its next RPC at
+// once (a closed pipe); a hung one fails it here.
+const rpcTimeout = 2 * time.Second
 
 // Proc is the multi-process execution backend: one worker process per
-// failure domain, liveness by heartbeat, node-crash faults by SIGKILL.
-// Create with NewProc, hand to mr.Config.Executor, and Close when the
-// computation is done (Close reaps every worker process and removes the
-// socket directory). Safe for the engine's concurrency contract; a Proc
-// serves one engine at a time.
+// failure domain, node-crash faults by SIGKILL, and every dead worker
+// respawned at the next round start. Create with NewProc, hand to
+// mr.Config.Executor, and Close when the computation is done (Close reaps
+// every worker process). Safe for the engine's concurrency contract; a
+// Proc serves one engine at a time.
 type Proc struct {
-	opts Options
-
-	mu       sync.Mutex
-	dir      string // socket directory, created lazily on first RoundStart
-	workers  []*worker
-	failed   []bool // permanently failed nodes (spawn budget exhausted)
-	restarts []int  // spawn count per node
-	closed   bool
-
-	heartbeatMisses atomic.Int64
-	workerRestarts  atomic.Int64
-	rpcRetries      atomic.Int64
+	mu      sync.Mutex
+	workers []*worker
+	closed  bool
 }
 
-// NewProc builds a proc backend with the given options.
-func NewProc(opts Options) *Proc {
-	return &Proc{opts: opts.withDefaults()}
+// NewProc builds a proc backend. Its workers re-execute the current binary,
+// which MaybeWorkerMain at the top of main routes into the worker loop.
+func NewProc() *Proc {
+	return &Proc{}
 }
 
 // worker is the parent's handle on one worker process.
 type worker struct {
-	p      *Proc
 	node   int
-	socket string
 	cmd    *osexec.Cmd
-	pipeW  *os.File      // write end of the parent-death pipe (worker's stdin)
 	waitCh chan struct{} // closed when the process has been reaped
-	dead   atomic.Bool
 
-	mu   sync.Mutex // serializes RPCs on the connection
-	conn *wireConn
+	mu   sync.Mutex // serializes RPCs on the pipes
+	req  *os.File   // write end of the worker's fd 3
+	resp *os.File   // read end of the worker's fd 4
+	enc  *gob.Encoder
+	dec  *gob.Decoder
 }
 
-// RoundStart implements mr.Executor: ensure a live worker per node
-// (spawning the fleet on the first round, respawning crashed workers
-// within the restart budget on later ones), reset each worker's storage
-// ledger for the round, and report permanently failed nodes as the down
-// set. When no node is usable at all the round fails plainly.
-func (p *Proc) RoundStart(round, nodes int, planDead []bool, hooks mr.RoundHooks) (mr.RoundExecutor, []bool, error) {
+// RoundStart implements mr.Executor: spawn a worker for every node that has
+// none or whose worker died, and hand the round this fleet. A failed spawn
+// fails the round.
+func (p *Proc) RoundStart(round, nodes int, planDead []bool) (mr.RoundExecutor, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
-		return nil, nil, fmt.Errorf("proc backend is closed")
-	}
-	if p.dir == "" {
-		dir, err := os.MkdirTemp("", "spw-*")
-		if err != nil {
-			return nil, nil, fmt.Errorf("socket dir: %w", err)
-		}
-		p.dir = dir
+		return nil, fmt.Errorf("proc backend is closed")
 	}
 	for len(p.workers) < nodes {
 		p.workers = append(p.workers, nil)
-		p.failed = append(p.failed, false)
-		p.restarts = append(p.restarts, 0)
 	}
-	live := 0
-	for node := 0; node < nodes; node++ {
-		if p.failed[node] {
+	for node, w := range p.workers[:nodes] {
+		if w != nil && !w.dead() {
 			continue
 		}
-		if p.ensureWorker(node, round, hooks) {
-			live++
-		} else {
-			p.failed[node] = true
-			hooks.Trace(mr.TraceEvent{Type: mr.EvWorkerDead, Node: node})
-		}
-	}
-	if live == 0 {
-		return nil, nil, fmt.Errorf("no usable worker: all %d nodes exhausted their restart budget", nodes)
-	}
-	var down []bool
-	for node := 0; node < nodes; node++ {
-		if p.failed[node] {
-			if down == nil {
-				down = make([]bool, nodes)
-			}
-			down[node] = true
-		}
-	}
-	var dead []bool
-	if planDead != nil {
-		dead = append([]bool(nil), planDead...)
-	}
-	return &procRound{p: p, planDead: dead}, down, nil
-}
-
-// ensureWorker makes node's worker live and reset for the round, spawning
-// (and re-spawning, on reset failure) within the node's remaining budget.
-// Reports success; on false the node's budget is exhausted. Caller holds
-// p.mu.
-func (p *Proc) ensureWorker(node, round int, hooks mr.RoundHooks) bool {
-	for {
-		w := p.workers[node]
-		if w == nil || w.dead.Load() {
-			if w != nil {
-				w.kill()
-			}
-			if p.restarts[node] >= p.opts.RestartLimit {
-				return false
-			}
-			p.restarts[node]++
-			nw, err := p.spawn(node)
-			if err != nil {
-				continue // budget check on the next iteration
-			}
-			if w != nil || p.restarts[node] > 1 {
-				p.workerRestarts.Add(1)
-			}
-			hooks.Trace(mr.TraceEvent{Type: mr.EvWorkerSpawn, Node: node})
-			p.workers[node] = nw
-			w = nw
-		}
-		if err := w.rpc(request{Op: opReset, Round: round}); err != nil {
+		if w != nil {
 			w.kill()
-			continue
 		}
-		return true
+		nw, err := spawn(node)
+		if err != nil {
+			return nil, err
+		}
+		p.workers[node] = nw
 	}
+	return &procRound{round: round, workers: append([]*worker(nil), p.workers[:nodes]...), planDead: planDead}, nil
 }
 
-// spawn starts one worker process and connects to it. Caller holds p.mu.
-func (p *Proc) spawn(node int) (*worker, error) {
-	socket := fmt.Sprintf("%s/w%d-%d.sock", p.dir, node, p.restarts[node])
-	argv := p.opts.WorkerCommand
-	if len(argv) == 0 {
-		self, err := os.Executable()
-		if err != nil {
-			return nil, fmt.Errorf("worker argv: %w", err)
-		}
-		argv = []string{self}
-	}
-	pipeR, pipeW, err := os.Pipe()
+// spawn starts node's worker process: the current binary, marked as a
+// worker by its environment, with a request pipe on fd 3 and a response
+// pipe on fd 4.
+func spawn(node int) (*worker, error) {
+	self, err := os.Executable()
 	if err != nil {
-		return nil, fmt.Errorf("death pipe: %w", err)
+		return nil, fmt.Errorf("worker binary: %w", err)
 	}
-	cmd := osexec.Command(argv[0], argv[1:]...)
-	cmd.Env = append(os.Environ(),
-		envSocket+"="+socket,
-		fmt.Sprintf("%s=%d", envNode, node))
-	cmd.Stdin = pipeR
+	reqR, reqW, err := os.Pipe()
+	if err != nil {
+		return nil, fmt.Errorf("worker pipe: %w", err)
+	}
+	respR, respW, err := os.Pipe()
+	if err != nil {
+		reqR.Close()
+		reqW.Close()
+		return nil, fmt.Errorf("worker pipe: %w", err)
+	}
+	cmd := osexec.Command(self)
+	cmd.Env = append(os.Environ(), fmt.Sprintf("%s=%d", envNode, node))
+	cmd.ExtraFiles = []*os.File{reqR, respW}
 	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		pipeR.Close()
-		pipeW.Close()
+	err = cmd.Start()
+	reqR.Close() // the worker holds its own copies
+	respW.Close()
+	if err != nil {
+		reqW.Close()
+		respR.Close()
 		return nil, fmt.Errorf("spawn worker %d: %w", node, err)
 	}
-	pipeR.Close() // the child holds its own copy
-	w := &worker{p: p, node: node, socket: socket, cmd: cmd, pipeW: pipeW, waitCh: make(chan struct{})}
+	w := &worker{node: node, cmd: cmd, waitCh: make(chan struct{}),
+		req: reqW, resp: respR, enc: gob.NewEncoder(reqW), dec: gob.NewDecoder(respR)}
 	go func() {
 		cmd.Wait()
-		w.dead.Store(true)
 		close(w.waitCh)
 	}()
-	conn, err := dialBackoff(socket, p.opts.DialBudget, w.waitCh)
-	if err != nil {
-		w.kill()
-		return nil, fmt.Errorf("connect worker %d: %w", node, err)
-	}
-	w.conn = conn
-	go w.heartbeat()
 	return w, nil
 }
 
-// dialBackoff connects to a worker socket with exponential backoff and
-// jitter, giving up when the budget runs out or the process dies first.
-func dialBackoff(socket string, budget time.Duration, died <-chan struct{}) (*wireConn, error) {
-	deadline := time.Now().Add(budget)
-	delay := 5 * time.Millisecond
-	for {
-		c, err := net.DialTimeout("unix", socket, budget)
-		if err == nil {
-			return newWireConn(c), nil
-		}
-		select {
-		case <-died:
-			return nil, fmt.Errorf("worker died before accepting: %w", err)
-		default:
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("dial budget exhausted: %w", err)
-		}
-		// Full jitter: sleep uniformly in [delay/2, delay), then double,
-		// capped — the classic backoff-with-jitter to avoid thundering
-		// reconnects when many workers respawn at once.
-		time.Sleep(delay/2 + time.Duration(rand.Int63n(int64(delay/2)+1)))
-		if delay *= 2; delay > 500*time.Millisecond {
-			delay = 500 * time.Millisecond
-		}
-	}
-}
-
-// rpc performs one RPC against the worker, reconnecting once (with
-// backoff) after a transport error. Application-level refusals from a live
-// worker pass through unchanged and are never retried.
-func (w *worker) rpc(req request) error {
+// call performs one RPC. A refusal from a live worker is returned as it is;
+// any other error kills the worker, which stays dead until the next round
+// start respawns it.
+func (w *worker) call(req request) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.dead.Load() {
-		return fmt.Errorf("worker %d is dead", w.node)
+	deadline := time.Now().Add(rpcTimeout)
+	err := w.req.SetWriteDeadline(deadline)
+	if err == nil {
+		err = w.resp.SetReadDeadline(deadline)
 	}
-	err := w.conn.call(req, w.p.opts.RPCTimeout)
-	if err == nil || isWorkerError(err) {
-		return err
+	if err == nil {
+		err = w.enc.Encode(&req)
 	}
-	// Transport error: the gob streams are poisoned. Reconnect once —
-	// the worker's accept loop takes a fresh connection — unless the
-	// process is already gone.
-	w.conn.close()
-	w.p.rpcRetries.Add(1)
-	if w.dead.Load() {
-		return fmt.Errorf("worker %d died: %w", w.node, err)
+	var resp response
+	if err == nil {
+		err = w.dec.Decode(&resp)
 	}
-	conn, derr := dialBackoff(w.socket, w.p.opts.RPCTimeout, w.waitCh)
-	if derr != nil {
-		w.markDeadLocked()
-		return fmt.Errorf("worker %d unreachable: %w", w.node, err)
+	if err != nil {
+		w.kill()
+		return fmt.Errorf("worker %d %s: %w", w.node, req.Op, err)
 	}
-	w.conn = conn
-	if err = w.conn.call(req, w.p.opts.RPCTimeout); err != nil && !isWorkerError(err) {
-		w.markDeadLocked()
-		return fmt.Errorf("worker %d unreachable: %w", w.node, err)
-	}
-	return err
-}
-
-// markDeadLocked declares the worker unusable and kills its process so
-// its state cannot resurface. Caller holds w.mu.
-func (w *worker) markDeadLocked() {
-	w.dead.Store(true)
-	w.cmd.Process.Kill()
-}
-
-// heartbeat probes the worker every HeartbeatInterval; HeartbeatMissLimit
-// consecutive failures declare it dead. The probe shares the RPC path (and
-// its reconnect), so a single transient hiccup heals silently and only
-// counts a miss.
-func (w *worker) heartbeat() {
-	ticker := time.NewTicker(w.p.opts.HeartbeatInterval)
-	defer ticker.Stop()
-	misses := 0
-	for {
-		select {
-		case <-w.waitCh:
-			return
-		case <-ticker.C:
-		}
-		if w.dead.Load() {
-			return
-		}
-		if err := w.rpc(request{Op: opPing}); err != nil {
-			w.p.heartbeatMisses.Add(1)
-			if misses++; misses >= w.p.opts.HeartbeatMissLimit {
-				w.mu.Lock()
-				w.markDeadLocked()
-				w.mu.Unlock()
-				return
-			}
-			continue
-		}
-		misses = 0
-	}
-}
-
-// kill SIGKILLs the worker process and waits for it to be reaped, so the
-// caller can rely on every RPC against it failing afterwards. Idempotent;
-// safe on a worker whose process already exited.
-func (w *worker) kill() {
-	w.dead.Store(true)
-	w.cmd.Process.Kill()
-	<-w.waitCh
-	w.mu.Lock()
-	w.conn.close()
-	w.mu.Unlock()
-	w.pipeW.Close()
-}
-
-// procRound implements mr.RoundExecutor for one engine round.
-type procRound struct {
-	p        *Proc
-	planDead []bool
-}
-
-func (r *procRound) worker(node int) *worker {
-	r.p.mu.Lock()
-	defer r.p.mu.Unlock()
-	if node < len(r.p.workers) {
-		return r.p.workers[node]
+	if resp.Err != "" {
+		return fmt.Errorf("worker %d %s: %s", w.node, req.Op, resp.Err)
 	}
 	return nil
 }
 
-func (r *procRound) attempt(op string, phase mr.Phase, task, attempt, node int) error {
-	w := r.worker(node)
-	if w == nil {
-		return fmt.Errorf("node %d has no worker", node)
+// dead reports whether the worker process has exited and been reaped.
+func (w *worker) dead() bool {
+	select {
+	case <-w.waitCh:
+		return true
+	default:
+		return false
 	}
-	return w.rpc(request{Op: op, Phase: int(phase), Task: task, Attempt: attempt})
+}
+
+// kill SIGKILLs the worker process, waits for it to be reaped, and closes
+// its pipes, so every later RPC against it fails. Idempotent.
+func (w *worker) kill() {
+	w.cmd.Process.Kill()
+	<-w.waitCh
+	w.req.Close()
+	w.resp.Close()
+}
+
+// procRound implements mr.RoundExecutor over the fleet RoundStart handed
+// it: a worker killed during the round stays dead until the next one.
+type procRound struct {
+	round    int
+	workers  []*worker
+	planDead []bool
 }
 
 func (r *procRound) BeginAttempt(phase mr.Phase, task, attempt, node int) error {
-	return r.attempt(opBegin, phase, task, attempt, node)
+	return r.workers[node].call(request{Op: opBegin, Round: r.round, Task: task, Attempt: attempt})
 }
 
 func (r *procRound) EndAttempt(phase mr.Phase, task, attempt, node int) error {
-	return r.attempt(opEnd, phase, task, attempt, node)
+	return r.workers[node].call(request{Op: opEnd, Round: r.round, Task: task, Attempt: attempt})
 }
 
-func (r *procRound) StoreMapOutput(task, attempt, node int, records, bytes int64) error {
-	w := r.worker(node)
-	if w == nil {
-		return fmt.Errorf("node %d has no worker", node)
-	}
-	return w.rpc(request{Op: opStore, Task: task, Attempt: attempt, Records: records, Bytes: bytes})
+func (r *procRound) StoreMapOutput(task, attempt, node int) error {
+	return r.workers[node].call(request{Op: opStore, Round: r.round, Task: task, Attempt: attempt})
 }
 
 // CrashNodes realizes the round's simulated node-crash plan: SIGKILL every
@@ -388,107 +201,26 @@ func (r *procRound) StoreMapOutput(task, attempt, node int, records, bytes int64
 // dead processes — the real lost set equals the simulated one.
 func (r *procRound) CrashNodes() {
 	for node, doomed := range r.planDead {
-		if !doomed {
-			continue
-		}
-		if w := r.worker(node); w != nil {
-			w.kill()
+		if doomed {
+			r.workers[node].kill()
 		}
 	}
 }
 
 func (r *procRound) FetchMapOutput(task, attempt, node int) error {
-	w := r.worker(node)
-	if w == nil {
-		return fmt.Errorf("node %d has no worker", node)
-	}
-	return w.rpc(request{Op: opFetch, Task: task, Attempt: attempt})
+	return r.workers[node].call(request{Op: opFetch, Round: r.round, Task: task, Attempt: attempt})
 }
 
-func (r *procRound) RoundEnd() mr.ExecStats {
-	return mr.ExecStats{
-		HeartbeatMisses: r.p.heartbeatMisses.Swap(0),
-		WorkerRestarts:  r.p.workerRestarts.Swap(0),
-		RPCRetries:      r.p.rpcRetries.Swap(0),
-	}
-}
-
-// Close implements mr.Executor: best-effort graceful shutdown of every
-// worker, then SIGKILL and reap, then remove the socket directory.
-// Idempotent.
+// Close implements mr.Executor: SIGKILL and reap every worker. Idempotent.
 func (p *Proc) Close() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
-		return nil
-	}
 	p.closed = true
 	for _, w := range p.workers {
-		if w == nil {
-			continue
+		if w != nil {
+			w.kill()
 		}
-		if !w.dead.Load() {
-			w.rpc(request{Op: opShutdown})
-		}
-		w.kill()
 	}
 	p.workers = nil
-	if p.dir != "" {
-		os.RemoveAll(p.dir)
-		p.dir = ""
-	}
 	return nil
-}
-
-// KillWorker SIGKILLs node's worker process and waits for it to die — the
-// chaos hook for randomized kill soaks. Reports whether there was a live
-// worker to kill.
-func (p *Proc) KillWorker(node int) bool {
-	p.mu.Lock()
-	var w *worker
-	if node < len(p.workers) {
-		w = p.workers[node]
-	}
-	p.mu.Unlock()
-	if w == nil || w.dead.Load() {
-		return false
-	}
-	w.kill()
-	return true
-}
-
-// LiveWorkers returns the number of worker processes currently alive.
-func (p *Proc) LiveWorkers() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, w := range p.workers {
-		if w != nil && !w.dead.Load() {
-			select {
-			case <-w.waitCh:
-			default:
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// WorkerPIDs returns the process IDs of every live worker (test
-// instrumentation for leak assertions).
-func (p *Proc) WorkerPIDs() []int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var pids []int
-	for _, w := range p.workers {
-		if w != nil && !w.dead.Load() {
-			pids = append(pids, w.cmd.Process.Pid)
-		}
-	}
-	return pids
-}
-
-// pidAlive reports whether pid names a live process (signal 0 probe).
-func pidAlive(pid int) bool {
-	return syscall.Kill(pid, 0) == nil
 }

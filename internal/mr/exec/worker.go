@@ -2,121 +2,104 @@ package exec
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"os/signal"
 	"strconv"
 )
 
-// Environment variables a spawned worker reads its identity from. Set by
-// the parent; their presence turns MaybeWorkerMain into the worker loop.
+// envNode carries a spawned worker's node index. Set by the parent; its
+// presence turns MaybeWorkerMain into the worker loop.
+const envNode = "SPCUBE_WORKER_NODE"
+
+// Op names one worker RPC.
 const (
-	envSocket = "SPCUBE_WORKER_SOCKET"
-	envNode   = "SPCUBE_WORKER_NODE"
+	opBegin = "begin" // open a task attempt on this node
+	opEnd   = "end"   // close a completed attempt
+	opStore = "store" // record a map attempt's output as stored here
+	opFetch = "fetch" // probe a stored map output's fetchability
 )
 
+// request is one RPC to a worker.
+type request struct {
+	Op      string
+	Round   int
+	Task    int
+	Attempt int
+}
+
+// response answers one request. A non-empty Err is the worker refusing the
+// request (a fetch of an output it does not hold).
+type response struct {
+	Err string
+}
+
 // MaybeWorkerMain turns the current process into an execution-backend
-// worker when the worker environment variables are set, and returns
-// without effect otherwise. Call it first thing in main (and in TestMain
-// for test binaries that use the proc backend): the default worker command
-// re-executes the parent binary, and this hook routes the child into the
-// worker loop instead of the CLI. Does not return when the process is a
-// worker — the loop exits the process.
+// worker when the parent marked it as one, and returns without effect
+// otherwise. Call it first thing in main (and in TestMain for test binaries
+// that use the proc backend): the proc backend re-executes the parent
+// binary, and this hook routes the child into the worker loop instead of
+// the CLI. Does not return when the process is a worker — the loop exits
+// the process.
 func MaybeWorkerMain() {
-	socket := os.Getenv(envSocket)
-	if socket == "" {
+	env, ok := os.LookupEnv(envNode)
+	if !ok {
 		return
 	}
-	node, _ := strconv.Atoi(os.Getenv(envNode))
-	if err := ServeWorker(socket, node); err != nil {
-		fmt.Fprintf(os.Stderr, "spworker node %d: %v\n", node, err)
+	node, _ := strconv.Atoi(env)
+	// A ^C at the terminal reaches the whole process group; workers stay up
+	// for the parent's cancelled rounds to drain and reap them.
+	signal.Ignore(os.Interrupt)
+	if err := serveWorker(node, os.NewFile(3, "requests"), os.NewFile(4, "responses")); err != nil {
+		fmt.Fprintf(os.Stderr, "worker node %d: %v\n", node, err)
 		os.Exit(1)
 	}
 	os.Exit(0)
 }
 
-// ServeWorker runs the worker loop: listen on the unix socket, answer the
-// parent's RPCs (one connection at a time; the parent reconnects after
-// transport errors), and exit on a shutdown request. The worker also
-// watches its stdin — the parent holds the write end of a pipe open for
-// the worker's lifetime, so EOF means the parent died and the worker must
-// not linger as an orphan. SIGINT is ignored: a ^C at the terminal reaches
-// the whole process group, and workers must stay up for the parent's
-// context-cancelled rounds to drain and reap them deliberately.
-func ServeWorker(socket string, node int) error {
-	signal.Ignore(os.Interrupt)
-	go func() {
-		io.Copy(io.Discard, os.Stdin)
-		os.Exit(1)
-	}()
-	ln, err := net.Listen("unix", socket)
-	if err != nil {
-		return fmt.Errorf("listen %s: %w", socket, err)
-	}
-	defer ln.Close()
-	w := &workerState{node: node, outputs: make(map[outputKey]bool)}
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return fmt.Errorf("accept: %w", err)
-		}
-		done := w.serveConn(conn)
-		conn.Close()
-		if done {
-			return nil
-		}
-	}
-}
-
 // outputKey identifies one stored map output: task and attempt index.
 type outputKey struct{ task, attempt int }
 
-// workerState is the node's storage ledger: which map outputs this node
-// holds for the current round. It dies with the process — that is the
-// point: a SIGKILLed node genuinely cannot attest to its outputs anymore.
-type workerState struct {
-	node    int
-	round   int
-	outputs map[outputKey]bool
-}
-
-// serveConn answers requests on one connection until it breaks (the
-// parent reconnects) or a shutdown arrives (returns true).
-func (w *workerState) serveConn(conn net.Conn) (shutdown bool) {
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
+// serveWorker answers the parent's RPCs until the request pipe reaches EOF:
+// the parent closed it, or the parent died. The map-output ledger is the
+// node's storage for the current round. It dies with the process — that is
+// the point: a SIGKILLed node genuinely cannot attest to its outputs.
+func serveWorker(node int, in io.Reader, out io.Writer) error {
+	dec := gob.NewDecoder(in)
+	enc := gob.NewEncoder(out)
+	round := -1
+	outputs := map[outputKey]bool{}
 	for {
 		var req request
 		if err := dec.Decode(&req); err != nil {
-			return false
+			if errors.Is(err, io.EOF) {
+				return nil
+			}
+			return err
 		}
-		resp := response{ID: req.ID, OK: true}
+		var resp response
+		key := outputKey{req.Task, req.Attempt}
 		switch req.Op {
-		case opPing:
-		case opReset:
-			w.round = req.Round
-			clear(w.outputs)
 		case opBegin, opEnd:
 			// Liveness attestations: answering at all is the point. A dead
 			// or unreachable worker cannot, and the engine kills the attempt.
 		case opStore:
-			w.outputs[outputKey{req.Task, req.Attempt}] = true
-		case opFetch:
-			if !w.outputs[outputKey{req.Task, req.Attempt}] {
-				resp.OK = false
-				resp.Err = fmt.Sprintf("node %d holds no output for map task %d attempt %d", w.node, req.Task, req.Attempt)
+			if req.Round != round {
+				round = req.Round
+				clear(outputs)
 			}
-		case opShutdown:
-			enc.Encode(&resp)
-			return true
+			outputs[key] = true
+		case opFetch:
+			if req.Round != round || !outputs[key] {
+				resp.Err = fmt.Sprintf("node %d holds no output for map task %d attempt %d", node, req.Task, req.Attempt)
+			}
 		default:
-			resp.OK = false
 			resp.Err = "unknown op " + req.Op
 		}
 		if err := enc.Encode(&resp); err != nil {
-			return false
+			return err
 		}
 	}
 }

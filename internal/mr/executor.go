@@ -8,8 +8,10 @@ package mr
 // decision against real execution resources. The default localExecutor has
 // no resources beyond the engine's own goroutine pool, so every hook is a
 // no-op that reproduces the simulated semantics exactly; the proc backend
-// (internal/mr/exec) backs each failure domain with a real worker process,
-// so an attempt opened on a SIGKILLed node genuinely fails.
+// (internal/mr/exec) backs each failure domain with a real worker process
+// that acknowledges attempts, is SIGKILLed when its node crashes and is
+// respawned at the next round start, so an attempt opened on a crashed node
+// genuinely fails.
 //
 // Determinism argument: an executor can refuse work (BeginAttempt /
 // EndAttempt / StoreMapOutput / FetchMapOutput errors) but never produce
@@ -18,28 +20,22 @@ package mr
 // raises, feeding the existing retry/re-placement machinery, and the
 // re-entrancy contract makes retried attempts byte-identical. Scheduling
 // therefore stays isolated from results: any mix of real crashes changes
-// only recovery accounting and the volatile ExecStats counters, never an
-// output byte.
+// only recovery accounting, never an output byte.
 type Executor interface {
 	// RoundStart prepares the backend for one engine round over `nodes`
 	// failure domains. planDead is the round's simulated node-crash plan
 	// (nil when no node-crash fault targets the round): the backend must
 	// realize those deaths when CrashNodes is called at the shuffle
-	// barrier. It returns the round handle plus the backend's own down
-	// set — nodes whose workers could not be (re)started within the
-	// restart budget and must be drained onto live nodes (nil when all are
-	// usable). An error means no node is usable at all; the engine fails
-	// the round plainly rather than hanging.
-	RoundStart(round, nodes int, planDead []bool, hooks RoundHooks) (RoundExecutor, []bool, error)
-	// Close releases the backend (terminates worker processes, removes
-	// sockets). Idempotent.
+	// barrier. An error fails the round plainly.
+	RoundStart(round, nodes int, planDead []bool) (RoundExecutor, error)
+	// Close releases the backend (terminates worker processes). Idempotent.
 	Close() error
 }
 
 // RoundExecutor is one round's view of an Executor. The engine calls
 // BeginAttempt/EndAttempt/StoreMapOutput from concurrent task goroutines
-// (implementations must be safe for that), and CrashNodes/FetchMapOutput/
-// RoundEnd from the run goroutine at the shuffle barrier and round end.
+// (implementations must be safe for that), and CrashNodes/FetchMapOutput
+// from the run goroutine at the shuffle barrier.
 type RoundExecutor interface {
 	// BeginAttempt opens a task attempt on its placed node. An error means
 	// the node cannot run work (its worker is dead or unreachable); the
@@ -51,9 +47,8 @@ type RoundExecutor interface {
 	// retries, modeling a task tracker lost mid-task.
 	EndAttempt(phase Phase, task, attempt, node int) error
 	// StoreMapOutput registers a completed map attempt's output as stored
-	// on its node, with its shuffle accounting. An error is treated like an
-	// EndAttempt failure.
-	StoreMapOutput(task, attempt, node int, records, bytes int64) error
+	// on its node. An error is treated like an EndAttempt failure.
+	StoreMapOutput(task, attempt, node int) error
 	// CrashNodes realizes the round's planDead set at the shuffle barrier.
 	// The proc backend SIGKILLs the doomed worker processes and waits for
 	// them to die before returning, so the fetch probes that follow fail
@@ -64,36 +59,6 @@ type RoundExecutor interface {
 	// node) is still fetchable after CrashNodes. An error marks the output
 	// lost; the engine re-executes the map task on live nodes.
 	FetchMapOutput(task, attempt, node int) error
-	// RoundEnd closes the round and returns the backend's health counters.
-	// Called exactly once, after the last attempt of the round.
-	RoundEnd() ExecStats
-}
-
-// ExecStats are one round's execution-backend health counters. All three
-// are volatile under the proc backend (real crash recovery does not replay
-// identically) and always zero under the local backend; determinism
-// comparisons strip them like the wall-clock fields.
-type ExecStats struct {
-	// HeartbeatMisses counts worker heartbeat probes that timed out or
-	// errored during the round.
-	HeartbeatMisses int64
-	// WorkerRestarts counts worker processes (re)spawned for the round —
-	// replacements for crashed or SIGKILLed workers, not the initial fleet.
-	WorkerRestarts int64
-	// RPCRetries counts worker RPCs that were retried after a timeout or a
-	// transport error (with reconnect).
-	RPCRetries int64
-}
-
-// RoundHooks carries the engine facilities a backend may call back into
-// during a round.
-type RoundHooks struct {
-	// Trace delivers a round-level backend trace event (EvWorkerSpawn,
-	// EvWorkerDead). It must only be called from RoundStart or CrashNodes —
-	// both run on the engine's run goroutine — so event sequence numbers
-	// stay deterministic; per-RPC incidents are counted in ExecStats
-	// instead. Never nil, but a no-op when tracing is disabled.
-	Trace func(ev TraceEvent)
 }
 
 // localExecutor is the default in-process backend: the engine's goroutine
@@ -102,8 +67,8 @@ type RoundHooks struct {
 // FetchMapOutput checks the stored-output-on-a-dead-node condition directly.
 type localExecutor struct{}
 
-func (localExecutor) RoundStart(round, nodes int, planDead []bool, hooks RoundHooks) (RoundExecutor, []bool, error) {
-	return localRound{dead: planDead}, nil, nil
+func (localExecutor) RoundStart(round, nodes int, planDead []bool) (RoundExecutor, error) {
+	return localRound{dead: planDead}, nil
 }
 
 func (localExecutor) Close() error { return nil }
@@ -115,10 +80,8 @@ type localRound struct {
 
 func (localRound) BeginAttempt(phase Phase, task, attempt, node int) error { return nil }
 func (localRound) EndAttempt(phase Phase, task, attempt, node int) error   { return nil }
-func (localRound) StoreMapOutput(task, attempt, node int, records, bytes int64) error {
-	return nil
-}
-func (localRound) CrashNodes() {}
+func (localRound) StoreMapOutput(task, attempt, node int) error            { return nil }
+func (localRound) CrashNodes()                                             {}
 
 func (r localRound) FetchMapOutput(task, attempt, node int) error {
 	if r.dead != nil && r.dead[node] {
@@ -126,5 +89,3 @@ func (r localRound) FetchMapOutput(task, attempt, node int) error {
 	}
 	return nil
 }
-
-func (localRound) RoundEnd() ExecStats { return ExecStats{} }

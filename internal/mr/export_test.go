@@ -223,8 +223,8 @@ func TestMetricsDocumentKeyPaths(t *testing.T) {
 		maint *MaintInfo
 		paths int
 	}{
-		{"ordinary", nil, 108},
-		{"maint", &MaintInfo{Round: 1, Mode: "delta", Reason: "mergeable"}, 114},
+		{"ordinary", nil, 102},
+		{"maint", &MaintInfo{Round: 1, Mode: "delta", Reason: "mergeable"}, 108},
 	} {
 		var want []string
 		for _, p := range strings.Fields(string(golden)) {

@@ -34,17 +34,18 @@ import (
 // size) and "mergePasses" (intermediate fan-in merges), both
 // deterministic, plus the volatile overlap counters "spillWriteStallNs",
 // "prefetchHits" and "prefetchMisses", which join the wall-clock fields
-// outside the determinism contract; v6 added the execution-backend health
-// counters "heartbeatMisses", "workerRestarts" and "rpcRetries" at round
-// and job level — all volatile (real crash recovery and transport
-// flakiness do not replay), always zero under the in-process local
+// outside the determinism contract; v6 added three execution-backend health
+// counters at round and job level (missed liveness probes, worker restarts
+// and RPC retries) — all volatile, always zero under the in-process local
 // backend; v7 removed "spillWriteStallNs", "prefetchHits" and
 // "prefetchMisses" with the background spill writer and merge read-ahead
 // they measured (task attempts now do their own spill I/O); v8 removed the
 // four backup-attempt counters (three deterministic, one volatile) with the
 // simulated stragglers whose backups they counted; v9 removed "maint"'s
-// "drift" with the sketch-drift rebuild policy that measured it.
-const MetricsSchemaVersion = 9
+// "drift" with the sketch-drift rebuild policy that measured it; v10 removed
+// the v6 health counters with the proc backend's liveness probes,
+// reconnects and restart budget they counted.
+const MetricsSchemaVersion = 10
 
 // Counters are the additive counters that exist under one name at task,
 // round and job level: a round's are the sum of its tasks', a job's the sum
@@ -91,15 +92,11 @@ func (c *Counters) add(o *Counters) {
 }
 
 // VolatileKeys names, by JSON key, every field outside the determinism
-// contract: real elapsed time and the execution-backend health counters
-// (real crash recovery does not replay). For a fixed input, configuration
-// and fault plan every other field is bit-for-bit identical at any
+// contract: real elapsed time. For a fixed input, configuration and fault
+// plan every other field is bit-for-bit identical at any
 // Config.Parallelism and on any backend. This is the one declaration;
 // StripVolatile reads it.
-var VolatileKeys = []string{
-	"wallSeconds", "retryWallSeconds",
-	"heartbeatMisses", "workerRestarts", "rpcRetries",
-}
+var VolatileKeys = []string{"wallSeconds", "retryWallSeconds"}
 
 // StripVolatile removes the keys outside the determinism contract from a
 // JSON document — a -metrics-out document or spbench's, which shares its
@@ -200,13 +197,6 @@ type Totals struct {
 	Retries         int64 `json:"retries"`
 	MapReexecutions int64 `json:"mapReexecutions"`
 	Counters
-	// Execution-backend health counters (schema v6), collected from the
-	// round's RoundExecutor at round end. All three are volatile: real
-	// transport flakiness and crash recovery do not replay identically.
-	// Always zero under the in-process local backend.
-	HeartbeatMisses int64 `json:"heartbeatMisses"`
-	WorkerRestarts  int64 `json:"workerRestarts"`
-	RPCRetries      int64 `json:"rpcRetries"`
 
 	// Failed/FailReason: on a job, the first failed round's.
 	Failed     bool   `json:"failed,omitempty"`
@@ -340,9 +330,6 @@ func (j *JobMetrics) Totals() Totals {
 		t.Retries += r.Retries
 		t.MapReexecutions += r.MapReexecutions
 		t.Counters.add(&r.Counters)
-		t.HeartbeatMisses += r.HeartbeatMisses
-		t.WorkerRestarts += r.WorkerRestarts
-		t.RPCRetries += r.RPCRetries
 		if r.Failed && !t.Failed {
 			t.Failed, t.FailReason = true, r.FailReason
 		}

@@ -79,8 +79,7 @@ func placeLive(node int, dead []bool, nodes int) int {
 }
 
 // placeAttempt resolves the node an attempt runs on against a down set —
-// the round's simulated dead nodes, the execution backend's permanently
-// failed workers, or their union — and returns the kill for an attempt
+// the round's simulated dead nodes — and returns the kill for an attempt
 // that cannot be placed. Attempt 0 keeps its raw placement — it was
 // already running when the node died mid-round, so it dies with it; later
 // attempts are re-placed on live nodes (placeLive) and only die when none
@@ -100,23 +99,6 @@ func (e *Engine) placeAttempt(round int, phase Phase, task, attempt int, down []
 		return node, &killError{reason: fmt.Sprintf("node %d crashed", node), phase: phase, task: task, attempt: attempt}
 	}
 	return node, nil
-}
-
-// unionDead merges two down sets (either may be nil, and nil means "none
-// down"). When only one is non-nil it is returned as-is — the common case,
-// since the local backend never reports down nodes.
-func unionDead(a, b []bool) []bool {
-	if b == nil {
-		return a
-	}
-	if a == nil {
-		return b
-	}
-	out := make([]bool, len(a))
-	for i := range a {
-		out[i] = a[i] || b[i]
-	}
-	return out
 }
 
 // isKillError reports whether err is an engine-initiated kill (retryable,

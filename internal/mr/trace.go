@@ -86,22 +86,6 @@ const (
 	// EvMaintEnd closes a maintenance cycle: Records carries the number of
 	// changed c-groups, Failed whether the cycle was rolled back.
 	EvMaintEnd = "maint-end"
-
-	// EvWorkerSpawn records the execution backend (re)starting a worker
-	// process for a failure domain (Node). Emitted from RoundStart, on the
-	// run goroutine, so its position in the sequence is deterministic for a
-	// fixed fault plan; whether a respawn happens at all depends on real
-	// crash recovery, so consumers should treat presence as informational.
-	EvWorkerSpawn = "worker-spawn"
-	// EvWorkerDead records a worker process (Node) the backend declared
-	// permanently failed — it could not be respawned within the restart
-	// budget — whose tasks drain onto live nodes.
-	EvWorkerDead = "worker-dead"
-	// EvRPCRetry reports a round's worker-RPC retry total (Records) at
-	// round end. Per-RPC incidents are counted, not traced: they happen on
-	// task goroutines where emitting would scramble sequence numbers. The
-	// count is volatile, like the wall-clock fields.
-	EvRPCRetry = "rpc-retry"
 )
 
 // TraceEvent is one structured engine lifecycle event. Numeric fields are
@@ -213,10 +197,9 @@ func (t *roundTracer) emit(ev TraceEvent) {
 	t.eng.Cfg.Tracer.TraceEvent(ev)
 }
 
-// event fills the round coordinates and emits a round-level event. It is
-// also what the execution backend's RoundHooks.Trace delivers through
-// (worker-spawn, worker-dead): safe on a nil tracer, and only to be called
-// from the run goroutine so sequence numbering stays deterministic.
+// event fills the round coordinates and emits a round-level event: safe on
+// a nil tracer, and only to be called from the run goroutine so sequence
+// numbering stays deterministic.
 func (t *roundTracer) event(ev TraceEvent) {
 	if t == nil {
 		return
