@@ -52,7 +52,10 @@ retry-race:
 # any size), and the input
 # dictionary (arbitrary column values: codes, order and decoded text equal a
 # plain string map's, whichever of its two entry kinds a value takes, and
-# the same values as a CSV file load as a serial read loads them), the
+# the same values as a CSV file load as a serial read loads them), the CSV
+# load (arbitrary file bytes — quotes, CRs, blank and ragged lines, lines
+# longer than the buffer — load as a serial encoding/csv read loads them, or
+# fail with its error text, at any batch size), the
 # group-key codec (round trip, uvarint length, byte order equal to
 # ComparePacked order, and only minimal forms decoding), the SP-Sketch wire
 # format (never a panic; Encode∘Decode idempotent), and the server's two
@@ -65,6 +68,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzBlockCodec -fuzztime=10s ./internal/mr/blockcodec
 	$(GO) test -run=NONE -fuzz=FuzzOutputRecords -fuzztime=10s ./internal/cube
 	$(GO) test -run=NONE -fuzz=FuzzDictionaryRoundTrip -fuzztime=10s ./internal/relation
+	$(GO) test -run=NONE -fuzz=FuzzReadCSV -fuzztime=10s ./internal/relation
 	$(GO) test -run=NONE -fuzz=FuzzGroupKey -fuzztime=10s ./internal/relation
 	$(GO) test -run=NONE -fuzz=FuzzSketchDecode -fuzztime=10s ./internal/sketch
 	$(GO) test -run=NONE -fuzz=FuzzQueryRequest -fuzztime=10s ./internal/serve

@@ -50,9 +50,13 @@ func testPayloads() [][]byte {
 		{0},
 		{1, 2, 3},
 		[]byte("abcd"),
-		bytes.Repeat([]byte{'x'}, 300),  // period 1: overlap copy
-		bytes.Repeat([]byte("ab"), 200), // period 2
+		bytes.Repeat([]byte{'x'}, 300),   // period 1: overlap copy
+		bytes.Repeat([]byte("ab"), 200),  // period 2
+		bytes.Repeat([]byte("abc"), 100), // period 3
 		bytes.Repeat([]byte("0123456789abcde"), 99), // period 15
+		// Short overlapping matches at offsets 1, 2 and 3, each followed by
+		// literals: a match shorter than twice its offset, then longer.
+		[]byte("-qqqqq=rsrsrs+tuvtuvt*qqqqqqqqqq/rsrsrsrsrsr.tuvtuvtuvtuvtu!"),
 		random,
 		append(bytes.Repeat([]byte("key:000"), 64), random[:100]...),
 		[]byte(strings.Repeat("\x02\x01a\x08count=1", 500)), // record-ish
@@ -71,6 +75,32 @@ func TestCodecRoundTrip(t *testing.T) {
 			if !bytes.Equal(dec, payload) {
 				t.Fatalf("%s payload %d: round trip mismatch (%d -> %d -> %d bytes)",
 					c.Name(), i, len(payload), len(enc), len(dec))
+			}
+		}
+	}
+}
+
+// TestLZOverlappingMatches: a match that overlaps its own output repeats
+// the last offset bytes. At offsets 1, 2 and 3, and at lengths short of,
+// at and past multiples of the offset and the 18 bytes a token's match
+// nibble holds, a hand-built token decodes — behind earlier output in dst —
+// to what a byte-at-a-time copy makes, and that output survives the
+// encoder's own round trip.
+func TestLZOverlappingMatches(t *testing.T) {
+	for offset := 1; offset <= 3; offset++ {
+		for _, matchLen := range []int{4, 5, 6, 7, 17, 18, 19, 300} {
+			lit := []byte("xyz")[:offset]
+			want := append([]byte(nil), lit...)
+			for i := 0; i < matchLen; i++ {
+				want = append(want, want[len(want)-offset])
+			}
+			got, err := LZ{}.Decode([]byte("earlier"), lzEmit(nil, lit, matchLen, offset), len(want))
+			if err != nil || string(got) != "earlier"+string(want) {
+				t.Fatalf("offset %d, length %d: decoded %q, %v; want %q", offset, matchLen, got, err, "earlier"+string(want))
+			}
+			dec, err := LZ{}.Decode(nil, LZ{}.Encode(nil, want), len(want))
+			if err != nil || !bytes.Equal(dec, want) {
+				t.Fatalf("offset %d, length %d: round trip %q, %v; want %q", offset, matchLen, dec, err, want)
 			}
 		}
 	}

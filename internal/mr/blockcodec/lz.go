@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // LZ is a small LZ77-style byte codec in the LZ4 family, written against
@@ -119,6 +120,7 @@ var errLZTruncated = errors.New("blockcodec: truncated lz block")
 // panics and never grows the output past rawLen.
 func (LZ) Decode(dst, src []byte, rawLen int) ([]byte, error) {
 	base := len(dst)
+	dst = slices.Grow(dst, max(rawLen, 0))
 	for len(src) > 0 {
 		t := src[0]
 		src = src[1:]
@@ -173,11 +175,15 @@ func (LZ) Decode(dst, src []byte, rawLen int) ([]byte, error) {
 		if len(dst)-base+matchLen > rawLen {
 			return dst, fmt.Errorf("blockcodec: lz block decodes past its %d-byte frame length", rawLen)
 		}
-		// Byte-at-a-time copy: matches may overlap their own output
-		// (offset < matchLen replicates a short period), which bulk copy
-		// would corrupt.
-		for i := 0; i < matchLen; i++ {
-			dst = append(dst, dst[len(dst)-offset])
+		// A match may overlap its own output (offset < matchLen repeats
+		// the last offset bytes), so it is copied in runs that read only
+		// bytes already written: the offset bytes it starts at, then the
+		// whole repeated stretch since, doubling it while any is left.
+		from := len(dst) - offset
+		for left := matchLen; left > 0; {
+			n := min(left, len(dst)-from)
+			dst = append(dst, dst[from:from+n]...)
+			left -= n
 		}
 	}
 	if len(dst)-base != rawLen {

@@ -53,6 +53,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -330,6 +331,10 @@ type MapCtx struct {
 	sortBuf   sortScratch
 	bucketRaw []int64 // Σ pairBytes per bucket of the last partitionSort
 	encBuf    []byte
+	// flushBuf holds a flush's partitionSort arrays for the next one: a
+	// flushed chunk's buckets are on disk once spillNow returns. The final
+	// chunk's buckets go to the shuffle, so it gets arrays of its own.
+	flushBuf partitionScratch
 	// tr (nil when tracing is off; its methods are nil-safe) and attempt
 	// address the attempt's spill trace events.
 	tr      *roundTracer
@@ -378,6 +383,12 @@ func (c *MapCtx) State() any { return c.state }
 // through EmitCopied (or EmitBytes) instead; passing one immutable buffer
 // to several Emit calls (aliased values) is fine.
 func (c *MapCtx) Emit(key string, val []byte) {
+	if c.budget > 0 && len(c.out) == cap(c.out) {
+		// Double, where append grows a long slice by about 1.25×: every
+		// flush reuses the buffer, so only the first chunk's growth is
+		// garbage, and doubling makes less of it.
+		c.out = slices.Grow(c.out, len(c.out)+1)
+	}
 	c.out = append(c.out, Pair{Key: key, Val: val})
 	pb := pairBytes(key, val)
 	c.metrics.PreCombineRecords++
@@ -408,7 +419,7 @@ func (c *MapCtx) spillNow() {
 	if c.job.Combine != nil {
 		out = c.eng.combine(c.job, c, out)
 	}
-	buckets, err := c.eng.partitionSort(c.job, c, out)
+	buckets, err := c.eng.partitionSort(c.job, c, out, &c.flushBuf)
 	if err != nil {
 		panic(taskAbort{err})
 	}
@@ -470,6 +481,9 @@ func (c *MapCtx) EmitBytes(key, val []byte) {
 // content.
 func (c *MapCtx) arenaAppend(b []byte) []byte {
 	n := len(c.arena)
+	if c.budget > 0 && n+len(b) > cap(c.arena) {
+		c.arena = slices.Grow(c.arena, n+len(b)) // doubles, as Emit's out
+	}
 	c.arena = append(c.arena, b...)
 	return c.arena[n:len(c.arena):len(c.arena)]
 }
@@ -1073,7 +1087,7 @@ func (r *round) mapAttempt(ctx *MapCtx) (mout mapOutput, err error) {
 	if job.Combine != nil {
 		out = r.eng.combine(job, ctx, out)
 	}
-	buckets, err := r.eng.partitionSort(job, ctx, out)
+	buckets, err := r.eng.partitionSort(job, ctx, out, nil)
 	if err != nil {
 		return mapOutput{}, err
 	}
@@ -1085,15 +1099,21 @@ func (r *round) mapAttempt(ctx *MapCtx) (mout mapOutput, err error) {
 
 // partitionSort partitions one chunk of map output into per-reducer
 // buckets and sorts each — the final hand-off of every attempt, and every
-// flushed chunk of a spilling attempt. Output accounting accumulates, so
-// OutRecords/OutBytes cover spilled chunks and the final in-memory one.
-func (e *Engine) partitionSort(job *Job, ctx *MapCtx, out []Pair) ([][]Pair, error) {
+// flushed chunk of a spilling attempt. The buckets are carved from buf's
+// arrays, grown as needed, or from fresh ones when buf is nil. Output
+// accounting accumulates, so OutRecords/OutBytes cover spilled chunks and
+// the final in-memory one.
+func (e *Engine) partitionSort(job *Job, ctx *MapCtx, out []Pair, buf *partitionScratch) ([][]Pair, error) {
 	reducers := ctx.reducers
 	ctx.metrics.OutRecords += int64(len(out))
 	// Counting pass: partition every record once up front so the buckets
 	// can be carved at exact size out of a single backing array — no
 	// per-append growth, no copying when the shuffle hands them over.
-	targets := make([]int32, len(out))
+	var fresh partitionScratch
+	if buf == nil {
+		buf = &fresh
+	}
+	targets, backing, buckets := buf.carve(len(out), reducers)
 	counts := make([]int32, reducers)
 	if ctx.bucketRaw == nil {
 		ctx.bucketRaw = make([]int64, reducers)
@@ -1115,7 +1135,6 @@ func (e *Engine) partitionSort(job *Job, ctx *MapCtx, out []Pair) ([][]Pair, err
 	for r := 0; r < reducers; r++ {
 		offs[r+1] = offs[r] + counts[r]
 	}
-	backing := make([]Pair, len(out))
 	cursor := counts // reuse the counts array as per-bucket fill cursors
 	copy(cursor, offs[:reducers])
 	for i := range out {
@@ -1130,13 +1149,29 @@ func (e *Engine) partitionSort(job *Job, ctx *MapCtx, out []Pair) ([][]Pair, err
 	// the work the CostModel already charges per emitted record
 	// (MapCPUPerEmit covers Hadoop's collector, whose buffer sort is part
 	// of the emit path); no separate simulated charge is added.
-	buckets := make([][]Pair, reducers)
 	for r := 0; r < reducers; r++ {
 		b := backing[offs[r]:offs[r+1]:offs[r+1]]
 		sortPairsStable(b, &ctx.sortBuf)
 		buckets[r] = b
 	}
 	return buckets, nil
+}
+
+// partitionScratch is the three arrays one partitionSort carves its
+// buckets from.
+type partitionScratch struct {
+	targets []int32
+	backing []Pair
+	buckets [][]Pair
+}
+
+// carve returns the scratch's arrays at n records and reducers buckets,
+// growing them where they are short.
+func (s *partitionScratch) carve(n, reducers int) ([]int32, []Pair, [][]Pair) {
+	s.targets = slices.Grow(s.targets[:0], n)[:n]
+	s.backing = slices.Grow(s.backing[:0], n)[:n]
+	s.buckets = slices.Grow(s.buckets[:0], reducers)[:reducers]
+	return s.targets, s.backing, s.buckets
 }
 
 // reduceAttempt executes one attempt of one reduce task by streaming the

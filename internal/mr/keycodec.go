@@ -72,11 +72,11 @@ func (d *recordReader) next() (key, val []byte, ok bool, err error) {
 		return nil, nil, false, nil
 	}
 	d.rem--
-	prefix, err := binary.ReadUvarint(d.r)
+	prefix, err := d.uvarint()
 	if err != nil {
 		return nil, nil, false, fmt.Errorf("mr: spill record prefix: %w", err)
 	}
-	suffix, err := binary.ReadUvarint(d.r)
+	suffix, err := d.uvarint()
 	if err != nil {
 		return nil, nil, false, fmt.Errorf("mr: spill record suffix len: %w", err)
 	}
@@ -88,7 +88,7 @@ func (d *recordReader) next() (key, val []byte, ok bool, err error) {
 	if err != nil {
 		return nil, nil, false, fmt.Errorf("mr: spill record key suffix: %w", err)
 	}
-	vlen, err := binary.ReadUvarint(d.r)
+	vlen, err := d.uvarint()
 	if err != nil {
 		return nil, nil, false, fmt.Errorf("mr: spill record value len: %w", err)
 	}
@@ -98,6 +98,19 @@ func (d *recordReader) next() (key, val []byte, ok bool, err error) {
 		return nil, nil, false, fmt.Errorf("mr: spill record value: %w", err)
 	}
 	return d.key, d.val, true, nil
+}
+
+// uvarint reads one uvarint. It decodes it where it lies in the buffer, and
+// reads it a byte at a time only where the buffer holds no whole varint —
+// at the end of the segment, where a truncated or overlong one gets
+// binary.ReadUvarint's error.
+func (d *recordReader) uvarint() (uint64, error) {
+	buf, _ := d.r.Peek(binary.MaxVarintLen64)
+	if v, n := binary.Uvarint(buf); n > 0 {
+		d.r.Discard(n)
+		return v, nil
+	}
+	return binary.ReadUvarint(d.r)
 }
 
 // readFull appends exactly n bytes from r to buf.

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"strings"
 	"testing"
+
+	"github.com/spcube/spcube/internal/mr/blockcodec"
 )
 
 // roundtrip encodes keys/vals as one front-coded segment and decodes it
@@ -150,5 +152,89 @@ func TestRecordReaderBadPrefix(t *testing.T) {
 	rr := newRecordReader(bytes.NewReader(buf), 1, 16)
 	if _, _, _, err := rr.next(); err == nil || !strings.Contains(err.Error(), "prefix") {
 		t.Fatalf("expected prefix validation error, got %v", err)
+	}
+}
+
+// TestRecordReaderStraddles: records whose varints run to two and three
+// bytes, and whose key suffixes and values are longer than the reader's
+// 16-byte buffer, decode as written when every field crosses that buffer's
+// end and the segment's block boundaries fall anywhere — blocks of 1 byte up
+// to the whole segment, raw and lz.
+func TestRecordReaderStraddles(t *testing.T) {
+	long := strings.Repeat("k", 300)
+	keys := []string{"a", "ab", long, long + "x", long + "xy" + strings.Repeat("z", 20000), "b", "bc"}
+	vals := [][]byte{
+		{1}, nil, bytes.Repeat([]byte{2}, 130), {3, 4},
+		bytes.Repeat([]byte{5}, 17000), bytes.Repeat([]byte{6}, 15), {7},
+	}
+	var seg []byte
+	prev := ""
+	for i, k := range keys {
+		seg = appendSpillRecord(seg, prev, k, vals[i])
+		prev = k
+	}
+	for _, codec := range []blockcodec.Codec{blockcodec.Raw{}, blockcodec.LZ{}} {
+		for _, block := range []int{1, 2, 3, 7, 15, 16, 17, 100, 4096, blockcodec.MaxBlockSize} {
+			var framed, scratch []byte
+			for rest := seg; len(rest) > 0; {
+				n := min(block, len(rest))
+				framed, scratch = blockcodec.AppendBlock(framed, codec, rest[:n], scratch)
+				rest = rest[n:]
+			}
+			rr := newRecordReader(blockcodec.NewReader(bytes.NewReader(framed), codec), int64(len(keys)), 16)
+			for i := range keys {
+				k, v, ok, err := rr.next()
+				if err != nil || !ok {
+					t.Fatalf("%s, %d-byte blocks: record %d: ok=%v err=%v", codec.Name(), block, i, ok, err)
+				}
+				if string(k) != keys[i] || !bytes.Equal(v, vals[i]) {
+					t.Fatalf("%s, %d-byte blocks: record %d: got a %d-byte key and a %d-byte value, want %d and %d",
+						codec.Name(), block, i, len(k), len(v), len(keys[i]), len(vals[i]))
+				}
+			}
+			if _, _, ok, err := rr.next(); ok || err != nil {
+				t.Fatalf("%s, %d-byte blocks: after the last record: ok=%v err=%v", codec.Name(), block, ok, err)
+			}
+		}
+	}
+}
+
+// TestRecordReaderErrorTexts pins the error of every way a record can be cut
+// short or malformed, alone in its segment and behind a 14-byte record, so
+// that the broken field starts 2 bytes before the end of the reader's
+// 16-byte buffer.
+func TestRecordReaderErrorTexts(t *testing.T) {
+	overlong := append(bytes.Repeat([]byte{0xff}, 9), 0x02) // 2^64 and more
+	cases := []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"no record", nil, "mr: spill record prefix: EOF"},
+		{"cut prefix", []byte{0x80}, "mr: spill record prefix: unexpected EOF"},
+		{"cut suffix length", []byte{0x00, 0x85}, "mr: spill record suffix len: unexpected EOF"},
+		{"cut value length", []byte{0x00, 0x01, 'a', 0xff}, "mr: spill record value len: unexpected EOF"},
+		{"overlong prefix", overlong, "mr: spill record prefix: binary: varint overflows a 64-bit integer"},
+		{"eleven-byte prefix", append(bytes.Repeat([]byte{0xff}, 10), 0x01), "mr: spill record prefix: binary: varint overflows a 64-bit integer"},
+		{"overlong value length", append([]byte{0x00, 0x01, 'a'}, overlong...), "mr: spill record value len: binary: varint overflows a 64-bit integer"},
+		{"cut key suffix", []byte{0x00, 0x05, 'a'}, "mr: spill record key suffix: unexpected EOF"},
+		{"cut value", []byte{0x00, 0x01, 'a', 0x03, 'x'}, "mr: spill record value: unexpected EOF"},
+	}
+	lead := appendSpillRecord(nil, "", "0123456789", []byte{'v'})
+	if len(lead) != 14 {
+		t.Fatalf("the leading record is %d bytes, want 14", len(lead))
+	}
+	for _, c := range cases {
+		rr := newRecordReader(bytes.NewReader(c.data), 1, 16)
+		if _, _, ok, err := rr.next(); ok || err == nil || err.Error() != c.want {
+			t.Errorf("%s: ok=%v err=%v, want %q", c.name, ok, err, c.want)
+		}
+		rr = newRecordReader(bytes.NewReader(append(lead[:14:14], c.data...)), 2, 16)
+		if _, _, ok, err := rr.next(); !ok || err != nil {
+			t.Fatalf("%s: the leading record: ok=%v err=%v", c.name, ok, err)
+		}
+		if _, _, ok, err := rr.next(); ok || err == nil || err.Error() != c.want {
+			t.Errorf("%s behind a record: ok=%v err=%v, want %q", c.name, ok, err, c.want)
+		}
 	}
 }

@@ -1,10 +1,13 @@
 package relation
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/csv"
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -20,10 +23,17 @@ import (
 // variable so that a test can lower it.
 var csvBatchRows = 4096
 
+// csvBufSize is the input buffer. A line that does not fit in it goes to
+// encoding/csv, which has no limit on its lines.
+const csvBufSize = 64 << 10
+
 // csvBatch is a run of consecutive input rows on their way into the relation.
 type csvBatch struct {
-	fields   []string // the rows' dimension fields, row-major
-	measures []int64  // one per row
+	// fields holds the rows' dimension fields back to back, row-major;
+	// field k ends at ends[k] and starts where field k-1 ends.
+	fields   []byte
+	ends     []int32
+	measures []int64 // one per row
 	// codes[c*csvBatchRows+i] is the code of row i's column c. Column-major:
 	// an encoder writes arrays of its own, where the cells of one row's Dims
 	// would have the encoders of neighbouring columns share cache lines.
@@ -34,43 +44,159 @@ type csvBatch struct {
 	err error
 }
 
+// field returns field k of the batch's dimension fields.
+func (b *csvBatch) field(k int) []byte {
+	start := int32(0)
+	if k > 0 {
+		start = b.ends[k-1]
+	}
+	return b.fields[start:b.ends[k]]
+}
+
+// addField appends one dimension field of the row being read.
+func addField[T string | []byte](b *csvBatch, f T) {
+	b.fields = append(b.fields, f...)
+	b.ends = append(b.ends, int32(len(b.fields)))
+}
+
 // fill reads the next rows of the input into b; line numbers the first.
-func (b *csvBatch) fill(cr *csv.Reader, d, line int) {
-	b.err, b.fields, b.measures = nil, b.fields[:0], b.measures[:0]
-	for len(b.measures) < csvBatchRows {
-		// encoding/csv rejects a row whose column count differs from the
-		// header's, so rec[:d] and rec[d] are always in range.
-		rec, err := cr.Read()
-		if err != nil {
-			b.err = err
-			break
-		}
-		m, err := strconv.ParseInt(rec[d], 10, 64)
-		if err != nil {
-			b.err = fmt.Errorf("line %d: measure %q is not an integer: %w", line+len(b.measures), rec[d], err)
-			break
-		}
-		// The record slice is reused; its fields are strings of their own.
-		b.fields, b.measures = append(b.fields, rec[:d]...), append(b.measures, m)
+func (b *csvBatch) fill(src *csvSource, line int) {
+	b.err, b.fields, b.ends, b.measures = nil, b.fields[:0], b.ends[:0], b.measures[:0]
+	for len(b.measures) < csvBatchRows && b.err == nil {
+		b.err = src.read(b, line+len(b.measures))
 	}
 	if b.err != nil && b.err != io.EOF {
-		b.fields, b.measures = b.fields[:0], b.measures[:0]
+		b.fields, b.ends, b.measures = b.fields[:0], b.ends[:0], b.measures[:0]
 	}
+}
+
+var comma = []byte{','}
+
+// csvSource yields the data rows of the input. It splits lines itself, on
+// the bytes in its buffer, for as long as they are plain: no quote, no CR,
+// d+1 fields. At the first line that is not — or that is longer than the
+// buffer — it hands the rest of the input to encoding/csv's reader, which
+// read the header from the same buffer and so reads on from that line,
+// with the quoting rules, line numbering and errors a serial read has.
+type csvSource struct {
+	br  *bufio.Reader
+	cr  *csv.Reader
+	d   int
+	csv bool // the rest of the input goes through cr
+	// window is the buffered input the splitter is reading, pos its first
+	// unread byte; lines counts the lines it has read, blank ones included.
+	window []byte
+	pos    int
+	lines  int
+	eof    bool // the window holds the rest of the input
+}
+
+// read appends the next row to b — its fields and its measure, which line
+// numbers for an error — or returns io.EOF after the last row.
+func (s *csvSource) read(b *csvBatch, line int) error {
+	for !s.csv {
+		ln, next, err := s.nextLine()
+		if err != nil {
+			return err
+		}
+		if ln != nil && len(ln) == 0 { // encoding/csv skips a blank line
+			s.pos, s.lines = next, s.lines+1
+			continue
+		}
+		if ln == nil || bytes.IndexByte(ln, '"') >= 0 || bytes.IndexByte(ln, '\r') >= 0 || bytes.Count(ln, comma) != s.d {
+			// A ragged line is encoding/csv's too: it numbers and words
+			// the error.
+			s.handOver()
+			break
+		}
+		for range s.d {
+			i := bytes.IndexByte(ln, ',')
+			addField(b, ln[:i])
+			ln = ln[i+1:]
+		}
+		s.pos, s.lines = next, s.lines+1
+		return addMeasure(b, ln, line)
+	}
+	rec, err := s.cr.Read()
+	if err != nil {
+		// cr counts only the lines it has read itself.
+		if pe, ok := err.(*csv.ParseError); ok {
+			pe.StartLine += s.lines
+			pe.Line += s.lines
+		}
+		return err
+	}
+	// encoding/csv rejects a row whose column count differs from the
+	// header's, so rec[:d] and rec[d] are always in range.
+	for _, f := range rec[:s.d] {
+		addField(b, f)
+	}
+	return addMeasure(b, rec[s.d], line)
+}
+
+// nextLine returns the next line in the buffer, without its LF, and the
+// position after it; the caller consumes it by moving pos there. The last
+// line may lack its LF. A nil line is one longer than the buffer. The error
+// is io.EOF after the last line, or what the input's Read returned.
+func (s *csvSource) nextLine() (line []byte, next int, err error) {
+	for {
+		if i := bytes.IndexByte(s.window[s.pos:], '\n'); i >= 0 {
+			return s.window[s.pos : s.pos+i], s.pos + i + 1, nil
+		}
+		if s.eof {
+			if s.pos == len(s.window) {
+				return nil, 0, io.EOF
+			}
+			return s.window[s.pos:], len(s.window), nil
+		}
+		s.br.Discard(s.pos)
+		s.window, s.pos = nil, 0
+		n := s.br.Buffered()
+		if n == s.br.Size() {
+			return nil, 0, nil
+		}
+		if _, err := s.br.Peek(n + 1); err != nil {
+			if err != io.EOF {
+				return nil, 0, err
+			}
+			s.eof = true
+		}
+		s.window, _ = s.br.Peek(s.br.Buffered())
+	}
+}
+
+// handOver gives the unread input to encoding/csv.
+func (s *csvSource) handOver() {
+	s.br.Discard(s.pos)
+	s.window, s.pos, s.csv = nil, 0, true
+}
+
+// addMeasure parses a row's measure field and, when it is an integer,
+// completes the row; line numbers the row for the error when it is not.
+func addMeasure[T string | []byte](b *csvBatch, f T, line int) error {
+	m, err := strconv.ParseInt(string(f), 10, 64) // string(f) does not escape
+	if err != nil {
+		return fmt.Errorf("line %d: measure %q is not an integer: %w", line, f, err)
+	}
+	b.measures = append(b.measures, m)
+	return nil
 }
 
 // ReadCSV reads the programs' input shape — a header row naming the
 // columns, every column but the last a dimension, the last an integer
 // measure — into a dictionary-encoded relation. It is the one CSV reader
-// behind spcube, spcube -delta and spserve.
+// behind spcube, spcube -delta and spserve, and it reads what
+// encoding/csv reads, with encoding/csv's errors.
 //
 // One goroutine parses, up to GOMAXPROCS more dictionary-encode a share of
 // the columns each, and the caller lays the codes down as tuples. Every
 // encoder sees the batches in file order, so a column's codes are assigned
 // first-seen as a serial read assigns them.
 func ReadCSV(r io.Reader) (*Relation, error) {
-	cr := csv.NewReader(r)
+	br := bufio.NewReaderSize(r, csvBufSize)
+	cr := csv.NewReader(br) // reads from br itself: it is big enough
 	cr.ReuseRecord = true
-	header, err := cr.Read()
+	header, err := cr.Read() // and sets cr.FieldsPerRecord to the header's count
 	if err != nil {
 		return nil, fmt.Errorf("reading header: %w", err)
 	}
@@ -82,6 +208,7 @@ func ReadCSV(r io.Reader) (*Relation, error) {
 		return nil, fmt.Errorf("%d dimensions exceed the supported maximum %d", d, lattice.MaxDims)
 	}
 	rel := New(header[:d], header[d]) // New copies the names out of the reused record
+	src := &csvSource{br: br, cr: cr, d: d}
 
 	encoders := min(runtime.GOMAXPROCS(0), d)
 	// One batch with the parser, one with each encoder, one with the caller.
@@ -103,7 +230,7 @@ func ReadCSV(r io.Reader) (*Relation, error) {
 				for c := e * d / encoders; c < (e+1)*d/encoders; c++ {
 					codes := b.codes[c*csvBatchRows:]
 					for i := range b.measures {
-						codes[i] = rel.Dict.Encode(c, b.fields[i*d+c])
+						codes[i] = rel.Dict.EncodeBytes(c, b.field(i*d+c))
 					}
 				}
 				b.encoded.Done()
@@ -116,7 +243,7 @@ func ReadCSV(r io.Reader) (*Relation, error) {
 		defer close(parsed)
 		for line := 2; ; line += csvBatchRows {
 			b := <-free
-			b.fill(cr, d, line)
+			b.fill(src, line)
 			b.encoded.Add(encoders)
 			for _, ch := range work {
 				ch <- b
@@ -131,14 +258,23 @@ func ReadCSV(r io.Reader) (*Relation, error) {
 		}
 	}()
 
+	// Each batch's rows are laid down at their final size — one Dims
+	// allocation and one tuple chunk per batch — and the chunks are
+	// concatenated once at the end, where growing one slice by append would
+	// copy it again and again.
+	var chunks [][]Tuple
 	for b := range parsed {
 		b.encoded.Wait()
-		for i, m := range b.measures {
-			dims := rel.newDims()
-			for c := range dims {
-				dims[c] = b.codes[c*csvBatchRows+i]
+		if n := len(b.measures); n > 0 {
+			dims, tuples := make([]Value, n*d), make([]Tuple, n)
+			for i, m := range b.measures {
+				row := dims[i*d : (i+1)*d : (i+1)*d]
+				for c := range row {
+					row[c] = b.codes[c*csvBatchRows+i]
+				}
+				tuples[i] = Tuple{Dims: row, Measure: m}
 			}
-			rel.Tuples = append(rel.Tuples, Tuple{Dims: dims, Measure: m})
+			chunks = append(chunks, tuples)
 		}
 		err = b.err // nil but for the last batch
 		free <- b
@@ -147,9 +283,10 @@ func ReadCSV(r io.Reader) (*Relation, error) {
 	if err != io.EOF {
 		return nil, err
 	}
-	if rel.N() == 0 {
+	if len(chunks) == 0 {
 		return nil, fmt.Errorf("no data rows")
 	}
+	rel.Tuples = slices.Concat(chunks...)
 	return rel, nil
 }
 

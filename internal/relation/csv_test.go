@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/spcube/spcube/internal/lattice"
 )
 
 // withBatchRows runs fn with the load's batch size lowered to one row (every
@@ -44,6 +46,12 @@ func TestReadCSVRejectsBadShapes(t *testing.T) {
 		{"unterminated quote", "a,b,m\nx,y,1\n\"x,z,2\n", `parse error on line 3, column 8: extraneous or missing " in quoted-field`},
 		// encoding/csv skips the blank line: rows are numbered as records.
 		{"measure out of range", "a,b,m\nx,y,1\n\nx,z,99999999999999999999\n", `line 3: measure "99999999999999999999" is not an integer: strconv.ParseInt: parsing "99999999999999999999": value out of range`},
+		// The errors of lines that follow plain lines and a blank one count
+		// every line before them, however the plain ones were read.
+		{"ragged row after a blank line", "a,b,m\nx,y,1\nx,y,2\n\nx,y,3\nx,2\n", "record on line 6: wrong number of fields"},
+		{"bare quote after a blank line", "a,b,m\nx,y,1\n\nx,y,2\nx\"y,z,3\n", `parse error on line 5, column 2: bare " in non-quoted-field`},
+		{"bad quote in a two-line record after a blank line", "a,b,m\nx,y,1\n\nx,y,2\n\"p\nq\"r,z,3\n", `record on line 5; parse error on line 6, column 2: extraneous or missing " in quoted-field`},
+		{"ragged row after a two-line record", "a,b,m\nx,y,1\n\n\"p\nq\",z,3\nx,y,4\nx,4\n", "record on line 7: wrong number of fields"},
 	}
 	before := runtime.NumGoroutine()
 	withBatchRows(t, func(rows int) {
@@ -70,31 +78,98 @@ func goroutinesSettleAt(want int) int {
 	}
 }
 
-// serialLoad is the reader ReadCSV replaced: every record through
-// AppendStrings, one after the other.
-func serialLoad(t testing.TB, file string) *Relation {
-	t.Helper()
+// serialLoad is the reader ReadCSV replaced: every record encoding/csv
+// reads through AppendStrings, one after the other, and ReadCSV's errors.
+func serialLoad(file string) (*Relation, error) {
 	cr := csv.NewReader(strings.NewReader(file))
 	header, err := cr.Read()
 	if err != nil {
-		t.Fatal(err)
+		return nil, fmt.Errorf("reading header: %w", err)
 	}
 	d := len(header) - 1
+	if d < 1 {
+		return nil, fmt.Errorf("need at least one dimension column and a measure column, got %d columns", len(header))
+	}
+	if d > lattice.MaxDims {
+		return nil, fmt.Errorf("%d dimensions exceed the supported maximum %d", d, lattice.MaxDims)
+	}
 	rel := New(header[:d], header[d])
-	for {
+	for line := 2; ; line++ {
 		rec, err := cr.Read()
 		if err == io.EOF {
-			return rel
+			if rel.N() == 0 {
+				return nil, fmt.Errorf("no data rows")
+			}
+			return rel, nil
 		}
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		m, err := strconv.ParseInt(rec[d], 10, 64)
 		if err != nil {
-			t.Fatal(err)
+			return nil, fmt.Errorf("line %d: measure %q is not an integer: %w", line, rec[d], err)
 		}
 		rel.AppendStrings(rec[:d], m)
 	}
+}
+
+// mustSerialLoad is serialLoad of a file that loads.
+func mustSerialLoad(t testing.TB, file string) *Relation {
+	t.Helper()
+	rel, err := serialLoad(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rel
+}
+
+// FuzzReadCSV holds ReadCSV to serialLoad on arbitrary bytes, at batches of
+// one row, of three and at the default size: the same relation, or the same
+// error text. The seeds are the inputs that send ReadCSV's line splitter
+// to encoding/csv, at the first line or a later one, and the line shapes
+// the two read alike only if the splitter gets them right.
+func FuzzReadCSV(f *testing.F) {
+	long := strings.Repeat("x", csvBufSize+100)
+	for _, seed := range []string{
+		"a,b,m\nx,y,1\nz,w,-2\n",
+		"a,b,m\r\nx,y,1\r\nz,w,2\r\n",                                   // CRLF line ends
+		"a,b,m\nx,y,1\r\nz,w,2\n",                                       // CRLF after a plain line
+		"\na,b,m\n\nx,y,1\n\n\nz,w,2\n\n",                               // blank lines
+		"a,b,m\nx,y,1\nz,w,2",                                           // no final newline
+		"a,b,m\nx,y,1\nz,w,2\r",                                         // a lone CR before EOF
+		"a,b,m\nx,y\r,1\nz,w,2\n",                                       // a lone CR in a field
+		"a,b,m\nx,y,1\n\r\nz,w,2\n",                                     // a line of CR LF
+		"a,b,m\n1,2,3\n4,5,6\n7,8,9\n10,11,12\n\"q\",y,13\n14,15,16\n",  // a quote in a later batch
+		"a,b,m\n1,2,3\n4,5,6\n7,8,9\n10,11,12\n13,\"q\nr\",14\n15,16\n", // a ragged row after the switch
+		"a,b,m\nx,y,1\nx,2\n\"q\",y,3\n",                                // a ragged row before it
+		"a,b,m\nx,y,1\nx,y,z,2\n",                                       // a row with a field too many
+		"a,b,m\n" + long + ",y,1\nz,w,2\nx,3\n",                         // a line longer than the buffer
+		"a,b,m\nx,y,1\n,,2\n ,y , 3\n",
+		"a,b,m\nx,y,+4\nx,y,007\nx,y,-0\nx,y,9223372036854775807\nx,y,-9223372036854775808\n",
+		"a,b,m\nx,y,9223372036854775808\n",
+		"a,b,m\nx,y,1_000\n",
+		"a,m\n",
+		"a\n",
+		"",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, file string) {
+		want, wantErr := serialLoad(file)
+		withBatchRows(t, func(rows int) {
+			got, err := ReadCSV(strings.NewReader(file))
+			switch {
+			case wantErr != nil:
+				if err == nil || err.Error() != wantErr.Error() {
+					t.Fatalf("batches of %d: err = %v, the serial reader's %q", rows, err, wantErr)
+				}
+			case err != nil:
+				t.Fatalf("batches of %d: %v; the serial reader loads the file", rows, err)
+			default:
+				requireSameRelation(t, got, want)
+			}
+		})
+	})
 }
 
 // requireSameRelation: the same tuples in the same order under the same
@@ -139,7 +214,7 @@ func TestReadCSVEqualsSerialLoad(t *testing.T) {
 		}
 		fmt.Fprintf(&file, ",%d\n", i%11-5)
 	}
-	want := serialLoad(t, file.String())
+	want := mustSerialLoad(t, file.String())
 	withBatchRows(t, func(int) {
 		got, err := ReadCSV(strings.NewReader(file.String()))
 		if err != nil {

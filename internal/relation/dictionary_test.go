@@ -67,7 +67,7 @@ func FuzzDictionaryRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSameRelation(t, got, serialLoad(t, file.String()))
+		requireSameRelation(t, got, mustSerialLoad(t, file.String()))
 	})
 }
 

@@ -209,25 +209,25 @@ func NewDictionary(d int) *Dictionary {
 // canonicalInt32 parses s when it is exactly the text strconv.Itoa prints
 // for some int32. (strconv.ParseInt also takes "+5" and "007", and allocates
 // an error for every value that is not a number; Encode runs per cell.)
-func canonicalInt32(s string) (int32, bool) {
-	digits := s
+func canonicalInt32[T string | []byte](s T) (int32, bool) {
+	i := 0
 	if len(s) > 0 && s[0] == '-' {
-		digits = s[1:]
+		i = 1
 	}
 	// "2147483648" has 10 digits, so an int64 holds any candidate. A leading
 	// zero is canonical only as "0" itself ("-0" and "007" are not).
-	if len(digits) == 0 || len(digits) > 10 || (digits[0] == '0' && len(s) > 1) {
+	if len(s) == i || len(s)-i > 10 || (s[i] == '0' && len(s) > 1) {
 		return 0, false
 	}
 	var n int64
-	for i := 0; i < len(digits); i++ {
-		c := digits[i] - '0'
+	for ; i < len(s); i++ {
+		c := s[i] - '0'
 		if c > 9 {
 			return 0, false
 		}
 		n = n*10 + int64(c)
 	}
-	if len(digits) < len(s) {
+	if s[0] == '-' {
 		n = -n
 	}
 	if n < math.MinInt32 || n > math.MaxInt32 {
@@ -240,21 +240,45 @@ func canonicalInt32(s string) (int32, bool) {
 // not been seen before.
 func (d *Dictionary) Encode(col int, s string) Value {
 	c := &d.cols[col]
-	code := Value(len(c.vals))
 	if n, ok := canonicalInt32(s); ok {
-		if v, ok := c.ints[n]; ok {
-			return v
-		}
-		c.ints[n] = code
-		c.vals = append(c.vals, n)
-		return code
+		return c.encodeInt(n)
 	}
 	if v, ok := c.strs[s]; ok {
 		return v
 	}
-	// Clone: s is usually a field of a CSV record, a substring of the whole
-	// line, which the entry would otherwise keep alive.
-	s = strings.Clone(s)
+	// Clone: s may be a substring of a longer string — a line of input —
+	// which the entry would otherwise keep alive.
+	return c.addText(strings.Clone(s))
+}
+
+// EncodeBytes is Encode(col, string(b)), but it builds the string only for
+// a value it has not seen.
+func (d *Dictionary) EncodeBytes(col int, b []byte) Value {
+	c := &d.cols[col]
+	if n, ok := canonicalInt32(b); ok {
+		return c.encodeInt(n)
+	}
+	if v, ok := c.strs[string(b)]; ok {
+		return v
+	}
+	return c.addText(string(b))
+}
+
+// encodeInt returns the code of the integer entry n, assigning the next one
+// if n is new.
+func (c *dictColumn) encodeInt(n int32) Value {
+	if v, ok := c.ints[n]; ok {
+		return v
+	}
+	code := Value(len(c.vals))
+	c.ints[n] = code
+	c.vals = append(c.vals, n)
+	return code
+}
+
+// addText assigns the next code to the text entry s, a string of its own.
+func (c *dictColumn) addText(s string) Value {
+	code := Value(len(c.vals))
 	c.strs[s] = code
 	c.vals = append(c.vals, int32(len(c.texts)))
 	c.texts = append(c.texts, s)
