@@ -61,14 +61,17 @@ retry-race:
 # format (never a panic; Encode∘Decode idempotent), and the server's two
 # request decoders (arbitrary /v1/query and /v1/ingest bodies: a
 # well-formed answer or a 4xx, never a panic or a 5xx). CI runs this target.
+# The two relation legs cap the minimization of a newly interesting input at
+# 1 s: at the default 60 s it can take the rest of a 10 s leg, with no input
+# executed meanwhile.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzCubeEquivalence -fuzztime=10s ./internal/integration
 	$(GO) test -run=NONE -fuzz=FuzzDeltaEquivalence -fuzztime=10s ./internal/integration
 	$(GO) test -run=NONE -fuzz=FuzzKeyCodec -fuzztime=10s ./internal/mr
 	$(GO) test -run=NONE -fuzz=FuzzBlockCodec -fuzztime=10s ./internal/mr/blockcodec
 	$(GO) test -run=NONE -fuzz=FuzzOutputRecords -fuzztime=10s ./internal/cube
-	$(GO) test -run=NONE -fuzz=FuzzDictionaryRoundTrip -fuzztime=10s ./internal/relation
-	$(GO) test -run=NONE -fuzz=FuzzReadCSV -fuzztime=10s ./internal/relation
+	$(GO) test -run=NONE -fuzz=FuzzDictionaryRoundTrip -fuzztime=10s -fuzzminimizetime=1s ./internal/relation
+	$(GO) test -run=NONE -fuzz=FuzzReadCSV -fuzztime=10s -fuzzminimizetime=1s ./internal/relation
 	$(GO) test -run=NONE -fuzz=FuzzGroupKey -fuzztime=10s ./internal/relation
 	$(GO) test -run=NONE -fuzz=FuzzSketchDecode -fuzztime=10s ./internal/sketch
 	$(GO) test -run=NONE -fuzz=FuzzQueryRequest -fuzztime=10s ./internal/serve

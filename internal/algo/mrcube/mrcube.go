@@ -163,9 +163,9 @@ func sampleCuboidMax(eng *mr.Engine, rel *relation.Relation, alpha float64, seed
 			for mask := 0; mask < 1<<uint(d); mask++ {
 				kb = relation.EncodeGroupKey(kb, uint32(mask), t.Dims)
 				counts[string(kb)]++
-				ctx.ChargeOps(1)
 			}
 		}
+		ctx.ChargeOps(int64(len(sample)) << uint(d))
 		for gk, c := range counts {
 			mask, _, _, err := relation.ScanGroupKey([]byte(gk))
 			if err != nil {

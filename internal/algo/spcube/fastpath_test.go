@@ -48,12 +48,12 @@ func referenceWalk(d int, f agg.Func, sk *sketch.Sketch) func(*mr.MapCtx, relati
 	}
 }
 
-// TestFastPathChargesLikeTheWalk pins the cost model: simulated time is a
-// float sum, so the fast path must charge a fully-skewed tuple exactly as
-// the walk does — same ops, same order — or simSeconds moves in its last
-// digits and with it every committed figure. The round's metrics, every
-// task's included, must equal the reference walk's bit for bit, and the DFS
-// output byte for byte.
+// TestFastPathChargesLikeTheWalk pins the fast path to Algorithm 3's cost:
+// a fully-skewed tuple skips the walk but must still count every op, emit
+// and partial update the walk would, since simulated time is a function of
+// those counts and every committed figure reads it. The round's metrics,
+// every task's included, must equal the reference walk's bit for bit, and
+// the DFS output byte for byte.
 func TestFastPathChargesLikeTheWalk(t *testing.T) {
 	const k = 4
 	rel := data.GenBinomial(6000, 4, 0.5, 7)

@@ -254,12 +254,8 @@ func cubeJob(d, k int, spec cube.Spec, sk *sketch.Sketch, opts Options, outPrefi
 				e.st.Add(t.Measure)
 				// The cost model stays Algorithm 3's: the walk below visits
 				// all 2^d nodes of such a tuple and emits nothing, so it
-				// charges exactly this — one op per node, back to back.
-				// Simulated seconds are a float sum: one ChargeOps(2^d)
-				// would round differently and move every committed figure.
-				for range bfs {
-					ctx.ChargeOps(1)
-				}
+				// charges exactly this — one op per node.
+				ctx.ChargeOps(int64(len(bfs)))
 				return
 			}
 		}

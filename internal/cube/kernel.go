@@ -17,20 +17,20 @@ import (
 
 // MergeStates returns a fresh state of f holding the merge of the encoded
 // partial states in vals, skipping any that does not decode. It charges ctx
-// one op per merged state — never one ChargeOps(n): simulated seconds are a
-// float sum, so n charges of 1 and one of n round differently. A nil ctx
-// charges nothing: that is the combiner.
+// one op per merged state. A nil ctx charges nothing: that is the combiner.
 func MergeStates(ctx *mr.RedCtx, f agg.Func, vals [][]byte) agg.State {
 	st := f.NewState()
+	var ops int64
 	for _, v := range vals {
 		p, err := f.DecodeState(v)
 		if err != nil {
 			continue
 		}
 		st.Merge(p)
-		if ctx != nil {
-			ctx.ChargeOps(1)
-		}
+		ops++
+	}
+	if ctx != nil {
+		ctx.ChargeOps(ops)
 	}
 	return st
 }
@@ -52,14 +52,16 @@ func AppendMeasure(buf []byte, m int64) []byte { return binary.AppendVarint(buf,
 // measure, as MergeStates does per state.
 func AddMeasures(ctx *mr.RedCtx, f agg.Func, vals [][]byte) agg.State {
 	st := f.NewState()
+	var ops int64
 	for _, v := range vals {
 		m, n := binary.Varint(v)
 		if n <= 0 {
 			continue
 		}
 		st.Add(m)
-		ctx.ChargeOps(1)
+		ops++
 	}
+	ctx.ChargeOps(ops)
 	return st
 }
 

@@ -26,9 +26,9 @@ type taskSpec struct {
 	task  int
 	// tm is the task's metrics slot. On entry it holds the accounting every
 	// attempt starts from and a failed task keeps — zero for a map task, the
-	// pre-scan's input accounting for a reduce task — or, when reexec is
-	// set, the lost run's metrics. runTask overwrites it on success and on
-	// failure and leaves it untouched on cancellation.
+	// pre-scan's input accounting, CPU seconds included, for a reduce task —
+	// or, when reexec is set, the lost run's metrics. runTask overwrites it
+	// on success and on failure and leaves it untouched on cancellation.
 	tm *TaskMetrics
 	// reexec marks the re-execution of a completed map task whose stored
 	// output was lost to a node crash: attempt numbering continues after
@@ -98,6 +98,7 @@ func (r *round) runTask(s *taskSpec) (*taskAttempt, error) {
 			m.RetryWallSeconds = retryWall
 			m.WastedBytes = wasted
 			m.Reexecutions = reexecs
+			r.setCPUSeconds(s.phase, &m, true)
 			*s.tm = m
 			r.tr.taskSuccess(s.phase, s.task, a.index, s.tm)
 			return a, nil

@@ -84,7 +84,7 @@ func TestRunTaskAccounting(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tracer := &SliceTracer{}
 			eng := New(Config{Workers: 1, MaxAttempts: tc.max, Tracer: tracer}, nil)
-			r := &round{eng: eng, rex: localRound{}, tr: eng.tracerFor(0, "runner")}
+			r := &round{eng: eng, job: &Job{Name: "runner"}, rex: localRound{}, tr: eng.tracerFor(0, "runner")}
 			r.tr.startPhase(1)
 
 			base := TaskMetrics{InRecords: 42} // stands for a reducer's pre-scan accounting

@@ -3,6 +3,8 @@ package mr
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+	"reflect"
 	"testing"
 
 	"github.com/spcube/spcube/internal/dfs"
@@ -120,5 +122,63 @@ func TestSimSecondsMonotone(t *testing.T) {
 		if prevSim <= firstSim {
 			t.Errorf("%s: %v simulated s at the last step, not above the first's %v", name, prevSim, firstSim)
 		}
+	}
+}
+
+// TestSimTimeIgnoresChargeOrder: simulated time is a function of a task's
+// counters, not of the order or the grouping of the calls that counted
+// them. Two jobs count the same ops and emits — one charges n ops in one
+// call before each emit, the other one op at a time after it — and report
+// the same task and round metrics, bit for bit.
+func TestSimTimeIgnoresChargeOrder(t *testing.T) {
+	const n = 1000
+	chargeAround := func(batched bool, charge func(int64), emit func()) {
+		if batched {
+			charge(n)
+			emit()
+			return
+		}
+		emit()
+		for range n {
+			charge(1)
+		}
+	}
+	run := func(batched bool) RoundMetrics {
+		job := &Job{
+			Name: "charges",
+			MapTuple: func(ctx *MapCtx, tu relation.Tuple) {
+				chargeAround(batched, ctx.ChargeOps, func() { ctx.Emit(fmt.Sprint(tu.Dims[0]), []byte{1}) })
+			},
+			Reduce: func(ctx *RedCtx, key string, vals [][]byte) {
+				for range vals {
+					chargeAround(batched, ctx.ChargeOps, func() { ctx.EmitKV(key, nil) })
+				}
+			},
+		}
+		tuples := make([]relation.Tuple, 60)
+		for i := range tuples {
+			tuples[i].Dims = []relation.Value{relation.Value(i % 7)}
+		}
+		res, err := New(Config{Workers: 3}, dfs.New(true)).RunTuples(job, tuples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := res.Metrics
+		m.WallSeconds = 0
+		for _, tasks := range [][]TaskMetrics{m.Mappers, m.Reducers} {
+			for i := range tasks {
+				tasks[i].WallSeconds = 0
+			}
+		}
+		return m
+	}
+	got, want := run(false), run(true)
+	for i := range want.Mappers {
+		if g, w := got.Mappers[i].CPUSeconds, want.Mappers[i].CPUSeconds; math.Float64bits(g) != math.Float64bits(w) {
+			t.Errorf("mapper %d: %v CPU seconds charged one op at a time, %v in one call", i, g, w)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("round metrics differ:\none at a time %+v\nin one call   %+v", got, want)
 	}
 }

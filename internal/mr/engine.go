@@ -393,7 +393,6 @@ func (c *MapCtx) Emit(key string, val []byte) {
 	pb := pairBytes(key, val)
 	c.metrics.PreCombineRecords++
 	c.metrics.PreCombineBytes += pb
-	c.metrics.CPUSeconds += cost.MapCPUPerEmit
 	c.inject.onEmit()
 	if c.budget > 0 {
 		c.pending += pb
@@ -444,7 +443,6 @@ func (c *MapCtx) spillNow() {
 	c.metrics.Spills++
 	c.metrics.SpillBytes += encBytes
 	c.metrics.CompressedSpillBytes += written
-	c.metrics.CPUSeconds += float64(written) / cost.DiskBytesPerSec
 	c.tr.add(PhaseMap, c.Task, TraceEvent{Type: EvSpill, Attempt: c.attempt, Bytes: encBytes})
 	c.flushes = append(c.flushes, flushRec{bytes: written, records: records})
 	c.out = c.out[:0]
@@ -489,11 +487,9 @@ func (c *MapCtx) arenaAppend(b []byte) []byte {
 }
 
 // ChargeOps reports n elementary algorithm operations (hash probes, lattice
-// node visits) for CPU cost accounting.
-func (c *MapCtx) ChargeOps(n int64) {
-	c.metrics.Ops += n
-	c.metrics.CPUSeconds += float64(n) * cost.CPUPerOp
-}
+// node visits) for CPU cost accounting. Only the total counts: one call with
+// n and n calls with 1 cost the same.
+func (c *MapCtx) ChargeOps(n int64) { c.metrics.Ops += n }
 
 // Workers returns the cluster size k.
 func (c *MapCtx) Workers() int { return c.eng.Cfg.Workers }
@@ -531,7 +527,6 @@ func (c *RedCtx) State() any { return c.state }
 func (c *RedCtx) EmitKV(key string, val []byte) {
 	c.metrics.OutRecords++
 	c.metrics.OutBytes += pairBytes(key, val)
-	c.metrics.CPUSeconds += cost.ReduceCPUPerEmit
 	c.out.AppendKV(key, val)
 	c.inject.onEmit()
 }
@@ -547,16 +542,12 @@ func (c *RedCtx) ValBuf() *[]byte { return &c.valBuf }
 func (c *RedCtx) EmitSide(key string, val []byte) {
 	c.metrics.SideRecords++
 	c.metrics.SideBytes += pairBytes(key, val)
-	c.metrics.CPUSeconds += cost.ReduceCPUPerEmit
 	c.collect = append(c.collect, Pair{Key: key, Val: append([]byte(nil), val...)})
 	c.inject.onEmit()
 }
 
 // ChargeOps reports n elementary algorithm operations.
-func (c *RedCtx) ChargeOps(n int64) {
-	c.metrics.Ops += n
-	c.metrics.CPUSeconds += float64(n) * cost.CPUPerOp
-}
+func (c *RedCtx) ChargeOps(n int64) { c.metrics.Ops += n }
 
 // Workers returns the cluster size k.
 func (c *RedCtx) Workers() int { return c.eng.Cfg.Workers }
@@ -573,7 +564,6 @@ func (e *Engine) RunTuples(job *Job, tuples []relation.Tuple) (*RoundResult, err
 		lo, hi := split(n, e.Cfg.Workers, task)
 		for i := lo; i < hi; i++ {
 			ctx.metrics.InRecords++
-			ctx.metrics.CPUSeconds += cost.MapCPUPerRecord
 			job.MapTuple(ctx, tuples[i])
 		}
 		ctx.metrics.InBytes = inBytes * int64(hi-lo) / int64(max(n, 1))
@@ -591,7 +581,6 @@ func (e *Engine) RunPairs(job *Job, pairs []Pair) (*RoundResult, error) {
 		for i := lo; i < hi; i++ {
 			ctx.metrics.InRecords++
 			ctx.metrics.InBytes += pairBytes(pairs[i].Key, pairs[i].Val)
-			ctx.metrics.CPUSeconds += cost.MapCPUPerRecord
 			job.MapPair(ctx, pairs[i].Key, pairs[i].Val)
 		}
 	})
@@ -959,10 +948,10 @@ func (r *round) sizeReducers(srcs [][]streamSource) (int, error) {
 			tm.InBytes += raw
 			if src.seg != nil {
 				// The encoded length is charged as one streaming read pass.
-				tm.CPUSeconds += float64(src.seg.length) / cost.DiskBytesPerSec
+				tm.runIOBytes += src.seg.length
 			}
 		}
-		tm.CPUSeconds += float64(tm.InRecords) * cost.ReduceCPUPerRecord
+		r.setCPUSeconds(PhaseReduce, tm, false)
 		if r.job.FailOnReducerOOM && float64(tm.InRecords)*r.inflation > OOMFactor*r.oomMem {
 			r.rm.Failed = true
 			r.rm.FailReason = fmt.Sprintf("reducer %d out of memory: %d input records (×%.0f inflation) exceed %d×m (m=%d tuples)",
@@ -989,7 +978,9 @@ func (r *round) runReduceTask(task int, runs []streamSource) (*taskAttempt, erro
 		// intermediate on-disk merges. That happens once, before any
 		// attempt, so its failure fails the task without a retry.
 		var err error
-		if runs, err = r.fanInMerge(runs, task, tm); err != nil {
+		runs, err = r.fanInMerge(runs, task, tm)
+		r.setCPUSeconds(PhaseReduce, tm, false)
+		if err != nil {
 			tm.Attempts = 1
 			r.tr.attemptFailure(PhaseReduce, task, 0, err)
 			return nil, err
@@ -1090,9 +1081,6 @@ func (r *round) mapAttempt(ctx *MapCtx) (mout mapOutput, err error) {
 	buckets, err := r.eng.partitionSort(job, ctx, out, nil)
 	if err != nil {
 		return mapOutput{}, err
-	}
-	if job.MapCPUFactor > 0 {
-		ctx.metrics.CPUSeconds *= job.MapCPUFactor
 	}
 	return mapOutput{buckets: buckets, raw: ctx.bucketRaw, spill: ctx.spill}, nil
 }
@@ -1208,7 +1196,6 @@ func (r *round) reduceAttempt(ctx *RedCtx, m *streamMerger) (err error) {
 	capRecords := int64(r.oomMem / r.inflation)
 	vals := make([][]byte, 0, 16)
 	var arena readArena
-	var spillCPU float64
 	rec, stable := m.next()
 	for rec != nil {
 		group := rec.Key
@@ -1235,18 +1222,11 @@ func (r *round) reduceAttempt(ctx *RedCtx, m *streamMerger) (err error) {
 		// SP-Cube avoids it by pre-aggregating skews in the mappers; the
 		// naive algorithm pays it in full.
 		if excess := int64(len(vals)) - capRecords; excess > 0 {
-			spillCPU += externalAgg(ctx, group, vals[int64(len(vals))-excess:])
+			externalAgg(ctx, group, vals[int64(len(vals))-excess:])
 		}
 		job.Reduce(ctx, group, vals)
 	}
-	if m.err != nil {
-		return m.err
-	}
-	if job.ReduceCPUFactor > 0 {
-		tm.CPUSeconds *= job.ReduceCPUFactor
-	}
-	tm.CPUSeconds += spillCPU
-	return nil
+	return m.err
 }
 
 // readChunk is the size of the chunks a readArena copies records into.
@@ -1302,9 +1282,8 @@ func (a *readArena) string(s string) string {
 // SpillBudgetBytes > 0 they are also framed through the run files' block
 // codec, and CompressedSpillBytes is the framed size a run file would hold.
 // The charge is SpillPasses passes over the framed bytes, or over the encoded
-// ones when out-of-core mode is off. The returned CPU charge is added after
-// ReduceCPUFactor scaling.
-func externalAgg(ctx *RedCtx, key string, excess [][]byte) float64 {
+// ones when out-of-core mode is off, tallied in aggBytes.
+func externalAgg(ctx *RedCtx, key string, excess [][]byte) {
 	buf := ctx.encBuf[:0]
 	prev := ""
 	for _, v := range excess {
@@ -1321,8 +1300,8 @@ func externalAgg(ctx *RedCtx, key string, excess [][]byte) float64 {
 	}
 	tm.Spills++
 	tm.SpillBytes += int64(len(buf))
+	tm.aggBytes += charged
 	ctx.tr.add(PhaseReduce, ctx.Task, TraceEvent{Type: EvSpill, Attempt: ctx.attempt, Bytes: int64(len(buf))})
-	return float64(charged) * cost.SpillPasses / cost.DiskBytesPerSec
 }
 
 // isFaultError reports whether err is an injected-fault failure (retryable)
@@ -1397,7 +1376,6 @@ func (e *Engine) forEachTask(n int, fn func(task int)) {
 // combined = out[:0] in place, which corrupted later groups whenever a
 // combiner returned more values than it consumed.
 func (e *Engine) combine(job *Job, ctx *MapCtx, out []Pair) []Pair {
-	ctx.metrics.CPUSeconds += float64(len(out)) * cost.CombineCPUPerRecord
 	if len(out) == 0 {
 		return out
 	}

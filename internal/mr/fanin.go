@@ -86,7 +86,7 @@ func (r *round) mergeRunGroup(sf *spillFile, group []streamSource, task int, tm 
 	}
 	tm.MergePasses++
 	tm.CompressedSpillBytes += seg.length
-	tm.CPUSeconds += 2 * float64(seg.length) / cost.DiskBytesPerSec
+	tm.runIOBytes += 2 * seg.length // written, then read back
 	r.tr.add(PhaseReduce, task, TraceEvent{
 		Type: EvMergePass, Bytes: seg.length, Records: seg.records,
 	})

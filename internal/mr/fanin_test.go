@@ -62,7 +62,8 @@ func drain(t *testing.T, m *streamMerger) []Pair {
 // TestFanInMergeMatchesGlobalMerge is the order contract of multi-pass
 // fan-in: whatever the cap, the surviving runs must stream exactly the
 // records a single global merge over the original runs would emit, in the
-// same order — ties between runs included.
+// same order — ties between runs included. Each intermediate run is also
+// charged to the cost model twice (written, then read back).
 func TestFanInMergeMatchesGlobalMerge(t *testing.T) {
 	for _, codecName := range blockcodec.Names() {
 		for _, fanIn := range []int{2, 3, 7} {
@@ -73,7 +74,7 @@ func TestFanInMergeMatchesGlobalMerge(t *testing.T) {
 				}
 				sd := newSpillDir(t.TempDir(), nil)
 				defer sd.cleanup()
-				r := &round{eng: New(Config{Workers: 4, MergeFanIn: fanIn}, dfs.New(false)), sd: sd, codec: codec}
+				r := &round{eng: New(Config{Workers: 4, MergeFanIn: fanIn}, dfs.New(false)), job: &Job{}, sd: sd, codec: codec}
 
 				const nRuns = 17
 				want := drain(t, newStreamMerger(fanInRuns(t, sd, codec, nRuns)))
@@ -90,9 +91,12 @@ func TestFanInMergeMatchesGlobalMerge(t *testing.T) {
 				if tm.MergePasses == 0 {
 					t.Fatal("expected intermediate merge passes")
 				}
-				if tm.CompressedSpillBytes == 0 || tm.CPUSeconds == 0 {
-					t.Errorf("intermediate merges not charged: %d bytes, %v cpu",
-						tm.CompressedSpillBytes, tm.CPUSeconds)
+				// Each intermediate run is charged twice at disk bandwidth:
+				// written, then read back by the next pass or the final merge.
+				r.setCPUSeconds(PhaseReduce, &tm, false)
+				if want := float64(2*tm.CompressedSpillBytes) / cost.DiskBytesPerSec; tm.CompressedSpillBytes == 0 || tm.CPUSeconds != want {
+					t.Errorf("intermediate merges of %d bytes charged %v s, want %v s",
+						tm.CompressedSpillBytes, tm.CPUSeconds, want)
 				}
 				got := drain(t, newStreamMerger(merged))
 

@@ -170,6 +170,13 @@ type TaskMetrics struct {
 	// the fault-free run's.
 	Attempts     int64 `json:"attempts"`
 	Reexecutions int64 `json:"reexecutions"`
+
+	// The reduce-side disk bytes the cost model charges that no counter
+	// above holds: runIOBytes, the run segments the pre-scan reads plus
+	// twice the runs the intermediate merges write (written, then read
+	// back); aggBytes, the bytes external aggregation passes over.
+	// CPUSeconds is computed from them; the document leaves them out.
+	runIOBytes, aggBytes int64
 }
 
 // Totals are the fields a round and a job share: a job's are summed (the

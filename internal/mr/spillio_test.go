@@ -106,11 +106,11 @@ func TestSpillWriteErrorSticky(t *testing.T) {
 		want stickyRun
 	}{
 		{"first", 1, stickyRun{750, 1, "2,1,1,1,1,1,1,1", 471,
-			"f7d3035b5908af942f8e61ad2b049465d92c38bc9cf7ea1de97ac0b2fe536c50"}},
+			"03de3f712475628269cedb50e07921d2beb5fdc322ed025be8fc02fdb5f79af9"}},
 		{"second", 2, stickyRun{750, 1, "2,1,1,1,1,1,1,1", 471,
-			"c197233b2fc00de9c088587649e293fedaec10c9b834111bb647804765b4725b"}},
+			"ffb35c03e50a9e5d9095d450b6fae2191ad756d654f5f69b00dff867a18667e0"}},
 		{"last", last, stickyRun{750, 1, "2,1,1,1,1,1,1,1", 471,
-			"5fef06ff4918a4677e709b6b9bbc6b82b6c2f27cf68f828251927073090f8ee8"}},
+			"b69a689b8aad4e28680411f3b0f9219ae75f6c053ebd60c2f3147e540bcdd2ec"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got, _ := runStickySpill(t, tc.k)

@@ -431,7 +431,10 @@ func Build(eng *mr.Engine, rel *relation.Relation, seed int64) (*BuildResult, er
 
 	var built *Sketch
 	job := SampleJob("sp-sketch", d, seed, 1_000_003, alpha, func(ctx *mr.RedCtx, sample []relation.Tuple) {
-		built = buildFromSample(sample, d, k, alpha, beta, ctx.ChargeOps)
+		built = buildFromSample(sample, d, k, alpha, beta)
+		// One BUC pass over the sample's 2^d projections, then one sort
+		// of it per non-apex cuboid.
+		ctx.ChargeOps(int64(len(sample)) * (int64(1)<<uint(d) + int64(lattice.Full(d))))
 		enc, err := built.Encode()
 		if err == nil {
 			ctx.EmitKV("sketch", enc)
@@ -455,7 +458,7 @@ func Build(eng *mr.Engine, rel *relation.Relation, seed int64) (*BuildResult, er
 // with an iceberg threshold of β detects the skewed groups, and per-cuboid
 // sorts of the sample yield the partition elements. BUC permutes its input,
 // so it runs on a copy: the sample may be a relation somebody else holds.
-func buildFromSample(sample []relation.Tuple, d, k int, alpha, beta float64, charge func(int64)) *Sketch {
+func buildFromSample(sample []relation.Tuple, d, k int, alpha, beta float64) *Sketch {
 	s := New(d, k)
 	s.SampleN = len(sample)
 	s.Alpha = alpha
@@ -472,16 +475,13 @@ func buildFromSample(sample []relation.Tuple, d, k int, alpha, beta float64, cha
 	buc.Compute(work, d, agg.Count, minSup, func(mask lattice.Mask, packed []relation.Value, _ agg.State) {
 		s.AddSkew(mask, packed)
 	})
-	charge(int64(len(sample)) * int64(uint(1)<<uint(d)))
 
 	// Partition elements: for every cuboid, sort the sample w.r.t. <_C
 	// and take the k−1 evenly spaced elements (§4.2 "Partitions"). The apex
 	// cuboid has a single (empty) projection; range partitioning is vacuous
 	// there. The sorts are independent, so they run on up to GOMAXPROCS
-	// goroutines; the charges are a float sum and the sketch is filled
-	// afterwards, both in ascending mask order.
+	// goroutines, each filling the sketch's slot of the cuboids it sorts.
 	full := lattice.Full(d)
-	elems := make([][][]relation.Value, full+1)
 	var next atomic.Uint32 // the last cuboid handed out
 	var wg sync.WaitGroup
 	for i := min(runtime.GOMAXPROCS(0), int(full)); i > 0; i-- {
@@ -501,15 +501,11 @@ func buildFromSample(sample []relation.Tuple, d, k int, alpha, beta float64, cha
 					pos := min(i*len(sample)/k, len(sample)-1)
 					quantiles = append(quantiles, relation.Project(sample[idx[pos]].Dims, mm))
 				}
-				elems[mm] = dedupSorted(quantiles)
+				s.SetPartitionElements(lattice.Mask(mm), dedupSorted(quantiles))
 			}
 		}()
 	}
 	wg.Wait()
-	for mask := lattice.Mask(1); mask <= full; mask++ {
-		s.SetPartitionElements(mask, elems[mask])
-		charge(int64(len(sample)))
-	}
 	return s
 }
 
@@ -535,7 +531,7 @@ func dedupSorted(elems [][]relation.Value) [][]relation.Value {
 // of n indices. SampleN, Alpha and Beta stay zero: an exact sketch was not
 // sampled, and its Encode bytes say so.
 func BuildExact(rel *relation.Relation, k, m int) *Sketch {
-	s := buildFromSample(rel.Tuples, rel.D(), k, 1, float64(m), func(int64) {})
+	s := buildFromSample(rel.Tuples, rel.D(), k, 1, float64(m))
 	s.SampleN, s.Alpha, s.Beta = 0, 0, 0
 	return s
 }
