@@ -61,28 +61,29 @@ retry-race:
 # format (never a panic; Encode∘Decode idempotent), and the server's two
 # request decoders (arbitrary /v1/query and /v1/ingest bodies: a
 # well-formed answer or a 4xx, never a panic or a 5xx). CI runs this target.
-# The two relation legs cap the minimization of a newly interesting input at
-# 1 s: at the default 60 s it can take the rest of a 10 s leg, with no input
-# executed meanwhile.
+# Every leg that was seen to stop executing inputs while it minimized a newly
+# interesting one caps that minimization at 1 s: at the default 60 s it can
+# take the rest of a 10 s leg, with no input executed meanwhile.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzCubeEquivalence -fuzztime=10s ./internal/integration
-	$(GO) test -run=NONE -fuzz=FuzzDeltaEquivalence -fuzztime=10s ./internal/integration
-	$(GO) test -run=NONE -fuzz=FuzzKeyCodec -fuzztime=10s ./internal/mr
-	$(GO) test -run=NONE -fuzz=FuzzBlockCodec -fuzztime=10s ./internal/mr/blockcodec
-	$(GO) test -run=NONE -fuzz=FuzzOutputRecords -fuzztime=10s ./internal/cube
+	$(GO) test -run=NONE -fuzz=FuzzDeltaEquivalence -fuzztime=10s -fuzzminimizetime=1s ./internal/integration
+	$(GO) test -run=NONE -fuzz=FuzzKeyCodec -fuzztime=10s -fuzzminimizetime=1s ./internal/mr
+	$(GO) test -run=NONE -fuzz=FuzzBlockCodec -fuzztime=10s -fuzzminimizetime=1s ./internal/mr/blockcodec
+	$(GO) test -run=NONE -fuzz=FuzzOutputRecords -fuzztime=10s -fuzzminimizetime=1s ./internal/cube
 	$(GO) test -run=NONE -fuzz=FuzzDictionaryRoundTrip -fuzztime=10s -fuzzminimizetime=1s ./internal/relation
 	$(GO) test -run=NONE -fuzz=FuzzReadCSV -fuzztime=10s -fuzzminimizetime=1s ./internal/relation
 	$(GO) test -run=NONE -fuzz=FuzzGroupKey -fuzztime=10s ./internal/relation
-	$(GO) test -run=NONE -fuzz=FuzzSketchDecode -fuzztime=10s ./internal/sketch
+	$(GO) test -run=NONE -fuzz=FuzzSketchDecode -fuzztime=10s -fuzzminimizetime=1s ./internal/sketch
 	$(GO) test -run=NONE -fuzz=FuzzQueryRequest -fuzztime=10s ./internal/serve
 	$(GO) test -run=NONE -fuzz=FuzzIngestRequest -fuzztime=10s ./cmd/spserve
 
 # Randomized soak of the whole configuration space: 30 s of the cube
 # fuzzer past its seed corpus (which holds the old fixed random fault plans).
 # A failure is minimized into internal/integration/testdata/fuzz/; commit
-# that file to pin it.
+# that file to pin it. A newly interesting input's minimization is capped
+# at 1 s, as in fuzz-smoke.
 chaos:
-	$(GO) test -run=NONE -fuzz=FuzzCubeEquivalence -fuzztime=30s ./internal/integration
+	$(GO) test -run=NONE -fuzz=FuzzCubeEquivalence -fuzztime=30s -fuzzminimizetime=1s ./internal/integration
 
 # The next two targets rerun, without the race detector, tests that `make
 # race` already runs; they are for quick local iteration on the proc backend.
@@ -168,12 +169,12 @@ soak-scale:
 		$(GO) test -count=1 -timeout 45m -run TestSoakScale -v ./internal/integration
 
 # Hot-path micro-benchmarks of the MR engine's data plane (shuffle merge,
-# partitioner, combiner, end-to-end naive cube, one spilling round, the
-# reducers' output path).
+# partitioner, combiner, end-to-end naive cube, one spilling round, a round
+# of sketch-sized map attempts, the reducers' output path).
 # BENCH_COUNT runs each; `make bench-compare` sets them against another
 # commit.
 BENCH_COUNT ?= 6
-BENCH_PATTERN ?= EngineHotPath|HashPartition|ShuffleMerge|Combine|SpillRound|ReduceEmit
+BENCH_PATTERN ?= EngineHotPath|HashPartition|ShuffleMerge|Combine|SpillRound|SmallAttempts|ReduceEmit
 bench-hotpath:
 	$(GO) test -run=NONE -bench='$(BENCH_PATTERN)' -count=$(BENCH_COUNT) ./internal/mr/
 

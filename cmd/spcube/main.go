@@ -89,6 +89,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -150,8 +151,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	alg, _ := algo.ByName(s.Algo) // Start validated the name
 	spec := cube.Spec{Agg: s.AggFn, MinSup: s.MinSup}
 	cr, err := algo.Table[alg].New(s.Seed)(eng, rel, spec)
+	writeMetrics := func() error {
+		return s.WriteMetrics(func(w io.Writer) error { return mr.ExportMetrics(w, &cr.Metrics) })
+	}
 	if err != nil {
-		return fmt.Errorf("%s failed: %w", algo.Table[alg].Name, err)
+		err = fmt.Errorf("%s failed: %w", algo.Table[alg].Name, err)
+		if cr != nil {
+			// The failed run's rounds still go to -metrics-out; -o does not.
+			err = errors.Join(err, writeMetrics())
+		}
+		return err
 	}
 	c, err := cube.CollectRun(eng, cr.OutputPrefix, rel.D(), spec)
 	if err != nil {
@@ -160,8 +169,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err := writeOutput(o.out, stdout, func(w io.Writer) error { return c.WriteCSV(w, rel, s.Agg) }); err != nil {
 		return err
 	}
-	err = s.WriteMetrics(func(w io.Writer) error { return mr.ExportMetrics(w, &cr.Metrics) })
-	if err != nil || !o.stats {
+	if err := writeMetrics(); err != nil || !o.stats {
 		return err
 	}
 

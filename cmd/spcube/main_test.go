@@ -565,6 +565,43 @@ func TestFailedRunLeavesNoSpillFiles(t *testing.T) {
 	}
 }
 
+// TestFailedRunWritesMetrics: every algorithm's run that fails on a
+// permanent fault exits 1 without writing -o, and still writes its
+// -metrics-out document, holding the rounds that ran with the failed one
+// last.
+func TestFailedRunWritesMetrics(t *testing.T) {
+	dir := t.TempDir()
+	in := writeTemp(t, dir, "in.csv", sampleCSV)
+	for _, algo := range []string{"sp-cube", "naive", "mr-cube", "hive", "pipesort"} {
+		out, metrics := filepath.Join(dir, algo+".csv"), filepath.Join(dir, algo+".json")
+		err := spcube(nil, "-in", in, "-o", out, "-metrics-out", metrics, "-algo", algo, "-k", "2",
+			"-faults", "*:reduce:*:crash", "-max-attempts", "1")
+		if code := cli.Exit("spcube", io.Discard, err); code != 1 {
+			t.Errorf("%s: exit %d (%v), want 1", algo, code, err)
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Errorf("%s: the failed run wrote -o (stat: %v)", algo, err)
+		}
+		data, err := os.ReadFile(metrics)
+		if err != nil {
+			t.Errorf("%s: no metrics document: %v", algo, err)
+			continue
+		}
+		var doc struct {
+			Rounds []struct {
+				Job    string `json:"job"`
+				Failed bool   `json:"failed"`
+			} `json:"rounds"`
+		}
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatalf("%s: %v", algo, err)
+		}
+		if n := len(doc.Rounds); n == 0 || !doc.Rounds[n-1].Failed {
+			t.Errorf("%s: rounds %+v, want the failed round last", algo, doc.Rounds)
+		}
+	}
+}
+
 // TestMain lets the test binary serve as its own proc-backend workers, as the
 // spcube binary does.
 func TestMain(m *testing.M) {

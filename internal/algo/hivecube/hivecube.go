@@ -108,8 +108,6 @@ func ComputeOpts(eng *mr.Engine, rel *relation.Relation, spec cube.Spec, opts Op
 
 	res, err := eng.RunTuples(job, rel.Tuples)
 	run := &cube.Run{Algorithm: "hive", OutputPrefix: "out/hive-cube/"}
-	if res != nil {
-		run.Metrics.Add(res.Metrics)
-	}
+	run.Metrics.AddResult(res)
 	return run, err
 }

@@ -72,11 +72,11 @@ func ComputeOpts(eng *mr.Engine, rel *relation.Relation, spec cube.Spec, opts Op
 	// cuboid-granularity information is kept: the estimated largest group
 	// per cuboid.
 	alpha, _ := sketch.Params(n, k, m)
-	maxPerCuboid, sampleMetrics, err := sampleCuboidMax(eng, rel, alpha, opts.Seed)
+	maxPerCuboid, sample, err := sampleCuboidMax(eng, rel, alpha, opts.Seed)
+	run.Metrics.AddResult(sample)
 	if err != nil {
-		return nil, fmt.Errorf("mrcube: sampling round: %w", err)
+		return run, fmt.Errorf("mrcube: sampling round: %w", err)
 	}
-	run.Metrics.Add(sampleMetrics)
 
 	// Partition plan: per-cuboid chunk factor (1 = friendly).
 	capacity := friendlyFraction * float64(m)
@@ -94,10 +94,10 @@ func ComputeOpts(eng *mr.Engine, rel *relation.Relation, spec cube.Spec, opts Op
 	var partials []mr.Pair
 	for round := 0; ; round++ {
 		res, oversized, err := materializeRound(eng, rel, spec, f, compute, factors, capacity, run.OutputPrefix)
+		run.Metrics.AddResult(res)
 		if err != nil {
-			return nil, err
+			return run, err
 		}
-		run.Metrics.Add(res.Metrics)
 		partials = append(partials, res.Output...)
 		if len(oversized) == 0 || round >= maxRepartitionRounds {
 			break
@@ -118,10 +118,10 @@ func ComputeOpts(eng *mr.Engine, rel *relation.Relation, spec cube.Spec, opts Op
 	// Final round: post-aggregation of value-partitioned cuboids.
 	if len(partials) > 0 {
 		mres, err := mergeRound(eng, spec, f, partials, run.OutputPrefix)
+		run.Metrics.AddResult(mres)
 		if err != nil {
-			return nil, err
+			return run, err
 		}
-		run.Metrics.Add(mres.Metrics)
 	}
 	return run, nil
 }
@@ -149,8 +149,8 @@ func chunkFactor(estMax, capacity float64) int {
 }
 
 // sampleCuboidMax runs the sampling round and returns, per cuboid, the
-// largest sample-group cardinality.
-func sampleCuboidMax(eng *mr.Engine, rel *relation.Relation, alpha float64, seed int64) ([]float64, mr.RoundMetrics, error) {
+// largest sample-group cardinality, and the round's result.
+func sampleCuboidMax(eng *mr.Engine, rel *relation.Relation, alpha float64, seed int64) ([]float64, *mr.RoundResult, error) {
 	d := rel.D()
 	maxPerCuboid := make([]float64, 1<<uint(d))
 
@@ -178,10 +178,7 @@ func sampleCuboidMax(eng *mr.Engine, rel *relation.Relation, alpha float64, seed
 		ctx.EmitKV("plan", encodePlan(maxPerCuboid))
 	})
 	res, err := eng.RunTuples(job, rel.Tuples)
-	if err != nil {
-		return nil, mr.RoundMetrics{}, err
-	}
-	return maxPerCuboid, res.Metrics, nil
+	return maxPerCuboid, res, err
 }
 
 func encodePlan(maxPerCuboid []float64) []byte {
@@ -301,7 +298,7 @@ func materializeRound(
 
 	res, err := eng.RunTuples(job, rel.Tuples)
 	if err != nil {
-		return nil, nil, err
+		return res, nil, err
 	}
 	var oversized []lattice.Mask
 	for mask := range oversizedSet {

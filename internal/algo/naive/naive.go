@@ -51,10 +51,7 @@ func Compute(eng *mr.Engine, rel *relation.Relation, spec cube.Spec) (*cube.Run,
 	}
 
 	res, err := eng.RunTuples(job, rel.Tuples)
-	if err != nil {
-		return nil, err
-	}
 	run := &cube.Run{Algorithm: "naive", OutputPrefix: "out/naive-cube/"}
-	run.Metrics.Add(res.Metrics)
-	return run, nil
+	run.Metrics.AddResult(res)
+	return run, err
 }

@@ -57,10 +57,10 @@ func Compute(eng *mr.Engine, rel *relation.Relation, spec cube.Spec) (*cube.Run,
 		Reduce:  reduceLevel(spec, f, d > 0),
 	}
 	res, err := eng.RunTuples(top, rel.Tuples)
+	run.Metrics.AddResult(res)
 	if err != nil {
-		return nil, err
+		return run, err
 	}
-	run.Metrics.Add(res.Metrics)
 	parents := res.Output
 
 	// Rounds 1..d: level l from level l+1.
@@ -74,10 +74,10 @@ func Compute(eng *mr.Engine, rel *relation.Relation, spec cube.Spec) (*cube.Run,
 			Reduce:       reduceLevel(spec, f, level > 0),
 		}
 		res, err := eng.RunPairs(job, parents)
+		run.Metrics.AddResult(res)
 		if err != nil {
-			return nil, err
+			return run, err
 		}
-		run.Metrics.Add(res.Metrics)
 		parents = res.Output
 	}
 	return run, nil

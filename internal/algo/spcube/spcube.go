@@ -64,10 +64,10 @@ func Compute(eng *mr.Engine, rel *relation.Relation, spec cube.Spec) (*cube.Run,
 // ComputeOpts runs SP-Cube with explicit options.
 func ComputeOpts(eng *mr.Engine, rel *relation.Relation, spec cube.Spec, opts Options) (*cube.Run, error) {
 	runs, err := compute(eng, rel, []cube.Spec{spec}, opts, func(int) string { return "out/sp-cube/" })
-	if err != nil {
+	if len(runs) == 0 {
 		return nil, err
 	}
-	return runs[0], nil
+	return runs[0], err
 }
 
 // ComputeMulti computes one cube per spec while building the SP-Sketch only
@@ -84,14 +84,19 @@ func ComputeMulti(eng *mr.Engine, rel *relation.Relation, specs []cube.Spec, opt
 
 // compute runs round 1, building the SP-Sketch, and then one round 2
 // (Algorithm 3) per spec, the i-th writing under prefix(i). The sketch round
-// is charged once, to the first run.
+// is charged once, to the first run. A failure returns the runs so far
+// beside the error, the last one holding the rounds that ran.
 func compute(eng *mr.Engine, rel *relation.Relation, specs []cube.Spec, opts Options, prefix func(int) string) ([]*cube.Run, error) {
 	if d := rel.D(); d > lattice.MaxDims {
 		return nil, fmt.Errorf("spcube: %d dimensions exceed the supported maximum %d", d, lattice.MaxDims)
 	}
 	built, err := sketch.Build(eng, rel, opts.Seed)
 	if err != nil {
-		return nil, fmt.Errorf("spcube: sketch round: %w", err)
+		run := &cube.Run{Algorithm: "sp-cube", OutputPrefix: prefix(0)}
+		if built != nil {
+			run.Metrics.Add(built.Metrics)
+		}
+		return []*cube.Run{run}, fmt.Errorf("spcube: sketch round: %w", err)
 	}
 	runs := make([]*cube.Run, 0, len(specs))
 	for i, spec := range specs {
@@ -106,11 +111,11 @@ func compute(eng *mr.Engine, rel *relation.Relation, specs []cube.Spec, opts Opt
 			run.Metrics.Add(built.Metrics)
 		}
 		round, err := runCubeRound(eng, rel, spec, built.Sketch, opts, run.OutputPrefix)
-		if err != nil {
-			return nil, err
-		}
-		run.Metrics.Add(round.Metrics)
+		run.Metrics.AddResult(round)
 		runs = append(runs, run)
+		if err != nil {
+			return runs, err
+		}
 	}
 	return runs, nil
 }

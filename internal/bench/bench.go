@@ -357,7 +357,7 @@ func Traffic(cfg Config) []Figure {
 		msU := runOne(cfg, sp, relU)
 		uniform.Points = append(uniform.Points, Point{X: float64(d), Y: float64(msU.shuffleRecs) / float64(n)})
 
-		m := 40 * int(cfg.Scale*10+1)
+		m := 40 * int(float64(cfg.Scale*10)+1)
 		relA := data.Adversarial(d, m)
 		msA := runOne(cfg, sp, relA)
 		adversarial.Points = append(adversarial.Points, Point{X: float64(d), Y: float64(msA.shuffleRecs) / float64(relA.N())})

@@ -85,7 +85,7 @@ var goldenLegs = []string{"fig6", "ablation", "rounds"}
 // a deliberate change.
 func TestFiguresGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
-		t.Skipf("the goldens were recorded on amd64: a task's CPU seconds are FMA-free, but on %s the compiler may fuse two other multiply-adds: JobMetrics.Totals' weighted phase averages, which moves their last digits, and bench.Traffic's input size, which can move an integer row count", runtime.GOARCH)
+		t.Skipf("the goldens were recorded on amd64: the simulated seconds and the sweeps' sizes are free of fused multiply-adds, but math.Log, behind SP-Cube's sketch threshold β = ln(nk) (sketch.Params), is assembly on amd64 and portable Go on %s, and the two may round differently", runtime.GOARCH)
 	}
 	for _, leg := range goldenLegs {
 		t.Run(leg, func(t *testing.T) { checkGolden(t, leg) })

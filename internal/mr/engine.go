@@ -305,18 +305,16 @@ type MapCtx struct {
 	Task    int
 	job     *Job
 	eng     *Engine
-	out     []Pair
 	state   any
 	metrics TaskMetrics
 	inject  *injector
-	// arena batches EmitCopied/EmitBytes copies for the attempt: records
-	// are appended to one growing buffer instead of one allocation each.
-	// Arena bytes are written once and never modified, so emitted slices
-	// (and the key strings EmitBytes builds over them) stay valid as the
-	// arena grows, and die with the attempt on a fault. After a spill
-	// flushes the buffered records to disk the arena is reused from the
-	// start — nothing references the flushed bytes anymore.
-	arena []byte
+	// out holds the attempt's emitted records and arena the bytes
+	// EmitCopied and EmitBytes copy; both are chunk lists that never copy a
+	// record to grow, so the shuffle's buckets keep alive only the chunks
+	// their records sit in. A spill flush recycles both: nothing views the
+	// flushed records once they are on disk.
+	out   chunks[Pair]
+	arena arena
 
 	// Out-of-core spill state (Config.SpillBudgetBytes > 0): pending
 	// counts raw emitted bytes since the last flush; once it crosses
@@ -381,15 +379,10 @@ func (c *MapCtx) State() any { return c.state }
 // The caller must therefore not modify val's backing array after the
 // call. Mappers that build values in a reusable scratch buffer must emit
 // through EmitCopied (or EmitBytes) instead; passing one immutable buffer
-// to several Emit calls (aliased values) is fine.
+// to several Emit calls (aliased values) is fine. The record goes into the
+// attempt's chunked emit buffer, which never copies a record to grow.
 func (c *MapCtx) Emit(key string, val []byte) {
-	if c.budget > 0 && len(c.out) == cap(c.out) {
-		// Double, where append grows a long slice by about 1.25×: every
-		// flush reuses the buffer, so only the first chunk's growth is
-		// garbage, and doubling makes less of it.
-		c.out = slices.Grow(c.out, len(c.out)+1)
-	}
-	c.out = append(c.out, Pair{Key: key, Val: val})
+	c.out.push(Pair{Key: key, Val: val})
 	pb := pairBytes(key, val)
 	c.metrics.PreCombineRecords++
 	c.metrics.PreCombineBytes += pb
@@ -414,11 +407,10 @@ type taskAbort struct{ err error }
 // write error is kept in spillErr and surfaces when the attempt ends, not
 // here.
 func (c *MapCtx) spillNow() {
-	out := c.out
 	if c.job.Combine != nil {
-		out = c.eng.combine(c.job, c, out)
+		c.eng.combine(c.job, c, &c.out)
 	}
-	buckets, err := c.eng.partitionSort(c.job, c, out, &c.flushBuf)
+	buckets, err := c.eng.partitionSort(c.job, c, &c.out, &c.flushBuf)
 	if err != nil {
 		panic(taskAbort{err})
 	}
@@ -445,8 +437,8 @@ func (c *MapCtx) spillNow() {
 	c.metrics.CompressedSpillBytes += written
 	c.tr.add(PhaseMap, c.Task, TraceEvent{Type: EvSpill, Attempt: c.attempt, Bytes: encBytes})
 	c.flushes = append(c.flushes, flushRec{bytes: written, records: records})
-	c.out = c.out[:0]
-	c.arena = c.arena[:0]
+	c.out.reset()
+	c.arena.reset()
 	c.pending = 0
 }
 
@@ -454,36 +446,18 @@ func (c *MapCtx) spillNow() {
 // attempt's arena first: the caller may immediately reuse val's backing
 // buffer. The copy costs amortized zero allocations.
 func (c *MapCtx) EmitCopied(key string, val []byte) {
-	c.Emit(key, c.arenaAppend(val))
+	c.Emit(key, c.arena.bytes(val))
 }
 
 // EmitBytes sends a key/value record to the shuffle with both key and
 // value built in reusable scratch buffers: both are copied into the
 // attempt's arena, and the key string is built over its arena bytes
-// without a separate allocation. This is the allocation-free emit path
-// for mappers that encode keys per record.
+// without a separate allocation — safe, because arena bytes are never
+// rewritten while a record views them. This is the allocation-free emit
+// path for mappers that encode keys per record.
 func (c *MapCtx) EmitBytes(key, val []byte) {
-	k := c.arenaAppend(key)
-	v := c.arenaAppend(val)
-	var ks string
-	if len(k) > 0 {
-		// Safe: arena bytes are append-only, so the string over them is
-		// as immutable as any other string.
-		ks = unsafe.String(&k[0], len(k))
-	}
-	c.Emit(ks, v)
-}
-
-// arenaAppend copies b into the attempt arena and returns the copy,
-// capped so appends through the returned slice cannot touch later arena
-// content.
-func (c *MapCtx) arenaAppend(b []byte) []byte {
-	n := len(c.arena)
-	if c.budget > 0 && n+len(b) > cap(c.arena) {
-		c.arena = slices.Grow(c.arena, n+len(b)) // doubles, as Emit's out
-	}
-	c.arena = append(c.arena, b...)
-	return c.arena[n:len(c.arena):len(c.arena)]
+	k := c.arena.bytes(key)
+	c.Emit(unsafe.String(unsafe.SliceData(k), len(k)), c.arena.bytes(val))
 }
 
 // ChargeOps reports n elementary algorithm operations (hash probes, lattice
@@ -1074,11 +1048,10 @@ func (r *round) mapAttempt(ctx *MapCtx) (mout mapOutput, err error) {
 	if job.MapFlush != nil {
 		job.MapFlush(ctx)
 	}
-	out := ctx.out
 	if job.Combine != nil {
-		out = r.eng.combine(job, ctx, out)
+		r.eng.combine(job, ctx, &ctx.out)
 	}
-	buckets, err := r.eng.partitionSort(job, ctx, out, nil)
+	buckets, err := r.eng.partitionSort(job, ctx, &ctx.out, nil)
 	if err != nil {
 		return mapOutput{}, err
 	}
@@ -1091,9 +1064,10 @@ func (r *round) mapAttempt(ctx *MapCtx) (mout mapOutput, err error) {
 // arrays, grown as needed, or from fresh ones when buf is nil. Output
 // accounting accumulates, so OutRecords/OutBytes cover spilled chunks and
 // the final in-memory one.
-func (e *Engine) partitionSort(job *Job, ctx *MapCtx, out []Pair, buf *partitionScratch) ([][]Pair, error) {
+func (e *Engine) partitionSort(job *Job, ctx *MapCtx, out *chunks[Pair], buf *partitionScratch) ([][]Pair, error) {
 	reducers := ctx.reducers
-	ctx.metrics.OutRecords += int64(len(out))
+	n := out.len()
+	ctx.metrics.OutRecords += int64(n)
 	// Counting pass: partition every record once up front so the buckets
 	// can be carved at exact size out of a single backing array — no
 	// per-append growth, no copying when the shuffle hands them over.
@@ -1101,23 +1075,28 @@ func (e *Engine) partitionSort(job *Job, ctx *MapCtx, out []Pair, buf *partition
 	if buf == nil {
 		buf = &fresh
 	}
-	targets, backing, buckets := buf.carve(len(out), reducers)
+	targets, backing, buckets := buf.carve(n, reducers)
 	counts := make([]int32, reducers)
 	if ctx.bucketRaw == nil {
 		ctx.bucketRaw = make([]int64, reducers)
 	}
 	raw := ctx.bucketRaw
 	clear(raw)
-	for i := range out {
-		pb := pairBytes(out[i].Key, out[i].Val)
-		ctx.metrics.OutBytes += pb
-		r := ctx.partition(out[i].Key, reducers)
-		if r < 0 || r >= reducers {
-			return nil, fmt.Errorf("mr: job %s: partition(%q) = %d out of range [0,%d)", job.Name, out[i].Key, r, reducers)
+	i := 0
+	for _, chunk := range out.used() {
+		for j := range chunk {
+			p := &chunk[j]
+			pb := pairBytes(p.Key, p.Val)
+			ctx.metrics.OutBytes += pb
+			r := ctx.partition(p.Key, reducers)
+			if r < 0 || r >= reducers {
+				return nil, fmt.Errorf("mr: job %s: partition(%q) = %d out of range [0,%d)", job.Name, p.Key, r, reducers)
+			}
+			targets[i] = int32(r)
+			counts[r]++
+			raw[r] += pb
+			i++
 		}
-		targets[i] = int32(r)
-		counts[r]++
-		raw[r] += pb
 	}
 	offs := make([]int32, reducers+1)
 	for r := 0; r < reducers; r++ {
@@ -1125,9 +1104,13 @@ func (e *Engine) partitionSort(job *Job, ctx *MapCtx, out []Pair, buf *partition
 	}
 	cursor := counts // reuse the counts array as per-bucket fill cursors
 	copy(cursor, offs[:reducers])
-	for i := range out {
-		backing[cursor[targets[i]]] = out[i]
-		cursor[targets[i]]++
+	i = 0
+	for _, chunk := range out.used() {
+		for j := range chunk {
+			backing[cursor[targets[i]]] = chunk[j]
+			cursor[targets[i]]++
+			i++
+		}
 	}
 	// Map-side sort (the cluster model's sort-merge shuffle): each bucket
 	// is sorted by key exactly once, here, in the map task; reducers only
@@ -1174,7 +1157,7 @@ func (s *partitionScratch) carve(n, reducers int) ([]int32, []Pair, [][]Pair) {
 // may retain the key and the value slices past its Reduce call — records
 // from memory-backed runs alias the map tasks' stable output, records from
 // file-backed runs are copied out of the reader's reused decode buffers
-// into the attempt's readArena — but not the vals container, which is
+// into the attempt's arena — but not the vals container, which is
 // per-group scratch.
 func (r *round) reduceAttempt(ctx *RedCtx, m *streamMerger) (err error) {
 	job := r.job
@@ -1195,19 +1178,19 @@ func (r *round) reduceAttempt(ctx *RedCtx, m *streamMerger) (err error) {
 	tm := ctx.metrics
 	capRecords := int64(r.oomMem / r.inflation)
 	vals := make([][]byte, 0, 16)
-	var arena readArena
+	var copies arena
 	rec, stable := m.next()
 	for rec != nil {
 		group := rec.Key
 		if !stable {
-			group = arena.string(group)
+			group = copies.string(group)
 		}
 		vals = vals[:0]
 		var keyBytes int64
 		for rec != nil && rec.Key == group {
 			val := rec.Val
 			if !stable {
-				val = arena.bytes(val)
+				val = copies.bytes(val)
 			}
 			vals = append(vals, val)
 			keyBytes += pairBytes(group, val)
@@ -1229,49 +1212,96 @@ func (r *round) reduceAttempt(ctx *RedCtx, m *streamMerger) (err error) {
 	return m.err
 }
 
-// readChunk is the size of the chunks a readArena copies records into.
-const readChunk = 64 << 10
+// Chunk sizes, in bytes, of a chunk list: the first chunk is minChunk, each
+// later one twice its predecessor up to maxChunk.
+const (
+	minChunk = 1 << 10
+	maxChunk = 64 << 10
+)
 
-// readArena is one reduce attempt's copies of file-backed records: keys and
-// values are appended to 64 KiB chunks, one allocation per chunk instead of
-// two per record. A chunk is written once and never rewritten — a copy that
-// does not fit starts a new one — so every slice and string handed out stays
-// valid for as long as the reducer retains it, and dies with it. A record
-// larger than a quarter of a chunk gets its own allocation.
-type readArena struct{ chunk []byte }
-
-// alloc returns n fresh bytes, capped so that appends through the slice
-// cannot reach the next copy.
-func (a *readArena) alloc(n int) []byte {
-	if n > readChunk/4 {
-		return make([]byte, n)
-	}
-	if cap(a.chunk)-len(a.chunk) < n {
-		a.chunk = make([]byte, 0, readChunk)
-	}
-	m := len(a.chunk)
-	a.chunk = a.chunk[:m+n]
-	return a.chunk[m : m+n : m+n]
+// chunks is an append-only list of chunks that is never copied to grow: a
+// chunk that is full stays where it is and the next one is started, so an
+// element's address holds for as long as the list is not reset, and a view
+// of it keeps only its own chunk alive. reset recycles the chunks, in order,
+// for the caller to refill.
+type chunks[T any] struct {
+	list  [][]T // every chunk allocated; list[:inUse] hold the elements
+	inUse int
 }
 
-// bytes copies b; an empty b copies to nil, as append([]byte(nil), b...) does.
-func (a *readArena) bytes(b []byte) []byte {
-	if len(b) == 0 {
-		return nil
+// room returns the chunk being filled, first moving on to the next chunk —
+// recycled, or new at twice the last one's size up to maxChunk bytes — until
+// one has room for n more elements.
+func (c *chunks[T]) room(n int) *[]T {
+	for {
+		if c.inUse > 0 {
+			if last := &c.list[c.inUse-1]; cap(*last)-len(*last) >= n {
+				return last
+			}
+		}
+		if c.inUse == len(c.list) {
+			size := int(unsafe.Sizeof(*new(T)))
+			capacity := minChunk / size
+			if c.inUse > 0 {
+				capacity = min(2*cap(c.list[c.inUse-1]), maxChunk/size)
+			}
+			c.list = append(c.list, make([]T, 0, max(capacity, n)))
+		}
+		c.inUse++
 	}
-	c := a.alloc(len(b))
-	copy(c, b)
-	return c
+}
+
+// push appends v.
+func (c *chunks[T]) push(v T) {
+	last := c.room(1)
+	*last = append(*last, v)
+}
+
+// used returns the chunks that hold elements, in order.
+func (c *chunks[T]) used() [][]T { return c.list[:c.inUse] }
+
+// len returns the number of elements.
+func (c *chunks[T]) len() int {
+	n := 0
+	for _, chunk := range c.used() {
+		n += len(chunk)
+	}
+	return n
+}
+
+// reset empties the list, keeping its chunks for the elements that follow.
+func (c *chunks[T]) reset() {
+	for i := range c.used() {
+		c.list[i] = c.list[i][:0]
+	}
+	c.inUse = 0
+}
+
+// arena is an attempt's copies of records' keys and values: a map attempt's
+// EmitCopied and EmitBytes copies, and a reduce attempt's copies of
+// file-backed records. Copies are appended to a byte chunk list, one
+// allocation per chunk instead of one per copy, and a chunk is not
+// rewritten until the arena is reset, so every slice and string handed out
+// stays valid for as long as it is retained and keeps only its chunk alive.
+// A copy larger than a quarter of a full chunk gets its own allocation.
+type arena struct{ chunks[byte] }
+
+// bytes copies b, capped so that appends through the copy cannot reach the
+// next one; an empty b copies to nil, as append([]byte(nil), b...) does.
+func (a *arena) bytes(b []byte) []byte {
+	if len(b) == 0 || len(b) > maxChunk/4 {
+		return append([]byte(nil), b...)
+	}
+	last := a.room(len(b))
+	m := len(*last)
+	*last = append(*last, b...)
+	return (*last)[m:len(*last):len(*last)]
 }
 
 // string copies s, building the copy over chunk bytes as EmitBytes does.
-func (a *readArena) string(s string) string {
-	if s == "" {
-		return ""
-	}
-	c := a.alloc(len(s))
-	copy(c, s)
-	return unsafe.String(&c[0], len(c))
+func (a *arena) string(s string) string {
+	b := a.bytes(unsafe.Slice(unsafe.StringData(s), len(s)))
+	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
 // externalAgg charges the external aggregation of one group whose value
@@ -1364,34 +1394,38 @@ func (e *Engine) forEachTask(n int, fn func(task int)) {
 }
 
 // combine groups one mapper's buffered output by key and applies the
-// combiner, charging its CPU. Grouping is by hash table — one map probe
-// per record instead of a sort — which is legal because group order does
-// not matter here: whatever order the combiner's output leaves in, the
-// map-side bucket sort in mapAttempt re-establishes the canonical order
-// before the shuffle. Values are gathered in first-seen group order.
+// combiner, charging its CPU, and leaves the combined records in out.
+// Grouping is by hash table — one map probe per record instead of a sort —
+// which is legal because group order does not matter here: whatever order
+// the combiner's output leaves in, the map-side bucket sort in mapAttempt
+// re-establishes the canonical order before the shuffle. Values are
+// gathered in first-seen group order.
 //
-// Rebuilding into out[:0] at the end is safe only because both passes
-// below copy every key string header and every Val slice header out of
-// out first; the historical version read out[j] while overwriting
-// combined = out[:0] in place, which corrupted later groups whenever a
-// combiner returned more values than it consumed.
-func (e *Engine) combine(job *Job, ctx *MapCtx, out []Pair) []Pair {
-	if len(out) == 0 {
-		return out
+// Rebuilding into out's recycled chunks at the end is safe only because
+// both passes below copy every key string header and every Val slice
+// header out of out first; the historical version read out[j] while
+// overwriting combined = out[:0] in place, which corrupted later groups
+// whenever a combiner returned more values than it consumed.
+func (e *Engine) combine(job *Job, ctx *MapCtx, out *chunks[Pair]) {
+	n := out.len()
+	if n == 0 {
+		return
 	}
 	// Pass 1: assign each distinct key a dense group index, count group
 	// sizes.
-	idx := make(map[string]int32, len(out)/2+1)
-	gi := make([]int32, len(out))
+	idx := make(map[string]int32, n/2+1)
+	gi := make([]int32, 0, n)
 	var groups int32
-	for i := range out {
-		g, ok := idx[out[i].Key]
-		if !ok {
-			g = groups
-			groups++
-			idx[out[i].Key] = g
+	for _, chunk := range out.used() {
+		for j := range chunk {
+			g, ok := idx[chunk[j].Key]
+			if !ok {
+				g = groups
+				groups++
+				idx[chunk[j].Key] = g
+			}
+			gi = append(gi, g)
 		}
-		gi[i] = g
 	}
 	counts := make([]int32, groups)
 	for _, g := range gi {
@@ -1405,24 +1439,27 @@ func (e *Engine) combine(job *Job, ctx *MapCtx, out []Pair) []Pair {
 	// into shared backing arrays — after this, nothing reads out's old
 	// contents.
 	keys := make([]string, groups)
-	vals := make([][]byte, len(out))
+	vals := make([][]byte, n)
 	cursor := counts // reuse as per-group fill cursors
 	copy(cursor, offs[:groups])
-	for i := range out {
-		g := gi[i]
-		if cursor[g] == offs[g] {
-			keys[g] = out[i].Key
+	i := 0
+	for _, chunk := range out.used() {
+		for j := range chunk {
+			g := gi[i]
+			if cursor[g] == offs[g] {
+				keys[g] = chunk[j].Key
+			}
+			vals[cursor[g]] = chunk[j].Val
+			cursor[g]++
+			i++
 		}
-		vals[cursor[g]] = out[i].Val
-		cursor[g]++
 	}
-	combined := out[:0]
+	out.reset()
 	for g := int32(0); g < groups; g++ {
 		for _, v := range job.Combine(keys[g], vals[offs[g]:offs[g+1]]) {
-			combined = append(combined, Pair{Key: keys[g], Val: v})
+			out.push(Pair{Key: keys[g], Val: v})
 		}
 	}
-	return combined
 }
 
 // FNV-1a constants (matching hash/fnv's 64-bit variant).

@@ -10,6 +10,16 @@ import (
 	"testing"
 )
 
+// arenaCap is the capacity of a map attempt's arena: the bytes of every
+// chunk it holds, filled or not.
+func arenaCap(c *MapCtx) int {
+	n := 0
+	for _, chunk := range c.arena.list {
+		n += cap(chunk)
+	}
+	return n
+}
+
 func TestNewLoadBalance(t *testing.T) {
 	if NewLoadBalance(nil) != nil {
 		t.Error("empty vector must yield nil")

@@ -119,6 +119,40 @@ func BenchmarkSpillRound(b *testing.B) {
 	b.ReportMetric(6*n*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }
 
+// BenchmarkSmallAttempts is a round of map attempts the size of SP-Cube's
+// sketch round's: 20 map tasks that emit 20 keyed records each through
+// EmitBytes, to one reducer. It times what a round costs when its attempts
+// emit little, the first chunks of their buffers included.
+func BenchmarkSmallAttempts(b *testing.B) {
+	tuples := make([]relation.Tuple, 400)
+	for i := range tuples {
+		tuples[i] = relation.Tuple{Dims: []relation.Value{relation.Value(i)}, Measure: int64(i)}
+	}
+	job := &mr.Job{
+		Name:      "small-attempts",
+		Reducers:  1,
+		TaskState: func() any { return new([]byte) },
+		MapTuple: func(ctx *mr.MapCtx, t relation.Tuple) {
+			buf := ctx.State().(*[]byte)
+			*buf = append((*buf)[:0], 'S', byte(t.Dims[0]), byte(t.Dims[0]>>8), 0, 0, 0, 0, 0)
+			ctx.EmitBytes(*buf, (*buf)[1:])
+		},
+		Reduce: func(ctx *mr.RedCtx, key string, vals [][]byte) { ctx.ChargeOps(int64(len(vals))) },
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng := mr.New(mr.Config{Workers: 20, Seed: 42, Parallelism: 1}, nil)
+		res, err := eng.RunTuples(job, tuples)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Metrics.ShuffleRecords != int64(len(tuples)) {
+			b.Fatalf("%d shuffle records, want %d", res.Metrics.ShuffleRecords, len(tuples))
+		}
+	}
+}
+
 // BenchmarkReduceEmit is one round whose reducers write many small records
 // to a retaining DFS, as SP-Cube's BUC reducers do: 20000 tuples in 2000
 // groups, and each group's reduce writes 64 records of its 4-byte key and an

@@ -371,14 +371,17 @@ func BenchmarkCombine(b *testing.B) {
 		},
 	}
 	eng := New(Config{Workers: 1}, dfs.New(true))
-	buf := make([]Pair, len(out))
+	var buf chunks[Pair]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		copy(buf, out)
+		buf.reset()
+		for _, p := range out {
+			buf.push(p)
+		}
 		ctx := &MapCtx{eng: eng, job: job}
-		if got := eng.combine(job, ctx, buf); len(got) != 1024 {
-			b.Fatalf("combined to %d groups, want 1024", len(got))
+		if eng.combine(job, ctx, &buf); buf.len() != 1024 {
+			b.Fatalf("combined to %d groups, want 1024", buf.len())
 		}
 	}
 }

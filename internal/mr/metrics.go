@@ -318,6 +318,14 @@ type JobMetrics struct {
 // Add appends a round.
 func (j *JobMetrics) Add(r RoundMetrics) { j.Rounds = append(j.Rounds, r) }
 
+// AddResult appends res's round, failed or not; a round that never started
+// (nil) adds nothing.
+func (j *JobMetrics) AddResult(res *RoundResult) {
+	if res != nil {
+		j.Add(res.Metrics)
+	}
+}
+
 // Totals sums the job's rounds: every additive field, the phase averages
 // weighted by each round's executed tasks, and the first failed round's
 // reason.
@@ -330,9 +338,9 @@ func (j *JobMetrics) Totals() Totals {
 		t.WallSeconds += r.WallSeconds
 		t.ShuffleRecords += r.ShuffleRecords
 		t.ShuffleBytes += r.ShuffleBytes
-		t.MapTimeAvg += r.MapTimeAvg * float64(r.MappersExecuted)
+		t.MapTimeAvg += float64(r.MapTimeAvg * float64(r.MappersExecuted))
 		maps += r.MappersExecuted
-		t.ReduceTimeAvg += r.ReduceTimeAvg * float64(r.ReducersExecuted)
+		t.ReduceTimeAvg += float64(r.ReduceTimeAvg * float64(r.ReducersExecuted))
 		reds += r.ReducersExecuted
 		t.Retries += r.Retries
 		t.MapReexecutions += r.MapReexecutions

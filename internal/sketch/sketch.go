@@ -421,7 +421,8 @@ func SampleJob(name string, d int, seed, salt int64, alpha float64, reduce func(
 
 // Build runs the paper's Algorithm 2 as round 1 of SP-Cube: k mappers
 // sample their input splits, one reducer assembles the sample, builds the
-// sketch in memory, and writes it to the DFS for distribution.
+// sketch in memory, and writes it to the DFS for distribution. A round
+// that fails returns its metrics, and no sketch, beside the error.
 func Build(eng *mr.Engine, rel *relation.Relation, seed int64) (*BuildResult, error) {
 	n := rel.N()
 	d := rel.D()
@@ -442,7 +443,10 @@ func Build(eng *mr.Engine, rel *relation.Relation, seed int64) (*BuildResult, er
 	})
 	res, err := eng.RunTuples(job, rel.Tuples)
 	if err != nil {
-		return nil, err
+		if res == nil {
+			return nil, err
+		}
+		return &BuildResult{Metrics: res.Metrics}, err
 	}
 	if built == nil {
 		// Degenerate case: the sample was empty (tiny inputs). Build an
