@@ -234,3 +234,90 @@ func TestFanInRunFilePerReducer(t *testing.T) {
 		t.Errorf("leaked spill files: %v", leaked)
 	}
 }
+
+// captureWrites records every write to every run file, in file-creation
+// order, as the length-prefixed bytes of each write call.
+type captureWrites struct {
+	mu    sync.Mutex
+	files []*recordedFile
+}
+
+type recordedFile struct {
+	w     io.Writer
+	calls [][]byte
+}
+
+func (r *recordedFile) Write(p []byte) (int, error) {
+	r.calls = append(r.calls, append([]byte(nil), p...))
+	return r.w.Write(p)
+}
+
+func (c *captureWrites) wrap(w io.Writer) io.Writer {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	f := &recordedFile{w: w}
+	c.files = append(c.files, f)
+	return f
+}
+
+// digest hashes every file's write calls, each call's length first, so
+// that a change in where one write ends and the next begins shows too.
+func (c *captureWrites) digest() string {
+	h := sha256.New()
+	for i, f := range c.files {
+		fmt.Fprintf(h, "file %d: %d calls\n", i, len(f.calls))
+		for _, p := range f.calls {
+			fmt.Fprintf(h, "%d\n", len(p))
+			h.Write(p)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestRunFileBytesPinned pins the bytes, and the write calls, of map-side
+// run files whose buckets span several 64 KiB blocks, under both codecs:
+// a change to how a flush is front-coded, framed or written shows here.
+// The round makes no merge pass, so only map flushes write.
+func TestRunFileBytesPinned(t *testing.T) {
+	var tuples []relation.Tuple
+	for i := 0; i < 4000; i++ {
+		tuples = append(tuples, relation.Tuple{Dims: []relation.Value{relation.Value(i)}})
+	}
+	job := &Job{
+		Name:     "pinned",
+		Reducers: 2,
+		MapTuple: func(ctx *MapCtx, tp relation.Tuple) {
+			i := int(tp.Dims[0])
+			val := make([]byte, 100+i%300)
+			for j := range val {
+				val[j] = byte((i*7 + j*j*j) % 251)
+			}
+			ctx.Emit(fmt.Sprintf("cuboid-%d/key-%06d", i%5, i*37%4000), val)
+		},
+		Reduce: func(ctx *RedCtx, key string, vals [][]byte) {
+			ctx.EmitKV(key, vals[0])
+		},
+	}
+	for _, tc := range []struct{ codec, want string }{
+		{"raw", "92fda685319789e4171f3515d67eccc348a005820bc05df5ce5f73afa2600e4b"},
+		{"lz", "dc5890a851108f768d8f854283a131ff7882ae3d3ac1b412ebb2897605427edf"},
+	} {
+		t.Run(tc.codec, func(t *testing.T) {
+			capt := &captureWrites{}
+			eng := New(Config{Workers: 2, Parallelism: 1, SpillBudgetBytes: 200 << 10,
+				SpillCodec: tc.codec, SpillDir: t.TempDir(), SpillWriteWrapper: capt.wrap}, dfs.New(false))
+			res, err := eng.RunTuples(job, tuples)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := res.Metrics
+			if m.MergePasses != 0 || m.Spills < 2 || m.SpillBytes/m.Spills/2 <= 64<<10 {
+				t.Fatalf("want several flushes of buckets over 64 KiB and no merge pass, got %d spills of %d B, %d merge passes",
+					m.Spills, m.SpillBytes, m.MergePasses)
+			}
+			if got := capt.digest(); got != tc.want {
+				t.Errorf("run-file writes digest %s, want %s", got, tc.want)
+			}
+		})
+	}
+}
