@@ -131,6 +131,25 @@ func TestFramedStream(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%s: streamed %d bytes, want %d", c.Name(), len(got), len(want))
 		}
+		// Block hands out the same bytes a whole block at a time.
+		r := NewReader(bytes.NewReader(framed), c)
+		got = got[:0]
+		for {
+			block, err := r.Block()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("%s: block %d: %v", c.Name(), len(got), err)
+			}
+			if len(block) > DefaultBlockSize {
+				t.Fatalf("%s: a %d-byte block", c.Name(), len(block))
+			}
+			got = append(got, block...)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: Block returned %d bytes, want %d", c.Name(), len(got), len(want))
+		}
 	}
 }
 

@@ -8,10 +8,11 @@ import (
 	"io"
 )
 
-// Reader streams the decoded bytes of a framed block sequence: an io.Reader
-// that walks blocks one at a time, verifies each payload's CRC before
-// decoding it, and serves the decoded bytes. Exactly one block is buffered,
-// so memory is O(MaxBlockSize) regardless of stream length.
+// Reader streams the decoded bytes of a framed block sequence: it walks
+// blocks one at a time, verifies each payload's CRC before decoding it, and
+// serves the decoded bytes whole, a block at a time (Block), or as an
+// io.Reader. Exactly one block is buffered, so memory is O(MaxBlockSize)
+// regardless of stream length.
 //
 // Errors are sticky and loud: a short header or payload surfaces as
 // io.ErrUnexpectedEOF (wrapped), a CRC mismatch or codec failure as a
@@ -21,7 +22,7 @@ type Reader struct {
 	src   *bufio.Reader
 	codec Codec
 	dec   []byte // current decoded block
-	pos   int    // read cursor into dec
+	pos   int    // Read's cursor into dec
 	enc   []byte // encoded payload scratch
 	err   error
 }
@@ -49,16 +50,30 @@ func (r *Reader) Reset(src io.Reader) {
 	r.err = nil
 }
 
+// Block returns the next decoded block whole, or io.EOF after the last one.
+// The block is the Reader's own buffer: it stays valid until the following
+// Block or Read call, and must not be modified.
+func (r *Reader) Block() ([]byte, error) {
+	if r.err == nil {
+		r.err = r.nextBlock()
+	}
+	if r.err != nil {
+		// A failed decode may have left part of a block in dec: drop it,
+		// so that Read returns the error rather than those bytes.
+		r.dec, r.pos = r.dec[:0], 0
+		return nil, r.err
+	}
+	r.pos = len(r.dec)
+	return r.dec, nil
+}
+
 // Read fills p with decoded bytes, crossing block boundaries as needed.
 func (r *Reader) Read(p []byte) (int, error) {
 	for r.pos >= len(r.dec) {
-		if r.err != nil {
-			return 0, r.err
+		if _, err := r.Block(); err != nil {
+			return 0, err
 		}
-		r.err = r.nextBlock()
-		if r.err != nil {
-			return 0, r.err
-		}
+		r.pos = 0
 	}
 	n := copy(p, r.dec[r.pos:])
 	r.pos += n
@@ -109,7 +124,6 @@ func (r *Reader) nextBlock() error {
 	if len(r.dec) != int(rawLen) {
 		return fmt.Errorf("blockcodec: block decoded to %d bytes, frame says %d", len(r.dec), rawLen)
 	}
-	r.pos = 0
 	return nil
 }
 

@@ -328,7 +328,6 @@ type MapCtx struct {
 	spill     *spillFile
 	sortBuf   sortScratch
 	bucketRaw []int64 // Σ pairBytes per bucket of the last partitionSort
-	encBuf    []byte
 	// flushBuf holds a flush's partitionSort arrays for the next one: a
 	// flushed chunk's buckets are on disk once spillNow returns. The final
 	// chunk's buckets go to the shuffle, so it gets arrays of its own.
@@ -338,24 +337,12 @@ type MapCtx struct {
 	tr      *roundTracer
 	attempt int
 
-	// Spill pipeline state: each flush is encoded through codec into framed
-	// (reused flush to flush) and appended to spill inline; blockBuf is
-	// codec scratch. spillErr is the first failed append — sticky: later
-	// flushes are still encoded and accounted but not written, and the
-	// attempt fails when it ends. flushes records each flush's compressed
-	// size so a surviving attempt can emit its spill-flush trace events.
-	codec    blockcodec.Codec
-	framed   []byte
-	blockBuf []byte
+	// Spill pipeline state: each flush is encoded through segw, a segment
+	// per bucket, and written to spill inline as one image. spillErr is the
+	// first failed write — sticky: later flushes are still encoded and
+	// accounted but not written, and the attempt fails when it ends.
+	segw     segWriter
 	spillErr error
-	flushes  []flushRec
-}
-
-// flushRec is one spill flush's post-write accounting: the framed,
-// compressed bytes put on disk and the records they hold.
-type flushRec struct {
-	bytes   int64
-	records int64
 }
 
 // mapOutput is one completed map task's shuffle contribution: the sorted
@@ -421,22 +408,16 @@ func (c *MapCtx) spillNow() {
 		}
 		c.spill = sf
 	}
-	var segs []spillSeg
-	var encBytes int64
-	c.framed, segs, encBytes = encodeSpill(buckets, c.codec, c.framed, &c.encBuf, &c.blockBuf)
-	written := int64(len(c.framed))
-	var records int64
-	for i := range segs {
-		records += segs[i].records
-	}
+	encBytes := c.segw.encodeFlush(c.spill, buckets)
+	written := int64(len(c.segw.out))
 	if c.spillErr == nil {
-		c.spillErr = c.spill.append(c.framed, segs)
+		c.spillErr = c.segw.write(c.spill)
 	}
+	c.segw.out = c.segw.out[:0] // unwritten after a failed write
 	c.metrics.Spills++
 	c.metrics.SpillBytes += encBytes
 	c.metrics.CompressedSpillBytes += written
 	c.tr.add(PhaseMap, c.Task, TraceEvent{Type: EvSpill, Attempt: c.attempt, Bytes: encBytes})
-	c.flushes = append(c.flushes, flushRec{bytes: written, records: records})
 	c.out.reset()
 	c.arena.reset()
 	c.pending = 0
@@ -985,7 +966,7 @@ func (r *round) newMapCtx(task int, a *taskAttempt) *MapCtx {
 	return &MapCtx{
 		Task: task, job: r.job, eng: r.eng, inject: a.inj,
 		reducers: r.reducers, partition: r.partition,
-		budget: r.eng.Cfg.SpillBudgetBytes, sd: r.sd, codec: r.codec,
+		budget: r.eng.Cfg.SpillBudgetBytes, sd: r.sd, segw: segWriter{codec: r.codec},
 		tr: r.tr, attempt: a.index,
 	}
 }
@@ -1030,13 +1011,18 @@ func (r *round) mapAttempt(ctx *MapCtx) (mout mapOutput, err error) {
 			ctx.spill.discard()
 			ctx.spill = nil
 			mout = mapOutput{}
-		} else if ctx.tr != nil {
+		} else if ctx.tr != nil && ctx.spill != nil {
 			// Every flush is on disk; report each one's compressed size.
 			// Emitted only for surviving attempts, at a deterministic
 			// point (before the attempt returns), so the trace stream stays
 			// bit-identical at any parallelism.
-			for _, f := range ctx.flushes {
-				ctx.tr.add(PhaseMap, ctx.Task, TraceEvent{Type: EvSpillFlush, Attempt: ctx.attempt, Bytes: f.bytes, Records: f.records})
+			for _, segs := range ctx.spill.spills {
+				ev := TraceEvent{Type: EvSpillFlush, Attempt: ctx.attempt}
+				for _, seg := range segs {
+					ev.Bytes += seg.length
+					ev.Records += seg.records
+				}
+				ctx.tr.add(PhaseMap, ctx.Task, ev)
 			}
 		}
 	}()

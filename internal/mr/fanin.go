@@ -1,10 +1,6 @@
 package mr
 
-import (
-	"unsafe"
-
-	"github.com/spcube/spcube/internal/mr/blockcodec"
-)
+import "unsafe"
 
 // This file implements multi-pass fan-in control for the reduce-side
 // streaming merge — the io.sort.factor half of the spill pipeline. A
@@ -71,17 +67,19 @@ func (r *round) fanInMerge(runs []streamSource, task int, tm *TaskMetrics) ([]st
 // the end of sf and returns it as a replacement source.
 func (r *round) mergeRunGroup(sf *spillFile, group []streamSource, task int, tm *TaskMetrics) (streamSource, error) {
 	m := newStreamMerger(group)
-	w := newSegWriter(sf, r.codec)
+	w := segWriter{codec: r.codec}
+	w.start(sf)
 	for rec, _ := m.next(); rec != nil; rec, _ = m.next() {
-		if err := w.add(rec.Key, rec.Val); err != nil {
+		w.add(rec.Key, rec.Val)
+		if err := w.write(sf); err != nil {
 			return streamSource{}, err
 		}
 	}
 	if m.err != nil {
 		return streamSource{}, m.err
 	}
-	seg, err := w.finish()
-	if err != nil {
+	seg := w.finish()
+	if err := w.write(sf); err != nil {
 		return streamSource{}, err
 	}
 	tm.MergePasses++
@@ -90,61 +88,7 @@ func (r *round) mergeRunGroup(sf *spillFile, group []streamSource, task int, tm 
 	r.tr.add(PhaseReduce, task, TraceEvent{
 		Type: EvMergePass, Bytes: seg.length, Records: seg.records,
 	})
-	return streamSource{seg: seg}, nil
-}
-
-// segWriter streams records into one front-coded, block-framed segment,
-// flushing framed blocks to the file as the encoding buffer fills — a
-// merged run can exceed memory, so nothing buffers the whole segment.
-type segWriter struct {
-	sf     *spillFile
-	codec  blockcodec.Codec
-	seg    spillSeg
-	enc    []byte // pending front-coded bytes, framed once a block fills
-	framed []byte
-	block  []byte
-	prev   []byte // previous key (owned copy; merge buffers are reused)
-}
-
-func newSegWriter(sf *spillFile, codec blockcodec.Codec) *segWriter {
-	return &segWriter{
-		sf:    sf,
-		codec: codec,
-		seg:   spillSeg{f: sf.f, off: sf.off, codec: codec},
-	}
-}
-
-// add appends one record. key and val need only stay valid for the call.
-func (w *segWriter) add(key string, val []byte) error {
-	w.enc = appendSpillRecord(w.enc, byteString(w.prev), key, val)
-	w.seg.records++
-	w.seg.raw += int64(len(key)+len(val)) + RecordOverhead
-	w.prev = append(w.prev[:0], key...)
-	if len(w.enc) >= blockcodec.DefaultBlockSize {
-		return w.flush()
-	}
-	return nil
-}
-
-// flush frames the pending encoding into blocks and writes them out.
-func (w *segWriter) flush() error {
-	w.seg.enc += int64(len(w.enc))
-	w.framed, w.block = blockcodec.AppendAll(w.framed[:0], w.codec, w.enc, w.block)
-	w.seg.length += int64(len(w.framed))
-	w.enc = w.enc[:0]
-	return w.sf.write(w.framed)
-}
-
-// finish flushes the tail and returns the completed segment, which starts
-// where the file ended when the writer was made.
-func (w *segWriter) finish() (*spillSeg, error) {
-	if len(w.enc) > 0 {
-		if err := w.flush(); err != nil {
-			return nil, err
-		}
-	}
-	seg := w.seg
-	return &seg, nil
+	return streamSource{seg: &seg}, nil
 }
 
 // byteString views b as a string without copying; the result is only

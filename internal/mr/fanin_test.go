@@ -3,6 +3,7 @@ package mr
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -18,11 +19,7 @@ func writeRun(t *testing.T, sd *spillDir, codec blockcodec.Codec, pairs []Pair) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	var enc, block []byte
-	framed, segs, _ := encodeSpill([][]Pair{pairs}, codec, nil, &enc, &block)
-	if err := sf.append(framed, segs); err != nil {
-		t.Fatal(err)
-	}
+	writeSpillSync(t, sf, [][]Pair{pairs}, codec)
 	return streamSource{seg: &sf.spills[0][0]}
 }
 
@@ -114,9 +111,10 @@ func TestFanInMergeMatchesGlobalMerge(t *testing.T) {
 	}
 }
 
-// TestSegWriterRoundTrip: segWriter's incremental block flushing must
-// produce a segment whose contents and metadata match what a one-shot
-// encodeSpill of the same records would have accounted.
+// TestSegWriterRoundTrip: a segment written as a merge pass writes it, a
+// block at a time as each fills, holds exactly the bytes one whole-buffer
+// framing of its encoding in DefaultBlockSize payloads would, and its
+// metadata and records read back as written.
 func TestSegWriterRoundTrip(t *testing.T) {
 	codec := blockcodec.LZ{}
 	sd := newSpillDir(t.TempDir(), nil)
@@ -125,33 +123,51 @@ func TestSegWriterRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := newSegWriter(sf, codec)
+	w := segWriter{codec: codec}
+	w.start(sf)
 	// Enough volume to force several mid-stream block flushes.
 	var keys []string
 	var vals [][]byte
-	for i := 0; i < 4000; i++ {
+	for i := 0; i < 12000; i++ {
 		keys = append(keys, fmt.Sprintf("cuboid/ab/sku-%06d", i))
 		vals = append(vals, bytes.Repeat([]byte{byte(i)}, i%40))
 	}
 	var wantRaw int64
+	var enc []byte
+	prev, writes := "", 0
 	for i := range keys {
-		if err := w.add(keys[i], vals[i]); err != nil {
+		w.add(keys[i], vals[i])
+		if len(w.out) > 0 {
+			writes++
+		}
+		if err := w.write(sf); err != nil {
 			t.Fatal(err)
 		}
 		wantRaw += pairBytes(keys[i], vals[i])
+		enc = appendSpillRecord(enc, prev, keys[i], vals[i])
+		prev = keys[i]
 	}
-	seg, err := w.finish()
+	seg := w.finish()
+	if err := w.write(sf); err != nil {
+		t.Fatal(err)
+	}
+	if writes < 2 {
+		t.Fatalf("%d mid-stream block writes, want several", writes)
+	}
+	if seg.records != int64(len(keys)) || seg.raw != wantRaw || seg.enc != int64(len(enc)) {
+		t.Fatalf("segment metadata: %d records/%d raw/%d enc, want %d/%d/%d",
+			seg.records, seg.raw, seg.enc, len(keys), wantRaw, len(enc))
+	}
+	want, _ := blockcodec.AppendAll(nil, codec, enc, nil)
+	got, err := os.ReadFile(sf.path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seg.records != int64(len(keys)) || seg.raw != wantRaw {
-		t.Fatalf("segment metadata: %d records/%d raw, want %d/%d",
-			seg.records, seg.raw, len(keys), wantRaw)
+	if seg.length != sf.off || !bytes.Equal(got, want) {
+		t.Fatalf("segment length %d, file offset %d: the file's %d bytes differ from the %d of one framing",
+			seg.length, sf.off, len(got), len(want))
 	}
-	if seg.length != sf.off {
-		t.Fatalf("segment length %d, file offset %d", seg.length, sf.off)
-	}
-	rd := newSegReader(*seg)
+	rd := newSegReader(seg)
 	for i := range keys {
 		k, v, ok, err := rd.next()
 		if err != nil || !ok {

@@ -3,15 +3,30 @@ package mr
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"strings"
 	"testing"
 
 	"github.com/spcube/spcube/internal/mr/blockcodec"
 )
 
+// framedReader frames data through codec in blocks of the given size and
+// returns a reader of a segment of that many records and enc decoded
+// bytes. An enc larger than len(data) is a segment cut short.
+func framedReader(data []byte, block int, codec blockcodec.Codec, records, enc int64) *segReader {
+	var framed, scratch []byte
+	for rest := data; len(rest) > 0; {
+		n := min(block, len(rest))
+		framed, scratch = blockcodec.AppendBlock(framed, codec, rest[:n], scratch)
+		rest = rest[n:]
+	}
+	return newSegReader(spillSeg{f: bytes.NewReader(framed), length: int64(len(framed)),
+		records: records, enc: enc, codec: codec})
+}
+
 // roundtrip encodes keys/vals as one front-coded segment and decodes it
-// back through a recordReader with the given buffer size.
-func roundtrip(t *testing.T, keys []string, vals [][]byte, bufSize int) {
+// back through a reader of blocks of the given size.
+func roundtrip(t *testing.T, keys []string, vals [][]byte, block int) {
 	t.Helper()
 	var buf []byte
 	prev := ""
@@ -19,7 +34,7 @@ func roundtrip(t *testing.T, keys []string, vals [][]byte, bufSize int) {
 		buf = appendSpillRecord(buf, prev, k, vals[i])
 		prev = k
 	}
-	rr := newRecordReader(bytes.NewReader(buf), int64(len(keys)), bufSize)
+	rr := framedReader(buf, block, blockcodec.Raw{}, int64(len(keys)), int64(len(buf)))
 	for i := range keys {
 		k, v, ok, err := rr.next()
 		if err != nil {
@@ -48,8 +63,8 @@ func TestSpillRecordRoundtrip(t *testing.T) {
 		vals[i] = bytes.Repeat([]byte{byte(i)}, i*7%23)
 	}
 	vals[3] = nil // empty value mid-stream
-	for _, bufSize := range []int{16, 64, 4096} {
-		roundtrip(t, keys, vals, bufSize)
+	for _, block := range []int{16, 64, 4096} {
+		roundtrip(t, keys, vals, block)
 	}
 }
 
@@ -74,7 +89,7 @@ func TestSpillRecordFrontCodingCompresses(t *testing.T) {
 func TestRecordReaderTruncated(t *testing.T) {
 	buf := appendSpillRecord(nil, "", "hello", []byte("world"))
 	for cut := 1; cut < len(buf); cut++ {
-		rr := newRecordReader(bytes.NewReader(buf[:len(buf)-cut]), 1, 16)
+		rr := framedReader(buf[:len(buf)-cut], 16, blockcodec.Raw{}, 1, int64(len(buf)))
 		if _, _, _, err := rr.next(); err == nil {
 			t.Fatalf("truncated by %d bytes: expected error", cut)
 		}
@@ -82,22 +97,29 @@ func TestRecordReaderTruncated(t *testing.T) {
 }
 
 // FuzzKeyCodec fuzzes the spill record codec from both ends. The input
-// bytes are first treated as a corrupt segment and decoded — the reader
-// must fail cleanly, never panic or over-read — then carved into records,
-// encoded, and decoded back, which must reproduce them exactly whatever
-// the key shapes (shared prefixes, empty keys, binary values).
+// bytes are first treated as a corrupt segment framed as one block and
+// decoded — as a whole segment, and as one cut short — and the reader must
+// fail cleanly, never panic or over-read. Then they are carved into records,
+// encoded, framed in blocks of 1 byte to MaxBlockSize (a size the first two
+// input bytes choose) and decoded back, which must reproduce them exactly
+// whatever the key shapes (shared prefixes, empty keys, binary values) and
+// wherever the block boundaries cut them.
 func FuzzKeyCodec(f *testing.F) {
 	f.Add([]byte(""))
 	f.Add([]byte("hello\x00world"))
 	f.Add(appendSpillRecord(nil, "", "cuboid/ab/7", []byte("v")))
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
+	f.Add(append([]byte{0, 2}, appendSpillRecord(nil, "", "cuboid/ab/7", []byte("value"))...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Adversarial decode: claim a few records live in these bytes.
-		rr := newRecordReader(bytes.NewReader(data), 4, 16)
-		for {
-			_, _, ok, err := rr.next()
-			if err != nil || !ok {
-				break
+		one := data[:min(len(data), blockcodec.MaxBlockSize)]
+		for _, enc := range []int64{int64(len(one)), math.MaxInt64} {
+			rr := framedReader(one, blockcodec.MaxBlockSize, blockcodec.Raw{}, 4, enc)
+			for {
+				_, _, ok, err := rr.next()
+				if err != nil || !ok {
+					break
+				}
 			}
 		}
 		// Round trip: carve data into alternating key/value chunks.
@@ -126,18 +148,22 @@ func FuzzKeyCodec(f *testing.F) {
 			buf = appendSpillRecord(buf, prev, k, vals[i])
 			prev = k
 		}
-		rr = newRecordReader(bytes.NewReader(buf), int64(len(keys)), 16)
+		block := blockcodec.MaxBlockSize
+		if len(data) >= 2 {
+			block = 1 + (int(data[0])<<8 | int(data[1]))
+		}
+		rr := framedReader(buf, block, blockcodec.Raw{}, int64(len(keys)), int64(len(buf)))
 		for i := range keys {
 			k, v, ok, err := rr.next()
 			if err != nil || !ok {
-				t.Fatalf("record %d/%d: ok=%v err=%v", i, len(keys), ok, err)
+				t.Fatalf("%d-byte blocks: record %d/%d: ok=%v err=%v", block, i, len(keys), ok, err)
 			}
 			if string(k) != keys[i] || !bytes.Equal(v, vals[i]) {
-				t.Fatalf("record %d: got (%q, %q), want (%q, %q)", i, k, v, keys[i], vals[i])
+				t.Fatalf("%d-byte blocks: record %d: got (%q, %q), want (%q, %q)", block, i, k, v, keys[i], vals[i])
 			}
 		}
 		if _, _, ok, err := rr.next(); ok || err != nil {
-			t.Fatalf("after last record: ok=%v err=%v, want exhausted", ok, err)
+			t.Fatalf("%d-byte blocks: after last record: ok=%v err=%v, want exhausted", block, ok, err)
 		}
 	})
 }
@@ -149,17 +175,17 @@ func TestRecordReaderBadPrefix(t *testing.T) {
 	buf = binary.AppendUvarint(buf, 5)
 	buf = binary.AppendUvarint(buf, 0)
 	buf = binary.AppendUvarint(buf, 0)
-	rr := newRecordReader(bytes.NewReader(buf), 1, 16)
+	rr := framedReader(buf, 16, blockcodec.Raw{}, 1, int64(len(buf)))
 	if _, _, _, err := rr.next(); err == nil || !strings.Contains(err.Error(), "prefix") {
 		t.Fatalf("expected prefix validation error, got %v", err)
 	}
 }
 
 // TestRecordReaderStraddles: records whose varints run to two and three
-// bytes, and whose key suffixes and values are longer than the reader's
-// 16-byte buffer, decode as written when every field crosses that buffer's
-// end and the segment's block boundaries fall anywhere — blocks of 1 byte up
-// to the whole segment, raw and lz.
+// bytes, and whose key suffixes and values are longer than a 16-byte block,
+// decode as written when every field crosses a block boundary and the
+// segment's block boundaries fall anywhere — blocks of 1 byte up to the
+// whole segment, raw and lz.
 func TestRecordReaderStraddles(t *testing.T) {
 	long := strings.Repeat("k", 300)
 	keys := []string{"a", "ab", long, long + "x", long + "xy" + strings.Repeat("z", 20000), "b", "bc"}
@@ -175,13 +201,7 @@ func TestRecordReaderStraddles(t *testing.T) {
 	}
 	for _, codec := range []blockcodec.Codec{blockcodec.Raw{}, blockcodec.LZ{}} {
 		for _, block := range []int{1, 2, 3, 7, 15, 16, 17, 100, 4096, blockcodec.MaxBlockSize} {
-			var framed, scratch []byte
-			for rest := seg; len(rest) > 0; {
-				n := min(block, len(rest))
-				framed, scratch = blockcodec.AppendBlock(framed, codec, rest[:n], scratch)
-				rest = rest[n:]
-			}
-			rr := newRecordReader(blockcodec.NewReader(bytes.NewReader(framed), codec), int64(len(keys)), 16)
+			rr := framedReader(seg, block, codec, int64(len(keys)), int64(len(seg)))
 			for i := range keys {
 				k, v, ok, err := rr.next()
 				if err != nil || !ok {
@@ -201,10 +221,12 @@ func TestRecordReaderStraddles(t *testing.T) {
 
 // TestRecordReaderErrorTexts pins the error of every way a record can be cut
 // short or malformed, alone in its segment and behind a 14-byte record, so
-// that the broken field starts 2 bytes before the end of the reader's
-// 16-byte buffer.
+// that the broken field starts 2 bytes before the end of a 16-byte block.
+// Each segment is cut short: its metadata claims 64 bytes more than it
+// holds, so only a length past those is rejected before it is read.
 func TestRecordReaderErrorTexts(t *testing.T) {
 	overlong := append(bytes.Repeat([]byte{0xff}, 9), 0x02) // 2^64 and more
+	huge := binary.AppendUvarint(nil, 1<<63)
 	cases := []struct {
 		name string
 		data []byte
@@ -219,22 +241,45 @@ func TestRecordReaderErrorTexts(t *testing.T) {
 		{"overlong value length", append([]byte{0x00, 0x01, 'a'}, overlong...), "mr: spill record value len: binary: varint overflows a 64-bit integer"},
 		{"cut key suffix", []byte{0x00, 0x05, 'a'}, "mr: spill record key suffix: unexpected EOF"},
 		{"cut value", []byte{0x00, 0x01, 'a', 0x03, 'x'}, "mr: spill record value: unexpected EOF"},
+		{"2^63-byte key suffix", append(append([]byte{0x00}, huge...), 0x01, 'v'),
+			"mr: spill record key suffix: length 9223372036854775808 overruns the segment"},
+		{"2^63-byte value", append([]byte{0x00, 0x01, 'a'}, huge...),
+			"mr: spill record value: length 9223372036854775808 overruns the segment"},
 	}
 	lead := appendSpillRecord(nil, "", "0123456789", []byte{'v'})
 	if len(lead) != 14 {
 		t.Fatalf("the leading record is %d bytes, want 14", len(lead))
 	}
 	for _, c := range cases {
-		rr := newRecordReader(bytes.NewReader(c.data), 1, 16)
+		rr := framedReader(c.data, 16, blockcodec.Raw{}, 1, int64(len(c.data))+64)
 		if _, _, ok, err := rr.next(); ok || err == nil || err.Error() != c.want {
 			t.Errorf("%s: ok=%v err=%v, want %q", c.name, ok, err, c.want)
 		}
-		rr = newRecordReader(bytes.NewReader(append(lead[:14:14], c.data...)), 2, 16)
+		behind := append(lead[:14:14], c.data...)
+		rr = framedReader(behind, 16, blockcodec.Raw{}, 2, int64(len(behind))+64)
 		if _, _, ok, err := rr.next(); !ok || err != nil {
 			t.Fatalf("%s: the leading record: ok=%v err=%v", c.name, ok, err)
 		}
 		if _, _, ok, err := rr.next(); ok || err == nil || err.Error() != c.want {
 			t.Errorf("%s behind a record: ok=%v err=%v, want %q", c.name, ok, err, c.want)
+		}
+	}
+}
+
+// TestRecordReaderLengthOverrunsSegment: in a segment whose blocks hold all
+// the bytes its metadata claims, a key suffix or value longer than the rest
+// of the segment fails before anything is read for it.
+func TestRecordReaderLengthOverrunsSegment(t *testing.T) {
+	for _, c := range []struct {
+		data []byte
+		want string
+	}{
+		{[]byte{0x00, 0x05, 'a', 0x00}, "mr: spill record key suffix: length 5 overruns the segment"},
+		{[]byte{0x00, 0x01, 'a', 0x03, 'x', 'y'}, "mr: spill record value: length 3 overruns the segment"},
+	} {
+		rr := framedReader(c.data, 2, blockcodec.Raw{}, 1, int64(len(c.data)))
+		if _, _, ok, err := rr.next(); ok || err == nil || err.Error() != c.want {
+			t.Errorf("%x: ok=%v err=%v, want %q", c.data, ok, err, c.want)
 		}
 	}
 }

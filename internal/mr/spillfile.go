@@ -140,61 +140,13 @@ func (w *spillFile) write(buf []byte) error {
 // SpillBytes accounting unit), and length the framed, compressed bytes
 // actually on disk (the I/O-cost unit). codec decodes the blocks back.
 type spillSeg struct {
-	f       *os.File
+	f       io.ReaderAt
 	off     int64
 	length  int64
 	records int64
 	raw     int64
 	enc     int64
 	codec   blockcodec.Codec
-}
-
-// encodeSpill front-codes the sorted buckets (one per reducer) and frames
-// each bucket's encoding into checksummed blocks, producing one flush's
-// complete file image. Segment offsets are flush-relative; append fixes
-// them up against the file's write offset. framed is the flush image
-// buffer (reused flush to flush); enc and block are front-coding and
-// codec scratch. encBytes is the pre-compression front-coded total.
-func encodeSpill(buckets [][]Pair, codec blockcodec.Codec, framed []byte, enc, block *[]byte) (out []byte, segs []spillSeg, encBytes int64) {
-	out = framed[:0]
-	segs = make([]spillSeg, len(buckets))
-	for r, bucket := range buckets {
-		start := int64(len(out))
-		e := (*enc)[:0]
-		prev := ""
-		var raw int64
-		for i := range bucket {
-			e = appendSpillRecord(e, prev, bucket[i].Key, bucket[i].Val)
-			raw += pairBytes(bucket[i].Key, bucket[i].Val)
-			prev = bucket[i].Key
-		}
-		*enc = e
-		out, *block = blockcodec.AppendAll(out, codec, e, *block)
-		segs[r] = spillSeg{
-			off:     start,
-			length:  int64(len(out)) - start,
-			records: int64(len(bucket)),
-			raw:     raw,
-			enc:     int64(len(e)),
-			codec:   codec,
-		}
-		encBytes += int64(len(e))
-	}
-	return out, segs, encBytes
-}
-
-// append writes one encoded flush image and records its segments, fixing
-// their flush-relative offsets up to file offsets. Single-writer only.
-func (w *spillFile) append(framed []byte, segs []spillSeg) error {
-	for i := range segs {
-		segs[i].f = w.f
-		segs[i].off += w.off
-	}
-	if err := w.write(framed); err != nil {
-		return err
-	}
-	w.spills = append(w.spills, segs)
-	return nil
 }
 
 func (w *spillFile) close() {
@@ -214,43 +166,4 @@ func (w *spillFile) discard() {
 	w.f.Close()
 	os.Remove(w.path)
 	w.closed = true
-}
-
-// segReader streams one segment's records: a section of the run file
-// (blockcodec.Reader buffers it), decoded block by block (CRC-verified),
-// then record by record. reset reopens the segment from the start, so a
-// retried reduce attempt re-reads its input exactly like a real reducer
-// re-fetching a map output; concurrent readers of different segments share
-// the *os.File safely via ReadAt.
-type segReader struct {
-	seg    spillSeg
-	blocks *blockcodec.Reader
-	rr     *recordReader
-}
-
-func newSegReader(seg spillSeg) *segReader {
-	r := &segReader{seg: seg}
-	r.reset()
-	return r
-}
-
-func (r *segReader) reset() {
-	src := io.NewSectionReader(r.seg.f, r.seg.off, r.seg.length)
-	if r.blocks == nil {
-		r.blocks = blockcodec.NewReader(src, r.seg.codec)
-	} else {
-		r.blocks.Reset(src)
-	}
-	sz := 16 * 1024
-	if r.seg.enc < int64(sz) {
-		sz = int(r.seg.enc)
-	}
-	if sz < 16 {
-		sz = 16
-	}
-	r.rr = newRecordReader(r.blocks, r.seg.records, sz)
-}
-
-func (r *segReader) next() (key, val []byte, ok bool, err error) {
-	return r.rr.next()
 }

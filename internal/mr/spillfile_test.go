@@ -11,17 +11,17 @@ import (
 	"github.com/spcube/spcube/internal/mr/blockcodec"
 )
 
-// writeSpillSync encodes one flush through codec and appends it
-// synchronously — the test-side stand-in for the engine's
-// encode-then-submit pipeline.
+// writeSpillSync encodes one flush through codec and writes it, as a map
+// attempt's spill flush does.
 func writeSpillSync(t *testing.T, sf *spillFile, buckets [][]Pair, codec blockcodec.Codec) (written, encBytes int64) {
 	t.Helper()
-	var enc, block []byte
-	framed, segs, encBytes := encodeSpill(buckets, codec, nil, &enc, &block)
-	if err := sf.append(framed, segs); err != nil {
+	w := segWriter{codec: codec}
+	encBytes = w.encodeFlush(sf, buckets)
+	written = int64(len(w.out))
+	if err := w.write(sf); err != nil {
 		t.Fatal(err)
 	}
-	return int64(len(framed)), encBytes
+	return written, encBytes
 }
 
 // listAll returns every file under dir, recursively.
