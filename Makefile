@@ -36,12 +36,10 @@ race:
 retry-race:
 	$(GO) test -race -count=2 -run 'Fault|Differential|Equivalence' ./...
 
-# Short fuzz of the cube-equivalence oracle (algorithm x distribution x
-# aggregate x cluster shape x parallelism x spill leg x fault plan vs brute
-# force and the point's own twins), the delta-maintenance oracle (batch
-# composition x aggregate x algorithm x parallelism x fault plan vs
-# recompute and twins, and the one rebuild rule), the spill
-# plane's two wire formats: the front-coded record codec and the
+# Short fuzz of the delta-maintenance oracle (batch composition x aggregate
+# x algorithm x parallelism x fault plan vs recompute and twins, and the one
+# rebuild rule), the spill plane's two wire formats: the front-coded record
+# codec, read back across block boundaries of 1 byte to 64 KiB, and the
 # checksummed block framing (round-trip plus corrupt-input rejection), and
 # the reducers' output records (arbitrary file bytes, read as a value job's
 # records or as a counted job's, whose state follows the final: the
@@ -63,9 +61,12 @@ retry-race:
 # well-formed answer or a 4xx, never a panic or a 5xx). CI runs this target.
 # Every leg that was seen to stop executing inputs while it minimized a newly
 # interesting one caps that minimization at 1 s: at the default 60 s it can
-# take the rest of a 10 s leg, with no input executed meanwhile.
+# take the rest of a 10 s leg, with no input executed meanwhile. The
+# cube-equivalence oracle is fuzzed by `make chaos` alone: from an empty
+# fuzz cache its baseline pass over the seed corpus outlasts 10 s, so a
+# 10 s leg here executed no mutated input, and plain `go test` replays the
+# seeds already.
 fuzz-smoke:
-	$(GO) test -run=NONE -fuzz=FuzzCubeEquivalence -fuzztime=10s ./internal/integration
 	$(GO) test -run=NONE -fuzz=FuzzDeltaEquivalence -fuzztime=10s -fuzzminimizetime=1s ./internal/integration
 	$(GO) test -run=NONE -fuzz=FuzzKeyCodec -fuzztime=10s -fuzzminimizetime=1s ./internal/mr
 	$(GO) test -run=NONE -fuzz=FuzzBlockCodec -fuzztime=10s -fuzzminimizetime=1s ./internal/mr/blockcodec
@@ -77,8 +78,11 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzQueryRequest -fuzztime=10s ./internal/serve
 	$(GO) test -run=NONE -fuzz=FuzzIngestRequest -fuzztime=10s ./cmd/spserve
 
-# Randomized soak of the whole configuration space: 30 s of the cube
-# fuzzer past its seed corpus (which holds the old fixed random fault plans).
+# Randomized soak of the whole configuration space: 30 s of the
+# cube-equivalence oracle (algorithm x distribution x aggregate x cluster
+# shape x parallelism x spill leg x fault plan vs brute force and the
+# point's own twins) past its seed corpus (which holds the old fixed random
+# fault plans). CI runs this target.
 # A failure is minimized into internal/integration/testdata/fuzz/; commit
 # that file to pin it. A newly interesting input's minimization is capped
 # at 1 s, as in fuzz-smoke.

@@ -33,6 +33,7 @@ const defaultMergeFanIn = 64
 func (r *round) fanInMerge(runs []streamSource, task int, tm *TaskMetrics) ([]streamSource, error) {
 	fanIn := r.eng.Cfg.MergeFanIn
 	var sf *spillFile
+	w := segWriter{codec: r.codec} // its buffers serve every group merge
 	for len(runs) > fanIn {
 		next := make([]streamSource, 0, (len(runs)+fanIn-1)/fanIn)
 		for lo := 0; lo < len(runs); lo += fanIn {
@@ -52,7 +53,7 @@ func (r *round) fanInMerge(runs []streamSource, task int, tm *TaskMetrics) ([]st
 					return nil, err
 				}
 			}
-			src, err := r.mergeRunGroup(sf, runs[lo:hi], task, tm)
+			src, err := r.mergeRunGroup(sf, &w, runs[lo:hi], task, tm)
 			if err != nil {
 				return nil, err
 			}
@@ -63,11 +64,10 @@ func (r *round) fanInMerge(runs []streamSource, task int, tm *TaskMetrics) ([]st
 	return runs, nil
 }
 
-// mergeRunGroup merges one contiguous group of sources into a new run at
-// the end of sf and returns it as a replacement source.
-func (r *round) mergeRunGroup(sf *spillFile, group []streamSource, task int, tm *TaskMetrics) (streamSource, error) {
+// mergeRunGroup merges one contiguous group of sources through w into a
+// new run at the end of sf and returns it as a replacement source.
+func (r *round) mergeRunGroup(sf *spillFile, w *segWriter, group []streamSource, task int, tm *TaskMetrics) (streamSource, error) {
 	m := newStreamMerger(group)
-	w := segWriter{codec: r.codec}
 	w.start(sf)
 	for rec, _ := m.next(); rec != nil; rec, _ = m.next() {
 		w.add(rec.Key, rec.Val)

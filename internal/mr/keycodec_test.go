@@ -241,6 +241,8 @@ func TestRecordReaderErrorTexts(t *testing.T) {
 		{"overlong value length", append([]byte{0x00, 0x01, 'a'}, overlong...), "mr: spill record value len: binary: varint overflows a 64-bit integer"},
 		{"cut key suffix", []byte{0x00, 0x05, 'a'}, "mr: spill record key suffix: unexpected EOF"},
 		{"cut value", []byte{0x00, 0x01, 'a', 0x03, 'x'}, "mr: spill record value: unexpected EOF"},
+		{"key suffix past the segment", []byte{0x00, 0xe8, 0x07, 'a'},
+			"mr: spill record key suffix: length 1000 overruns the segment"},
 		{"2^63-byte key suffix", append(append([]byte{0x00}, huge...), 0x01, 'v'),
 			"mr: spill record key suffix: length 9223372036854775808 overruns the segment"},
 		{"2^63-byte value", append([]byte{0x00, 0x01, 'a'}, huge...),
@@ -262,24 +264,6 @@ func TestRecordReaderErrorTexts(t *testing.T) {
 		}
 		if _, _, ok, err := rr.next(); ok || err == nil || err.Error() != c.want {
 			t.Errorf("%s behind a record: ok=%v err=%v, want %q", c.name, ok, err, c.want)
-		}
-	}
-}
-
-// TestRecordReaderLengthOverrunsSegment: in a segment whose blocks hold all
-// the bytes its metadata claims, a key suffix or value longer than the rest
-// of the segment fails before anything is read for it.
-func TestRecordReaderLengthOverrunsSegment(t *testing.T) {
-	for _, c := range []struct {
-		data []byte
-		want string
-	}{
-		{[]byte{0x00, 0x05, 'a', 0x00}, "mr: spill record key suffix: length 5 overruns the segment"},
-		{[]byte{0x00, 0x01, 'a', 0x03, 'x', 'y'}, "mr: spill record value: length 3 overruns the segment"},
-	} {
-		rr := framedReader(c.data, 2, blockcodec.Raw{}, 1, int64(len(c.data)))
-		if _, _, ok, err := rr.next(); ok || err == nil || err.Error() != c.want {
-			t.Errorf("%x: ok=%v err=%v, want %q", c.data, ok, err, c.want)
 		}
 	}
 }
