@@ -173,12 +173,13 @@ soak-scale:
 		$(GO) test -count=1 -timeout 45m -run TestSoakScale -v ./internal/integration
 
 # Hot-path micro-benchmarks of the MR engine's data plane (shuffle merge,
+# the live heap a round's map output keeps at the shuffle hand-off,
 # partitioner, combiner, end-to-end naive cube, one spilling round, a round
 # of sketch-sized map attempts, the reducers' output path).
 # BENCH_COUNT runs each; `make bench-compare` sets them against another
 # commit.
 BENCH_COUNT ?= 6
-BENCH_PATTERN ?= EngineHotPath|HashPartition|ShuffleMerge|Combine|SpillRound|SmallAttempts|ReduceEmit
+BENCH_PATTERN ?= EngineHotPath|HashPartition|ShuffleMerge|ShuffleRetained|Combine|SpillRound|SmallAttempts|ReduceEmit
 bench-hotpath:
 	$(GO) test -run=NONE -bench='$(BENCH_PATTERN)' -count=$(BENCH_COUNT) ./internal/mr/
 

@@ -344,9 +344,8 @@ func mergeRound(eng *mr.Engine, spec cube.Spec, f agg.Func, partials []mr.Pair, 
 		MapCPUFactor:    1.15,
 		ReduceCPUFactor: 1.6,
 		MapPair: func(ctx *mr.MapCtx, key string, val []byte) {
-			// Pass-through: val is the engine-owned partial from the
-			// previous round's collected output, never reused — the
-			// zero-copy Emit contract holds.
+			// Pass-through: Emit copies the partial from the previous
+			// round's collected output into this attempt's arena.
 			ctx.Emit(key, val)
 		},
 		Reduce: func(ctx *mr.RedCtx, key string, vals [][]byte) {

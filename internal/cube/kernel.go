@@ -77,7 +77,7 @@ func EmitStates(ctx *mr.MapCtx, table map[string]agg.State, buf []byte) []byte {
 	sort.Strings(keys)
 	for _, key := range keys {
 		buf = table[key].AppendEncode(buf[:0])
-		ctx.EmitCopied(key, buf)
+		ctx.Emit(key, buf)
 	}
 	clear(table)
 	return buf

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // codecs returns every registered codec.
@@ -165,6 +166,56 @@ func TestReaderReset(t *testing.T) {
 	r.Reset(bytes.NewReader(b))
 	if got, err := io.ReadAll(r); err != nil || !bytes.Equal(got, bytes.Repeat([]byte("second"), 50)) {
 		t.Fatalf("reset read: %d bytes, %v", len(got), err)
+	}
+}
+
+// recordingReader remembers every buffer its Read calls filled.
+type recordingReader struct {
+	src   io.Reader
+	reads [][]byte
+}
+
+func (r *recordingReader) Read(p []byte) (int, error) {
+	n, err := r.src.Read(p)
+	r.reads = append(r.reads, p[:n])
+	return n, err
+}
+
+// TestRawBlockIsThePayload: a raw block is served as the checked payload
+// the Reader read from its source, not as a copy of it. A 64 KiB payload is
+// larger than the source buffer, so its tail is read straight into the
+// payload buffer; the tail of every block served must lie in a buffer the
+// source filled.
+func TestRawBlockIsThePayload(t *testing.T) {
+	payload := make([]byte, 3*MaxBlockSize)
+	rand.New(rand.NewSource(3)).Read(payload)
+	framed, _ := AppendAll(nil, Raw{}, payload, nil)
+	src := &recordingReader{src: bytes.NewReader(framed)}
+	r := NewReader(src, Raw{})
+	for i := 0; ; i++ {
+		block, err := r.Block()
+		if err == io.EOF {
+			if i != 3 {
+				t.Fatalf("%d blocks, want 3", i)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("block %d: %v", i, err)
+		}
+		if !bytes.Equal(block, payload[i*MaxBlockSize:(i+1)*MaxBlockSize]) {
+			t.Fatalf("block %d: wrong bytes", i)
+		}
+		tail := uintptr(unsafe.Pointer(&block[len(block)-1]))
+		read := false
+		for _, p := range src.reads {
+			if len(p) > 0 && tail >= uintptr(unsafe.Pointer(&p[0])) && tail <= uintptr(unsafe.Pointer(&p[len(p)-1])) {
+				read = true
+			}
+		}
+		if !read {
+			t.Fatalf("block %d is a copy of the payload read from the source", i)
+		}
 	}
 }
 

@@ -15,8 +15,14 @@ func (Raw) Encode(dst, src []byte) []byte { return append(dst, src...) }
 
 // Decode appends src unchanged, verifying the frame's expected length.
 func (Raw) Decode(dst, src []byte, rawLen int) ([]byte, error) {
+	return append(dst, src...), rawLenErr(src, rawLen)
+}
+
+// rawLenErr is the error of a raw block whose stored length is not the
+// frame's raw length, nil when they agree.
+func rawLenErr(src []byte, rawLen int) error {
 	if len(src) != rawLen {
-		return dst, fmt.Errorf("blockcodec: raw block is %d bytes, frame says %d", len(src), rawLen)
+		return fmt.Errorf("blockcodec: raw block is %d bytes, frame says %d", len(src), rawLen)
 	}
-	return append(dst, src...), nil
+	return nil
 }

@@ -24,6 +24,7 @@ type Reader struct {
 	dec   []byte // current decoded block
 	pos   int    // Read's cursor into dec
 	enc   []byte // encoded payload scratch
+	crc   [4]byte
 	err   error
 }
 
@@ -43,7 +44,13 @@ func NewReader(r io.Reader, c Codec) *Reader {
 }
 
 // Reset re-points the Reader at a new source stream, reusing its buffers.
+// A source that knows its size and is larger than the source buffer gets a
+// larger one — at least twice the size, at most the size NewReader gives an
+// unsized source.
 func (r *Reader) Reset(src io.Reader) {
+	if s, ok := src.(interface{ Size() int64 }); ok && int64(r.src.Size()) < min(s.Size(), readerBufSize) {
+		r.src = bufio.NewReaderSize(src, int(min(max(s.Size(), 2*int64(r.src.Size())), readerBufSize)))
+	}
 	r.src.Reset(src)
 	r.dec = r.dec[:0]
 	r.pos = 0
@@ -102,11 +109,10 @@ func (r *Reader) nextBlock() error {
 	if encLen > MaxBlockSize+MaxBlockSize/128+64 {
 		return fmt.Errorf("blockcodec: block claims %d encoded bytes for %d raw", encLen, rawLen)
 	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(r.src, crcBuf[:]); err != nil {
+	if _, err := io.ReadFull(r.src, r.crc[:]); err != nil {
 		return fmt.Errorf("blockcodec: block crc: %w", noEOF(err))
 	}
-	want := binary.LittleEndian.Uint32(crcBuf[:])
+	want := binary.LittleEndian.Uint32(r.crc[:])
 	if cap(r.enc) < int(encLen) {
 		r.enc = make([]byte, encLen)
 	}
@@ -116,6 +122,15 @@ func (r *Reader) nextBlock() error {
 	}
 	if got := crc32.Checksum(r.enc, crcTable); got != want {
 		return fmt.Errorf("blockcodec: block crc mismatch: stored %08x, computed %08x", want, got)
+	}
+	if _, raw := r.codec.(Raw); raw {
+		// A raw payload is the block: serve the checked bytes as they are
+		// and read the next payload into the previous block's buffer.
+		if err := rawLenErr(r.enc, int(rawLen)); err != nil {
+			return err
+		}
+		r.dec, r.enc = r.enc, r.dec
+		return nil
 	}
 	r.dec, err = r.codec.Decode(r.dec[:0], r.enc, int(rawLen))
 	if err != nil {

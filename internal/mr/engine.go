@@ -48,6 +48,7 @@ package mr
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -308,13 +309,14 @@ type MapCtx struct {
 	state   any
 	metrics TaskMetrics
 	inject  *injector
-	// out holds the attempt's emitted records and arena the bytes
-	// EmitCopied and EmitBytes copy; both are chunk lists that never copy a
-	// record to grow, so the shuffle's buckets keep alive only the chunks
-	// their records sit in. A spill flush recycles both: nothing views the
-	// flushed records once they are on disk.
-	out   chunks[Pair]
+	// rows holds one IndexRow per emitted record and arena the records'
+	// bytes; both are chunk lists that never copy an element to grow, and
+	// neither holds a pointer per record. A combine writes its records into
+	// spare and swaps the two arenas. A spill flush recycles rows and arena:
+	// nothing views the flushed records once they are on disk.
+	rows  chunks[IndexRow]
 	arena arena
+	spare arena
 
 	// Out-of-core spill state (Config.SpillBudgetBytes > 0): pending
 	// counts raw emitted bytes since the last flush; once it crosses
@@ -326,7 +328,7 @@ type MapCtx struct {
 	pending   int64
 	sd        *spillDir
 	spill     *spillFile
-	sortBuf   sortScratch
+	sortBuf   IndexScratch
 	bucketRaw []int64 // Σ pairBytes per bucket of the last partitionSort
 	// flushBuf holds a flush's partitionSort arrays for the next one: a
 	// flushed chunk's buckets are on disk once spillNow returns. The final
@@ -346,11 +348,14 @@ type MapCtx struct {
 }
 
 // mapOutput is one completed map task's shuffle contribution: the sorted
-// in-memory per-reducer buckets, each bucket's raw byte size (the metadata
-// a spill segment carries, so sizing a reducer's input reads no record),
-// plus, when the attempt spilled, its run file of earlier sorted flushes.
+// in-memory per-reducer buckets of rows and the arena chunks their records
+// sit in, each bucket's raw byte size (the metadata a spill segment carries,
+// so sizing a reducer's input reads no record), plus, when the attempt
+// spilled, its run file of earlier sorted flushes. What it keeps per record
+// is one 16-byte row and the record's bytes: no pointer.
 type mapOutput struct {
-	buckets [][]Pair
+	buckets [][]IndexRow
+	arena   [][]byte
 	raw     []int64
 	spill   *spillFile
 }
@@ -359,17 +364,11 @@ type mapOutput struct {
 // when the job has no TaskState hook.
 func (c *MapCtx) State() any { return c.state }
 
-// Emit sends a key/value record to the shuffle.
-//
-// This is the zero-copy fast path: the engine retains val as passed — it
-// is NOT copied — and the record may be read as late as the reduce phase.
-// The caller must therefore not modify val's backing array after the
-// call. Mappers that build values in a reusable scratch buffer must emit
-// through EmitCopied (or EmitBytes) instead; passing one immutable buffer
-// to several Emit calls (aliased values) is fine. The record goes into the
-// attempt's chunked emit buffer, which never copies a record to grow.
+// Emit sends a key/value record to the shuffle. Both are copied into the
+// attempt's arena before it returns, so the caller may reuse or modify their
+// backing memory at once.
 func (c *MapCtx) Emit(key string, val []byte) {
-	c.out.push(Pair{Key: key, Val: val})
+	c.rows.push(c.arena.record(key, val))
 	pb := pairBytes(key, val)
 	c.metrics.PreCombineRecords++
 	c.metrics.PreCombineBytes += pb
@@ -381,6 +380,10 @@ func (c *MapCtx) Emit(key string, val []byte) {
 		}
 	}
 }
+
+// EmitBytes is Emit for a key built in a byte buffer: both buffers may be
+// reused as soon as it returns.
+func (c *MapCtx) EmitBytes(key, val []byte) { c.Emit(byteString(key), val) }
 
 // taskAbort carries a non-fault, non-retryable error (spill I/O failures
 // inside Emit) out of a map function's call stack; the attempt wrapper
@@ -395,9 +398,9 @@ type taskAbort struct{ err error }
 // here.
 func (c *MapCtx) spillNow() {
 	if c.job.Combine != nil {
-		c.eng.combine(c.job, c, &c.out)
+		c.eng.combine(c.job, c)
 	}
-	buckets, err := c.eng.partitionSort(c.job, c, &c.out, &c.flushBuf)
+	buckets, err := c.eng.partitionSort(c.job, c, &c.flushBuf)
 	if err != nil {
 		panic(taskAbort{err})
 	}
@@ -408,7 +411,7 @@ func (c *MapCtx) spillNow() {
 		}
 		c.spill = sf
 	}
-	encBytes := c.segw.encodeFlush(c.spill, buckets)
+	encBytes := c.segw.encodeFlush(c.spill, buckets, c.arena.used())
 	written := int64(len(c.segw.out))
 	if c.spillErr == nil {
 		c.spillErr = c.segw.write(c.spill)
@@ -418,27 +421,9 @@ func (c *MapCtx) spillNow() {
 	c.metrics.SpillBytes += encBytes
 	c.metrics.CompressedSpillBytes += written
 	c.tr.add(PhaseMap, c.Task, TraceEvent{Type: EvSpill, Attempt: c.attempt, Bytes: encBytes})
-	c.out.reset()
+	c.rows.reset()
 	c.arena.reset()
 	c.pending = 0
-}
-
-// EmitCopied sends a key/value record to the shuffle, copying val into the
-// attempt's arena first: the caller may immediately reuse val's backing
-// buffer. The copy costs amortized zero allocations.
-func (c *MapCtx) EmitCopied(key string, val []byte) {
-	c.Emit(key, c.arena.bytes(val))
-}
-
-// EmitBytes sends a key/value record to the shuffle with both key and
-// value built in reusable scratch buffers: both are copied into the
-// attempt's arena, and the key string is built over its arena bytes
-// without a separate allocation — safe, because arena bytes are never
-// rewritten while a record views them. This is the allocation-free emit
-// path for mappers that encode keys per record.
-func (c *MapCtx) EmitBytes(key, val []byte) {
-	k := c.arena.bytes(key)
-	c.Emit(unsafe.String(unsafe.SliceData(k), len(k)), c.arena.bytes(val))
 }
 
 // ChargeOps reports n elementary algorithm operations (hash probes, lattice
@@ -832,7 +817,7 @@ func (r *round) shuffle() [][]streamSource {
 				}
 			}
 			if len(mo.buckets[red]) > 0 {
-				runs = append(runs, streamSource{pairs: mo.buckets[red], raw: mo.raw[red]})
+				runs = append(runs, streamSource{rows: mo.buckets[red], arena: mo.arena, raw: mo.raw[red]})
 			}
 		}
 		srcs[red] = runs
@@ -928,12 +913,13 @@ func (r *round) sizeReducers(srcs [][]streamSource) (int, error) {
 // attempt's records.
 func (r *round) runReduceTask(task int, runs []streamSource) (*taskAttempt, error) {
 	tm := &r.rm.Reducers[task] // holds the pre-scan's input accounting
+	m := new(streamMerger)
 	if r.outOfCore && len(runs) > r.eng.Cfg.MergeFanIn {
 		// More live runs than MergeFanIn are first consolidated through
 		// intermediate on-disk merges. That happens once, before any
 		// attempt, so its failure fails the task without a retry.
 		var err error
-		runs, err = r.fanInMerge(runs, task, tm)
+		runs, err = r.fanInMerge(m, runs, task, tm)
 		r.setCPUSeconds(PhaseReduce, tm, false)
 		if err != nil {
 			tm.Attempts = 1
@@ -941,7 +927,7 @@ func (r *round) runReduceTask(task int, runs []streamSource) (*taskAttempt, erro
 			return nil, err
 		}
 	}
-	m := newStreamMerger(runs)
+	m.open(runs)
 	fs := r.eng.FS
 	file := fmt.Sprintf("%spart-r-%05d", r.outPrefix, task)
 	return r.runTask(&taskSpec{
@@ -1035,24 +1021,27 @@ func (r *round) mapAttempt(ctx *MapCtx) (mout mapOutput, err error) {
 		job.MapFlush(ctx)
 	}
 	if job.Combine != nil {
-		r.eng.combine(job, ctx, &ctx.out)
+		r.eng.combine(job, ctx)
 	}
-	buckets, err := r.eng.partitionSort(job, ctx, &ctx.out, nil)
+	buckets, err := r.eng.partitionSort(job, ctx, nil)
 	if err != nil {
 		return mapOutput{}, err
 	}
-	return mapOutput{buckets: buckets, raw: ctx.bucketRaw, spill: ctx.spill}, nil
+	// The used chunks alone: the list may hold recycled ones past them.
+	arena := slices.Clone(ctx.arena.used())
+	return mapOutput{buckets: buckets, arena: arena, raw: ctx.bucketRaw, spill: ctx.spill}, nil
 }
 
-// partitionSort partitions one chunk of map output into per-reducer
-// buckets and sorts each — the final hand-off of every attempt, and every
-// flushed chunk of a spilling attempt. The buckets are carved from buf's
-// arrays, grown as needed, or from fresh ones when buf is nil. Output
+// partitionSort partitions one chunk of map output — ctx's rows — into
+// per-reducer buckets and sorts each — the final hand-off of every attempt,
+// and every flushed chunk of a spilling attempt. The buckets are carved from
+// buf's arrays, grown as needed, or from fresh ones when buf is nil. Output
 // accounting accumulates, so OutRecords/OutBytes cover spilled chunks and
 // the final in-memory one.
-func (e *Engine) partitionSort(job *Job, ctx *MapCtx, out *chunks[Pair], buf *partitionScratch) ([][]Pair, error) {
+func (e *Engine) partitionSort(job *Job, ctx *MapCtx, buf *partitionScratch) ([][]IndexRow, error) {
 	reducers := ctx.reducers
-	n := out.len()
+	arena := ctx.arena.used()
+	n := ctx.rows.len()
 	ctx.metrics.OutRecords += int64(n)
 	// Counting pass: partition every record once up front so the buckets
 	// can be carved at exact size out of a single backing array — no
@@ -1069,14 +1058,14 @@ func (e *Engine) partitionSort(job *Job, ctx *MapCtx, out *chunks[Pair], buf *pa
 	raw := ctx.bucketRaw
 	clear(raw)
 	i := 0
-	for _, chunk := range out.used() {
-		for j := range chunk {
-			p := &chunk[j]
-			pb := pairBytes(p.Key, p.Val)
+	for _, chunk := range ctx.rows.used() {
+		for _, row := range chunk {
+			key, val := recordAt(arena, row)
+			pb := pairBytes(key, val)
 			ctx.metrics.OutBytes += pb
-			r := ctx.partition(p.Key, reducers)
+			r := ctx.partition(key, reducers)
 			if r < 0 || r >= reducers {
-				return nil, fmt.Errorf("mr: job %s: partition(%q) = %d out of range [0,%d)", job.Name, p.Key, r, reducers)
+				return nil, fmt.Errorf("mr: job %s: partition(%q) = %d out of range [0,%d)", job.Name, key, r, reducers)
 			}
 			targets[i] = int32(r)
 			counts[r]++
@@ -1091,9 +1080,9 @@ func (e *Engine) partitionSort(job *Job, ctx *MapCtx, out *chunks[Pair], buf *pa
 	cursor := counts // reuse the counts array as per-bucket fill cursors
 	copy(cursor, offs[:reducers])
 	i = 0
-	for _, chunk := range out.used() {
-		for j := range chunk {
-			backing[cursor[targets[i]]] = chunk[j]
+	for _, chunk := range ctx.rows.used() {
+		for _, row := range chunk {
+			backing[cursor[targets[i]]] = row
 			cursor[targets[i]]++
 			i++
 		}
@@ -1108,7 +1097,7 @@ func (e *Engine) partitionSort(job *Job, ctx *MapCtx, out *chunks[Pair], buf *pa
 	// of the emit path); no separate simulated charge is added.
 	for r := 0; r < reducers; r++ {
 		b := backing[offs[r]:offs[r+1]:offs[r+1]]
-		sortPairsStable(b, &ctx.sortBuf)
+		sortRows(b, arena, &ctx.sortBuf)
 		buckets[r] = b
 	}
 	return buckets, nil
@@ -1118,13 +1107,13 @@ func (e *Engine) partitionSort(job *Job, ctx *MapCtx, out *chunks[Pair], buf *pa
 // buckets from.
 type partitionScratch struct {
 	targets []int32
-	backing []Pair
-	buckets [][]Pair
+	backing []IndexRow
+	buckets [][]IndexRow
 }
 
 // carve returns the scratch's arrays at n records and reducers buckets,
 // growing them where they are short.
-func (s *partitionScratch) carve(n, reducers int) ([]int32, []Pair, [][]Pair) {
+func (s *partitionScratch) carve(n, reducers int) ([]int32, []IndexRow, [][]IndexRow) {
 	s.targets = slices.Grow(s.targets[:0], n)[:n]
 	s.backing = slices.Grow(s.backing[:0], n)[:n]
 	s.buckets = slices.Grow(s.buckets[:0], reducers)[:reducers]
@@ -1139,11 +1128,11 @@ func (s *partitionScratch) carve(n, reducers int) ([]int32, []Pair, [][]Pair) {
 // or truncated run as the merger's plain decode error; the runner commits
 // the attempt's output only if neither happened.
 //
-// Aliasing contract, the mirror image of Emit's zero-copy one: a reducer
-// may retain the key and the value slices past its Reduce call — records
-// from memory-backed runs alias the map tasks' stable output, records from
-// file-backed runs are copied out of the reader's reused decode buffers
-// into the attempt's arena — but not the vals container, which is
+// Aliasing contract: a reducer may retain the key and the value slices past
+// its Reduce call — records from memory-backed runs view the map tasks'
+// arenas, which are never rewritten once handed to the shuffle, records
+// from file-backed runs are copied out of the reader's reused decode
+// buffers into the attempt's arena — but not the vals container, which is
 // per-group scratch.
 func (r *round) reduceAttempt(ctx *RedCtx, m *streamMerger) (err error) {
 	job := r.job
@@ -1255,25 +1244,82 @@ func (c *chunks[T]) len() int {
 	return n
 }
 
-// reset empties the list, keeping its chunks for the elements that follow.
+// reset empties the list, keeping its chunks for the elements that follow,
+// in order — all but those over maxChunk bytes, each of which was made for
+// one element too large for a chunk.
 func (c *chunks[T]) reset() {
-	for i := range c.used() {
-		c.list[i] = c.list[i][:0]
+	size := int(unsafe.Sizeof(*new(T)))
+	kept := c.list[:0]
+	for _, chunk := range c.list {
+		if cap(chunk)*size <= maxChunk {
+			kept = append(kept, chunk[:0])
+		}
 	}
-	c.inUse = 0
+	clear(c.list[len(kept):])
+	c.list, c.inUse = kept, 0
 }
 
 // arena is an attempt's copies of records' keys and values: a map attempt's
-// EmitCopied and EmitBytes copies, and a reduce attempt's copies of
-// file-backed records. Copies are appended to a byte chunk list, one
-// allocation per chunk instead of one per copy, and a chunk is not
-// rewritten until the arena is reset, so every slice and string handed out
-// stays valid for as long as it is retained and keeps only its chunk alive.
-// A copy larger than a quarter of a full chunk gets its own allocation.
+// framed output records, and a reduce attempt's copies of file-backed
+// records. Copies are appended to a byte chunk list, one allocation per
+// chunk instead of one per copy, and a chunk is not rewritten until the
+// arena is reset, so every slice and string handed out stays valid for as
+// long as it is retained and keeps only its chunk alive.
 type arena struct{ chunks[byte] }
 
+// record copies one map output record into the arena and returns its row.
+// The row's Pos is the record's address — the chunk's index in the high 16
+// bits, the record's offset in it in the low 16 — and its Tag the key's
+// length in the low 16 bits and the value's in the high 16, so that a
+// record is read without touching its bytes first. A record with either
+// length over 0xfffe has Tag bigRecord and the two lengths framed as 4-byte
+// little-endian words before its key. Every offset fits: a chunk of more
+// than maxChunk bytes holds one record, at offset 0, and is not recycled,
+// and every record takes at least one byte, so none starts at a full
+// chunk's end. 16 bits of chunk index let a map attempt hold 2^16 chunks
+// (4 GiB) between spill flushes; one more fails the attempt plainly.
+func (a *arena) record(key string, val []byte) IndexRow {
+	tag, size := uint32(len(key))|uint32(len(val))<<16, len(key)+len(val)
+	if len(key) >= 0xffff || len(val) >= 0xffff {
+		tag, size = bigRecord, size+8
+	}
+	last := a.room(max(size, 1))
+	if a.inUse > 1<<16 {
+		panic(taskAbort{fmt.Errorf("mr: a map attempt's in-memory output exceeds %d arena chunks; set a spill budget", 1<<16)})
+	}
+	off, b := len(*last), *last
+	if tag == bigRecord {
+		b = binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(b, uint32(len(key))), uint32(len(val)))
+	}
+	*last = append(append(b, key...), val...)
+	return IndexRow{Prefix: KeyPrefix(key), Pos: uint32(a.inUse-1)<<16 | uint32(off), Tag: tag}
+}
+
+// bigRecord is the Tag of a map output row whose record frames its lengths.
+const bigRecord = math.MaxUint32
+
+// recordAt returns the key and the value of the record row addresses in a
+// map attempt's arena chunks, as views of its bytes; the value is capped so
+// that appending to it cannot reach the next record.
+func recordAt(arena [][]byte, row IndexRow) (key string, val []byte) {
+	if row.Tag == bigRecord {
+		return bigRecordAt(arena[row.Pos>>16][row.Pos&0xffff:])
+	}
+	c := arena[row.Pos>>16][row.Pos&0xffff:]
+	k, end := row.Tag&0xffff, row.Tag&0xffff+row.Tag>>16
+	return unsafe.String(unsafe.SliceData(c), k), c[k:end:end]
+}
+
+// bigRecordAt is recordAt for a bigRecord, whose bytes start b.
+func bigRecordAt(b []byte) (key string, val []byte) {
+	kl, vl := binary.LittleEndian.Uint32(b), binary.LittleEndian.Uint32(b[4:])
+	b = b[8:]
+	return byteString(b[:kl]), b[kl : kl+vl : kl+vl]
+}
+
 // bytes copies b, capped so that appends through the copy cannot reach the
-// next one; an empty b copies to nil, as append([]byte(nil), b...) does.
+// next one; an empty b copies to nil, as append([]byte(nil), b...) does. A
+// copy larger than a quarter of a full chunk gets its own allocation.
 func (a *arena) bytes(b []byte) []byte {
 	if len(b) == 0 || len(b) > maxChunk/4 {
 		return append([]byte(nil), b...)
@@ -1284,7 +1330,7 @@ func (a *arena) bytes(b []byte) []byte {
 	return (*last)[m:len(*last):len(*last)]
 }
 
-// string copies s, building the copy over chunk bytes as EmitBytes does.
+// string copies s, building the copy over chunk bytes.
 func (a *arena) string(s string) string {
 	b := a.bytes(unsafe.Slice(unsafe.StringData(s), len(s)))
 	return unsafe.String(unsafe.SliceData(b), len(b))
@@ -1380,35 +1426,36 @@ func (e *Engine) forEachTask(n int, fn func(task int)) {
 }
 
 // combine groups one mapper's buffered output by key and applies the
-// combiner, charging its CPU, and leaves the combined records in out.
-// Grouping is by hash table — one map probe per record instead of a sort —
-// which is legal because group order does not matter here: whatever order
-// the combiner's output leaves in, the map-side bucket sort in mapAttempt
-// re-establishes the canonical order before the shuffle. Values are
-// gathered in first-seen group order.
+// combiner, charging its CPU, and leaves the combined records as the
+// attempt's output. Grouping is by hash table — one map probe per record
+// instead of a sort — which is legal because group order does not matter
+// here: whatever order the combiner's output leaves in, the map-side bucket
+// sort in partitionSort re-establishes the canonical order before the
+// shuffle. Values are gathered in first-seen group order.
 //
-// Rebuilding into out's recycled chunks at the end is safe only because
-// both passes below copy every key string header and every Val slice
-// header out of out first; the historical version read out[j] while
-// overwriting combined = out[:0] in place, which corrupted later groups
-// whenever a combiner returned more values than it consumed.
-func (e *Engine) combine(job *Job, ctx *MapCtx, out *chunks[Pair]) {
-	n := out.len()
+// The combined records are written into the attempt's spare arena, which
+// then becomes its arena: the combiner's keys and values view the old one,
+// and may be returned as they are, so it is not rewritten until the next
+// combine.
+func (e *Engine) combine(job *Job, ctx *MapCtx) {
+	n := ctx.rows.len()
 	if n == 0 {
 		return
 	}
+	arena := ctx.arena.used()
 	// Pass 1: assign each distinct key a dense group index, count group
 	// sizes.
 	idx := make(map[string]int32, n/2+1)
 	gi := make([]int32, 0, n)
 	var groups int32
-	for _, chunk := range out.used() {
-		for j := range chunk {
-			g, ok := idx[chunk[j].Key]
+	for _, chunk := range ctx.rows.used() {
+		for _, row := range chunk {
+			key, _ := recordAt(arena, row)
+			g, ok := idx[key]
 			if !ok {
 				g = groups
 				groups++
-				idx[chunk[j].Key] = g
+				idx[key] = g
 			}
 			gi = append(gi, g)
 		}
@@ -1422,28 +1469,30 @@ func (e *Engine) combine(job *Job, ctx *MapCtx, out *chunks[Pair]) {
 		offs[g+1] = offs[g] + counts[g]
 	}
 	// Pass 2: gather each group's values (and one key string per group)
-	// into shared backing arrays — after this, nothing reads out's old
-	// contents.
+	// into shared backing arrays.
 	keys := make([]string, groups)
 	vals := make([][]byte, n)
 	cursor := counts // reuse as per-group fill cursors
 	copy(cursor, offs[:groups])
 	i := 0
-	for _, chunk := range out.used() {
-		for j := range chunk {
+	for _, chunk := range ctx.rows.used() {
+		for _, row := range chunk {
+			key, val := recordAt(arena, row)
 			g := gi[i]
 			if cursor[g] == offs[g] {
-				keys[g] = chunk[j].Key
+				keys[g] = key
 			}
-			vals[cursor[g]] = chunk[j].Val
+			vals[cursor[g]] = val
 			cursor[g]++
 			i++
 		}
 	}
-	out.reset()
+	ctx.rows.reset()
+	ctx.spare.reset()
+	ctx.arena, ctx.spare = ctx.spare, ctx.arena
 	for g := int32(0); g < groups; g++ {
 		for _, v := range job.Combine(keys[g], vals[offs[g]:offs[g+1]]) {
-			out.push(Pair{Key: keys[g], Val: v})
+			ctx.rows.push(ctx.arena.record(keys[g], v))
 		}
 	}
 }

@@ -20,6 +20,56 @@ func arenaCap(c *MapCtx) int {
 	return n
 }
 
+// newSegReader returns a reader at seg's first record.
+func newSegReader(seg spillSeg) *segReader {
+	r := &segReader{seg: seg}
+	r.reset()
+	return r
+}
+
+// newStreamMerger returns a merger over runs.
+func newStreamMerger(runs []streamSource) *streamMerger {
+	m := new(streamMerger)
+	m.open(runs)
+	return m
+}
+
+// retainedBytes is what v keeps alive, walked the way the collector walks
+// it: the backing array of every slice, at its capacity, and every string's
+// bytes, following pointers and the elements inside. An array several
+// slices share is counted once per slice at that slice's capacity, which is
+// exact for the three-index buckets partitionSort carves.
+func retainedBytes(v reflect.Value) int {
+	switch v.Kind() {
+	case reflect.Pointer, reflect.Interface:
+		if v.IsNil() {
+			return 0
+		}
+		return int(v.Elem().Type().Size()) + retainedBytes(v.Elem())
+	case reflect.String:
+		return v.Len()
+	case reflect.Slice:
+		n := v.Cap() * int(v.Type().Elem().Size())
+		for i := 0; i < v.Len(); i++ {
+			n += retainedBytes(v.Index(i))
+		}
+		return n
+	case reflect.Array:
+		n := 0
+		for i := 0; i < v.Len(); i++ {
+			n += retainedBytes(v.Index(i))
+		}
+		return n
+	case reflect.Struct:
+		n := 0
+		for i := 0; i < v.NumField(); i++ {
+			n += retainedBytes(v.Field(i))
+		}
+		return n
+	}
+	return 0
+}
+
 func TestNewLoadBalance(t *testing.T) {
 	if NewLoadBalance(nil) != nil {
 		t.Error("empty vector must yield nil")

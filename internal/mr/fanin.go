@@ -30,10 +30,10 @@ const defaultMergeFanIn = 64
 // read earlier runs back with ReadAt while appending at the end, so the
 // task holds one file however many passes it makes. I/O errors are plain
 // task failures — infrastructure, not injected faults, so not retryable.
-func (r *round) fanInMerge(runs []streamSource, task int, tm *TaskMetrics) ([]streamSource, error) {
+func (r *round) fanInMerge(m *streamMerger, runs []streamSource, task int, tm *TaskMetrics) ([]streamSource, error) {
 	fanIn := r.eng.Cfg.MergeFanIn
 	var sf *spillFile
-	w := segWriter{codec: r.codec} // its buffers serve every group merge
+	w := segWriter{codec: r.codec} // its buffers serve every group merge, as m's readers do
 	for len(runs) > fanIn {
 		next := make([]streamSource, 0, (len(runs)+fanIn-1)/fanIn)
 		for lo := 0; lo < len(runs); lo += fanIn {
@@ -53,7 +53,7 @@ func (r *round) fanInMerge(runs []streamSource, task int, tm *TaskMetrics) ([]st
 					return nil, err
 				}
 			}
-			src, err := r.mergeRunGroup(sf, &w, runs[lo:hi], task, tm)
+			src, err := r.mergeRunGroup(m, sf, &w, runs[lo:hi], task, tm)
 			if err != nil {
 				return nil, err
 			}
@@ -64,10 +64,10 @@ func (r *round) fanInMerge(runs []streamSource, task int, tm *TaskMetrics) ([]st
 	return runs, nil
 }
 
-// mergeRunGroup merges one contiguous group of sources through w into a
-// new run at the end of sf and returns it as a replacement source.
-func (r *round) mergeRunGroup(sf *spillFile, w *segWriter, group []streamSource, task int, tm *TaskMetrics) (streamSource, error) {
-	m := newStreamMerger(group)
+// mergeRunGroup merges one contiguous group of sources through m and w into
+// a new run at the end of sf and returns it as a replacement source.
+func (r *round) mergeRunGroup(m *streamMerger, sf *spillFile, w *segWriter, group []streamSource, task int, tm *TaskMetrics) (streamSource, error) {
+	m.open(group)
 	w.start(sf)
 	for rec, _ := m.next(); rec != nil; rec, _ = m.next() {
 		w.add(rec.Key, rec.Val)

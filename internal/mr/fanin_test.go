@@ -78,7 +78,7 @@ func TestFanInMergeMatchesGlobalMerge(t *testing.T) {
 
 				runs := fanInRuns(t, sd, codec, nRuns)
 				var tm TaskMetrics
-				merged, err := r.fanInMerge(runs, 0, &tm)
+				merged, err := r.fanInMerge(new(streamMerger), runs, 0, &tm)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -179,5 +179,32 @@ func TestSegWriterRoundTrip(t *testing.T) {
 	}
 	if _, _, ok, _ := rd.next(); ok {
 		t.Fatal("segment over-reads past its record count")
+	}
+}
+
+// TestFanInMergeAllocsPerPass: a reduce task's group merges share one
+// merger and its segment readers, so a merge pass at fan-in 2 allocates a
+// few objects for its output run, not a reader, a block reader and their
+// buffers per source.
+func TestFanInMergeAllocsPerPass(t *testing.T) {
+	sd := newSpillDir(t.TempDir(), nil)
+	defer sd.cleanup()
+	codec := blockcodec.Raw{}
+	r := &round{eng: New(Config{Workers: 1, MergeFanIn: 2}, dfs.New(false)), job: &Job{}, sd: sd, codec: codec}
+	runs := fanInRuns(t, sd, codec, 32)
+	var passes int64
+	allocs := testing.AllocsPerRun(5, func() {
+		var tm TaskMetrics
+		if _, err := r.fanInMerge(new(streamMerger), runs, 0, &tm); err != nil {
+			t.Fatal(err)
+		}
+		passes = tm.MergePasses
+	})
+	if passes != 30 {
+		t.Fatalf("%d merge passes over 32 runs at fan-in 2, want 30", passes)
+	}
+	t.Logf("%.0f allocations per fan-in merge, %.1f per merge pass", allocs, allocs/float64(passes))
+	if perPass := allocs / float64(passes); perPass > 6 {
+		t.Errorf("%.1f allocations per merge pass, want at most 6", perPass)
 	}
 }

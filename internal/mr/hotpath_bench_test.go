@@ -14,6 +14,8 @@ package mr_test
 // reducer's k-way merge.
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/spcube/spcube/internal/agg"
@@ -196,6 +198,63 @@ func BenchmarkReduceEmit(b *testing.B) {
 		}
 	}
 	b.ReportMetric(groups*perGroup*float64(b.N)/b.Elapsed().Seconds(), "records/s")
+}
+
+// BenchmarkShuffleRetained is one round of 200,640 records emitted through
+// EmitBytes, wiki-sized: a 10-byte key and a 6-byte value each. At the
+// shuffle hand-off — the first Reduce call, when every map task's output is
+// live and none is consumed — it collects garbage and reports the live heap
+// the round added per record (live-B/record) and what of it is not record
+// bytes (over-B/record). 16-byte records fill 1 KiB-to-64 KiB chunks
+// exactly at this count, so no unused chunk tail hides in the figure.
+func BenchmarkShuffleRetained(b *testing.B) {
+	const records, keyLen, valLen = 200640, 10, 6
+	input := make([]mr.Pair, records)
+	for i := range input {
+		input[i] = mr.Pair{Key: fmt.Sprintf("k%09d", i*7919%records), Val: []byte(fmt.Sprintf("%06x", i))}
+	}
+	var base, live uint64
+	measured := false
+	job := &mr.Job{
+		Name:      "shuffle-retained",
+		Reducers:  4,
+		TaskState: func() any { return new([]byte) },
+		MapPair: func(ctx *mr.MapCtx, key string, val []byte) {
+			buf := ctx.State().(*[]byte)
+			*buf = append((*buf)[:0], key...)
+			ctx.EmitBytes(*buf, val)
+		},
+		Reduce: func(ctx *mr.RedCtx, key string, vals [][]byte) {
+			if !measured {
+				measured = true
+				live = liveHeap() - base
+			}
+		},
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng := mr.New(mr.Config{Workers: 1, Seed: 42, Parallelism: 1}, nil)
+		measured = false
+		base = liveHeap()
+		res, err := eng.RunPairs(job, input)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Metrics.ShuffleRecords != records {
+			b.Fatalf("%d shuffle records, want %d", res.Metrics.ShuffleRecords, records)
+		}
+	}
+	b.ReportMetric(float64(live)/records, "live-B/record")
+	b.ReportMetric(float64(live)/records-(keyLen+valLen), "over-B/record")
+}
+
+// liveHeap collects garbage and returns the bytes of live heap objects.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
 
 // BenchmarkHashPartition measures the default partitioner on a realistic

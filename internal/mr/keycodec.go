@@ -109,14 +109,14 @@ func (w *segWriter) finish() spillSeg {
 }
 
 // encodeFlush front-codes one map flush into out, a segment per sorted
-// bucket, and records the segments as sf's next flush. It returns the
-// flush's front-coded bytes.
-func (w *segWriter) encodeFlush(sf *spillFile, buckets [][]Pair) (encBytes int64) {
+// bucket of rows over arena, and records the segments as sf's next flush.
+// It returns the flush's front-coded bytes.
+func (w *segWriter) encodeFlush(sf *spillFile, buckets [][]IndexRow, arena [][]byte) (encBytes int64) {
 	segs := make([]spillSeg, len(buckets))
 	for r, bucket := range buckets {
 		w.start(sf)
-		for i := range bucket {
-			w.add(bucket[i].Key, bucket[i].Val)
+		for _, row := range bucket {
+			w.add(recordAt(arena, row))
 		}
 		segs[r] = w.finish()
 		encBytes += segs[r].enc
@@ -147,10 +147,12 @@ func (w *segWriter) write(sf *spillFile) error {
 // segment has left (spillSeg.enc), so a corrupt length fails the read
 // rather than allocating for it or wrapping negative. reset rewinds the
 // reader in place, so a retried reduce attempt re-reads its input exactly
-// like a real reducer re-fetching a map output; concurrent readers of
-// different segments share the file safely via ReadAt.
+// like a real reducer re-fetching a map output, or, after seg was set,
+// starts another segment. Concurrent readers of different segments share
+// the file safely via ReadAt.
 type segReader struct {
 	seg    spillSeg
+	sec    io.SectionReader
 	blocks *blockcodec.Reader
 	buf    []byte // the current block's unread bytes
 	unread int64  // seg.enc less the bytes of every block fetched so far
@@ -159,18 +161,14 @@ type segReader struct {
 	carry  []byte
 }
 
-func newSegReader(seg spillSeg) *segReader {
-	r := &segReader{seg: seg}
-	r.reset()
-	return r
-}
-
+// reset points the reader at seg's first record, reusing its buffers — and
+// its block reader, so the segments one reader reads share a codec.
 func (r *segReader) reset() {
-	src := io.NewSectionReader(r.seg.f, r.seg.off, r.seg.length)
+	r.sec = *io.NewSectionReader(r.seg.f, r.seg.off, r.seg.length)
 	if r.blocks == nil {
-		r.blocks = blockcodec.NewReader(src, r.seg.codec)
+		r.blocks = blockcodec.NewReader(&r.sec, r.seg.codec)
 	} else {
-		r.blocks.Reset(src)
+		r.blocks.Reset(&r.sec)
 	}
 	r.buf, r.unread, r.rem, r.key = nil, r.seg.enc, r.seg.records, r.key[:0]
 }

@@ -22,59 +22,40 @@ import (
 // i.e. by map-task order — the same tiebreak a stable sort of the
 // concatenation produces.
 
-// sortScratch is sortPairsStable's working memory, kept by a map attempt
-// from one bucket to the next.
-type sortScratch struct {
-	rows  []IndexRow
-	index IndexScratch
-	pairs []Pair
-}
-
-// sortPairsStable stably sorts pairs by key — the order sort.SliceStable
-// with a key comparison gives — reusing s across calls: SortIndex over one
-// row per record (Pos its position in the bucket, Tag its key's length),
-// then a gather through the permutation. Where prefixes are equal, the keys
-// are equal too only if both are no longer than 8 bytes and equally long —
-// "ab" and "ab\x00" share a prefix — so a run of equal prefixes that holds a
-// longer key or two lengths is stably sorted by full key. Group keys of a
-// tag, a mask and a value or two fit in 8 bytes, so the prefix alone orders
-// nearly every record.
-func sortPairsStable(pairs []Pair, s *sortScratch) {
-	n := len(pairs)
-	if n < 2 {
-		return
-	}
-	s.rows = slices.Grow(s.rows[:0], n)[:n]
-	for i := range pairs {
-		key := pairs[i].Key
-		s.rows[i] = IndexRow{Prefix: KeyPrefix(key), Pos: uint32(i), Tag: uint32(len(key))}
-	}
-	SortIndex(s.rows, &s.index, func(run []IndexRow) {
+// sortRows stably sorts one bucket's rows by the keys of the records they
+// address in arena — the order sort.SliceStable with a key comparison
+// gives — reusing s across calls. SortIndex orders the rows by key prefix;
+// where prefixes are equal, the keys are equal too only if both are no
+// longer than 8 bytes and equally long — "ab" and "ab\x00" share a prefix —
+// so a run of equal prefixes that holds a longer key or two lengths is
+// stably sorted by full key. A row's key length is its Tag's low 16 bits
+// (0xffff, over 8, for a bigRecord). Group keys of a tag, a mask and a
+// value or two fit in 8 bytes, so the prefix alone orders nearly every
+// record.
+func sortRows(rows []IndexRow, arena [][]byte, s *IndexScratch) {
+	SortIndex(rows, s, func(run []IndexRow) {
 		for _, r := range run {
-			if r.Tag != run[0].Tag || r.Tag > 8 {
+			if r.Tag&0xffff != run[0].Tag&0xffff || r.Tag&0xffff > 8 {
 				slices.SortStableFunc(run, func(a, b IndexRow) int {
-					return strings.Compare(pairs[a.Pos].Key, pairs[b.Pos].Key)
+					ka, _ := recordAt(arena, a)
+					kb, _ := recordAt(arena, b)
+					return strings.Compare(ka, kb)
 				})
 				return
 			}
 		}
 	})
-	s.pairs = slices.Grow(s.pairs[:0], n)[:n]
-	for i, r := range s.rows {
-		s.pairs[i] = pairs[r.Pos]
-	}
-	copy(pairs, s.pairs)
 }
 
-// IndexRow is one record's entry in a key-prefix index: the map side's
-// bucket sort and a cube's sorted run both keep one. It holds no pointer, so
+// IndexRow is one record's entry in a key-prefix index: a map attempt's
+// output and a cube's sorted run both keep one. It holds no pointer, so
 // SortIndex's passes move 16 bytes a record and the collector never scans
 // a million of them. SortIndex reads only Prefix; the other two words are
 // the index's own.
 type IndexRow struct {
 	Prefix uint64 // KeyPrefix of the record's key
-	Pos    uint32 // where the record is: its index in a bucket, its offset in a file
-	Tag    uint32 // what else the index keeps of it, such as its key's length
+	Pos    uint32 // where the record is: its arena address, its offset in a file
+	Tag    uint32 // what else the index keeps of it, such as its key's and value's lengths
 }
 
 // IndexScratch is SortIndex's working memory, to reuse from call to call.
@@ -269,27 +250,37 @@ func (t *LoserTree) Reset(beats func(a, b int) bool) {
 // concatenation sort exactly — whether or not anything spilled.
 type streamMerger struct {
 	srcs []mergeSource
-	tree LoserTree
-	cur  int // source whose head the last next handed out; -1 if none
-	err  error
+	// readers are the file-backed sources' segment readers, kept from one
+	// open to the next: a reduce task's fan-in merges and its final merge
+	// share one set.
+	readers []*segReader
+	tree    LoserTree
+	cur     int // source whose head the last next handed out; -1 if none
+	err     error
 }
 
-// mergeSource is one sorted run being merged. cur points at its current
-// head record, nil once drained: into pairs for a memory-backed run (no
-// record is copied), at head for a file-backed one, where head views the
-// reader's reused decode buffers.
+// mergeSource is one sorted run being merged. head is its current record,
+// cur points at it, nil once drained: for a memory-backed run (rows over
+// arena) head views the map attempt's arena, which no one rewrites, so no
+// record is copied; for a file-backed one it views the reader's reused
+// decode buffers. prefix is head's KeyPrefix, which decides most
+// comparisons.
 type mergeSource struct {
-	pairs []Pair
-	pos   int
-	rd    *segReader
-	cur   *Pair
-	head  Pair
+	rows   []IndexRow
+	arena  [][]byte
+	pos    int
+	rd     *segReader
+	cur    *Pair
+	head   Pair
+	prefix uint64
 }
 
 // streamSource is one sorted run handed to the merger: a memory-backed run
-// (pairs, with raw = Σ pairBytes) or a file-backed one (seg).
+// (rows addressing records in arena, with raw = Σ pairBytes) or a
+// file-backed one (seg).
 type streamSource struct {
-	pairs []Pair
+	rows  []IndexRow
+	arena [][]byte
 	raw   int64
 	seg   *spillSeg
 }
@@ -299,23 +290,28 @@ func (s streamSource) size() (records, raw int64) {
 	if s.seg != nil {
 		return s.seg.records, s.seg.raw
 	}
-	return int64(len(s.pairs)), s.raw
+	return int64(len(s.rows)), s.raw
 }
 
-// newStreamMerger builds a merger over runs, which are read, never
-// modified.
-func newStreamMerger(runs []streamSource) *streamMerger {
-	m := &streamMerger{srcs: make([]mergeSource, len(runs)), cur: -1}
+// open points the merger at runs, which are read, never modified, and
+// loads every source's first record. The file-backed sources take the
+// merger's segment readers in turn, so every segment a merger reads shares
+// the round's codec.
+func (m *streamMerger) open(runs []streamSource) {
+	m.srcs = slices.Grow(m.srcs[:0], len(runs))[:len(runs)]
+	files := 0
 	for i, r := range runs {
+		m.srcs[i] = mergeSource{rows: r.rows, arena: r.arena}
 		if r.seg != nil {
-			m.srcs[i].rd = newSegReader(*r.seg)
-		} else {
-			m.srcs[i].pairs = r.pairs
+			if files == len(m.readers) {
+				m.readers = append(m.readers, new(segReader))
+			}
+			m.srcs[i].rd, m.readers[files].seg = m.readers[files], *r.seg
+			files++
 		}
-		m.advance(i)
 	}
-	m.tree = NewLoserTree(len(m.srcs), m.beats)
-	return m
+	m.tree = NewLoserTree(len(runs), m.beats)
+	m.reset()
 }
 
 // reset rewinds every source to its start (re-reading spill segments from
@@ -338,28 +334,28 @@ func (m *streamMerger) reset() {
 // advance loads source i's next head record.
 func (m *streamMerger) advance(i int) {
 	s := &m.srcs[i]
+	s.cur = nil
 	if s.rd != nil {
 		key, val, ok, err := s.rd.next()
 		if err != nil && m.err == nil {
 			m.err = err
 		}
-		s.cur = nil
 		if ok && err == nil {
-			s.head = Pair{Key: byteString(key), Val: val}
-			s.cur = &s.head
+			s.head, s.prefix, s.cur = Pair{Key: byteString(key), Val: val}, KeyPrefix(key), &s.head
 		}
-		return
+	} else if s.pos < len(s.rows) {
+		row := s.rows[s.pos]
+		s.pos++
+		s.head.Key, s.head.Val = recordAt(s.arena, row)
+		s.prefix, s.cur = row.Prefix, &s.head
 	}
-	if s.pos >= len(s.pairs) {
-		s.cur = nil
-		return
-	}
-	s.cur = &s.pairs[s.pos]
-	s.pos++
 }
 
 // beats reports whether source a's head precedes source b's: drained
-// sources lose to live ones, equal keys go to the lower source index.
+// sources lose to live ones, equal keys go to the lower source index. Key
+// prefixes decide where they differ; where they are equal and hold both
+// keys whole, the keys differ only by trailing zero bytes, so the shorter
+// one precedes, and no key byte is read.
 func (m *streamMerger) beats(a, b int) bool {
 	sa, sb := &m.srcs[a], &m.srcs[b]
 	switch {
@@ -369,19 +365,28 @@ func (m *streamMerger) beats(a, b int) bool {
 		return false
 	case sb.cur == nil:
 		return true
+	case sa.prefix != sb.prefix:
+		return sa.prefix < sb.prefix
 	}
-	if c := strings.Compare(sa.cur.Key, sb.cur.Key); c != 0 {
+	c := 0
+	if la, lb := len(sa.cur.Key), len(sb.cur.Key); la <= 8 && lb <= 8 {
+		c = la - lb
+	} else {
+		c = strings.Compare(sa.cur.Key, sb.cur.Key)
+	}
+	if c != 0 {
 		return c < 0
 	}
 	return a < b
 }
 
 // next returns the globally next record, or nil when every source is
-// drained (or a read failed — check err). The record must not be modified.
-// stable reports whether it is a memory-backed run's own Pair, whose key
-// string and value slice are immutable; otherwise key and value view a
-// file-backed source's reused decode buffers and are valid only until the
-// following next call, so a consumer that keeps them must copy.
+// drained (or a read failed — check err). The record must not be modified,
+// and the Pair itself is the merger's, valid until the following next.
+// stable reports whether its key and value view a memory-backed run's
+// arena, which is immutable; otherwise they view a file-backed source's
+// reused decode buffers and are valid only until the following next call,
+// so a consumer that keeps them must copy.
 func (m *streamMerger) next() (rec *Pair, stable bool) {
 	if m.cur >= 0 {
 		m.advance(m.cur)

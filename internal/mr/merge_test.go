@@ -68,13 +68,37 @@ func shapedPairs(rng *rand.Rand, n int, key func(*rand.Rand) string) []Pair {
 	return out
 }
 
+// memRun is pairs as a memory-backed run: copied into an arena as a map
+// attempt's emits are, and its rows stably sorted as partitionSort sorts a
+// bucket.
+func memRun(pairs []Pair, s *IndexScratch) streamSource {
+	var a arena
+	src := streamSource{rows: make([]IndexRow, len(pairs))}
+	for i, p := range pairs {
+		src.rows[i] = a.record(p.Key, p.Val)
+		src.raw += pairBytes(p.Key, p.Val)
+	}
+	src.arena = a.used()
+	sortRows(src.rows, src.arena, s)
+	return src
+}
+
+// runPairs reads a memory-backed run's records back, in row order.
+func runPairs(src streamSource) []Pair {
+	out := make([]Pair, len(src.rows))
+	for i, row := range src.rows {
+		out[i].Key, out[i].Val = recordAt(src.arena, row)
+	}
+	return out
+}
+
 // TestSortPairsStableMatchesSliceStable is the property test for the
 // map-side sort: on random buckets of every key shape, up to 5,000 records,
-// it must agree exactly — order of equal keys included — with
-// sort.SliceStable.
+// the rows sortRows orders must address the records in exactly — order of
+// equal keys included — sort.SliceStable's order.
 func TestSortPairsStableMatchesSliceStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	var scratch sortScratch
+	var scratch IndexScratch
 	for _, shape := range keyShapes {
 		for trial := 0; trial < 100; trial++ {
 			n := rng.Intn(300)
@@ -84,9 +108,8 @@ func TestSortPairsStableMatchesSliceStable(t *testing.T) {
 			pairs := shapedPairs(rng, n, shape.key)
 			want := append([]Pair(nil), pairs...)
 			sort.SliceStable(want, func(a, b int) bool { return want[a].Key < want[b].Key })
-			sortPairsStable(pairs, &scratch)
-			if !reflect.DeepEqual(pairs, want) {
-				t.Fatalf("%s trial %d (n=%d): sortPairsStable diverges from sort.SliceStable", shape.name, trial, n)
+			if got := runPairs(memRun(pairs, &scratch)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s trial %d (n=%d): sortRows diverges from sort.SliceStable", shape.name, trial, n)
 			}
 		}
 	}
@@ -103,7 +126,7 @@ func TestStreamMergerMatchesSliceStable(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
 			sd := newSpillDir(t.TempDir(), nil)
 			defer sd.cleanup()
-			var scratch sortScratch
+			var scratch IndexScratch
 			for trial := 0; trial < 200; trial++ {
 				shape := keyShapes[trial%len(keyShapes)]
 				k := rng.Intn(9) // 0 runs and 1 run are valid edge cases
@@ -119,11 +142,9 @@ func TestStreamMergerMatchesSliceStable(t *testing.T) {
 						pairs[i].Val = fmt.Appendf(nil, "run%d#%d", r, i)
 					}
 					concat = append(concat, pairs...)
-					sortPairsStable(pairs, &scratch)
+					runs[r] = memRun(pairs, &scratch)
 					if mode == "file" || (mode == "mixed" && rng.Intn(2) == 0) {
-						runs[r] = writeRun(t, sd, blockcodec.Raw{}, pairs)
-					} else {
-						runs[r] = streamSource{pairs: pairs}
+						runs[r] = writeRun(t, sd, blockcodec.Raw{}, runPairs(runs[r]))
 					}
 				}
 				want := append([]Pair(nil), concat...)
@@ -203,11 +224,10 @@ func TestCombineExpandingCombiner(t *testing.T) {
 	}
 }
 
-// TestEmitNoCopyContract pins down the documented Emit semantics: Emit
-// retains val as passed (mutating the buffer afterwards corrupts the
-// record), while EmitCopied and EmitBytes snapshot their arguments so the
-// caller may reuse its scratch immediately.
-func TestEmitNoCopyContract(t *testing.T) {
+// TestEmitCopyContract pins down the documented emit semantics: Emit and
+// EmitBytes copy their arguments into the attempt's arena, so the caller may
+// reuse or modify its buffers as soon as they return.
+func TestEmitCopyContract(t *testing.T) {
 	run := func(mapTuple func(ctx *MapCtx)) map[string]string {
 		got := make(map[string]string)
 		job := &Job{
@@ -225,24 +245,14 @@ func TestEmitNoCopyContract(t *testing.T) {
 		return got
 	}
 
-	// Emit does not copy: the reducer observes the post-Emit mutation.
+	// Emit snapshots val.
 	got := run(func(ctx *MapCtx) {
 		buf := []byte("old")
 		ctx.Emit("k", buf)
 		copy(buf, "new")
 	})
-	if got["k"] != "new" {
-		t.Errorf("Emit copied val: reducer saw %q, want the mutated %q", got["k"], "new")
-	}
-
-	// EmitCopied snapshots val.
-	got = run(func(ctx *MapCtx) {
-		buf := []byte("old")
-		ctx.EmitCopied("k", buf)
-		copy(buf, "new")
-	})
 	if got["k"] != "old" {
-		t.Errorf("EmitCopied did not copy val: reducer saw %q, want %q", got["k"], "old")
+		t.Errorf("Emit did not copy val: reducer saw %q, want %q", got["k"], "old")
 	}
 
 	// EmitBytes snapshots both key and value.
@@ -336,12 +346,11 @@ func TestTupleInputBytesMemoized(t *testing.T) {
 func BenchmarkShuffleMerge(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	runs := make([]streamSource, 8)
-	var scratch sortScratch
+	var scratch IndexScratch
 	total := 0
 	for r := range runs {
-		runs[r].pairs = randPairs(rng, 16<<10, 512)
-		sortPairsStable(runs[r].pairs, &scratch)
-		total += len(runs[r].pairs)
+		runs[r] = memRun(randPairs(rng, 16<<10, 512), &scratch)
+		total += len(runs[r].rows)
 	}
 	m := newStreamMerger(runs)
 	b.ReportAllocs()
@@ -371,17 +380,17 @@ func BenchmarkCombine(b *testing.B) {
 		},
 	}
 	eng := New(Config{Workers: 1}, dfs.New(true))
-	var buf chunks[Pair]
+	ctx := &MapCtx{eng: eng, job: job}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf.reset()
+		ctx.rows.reset()
+		ctx.arena.reset()
 		for _, p := range out {
-			buf.push(p)
+			ctx.rows.push(ctx.arena.record(p.Key, p.Val))
 		}
-		ctx := &MapCtx{eng: eng, job: job}
-		if eng.combine(job, ctx, &buf); buf.len() != 1024 {
-			b.Fatalf("combined to %d groups, want 1024", buf.len())
+		if eng.combine(job, ctx); ctx.rows.len() != 1024 {
+			b.Fatalf("combined to %d groups, want 1024", ctx.rows.len())
 		}
 	}
 }

@@ -11,12 +11,20 @@ import (
 	"github.com/spcube/spcube/internal/mr/blockcodec"
 )
 
-// writeSpillSync encodes one flush through codec and writes it, as a map
-// attempt's spill flush does.
+// writeSpillSync encodes one flush of sorted buckets through codec and
+// writes it, as a map attempt's spill flush does: the records are copied into
+// an arena and encoded through their rows.
 func writeSpillSync(t *testing.T, sf *spillFile, buckets [][]Pair, codec blockcodec.Codec) (written, encBytes int64) {
 	t.Helper()
+	var a arena
+	rows := make([][]IndexRow, len(buckets))
+	for r, bucket := range buckets {
+		for _, p := range bucket {
+			rows[r] = append(rows[r], a.record(p.Key, p.Val))
+		}
+	}
 	w := segWriter{codec: codec}
-	encBytes = w.encodeFlush(sf, buckets)
+	encBytes = w.encodeFlush(sf, rows, a.used())
 	written = int64(len(w.out))
 	if err := w.write(sf); err != nil {
 		t.Fatal(err)

@@ -402,7 +402,7 @@ func SampleJob(name string, d int, seed, salt int64, alpha float64, reduce func(
 			}
 			if ts.rng.Float64() <= alpha {
 				ts.buf = relation.EncodeTuple(ts.buf, t)
-				ctx.EmitCopied("s", ts.buf)
+				ctx.Emit("s", ts.buf)
 			}
 		},
 		Reduce: func(ctx *mr.RedCtx, _ string, vals [][]byte) {
