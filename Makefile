@@ -38,7 +38,7 @@ retry-race:
 
 # Short fuzz of the delta-maintenance oracle (batch composition x aggregate
 # x algorithm x parallelism x fault plan vs recompute and twins, and the one
-# rebuild rule), the spill plane's two wire formats: the front-coded record
+# recompute rule), the spill plane's two wire formats: the front-coded record
 # codec, read back across block boundaries of 1 byte to 64 KiB, and the
 # checksummed block framing (round-trip plus corrupt-input rejection), and
 # the reducers' output records (arbitrary file bytes, read as a value job's
@@ -55,8 +55,7 @@ retry-race:
 # longer than the buffer — load as a serial encoding/csv read loads them, or
 # fail with its error text, at any batch size), the
 # group-key codec (round trip, uvarint length, byte order equal to
-# ComparePacked order, and only minimal forms decoding), the SP-Sketch wire
-# format (never a panic; Encode∘Decode idempotent), and the server's two
+# ComparePacked order, and only minimal forms decoding), and the server's two
 # request decoders (arbitrary /v1/query and /v1/ingest bodies: a
 # well-formed answer or a 4xx, never a panic or a 5xx). CI runs this target.
 # Every leg that was seen to stop executing inputs while it minimized a newly
@@ -74,7 +73,6 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzDictionaryRoundTrip -fuzztime=10s -fuzzminimizetime=1s ./internal/relation
 	$(GO) test -run=NONE -fuzz=FuzzReadCSV -fuzztime=10s -fuzzminimizetime=1s ./internal/relation
 	$(GO) test -run=NONE -fuzz=FuzzGroupKey -fuzztime=10s ./internal/relation
-	$(GO) test -run=NONE -fuzz=FuzzSketchDecode -fuzztime=10s -fuzzminimizetime=1s ./internal/sketch
 	$(GO) test -run=NONE -fuzz=FuzzQueryRequest -fuzztime=10s ./internal/serve
 	$(GO) test -run=NONE -fuzz=FuzzIngestRequest -fuzztime=10s ./cmd/spserve
 
@@ -152,10 +150,10 @@ bench-json:
 	$(GO) test ./internal/bench -run TestFiguresGolden -update
 
 # Randomized incremental-maintenance soak: chaos-faulted cycles with appends
-# and deletes feeding the serving store through patch or rebuild + swap
-# (under var every cycle merges; under min the deleting cycles rebuild), each
-# cycle verified exactly against brute force; failing cycles must leave the
-# served cube untouched.
+# and deletes feeding the serving store through patch + swap (under var
+# every cycle merges; under min the deleting cycles also recompute the
+# groups they touch), each cycle verified exactly against brute force;
+# failing cycles must leave the served cube untouched.
 SOAK_CYCLES ?= 40
 delta-soak:
 	SPCUBE_SOAK_CYCLES=$(SOAK_CYCLES) $(GO) test -count=1 -run TestDeltaSoak ./internal/integration
@@ -197,8 +195,8 @@ cover-serve:
 		'BEGIN { if (got + 0 < min + 0) { exit 1 } }' \
 		|| { echo "internal/serve coverage $$pct% is below $(COVER_SERVE_MIN)%" >&2; exit 1; }
 
-# Coverage gate for the maintenance layer: the delta/rebuild decision logic
-# and merge paths must stay above 80% statement coverage.
+# Coverage gate for the maintenance layer: the merge, the recompute round
+# and the publish path must stay above 80% statement coverage.
 COVER_DELTA_MIN ?= 80.0
 cover-delta:
 	@set -e; \

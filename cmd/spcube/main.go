@@ -77,11 +77,12 @@
 // Incremental maintenance: -delta FILE applies the rows of FILE (same CSV
 // shape as the base input) as an append batch AFTER the initial cube is
 // built, through the delta-cube maintenance layer — a small cube job over
-// the batch merged into the base cube, or a full rebuild when the batch
-// deletes under an aggregate whose states do not invert (min, max,
-// distinct). -delta-delete FILE deletes its rows (they must exist in the
-// base input). The emitted cube is the maintained (post-batch) cube and the
-// stats line reports the chosen mode and its reason:
+// the batch merged into the base cube; when the batch deletes under an
+// aggregate whose states do not invert (min, max, distinct), one more round
+// recomputes the groups the deleted rows touch. -delta-delete FILE deletes
+// its rows (they must exist in the base input). The emitted cube is the
+// maintained (post-batch) cube and the stats line reports the cycle's mode,
+// its reason and how many groups it changed:
 //
 //	spcube -in sales.csv -delta monday.csv -o cube.csv
 //	spcube -in sales.csv -delta-delete returns.csv -agg max
@@ -254,14 +255,10 @@ func runDelta(s *cli.Session, o *options, stdout, stderr io.Writer) error {
 		return err
 	}
 	if o.stats {
-		changes := "full cube"
-		if rnd.Changes != nil {
-			changes = fmt.Sprintf("%d changed groups", len(rnd.Changes))
-		}
 		fmt.Fprintf(stderr,
-			"%s+delta: %d rows -> %d c-groups | cycle %d %s (%s): +%d/-%d tuples, %s\n",
+			"%s+delta: %d rows -> %d c-groups | cycle %d %s (%s): +%d/-%d tuples, %d changed groups\n",
 			s.Algo, maint.N(), res.Len(), rnd.Round, rnd.Mode, rnd.Reason,
-			rnd.Appended, rnd.Deleted, changes)
+			rnd.Appended, rnd.Deleted, len(rnd.Changes))
 	}
 	return nil
 }

@@ -427,16 +427,17 @@ printer,Paris,2012,100
 			t.Errorf("%s: maintained cube\n%s\nwant\n%s", aggName, got, want)
 		}
 		// count and sum take deletes out through their inverses, so the
-		// batch must have gone through the delta path, not a rebuild.
+		// batch must have merged, with no recompute round.
 		if st := stderr.String(); !strings.Contains(st, "cycle 1 delta (mergeable)") {
 			t.Errorf("%s: stats line does not report a delta cycle: %q", aggName, st)
 		}
 	}
 }
 
-// TestRunDeltaRebuildAndMetrics checks the rebuild a delete under max takes
-// — deleting a group's maximum leaves a runner-up no state records — and
-// that a maintenance run's metrics document carries per-round maintenance
+// TestRunDeltaRebuildAndMetrics checks the recompute round a delete under
+// max takes — deleting a group's maximum leaves a runner-up no state records
+// (the test is named for the rebuild this case once took) — and that a
+// maintenance run's metrics document carries per-round maintenance
 // annotations.
 func TestRunDeltaRebuildAndMetrics(t *testing.T) {
 	dir := t.TempDir()
@@ -452,14 +453,14 @@ func TestRunDeltaRebuildAndMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := stderr.String(); !strings.Contains(st, "cycle 1 rebuild (deletes)") {
-		t.Errorf("stats line does not report a rebuild on deletes: %q", st)
+	if st := stderr.String(); !strings.Contains(st, "cycle 1 delta (recompute)") || !strings.Contains(st, " changed groups") {
+		t.Errorf("stats line does not report a recompute on deletes: %q", st)
 	}
 	if err := spcube(nil, "-in", editedF, "-agg", "max", "-k", "2", "-o", wantOut); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := sortedLines(t, out), sortedLines(t, wantOut); got != want {
-		t.Errorf("rebuilt cube\n%s\nwant\n%s", got, want)
+		t.Errorf("maintained cube\n%s\nwant\n%s", got, want)
 	}
 	data, err := os.ReadFile(metrics)
 	if err != nil {
@@ -473,16 +474,16 @@ func TestRunDeltaRebuildAndMetrics(t *testing.T) {
 		t.Errorf("maintenance metrics schemaVersion = %v, want %d", doc["schemaVersion"], mr.MetricsSchemaVersion)
 	}
 	rounds, _ := doc["rounds"].([]any)
-	foundRebuild := false
+	found := false
 	for _, r := range rounds {
 		if m, ok := r.(map[string]any); ok {
-			if maint, ok := m["maint"].(map[string]any); ok && maint["mode"] == "rebuild" && maint["reason"] == "deletes" {
-				foundRebuild = true
+			if maint, ok := m["maint"].(map[string]any); ok && m["job"] == "maint-recompute" && maint["mode"] == "delta" && maint["reason"] == "recompute" {
+				found = true
 			}
 		}
 	}
-	if !foundRebuild {
-		t.Errorf("no round carries the cycle's rebuild/deletes maint annotation:\n%s", data)
+	if !found {
+		t.Errorf("no recompute round carries the cycle's delta/recompute maint annotation:\n%s", data)
 	}
 }
 

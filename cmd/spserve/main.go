@@ -17,10 +17,10 @@
 //
 // The served cube is maintainable online: POST /v1/ingest applies a batch of
 // appended and/or deleted rows through the incremental-maintenance layer
-// (internal/delta) — delta-cube MR jobs merged into the serving index as a
-// copy-on-write patch, or a full rebuild when the batch deletes under an
-// aggregate whose states do not invert (min, max, distinct) — and atomically
-// swaps the new snapshot in. In-flight queries keep reading the old
+// (internal/delta) — delta-cube MR jobs, plus a round that recomputes the
+// touched groups when the batch deletes under an aggregate whose states do
+// not invert (min, max, distinct), merged into the serving index as a
+// copy-on-write patch — and atomically swaps the new snapshot in. In-flight queries keep reading the old
 // snapshot; no request ever sees a half-updated cube.
 //
 //	curl -d '{"append":[{"dims":["laptop","Rome","2013"],"measure":5}],
@@ -214,9 +214,9 @@ type IngestResponse struct {
 	Error    string `json:"error,omitempty"`
 }
 
-// ingestHandler applies maintenance batches: run the delta (or rebuild)
-// cycle, turn its change list into a serving patch, and atomically swap the
-// new snapshot in. A handler-level mutex serializes the cycle + swap pair so
+// ingestHandler applies maintenance batches: run the maintenance cycle, turn
+// its change list into a serving patch, and atomically swap the new snapshot
+// in. A handler-level mutex serializes the cycle + swap pair so
 // patches always apply to the snapshot their change list was computed
 // against. A failed cycle (e.g. injected faults) mutates nothing: the old
 // snapshot keeps serving.

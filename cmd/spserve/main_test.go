@@ -406,19 +406,20 @@ func TestIngestBodyLimit(t *testing.T) {
 
 func TestServeIngestRebuildPath(t *testing.T) {
 	// Deleting a group's minimum leaves a runner-up no state records, so
-	// the cycle takes the full-rebuild + reindex path.
+	// the cycle recomputes the groups the delete touches (the test is named
+	// for the rebuild this case once took); the patch carries the runner-up.
 	base, shutdown := startServer(t, "-agg", "min")
 	defer shutdown()
 	res, code := postIngest(t, base, IngestRequest{
 		Append: []IngestRow{{Dims: []string{"phone", "Oslo"}, Measure: 7}},
 		Delete: []IngestRow{{Dims: []string{"phone", "Rome"}, Measure: 2}},
 	})
-	if code != http.StatusOK || res.Mode != "rebuild" || res.Reason != "deletes" {
-		t.Fatalf("ingest: %d %+v (want a rebuild on deletes)", code, res)
+	if code != http.StatusOK || res.Mode != "delta" || res.Reason != "recompute" {
+		t.Fatalf("ingest: %d %+v (want a recompute on deletes)", code, res)
 	}
 	for group, want := range map[string]float64{"phone,Rome": 5, "phone,Oslo": 7, "phone,*": 5} {
 		if v, ok := pointValue(t, base, group); !ok || v != want {
-			t.Fatalf("post-rebuild min of %s = %v,%v want %v", group, v, ok, want)
+			t.Fatalf("post-recompute min of %s = %v,%v want %v", group, v, ok, want)
 		}
 	}
 }

@@ -310,13 +310,10 @@ func (s *Session) DeltaConfig() delta.Config {
 }
 
 // NextStore turns one applied maintenance round into the snapshot to swap
-// in: a delta round's change list becomes a copy-on-write patch of cur, the
-// snapshot the round was computed against; a rebuild round re-indexes the
-// maintained cube. cur is never modified, so on error it keeps serving.
+// in: the round's change list becomes a copy-on-write patch of cur, the
+// snapshot the round was computed against. cur is never modified, so on
+// error it keeps serving.
 func NextStore(cur *serve.Store, maint *delta.Maintainer, rnd *delta.Round) (*serve.Store, error) {
-	if rnd.Mode != "delta" {
-		return serve.BuildRun(maint.Relation(), maint.Published)
-	}
 	p := serve.NewPatch()
 	for _, ch := range rnd.Changes {
 		var err error

@@ -3,19 +3,19 @@ package cli_test
 // BenchmarkServeReady times a server's start-up behind the CSV load: the
 // relation goes through delta.New and the maintained cube into a served
 // Store, over the served relations of the three harness workloads. The store
-// is built by NextStore's rebuild branch — the code a rebuild on deletes runs
-// and, line for line, what spserve's start runs — which older commits have
-// too, so `make bench-compare` can copy this file into a checkout of one and
-// run the identical workload there.
+// is built by serve.BuildRun over the maintainer's published walk, line for
+// line what spserve's start runs, which older commits have too, so `make
+// bench-compare` can copy this file into a checkout of one and run the
+// identical workload there.
 
 import (
 	"testing"
 
 	"github.com/spcube/spcube/internal/agg"
-	"github.com/spcube/spcube/internal/cli"
 	"github.com/spcube/spcube/internal/data"
 	"github.com/spcube/spcube/internal/delta"
 	"github.com/spcube/spcube/internal/relation"
+	"github.com/spcube/spcube/internal/serve"
 )
 
 func BenchmarkServeReady(b *testing.B) {
@@ -38,7 +38,7 @@ func BenchmarkServeReady(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				st, err := cli.NextStore(nil, m, &delta.Round{Mode: "rebuild"})
+				st, err := serve.BuildRun(m.Relation(), m.Published)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -5,8 +5,8 @@
 // merge its result into the stored cube.
 //
 // Merging happens on the aggregate's own partial states, with the Merge
-// every combiner uses (paper §5.1). The stored cube is no map: it is the last
-// full build's output, read as a sorted run where the reducers wrote it — the
+// every combiner uses (paper §5.1). The stored cube is no map: it is the
+// initial build's output, read as a sorted run where the reducers wrote it — the
 // job runs the aggregate counted (agg.WithCount), so every record carries its
 // group's encoded state, which leads with the group's tuple count, beside the
 // final — under an overlay of the states of the groups batches have touched
@@ -15,13 +15,15 @@
 // aggregates whose states invert (agg.Invertible: count, sum, avg, var,
 // stddev), takes the deleted part's out, and its published value is the
 // merged state's final: bit for bit what a recompute publishes. Deletes under
-// min, max and distinct, which have no inverse (deleting the minimum reveals
-// an unknown runner-up), are the one case that falls back to a full rebuild:
-// every other batch merges, whatever its size or distribution, since the
+// min, max and distinct have no inverse (deleting the minimum reveals an
+// unknown runner-up), so a batch that deletes under one of them runs one more
+// round over the post-batch relation: it recomputes exactly the groups the
+// deleted tuples project to, and its states replace the merged ones. Every
+// batch is applied this one way, whatever its size or distribution, since the
 // stored cube is a sorted run keyed by group and nothing reads the partition
-// decisions of the job that built it. The decision and its reason are
-// recorded on every cycle, annotated into the engine metrics ("maint" rounds)
-// and emitted as maint-start/maint-end trace events.
+// decisions of the job that built it. A cycle's reason ("mergeable" or
+// "recompute") is recorded, annotated into the engine metrics ("maint"
+// rounds) and emitted as maint-start/maint-end trace events.
 //
 // Deletes are counted: every state carries its group's tuple count, so a
 // group whose count reaches zero becomes a tombstone in the overlay rather
@@ -29,11 +31,10 @@
 // re-evaluated per cycle against the maintained counts.
 //
 // The maintainer is deliberately storage-agnostic: Apply returns the exact
-// set of changed c-groups (or nil for a rebuild), and the serving layer
-// turns that into an atomic in-place index patch. All MR jobs of a cycle
-// run before any state is mutated, so a failed cycle (injected faults with
-// exhausted retries) leaves the maintained cube — and anything serving it —
-// untouched.
+// set of changed c-groups, and the serving layer turns that into an atomic
+// in-place index patch. All MR jobs of a cycle run before any state is
+// mutated, so a failed cycle (injected faults with exhausted retries) leaves
+// the maintained cube — and anything serving it — untouched.
 package delta
 
 import (
@@ -57,8 +58,8 @@ import (
 
 // Config parameterizes a Maintainer.
 type Config struct {
-	// Algorithm names the cube algorithm used for delta jobs and rebuilds:
-	// any name or alias in algo.Table (default sp-cube).
+	// Algorithm names the cube algorithm used for the initial build and the
+	// delta jobs: any name or alias in algo.Table (default sp-cube).
 	Algorithm string
 	// Agg is the maintained aggregate (default count).
 	Agg agg.Func
@@ -122,9 +123,10 @@ type Change struct {
 type Round struct {
 	// Round is the 1-based cycle ordinal.
 	Round int
-	// Mode is "delta" or "rebuild"; Reason explains the choice:
-	// "mergeable", or "deletes" for a batch that deletes under an aggregate
-	// whose states do not invert.
+	// Mode is "delta" for every applied cycle ("rebuild" is the initial
+	// build's, in its metrics annotation only). Reason is "mergeable", or
+	// "recompute" for a batch that deletes under an aggregate whose states
+	// do not invert.
 	Mode   string
 	Reason string
 	// Drift is always 0.
@@ -136,7 +138,7 @@ type Round struct {
 	Appended int
 	Deleted  int
 	// Changes lists the published groups this cycle changed, sorted by
-	// key; nil when the cycle rebuilt the cube (everything may have moved).
+	// key; it is never nil.
 	Changes []Change
 	// Metrics holds the cycle's MR rounds, annotated with MaintInfo.
 	Metrics mr.JobMetrics
@@ -145,20 +147,20 @@ type Round struct {
 // Maintainer owns a relation and its maintained cube. All methods are safe
 // for concurrent use; Apply serializes cycles.
 type Maintainer struct {
-	mu  sync.Mutex
-	cfg Config
-	rel *relation.Relation
+	mu      sync.Mutex
+	cfg     Config
+	compute cube.ComputeFunc // the configured algorithm
+	rel     *relation.Relation
 
-	// base is the full (non-iceberg) cube as of the last full (re)build,
-	// read where that build's reducers wrote it and never written again.
-	// overlay holds the current state of every group a batch has touched
-	// since — a group of the base at its new state, a group the base lacks,
-	// or a tombstone (count 0) for one whose last tuple was deleted — and
-	// supersedes the base key by key; a rebuild replaces the base and
-	// empties it. Its states are never written once stored, so a snapshot of
-	// it stays valid. It is never folded back: it holds at most the groups
-	// the batches since the last build project to, each of which the state
-	// map this design replaced held as well.
+	// base is the full (non-iceberg) cube as of the initial build, read
+	// where that build's reducers wrote it and never written again. overlay
+	// holds the current state of every group a batch has touched since — a
+	// group of the base at its new state, a group the base lacks, or a
+	// tombstone (count 0) for one whose last tuple was deleted — and
+	// supersedes the base key by key. Its states are never written once
+	// stored, so a snapshot of it stays valid. It is never folded back: it
+	// holds at most the groups the batches project to, each of which the
+	// state map this design replaced held as well.
 	base    *cube.SortedRun
 	overlay map[string]agg.State
 
@@ -170,7 +172,7 @@ type Maintainer struct {
 	seq     int64 // maintainer-scoped trace sequence
 }
 
-// Timing splits a full (re)build into its stages.
+// Timing splits the initial build into its stages.
 type Timing struct {
 	// Job is the cube computation: one MR job, whose records carry every
 	// group's state, and so its tuple count, beside its value.
@@ -208,7 +210,8 @@ func New(rel *relation.Relation, cfg Config) (*Maintainer, error) {
 	if cfg.Algorithm == "" {
 		cfg.Algorithm = "sp-cube"
 	}
-	if _, err := computeFunc(cfg); err != nil {
+	compute, err := computeFunc(cfg)
+	if err != nil {
 		return nil, err
 	}
 
@@ -219,12 +222,12 @@ func New(rel *relation.Relation, cfg Config) (*Maintainer, error) {
 	if rel.Dict != nil {
 		own.Dict = rel.Dict.Clone()
 	}
-	m := &Maintainer{cfg: cfg, rel: own}
+	m := &Maintainer{cfg: cfg, compute: compute, rel: own, overlay: make(map[string]agg.State)}
 	info := &mr.MaintInfo{Round: 0, Mode: "rebuild", Reason: "initial", Appended: own.N()}
 	m.traceMaint(mr.TraceEvent{Type: mr.EvMaintStart, Round: 0, Job: "maintenance",
 		Mode: info.Mode, Records: int64(own.N())})
 	var metrics mr.JobMetrics
-	if err := m.rebuild(own, &metrics); err != nil {
+	if m.base, err = m.runJob(compute, own, &metrics, &m.built); err != nil {
 		m.traceMaint(mr.TraceEvent{Type: mr.EvMaintEnd, Round: 0, Job: "maintenance",
 			Failed: true, Err: err.Error()})
 		return nil, err
@@ -234,18 +237,6 @@ func New(rel *relation.Relation, cfg Config) (*Maintainer, error) {
 	m.traceMaint(mr.TraceEvent{Type: mr.EvMaintEnd, Round: 0, Job: "maintenance",
 		Records: int64(m.base.Len())})
 	return m, nil
-}
-
-// rebuild computes the full cube of rel and, once its job has succeeded,
-// makes it the base: the overlay empties.
-func (m *Maintainer) rebuild(rel *relation.Relation, metrics *mr.JobMetrics) error {
-	var t Timing
-	base, err := m.runJob(rel, metrics, &t)
-	if err != nil {
-		return err
-	}
-	m.base, m.overlay, m.built = base, make(map[string]agg.State), t
-	return nil
 }
 
 // Apply runs one maintenance cycle over the batch. On error the maintained
@@ -315,10 +306,14 @@ func (m *Maintainer) applyLocked(batch Batch, newDict *relation.Dictionary) (*Ro
 
 	rnd := Round{
 		Round:    m.cycles + 1,
+		Mode:     "delta",
+		Reason:   "mergeable",
 		Appended: len(batch.Append),
 		Deleted:  len(batch.Delete),
 	}
-	rnd.Mode, rnd.Reason = m.decide(batch)
+	if len(batch.Delete) > 0 && !agg.Invertible(m.cfg.Agg) {
+		rnd.Reason = "recompute"
+	}
 	info := &mr.MaintInfo{
 		Round: rnd.Round, Mode: rnd.Mode, Reason: rnd.Reason,
 		Appended: rnd.Appended, Deleted: rnd.Deleted,
@@ -326,13 +321,7 @@ func (m *Maintainer) applyLocked(batch Batch, newDict *relation.Dictionary) (*Ro
 	m.traceMaint(mr.TraceEvent{Type: mr.EvMaintStart, Round: rnd.Round, Job: "maintenance",
 		Mode: rnd.Mode, Records: int64(rnd.Appended), Bytes: int64(rnd.Deleted)})
 
-	var applyErr error
-	if rnd.Mode == "delta" {
-		applyErr = m.applyDelta(batch, deleteIdx, &rnd)
-	} else {
-		applyErr = m.applyRebuild(batch, deleteIdx, &rnd)
-	}
-	if applyErr != nil {
+	if applyErr := m.applyDelta(batch, deleteIdx, &rnd); applyErr != nil {
 		m.traceMaint(mr.TraceEvent{Type: mr.EvMaintEnd, Round: rnd.Round, Job: "maintenance",
 			Failed: true, Err: applyErr.Error()})
 		return nil, applyErr
@@ -347,15 +336,6 @@ func (m *Maintainer) applyLocked(batch Batch, newDict *relation.Dictionary) (*Ro
 		Records: int64(len(rnd.Changes))})
 	out := rnd
 	return &out, nil
-}
-
-// decide picks the cycle's mode: a batch merges unless it deletes under an
-// aggregate whose states do not invert.
-func (m *Maintainer) decide(batch Batch) (mode, reason string) {
-	if len(batch.Delete) > 0 && !agg.Invertible(m.cfg.Agg) {
-		return "rebuild", "deletes"
-	}
-	return "delta", "mergeable"
 }
 
 // locateDeletes resolves the batch's deleted tuples to positions in the
@@ -388,8 +368,10 @@ func (m *Maintainer) locateDeletes(dels []relation.Tuple) (map[int]bool, error) 
 }
 
 // applyDelta computes delta cubes over the appended and deleted tuples and
-// merges their states into the stored cube's. All MR jobs complete, and every
-// state is read, before any state is mutated.
+// merges their states into the stored cube's; under an aggregate whose states
+// do not invert, the recompute round's states replace the merged ones of the
+// groups the deletes touch. All MR jobs complete, and every state is read,
+// before any state is mutated.
 func (m *Maintainer) applyDelta(batch Batch, deleteIdx map[int]bool, rnd *Round) error {
 	adds, err := m.cubeOver(batch.Append, &rnd.Metrics)
 	if err != nil {
@@ -398,6 +380,15 @@ func (m *Maintainer) applyDelta(batch Batch, deleteIdx map[int]bool, rnd *Round)
 	dels, err := m.cubeOver(batch.Delete, &rnd.Metrics)
 	if err != nil {
 		return fmt.Errorf("delta: delete job: %w", err)
+	}
+	next := m.postBatch(batch, deleteIdx)
+	recompute := rnd.Reason == "recompute"
+	var recs []keyed
+	if recompute {
+		rel := &relation.Relation{Schema: m.rel.Schema, Tuples: next}
+		if recs, err = m.states(recomputeJob(dels), rel, &rnd.Metrics); err != nil {
+			return fmt.Errorf("delta: recompute round: %w", err)
+		}
 	}
 
 	// All jobs succeeded: one fresh state per touched key, the two delta
@@ -425,26 +416,36 @@ func (m *Maintainer) applyDelta(batch Batch, deleteIdx map[int]bool, rnd *Round)
 		if side >= 0 {
 			key, dl, dels = dels[0].key, dels[0].st, dels[1:]
 		}
-		// A copy of the group's state — the overlay's, which is never
-		// written, else the base's — takes the batch's; a group neither
-		// holds takes the batch's own.
 		var st agg.State
-		if old, touched := m.overlay[string(key)]; touched {
-			st = fn.NewState()
-			st.Merge(old)
-		} else if state, ok := base.Seek(key); ok {
-			if st, err = fn.DecodeState(state); err != nil {
-				return fmt.Errorf("delta: base state: %w", err)
+		if recompute && dl != nil {
+			// The round's state replaces the merged one; a group it did not
+			// output lost its last tuple and becomes a tombstone.
+			if len(recs) > 0 && bytes.Equal(recs[0].key, key) {
+				st, recs = recs[0].st, recs[1:]
+			} else {
+				st = fn.NewState()
 			}
-		}
-		switch {
-		case st == nil:
-			st = a
-		case a != nil:
-			st.Merge(a)
-		}
-		if dl != nil {
-			st.(agg.Inverter).Unmerge(dl)
+		} else {
+			// A copy of the group's state — the overlay's, which is never
+			// written, else the base's — takes the batch's; a group neither
+			// holds takes the batch's own.
+			if old, touched := m.overlay[string(key)]; touched {
+				st = fn.NewState()
+				st.Merge(old)
+			} else if state, ok := base.Seek(key); ok {
+				if st, err = fn.DecodeState(state); err != nil {
+					return fmt.Errorf("delta: base state: %w", err)
+				}
+			}
+			switch {
+			case st == nil:
+				st = a
+			case a != nil:
+				st.Merge(a)
+			}
+			if dl != nil {
+				st.(agg.Inverter).Unmerge(dl)
+			}
 		}
 		rnd.Changes = append(rnd.Changes, Change{Key: string(key)})
 		states = append(states, st)
@@ -461,53 +462,41 @@ func (m *Maintainer) applyDelta(batch Batch, deleteIdx map[int]bool, rnd *Round)
 		}
 		m.overlay[ch.Key] = st
 	}
-	m.commitRelation(batch, deleteIdx)
+	m.rel.Tuples = next
 	return nil
 }
 
-// applyRebuild recomputes the full cube over the post-batch relation. All
-// MR jobs complete before any state is mutated; Changes stays nil.
-func (m *Maintainer) applyRebuild(batch Batch, deleteIdx map[int]bool, rnd *Round) error {
-	next := &relation.Relation{Schema: m.rel.Schema, Dict: m.rel.Dict}
-	next.Tuples = make([]relation.Tuple, 0, m.rel.N()+len(batch.Append)-len(deleteIdx))
-	for i, t := range m.rel.Tuples {
-		if !deleteIdx[i] {
-			next.Tuples = append(next.Tuples, t)
-		}
-	}
-	next.Tuples = append(next.Tuples, cloneTuples(batch.Append)...)
-	if next.N() == 0 {
-		return errors.New("delta: batch deletes every tuple; refusing to rebuild an empty cube")
-	}
-	if err := m.rebuild(next, &rnd.Metrics); err != nil {
-		return fmt.Errorf("delta: rebuild: %w", err)
-	}
-	m.rel.Tuples = next.Tuples
-	return nil
-}
-
-// commitRelation applies the batch's tuple changes to the owned relation.
-func (m *Maintainer) commitRelation(batch Batch, deleteIdx map[int]bool) {
+// postBatch returns the relation's tuples as the batch leaves them: the kept
+// ones in order, then copies of the appended ones. It writes nothing within
+// the relation's tuples, so a cycle that fails after it leaves them as they
+// were.
+func (m *Maintainer) postBatch(batch Batch, deleteIdx map[int]bool) []relation.Tuple {
+	kept := m.rel.Tuples
 	if len(deleteIdx) > 0 {
-		kept := m.rel.Tuples[:0]
+		kept = make([]relation.Tuple, 0, len(kept)-len(deleteIdx)+len(batch.Append))
 		for i, t := range m.rel.Tuples {
 			if !deleteIdx[i] {
 				kept = append(kept, t)
 			}
 		}
-		m.rel.Tuples = kept
 	}
-	m.rel.Tuples = append(m.rel.Tuples, cloneTuples(batch.Append)...)
+	return append(kept, cloneTuples(batch.Append)...)
 }
 
-// cubeOver runs the maintenance job over a tuple batch and lists the batch's
-// cube's states in ascending key order, the keys aliasing the job's output;
-// an empty batch has no groups and spins up no engine.
+// cubeOver runs the maintenance job over a tuple batch and lists its cube's
+// states; an empty batch has no groups and spins up no engine.
 func (m *Maintainer) cubeOver(tuples []relation.Tuple, metrics *mr.JobMetrics) ([]keyed, error) {
 	if len(tuples) == 0 {
 		return nil, nil
 	}
-	run, err := m.runJob(&relation.Relation{Schema: m.rel.Schema, Tuples: tuples}, metrics, new(Timing))
+	return m.states(m.compute, &relation.Relation{Schema: m.rel.Schema, Tuples: tuples}, metrics)
+}
+
+// states runs compute over rel through runJob and lists the states of the
+// cube it computes in ascending key order, the keys aliasing the job's
+// output.
+func (m *Maintainer) states(compute cube.ComputeFunc, rel *relation.Relation, metrics *mr.JobMetrics) ([]keyed, error) {
+	run, err := m.runJob(compute, rel, metrics, new(Timing))
 	if err != nil {
 		return nil, err
 	}
@@ -524,19 +513,14 @@ func (m *Maintainer) cubeOver(tuples []relation.Tuple, metrics *mr.JobMetrics) (
 	return out, err
 }
 
-// runJob computes the full cube of rel on a fresh engine — one job, of the
-// aggregate counted, so that every record carries its group's state and tuple
-// count —
+// runJob runs compute over rel on a fresh engine — one job, of the aggregate
+// counted, so that every record carries its group's state and tuple count —
 // appending its rounds to metrics and its time to t. It indexes the output
 // where the reducers wrote it, as one merged segment: a base is read at every
 // key a batch touches for as long as it stands, which that makes one search
 // per key instead of one per output file, and a batch's cube is too small for
 // the merge to show.
-func (m *Maintainer) runJob(rel *relation.Relation, metrics *mr.JobMetrics, t *Timing) (*cube.SortedRun, error) {
-	fn, err := computeFunc(m.cfg)
-	if err != nil {
-		return nil, err
-	}
+func (m *Maintainer) runJob(compute cube.ComputeFunc, rel *relation.Relation, metrics *mr.JobMetrics, t *Timing) (*cube.SortedRun, error) {
 	eng := mr.New(mr.Config{
 		Workers:          m.cfg.Workers,
 		Seed:             uint64(m.cfg.Seed),
@@ -552,7 +536,7 @@ func (m *Maintainer) runJob(rel *relation.Relation, metrics *mr.JobMetrics, t *T
 	}, dfs.New(false))
 	start := time.Now()
 	spec := cube.Spec{Agg: agg.WithCount(m.cfg.Agg)}
-	run, err := fn(eng, rel, spec)
+	run, err := compute(eng, rel, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -566,6 +550,56 @@ func (m *Maintainer) runJob(rel *relation.Relation, metrics *mr.JobMetrics, t *T
 	t.Index += time.Since(computed)
 	metrics.Rounds = append(metrics.Rounds, run.Metrics.Rounds...)
 	return out, nil
+}
+
+// recomputeJob is the round that recomputes, over the post-batch relation,
+// the groups of dels: every projection of every deleted tuple, a set closed
+// under projection. The map walks each tuple's lattice from the apex, adding
+// dimensions in increasing order, so it reaches every cuboid once, through
+// its subsets; a group the set lacks prunes every superset, none of which the
+// set can hold, so a tuple that shares no value with a deleted one costs d+1
+// probes, not 2^d. A hit ships the tuple's measure, and the reducers fold a
+// group's measures as the naive cube's do, under the spec's counted
+// aggregate and no iceberg threshold.
+func recomputeJob(dels []keyed) cube.ComputeFunc {
+	touched := make(map[string]struct{}, len(dels))
+	for _, e := range dels {
+		touched[string(e.key)] = struct{}{}
+	}
+	return func(eng *mr.Engine, rel *relation.Relation, spec cube.Spec) (*cube.Run, error) {
+		d := rel.D()
+		f, _ := spec.Effective()
+		type scratch struct{ key, val []byte }
+		var walk func(ctx *mr.MapCtx, s *scratch, dims []relation.Value, mask uint32, from int)
+		walk = func(ctx *mr.MapCtx, s *scratch, dims []relation.Value, mask uint32, from int) {
+			ctx.ChargeOps(1)
+			s.key = relation.AppendGroupKey(s.key[:0], mask, dims)
+			if _, ok := touched[string(s.key)]; !ok {
+				return
+			}
+			ctx.EmitBytes(s.key, s.val)
+			for j := from; j < d; j++ {
+				walk(ctx, s, dims, mask|1<<j, j+1)
+			}
+		}
+		job := &mr.Job{
+			Name:      "maint-recompute",
+			TaskState: func() any { return new(scratch) },
+			MapTuple: func(ctx *mr.MapCtx, t relation.Tuple) {
+				s := ctx.State().(*scratch)
+				s.val = cube.AppendMeasure(s.val[:0], t.Measure)
+				walk(ctx, s, t.Dims, 0, 0)
+			},
+			Reduce: func(ctx *mr.RedCtx, key string, vals [][]byte) {
+				spec.Emit(ctx, key, cube.AddMeasures(ctx, f, vals))
+			},
+			OutputPrefix: "out/maint-recompute/",
+		}
+		res, err := eng.RunTuples(job, rel.Tuples)
+		run := &cube.Run{Algorithm: job.Name, OutputPrefix: job.OutputPrefix}
+		run.Metrics.AddResult(res)
+		return run, err
+	}
 }
 
 // Published calls fn for every group of the published (iceberg-filtered)
@@ -643,7 +677,7 @@ func (m *Maintainer) Result() *cube.Result {
 	return out
 }
 
-// LastBuild returns the stage times of the last full (re)build.
+// LastBuild returns the stage times of the initial build.
 func (m *Maintainer) LastBuild() Timing {
 	m.mu.Lock()
 	defer m.mu.Unlock()

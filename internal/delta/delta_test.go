@@ -195,17 +195,16 @@ func TestRebuildReasons(t *testing.T) {
 	base := cubetest.RandomRelation(rng, 200, 2, 4)
 	appendBatch := Batch{Append: cubetest.RandomRelation(rng, 20, 2, 4).Tuples}
 
-	// No aggregate rebuilds for what it is: deletes rebuild exactly those
-	// whose states do not invert.
+	// Every cycle is a delta that publishes its changes; deletes recompute
+	// exactly under the aggregates whose states do not invert.
 	deleteBatch := Batch{Append: appendBatch.Append, Delete: cloneTuples(base.Tuples[:5])}
 	for _, c := range []struct {
-		name         string
-		fns          []agg.Func
-		mode, reason string
-		changes      bool
+		name   string
+		fns    []agg.Func
+		reason string
 	}{
-		{"deletes-invertible", invertible, "delta", "mergeable", true},
-		{"deletes-non-invertible", []agg.Func{agg.Min, agg.Max, agg.Distinct}, "rebuild", "deletes", false},
+		{"deletes-invertible", invertible, "mergeable"},
+		{"deletes-non-invertible", []agg.Func{agg.Min, agg.Max, agg.Distinct}, "recompute"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			for _, fn := range c.fns {
@@ -217,8 +216,8 @@ func TestRebuildReasons(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if rnd.Mode != c.mode || rnd.Reason != c.reason || (rnd.Changes != nil) != c.changes {
-					t.Fatalf("%s: mode = %s/%s with %d changes, want %s/%s", fn.Name(), rnd.Mode, rnd.Reason, len(rnd.Changes), c.mode, c.reason)
+				if rnd.Mode != "delta" || rnd.Reason != c.reason || len(rnd.Changes) == 0 {
+					t.Fatalf("%s: mode = %s/%s with %d changes, want delta/%s", fn.Name(), rnd.Mode, rnd.Reason, len(rnd.Changes), c.reason)
 				}
 				exactEqual(t, cube.Brute(combined(base, deleteBatch), fn), m.Result())
 			}
@@ -506,6 +505,129 @@ func TestFailedCycleLeavesStateUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	exactEqual(t, cube.Brute(combined(base, batch), agg.Count), m.Result())
+}
+
+// maintainer returns a maintainer under fn over two-dimensional rows, each
+// named (name, "r") with its measure.
+func maintainer(t *testing.T, fn agg.Func, rows ...Row) *Maintainer {
+	t.Helper()
+	rel := relation.New([]string{"name", "region"}, "m")
+	for _, r := range rows {
+		rel.AppendStrings(r.Dims, r.Measure)
+	}
+	m, err := New(rel, Config{Agg: fn, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// recomputed applies one cycle that must recompute, holds the published cube
+// to brute force over the maintained relation and returns the cycle's change
+// of each group (name, region) it names ("*" aggregates a dimension away).
+func recomputed(t *testing.T, m *Maintainer, appends, deletes []Row, groups ...[2]string) []Change {
+	t.Helper()
+	rnd, err := m.ApplyStrings(appends, deletes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rnd.Mode != "delta" || rnd.Reason != "recompute" {
+		t.Fatalf("cycle ran as %s/%s, want delta/recompute", rnd.Mode, rnd.Reason)
+	}
+	exactEqual(t, cube.Brute(m.rel, m.cfg.Agg), m.Result())
+	out := make([]Change, len(groups))
+	for i, g := range groups {
+		var mask uint32
+		dims := make([]relation.Value, 2)
+		for j, text := range g {
+			if text != "*" {
+				mask |= 1 << j
+				dims[j], _ = m.rel.Dict.Code(j, text)
+			}
+		}
+		key := relation.GroupKey(mask, dims)
+		at := slices.IndexFunc(rnd.Changes, func(ch Change) bool { return ch.Key == key })
+		if at < 0 {
+			t.Fatalf("no change published for group %v", g)
+		}
+		out[i] = rnd.Changes[at]
+	}
+	return out
+}
+
+func row(name string, measure int64) Row { return Row{Dims: []string{name, "r"}, Measure: measure} }
+
+// TestRecomputeRevealsRunnerUp: deleting a group's max publishes the
+// runner-up, which no state of the stored cube holds, in the group and in
+// every group above it that the deleted tuple's value led.
+func TestRecomputeRevealsRunnerUp(t *testing.T) {
+	m := maintainer(t, agg.Max, row("x", 5), row("x", 3), row("y", 4))
+	chs := recomputed(t, m, nil, []Row{row("x", 5)}, [2]string{"x", "r"}, [2]string{"x", "*"}, [2]string{"*", "r"}, [2]string{"*", "*"})
+	for i, want := range []float64{3, 3, 4, 4} {
+		if chs[i].Delete || chs[i].Value != want {
+			t.Fatalf("change %d: %+v, want %v set", i, chs[i], want)
+		}
+	}
+}
+
+// TestRecomputeDeletesEmptiedGroup: deleting a group's last tuple publishes
+// a Delete change for it, where the recompute round outputs nothing.
+func TestRecomputeDeletesEmptiedGroup(t *testing.T) {
+	m := maintainer(t, agg.Min, row("x", 5), row("x", 3), row("y", 4))
+	chs := recomputed(t, m, nil, []Row{row("y", 4)}, [2]string{"y", "r"}, [2]string{"y", "*"}, [2]string{"*", "r"})
+	if !chs[0].Delete || !chs[1].Delete || chs[2].Delete || chs[2].Value != 3 {
+		t.Fatalf("changes %+v, want two deletes and min 3 set", chs)
+	}
+	if st := m.overlay[chs[0].Key]; count(st) != 0 {
+		t.Fatalf("the emptied group holds %d tuples, want a tombstone", count(st))
+	}
+}
+
+// TestRecomputeAppendAndDeleteOneGroup: one batch under distinct appends to
+// and deletes from the same group; its recomputed state holds the append and
+// not the delete.
+func TestRecomputeAppendAndDeleteOneGroup(t *testing.T) {
+	m := maintainer(t, agg.Distinct, row("x", 1), row("x", 2), row("x", 2))
+	chs := recomputed(t, m, []Row{row("x", 3)}, []Row{row("x", 1)}, [2]string{"x", "r"})
+	if chs[0].Delete || chs[0].Value != 2 {
+		t.Fatalf("change %+v, want 2 distinct values set", chs[0])
+	}
+}
+
+// TestFailedRecomputeLeavesStateUntouched: a fault plan that exhausts the
+// recompute round's attempts fails the cycle after its delta jobs succeeded,
+// and leaves the maintainer, its relation and its version as they were.
+// The plan crashes a map attempt at its tenth emit: the one-tuple delta jobs
+// never get there, and every map task of the round does.
+func TestFailedRecomputeLeavesStateUntouched(t *testing.T) {
+	rows := make([]Row, 40)
+	for i := range rows {
+		rows[i] = row(fmt.Sprint("n", i%5), int64(i))
+	}
+	m := maintainer(t, agg.Min, rows...)
+	if _, err := m.ApplyStrings([]Row{row("z", 1)}, nil); err != nil {
+		t.Fatal(err)
+	}
+	before, tuples, dict := m.Result(), slices.Clone(m.rel.Tuples), m.rel.Dict
+	beforeBase, beforeOverlay := m.base, maps.Clone(m.overlay)
+	plan, err := mr.ParseFaultPlan("*:map:*:mid-emit@10:0:*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.cfg.Faults = plan
+	if _, err := m.ApplyStrings([]Row{row("w", 2)}, []Row{row("n0", 0)}); err == nil || !strings.Contains(err.Error(), "recompute round") {
+		t.Fatalf("a cycle whose recompute round exhausts its attempts returned %v", err)
+	}
+	if m.Version() != 1 || m.base != beforeBase || !maps.Equal(m.overlay, beforeOverlay) || m.rel.Dict != dict {
+		t.Fatalf("the failed cycle touched the maintainer: version %d, base replaced %v, overlay %d entries (were %d)",
+			m.Version(), m.base != beforeBase, len(m.overlay), len(beforeOverlay))
+	}
+	if !slices.EqualFunc(m.rel.Tuples, tuples, func(a, b relation.Tuple) bool {
+		return slices.Equal(a.Dims, b.Dims) && a.Measure == b.Measure
+	}) {
+		t.Fatal("the failed cycle changed the relation")
+	}
+	exactEqual(t, before, m.Result())
 }
 
 func TestMetricsAndTraceAnnotation(t *testing.T) {

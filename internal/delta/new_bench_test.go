@@ -55,9 +55,12 @@ func BenchmarkDeltaNew(b *testing.B) {
 
 // BenchmarkDeltaApply appends harness-sized batches, one per iteration, to a
 // maintainer of the served prefix of a relation; the rows behind the prefix
-// are the batches, as in the harness. When they run out the maintainer is
-// rebuilt off the clock. Every cycle is a delta, but for the legs that take
-// either mode: older commits, which merged finals, rebuilt the cube for them.
+// are the batches, as in the harness. A leg that also deletes takes as many
+// rows out of the prefix, from its front, each cycle. When the batches run
+// out the maintainer is rebuilt off the clock. Every cycle is a delta, but
+// for the legs that take either mode: older commits rebuilt the cube for
+// them — for avg because they merged finals, for min because its deletes do
+// not invert.
 func BenchmarkDeltaApply(b *testing.B) {
 	for _, bc := range []struct {
 		name          string
@@ -65,19 +68,23 @@ func BenchmarkDeltaApply(b *testing.B) {
 		served, batch int
 		fn            agg.Func
 		minSup        int
+		deletes       bool
 		eitherMode    bool
 	}{
-		{"uniform58k_300", func() *relation.Relation { return data.Uniform(80000, 4, 1<<30, 1) }, 58000, 300, agg.Count, 0, false},
-		{"binomial38k_200", func() *relation.Relation { return data.GenBinomial(50000, 6, 0.5, 1) }, 38000, 200, agg.Count, 10, false},
+		{"uniform58k_300", func() *relation.Relation { return data.Uniform(80000, 4, 1<<30, 1) }, 58000, 300, agg.Count, 0, false, false},
+		{"binomial38k_200", func() *relation.Relation { return data.GenBinomial(50000, 6, 0.5, 1) }, 38000, 200, agg.Count, 10, false, false},
 		// wiki_serve_ingest's cycle under sum: a non-count aggregate's delta job.
-		{"wiki125k_sum_150", func() *relation.Relation { return data.WikiTraffic(140000, 1) }, 125000, 150, agg.Sum, 0, false},
+		{"wiki125k_sum_150", func() *relation.Relation { return data.WikiTraffic(140000, 1) }, 125000, 150, agg.Sum, 0, false, false},
 		// And under avg, whose finals are no sums of parts.
-		{"wiki125k_avg_150", func() *relation.Relation { return data.WikiTraffic(140000, 1) }, 125000, 150, agg.Avg, 0, true},
+		{"wiki125k_avg_150", func() *relation.Relation { return data.WikiTraffic(140000, 1) }, 125000, 150, agg.Avg, 0, false, true},
+		// And under min, appending and deleting: the groups the deletes
+		// touch are recomputed over the whole relation.
+		{"wiki125k_min_150", func() *relation.Relation { return data.WikiTraffic(140000, 1) }, 125000, 150, agg.Min, 0, true, true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			all := bc.rel()
 			var m *delta.Maintainer
-			var pool []relation.Tuple
+			var pool, gone []relation.Tuple
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -88,10 +95,14 @@ func BenchmarkDeltaApply(b *testing.B) {
 					if m, err = delta.New(served, delta.Config{Algorithm: "sp-cube", Agg: bc.fn, MinSup: bc.minSup, Workers: 8, Seed: 1}); err != nil {
 						b.Fatal(err)
 					}
-					pool = all.Tuples[bc.served:]
+					pool, gone = all.Tuples[bc.served:], all.Tuples[:bc.served]
 					b.StartTimer()
 				}
-				rnd, err := m.Apply(delta.Batch{Append: pool[:bc.batch]})
+				batch := delta.Batch{Append: pool[:bc.batch]}
+				if bc.deletes {
+					batch.Delete, gone = gone[:bc.batch], gone[bc.batch:]
+				}
+				rnd, err := m.Apply(batch)
 				if err != nil || rnd.Mode != "delta" && !bc.eitherMode {
 					b.Fatalf("cycle %d: %+v, %v", i, rnd, err)
 				}

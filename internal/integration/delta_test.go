@@ -156,8 +156,8 @@ func runDelta(t *testing.T, p deltaPoint) (rounds []delta.Round, errs []string) 
 	}
 	first.Delete = dedupTuples(first.Delete)
 	for _, b := range []delta.Batch{first, {Append: randomTuples(rng, 25, p.d, p.card)}} {
-		if len(b.Append) == 0 && (len(b.Delete) == 0 || len(b.Delete) >= len(ts.rows)) {
-			continue // the maintainer refuses an empty batch or an emptied relation
+		if len(b.Append) == 0 && len(b.Delete) == 0 {
+			continue // the maintainer refuses an empty batch
 		}
 		rnd, err := maint.Apply(b)
 		if err != nil {
@@ -190,16 +190,16 @@ func checkDelta(t *testing.T, p deltaPoint) {
 		}
 	}
 	// Every aggregate's states merge, and those of all but min, max and
-	// distinct invert: a round rebuilds exactly when it deletes under one of
-	// those three.
+	// distinct invert: every round is a delta that publishes its changes,
+	// and it recomputes exactly when it deletes under one of those three.
 	for _, r := range rounds {
-		mode, reason := "delta", "mergeable"
+		reason := "mergeable"
 		if r.Deleted > 0 && slices.Contains([]string{"min", "max", "distinct"}, p.agg) {
-			mode, reason = "rebuild", "deletes"
+			reason = "recompute"
 		}
-		if r.Mode != mode || r.Reason != reason {
-			errs = append(errs, fmt.Sprintf("round %d (+%d/-%d under %s) took %s/%s, want %s/%s",
-				r.Round, r.Appended, r.Deleted, p.agg, r.Mode, r.Reason, mode, reason))
+		if r.Mode != "delta" || r.Reason != reason || r.Changes == nil {
+			errs = append(errs, fmt.Sprintf("round %d (+%d/-%d under %s) took %s/%s with %d changes, want delta/%s",
+				r.Round, r.Appended, r.Deleted, p.agg, r.Mode, r.Reason, len(r.Changes), reason))
 		}
 	}
 	report(t, p, errs)
@@ -211,8 +211,7 @@ func checkDelta(t *testing.T, p deltaPoint) {
 // uniform and skewed bases, under append-only and append+delete batches, at
 // p = 1 and 8, SP-Cube also under faults — the first fuzz corpus, and deletes
 // under the aggregates whose finals are no sums of parts. Those under distinct
-// rebuild on their first batch and merge their 25 appends into the rebuilt
-// base.
+// recompute on their first batch and merge their 25 appends on the second.
 func FuzzDeltaEquivalence(f *testing.F) {
 	for _, p := range deltaSeeds() {
 		c := p.encode()
@@ -253,7 +252,7 @@ func deltaSeeds() []deltaPoint {
 	}
 	for _, p := range []deltaPoint{{seed: 1, n: 51, d: 3, card: 4, agg: "count", app: 10},
 		{seed: 2, n: 121, d: 1, card: 6, agg: "sum", app: 30, del: 7},
-		{seed: 3, n: 1, d: 2, card: 2, agg: "min", del: 15}, // deletes only: the first batch is refused
+		{seed: 3, n: 1, d: 2, card: 2, agg: "min", del: 15}, // deletes only: the first batch empties the relation
 		{seed: 4, n: 81, d: 1, card: 3, agg: "sum", app: 25, del: 12},
 		{seed: 5, n: 31, d: 3, card: 1, agg: "min"}} {
 		p.algo, p.k, p.eseed = "sp-cube", 3, p.seed
@@ -274,8 +273,9 @@ func deltaSeeds() []deltaPoint {
 // snapshot verified exactly against brute force. Two legs run the same fault
 // plan and batches: under var every cycle merges, its deletes taking the
 // 128-bit inverse of its states; under min, whose states do not invert, the
-// cycles that delete rebuild the cube and so take NextStore's rebuild branch.
-// Odd cycles only append, so the min leg takes both modes. Interleaved
+// cycles that delete recompute the groups they touch, and their changes
+// patch the served store like any other. Odd cycles only append, so the min
+// leg takes both reasons. Interleaved
 // failing cycles (invalid deletes) and a permanently-faulted maintainer must
 // leave both the maintained state and the served snapshot untouched.
 // SPCUBE_SOAK_CYCLES scales the run.
@@ -294,13 +294,13 @@ func TestDeltaSoak(t *testing.T) {
 	}
 	for _, fn := range []agg.Func{agg.Var, agg.Min} {
 		t.Run(fn.Name(), func(t *testing.T) {
-			modes := soakMaintainer(t, fn, plan, cycles)
-			t.Logf("%d cycles under %s took modes %v", cycles, fn.Name(), modes)
-			if agg.Invertible(fn) && modes["rebuild"] > 0 {
-				t.Errorf("%d of the cycles rebuilt under %s, whose states invert", modes["rebuild"], fn.Name())
+			reasons := soakMaintainer(t, fn, plan, cycles)
+			t.Logf("%d cycles under %s took reasons %v", cycles, fn.Name(), reasons)
+			if agg.Invertible(fn) && reasons["recompute"] > 0 {
+				t.Errorf("%d of the cycles recomputed under %s, whose states invert", reasons["recompute"], fn.Name())
 			}
-			if !agg.Invertible(fn) && cycles >= 2 && (modes["delta"] == 0 || modes["rebuild"] == 0) {
-				t.Errorf("cycles under %s took modes %v, want both delta and rebuild", fn.Name(), modes)
+			if !agg.Invertible(fn) && cycles >= 2 && (reasons["mergeable"] == 0 || reasons["recompute"] == 0) {
+				t.Errorf("cycles under %s took reasons %v, want both mergeable and recompute", fn.Name(), reasons)
 			}
 		})
 	}
@@ -320,8 +320,8 @@ func TestDeltaSoak(t *testing.T) {
 	}
 }
 
-// soakMaintainer runs one leg of TestDeltaSoak under fn and counts the modes
-// its cycles took.
+// soakMaintainer runs one leg of TestDeltaSoak under fn and counts the
+// reasons its cycles took.
 func soakMaintainer(t *testing.T, fn agg.Func, plan *mr.FaultPlan, cycles int) map[string]int {
 	rng := rand.New(rand.NewSource(2016))
 	ts := &tupleSet{d: 3, rows: randomTuples(rng, 400, 3, 5)}
@@ -357,7 +357,7 @@ func soakMaintainer(t *testing.T, fn agg.Func, plan *mr.FaultPlan, cycles int) m
 	}
 	checkServed(0)
 
-	modes := map[string]int{}
+	reasons := map[string]int{}
 	for cycle := 1; cycle <= cycles; cycle++ {
 		if cycle%4 == 0 {
 			// A failing cycle: deleting a tuple that does not exist must
@@ -392,17 +392,20 @@ func soakMaintainer(t *testing.T, fn agg.Func, plan *mr.FaultPlan, cycles int) m
 			t.Fatalf("cycle %d: %v", cycle, err)
 		}
 		ts.apply(batch)
-		modes[rnd.Mode]++
+		if rnd.Mode != "delta" || rnd.Changes == nil {
+			t.Fatalf("cycle %d ran as %s with %d changes, want a delta", cycle, rnd.Mode, len(rnd.Changes))
+		}
+		reasons[rnd.Reason]++
 		if diff := maintainedDiff(maint, ts, fn); diff != "" {
-			t.Fatalf("cycle %d (%s): %s", cycle, rnd.Mode, diff)
+			t.Fatalf("cycle %d (%s): %s", cycle, rnd.Reason, diff)
 		}
 
 		next, err := cli.NextStore(svc.Store(), maint, rnd)
 		if err != nil {
-			t.Fatalf("cycle %d (%s): %v", cycle, rnd.Mode, err)
+			t.Fatalf("cycle %d (%s): %v", cycle, rnd.Reason, err)
 		}
 		svc.Swap(next)
 		checkServed(cycle)
 	}
-	return modes
+	return reasons
 }

@@ -27,10 +27,11 @@ func newSegReader(seg spillSeg) *segReader {
 	return r
 }
 
-// newStreamMerger returns a merger over runs.
+// newStreamMerger returns a merger over runs, at their first records.
 func newStreamMerger(runs []streamSource) *streamMerger {
 	m := new(streamMerger)
 	m.open(runs)
+	m.reset()
 	return m
 }
 

@@ -68,6 +68,7 @@ func (r *round) fanInMerge(m *streamMerger, runs []streamSource, task int, tm *T
 // a new run at the end of sf and returns it as a replacement source.
 func (r *round) mergeRunGroup(m *streamMerger, sf *spillFile, w *segWriter, group []streamSource, task int, tm *TaskMetrics) (streamSource, error) {
 	m.open(group)
+	m.reset()
 	w.start(sf)
 	for rec, _ := m.next(); rec != nil; rec, _ = m.next() {
 		w.add(rec.Key, rec.Val)

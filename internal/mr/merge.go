@@ -294,9 +294,9 @@ func (s streamSource) size() (records, raw int64) {
 }
 
 // open points the merger at runs, which are read, never modified, and
-// loads every source's first record. The file-backed sources take the
-// merger's segment readers in turn, so every segment a merger reads shares
-// the round's codec.
+// loads nothing: reset loads every source's first record. The file-backed
+// sources take the merger's segment readers in turn, so every segment a
+// merger reads shares the round's codec.
 func (m *streamMerger) open(runs []streamSource) {
 	m.srcs = slices.Grow(m.srcs[:0], len(runs))[:len(runs)]
 	files := 0
@@ -311,11 +311,12 @@ func (m *streamMerger) open(runs []streamSource) {
 		}
 	}
 	m.tree = NewLoserTree(len(runs), m.beats)
-	m.reset()
 }
 
-// reset rewinds every source to its start (re-reading spill segments from
-// disk), making the merger reusable across task attempts.
+// reset rewinds every source to its start and loads its first record
+// (reading a spill segment's first block from disk), making the merger
+// reusable across task attempts. Each merge calls it once before its first
+// next.
 func (m *streamMerger) reset() {
 	m.err = nil
 	m.cur = -1

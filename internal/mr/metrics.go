@@ -44,8 +44,11 @@ import (
 // simulated stragglers whose backups they counted; v9 removed "maint"'s
 // "drift" with the sketch-drift rebuild policy that measured it; v10 removed
 // the v6 health counters with the proc backend's liveness probes,
-// reconnects and restart budget they counted.
-const MetricsSchemaVersion = 10
+// reconnects and restart budget they counted; v11 changed no field but
+// "maint"'s values: "rebuild" is now cycle 0's mode only, every later cycle
+// is "delta", and its reason is "mergeable" or "recompute" ("deletes", the
+// rebuild a delete under min, max or distinct took, is gone).
+const MetricsSchemaVersion = 11
 
 // Counters are the additive counters that exist under one name at task,
 // round and job level: a round's are the sum of its tasks', a job's the sum
@@ -240,16 +243,16 @@ type RoundMetrics struct {
 }
 
 // MaintInfo describes the maintenance cycle a round was executed for: the
-// cycle's ordinal, whether the cycle merged a delta cube or rebuilt from
-// scratch, and why.
+// cycle's ordinal, its mode and why.
 type MaintInfo struct {
 	// Round is the 1-based maintenance-cycle ordinal (0 = initial build).
 	Round int `json:"round"`
-	// Mode is "delta" or "rebuild".
+	// Mode is "rebuild" for the initial build and "delta" for every cycle.
 	Mode string `json:"mode"`
-	// Reason explains the mode choice: "initial" for the first build,
-	// "mergeable" for a delta cycle, "deletes" for a batch that deletes
-	// under an aggregate whose states do not invert.
+	// Reason is "initial" for the initial build, "mergeable" for a cycle
+	// that only merges, and "recompute" for one that deletes under an
+	// aggregate whose states do not invert, whose touched groups a round
+	// recomputes.
 	Reason string `json:"reason,omitempty"`
 	// Appended/Deleted count the batch's tuples.
 	Appended int `json:"appended"`

@@ -316,6 +316,68 @@ func TestStreamReduceValueRetention(t *testing.T) {
 	}
 }
 
+// countingReaderAt counts the reads a spill segment serves.
+type countingReaderAt struct {
+	r     io.ReaderAt
+	reads int
+}
+
+func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	c.reads++
+	return c.r.ReadAt(p, off)
+}
+
+// TestReduceReadsEachBlockOnce: a reduce task points its merger at its runs
+// once and every attempt rewinds it, so an attempt reads a spilled segment
+// exactly as one pass of a fresh reader does — the open loads no record for
+// the first attempt's rewind to read again.
+func TestReduceReadsEachBlockOnce(t *testing.T) {
+	sd := newSpillDir(t.TempDir(), nil)
+	defer sd.cleanup()
+	pairs := make([]Pair, 500)
+	for i := range pairs {
+		pairs[i] = Pair{Key: fmt.Sprintf("group-%04d", i), Val: []byte("v")}
+	}
+	run := writeRun(t, sd, blockcodec.LZ{}, pairs)
+	file, err := io.ReadAll(io.NewSectionReader(run.seg.f, 0, run.seg.off+run.seg.length))
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := &countingReaderAt{r: bytes.NewReader(file)}
+	run.seg.f = in
+
+	rd := newSegReader(*run.seg)
+	for n := 0; ; n++ {
+		_, _, ok, err := rd.next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			if n != len(pairs) {
+				t.Fatalf("a pass read %d records, want %d", n, len(pairs))
+			}
+			break
+		}
+	}
+	pass := in.reads
+	in.reads = 0
+
+	job := &Job{Name: "reads", Reduce: func(*RedCtx, string, [][]byte) {}}
+	eng := New(Config{Workers: 1}, dfs.New(true))
+	r := &round{eng: eng, job: job, oomMem: MinOOMMemTuples, inflation: 1}
+	m := new(streamMerger)
+	m.open([]streamSource{run}) // as runReduceTask does, once for all attempts
+	for attempt := 1; attempt <= 2; attempt++ {
+		var tm TaskMetrics
+		if err := r.reduceAttempt(&RedCtx{job: job, eng: eng, metrics: &tm}, m); err != nil {
+			t.Fatal(err)
+		}
+		if in.reads != attempt*pass {
+			t.Fatalf("%d attempts made %d reads of the segment; one pass makes %d", attempt, in.reads, pass)
+		}
+	}
+}
+
 // TestSpilledReduceAllocations: a reduce attempt copies a file-backed run's
 // records into its own chunks, so reducing 20,000 single-record groups makes
 // a handful of allocations in all, not two per record — and the copies are

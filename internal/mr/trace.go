@@ -79,7 +79,7 @@ const (
 
 	// EvMaintStart opens an incremental-maintenance cycle (Round is the
 	// cycle ordinal; Records/Bytes carry the batch's appended/deleted tuple
-	// counts; Mode carries the delta-vs-rebuild decision). It is
+	// counts; Mode is "rebuild" for the initial build, else "delta"). It is
 	// emitted by the maintainer, not the engine, around the cycle's MR
 	// rounds; the maintainer numbers these events with its own Seq counter.
 	EvMaintStart = "maint-start"
@@ -132,8 +132,8 @@ type TraceEvent struct {
 	Err string `json:"err,omitempty"`
 	// Failed marks a failed round's round-end event.
 	Failed bool `json:"failed,omitempty"`
-	// Mode is a maintenance cycle's delta-vs-rebuild decision (maint-start
-	// only).
+	// Mode is a maintenance cycle's mode: "rebuild" for the initial build,
+	// else "delta" (maint-start only).
 	Mode string `json:"mode,omitempty"`
 }
 

@@ -21,7 +21,6 @@ package sketch
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -190,153 +189,6 @@ func (s *Sketch) Encode() ([]byte, error) {
 		}
 	}
 	return buf, nil
-}
-
-// wireReader walks an encoded sketch, remembering the first error; every
-// accessor returns a zero value once the stream is exhausted or corrupt,
-// so Decode can validate once at the end instead of after every read.
-type wireReader struct {
-	b   []byte
-	err error
-}
-
-func (r *wireReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.err = fmt.Errorf("sketch: decode: truncated varint")
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-// values reads n values written by relation.AppendValues.
-func (r *wireReader) values(n int) []relation.Value {
-	if r.err != nil {
-		return nil
-	}
-	vals := make([]relation.Value, n)
-	if r.b, r.err = relation.DecodeValues(vals, r.b); r.err != nil {
-		r.err = fmt.Errorf("sketch: decode: %w", r.err)
-	}
-	return vals
-}
-
-func (r *wireReader) bytes(n uint64) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if uint64(len(r.b)) < n {
-		r.err = fmt.Errorf("sketch: decode: truncated: want %d bytes, have %d", n, len(r.b))
-		return nil
-	}
-	out := r.b[:n]
-	r.b = r.b[n:]
-	return out
-}
-
-// count reads a length prefix and bounds it against the bytes remaining
-// (every counted item occupies at least one byte), so a corrupted count
-// cannot drive a giant allocation.
-func (r *wireReader) count() int {
-	v := r.uvarint()
-	if r.err == nil && v > uint64(len(r.b)) {
-		r.err = fmt.Errorf("sketch: decode: count %d exceeds remaining %d bytes", v, len(r.b))
-		return 0
-	}
-	return int(v)
-}
-
-// fits fails unless n items of at least a byte each fit in the bytes
-// remaining.
-func (r *wireReader) fits(n int, what string) error {
-	if n > len(r.b) {
-		return fmt.Errorf("sketch: decode: %d %s do not fit in the remaining %d bytes", n, what, len(r.b))
-	}
-	return nil
-}
-
-// Decode parses an encoded sketch, validating the wire form before
-// trusting it: a truncated or corrupted sketch file would otherwise panic
-// deep inside cuboid lookups (skews/parts are indexed by mask up to 2^D).
-func Decode(data []byte) (*Sketch, error) {
-	if len(data) < len(wireMagic)+1 || string(data[:len(wireMagic)]) != wireMagic {
-		return nil, fmt.Errorf("sketch: decode: bad magic")
-	}
-	if v := data[len(wireMagic)]; v != wireVersion {
-		return nil, fmt.Errorf("sketch: decode: wire version %d, want %d", v, wireVersion)
-	}
-	r := &wireReader{b: data[len(wireMagic)+1:]}
-	d := int(r.uvarint())
-	k := int(r.uvarint())
-	sampleN := int(r.uvarint())
-	if r.err != nil {
-		return nil, r.err
-	}
-	if d < 0 || d > lattice.MaxDims {
-		return nil, fmt.Errorf("sketch: decode: dimensions %d out of range [0, %d]", d, lattice.MaxDims)
-	}
-	if k < 1 {
-		return nil, fmt.Errorf("sketch: decode: machine count %d, want at least 1", k)
-	}
-	ab := r.bytes(16)
-	if r.err != nil {
-		return nil, r.err
-	}
-	alpha := math.Float64frombits(binary.LittleEndian.Uint64(ab[:8]))
-	beta := math.Float64frombits(binary.LittleEndian.Uint64(ab[8:]))
-	// 2^D skew sets of at least a count byte each, then the partition flag:
-	// a header whose sets cannot fit must not allocate them.
-	if err := r.fits(1<<uint(d)+1, "skew sets"); err != nil {
-		return nil, err
-	}
-	s := New(d, k)
-	s.SampleN = sampleN
-	s.Alpha = alpha
-	s.Beta = beta
-	for i := range s.skews {
-		n := r.count()
-		for j := 0; j < n && r.err == nil; j++ {
-			s.skews[i][string(r.bytes(r.uvarint()))] = struct{}{}
-		}
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	flag := r.bytes(1)
-	if r.err != nil {
-		return nil, r.err
-	}
-	switch flag[0] {
-	case 0:
-		// No partition elements on the wire: keep New's fresh empty
-		// sets, so lookups on any cuboid still work.
-	case 1:
-		if err := r.fits(1<<uint(d), "partition lists"); err != nil {
-			return nil, err
-		}
-		s.parts = make([][][]relation.Value, 1<<uint(d))
-		for i := range s.parts {
-			n := r.count()
-			elems := make([][]relation.Value, 0, n)
-			for j := 0; j < n && r.err == nil; j++ {
-				elems = append(elems, r.values(r.count()))
-			}
-			s.parts[i] = elems
-		}
-	default:
-		return nil, fmt.Errorf("sketch: decode: bad partition flag %d", flag[0])
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if len(r.b) != 0 {
-		return nil, fmt.Errorf("sketch: decode: %d trailing bytes", len(r.b))
-	}
-	return s, nil
 }
 
 // Bytes returns the serialized size of the sketch — the quantity plotted in

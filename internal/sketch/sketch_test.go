@@ -1,9 +1,11 @@
 package sketch
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -178,34 +180,76 @@ func TestPartitionMonotone(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
+// TestEncodeIgnoresInsertionOrder: two equal sketches, their skews added in
+// opposite orders, encode to the same bytes, and so does the sketch they
+// copy. sketch.bytes and the figures' pinned digests rely on it.
+func TestEncodeIgnoresInsertionOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	rel := cubetest.SkewedRelation(rng, 5_000, 3, 0.5, 3)
 	sk := BuildExact(rel, 5, 500)
+	if sk.NumSkews() == 0 {
+		t.Fatal("the exact sketch records no skews")
+	}
+	type skew struct {
+		mask   lattice.Mask
+		packed []relation.Value
+	}
+	var skews []skew
+	for mask := lattice.Mask(0); mask <= lattice.Full(3); mask++ {
+		for _, g := range sk.SkewedGroups(mask) {
+			skews = append(skews, skew{mask, g})
+		}
+	}
+	copyOf := func(order []skew) []byte {
+		c := New(sk.D, sk.K)
+		c.SampleN, c.Alpha, c.Beta = sk.SampleN, sk.Alpha, sk.Beta
+		for mask := range sk.parts {
+			c.SetPartitionElements(lattice.Mask(mask), sk.parts[mask])
+		}
+		for _, s := range order {
+			c.AddSkew(s.mask, s.packed)
+		}
+		enc, err := c.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return enc
+	}
+	forward := copyOf(skews)
+	slices.Reverse(skews)
+	backward := copyOf(skews)
 	enc, err := sk.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := Decode(enc)
+	if !bytes.Equal(forward, backward) || !bytes.Equal(forward, enc) {
+		t.Fatalf("equal sketches encode to %d, %d and %d bytes that differ", len(forward), len(backward), len(enc))
+	}
+}
+
+// TestEncodeDeterministicAcrossHistory pins the property that motivated the
+// hand-rolled wire format: the encoded size is a pure function of the
+// sketch's content. The gob encoding it replaced assigned type IDs from a
+// process-global counter, so the serialized sketch — a paper-reported
+// figure — grew by a byte whenever unrelated code gob-encoded first (the
+// proc backend's RPC layer did exactly that).
+func TestEncodeDeterministicAcrossHistory(t *testing.T) {
+	s := New(2, 3)
+	s.SampleN = 7
+	s.Alpha, s.Beta = 0.25, 8.5
+	s.skews[1]["\x02\x04"] = struct{}{}
+	s.parts = make([][][]relation.Value, 4)
+	s.parts[2] = [][]relation.Value{{1, -2}, {3, 4}}
+	a, err := s.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.D != sk.D || dec.K != sk.K || dec.NumSkews() != sk.NumSkews() {
-		t.Errorf("metadata mismatch after decode")
+	b, err := s.Encode()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for mask := lattice.Mask(0); mask <= lattice.Full(3); mask++ {
-		for _, tu := range rel.Tuples[:200] {
-			p := relation.Project(tu.Dims, uint32(mask))
-			if sk.IsSkewed(mask, p) != dec.IsSkewed(mask, p) {
-				t.Fatalf("IsSkewed differs after decode (mask %b)", mask)
-			}
-			if sk.Partition(mask, p) != dec.Partition(mask, p) {
-				t.Fatalf("Partition differs after decode (mask %b)", mask)
-			}
-		}
-	}
-	if _, err := Decode([]byte("garbage")); err == nil {
-		t.Error("garbage must not decode")
+	if string(a) != string(b) {
+		t.Error("two encodes of the same sketch differ")
 	}
 }
 
