@@ -18,8 +18,10 @@
 // The served cube is maintainable online: POST /v1/ingest applies a batch of
 // appended and/or deleted rows through the incremental-maintenance layer
 // (internal/delta) — delta-cube MR jobs, plus a round that recomputes the
-// touched groups when the batch deletes under an aggregate whose states do
-// not invert (min, max, distinct), merged into the serving index as a
+// touched groups whose state the server does not know (those a delete
+// touches under min, max or distinct, whose states do not invert, and,
+// under -minsup, those below the threshold: the server holds only the
+// groups it publishes), merged into the serving index as a
 // copy-on-write patch — and atomically swaps the new snapshot in. In-flight queries keep reading the old
 // snapshot; no request ever sees a half-updated cube.
 //

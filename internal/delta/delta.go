@@ -10,20 +10,26 @@
 // job runs the aggregate counted (agg.WithCount), so every record carries its
 // group's encoded state, which leads with the group's tuple count, beside the
 // final — under an overlay of the states of the groups batches have touched
-// since. A batch's appended and deleted tuples are cubed by the same job; a
-// touched group's state merges the appended part's state in and, for the
-// aggregates whose states invert (agg.Invertible: count, sum, avg, var,
-// stddev), takes the deleted part's out, and its published value is the
-// merged state's final: bit for bit what a recompute publishes. Deletes under
-// min, max and distinct have no inverse (deleting the minimum reveals an
-// unknown runner-up), so a batch that deletes under one of them runs one more
-// round over the post-batch relation: it recomputes exactly the groups the
-// deleted tuples project to, and its states replace the merged ones. Every
-// batch is applied this one way, whatever its size or distribution, since the
-// stored cube is a sorted run keyed by group and nothing reads the partition
-// decisions of the job that built it. A cycle's reason ("mergeable" or
-// "recompute") is recorded, annotated into the engine metrics ("maint"
-// rounds) and emitted as maint-start/maint-end trace events.
+// since. Under an iceberg threshold (MinSup) the build keeps only the groups
+// it publishes: the stored cube is bounded by the output, not the lattice.
+//
+// A batch's appended and deleted tuples are cubed by the same job; a touched
+// group's state merges the appended part's state in and, for the aggregates
+// whose states invert (agg.Invertible: count, sum, avg, var, stddev), takes
+// the deleted part's out, and its published value is the merged state's
+// final: bit for bit what a recompute publishes. A touched group whose
+// pre-batch state the maintainer cannot state is recomputed instead, by one
+// more round over the tuples the batch keeps, and the appended part's state
+// merges into the round's: a group a delete touches under min, max or
+// distinct, which have no inverse (deleting the minimum reveals an unknown
+// runner-up), and, under an iceberg, a group neither the stored cube nor the
+// overlay holds, whose count was below MinSup when it was last known. Every batch is applied this one
+// way, whatever its size or distribution, since the stored cube is a sorted
+// run keyed by group and nothing reads the partition decisions of the job
+// that built it. A cycle's reason ("mergeable" or "recompute", the latter for
+// a batch that deletes under min, max or distinct) is recorded, annotated
+// into the engine metrics ("maint" rounds) and emitted as
+// maint-start/maint-end trace events.
 //
 // Deletes are counted: every state carries its group's tuple count, so a
 // group whose count reaches zero becomes a tombstone in the overlay rather
@@ -42,6 +48,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 	"time"
@@ -65,9 +72,10 @@ type Config struct {
 	Agg agg.Func
 	// MinSup is the published iceberg threshold: Result and Apply's change
 	// lists expose only groups with at least MinSup contributing tuples
-	// (values below 2 publish the full cube). The maintainer always
-	// maintains the full cube internally so groups can cross the threshold
-	// in either direction across batches.
+	// (values below 2 publish the full cube). The initial build keeps only
+	// the published groups; a group a batch lifts across the threshold is
+	// recomputed from the relation, so groups still cross it in either
+	// direction across batches.
 	MinSup int
 	// Workers is the simulated cluster size (default 8).
 	Workers int
@@ -126,7 +134,8 @@ type Round struct {
 	// Mode is "delta" for every applied cycle ("rebuild" is the initial
 	// build's, in its metrics annotation only). Reason is "mergeable", or
 	// "recompute" for a batch that deletes under an aggregate whose states
-	// do not invert.
+	// do not invert. Under an iceberg a mergeable cycle also runs the
+	// recompute round when it touches a group the maintainer does not hold.
 	Mode   string
 	Reason string
 	// Drift is always 0.
@@ -152,15 +161,18 @@ type Maintainer struct {
 	compute cube.ComputeFunc // the configured algorithm
 	rel     *relation.Relation
 
-	// base is the full (non-iceberg) cube as of the initial build, read
-	// where that build's reducers wrote it and never written again. overlay
-	// holds the current state of every group a batch has touched since — a
-	// group of the base at its new state, a group the base lacks, or a
+	// base is the published cube as of the initial build — every group
+	// under MinSup below 2, else the groups with at least MinSup tuples —
+	// each at its exact counted state, read where that build's reducers
+	// wrote it and never written again. overlay holds the exact current
+	// state of every group a batch has touched since — a group of the base
+	// at its new state, a group the base lacks (below MinSup too), or a
 	// tombstone (count 0) for one whose last tuple was deleted — and
-	// supersedes the base key by key. Its states are never written once
-	// stored, so a snapshot of it stays valid. It is never folded back: it
-	// holds at most the groups the batches project to, each of which the
-	// state map this design replaced held as well.
+	// supersedes the base key by key. A group neither holds has no tuple
+	// or, under an iceberg, fewer than MinSup. The overlay's states are
+	// never written once stored, so a snapshot of it stays valid. It is
+	// never folded back: it holds at most the groups the batches project
+	// to.
 	base    *cube.SortedRun
 	overlay map[string]agg.State
 
@@ -194,9 +206,9 @@ func count(st agg.State) int64 {
 	return n
 }
 
-// New builds the initial cube over rel (cycle 0, always a full build) and
-// returns a maintainer owning a private copy of the relation; the caller's
-// rel is not retained.
+// New builds the initial cube over rel (cycle 0: the published cube, with
+// every group's counted state) and returns a maintainer owning a private copy
+// of the relation; the caller's rel is not retained.
 func New(rel *relation.Relation, cfg Config) (*Maintainer, error) {
 	if rel == nil || rel.N() == 0 {
 		return nil, errors.New("delta: empty relation")
@@ -227,7 +239,7 @@ func New(rel *relation.Relation, cfg Config) (*Maintainer, error) {
 	m.traceMaint(mr.TraceEvent{Type: mr.EvMaintStart, Round: 0, Job: "maintenance",
 		Mode: info.Mode, Records: int64(own.N())})
 	var metrics mr.JobMetrics
-	if m.base, err = m.runJob(compute, own, &metrics, &m.built); err != nil {
+	if m.base, err = m.runJob(compute, own, cfg.MinSup, &metrics, &m.built); err != nil {
 		m.traceMaint(mr.TraceEvent{Type: mr.EvMaintEnd, Round: 0, Job: "maintenance",
 			Failed: true, Err: err.Error()})
 		return nil, err
@@ -339,40 +351,56 @@ func (m *Maintainer) applyLocked(batch Batch, newDict *relation.Dictionary) (*Ro
 }
 
 // locateDeletes resolves the batch's deleted tuples to positions in the
-// relation (multiset semantics), failing on absent tuples.
-func (m *Maintainer) locateDeletes(dels []relation.Tuple) (map[int]bool, error) {
+// relation, ascending, failing on absent tuples. Under multiset semantics a
+// tuple deleted j times loses its last j occurrences: one scan from the
+// relation's end, probing an index of the deleted tuples' encodings, finds
+// them and allocates nothing per relation row.
+func (m *Maintainer) locateDeletes(dels []relation.Tuple) ([]int, error) {
 	if len(dels) == 0 {
 		return nil, nil
 	}
 	d := m.rel.D()
-	byKey := make(map[string][]int)
+	want := make(map[string]int, len(dels)) // occurrences still to find
 	var buf []byte
-	for i, t := range m.rel.Tuples {
-		buf = relation.EncodeTuple(buf[:0], t)
-		byKey[string(buf)] = append(byKey[string(buf)], i)
-	}
-	idx := make(map[int]bool, len(dels))
 	for i, t := range dels {
 		if len(t.Dims) != d {
 			return nil, fmt.Errorf("delta: delete tuple %d has %d dims, schema has %d", i, len(t.Dims), d)
 		}
-		buf = relation.EncodeTuple(buf[:0], t)
-		avail := byKey[string(buf)]
-		if len(avail) == 0 {
-			return nil, fmt.Errorf("delta: delete tuple %d not present in relation", i)
-		}
-		idx[avail[len(avail)-1]] = true
-		byKey[string(buf)] = avail[:len(avail)-1]
+		buf = relation.EncodeTuple(buf, t)
+		want[string(buf)]++
 	}
+	idx := make([]int, 0, len(dels))
+	for i := len(m.rel.Tuples) - 1; i >= 0 && len(idx) < len(dels); i-- {
+		buf = relation.EncodeTuple(buf, m.rel.Tuples[i])
+		if want[string(buf)] > 0 {
+			want[string(buf)]--
+			idx = append(idx, i)
+		}
+	}
+	if len(idx) < len(dels) {
+		// The last deletes of a tuple past its occurrences find none; the
+		// first of all those fails the batch.
+		first := 0
+		for i := len(dels) - 1; i >= 0; i-- {
+			buf = relation.EncodeTuple(buf, dels[i])
+			if want[string(buf)] > 0 {
+				want[string(buf)]--
+				first = i
+			}
+		}
+		return nil, fmt.Errorf("delta: delete tuple %d not present in relation", first)
+	}
+	slices.Reverse(idx)
 	return idx, nil
 }
 
 // applyDelta computes delta cubes over the appended and deleted tuples and
-// merges their states into the stored cube's; under an aggregate whose states
-// do not invert, the recompute round's states replace the merged ones of the
-// groups the deletes touch. All MR jobs complete, and every state is read,
-// before any state is mutated.
-func (m *Maintainer) applyDelta(batch Batch, deleteIdx map[int]bool, rnd *Round) error {
+// merges their states into the stored cube's. A touched key whose pre-batch
+// state the maintainer cannot state is recomputed instead: one a delete
+// touches under an aggregate whose states do not invert, and, under an
+// iceberg, one neither the base nor the overlay holds. All MR jobs complete,
+// and every state is read, before any state is mutated.
+func (m *Maintainer) applyDelta(batch Batch, deleteIdx []int, rnd *Round) error {
 	adds, err := m.cubeOver(batch.Append, &rnd.Metrics)
 	if err != nil {
 		return fmt.Errorf("delta: append job: %w", err)
@@ -381,23 +409,18 @@ func (m *Maintainer) applyDelta(batch Batch, deleteIdx map[int]bool, rnd *Round)
 	if err != nil {
 		return fmt.Errorf("delta: delete job: %w", err)
 	}
-	next := m.postBatch(batch, deleteIdx)
-	recompute := rnd.Reason == "recompute"
-	var recs []keyed
-	if recompute {
-		rel := &relation.Relation{Schema: m.rel.Schema, Tuples: next}
-		if recs, err = m.states(recomputeJob(dels), rel, &rnd.Metrics); err != nil {
-			return fmt.Errorf("delta: recompute round: %w", err)
-		}
-	}
 
-	// All jobs succeeded: one fresh state per touched key, the two delta
-	// cubes merged in key order. That order is what lets one forward cursor
-	// read the base (an independent search of its files per key costs some
-	// fifteen times a map probe) and what Changes is published in.
+	// One fresh state per touched key, the two delta cubes merged in key
+	// order. That order is what lets one forward cursor read the base (an
+	// independent search of its files per key costs some fifteen times a map
+	// probe) and what Changes is published in. A key to recompute holds its
+	// appended part here, and its position joins unknown.
 	fn, base := agg.WithCount(m.cfg.Agg), m.base.Cursor()
+	invertible, iceberg := agg.Invertible(m.cfg.Agg), m.minSup() > 1
 	rnd.Changes = make([]Change, 0, len(adds)+len(dels))
 	states := make([]agg.State, 0, cap(rnd.Changes))
+	var unknown []int // positions in states
+	var keys []string // of unknown
 	for len(adds) > 0 || len(dels) > 0 {
 		var side int // of the next key: below 0 appended only, above 0 deleted only
 		switch {
@@ -416,39 +439,61 @@ func (m *Maintainer) applyDelta(batch Batch, deleteIdx map[int]bool, rnd *Round)
 		if side >= 0 {
 			key, dl, dels = dels[0].key, dels[0].st, dels[1:]
 		}
+		rnd.Changes = append(rnd.Changes, Change{Key: string(key)})
+		// A copy of the group's state — the overlay's, which is never
+		// written, else the base's — takes the batch's. A group neither
+		// holds has no tuple, unless the base is an iceberg's: then it
+		// may have fewer than MinSup.
 		var st agg.State
-		if recompute && dl != nil {
-			// The round's state replaces the merged one; a group it did not
-			// output lost its last tuple and becomes a tombstone.
-			if len(recs) > 0 && bytes.Equal(recs[0].key, key) {
-				st, recs = recs[0].st, recs[1:]
-			} else {
-				st = fn.NewState()
-			}
-		} else {
-			// A copy of the group's state — the overlay's, which is never
-			// written, else the base's — takes the batch's; a group neither
-			// holds takes the batch's own.
+		known := false
+		if dl == nil || invertible {
 			if old, touched := m.overlay[string(key)]; touched {
-				st = fn.NewState()
+				st, known = fn.NewState(), true
 				st.Merge(old)
 			} else if state, ok := base.Seek(key); ok {
 				if st, err = fn.DecodeState(state); err != nil {
 					return fmt.Errorf("delta: base state: %w", err)
 				}
-			}
-			switch {
-			case st == nil:
-				st = a
-			case a != nil:
-				st.Merge(a)
-			}
-			if dl != nil {
-				st.(agg.Inverter).Unmerge(dl)
+				known = true
+			} else {
+				known = !iceberg
 			}
 		}
-		rnd.Changes = append(rnd.Changes, Change{Key: string(key)})
+		switch {
+		case st == nil:
+			st = a
+		case a != nil:
+			st.Merge(a)
+		}
+		if !known {
+			unknown, keys = append(unknown, len(states)), append(keys, rnd.Changes[len(states)].Key)
+		} else if dl != nil {
+			st.(agg.Inverter).Unmerge(dl)
+		}
 		states = append(states, st)
+	}
+
+	next := m.postBatch(batch, deleteIdx)
+	if len(keys) > 0 {
+		// The round recomputes the keys over the tuples the batch keeps,
+		// and their appended parts merge in: the post-batch relation's
+		// states, without folding the batch twice. A key with no kept and
+		// no appended tuple is left a tombstone.
+		kept := &relation.Relation{Schema: m.rel.Schema, Tuples: next[:len(next)-len(batch.Append)]}
+		recs, err := m.states(recomputeJob(keys, kept.D()), kept, &rnd.Metrics)
+		if err != nil {
+			return fmt.Errorf("delta: recompute round: %w", err)
+		}
+		for _, i := range unknown {
+			st := fn.NewState()
+			if len(recs) > 0 && string(recs[0].key) == rnd.Changes[i].Key {
+				st, recs = recs[0].st, recs[1:]
+			}
+			if states[i] != nil {
+				st.Merge(states[i])
+			}
+			states[i] = st
+		}
 	}
 
 	// Commit point: mutate state.
@@ -470,15 +515,16 @@ func (m *Maintainer) applyDelta(batch Batch, deleteIdx map[int]bool, rnd *Round)
 // ones in order, then copies of the appended ones. It writes nothing within
 // the relation's tuples, so a cycle that fails after it leaves them as they
 // were.
-func (m *Maintainer) postBatch(batch Batch, deleteIdx map[int]bool) []relation.Tuple {
+func (m *Maintainer) postBatch(batch Batch, deleteIdx []int) []relation.Tuple {
 	kept := m.rel.Tuples
 	if len(deleteIdx) > 0 {
 		kept = make([]relation.Tuple, 0, len(kept)-len(deleteIdx)+len(batch.Append))
-		for i, t := range m.rel.Tuples {
-			if !deleteIdx[i] {
-				kept = append(kept, t)
-			}
+		from := 0
+		for _, i := range deleteIdx {
+			kept = append(kept, m.rel.Tuples[from:i]...)
+			from = i + 1
 		}
+		kept = append(kept, m.rel.Tuples[from:]...)
 	}
 	return append(kept, cloneTuples(batch.Append)...)
 }
@@ -492,11 +538,11 @@ func (m *Maintainer) cubeOver(tuples []relation.Tuple, metrics *mr.JobMetrics) (
 	return m.states(m.compute, &relation.Relation{Schema: m.rel.Schema, Tuples: tuples}, metrics)
 }
 
-// states runs compute over rel through runJob and lists the states of the
-// cube it computes in ascending key order, the keys aliasing the job's
-// output.
+// states runs compute over rel through runJob, with no iceberg threshold,
+// and lists the states of the cube it computes in ascending key order, the
+// keys aliasing the job's output.
 func (m *Maintainer) states(compute cube.ComputeFunc, rel *relation.Relation, metrics *mr.JobMetrics) ([]keyed, error) {
-	run, err := m.runJob(compute, rel, metrics, new(Timing))
+	run, err := m.runJob(compute, rel, 0, metrics, new(Timing))
 	if err != nil {
 		return nil, err
 	}
@@ -514,13 +560,13 @@ func (m *Maintainer) states(compute cube.ComputeFunc, rel *relation.Relation, me
 }
 
 // runJob runs compute over rel on a fresh engine — one job, of the aggregate
-// counted, so that every record carries its group's state and tuple count —
-// appending its rounds to metrics and its time to t. It indexes the output
-// where the reducers wrote it, as one merged segment: a base is read at every
-// key a batch touches for as long as it stands, which that makes one search
-// per key instead of one per output file, and a batch's cube is too small for
-// the merge to show.
-func (m *Maintainer) runJob(compute cube.ComputeFunc, rel *relation.Relation, metrics *mr.JobMetrics, t *Timing) (*cube.SortedRun, error) {
+// counted, so that every record carries its group's state and tuple count,
+// keeping the groups with at least minSup tuples — appending its rounds to
+// metrics and its time to t. It indexes the output where the reducers wrote
+// it, as one merged segment: a base is read at every key a batch touches for
+// as long as it stands, which that makes one search per key instead of one
+// per output file, and a batch's cube is too small for the merge to show.
+func (m *Maintainer) runJob(compute cube.ComputeFunc, rel *relation.Relation, minSup int, metrics *mr.JobMetrics, t *Timing) (*cube.SortedRun, error) {
 	eng := mr.New(mr.Config{
 		Workers:          m.cfg.Workers,
 		Seed:             uint64(m.cfg.Seed),
@@ -535,7 +581,7 @@ func (m *Maintainer) runJob(compute cube.ComputeFunc, rel *relation.Relation, me
 		Context:          m.cfg.Context,
 	}, dfs.New(false))
 	start := time.Now()
-	spec := cube.Spec{Agg: agg.WithCount(m.cfg.Agg)}
+	spec := cube.Spec{Agg: agg.WithCount(m.cfg.Agg), MinSup: minSup}
 	run, err := compute(eng, rel, spec)
 	if err != nil {
 		return nil, err
@@ -552,46 +598,99 @@ func (m *Maintainer) runJob(compute cube.ComputeFunc, rel *relation.Relation, me
 	return out, nil
 }
 
-// recomputeJob is the round that recomputes, over the post-batch relation,
-// the groups of dels: every projection of every deleted tuple, a set closed
-// under projection. The map walks each tuple's lattice from the apex, adding
-// dimensions in increasing order, so it reaches every cuboid once, through
-// its subsets; a group the set lacks prunes every superset, none of which the
-// set can hold, so a tuple that shares no value with a deleted one costs d+1
-// probes, not 2^d. A hit ships the tuple's measure, and the reducers fold a
-// group's measures as the naive cube's do, under the spec's counted
-// aggregate and no iceberg threshold.
-func recomputeJob(dels []keyed) cube.ComputeFunc {
-	touched := make(map[string]struct{}, len(dels))
-	for _, e := range dels {
-		touched[string(e.key)] = struct{}{}
+// recomputeJob is the round that recomputes the groups of keys (encoded
+// group keys of d dimensions, ascending and distinct) over the relation it
+// runs on. Its map probes their down-closure — every projection of every
+// key, a set closed under projection — walking each tuple's lattice from the
+// apex and adding dimensions in increasing order, so it reaches every cuboid
+// once, through its subsets; a group the closure lacks prunes every
+// superset, none of which the closure can hold. A value no key holds in its
+// dimension prunes the same way before any key is encoded, so a tuple that
+// shares no value with a key costs d bit tests, not 2^d probes. A hit on one
+// of the keys folds the tuple's measure into the map task's state of the
+// group, and the task ships its states at its end, as the Hive cube's map
+// does: one record per group and map task. The reducers merge them under the
+// spec's counted aggregate and no iceberg threshold.
+func recomputeJob(keys []string, d int) cube.ComputeFunc {
+	// closure maps every key of the down-closure to whether it is one of
+	// keys; values[j] holds the values of dimension j in keys.
+	closure := make(map[string]bool, len(keys)+1)
+	for _, key := range keys {
+		closure[key] = true
 	}
-	return func(eng *mr.Engine, rel *relation.Relation, spec cube.Spec) (*cube.Run, error) {
-		d := rel.D()
-		f, _ := spec.Effective()
-		type scratch struct{ key, val []byte }
-		var walk func(ctx *mr.MapCtx, s *scratch, dims []relation.Value, mask uint32, from int)
-		walk = func(ctx *mr.MapCtx, s *scratch, dims []relation.Value, mask uint32, from int) {
-			ctx.ChargeOps(1)
-			s.key = relation.AppendGroupKey(s.key[:0], mask, dims)
-			if _, ok := touched[string(s.key)]; !ok {
-				return
+	values := make([]valueFilter, d)
+	var packed, dims []relation.Value
+	var buf []byte
+	// project adds the projections of the group of cuboid mask in dims that
+	// drop one dimension, and theirs; a projection the closure holds that
+	// is not one of keys has had its own added.
+	var project func(mask uint32)
+	project = func(mask uint32) {
+		for m := mask; m != 0; m &= m - 1 {
+			sub := mask &^ (m & -m)
+			buf = relation.AppendGroupKey(buf[:0], sub, dims)
+			if _, ok := closure[string(buf)]; !ok {
+				closure[string(buf)] = false
+				project(sub)
 			}
-			ctx.EmitBytes(s.key, s.val)
+		}
+	}
+	for _, key := range keys {
+		var mask uint32
+		mask, packed, _, _ = relation.ScanGroupKeyInto(packed, []byte(key)) // a key a job wrote
+		dims = relation.GroupVals(dims, mask, packed, d)
+		project(mask)
+		for m := mask; m != 0; m &= m - 1 {
+			j := bits.TrailingZeros32(m)
+			values[j].add(dims[j])
+		}
+	}
+	apex := closure[string(relation.AppendGroupKey(nil, 0, nil))]
+
+	return func(eng *mr.Engine, rel *relation.Relation, spec cube.Spec) (*cube.Run, error) {
+		f, _ := spec.Effective()
+		type scratch struct {
+			key, val []byte
+			groups   map[string]agg.State
+		}
+		// walk folds t into its group of cuboid mask, whose key s.key holds,
+		// when that is one of keys, and walks on to the supersets.
+		var walk func(ctx *mr.MapCtx, s *scratch, t relation.Tuple, mask uint32, from int, emit bool)
+		walk = func(ctx *mr.MapCtx, s *scratch, t relation.Tuple, mask uint32, from int, emit bool) {
+			if emit {
+				st := s.groups[string(s.key)]
+				if st == nil {
+					st = f.NewState()
+					s.groups[string(s.key)] = st
+				}
+				st.Add(t.Measure)
+			}
 			for j := from; j < d; j++ {
-				walk(ctx, s, dims, mask|1<<j, j+1)
+				if !values[j].has(t.Dims[j]) {
+					continue
+				}
+				ctx.ChargeOps(1)
+				s.key = relation.AppendGroupKey(s.key[:0], mask|1<<j, t.Dims)
+				if emit, ok := closure[string(s.key)]; ok {
+					walk(ctx, s, t, mask|1<<j, j+1, emit)
+				}
 			}
 		}
 		job := &mr.Job{
 			Name:      "maint-recompute",
-			TaskState: func() any { return new(scratch) },
+			TaskState: func() any { return &scratch{groups: make(map[string]agg.State)} },
 			MapTuple: func(ctx *mr.MapCtx, t relation.Tuple) {
 				s := ctx.State().(*scratch)
-				s.val = cube.AppendMeasure(s.val[:0], t.Measure)
-				walk(ctx, s, t.Dims, 0, 0)
+				ctx.ChargeOps(1)
+				s.key = relation.AppendGroupKey(s.key[:0], 0, t.Dims)
+				walk(ctx, s, t, 0, 0, apex)
+			},
+			MapFlush: func(ctx *mr.MapCtx) {
+				s := ctx.State().(*scratch)
+				s.val = cube.EmitStates(ctx, s.groups, s.val)
 			},
 			Reduce: func(ctx *mr.RedCtx, key string, vals [][]byte) {
-				spec.Emit(ctx, key, cube.AddMeasures(ctx, f, vals))
+				spec.Emit(ctx, key, cube.MergeStates(ctx, f, vals))
 			},
 			OutputPrefix: "out/maint-recompute/",
 		}
@@ -600,6 +699,25 @@ func recomputeJob(dels []keyed) cube.ComputeFunc {
 		run.Metrics.AddResult(res)
 		return run, err
 	}
+}
+
+// valueFilter is a one-hash Bloom filter of the values of one dimension: a
+// value it lacks was never added, one it holds may have been.
+type valueFilter [1 << 10]uint64
+
+func (f *valueFilter) bit(v relation.Value) (int, uint64) {
+	h := uint32(v) * 0x9e3779b1 >> 16 // Fibonacci hashing onto the filter's 2^16 bits
+	return int(h >> 6), 1 << (h & 63)
+}
+
+func (f *valueFilter) add(v relation.Value) {
+	i, b := f.bit(v)
+	f[i] |= b
+}
+
+func (f *valueFilter) has(v relation.Value) bool {
+	i, b := f.bit(v)
+	return f[i]&b != 0
 }
 
 // Published calls fn for every group of the published (iceberg-filtered)

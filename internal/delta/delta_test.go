@@ -329,9 +329,9 @@ func TestIcebergPublishCrossesThreshold(t *testing.T) {
 	exactEqual(t, cube.BruteSpec(final, cube.Spec{Agg: agg.Count, MinSup: 2}), m.Result())
 }
 
-// TestResultSizedByPublishedCube: the maintainer holds the full cube, but a
-// Result of an iceberg cube publishing under 1% of it must allocate for what
-// it publishes, not for what is maintained.
+// TestResultSizedByPublishedCube: under an iceberg the maintainer holds what
+// it publishes — the base is the published cube — and a Result allocates for
+// that.
 func TestResultSizedByPublishedCube(t *testing.T) {
 	rel := cubetest.SkewedRelation(rand.New(rand.NewSource(3)), 3000, 4, 0.05, 1)
 	m, err := New(rel, Config{Workers: 4, MinSup: 50})
@@ -343,26 +343,21 @@ func TestResultSizedByPublishedCube(t *testing.T) {
 	res := m.Result()
 	runtime.ReadMemStats(&after)
 	exactEqual(t, cube.BruteSpec(rel, cube.Spec{Agg: agg.Count, MinSup: 50}), res)
-	maintained := m.base.Len()
-	if res.Len() == 0 || res.Len()*100 >= maintained {
-		t.Fatalf("published %d of %d maintained groups: not a <1%% iceberg", res.Len(), maintained)
+	if res.Len() == 0 || m.base.Len() != res.Len() {
+		t.Fatalf("published %d groups, maintaining %d", res.Len(), m.base.Len())
 	}
 	// ~40 B of map slot per published group; 1 KiB each leaves room for
-	// bucket rounding and is far below presizing for the maintained cube.
+	// bucket rounding.
 	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(res.Len())<<10; got > limit {
-		t.Fatalf("Result allocated %d B to publish %d of %d groups (limit %d B)", got, res.Len(), maintained, limit)
+		t.Fatalf("Result allocated %d B to publish %d groups (limit %d B)", got, res.Len(), limit)
 	}
 }
 
-// TestNewBuildsNoStateMap is the converse: on the iceberg_skew_spill serve
-// shape New leaves the ≈ 1.19 M maintained groups where the job's reducers
-// wrote them. The cube job allocates by the million whoever runs it, so the
-// bound is on what New allocates beyond the job: a tenth of an allocation
-// per group, where a state map paid one per key.
+// TestNewBuildsNoStateMap: on the iceberg_skew_spill serve shape New holds
+// the 1,261 groups it publishes, of ≈ 1.19 M in the full cube, where its
+// iceberg job's reducers wrote them, and allocates a tenth of an allocation
+// per group beyond that job.
 func TestNewBuildsNoStateMap(t *testing.T) {
-	if testing.Short() {
-		t.Skip("computes a 1.19 M-group cube twice")
-	}
 	rel := data.GenBinomial(38000, 6, 0.5, 1)
 	cfg := Config{Workers: 8, MinSup: 10, Seed: 1}
 	mallocs := func(f func()) uint64 {
@@ -381,16 +376,17 @@ func TestNewBuildsNoStateMap(t *testing.T) {
 	inJob := mallocs(func() {
 		fn, _ := computeFunc(m.cfg)
 		eng := mr.New(mr.Config{Workers: cfg.Workers, Seed: uint64(cfg.Seed)}, dfs.New(false))
-		_, err = fn(eng, rel, cube.Spec{Agg: agg.Count})
+		_, err = fn(eng, rel, cube.Spec{Agg: agg.Count, MinSup: cfg.MinSup})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups := uint64(m.base.Len())
-	if groups < 1_100_000 || len(m.overlay) != 0 {
-		t.Fatalf("maintaining %d groups under %d overlay entries, want ≈ 1.19 M under none", groups, len(m.overlay))
+	groups := m.base.Len()
+	if want := m.Result().Len(); groups != want || want != 1261 || len(m.overlay) != 0 {
+		t.Fatalf("maintaining %d groups under %d overlay entries to publish %d, want 1,261 under none", groups, len(m.overlay), want)
 	}
-	if inNew > inJob+groups/10 {
+	// A state map would pay an allocation per key.
+	if inNew > inJob+uint64(groups)/10 {
 		t.Fatalf("New made %d allocations, its cube job %d: the %d beyond the job are more than a tenth of the %d groups",
 			inNew, inJob, inNew-inJob, groups)
 	}
@@ -511,11 +507,17 @@ func TestFailedCycleLeavesStateUntouched(t *testing.T) {
 // named (name, "r") with its measure.
 func maintainer(t *testing.T, fn agg.Func, rows ...Row) *Maintainer {
 	t.Helper()
+	return maintainerOf(t, Config{Agg: fn, Workers: 2}, rows...)
+}
+
+// maintainerOf is maintainer under cfg.
+func maintainerOf(t *testing.T, cfg Config, rows ...Row) *Maintainer {
+	t.Helper()
 	rel := relation.New([]string{"name", "region"}, "m")
 	for _, r := range rows {
 		rel.AppendStrings(r.Dims, r.Measure)
 	}
-	m, err := New(rel, Config{Agg: fn, Workers: 2})
+	m, err := New(rel, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,14 +529,21 @@ func maintainer(t *testing.T, fn agg.Func, rows ...Row) *Maintainer {
 // of each group (name, region) it names ("*" aggregates a dimension away).
 func recomputed(t *testing.T, m *Maintainer, appends, deletes []Row, groups ...[2]string) []Change {
 	t.Helper()
+	return applied(t, m, "recompute", appends, deletes, groups...)
+}
+
+// applied is recomputed for a cycle of the given reason, under the
+// maintainer's iceberg threshold.
+func applied(t *testing.T, m *Maintainer, reason string, appends, deletes []Row, groups ...[2]string) []Change {
+	t.Helper()
 	rnd, err := m.ApplyStrings(appends, deletes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rnd.Mode != "delta" || rnd.Reason != "recompute" {
-		t.Fatalf("cycle ran as %s/%s, want delta/recompute", rnd.Mode, rnd.Reason)
+	if rnd.Mode != "delta" || rnd.Reason != reason {
+		t.Fatalf("cycle ran as %s/%s, want delta/%s", rnd.Mode, rnd.Reason, reason)
 	}
-	exactEqual(t, cube.Brute(m.rel, m.cfg.Agg), m.Result())
+	exactEqual(t, cube.BruteSpec(m.rel, cube.Spec{Agg: m.cfg.Agg, MinSup: m.cfg.MinSup}), m.Result())
 	out := make([]Change, len(groups))
 	for i, g := range groups {
 		var mask uint32
@@ -597,8 +606,10 @@ func TestRecomputeAppendAndDeleteOneGroup(t *testing.T) {
 // TestFailedRecomputeLeavesStateUntouched: a fault plan that exhausts the
 // recompute round's attempts fails the cycle after its delta jobs succeeded,
 // and leaves the maintainer, its relation and its version as they were.
-// The plan crashes a map attempt at its tenth emit: the one-tuple delta jobs
-// never get there, and every map task of the round does.
+// The plan crashes a map attempt at its tenth emit: the delta jobs' map
+// tasks of two tuples never get there, and every map task of the round, which
+// ships one state per group it recomputes, does: the four deletes touch ten
+// groups, and each task sees all ten.
 func TestFailedRecomputeLeavesStateUntouched(t *testing.T) {
 	rows := make([]Row, 40)
 	for i := range rows {
@@ -615,7 +626,8 @@ func TestFailedRecomputeLeavesStateUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.cfg.Faults = plan
-	if _, err := m.ApplyStrings([]Row{row("w", 2)}, []Row{row("n0", 0)}); err == nil || !strings.Contains(err.Error(), "recompute round") {
+	deletes := []Row{row("n0", 0), row("n1", 1), row("n2", 2), row("n3", 3)}
+	if _, err := m.ApplyStrings([]Row{row("w", 2)}, deletes); err == nil || !strings.Contains(err.Error(), "recompute round") {
 		t.Fatalf("a cycle whose recompute round exhausts its attempts returned %v", err)
 	}
 	if m.Version() != 1 || m.base != beforeBase || !maps.Equal(m.overlay, beforeOverlay) || m.rel.Dict != dict {
@@ -628,6 +640,131 @@ func TestFailedRecomputeLeavesStateUntouched(t *testing.T) {
 		t.Fatal("the failed cycle changed the relation")
 	}
 	exactEqual(t, before, m.Result())
+}
+
+// TestIcebergAppendLiftsUnheldGroup: a group one tuple short of MinSup is
+// not in the base, and an append that lifts it publishes its exact state —
+// the tuples before the batch and the batch's — which the round recomputes.
+func TestIcebergAppendLiftsUnheldGroup(t *testing.T) {
+	m := maintainerOf(t, Config{Agg: agg.Sum, MinSup: 3, Workers: 2}, row("x", 5), row("x", 7), row("y", 1))
+	if _, ok := m.base.Cursor().Seek([]byte(relation.GroupKey(1, []relation.Value{0, 0}))); ok {
+		t.Fatal("the base holds (x,*), a group below MinSup")
+	}
+	chs := applied(t, m, "mergeable", []Row{row("x", 11)}, nil, [2]string{"x", "r"}, [2]string{"x", "*"}, [2]string{"*", "*"})
+	for i, want := range []float64{23, 23, 24} {
+		if chs[i].Delete || chs[i].Value != want {
+			t.Fatalf("change %d: %+v, want %v set", i, chs[i], want)
+		}
+	}
+	if n := count(m.overlay[chs[0].Key]); n != 3 {
+		t.Fatalf("the lifted group holds %d tuples, want 3", n)
+	}
+}
+
+// TestIcebergDeleteOfUnheldGroup: a delete-only batch that touches a group
+// the iceberg base does not hold recomputes it, and publishes nothing for
+// it; its last tuple gone, it is left a tombstone.
+func TestIcebergDeleteOfUnheldGroup(t *testing.T) {
+	m := maintainerOf(t, Config{MinSup: 3, Workers: 2}, row("x", 1), row("x", 2), row("x", 3), row("y", 4))
+	chs := applied(t, m, "mergeable", nil, []Row{row("y", 4)}, [2]string{"y", "r"}, [2]string{"y", "*"}, [2]string{"*", "r"})
+	if !chs[0].Delete || !chs[1].Delete || chs[2].Delete || chs[2].Value != 3 {
+		t.Fatalf("changes %+v, want two deletes and count 3 set", chs)
+	}
+	if st, ok := m.overlay[chs[0].Key]; !ok || count(st) != 0 {
+		t.Fatalf("the emptied group holds %v, want a tombstone", st)
+	}
+}
+
+// TestIcebergRecomputeRevealsRunnerUp: under min and MinSup 3, deleting a
+// published group's minimum publishes its runner-up.
+func TestIcebergRecomputeRevealsRunnerUp(t *testing.T) {
+	m := maintainerOf(t, Config{Agg: agg.Min, MinSup: 3, Workers: 2},
+		row("x", 5), row("x", 3), row("x", 4), row("x", 6), row("y", 2), row("y", 8))
+	chs := recomputed(t, m, nil, []Row{row("x", 3)}, [2]string{"x", "r"}, [2]string{"x", "*"}, [2]string{"*", "r"})
+	for i, want := range []float64{4, 4, 2} {
+		if chs[i].Delete || chs[i].Value != want {
+			t.Fatalf("change %d: %+v, want %v set", i, chs[i], want)
+		}
+	}
+}
+
+// TestFailedIcebergRoundLeavesStateUntouched: under an iceberg an append
+// batch recomputes the groups it lifts from below MinSup, and a fault plan
+// that exhausts that round's attempts leaves the maintainer as it was. The
+// plan crashes a map attempt at its tenth emit, which the append job's map
+// tasks of five tuples never reach, and each of the round's, which sees all
+// twenty groups it recomputes, does.
+func TestFailedIcebergRoundLeavesStateUntouched(t *testing.T) {
+	rows := make([]Row, 40)
+	for i := range rows {
+		rows[i] = row(fmt.Sprint("n", i%10), int64(i))
+	}
+	m := maintainerOf(t, Config{MinSup: 5, Workers: 2}, rows...)
+	if _, err := m.ApplyStrings([]Row{row("z", 1)}, nil); err != nil {
+		t.Fatal(err)
+	}
+	before, tuples, dict := m.Result(), slices.Clone(m.rel.Tuples), m.rel.Dict
+	beforeBase, beforeOverlay := m.base, maps.Clone(m.overlay)
+	plan, err := mr.ParseFaultPlan("*:map:*:mid-emit@10:0:*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.cfg.Faults = plan
+	appends := make([]Row, 10)
+	for i := range appends {
+		appends[i] = row(fmt.Sprint("n", i), 100)
+	}
+	if _, err := m.ApplyStrings(appends, nil); err == nil || !strings.Contains(err.Error(), "recompute round") {
+		t.Fatalf("a cycle whose recompute round exhausts its attempts returned %v", err)
+	}
+	if m.Version() != 1 || m.base != beforeBase || !maps.Equal(m.overlay, beforeOverlay) || m.rel.Dict != dict {
+		t.Fatalf("the failed cycle touched the maintainer: version %d, base replaced %v, overlay %d entries (were %d)",
+			m.Version(), m.base != beforeBase, len(m.overlay), len(beforeOverlay))
+	}
+	if !slices.EqualFunc(m.rel.Tuples, tuples, func(a, b relation.Tuple) bool {
+		return slices.Equal(a.Dims, b.Dims) && a.Measure == b.Measure
+	}) {
+		t.Fatal("the failed cycle changed the relation")
+	}
+	exactEqual(t, before, m.Result())
+
+	// Disarmed, the same batch publishes the ten groups it lifts.
+	m.cfg.Faults = nil
+	applied(t, m, "mergeable", appends, nil)
+	if got := m.Result().Len(); got != before.Len()+20 {
+		t.Fatalf("publishing %d groups, want the %d before and 20 lifted", got, before.Len())
+	}
+}
+
+// TestDeleteTakesLastOccurrences: a tuple present twice can be deleted twice,
+// one occurrence each time, and a third time fails; the relation keeps the
+// other tuples in order.
+func TestDeleteTakesLastOccurrences(t *testing.T) {
+	m := maintainer(t, agg.Sum, row("x", 1), row("y", 2), row("x", 1), row("z", 3))
+	if _, err := m.ApplyStrings(nil, []Row{row("x", 1), row("x", 1)}); err != nil {
+		t.Fatal(err)
+	}
+	if m.N() != 2 {
+		t.Fatalf("%d tuples left, want 2", m.N())
+	}
+	_, err := m.ApplyStrings([]Row{row("w", 4)}, []Row{row("y", 2), row("x", 1)})
+	if err == nil || !strings.Contains(err.Error(), "delete tuple 1 not present") {
+		t.Fatalf("a third delete of a tuple present twice returned %v", err)
+	}
+	exactEqual(t, cube.Brute(m.rel, agg.Sum), m.Result())
+
+	// The kept tuples stay in order; of equal ones, the last goes.
+	m = maintainer(t, agg.Sum, row("x", 1), row("y", 2), row("x", 1), row("z", 3))
+	if _, err := m.ApplyStrings(nil, []Row{row("x", 1)}); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, tp := range m.rel.Tuples {
+		names = append(names, m.rel.Dict.Text(0, tp.Dims[0]))
+	}
+	if !slices.Equal(names, []string{"x", "y", "z"}) {
+		t.Fatalf("after one delete of x the relation holds %v, want x, y, z", names)
+	}
 }
 
 func TestMetricsAndTraceAnnotation(t *testing.T) {

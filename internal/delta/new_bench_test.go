@@ -1,9 +1,9 @@
 package delta_test
 
 // BenchmarkDeltaNew times what a server does between loading its input and
-// building its index: delta.New — the full cube job, the collection of its
-// output and the base sketch — over the served relations of the three harness
-// workloads.
+// building its index: delta.New — the cube job, an iceberg's under MinSup, and
+// the collection of its output — over the served relations of the three
+// harness workloads.
 // BenchmarkDeltaApply times what one ingest cycle adds to it: a delta job over
 // a harness-sized batch, merged into the maintained state. Both use only API
 // older commits have (delta.New, delta.Config's Algorithm, Agg, MinSup,
@@ -28,8 +28,8 @@ func BenchmarkDeltaNew(b *testing.B) {
 	}{
 		// full_uniform's serve input: 870 k groups, all published.
 		{"uniform58k", func() *relation.Relation { return data.Uniform(58000, 4, 1<<30, 1) }, agg.Count, 0},
-		// iceberg_skew_spill's: ≈ 1.2 M maintained groups behind 1,261
-		// published ones.
+		// iceberg_skew_spill's: the 1,261 published groups are all the
+		// maintainer holds, of the full cube's ≈ 1.2 M.
 		{"binomial38k", func() *relation.Relation { return data.GenBinomial(38000, 6, 0.5, 1) }, agg.Count, 10},
 		// wiki_serve_ingest's, and the same under sum, whose job also carries
 		// every group's count.
@@ -72,6 +72,8 @@ func BenchmarkDeltaApply(b *testing.B) {
 		eitherMode    bool
 	}{
 		{"uniform58k_300", func() *relation.Relation { return data.Uniform(80000, 4, 1<<30, 1) }, 58000, 300, agg.Count, 0, false, false},
+		// iceberg_skew_spill's: most groups of a batch are below MinSup and
+		// not held, so each cycle recomputes them.
 		{"binomial38k_200", func() *relation.Relation { return data.GenBinomial(50000, 6, 0.5, 1) }, 38000, 200, agg.Count, 10, false, false},
 		// wiki_serve_ingest's cycle under sum: a non-count aggregate's delta job.
 		{"wiki125k_sum_150", func() *relation.Relation { return data.WikiTraffic(140000, 1) }, 125000, 150, agg.Sum, 0, false, false},

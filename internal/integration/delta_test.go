@@ -81,9 +81,10 @@ func dedupTuples(ts []relation.Tuple) []relation.Tuple {
 }
 
 // maintainedDiff describes how the maintained cube differs, group set or
-// any value's bits, from a brute-force recompute over the edited relation.
-func maintainedDiff(maint *delta.Maintainer, ts *tupleSet, fn agg.Func) string {
-	if got, want := maint.Result(), cube.Brute(ts.relation(), fn); !reflect.DeepEqual(got, want) {
+// any value's bits, from a brute-force recompute over the edited relation
+// under the iceberg threshold minSup.
+func maintainedDiff(maint *delta.Maintainer, ts *tupleSet, fn agg.Func, minSup int) string {
+	if got, want := maint.Result(), cube.BruteSpec(ts.relation(), cube.Spec{Agg: fn, MinSup: minSup}); !reflect.DeepEqual(got, want) {
 		_, diff := want.Equal(got)
 		return "maintained cube diverges from recompute: " + diff
 	}
@@ -92,14 +93,15 @@ func maintainedDiff(maint *delta.Maintainer, ts *tupleSet, fn agg.Func) string {
 
 // deltaPoint is one maintenance sequence: a maintainer over a random base
 // relation takes two stacked batches, app appends and del deletes drawn from
-// the base and then 25 appends, with an algorithm and aggregate, on a cluster
-// shape, at a parallelism, under a fault plan.
+// the base and then 25 appends, with an algorithm, aggregate and iceberg
+// threshold, on a cluster shape, at a parallelism, under a fault plan.
 type deltaPoint struct {
 	algo       string
 	skewed     bool  // half the base rows collapse onto one hot tuple
 	seed       int64 // draws the base, the batches and the deletes
 	n, d, card int
 	agg        string
+	minSup     int
 	k, p       int
 	eseed      int64
 	faults     string // an mr.ParseFaultPlan spec that recoverable accepts
@@ -108,18 +110,23 @@ type deltaPoint struct {
 
 // deltaCoords is a deltaPoint as FuzzDeltaEquivalence takes it.
 type deltaCoords struct {
-	algo, d, card, agg, k, p, app, del uint8
-	n                                  uint16
-	seed, eseed                        int64
-	skewed                             bool
-	faults                             string
+	algo, d, card, agg, minsup, k, p, app, del uint8
+	n                                          uint16
+	seed, eseed                                int64
+	skewed                                     bool
+	faults                                     string
 }
+
+// deltaMinSups are the iceberg thresholds FuzzDeltaEquivalence decodes to:
+// the full cube, and icebergs a few appends lift groups into.
+var deltaMinSups = []int{0, 2, 3, 5}
 
 // decode maps c onto a deltaPoint, every axis modulo its range.
 func (c deltaCoords) decode() deltaPoint {
 	p := deltaPoint{algo: allAlgorithms[int(c.algo)%len(allAlgorithms)].name, skewed: c.skewed, seed: c.seed,
 		n: 1 + int(c.n)%300, d: 1 + int(c.d)%3, card: 1 + int(c.card)%6, agg: aggNames[int(c.agg)%len(aggNames)],
-		k: 1 + int(c.k)%8, p: int(c.p) % 9, eseed: c.eseed, app: int(c.app) % 41, del: int(c.del) % 16}
+		k: 1 + int(c.k)%8, p: int(c.p) % 9, eseed: c.eseed, app: int(c.app) % 41, del: int(c.del) % 16,
+		minSup: deltaMinSups[int(c.minsup)%len(deltaMinSups)]}
 	p.faults = recoverable(c.faults, p.k)
 	return p
 }
@@ -127,7 +134,8 @@ func (c deltaCoords) decode() deltaPoint {
 // encode is decode's inverse on seed points.
 func (p deltaPoint) encode() deltaCoords {
 	return deltaCoords{uint8(algoIndex(p.algo)), uint8(p.d - 1), uint8(p.card - 1), uint8(slices.Index(aggNames, p.agg)),
-		uint8(p.k - 1), uint8(p.p), uint8(p.app), uint8(p.del), uint16(p.n - 1), p.seed, p.eseed, p.skewed, p.faults}
+		uint8(slices.Index(deltaMinSups, p.minSup)), uint8(p.k - 1), uint8(p.p), uint8(p.app), uint8(p.del), uint16(p.n - 1),
+		p.seed, p.eseed, p.skewed, p.faults}
 }
 
 // runDelta returns the rounds p's batches took, metrics dropped, and how
@@ -145,8 +153,8 @@ func runDelta(t *testing.T, p deltaPoint) (rounds []delta.Round, errs []string) 
 	}
 	fn, _ := agg.ByName(p.agg)
 	plan, _ := mr.ParseFaultPlan(p.faults)
-	maint, err := delta.New(ts.relation(), delta.Config{Algorithm: p.algo, Agg: fn, Workers: p.k, Parallelism: p.p,
-		Seed: p.eseed, Faults: plan, MaxAttempts: maxAttempts})
+	maint, err := delta.New(ts.relation(), delta.Config{Algorithm: p.algo, Agg: fn, MinSup: p.minSup, Workers: p.k,
+		Parallelism: p.p, Seed: p.eseed, Faults: plan, MaxAttempts: maxAttempts})
 	if err != nil {
 		t.Fatalf("%#v: %v", p, err)
 	}
@@ -166,7 +174,7 @@ func runDelta(t *testing.T, p deltaPoint) (rounds []delta.Round, errs []string) 
 		ts.apply(b)
 		rnd.Metrics = mr.JobMetrics{}
 		rounds = append(rounds, *rnd)
-		if diff := maintainedDiff(maint, ts, fn); diff != "" {
+		if diff := maintainedDiff(maint, ts, fn, p.minSup); diff != "" {
 			errs = append(errs, fmt.Sprintf("round %d: %s", rnd.Round, diff))
 		}
 	}
@@ -209,20 +217,21 @@ func checkDelta(t *testing.T, p deltaPoint) {
 // checks it. Its seeds, each of which must decode back from its encoding,
 // are the differential maintenance table it replaced — every algorithm on
 // uniform and skewed bases, under append-only and append+delete batches, at
-// p = 1 and 8, SP-Cube also under faults — the first fuzz corpus, and deletes
-// under the aggregates whose finals are no sums of parts. Those under distinct
-// recompute on their first batch and merge their 25 appends on the second.
+// p = 1 and 8, SP-Cube also under faults — the first fuzz corpus, deletes
+// under the aggregates whose finals are no sums of parts, and one iceberg per
+// algorithm. Those under distinct recompute on their first batch and merge
+// their 25 appends on the second.
 func FuzzDeltaEquivalence(f *testing.F) {
 	for _, p := range deltaSeeds() {
 		c := p.encode()
 		if q := c.decode(); q != p {
 			f.Fatalf("seed %#v decodes back as %#v", p, q)
 		}
-		f.Add(c.algo, c.d, c.card, c.agg, c.k, c.p, c.app, c.del, c.n, c.seed, c.eseed, c.skewed, c.faults)
+		f.Add(c.algo, c.d, c.card, c.agg, c.minsup, c.k, c.p, c.app, c.del, c.n, c.seed, c.eseed, c.skewed, c.faults)
 	}
-	f.Fuzz(func(t *testing.T, algo, d, card, aggr, k, par, app, del uint8, n uint16, seed, eseed int64,
+	f.Fuzz(func(t *testing.T, algo, d, card, aggr, minsup, k, par, app, del uint8, n uint16, seed, eseed int64,
 		skewed bool, faults string) {
-		checkDelta(t, deltaCoords{algo, d, card, aggr, k, par, app, del, n, seed, eseed, skewed, faults}.decode())
+		checkDelta(t, deltaCoords{algo, d, card, aggr, minsup, k, par, app, del, n, seed, eseed, skewed, faults}.decode())
 	})
 }
 
@@ -264,6 +273,15 @@ func deltaSeeds() []deltaPoint {
 				agg: name, k: 3, p: 1 + 7*j, eseed: 7, app: 20, del: 12})
 		}
 	}
+	// Icebergs on the skewed base, appending and deleting: the maintainer
+	// holds only the published groups, and recomputes those its batches
+	// touch that it does not hold; under min and max its deletes recompute
+	// too.
+	for i, a := range allAlgorithms {
+		seeds = append(seeds, deltaPoint{algo: a.name, skewed: true, seed: int64(14 + i), n: 200, d: 3, card: 4,
+			agg: []string{"count", "sum", "min", "avg", "max"}[i%5], minSup: deltaMinSups[1+i%3], k: 3, p: 1 + 7*(i%2),
+			eseed: 7, app: 30, del: 12})
+	}
 	return seeds
 }
 
@@ -275,7 +293,9 @@ func deltaSeeds() []deltaPoint {
 // 128-bit inverse of its states; under min, whose states do not invert, the
 // cycles that delete recompute the groups they touch, and their changes
 // patch the served store like any other. Odd cycles only append, so the min
-// leg takes both reasons. Interleaved
+// legs take both reasons. A third leg runs min under an iceberg (MinSup 3):
+// its maintainer holds only the published groups, and recomputes the touched
+// groups it does not hold. Interleaved
 // failing cycles (invalid deletes) and a permanently-faulted maintainer must
 // leave both the maintained state and the served snapshot untouched.
 // SPCUBE_SOAK_CYCLES scales the run.
@@ -292,10 +312,15 @@ func TestDeltaSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fn := range []agg.Func{agg.Var, agg.Min} {
-		t.Run(fn.Name(), func(t *testing.T) {
-			reasons := soakMaintainer(t, fn, plan, cycles)
-			t.Logf("%d cycles under %s took reasons %v", cycles, fn.Name(), reasons)
+	for _, leg := range []struct {
+		name   string
+		fn     agg.Func
+		minSup int
+	}{{"var", agg.Var, 0}, {"min", agg.Min, 0}, {"min_minsup3", agg.Min, 3}} {
+		fn := leg.fn
+		t.Run(leg.name, func(t *testing.T) {
+			reasons := soakMaintainer(t, fn, leg.minSup, plan, cycles)
+			t.Logf("%d cycles under %s took reasons %v", cycles, leg.name, reasons)
 			if agg.Invertible(fn) && reasons["recompute"] > 0 {
 				t.Errorf("%d of the cycles recomputed under %s, whose states invert", reasons["recompute"], fn.Name())
 			}
@@ -320,12 +345,12 @@ func TestDeltaSoak(t *testing.T) {
 	}
 }
 
-// soakMaintainer runs one leg of TestDeltaSoak under fn and counts the
-// reasons its cycles took.
-func soakMaintainer(t *testing.T, fn agg.Func, plan *mr.FaultPlan, cycles int) map[string]int {
+// soakMaintainer runs one leg of TestDeltaSoak under fn and the iceberg
+// threshold minSup, and counts the reasons its cycles took.
+func soakMaintainer(t *testing.T, fn agg.Func, minSup int, plan *mr.FaultPlan, cycles int) map[string]int {
 	rng := rand.New(rand.NewSource(2016))
 	ts := &tupleSet{d: 3, rows: randomTuples(rng, 400, 3, 5)}
-	maint, err := delta.New(ts.relation(), delta.Config{Agg: fn, Workers: 4, Seed: 9, Faults: plan})
+	maint, err := delta.New(ts.relation(), delta.Config{Agg: fn, MinSup: minSup, Workers: 4, Seed: 9, Faults: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +364,7 @@ func soakMaintainer(t *testing.T, fn agg.Func, plan *mr.FaultPlan, cycles int) m
 	// checkServed asserts the served snapshot equals brute force exactly.
 	checkServed := func(cycle int) {
 		t.Helper()
-		want := cube.Brute(ts.relation(), fn)
+		want := cube.BruteSpec(ts.relation(), cube.Spec{Agg: fn, MinSup: minSup})
 		store := svc.Store()
 		if store.Groups() != want.Len() {
 			t.Fatalf("cycle %d: served store has %d groups, brute %d", cycle, store.Groups(), want.Len())
@@ -396,7 +421,7 @@ func soakMaintainer(t *testing.T, fn agg.Func, plan *mr.FaultPlan, cycles int) m
 			t.Fatalf("cycle %d ran as %s with %d changes, want a delta", cycle, rnd.Mode, len(rnd.Changes))
 		}
 		reasons[rnd.Reason]++
-		if diff := maintainedDiff(maint, ts, fn); diff != "" {
+		if diff := maintainedDiff(maint, ts, fn, minSup); diff != "" {
 			t.Fatalf("cycle %d (%s): %s", cycle, rnd.Reason, diff)
 		}
 

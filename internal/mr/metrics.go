@@ -252,7 +252,8 @@ type MaintInfo struct {
 	// Reason is "initial" for the initial build, "mergeable" for a cycle
 	// that only merges, and "recompute" for one that deletes under an
 	// aggregate whose states do not invert, whose touched groups a round
-	// recomputes.
+	// recomputes. Under an iceberg a mergeable cycle's rounds may include
+	// that round too, for the groups below the threshold it touches.
 	Reason string `json:"reason,omitempty"`
 	// Appended/Deleted count the batch's tuples.
 	Appended int `json:"appended"`
