@@ -1,4 +1,8 @@
-# Development targets. `make check` mirrors the CI gate.
+# Development targets. `make check` runs the CI test job's legs (gofmt, vet,
+# race, retry-race, fuzz-smoke, chaos, spill-smoke, delta-soak, bench,
+# bench-harness) and the coverage floors. It leaves four CI legs to CI:
+# `lint` (it needs the network to fetch its tools), `soak-scale` (10 M rows),
+# the bench-json smoke and `bench-compare` (advisory, against a base ref).
 
 GO ?= go
 
@@ -6,8 +10,8 @@ GO ?= go
 	proc-smoke spill-smoke bench bench-json bench-hotpath bench-compare \
 	bench-harness cover-serve cover-delta delta-soak soak-scale lint loc
 
-check: fmt vet race fuzz-smoke chaos spill-smoke cover-serve cover-delta \
-	delta-soak bench-harness
+check: fmt vet race retry-race fuzz-smoke chaos spill-smoke cover-serve \
+	cover-delta delta-soak bench bench-harness
 
 fmt:
 	@out=$$(gofmt -l .); \

@@ -68,9 +68,7 @@ func main() {
 
 // options are spserve's own flags, beside the engine and input groups.
 type options struct {
-	addr, addrFile  string
-	cache, maxBatch int
-	batchWindow     time.Duration
+	addr, addrFile string
 }
 
 // declare registers spserve's flag surface on fs.
@@ -80,9 +78,6 @@ func declare(fs *flag.FlagSet) (*cli.Flags, *options) {
 	f.Input()
 	fs.StringVar(&o.addr, "addr", "localhost:8080", "serving address (use :0 for a free port)")
 	fs.StringVar(&o.addrFile, "addr-file", "", "write the resolved host:port to this file once listening")
-	fs.IntVar(&o.cache, "cache", 4096, "result-cache entries (negative disables caching)")
-	fs.DurationVar(&o.batchWindow, "batch-window", 100*time.Microsecond, "how long a forming batch waits for more queries")
-	fs.IntVar(&o.maxBatch, "max-batch", 128, "max queries per batch")
 	return f, o
 }
 
@@ -108,12 +103,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		return err
 	}
 	defer s.Close()
-	if o.maxBatch < 0 {
-		return cli.Usagef("-max-batch %d: want at least 0", o.maxBatch)
-	}
-	if o.batchWindow < 0 {
-		return cli.Usagef("-batch-window %v: want at least 0", o.batchWindow)
-	}
 
 	// Cycle 0 of the incremental maintainer is the full initial build.
 	rel, err := s.LoadRelation()
@@ -135,12 +124,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		return fmt.Errorf("indexing cube: %w", err)
 	}
 	indexed := time.Since(indexing)
-	svc := serve.NewService(store, serve.Config{
-		CacheEntries: o.cache,
-		BatchWindow:  o.batchWindow,
-		MaxBatch:     o.maxBatch,
-		Counters:     counters,
-	})
+	svc := serve.NewService(store, serve.Config{Counters: counters})
 	defer svc.Close()
 	live.svc.Store(svc)
 	built := maint.LastBuild()

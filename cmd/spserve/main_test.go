@@ -48,13 +48,10 @@ func TestFlagSurface(t *testing.T) {
 addr-file=
 agg=count
 algo=sp-cube
-batch-window=100µs
-cache=4096
 faults=
 in=
 k=8
 max-attempts=0
-max-batch=128
 metrics-out=
 minsup=0
 p=0

@@ -32,9 +32,10 @@
 // maint-start/maint-end trace events.
 //
 // Deletes are counted: every state carries its group's tuple count, so a
-// group whose count reaches zero becomes a tombstone in the overlay rather
-// than staying at a stale value, and iceberg thresholds (MinSup) are
-// re-evaluated per cycle against the maintained counts.
+// group whose count reaches zero leaves the cube rather than staying at a
+// stale value (a group of the stored cube as a tombstone in the overlay),
+// and iceberg thresholds (MinSup) are re-evaluated per cycle against the
+// maintained counts.
 //
 // The maintainer is deliberately storage-agnostic: Apply returns the exact
 // set of changed c-groups, and the serving layer turns that into an atomic
@@ -165,14 +166,14 @@ type Maintainer struct {
 	// under MinSup below 2, else the groups with at least MinSup tuples —
 	// each at its exact counted state, read where that build's reducers
 	// wrote it and never written again. overlay holds the exact current
-	// state of every group a batch has touched since — a group of the base
-	// at its new state, a group the base lacks (below MinSup too), or a
-	// tombstone (count 0) for one whose last tuple was deleted — and
-	// supersedes the base key by key. A group neither holds has no tuple
-	// or, under an iceberg, fewer than MinSup. The overlay's states are
-	// never written once stored, so a snapshot of it stays valid. It is
-	// never folded back: it holds at most the groups the batches project
-	// to.
+	// state of every group a batch has touched since that is published or
+	// that the base holds — a group of the base at its new state (a
+	// tombstone, count 0, for one whose last tuple was deleted) or a
+	// published group the base lacks — and supersedes the base key by key.
+	// A group neither holds has fewer than MinSup tuples (under no iceberg,
+	// none). The overlay's states are never written once stored, so a
+	// snapshot of it stays valid. It is never folded back: it holds at most
+	// the published groups and the base's keys.
 	base    *cube.SortedRun
 	overlay map[string]agg.State
 
@@ -478,7 +479,7 @@ func (m *Maintainer) applyDelta(batch Batch, deleteIdx []int, rnd *Round) error 
 		// The round recomputes the keys over the tuples the batch keeps,
 		// and their appended parts merge in: the post-batch relation's
 		// states, without folding the batch twice. A key with no kept and
-		// no appended tuple is left a tombstone.
+		// no appended tuple is left empty.
 		kept := &relation.Relation{Schema: m.rel.Schema, Tuples: next[:len(next)-len(batch.Append)]}
 		recs, err := m.states(recomputeJob(keys, kept.D()), kept, &rnd.Metrics)
 		if err != nil {
@@ -496,16 +497,25 @@ func (m *Maintainer) applyDelta(batch Batch, deleteIdx []int, rnd *Round) error 
 		}
 	}
 
-	// Commit point: mutate state.
-	minSup := m.minSup()
+	// Commit point: mutate state. The overlay keeps a touched group's state
+	// only if the group is published or the base holds it, so that the state
+	// supersedes the base's; any other group has fewer than MinSup tuples.
+	minSup, held := m.minSup(), m.base.Cursor()
+	var key []byte
 	for i, st := range states {
 		ch := &rnd.Changes[i]
 		if count(st) >= minSup {
 			ch.Value = st.Final()
-		} else {
-			ch.Delete = true
+			m.overlay[ch.Key] = st
+			continue
 		}
-		m.overlay[ch.Key] = st
+		ch.Delete = true
+		key = append(key[:0], ch.Key...)
+		if _, ok := held.Seek(key); ok {
+			m.overlay[ch.Key] = st
+		} else {
+			delete(m.overlay, ch.Key)
+		}
 	}
 	m.rel.Tuples = next
 	return nil

@@ -13,6 +13,7 @@ import (
 	"github.com/spcube/spcube/internal/agg"
 	"github.com/spcube/spcube/internal/cube"
 	"github.com/spcube/spcube/internal/data"
+	"github.com/spcube/spcube/internal/lattice"
 	"github.com/spcube/spcube/internal/relation"
 )
 
@@ -189,8 +190,9 @@ func TestOverlayCases(t *testing.T) {
 		}
 		return m
 	}
-	// apply runs one cycle, checks the published cube and returns the state
-	// and the published change of the (name, r) group.
+	// apply runs one cycle, checks the published cube and the overlay rule,
+	// and returns the overlay's state of the (name, r) group — zero when the
+	// overlay drops it — and its published change.
 	apply := func(t *testing.T, m *Maintainer, name string, appends, deletes []Row) (group, Change) {
 		t.Helper()
 		rnd, err := m.ApplyStrings(appends, deletes)
@@ -204,14 +206,19 @@ func TestOverlayCases(t *testing.T) {
 		code, _ := m.rel.Dict.Code(0, name)
 		r, _ := m.rel.Dict.Code(1, "r")
 		key := relation.GroupKey(0b11, []relation.Value{code, r})
-		st, ok := m.overlay[key]
-		if !ok {
-			t.Fatalf("group %s is not in the overlay after a cycle that touched it", name)
-		}
+		st, held := m.overlay[key]
+		_, inBase := m.base.Cursor().Seek([]byte(key))
 		for _, ch := range rnd.Changes {
-			if ch.Key == key {
-				return group{st.Final(), count(st)}, ch
+			if ch.Key != key {
+				continue
 			}
+			if held != (!ch.Delete || inBase) {
+				t.Fatalf("group %s: in the overlay %v, published %v, in the base %v", name, held, !ch.Delete, inBase)
+			}
+			if !held {
+				return group{}, ch
+			}
+			return group{st.Final(), count(st)}, ch
 		}
 		t.Fatalf("no change published for group %s", name)
 		return group{}, Change{}
@@ -253,10 +260,14 @@ func TestOverlayCases(t *testing.T) {
 					t.Fatalf("second tuple: state %+v, change %+v; want %+v published", g, ch, want)
 				}
 				// Back under the threshold the group leaves the published cube
-				// but stays maintained: it is no tombstone.
-				want = group{val: val(1, 9), cnt: 1}
-				if g, ch := apply(t, m, "y", nil, row("y", 3)); g != want || !ch.Delete {
-					t.Fatalf("one tuple deleted: state %+v, change %+v; want %+v unpublished", g, ch, want)
+				// and, since the base lacks it, the overlay too.
+				if g, ch := apply(t, m, "y", nil, row("y", 3)); g != (group{}) || !ch.Delete {
+					t.Fatalf("one tuple deleted: state %+v, change %+v; want it dropped and unpublished", g, ch)
+				}
+				// Touched again, it is recomputed from the relation's tuples.
+				want = group{val: val(2, 13), cnt: 2}
+				if g, ch := apply(t, m, "y", row("y", 4), nil); g != want || ch.Delete || ch.Value != want.val {
+					t.Fatalf("re-appended: state %+v, change %+v; want %+v published", g, ch, want)
 				}
 			})
 			t.Run("a rebuild after the overlay has grown", func(t *testing.T) {
@@ -282,5 +293,35 @@ func TestOverlayCases(t *testing.T) {
 				exactEqual(t, cube.Brute(m.rel, m.cfg.Agg), m.Result())
 			})
 		})
+	}
+}
+
+// TestOverlayBounded runs the binomial ingest sequence of
+// BenchmarkDeltaApply (MinSup 10, 38 k served rows, 60 cycles of 200
+// appended ones), whose batches touch tens of thousands of groups a cycle
+// that stay below MinSup: the overlay holds none of them, only published
+// groups and the base's keys.
+func TestOverlayBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("60 maintenance cycles")
+	}
+	all := data.GenBinomial(50000, 6, 0.5, 1)
+	served := &relation.Relation{Schema: all.Schema, Dict: all.Dict, Tuples: all.Tuples[:38000]}
+	m, err := New(served, Config{Algorithm: "sp-cube", Agg: agg.Count, MinSup: 10, Workers: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pool := all.Tuples[38000:]; len(pool) >= 200; pool = pool[200:] {
+		if _, err := m.Apply(Batch{Append: pool[:200]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	published := 0
+	m.Published(func([]byte, lattice.Mask, []relation.Value, float64, int64) bool {
+		published++
+		return true
+	})
+	if bound := published + m.base.Len(); len(m.overlay) > bound {
+		t.Fatalf("after 60 cycles the overlay holds %d states, more than the %d published groups and %d base keys", len(m.overlay), published, m.base.Len())
 	}
 }

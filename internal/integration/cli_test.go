@@ -68,8 +68,6 @@ func TestCLIExitCodes(t *testing.T) {
 		{[]string{"spbench"}, []string{"-format", "xml"}, 2, []string{"-format", "xml"}},
 		{[]string{"spbench"}, []string{"-scale", "0"}, 2, []string{"-scale 0"}},
 		{[]string{"spbench"}, []string{"-scale", "-1"}, 2, []string{"-scale -1"}},
-		{[]string{"spserve"}, []string{"-max-batch", "-3"}, 2, []string{"-max-batch -3"}},
-		{[]string{"spserve"}, []string{"-batch-window", "-1s"}, 2, []string{"-batch-window -1s"}},
 		{engine, []string{"-no-such-flag"}, 2, []string{"-no-such-flag"}},
 		{engine, []string{"-h"}, 0, []string{"-faults"}},
 		{in, nil, 1, []string{"missing.csv"}},

@@ -258,12 +258,6 @@ type Engine struct {
 	// traceSeq numbers delivered trace events; only touched from the run
 	// goroutine (events are flushed at phase barriers).
 	traceSeq int64
-	// inBytesPtr/N/Val memoize tupleInputBytes for the last input slice:
-	// multi-round algorithms call RunTuples repeatedly on the same
-	// relation, and the full encoding pass is worth running only once.
-	inBytesPtr *relation.Tuple
-	inBytesN   int
-	inBytesVal int64
 }
 
 // New creates an engine. When fs is nil a discard-mode DFS is created.
@@ -493,20 +487,21 @@ func (c *RedCtx) ChargeOps(n int64) { c.metrics.Ops += n }
 func (c *RedCtx) Workers() int { return c.eng.Cfg.Workers }
 
 // RunTuples executes job with the relation's tuples as input, split equally
-// among the Workers map tasks (the paper's load assumption, §2.3).
+// among the Workers map tasks (the paper's load assumption, §2.3). A map task
+// counts each tuple it reads as an encoded record (relation.TupleLen plus
+// RecordOverhead), as RunPairs counts each pair.
 func (e *Engine) RunTuples(job *Job, tuples []relation.Tuple) (*RoundResult, error) {
 	if job.MapTuple == nil {
 		return nil, fmt.Errorf("mr: job %s: RunTuples requires MapTuple", job.Name)
 	}
 	n := len(tuples)
-	inBytes := e.tupleInputBytes(tuples)
 	return e.run(job, n, func(task int, ctx *MapCtx) {
 		lo, hi := split(n, e.Cfg.Workers, task)
 		for i := lo; i < hi; i++ {
 			ctx.metrics.InRecords++
+			ctx.metrics.InBytes += int64(relation.TupleLen(tuples[i]) + RecordOverhead)
 			job.MapTuple(ctx, tuples[i])
 		}
-		ctx.metrics.InBytes = inBytes * int64(hi-lo) / int64(max(n, 1))
 	})
 }
 
@@ -1524,33 +1519,4 @@ func split(n, k, i int) (int, int) {
 	lo := i * n / k
 	hi := (i + 1) * n / k
 	return lo, hi
-}
-
-// tupleInputBytes returns the encoded input size of tuples, memoized for
-// the last slice seen: multi-round algorithms (spcube's sample/skew/group
-// rounds, mrcube, pipesort) call RunTuples repeatedly on one relation, and
-// the full encoding pass only needs to run once per relation. The cache
-// key is the slice identity (base pointer + length) — same tuples, same
-// bytes — so a different or mutated-in-place-to-different-length slice
-// recomputes.
-func (e *Engine) tupleInputBytes(tuples []relation.Tuple) int64 {
-	if len(tuples) == 0 {
-		return 0
-	}
-	if e.inBytesPtr == &tuples[0] && e.inBytesN == len(tuples) {
-		return e.inBytesVal
-	}
-	v := tupleInputBytes(tuples)
-	e.inBytesPtr, e.inBytesN, e.inBytesVal = &tuples[0], len(tuples), v
-	return v
-}
-
-func tupleInputBytes(tuples []relation.Tuple) int64 {
-	var total int64
-	buf := make([]byte, 0, 64)
-	for i := range tuples {
-		buf = relation.EncodeTuple(buf, tuples[i])
-		total += int64(len(buf)) + 2
-	}
-	return total
 }

@@ -298,46 +298,60 @@ func TestHashPartitionMatchesFNV(t *testing.T) {
 	}
 }
 
-// TestTupleInputBytesMemoized verifies the per-relation memoization of the
-// input-byte accounting: repeated rounds over the same tuple slice report
-// identical InBytes (same as a fresh engine computes), and a different
-// slice is not served from the stale cache.
-func TestTupleInputBytesMemoized(t *testing.T) {
-	tuplesA, _ := tuplesFromWords([]string{"a", "b", "c", "a", "b", "a"})
-	tuplesB, _ := tuplesFromWords([]string{"longer", "words", "entirely", "different", "here"})
-
-	inBytes := func(eng *Engine, tuples []relation.Tuple) int64 {
-		job := &Job{
-			Name:     "bytes-probe",
-			MapTuple: func(ctx *MapCtx, t relation.Tuple) { ctx.Emit("k", nil) },
-			Reduce:   func(ctx *RedCtx, key string, vals [][]byte) {},
+// TestMapTaskInBytes holds each map task's InBytes to the encoded records of
+// its own split, RecordOverhead framing each, in both input kinds: the tasks
+// sum to the whole input's bytes, whatever the task count.
+func TestMapTaskInBytes(t *testing.T) {
+	var tuples []relation.Tuple
+	var pairs []Pair
+	for i, v := range []int64{0, -1, 1 << 7, 1 << 30, -1 << 62, 5, 1 << 14} {
+		tuples = append(tuples, relation.Tuple{Dims: []relation.Value{relation.Value(v), relation.Value(i << (4 * i))}, Measure: v})
+		pairs = append(pairs, Pair{Key: fmt.Sprint(v), Val: make([]byte, i)})
+	}
+	tupleSizes := make([]int64, len(tuples))
+	pairSizes := make([]int64, len(pairs))
+	for i := range tuples {
+		tupleSizes[i] = int64(len(relation.EncodeTuple(nil, tuples[i])) + RecordOverhead)
+		pairSizes[i] = int64(len(pairs[i].Key) + len(pairs[i].Val) + RecordOverhead)
+	}
+	job := &Job{
+		Name:     "bytes-probe",
+		MapTuple: func(ctx *MapCtx, t relation.Tuple) { ctx.Emit("k", nil) },
+		MapPair:  func(ctx *MapCtx, key string, val []byte) { ctx.Emit("k", nil) },
+		Reduce:   func(ctx *RedCtx, key string, vals [][]byte) {},
+	}
+	for _, workers := range []int{1, 3} {
+		for _, input := range []struct {
+			name  string
+			bytes []int64
+			run   func(*Engine) (*RoundResult, error)
+		}{
+			{"tuples", tupleSizes, func(e *Engine) (*RoundResult, error) { return e.RunTuples(job, tuples) }},
+			{"pairs", pairSizes, func(e *Engine) (*RoundResult, error) { return e.RunPairs(job, pairs) }},
+		} {
+			res, err := input.run(New(Config{Workers: workers, Parallelism: 1}, dfs.New(true)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var whole, sum int64
+			for _, b := range input.bytes {
+				whole += b
+			}
+			for task, m := range res.Metrics.Mappers {
+				lo, hi := split(len(input.bytes), workers, task)
+				var want int64
+				for _, b := range input.bytes[lo:hi] {
+					want += b
+				}
+				if m.InBytes != want {
+					t.Errorf("%s, %d workers: task %d read %d bytes, its split is %d", input.name, workers, task, m.InBytes, want)
+				}
+				sum += m.InBytes
+			}
+			if len(res.Metrics.Mappers) != workers || sum != whole {
+				t.Errorf("%s, %d workers: %d tasks read %d bytes, the input is %d", input.name, workers, len(res.Metrics.Mappers), sum, whole)
+			}
 		}
-		res, err := eng.RunTuples(job, tuples)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var total int64
-		for _, m := range res.Metrics.Mappers {
-			total += m.InBytes
-		}
-		return total
-	}
-
-	eng := New(Config{Workers: 3, Parallelism: 1}, dfs.New(true))
-	firstA := inBytes(eng, tuplesA)
-	if again := inBytes(eng, tuplesA); again != firstA {
-		t.Errorf("memoized second round reports %d input bytes, first reported %d", again, firstA)
-	}
-	if want := tupleInputBytes(tuplesA); firstA != want {
-		t.Errorf("accounted %d input bytes, direct computation gives %d", firstA, want)
-	}
-	gotB := inBytes(eng, tuplesB)
-	if want := tupleInputBytes(tuplesB); gotB != want {
-		t.Errorf("after switching relations: accounted %d, want %d (stale cache?)", gotB, want)
-	}
-	fresh := New(Config{Workers: 3, Parallelism: 1}, dfs.New(true))
-	if got := inBytes(fresh, tuplesB); got != gotB {
-		t.Errorf("fresh engine accounts %d input bytes, memoizing engine %d", got, gotB)
 	}
 }
 

@@ -230,6 +230,17 @@ func EncodeTuple(buf []byte, t Tuple) []byte {
 	return binary.AppendVarint(AppendValues(buf[:0], t.Dims), t.Measure)
 }
 
+// TupleLen returns len(EncodeTuple(nil, t)) without encoding: each value's
+// zigzag form takes one byte per 7 bits it spans, and at least one.
+func TupleLen(t Tuple) int {
+	width := func(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }
+	n := width(uint64(t.Measure<<1) ^ uint64(t.Measure>>63))
+	for _, v := range t.Dims {
+		n += width(uint64(zig(v)))
+	}
+	return n
+}
+
 // DecodeTuple decodes a tuple encoded by EncodeTuple, given the dimension
 // count d.
 func DecodeTuple(b []byte, d int) (Tuple, error) {

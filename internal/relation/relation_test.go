@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -93,6 +94,9 @@ func TestTupleRoundTrip(t *testing.T) {
 			dims[i] = v
 		}
 		enc := EncodeTuple(nil, Tuple{Dims: dims, Measure: measure})
+		if TupleLen(Tuple{Dims: dims, Measure: measure}) != len(enc) {
+			return false
+		}
 		got, err := DecodeTuple(enc, len(dims))
 		if err != nil {
 			return false
@@ -101,6 +105,22 @@ func TestTupleRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
+	}
+	// TupleLen at every varint width: the zigzag forms of these dims span
+	// 1 to 5 bytes, and of these measures 1 to 10.
+	dims := []Value{0, 1<<7 - 1, 1 << 7, 1 << 14, 1 << 21, 1 << 28, -1, math.MinInt32, math.MaxInt32}
+	measures := []int64{0, 1, -1, 1 << 62, -1 << 62, math.MinInt64, math.MaxInt64}
+	for s := 6; s < 62; s += 7 {
+		measures = append(measures, 1<<s, -1<<s)
+	}
+	for _, dim := range dims {
+		for _, m := range measures {
+			for _, tu := range []Tuple{{Measure: m}, {Dims: []Value{dim}, Measure: m}, {Dims: []Value{dim, 5, dim}, Measure: m}} {
+				if got, want := TupleLen(tu), len(EncodeTuple(nil, tu)); got != want {
+					t.Errorf("TupleLen(%v) = %d, EncodeTuple writes %d bytes", tu, got, want)
+				}
+			}
+		}
 	}
 }
 
