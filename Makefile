@@ -110,9 +110,10 @@ chaos-proc:
 	$(GO) test -count=1 -run TestChaosProcKillSoak ./internal/mr/exec
 
 # The out-of-core shuffle at its extremes, under the default 1,024-fd limit:
-# spilling every record with two-way merges (thousands of merge passes, one
-# run file per task), and a 4 KiB budget on one goroutine, must each write
-# the in-memory run's cube byte for byte. So must the skewed iceberg batch
+# spilling every record (thousands of runs per reducer, far past the 64-run
+# fan-in, so merge passes with one run file per task; the recipe fails
+# unless its metrics document counts some), and a 4 KiB budget on one
+# goroutine, must each write the in-memory run's cube byte for byte. So must the skewed iceberg batch
 # (binomial, d = 6, half the rows one tuple) through a 64 KiB lz budget: the
 # benchmark's spilling shape, at a fourteenth of its rows.
 spill-smoke:
@@ -123,8 +124,9 @@ spill-smoke:
 	"$$tmp/gendata" -dataset uniform -n 20000 -seed 7 -o "$$tmp/in.csv"; \
 	"$$tmp/spcube" -in "$$tmp/in.csv" -o "$$tmp/mem.csv"; \
 	ulimit -n 1024; \
-	"$$tmp/spcube" -in "$$tmp/in.csv" -spill-budget 0 -merge-fan-in 2 -spill-codec lz -spill-dir "$$tmp" -o "$$tmp/every.csv"; \
+	"$$tmp/spcube" -in "$$tmp/in.csv" -spill-budget 0 -spill-codec lz -spill-dir "$$tmp" -metrics-out "$$tmp/every.json" -o "$$tmp/every.csv"; \
 	cmp "$$tmp/mem.csv" "$$tmp/every.csv"; \
+	grep -q '"mergePasses": [1-9]' "$$tmp/every.json"; \
 	"$$tmp/spcube" -in "$$tmp/in.csv" -spill-budget 4096 -p 1 -spill-dir "$$tmp" -o "$$tmp/4k.csv"; \
 	cmp "$$tmp/mem.csv" "$$tmp/4k.csv"; \
 	"$$tmp/gendata" -dataset binomial -d 6 -p 0.5 -n 40000 -o "$$tmp/skew.csv"; \

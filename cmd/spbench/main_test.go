@@ -23,15 +23,14 @@ func exit(args []string, stdout, stderr io.Writer) int {
 
 // TestFlagSurface pins spbench's flags and defaults against the literal
 // captured from the commit before the shared flag groups existed, minus the
-// four flags of the two retired pre-harness benchmark modes.
+// four flags of the two retired pre-harness benchmark modes and
+// -max-attempts and -merge-fan-in, whose values became engine constants.
 func TestFlagSurface(t *testing.T) {
 	want := `backend=local
 exp=all
 faults=
 format=table
 k=20
-max-attempts=0
-merge-fan-in=0
 metrics-out=
 p=0
 pprof=

@@ -21,11 +21,13 @@
 // "*" wildcards; kinds: crash, mid-emit, oom, plus
 // round:node:N:node-crash to kill simulated machine N at a round's shuffle
 // barrier — its completed map output is lost and recomputed). Failed tasks
-// are re-executed up to -max-attempts times; the cube and every statistic
-// except the recovery counters are identical to a fault-free run:
+// are re-executed up to 4 attempts in all; the cube and every statistic
+// except the recovery counters are identical to a fault-free run. A fault
+// armed on every attempt (":0:*") is permanent and exits 1:
 //
 //	spcube -in sales.csv -faults '*:map:*:crash'      # every map task retried once
 //	spcube -in sales.csv -faults '*:node:1:node-crash' # lose node 1's map output
+//	spcube -in sales.csv -faults '*:map:0:crash:0:*'  # map task 0 never succeeds
 //
 // Out-of-core shuffle: -spill-budget N caps each map task's in-memory emit
 // buffer at N bytes — past the budget the task sorts and flushes its output
@@ -39,15 +41,15 @@
 //	spcube -in big.csv -spill-budget 8388608    # spill past 8 MiB per task
 //	spcube -in big.csv -spill-budget 0 -spill-dir /mnt/scratch
 //
-// -spill-codec picks the block compression for run files ("raw" or "lz");
-// -merge-fan-in caps how many runs a reducer merges at once (the analog of
-// Hadoop's io.sort.factor) — past the cap, contiguous groups are first
-// merged into intermediate on-disk runs. The cube is byte-identical under
-// any codec and fan-in. The spill directory honors $TMPDIR when -spill-dir
-// is unset, and an interrupt (SIGINT/SIGTERM) removes it before exiting:
+// -spill-codec picks the block compression for run files ("raw" or "lz").
+// A reducer merges at most 64 runs at once (Hadoop's io.sort.factor); past
+// that, contiguous groups are first merged into intermediate on-disk runs,
+// counted as merge passes. The cube is byte-identical under any codec. The
+// spill directory honors $TMPDIR when -spill-dir is unset, and an interrupt
+// (SIGINT/SIGTERM) removes it before exiting:
 //
 //	spcube -in big.csv -spill-budget 65536 -spill-codec lz
-//	spcube -in big.csv -spill-budget 1024 -merge-fan-in 8
+//	spcube -in big.csv -spill-budget 0   # thousands of runs: merge passes
 //
 // Execution backends: -backend local (the default) executes the simulated
 // cluster's tasks as goroutines inside this process; -backend proc also

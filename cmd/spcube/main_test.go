@@ -47,8 +47,9 @@ func writeTemp(t *testing.T, dir, name, content string) string {
 }
 
 // TestFlagSurface pins spcube's flags and defaults against the literal
-// captured from the commit before the shared flag groups existed: a flag,
-// default or group membership that drifts fails here.
+// captured from the commit before the shared flag groups existed, minus
+// -max-attempts and -merge-fan-in, whose values became engine constants: a
+// flag, default or group membership that drifts fails here.
 func TestFlagSurface(t *testing.T) {
 	want := `agg=count
 algo=sp-cube
@@ -58,8 +59,6 @@ delta-delete=
 faults=
 in=
 k=8
-max-attempts=0
-merge-fan-in=0
 metrics-out=
 minsup=0
 o=
@@ -553,7 +552,7 @@ func TestFailedRunLeavesNoSpillFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	err := spcube(nil, "-in", in, "-o", filepath.Join(dir, "out.csv"), "-k", "2",
-		"-spill-budget", "0", "-spill-dir", spillDir, "-faults", "*:map:*:crash:0:*", "-max-attempts", "1")
+		"-spill-budget", "0", "-spill-dir", spillDir, "-faults", "*:map:*:crash:0:*")
 	if err == nil {
 		t.Fatal("expected the permanently faulted run to fail")
 	}
@@ -576,7 +575,7 @@ func TestFailedRunWritesMetrics(t *testing.T) {
 	for _, algo := range []string{"sp-cube", "naive", "mr-cube", "hive", "pipesort"} {
 		out, metrics := filepath.Join(dir, algo+".csv"), filepath.Join(dir, algo+".json")
 		err := spcube(nil, "-in", in, "-o", out, "-metrics-out", metrics, "-algo", algo, "-k", "2",
-			"-faults", "*:reduce:*:crash", "-max-attempts", "1")
+			"-faults", "*:reduce:*:crash:0:*")
 		if code := cli.Exit("spcube", io.Discard, err); code != 1 {
 			t.Errorf("%s: exit %d (%v), want 1", algo, code, err)
 		}

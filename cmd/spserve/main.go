@@ -4,10 +4,10 @@
 // so concurrent clients coalesce into few index probes.
 //
 // The input format is cmd/spcube's, and the compute flags are the shared
-// engine group (-k -p -seed -faults -max-attempts -trace -metrics-out
-// -pprof) and input group (-in -agg -algo -minsup) of internal/cli,
-// declared and validated there for all three binaries: a bad value exits 2
-// before the input is opened. The serving side adds:
+// engine group (-k -p -seed -faults -trace -metrics-out -pprof) and input
+// group (-in -agg -algo -minsup) of internal/cli, declared and validated
+// there for all three binaries: a bad value exits 2 before the input is
+// opened. The serving side adds:
 //
 //	spserve -in sales.csv -addr localhost:8080
 //	curl 'localhost:8080/v1/query?op=point&group=laptop,*,2012'
@@ -28,6 +28,10 @@
 //	curl -d '{"append":[{"dims":["laptop","Rome","2013"],"measure":5}],
 //	          "delete":[{"dims":["laptop","Rome","2012"],"measure":3}]}' \
 //	     localhost:8080/v1/ingest
+//
+// A batch the relation cannot take (delta.ErrInvalidBatch) is answered 400,
+// a cycle that fails on the server's side 500; either way nothing is
+// applied.
 //
 // -addr :0 binds a free port; -addr-file writes the resolved host:port to a
 // file once the server is listening (how the benchmark harness finds it).
@@ -234,7 +238,11 @@ func ingestHandler(svc *serve.Batched, maint *delta.Maintainer) http.Handler {
 		defer mu.Unlock()
 		rnd, err := maint.ApplyStrings(toRows(req.Append), toRows(req.Delete))
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, IngestResponse{Error: err.Error()})
+			status := http.StatusInternalServerError
+			if errors.Is(err, delta.ErrInvalidBatch) {
+				status = http.StatusBadRequest
+			}
+			writeJSON(w, status, IngestResponse{Error: err.Error()})
 			return
 		}
 		next, err := cli.NextStore(svc.Store(), maint, rnd)

@@ -42,7 +42,8 @@ func exit(ctx context.Context, args []string, stderr *bytes.Buffer) int {
 }
 
 // TestFlagSurface pins spserve's flags and defaults against the literal
-// captured from the commit before the shared flag groups existed.
+// captured from the commit before the shared flag groups existed, minus
+// -max-attempts, whose value became an engine constant.
 func TestFlagSurface(t *testing.T) {
 	want := `addr=localhost:8080
 addr-file=
@@ -51,7 +52,6 @@ algo=sp-cube
 faults=
 in=
 k=8
-max-attempts=0
 metrics-out=
 minsup=0
 p=0
@@ -360,13 +360,13 @@ func TestServeIngestEndToEnd(t *testing.T) {
 
 // ingestFixture is the serving stack behind /v1/ingest over the fixture rows,
 // without the listener.
-func ingestFixture(t testing.TB) (*serve.Batched, *delta.Maintainer) {
+func ingestFixture(t testing.TB, ctx context.Context) (*serve.Batched, *delta.Maintainer) {
 	t.Helper()
 	rel, err := relation.ReadCSV(strings.NewReader(fixtureCSV))
 	if err != nil {
 		t.Fatal(err)
 	}
-	maint, err := delta.New(rel, delta.Config{Workers: 2})
+	maint, err := delta.New(rel, delta.Config{Workers: 2, Context: ctx})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func ingestFixture(t testing.TB) (*serve.Batched, *delta.Maintainer) {
 // handler's JSON error shape, with no maintenance cycle run and the served
 // snapshot still the one that was serving.
 func TestIngestBodyLimit(t *testing.T) {
-	svc, maint := ingestFixture(t)
+	svc, maint := ingestFixture(t, context.Background())
 	store := svc.Store()
 
 	body := `{"append":[{"dims":["` + strings.Repeat("x", maxIngestBody) + `","Rome"],"measure":1}]}`
@@ -398,6 +398,30 @@ func TestIngestBodyLimit(t *testing.T) {
 	}
 	if svc.Store() != store || maint.Version() != 0 {
 		t.Fatalf("oversized ingest was applied: version %d, store swapped %v", maint.Version(), svc.Store() != store)
+	}
+}
+
+// TestIngestServerFailureIs5xx: a valid batch whose cycle fails on the
+// server's side — here its maintenance context was cancelled — is answered
+// 5xx, not 400, with no cycle recorded and the served snapshot untouched.
+func TestIngestServerFailureIs5xx(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	svc, maint := ingestFixture(t, ctx)
+	store := svc.Store()
+	cancel()
+
+	body := `{"append":[{"dims":["tablet","Rome"],"measure":1}]}`
+	w := httptest.NewRecorder()
+	ingestHandler(svc, maint).ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/ingest", strings.NewReader(body)))
+	var resp IngestResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		t.Fatalf("bad JSON %q: %v", w.Body.String(), err)
+	}
+	if w.Code < 500 || resp.Error == "" {
+		t.Fatalf("ingest under a cancelled context: %d %+v, want 5xx with error", w.Code, resp)
+	}
+	if svc.Store() != store || maint.Version() != 0 {
+		t.Fatalf("failed ingest was applied: version %d, store swapped %v", maint.Version(), svc.Store() != store)
 	}
 }
 
@@ -441,7 +465,7 @@ func TestServeAddrConflict(t *testing.T) {
 // Accepted batches accumulate, so later inputs meet a relation earlier ones
 // grew, shrank or emptied.
 func FuzzIngestRequest(f *testing.F) {
-	svc, maint := ingestFixture(f)
+	svc, maint := ingestFixture(f, context.Background())
 	h := ingestHandler(svc, maint)
 	for _, seed := range []string{
 		`{"append":[{"dims":["tablet","Oslo"],"measure":4}]}`,

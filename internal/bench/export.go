@@ -41,7 +41,6 @@ type Environment struct {
 	GoVersion   string `json:"goVersion"`
 	Parallelism int    `json:"parallelism"`
 	Faults      string `json:"faults,omitempty"`
-	MaxAttempts int    `json:"maxAttempts,omitempty"`
 	// GeneratedAt is the document creation time (RFC 3339, UTC).
 	GeneratedAt string `json:"generatedAt"`
 }
@@ -74,7 +73,6 @@ func NewMetricsDoc(cfg Config, experiment string, figures []Figure, runs []RunRe
 	env := Environment{
 		GoVersion:   runtime.Version(),
 		Parallelism: cfg.Parallelism,
-		MaxAttempts: cfg.MaxAttempts,
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 	}
 	if cfg.Faults != nil {

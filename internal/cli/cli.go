@@ -38,15 +38,14 @@ type Flags struct {
 	set *flag.FlagSet
 
 	// Engine group.
-	Workers, Par, MaxAttempts int
-	Seed                      int64
-	Faults                    string
-	Trace, MetricsOut, Pprof  string
+	Workers, Par             int
+	Seed                     int64
+	Faults                   string
+	Trace, MetricsOut, Pprof string
 
 	// Spill + backend group.
 	SpillBudget          int64
 	SpillDir, SpillCodec string
-	MergeFanIn           int
 	Backend              string
 
 	// Input group.
@@ -69,7 +68,6 @@ func (f *Flags) Engine(k int, seed int64) {
 	fs.IntVar(&f.Par, "p", 0, "goroutines executing simulated tasks: 0 = all cores, 1 = sequential (results are identical at any setting)")
 	fs.Int64Var(&f.Seed, "seed", seed, "deterministic seed for sampling (and data generation)")
 	fs.StringVar(&f.Faults, "faults", "", "fault-injection spec: round:phase:task:kind[:attempt[:count]] or round:node:N:node-crash, comma-separated (e.g. '*:map:*:crash', '*:node:1:node-crash'); results are identical to a fault-free run")
-	fs.IntVar(&f.MaxAttempts, "max-attempts", 0, "task attempts before an injected failure becomes permanent (0 = engine default, 4)")
 	fs.StringVar(&f.Trace, "trace", "", "write structured engine trace events (JSON lines) to this file")
 	fs.StringVar(&f.MetricsOut, "metrics-out", "", "write the run's per-round metrics (versioned JSON) to this file")
 	fs.StringVar(&f.Pprof, "pprof", "", "serve net/http/pprof and /debug/runtime on this address (e.g. localhost:6060)")
@@ -81,7 +79,6 @@ func (f *Flags) Spill() {
 	fs.Int64Var(&f.SpillBudget, "spill-budget", f.SpillBudget, "map-side in-memory emit budget in bytes before sorting and spilling to an on-disk run file: -1 = never spill, 0 = spill every record, N > 0 = spill past N bytes; cube bytes are identical at any setting")
 	fs.StringVar(&f.SpillDir, "spill-dir", "", "directory for spill run files (default: the system temp dir, honoring $TMPDIR); a per-run subdirectory is created and removed on exit, interrupts included")
 	fs.StringVar(&f.SpillCodec, "spill-codec", f.SpillCodec, "block compression codec for spill run files: raw or lz; cube bytes are identical under any codec")
-	fs.IntVar(&f.MergeFanIn, "merge-fan-in", 0, "cap on runs merged at once by a reducer (0 = engine default, 64; minimum 2); excess runs are first merged into intermediate on-disk runs")
 	fs.StringVar(&f.Backend, "backend", f.Backend, "execution backend: local (simulated nodes are goroutines) or proc (one worker process per node, re-executing this binary, that acknowledges attempts and is SIGKILLed when its node crashes); results are byte-identical across backends")
 }
 
@@ -135,20 +132,12 @@ func (f *Flags) Resolve() (mr.Config, agg.Func, error) {
 	bad := func(name string, value any, err error) (mr.Config, agg.Func, error) {
 		return mr.Config{}, nil, Usagef("-%s %v: %w", name, value, err)
 	}
-	// Zero means the engine's default or off; the cluster has at least one
-	// machine.
-	for _, c := range []struct {
-		name       string
-		value, min float64
-	}{
-		{"k", float64(f.Workers), 1},
-		{"p", float64(f.Par), 0},
-		{"max-attempts", float64(f.MaxAttempts), 0},
-		{"merge-fan-in", float64(f.MergeFanIn), 0},
-	} {
-		if c.value < c.min {
-			return bad(c.name, c.value, fmt.Errorf("want at least %v", c.min))
-		}
+	// The cluster has at least one machine; -p 0 means every core.
+	if f.Workers < 1 {
+		return bad("k", f.Workers, errors.New("want at least 1"))
+	}
+	if f.Par < 0 {
+		return bad("p", f.Par, errors.New("want at least 0"))
 	}
 	plan, err := mr.ParseFaultPlan(f.Faults)
 	if err != nil {
@@ -181,9 +170,8 @@ func (f *Flags) Resolve() (mr.Config, agg.Func, error) {
 	}
 	return mr.Config{
 		Workers: f.Workers, Seed: uint64(f.Seed), Parallelism: f.Par,
-		Faults: plan, MaxAttempts: f.MaxAttempts,
-		SpillBudgetBytes: budget, SpillDir: f.SpillDir,
-		SpillCodec: f.SpillCodec, MergeFanIn: f.MergeFanIn,
+		Faults: plan, SpillBudgetBytes: budget, SpillDir: f.SpillDir,
+		SpillCodec: f.SpillCodec,
 	}, aggFn, nil
 }
 
@@ -302,9 +290,8 @@ func (s *Session) DeltaConfig() delta.Config {
 	return delta.Config{
 		Algorithm: s.Algo, Agg: s.AggFn, MinSup: s.MinSup,
 		Workers: c.Workers, Parallelism: c.Parallelism, Seed: s.Seed,
-		Faults: c.Faults, MaxAttempts: c.MaxAttempts,
-		SpillBudgetBytes: c.SpillBudgetBytes, SpillDir: c.SpillDir,
-		SpillCodec: c.SpillCodec, MergeFanIn: c.MergeFanIn,
+		Faults: c.Faults, SpillBudgetBytes: c.SpillBudgetBytes,
+		SpillDir: c.SpillDir, SpillCodec: c.SpillCodec,
 		Tracer: c.Tracer, Context: c.Context,
 	}
 }

@@ -80,20 +80,17 @@ type Config struct {
 	MinSup int
 	// Workers is the simulated cluster size (default 8).
 	Workers int
-	// Parallelism, Seed, Faults and MaxAttempts configure the engines the
-	// maintenance jobs run on, with mr.Config semantics.
+	// Parallelism, Seed and Faults configure the engines the maintenance
+	// jobs run on, with mr.Config semantics.
 	Parallelism int
 	Seed        int64
 	Faults      *mr.FaultPlan
-	MaxAttempts int
-	// SpillBudgetBytes, SpillDir, SpillCodec and MergeFanIn configure the
-	// engines' out-of-core shuffle, with mr.Config semantics (0 keeps
-	// everything in memory; empty codec means raw; 0 fan-in means the
-	// engine default).
+	// SpillBudgetBytes, SpillDir and SpillCodec configure the engines'
+	// out-of-core shuffle, with mr.Config semantics (0 keeps everything in
+	// memory; empty codec means raw).
 	SpillBudgetBytes int64
 	SpillDir         string
 	SpillCodec       string
-	MergeFanIn       int
 	// Tracer receives the engines' lifecycle events plus the maintainer's
 	// maint-start/maint-end cycle events (numbered by the maintainer's own
 	// sequence counter; engine sequences restart per cycle).
@@ -252,6 +249,12 @@ func New(rel *relation.Relation, cfg Config) (*Maintainer, error) {
 	return m, nil
 }
 
+// ErrInvalidBatch is wrapped by every error that rejects a batch for what it
+// holds: a row of the wrong width, a deleted value or tuple the relation
+// lacks, or no rows at all. Any other error of Apply or ApplyStrings is the
+// maintainer's own — a cancelled context, a failed job, spill I/O.
+var ErrInvalidBatch = errors.New("delta: invalid batch")
+
 // Apply runs one maintenance cycle over the batch. On error the maintained
 // cube and relation are unchanged.
 func (m *Maintainer) Apply(batch Batch) (*Round, error) {
@@ -275,7 +278,7 @@ func (m *Maintainer) ApplyStrings(appends, deletes []Row) (*Round, error) {
 	var batch Batch
 	for i, row := range appends {
 		if len(row.Dims) != d {
-			return nil, fmt.Errorf("delta: append row %d has %d dims, schema has %d", i, len(row.Dims), d)
+			return nil, fmt.Errorf("%w: append row %d has %d dims, schema has %d", ErrInvalidBatch, i, len(row.Dims), d)
 		}
 		enc := make([]relation.Value, d)
 		for j, s := range row.Dims {
@@ -285,13 +288,13 @@ func (m *Maintainer) ApplyStrings(appends, deletes []Row) (*Round, error) {
 	}
 	for i, row := range deletes {
 		if len(row.Dims) != d {
-			return nil, fmt.Errorf("delta: delete row %d has %d dims, schema has %d", i, len(row.Dims), d)
+			return nil, fmt.Errorf("%w: delete row %d has %d dims, schema has %d", ErrInvalidBatch, i, len(row.Dims), d)
 		}
 		enc := make([]relation.Value, d)
 		for j, s := range row.Dims {
 			code, ok := dict.Code(j, s)
 			if !ok {
-				return nil, fmt.Errorf("delta: delete row %d: unknown value %q in dimension %d", i, s, j)
+				return nil, fmt.Errorf("%w: delete row %d: unknown value %q in dimension %d", ErrInvalidBatch, i, s, j)
 			}
 			enc[j] = code
 		}
@@ -306,7 +309,7 @@ func (m *Maintainer) applyLocked(batch Batch, newDict *relation.Dictionary) (*Ro
 	d := m.rel.D()
 	for i, t := range batch.Append {
 		if len(t.Dims) != d {
-			return nil, fmt.Errorf("delta: append tuple %d has %d dims, schema has %d", i, len(t.Dims), d)
+			return nil, fmt.Errorf("%w: append tuple %d has %d dims, schema has %d", ErrInvalidBatch, i, len(t.Dims), d)
 		}
 	}
 	deleteIdx, err := m.locateDeletes(batch.Delete)
@@ -314,7 +317,7 @@ func (m *Maintainer) applyLocked(batch Batch, newDict *relation.Dictionary) (*Ro
 		return nil, err
 	}
 	if len(batch.Append) == 0 && len(batch.Delete) == 0 {
-		return nil, errors.New("delta: empty batch")
+		return nil, fmt.Errorf("%w: no rows", ErrInvalidBatch)
 	}
 
 	rnd := Round{
@@ -365,7 +368,7 @@ func (m *Maintainer) locateDeletes(dels []relation.Tuple) ([]int, error) {
 	var buf []byte
 	for i, t := range dels {
 		if len(t.Dims) != d {
-			return nil, fmt.Errorf("delta: delete tuple %d has %d dims, schema has %d", i, len(t.Dims), d)
+			return nil, fmt.Errorf("%w: delete tuple %d has %d dims, schema has %d", ErrInvalidBatch, i, len(t.Dims), d)
 		}
 		buf = relation.EncodeTuple(buf, t)
 		want[string(buf)]++
@@ -389,7 +392,7 @@ func (m *Maintainer) locateDeletes(dels []relation.Tuple) ([]int, error) {
 				first = i
 			}
 		}
-		return nil, fmt.Errorf("delta: delete tuple %d not present in relation", first)
+		return nil, fmt.Errorf("%w: delete tuple %d not present in relation", ErrInvalidBatch, first)
 	}
 	slices.Reverse(idx)
 	return idx, nil
@@ -582,11 +585,9 @@ func (m *Maintainer) runJob(compute cube.ComputeFunc, rel *relation.Relation, mi
 		Seed:             uint64(m.cfg.Seed),
 		Parallelism:      m.cfg.Parallelism,
 		Faults:           m.cfg.Faults,
-		MaxAttempts:      m.cfg.MaxAttempts,
 		SpillBudgetBytes: m.cfg.SpillBudgetBytes,
 		SpillDir:         m.cfg.SpillDir,
 		SpillCodec:       m.cfg.SpillCodec,
-		MergeFanIn:       m.cfg.MergeFanIn,
 		Tracer:           m.cfg.Tracer,
 		Context:          m.cfg.Context,
 	}, dfs.New(false))

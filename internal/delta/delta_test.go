@@ -455,7 +455,7 @@ func TestApplyErrors(t *testing.T) {
 func TestFailedCycleLeavesStateUntouched(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	base := cubetest.RandomRelation(rng, 100, 2, 4)
-	plan, err := mr.ParseFaultPlan("*:map:*:crash")
+	plan, err := mr.ParseFaultPlan("*:map:*:crash:0:*")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,9 +475,8 @@ func TestFailedCycleLeavesStateUntouched(t *testing.T) {
 		t.Fatal("a delta cycle left the overlay empty")
 	}
 
-	// Arm a permanent fault (MaxAttempts 1: the first crash is final).
+	// Arm a permanent fault: the crash fires on every attempt.
 	m.cfg.Faults = plan
-	m.cfg.MaxAttempts = 1
 	batch := Batch{Append: cubetest.RandomRelation(rng, 10, 2, 4).Tuples}
 	if _, err := m.Apply(batch); err == nil {
 		t.Fatal("cycle under a permanent fault must fail")
@@ -496,7 +495,6 @@ func TestFailedCycleLeavesStateUntouched(t *testing.T) {
 
 	// Disarm and retry: the same batch applies cleanly.
 	m.cfg.Faults = nil
-	m.cfg.MaxAttempts = 0
 	if _, err := m.Apply(batch); err != nil {
 		t.Fatal(err)
 	}

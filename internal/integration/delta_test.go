@@ -154,7 +154,7 @@ func runDelta(t *testing.T, p deltaPoint) (rounds []delta.Round, errs []string) 
 	fn, _ := agg.ByName(p.agg)
 	plan, _ := mr.ParseFaultPlan(p.faults)
 	maint, err := delta.New(ts.relation(), delta.Config{Algorithm: p.algo, Agg: fn, MinSup: p.minSup, Workers: p.k,
-		Parallelism: p.p, Seed: p.eseed, Faults: plan, MaxAttempts: maxAttempts})
+		Parallelism: p.p, Seed: p.eseed, Faults: plan})
 	if err != nil {
 		t.Fatalf("%#v: %v", p, err)
 	}

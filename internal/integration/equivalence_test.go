@@ -35,7 +35,6 @@ type point struct {
 	k, mem, p  int    // workers, memory in tuples (0: n/k), parallelism (0: GOMAXPROCS)
 	budget     int64  // spill budget in bytes; 0 keeps the shuffle in memory
 	codec      string // spill block codec; "" is raw
-	fanIn      int
 	faults     string // an mr.ParseFaultPlan spec that recoverable accepts
 	eseed      uint64 // the engine's partitioning and placement seed
 }
@@ -71,12 +70,7 @@ var (
 	aggNames = []string{"count", "sum", "min", "max", "avg", "var", "stddev", "distinct"}
 	budgets  = []int64{0, 1, 512, 4096}
 	codecs   = []string{"", "lz"}
-	fanIns   = []int{0, 2}
 )
-
-// maxAttempts is every run's attempt budget: recoverable plans hit first
-// attempts only, so one retry must recover each fault.
-const maxAttempts = 2
 
 func genIndex(name string) int {
 	return slices.IndexFunc(gens, func(g generator) bool { return g.name == name })
@@ -110,12 +104,12 @@ func recoverable(spec string, k int) string {
 
 // coords is a point as FuzzCubeEquivalence takes it.
 type coords struct {
-	algo, gen, d, agg, minsup, k, p, budget, codec, fanIn uint8
-	n, mem                                                uint16
-	card                                                  uint32
-	seed                                                  int64
-	eseed                                                 uint64
-	faults                                                string
+	algo, gen, d, agg, minsup, k, p, budget, codec uint8
+	n, mem                                         uint16
+	card                                           uint32
+	seed                                           int64
+	eseed                                          uint64
+	faults                                         string
 }
 
 // decode maps c onto a point, every axis modulo its range.
@@ -126,8 +120,7 @@ func (c coords) decode() point {
 		n: 1 + int(c.n)%800, d: 1 + int(c.d)%4, card: 1 + int(c.card%100000), seed: c.seed,
 		agg: aggNames[int(c.agg)%len(aggNames)], minsup: int(c.minsup),
 		k: 1 + int(c.k)%16, mem: int(c.mem), p: int(c.p) % 9,
-		budget: budgets[int(c.budget)%len(budgets)], codec: codecs[int(c.codec)%len(codecs)],
-		fanIn: fanIns[int(c.fanIn)%len(fanIns)], eseed: c.eseed,
+		budget: budgets[int(c.budget)%len(budgets)], codec: codecs[int(c.codec)%len(codecs)], eseed: c.eseed,
 	}
 	for r, v := range map[rune]*int{'n': &p.n, 'd': &p.d, 'c': &p.card} {
 		if !strings.ContainsRune(g.reads, r) {
@@ -145,7 +138,7 @@ func (c coords) decode() point {
 func (p point) encode() coords {
 	return coords{uint8(algoIndex(p.algo)), uint8(genIndex(p.gen)), uint8(p.d - 1), uint8(slices.Index(aggNames, p.agg)),
 		uint8(p.minsup), uint8(p.k - 1), uint8(p.p), uint8(slices.Index(budgets, p.budget)), uint8(slices.Index(codecs, p.codec)),
-		uint8(slices.Index(fanIns, p.fanIn)), uint16(p.n - 1), uint16(p.mem), uint32(p.card - 1), p.seed, p.eseed, p.faults}
+		uint16(p.n - 1), uint16(p.mem), uint32(p.card - 1), p.seed, p.eseed, p.faults}
 }
 
 // outcome is what one run of a point leaves behind.
@@ -182,8 +175,7 @@ func run(t *testing.T, p point) *outcome {
 	}
 	tracer := &mr.SliceTracer{}
 	eng := mr.New(mr.Config{Workers: p.k, MemTuples: p.mem, Seed: p.eseed, Parallelism: p.p,
-		Faults: plan, MaxAttempts: maxAttempts,
-		SpillBudgetBytes: p.budget, SpillDir: dir, SpillCodec: p.codec, MergeFanIn: p.fanIn,
+		Faults: plan, SpillBudgetBytes: p.budget, SpillDir: dir, SpillCodec: p.codec,
 		Tracer: tracer}, dfs.New(false))
 	rel := gens[genIndex(p.gen)].gen(p.n, p.d, p.card, p.seed)
 	res, cr, err := cubetest.RunAndCollect(eng, allAlgorithms[algoIndex(p.algo)].fn, rel, cube.Spec{Agg: fn, MinSup: p.minsup})
@@ -286,7 +278,7 @@ func check(t *testing.T, p point) {
 	checkClean(clean, c, fail)
 	if p.budget > 0 {
 		mem := clean
-		mem.budget, mem.codec, mem.fanIn = 0, "", 0
+		mem.budget, mem.codec = 0, ""
 		same("in-memory", o, run(t, mem), nil, false)
 	}
 	report(t, p, errs)
@@ -322,8 +314,8 @@ func events(trace []mr.TraceEvent) (n, bytes map[string]int64) {
 // recovered from nothing. Its spill, spill-flush and merge-pass events agree
 // with the metrics: one spill-flush per map-side spill, carrying its written
 // bytes. A map task whose emits reached the spill budget spilled. A round
-// whose map side flushed more runs than fan-in × reducers ran merge passes,
-// since each run reaches some reducer.
+// whose map side flushed more runs than mr.MergeFanIn × reducers ran merge
+// passes, since each run reaches some reducer.
 func checkClean(p point, o *outcome, fail func(string, ...any)) {
 	m, tot := o.metrics, o.metrics.Totals()
 	ev, evBytes := events(o.trace)
@@ -342,8 +334,8 @@ func checkClean(p point, o *outcome, fail func(string, ...any)) {
 			}
 		}
 		flushes += runs
-		if p.fanIn > 0 && !rm.Failed && runs > int64(p.fanIn*len(rm.Reducers)) && rm.MergePasses == 0 {
-			fail("round %d sent %d map-side runs to %d reducers at fan-in %d without a merge pass", r, runs, len(rm.Reducers), p.fanIn)
+		if !rm.Failed && runs > int64(mr.MergeFanIn*len(rm.Reducers)) && rm.MergePasses == 0 {
+			fail("round %d sent %d map-side runs to %d reducers without a merge pass", r, runs, len(rm.Reducers))
 		}
 	}
 	if ev[mr.EvSpill] != tot.Spills || evBytes[mr.EvSpill] != tot.SpillBytes || ev[mr.EvMergePass] != tot.MergePasses ||
@@ -424,20 +416,22 @@ func FuzzCubeEquivalence(f *testing.F) {
 		if q := c.decode(); q != p {
 			f.Fatalf("seed %#v decodes back as %#v", p, q)
 		}
-		f.Add(c.algo, c.gen, c.d, c.agg, c.minsup, c.k, c.p, c.budget, c.codec, c.fanIn,
+		f.Add(c.algo, c.gen, c.d, c.agg, c.minsup, c.k, c.p, c.budget, c.codec,
 			c.n, c.mem, c.card, c.seed, c.eseed, c.faults)
 	}
-	f.Fuzz(func(t *testing.T, algo, gen, d, aggr, minsup, k, par, budget, codec, fanIn uint8,
+	f.Fuzz(func(t *testing.T, algo, gen, d, aggr, minsup, k, par, budget, codec uint8,
 		n, mem uint16, card uint32, seed int64, eseed uint64, faults string) {
-		check(t, coords{algo, gen, d, aggr, minsup, k, par, budget, codec, fanIn, n, mem, card, seed, eseed, faults}.decode())
+		check(t, coords{algo, gen, d, aggr, minsup, k, par, budget, codec, n, mem, card, seed, eseed, faults}.decode())
 	})
 }
 
 // cubeSeeds lists the cells of the byte-identity tables this suite used to
 // enumerate, one point each, crossed with every algorithm where the table
-// crossed them. The determinism and oracle tables' spill legs run on a
-// quarter of their relation, a sixteenth at budget 1, which writes a run per
-// record; the trace table's keep all of theirs.
+// crossed them. The determinism and oracle tables' spill legs run on a share
+// of their relation: a sixteenth at budget 1, which writes a run per record,
+// a quarter at budget 512, and a quarter at budget 1 under lz, which sends
+// some reducer of every algorithm more than mr.MergeFanIn runs. The trace
+// table's keep all of theirs.
 func cubeSeeds() []point {
 	var seeds []point
 	every := func(p point) {
@@ -446,17 +440,15 @@ func cubeSeeds() []point {
 			seeds = append(seeds, p)
 		}
 	}
+	// A leg's n is the share of the relation it runs on, as a divisor.
 	spill := func(p point, legs ...point) {
 		for _, leg := range legs {
 			q := p
-			q.n, q.budget, q.codec, q.fanIn = p.n/4, leg.budget, leg.codec, leg.fanIn
-			if q.budget == 1 {
-				q.n /= 4
-			}
+			q.n, q.budget, q.codec = p.n/leg.n, leg.budget, leg.codec
 			every(q)
 		}
 	}
-	legs := []point{{budget: 1}, {budget: 512}, {budget: 512, codec: "lz", fanIn: 2}}
+	legs := []point{{budget: 1, n: 16}, {budget: 512, n: 4}, {budget: 1, codec: "lz", n: 4}}
 
 	// Every algorithm on every distribution, under count.
 	for _, w := range []point{
@@ -509,8 +501,8 @@ func cubeSeeds() []point {
 	}
 	// The spill pipeline's events at the table's full 600 rows.
 	tr.faults = ""
-	for _, leg := range []point{{budget: 512, codec: "lz"}, {budget: 1, codec: "lz", fanIn: 2}} {
-		tr.budget, tr.codec, tr.fanIn = leg.budget, leg.codec, leg.fanIn
+	for _, leg := range []point{{budget: 512, codec: "lz"}, {budget: 1, codec: "lz"}} {
+		tr.budget, tr.codec = leg.budget, leg.codec
 		every(tr)
 	}
 	// Random multi-fault plans — task faults of every kind and node crashes —
@@ -556,10 +548,10 @@ func TestDecodersReachTheSpace(t *testing.T) {
 	reached := map[string]map[any]bool{}
 	for i := 0; i < 256; i++ {
 		b := uint8(i)
-		p := coords{algo: b, gen: b, agg: b, budget: b, codec: b / 4, fanIn: b / 8}.decode()
+		p := coords{algo: b, gen: b, agg: b, budget: b, codec: b / 4}.decode()
 		q := deltaCoords{algo: b, agg: b, minsup: b}.decode()
 		for axis, v := range map[string]any{"algorithm": p.algo, "distribution": p.gen, "aggregate": p.agg,
-			"spill leg": [3]any{p.budget, p.codec, p.fanIn}, "delta algorithm": q.algo, "delta aggregate": q.agg,
+			"spill leg": [2]any{p.budget, p.codec}, "delta algorithm": q.algo, "delta aggregate": q.agg,
 			"delta minsup": q.minSup} {
 			if reached[axis] == nil {
 				reached[axis] = map[any]bool{}
@@ -574,7 +566,7 @@ func TestDecodersReachTheSpace(t *testing.T) {
 		}
 	}
 	for axis, want := range map[string]int{"algorithm": len(algo.Table), "distribution": len(gens), "aggregate": 8,
-		"spill leg": len(budgets) * len(codecs) * len(fanIns), "delta algorithm": len(algo.Table),
+		"spill leg": len(budgets) * len(codecs), "delta algorithm": len(algo.Table),
 		"delta aggregate": len(aggNames), "delta minsup": len(deltaMinSups), "fault kind": int(mr.FaultNodeCrash) + 1} {
 		if len(reached[axis]) != want {
 			t.Errorf("%d of %d values of the %s axis decode from some input", len(reached[axis]), want, axis)

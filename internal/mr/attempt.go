@@ -15,10 +15,19 @@ import (
 // What differs between callers is data on a taskSpec:
 //
 //	             attempt index, budget      placed around      keeping / discarding an attempt
-//	first run    0.., MaxAttempts           map: nothing;      spec.commit / spec.undo
+//	first run    0.., r.maxAttempts         map: nothing;      spec.commit / spec.undo
 //	                                        reduce: r.dead
 //	re-execution continues the lost run's   r.dead             spec.commit / spec.undo
 //	             numbering, fresh budget
+
+// MaxAttempts bounds how many times one task is executed before its failure
+// becomes permanent and fails the round (Hadoop's mapreduce.map.maxattempts
+// default). Only injected faults, engine-initiated kills (node loss, backend
+// refusals) and spill I/O errors are retried: deterministic failures —
+// reducer OOM under FailOnReducerOOM, partition range errors — would fail
+// identically again and abort the round on the first attempt. A fault plan
+// states a permanent failure itself: `crash:0:*` fires on every attempt.
+const MaxAttempts = 4
 
 // taskSpec describes one task to runTask.
 type taskSpec struct {
@@ -32,7 +41,7 @@ type taskSpec struct {
 	tm *TaskMetrics
 	// reexec marks the re-execution of a completed map task whose stored
 	// output was lost to a node crash: attempt numbering continues after
-	// the lost run's with a fresh MaxAttempts budget (Hadoop restarts the
+	// the lost run's with a fresh attempt budget (Hadoop restarts the
 	// counter for a re-launched map), and the lost run's output and wall
 	// time move into WastedBytes/RetryWallSeconds.
 	reexec bool
@@ -71,8 +80,8 @@ type taskAttempt struct {
 // runTask runs one task to success or permanent failure and returns the
 // winning attempt. Failed attempts are undone and — when the failure is
 // retryable (injected faults, engine kills, spill I/O; see retryableErr) —
-// retried at the next attempt index until the MaxAttempts budget runs out.
-// A canceled context is returned plainly, between attempts.
+// retried at the next attempt index until the round's attempt budget runs
+// out. A canceled context is returned plainly, between attempts.
 func (r *round) runTask(s *taskSpec) (*taskAttempt, error) {
 	base := *s.tm
 	first := 0
@@ -109,7 +118,7 @@ func (r *round) runTask(s *taskSpec) (*taskAttempt, error) {
 			wasted += a.wasted
 			retryWall += a.wall
 		}
-		if !retryable || attempt+1-first >= r.eng.Cfg.MaxAttempts {
+		if !retryable || attempt+1-first >= r.maxAttempts {
 			failed := base
 			failed.Attempts = int64(attempt + 1)
 			failed.RetryWallSeconds = retryWall

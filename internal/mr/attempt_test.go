@@ -83,8 +83,8 @@ func TestRunTaskAccounting(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tracer := &SliceTracer{}
-			eng := New(Config{Workers: 1, MaxAttempts: tc.max, Tracer: tracer}, nil)
-			r := &round{eng: eng, job: &Job{Name: "runner"}, rex: localRound{}, tr: eng.tracerFor(0, "runner")}
+			eng := New(Config{Workers: 1, Tracer: tracer}, nil)
+			r := &round{eng: eng, job: &Job{Name: "runner"}, maxAttempts: tc.max, rex: localRound{}, tr: eng.tracerFor(0, "runner")}
 			r.tr.startPhase(1)
 
 			base := TaskMetrics{InRecords: 42} // stands for a reducer's pre-scan accounting

@@ -24,7 +24,7 @@
 // crash-mid-emit, transient OOM, addressed by round, phase, task
 // and attempt); a failed attempt's partial output — buffered map emits,
 // uncommitted reduce output — is discarded, the task re-runs with fresh
-// TaskState up to Config.MaxAttempts, and the merged result stays
+// TaskState up to MaxAttempts times, and the merged result stays
 // bit-for-bit identical to a fault-free run. Attempt counts, retry latency
 // and wasted-work bytes are surfaced in TaskMetrics/RoundMetrics. This
 // second isolation obligation on jobs is re-entrancy: a task body must
@@ -118,14 +118,6 @@ type Config struct {
 	// run — only the recovery counters (Attempts, RetryWallSeconds,
 	// WastedBytes) and real wall-clock differ.
 	Faults *FaultPlan
-	// MaxAttempts bounds how many times one task is executed before its
-	// failure becomes permanent and fails the round (Hadoop's
-	// mapreduce.map.maxattempts). 0 defaults to 4. Only injected faults
-	// and engine-initiated kills (node loss, backend refusals) are retried:
-	// deterministic failures — reducer OOM under FailOnReducerOOM,
-	// partition range errors — would fail identically again and abort the
-	// round on the first attempt.
-	MaxAttempts int
 	// Tracer receives structured lifecycle events (round start/end, task
 	// attempt start/success/failure/retry, shuffle, spill, fault
 	// injection). Nil — the default — disables tracing; the engine then
@@ -156,16 +148,6 @@ type Config struct {
 	// internal/mr/blockcodec. Reducer output is byte-identical across
 	// codecs; only I/O accounting changes.
 	SpillCodec string
-	// MergeFanIn caps how many runs a reducer merges in one streaming
-	// pass. A reduce task facing more live runs (tiny budgets under heavy
-	// spilling produce hundreds) first merges groups of MergeFanIn runs
-	// into intermediate on-disk runs — possibly over several passes — and
-	// only then streams the final merge, bounding open-run memory and
-	// reproducing Hadoop's io.sort.factor semantics. 0 means the default
-	// of 64; values below 2 are raised to 2. Reducer input order is
-	// byte-identical at any fan-in (contiguous grouping preserves the
-	// source-index tiebreak).
-	MergeFanIn int
 	// SpillWriteWrapper, when set, wraps every spill run file's writer —
 	// the fault-injection hook for the disk plane. A wrapper that returns
 	// ENOSPC, another write error, or a silent short write makes the
@@ -267,14 +249,6 @@ func New(cfg Config, fs *dfs.FS) *Engine {
 	}
 	if cfg.Parallelism <= 0 {
 		cfg.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 4
-	}
-	if cfg.MergeFanIn == 0 {
-		cfg.MergeFanIn = defaultMergeFanIn
-	} else if cfg.MergeFanIn < 2 {
-		cfg.MergeFanIn = 2 // a two-way merge is the smallest that makes progress
 	}
 	if cfg.Executor == nil {
 		cfg.Executor = localExecutor{}
@@ -531,12 +505,15 @@ type round struct {
 	job *Job
 	// index is the engine's round counter: fault plans and attempt
 	// placement select against it.
-	index     int
-	reducers  int
-	partition func(key string, reducers int) int
-	outPrefix string
-	codec     blockcodec.Codec
-	feed      func(task int, ctx *MapCtx)
+	index    int
+	reducers int
+	// maxAttempts is each task's attempt budget: MaxAttempts, unless a
+	// round is built by hand to exercise the attempt runner.
+	maxAttempts int
+	partition   func(key string, reducers int) int
+	outPrefix   string
+	codec       blockcodec.Codec
+	feed        func(task int, ctx *MapCtx)
 
 	// Memory model. Machines have an absolute memory floor regardless of
 	// how small the input is (m = n/k is the paper's asymptotic assumption;
@@ -616,7 +593,7 @@ func (e *Engine) run(job *Job, n int, feed func(task int, ctx *MapCtx)) (*RoundR
 // planRound resolves everything about the round that is fixed before a
 // task runs, takes the round index, and emits the round-start event.
 func (e *Engine) planRound(job *Job, n int, feed func(task int, ctx *MapCtx)) (*round, error) {
-	r := &round{eng: e, job: job, feed: feed}
+	r := &round{eng: e, job: job, feed: feed, maxAttempts: MaxAttempts}
 	r.memTuples = e.MemTuples(n)
 	r.oomMem = math.Max(float64(r.memTuples), MinOOMMemTuples)
 	r.inflation = job.MemInflation
@@ -909,12 +886,12 @@ func (r *round) sizeReducers(srcs [][]streamSource) (int, error) {
 func (r *round) runReduceTask(task int, runs []streamSource) (*taskAttempt, error) {
 	tm := &r.rm.Reducers[task] // holds the pre-scan's input accounting
 	m := new(streamMerger)
-	if r.outOfCore && len(runs) > r.eng.Cfg.MergeFanIn {
+	if r.outOfCore && len(runs) > MergeFanIn {
 		// More live runs than MergeFanIn are first consolidated through
 		// intermediate on-disk merges. That happens once, before any
 		// attempt, so its failure fails the task without a retry.
 		var err error
-		runs, err = r.fanInMerge(m, runs, task, tm)
+		runs, err = r.fanInMerge(m, runs, MergeFanIn, task, tm)
 		r.setCPUSeconds(PhaseReduce, tm, false)
 		if err != nil {
 			tm.Attempts = 1

@@ -20,8 +20,8 @@ import (
 // worker processes at random moments — mid-map, mid-reduce, between
 // rounds, whenever. The contract under arbitrary worker loss is graceful
 // degradation, not magic: every run must either recover to the exact
-// brute-force cube (retries re-place onto surviving nodes; MaxAttempts 6
-// gives the placement hash room) or fail with a plain error — never hang,
+// brute-force cube (retries re-place onto surviving nodes, up to
+// mr.MaxAttempts times) or fail with a plain error — never hang,
 // never return a wrong or truncated cube — and must never leak worker
 // processes.
 func TestChaosProcKillSoak(t *testing.T) {
@@ -58,7 +58,7 @@ func TestChaosProcKillSoak(t *testing.T) {
 		}()
 
 		eng := mr.New(mr.Config{Workers: workers, Seed: rng.Uint64(),
-			Parallelism: 1 + rng.Intn(8), MaxAttempts: 6, Executor: p}, dfs.New(false))
+			Parallelism: 1 + rng.Intn(8), Executor: p}, dfs.New(false))
 		run, err := a.fn(eng, rel, cube.Spec{Agg: agg.Count})
 		<-killerDone
 		if err != nil {
@@ -102,7 +102,7 @@ func TestContextCancelProc(t *testing.T) {
 		}
 		p := NewProc()
 		eng := mr.New(mr.Config{Workers: 5, Seed: 7, Parallelism: 4,
-			MaxAttempts: 4, Executor: p, Context: ctx}, dfs.New(false))
+			Executor: p, Context: ctx}, dfs.New(false))
 		_, err := equivAlgorithms[0].fn(eng, rel, cube.Spec{Agg: agg.Count})
 		if err != nil && !errors.Is(err, context.Canceled) {
 			t.Errorf("delay %v: err = %v, want context.Canceled or success", delay, err)

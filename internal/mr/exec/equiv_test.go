@@ -76,7 +76,7 @@ func runBackend(t *testing.T, fn cube.ComputeFunc, rel *relation.Relation, paral
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := mr.Config{Workers: 6, Seed: 42, Parallelism: parallelism, Faults: plan, MaxAttempts: 6}
+	cfg := mr.Config{Workers: 6, Seed: 42, Parallelism: parallelism, Faults: plan}
 	if p != nil {
 		cfg.Executor = p
 	}

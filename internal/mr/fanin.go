@@ -4,10 +4,10 @@ import "unsafe"
 
 // This file implements multi-pass fan-in control for the reduce-side
 // streaming merge — the io.sort.factor half of the spill pipeline. A
-// reduce task facing more live runs than Config.MergeFanIn (tiny spill
-// budgets can produce hundreds) merges contiguous groups of MergeFanIn
-// runs into intermediate on-disk runs, repeating until at most MergeFanIn
-// remain, and only then opens its final streaming merge.
+// reduce task facing more live runs than MergeFanIn (tiny spill budgets can
+// produce thousands) merges contiguous groups of MergeFanIn runs into
+// intermediate on-disk runs, repeating until at most MergeFanIn remain, and
+// only then opens its final streaming merge.
 //
 // Order contract: groups are contiguous and replaced in position, and the
 // in-group merge breaks key ties by the lower source index — so the merged
@@ -17,11 +17,14 @@ import "unsafe"
 // lower-source-index tiebreak. Reducer input is byte-identical at any
 // fan-in.
 
-// defaultMergeFanIn is the run-count cap when Config.MergeFanIn is 0 —
-// the same default as Hadoop's io.sort.factor ballpark. New resolves it.
-const defaultMergeFanIn = 64
+// MergeFanIn is how many runs a reduce task merges at once: Hadoop's
+// io.sort.factor. It is 64, not Hadoop's default of 10, because each of the
+// 8 map tasks of the skewed batch benchmark (560 k rows through a 1 MiB
+// budget) spills 7 times, so a reducer meets at most 8 × (7 + 1) = 64 live
+// runs and makes no merge pass; a cap of 10 would add passes to that run.
+const MergeFanIn = 64
 
-// fanInMerge reduces runs to at most Config.MergeFanIn sources by repeated
+// fanInMerge reduces runs to at most fanIn (≥ 2) sources by repeated
 // passes of contiguous group merges, charging tm for the extra I/O (each
 // merged byte is written once and read back once; the first read of the
 // source segments was already charged when the reducer's input was sized)
@@ -30,8 +33,7 @@ const defaultMergeFanIn = 64
 // read earlier runs back with ReadAt while appending at the end, so the
 // task holds one file however many passes it makes. I/O errors are plain
 // task failures — infrastructure, not injected faults, so not retryable.
-func (r *round) fanInMerge(m *streamMerger, runs []streamSource, task int, tm *TaskMetrics) ([]streamSource, error) {
-	fanIn := r.eng.Cfg.MergeFanIn
+func (r *round) fanInMerge(m *streamMerger, runs []streamSource, fanIn, task int, tm *TaskMetrics) ([]streamSource, error) {
 	var sf *spillFile
 	w := segWriter{codec: r.codec} // its buffers serve every group merge, as m's readers do
 	for len(runs) > fanIn {

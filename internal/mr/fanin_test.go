@@ -60,38 +60,43 @@ func drain(t *testing.T, m *streamMerger) []Pair {
 // fan-in: whatever the cap, the surviving runs must stream exactly the
 // records a single global merge over the original runs would emit, in the
 // same order — ties between runs included. Each intermediate run is also
-// charged to the cost model twice (written, then read back).
+// charged to the cost model twice (written, then read back). At the
+// engine's MergeFanIn, as many runs as the cap make no pass and one more
+// makes at least one.
 func TestFanInMergeMatchesGlobalMerge(t *testing.T) {
 	for _, codecName := range blockcodec.Names() {
-		for _, fanIn := range []int{2, 3, 7} {
-			t.Run(fmt.Sprintf("%s/fanin-%d", codecName, fanIn), func(t *testing.T) {
+		for _, tc := range []struct{ fanIn, runs int }{{2, 17}, {3, 17}, {7, 17}, {MergeFanIn, MergeFanIn}, {MergeFanIn, MergeFanIn + 1}} {
+			name := fmt.Sprintf("%s/fanin-%d", codecName, tc.fanIn)
+			if tc.fanIn == MergeFanIn {
+				name += fmt.Sprintf("/runs-%d", tc.runs)
+			}
+			t.Run(name, func(t *testing.T) {
 				codec, err := blockcodec.ByName(codecName)
 				if err != nil {
 					t.Fatal(err)
 				}
 				sd := newSpillDir(t.TempDir(), nil)
 				defer sd.cleanup()
-				r := &round{eng: New(Config{Workers: 4, MergeFanIn: fanIn}, dfs.New(false)), job: &Job{}, sd: sd, codec: codec}
+				r := &round{eng: New(Config{Workers: 4}, dfs.New(false)), job: &Job{}, sd: sd, codec: codec}
 
-				const nRuns = 17
-				want := drain(t, newStreamMerger(fanInRuns(t, sd, codec, nRuns)))
+				want := drain(t, newStreamMerger(fanInRuns(t, sd, codec, tc.runs)))
 
-				runs := fanInRuns(t, sd, codec, nRuns)
+				runs := fanInRuns(t, sd, codec, tc.runs)
 				var tm TaskMetrics
-				merged, err := r.fanInMerge(new(streamMerger), runs, 0, &tm)
+				merged, err := r.fanInMerge(new(streamMerger), runs, tc.fanIn, 0, &tm)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(merged) > fanIn {
-					t.Fatalf("fanInMerge left %d runs, cap is %d", len(merged), fanIn)
+				if len(merged) > tc.fanIn {
+					t.Fatalf("fanInMerge left %d runs, cap is %d", len(merged), tc.fanIn)
 				}
-				if tm.MergePasses == 0 {
-					t.Fatal("expected intermediate merge passes")
+				if passes := tm.MergePasses > 0; passes != (tc.runs > tc.fanIn) {
+					t.Fatalf("%d merge passes over %d runs at fan-in %d", tm.MergePasses, tc.runs, tc.fanIn)
 				}
 				// Each intermediate run is charged twice at disk bandwidth:
 				// written, then read back by the next pass or the final merge.
 				r.setCPUSeconds(PhaseReduce, &tm, false)
-				if want := float64(2*tm.CompressedSpillBytes) / cost.DiskBytesPerSec; tm.CompressedSpillBytes == 0 || tm.CPUSeconds != want {
+				if want := float64(2*tm.CompressedSpillBytes) / cost.DiskBytesPerSec; (tm.CompressedSpillBytes == 0) != (tm.MergePasses == 0) || tm.CPUSeconds != want {
 					t.Errorf("intermediate merges of %d bytes charged %v s, want %v s",
 						tm.CompressedSpillBytes, tm.CPUSeconds, want)
 				}
@@ -190,12 +195,12 @@ func TestFanInMergeAllocsPerPass(t *testing.T) {
 	sd := newSpillDir(t.TempDir(), nil)
 	defer sd.cleanup()
 	codec := blockcodec.Raw{}
-	r := &round{eng: New(Config{Workers: 1, MergeFanIn: 2}, dfs.New(false)), job: &Job{}, sd: sd, codec: codec}
+	r := &round{eng: New(Config{Workers: 1}, dfs.New(false)), job: &Job{}, sd: sd, codec: codec}
 	runs := fanInRuns(t, sd, codec, 32)
 	var passes int64
 	allocs := testing.AllocsPerRun(5, func() {
 		var tm TaskMetrics
-		if _, err := r.fanInMerge(new(streamMerger), runs, 0, &tm); err != nil {
+		if _, err := r.fanInMerge(new(streamMerger), runs, 2, 0, &tm); err != nil {
 			t.Fatal(err)
 		}
 		passes = tm.MergePasses

@@ -376,7 +376,7 @@ type faultSignal struct {
 }
 
 // FaultError is the failure an injected fault produced, reported when a
-// task exhausts Config.MaxAttempts. errors.As distinguishes it from the
+// task exhausts MaxAttempts. errors.As distinguishes it from the
 // engine's deterministic failures (reducer OOM, partition range errors),
 // which are never retried.
 type FaultError struct {
@@ -447,7 +447,7 @@ func (in *injector) err(f *Fault) error {
 
 // killError is an engine-initiated attempt kill: the attempt's node crashed
 // under it, no live node was left to place it on, or the execution backend
-// refused or lost it. Kills are retried up to Config.MaxAttempts like
+// refused or lost it. Kills are retried up to MaxAttempts times like
 // injected faults, but a killError is deliberately not a *FaultError: a
 // round that fails by exhausting its attempts on kills (e.g. every node
 // dead) surfaces a plain, non-injected error.

@@ -53,10 +53,9 @@ type faultRun struct {
 // the given plan and returns everything a differential comparison needs.
 // The DFS runs in store mode so that what a retried reduce commits is
 // compared as bytes, not just as counters.
-func runFaulted(t *testing.T, plan *FaultPlan, maxAttempts, parallelism int) faultRun {
+func runFaulted(t *testing.T, plan *FaultPlan, parallelism int) faultRun {
 	t.Helper()
-	return runFaultedCfg(t, Config{Workers: 4, Seed: 7, Parallelism: parallelism,
-		Faults: plan, MaxAttempts: maxAttempts})
+	return runFaultedCfg(t, Config{Workers: 4, Seed: 7, Parallelism: parallelism, Faults: plan})
 }
 
 // runFaultedCfg is runFaulted with full control over the engine config.
@@ -125,7 +124,7 @@ func stripTimes(rm RoundMetrics) RoundMetrics {
 }
 
 func TestFaultKindsMatchFaultFree(t *testing.T) {
-	base := runFaulted(t, nil, 0, 1)
+	base := runFaulted(t, nil, 1)
 	if base.err != nil {
 		t.Fatal(base.err)
 	}
@@ -150,7 +149,7 @@ func TestFaultKindsMatchFaultFree(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := runFaulted(t, mustPlan(t, tc.spec), 4, 1)
+			got := runFaulted(t, mustPlan(t, tc.spec), 1)
 			if got.err != nil {
 				t.Fatalf("faulted run failed: %v", got.err)
 			}
@@ -202,8 +201,8 @@ func TestFaultKindsMatchFaultFree(t *testing.T) {
 
 func TestFaultedRunMatchesAcrossParallelism(t *testing.T) {
 	plan := mustPlan(t, "*:map:1:mid-emit@3,*:reduce:2:crash,*:reduce:0:oom")
-	seq := runFaulted(t, plan, 4, 1)
-	par := runFaulted(t, plan, 4, 8)
+	seq := runFaulted(t, plan, 1)
+	par := runFaulted(t, plan, 8)
 	if seq.err != nil || par.err != nil {
 		t.Fatalf("errs: %v / %v", seq.err, par.err)
 	}
@@ -221,7 +220,7 @@ func TestFaultedRunMatchesAcrossParallelism(t *testing.T) {
 
 func TestPermanentFaultFailsRoundCleanly(t *testing.T) {
 	t.Run("map", func(t *testing.T) {
-		got := runFaulted(t, mustPlan(t, "0:map:2:crash:0:*"), 3, 4)
+		got := runFaulted(t, mustPlan(t, "0:map:2:crash:0:*"), 4)
 		if got.err == nil {
 			t.Fatal("expected permanent map fault to fail the round")
 		}
@@ -232,15 +231,15 @@ func TestPermanentFaultFailsRoundCleanly(t *testing.T) {
 		if fe.Kind != FaultCrashBeforeEmit || fe.Phase != PhaseMap || fe.Task != 2 {
 			t.Errorf("FaultError = %+v", fe)
 		}
-		if !got.metrics.Failed || !strings.Contains(got.metrics.FailReason, "map task 2 failed after 3 attempts") {
+		if !got.metrics.Failed || !strings.Contains(got.metrics.FailReason, fmt.Sprintf("map task 2 failed after %d attempts", MaxAttempts)) {
 			t.Errorf("FailReason = %q", got.metrics.FailReason)
 		}
-		if got.metrics.Mappers[2].Attempts != 3 {
-			t.Errorf("failed task attempts = %d, want 3", got.metrics.Mappers[2].Attempts)
+		if got.metrics.Mappers[2].Attempts != MaxAttempts {
+			t.Errorf("failed task attempts = %d, want %d", got.metrics.Mappers[2].Attempts, MaxAttempts)
 		}
 	})
 	t.Run("reduce", func(t *testing.T) {
-		got := runFaulted(t, mustPlan(t, "0:reduce:1:oom:0:*"), 2, 4)
+		got := runFaulted(t, mustPlan(t, "0:reduce:1:oom:0:*"), 4)
 		if got.err == nil {
 			t.Fatal("expected permanent reduce fault to fail the round")
 		}
@@ -251,11 +250,11 @@ func TestPermanentFaultFailsRoundCleanly(t *testing.T) {
 		if fe.Kind != FaultTransientOOM || fe.Phase != PhaseReduce || fe.Task != 1 {
 			t.Errorf("FaultError = %+v", fe)
 		}
-		if !got.metrics.Failed || !strings.Contains(got.metrics.FailReason, "reduce task 1 failed after 2 attempts") {
+		if !got.metrics.Failed || !strings.Contains(got.metrics.FailReason, fmt.Sprintf("reduce task 1 failed after %d attempts", MaxAttempts)) {
 			t.Errorf("FailReason = %q", got.metrics.FailReason)
 		}
-		if got.metrics.Reducers[1].Attempts != 2 {
-			t.Errorf("failed task attempts = %d, want 2", got.metrics.Reducers[1].Attempts)
+		if got.metrics.Reducers[1].Attempts != MaxAttempts {
+			t.Errorf("failed task attempts = %d, want %d", got.metrics.Reducers[1].Attempts, MaxAttempts)
 		}
 		// The failed reducer's rolled-back output must not be counted.
 		if got.metrics.Reducers[1].OutRecords != 0 {
@@ -278,7 +277,7 @@ func TestDeterministicFailuresAreNotRetried(t *testing.T) {
 		Partition: func(string, int) int { return 99 },
 		Reduce:    func(*RedCtx, string, [][]byte) {},
 	}
-	eng := New(Config{Workers: 1, MaxAttempts: 4}, nil)
+	eng := New(Config{Workers: 1}, nil)
 	res, err := eng.RunTuples(job, tuples)
 	if err == nil {
 		t.Fatal("expected partition range error")
@@ -303,7 +302,7 @@ func TestDeterministicFailuresAreNotRetried(t *testing.T) {
 		FailOnReducerOOM: true,
 		MemInflation:     192, // OOM past OOMFactor/192 = a quarter memory-ful of records
 	}
-	eng = New(Config{Workers: 4, MaxAttempts: 4}, nil)
+	eng = New(Config{Workers: 4}, nil)
 	res, err = eng.RunTuples(oomJob, hot)
 	if err == nil {
 		t.Fatal("expected OOM failure")
@@ -453,7 +452,7 @@ func TestFaultErrorMessages(t *testing.T) {
 }
 
 func TestMetricsStringMentionsRetries(t *testing.T) {
-	got := runFaulted(t, mustPlan(t, "0:reduce:0:mid-emit@2"), 0, 1)
+	got := runFaulted(t, mustPlan(t, "0:reduce:0:mid-emit@2"), 1)
 	if got.err != nil {
 		t.Fatal(got.err)
 	}

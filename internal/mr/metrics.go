@@ -68,7 +68,7 @@ type Counters struct {
 	// codec. Deterministic (the codecs are deterministic).
 	CompressedSpillBytes int64 `json:"compressedSpillBytes"`
 	// MergePasses counts intermediate fan-in merges: a reduce task whose
-	// live run count exceeded Config.MergeFanIn merged groups of runs
+	// live run count exceeded MergeFanIn merged groups of runs
 	// into new on-disk runs before its streaming merge. Deterministic.
 	MergePasses int64 `json:"mergePasses"`
 	// RetryWallSeconds is the real time consumed by failed attempts, and

@@ -105,7 +105,7 @@ func TestJobTotalsAreSumsOfRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := mr.New(mr.Config{Workers: 6, Seed: 42, Faults: plan,
-		SpillBudgetBytes: 2048, SpillDir: t.TempDir(), SpillCodec: "lz", MergeFanIn: 2}, nil)
+		SpillBudgetBytes: 2048, SpillDir: t.TempDir(), SpillCodec: "lz"}, nil)
 	run, err := spcube.Compute(eng, data.GenBinomial(3000, 4, 0.4, 31), cube.Spec{Agg: agg.Count})
 	if err != nil {
 		t.Fatal(err)

@@ -143,7 +143,7 @@ func TestNodeKill(t *testing.T) {
 // holding a completed map task's output and require the engine to re-execute
 // it — visibly in the counters, invisibly in the output.
 func TestNodeCrashReexecutesLostMaps(t *testing.T) {
-	base := runFaulted(t, nil, 0, 1)
+	base := runFaulted(t, nil, 1)
 	if base.err != nil {
 		t.Fatal(base.err)
 	}
@@ -187,7 +187,7 @@ func TestNodeCrashReexecutesLostMaps(t *testing.T) {
 // re-execute, the round must fail by exhausting attempts on engine kills —
 // reported as a plain error, not an injected FaultError.
 func TestPermanentNodeFailure(t *testing.T) {
-	got := runFaulted(t, mustPlan(t, "*:node:*:node-crash"), 3, 1)
+	got := runFaulted(t, mustPlan(t, "*:node:*:node-crash"), 1)
 	if got.err == nil {
 		t.Fatal("expected an all-nodes crash to fail the round")
 	}

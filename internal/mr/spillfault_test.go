@@ -58,7 +58,7 @@ func (f *faultyWriter) Write(p []byte) (int, error) {
 func runSpillFault(t *testing.T, script *faultScript) (uint64, RoundMetrics, error) {
 	t.Helper()
 	tuples, _ := tuplesFromWords(spillWords())
-	cfg := Config{Workers: 4, Parallelism: 4, MaxAttempts: 4,
+	cfg := Config{Workers: 4, Parallelism: 4,
 		SpillBudgetBytes: 1, SpillDir: t.TempDir()}
 	if script != nil {
 		cfg.SpillWriteWrapper = script.wrap
@@ -150,7 +150,7 @@ func TestSpillCorruptBlockFailsReducePlainly(t *testing.T) {
 			goroutines := runtime.NumGoroutine()
 			dir := t.TempDir()
 			script := &faultScript{flipCall: 3}
-			eng := New(Config{Workers: 4, Parallelism: par, MaxAttempts: 4,
+			eng := New(Config{Workers: 4, Parallelism: par,
 				SpillBudgetBytes: 1, SpillDir: dir, SpillWriteWrapper: script.wrap}, dfs.New(false))
 			res, err := eng.RunTuples(spillFaultJob(), tuples)
 			if err == nil {

@@ -62,7 +62,7 @@ func runStickySpill(t *testing.T, k int64) (stickyRun, RoundMetrics) {
 	t.Helper()
 	tuples, _ := tuplesFromWords(spillWords()[:200])
 	st := &SliceTracer{}
-	cfg := Config{Workers: 4, Parallelism: 1, MaxAttempts: 4,
+	cfg := Config{Workers: 4, Parallelism: 1,
 		SpillBudgetBytes: 1, SpillDir: t.TempDir(), Tracer: st}
 	if k > 0 {
 		cfg.SpillWriteWrapper = (&firstMapFileFault{k: k}).wrap
@@ -177,10 +177,11 @@ func settledGoroutines() int {
 }
 
 // TestFanInRunFilePerReducer is the fan-in merge's file-descriptor bound:
-// spilling every record and merging two runs at a time, a reduce task's
-// intermediate runs all append to one file, so the spill directory never
-// holds more than one run file per map task and one per reduce task — and
-// every reducer sees exactly the input the in-memory run hands it.
+// spilling every record leaves each reducer hundreds of runs, far past
+// MergeFanIn, yet a reduce task's intermediate runs all append to one file,
+// so the spill directory never holds more than one run file per map task
+// and one per reduce task — and every reducer sees exactly the input the
+// in-memory run hands it.
 func TestFanInRunFilePerReducer(t *testing.T) {
 	tuples, _ := tuplesFromWords(spillWords())
 	run := func(cfg Config) ([][]string, RoundMetrics) {
@@ -220,9 +221,9 @@ func TestFanInRunFilePerReducer(t *testing.T) {
 		mu.Unlock()
 		return w
 	}
-	got, m := run(Config{SpillBudgetBytes: 1, MergeFanIn: 2, SpillDir: base, SpillWriteWrapper: watch})
+	got, m := run(Config{SpillBudgetBytes: 1, SpillDir: base, SpillWriteWrapper: watch})
 	if m.MergePasses == 0 {
-		t.Fatal("budget 1 at fan-in 2 made no intermediate merge")
+		t.Fatal("budget 1 made no intermediate merge")
 	}
 	if peak > 4+4 {
 		t.Errorf("spill directory held %d run files; want at most one per map and reduce task (8)", peak)

@@ -63,7 +63,7 @@ const (
 	// pre-compression Bytes — and Records the flush's record count.
 	EvSpillFlush = "spill-flush"
 	// EvMergePass reports one intermediate fan-in merge: a reduce task
-	// with more live runs than Config.MergeFanIn merged a group of them
+	// with more live runs than MergeFanIn merged a group of them
 	// into a new on-disk run before streaming its final merge. Records and
 	// Bytes are the merged run's record count and compressed size.
 	EvMergePass = "merge-pass"

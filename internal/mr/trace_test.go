@@ -125,7 +125,7 @@ func TestTracePermanentFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := &SliceTracer{}
-	eng := New(Config{Workers: 2, MaxAttempts: 2, Faults: fp, Tracer: st}, nil)
+	eng := New(Config{Workers: 2, Faults: fp, Tracer: st}, nil)
 	counts := make(map[string]int64)
 	if _, err := eng.RunTuples(wordCountJob(counts), tuples); err == nil {
 		t.Fatal("expected permanent failure")

@@ -213,10 +213,12 @@ func Parallelism(n int) Option { return func(c *config) { c.eng.Parallelism = n 
 // The spec is a comma-separated list of round:phase:task:kind[:attempt[:count]]
 // entries ("*" wildcards round and task; kinds: crash, mid-emit, oom, plus
 // round:node:N:node-crash to kill a whole simulated machine — see
-// mr.ParseFaultPlan). Failed tasks are transparently re-executed, and map
-// output lost to a node crash is recomputed: the computed cube and all
-// simulated statistics except the recovery counters are identical to a
-// fault-free run. An empty spec (the default) injects nothing.
+// mr.ParseFaultPlan). Failed tasks are transparently re-executed, up to
+// mr.MaxAttempts times, and map output lost to a node crash is recomputed:
+// the computed cube and all simulated statistics except the recovery
+// counters are identical to a fault-free run. A fault that fires on every
+// attempt (":0:*") fails the computation. An empty spec (the default)
+// injects nothing.
 func Faults(spec string) Option {
 	return func(c *config) {
 		plan, err := mr.ParseFaultPlan(spec)
@@ -227,19 +229,15 @@ func Faults(spec string) Option {
 	}
 }
 
-// MaxAttempts bounds how many times one simulated task is executed before
-// its injected failure becomes permanent and the computation fails
-// (default 4). Only injected faults and engine-initiated kills (node loss)
-// are retried.
-func MaxAttempts(n int) Option { return func(c *config) { c.eng.MaxAttempts = n } }
-
 // SpillBudget caps a map task's in-memory emit buffer at the given number
 // of bytes: when key+value bytes held in memory reach the budget, the task
 // sorts and flushes its buffered output to a compact on-disk run file, and
 // reducers stream a k-way merge over the runs instead of materializing
 // their input. The computed cube is byte-identical at any budget (including
 // one so small every record spills); only Stats.Spills/SpillBytes and the
-// simulated I/O cost change. 0 (the default) keeps everything in memory.
+// simulated I/O cost change. Any value ≤ 0 (the default is 0) keeps
+// everything in memory — unlike spcube's -spill-budget 0, which spills every
+// record; the smallest budget here is 1.
 func SpillBudget(bytes int64) Option { return func(c *config) { c.eng.SpillBudgetBytes = bytes } }
 
 // SpillDir sets the directory under which spill run files are created (a
@@ -254,15 +252,6 @@ func SpillDir(dir string) Option { return func(c *config) { c.eng.SpillDir = dir
 // counts are identical under any codec; an unknown name surfaces as an
 // error from Compute.
 func SpillCodec(name string) Option { return func(c *config) { c.eng.SpillCodec = name } }
-
-// MergeFanIn caps how many spill runs a reducer merges at once (the analog
-// of Hadoop's io.sort.factor, default 64): when a tiny SpillBudget produces
-// more runs than the cap, contiguous groups are first merged into
-// intermediate on-disk runs, repeating until at most MergeFanIn remain.
-// The computed cube and reducer input are byte-identical at any fan-in;
-// only Stats.MergePasses and the simulated I/O cost change. Values below 2
-// are raised to 2.
-func MergeFanIn(n int) Option { return func(c *config) { c.eng.MergeFanIn = n } }
 
 // Trace streams the simulated cluster's structured lifecycle events — round
 // start/end, task attempt start/success/failure/retry, shuffle, spill,
@@ -317,8 +306,8 @@ type Stats struct {
 	// compression). CompressedSpillBytes is what physically hit disk after
 	// the SpillCodec ran — equal to the framed raw size under "raw", smaller
 	// under "lz" on compressible data. MergePasses counts intermediate
-	// fan-in merges forced by the MergeFanIn cap. All zero when nothing
-	// spilled.
+	// merges of a reducer that met more than mr.MergeFanIn runs. All zero
+	// when nothing spilled.
 	Spills               int64
 	SpillBytes           int64
 	CompressedSpillBytes int64
