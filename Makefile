@@ -62,9 +62,9 @@ retry-race:
 # ComparePacked order, and only minimal forms decoding), and the server's two
 # request decoders (arbitrary /v1/query and /v1/ingest bodies: a
 # well-formed answer or a 4xx, never a panic or a 5xx). CI runs this target.
-# Every leg that was seen to stop executing inputs while it minimized a newly
-# interesting one caps that minimization at 1 s: at the default 60 s it can
-# take the rest of a 10 s leg, with no input executed meanwhile. The
+# Every leg caps the minimization of a newly interesting input at 1 s: at
+# the default 60 s it can take the rest of a 10 s leg, with no input executed
+# meanwhile, and a failure can minimize far longer than the leg. The
 # cube-equivalence oracle is fuzzed by `make chaos` alone: from an empty
 # fuzz cache its baseline pass over the seed corpus outlasts 10 s, so a
 # 10 s leg here executed no mutated input, and plain `go test` replays the
@@ -76,9 +76,9 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzOutputRecords -fuzztime=10s -fuzzminimizetime=1s ./internal/cube
 	$(GO) test -run=NONE -fuzz=FuzzDictionaryRoundTrip -fuzztime=10s -fuzzminimizetime=1s ./internal/relation
 	$(GO) test -run=NONE -fuzz=FuzzReadCSV -fuzztime=10s -fuzzminimizetime=1s ./internal/relation
-	$(GO) test -run=NONE -fuzz=FuzzGroupKey -fuzztime=10s ./internal/relation
-	$(GO) test -run=NONE -fuzz=FuzzQueryRequest -fuzztime=10s ./internal/serve
-	$(GO) test -run=NONE -fuzz=FuzzIngestRequest -fuzztime=10s ./cmd/spserve
+	$(GO) test -run=NONE -fuzz=FuzzGroupKey -fuzztime=10s -fuzzminimizetime=1s ./internal/relation
+	$(GO) test -run=NONE -fuzz=FuzzQueryRequest -fuzztime=10s -fuzzminimizetime=1s ./internal/serve
+	$(GO) test -run=NONE -fuzz=FuzzIngestRequest -fuzztime=10s -fuzzminimizetime=1s ./cmd/spserve
 
 # Randomized soak of the whole configuration space: 30 s of the
 # cube-equivalence oracle (algorithm x distribution x aggregate x cluster

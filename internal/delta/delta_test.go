@@ -6,7 +6,10 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/spcube/spcube/internal/agg"
@@ -426,6 +429,103 @@ func TestApplyStringsDictionaryCopyOnWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	exactEqual(t, cube.Brute(m.Relation(), agg.Count), m.Result())
+}
+
+// TestDictionarySnapshotHoldsUnderIngest: a server keeps answering from the
+// dictionary of the store it published while ingest cycles encode values new
+// to every column into the next one. Every answer the old dictionary gives —
+// the text of a code, the code of a text, of either entry kind, and the
+// misses for the values the cycles add — must stay what it was, with a
+// reader asking throughout; `go test -race` checks that nothing the reader
+// touches is written.
+func TestDictionarySnapshotHoldsUnderIngest(t *testing.T) {
+	const cycles, rows = 12, 25
+	rel := relation.New([]string{"a", "b", "c"}, "m")
+	for i := range 200 {
+		rel.AppendStrings([]string{strconv.Itoa(7 * i), "t" + strconv.Itoa(i%50), strconv.Itoa(-i % 90)}, 1)
+	}
+	m, err := New(rel, Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	added := func(cycle, row int) []string {
+		k := strconv.Itoa(100000 + 1000*cycle + row)
+		return []string{k, "n" + k, "-" + k}
+	}
+	old := m.Relation().Dict
+	var cards [3]int
+	type textAnswer struct {
+		col  int
+		text string
+		code relation.Value
+		ok   bool
+	}
+	var texts []textAnswer
+	var codes [3][]string // codes[col][v+1] is Text(col, v)
+	for col := range 3 {
+		cards[col] = old.Cardinality(col)
+		for v := relation.Value(-1); int(v) < cards[col]+rows; v++ {
+			codes[col] = append(codes[col], old.Text(col, v))
+		}
+		names := slices.Clone(codes[col][1 : cards[col]+1])
+		for c := range cycles {
+			for r := range rows {
+				names = append(names, added(c, r)[col])
+			}
+		}
+		for _, s := range names {
+			v, ok := old.Code(col, s)
+			texts = append(texts, textAnswer{col, s, v, ok})
+		}
+	}
+
+	var done atomic.Bool
+	failed := make(chan string, 1)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for pass := 0; pass == 0 || !done.Load(); pass++ {
+			for _, a := range texts {
+				if v, ok := old.Code(a.col, a.text); v != a.code || ok != a.ok {
+					failed <- fmt.Sprintf("pass %d: Code(%d, %q) = %d, %v; was %d, %v", pass, a.col, a.text, v, ok, a.code, a.ok)
+					return
+				}
+			}
+			for col := range 3 {
+				for i, want := range codes[col] {
+					if got := old.Text(col, relation.Value(i-1)); got != want {
+						failed <- fmt.Sprintf("pass %d: Text(%d, %d) = %q; was %q", pass, col, i-1, got, want)
+						return
+					}
+				}
+			}
+		}
+	}()
+	for c := range cycles {
+		var batch []Row
+		for r := range rows {
+			batch = append(batch, Row{Dims: added(c, r), Measure: 1})
+		}
+		if _, err := m.ApplyStrings(batch, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done.Store(true)
+	wg.Wait()
+	select {
+	case msg := <-failed:
+		t.Fatal(msg)
+	default:
+	}
+	for col := range 3 {
+		if got, want := m.Relation().Dict.Cardinality(col), cards[col]+cycles*rows; got != want {
+			t.Errorf("column %d: the maintained dictionary holds %d values, want %d", col, got, want)
+		}
+		if old.Cardinality(col) != cards[col] {
+			t.Errorf("column %d: the old dictionary's Cardinality moved from %d to %d", col, cards[col], old.Cardinality(col))
+		}
+	}
 }
 
 func TestApplyErrors(t *testing.T) {

@@ -7,10 +7,12 @@ package delta_test
 // BenchmarkDeltaApply times what one ingest cycle adds to it: a delta job over
 // a harness-sized batch, merged into the maintained state. Both use only API
 // older commits have (delta.New, delta.Config's Algorithm, Agg, MinSup,
-// Workers and Seed, Maintainer.Apply), so `make bench-compare` can copy this
-// file into a checkout of one and run the identical workload there.
+// Workers and Seed, Maintainer.Apply and ApplyStrings, relation.New and
+// AppendStrings), so `make bench-compare` can copy this file into a checkout
+// of one and run the identical workload there.
 
 import (
+	"strconv"
 	"testing"
 
 	"github.com/spcube/spcube/internal/agg"
@@ -60,7 +62,10 @@ func BenchmarkDeltaNew(b *testing.B) {
 // out the maintainer is rebuilt off the clock. Every cycle is a delta, but
 // for the legs that take either mode: older commits rebuilt the cube for
 // them — for avg because they merged finals, for min because its deletes do
-// not invert.
+// not invert. A leg that ingests text serves the prefix as spserve loads its
+// CSV file, dictionary-encoded from decimals, and hands each batch to
+// ApplyStrings as /v1/ingest does, so each cycle encodes it into a copy of
+// the dictionary.
 func BenchmarkDeltaApply(b *testing.B) {
 	for _, bc := range []struct {
 		name          string
@@ -70,21 +75,39 @@ func BenchmarkDeltaApply(b *testing.B) {
 		minSup        int
 		deletes       bool
 		eitherMode    bool
+		text          bool
 	}{
-		{"uniform58k_300", func() *relation.Relation { return data.Uniform(80000, 4, 1<<30, 1) }, 58000, 300, agg.Count, 0, false, false},
+		{"uniform58k_300", func() *relation.Relation { return data.Uniform(80000, 4, 1<<30, 1) }, 58000, 300, agg.Count, 0, false, false, false},
+		// full_uniform's ingest, through the dictionary.
+		{"uniform58k_300_strings", func() *relation.Relation { return data.Uniform(80000, 4, 1<<30, 1) }, 58000, 300, agg.Count, 0, false, false, true},
 		// iceberg_skew_spill's: most groups of a batch are below MinSup and
 		// not held, so each cycle recomputes them.
-		{"binomial38k_200", func() *relation.Relation { return data.GenBinomial(50000, 6, 0.5, 1) }, 38000, 200, agg.Count, 10, false, false},
+		{"binomial38k_200", func() *relation.Relation { return data.GenBinomial(50000, 6, 0.5, 1) }, 38000, 200, agg.Count, 10, false, false, false},
 		// wiki_serve_ingest's cycle under sum: a non-count aggregate's delta job.
-		{"wiki125k_sum_150", func() *relation.Relation { return data.WikiTraffic(140000, 1) }, 125000, 150, agg.Sum, 0, false, false},
+		{"wiki125k_sum_150", func() *relation.Relation { return data.WikiTraffic(140000, 1) }, 125000, 150, agg.Sum, 0, false, false, false},
 		// And under avg, whose finals are no sums of parts.
-		{"wiki125k_avg_150", func() *relation.Relation { return data.WikiTraffic(140000, 1) }, 125000, 150, agg.Avg, 0, false, true},
+		{"wiki125k_avg_150", func() *relation.Relation { return data.WikiTraffic(140000, 1) }, 125000, 150, agg.Avg, 0, false, true, false},
 		// And under min, appending and deleting: the groups the deletes
 		// touch are recomputed over the whole relation.
-		{"wiki125k_min_150", func() *relation.Relation { return data.WikiTraffic(140000, 1) }, 125000, 150, agg.Min, 0, true, true},
+		{"wiki125k_min_150", func() *relation.Relation { return data.WikiTraffic(140000, 1) }, 125000, 150, agg.Min, 0, true, true, false},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			all := bc.rel()
+			served := &relation.Relation{Schema: all.Schema, Dict: all.Dict, Tuples: all.Tuples[:bc.served]}
+			var rows []delta.Row // all's rows as text, when the leg ingests text
+			if bc.text {
+				served = relation.New(all.Schema.DimNames, all.Schema.MeasureName)
+				for i, t := range all.Tuples {
+					dims := make([]string, len(t.Dims))
+					for j, v := range t.Dims {
+						dims[j] = strconv.Itoa(int(v))
+					}
+					if i < bc.served {
+						served.AppendStrings(dims, t.Measure)
+					}
+					rows = append(rows, delta.Row{Dims: dims, Measure: t.Measure})
+				}
+			}
 			var m *delta.Maintainer
 			var pool, gone []relation.Tuple
 			b.ReportAllocs()
@@ -93,7 +116,6 @@ func BenchmarkDeltaApply(b *testing.B) {
 				if len(pool) < bc.batch {
 					b.StopTimer()
 					var err error
-					served := &relation.Relation{Schema: all.Schema, Dict: all.Dict, Tuples: all.Tuples[:bc.served]}
 					if m, err = delta.New(served, delta.Config{Algorithm: "sp-cube", Agg: bc.fn, MinSup: bc.minSup, Workers: 8, Seed: 1}); err != nil {
 						b.Fatal(err)
 					}
@@ -104,7 +126,14 @@ func BenchmarkDeltaApply(b *testing.B) {
 				if bc.deletes {
 					batch.Delete, gone = gone[:bc.batch], gone[bc.batch:]
 				}
-				rnd, err := m.Apply(batch)
+				var rnd *delta.Round
+				var err error
+				if bc.text {
+					next := len(all.Tuples) - len(pool)
+					rnd, err = m.ApplyStrings(rows[next:next+bc.batch], nil)
+				} else {
+					rnd, err = m.Apply(batch)
+				}
 				if err != nil || rnd.Mode != "delta" && !bc.eitherMode {
 					b.Fatalf("cycle %d: %+v, %v", i, rnd, err)
 				}
