@@ -3,6 +3,7 @@ package spcube
 import (
 	"bytes"
 	"io"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -92,9 +93,16 @@ func BenchmarkWriteCSV(b *testing.B) {
 }
 
 // BenchmarkReadCSV times the load alone: the skewed shape's CSV bytes to a
-// dictionary-encoded relation.
+// dictionary-encoded relation. live-MB is what one loaded relation holds.
 func BenchmarkReadCSV(b *testing.B) {
 	csv := skewedCSV()
+	live := liveMB(func() any {
+		rel, err := ReadCSV(bytes.NewReader(csv))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return rel
+	})
 	rows := 0
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -106,6 +114,20 @@ func BenchmarkReadCSV(b *testing.B) {
 		rows += rel.NumRows()
 	}
 	b.ReportMetric(float64(rows)/b.Elapsed().Seconds(), "rows/s")
+	b.ReportMetric(live, "live-MB")
+}
+
+// liveMB is the heap, in MB, that what load returns holds: the heap in use
+// after a collection, with it and before it was made.
+func liveMB(load func() any) float64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	v := load()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(v)
+	return float64(after.HeapAlloc-before.HeapAlloc) / 1e6
 }
 
 // BenchmarkSkewedBatch times a batch run on the skewed shape with minimum

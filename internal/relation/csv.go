@@ -189,7 +189,7 @@ func addMeasure[T string | []byte](b *csvBatch, f T, line int) error {
 // encoding/csv reads, with encoding/csv's errors.
 //
 // One goroutine parses, up to GOMAXPROCS more dictionary-encode a share of
-// the columns each, and the caller lays the codes down as tuples. Every
+// the columns each, and the caller lays each row down once. Every
 // encoder sees the batches in file order, so a column's codes are assigned
 // first-seen as a serial read assigns them.
 func ReadCSV(r io.Reader) (*Relation, error) {
@@ -258,23 +258,28 @@ func ReadCSV(r io.Reader) (*Relation, error) {
 		}
 	}()
 
-	// Each batch's rows are laid down at their final size — one Dims
-	// allocation and one tuple chunk per batch — and the chunks are
-	// concatenated once at the end, where growing one slice by append would
-	// copy it again and again.
-	var chunks [][]Tuple
+	// Each row is laid down once: a batch's Dims go into one block of
+	// exactly their size, and at EOF Tuples is allocated at its exact length,
+	// pointing into the blocks, so no second copy of the tuples is ever live
+	// to raise the heap goal the cube then fills.
+	type block struct {
+		dims     []Value
+		measures []int64
+	}
+	var blocks []block
+	n := 0
 	for b := range parsed {
 		b.encoded.Wait()
-		if n := len(b.measures); n > 0 {
-			dims, tuples := make([]Value, n*d), make([]Tuple, n)
-			for i, m := range b.measures {
-				row := dims[i*d : (i+1)*d : (i+1)*d]
+		if rows := len(b.measures); rows > 0 {
+			dims := make([]Value, rows*d)
+			for i := range rows {
+				row := dims[i*d : (i+1)*d]
 				for c := range row {
 					row[c] = b.codes[c*csvBatchRows+i]
 				}
-				tuples[i] = Tuple{Dims: row, Measure: m}
 			}
-			chunks = append(chunks, tuples)
+			blocks = append(blocks, block{dims, slices.Clone(b.measures)})
+			n += rows
 		}
 		err = b.err // nil but for the last batch
 		free <- b
@@ -283,10 +288,18 @@ func ReadCSV(r io.Reader) (*Relation, error) {
 	if err != io.EOF {
 		return nil, err
 	}
-	if len(chunks) == 0 {
+	if n == 0 {
 		return nil, fmt.Errorf("no data rows")
 	}
-	rel.Tuples = slices.Concat(chunks...)
+	rel.Tuples = make([]Tuple, 0, n)
+	for _, bl := range blocks {
+		for i, m := range bl.measures {
+			rel.Tuples = append(rel.Tuples, Tuple{Dims: bl.dims[i*d : (i+1)*d : (i+1)*d], Measure: m})
+		}
+	}
+	// The encoders' index is dropped: the cube reads codes and decodes them,
+	// and the first encode or lookup builds the index again.
+	rel.Dict = rel.Dict.unindexed()
 	return rel, nil
 }
 

@@ -268,3 +268,58 @@ func TestRowsDoNotAlias(t *testing.T) {
 		}
 	}
 }
+
+// mixedCSV is a file of rows rows over an integer column, a text column and
+// one that mixes both kinds, each value repeated across the rows.
+func mixedCSV(rows int) string {
+	var file strings.Builder
+	file.WriteString("n,word,mixed,m\n")
+	for i := 0; i < rows; i++ {
+		fmt.Fprintf(&file, "%d,w%d,", i*7919%3000-1000, i%400)
+		if i%3 == 0 {
+			fmt.Fprintf(&file, "t%d", i%250)
+		} else {
+			fmt.Fprintf(&file, "%d", i%600)
+		}
+		fmt.Fprintf(&file, ",%d\n", i%7)
+	}
+	return file.String()
+}
+
+// TestLoadedRelationHoldsOnlyItsRows pins what a load keeps: Tuples and every
+// column's entries at their exact length, and no column index — the cube
+// decodes codes and never looks a text up — until the first lookup builds
+// every column's at once. A Clone copies a built index, and a clone of an
+// unbuilt one stays unbuilt.
+func TestLoadedRelationHoldsOnlyItsRows(t *testing.T) {
+	file := mixedCSV(10000)
+	withBatchRows(t, func(rows int) {
+		rel, err := ReadCSV(strings.NewReader(file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := rel.Dict
+		if cap(rel.Tuples) != len(rel.Tuples) {
+			t.Errorf("batches of %d: Tuples has length %d and capacity %d", rows, len(rel.Tuples), cap(rel.Tuples))
+		}
+		if n := d.spare(); n != 0 {
+			t.Errorf("batches of %d: the entries hold %d spare slots", rows, n)
+		}
+		if n := d.indexedColumns(); n != 0 {
+			t.Fatalf("batches of %d: %d columns hold an index after the load, want none", rows, n)
+		}
+		if n := d.Clone().indexedColumns(); n != 0 {
+			t.Errorf("batches of %d: a clone of the loaded dictionary holds %d indexes, want none", rows, n)
+		}
+		if v, ok := d.Code(1, "w7"); !ok || v != 7 {
+			t.Fatalf("batches of %d: Code(w7) = %d, %v; want 7, true", rows, v, ok)
+		}
+		if n := d.indexedColumns(); n != rel.D() {
+			t.Errorf("batches of %d: one Code built %d column indexes, want %d", rows, n, rel.D())
+		}
+		if n := d.Clone().indexedColumns(); n != rel.D() {
+			t.Errorf("batches of %d: a clone of the indexed dictionary holds %d indexes, want %d", rows, n, rel.D())
+		}
+		requireSameRelation(t, rel, mustSerialLoad(t, file))
+	})
+}

@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"unsafe"
 )
@@ -227,5 +228,61 @@ func TestDictionaryProbeChainsStayShort(t *testing.T) {
 	// percentile 44; a hash of the low bits alone makes it 8,191.
 	if got := d.longestProbe(0); got > 128 {
 		t.Fatalf("longest probe reads %d slots of the index, want at most 128", got)
+	}
+}
+
+// TestLazyIndexFirstLookupsRace: a served dictionary's first lookups come
+// from concurrent HTTP readers, and one of them builds the index that the
+// load left unbuilt. Eight goroutines make the first Lookup and Code calls
+// of a loaded dictionary at once, over every column — present and absent
+// values, both kinds — and each answer must equal a serial read's of the
+// same file. Under -race it also holds the build to one writer.
+func TestLazyIndexFirstLookupsRace(t *testing.T) {
+	file := mixedCSV(6000)
+	type answer struct {
+		v  Value
+		ok bool
+	}
+	var texts []string
+	for i := -1100; i < 2100; i += 7 {
+		texts = append(texts, strconv.Itoa(i), "w"+strconv.Itoa(i), "t"+strconv.Itoa(i))
+	}
+	read := func(d *Dictionary) []answer {
+		var out []answer
+		for col := range 3 {
+			for _, s := range texts {
+				v, ok := d.Lookup(col, s)
+				out = append(out, answer{v, ok})
+				v, ok = d.Code(col, s)
+				out = append(out, answer{v, ok})
+			}
+		}
+		return out
+	}
+	want := read(mustSerialLoad(t, file).Dict)
+	rel, err := ReadCSV(strings.NewReader(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const readers = 8
+	got := make([][]answer, readers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got[r] = read(rel.Dict)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for r, g := range got {
+		for i := range want {
+			if g[i] != want[i] {
+				t.Fatalf("reader %d, answer %d: %v, a serial read's %v", r, i, g[i], want[i])
+			}
+		}
 	}
 }

@@ -14,3 +14,25 @@ func (d *Dictionary) longestProbe(col int) int {
 	}
 	return longest
 }
+
+// indexedColumns is how many of d's columns hold an index.
+func (d *Dictionary) indexedColumns() int {
+	n := 0
+	for i := range d.cols {
+		if d.cols[i].index != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// spare is the capacity d's entries hold beyond their length, summed over
+// every column's vals, isText and texts.
+func (d *Dictionary) spare() int {
+	n := 0
+	for i := range d.cols {
+		c := &d.cols[i]
+		n += cap(c.vals) - len(c.vals) + cap(c.isText) - len(c.isText) + cap(c.texts) - len(c.texts)
+	}
+	return n
+}

@@ -16,6 +16,8 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // Value is a dictionary-encoded dimension attribute value.
@@ -127,9 +129,10 @@ func (r *Relation) AppendStrings(dims []string, measure int64) {
 }
 
 // Restrict returns a new relation with only the dimension columns listed in
-// cols (by index, in the given order). Tuples share no storage with r.
-// It is used to cube over a subset of a wide relation's attributes, as the
-// paper does for the 15-dimensional USAGOV dataset.
+// cols (by index, in the given order). Tuples share no storage with r; their
+// Dims are carved from one allocation. It is used to cube over a subset of a
+// wide relation's attributes, as the paper does for the 15-dimensional
+// USAGOV dataset.
 func (r *Relation) Restrict(cols []int) *Relation {
 	names := make([]string, len(cols))
 	for i, c := range cols {
@@ -139,13 +142,15 @@ func (r *Relation) Restrict(cols []int) *Relation {
 	if r.Dict != nil {
 		out.Dict = r.Dict.Restrict(cols)
 	}
+	d := len(cols)
+	dims := make([]Value, len(r.Tuples)*d)
 	out.Tuples = make([]Tuple, len(r.Tuples))
 	for i, t := range r.Tuples {
-		dims := make([]Value, len(cols))
+		row := dims[i*d : (i+1)*d : (i+1)*d]
 		for j, c := range cols {
-			dims[j] = t.Dims[c]
+			row[j] = t.Dims[c]
 		}
-		out.Tuples[i] = Tuple{Dims: dims, Measure: t.Measure}
+		out.Tuples[i] = Tuple{Dims: row, Measure: t.Measure}
 	}
 	return out
 }
@@ -191,9 +196,19 @@ func (r *Relation) String() string {
 // is keyed by the dictionary's own random seed, for integers as well as text
 // (see entryHash), so values a client chooses cannot force long probe chains.
 // Clone shares the hash and copies four flat slices per column.
+//
+// A dictionary that ReadCSV returns holds its entries at their exact size
+// and no index: rendering a loaded relation decodes codes and never looks a
+// text up. The first Encode, EncodeBytes, Code or Lookup builds every
+// column's index from the entries, once, safe under concurrent callers. A
+// Clone copies a built index and leaves an unbuilt one unbuilt.
 type Dictionary struct {
 	hash *entryHash
 	cols []dictColumn
+	// indexed is set once every column's index holds all of its entries;
+	// buildIndex sets it under mu.
+	indexed atomic.Bool
+	mu      sync.Mutex
 }
 
 // entryHash is a dictionary's hash of its entries. Text is hashed by
@@ -241,7 +256,59 @@ type dictColumn struct {
 
 // NewDictionary creates a dictionary for d columns.
 func NewDictionary(d int) *Dictionary {
-	return &Dictionary{hash: newEntryHash(), cols: make([]dictColumn, d)}
+	out := &Dictionary{hash: newEntryHash(), cols: make([]dictColumn, d)}
+	out.indexed.Store(true) // an empty index is a built one
+	return out
+}
+
+// ensureIndex builds every column's index unless it is built. Its fast path
+// is one atomic load.
+func (d *Dictionary) ensureIndex() {
+	if !d.indexed.Load() {
+		d.buildIndex()
+	}
+}
+
+func (d *Dictionary) buildIndex() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.indexed.Load() {
+		return
+	}
+	for i := range d.cols {
+		c := &d.cols[i]
+		if n := len(c.vals); n > 0 {
+			// The size place grows a table to by the time it holds n entries.
+			size := 8
+			for 4*n > 3*size {
+				size *= 2
+			}
+			c.rehash(d.hash, size)
+		}
+	}
+	d.indexed.Store(true)
+}
+
+// unindexed returns d's entries at their exact size and without an index,
+// for a loaded relation to keep; d is not used again.
+func (d *Dictionary) unindexed() *Dictionary {
+	out := &Dictionary{hash: d.hash, cols: make([]dictColumn, len(d.cols))}
+	for i := range d.cols {
+		c := &d.cols[i]
+		out.cols[i] = dictColumn{vals: exact(c.vals), isText: exact(c.isText), texts: exact(c.texts)}
+	}
+	return out
+}
+
+// exact returns s in an allocation of its own length, or s itself when it
+// has no spare capacity.
+func exact[T any](s []T) []T {
+	if len(s) == cap(s) {
+		return s
+	}
+	out := make([]T, len(s))
+	copy(out, s)
+	return out
 }
 
 // canonicalInt32 parses s when it is exactly the text strconv.Itoa prints
@@ -277,6 +344,7 @@ func canonicalInt32[T string | []byte](s T) (int32, bool) {
 // Encode returns the code for s in column col, assigning a new code if s has
 // not been seen before.
 func (d *Dictionary) Encode(col int, s string) Value {
+	d.ensureIndex()
 	c := &d.cols[col]
 	if n, ok := canonicalInt32(s); ok {
 		return c.encodeInt(d.hash, n)
@@ -293,6 +361,7 @@ func (d *Dictionary) Encode(col int, s string) Value {
 // EncodeBytes is Encode(col, string(b)), but it builds the string only for
 // a value it has not seen.
 func (d *Dictionary) EncodeBytes(col int, b []byte) Value {
+	d.ensureIndex()
 	c := &d.cols[col]
 	if n, ok := canonicalInt32(b); ok {
 		return c.encodeInt(d.hash, n)
@@ -412,6 +481,7 @@ func (c *dictColumn) textAt(v Value) bool {
 // Code returns the existing code for s in column col without assigning a
 // new one.
 func (d *Dictionary) Code(col int, s string) (Value, bool) {
+	d.ensureIndex()
 	c := &d.cols[col]
 	var v Value
 	if n, ok := canonicalInt32(s); ok {
@@ -498,26 +568,34 @@ func (d *Dictionary) Cardinality(col int) int { return len(d.cols[col].vals) }
 
 // Clone returns a deep copy of the dictionary. Incremental ingestion uses
 // it for copy-on-write: readers holding the old dictionary (a published
-// cube index) never observe new codes being assigned.
+// cube index) never observe new codes being assigned. The copy has d's index
+// if d has built it, and builds its own on first use if not.
 func (d *Dictionary) Clone() *Dictionary {
 	out := &Dictionary{hash: d.hash, cols: make([]dictColumn, len(d.cols))}
-	for i, c := range d.cols {
+	indexed := d.indexed.Load() // a reader may be building d's index
+	for i := range d.cols {
+		c := &d.cols[i]
 		out.cols[i] = dictColumn{
-			index:  slices.Clone(c.index),
 			vals:   slices.Clone(c.vals),
 			isText: slices.Clone(c.isText),
 			texts:  slices.Clone(c.texts),
 		}
+		if indexed {
+			out.cols[i].index = slices.Clone(c.index)
+		}
 	}
+	out.indexed.Store(indexed)
 	return out
 }
 
 // Restrict returns a dictionary containing only the listed columns. The
-// columns' entries are shared with d, not copied: it is a read-only view.
+// columns' entries are shared with d, not copied: it is a read-only view,
+// which builds an index of its own on its first lookup.
 func (d *Dictionary) Restrict(cols []int) *Dictionary {
 	out := &Dictionary{hash: d.hash, cols: make([]dictColumn, len(cols))}
 	for i, c := range cols {
-		out.cols[i] = d.cols[c]
+		src := &d.cols[c]
+		out.cols[i] = dictColumn{vals: slices.Clip(src.vals), isText: slices.Clip(src.isText), texts: slices.Clip(src.texts)}
 	}
 	return out
 }

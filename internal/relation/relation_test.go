@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -199,6 +200,26 @@ func TestRelationAppendAndRestrict(t *testing.T) {
 	sub.Tuples[0].Dims[0] = 99
 	if rel.Tuples[0].Dims[2] == 99 {
 		t.Error("Restrict must deep-copy tuples")
+	}
+}
+
+// TestRestrictAllocatesOnce: Restrict carves every row's Dims from one
+// allocation, so what it allocates does not grow with the rows — the schema's
+// names, the relation, the dictionary view and its columns, Tuples and the
+// Dims backing — and each row is capped at its own width.
+func TestRestrictAllocatesOnce(t *testing.T) {
+	rel := New([]string{"a", "b", "c"}, "m")
+	for i := 0; i < 1000; i++ {
+		rel.AppendStrings([]string{strconv.Itoa(i % 17), "x" + strconv.Itoa(i%5), strconv.Itoa(i)}, int64(i))
+	}
+	if got := testing.AllocsPerRun(20, func() { rel.Restrict([]int{2, 0}) }); got > 6 {
+		t.Errorf("Restrict of %d rows made %v allocations, want at most 6", rel.N(), got)
+	}
+	sub := rel.Restrict([]int{2, 0})
+	for i, tup := range sub.Tuples {
+		if len(tup.Dims) != 2 || cap(tup.Dims) != 2 || tup.Dims[0] != rel.Tuples[i].Dims[2] || tup.Dims[1] != rel.Tuples[i].Dims[0] {
+			t.Fatalf("row %d: Dims %v (capacity %d) from %v", i, tup.Dims, cap(tup.Dims), rel.Tuples[i].Dims)
+		}
 	}
 }
 
