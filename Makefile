@@ -239,10 +239,11 @@ loc:
 # that load), of a server's start-up build and ingest cycle (delta.New over
 # the three served relations and under sum; Maintainer.Apply of harness-sized
 # batches, under count and under sum), of the whole of start-up
-# behind the CSV load (relation -> delta.New -> served Store) and of the
-# dictionary's encode and clone. Checks out BASE
+# behind the CSV load (relation -> delta.New -> served Store), of the
+# dictionary's encode and clone, and of the maintainer's cursor reads of its
+# base (Cursor.Seek at a batch's ascending keys). Checks out BASE
 # (default: the previous commit) into a temporary git worktree, copies the
-# six portable exported-API benchmark files in (so old trees predating them
+# seven portable exported-API benchmark files in (so old trees predating them
 # still run the identical workload), benchmarks both trees, and renders one
 # comparison per package with benchstat when installed, falling back to the
 # in-repo cmd/benchcmp. In-package benchmarks (ShuffleMerge, Combine) may not
@@ -259,7 +260,8 @@ bench-compare:
 		'. collect_bench_test.go WriteCSV|ReadCSV|SkewedBatch' \
 		'internal/delta new_bench_test.go DeltaNew|DeltaApply' \
 		'internal/cli ready_bench_test.go ServeReady' \
-		'internal/relation dictionary_bench_test.go DictionaryEncode|DictionaryClone'; do \
+		'internal/relation dictionary_bench_test.go DictionaryEncode|DictionaryClone' \
+		'internal/cube seek_bench_test.go CursorSeek'; do \
 		set -- $$spec; pkg=$$1; file=$$2; pattern=$$3; \
 		mkdir -p "$$tmp/base/$$pkg"; \
 		cp "$$pkg/$$file" "$$tmp/base/$$pkg/$$file"; \

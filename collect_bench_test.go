@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"github.com/spcube/spcube/internal/data"
+	"github.com/spcube/spcube/internal/lattice"
+	"github.com/spcube/spcube/internal/relation"
 )
 
 // uniformRelation is the benchmark harness's full_uniform shape — 80 k uniform
@@ -76,12 +78,24 @@ func BenchmarkComputeWriteCSV(b *testing.B) {
 }
 
 // BenchmarkWriteCSV times the render alone: the full_uniform cube, computed
-// once, written to io.Discard.
+// once, written to io.Discard. index-B/group is what the cube holds beside
+// its output records, per group: the heap the computed cube keeps in use less
+// its records' bytes, each a distinct group's key, a tab and 8 value bytes.
 func BenchmarkWriteCSV(b *testing.B) {
-	c, err := Compute(uniformRelation())
-	if err != nil {
-		b.Fatal(err)
-	}
+	rel := uniformRelation()
+	var c *Cube
+	live := liveMB(func() any {
+		var err error
+		if c, err = Compute(rel); err != nil {
+			b.Fatal(err)
+		}
+		return c
+	})
+	index := live * 1e6
+	c.run.Each(func(key []byte, _ lattice.Mask, _ []relation.Value, _ float64, _ int64) bool {
+		index -= float64(len(key) + 1 + 8)
+		return true
+	})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -90,6 +104,7 @@ func BenchmarkWriteCSV(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(c.NumGroups()*b.N)/b.Elapsed().Seconds(), "groups/s")
+	b.ReportMetric(index/float64(c.NumGroups()), "index-B/group")
 }
 
 // BenchmarkReadCSV times the load alone: the skewed shape's CSV bytes to a
@@ -118,12 +133,16 @@ func BenchmarkReadCSV(b *testing.B) {
 }
 
 // liveMB is the heap, in MB, that what load returns holds: the heap in use
-// after a collection, with it and before it was made.
+// after a collection, with it and before it was made. Each reading follows
+// two collections, which empty the sync.Pools: the first only moves a pool's
+// items aside, and items a pool kept would count for or against load.
 func liveMB(load func() any) float64 {
 	var before, after runtime.MemStats
 	runtime.GC()
+	runtime.GC()
 	runtime.ReadMemStats(&before)
 	v := load()
+	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(v)

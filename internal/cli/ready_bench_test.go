@@ -6,9 +6,11 @@ package cli_test
 // is built by serve.BuildRun over the maintainer's published walk, line for
 // line what spserve's start runs, which older commits have too, so `make
 // bench-compare` can copy this file into a checkout of one and run the
-// identical workload there.
+// identical workload there. live-MB is the heap the last start-up leaves in
+// use, maintainer and store alive, measured after a collection.
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/spcube/spcube/internal/agg"
@@ -31,21 +33,32 @@ func BenchmarkServeReady(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			rel := bc.rel()
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			var m *delta.Maintainer
+			var st *serve.Store
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m, err := delta.New(rel, delta.Config{Algorithm: "sp-cube", Agg: agg.Count, MinSup: bc.minSup, Workers: 8, Seed: 1})
-				if err != nil {
+				m, st = nil, nil // the last start-up's are not alive during this one
+				var err error
+				if m, err = delta.New(rel, delta.Config{Algorithm: "sp-cube", Agg: agg.Count, MinSup: bc.minSup, Workers: 8, Seed: 1}); err != nil {
 					b.Fatal(err)
 				}
-				st, err := serve.BuildRun(m.Relation(), m.Published)
-				if err != nil {
+				if st, err = serve.BuildRun(m.Relation(), m.Published); err != nil {
 					b.Fatal(err)
 				}
 				if st.Groups() != bc.groups {
 					b.Fatalf("serving %d groups, want %d", st.Groups(), bc.groups)
 				}
 			}
+			b.StopTimer()
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(m)
+			runtime.KeepAlive(st)
+			b.ReportMetric(float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/1e6, "live-MB")
 		})
 	}
 }

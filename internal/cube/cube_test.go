@@ -8,7 +8,6 @@ import (
 
 	"github.com/spcube/spcube/internal/agg"
 	"github.com/spcube/spcube/internal/lattice"
-	"github.com/spcube/spcube/internal/mr"
 	"github.com/spcube/spcube/internal/relation"
 )
 
@@ -152,10 +151,11 @@ func TestRunFileLimit(t *testing.T) {
 	rec = appendFinal(rec, 1)
 	defer func(old int64) { maxFileBytes = old }(maxFileBytes)
 	maxFileBytes = int64(2*len(rec) - 1)
-	if _, err := indexFile("out/x/part-0", files{rec}, 0, 1, false, new(mr.IndexScratch)); err != nil {
+	var s sorter
+	if _, _, _, err := s.sortFile("out/x/part-0", files{rec}, 0, false); err != nil {
 		t.Fatalf("a file under the limit: %v", err)
 	}
-	_, err := indexFile("out/x/part-0", files{append(rec, rec...)}, 0, 2, false, new(mr.IndexScratch))
+	_, _, _, err := s.sortFile("out/x/part-0", files{append(rec, rec...)}, 0, false)
 	if err == nil || !strings.Contains(err.Error(), "out/x/part-0") {
 		t.Fatalf("a file over the limit: error %v, want one naming the file", err)
 	}

@@ -19,36 +19,41 @@ import (
 var renderRangeRows = 32 << 10
 
 // ranges cuts the run into contiguous key ranges of about renderRangeRows
-// rows: ranges()[k][s] is where range k starts in segment s, and the last
-// entry is the segments' lengths. Every segment is cut at its first key not
-// below the range's splitter, so a key that several segments hold — of which
-// the last segment's record stands — lies in one range with all its records.
-// The splitters are quantiles of the whole run: one row in every
-// renderRangeRows/8 of the segments laid end to end is taken, and every
-// eighth of those in key order splits. A reducer's file need not span the key
-// space — SP-Cube's hold one key range of each cuboid — so no one segment's
-// rows would do.
+// records: ranges()[k][s] is the offset in segment s's file where range k
+// starts, and the last entry is the files' lengths. Every segment is cut at
+// its first key not below the range's splitter, so a key that several
+// segments hold — of which the last segment's record stands — lies in one
+// range with all its records. The splitters are quantiles of the whole run,
+// taken from the segments' heads: one head in every renderRangeRows/8 records
+// of the segments laid end to end is taken, and every eighth of those in key
+// order splits. A reducer's file need not span the key space — SP-Cube's hold
+// one key range of each cuboid — so no one segment's heads would do.
 func (r *SortedRun) ranges() [][]int {
 	const oversample = 8
-	step, total := max(1, renderRangeRows/oversample), 0
+	step, total := max(1, renderRangeRows/oversample/blockRecords), 0
 	var taken []row
 	for _, seg := range r.segs {
-		for i := (step/2 - total%step + step) % step; i < len(seg); i += step {
-			taken = append(taken, seg[i])
+		for i := (step/2 - total%step + step) % step; i < len(seg.blocks); i += step {
+			taken = append(taken, seg.blocks[i].head)
 		}
-		total += len(seg)
+		total += len(seg.blocks)
 	}
 	slices.SortFunc(taken, r.files.compare)
-	n := max(1, (total+renderRangeRows-1)/renderRangeRows)
+	records := 0
+	for _, seg := range r.segs {
+		records += seg.records
+	}
+	n := max(1, (records+renderRangeRows-1)/renderRangeRows)
 	cuts := make([][]int, n+1)
-	cuts[0] = make([]int, len(r.segs))
-	for k := 1; k <= n; k++ {
+	for k := range cuts {
 		cuts[k] = make([]int, len(r.segs))
-		for s, seg := range r.segs {
-			cuts[k][s] = len(seg)
-			if k < n {
+		for s := range r.segs {
+			switch {
+			case k == n:
+				cuts[k][s] = len(r.files[s])
+			case k > 0:
 				w := taken[k*len(taken)/n]
-				cuts[k][s] = r.files.lowerBound(seg, cuts[k-1][s], len(seg), probe{r.files.key(w), w.Prefix})
+				cuts[k][s] = r.lowerBound(s, newProbe(r.files.key(w)))
 			}
 		}
 	}
@@ -58,23 +63,19 @@ func (r *SortedRun) ranges() [][]int {
 // appendRange appends the CSV rows of the range between two cuts to buf and
 // returns it with their number.
 func (r *SortedRun) appendRange(buf []byte, from, to []int, rel *relation.Relation) ([]byte, int) {
-	parts := make([][]row, len(r.segs))
-	for s, seg := range r.segs {
-		parts[s] = seg[from[s]:to[s]]
-	}
 	// Counts and sums repeat from group to group: format a value once per
 	// streak.
 	var last uint64
 	var text []byte
 	var packed []relation.Value
 	rows := 0
-	for m := newMerger(r.files, parts); ; rows++ {
+	for m := r.newMerger(from, to); ; rows++ {
 		w, ok := m.next()
 		if !ok {
 			return buf, rows
 		}
 		var mask uint32
-		mask, packed, _, _ = relation.ScanGroupKeyInto(packed, r.files.key(w)) // indexFile parsed this key already
+		mask, packed, _, _ = relation.ScanGroupKeyInto(packed, r.files.key(w)) // collect checked this key
 		j := 0
 		for i := 0; i < r.d; i++ {
 			if lattice.Mask(mask).Has(i) {

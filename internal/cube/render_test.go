@@ -46,28 +46,25 @@ func referenceCSV(t testing.TB, run *cube.SortedRun, rel *relation.Relation, val
 }
 
 // requireRendersAsReference holds WriteCSV to referenceCSV's bytes, with the
-// run cut into ranges of 1, 2 and 7 rows — so that every row, and every key
-// that several segments hold, sits on a range boundary — and as a whole; as
-// collected and merged into one segment. Rendering also counts: Len must
-// agree with the rows written.
+// run cut into ranges of 1, 2 and 7 rows — so that every head, and every key
+// that several segments hold at a head, sits on a range boundary — and as a
+// whole. Rendering also counts: Len must agree with the rows written.
 func requireRendersAsReference(t testing.TB, run *cube.SortedRun, rel *relation.Relation) {
 	t.Helper()
 	want := referenceCSV(t, run, rel, "v,\"")
 	for _, rows := range []int{1, 2, 7, 32 << 10} {
 		cube.SetRenderRangeRows(t, rows)
-		for name, r := range map[string]*cube.SortedRun{"collected": run, "merged": run.Merged()} {
-			var got bytes.Buffer
-			if err := r.WriteCSV(&got, rel, "v,\""); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got.Bytes(), want) {
-				t.Fatalf("%s run, ranges of %d rows: WriteCSV wrote\n%q\nencoding/csv over EachRow\n%q", name, rows, got.Bytes(), want)
-			}
-			groups := 0
-			r.Each(func([]byte, lattice.Mask, []relation.Value, float64, int64) bool { groups++; return true })
-			if r.Len() != groups {
-				t.Fatalf("%s run: Len %d after writing %d rows", name, r.Len(), groups)
-			}
+		var got bytes.Buffer
+		if err := run.WriteCSV(&got, rel, "v,\""); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("ranges of %d rows: WriteCSV wrote\n%q\nencoding/csv over EachRow\n%q", rows, got.Bytes(), want)
+		}
+		groups := 0
+		run.Each(func([]byte, lattice.Mask, []relation.Value, float64, int64) bool { groups++; return true })
+		if run.Len() != groups {
+			t.Fatalf("Len %d after writing %d rows", run.Len(), groups)
 		}
 	}
 }
@@ -201,10 +198,9 @@ func TestWriteCSVEmptyAndSingleRow(t *testing.T) {
 		run  *cube.SortedRun
 		want string
 	}{
-		"no files":      {empty, "a,b,m\n"},
-		"an empty map":  {emptyMap, "a,b,m\n"},
-		"a single row":  {single, "a,b,m\n*,y,2.5\n"},
-		"single merged": {single.Merged(), "a,b,m\n*,y,2.5\n"},
+		"no files":     {empty, "a,b,m\n"},
+		"an empty map": {emptyMap, "a,b,m\n"},
+		"a single row": {single, "a,b,m\n*,y,2.5\n"},
 	} {
 		var got bytes.Buffer
 		if err := c.run.WriteCSV(&got, rel, "m"); err != nil || got.String() != c.want {

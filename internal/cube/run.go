@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -17,20 +19,27 @@ import (
 	"github.com/spcube/spcube/internal/relation"
 )
 
-// SortedRun is a computed cube read where the reducers wrote it: an index
-// over the job's output files, as one or more segments of records sorted by
-// encoded group key and merged on iteration. CollectRun makes a segment of
-// each file; Merged folds them into one. Keys are ordered as bytes, which is
-// cuboid by cuboid in ascending mask, and within a cuboid ComparePacked order:
-// the <_C order of the paper's §4.1. The record bytes are not copied: the run
-// aliases the DFS files' own slices and keeps them alive. It is immutable once
+// SortedRun is a computed cube read where the reducers wrote it: the job's
+// output files, each sorted by encoded group key where it lies, as segments
+// merged on iteration. Keys are ordered as bytes, which is cuboid by cuboid in
+// ascending mask, and within a cuboid ComparePacked order: the <_C order of
+// the paper's §4.1. The index is sparse — the key of every blockRecords-th
+// record of a file and where each cuboid starts and ends in it — so the run
+// costs its records and a few bytes a group beside them. It is immutable once
 // built, so any number of goroutines may read it.
 type SortedRun struct {
-	d     int
+	d int
+	// files are the records, each file ascending by key; segs their
+	// indexes. A key in several files stands as the last of them has it.
 	files files
-	// segs are the segments, each ascending with one row per distinct key. A
-	// key in several segments stands as the last of them has it.
-	segs [][]row
+	segs  []segment
+	// spans are the files' cuboid stretches, ascending by first key: the
+	// directory a search finds the segments that may hold a key in.
+	// disjoint is whether every key is in one record: no file writes a key
+	// twice and every span starts above the reach of those before, as an
+	// SP-Cube job's reducers write them.
+	spans    []span
+	disjoint bool
 	// par is how many goroutines a pass over the run may use: the
 	// Parallelism of the job that wrote it.
 	par int
@@ -41,19 +50,93 @@ type SortedRun struct {
 	n     int // distinct group keys over all segments; see Len and WriteCSV
 }
 
+// blockRecords is how many records a segment's block stands for: a search
+// bisects the blocks' heads and then scans at most this many records.
+const blockRecords = 8
+
+// segment is the index of one sorted file.
+type segment struct {
+	// blocks[j] stands for the file's records from j·blockRecords on.
+	blocks []block
+	// records is the file's record count; dups whether some key is
+	// written more than once, in which case its last record stands.
+	records int
+	dups    bool
+}
+
+// block is blockRecords records of a sorted file: head is the first one's
+// row, and byte i of tags the keyTag of record i's key, so that a search for
+// a key the block lacks — most of what a delta batch asks its base — mostly
+// ends without reading the file.
+type block struct {
+	head row
+	tags uint64
+}
+
+// keyTag is a byte of a hash of key's length and of its first and last 8
+// bytes, which hold all of a key of up to 16 bytes: keys that differ only
+// between them share their tags, which costs a block scan, never an answer.
+func keyTag(key []byte) uint64 {
+	var h uint64
+	if n := len(key); n >= 8 {
+		h = binary.BigEndian.Uint64(key) ^ bits.RotateLeft64(binary.LittleEndian.Uint64(key[n-8:]), 29)
+	} else {
+		for _, c := range key {
+			h = h<<8 | uint64(c)
+		}
+	}
+	return ((h ^ uint64(len(key))) * 0x9e3779b97f4a7c15) >> 56
+}
+
+// mayHold reports whether the block may hold a key of the given tag: whether
+// a byte of its tags equals it, by the classic zero-byte test on their
+// difference, which may say yes for a byte above one that matches, never no
+// for one that does. The bytes past a short last block's records are zero, as
+// a tag can be: they too only say yes.
+func (b *block) mayHold(tag uint64) bool {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	x := b.tags ^ tag*ones
+	return (x-ones)&^x&highs != 0
+}
+
+// span is one cuboid's stretch of a sorted file, which holds each cuboid as
+// one: its first and last records, and the blocks[lo:hi] of segment seg that
+// hold it. In a run's directory, reach is the greatest last record of
+// the span and every span before it.
+type span struct {
+	first, last, reach row
+	seg, lo, hi        int
+}
+
+// setSpans makes the run's directory of the segments' spans.
+func (r *SortedRun) setSpans(perSeg [][]span) {
+	r.spans = slices.Concat(perSeg...)
+	slices.SortFunc(r.spans, func(a, b span) int { return r.files.compare(a.first, b.first) })
+	r.disjoint = true
+	for _, seg := range r.segs {
+		r.disjoint = r.disjoint && !seg.dups
+	}
+	for i := range r.spans {
+		sp := &r.spans[i]
+		sp.reach = sp.last
+		if i > 0 {
+			prev := r.spans[i-1].reach
+			r.disjoint = r.disjoint && r.files.compare(prev, sp.first) < 0
+			if r.files.compare(prev, sp.last) > 0 {
+				sp.reach = prev
+			}
+		}
+	}
+}
+
 // row locates one output record: Prefix is its key's first 8 bytes, which
 // order most rows without touching the file, Pos its offset in its file, and
 // Tag its key's length << 16 | the position of its file in FS.List order.
 // It is mr's index row, so collect sorts it with the map side's radix
-// kernel; it holds no pointer, so a million-row index costs the collector
-// nothing to scan. The 32-bit offset is what limits a file to maxFileBytes,
-// the 16-bit file number a cube to maxFiles. (A key is a mask and at most 32
-// values of at most ten bytes each: its length fits 16 bits.)
+// kernel. The 32-bit offset is what limits a file to maxFileBytes, the 16-bit
+// file number a cube to maxFiles. (A key is a mask and at most 32 values of
+// at most ten bytes each: its length fits 16 bits.)
 type row = mr.IndexRow
-
-func newRow(file, off int, key []byte) row {
-	return row{Prefix: mr.KeyPrefix(key), Pos: uint32(off), Tag: uint32(len(key))<<16 | uint32(file)}
-}
 
 // maxFileBytes is the largest output file a row can address, maxFiles the
 // most files. maxFileBytes is a variable so that a test can lower it.
@@ -107,19 +190,71 @@ func (fs files) compare(a, b row) int {
 	return bytes.Compare(fs.key(a), fs.key(b))
 }
 
-// CollectRun indexes a cube a job run under spec wrote to the engine's DFS
-// (non-discard mode) under the given prefix, one segment per file; the spec
-// says where its records keep the groups' counts (see Spec.Emit). Files are
-// sorted by at most eng.Cfg.Parallelism workers. A group key written more
-// than once keeps its last record, in file (FS.List) order and then record
-// order — what collecting into a map did.
+// The records of a collected run were parsed and checked by walkRecords, so
+// reading them again takes no checks: numLens[c] is the length of the prefix
+// varint that starts with byte c, keyLen the length of the group key at the
+// start of b — its values are skipped, not decoded — and recordEnd where the
+// record at off, whose key is keyLen bytes, ends.
+var numLens = func() (t [256]uint8) {
+	for c := range t {
+		t[c] = uint8(bits.LeadingZeros8(^uint8(c)) + 1)
+	}
+	return t
+}()
+
+func keyLen(b []byte) int {
+	n := int(numLens[b[0]])
+	mask := uint32(b[0] & (0xff >> n))
+	for _, c := range b[1:n] {
+		mask = mask<<8 | uint32(c)
+	}
+	for k := bits.OnesCount32(mask); k > 0; k-- {
+		n += int(numLens[b[n]])
+	}
+	return n
+}
+
+// cuboidBits is the part of a key's prefix that its mask's varint takes.
+func cuboidBits(prefix uint64) uint64 { return prefix >> (64 - 8*int(numLens[prefix>>56])) }
+
+// keyPrefix is mr.KeyPrefix of the n-byte key of the record at data[off:],
+// read in one load: every record has at least 9 bytes behind its key, so the
+// bytes past a shorter key are there to be masked off.
+func keyPrefix(data []byte, off, n int) uint64 {
+	prefix := binary.BigEndian.Uint64(data[off:])
+	if n < 8 {
+		prefix &^= math.MaxUint64 >> (8 * n)
+	}
+	return prefix
+}
+
+func recordEnd(data []byte, off, keyLen int, counted bool) int {
+	end := off + keyLen + 1 + 8
+	if counted {
+		if size := data[end]; size < 0x80 { // a state under 128 bytes
+			return end + 1 + int(size)
+		}
+		size, k := binary.Uvarint(data[end:])
+		end += k + int(size)
+	}
+	return end
+}
+
+// CollectRun reads a cube a job run under spec wrote to the engine's DFS
+// (non-discard mode) under the given prefix as a run of one segment per file;
+// the spec says where its records keep the groups' counts (see Spec.Emit).
+// Each file is sorted where it lies: its records, copied in key order, are
+// written back over it (FS.Reorder), by at most eng.Cfg.Parallelism
+// workers. A group key written more than once keeps its last record, in file
+// (FS.List) order and then record order — what collecting into a map did. A
+// collect that fails may leave some files sorted.
 func CollectRun(eng *mr.Engine, prefix string, d int, spec Spec) (*SortedRun, error) {
 	names := eng.FS.List(prefix)
 	if len(names) > maxFiles {
 		return nil, fmt.Errorf("cube: %d output files under %s, above the %d a sorted run indexes", len(names), prefix, maxFiles)
 	}
-	r := &SortedRun{d: d, files: make(files, len(names)), segs: make([][]row, len(names)), par: max(1, eng.Cfg.Parallelism), counts: spec.counts()}
-	errs := make([]error, len(names))
+	r := &SortedRun{d: d, files: make(files, len(names)), segs: make([]segment, len(names)), par: max(1, eng.Cfg.Parallelism), counts: spec.counts()}
+	errs, spans := make([]error, len(names)), make([][]span, len(names))
 	n := len(names) // files read
 	for i, name := range names {
 		if r.files[i], errs[i] = eng.FS.Read(name); errs[i] != nil {
@@ -127,18 +262,34 @@ func CollectRun(eng *mr.Engine, prefix string, d int, spec Spec) (*SortedRun, er
 			break
 		}
 	}
-	// Each worker sorts through one scratch array, reused from file to
-	// file: a fresh one per file would raise the peak heap by its size.
+	// Each worker sorts through one index, one scratch array and one
+	// sorted copy, reused from file to file, which FS.Reorder writes back
+	// over the file: a fresh index or copy per file would raise the peak
+	// heap by its size, and a copy kept for each file would leave the
+	// reducers' bytes behind as garbage of the cube's size. The largest
+	// files go first, so that a worker's buffers are sized by its first
+	// file and never outgrown.
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(len(r.files[b]), len(r.files[a])) })
 	var next atomic.Int32
 	var wg sync.WaitGroup
 	for range min(r.par, n) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var scratch mr.IndexScratch
-			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			var s sorter
+			for k := int(next.Add(1)) - 1; k < n; k = int(next.Add(1)) - 1 {
+				i := order[k]
 				// One record per EmitKV makes the count exact.
-				r.segs[i], errs[i] = indexFile(names[i], r.files, i, int(eng.FS.Records(names[i])), r.counts == countInState, &scratch)
+				s.rows = slices.Grow(s.rows[:0], int(eng.FS.Records(names[i])))
+				var sorted []byte
+				sorted, r.segs[i], spans[i], errs[i] = s.sortFile(names[i], r.files, i, r.counts == countInState)
+				if errs[i] == nil && sorted != nil {
+					errs[i] = eng.FS.Reorder(names[i], sorted)
+				}
 			}
 		}()
 	}
@@ -148,64 +299,80 @@ func CollectRun(eng *mr.Engine, prefix string, d int, spec Spec) (*SortedRun, er
 			return nil, err
 		}
 	}
+	r.setSpans(spans)
 	return r, nil
 }
 
-// Merged returns the same cube as one segment. It costs a pass over the cube
-// and, while it runs, a second copy of the index; it pays when the run is to
-// be read at many keys, which then cost one search each, not one per file.
-func (r *SortedRun) Merged() *SortedRun {
-	if len(r.segs) <= 1 {
-		return r
-	}
-	total := 0
-	for _, seg := range r.segs {
-		total += len(seg)
-	}
-	rows := make([]row, 0, total)
-	for m := r.merge(nil); ; {
-		w, ok := m.next()
-		if !ok {
-			return &SortedRun{d: r.d, files: r.files, segs: [][]row{rows}, par: r.par, counts: r.counts}
-		}
-		rows = append(rows, w)
-	}
+// sorter is one worker's working memory for sortFile: a file's index, one
+// row per record, the radix sort's scratch and the file's sorted copy.
+type sorter struct {
+	rows    []row
+	scratch mr.IndexScratch
+	sorted  []byte
 }
 
-// indexFile builds the sorted rows of file i of fs, one per distinct key;
-// sizeHint is its expected record count, counted says whether a state
-// follows each final, and scratch is the sort's working memory.
-func indexFile(name string, fs files, i, sizeHint int, counted bool, scratch *mr.IndexScratch) ([]row, error) {
+// sortFile returns the records of file i of fs in ascending key order — a
+// stable sort, so equal keys keep their record order — in the sorter's own
+// buffer, nil when the file holds them in that order already, with the
+// segment and the spans that index them as they will lie; counted says
+// whether a state follows each final.
+func (s *sorter) sortFile(name string, fs files, i int, counted bool) ([]byte, segment, []span, error) {
 	data := fs[i]
 	if int64(len(data)) > maxFileBytes {
-		return nil, fmt.Errorf("cube: output file %s is %d bytes, above the %d a sorted run indexes per file", name, len(data), maxFileBytes)
+		return nil, segment{}, nil, fmt.Errorf("cube: output file %s is %d bytes, above the %d a sorted run indexes per file", name, len(data), maxFileBytes)
 	}
-	rows := make([]row, 0, sizeHint)
+	// A row's file number is i for every row here: until the rows are
+	// laid down, its bits hold the key's keyTag instead, taken while the
+	// walk has the key in cache.
+	key := func(r row) []byte { return data[r.Pos : r.Pos+r.Tag>>16] }
+	rows := s.rows[:0]
 	err := walkRecords(data, counted, func(off, keyLen int) {
-		rows = append(rows, newRow(i, off, data[off:off+keyLen]))
+		rows = append(rows, row{Prefix: keyPrefix(data, off, keyLen), Pos: uint32(off), Tag: uint32(keyLen)<<16 | uint32(keyTag(data[off:off+keyLen]))})
 	})
+	s.rows = rows
 	if err != nil {
-		return nil, fmt.Errorf("cube: parsing %s: %w", name, err)
+		return nil, segment{}, nil, fmt.Errorf("cube: parsing %s: %w", name, err)
 	}
 	// Rows of equal prefix stay in record order, and so do equal keys: the
 	// prefix decides equality only for two keys of one length up to 8 bytes.
-	mr.SortIndex(rows, scratch, func(run []row) {
+	mr.SortIndex(rows, &s.scratch, func(run []row) {
 		for _, r := range run {
-			if r.Tag != run[0].Tag || r.Tag>>16 > 8 {
-				slices.SortStableFunc(run, func(a, b row) int { return bytes.Compare(fs.key(a), fs.key(b)) })
+			if r.Tag>>16 != run[0].Tag>>16 || r.Tag>>16 > 8 {
+				slices.SortStableFunc(run, func(a, b row) int { return bytes.Compare(key(a), key(b)) })
 				return
 			}
 		}
 	})
-	// Equal keys now sit together in record order; the last one stands.
-	distinct := rows[:0]
-	for j, r := range rows {
-		if j+1 < len(rows) && fs.compare(r, rows[j+1]) == 0 {
-			continue
+	// Lay the records down in that order, keeping a head every
+	// blockRecords records and a span per cuboid: a key's cuboid is the
+	// prefix varint its prefix starts with.
+	sorted := slices.Grow(s.sorted[:0], len(data))
+	seg := segment{blocks: make([]block, 0, (len(rows)+blockRecords-1)/blockRecords), records: len(rows)}
+	var spans []span
+	inOrder := true
+	for j, w := range rows {
+		n := w.Tag >> 16
+		if j > 0 && rows[j-1].Prefix == w.Prefix && bytes.Equal(key(rows[j-1]), key(w)) {
+			seg.dups = true
 		}
-		distinct = append(distinct, r)
+		at := row{Prefix: w.Prefix, Pos: uint32(len(sorted)), Tag: n<<16 | uint32(i)}
+		inOrder = inOrder && w.Pos == at.Pos
+		sorted = append(sorted, data[w.Pos:recordEnd(data, int(w.Pos), int(n), counted)]...)
+		if j%blockRecords == 0 {
+			seg.blocks = append(seg.blocks, block{head: at})
+		}
+		seg.blocks[len(seg.blocks)-1].tags |= uint64(w.Tag&0xff) << (8 * (j % blockRecords))
+		if j == 0 || cuboidBits(w.Prefix) != cuboidBits(rows[j-1].Prefix) {
+			spans = append(spans, span{first: at, seg: i, lo: j / blockRecords})
+		}
+		sp := &spans[len(spans)-1]
+		sp.last, sp.hi = at, j/blockRecords+1
 	}
-	return distinct, nil
+	s.sorted = sorted
+	if inOrder {
+		sorted = nil
+	}
+	return sorted, seg, spans, nil
 }
 
 // walkRecords calls visit with the offset and key length of every record of
@@ -246,140 +413,304 @@ func walkRecords(data []byte, counted bool, visit func(off, keyLen int)) error {
 	return nil
 }
 
-// probe is a key to search a segment for, with its row prefix.
+// probe is a key to search a run for, with its row prefix and its keyTag.
 type probe struct {
-	key    []byte
-	prefix uint64
+	key         []byte
+	prefix, tag uint64
 }
 
-func newProbe(key []byte) probe { return probe{key, mr.KeyPrefix(key)} }
+func newProbe(key []byte) probe { return probe{key, mr.KeyPrefix(key), keyTag(key)} }
 
-// below reports whether w sorts before the probe, by the prefixes alone when
+// order compares row w's key with the probe's, by the prefixes alone when
 // they differ.
-func (fs files) below(w row, p probe) bool {
+func (fs files) order(w row, p probe) int {
 	if w.Prefix != p.prefix {
-		return w.Prefix < p.prefix
+		return cmp.Compare(w.Prefix, p.prefix)
 	}
-	return bytes.Compare(fs.key(w), p.key) < 0
+	return bytes.Compare(fs.key(w), p.key)
 }
 
-// lowerBound returns the position of the first row of seg[lo:hi] whose key is
-// not below the probe's, hi when there is none.
-func (fs files) lowerBound(seg []row, lo, hi int, p probe) int {
-	for lo < hi {
-		if mid := int(uint(lo+hi) >> 1); fs.below(seg[mid], p) {
-			lo = mid + 1
-		} else {
-			hi = mid
+// lowerBound returns the offset of the first record of segment s whose key is
+// not below the probe's, the file's length when there is none: the block
+// before the first head not below it holds that record, or ends right before
+// it.
+func (r *SortedRun) lowerBound(s int, p probe) int {
+	blocks, data := r.segs[s].blocks, r.files[s]
+	j, _ := slices.BinarySearchFunc(blocks, p, func(b block, p probe) int { return r.files.order(b.head, p) })
+	if j == 0 {
+		return 0
+	}
+	off, end := int(blocks[j-1].head.Pos), len(data)
+	if j < len(blocks) {
+		end = int(blocks[j].head.Pos)
+	}
+	counted := r.counts == countInState
+	for off < end {
+		n := keyLen(data[off:])
+		if bytes.Compare(data[off:off+n], p.key) >= 0 {
+			return off
 		}
+		off = recordEnd(data, off, n, counted)
 	}
-	return lo
+	return end
 }
 
-// merger yields the rows of a run's segments in ascending key order through
-// mr's loser tree over the segments' next rows, so a row costs O(log
-// segments) whatever the reducer count.
+// part is a stretch of one segment that a merge has not yet yielded: its
+// next record, which is the last of its key's, is head, and the record after
+// that starts at next.
+type part struct {
+	data      []byte
+	off, end  int // of head, and where the stretch ends
+	next      int
+	head      row
+	file      int
+	dups      bool
+	counted   bool
+	exhausted bool
+}
+
+// load reads the record at p.off, skipping to the last record of its key.
+func (p *part) load() {
+	if p.exhausted = p.off >= p.end; p.exhausted {
+		return
+	}
+	n := keyLen(p.data[p.off:])
+	p.next = recordEnd(p.data, p.off, n, p.counted)
+	for p.dups && p.next < p.end {
+		m := keyLen(p.data[p.next:])
+		if !bytes.Equal(p.data[p.next:p.next+m], p.data[p.off:p.off+n]) {
+			break
+		}
+		p.off, p.next = p.next, recordEnd(p.data, p.next, m, p.counted)
+	}
+	p.head = row{Prefix: keyPrefix(p.data, p.off, n), Pos: uint32(p.off), Tag: uint32(n)<<16 | uint32(p.file)}
+}
+
+// merger yields the records of a run's segments in ascending key order. It
+// walks the span directory a cluster at a time — a maximal run of spans each
+// of which starts at or below the reach of those before it, so that no key
+// of one cluster is in another — clipped to the stretches it merges: a lone
+// span is read front to back, and the spans of a larger cluster are merged
+// by mr's loser tree over their next records, so a record costs O(log spans)
+// whatever the reducer count, and nothing where no two files' stretches
+// overlap, as in an SP-Cube job's.
 type merger struct {
-	files files
-	parts [][]row // of each segment, the rows not yet yielded
-	tree  mr.LoserTree
+	run      *SortedRun
+	from, to []int
+	span     int    // where the next cluster starts
+	parts    []part // the current cluster's stretches, in segment order
+	tree     mr.LoserTree
 }
 
 // merge starts a merge at the first key not below from (nil: the first key).
 func (r *SortedRun) merge(from []byte) *merger {
-	parts := make([][]row, len(r.segs))
+	starts, ends := make([]int, len(r.segs)), make([]int, len(r.segs))
 	p := newProbe(from)
-	for i, seg := range r.segs {
-		parts[i] = seg[r.files.lowerBound(seg, 0, len(seg), p):]
+	for s := range r.segs {
+		if from != nil {
+			starts[s] = r.lowerBound(s, p)
+		}
+		ends[s] = len(r.files[s])
 	}
-	return newMerger(r.files, parts)
+	return r.newMerger(starts, ends)
 }
 
-// newMerger starts a merge of parts, which it keeps: a stretch of each of a
-// run's segments, in segment order.
-func newMerger(fs files, parts [][]row) *merger {
-	m := &merger{files: fs, parts: parts}
-	m.tree = mr.NewLoserTree(len(parts), m.beats)
-	return m
+// newMerger starts a merge of the stretches [from[s], to[s]) of the run's
+// segments.
+func (r *SortedRun) newMerger(from, to []int) *merger {
+	return &merger{run: r, from: from, to: to}
 }
 
-// beats reports whether segment a's next row precedes segment b's: drained
-// segments lose to live ones, equal keys go to the lower segment.
+// nextCluster loads the stretches of the next cluster that has a record in
+// the merge, and reports whether there was one.
+func (m *merger) nextCluster() bool {
+	r, counted := m.run, m.run.counts == countInState
+	for m.span < len(r.spans) {
+		i, j := m.span, m.span+1
+		for j < len(r.spans) && r.files.compare(r.spans[j-1].reach, r.spans[j].first) >= 0 {
+			j++
+		}
+		m.span = j
+		m.parts = m.parts[:0]
+		for _, sp := range r.spans[i:j] {
+			s, data := sp.seg, r.files[sp.seg]
+			p := part{data: data, file: s, dups: r.segs[s].dups, counted: counted,
+				off: max(int(sp.first.Pos), m.from[s]),
+				end: min(recordEnd(data, int(sp.last.Pos), int(sp.last.Tag>>16), counted), m.to[s])}
+			if p.load(); !p.exhausted {
+				m.parts = append(m.parts, p)
+			}
+		}
+		if len(m.parts) > 1 {
+			slices.SortFunc(m.parts, func(a, b part) int { return cmp.Compare(a.file, b.file) })
+			m.tree = mr.NewLoserTree(len(m.parts), m.beats)
+		}
+		if len(m.parts) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// beats reports whether stretch a's next record precedes stretch b's:
+// drained stretches lose to live ones, equal keys go to the lower segment.
 func (m *merger) beats(a, b int) bool {
-	switch pa, pb := m.parts[a], m.parts[b]; {
-	case len(pa) == 0:
+	switch pa, pb := &m.parts[a], &m.parts[b]; {
+	case pa.exhausted:
 		return false
-	case len(pb) == 0:
+	case pb.exhausted:
 		return true
 	default:
-		if c := m.files.compare(pa[0], pb[0]); c != 0 {
+		if c := m.run.files.compare(pa.head, pb.head); c != 0 {
 			return c < 0
 		}
 	}
 	return a < b
 }
 
-// next returns the row of the next distinct key. Equal keys win in segment
-// order, so the record of the last segment holding a key is the one
-// returned.
+// next returns the record of the next distinct key. Equal keys win in segment
+// order, so the record of the last segment holding a key is the one returned.
 func (m *merger) next() (row, bool) {
 	for {
-		w := m.tree.Winner()
-		if w < 0 || len(m.parts[w]) == 0 {
-			return row{}, false
+		switch {
+		case len(m.parts) == 0:
+			if !m.nextCluster() {
+				return row{}, false
+			}
+			continue
+		case len(m.parts) == 1:
+			p := &m.parts[0]
+			top := p.head
+			p.off = p.next
+			if p.load(); p.exhausted {
+				m.parts = m.parts[:0]
+			}
+			return top, true
 		}
-		top := m.parts[w][0]
-		m.parts[w] = m.parts[w][1:]
+		w := m.tree.Winner()
+		if m.parts[w].exhausted {
+			m.parts = m.parts[:0]
+			continue
+		}
+		p := &m.parts[w]
+		top := p.head
+		p.off = p.next
+		p.load()
 		m.tree.Replay(m.beats)
-		if rest := m.parts[m.tree.Winner()]; len(rest) == 0 || m.files.compare(top, rest[0]) != 0 {
+		if q := &m.parts[m.tree.Winner()]; q.exhausted || m.run.files.compare(top, q.head) != 0 {
 			return top, true
 		}
 	}
 }
 
-// find returns the row the run holds for the probe's key. pos, when not nil,
-// holds per segment where the search for the previous key ended: the search
-// for this one starts there, doubles its step away until a row is not below
-// the key and bisects the last step, so a key g rows on costs O(log g)
-// comparisons of rows the last search left in cache, not O(log rows) of rows
-// all over the index. A key below the previous one is searched for among the
-// rows passed. The last segment holding the key stands, so segments are
-// searched last to first and those before a hit keep their positions.
-func (r *SortedRun) find(p probe, pos []int) (row, bool) {
-	fs := r.files
-	for i := len(r.segs) - 1; i >= 0; i-- {
-		seg := r.segs[i]
-		lo, hi := 0, len(seg)
-		if pos != nil {
-			if lo, hi = pos[i], pos[i]; lo > 0 && !fs.below(seg[lo-1], p) {
-				lo, hi = 0, lo-1
-			} else {
-				for step := 1; hi < len(seg) && fs.below(seg[hi], p); step *= 2 {
-					lo, hi = hi+1, hi+step
-				}
-				hi = min(hi, len(seg))
-			}
+// find returns the record the run holds for the probe's key. The spans that
+// may hold it start at or below it and end at or above it: the last span
+// starting at or below it is bisected for, or stepped to from the previous
+// key's when c, a cursor, has one below, and the spans before it are walked
+// back while their reach is not below the key — for the disjoint stretches an
+// SP-Cube job writes, no further. Each of them is searched (see searchSpan);
+// of several segments holding the key, the last stands.
+func (r *SortedRun) find(p probe, c *Cursor) (row, bool) {
+	fs, spans := r.files, r.spans
+	var j int
+	if c != nil && c.span < len(spans) && fs.order(spans[c.span].first, p) <= 0 {
+		for j = c.span; j+1 < len(spans) && fs.order(spans[j+1].first, p) <= 0; j++ {
 		}
-		j := fs.lowerBound(seg, lo, hi, p)
-		if pos != nil {
-			pos[i] = j
-		}
-		// The prefixes differ for nearly every row that is not the key's:
-		// deciding by them leaves the file's bytes untouched.
-		if j < len(seg) && seg[j].Prefix == p.prefix && bytes.Equal(fs.key(seg[j]), p.key) {
-			return seg[j], true
+		c.span = j
+	} else {
+		j = sort.Search(len(spans), func(i int) bool { return fs.order(spans[i].first, p) > 0 }) - 1
+		if c != nil && j >= 0 {
+			c.span = j
 		}
 	}
-	return row{}, false
+	found, seg := row{}, -1
+	for i := j; i >= 0 && fs.order(spans[i].reach, p) >= 0; i-- {
+		sp := &spans[i]
+		if sp.seg < seg || fs.order(sp.last, p) < 0 {
+			continue
+		}
+		if off, ok := r.searchSpan(sp, p, c); ok {
+			found, seg = row{Pos: uint32(off), Tag: uint32(len(p.key))<<16 | uint32(sp.seg)}, sp.seg
+		}
+	}
+	return found, seg >= 0
 }
 
-// Len returns the number of groups in the cube. Over several segments that
-// takes a merge pass to find, made on the first call unless WriteCSV, which
-// counts the rows it writes, has run.
+// searchSpan returns the offset of the record of span sp that holds the
+// probe's key, which is not below the span's first: it finds the last of the
+// span's blocks whose head is not above the key — for a cursor whose previous
+// search in the segment ended in a block of the span not above it, by
+// doubling its step from there before it bisects, so a key g blocks on costs
+// O(log g) comparisons, not O(log blocks) — and, unless the block's tags rule
+// the key out, scans the block.
+func (r *SortedRun) searchSpan(sp *span, p probe, c *Cursor) (int, bool) {
+	fs, blocks := r.files, r.segs[sp.seg].blocks
+	lo, hi := sp.lo, sp.hi // blocks[lo]'s head is not above the key
+	if c != nil {
+		if q := c.blocks[sp.seg]; q > lo && q < hi && fs.order(blocks[q].head, p) <= 0 {
+			lo = q
+			step := 1
+			for lo+step < hi && fs.order(blocks[lo+step].head, p) <= 0 {
+				lo += step
+				step *= 2
+			}
+			hi = min(hi, lo+step)
+		}
+	}
+	for hi-lo > 1 {
+		if mid := int(uint(lo+hi) >> 1); fs.order(blocks[mid].head, p) <= 0 {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	if c != nil {
+		c.blocks[sp.seg] = lo
+	}
+	if !blocks[lo].mayHold(p.tag) {
+		return 0, false
+	}
+	return r.scanBlock(sp.seg, lo, p)
+}
+
+// scanBlock returns the offset of the last record of block j of segment s
+// that holds the probe's key. A record's key is compared by its prefix first,
+// which decides for nearly every record that is not the key's.
+func (r *SortedRun) scanBlock(s, j int, p probe) (int, bool) {
+	blocks, data := r.segs[s].blocks, r.files[s]
+	end := len(data)
+	if j+1 < len(blocks) {
+		end = int(blocks[j+1].head.Pos)
+	}
+	found, counted, dups := -1, r.counts == countInState, r.segs[s].dups
+	for off := int(blocks[j].head.Pos); off < end; {
+		n := keyLen(data[off:])
+		c := cmp.Compare(keyPrefix(data, off, n), p.prefix)
+		if c == 0 {
+			c = bytes.Compare(data[off:off+n], p.key)
+		}
+		if c > 0 {
+			break
+		}
+		if c == 0 {
+			if found = off; !dups {
+				break
+			}
+		}
+		off = recordEnd(data, off, n, counted)
+	}
+	return found, found >= 0
+}
+
+// Len returns the number of groups in the cube. In a disjoint run that is
+// the record count; otherwise it takes a merge pass to find, made on the
+// first call unless WriteCSV, which counts the rows it writes, has run.
 func (r *SortedRun) Len() int {
 	r.count.Do(func() {
-		if len(r.segs) == 1 {
-			r.n = len(r.segs[0])
+		if r.disjoint {
+			for _, seg := range r.segs {
+				r.n += seg.records
+			}
 			return
 		}
 		for m := r.merge(nil); ; r.n++ {
@@ -407,18 +738,21 @@ func (r *SortedRun) Lookup(mask lattice.Mask, dims []relation.Value) (float64, b
 // answers any sequence as Lookup does. A cursor is one goroutine's.
 type Cursor struct {
 	run *SortedRun
-	pos []int
-	buf [binary.MaxVarintLen64]byte // a count job's state
+	// span is the span the previous search started from, blocks[s] the
+	// block of segment s where the last search in it ended.
+	span   int
+	blocks []int
+	buf    [binary.MaxVarintLen64]byte // a count job's state
 }
 
 // Cursor returns a cursor at the start of the run.
-func (r *SortedRun) Cursor() *Cursor { return &Cursor{run: r, pos: make([]int, len(r.segs))} }
+func (r *SortedRun) Cursor() *Cursor { return &Cursor{run: r, blocks: make([]int, len(r.segs))} }
 
 // Seek returns the encoded aggregate state (as EachState has it) of the group
 // with the given encoded key. The state aliases the run or the cursor, and
 // holds until the next Seek.
 func (c *Cursor) Seek(key []byte) ([]byte, bool) {
-	w, ok := c.run.find(newProbe(key), c.pos)
+	w, ok := c.run.find(newProbe(key), c)
 	if !ok {
 		return nil, false
 	}
@@ -459,7 +793,7 @@ func (r *SortedRun) each(from []byte, fn func(key []byte, mask lattice.Mask, pac
 		}
 		key := r.files.key(w)
 		var mask uint32
-		mask, packed, _, _ = relation.ScanGroupKeyInto(packed, key) // indexFile parsed this key already
+		mask, packed, _, _ = relation.ScanGroupKeyInto(packed, key) // collect checked this key
 		v, n := r.group(w)
 		if !fn(key, lattice.Mask(mask), packed, v, n) {
 			return
@@ -496,18 +830,24 @@ func (r *SortedRun) EachRow(rel *relation.Relation, fn func(dims []string, value
 }
 
 // Run lays the result out as a SortedRun of the same groups: one file of
-// output records, indexed. It is how a map reaches the code that reads runs —
-// the CSV writer, the serving index.
+// output records, sorted and indexed as CollectRun sorts a job's. It is how a
+// map reaches the code that reads runs — the CSV writer, the serving index.
 func (r *Result) Run() (*SortedRun, error) {
 	var data []byte
 	for key, v := range r.Groups {
 		data = appendFinal(append(append(data, key...), '\t'), v)
 	}
-	rows, err := indexFile("result", files{data}, 0, len(r.Groups), false, new(mr.IndexScratch))
+	var s sorter
+	sorted, seg, spans, err := s.sortFile("result", files{data}, 0, false)
 	if err != nil {
 		return nil, err
 	}
-	return &SortedRun{d: r.D, files: files{data}, segs: [][]row{rows}, par: runtime.GOMAXPROCS(0)}, nil
+	if sorted == nil {
+		sorted = data
+	}
+	run := &SortedRun{d: r.D, files: files{sorted}, segs: []segment{seg}, par: runtime.GOMAXPROCS(0)}
+	run.setSpans([][]span{spans})
+	return run, nil
 }
 
 // WriteCSV writes the result exactly as a SortedRun of the same groups would.

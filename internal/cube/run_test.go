@@ -1,6 +1,7 @@
 package cube_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -99,15 +100,11 @@ func requireEachEqualsMap(t *testing.T, run *cube.SortedRun, want *cube.Result, 
 	}
 }
 
-// requireRunEqualsMap is the run ≡ map contract: the run — as collected, one
-// segment per file, and merged into one — iterates exactly the map's keys in
-// sort.Strings order with bit-equal values and the given counts, and answers
-// every point and cuboid query as the map does.
+// requireRunEqualsMap is the run ≡ map contract: the run iterates exactly the
+// map's keys in sort.Strings order with bit-equal values and the given counts,
+// and answers every point and cuboid query as the map does.
 func requireRunEqualsMap(t *testing.T, run *cube.SortedRun, want *cube.Result, counts map[string]int64) {
 	t.Helper()
-	if merged := run.Merged(); merged != run { // folded into one segment it is the same cube
-		requireRunEqualsMap(t, merged, want, counts)
-	}
 	keys := sortedKeys(want)
 	if run.Len() != len(keys) {
 		t.Fatalf("run has %d groups, map %d", run.Len(), len(keys))
@@ -322,16 +319,34 @@ func TestRunKeepsLaterDuplicate(t *testing.T) {
 	}
 }
 
-// TestCursorAnswersAsLookup: ascending probes over two files of counted
-// records — present keys, misses below the first key, between two rows and
-// above the last, and a key both files hold, which the later file wins —
-// answer as Lookup answers them, with the record's state, and so does a probe
-// below the one before it: a cursor is not restricted to ascending keys, only
-// fast on them.
+// TestCursorAnswersAsLookup: ascending probes over files of counted records —
+// present keys, misses below the first key, between two rows and above the
+// last, a key two files hold, which the later file wins, keys of a cuboid
+// only one file holds, below and above its stretch, at the heads and tails of
+// its blocks, and a key written twice across a block boundary — answer as
+// Lookup answers them, with the record's state, and so does a probe below the
+// one before it: a cursor is not restricted to ascending keys, only fast on
+// them.
 func TestCursorAnswersAsLookup(t *testing.T) {
 	big := relation.Value(1 << 28)
 	rec := func(mask lattice.Mask, packed []relation.Value, v float64) []byte {
 		return countedRecord(mask, packed, v, int64(v)<<7) // two-byte counts
+	}
+	// File c holds cuboid 0b100 alone, values 2 to 20 with 9 written
+	// twice: records 7 and 8, the tail of its first block and the head of
+	// its second, of which the later stands. Its second block runs to 16,
+	// its third starts at 17, which file d writes again; d's stretch of the
+	// cuboid starts below c's, so the later file's record stands although
+	// c's stretch is the one that starts nearer the key.
+	var c []byte
+	for v := relation.Value(2); v <= 20; v++ {
+		if v == 9 {
+			c = append(c, rec(0b100, []relation.Value{9}, 100)...)
+		}
+		c = append(c, rec(0b100, []relation.Value{v}, float64(v))...)
+	}
+	if cube.BlockRecords != 8 {
+		t.Fatalf("the probes below are placed for blocks of 8 records, not %d", cube.BlockRecords)
 	}
 	run, _ := handRun(t, 3, countedSpec,
 		slices.Concat(
@@ -344,7 +359,10 @@ func TestCursorAnswersAsLookup(t *testing.T) {
 			rec(0b001, []relation.Value{6}, 5),
 			rec(0b011, []relation.Value{big, 9}, 6),
 		),
+		c,
+		slices.Concat(rec(0b100, []relation.Value{1}, 101), rec(0b100, []relation.Value{17}, 117)),
 	)
+	at := func(v relation.Value) []relation.Value { return []relation.Value{0, 0, v} }
 	probes := []struct {
 		name  string
 		mask  lattice.Mask
@@ -362,29 +380,203 @@ func TestCursorAnswersAsLookup(t *testing.T) {
 		{"past the row prefix", 0b011, []relation.Value{big, 7, 0}, 3, true},
 		{"same 8 bytes, absent", 0b011, []relation.Value{big, 8, 0}, 0, false},
 		{"last row", 0b011, []relation.Value{big, 9, 0}, 6, true},
+		{"a cuboid two files hold: below both stretches", 0b100, at(0), 0, false},
+		{"below the earlier file's stretch", 0b100, at(1), 101, true},
+		{"the head of its first block", 0b100, at(2), 2, true},
+		{"inside a block", 0b100, at(5), 5, true},
+		{"twice across a block boundary: the later", 0b100, at(9), 9, true},
+		{"the tail of a block", 0b100, at(16), 16, true},
+		{"a head a later file writes again", 0b100, at(17), 117, true},
+		{"the tail of the last block", 0b100, at(20), 20, true},
+		{"above both stretches", 0b100, at(21), 0, false},
 		{"above the last key", 0b111, []relation.Value{1, 1, 1}, 0, false},
 		{"descending: back to a row passed", 0b001, []relation.Value{4, 0, 0}, 4, true},
 		{"descending: a miss passed", 0, []relation.Value{0, 0, 0}, 0, false},
 		{"ascending again", 0b011, []relation.Value{big, 9, 0}, 6, true},
+		{"descending: a block passed", 0b100, at(9), 9, true},
 	}
-	for name, run := range map[string]*cube.SortedRun{"a segment per file": run, "merged": run.Merged()} {
-		cur := run.Cursor()
-		for _, p := range probes {
-			state, ok := cur.Seek([]byte(relation.GroupKey(uint32(p.mask), p.dims)))
-			var got float64
-			if ok {
-				st, err := countedSpec.Agg.DecodeState(state)
-				if err != nil {
-					t.Fatalf("%s, %s: Seek = %x: %v", name, p.name, state, err)
+	cur := run.Cursor()
+	for _, p := range probes {
+		state, ok := cur.Seek([]byte(relation.GroupKey(uint32(p.mask), p.dims)))
+		var got float64
+		if ok {
+			st, err := countedSpec.Agg.DecodeState(state)
+			if err != nil {
+				t.Fatalf("%s: Seek = %x: %v", p.name, state, err)
+			}
+			got = st.Final()
+		}
+		if ok != p.found || got != p.want || stateCount(state) != int64(p.want)<<7 {
+			t.Errorf("%s: Seek = %v,%d,%v, want %v,%d,%v", p.name, got, stateCount(state), ok, p.want, int64(p.want)<<7, p.found)
+		}
+		if lv, lok := run.Lookup(p.mask, p.dims); lok != ok || lv != got {
+			t.Errorf("%s: Seek = %v,%v but Lookup = %v,%v", p.name, got, ok, lv, lok)
+		}
+	}
+}
+
+// outputKeys returns the keys of a file's output records, in file order.
+func outputKeys(t *testing.T, file []byte, counted bool) []string {
+	t.Helper()
+	var keys []string
+	for len(file) > 0 {
+		_, _, n, err := relation.ScanGroupKeyInto(nil, file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, string(file[:n]))
+		file = file[n+1+8:]
+		if counted {
+			size, k := binary.Uvarint(file)
+			file = file[k+int(size):]
+		}
+	}
+	return keys
+}
+
+// collected runs SP-Cube under spec over 3,000 uniform rows on five
+// reducers and returns the engine and the job's output prefix.
+func collected(t *testing.T, spec cube.Spec) (*mr.Engine, string) {
+	t.Helper()
+	eng := cubetest.NewEngine(5)
+	res, err := algo.Table[0].New(1)(eng, data.Uniform(3000, 4, 1<<30, 1), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng, res.OutputPrefix
+}
+
+// TestCollectRunIndexIsSparse: a collected run indexes each file with one
+// block per BlockRecords records and one span per cuboid the file holds,
+// nothing per record.
+func TestCollectRunIndexIsSparse(t *testing.T) {
+	for _, spec := range []cube.Spec{valueSpec, countedSpec} {
+		eng, prefix := collected(t, spec)
+		run, err := cube.CollectRun(eng, prefix, 4, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		records, blocks, spans := cube.IndexShape(run)
+		for s, name := range eng.FS.List(prefix) {
+			file, err := eng.FS.Read(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			masks := map[uint32]bool{}
+			for _, key := range outputKeys(t, file, agg.Counted(spec.Agg)) {
+				mask, _, _ := relation.DecodeGroupKey(key)
+				masks[mask] = true
+			}
+			if n := int(eng.FS.Records(name)); records[s] != n || blocks[s] != (n+cube.BlockRecords-1)/cube.BlockRecords || spans[s] != len(masks) {
+				t.Errorf("%s, %s: %d records indexed by %d blocks and %d spans; want %d records, %d blocks, a span for each of %d cuboids",
+					spec.Agg.Name(), name, records[s], blocks[s], spans[s], n, (n+cube.BlockRecords-1)/cube.BlockRecords, len(masks))
+			}
+		}
+	}
+}
+
+// TestCollectRunSortsFilesInPlace: after CollectRun every output file's
+// records ascend by key, and the file keeps its size, record count and
+// checksum: it holds the records it held, in the run's order.
+func TestCollectRunSortsFilesInPlace(t *testing.T) {
+	for _, spec := range []cube.Spec{valueSpec, countedSpec} {
+		eng, prefix := collected(t, spec)
+		type stat struct {
+			size, records int64
+			sum           uint64
+		}
+		before := map[string]stat{}
+		ascending := 0
+		for _, name := range eng.FS.List(prefix) {
+			before[name] = stat{eng.FS.Size(name), eng.FS.Records(name), eng.FS.Checksum(name)}
+			file, _ := eng.FS.Read(name)
+			if slices.IsSorted(outputKeys(t, file, agg.Counted(spec.Agg))) {
+				ascending++
+			}
+		}
+		if ascending == len(before) {
+			t.Fatalf("%s: the reducers' files ascend already: the test shows nothing", spec.Agg.Name())
+		}
+		if _, err := cube.CollectRun(eng, prefix, 4, spec); err != nil {
+			t.Fatal(err)
+		}
+		for name, was := range before {
+			file, err := eng.FS.Read(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys := outputKeys(t, file, agg.Counted(spec.Agg))
+			for i := 1; i < len(keys); i++ {
+				if keys[i-1] >= keys[i] {
+					t.Fatalf("%s, %s: record %d's key %x does not follow %x", spec.Agg.Name(), name, i, keys[i], keys[i-1])
 				}
-				got = st.Final()
 			}
-			if ok != p.found || got != p.want || stateCount(state) != int64(p.want)<<7 {
-				t.Errorf("%s, %s: Seek = %v,%d,%v, want %v,%d,%v", name, p.name, got, stateCount(state), ok, p.want, int64(p.want)<<7, p.found)
+			if now := (stat{eng.FS.Size(name), eng.FS.Records(name), eng.FS.Checksum(name)}); now != was || int64(len(file)) != was.size || int64(len(keys)) != was.records {
+				t.Errorf("%s, %s: %d bytes of %d records, size/records/checksum %+v; before the collect %+v",
+					spec.Agg.Name(), name, len(file), len(keys), now, was)
 			}
-			if lv, lok := run.Lookup(p.mask, p.dims); lok != ok || lv != got {
-				t.Errorf("%s, %s: Seek = %v,%v but Lookup = %v,%v", name, p.name, got, ok, lv, lok)
-			}
+		}
+	}
+}
+
+// TestSortedRunConcurrentReaders: one run read by 8 goroutines at once —
+// each iterating it, seeking every key and a miss beside each through its own
+// cursor, and rendering it — answers every one of them as a lone reader does.
+// Run under the race detector it also holds the lazily counted Len.
+func TestSortedRunConcurrentReaders(t *testing.T) {
+	eng, prefix := collected(t, countedSpec)
+	run, err := cube.CollectRun(eng, prefix, 4, countedSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := data.Uniform(3000, 4, 1<<30, 1)
+	var keys, states []string
+	run.EachState(func(key, state []byte) bool {
+		keys, states = append(keys, string(key)), append(states, string(state))
+		return true
+	})
+	var want bytes.Buffer
+	if err := run.WriteCSV(&want, rel, "count"); err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		go func() {
+			errs <- func() error {
+				n := 0
+				run.Each(func(key []byte, _ lattice.Mask, _ []relation.Value, _ float64, _ int64) bool {
+					if string(key) != keys[n] {
+						return false
+					}
+					n++
+					return true
+				})
+				if n != len(keys) || run.Len() != len(keys) {
+					return fmt.Errorf("Each yielded %d of %d groups, Len %d", n, len(keys), run.Len())
+				}
+				cur := run.Cursor()
+				for i, key := range keys {
+					if state, ok := cur.Seek([]byte(key)); !ok || string(state) != states[i] {
+						return fmt.Errorf("Seek(%x) = %x,%v, want %x", key, state, ok, states[i])
+					}
+					if _, ok := cur.Seek([]byte(key + "\x00")); ok {
+						return fmt.Errorf("Seek(%x) found a key the run lacks", key+"\x00")
+					}
+				}
+				var got bytes.Buffer
+				if err := run.WriteCSV(&got, rel, "count"); err != nil {
+					return err
+				}
+				if !bytes.Equal(got.Bytes(), want.Bytes()) {
+					return fmt.Errorf("WriteCSV wrote %d bytes, a lone reader %d", got.Len(), want.Len())
+				}
+				return nil
+			}()
+		}()
+	}
+	for g := 0; g < 8; g++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
 		}
 	}
 }
@@ -439,10 +631,9 @@ func TestRunRejectsBadRecords(t *testing.T) {
 // keys, whose byte order is ascending cuboids and, within one, ComparePacked
 // order, every value, count and state read in bounds, the same (value, count)
 // pairs through Each, and the same states through EachState and cursor reads
-// at every key and beside it, from a segment per file and merged into one,
-// and renders to the CSV bytes
-// encoding/csv makes of it, in ranges of any size, whether the dictionary has
-// the records' codes or not — never a panic.
+// at every key and beside it, and renders to the CSV bytes encoding/csv makes
+// of it, in ranges of any size, whether the dictionary has the records' codes
+// or not — never a panic.
 func FuzzOutputRecords(f *testing.F) {
 	rel := awkwardRelation()
 	for _, spec := range []cube.Spec{valueSpec, countedSpec} {
@@ -477,6 +668,28 @@ func FuzzOutputRecords(f *testing.F) {
 	f.Add(slices.Concat(record(0b111, long(100), 1), record(0b111, long(1), 2)), record(0b111, long(1<<20), 3), false)
 	f.Add(slices.Concat(record(0b111, long(1), 1), record(0b111, long(2), 2), record(0b111, long(1), 3)), record(0b111, long(5), 4), false)
 	f.Add(slices.Concat(countedRecord(0b111, long(1), 1, 1), countedRecord(0b111, long(1), 5, 2)), countedRecord(0b111, long(2), 2, 3), true)
+	// The sparse index's edges: a file of one cuboid over three blocks, a
+	// key written twice across its first block boundary; and a later file
+	// that holds a cuboid the first lacks and, in the first's cuboid, a
+	// stretch that starts below the first's and rewrites the head of its
+	// last block.
+	for _, counted := range []bool{false, true} {
+		rec := record
+		if counted {
+			rec = func(mask lattice.Mask, packed []relation.Value, v float64) []byte {
+				return countedRecord(mask, packed, v, int64(v))
+			}
+		}
+		var blocks []byte
+		for v := relation.Value(2); v <= 20; v++ {
+			if v == 9 {
+				blocks = append(blocks, rec(0b100, []relation.Value{9}, 100)...)
+			}
+			blocks = append(blocks, rec(0b100, []relation.Value{v}, float64(v))...)
+		}
+		later := slices.Concat(rec(0b001, []relation.Value{3}, 3), rec(0b100, []relation.Value{1}, 101), rec(0b100, []relation.Value{17}, 117))
+		f.Add(blocks, later, counted)
+	}
 	f.Fuzz(func(t *testing.T, a, b []byte, counted bool) {
 		spec := valueSpec
 		if counted {
@@ -517,10 +730,7 @@ func FuzzOutputRecords(f *testing.F) {
 		if i != len(keys) || run.Len() != len(keys) {
 			t.Fatalf("run yielded %d groups, Len %d, map has %d", i, run.Len(), len(keys))
 		}
-		merged := run.Merged()
-		requireEachEqualsMap(t, merged, want, keys, counts)
 		requireCursorEqualsMap(t, run, want, keys, counts)
-		requireCursorEqualsMap(t, merged, want, keys, counts)
 		requireRendersAsReference(t, run, rel)
 	})
 }

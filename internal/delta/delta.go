@@ -575,10 +575,10 @@ func (m *Maintainer) states(compute cube.ComputeFunc, rel *relation.Relation, me
 // runJob runs compute over rel on a fresh engine — one job, of the aggregate
 // counted, so that every record carries its group's state and tuple count,
 // keeping the groups with at least minSup tuples — appending its rounds to
-// metrics and its time to t. It indexes the output where the reducers wrote
-// it, as one merged segment: a base is read at every key a batch touches for
-// as long as it stands, which that makes one search per key instead of one
-// per output file, and a batch's cube is too small for the merge to show.
+// metrics and its time to t. It sorts the output where the reducers wrote it
+// and reads it file by file: a base is read at every key a batch touches for
+// as long as it stands, and the run's span directory leaves about one file
+// to search per key.
 func (m *Maintainer) runJob(compute cube.ComputeFunc, rel *relation.Relation, minSup int, metrics *mr.JobMetrics, t *Timing) (*cube.SortedRun, error) {
 	eng := mr.New(mr.Config{
 		Workers:          m.cfg.Workers,
@@ -602,7 +602,6 @@ func (m *Maintainer) runJob(compute cube.ComputeFunc, rel *relation.Relation, mi
 	if err != nil {
 		return nil, err
 	}
-	out = out.Merged()
 	t.Job += computed.Sub(start)
 	t.Index += time.Since(computed)
 	metrics.Rounds = append(metrics.Rounds, run.Metrics.Rounds...)

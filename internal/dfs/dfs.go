@@ -14,6 +14,7 @@
 package dfs
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
@@ -134,6 +135,53 @@ func (fs *FS) Write(name string, data []byte) {
 		f.data = append([]byte(nil), data...)
 	}
 	fs.files[name] = f
+}
+
+// Reorder writes data over the named file's content, which data must hold
+// in another order: the file keeps its size, record count and checksum, and
+// its bytes, so a slice Read returned reads the new order. Not knowing where
+// records end, Reorder checks what any order of them keeps — the length and
+// the bytes, as a multiset — and fails, leaving the file as it was, for data
+// that differs in either, in discard mode and for a missing file.
+func (fs *FS) Reorder(name string, data []byte) error {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	f, ok := fs.files[name]
+	switch {
+	case !ok:
+		return fmt.Errorf("dfs: file %q does not exist", name)
+	case fs.discard:
+		return fmt.Errorf("dfs: file %q content discarded (FS in discard mode)", name)
+	case len(data) != len(f.data) || byteSum(data) != byteSum(f.data):
+		return fmt.Errorf("dfs: reordering file %q: not a permutation of its records", name)
+	}
+	copy(f.data, data)
+	return nil
+}
+
+// byteSum returns the sum of b's bytes, 32 at a time: each of four words
+// adds its even bytes into one set of four 16-bit lanes and its odd bytes
+// into another, which 64 rounds cannot overflow (64 · 4 · 255 < 1<<16), and
+// the lanes are folded out after every 64.
+func byteSum(b []byte) uint64 {
+	const lanes = 0x00ff00ff00ff00ff
+	fold := func(x uint64) uint64 { return x&0xffff + x>>16&0xffff + x>>32&0xffff + x>>48 }
+	var sum uint64
+	for len(b) >= 32 {
+		var even, odd uint64
+		for n := min(len(b)/32, 64); n > 0; n-- {
+			w0, w1 := binary.LittleEndian.Uint64(b), binary.LittleEndian.Uint64(b[8:])
+			w2, w3 := binary.LittleEndian.Uint64(b[16:]), binary.LittleEndian.Uint64(b[24:])
+			even += w0&lanes + w1&lanes + w2&lanes + w3&lanes
+			odd += w0>>8&lanes + w1>>8&lanes + w2>>8&lanes + w3>>8&lanes
+			b = b[32:]
+		}
+		sum += fold(even) + fold(odd)
+	}
+	for _, c := range b {
+		sum += uint64(c)
+	}
+	return sum
 }
 
 // Read returns the named file's content. It fails in discard mode and for

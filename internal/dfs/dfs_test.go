@@ -163,3 +163,54 @@ func TestMissingFile(t *testing.T) {
 		t.Error("missing file must have zero accounting")
 	}
 }
+
+// TestReorderTakesOnlyAPermutation: a file takes its records in another
+// order and keeps its size, record count and checksum; content of another
+// length or other bytes leaves the file as it was.
+func TestReorderTakesOnlyAPermutation(t *testing.T) {
+	fs := New(false)
+	write(fs, "f", "aa", "1", "b", "22", "c", "3")
+	size, recs, sum := fs.Size("f"), fs.Records("f"), fs.Checksum("f")
+	for name, bad := range map[string]string{
+		"a record changed": "c\t3b\t23aa\t1",
+		"a record short":   "c\t3b\t2aa\t1",
+		"a byte more":      "c\t3b\t22aa\t1\x00",
+	} {
+		if err := fs.Reorder("f", []byte(bad)); err == nil {
+			t.Errorf("%s: Reorder took %q", name, bad)
+		}
+	}
+	if data, _ := fs.Read("f"); string(data) != "aa\t1b\t22c\t3" {
+		t.Fatalf("after refused reorders the file holds %q", data)
+	}
+	if err := fs.Reorder("f", []byte("c\t3b\t22aa\t1")); err != nil {
+		t.Fatal(err)
+	}
+	if data, _ := fs.Read("f"); string(data) != "c\t3b\t22aa\t1" {
+		t.Errorf("reordered file holds %q", data)
+	}
+	if fs.Size("f") != size || fs.Records("f") != recs || fs.Checksum("f") != sum {
+		t.Errorf("reorder moved size/records/checksum: %d/%d/%x, was %d/%d/%x",
+			fs.Size("f"), fs.Records("f"), fs.Checksum("f"), size, recs, sum)
+	}
+	if err := fs.Reorder("missing", nil); err == nil {
+		t.Error("Reorder of a missing file succeeded")
+	}
+	discard := New(true)
+	write(discard, "f", "aa", "1")
+	if err := discard.Reorder("f", []byte("aa\t1")); err == nil {
+		t.Error("Reorder in discard mode succeeded")
+	}
+}
+
+// TestByteSum holds the 32-bytes-at-a-time sum to a plain one over lengths
+// around its 64-round fold, of 0xff bytes, which overflow a lane folded one
+// round later.
+func TestByteSum(t *testing.T) {
+	b := bytes.Repeat([]byte{0xff}, 4200)
+	for _, n := range []int{0, 1, 31, 32, 33, 2047, 2048, 2049, 2080, 4200} {
+		if got, want := byteSum(b[:n]), uint64(n)*0xff; got != want {
+			t.Errorf("byteSum of %d bytes = %d, want %d", n, got, want)
+		}
+	}
+}
